@@ -432,10 +432,12 @@ func (d *Deployment) FsckAll() error {
 }
 
 // RunAllCollectors performs one intent-collection and one garbage-
-// collection pass on every function — deterministic collection for tests
-// and benchmarks.
+// collection pass on every function, in sorted function order, so a pass
+// issues the same store operations on every run — deterministic collection
+// for tests and benchmarks.
 func (d *Deployment) RunAllCollectors() error {
-	for _, rt := range d.runtimes {
+	for _, fn := range d.Functions() {
+		rt := d.runtimes[fn]
 		if rt.Mode() == ModeBaseline {
 			continue
 		}

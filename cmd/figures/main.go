@@ -36,8 +36,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -69,53 +71,76 @@ func emitJSON(name string, series any) error {
 	return nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run regenerates the figure(s) -fig names and returns the exit code: 1 when
+// a figure fails, 2 for a bad command line — an id that is not in the table
+// below included, which used to print nothing and exit 0.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 13, 14, 15, 15b, 16, 25, 26, costs, ablation, queue, orders, shard, fanout, backend, latency, cluster, remote, pipeline, all")
-		scale    = flag.Float64("scale", 0.1, "latency compression factor (1.0 = DynamoDB-like milliseconds)")
-		duration = flag.Duration("duration", 3*time.Second, "measurement duration per sweep point")
-		minutes  = flag.Int("minutes", 30, "simulated minutes for fig 16")
-		minute   = flag.Duration("minute", 300*time.Millisecond, "real time per simulated minute in fig 16")
-		rates    = flag.String("rates", "", "comma-separated offered rates for sweeps (default 100..800)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		ops      = flag.Int("ops", 60, "operations per fig 13/25 cell")
-		jsonOut  = flag.Bool("json", false, "also write each sweep as BENCH_<fig>.json (see -out)")
-		outDir   = flag.String("out", ".", "directory for -json output files")
+		scale    = fs.Float64("scale", 0.1, "latency compression factor (1.0 = DynamoDB-like milliseconds)")
+		duration = fs.Duration("duration", 3*time.Second, "measurement duration per sweep point")
+		minutes  = fs.Int("minutes", 30, "simulated minutes for fig 16")
+		minute   = fs.Duration("minute", 300*time.Millisecond, "real time per simulated minute in fig 16")
+		rates    = fs.String("rates", "", "comma-separated offered rates for sweeps (default 100..800)")
+		seed     = fs.Int64("seed", 1, "random seed")
+		ops      = fs.Int("ops", 60, "operations per fig 13/25 cell")
+		jsonOut  = fs.Bool("json", false, "also write each sweep as BENCH_<fig>.json (see -out)")
+		outDir   = fs.String("out", ".", "directory for -json output files")
+		rateList []float64
 	)
-	flag.Parse()
+	figures := []struct {
+		id  string
+		run func() error
+	}{
+		{"13", func() error { return runFig13(20, *scale, *seed, *ops, "13") }},
+		{"14", func() error { return runSweep("14", "media", rateList, *duration, *scale, *seed) }},
+		{"15", func() error { return runSweep("15", "travel", rateList, *duration, *scale, *seed) }},
+		{"15b", func() error { return runNoTxnSweep(rateList, *duration, *scale, *seed) }},
+		{"16", func() error { return runFig16(*minutes, *minute, *scale, *seed) }},
+		{"25", func() error { return runFig13(5, *scale, *seed, *ops, "25") }},
+		{"26", func() error { return runSweep("26", "social", rateList, *duration, *scale, *seed) }},
+		{"costs", runCosts},
+		{"ablation", func() error { return runAblation(*scale, *seed) }},
+		{"queue", func() error { return runQueueSweep(*scale, *seed) }},
+		{"orders", func() error { return runSweep("orders", "orders", rateList, *duration, *scale, *seed) }},
+		{"shard", func() error { return runShardSweep(*duration, *scale, *seed) }},
+		{"fanout", func() error { return runFanoutSweep(*duration, *scale, *seed) }},
+		{"backend", func() error { return runBackendSweep(*duration, *seed) }},
+		{"latency", func() error { return runLatencySweep(*duration, *seed) }},
+		{"cluster", func() error { return runClusterSweep(*duration, *scale, *seed) }},
+		{"remote", func() error { return runRemoteSweep(*duration, *seed) }},
+		{"pipeline", func() error { return runPipelineSweep(*duration, *scale, *seed) }},
+	}
+	ids := make([]string, 0, len(figures)+1)
+	for _, f := range figures {
+		ids = append(ids, f.id)
+	}
+	valid := strings.Join(append(ids, "all"), ", ")
+	fig := fs.String("fig", "all", "figure to regenerate: "+valid)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *fig != "all" && !slices.Contains(ids, *fig) {
+		fmt.Fprintf(stderr, "figures: unknown -fig %q; valid ids: %s\n", *fig, valid)
+		return 2
+	}
 	if *jsonOut {
 		jsonDir = *outDir
 	}
-
-	rateList := parseRates(*rates)
-	run := func(name string, f func() error) {
-		if *fig != "all" && *fig != name {
-			return
+	rateList = parseRates(*rates)
+	for _, f := range figures {
+		if *fig != "all" && *fig != f.id {
+			continue
 		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: fig %s: %v\n", name, err)
-			os.Exit(1)
+		if err := f.run(); err != nil {
+			fmt.Fprintf(stderr, "figures: fig %s: %v\n", f.id, err)
+			return 1
 		}
 	}
-
-	run("13", func() error { return runFig13(20, *scale, *seed, *ops, "13") })
-	run("14", func() error { return runSweep("14", "media", rateList, *duration, *scale, *seed) })
-	run("15", func() error { return runSweep("15", "travel", rateList, *duration, *scale, *seed) })
-	run("15b", func() error { return runNoTxnSweep(rateList, *duration, *scale, *seed) })
-	run("16", func() error { return runFig16(*minutes, *minute, *scale, *seed) })
-	run("25", func() error { return runFig13(5, *scale, *seed, *ops, "25") })
-	run("26", func() error { return runSweep("26", "social", rateList, *duration, *scale, *seed) })
-	run("costs", runCosts)
-	run("ablation", func() error { return runAblation(*scale, *seed) })
-	run("queue", func() error { return runQueueSweep(*scale, *seed) })
-	run("orders", func() error { return runSweep("orders", "orders", rateList, *duration, *scale, *seed) })
-	run("shard", func() error { return runShardSweep(*duration, *scale, *seed) })
-	run("fanout", func() error { return runFanoutSweep(*duration, *scale, *seed) })
-	run("backend", func() error { return runBackendSweep(*duration, *seed) })
-	run("latency", func() error { return runLatencySweep(*duration, *seed) })
-	run("cluster", func() error { return runClusterSweep(*duration, *scale, *seed) })
-	run("remote", func() error { return runRemoteSweep(*duration, *seed) })
-	run("pipeline", func() error { return runPipelineSweep(*duration, *scale, *seed) })
+	return 0
 }
 
 // runPipelineSweep prints committed steps/s and per-invocation latency
@@ -360,14 +385,14 @@ func runNoTxnSweep(rates []float64, duration time.Duration, scale float64, seed 
 }
 
 func runAblation(scale float64, seed int64) error {
-	fmt.Println("# Ablation — DAAL tail traversal: scan+projection vs pointer chasing (§4.1)")
-	fmt.Printf("%-8s %-15s %12s %12s\n", "depth", "strategy", "median(ms)", "store ops")
+	fmt.Println("# Ablation — DAAL tail traversal: one query (state projected with the skeleton) vs scan+projection then tail read vs pointer chasing (§4.1)")
+	fmt.Printf("%-8s %-15s %12s %12s %12s\n", "depth", "strategy", "median(ms)", "store ops", "bytes read")
 	rows, err := bench.TraversalAblation(bench.AblationOptions{Scale: scale, Seed: seed})
 	if err != nil {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Printf("%-8d %-15s %12.2f %12.1f\n", r.Depth, r.Strategy, ms(r.Median), r.StoreOps)
+		fmt.Printf("%-8d %-15s %12.2f %12.1f %12.0f\n", r.Depth, r.Strategy, ms(r.Median), r.StoreOps, r.BytesRead)
 	}
 	fmt.Println()
 	return nil

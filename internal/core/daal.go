@@ -124,42 +124,25 @@ func (m mutation) updates() []dynamo.Update {
 }
 
 // skeleton is the locally reconstructed structure of a linked DAAL from one
-// scan+projection round trip (§4.1): row ids, next pointers, and — when the
-// scan projected a write-log entry — where that entry lives.
+// scan+projection round trip (§4.1): each row's projected item, by row id.
 type skeleton struct {
-	rows map[string]skelRow
+	rows map[string]dynamo.Item
 }
 
-type skelRow struct {
-	next    string
-	outcome Value
-	hasLog  bool
-}
-
-// scanSkeleton queries every row of key's DAAL, projecting only RowId and
-// NextRow (256 bits per row, §4.1) plus, when logKey is non-empty, that
-// single write-log entry — the write path's "has this step already
-// executed anywhere" check (§4.3).
-func (d *daal) scanSkeleton(key, logKey string) (skeleton, error) {
-	proj := []dynamo.Path{dynamo.A(attrRowID), dynamo.A(attrNextRow)}
-	if logKey != "" {
-		proj = append(proj, dynamo.AK(attrRecent, logKey))
-	}
+// scanSkeleton queries every row of key's DAAL in one consistent snapshot,
+// projecting RowId and NextRow (256 bits per row, §4.1) plus extra: the write
+// path adds its single write-log entry — the "has this step already executed
+// anywhere" check (§4.3) — and the read path adds Value and LockOwner, so the
+// tail's state comes back with the traversal instead of by a second fetch.
+func (d *daal) scanSkeleton(key string, extra ...dynamo.Path) (skeleton, error) {
+	proj := append([]dynamo.Path{dynamo.A(attrRowID), dynamo.A(attrNextRow)}, extra...)
 	items, err := d.rt.store.Query(d.table, dynamo.S(key), dynamo.QueryOpts{Projection: proj})
 	if err != nil {
 		return skeleton{}, err
 	}
-	sk := skeleton{rows: make(map[string]skelRow, len(items))}
+	sk := skeleton{rows: make(map[string]dynamo.Item, len(items))}
 	for _, it := range items {
-		row := skelRow{}
-		if v, ok := it[attrNextRow]; ok && !v.IsNull() {
-			row.next = v.Str()
-		}
-		if out, ok := it.Get(dynamo.AK(attrRecent, logKey)); logKey != "" && ok {
-			row.outcome = out
-			row.hasLog = true
-		}
-		sk.rows[it[attrRowID].Str()] = row
+		sk.rows[it[attrRowID].Str()] = it
 	}
 	return sk, nil
 }
@@ -174,28 +157,31 @@ func (sk skeleton) tail() (string, bool) {
 		return "", false
 	}
 	id := headRowID
-	for cur.next != "" {
-		next, ok := sk.rows[cur.next]
+	for {
+		nv, linked := cur[attrNextRow]
+		if !linked || nv.IsNull() {
+			return id, true
+		}
+		next, ok := sk.rows[nv.Str()]
 		if !ok {
 			// The pointer's target is missing from the snapshot; the store
 			// scan is a consistent snapshot so this indicates the target was
 			// GC-deleted — treat the current row as the effective end; the
 			// conditional-write case analysis self-corrects from there.
-			break
+			return id, true
 		}
-		id, cur = cur.next, next
+		id, cur = nv.Str(), next
 	}
-	return id, true
 }
 
 // findLog reports whether logKey appeared in any scanned (reachable or
 // orphaned) row, and its recorded outcome. Scans may return disconnected
 // rows; finding the entry in any of them is sufficient for case A, because
 // log entries are never moved between rows.
-func (sk skeleton) findLog() (Value, bool) {
-	for _, r := range sk.rows {
-		if r.hasLog {
-			return r.outcome, true
+func (sk skeleton) findLog(logKey string) (Value, bool) {
+	for _, it := range sk.rows {
+		if out, ok := it.Get(dynamo.AK(attrRecent, logKey)); ok {
+			return out, true
 		}
 	}
 	return dynamo.Null, false
@@ -263,11 +249,11 @@ func (d *daal) appendRow(prev daalRow) (string, error) {
 // mutation was applied (now or by a previous execution of this step), false
 // when the guard failed (recorded as a false conditional, case B2).
 func (d *daal) loggedWrite(key, logKey string, mut mutation) (bool, error) {
-	sk, err := d.scanSkeleton(key, logKey)
+	sk, err := d.scanSkeleton(key, dynamo.AK(attrRecent, logKey))
 	if err != nil {
 		return false, err
 	}
-	if out, found := sk.findLog(); found {
+	if out, found := sk.findLog(logKey); found {
 		d.rt.stats.Replays.Add(1)
 		mut.markReplayed()
 		return out.BoolVal(), nil // case A, resolved by the scan
@@ -379,27 +365,29 @@ func (d *daal) tailByPointerChase(key string) (daalRow, bool, error) {
 	return row, true, nil
 }
 
-// currentRow returns the tail row (the item's current state). ok is false
-// for never-written keys.
-func (d *daal) currentRow(key string) (daalRow, bool, error) {
-	sk, err := d.scanSkeleton(key, "")
+// daalState is an item's current state: the tail row's id, value and lock
+// owner (Null or M{Id, Start}).
+type daalState struct {
+	rowID       string
+	value, lock Value
+}
+
+// currentRow returns the item's current state from one query: the skeleton
+// scan already visits the tail in its consistent snapshot, so the state
+// rides the traversal's projection instead of a second fetch. The write log
+// is not projected (chain and readRow return full rows). ok is false for
+// never-written keys.
+func (d *daal) currentRow(key string) (daalState, bool, error) {
+	sk, err := d.scanSkeleton(key, dynamo.A(attrValue), dynamo.A(attrLockOwner))
 	if err != nil {
-		return daalRow{}, false, err
+		return daalState{}, false, err
 	}
 	tailID, ok := sk.tail()
 	if !ok {
-		return daalRow{}, false, nil
+		return daalState{}, false, nil
 	}
-	row, ok, err := d.readRow(key, tailID)
-	if err != nil {
-		return daalRow{}, false, err
-	}
-	if !ok {
-		// Snapshot raced with GC deletion of a dangling row; retry once via
-		// a fresh scan.
-		return d.currentRow(key)
-	}
-	return row, true, nil
+	it := sk.rows[tailID]
+	return daalState{rowID: tailID, value: it[attrValue], lock: it[attrLockOwner]}, true, nil
 }
 
 // chain returns key's rows indexed by id plus the head-reachable order —

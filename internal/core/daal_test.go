@@ -31,8 +31,9 @@ func TestDAALFirstWriteCreatesHead(t *testing.T) {
 	if row.value.Str() != "v1" {
 		t.Errorf("value = %v", row.value)
 	}
-	if row.logSize != 1 || len(row.recent) != 1 {
-		t.Errorf("log: size=%d entries=%d", row.logSize, len(row.recent))
+	// currentRow projects state only; the write log comes from readRow.
+	if full, _, _ := d.readRow("k", headRowID); full.logSize != 1 || len(full.recent) != 1 {
+		t.Errorf("log: size=%d entries=%d", full.logSize, len(full.recent))
 	}
 }
 
@@ -128,8 +129,8 @@ func TestDAALCondWriteOutcomes(t *testing.T) {
 		t.Error("B1 replay flipped to false")
 	}
 	// The false-condition entry still consumed log space.
-	if row.logSize != 3 {
-		t.Errorf("logSize = %d, want 3", row.logSize)
+	if full, _, _ := d.readRow("k", row.rowID); full.logSize != 3 {
+		t.Errorf("logSize = %d, want 3", full.logSize)
 	}
 }
 
@@ -307,15 +308,15 @@ func TestDAALSkeletonProjectionFindsLogAnywhere(t *testing.T) {
 	}
 	// Entry i#0.2 lives in the first row (cap 2); the skeleton scan keyed
 	// on it must find it without reading full rows.
-	sk, err := d.scanSkeleton("k", "i#0.2")
+	sk, err := d.scanSkeleton("k", dynamo.AK(attrRecent, "i#0.2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, found := sk.findLog(); !found {
+	if _, found := sk.findLog("i#0.2"); !found {
 		t.Error("skeleton missed a log entry in a non-tail row")
 	}
-	sk, _ = d.scanSkeleton("k", "i#0.99")
-	if _, found := sk.findLog(); found {
+	sk, _ = d.scanSkeleton("k", dynamo.AK(attrRecent, "i#0.99"))
+	if _, found := sk.findLog("i#0.99"); found {
 		t.Error("skeleton found a never-written entry")
 	}
 	tail, ok := sk.tail()

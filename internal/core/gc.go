@@ -90,7 +90,7 @@ func (rt *Runtime) RunGarbageCollector() (GCStats, error) {
 	}
 
 	// Phases 3–5 per data table, real and shadow.
-	settled, err := rt.settledClaimants()
+	settled, err := rt.settledClaimants(now, tUs)
 	if err != nil {
 		return st, err
 	}
@@ -324,6 +324,9 @@ func (rt *Runtime) gcChain(table, key string, rows map[string]daalRow, recyclabl
 			}
 			return nil
 		}
+		// A chain that outlives this pass needs its settle marker to be found
+		// dead by a later one: hold the transaction's registries back with it.
+		delete(settled, txnID)
 	}
 
 	// Phase 4: disconnect fully recycled middle rows (never the head, never
@@ -435,8 +438,10 @@ func allRowsRecycled(rows map[string]daalRow) bool {
 // settledClaimants scans the transaction registries for settle markers
 // whose claimant instance is itself done and finish-stamped older than T —
 // the condition under which a transaction's shadow state and registries can
-// never be needed again.
-func (rt *Runtime) settledClaimants() (map[string]bool, error) {
+// never be needed again. now is the pass's one clock reading: judged on a
+// later one, a claimant stamped by this very pass can look settled before
+// any of its log entries is recyclable.
+func (rt *Runtime) settledClaimants(now, tUs int64) (map[string]bool, error) {
 	if rt.mode == ModeBaseline {
 		return nil, nil
 	}
@@ -446,8 +451,6 @@ func (rt *Runtime) settledClaimants() (map[string]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	now := rt.now()
-	tUs := rt.cfg.T.Microseconds()
 	settled := make(map[string]bool)
 	for _, it := range items {
 		claimant := it[attrInstanceID].Str()

@@ -278,6 +278,91 @@ func TestGCCollectsShadowAndRegistries(t *testing.T) {
 	}
 }
 
+// txnPairFixture is an owner SSF whose transaction writes through a callee,
+// so the callee's settle claimant (the commit-phase instance) is a different
+// intent from the one whose entries sit in its shadow chain.
+func txnPairFixture(t *testing.T, T time.Duration) (*fixture, *Runtime) {
+	t.Helper()
+	f := newFixture(t, withConfig(Config{RowCap: 2, T: T, ICMinAge: time.Millisecond}))
+	f.fn("leaf", func(e *Env, in Value) (Value, error) {
+		return dynamo.Null, e.Write("acct", "x", in)
+	}, "acct")
+	f.fn("owner", func(e *Env, in Value) (Value, error) {
+		return dynamo.Null, e.Transaction(func() error {
+			_, err := e.SyncInvoke("leaf", in)
+			return err
+		})
+	})
+	f.mustInvoke("owner", dynamo.NInt(7))
+	return f, f.rts["leaf"]
+}
+
+// txnLeftovers counts the callee's shadow and registry rows.
+func txnLeftovers(f *fixture, rt *Runtime) int {
+	total := 0
+	for _, tbl := range []string{rt.shadowTable("acct"), rt.txCallees, rt.txLocks} {
+		n, _ := f.store.TableItemCount(tbl)
+		total += n
+	}
+	return total
+}
+
+func TestGCSettlesOnThePassClock(t *testing.T) {
+	// With T below a pass's own duration, a second clock reading inside the
+	// pass used to judge the claimant it had just stamped "settled": the
+	// registries went, the entries were not yet recyclable, and the shadow
+	// chain was left with no settle marker to be collected by — for good.
+	f, rt := txnPairFixture(t, time.Microsecond)
+	for pass := 0; pass < 2; pass++ {
+		time.Sleep(time.Millisecond)
+		if _, err := rt.RunGarbageCollector(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := txnLeftovers(f, rt); n != 0 {
+		t.Errorf("%d shadow/registry rows survive stamp + recycle passes", n)
+	}
+}
+
+func TestGCKeepsRegistriesWhileShadowChainSurvives(t *testing.T) {
+	// The claimant turns recyclable a pass before the instance whose write
+	// sits in the shadow chain (paged stamping can order them so; here the
+	// claimant's stamp is back-dated). The pass that settles the transaction
+	// cannot delete the chain yet, so it must leave the settle marker too.
+	f, rt := txnPairFixture(t, 5*time.Millisecond)
+	markers, err := f.store.Scan(rt.txCallees, dynamo.QueryOpts{
+		Filter: dynamo.Eq(dynamo.A(attrCallee), dynamo.S(settleMarker))})
+	if err != nil || len(markers) != 1 {
+		t.Fatalf("settle markers: %v %v", markers, err)
+	}
+	claimant := markers[0][attrInstanceID].Str()
+	if err := f.store.Update(rt.intentTable, dynamo.HK(dynamo.S(claimant)), nil,
+		dynamo.Set(dynamo.A(attrFinishTime), dynamo.NInt(rt.now()-time.Second.Microseconds()))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.RunGarbageCollector(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := f.store.TableItemCount(rt.shadowTable("acct")); n == 0 {
+		t.Fatal("setup: the shadow chain was collectable in the first pass")
+	}
+	if n, _ := f.store.TableItemCount(rt.txCallees); n == 0 {
+		t.Error("settle marker deleted while its shadow chain survives")
+	}
+	for pass := 0; pass < 2; pass++ {
+		age()
+		if _, err := rt.RunGarbageCollector(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := txnLeftovers(f, rt); n != 0 {
+		t.Errorf("%d shadow/registry rows survive", n)
+	}
+	if got := f.readData("leaf", "acct", "x"); got.Int() != 7 {
+		t.Errorf("x = %v", got)
+	}
+}
+
 func TestGCDoesNotCollectInFlightTransactionShadow(t *testing.T) {
 	// A transaction paused mid-execute must keep its shadow rows through
 	// any number of GC passes (the settle claimant is not yet recyclable).

@@ -27,8 +27,9 @@ type fixture struct {
 
 type fixtureOpt func(*fixture)
 
-func withMode(m Mode) fixtureOpt     { return func(f *fixture) { f.mode = m } }
-func withConfig(c Config) fixtureOpt { return func(f *fixture) { f.cfg = c } }
+func withMode(m Mode) fixtureOpt             { return func(f *fixture) { f.mode = m } }
+func withConfig(c Config) fixtureOpt         { return func(f *fixture) { f.cfg = c } }
+func withStore(s storage.Backend) fixtureOpt { return func(f *fixture) { f.store = s } }
 func withFaults(p platform.FaultPlan) fixtureOpt {
 	return func(f *fixture) { f.plans = append(f.plans, p) }
 }

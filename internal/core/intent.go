@@ -77,14 +77,21 @@ func (rt *Runtime) ensureIntent(id string, ev envelope) (*intentRecord, error) {
 	if !errors.Is(err, dynamo.ErrConditionFailed) {
 		return nil, err
 	}
+	rec, ok, err := rt.loadIntent(id)
+	if err == nil && !ok {
+		err = fmt.Errorf("core: %s: intent %s existed then vanished (GC raced a live instance?)", rt.fn, id)
+	}
+	return rec, err
+}
+
+// loadIntent fetches an existing intent row; ok is false when there is none
+// (never registered, or already collected).
+func (rt *Runtime) loadIntent(id string) (*intentRecord, bool, error) {
 	it, ok, err := rt.store.Get(rt.intentTable, dynamo.HK(dynamo.S(id)))
-	if err != nil {
-		return nil, err
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("core: %s: intent %s existed then vanished (GC raced a live instance?)", rt.fn, id)
-	}
-	return decodeIntent(it), nil
+	return decodeIntent(it), true, nil
 }
 
 // markIntentDone finalizes the intent with its return value and drops it
@@ -136,8 +143,8 @@ func (rt *Runtime) touchLaunch(id string, observed, now int64) (bool, error) {
 	return false, err
 }
 
-// intentDone reads an intent's completion state (tests and the async-run
-// stub use it).
+// intentDone reads an intent's completion state without decoding its
+// envelope (tests and the promise-post handler use it).
 func (rt *Runtime) intentDone(id string) (exists, done bool, ret Value, err error) {
 	it, ok, err := rt.store.Get(rt.intentTable, dynamo.HK(dynamo.S(id)))
 	if err != nil || !ok {

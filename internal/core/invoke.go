@@ -233,14 +233,14 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, replyFn, repl
 			ReplyFn:        replyFn,
 			ReplyOwner:     replyOwner,
 		}
-		if _, err := e.rt.plat.InvokeInternalCtx(e.Context(), callee, reg.encode()); err != nil {
+		confirmed, err := e.rt.plat.InvokeInternalCtx(e.Context(), callee, reg.encode())
+		if err != nil {
 			return "", replay, fmt.Errorf("core: asyncInvoke %s: registration: %w", callee, err)
 		}
-		rec, ok, gerr := e.rt.store.Get(e.rt.invokeLog, logKey)
-		if gerr != nil {
-			return "", replay, gerr
-		}
-		if !ok || !func() bool { _, has := rec[attrResult]; return has }() {
+		// The reply is the callback's verdict on this invoke-log row — the
+		// durable record was written before the callee answered, so trusting
+		// it is syncInvokeStep's §4.5 argument, not a weaker check.
+		if !confirmed.BoolVal() {
 			return "", replay, fmt.Errorf("core: asyncInvoke %s: registration not confirmed", callee)
 		}
 	}
@@ -269,8 +269,9 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, replyFn, repl
 
 // issueCallback delivers result to the caller SSF's invoke log (§4.5). It
 // targets "some instance" of the caller function — request routing is
-// stateless — and needs only at-least-once semantics.
-func (rt *Runtime) issueCallback(callerFn, callerInstance, callerStep, calleeID string, result Value) error {
+// stateless — and needs only at-least-once semantics. applied relays
+// handleCallback's verdict: whether the invoke-log row took the result.
+func (rt *Runtime) issueCallback(callerFn, callerInstance, callerStep, calleeID string, result Value) (applied bool, _ error) {
 	cb := envelope{
 		Kind:           kindCallback,
 		CallerInstance: callerInstance,
@@ -279,14 +280,15 @@ func (rt *Runtime) issueCallback(callerFn, callerInstance, callerStep, calleeID 
 		Result:         result,
 		HasRes:         true,
 	}
-	_, err := rt.plat.InvokeInternal(callerFn, cb.encode())
-	return err
+	out, err := rt.plat.InvokeInternal(callerFn, cb.encode())
+	return out.BoolVal(), err
 }
 
 // handleCallback is the caller-side callback handler: record the result for
 // the (instance, step) invoke-log entry, guarded by the callee id so a
 // spurious callback from a zombie re-execution of an already-collected
-// intent is detected and ignored (§4.5).
+// intent is detected and ignored (§4.5). It reports whether the guarded
+// update applied.
 func (rt *Runtime) handleCallback(ev envelope) (Value, error) {
 	lk := dynamo.HSK(dynamo.S(ev.CallerInstance), dynamo.S(ev.CallerStep))
 	rt.stats.CallbacksIn.Add(1)
@@ -296,13 +298,11 @@ func (rt *Runtime) handleCallback(ev envelope) (Value, error) {
 			dynamo.Eq(dynamo.A(attrCalleeID), dynamo.S(ev.CalleeID)),
 		),
 		dynamo.Set(dynamo.A(attrResult), ev.Result))
-	if err != nil {
-		if !errors.Is(err, dynamo.ErrConditionFailed) {
-			return dynamo.Null, err
-		}
+	if errors.Is(err, dynamo.ErrConditionFailed) {
+		// The invoke-log entry no longer exists (or names a different
+		// callee): a spurious callback; ignore it.
 		rt.stats.SpuriousCallback.Add(1)
+		return dynamo.Bool(false), nil
 	}
-	// Conditional failure = the invoke-log entry no longer exists (or names
-	// a different callee): a spurious callback; ignore it.
-	return dynamo.Null, nil
+	return dynamo.Bool(err == nil), err
 }

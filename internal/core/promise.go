@@ -112,15 +112,20 @@ func (p *Promise) Await(e *Env) (Value, error) {
 	e.crash("await:pre:" + stepKey)
 
 	// Replay fast path: this await already resolved in a previous execution.
-	lk := dynamo.HSK(dynamo.S(e.instanceID), dynamo.S(stepKey))
-	it, ok, err := e.rt.store.Get(e.rt.readLog, lk)
-	if err != nil {
-		return dynamo.Null, err
-	}
-	if ok {
-		e.rt.stats.Replays.Add(1)
-		e.awaitSpan(t0, stepKey, p, true, nil)
-		return it[attrValue], nil
+	// A first execution skips the probe — no read-log row can pre-date the
+	// intent it just created, and a concurrent duplicate is still resolved by
+	// logRead's conditional insert.
+	if !e.intent.fresh {
+		lk := dynamo.HSK(dynamo.S(e.instanceID), dynamo.S(stepKey))
+		it, ok, err := e.rt.store.Get(e.rt.readLog, lk)
+		if err != nil {
+			return dynamo.Null, err
+		}
+		if ok {
+			e.rt.stats.Replays.Add(1)
+			e.awaitSpan(t0, stepKey, p, true, nil)
+			return it[attrValue], nil
+		}
 	}
 
 	// Wait for the callee's post. With a push-capable store the awaiter

@@ -498,28 +498,29 @@ func (rt *Runtime) span(s telemetry.Span) {
 	rt.tel.Tracer.Record(s)
 }
 
-// TailValueByScan resolves the current value of key using the production
-// traversal: one scan+projection to skeleton the linked DAAL, then one read
-// of the tail (§4.1). Exposed for the traversal ablation benchmark.
-func TailValueByScan(rt *Runtime, table, key string) (Value, error) {
+// TailValue resolves the current value of key by one of the §4.1 traversal
+// strategies, for the ablation benchmark: "one-query" is the production read
+// (the skeleton query also projects the state), "scan" the paper's skeleton
+// query followed by a read of the tail row, "pointer-chase" one read per row.
+func TailValue(rt *Runtime, strategy, table, key string) (Value, error) {
 	d := daal{rt: rt, table: rt.dataTable(table)}
-	row, ok, err := d.currentRow(key)
-	if err != nil || !ok {
-		return dynamo.Null, err
+	switch strategy {
+	case "one-query":
+		st, _, err := d.currentRow(key)
+		return st.value, err
+	case "scan":
+		sk, err := d.scanSkeleton(key)
+		if err != nil {
+			return dynamo.Null, err
+		}
+		tailID, _ := sk.tail() // "" for a never-written key: no such row, Null
+		row, _, err := d.readRow(key, tailID)
+		return row.value, err
+	case "pointer-chase":
+		row, _, err := d.tailByPointerChase(key)
+		return row.value, err
 	}
-	return row.value, nil
-}
-
-// TailValueByPointerChase resolves the current value of key by walking
-// NextRow pointers, one read per row — the §4.1 baseline the scan approach
-// replaces. Exposed for the traversal ablation benchmark.
-func TailValueByPointerChase(rt *Runtime, table, key string) (Value, error) {
-	d := daal{rt: rt, table: rt.dataTable(table)}
-	row, ok, err := d.tailByPointerChase(key)
-	if err != nil || !ok {
-		return dynamo.Null, err
-	}
-	return row.value, nil
+	return dynamo.Null, fmt.Errorf("core: unknown traversal strategy %q", strategy)
 }
 
 // PeekState reads the SSF's current committed value for key in one of its

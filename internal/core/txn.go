@@ -388,7 +388,7 @@ func (rt *Runtime) runTxnPhase(inv *platform.Invocation, id string, ev envelope)
 	if intent.done {
 		rt.dedupExec(id, ev)
 		if ev.CallerFn != "" && !rt.cfg.DisableCallbacks {
-			if err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, intent.ret); err != nil {
+			if _, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, intent.ret); err != nil {
 				return dynamo.Null, err
 			}
 		}
@@ -404,7 +404,7 @@ func (rt *Runtime) runTxnPhase(inv *platform.Invocation, id string, ev envelope)
 	inv.CrashPoint("body:done")
 	ret := dynamo.S("txn:" + string(ev.Txn.Mode))
 	if ev.CallerFn != "" && !rt.cfg.DisableCallbacks {
-		if err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, ret); err != nil {
+		if _, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, ret); err != nil {
 			obs.complete(err)
 			return dynamo.Null, err
 		}

@@ -154,7 +154,7 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 		// replay behaviour), then return the recorded value.
 		rt.dedupExec(id, ev)
 		if ev.CallerFn != "" && !rt.cfg.DisableCallbacks {
-			if err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, intent.ret); err != nil {
+			if _, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, intent.ret); err != nil {
 				return dynamo.Null, err
 			}
 		}
@@ -191,7 +191,7 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 	// Callback before done-marking (Fig 9's ordering: the caller must hold
 	// the result before this intent can be collected).
 	if ev.CallerFn != "" && !rt.cfg.DisableCallbacks {
-		if err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, ret); err != nil {
+		if _, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, ret); err != nil {
 			cerr := fmt.Errorf("core: %s: callback to %s failed: %w", rt.fn, ev.CallerFn, err)
 			obs.complete(cerr)
 			return dynamo.Null, cerr
@@ -216,7 +216,8 @@ func (rt *Runtime) runBody(env *Env, input Value) (Value, error) {
 
 // handleAsyncRegister is the callee side of asyncInvoke step 1 (Fig 20):
 // log the intent (flagged async, carrying the run envelope for the intent
-// collector), confirm to the caller via callback, and return.
+// collector), confirm to the caller via callback, and return whether the
+// confirmation was recorded.
 func (rt *Runtime) handleAsyncRegister(inv *platform.Invocation, ev envelope) (Value, error) {
 	// The stored run envelope keeps the app scope and the promise reply
 	// coordinates, so a collector-restarted execution behaves exactly like
@@ -227,27 +228,19 @@ func (rt *Runtime) handleAsyncRegister(inv *platform.Invocation, ev envelope) (V
 		return dynamo.Null, err
 	}
 	inv.CrashPoint("async:registered")
-	if !rt.cfg.DisableCallbacks {
-		if err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, ev.InstanceID, dynamo.S("registered")); err != nil {
-			return dynamo.Null, err
-		}
+	if rt.cfg.DisableCallbacks {
+		return dynamo.Bool(false), nil
 	}
-	return dynamo.Null, nil
+	applied, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, ev.InstanceID, dynamo.S("registered"))
+	return dynamo.Bool(applied), err
 }
 
 // handleAsyncRun is the callee side of asyncInvoke step 2 (Fig 20): run the
 // body only if the intent is registered and incomplete, so that re-deliveries
 // and GC-pruned intents are skipped.
 func (rt *Runtime) handleAsyncRun(inv *platform.Invocation, ev envelope) (Value, error) {
-	exists, done, _, err := rt.intentDone(ev.InstanceID)
-	if err != nil {
-		return dynamo.Null, err
-	}
-	if !exists || done {
-		return dynamo.Null, nil
-	}
-	intent, err := rt.ensureIntent(ev.InstanceID, ev) // reads the existing row
-	if err != nil {
+	intent, exists, err := rt.loadIntent(ev.InstanceID)
+	if err != nil || !exists || intent.done {
 		return dynamo.Null, err
 	}
 	// The intent was registered by asyncInvoke step 1, so fresh never holds

@@ -135,13 +135,16 @@ var _ Backend = (*dynamo.Store)(nil)
 // when the backend is (or wraps) one — the accessor benches use to reach
 // shard- and batching-specific knobs (SetGroupCommit, SetLatency) that are
 // implementation details, not part of the seam. Backends that wrap a dynamo
-// store implement interface{ DynamoStore() *dynamo.Store }.
+// store implement interface{ DynamoStore() *dynamo.Store }; a wrapper whose
+// base has none (an overlay over a remote client) answers nil there, which
+// is reported as ok == false, never as a store.
 func AsDynamo(b Backend) (*dynamo.Store, bool) {
 	switch s := b.(type) {
 	case *dynamo.Store:
 		return s, true
 	case interface{ DynamoStore() *dynamo.Store }:
-		return s.DynamoStore(), true
+		ds := s.DynamoStore()
+		return ds, ds != nil
 	}
 	return nil, false
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dynamo"
+	"repro/internal/pipeline"
 	"repro/internal/storage"
 	"repro/internal/walstore"
 )
@@ -26,6 +27,18 @@ func TestAsDynamo(t *testing.T) {
 	var b storage.Backend = wal
 	if _, ok := b.(*dynamo.Store); ok {
 		t.Error("walstore must not be a *dynamo.Store")
+	}
+}
+
+// An overlay forwards DynamoStore() to its base; over a base that has no
+// in-memory store (a remote client) that is nil, and AsDynamo must say so
+// instead of handing out a nil store with ok == true.
+func TestAsDynamoOverlayOverNonDynamoBase(t *testing.T) {
+	type opaque struct{ storage.Backend } // hides the base's concrete type
+	over := pipeline.MustNew(opaque{dynamo.NewStore()}, pipeline.Options{ManualFlush: true})
+	defer over.Close()
+	if got, ok := storage.AsDynamo(over); ok || got != nil {
+		t.Errorf("AsDynamo(overlay over opaque base) = %v, %v; want nil, false", got, ok)
 	}
 }
 
