@@ -130,6 +130,12 @@ var (
 	// before the result was posted; the intent collector retries the
 	// awaiting instance later.
 	ErrAwaitTimeout = core.ErrAwaitTimeout
+	// ErrInstanceSuperseded reports an execution that stopped because a
+	// concurrent execution of the same intent (duplicate delivery, a
+	// collector restart) logged different values for its reads first; the
+	// intent is finished by the other execution. See
+	// core.ErrInstanceSuperseded.
+	ErrInstanceSuperseded = core.ErrInstanceSuperseded
 	// ErrCanceled reports an invocation killed because its context ended
 	// (InvokeCtx with a canceled context or an expired deadline). The
 	// workflow's intent stays pending and is finished by the collectors:

@@ -509,6 +509,11 @@ func runCosts() error {
 	fmt.Printf("store round trips per invoke:          beldi=%.1f  baseline=%.1f\n",
 		rep.StoreOpsPerInvokeBeldi, rep.StoreOpsPerInvokeBaseline)
 	fmt.Printf("20-row DAAL footprint:                 %d bytes\n", rep.DAALBytes20Rows)
+	fmt.Printf("round trips per read, k reads/instance:")
+	for _, r := range rep.OpsPerReadAtK {
+		fmt.Printf("  k=%d: %.2f", r.K, r.OpsPerRead)
+	}
+	fmt.Println("  (one flush per batch: (k+1)/k)")
 	fmt.Println()
 	return nil
 }

@@ -167,6 +167,16 @@ func TestCostsSmoke(t *testing.T) {
 	if rep.StoredBytesPerOpBeldi <= 0 {
 		t.Errorf("beldi stored bytes per op = %f", rep.StoredBytesPerOpBeldi)
 	}
+	// A lone read is fetch + flush, the figure's single-read row; k reads of
+	// one instance share the flush.
+	if rep.StoreOpsPerReadBeldi != 2 {
+		t.Errorf("beldi round trips per lone read = %v, want 2", rep.StoreOpsPerReadBeldi)
+	}
+	for _, r := range rep.OpsPerReadAtK {
+		if want := float64(r.K+1) / float64(r.K); r.OpsPerRead != want {
+			t.Errorf("k=%d reads per instance: %v round trips per read, want (k+1)/k = %v", r.K, r.OpsPerRead, want)
+		}
+	}
 }
 
 // TestTraversalAblationSmoke pins the ablation's shape: the one-query read

@@ -31,7 +31,21 @@ type CostsReport struct {
 	StoreOpsPerInvokeBaseline float64
 	// DAALBytes20Rows is the 20-row DAAL's storage footprint.
 	DAALBytes20Rows int
+	// OpsPerReadAtK is the Beldi round trips per read when one instance
+	// issues K reads back to back: the read log is group-committed, so K
+	// fetches share one flush at the instance's next effect boundary and
+	// the cost per read is (K+1)/K — 2 for a lone read, approaching 1.
+	OpsPerReadAtK []KReadsRow
 }
+
+// KReadsRow is one row of CostsReport.OpsPerReadAtK.
+type KReadsRow struct {
+	K          int
+	OpsPerRead float64
+}
+
+// costsReadBatches are the reads-per-instance points of OpsPerReadAtK.
+var costsReadBatches = []int{1, 2, 4, 8, 16}
 
 // Costs measures the report. ops controls the sample size (0 = 50).
 func Costs(ops int) (*CostsReport, error) {
@@ -50,11 +64,16 @@ func Costs(ops int) (*CostsReport, error) {
 			return beldi.Null, nil
 		})
 		var doOp string
+		reads := 1
 		sys.D.Function("op", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 			switch doOp {
 			case "read":
-				_, err := e.Read("data", "k")
-				return beldi.Null, err
+				for i := 0; i < reads; i++ {
+					if _, err := e.Read("data", "k"); err != nil {
+						return beldi.Null, err
+					}
+				}
+				return beldi.Null, nil
 			case "write":
 				return beldi.Null, e.Write("data", "k", beldi.Str(value16))
 			case "invoke":
@@ -122,6 +141,14 @@ func Costs(ops int) (*CostsReport, error) {
 		writeOps -= nopOps
 		invokeOps -= nopOps
 		if mode == beldi.ModeBeldi {
+			for _, k := range costsReadBatches {
+				reads = k
+				kOps, _, _, err := measure("read")
+				if err != nil {
+					return nil, err
+				}
+				rep.OpsPerReadAtK = append(rep.OpsPerReadAtK, KReadsRow{K: k, OpsPerRead: (kOps - nopOps) / float64(k)})
+			}
 			rep.StoreOpsPerReadBeldi = readOps
 			rep.StoreOpsPerWriteBeldi = writeOps
 			rep.StoreOpsPerInvokeBeldi = invokeOps

@@ -16,9 +16,7 @@ import (
 
 func (rt *Runtime) baselineHandler(inv *platform.Invocation, raw Value) (Value, error) {
 	ev := decodeEnvelope(raw)
-	env := &Env{rt: rt, inv: inv, instanceID: inv.RequestID, branch: "0",
-		intent: &intentRecord{id: inv.RequestID}, shared: &envShared{app: ev.App}}
-	return rt.body(env, ev.Input)
+	return rt.body(newEnv(rt, inv, inv.RequestID, &intentRecord{id: inv.RequestID}, ev.App), ev.Input)
 }
 
 func (e *Env) baselineRead(table, key string) (Value, error) {

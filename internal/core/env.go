@@ -54,6 +54,15 @@ type envShared struct {
 	txn      *TxnContext
 	txnOwner bool
 	app      string // requesting application (§2.2 SSF reusability)
+	reads    readLogState
+}
+
+// newEnv builds the root-branch Env of one execution. A fresh intent's read
+// log is known empty without asking the store.
+func newEnv(rt *Runtime, inv *platform.Invocation, id string, intent *intentRecord, app string) *Env {
+	sh := &envShared{app: app}
+	sh.reads.loaded = intent.fresh
+	return &Env{rt: rt, inv: inv, instanceID: id, branch: "0", intent: intent, shared: sh}
 }
 
 // table resolves a body-level table name for the requesting application.
@@ -187,47 +196,28 @@ func (e *Env) Read(table, key string) (Value, error) {
 	return e.loggedRead(e.rt.layer(), table, key)
 }
 
-// loggedRead implements Figure 5: fetch the current value, then log it in
-// the ReadLog with an atomic conditional insert; a conflict means this step
-// already ran, so its logged value is returned instead (the read itself has
-// no external effect, so re-reading before the log is harmless).
+// loggedRead implements Figure 5 with a group-committed log: a step a
+// previous execution logged returns that value without touching the store;
+// otherwise the current value is fetched and its row queued, to become
+// durable at the instance's next effect boundary (see readlog.go). The read
+// itself has no external effect, so re-reading before the row is durable is
+// harmless.
 func (e *Env) loggedRead(layer kvLayer, table, key string) (Value, error) {
 	stepKey := e.nextStepKey()
 	t0 := e.rt.spanClock()
 	e.crash("read:pre:" + stepKey)
-	val, _, _, err := layer.stateRead(table, key)
+	val, replay, err := e.replayedRead(stepKey)
+	if err == nil && !replay {
+		if val, _, _, err = layer.stateRead(table, key); err == nil {
+			e.queueRead(stepKey, val)
+		}
+	}
+	e.stepSpan(t0, telemetry.KindRead, stepKey, table+"/"+key, replay, nil, err)
 	if err != nil {
 		return dynamo.Null, err
 	}
-	e.crash("read:mid:" + stepKey)
-	out, replay, err := e.logRead(stepKey, val)
-	e.stepSpan(t0, telemetry.KindRead, stepKey, table+"/"+key, replay, nil, err)
 	e.crash("read:post:" + stepKey)
-	return out, err
-}
-
-// logRead records val for this step, returning the previously recorded
-// value (and replay true) when the step already ran.
-func (e *Env) logRead(stepKey string, val Value) (Value, bool, error) {
-	lk := dynamo.HSK(dynamo.S(e.instanceID), dynamo.S(stepKey))
-	err := e.rt.store.Update(e.rt.readLog, lk,
-		dynamo.NotExists(dynamo.A(attrID)),
-		dynamo.Set(dynamo.A(attrValue), val))
-	if err == nil {
-		return val, false, nil
-	}
-	if !errors.Is(err, dynamo.ErrConditionFailed) {
-		return dynamo.Null, false, err
-	}
-	e.rt.stats.Replays.Add(1)
-	it, ok, err := e.rt.store.Get(e.rt.readLog, lk)
-	if err != nil {
-		return dynamo.Null, true, err
-	}
-	if !ok {
-		return dynamo.Null, true, fmt.Errorf("core: read log row vanished: %s %s", e.instanceID, stepKey)
-	}
-	return it[attrValue], true, nil
+	return val, nil
 }
 
 // Write stores v at key with exactly-once semantics (Fig 6). Inside a
@@ -246,7 +236,7 @@ func (e *Env) Write(table, key string, v Value) error {
 	t0 := e.rt.spanClock()
 	e.crash("write:pre:" + stepKey)
 	var replay bool
-	_, err := e.rt.layer().loggedMutate(table, key, e.logKey(stepKey),
+	_, err := e.loggedMutate(e.rt.layer(), "write", table, key, stepKey,
 		e.stepMutation(mutation{setVal: &v}, &replay))
 	e.stepSpan(t0, telemetry.KindWrite, stepKey, table+"/"+key, replay, e.rt.histStep, err)
 	e.crash("write:post:" + stepKey)
@@ -274,7 +264,7 @@ func (e *Env) CondWrite(table, key string, v Value, cond dynamo.Cond) (bool, err
 	t0 := e.rt.spanClock()
 	e.crash("condwrite:pre:" + stepKey)
 	var replay bool
-	ok, err := e.rt.layer().loggedMutate(table, key, e.logKey(stepKey),
+	ok, err := e.loggedMutate(e.rt.layer(), "condwrite", table, key, stepKey,
 		e.stepMutation(mutation{cond: cond, setVal: &v}, &replay))
 	e.stepSpan(t0, telemetry.KindCondWrite, stepKey, table+"/"+key, replay, e.rt.histStep, err)
 	e.crash("condwrite:post:" + stepKey)
@@ -327,7 +317,7 @@ func (e *Env) Lock(table, key string) error {
 		stepKey := e.nextStepKey()
 		e.crash("lock:pre:" + stepKey)
 		replay = false
-		ok, err := e.rt.layer().loggedMutate(table, key, e.logKey(stepKey),
+		ok, err := e.loggedMutate(e.rt.layer(), "lock", table, key, stepKey,
 			e.stepMutation(mutation{cond: lockCond(ownerID), setLock: &owner}, &replay))
 		e.crash("lock:post:" + stepKey)
 		if err != nil {
@@ -374,7 +364,7 @@ func (e *Env) unlockAs(layer kvLayer, table, key, ownerID string) error {
 	e.crash("unlock:pre:" + stepKey)
 	null := dynamo.Null
 	var replay bool
-	_, err := layer.loggedMutate(table, key, e.logKey(stepKey), e.stepMutation(mutation{
+	_, err := e.loggedMutate(layer, "unlock", table, key, stepKey, e.stepMutation(mutation{
 		cond:    dynamo.Eq(dynamo.AK(attrLockOwner, attrID), dynamo.S(ownerID)),
 		setLock: &null,
 	}, &replay))

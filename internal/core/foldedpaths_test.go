@@ -101,16 +101,16 @@ func TestOneQueryReadUnderGrowingChain(t *testing.T) {
 	}
 }
 
-func TestAwaitOnReplayedIntentTakesTheProbe(t *testing.T) {
-	// The driver dies right after its Await logged the result. Its
-	// re-execution is not a first execution, so Await must probe the read
-	// log and return the logged value without going to the mailbox — the
-	// cell is deleted here, so a re-execution that skipped the probe would
-	// wait for a post that never comes and time out.
+func TestAwaitOnReplayedIntentReadsTheLog(t *testing.T) {
+	// The driver dies right after its Await's row was flushed at the end of
+	// the body. Its re-execution is not a first execution, so it must load
+	// the read log and return the logged value without going to the mailbox
+	// — the cell is deleted here, so a re-execution that assumed an empty log
+	// would wait for a post that never comes and time out.
 	f := newFixture(t,
 		withConfig(Config{RowCap: 4, T: 50 * time.Millisecond, ICMinAge: time.Millisecond,
 			AwaitRetryMax: 3, LockRetryBase: time.Millisecond}),
-		withFaults(&platform.CrashOnce{Function: "driver", Label: "await:post:0.000002"}))
+		withFaults(&platform.CrashOnce{Function: "driver", Label: "body:done"}))
 	var seq atomic.Int64
 	f.fn("work", fanWorkerBody(&seq), "count")
 	var mu sync.Mutex
@@ -122,7 +122,7 @@ func TestAwaitOnReplayedIntentTakesTheProbe(t *testing.T) {
 			return dynamo.Null, err
 		}
 		mu.Lock()
-		driverID, promiseID = e.InstanceID(), p.ID() // before Await: the first execution dies inside it
+		driverID, promiseID = e.InstanceID(), p.ID()
 		mu.Unlock()
 		v, err := p.Await(e)
 		mu.Lock()
@@ -152,8 +152,8 @@ func TestAwaitOnReplayedIntentTakesTheProbe(t *testing.T) {
 	if !ret.Equal(logged[0][attrValue]) {
 		t.Errorf("re-execution returned %v, the logged await value is %v", ret, logged[0][attrValue])
 	}
-	if len(observed) != 1 || !observed[0].Equal(ret) {
-		t.Errorf("awaits that resolved: %v, want exactly the re-execution's %v", observed, ret)
+	if len(observed) != 2 || !observed[0].Equal(ret) || !observed[1].Equal(ret) {
+		t.Errorf("awaits that resolved: %v, want the first execution's and the re-execution's %v", observed, ret)
 	}
 	if got := driver.StatsSnapshot().Replays - replaysBefore; got < 1 {
 		t.Errorf("Replays grew by %d, want the replayed await counted", got)

@@ -29,8 +29,10 @@ type intentRecord struct {
 	finishTime int64
 	hasFinish  bool
 	// fresh is true when ensureIntent created the row in this call — i.e.
-	// this execution is the intent's first, not a replayed re-execution.
-	// In-memory only (telemetry's restart marker), never stored.
+	// this execution is the intent's first, not a replayed re-execution, so
+	// no log row of the instance can pre-date it. In-memory only (telemetry's
+	// restart marker; what lets newEnv start with a known-empty read log),
+	// never stored.
 	fresh bool
 }
 

@@ -67,7 +67,7 @@ func (e *Env) syncInvokeStep(stepKey, callee string, input Value, txn *TxnContex
 	// Log the invocation intent, minting the callee id exactly once.
 	calleeID = e.rt.ids.NewString()
 	e.crash("invoke:pre:" + stepKey)
-	err := e.rt.store.Update(e.rt.invokeLog, logKey,
+	err := e.update("invoke", e.rt.invokeLog, logKey,
 		dynamo.NotExists(dynamo.A(attrID)),
 		dynamo.Set(dynamo.A(attrCalleeID), dynamo.S(calleeID)))
 	if err != nil {
@@ -199,7 +199,7 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, replyFn, repl
 	calleeID := e.rt.ids.NewString()
 	e.crash("ainvoke:pre:" + stepKey)
 	registered := false
-	err := e.rt.store.Update(e.rt.invokeLog, logKey,
+	err := e.update("invoke", e.rt.invokeLog, logKey,
 		dynamo.NotExists(dynamo.A(attrID)),
 		dynamo.Set(dynamo.A(attrCalleeID), dynamo.S(calleeID)))
 	if err != nil {

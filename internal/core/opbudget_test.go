@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dynamo"
 	"repro/internal/platform"
@@ -13,9 +14,12 @@ import (
 // spend (§7.3's cost model; store_ops_per_workflow in the benchmark is the
 // sum of these). Every row is the protocol minimum for its kind on the
 // existing Backend API — a Get folded away here cannot creep back without
-// this table failing. The replay column is the same step re-executed after
-// a crash at the end of the body: it must return the logged value, cost no
-// more than listed, and be counted in Stats.Replays.
+// this table failing. Read-log rows are group-committed (readlog.go): a read
+// or await costs its fetch, and the rows queued since the last boundary cost
+// ONE flush op charged to the next effect — so k consecutive reads cost k+1,
+// not 2k. The replay column is the same step re-executed after a crash at
+// the end of the body: it must return the logged value, cost no more than
+// listed, and be counted in Stats.Replays.
 
 // queuedTransport holds async run envelopes until the test delivers them,
 // so a run's store ops never land inside another step's measurement.
@@ -55,7 +59,10 @@ type stepCost struct {
 func TestStoreOpBudget(t *testing.T) {
 	store := dynamo.NewStore()
 	crash := &platform.CrashOnce{Function: "w", Label: "body:done"}
-	f := newFixture(t, withStore(store), withFaults(crash))
+	// RowCap above the five log entries "k" collects, so no write below pays a
+	// row append.
+	f := newFixture(t, withStore(store), withFaults(crash),
+		withConfig(Config{RowCap: 8, T: 50 * time.Millisecond, ICMinAge: time.Millisecond}))
 	ops := func() int64 { return store.Metrics().Snapshot().TotalOps() }
 
 	transport := &queuedTransport{}
@@ -63,6 +70,7 @@ func TestStoreOpBudget(t *testing.T) {
 	f.fn("leaf", leaf)
 	f.fn("aleaf", leaf)
 
+	const fan = 8          // reads per batch, promises per fan-in
 	var execs [][]stepCost // one slice of measured steps per execution of w
 	w := f.fn("w", func(e *Env, _ Value) (Value, error) {
 		var steps []stepCost
@@ -72,11 +80,26 @@ func TestStoreOpBudget(t *testing.T) {
 			steps = append(steps, stepCost{kind, ops() - o, e.rt.stats.Replays.Load() - r, out})
 			return err
 		}
+		write := func(v string) func() (Value, error) {
+			return func() (Value, error) { return dynamo.Null, e.Write("kv", "k", dynamo.S(v)) }
+		}
 		err := errors.Join(
-			measure("Read", func() (Value, error) { return e.Read("kv", "k") }),
-			measure("Write", func() (Value, error) { return dynamo.Null, e.Write("kv", "k", dynamo.S("v2")) }),
+			measure("Read (first)", func() (Value, error) { return e.Read("kv", "k") }),
+			measure("Read x7", func() (Value, error) {
+				outs := make([]Value, fan-1)
+				for i := range outs {
+					v, err := e.Read("kv", "k")
+					if err != nil {
+						return dynamo.Null, err
+					}
+					outs[i] = v
+				}
+				return dynamo.L(outs...), nil
+			}),
+			measure("Write after 8 reads", write("v2")),
+			measure("Write", write("v3")),
 			measure("CondWrite-false", func() (Value, error) {
-				ok, err := e.CondWrite("kv", "k", dynamo.S("v3"), dynamo.Eq(dynamo.A(attrValue), dynamo.S("nope")))
+				ok, err := e.CondWrite("kv", "k", dynamo.S("v4"), dynamo.Eq(dynamo.A(attrValue), dynamo.S("nope")))
 				return dynamo.Bool(ok), err
 			}),
 			measure("SyncInvoke", func() (Value, error) { return e.SyncInvoke("leaf", dynamo.S("s")) }),
@@ -85,21 +108,33 @@ func TestStoreOpBudget(t *testing.T) {
 		if err != nil {
 			return dynamo.Null, err
 		}
-		p, err := e.AsyncInvokePromise("aleaf", dynamo.S("p"))
-		if err != nil {
-			return dynamo.Null, err
+		ps := make([]*Promise, fan)
+		for i := range ps {
+			if ps[i], err = e.AsyncInvokePromise("aleaf", dynamo.S("p")); err != nil {
+				return dynamo.Null, err
+			}
 		}
-		// Run the queued callees to completion now: the promise is posted and
-		// every async intent is done before the Await below is measured.
+		// Run the queued callees to completion now: the promises are posted and
+		// every async intent is done before the Awaits below are measured.
 		for _, run := range transport.take() {
 			if _, err := e.rt.plat.InvokeInternal(run.fn, run.payload); err != nil {
 				return dynamo.Null, err
 			}
 		}
 		err = errors.Join(
-			measure("Await", func() (Value, error) { return p.Await(e) }),
-			e.Transaction(func() error {
-				return measure("txnRead", func() (Value, error) { return e.Read("kv", "untouched") })
+			measure("Await x8", func() (Value, error) {
+				outs, err := e.AwaitAll(ps...)
+				return dynamo.L(outs...), err
+			}),
+			measure("Write after 8 awaits", write("v5")),
+			measure("Transaction(Read)", func() (out Value, err error) {
+				err = e.Transaction(func() error {
+					return measure("txnRead", func() (Value, error) {
+						out, err = e.Read("kv", "untouched")
+						return out, err
+					})
+				})
+				return out, err
 			}),
 		)
 		execs = append(execs, steps)
@@ -116,9 +151,16 @@ func TestStoreOpBudget(t *testing.T) {
 	if _, err := f.invoke("w", dynamo.Null); err == nil || !crash.Fired() {
 		t.Fatalf("first execution must die at body:done: err=%v fired=%v", err, crash.Fired())
 	}
+	if st := w.StatsSnapshot(); st.ReadLogFlushes != 3 || st.ReadLogRows != 2*fan+1 {
+		t.Errorf("first execution: %d flushes of %d rows, want 3 (reads, awaits, txn read) of %d",
+			st.ReadLogFlushes, st.ReadLogRows, 2*fan+1)
+	}
 	f.recoverAll()
 	if len(execs) != 2 {
 		t.Fatalf("%d executions of w, want first + replay", len(execs))
+	}
+	if st := w.StatsSnapshot(); st.ReadLogFlushes != 3 || st.InstancesSuperseded != 0 {
+		t.Errorf("after the replay: %d flushes, %d superseded; a replay queues nothing", st.ReadLogFlushes, st.InstancesSuperseded)
 	}
 
 	budget := []struct {
@@ -127,13 +169,17 @@ func TestStoreOpBudget(t *testing.T) {
 		replays       int64 // Stats.Replays counted by the replayed step
 		why           string
 	}{
-		{"Read", 2, 3, 1, "query(state) + read-log insert; replay: query + refused insert + get(logged)"},
+		{"Read (first)", 1, 1, 1, "query(state), row queued; replay: the re-executed instance's one read-log load, no fetch"},
+		{"Read x7", fan - 1, 0, fan - 1, "one query(state) each, rows queued; replay: answered from the loaded log"},
+		{"Write after 8 reads", 3, 1, 1, "ONE flush of the 8 queued rows + query + apply-and-log; replay: nothing queued, the query finds the entry"},
 		{"Write", 2, 1, 1, "query(skeleton+log entry) + apply-and-log; replay: the query finds the entry"},
 		{"CondWrite-false", 3, 1, 1, "query + refused B1 + B2 records false; replay: the query finds the entry"},
 		{"SyncInvoke", 4, 2, 1, "invoke-log insert + callee intent + callback + callee done; replay: refused insert + get(result)"},
 		{"AsyncInvoke", 3, 2, 0, "invoke-log insert + callee intent + confirming callback; replay: refused insert + get(registered)"},
-		{"Await", 2, 1, 1, "fresh intent: mailbox fetch + read-log insert, no probe; replay: the probe finds the logged value"},
-		{"txnRead", 7, 6, 2, "lock registry + lock(query, head, apply) + shadow query + state query + read-log insert"},
+		{"Await x8", fan, 0, fan, "one mailbox fetch each, rows queued; replay: answered from the loaded log"},
+		{"Write after 8 awaits", 3, 1, 1, "ONE flush of the 8 queued rows + the write's 2"},
+		{"txnRead", 6, 2, 2, "lock registry + lock(query, head, apply) + shadow query + state query, row queued; replay: registry + lock query"},
+		{"Transaction(Read)", 13, 7, 3, "the read's 6 + flush at the settle claim + claim + registry query + shadow query + unlock(2) + callee query"},
 	}
 	first, replay := execs[0], execs[1]
 	if len(first) != len(budget) || len(replay) != len(budget) {
@@ -158,32 +204,51 @@ func TestStoreOpBudget(t *testing.T) {
 	if got := first[0].out.Str(); got != "v1" {
 		t.Errorf("Read returned %q, want the seeded v1", got)
 	}
-	if got := first[5].out.Str(); got != "leaf:p" {
-		t.Errorf("Await returned %q", got)
+	if got := first[7].out.List(); len(got) != fan || got[0].Str() != "leaf:p" {
+		t.Errorf("Await x8 returned %v", got)
+	}
+
+	// Whole invocations whose only step is one read. A workflow entry creates
+	// its intent, so its log is known empty: fetch + flush at the return, and
+	// the only query is the state fetch. An async run never created its
+	// intent (registration did), so it pays the log load as well.
+	f.fn("r1", func(e *Env, _ Value) (Value, error) { return e.Read("kv", "k") }, "kv")
+	invoke := func(fn string, payload Value) (n, queries, fails int64) {
+		before := store.Metrics().Snapshot()
+		if _, err := f.plat.Invoke(fn, payload); err != nil {
+			t.Fatal(err)
+		}
+		d := store.Metrics().Snapshot().Sub(before)
+		return d.TotalOps(), d.Ops["query"], d.CondFailures
+	}
+	if n, q, _ := invoke("r1", ClientEnvelope(dynamo.Null)); n != 4 || q != 1 {
+		t.Errorf("entry instance with one read = %d ops (%d queries); budget intent + 2 for the read + done = 4, 1 query (no log load)", n, q)
+	}
+	asyncRun := func(fn, id string) (n, queries, fails int64) {
+		return invoke(fn, envelope{Kind: kindAsyncRun, InstanceID: id, Input: dynamo.S("r"), Async: true}.encode())
+	}
+	register := func(fn, id string) {
+		reg := envelope{Kind: kindAsyncRegister, InstanceID: id, Input: dynamo.S("r"), Async: true}
+		if _, err := f.rts[fn].ensureIntent(id, reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register("r1", "run-r1")
+	if n, q, _ := asyncRun("r1", "run-r1"); n != 5 || q != 2 {
+		t.Errorf("async-run instance with one read = %d ops (%d queries); budget intent fetch + 3 for the read (load, fetch, flush) + done = 5, 2 queries", n, q)
 	}
 
 	// The async run entry: one fetch of the registered intent, then the body
 	// and done-marking; a redelivered run stops at that one fetch. Neither
 	// trips a store condition (the old entry's conditional Put always did).
-	run := func(id string) (int64, int64) {
-		ev := envelope{Kind: kindAsyncRun, InstanceID: id, Input: dynamo.S("r"), Async: true}
-		o, c := ops(), store.Metrics().Snapshot().CondFailures
-		if _, err := f.plat.Invoke("aleaf", ev.encode()); err != nil {
-			t.Fatal(err)
-		}
-		return ops() - o, store.Metrics().Snapshot().CondFailures - c
-	}
-	reg := envelope{Kind: kindAsyncRegister, InstanceID: "run-1", Input: dynamo.S("r"), Async: true}
-	if _, err := f.rts["aleaf"].ensureIntent("run-1", reg); err != nil {
-		t.Fatal(err)
-	}
-	if n, fails := run("run-1"); n != 2 || fails != 0 {
+	register("aleaf", "run-1")
+	if n, _, fails := asyncRun("aleaf", "run-1"); n != 2 || fails != 0 {
 		t.Errorf("async run entry + done = %d ops, %d condition failures; budget 2, 0", n, fails)
 	}
-	if n, fails := run("run-1"); n != 1 || fails != 0 {
+	if n, _, fails := asyncRun("aleaf", "run-1"); n != 1 || fails != 0 {
 		t.Errorf("redelivered async run = %d ops, %d condition failures; budget 1, 0", n, fails)
 	}
-	if n, _ := run("never-registered"); n != 1 {
+	if n, _, _ := asyncRun("aleaf", "never-registered"); n != 1 {
 		t.Errorf("async run of an unregistered intent = %d ops; budget 1", n)
 	}
 }

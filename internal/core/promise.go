@@ -87,12 +87,13 @@ func (e *Env) AsyncInvokePromise(callee string, input Value) (*Promise, error) {
 }
 
 // Await blocks until the promise's result is durably posted and returns it
-// as a logged step: the first resolution records the value in the read log
-// under this step's key, and every re-execution returns that recorded
-// value. Polls respect the execution's context (Env.Context) and the
-// platform's crash points, and give up with ErrAwaitTimeout after the
-// configured budget (Config.AwaitRetryMax) — failing the instance, not the
-// workflow: the intent collector retries the await later.
+// as a logged step: the first resolution queues the value for the read log
+// under this step's key (durable at the instance's next effect boundary, see
+// readlog.go), and every re-execution returns the recorded value. Polls
+// respect the execution's context (Env.Context) and the platform's crash
+// points, and give up with ErrAwaitTimeout after the configured budget
+// (Config.AwaitRetryMax) — failing the instance, not the workflow: the
+// intent collector retries the await later.
 func (p *Promise) Await(e *Env) (Value, error) {
 	e.rt.stats.Awaits.Add(1)
 	if p.resolved {
@@ -111,21 +112,10 @@ func (p *Promise) Await(e *Env) (Value, error) {
 	t0 := e.rt.spanClock()
 	e.crash("await:pre:" + stepKey)
 
-	// Replay fast path: this await already resolved in a previous execution.
-	// A first execution skips the probe — no read-log row can pre-date the
-	// intent it just created, and a concurrent duplicate is still resolved by
-	// logRead's conditional insert.
-	if !e.intent.fresh {
-		lk := dynamo.HSK(dynamo.S(e.instanceID), dynamo.S(stepKey))
-		it, ok, err := e.rt.store.Get(e.rt.readLog, lk)
-		if err != nil {
-			return dynamo.Null, err
-		}
-		if ok {
-			e.rt.stats.Replays.Add(1)
-			e.awaitSpan(t0, stepKey, p, true, nil)
-			return it[attrValue], nil
-		}
+	// Replay: this await already resolved in a previous execution.
+	if val, replay, err := e.replayedRead(stepKey); err != nil || replay {
+		e.awaitSpan(t0, stepKey, p, replay, err)
+		return val, err
 	}
 
 	// Wait for the callee's post. With a push-capable store the awaiter
@@ -146,11 +136,10 @@ func (p *Promise) Await(e *Env) (Value, error) {
 			return dynamo.Null, err
 		}
 		if posted {
-			e.crash("await:mid:" + stepKey)
-			out, replay, err := e.logRead(stepKey, val)
-			e.awaitSpan(t0, stepKey, p, replay, err)
+			e.queueRead(stepKey, val)
+			e.awaitSpan(t0, stepKey, p, false, nil)
 			e.crash("await:post:" + stepKey)
-			return out, err
+			return val, nil
 		}
 		e.crash("await:poll:" + stepKey)
 		if sub != nil {

@@ -93,10 +93,10 @@ func TestPromiseCrashAndReplayExactlyOnce(t *testing.T) {
 	// Crash the driver mid-fan-in at deterministic step boundaries: the
 	// fan-out consumes step keys 1–8, so await i's logged step is key 9+i.
 	// Crashing at await:pre of step 12 kills the driver after 3 awaits
-	// resolved; await:mid of step 14 kills it with the 6th result fetched
-	// but not yet logged; await:post of step 16 after the whole fan-in but
-	// before the aggregate write.
-	for _, label := range []string{"await:pre:0.000012", "await:mid:0.000014", "await:post:0.000016"} {
+	// resolved; await:post of step 16 after the whole fan-in; flush of step 9
+	// at the aggregate write's boundary, with all 8 results fetched and none
+	// of them logged yet.
+	for _, label := range []string{"await:pre:0.000012", "await:post:0.000016", "flush:0.000009"} {
 		t.Run(label, func(t *testing.T) {
 			f := newFixture(t, withFaults(&platform.CrashOnce{Function: "driver", Label: label}))
 			var seq atomic.Int64

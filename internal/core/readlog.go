@@ -1,0 +1,200 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+
+	"repro/internal/dynamo"
+	"repro/internal/telemetry"
+)
+
+// The read log (Fig 5) makes every value an instance observes — a state
+// read, a promise's result — replay identically on re-execution. A logged
+// value only has to be durable before the instance's next externally
+// visible effect, not before its next read, so the rows are group-committed:
+// an unlogged step fetches its value and queues its row, and the queue is
+// appended in one TransactWrite of NotExists-guarded inserts immediately
+// before every effect boundary (flushReads). Until then the value has
+// influenced nothing outside this execution's memory; a crash simply
+// forgets it, exactly as if the step had not run yet.
+
+// ErrInstanceSuperseded reports that another live execution of the same
+// intent (a collector restart, a redelivered run, a second cluster worker)
+// logged one of this execution's queued read steps first, with a different
+// value than this execution fetched. Its state is built on a value the log
+// does not hold, so it stops before issuing the effect that would have
+// depended on it; the intent stays pending and its next execution replays
+// the winner's log. Progress is guaranteed: a flush only fails when another
+// one succeeded. (A duplicate that fetched the very values the winner logged
+// is indistinguishable from a replay of them and simply carries on.)
+var ErrInstanceSuperseded = errors.New("core: instance superseded by a concurrent execution of its intent")
+
+// readLogChunk bounds the rows of one flush TransactWrite (DynamoDB's
+// transaction limit is 100 items; 25 keeps frames and WAL records small). A
+// longer queue flushes as consecutive chunks in step order, so a crash
+// between chunks leaves a logged prefix.
+const readLogChunk = 25
+
+// readLogRow is one queued read-log insert: the step key and the row's SET
+// action, boxed once at queue time so the queue itself stays two words a row.
+type readLogRow struct {
+	step string
+	set  dynamo.Update
+}
+
+// readLogState is an instance's view of its read-log partition, shared by
+// its Parallel branches: the durable rows known to this execution and the
+// rows it fetched but has not flushed yet. mu is held across the load and
+// the flush so a branch never passes a boundary while another branch's
+// flush of its rows is still in flight.
+type readLogState struct {
+	mu     sync.Mutex
+	loaded bool             // logged is complete as of the load (or the intent is fresh)
+	logged map[string]Value // step key -> durable value
+	queue  []readLogRow     // in step order of arrival
+}
+
+// replayedRead answers a read step from the log: ok is true when a previous
+// execution already logged stepKey, and the value is the one it observed.
+// The first call of a re-executed instance loads the whole partition with
+// one Query; every later call is a map lookup.
+func (e *Env) replayedRead(stepKey string) (Value, bool, error) {
+	rl := &e.shared.reads
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if !rl.loaded {
+		if err := e.loadReadLog(rl); err != nil {
+			return dynamo.Null, false, err
+		}
+	}
+	val, ok := rl.logged[stepKey]
+	if ok {
+		e.rt.stats.Replays.Add(1)
+	}
+	return val, ok, nil
+}
+
+// loadReadLog (re)reads the instance's durable rows; the caller holds rl.mu.
+func (e *Env) loadReadLog(rl *readLogState) error {
+	rows, err := e.rt.store.Query(e.rt.readLog, dynamo.S(e.instanceID), dynamo.QueryOpts{})
+	if err != nil {
+		return err
+	}
+	rl.logged = make(map[string]Value, len(rows))
+	for _, it := range rows {
+		rl.logged[it[attrStep].Str()] = it[attrValue]
+	}
+	rl.loaded = true
+	return nil
+}
+
+// queueRead records the value an unlogged step just fetched; it becomes
+// durable at the next flushReads.
+func (e *Env) queueRead(stepKey string, val Value) {
+	rl := &e.shared.reads
+	rl.mu.Lock()
+	rl.queue = append(rl.queue, readLogRow{stepKey, dynamo.Set(dynamo.A(attrValue), val)})
+	rl.mu.Unlock()
+}
+
+// flushReads appends every queued read-log row, all branches' included, and
+// must be called immediately before each effect boundary: any store mutation
+// the instance issues, any invocation, and the end of the body before the
+// callback, the promise post and done-marking. boundary names the caller for
+// the trace. A refused insert means another execution logged some of these
+// steps first: the log is reloaded and rows it already holds with the very
+// value this execution fetched are dropped from the queue — for those steps
+// this execution is where a replay would be — while a differing value means
+// ErrInstanceSuperseded, with the queue kept so every later boundary of this
+// execution fails the same way.
+func (e *Env) flushReads(boundary string) error {
+	rl := &e.shared.reads
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if len(rl.queue) == 0 {
+		return nil
+	}
+	t0 := e.rt.spanClock()
+	first, rows := rl.queue[0].step, len(rl.queue)
+	id, cond := dynamo.S(e.instanceID), dynamo.NotExists(dynamo.A(attrID))
+	var err error
+	for len(rl.queue) > 0 && err == nil {
+		chunk := rl.queue[:min(len(rl.queue), readLogChunk)]
+		// The kill between a fetch and its durability: the queued values die
+		// with the worker, having influenced nothing.
+		e.crash("flush:" + chunk[0].step)
+		if len(chunk) == 1 {
+			// A one-row transaction is a conditional update; stores price it
+			// as one (DynamoDB bills and serves transactions at a multiple).
+			err = e.rt.store.Update(e.rt.readLog, dynamo.HSK(id, dynamo.S(chunk[0].step)), cond, chunk[0].set)
+		} else {
+			ops, sets := make([]dynamo.TxOp, len(chunk)), make([]dynamo.Update, len(chunk))
+			for i, r := range chunk {
+				sets[i] = r.set
+				ops[i] = dynamo.TxOp{Table: e.rt.readLog, Key: dynamo.HSK(id, dynamo.S(r.step)),
+					Cond: cond, Updates: sets[i : i+1 : i+1]}
+			}
+			err = e.rt.store.TransactWrite(ops)
+		}
+		switch {
+		case err == nil:
+			rl.queue = rl.queue[len(chunk):]
+			e.rt.stats.ReadLogFlushes.Add(1)
+			e.rt.stats.ReadLogRows.Add(int64(len(chunk)))
+		case errors.Is(err, dynamo.ErrConditionFailed):
+			if err = e.adoptLogged(rl); err != nil && errors.Is(err, ErrInstanceSuperseded) {
+				e.rt.stats.InstancesSuperseded.Add(1)
+				err = fmt.Errorf("%w: %s before %s", err, e.instanceID, boundary)
+			}
+		}
+	}
+	if e.rt.tel != nil {
+		e.stepSpan(t0, telemetry.KindReadLogFlush, first, fmt.Sprintf("%s rows=%d", boundary, rows), false, nil, err)
+	}
+	return err
+}
+
+// adoptLogged reconciles the queue with the log after a refused flush; the
+// caller holds rl.mu. Every conflict drops at least the row that caused it
+// or ends the execution, so the flush loop terminates.
+func (e *Env) adoptLogged(rl *readLogState) error {
+	if err := e.loadReadLog(rl); err != nil {
+		return err
+	}
+	kept := make([]readLogRow, 0, len(rl.queue))
+	for _, r := range rl.queue {
+		logged, ok := rl.logged[r.step]
+		if !ok {
+			kept = append(kept, r)
+		} else if d, _ := dynamo.DescribeUpdate(r.set); !d.Value.Equal(logged) {
+			return ErrInstanceSuperseded
+		}
+	}
+	if len(kept) == len(rl.queue) {
+		// Refused, yet none of the rows is in the log: they were collected in
+		// between (a zombie outliving its intent). Nothing to converge on.
+		return ErrInstanceSuperseded
+	}
+	rl.queue = kept
+	return nil
+}
+
+// loggedMutate and update are the two ways an instance mutates the store —
+// a logged step on a data table, a direct row update on the invoke log or a
+// transaction registry — and therefore the effect boundaries: the queued
+// read-log rows are flushed first, so no durable row is ever computed from a
+// value a re-execution could observe differently.
+func (e *Env) loggedMutate(layer kvLayer, boundary, table, key, stepKey string, mut mutation) (bool, error) {
+	if err := e.flushReads(boundary); err != nil {
+		return false, err
+	}
+	return layer.loggedMutate(table, key, e.logKey(stepKey), mut)
+}
+
+func (e *Env) update(boundary, table string, key dynamo.Key, cond dynamo.Cond, ups ...dynamo.Update) error {
+	if err := e.flushReads(boundary); err != nil {
+		return err
+	}
+	return e.rt.store.Update(table, key, cond, ups...)
+}

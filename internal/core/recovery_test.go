@@ -278,7 +278,9 @@ func TestCallbackPreventsFigure9Anomaly(t *testing.T) {
 
 func TestConcurrentDuplicateRestartsConverge(t *testing.T) {
 	// Even if the "IC" floods the system with duplicate restarts of a live
-	// instance, at-most-once per step holds.
+	// instance, at-most-once per step holds. A duplicate that read the
+	// counter after another one's write holds a value the read log does not
+	// (readlog.go): it must stop with ErrInstanceSuperseded, never write.
 	f := newFixture(t)
 	f.fn("w", counterBody, "counter")
 	ev := envelope{Kind: kindCall, InstanceID: "dup-1", Input: dynamo.S("k")}
@@ -289,10 +291,17 @@ func TestConcurrentDuplicateRestartsConverge(t *testing.T) {
 			done <- err
 		}()
 	}
+	succeeded := 0
 	for i := 0; i < 10; i++ {
-		if err := <-done; err != nil {
+		switch err := <-done; {
+		case err == nil:
+			succeeded++
+		case !errors.Is(err, ErrInstanceSuperseded):
 			t.Fatal(err)
 		}
+	}
+	if succeeded == 0 {
+		t.Error("all 10 duplicate executions were superseded; one must win")
 	}
 	if got := f.readData("w", "counter", "k"); got.Int() != 1 {
 		t.Errorf("counter = %v after 10 duplicate executions, want 1", got)

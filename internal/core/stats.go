@@ -31,6 +31,14 @@ type Stats struct {
 	// protocol deduplicated).
 	Replays atomic.Int64
 
+	// The group-committed read log (readlog.go): flush transactions issued,
+	// rows they inserted, and executions that stopped because a concurrent
+	// execution of the same intent logged a step first (duplicate delivery
+	// or an over-eager collector; self-healing, never data loss).
+	ReadLogFlushes      atomic.Int64
+	ReadLogRows         atomic.Int64
+	InstancesSuperseded atomic.Int64
+
 	// Transactions.
 	TxnBegun     atomic.Int64
 	TxnCommitted atomic.Int64
@@ -62,6 +70,7 @@ type StatsView struct {
 	PromiseCalls, Awaits, PromisePosts                               int64
 	ChangeEvents                                                     int64
 	Replays                                                          int64
+	ReadLogFlushes, ReadLogRows, InstancesSuperseded                 int64
 	TxnBegun, TxnCommitted, TxnAborted                               int64
 	IntentsStarted, IntentsCompleted, Restarts                       int64
 	CallbacksIn, SpuriousCallback, FencedClaims                      int64
@@ -106,5 +115,9 @@ func (s *Stats) Snapshot() StatsView {
 		GCLogRows:        s.GCLogRows.Load(),
 		GCRowsDeleted:    s.GCRowsDeleted.Load(),
 		GCDisconnected:   s.GCDisconnected.Load(),
+
+		ReadLogFlushes:      s.ReadLogFlushes.Load(),
+		ReadLogRows:         s.ReadLogRows.Load(),
+		InstancesSuperseded: s.InstancesSuperseded.Load(),
 	}
 }

@@ -109,13 +109,13 @@ func runTxnBody(body func() error) (err error) {
 // transaction, so a later Commit/Abort phase can propagate along the same
 // workflow edge. Idempotent (at-least-once is enough: the set is keyed).
 func (e *Env) recordTxnCallee(callee string) error {
-	return e.rt.store.Update(e.rt.txCallees,
+	return e.update("txn", e.rt.txCallees,
 		dynamo.HSK(dynamo.S(e.shared.txn.ID), dynamo.S(callee)), nil)
 }
 
 // recordTxnLock durably notes a lock this SSF acquired for the transaction.
 func (e *Env) recordTxnLock(table, key string) error {
-	return e.rt.store.Update(e.rt.txLocks,
+	return e.update("txn", e.rt.txLocks,
 		dynamo.HSK(dynamo.S(e.shared.txn.ID), dynamo.S(table+"|"+key)), nil)
 }
 
@@ -141,7 +141,7 @@ func (e *Env) txnLock(table, key string) error {
 		stepKey := e.nextStepKey()
 		e.crash("txnlock:pre:" + stepKey)
 		replay = false
-		ok, err := e.rt.layer().loggedMutate(table, key, e.logKey(stepKey),
+		ok, err := e.loggedMutate(e.rt.layer(), "lock", table, key, stepKey,
 			e.stepMutation(mutation{cond: lockCond(txn.ID), setLock: &owner}, &replay))
 		e.crash("txnlock:post:" + stepKey)
 		if err != nil {
@@ -190,9 +190,9 @@ func olderOrSame(aStart int64, aID string, bStart int64, bID string) bool {
 // shadowKey namespaces a key inside the shadow table by transaction.
 func shadowKey(txnID, key string) string { return txnID + "|" + key }
 
-// txnRead: lock, then read the shadow copy first (read-your-writes), else
-// the real table; the effective value is recorded in the read log so
-// replays see the identical snapshot.
+// txnRead: lock, then read the transaction's effective view of the item;
+// the value is recorded in the read log so replays see the identical
+// snapshot.
 func (e *Env) txnRead(table, key string) (Value, error) {
 	if err := e.txnLock(table, key); err != nil {
 		return dynamo.Null, err
@@ -200,21 +200,33 @@ func (e *Env) txnRead(table, key string) (Value, error) {
 	stepKey := e.nextStepKey()
 	t0 := e.rt.spanClock()
 	e.crash("txnread:pre:" + stepKey)
-	layer := e.rt.layer()
-	val, _, found, err := layer.shadow().stateRead(table, shadowKey(e.shared.txn.ID, key))
+	val, replay, err := e.txnView(stepKey, table, key)
+	e.stepSpan(t0, telemetry.KindRead, stepKey, table+"/"+key, replay, nil, err)
 	if err != nil {
 		return dynamo.Null, err
 	}
-	if !found {
-		val, _, _, err = layer.stateRead(table, key)
-		if err != nil {
-			return dynamo.Null, err
-		}
-	}
-	out, replay, err := e.logRead(stepKey, val)
-	e.stepSpan(t0, telemetry.KindRead, stepKey, table+"/"+key, replay, nil, err)
 	e.crash("txnread:post:" + stepKey)
-	return out, err
+	return val, nil
+}
+
+// txnView is the logged read of the transaction's effective view of an item
+// it holds the lock on: the shadow copy first (read-your-writes), else the
+// real table.
+func (e *Env) txnView(stepKey, table, key string) (Value, bool, error) {
+	val, replay, err := e.replayedRead(stepKey)
+	if err != nil || replay {
+		return val, replay, err
+	}
+	layer := e.rt.layer()
+	val, _, found, err := layer.shadow().stateRead(table, shadowKey(e.shared.txn.ID, key))
+	if err == nil && !found {
+		val, _, _, err = layer.stateRead(table, key)
+	}
+	if err != nil {
+		return dynamo.Null, false, err
+	}
+	e.queueRead(stepKey, val)
+	return val, false, nil
 }
 
 // txnWrite: lock, then write to the transaction's shadow copy.
@@ -226,8 +238,8 @@ func (e *Env) txnWrite(table, key string, v Value) error {
 	t0 := e.rt.spanClock()
 	e.crash("txnwrite:pre:" + stepKey)
 	var replay bool
-	_, err := e.rt.layer().shadow().loggedMutate(table, shadowKey(e.shared.txn.ID, key),
-		e.logKey(stepKey), e.stepMutation(mutation{setVal: &v}, &replay))
+	_, err := e.loggedMutate(e.rt.layer().shadow(), "write", table, shadowKey(e.shared.txn.ID, key),
+		stepKey, e.stepMutation(mutation{setVal: &v}, &replay))
 	e.stepSpan(t0, telemetry.KindWrite, stepKey, table+"/"+key, replay, e.rt.histStep, err)
 	e.crash("txnwrite:post:" + stepKey)
 	return err
@@ -240,19 +252,7 @@ func (e *Env) txnCondWrite(table, key string, v Value, cond dynamo.Cond) (bool, 
 	if err := e.txnLock(table, key); err != nil {
 		return false, err
 	}
-	stepKey := e.nextStepKey()
-	layer := e.rt.layer()
-	val, _, found, err := layer.shadow().stateRead(table, shadowKey(e.shared.txn.ID, key))
-	if err != nil {
-		return false, err
-	}
-	if !found {
-		val, _, _, err = layer.stateRead(table, key)
-		if err != nil {
-			return false, err
-		}
-	}
-	val, _, err = e.logRead(stepKey, val)
+	val, _, err := e.txnView(e.nextStepKey(), table, key)
 	if err != nil {
 		return false, err
 	}
@@ -263,8 +263,8 @@ func (e *Env) txnCondWrite(table, key string, v Value, cond dynamo.Cond) (bool, 
 	t0 := e.rt.spanClock()
 	e.crash("txncondwrite:pre:" + wStep)
 	var replay bool
-	_, err = layer.shadow().loggedMutate(table, shadowKey(e.shared.txn.ID, key),
-		e.logKey(wStep), e.stepMutation(mutation{setVal: &v}, &replay))
+	_, err = e.loggedMutate(e.rt.layer().shadow(), "condwrite", table, shadowKey(e.shared.txn.ID, key),
+		wStep, e.stepMutation(mutation{setVal: &v}, &replay))
 	e.stepSpan(t0, telemetry.KindCondWrite, wStep, table+"/"+key, replay, e.rt.histStep, err)
 	e.crash("txncondwrite:post:" + wStep)
 	return err == nil, err
@@ -299,7 +299,7 @@ const settleMarker = "\x00settled"
 // The claim is keyed to the claiming instance so the claimant's own
 // re-execution (after a mid-settle crash) passes the check and resumes.
 func (e *Env) claimTxnSettle(ctx *TxnContext) (bool, error) {
-	err := e.rt.store.Update(e.rt.txCallees,
+	err := e.update("txn", e.rt.txCallees,
 		dynamo.HSK(dynamo.S(ctx.ID), dynamo.S(settleMarker)),
 		dynamo.Or(
 			dynamo.NotExists(dynamo.A(attrInstanceID)),
@@ -333,7 +333,7 @@ func (e *Env) settleTxnState(ctx *TxnContext) error {
 			if found {
 				stepKey := e.nextStepKey()
 				e.crash("txnflush:pre:" + stepKey)
-				if _, err := layer.loggedMutate(table, key, e.logKey(stepKey),
+				if _, err := e.loggedMutate(layer, "write", table, key, stepKey,
 					mutation{setVal: &sval}); err != nil {
 					return err
 				}
@@ -396,7 +396,7 @@ func (rt *Runtime) runTxnPhase(inv *platform.Invocation, id string, ev envelope)
 	}
 	obs := rt.beginExec(id, ev, !intent.fresh)
 	defer obs.finish()
-	env := &Env{rt: rt, inv: inv, instanceID: id, branch: "0", intent: intent, shared: &envShared{app: ev.App}}
+	env := newEnv(rt, inv, id, intent, ev.App)
 	if err := env.finishTxnLocal(ev.Txn); err != nil {
 		obs.complete(err)
 		return dynamo.Null, err

@@ -163,7 +163,7 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 	obs := rt.beginExec(id, ev, !intent.fresh)
 	defer obs.finish()
 
-	env := &Env{rt: rt, inv: inv, instanceID: id, branch: "0", intent: intent, shared: &envShared{app: ev.App}}
+	env := newEnv(rt, inv, id, intent, ev.App)
 	if ev.Txn != nil {
 		env.shared.txn = ev.Txn // inherited Execute-mode context (§6.2)
 	}
@@ -185,6 +185,13 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 			obs.complete(err)
 			return dynamo.Null, err
 		}
+	}
+	// The result is about to leave this execution (callback, done-marking,
+	// reply): every value it was computed from must be logged first, so that
+	// any re-execution computes the identical result.
+	if err := env.flushReads("return"); err != nil {
+		obs.complete(err)
+		return dynamo.Null, err
 	}
 	inv.CrashPoint("body:done")
 
@@ -253,8 +260,11 @@ func (rt *Runtime) handleAsyncRun(inv *platform.Invocation, ev envelope) (Value,
 	}
 	obs := rt.beginExec(ev.InstanceID, parentEv, intent.lastLaunch > intent.startTime)
 	defer obs.finish()
-	env := &Env{rt: rt, inv: inv, instanceID: ev.InstanceID, branch: "0", intent: intent, shared: &envShared{app: ev.App}}
+	env := newEnv(rt, inv, ev.InstanceID, intent, ev.App)
 	ret, err := rt.runBody(env, ev.Input)
+	if err == nil {
+		err = env.flushReads("return")
+	}
 	if err != nil {
 		obs.complete(err)
 		return dynamo.Null, err

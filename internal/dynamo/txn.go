@@ -38,53 +38,61 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
+	// Bookkeeping stays proportional to what the ops do not already hold: a
+	// prepared op points into ops (a Put's derived key is the one copy), the
+	// duplicate check keys on the encoded scalars the shard lookup needs
+	// anyway, and the shards to lock — few, however many rows — are a
+	// linearly deduplicated slice.
 	type prepared struct {
-		op  TxOp
 		t   *table
-		key Key
+		key *Key
 		sh  *shard
 	}
+	type target struct{ table, hash, sort string }
 	preps := make([]prepared, len(ops))
-	seen := make(map[string]bool, len(ops))
+	seen := make(map[target]struct{}, len(ops))
 	type lockTarget struct {
 		name string // table name, primary lock-order key
 		idx  int    // shard index within the table
 		sh   *shard
 	}
-	lockSet := make(map[*shard]lockTarget)
-	for i, op := range ops {
+	var locks []lockTarget
+	for i := range ops {
+		op := &ops[i]
 		t, err := s.table(op.Table)
 		if err != nil {
 			return err
 		}
-		key := op.Key
+		key := &op.Key
 		if op.Put != nil {
 			k, err := t.keyOf(op.Put)
 			if err != nil {
 				return err
 			}
-			key = k
+			key = &k
 		}
-		target := op.Table + "\x00" + encodeScalar(key.Hash) + "\x00" + encodeScalar(key.Sort)
-		if seen[target] {
-			return fmt.Errorf("dynamo: TransactWrite: duplicate target %s %s", op.Table, key)
-		}
-		seen[target] = true
 		hk := encodeScalar(key.Hash)
+		tg := target{op.Table, hk, encodeScalar(key.Sort)}
+		if _, dup := seen[tg]; dup {
+			return fmt.Errorf("dynamo: TransactWrite: duplicate target %s %s", op.Table, *key)
+		}
+		seen[tg] = struct{}{}
 		idx := shardIndex(hk, len(t.shards))
 		sh := t.shards[idx]
-		preps[i] = prepared{op: op, t: t, key: key, sh: sh}
-		lockSet[sh] = lockTarget{name: op.Table, idx: idx, sh: sh}
+		preps[i] = prepared{t: t, key: key, sh: sh}
+		held := false
+		for _, lt := range locks {
+			held = held || lt.sh == sh
+		}
+		if !held {
+			locks = append(locks, lockTarget{name: op.Table, idx: idx, sh: sh})
+		}
 	}
 
 	// Lock the involved shards in (table name, shard index) order to avoid
 	// deadlock with concurrent transactions, then check all conditions before
 	// applying anything. Single-row writers hold at most one shard lock and
 	// acquire no others, so they cannot participate in a cycle.
-	locks := make([]lockTarget, 0, len(lockSet))
-	for _, lt := range lockSet {
-		locks = append(locks, lt)
-	}
 	sort.Slice(locks, func(i, j int) bool {
 		if locks[i].name != locks[j].name {
 			return locks[i].name < locks[j].name
@@ -104,30 +112,31 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 	failed := false
 	staged := make([]Item, len(ops)) // result row per op; nil means delete
 	for i, p := range preps {
-		cur := p.sh.get(p.key)
-		if p.op.Cond != nil && !evalAgainst(p.op.Cond, cur) {
-			reasons[i] = condFailure(p.op.Table, p.key, p.op.Cond)
+		op := &ops[i]
+		cur := p.sh.get(*p.key)
+		if op.Cond != nil && !evalAgainst(op.Cond, cur) {
+			reasons[i] = condFailure(op.Table, *p.key, op.Cond)
 			failed = true
 			continue
 		}
 		switch {
-		case p.op.Check:
+		case op.Check:
 			// Condition-only: the guard above already evaluated Cond; keep
 			// the row exactly as it is (a nil row stays absent).
 			staged[i] = cur
-		case p.op.Put != nil:
-			next := p.op.Put.Clone()
+		case op.Put != nil:
+			next := op.Put.Clone()
 			if next.Size() > p.t.maxSize {
-				reasons[i] = fmt.Errorf("%w: table %s key %s", ErrItemTooLarge, p.op.Table, p.key)
+				reasons[i] = fmt.Errorf("%w: table %s key %s", ErrItemTooLarge, op.Table, *p.key)
 				failed = true
 				continue
 			}
 			staged[i] = next
-		case p.op.Delete:
+		case op.Delete:
 			staged[i] = nil
 		default:
-			next := p.t.materialize(cur, p.key)
-			for _, u := range p.op.Updates {
+			next := p.t.materialize(cur, *p.key)
+			for _, u := range op.Updates {
 				if err := u.apply(next); err != nil {
 					reasons[i] = err
 					failed = true
@@ -135,7 +144,7 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 				}
 			}
 			if reasons[i] == nil && next.Size() > p.t.maxSize {
-				reasons[i] = fmt.Errorf("%w: table %s key %s", ErrItemTooLarge, p.op.Table, p.key)
+				reasons[i] = fmt.Errorf("%w: table %s key %s", ErrItemTooLarge, op.Table, *p.key)
 				failed = true
 			}
 			staged[i] = next
@@ -149,14 +158,15 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 		return &TxCanceledError{Reasons: reasons}
 	}
 	for i, p := range preps {
-		if p.op.Check {
+		op := &ops[i]
+		if op.Check {
 			continue // condition already held; nothing to write
 		}
-		if p.op.Delete {
-			p.sh.delete(p.key)
+		if op.Delete {
+			p.sh.delete(*p.key)
 			continue
 		}
-		p.sh.put(p.key, staged[i])
+		p.sh.put(*p.key, staged[i])
 		s.metrics.BytesWritten.Add(int64(staged[i].Size()))
 	}
 	s.commitSleep(len(ops))
@@ -164,11 +174,11 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 	// Notify after the shard locks are released: subscribers woken by these
 	// events re-read through the normal API and must not deadlock on the
 	// transaction's own latches.
-	for _, p := range preps {
-		if p.op.Check {
+	for i, p := range preps {
+		if ops[i].Check {
 			continue
 		}
-		s.notifyCommit(p.op.Table, p.key.Hash)
+		s.notifyCommit(ops[i].Table, p.key.Hash)
 	}
 	s.charge(OpTxWrite, len(ops), 0)
 	return nil

@@ -249,10 +249,8 @@ func (p *Store) Base() storage.Backend { return p.base }
 // storage.AsDynamo keeps working through the overlay (benches reach shard
 // and batching knobs this way).
 func (p *Store) DynamoStore() *dynamo.Store {
-	if s, ok := storage.AsDynamo(p.base); ok {
-		return s
-	}
-	return nil
+	s, _ := storage.AsDynamo(p.base)
+	return s
 }
 
 // encodeScalar renders a key attribute for the dirty map (kind-prefixed so

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -100,6 +101,10 @@ type Result struct {
 	TraceHash uint64
 	// Steps is the number of scheduling decisions the run took.
 	Steps int
+	// Superseded counts executions that stopped with
+	// core.ErrInstanceSuperseded: live duplicates of an intent whose read-log
+	// flush lost to the other execution's.
+	Superseded int64
 }
 
 // ReproLine returns the command that replays a failing seed.
@@ -153,7 +158,7 @@ func RunSeed(seed int64, opts RunOpts) (Result, error) {
 		} else {
 			store = dynamo.NewStore()
 		}
-		err = runScenario(s, sc, prng, store)
+		res.Superseded, err = runScenario(s, sc, prng, store)
 		if ws != nil {
 			if cerr := ws.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("sim: closing walstore: %w", cerr)
@@ -183,7 +188,7 @@ func simConfig() beldi.Config {
 
 // runScenario drives every kind except torn: one cluster generation, fault
 // at mid-load where the kind calls for one, quiesce, audit, settle.
-func runScenario(s *Scheduler, sc Scenario, prng *rand.Rand, store storage.Backend) error {
+func runScenario(s *Scheduler, sc Scenario, prng *rand.Rand, store storage.Backend) (superseded int64, err error) {
 	wl := newWorkload(sc, prng)
 	cfg := ClusterConfig{
 		Workers:    3,
@@ -225,13 +230,22 @@ func runScenario(s *Scheduler, sc Scenario, prng *rand.Rand, store storage.Backe
 	case "skew":
 		skews := []time.Duration{-simLeaseTTL / 8, 0, simLeaseTTL / 8}
 		cfg.Skew = func(i int) time.Duration { return skews[i%len(skews)] }
+	case "pause":
+		if wl.readHeavy != nil {
+			// An over-eager collector: peers restart the stalled worker's
+			// in-flight instances well inside the stall (which itself stays
+			// under T), so a live duplicate runs while the original sits
+			// mid-batch with unflushed reads — the seam the read log's group
+			// commit creates.
+			cfg.Config.ICMinAge = simT / 4
+		}
 	}
 	c, err := NewCluster(s, store, cfg)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := wl.seed(c); err != nil {
-		return fmt.Errorf("sim: seeding %s: %w", wl.name, err)
+		return 0, fmt.Errorf("sim: seeding %s: %w", wl.name, err)
 	}
 	if sc.Kind == "crash" {
 		// Armed after seeding so setup load cannot crash.
@@ -245,10 +259,16 @@ func runScenario(s *Scheduler, sc Scenario, prng *rand.Rand, store storage.Backe
 	})
 	runErr := s.Run(root)
 	s.Shutdown()
-	if runErr != nil {
-		return runErr
+	for _, w := range c.Workers {
+		d := w.CW.Deployment()
+		for _, fn := range d.Functions() {
+			superseded += d.Runtime(fn).StatsSnapshot().InstancesSuperseded
+		}
 	}
-	return driveErr
+	if runErr != nil {
+		return superseded, runErr
+	}
+	return superseded, driveErr
 }
 
 // drive is the scenario's root task: spawn one client task per request
@@ -261,6 +281,7 @@ func drive(s *Scheduler, c *Cluster, sc Scenario, prng *rand.Rand, wl *workload)
 	avoid := -1 // clients route around this worker once a fault lands
 	errs := make([]error, wl.requests)
 	clients := make([]*Task, 0, wl.requests)
+	var midErr error // the read-heavy request the pause kind stalls mid-batch
 	for i := 0; i < wl.requests; i++ {
 		if i == wl.requests/2 {
 			switch sc.Kind {
@@ -271,6 +292,18 @@ func drive(s *Scheduler, c *Cluster, sc Scenario, prng *rand.Rand, wl *workload)
 				c.Partition(victim)
 				avoid = victim
 			case "pause":
+				if wl.readHeavy != nil {
+					// Land the stall inside a read-heavy instance: the request
+					// runs as the victim's own task, and the driver yields
+					// until a seed-chosen number of its reads are queued.
+					w := c.Workers[victim]
+					clients = append(clients, s.Go(TaskOpts{Name: "client.mid", Proc: w.Name}, func() {
+						midErr = wl.readHeavy(w)
+					}))
+					for until := wl.readsDone(w) + 1 + int64(prng.Intn(wl.readHeavyReads-1)); wl.readsDone(w) < until; {
+						s.Yield()
+					}
+				}
 				c.Pause(victim)
 				avoid = victim
 			}
@@ -310,6 +343,12 @@ func drive(s *Scheduler, c *Cluster, sc Scenario, prng *rand.Rand, wl *workload)
 	// Only kinds that kill instances may fail clients: a kill's in-flight
 	// callers crash, and crash-kind clients die at random crash points.
 	// Everything else must succeed end to end.
+	if midErr != nil && !errors.Is(midErr, beldi.ErrInstanceSuperseded) {
+		// The stalled request may lose to the duplicate a peer's collector
+		// started (its intent is then the winner's to finish); nothing else
+		// may fail it.
+		return fmt.Errorf("sim: read-heavy client failed under kind=%s: %w", sc.Kind, midErr)
+	}
 	if sc.Kind != "kill" && sc.Kind != "crash" {
 		for i, err := range errs {
 			if err != nil {
@@ -358,6 +397,14 @@ type workload struct {
 	seed     func(c *Cluster) error
 	client   func(w *Worker, i int) error
 	audit    func(c *Cluster, sc Scenario, errs []error) error
+
+	// readHeavy, when set, is one extra request whose callee instance issues
+	// readHeavyReads reads back to back before its first effect; readsDone
+	// reports how many reads that callee function has begun on w. The pause
+	// kind uses them to stall a worker mid-batch.
+	readHeavy      func(w *Worker) error
+	readHeavyReads int
+	readsDone      func(w *Worker) int64
 }
 
 func newWorkload(sc Scenario, prng *rand.Rand) *workload {
@@ -380,9 +427,38 @@ func travelWorkload() *workload {
 	wl := &workload{name: "travel", requests: 12}
 	wl.fns = []string{travel.FnFrontend, travel.FnSearch, travel.FnGeo, travel.FnRate, travel.FnRecommend,
 		travel.FnUser, travel.FnProfile, travel.FnReserve, travel.FnReserveHotel, travel.FnReserveFlight}
+	// tally is the read-heavy request: it asks the hotel SSF for its inventory
+	// audit — one instance reading all NumHotels rows before it returns the
+	// sum — and records the answer. Bookings land while it runs, so the sum
+	// is whatever that instance's reads happened to see: if a value that was
+	// never logged leaked into the callback, the recorded and the replayed
+	// answers would disagree.
+	const fnTally = "tally"
+	wl.fns = append(wl.fns, fnTally)
 	wl.register = func(d *beldi.Deployment) {
 		app := travel.Build(d)
 		app.Capacity = capacity
+		d.Function(fnTally, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
+			sum, err := e.SyncInvoke(travel.FnReserveHotel, beldi.Map(map[string]beldi.Value{"op": beldi.Str("audit")}))
+			if err != nil {
+				return beldi.Null, err
+			}
+			return sum, e.Write("tallies", in.Str(), sum)
+		}, "tallies")
+	}
+	var tallied bool
+	var talliedAck beldi.Value // Null unless the client was answered
+	wl.readHeavyReads = travel.NumHotels
+	wl.readHeavy = func(w *Worker) error {
+		tallied = true
+		out, err := w.CW.Invoke(fnTally, beldi.Str("t0"))
+		if err == nil {
+			talliedAck = out
+		}
+		return err
+	}
+	wl.readsDone = func(w *Worker) int64 {
+		return w.CW.Deployment().Runtime(travel.FnReserveHotel).StatsSnapshot().Reads
 	}
 	wl.seed = func(c *Cluster) error {
 		for _, fn := range []string{travel.FnGeo, travel.FnRate, travel.FnRecommend, travel.FnProfile,
@@ -441,6 +517,15 @@ func travelWorkload() *workload {
 		}
 		if hot != fl {
 			return fmt.Errorf("sim: inventories diverged: hotel=%d flight=%d", hot, fl)
+		}
+		if tallied {
+			got, err := beldi.PeekState(d.Runtime(fnTally), "tallies", "t0")
+			if err != nil {
+				return err
+			}
+			if got.IsNull() || (!talliedAck.IsNull() && !got.Equal(talliedAck)) {
+				return fmt.Errorf("sim: tally recorded %v, client was answered %v", got, talliedAck)
+			}
 		}
 		return nil
 	}

@@ -167,6 +167,41 @@ func TestSimWakeFaultsPreserveLiveness(t *testing.T) {
 	}
 }
 
+// TestSimPauseSupersedesMidBatch pins the duplicate-execution seam of the
+// group-committed read log: the pause kind on the travel workload stalls a
+// worker while a 100-read audit instance sits mid-batch with unflushed
+// reads, a peer's over-eager collector restarts the intent, and the stalled
+// original — resumed — must lose its flush and stop with
+// ErrInstanceSuperseded before any effect. The pinned seeds must keep
+// deriving pause/travel, pass every audit (exactly-once bookings, the tally
+// the client was answered equals the one recorded), actually supersede an
+// execution, and replay bit-identically. One seed per policy that reaches
+// the seam (kind index 5, workload travel: stride 33).
+func TestSimPauseSupersedesMidBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation scenario skipped in -short")
+	}
+	for _, seed := range []int64{5, 104, 203} {
+		sc := ScenarioFor(seed)
+		if sc.Kind != "pause" || sc.Workload != "travel" {
+			t.Fatalf("seed %d derives %s/%s, this test needs pause/travel — re-pin the seed", seed, sc.Kind, sc.Workload)
+		}
+		a, errA := RunSeed(seed, RunOpts{Dir: t.TempDir()})
+		if errA != nil {
+			t.Errorf("seed %d (policy=%s) failed: %v\nreproduce: %s", seed, sc.Policy, errA, ReproLine(seed, "mem"))
+			continue
+		}
+		if a.Superseded == 0 {
+			t.Errorf("seed %d (policy=%s): no execution was superseded; the stall missed the batch — re-pin the seed", seed, sc.Policy)
+		}
+		b, errB := RunSeed(seed, RunOpts{Dir: t.TempDir()})
+		if errB != nil || a.TraceHash != b.TraceHash || a.Superseded != b.Superseded {
+			t.Errorf("seed %d replay diverged: trace %016x then %016x, superseded %d then %d (err %v)",
+				seed, a.TraceHash, b.TraceHash, a.Superseded, b.Superseded, errB)
+		}
+	}
+}
+
 // TestSimCatchesUnguardedIntentDone is the sweep's proof of value: it
 // reintroduces a historical protocol bug — markIntentDone without the
 // existence guard, so a straggler's late completion resurrects its GC'd

@@ -8,7 +8,9 @@ type Kind string
 // Span kinds. Exec spans cover one execution attempt of one intent; step
 // kinds cover one logged operation inside an attempt; call/async/await
 // spans carry the causal edge to a child intent; txn and queue kinds cover
-// the transaction phases and the enqueue→receive hop.
+// the transaction phases and the enqueue→receive hop; a read-log flush span
+// (Step: the first row's step key, Name: "<boundary> rows=<n>") shows where
+// an instance's deferred read-log inserts landed.
 const (
 	KindExec      Kind = "exec"
 	KindRead      Kind = "read"
@@ -22,6 +24,8 @@ const (
 	KindTxnCommit Kind = "txn.commit"
 	KindTxnAbort  Kind = "txn.abort"
 	KindQueueHop  Kind = "queue.hop"
+
+	KindReadLogFlush Kind = "flush"
 )
 
 // Span is one observed interval, keyed by the intent id (Beldi's durable
