@@ -514,6 +514,11 @@ func runCosts() error {
 		fmt.Printf("  k=%d: %.2f", r.K, r.OpsPerRead)
 	}
 	fmt.Println("  (one flush per batch: (k+1)/k)")
+	fmt.Printf("round trips per sync invoke, k-read callee:")
+	for _, r := range rep.OpsPerCallAtK {
+		fmt.Printf("  k=%d: %.0f effect-free / %.0f ending in a write", r.K, r.EffectFree, r.Writes)
+	}
+	fmt.Println("  (2+k: no intent row without an effect; 6+k, +1 flush when k ≥ 1)")
 	fmt.Println()
 	return nil
 }

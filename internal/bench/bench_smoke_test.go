@@ -177,6 +177,25 @@ func TestCostsSmoke(t *testing.T) {
 			t.Errorf("k=%d reads per instance: %v round trips per read, want (k+1)/k = %v", r.K, r.OpsPerRead, want)
 		}
 	}
+	// A sync invocation of a k-read callee: insert + k fetches + callback when
+	// the callee returns effect-free; intent row, flush of the k rows, write
+	// and done mark on top when it ends in a write.
+	if len(rep.OpsPerCallAtK) != 3 {
+		t.Fatalf("%d callee rows, want k = 0, 1, 8", len(rep.OpsPerCallAtK))
+	}
+	for _, r := range rep.OpsPerCallAtK {
+		flush := 0
+		if r.K >= 1 {
+			flush = 1
+		}
+		if free, writes := float64(2+r.K), float64(6+r.K+flush); r.EffectFree != free || r.Writes != writes {
+			t.Errorf("k=%d reads per callee: %v round trips effect-free, %v ending in a write; want %v and %v",
+				r.K, r.EffectFree, r.Writes, free, writes)
+		}
+	}
+	if rep.StoreOpsPerInvokeBeldi != 2 {
+		t.Errorf("beldi round trips per invoke of an empty callee = %v, want 2 (insert + callback)", rep.StoreOpsPerInvokeBeldi)
+	}
 }
 
 // TestTraversalAblationSmoke pins the ablation's shape: the one-query read

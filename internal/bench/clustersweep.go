@@ -165,6 +165,7 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 	var steps, failed atomic.Int64
 	var keySeq atomic.Int64
 	var restartsAtKill atomic.Int64 // survivors' restart count when the kill fired
+	var victimParts []int           // what the victim owned when the kill fired
 	start := time.Now()
 	deadline := start.Add(opts.Duration)
 	killAt := start.Add(opts.Duration / 2)
@@ -178,6 +179,7 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 				for time.Now().Before(deadline) {
 					if kill && time.Now().After(killAt) {
 						killOnce.Do(func() {
+							victimParts = pool[victim].Worker().OwnedPartitions()
 							pool[victim].Kill()
 							// Baseline for the Recovered column: restarts
 							// after this moment are the kill's recovery work.
@@ -221,7 +223,10 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 
 	if kill {
 		// The cell is only done when the survivors have finished every
-		// workflow the dead worker left behind.
+		// workflow the dead worker left behind — and have taken over its
+		// partitions: a victim killed with nothing in flight leaves no
+		// pending intent, and the counters read below would otherwise race
+		// the lease's expiry.
 		probe := pool[0].Deployment().Runtime("step")
 		waitUntil := time.Now().Add(10 * time.Second)
 		for {
@@ -229,11 +234,26 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 			if err != nil {
 				return pt, err
 			}
-			if len(items) == 0 {
+			survivors := map[int]bool{}
+			for i, w := range pool {
+				if i != victim {
+					for _, p := range w.Worker().OwnedPartitions() {
+						survivors[p] = true
+					}
+				}
+			}
+			orphaned := 0
+			for _, p := range victimParts {
+				if !survivors[p] {
+					orphaned++
+				}
+			}
+			if len(items) == 0 && orphaned == 0 {
 				break
 			}
 			if time.Now().After(waitUntil) {
-				return pt, fmt.Errorf("bench: cluster sweep: %d workflows still pending after kill recovery", len(items))
+				return pt, fmt.Errorf("bench: cluster sweep: %d workflows still pending, %d of the victim's %d partitions not taken over after kill recovery",
+					len(items), orphaned, len(victimParts))
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

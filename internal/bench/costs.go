@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"time"
 
 	"repro/beldi"
@@ -36,6 +37,14 @@ type CostsReport struct {
 	// fetches share one flush at the instance's next effect boundary and
 	// the cost per read is (K+1)/K — 2 for a lone read, approaching 1.
 	OpsPerReadAtK []KReadsRow
+	// OpsPerCallAtK is the Beldi round trips of one SyncInvoke of a callee
+	// that issues K reads, by how the callee ends. An intent row is an
+	// effect's bookkeeping: a callee that returns effect-free writes none and
+	// the call costs the caller's invoke-log insert, the K fetches and the
+	// callback (2+K); one that ends in a write pays in full — intent row,
+	// write (query + update) and done mark on top, plus the flush of its K
+	// read-log rows (6+K, +1 when K ≥ 1).
+	OpsPerCallAtK []KCallRow
 }
 
 // KReadsRow is one row of CostsReport.OpsPerReadAtK.
@@ -43,6 +52,15 @@ type KReadsRow struct {
 	K          int
 	OpsPerRead float64
 }
+
+// KCallRow is one row of CostsReport.OpsPerCallAtK.
+type KCallRow struct {
+	K                  int
+	EffectFree, Writes float64
+}
+
+// costsCalleeReads are the reads-per-callee points of OpsPerCallAtK.
+var costsCalleeReads = []int{0, 1, 8}
 
 // costsReadBatches are the reads-per-instance points of OpsPerReadAtK.
 var costsReadBatches = []int{1, 2, 4, 8, 16}
@@ -65,6 +83,18 @@ func Costs(ops int) (*CostsReport, error) {
 		})
 		var doOp string
 		reads := 1
+		calleeWrites := false
+		sys.D.Function("callee", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
+			for i := 0; i < reads; i++ {
+				if _, err := e.Read("data", "k"); err != nil {
+					return beldi.Null, err
+				}
+			}
+			if calleeWrites {
+				return beldi.Null, e.Write("data", "k", beldi.Str(value16))
+			}
+			return beldi.Null, nil
+		}, "data")
 		sys.D.Function("op", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 			switch doOp {
 			case "read":
@@ -78,6 +108,9 @@ func Costs(ops int) (*CostsReport, error) {
 				return beldi.Null, e.Write("data", "k", beldi.Str(value16))
 			case "invoke":
 				_, err := e.SyncInvoke(kind, beldi.Null)
+				return beldi.Null, err
+			case "call":
+				_, err := e.SyncInvoke("callee", beldi.Null)
 				return beldi.Null, err
 			case "fill":
 				for i := 0; i < (20-1)*64+1; i++ {
@@ -148,6 +181,33 @@ func Costs(ops int) (*CostsReport, error) {
 					return nil, err
 				}
 				rep.OpsPerReadAtK = append(rep.OpsPerReadAtK, KReadsRow{K: k, OpsPerRead: (kOps - nopOps) / float64(k)})
+			}
+			// The median call: one write in RowCap also appends a DAAL row.
+			medianCall := func() (float64, error) {
+				doOp = "call"
+				per := make([]float64, ops)
+				for i := range per {
+					before := sys.Store.Metrics().Snapshot().TotalOps()
+					if _, err := sys.D.Invoke("op", beldi.Null); err != nil {
+						return 0, err
+					}
+					per[i] = float64(sys.Store.Metrics().Snapshot().TotalOps() - before)
+				}
+				sort.Float64s(per)
+				return per[ops/2] - nopOps, nil
+			}
+			for _, k := range costsCalleeReads {
+				row := KCallRow{K: k}
+				reads = k
+				calleeWrites = false
+				if row.EffectFree, err = medianCall(); err != nil {
+					return nil, err
+				}
+				calleeWrites = true
+				if row.Writes, err = medianCall(); err != nil {
+					return nil, err
+				}
+				rep.OpsPerCallAtK = append(rep.OpsPerCallAtK, row)
 			}
 			rep.StoreOpsPerReadBeldi = readOps
 			rep.StoreOpsPerWriteBeldi = writeOps

@@ -592,7 +592,13 @@ func (w *Worker) RebalanceOnce() (claimed, released int, err error) {
 			continue // a worker with standing (or an undetected corpse) holds it
 		}
 		if w.claimPartition(p, owner, row[attrEpoch].Int()) {
-			w.stats.Claims.Add(1)
+			if owner != "" {
+				// A dead-marked worker's partition: the same transition as the
+				// detector's own steal, whichever of the two scans first.
+				w.stats.Steals.Add(1)
+			} else {
+				w.stats.Claims.Add(1)
+			}
 			claimed++
 			mine++
 		}

@@ -16,6 +16,15 @@ type envelope struct {
 	InstanceID string // callee instance id ("" = adopt the platform request id)
 	Input      Value
 	Async      bool
+	// First marks the one launch of a callee that is fresh by construction:
+	// syncInvokeStep sets it only on the invocation that directly follows its
+	// own applied invoke-log insert, so the callee id was minted a moment ago
+	// and no other execution of it can exist. Such a callee defers its intent
+	// row to its first effect boundary (handleCall). Never stored: the Args
+	// of a materialised intent describe a relaunch, which is never first. On
+	// a callback it marks the result of such a launch that stayed
+	// effect-free, which a row closed by a relaunch refuses (handleCallback).
+	First bool
 
 	// App names the application the request belongs to (§2.2 SSF
 	// reusability: one SSF serving several applications keeps each
@@ -89,6 +98,9 @@ func (ev envelope) encode() Value {
 	if ev.Txn != nil {
 		m["Txn"] = ev.Txn.encode()
 	}
+	if ev.First {
+		m["First"] = dynamo.Bool(true)
+	}
 	return dynamo.M(m)
 }
 
@@ -156,6 +168,9 @@ func decodeEnvelope(raw Value) envelope {
 	}
 	if v, ok := m["Txn"]; ok {
 		ev.Txn = decodeTxnContext(v)
+	}
+	if v, ok := m["First"]; ok {
+		ev.First = v.BoolVal()
 	}
 	return ev
 }

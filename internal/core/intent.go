@@ -28,12 +28,17 @@ type intentRecord struct {
 	lastLaunch int64
 	finishTime int64
 	hasFinish  bool
-	// fresh is true when ensureIntent created the row in this call — i.e.
-	// this execution is the intent's first, not a replayed re-execution, so
-	// no log row of the instance can pre-date it. In-memory only (telemetry's
-	// restart marker; what lets newEnv start with a known-empty read log),
-	// never stored.
+	// fresh is true when this execution is the intent's first, not a replayed
+	// re-execution, so no log row of the instance can pre-date it: ensureIntent
+	// created the row in this call, or the launch is a deferred first one.
+	// In-memory only (telemetry's restart marker; what lets newEnv start with
+	// a known-empty read log), never stored.
 	fresh bool
+	// deferred is true while a first-launched callee's row is not written yet
+	// (handleCall): its first effect boundary writes it (flushReads, under the
+	// read log's mutex) and an execution that ends with it still set is
+	// effect-free. In-memory only.
+	deferred bool
 }
 
 func decodeIntent(it dynamo.Item) *intentRecord {
@@ -55,26 +60,45 @@ func decodeIntent(it dynamo.Item) *intentRecord {
 	return r
 }
 
-// ensureIntent makes the instance's intent row exist, creating it on first
-// execution and reading it back on re-execution (the first operation of
-// every Beldi SSF, §3.3). The returned record carries the authoritative
-// start time — the wait-die priority — which is the *original* execution's,
-// not the re-execution's.
-func (rt *Runtime) ensureIntent(id string, ev envelope) (*intentRecord, error) {
+// newIntent is the record of an instance first launched now, as createIntent
+// stores it. Its start time — the wait-die priority — is fixed here, so a
+// deferred intent hands its transactions the very value its row will hold.
+func (rt *Runtime) newIntent(id string, ev envelope) *intentRecord {
 	now := rt.now()
+	return &intentRecord{id: id, args: ev, async: ev.Async, startTime: now, lastLaunch: now, fresh: true}
+}
+
+// createIntent writes rec's row unless the instance already has one
+// (dynamo.ErrConditionFailed) — the only place an intent row is created, on
+// entry (ensureIntent) or at a deferred instance's first effect boundary
+// (materialiseIntent).
+func (rt *Runtime) createIntent(rec *intentRecord) error {
 	item := dynamo.Item{
-		attrInstanceID: dynamo.S(id),
+		attrInstanceID: dynamo.S(rec.id),
 		attrDone:       dynamo.Bool(false),
 		attrPending:    dynamo.S(pendingMarker),
-		attrArgs:       ev.encode(),
-		attrAsync:      dynamo.Bool(ev.Async),
-		attrStartTime:  dynamo.NInt(now),
-		attrLastLaunch: dynamo.NInt(now),
+		attrArgs:       rec.args.encode(),
+		attrAsync:      dynamo.Bool(rec.async),
+		attrStartTime:  dynamo.NInt(rec.startTime),
+		attrLastLaunch: dynamo.NInt(rec.lastLaunch),
 	}
 	err := rt.store.Put(rt.intentTable, item, dynamo.NotExists(dynamo.A(attrInstanceID)))
 	if err == nil {
 		rt.stats.IntentsStarted.Add(1)
-		return &intentRecord{id: id, args: ev, async: ev.Async, startTime: now, lastLaunch: now, fresh: true}, nil
+	}
+	return err
+}
+
+// ensureIntent makes the instance's intent row exist, creating it on first
+// execution and reading it back on re-execution (the first operation of
+// every Beldi SSF but a first-launched callee, §3.3). The returned record
+// carries the authoritative start time — the wait-die priority — which is
+// the *original* execution's, not the re-execution's.
+func (rt *Runtime) ensureIntent(id string, ev envelope) (*intentRecord, error) {
+	rec := rt.newIntent(id, ev)
+	err := rt.createIntent(rec)
+	if err == nil {
+		return rec, nil
 	}
 	if !errors.Is(err, dynamo.ErrConditionFailed) {
 		return nil, err

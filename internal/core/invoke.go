@@ -109,9 +109,30 @@ func (e *Env) syncInvokeStep(stepKey, callee string, input Value, txn *TxnContex
 	// equivalent of what the callee's intent collector would eventually
 	// do). If the budget runs out, fail this instance and leave the rest
 	// to the collectors.
-	var out Value
+	//
+	// Only the launch that directly follows this execution's own applied
+	// insert is first by construction; a replay or a retry may meet an
+	// earlier execution of the callee, which may still be alive.
+	ev.First = !replay
 	var callErr error
-	for attempt := 0; attempt < syncInvokeRetries; attempt++ {
+	for attempt := 0; ; attempt++ {
+		if !ev.First {
+			// The callee died mid-flight, or an earlier execution of this step
+			// launched it. Its callback may still have made it: consult the
+			// durable record, closing it to effect-free results if not.
+			res, has, err := e.relaunchCallee(logKey)
+			if err != nil {
+				return dynamo.Null, calleeID, replay, err
+			}
+			if has {
+				v, rerr := txnResult(res, txn)
+				return v, calleeID, replay, rerr
+			}
+		}
+		if attempt == syncInvokeRetries {
+			return dynamo.Null, calleeID, replay, fmt.Errorf("core: syncInvoke %s: %w", callee, callErr)
+		}
+		var out Value
 		out, callErr = e.rt.plat.InvokeInternalCtx(e.Context(), callee, ev.encode())
 		e.crash("invoke:post:" + stepKey)
 		if callErr == nil {
@@ -123,17 +144,29 @@ func (e *Env) syncInvokeStep(stepKey, callee string, input Value, txn *TxnContex
 			v, rerr := txnResult(out, txn)
 			return v, calleeID, replay, rerr
 		}
-		// The callee died mid-flight. Its callback may still have made it;
-		// consult the durable record before retrying.
-		rec, ok, gerr := e.rt.store.Get(e.rt.invokeLog, logKey)
-		if gerr == nil && ok {
-			if res, has := rec[attrResult]; has {
-				v, rerr := txnResult(res, txn)
-				return v, calleeID, replay, rerr
-			}
-		}
+		ev.First = false
 	}
-	return dynamo.Null, calleeID, replay, fmt.Errorf("core: syncInvoke %s: %w", callee, callErr)
+}
+
+// relaunchCallee precedes every launch of a callee but its first. A first
+// launch keeps no log until its first effect, so the result of one that
+// stayed effect-free is only as good as the guarantee that no other execution
+// of the callee ever ran: one reading different state could take a path with
+// effects, and the caller would hold the result of one execution beside the
+// effects of another. So the row is marked, single-assignment against the
+// result: marked, it refuses effect-free results from then on (handleCallback)
+// and every execution from here on shares one intent and one log; refused, a
+// result is already held and is returned instead of launching anything.
+func (e *Env) relaunchCallee(logKey dynamo.Key) (res Value, has bool, _ error) {
+	err := e.rt.store.Update(e.rt.invokeLog, logKey,
+		dynamo.And(dynamo.Exists(dynamo.A(attrID)), dynamo.NotExists(dynamo.A(attrResult))),
+		dynamo.Set(dynamo.A(attrRelaunched), dynamo.Bool(true)))
+	if !errors.Is(err, dynamo.ErrConditionFailed) {
+		return dynamo.Null, false, err
+	}
+	rec, _, err := e.rt.store.Get(e.rt.invokeLog, logKey)
+	res, has = rec[attrResult]
+	return res, has, err
 }
 
 // syncInvokeRetries bounds in-place re-invocations of a crashed callee.
@@ -269,9 +302,13 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, replyFn, repl
 
 // issueCallback delivers result to the caller SSF's invoke log (§4.5). It
 // targets "some instance" of the caller function — request routing is
-// stateless — and needs only at-least-once semantics. applied relays
-// handleCallback's verdict: whether the invoke-log row took the result.
-func (rt *Runtime) issueCallback(callerFn, callerInstance, callerStep, calleeID string, result Value) (applied bool, _ error) {
+// stateless — and needs only at-least-once semantics. It relays
+// handleCallback's verdict: held is the result the invoke-log row holds
+// afterwards (result itself when this callback applied, an earlier one when
+// the row already had it) and confirmed whether it holds one at all — false
+// for a refused callback, where held is just result. effectFree marks the
+// result of a first launch that kept no log.
+func (rt *Runtime) issueCallback(callerFn, callerInstance, callerStep, calleeID string, result Value, effectFree bool) (held Value, confirmed bool, _ error) {
 	cb := envelope{
 		Kind:           kindCallback,
 		CallerInstance: callerInstance,
@@ -279,30 +316,68 @@ func (rt *Runtime) issueCallback(callerFn, callerInstance, callerStep, calleeID 
 		CalleeID:       calleeID,
 		Result:         result,
 		HasRes:         true,
+		First:          effectFree,
 	}
 	out, err := rt.plat.InvokeInternal(callerFn, cb.encode())
-	return out.BoolVal(), err
+	if err != nil {
+		return dynamo.Null, false, err
+	}
+	if earlier, ok := out.MapGet(callbackHeld); ok {
+		return earlier, true, nil
+	}
+	return result, out.BoolVal(), nil
 }
+
+// callbackHeld keys handleCallback's reply when the row already held a result.
+const callbackHeld = "Held"
+
+// What a callback requires of its invoke-log row beyond naming its callee,
+// built once (every callback of every workflow evaluates one of them): no
+// result yet, and for an effect-free result no relaunch either.
+var resultUnset = dynamo.NotExists(dynamo.A(attrResult))
+var resultUnsetRowOpen = dynamo.And(resultUnset, dynamo.NotExists(dynamo.A(attrRelaunched)))
 
 // handleCallback is the caller-side callback handler: record the result for
 // the (instance, step) invoke-log entry, guarded by the callee id so a
 // spurious callback from a zombie re-execution of an already-collected
-// intent is detected and ignored (§4.5). It reports whether the guarded
-// update applied.
+// intent is detected and ignored (§4.5). The result is single-assignment —
+// the first one delivered wins: an effect-free callee keeps no log that would
+// make a second execution compute the same value, so the row must not change
+// once a caller may have read it. And an effect-free result (ev.First) is
+// taken only while no other execution of the callee was launched
+// (relaunchCallee). The reply is true when the update applied, {Held: result}
+// when the row already held one for this callee (the sender adopts it), false
+// when it was refused: spurious, or effect-free and too late.
 func (rt *Runtime) handleCallback(ev envelope) (Value, error) {
 	lk := dynamo.HSK(dynamo.S(ev.CallerInstance), dynamo.S(ev.CallerStep))
 	rt.stats.CallbacksIn.Add(1)
+	open := resultUnset
+	if ev.First {
+		open = resultUnsetRowOpen
+	}
 	err := rt.store.Update(rt.invokeLog, lk,
 		dynamo.And(
 			dynamo.Exists(dynamo.A(attrID)),
 			dynamo.Eq(dynamo.A(attrCalleeID), dynamo.S(ev.CalleeID)),
+			open,
 		),
 		dynamo.Set(dynamo.A(attrResult), ev.Result))
-	if errors.Is(err, dynamo.ErrConditionFailed) {
-		// The invoke-log entry no longer exists (or names a different
-		// callee): a spurious callback; ignore it.
-		rt.stats.SpuriousCallback.Add(1)
+	if !errors.Is(err, dynamo.ErrConditionFailed) {
+		return dynamo.Bool(err == nil), err
+	}
+	rec, ok, err := rt.store.Get(rt.invokeLog, lk)
+	if err != nil {
+		return dynamo.Null, err
+	}
+	if ok && rec[attrCalleeID].Str() == ev.CalleeID {
+		if res, has := rec[attrResult]; has {
+			return dynamo.M(map[string]Value{callbackHeld: res}), nil
+		}
+		// An effect-free result for a row a relaunch has closed.
 		return dynamo.Bool(false), nil
 	}
-	return dynamo.Bool(err == nil), err
+	// The invoke-log entry no longer exists (or names a different callee): a
+	// spurious callback; ignore it.
+	rt.stats.SpuriousCallback.Add(1)
+	return dynamo.Bool(false), nil
 }

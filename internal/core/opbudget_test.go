@@ -19,7 +19,10 @@ import (
 // ONE flush op charged to the next effect — so k consecutive reads cost k+1,
 // not 2k. The replay column is the same step re-executed after a crash at
 // the end of the body: it must return the logged value, cost no more than
-// listed, and be counted in Stats.Replays.
+// listed, and be counted in Stats.Replays. An intent row is an effect's
+// bookkeeping: a callee launched for the first time writes it at its first
+// effect boundary, and one that returns without reaching a boundary writes
+// nothing but its callback — the SyncInvoke(...) rows price whole callees.
 
 // queuedTransport holds async run envelopes until the test delivers them,
 // so a run's store ops never land inside another step's measurement.
@@ -60,8 +63,9 @@ func TestStoreOpBudget(t *testing.T) {
 	store := dynamo.NewStore()
 	crash := &platform.CrashOnce{Function: "w", Label: "body:done"}
 	// RowCap above the five log entries "k" collects, so no write below pays a
-	// row append.
+	// row append. The first launch of "r8dies" is killed after its reads.
 	f := newFixture(t, withStore(store), withFaults(crash),
+		withFaults(&platform.CrashOnce{Function: "r8dies", Label: "body:done"}),
 		withConfig(Config{RowCap: 8, T: 50 * time.Millisecond, ICMinAge: time.Millisecond}))
 	ops := func() int64 { return store.Metrics().Snapshot().TotalOps() }
 
@@ -70,7 +74,28 @@ func TestStoreOpBudget(t *testing.T) {
 	f.fn("leaf", leaf)
 	f.fn("aleaf", leaf)
 
-	const fan = 8          // reads per batch, promises per fan-in
+	const fan = 8 // reads per batch, promises per fan-in
+	readFan := func(e *Env, _ Value) (Value, error) {
+		var sum int64
+		for i := 0; i < fan; i++ {
+			v, err := e.Read("kv", "n")
+			if err != nil {
+				return dynamo.Null, err
+			}
+			sum += v.Int()
+		}
+		return dynamo.NInt(sum), nil
+	}
+	f.fn("r8", readFan, "kv")
+	f.fn("r8dies", readFan, "kv")
+	f.fn("r1call", func(e *Env, in Value) (Value, error) {
+		if _, err := e.Read("kv", "n"); err != nil {
+			return dynamo.Null, err
+		}
+		return e.SyncInvoke("leaf", in)
+	}, "kv")
+	w1 := f.fn("w1", func(e *Env, in Value) (Value, error) { return in, e.Write("kv", "n", in) }, "kv")
+
 	var execs [][]stepCost // one slice of measured steps per execution of w
 	w := f.fn("w", func(e *Env, _ Value) (Value, error) {
 		var steps []stepCost
@@ -103,6 +128,10 @@ func TestStoreOpBudget(t *testing.T) {
 				return dynamo.Bool(ok), err
 			}),
 			measure("SyncInvoke", func() (Value, error) { return e.SyncInvoke("leaf", dynamo.S("s")) }),
+			measure("SyncInvoke(Read x8)", func() (Value, error) { return e.SyncInvoke("r8", dynamo.Null) }),
+			measure("SyncInvoke(Read, SyncInvoke)", func() (Value, error) { return e.SyncInvoke("r1call", dynamo.S("s")) }),
+			measure("SyncInvoke(Write)", func() (Value, error) { return e.SyncInvoke("w1", dynamo.S("s")) }),
+			measure("SyncInvoke(Read x8), relaunched", func() (Value, error) { return e.SyncInvoke("r8dies", dynamo.Null) }),
 			measure("AsyncInvoke", func() (Value, error) { return dynamo.Null, e.AsyncInvoke("aleaf", dynamo.S("a")) }),
 		)
 		if err != nil {
@@ -142,10 +171,15 @@ func TestStoreOpBudget(t *testing.T) {
 	}, "kv")
 	w.SetAsyncTransport(transport)
 
-	// An existing key, written by an earlier instance.
-	kv := daal{rt: w, table: w.dataTable("kv")}
-	if _, err := kv.loggedWrite("k", "seed#0.000001", mutation{setVal: valPtr(dynamo.S("v1"))}); err != nil {
-		t.Fatal(err)
+	// Existing keys, written by earlier instances.
+	for _, seed := range []struct {
+		rt  *Runtime
+		key string
+	}{{w, "k"}, {w1, "n"}} {
+		kv := daal{rt: seed.rt, table: seed.rt.dataTable("kv")}
+		if _, err := kv.loggedWrite(seed.key, "seed#0.000001", mutation{setVal: valPtr(dynamo.S("v1"))}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if _, err := f.invoke("w", dynamo.Null); err == nil || !crash.Fired() {
@@ -174,7 +208,11 @@ func TestStoreOpBudget(t *testing.T) {
 		{"Write after 8 reads", 3, 1, 1, "ONE flush of the 8 queued rows + query + apply-and-log; replay: nothing queued, the query finds the entry"},
 		{"Write", 2, 1, 1, "query(skeleton+log entry) + apply-and-log; replay: the query finds the entry"},
 		{"CondWrite-false", 3, 1, 1, "query + refused B1 + B2 records false; replay: the query finds the entry"},
-		{"SyncInvoke", 4, 2, 1, "invoke-log insert + callee intent + callback + callee done; replay: refused insert + get(result)"},
+		{"SyncInvoke", 2, 2, 1, "invoke-log insert + callback — a first-launched callee that crosses no boundary writes no intent and no done mark; replay: refused insert + get(result)"},
+		{"SyncInvoke(Read x8)", fan + 2, 2, 1, "insert + 8 state queries + callback: an effect-free callee's reads are dropped, not logged"},
+		{"SyncInvoke(Read, SyncInvoke)", 8, 2, 1, "insert + query, then at the callee's first boundary intent put + flush + its own insert, the leaf's callback, callback + done"},
+		{"SyncInvoke(Write)", 6, 2, 1, "insert + intent put at the boundary + query + apply-and-log + callback + done: an effectful callee pays what it always did"},
+		{"SyncInvoke(Read x8), relaunched", 2*fan + 6, 2, 1, "insert + 8 queries that die with the first launch + the relaunch mark on the caller's row (no result held), then the eager relaunch in full: intent put + 8 queries + flush + callback + done"},
 		{"AsyncInvoke", 3, 2, 0, "invoke-log insert + callee intent + confirming callback; replay: refused insert + get(registered)"},
 		{"Await x8", fan, 0, fan, "one mailbox fetch each, rows queued; replay: answered from the loaded log"},
 		{"Write after 8 awaits", 3, 1, 1, "ONE flush of the 8 queued rows + the write's 2"},
@@ -184,6 +222,15 @@ func TestStoreOpBudget(t *testing.T) {
 	first, replay := execs[0], execs[1]
 	if len(first) != len(budget) || len(replay) != len(budget) {
 		t.Fatalf("measured %d and %d steps, want %d", len(first), len(replay), len(budget))
+	}
+	outOf := func(kind string) Value {
+		for _, s := range first {
+			if s.kind == kind {
+				return s.out
+			}
+		}
+		t.Fatalf("no measured step %q", kind)
+		return dynamo.Null
 	}
 	for i, b := range budget {
 		if first[i].kind != b.kind {
@@ -201,11 +248,19 @@ func TestStoreOpBudget(t *testing.T) {
 			t.Errorf("%s: replay returned %v, first execution %v", b.kind, replay[i].out, first[i].out)
 		}
 	}
-	if got := first[0].out.Str(); got != "v1" {
+	if got := outOf("Read (first)").Str(); got != "v1" {
 		t.Errorf("Read returned %q, want the seeded v1", got)
 	}
-	if got := first[7].out.List(); len(got) != fan || got[0].Str() != "leaf:p" {
+	if got := outOf("Await x8").List(); len(got) != fan || got[0].Str() != "leaf:p" {
 		t.Errorf("Await x8 returned %v", got)
+	}
+	for fn, want := range map[string][3]int64{ // intent rows written, launches deferred, rows never written
+		"leaf": {0, 2, 2}, "r8": {0, 1, 1}, "r1call": {1, 1, 0}, "w1": {1, 1, 0}, "r8dies": {1, 1, 0},
+	} {
+		st := f.rts[fn].StatsSnapshot()
+		if got := [3]int64{st.IntentsStarted, st.IntentsDeferred, st.IntentsElided}; got != want {
+			t.Errorf("%s: intents started/deferred/elided = %v, want %v", fn, got, want)
+		}
 	}
 
 	// Whole invocations whose only step is one read. A workflow entry creates

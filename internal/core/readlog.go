@@ -27,7 +27,10 @@ import (
 // depended on it; the intent stays pending and its next execution replays
 // the winner's log. Progress is guaranteed: a flush only fails when another
 // one succeeded. (A duplicate that fetched the very values the winner logged
-// is indistinguishable from a replay of them and simply carries on.)
+// is indistinguishable from a replay of them and simply carries on.) A
+// first-launched callee whose deferred intent row another execution created
+// first stops with the same error, at the same place: before its first
+// effect (materialiseIntent).
 var ErrInstanceSuperseded = errors.New("core: instance superseded by a concurrent execution of its intent")
 
 // readLogChunk bounds the rows of one flush TransactWrite (DynamoDB's
@@ -53,6 +56,10 @@ type readLogState struct {
 	loaded bool             // logged is complete as of the load (or the intent is fresh)
 	logged map[string]Value // step key -> durable value
 	queue  []readLogRow     // in step order of arrival
+	// stopped, once set, fails every later boundary of this execution the
+	// same way, an abort path's and the end of the body included: it was
+	// superseded, or could not write its deferred intent row.
+	stopped error
 }
 
 // replayedRead answers a read step from the log: ok is true when a previous
@@ -102,18 +109,26 @@ func (e *Env) queueRead(stepKey string, val Value) {
 // must be called immediately before each effect boundary: any store mutation
 // the instance issues, any invocation, and the end of the body before the
 // callback, the promise post and done-marking. boundary names the caller for
-// the trace. A refused insert means another execution logged some of these
-// steps first: the log is reloaded and rows it already holds with the very
-// value this execution fetched are dropped from the queue — for those steps
-// this execution is where a replay would be — while a differing value means
-// ErrInstanceSuperseded, with the queue kept so every later boundary of this
-// execution fails the same way.
+// the trace. A deferred intent row is written first: effects, and the log
+// that makes them replayable, belong to an intent. A refused insert means
+// another execution logged some of these steps first: the log is reloaded and
+// rows it already holds with the very value this execution fetched are
+// dropped from the queue — for those steps this execution is where a replay
+// would be — while a differing value means ErrInstanceSuperseded, here and at
+// every later boundary of this execution.
 func (e *Env) flushReads(boundary string) error {
 	rl := &e.shared.reads
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	if len(rl.queue) == 0 {
-		return nil
+	if rl.stopped == nil && e.intent.deferred {
+		// Under mu, so that Parallel branches racing to their first
+		// boundaries write the row once.
+		if rl.stopped = e.materialiseIntent(boundary); rl.stopped == nil {
+			e.intent.deferred = false
+		}
+	}
+	if rl.stopped != nil || len(rl.queue) == 0 {
+		return rl.stopped
 	}
 	t0 := e.rt.spanClock()
 	first, rows := rl.queue[0].step, len(rl.queue)
@@ -144,8 +159,8 @@ func (e *Env) flushReads(boundary string) error {
 			e.rt.stats.ReadLogRows.Add(int64(len(chunk)))
 		case errors.Is(err, dynamo.ErrConditionFailed):
 			if err = e.adoptLogged(rl); err != nil && errors.Is(err, ErrInstanceSuperseded) {
-				e.rt.stats.InstancesSuperseded.Add(1)
-				err = fmt.Errorf("%w: %s before %s", err, e.instanceID, boundary)
+				err = e.superseded(boundary, "lost its read-log flush")
+				rl.stopped = err
 			}
 		}
 	}
@@ -153,6 +168,52 @@ func (e *Env) flushReads(boundary string) error {
 		e.stepSpan(t0, telemetry.KindReadLogFlush, first, fmt.Sprintf("%s rows=%d", boundary, rows), false, nil, err)
 	}
 	return err
+}
+
+// superseded counts and describes this execution's stop before boundary.
+func (e *Env) superseded(boundary, why string) error {
+	e.rt.stats.InstancesSuperseded.Add(1)
+	return fmt.Errorf("%w: %s before %s: %s", ErrInstanceSuperseded, e.instanceID, boundary, why)
+}
+
+// materialiseIntent writes the deferred intent row of a first-launched callee
+// at its first effect boundary — the put handleCall skipped, with the start
+// time the execution has been using; the caller holds the read log's mutex. A
+// refused put means an eager execution of this id (the caller's retry or
+// re-execution) owns the intent. The crash point ahead of the put holds the
+// execution to the synchrony bound (§5) where it creates state: an instance
+// past its platform deadline, or abandoned by its caller, dies here — the
+// collector may already have gone by whatever another execution of the id left
+// behind, so a put that succeeds would prove nothing.
+func (e *Env) materialiseIntent(boundary string) error {
+	e.crash("intent:pre")
+	err := e.rt.createIntent(e.intent)
+	if errors.Is(err, dynamo.ErrConditionFailed) {
+		return e.superseded(boundary, "its deferred intent was created by another execution")
+	}
+	if err == nil {
+		e.crash("intent:logged")
+	}
+	return err
+}
+
+// endBody is the boundary at the end of the body. An instance whose intent
+// row is still deferred crossed no boundary: it is effect-free, nothing
+// durable was computed from its reads and its result is the caller's to
+// keep, so the queue is left to die with the execution and nothing is
+// written. Every other instance flushes: the result is about to leave this
+// execution (callback, promise post, done-marking, reply), and every value it
+// was computed from must be logged first so that any re-execution computes
+// the identical result.
+func (e *Env) endBody() (effectFree bool, _ error) {
+	rl := &e.shared.reads
+	rl.mu.Lock()
+	effectFree = e.intent.deferred && rl.stopped == nil
+	rl.mu.Unlock()
+	if effectFree {
+		return true, nil
+	}
+	return false, e.flushReads("return")
 }
 
 // adoptLogged reconciles the queue with the log after a refused flush; the

@@ -270,7 +270,9 @@ func TestReadLogKillAfterFlushReplaysTheValue(t *testing.T) {
 	// The callee dies right after the flush at the end of its body — before
 	// the callback, and again in the window after the callback was sent —
 	// while a foreign write changes the value. The row is durable, so the
-	// re-execution must compute the identical result from it.
+	// re-execution must compute the identical result from it. (The callee
+	// writes before it reads, so it owns an intent and a log; an effect-free
+	// callee keeps neither — see lazyintent_test.go.)
 	for _, label := range []string{"body:done", "callback:sent"} {
 		t.Run(label, func(t *testing.T) {
 			var f *fixture
@@ -280,6 +282,9 @@ func TestReadLogKillAfterFlushReplaysTheValue(t *testing.T) {
 			var id atomic.Value
 			w := f.fn("w", func(e *Env, _ Value) (Value, error) {
 				id.Store(e.InstanceID())
+				if err := e.Write("kv", "began", dynamo.Bool(true)); err != nil {
+					return dynamo.Null, err
+				}
 				return e.Read("kv", "a")
 			}, "kv")
 			front := callerOf(f)
@@ -288,7 +293,7 @@ func TestReadLogKillAfterFlushReplaysTheValue(t *testing.T) {
 			out := f.mustInvoke("front", dynamo.Null)
 			f.recoverAll()
 			log := f.readLogOf("w", id.Load().(string))
-			if out.Int() != 1 || len(log) != 1 || log["0.000001"].Int() != 1 {
+			if out.Int() != 1 || len(log) != 1 || log["0.000002"].Int() != 1 {
 				t.Errorf("caller saw %v, read log %v; want the logged 1", out, log)
 			}
 			if got := f.readData("front", "seen", "w"); got.Int() != 1 {

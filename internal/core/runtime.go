@@ -571,6 +571,7 @@ const (
 	attrFinishTime = "FinishTime"
 	attrCalleeID   = "CalleeId"
 	attrResult     = "Result"
+	attrRelaunched = "Relaunched" // invoke log: a launch other than the callee's first was issued
 	attrTxnID      = "TxnId"
 	attrCallee     = "Callee"
 	attrTableKey   = "TableKey"

@@ -44,9 +44,15 @@ type Stats struct {
 	TxnCommitted atomic.Int64
 	TxnAborted   atomic.Int64
 
-	// Lifecycle.
+	// Lifecycle. IntentsStarted counts intent rows written. A first-launched
+	// callee defers its row to its first effect boundary (IntentsDeferred
+	// counts such launches) and one that returns without crossing a boundary
+	// never writes it (IntentsElided): its instance id shows in the caller's
+	// invoke log and in traces, not in this SSF's intent table.
 	IntentsStarted   atomic.Int64
 	IntentsCompleted atomic.Int64
+	IntentsDeferred  atomic.Int64
+	IntentsElided    atomic.Int64
 	Restarts         atomic.Int64 // instances re-launched by the collector
 	CallbacksIn      atomic.Int64
 	SpuriousCallback atomic.Int64
@@ -73,6 +79,7 @@ type StatsView struct {
 	ReadLogFlushes, ReadLogRows, InstancesSuperseded                 int64
 	TxnBegun, TxnCommitted, TxnAborted                               int64
 	IntentsStarted, IntentsCompleted, Restarts                       int64
+	IntentsDeferred, IntentsElided                                   int64
 	CallbacksIn, SpuriousCallback, FencedClaims                      int64
 	GCRuns, GCIntents, GCLogRows, GCRowsDeleted, GCDisconnected      int64
 }
@@ -106,6 +113,8 @@ func (s *Stats) Snapshot() StatsView {
 		TxnAborted:       s.TxnAborted.Load(),
 		IntentsStarted:   s.IntentsStarted.Load(),
 		IntentsCompleted: s.IntentsCompleted.Load(),
+		IntentsDeferred:  s.IntentsDeferred.Load(),
+		IntentsElided:    s.IntentsElided.Load(),
 		Restarts:         s.Restarts.Load(),
 		CallbacksIn:      s.CallbacksIn.Load(),
 		SpuriousCallback: s.SpuriousCallback.Load(),

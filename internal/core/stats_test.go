@@ -48,9 +48,15 @@ func TestStatsCountOperations(t *testing.T) {
 	if v.IntentsStarted != 1 || v.IntentsCompleted != 1 {
 		t.Errorf("intents: started=%d completed=%d", v.IntentsStarted, v.IntentsCompleted)
 	}
+	// The async registration writes leaf's intent; the first-launched sync
+	// call defers its row and, crossing no effect boundary, never writes it.
 	leaf := f.rts["leaf"].StatsSnapshot()
-	if leaf.IntentsStarted != 2 { // sync call + async registration
-		t.Errorf("leaf intents started = %d", leaf.IntentsStarted)
+	if leaf.IntentsStarted != 1 || leaf.IntentsDeferred != 1 || leaf.IntentsElided != 1 {
+		t.Errorf("leaf intents: started=%d deferred=%d elided=%d, want 1 1 1",
+			leaf.IntentsStarted, leaf.IntentsDeferred, leaf.IntentsElided)
+	}
+	if v.IntentsDeferred != 0 {
+		t.Errorf("ops is a workflow entry, yet %d intents deferred", v.IntentsDeferred)
 	}
 }
 

@@ -374,46 +374,3 @@ func splitTableKey(s string) (table, key string) {
 	}
 	return s, ""
 }
-
-// runTxnPhase handles an incoming invocation whose context is already in
-// Commit or Abort mode: skip the SSF's logic entirely, settle local state,
-// and propagate (§6.2). The phase runs as a normal intent so it is itself
-// exactly-once, and it returns through the usual callback path.
-func (rt *Runtime) runTxnPhase(inv *platform.Invocation, id string, ev envelope) (Value, error) {
-	intent, err := rt.ensureIntent(id, ev)
-	if err != nil {
-		return dynamo.Null, err
-	}
-	inv.CrashPoint("intent:logged")
-	if intent.done {
-		rt.dedupExec(id, ev)
-		if ev.CallerFn != "" && !rt.cfg.DisableCallbacks {
-			if _, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, intent.ret); err != nil {
-				return dynamo.Null, err
-			}
-		}
-		return intent.ret, nil
-	}
-	obs := rt.beginExec(id, ev, !intent.fresh)
-	defer obs.finish()
-	env := newEnv(rt, inv, id, intent, ev.App)
-	if err := env.finishTxnLocal(ev.Txn); err != nil {
-		obs.complete(err)
-		return dynamo.Null, err
-	}
-	inv.CrashPoint("body:done")
-	ret := dynamo.S("txn:" + string(ev.Txn.Mode))
-	if ev.CallerFn != "" && !rt.cfg.DisableCallbacks {
-		if _, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, ret); err != nil {
-			obs.complete(err)
-			return dynamo.Null, err
-		}
-		inv.CrashPoint("callback:sent")
-	}
-	if err := rt.markIntentDone(id, ret); err != nil {
-		obs.complete(err)
-		return dynamo.Null, err
-	}
-	obs.complete(nil)
-	return ret, nil
-}

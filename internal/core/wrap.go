@@ -136,40 +136,47 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 		ev.InstanceID = id
 	}
 
-	// Commit/Abort phase of a distributed transaction: skip the body and
-	// run the propagation protocol (§6.2), still as a first-class intent so
-	// the phase itself is exactly-once.
-	if ev.Txn != nil && ev.Txn.Mode != TxExecute {
-		return rt.runTxnPhase(inv, id, ev)
+	var intent *intentRecord
+	if ev.First && ev.CallerFn != "" {
+		// A first launch: no other execution of this id can exist, so there is
+		// nothing to check, and the intent row — which exists to make the
+		// instance's effects exactly-once — waits for its first effect
+		// boundary (materialiseIntent). If the body never reaches one, the
+		// result in the caller's invoke-log row is all the instance leaves.
+		ev.First = false
+		intent = rt.newIntent(id, ev)
+		intent.deferred = true
+		rt.stats.IntentsDeferred.Add(1)
+	} else {
+		var err error
+		if intent, err = rt.ensureIntent(id, ev); err != nil {
+			return dynamo.Null, err
+		}
+		inv.CrashPoint("intent:logged")
 	}
-
-	intent, err := rt.ensureIntent(id, ev)
-	if err != nil {
-		return dynamo.Null, err
-	}
-	inv.CrashPoint("intent:logged")
 	if intent.done {
 		// A re-invocation of a completed intent: re-deliver the result via
 		// the callback path so the caller's invoke log converges (Fig 19's
 		// replay behaviour), then return the recorded value.
 		rt.dedupExec(id, ev)
-		if ev.CallerFn != "" && !rt.cfg.DisableCallbacks {
-			if _, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, intent.ret); err != nil {
-				return dynamo.Null, err
-			}
-		}
-		return intent.ret, nil
+		ret, _, err := rt.deliver(inv, ev, id, intent.ret, false)
+		return ret, err
 	}
 	obs := rt.beginExec(id, ev, !intent.fresh)
 	defer obs.finish()
-
 	env := newEnv(rt, inv, id, intent, ev.App)
-	if ev.Txn != nil {
-		env.shared.txn = ev.Txn // inherited Execute-mode context (§6.2)
-	}
 
-	ret, err := rt.runBody(env, ev.Input)
-	if err != nil {
+	var ret Value
+	var err error
+	if ev.Txn != nil && ev.Txn.Mode != TxExecute {
+		// Commit/Abort phase of a distributed transaction: skip the body,
+		// settle local state and propagate (§6.2) — as a first-class intent,
+		// so the phase itself is exactly-once and returns through the usual
+		// callback path.
+		ret, err = dynamo.S("txn:"+string(ev.Txn.Mode)), env.finishTxnLocal(ev.Txn)
+	} else {
+		env.shared.txn = ev.Txn // inherited Execute-mode context (§6.2)
+		ret, err = rt.runBody(env, ev.Input)
 		if errors.Is(err, ErrTxnAborted) {
 			// The transaction died (wait-die or an application abort). The
 			// abort protocol has already run — by the owner's Transaction
@@ -178,40 +185,65 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 			// 'abort' outcome"). Either way this instance's execution is
 			// complete, deterministically, so it finishes with the abort
 			// marker as its result.
-			ret = abortMarker()
-		} else {
-			// The instance failed; leave the intent pending for the
-			// collector.
-			obs.complete(err)
-			return dynamo.Null, err
+			ret, err = abortMarker(), nil
 		}
 	}
-	// The result is about to leave this execution (callback, done-marking,
-	// reply): every value it was computed from must be logged first, so that
-	// any re-execution computes the identical result.
-	if err := env.flushReads("return"); err != nil {
+	effectFree := false
+	if err == nil {
+		effectFree, err = env.endBody()
+	}
+	if err != nil {
+		// The instance failed; a written intent stays pending for the
+		// collector, a deferred one never existed and the caller's retry
+		// launches it eagerly.
 		obs.complete(err)
 		return dynamo.Null, err
 	}
 	inv.CrashPoint("body:done")
 
 	// Callback before done-marking (Fig 9's ordering: the caller must hold
-	// the result before this intent can be collected).
-	if ev.CallerFn != "" && !rt.cfg.DisableCallbacks {
-		if _, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, ret); err != nil {
-			cerr := fmt.Errorf("core: %s: callback to %s failed: %w", rt.fn, ev.CallerFn, err)
-			obs.complete(cerr)
-			return dynamo.Null, cerr
+	// the result before this intent can be collected). What the caller's row
+	// holds — this result, or an earlier execution's — is the intent's result.
+	ret, confirmed, err := rt.deliver(inv, ev, id, ret, effectFree)
+	switch {
+	case err != nil:
+	case !effectFree:
+		if err = rt.markIntentDone(id, ret); err == nil {
+			inv.CrashPoint("done:marked")
 		}
-		inv.CrashPoint("callback:sent")
+	case !confirmed:
+		// The callback is all an effect-free instance would have left.
+		err = env.superseded("return", "its caller's row is closed to an effect-free result")
+	default:
+		rt.stats.IntentsElided.Add(1)
+		if obs != nil {
+			// Why a trace shows an instance id that has no intent row.
+			obs.s.Name = "effect-free"
+		}
 	}
-	if err := rt.markIntentDone(id, ret); err != nil {
-		obs.complete(err)
+	obs.complete(err)
+	if err != nil {
 		return dynamo.Null, err
 	}
-	inv.CrashPoint("done:marked")
-	obs.complete(nil)
 	return ret, nil
+}
+
+// deliver hands ret to the caller's invoke log (§4.5) and returns the result
+// that row holds afterwards: ret, unless another execution of this intent
+// delivered first — the first result wins, and every callee path adopts it as
+// its reply and as its intent's Ret, so caller and callee can never disagree.
+// On a deterministic replay the two are equal anyway. confirmed is false when
+// the row took and held nothing. Entries have no caller.
+func (rt *Runtime) deliver(inv *platform.Invocation, ev envelope, id string, ret Value, effectFree bool) (held Value, confirmed bool, _ error) {
+	if ev.CallerFn == "" || rt.cfg.DisableCallbacks {
+		return ret, true, nil
+	}
+	held, confirmed, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, ret, effectFree)
+	if err != nil {
+		return dynamo.Null, false, fmt.Errorf("core: %s: callback to %s failed: %w", rt.fn, ev.CallerFn, err)
+	}
+	inv.CrashPoint("callback:sent")
+	return held, confirmed, nil
 }
 
 // runBody executes the application logic. Panics unwind to the platform's
@@ -238,8 +270,8 @@ func (rt *Runtime) handleAsyncRegister(inv *platform.Invocation, ev envelope) (V
 	if rt.cfg.DisableCallbacks {
 		return dynamo.Bool(false), nil
 	}
-	applied, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, ev.InstanceID, dynamo.S("registered"))
-	return dynamo.Bool(applied), err
+	_, confirmed, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, ev.InstanceID, dynamo.S("registered"), false)
+	return dynamo.Bool(confirmed), err
 }
 
 // handleAsyncRun is the callee side of asyncInvoke step 2 (Fig 20): run the

@@ -103,8 +103,17 @@ type Result struct {
 	Steps int
 	// Superseded counts executions that stopped with
 	// core.ErrInstanceSuperseded: live duplicates of an intent whose read-log
-	// flush lost to the other execution's.
+	// flush lost to the other execution's, and first launches whose deferred
+	// intent or effect-free result lost to a relaunch.
 	Superseded int64
+	// ReadHeavy names the launch the pause kind stalled mid-batch on the
+	// travel workload: "first" (a first launch, its intent row still deferred)
+	// or "relaunch" (an eager relaunch that owns a row); "" elsewhere.
+	ReadHeavy string
+	// ReadHeavyResults counts the callbacks that reached the read-heavy
+	// request's one invoke-log row: above 1, more than one execution of its
+	// callee delivered a result, and the row's first-wins rule chose.
+	ReadHeavyResults int64
 }
 
 // ReproLine returns the command that replays a failing seed.
@@ -158,7 +167,7 @@ func RunSeed(seed int64, opts RunOpts) (Result, error) {
 		} else {
 			store = dynamo.NewStore()
 		}
-		res.Superseded, err = runScenario(s, sc, prng, store)
+		err = runScenario(s, sc, prng, store, &res)
 		if ws != nil {
 			if cerr := ws.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("sim: closing walstore: %w", cerr)
@@ -188,7 +197,7 @@ func simConfig() beldi.Config {
 
 // runScenario drives every kind except torn: one cluster generation, fault
 // at mid-load where the kind calls for one, quiesce, audit, settle.
-func runScenario(s *Scheduler, sc Scenario, prng *rand.Rand, store storage.Backend) (superseded int64, err error) {
+func runScenario(s *Scheduler, sc Scenario, prng *rand.Rand, store storage.Backend, res *Result) error {
 	wl := newWorkload(sc, prng)
 	cfg := ClusterConfig{
 		Workers:    3,
@@ -236,16 +245,18 @@ func runScenario(s *Scheduler, sc Scenario, prng *rand.Rand, store storage.Backe
 			// in-flight instances well inside the stall (which itself stays
 			// under T), so a live duplicate runs while the original sits
 			// mid-batch with unflushed reads — the seam the read log's group
-			// commit creates.
-			cfg.Config.ICMinAge = simT / 4
+			// commit creates, and the one a deferred intent row creates. One
+			// collector pass lands inside the stall, a few ms after the
+			// read-heavy request was launched: the bound must be below that.
+			cfg.Config.ICMinAge = simT / 16
 		}
 	}
 	c, err := NewCluster(s, store, cfg)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if err := wl.seed(c); err != nil {
-		return 0, fmt.Errorf("sim: seeding %s: %w", wl.name, err)
+		return fmt.Errorf("sim: seeding %s: %w", wl.name, err)
 	}
 	if sc.Kind == "crash" {
 		// Armed after seeding so setup load cannot crash.
@@ -255,26 +266,30 @@ func runScenario(s *Scheduler, sc Scenario, prng *rand.Rand, store storage.Backe
 	}
 	var driveErr error
 	root := s.Go(TaskOpts{Name: "driver"}, func() {
-		driveErr = drive(s, c, sc, prng, wl)
+		driveErr = drive(s, c, sc, prng, wl, res)
 	})
 	runErr := s.Run(root)
 	s.Shutdown()
 	for _, w := range c.Workers {
 		d := w.CW.Deployment()
 		for _, fn := range d.Functions() {
-			superseded += d.Runtime(fn).StatsSnapshot().InstancesSuperseded
+			st := d.Runtime(fn).StatsSnapshot()
+			res.Superseded += st.InstancesSuperseded
+			if fn == wl.readHeavyFn {
+				res.ReadHeavyResults += st.CallbacksIn
+			}
 		}
 	}
 	if runErr != nil {
-		return superseded, runErr
+		return runErr
 	}
-	return superseded, driveErr
+	return driveErr
 }
 
 // drive is the scenario's root task: spawn one client task per request
 // (staggered, routed around the faulted worker), fire the kind's fault at
 // mid-load, wait, quiesce, audit, settle-and-fsck.
-func drive(s *Scheduler, c *Cluster, sc Scenario, prng *rand.Rand, wl *workload) error {
+func drive(s *Scheduler, c *Cluster, sc Scenario, prng *rand.Rand, wl *workload, res *Result) error {
 	c.StartPumps()
 	victim := prng.Intn(len(c.Workers))
 	epochBefore := c.Workers[victim].CW.Worker().Epoch()
@@ -295,8 +310,21 @@ func drive(s *Scheduler, c *Cluster, sc Scenario, prng *rand.Rand, wl *workload)
 				if wl.readHeavy != nil {
 					// Land the stall inside a read-heavy instance: the request
 					// runs as the victim's own task, and the driver yields
-					// until a seed-chosen number of its reads are queued.
+					// until a seed-chosen number of its reads are queued. The
+					// seed also picks which launch that is. A first launch has
+					// no intent row yet: a peer restarts its caller, whose
+					// replay relaunches the callee with a row of its own, and
+					// the stalled original wakes to find its caller's row
+					// closed or filled. Or the first launch is killed at its
+					// first read, so the stalled instance is the caller's eager
+					// relaunch, which owns a row and a log: the peer's
+					// duplicate shares both, and the two flushes race.
 					w := c.Workers[victim]
+					res.ReadHeavy = "first"
+					if prng.Intn(2) == 0 {
+						res.ReadHeavy = "relaunch"
+						w.CW.Platform().SetFaults(wl.readHeavyKill)
+					}
 					clients = append(clients, s.Go(TaskOpts{Name: "client.mid", Proc: w.Name}, func() {
 						midErr = wl.readHeavy(w)
 					}))
@@ -398,13 +426,16 @@ type workload struct {
 	client   func(w *Worker, i int) error
 	audit    func(c *Cluster, sc Scenario, errs []error) error
 
-	// readHeavy, when set, is one extra request whose callee instance issues
-	// readHeavyReads reads back to back before its first effect; readsDone
-	// reports how many reads that callee function has begun on w. The pause
-	// kind uses them to stall a worker mid-batch.
+	// readHeavy, when set, is one extra request to readHeavyFn, whose callee
+	// instance issues readHeavyReads reads back to back and returns; readsDone
+	// reports how many reads that callee function has begun on w, and
+	// readHeavyKill kills the callee's first launch at its first read. The
+	// pause kind uses them to stall a worker mid-batch.
 	readHeavy      func(w *Worker) error
+	readHeavyFn    string
 	readHeavyReads int
 	readsDone      func(w *Worker) int64
+	readHeavyKill  platform.FaultPlan
 }
 
 func newWorkload(sc Scenario, prng *rand.Rand) *workload {
@@ -448,7 +479,10 @@ func travelWorkload() *workload {
 	}
 	var tallied bool
 	var talliedAck beldi.Value // Null unless the client was answered
-	wl.readHeavyReads = travel.NumHotels
+	wl.readHeavyFn, wl.readHeavyReads = fnTally, travel.NumHotels
+	// The audit's reads are the only non-transactional ones the hotel SSF
+	// issues under load, so this label names its first launch alone.
+	wl.readHeavyKill = &platform.CrashOnce{Function: travel.FnReserveHotel, Label: "read:pre:0.000001"}
 	wl.readHeavy = func(w *Worker) error {
 		tallied = true
 		out, err := w.CW.Invoke(fnTally, beldi.Str("t0"))

@@ -169,19 +169,52 @@ func TestSimWakeFaultsPreserveLiveness(t *testing.T) {
 
 // TestSimPauseSupersedesMidBatch pins the duplicate-execution seam of the
 // group-committed read log: the pause kind on the travel workload stalls a
-// worker while a 100-read audit instance sits mid-batch with unflushed
-// reads, a peer's over-eager collector restarts the intent, and the stalled
-// original — resumed — must lose its flush and stop with
-// ErrInstanceSuperseded before any effect. The pinned seeds must keep
-// deriving pause/travel, pass every audit (exactly-once bookings, the tally
-// the client was answered equals the one recorded), actually supersede an
-// execution, and replay bit-identically. One seed per policy that reaches
-// the seam (kind index 5, workload travel: stride 33).
+// worker while a 100-read audit instance — the eager relaunch of a callee
+// whose first launch was killed, so it owns an intent row and a log — sits
+// mid-batch with unflushed reads, a peer's over-eager collector restarts the
+// intent, and the stalled original — resumed — must lose its flush and stop
+// with ErrInstanceSuperseded before any effect. The pinned seeds must keep
+// deriving pause/travel with a stalled relaunch, pass every audit
+// (exactly-once bookings, the tally the client was answered equals the one
+// recorded), actually supersede an execution, and replay bit-identically. One
+// seed per policy (kind index 5, workload travel: stride 33).
 func TestSimPauseSupersedesMidBatch(t *testing.T) {
+	pinnedPauseSeeds(t, "relaunch", []int64{5, 170, 467, 368}, func(r Result) string {
+		if r.Superseded == 0 {
+			return "no execution was superseded; the stall missed the batch"
+		}
+		return ""
+	})
+}
+
+// TestSimPausedFirstLaunchLosesToRelaunch pins the seam a deferred intent row
+// creates: the same stall lands on the audit's FIRST launch, which has
+// written nothing — no intent row, no log. A peer's collector restarts the
+// caller, whose replay closes its invoke-log row to effect-free results and
+// relaunches the callee eagerly; the relaunch creates the row, reads, logs
+// and delivers. The stalled original — resumed — finishes effect-free and
+// must lose: its callback is refused and it adopts the result the row holds
+// (or, had the relaunch not delivered yet, stops superseded), so the tally
+// the client was answered still equals the one recorded. Reaching the seam
+// shows as a second result offered to the request's one invoke-log row.
+func TestSimPausedFirstLaunchLosesToRelaunch(t *testing.T) {
+	pinnedPauseSeeds(t, "first", []int64{269, 38, 203, 104}, func(r Result) string {
+		if r.ReadHeavyResults < 2 {
+			return "only one execution of the audit delivered; no relaunch ran beside the stalled first launch"
+		}
+		return ""
+	})
+}
+
+// pinnedPauseSeeds runs each seed twice: it must derive pause/travel with the
+// given launch stalled, pass every audit, reach its seam (missed returns why
+// not, or "") and replay bit-identically.
+func pinnedPauseSeeds(t *testing.T, launch string, seeds []int64, missed func(Result) string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("simulation scenario skipped in -short")
 	}
-	for _, seed := range []int64{5, 104, 203} {
+	for _, seed := range seeds {
 		sc := ScenarioFor(seed)
 		if sc.Kind != "pause" || sc.Workload != "travel" {
 			t.Fatalf("seed %d derives %s/%s, this test needs pause/travel — re-pin the seed", seed, sc.Kind, sc.Workload)
@@ -191,13 +224,15 @@ func TestSimPauseSupersedesMidBatch(t *testing.T) {
 			t.Errorf("seed %d (policy=%s) failed: %v\nreproduce: %s", seed, sc.Policy, errA, ReproLine(seed, "mem"))
 			continue
 		}
-		if a.Superseded == 0 {
-			t.Errorf("seed %d (policy=%s): no execution was superseded; the stall missed the batch — re-pin the seed", seed, sc.Policy)
+		if a.ReadHeavy != launch {
+			t.Errorf("seed %d (policy=%s) stalls a %q launch, this test needs %q — re-pin the seed", seed, sc.Policy, a.ReadHeavy, launch)
+		} else if why := missed(a); why != "" {
+			t.Errorf("seed %d (policy=%s): %s — re-pin the seed", seed, sc.Policy, why)
 		}
 		b, errB := RunSeed(seed, RunOpts{Dir: t.TempDir()})
-		if errB != nil || a.TraceHash != b.TraceHash || a.Superseded != b.Superseded {
-			t.Errorf("seed %d replay diverged: trace %016x then %016x, superseded %d then %d (err %v)",
-				seed, a.TraceHash, b.TraceHash, a.Superseded, b.Superseded, errB)
+		if errB != nil || a.TraceHash != b.TraceHash || a.Superseded != b.Superseded || a.ReadHeavyResults != b.ReadHeavyResults {
+			t.Errorf("seed %d replay diverged: trace %016x then %016x, superseded %d then %d, results %d then %d (err %v)",
+				seed, a.TraceHash, b.TraceHash, a.Superseded, b.Superseded, a.ReadHeavyResults, b.ReadHeavyResults, errB)
 		}
 	}
 }

@@ -192,6 +192,12 @@ func renderIntent(w io.Writer, byIntent map[string][]Span, id, indent string, re
 		if ex.Replay {
 			replayNote = " (restart)"
 		}
+		if ex.Name != "" {
+			// What the protocol made of the attempt: "deduplicated" (its
+			// intent was already done), "effect-free" (it returned without
+			// an effect, so it has no intent row).
+			outcome += " (" + ex.Name + ")"
+		}
 		fmt.Fprintf(w, "%s  attempt %d%s [%s] %s\n", indent, i+1, replayNote, dur(ex), outcome)
 		for _, s := range steps {
 			if !within(s, ex) {
