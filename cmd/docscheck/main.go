@@ -35,6 +35,7 @@ var defaultDirs = []string{
 	"internal/core",
 	"internal/dynamo",
 	"internal/storage",
+	"internal/storage/codec",
 	"internal/storage/storagetest",
 	"internal/pipeline",
 	"internal/remote",

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dynamo"
 	"repro/internal/hist"
 	"repro/internal/storage"
+	"repro/internal/storage/codec"
 )
 
 // Options tune a Client. The zero value is usable: Dial fills in the
@@ -189,7 +190,7 @@ func (c *Client) isClosed() bool {
 }
 
 func (c *Client) ping() error {
-	_, err := c.call(opPing, func(e *encoder) error { return nil })
+	_, err := c.call(opPing, nil)
 	return err
 }
 
@@ -197,8 +198,18 @@ func (c *Client) ping() error {
 
 // rpcResult is what a connection's read loop delivers for one request.
 type rpcResult struct {
-	body []byte // response payload after the id, including the code byte
-	err  error  // connection-level failure
+	code byte           // the response's result code
+	d    *codec.Decoder // over the response body, positioned after the code
+	err  error          // connection-level failure
+}
+
+// payload is the decoder over a successful response's result, or the error
+// a failed one carries.
+func (r rpcResult) payload() (*codec.Decoder, error) {
+	if r.code != codeOK {
+		return nil, decodeError(r.code, r.d)
+	}
+	return r.d, nil
 }
 
 // poolConn is one pooled connection: a lazily-dialed TCP conn, a write
@@ -250,36 +261,16 @@ func (p *poolConn) get() (net.Conn, error) {
 func clientHandshake(conn net.Conn, timeout time.Duration) error {
 	conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
-	e := &encoder{}
-	e.b = append(e.b, Magic...)
-	e.u16(Version)
-	if err := writeFrame(conn, e.b); err != nil {
+	if _, err := conn.Write(newHello().Frame()); err != nil {
 		return fmt.Errorf("%w: handshake write: %v", ErrUnavailable, err)
 	}
 	body, err := readFrame(conn)
 	if err != nil {
 		return fmt.Errorf("%w: handshake read: %v", ErrUnavailable, err)
 	}
-	d := &decoder{b: body}
-	magic := make([]byte, len(Magic))
-	for i := range magic {
-		if magic[i], err = d.u8(); err != nil {
-			return err
-		}
-	}
-	if string(magic) != Magic {
-		return fmt.Errorf("%w: bad magic %q in handshake", ErrProtocol, magic)
-	}
-	ver, err := d.u16()
-	if err != nil {
-		return err
-	}
-	ok, err := d.bool()
-	if err != nil {
-		return err
-	}
-	reason, err := d.str()
-	if err != nil {
+	d := codec.NewDecoder(body)
+	ver, ok, reason := readHello(d), d.Bool(), d.Str()
+	if err := decodeErr(d); err != nil {
 		return err
 	}
 	if !ok {
@@ -300,15 +291,9 @@ func (p *poolConn) readLoop(conn net.Conn) {
 			return
 		}
 		p.client.stats.BytesRead.Add(int64(len(body)))
-		d := &decoder{b: body}
-		id, err := d.u64()
-		if err != nil {
-			p.fail(conn, err)
-			return
-		}
-		off := d.off
-		code, err := d.u8()
-		if err != nil {
+		d := codec.NewDecoder(body)
+		id, code := d.U64(), d.U8()
+		if err := decodeErr(d); err != nil {
 			p.fail(conn, err)
 			return
 		}
@@ -321,7 +306,7 @@ func (p *poolConn) readLoop(conn net.Conn) {
 		delete(p.pending, id)
 		p.mu.Unlock()
 		if ch != nil {
-			ch <- rpcResult{body: body[off:]}
+			ch <- rpcResult{code: code, d: d}
 		}
 	}
 }
@@ -330,20 +315,11 @@ func (p *poolConn) readLoop(conn net.Conn) {
 // subscription registered under id; events for unknown (already closed)
 // watches are dropped, and a full subscription buffer coalesces the event
 // like the in-process hub does.
-func (p *poolConn) deliverEvent(id uint64, d *decoder) {
-	table, err := d.str()
-	if err != nil {
+func (p *poolConn) deliverEvent(id uint64, d *codec.Decoder) {
+	ev := storage.CommitEvent{Table: d.Str(), Hash: d.Value(), Seq: d.U64()}
+	if d.Err() != nil {
 		return
 	}
-	hash, err := d.value()
-	if err != nil {
-		return
-	}
-	seq, err := d.u64()
-	if err != nil {
-		return
-	}
-	ev := storage.CommitEvent{Table: table, Hash: hash, Seq: seq}
 	// The send happens under p.mu so it can never race the close(ch) in
 	// dropWatch/fail; it is non-blocking, so holding the lock is cheap.
 	p.mu.Lock()
@@ -409,16 +385,16 @@ func (a attemptErr) Error() string { return a.err.Error() }
 
 // attempt runs one RPC attempt on this connection: write the request frame,
 // wait for the matching response or the deadline.
-func (p *poolConn) attempt(id uint64, frame []byte, timeout time.Duration) ([]byte, error) {
+func (p *poolConn) attempt(id uint64, frame []byte, timeout time.Duration) (rpcResult, error) {
 	conn, err := p.get()
 	if err != nil {
-		return nil, attemptErr{err: err, written: false}
+		return rpcResult{}, attemptErr{err: err, written: false}
 	}
 	ch := make(chan rpcResult, 1)
 	p.mu.Lock()
 	if p.conn != conn || p.pending == nil {
 		p.mu.Unlock()
-		return nil, attemptErr{err: io.ErrUnexpectedEOF, written: false}
+		return rpcResult{}, attemptErr{err: io.ErrUnexpectedEOF, written: false}
 	}
 	p.pending[id] = ch
 	p.mu.Unlock()
@@ -441,18 +417,18 @@ func (p *poolConn) attempt(id uint64, frame []byte, timeout time.Duration) ([]by
 		p.fail(conn, werr)
 		// A failed Write may still have delivered bytes the server acted
 		// on; classify as possibly-written.
-		return nil, attemptErr{err: werr, written: true}
+		return rpcResult{}, attemptErr{err: werr, written: true}
 	}
-	p.client.stats.BytesWritten.Add(int64(len(frame) - frameHeaderLen))
+	p.client.stats.BytesWritten.Add(int64(len(frame) - codec.FrameHeaderLen))
 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case res := <-ch:
 		if res.err != nil {
-			return nil, attemptErr{err: res.err, written: true}
+			return rpcResult{}, attemptErr{err: res.err, written: true}
 		}
-		return res.body, nil
+		return res, nil
 	case <-timer.C:
 		p.mu.Lock()
 		if p.pending != nil {
@@ -460,7 +436,7 @@ func (p *poolConn) attempt(id uint64, frame []byte, timeout time.Duration) ([]by
 		}
 		p.mu.Unlock()
 		p.client.stats.Timeouts.Add(1)
-		return nil, attemptErr{err: fmt.Errorf("attempt timed out after %v", timeout), written: true}
+		return rpcResult{}, attemptErr{err: fmt.Errorf("attempt timed out after %v", timeout), written: true}
 	}
 }
 
@@ -478,20 +454,29 @@ func idempotent(op byte) bool {
 	return false
 }
 
+// request encodes one request — [u64 id][u8 opcode] and the payload enc
+// writes, if the opcode has one — and returns its id and finished frame.
+func (c *Client) request(op byte, enc func(*codec.Encoder)) (uint64, []byte, error) {
+	id := c.reqSeq.Add(1)
+	e := codec.NewEncoder(128)
+	e.U64(id)
+	e.U8(op)
+	if enc != nil {
+		enc(e)
+	}
+	return id, e.Frame(), protoErr(e.Err())
+}
+
 // call runs one RPC with retries: encode once, then attempt across the pool
 // with linear backoff. Non-idempotent ops retry only while no attempt may
 // have reached the server; exhausting the budget surfaces ErrUnavailable.
 // A decoded server-side error (condition failure, missing table, …) is a
 // result, not a failure — it returns immediately, never retried.
-func (c *Client) call(op byte, enc func(*encoder) error) (*decoder, error) {
-	id := c.reqSeq.Add(1)
-	e := &encoder{b: make([]byte, frameHeaderLen, 128)} // room for framing prefix
-	e.u64(id)
-	e.u8(op)
-	if err := enc(e); err != nil {
+func (c *Client) call(op byte, enc func(*codec.Encoder)) (*codec.Decoder, error) {
+	id, frame, err := c.request(op, enc)
+	if err != nil {
 		return nil, err
 	}
-	frame := frameInPlace(e.b)
 
 	var last attemptErr
 	for try := 0; ; try++ {
@@ -504,22 +489,14 @@ func (c *Client) call(op byte, enc func(*encoder) error) (*decoder, error) {
 		}
 		pc := c.pool[c.rr.Add(1)%uint64(len(c.pool))]
 		start := time.Now()
-		body, err := pc.attempt(id, frame, c.opts.OpTimeout)
+		res, err := pc.attempt(id, frame, c.opts.OpTimeout)
 		elapsed := time.Since(start)
 		c.latency.Record(elapsed)
 		if ext := c.extHist.Load(); ext != nil {
 			ext.Record(elapsed)
 		}
 		if err == nil {
-			d := &decoder{b: body}
-			code, cerr := d.u8()
-			if cerr != nil {
-				return nil, cerr
-			}
-			if code != codeOK {
-				return nil, decodeError(code, d)
-			}
-			return d, nil
+			return res.payload()
 		}
 		last = err.(attemptErr)
 		if errors.Is(last.err, ErrClosed) || errors.Is(last.err, ErrVersionMismatch) {
@@ -536,54 +513,35 @@ func (c *Client) call(op byte, enc func(*encoder) error) (*decoder, error) {
 	}
 }
 
-// frameInPlace frames a body that was encoded with frameHeaderLen bytes of
-// headroom, avoiding a copy of the payload.
-func frameInPlace(b []byte) []byte {
-	body := b[frameHeaderLen:]
-	putFrameHeader(b[:frameHeaderLen], body)
-	return b
-}
-
 // --- storage.Backend surface ---
 
 var _ storage.Backend = (*Client)(nil)
 
 // CreateTable implements storage.Backend.
 func (c *Client) CreateTable(schema storage.Schema) error {
-	_, err := c.call(opCreateTable, func(e *encoder) error {
-		e.schema(schema)
-		return nil
-	})
+	_, err := c.call(opCreateTable, func(e *codec.Encoder) { e.Schema(schema) })
 	return err
 }
 
 // DeleteTable implements storage.Backend.
 func (c *Client) DeleteTable(name string) error {
-	_, err := c.call(opDeleteTable, func(e *encoder) error {
-		e.str(name)
-		return nil
-	})
+	_, err := c.call(opDeleteTable, func(e *codec.Encoder) { e.Str(name) })
 	return err
 }
 
 // TableNames implements storage.Backend; an unreachable server reads as no
 // tables, matching the signature's no-error contract.
 func (c *Client) TableNames() []string {
-	d, err := c.call(opTableNames, func(e *encoder) error { return nil })
+	d, err := c.call(opTableNames, nil)
 	if err != nil {
 		return nil
 	}
-	n, err := d.count()
-	if err != nil {
-		return nil
+	names := make([]string, d.Count())
+	for i := range names {
+		names[i] = d.Str()
 	}
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		s, err := d.str()
-		if err != nil {
-			return nil
-		}
-		names = append(names, s)
+	if d.Err() != nil {
+		return nil
 	}
 	return names
 }
@@ -604,27 +562,20 @@ func (c *Client) TableItemCount(name string) (int, error) {
 }
 
 func (c *Client) intRPC(op byte, name string) (int, error) {
-	d, err := c.call(op, func(e *encoder) error {
-		e.str(name)
-		return nil
-	})
+	d, err := c.call(op, func(e *codec.Encoder) { e.Str(name) })
 	if err != nil {
 		return 0, err
 	}
-	n, err := d.uvarint()
-	return int(n), err
+	return d.Int(), decodeErr(d)
 }
 
 // TableSchema implements storage.Backend.
 func (c *Client) TableSchema(name string) (storage.Schema, error) {
-	d, err := c.call(opTableSchema, func(e *encoder) error {
-		e.str(name)
-		return nil
-	})
+	d, err := c.call(opTableSchema, func(e *codec.Encoder) { e.Str(name) })
 	if err != nil {
 		return storage.Schema{}, err
 	}
-	return d.schema()
+	return d.Schema(), decodeErr(d)
 }
 
 // Get implements storage.Backend.
@@ -639,35 +590,34 @@ func (c *Client) GetProj(table string, key storage.Key, proj []storage.Path) (st
 
 func (c *Client) get(op byte, table string, key storage.Key, proj []storage.Path) (storage.Item, bool, error) {
 	c.metrics.Ops[dynamo.OpGet].Add(1)
-	d, err := c.call(op, func(e *encoder) error {
-		e.str(table)
-		e.key(key)
+	d, err := c.call(op, func(e *codec.Encoder) {
+		e.Str(table)
+		e.Key(key)
 		if op == opGetProj {
-			e.paths(proj)
+			e.Paths(proj)
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	ok, err := d.bool()
-	if err != nil || !ok {
+	var it storage.Item
+	ok := d.Bool()
+	if ok {
+		it = d.Item()
+	}
+	if err := decodeErr(d); err != nil {
 		return nil, false, err
 	}
-	it, err := d.item()
-	if err != nil {
-		return nil, false, err
-	}
-	return it, true, nil
+	return it, ok, nil
 }
 
 // Put implements storage.Backend.
 func (c *Client) Put(table string, item storage.Item, cond storage.Cond) error {
 	c.metrics.Ops[dynamo.OpPut].Add(1)
-	_, err := c.call(opPut, func(e *encoder) error {
-		e.str(table)
-		e.item(item)
-		return e.cond(cond)
+	_, err := c.call(opPut, func(e *codec.Encoder) {
+		e.Str(table)
+		e.Item(item)
+		e.Cond(cond)
 	})
 	return c.noteCond(err)
 }
@@ -675,13 +625,11 @@ func (c *Client) Put(table string, item storage.Item, cond storage.Cond) error {
 // Update implements storage.Backend.
 func (c *Client) Update(table string, key storage.Key, cond storage.Cond, updates ...storage.Update) error {
 	c.metrics.Ops[dynamo.OpUpdate].Add(1)
-	_, err := c.call(opUpdate, func(e *encoder) error {
-		e.str(table)
-		e.key(key)
-		if err := e.cond(cond); err != nil {
-			return err
-		}
-		return e.updates(updates)
+	_, err := c.call(opUpdate, func(e *codec.Encoder) {
+		e.Str(table)
+		e.Key(key)
+		e.Cond(cond)
+		e.Updates(updates)
 	})
 	return c.noteCond(err)
 }
@@ -689,10 +637,10 @@ func (c *Client) Update(table string, key storage.Key, cond storage.Cond, update
 // Delete implements storage.Backend.
 func (c *Client) Delete(table string, key storage.Key, cond storage.Cond) error {
 	c.metrics.Ops[dynamo.OpDelete].Add(1)
-	_, err := c.call(opDelete, func(e *encoder) error {
-		e.str(table)
-		e.key(key)
-		return e.cond(cond)
+	_, err := c.call(opDelete, func(e *codec.Encoder) {
+		e.Str(table)
+		e.Key(key)
+		e.Cond(cond)
 	})
 	return c.noteCond(err)
 }
@@ -705,46 +653,43 @@ func (c *Client) noteCond(err error) error {
 	return err
 }
 
-// Query implements storage.Backend.
-func (c *Client) Query(table string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
-	c.metrics.Ops[dynamo.OpQuery].Add(1)
-	d, err := c.call(opQuery, func(e *encoder) error {
-		e.str(table)
-		e.value(hash)
-		return e.queryOpts(opts)
-	})
+// rows runs one row-returning RPC.
+func (c *Client) rows(op byte, enc func(*codec.Encoder)) ([]storage.Item, error) {
+	d, err := c.call(op, enc)
 	if err != nil {
 		return nil, err
 	}
-	return d.items()
+	return d.Items(), decodeErr(d)
+}
+
+// Query implements storage.Backend.
+func (c *Client) Query(table string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
+	c.metrics.Ops[dynamo.OpQuery].Add(1)
+	return c.rows(opQuery, func(e *codec.Encoder) {
+		e.Str(table)
+		e.Value(hash)
+		e.QueryOpts(opts)
+	})
 }
 
 // QueryIndex implements storage.Backend.
 func (c *Client) QueryIndex(table, index string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
 	c.metrics.Ops[dynamo.OpQuery].Add(1)
-	d, err := c.call(opQueryIndex, func(e *encoder) error {
-		e.str(table)
-		e.str(index)
-		e.value(hash)
-		return e.queryOpts(opts)
+	return c.rows(opQueryIndex, func(e *codec.Encoder) {
+		e.Str(table)
+		e.Str(index)
+		e.Value(hash)
+		e.QueryOpts(opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return d.items()
 }
 
 // Scan implements storage.Backend.
 func (c *Client) Scan(table string, opts storage.QueryOpts) ([]storage.Item, error) {
 	c.metrics.Ops[dynamo.OpScan].Add(1)
-	d, err := c.call(opScan, func(e *encoder) error {
-		e.str(table)
-		return e.queryOpts(opts)
+	return c.rows(opScan, func(e *codec.Encoder) {
+		e.Str(table)
+		e.QueryOpts(opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return d.items()
 }
 
 // TransactWrite implements storage.Backend. Every transaction carries a
@@ -753,9 +698,9 @@ func (c *Client) Scan(table string, opts storage.QueryOpts) ([]storage.Item, err
 func (c *Client) TransactWrite(ops []storage.TxOp) error {
 	c.metrics.Ops[dynamo.OpTxWrite].Add(1)
 	reqID := fmt.Sprintf("%s-%d", c.opts.ClientID, c.txSeq.Add(1))
-	_, err := c.call(opTransactWrite, func(e *encoder) error {
-		e.str(reqID)
-		return e.txOps(ops)
+	_, err := c.call(opTransactWrite, func(e *codec.Encoder) {
+		e.Str(reqID)
+		e.TxOps(ops)
 	})
 	return c.noteCond(err)
 }
@@ -767,7 +712,7 @@ func (c *Client) Metrics() *storage.Metrics { return &c.metrics }
 
 // ServerMetrics fetches the server backend's own metrics snapshot.
 func (c *Client) ServerMetrics() (dynamo.Snapshot, error) {
-	d, err := c.call(opMetrics, func(e *encoder) error { return nil })
+	d, err := c.call(opMetrics, nil)
 	if err != nil {
 		return dynamo.Snapshot{}, err
 	}

@@ -1,615 +1,18 @@
 package remote
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dynamo"
 	"repro/internal/storage"
+	"repro/internal/storage/codec"
 )
 
-// This file is the wire codec for the storage data model: a deterministic
-// binary encoding (uvarint-prefixed strings, kind-tagged values, map
-// attributes in sorted key order) shared by requests and responses, plus
-// the structured error encoding that lets condition failures and canceled
-// transactions round-trip with their errors.Is/errors.As identities intact.
-
-type encoder struct{ b []byte }
-
-func (e *encoder) u8(v byte)        { e.b = append(e.b, v) }
-func (e *encoder) u16(v uint16)     { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *encoder) u64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *encoder) f64(f float64)    { e.u64(math.Float64bits(f)) }
-func (e *encoder) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-
-func (e *encoder) value(v dynamo.Value) {
-	e.u8(byte(v.Kind()))
-	switch v.Kind() {
-	case dynamo.KindNull:
-	case dynamo.KindString:
-		e.str(v.Str())
-	case dynamo.KindNumber:
-		e.f64(v.Num())
-	case dynamo.KindBool:
-		e.bool(v.BoolVal())
-	case dynamo.KindBytes:
-		b := v.BytesVal()
-		e.uvarint(uint64(len(b)))
-		e.b = append(e.b, b...)
-	case dynamo.KindList:
-		l := v.List()
-		e.uvarint(uint64(len(l)))
-		for _, el := range l {
-			e.value(el)
-		}
-	case dynamo.KindMap:
-		m := v.Map()
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		e.uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			e.str(k)
-			e.value(m[k])
-		}
-	}
-}
-
-func (e *encoder) item(it dynamo.Item) {
-	keys := make([]string, 0, len(it))
-	for k := range it {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(k)
-		e.value(it[k])
-	}
-}
-
-func (e *encoder) items(its []dynamo.Item) {
-	e.uvarint(uint64(len(its)))
-	for _, it := range its {
-		e.item(it)
-	}
-}
-
-func (e *encoder) key(k dynamo.Key) {
-	e.value(k.Hash)
-	e.value(k.Sort)
-}
-
-func (e *encoder) path(p dynamo.Path) {
-	e.str(p.Attr)
-	e.str(p.MapKey)
-}
-
-func (e *encoder) paths(ps []dynamo.Path) {
-	e.uvarint(uint64(len(ps)))
-	for _, p := range ps {
-		e.path(p)
-	}
-}
-
-func (e *encoder) schema(s dynamo.Schema) {
-	e.str(s.Name)
-	e.str(s.HashKey)
-	e.str(s.SortKey)
-	e.uvarint(uint64(s.MaxItemSize))
-	e.uvarint(uint64(s.Shards))
-	e.uvarint(uint64(len(s.Indexes)))
-	for _, ix := range s.Indexes {
-		e.str(ix.Name)
-		e.str(ix.HashKey)
-		e.str(ix.SortKey)
-	}
-}
-
-func (e *encoder) condDesc(d dynamo.CondDesc) {
-	e.u8(byte(d.Kind))
-	switch d.Kind {
-	case dynamo.CondExists, dynamo.CondNotExists:
-		e.path(d.Path)
-	case dynamo.CondCmp:
-		e.path(d.Path)
-		e.str(d.Op)
-		e.value(d.Value)
-	case dynamo.CondAnd, dynamo.CondOr, dynamo.CondNot:
-		e.uvarint(uint64(len(d.Subs)))
-		for _, sub := range d.Subs {
-			e.condDesc(sub)
-		}
-	}
-}
-
-// cond encodes an optional condition: a presence byte, then the CondDesc
-// tree. Foreign Cond implementations cannot cross the wire.
-func (e *encoder) cond(c dynamo.Cond) error {
-	if c == nil {
-		e.u8(0)
-		return nil
-	}
-	d, ok := dynamo.DescribeCond(c)
-	if !ok {
-		return fmt.Errorf("%w: condition %s is not serializable (foreign Cond implementation)", ErrProtocol, c)
-	}
-	e.u8(1)
-	e.condDesc(d)
-	return nil
-}
-
-func (e *encoder) updates(us []dynamo.Update) error {
-	e.uvarint(uint64(len(us)))
-	for _, u := range us {
-		d, ok := dynamo.DescribeUpdate(u)
-		if !ok {
-			return fmt.Errorf("%w: update %s is not serializable (foreign Update implementation)", ErrProtocol, u)
-		}
-		e.u8(byte(d.Kind))
-		e.path(d.Path)
-		switch d.Kind {
-		case dynamo.UpdateSet:
-			e.value(d.Value)
-		case dynamo.UpdateAdd:
-			e.f64(d.Delta)
-		}
-	}
-	return nil
-}
-
-func (e *encoder) queryOpts(o dynamo.QueryOpts) error {
-	if err := e.cond(o.Filter); err != nil {
-		return err
-	}
-	e.paths(o.Projection)
-	e.uvarint(uint64(o.Limit))
-	e.bool(o.Descending)
-	return nil
-}
-
-func (e *encoder) txOps(ops []dynamo.TxOp) error {
-	e.uvarint(uint64(len(ops)))
-	for _, op := range ops {
-		e.str(op.Table)
-		e.key(op.Key)
-		if err := e.cond(op.Cond); err != nil {
-			return err
-		}
-		if op.Put != nil {
-			e.u8(1)
-			e.item(op.Put)
-		} else {
-			e.u8(0)
-		}
-		if err := e.updates(op.Updates); err != nil {
-			return err
-		}
-		e.bool(op.Delete)
-		e.bool(op.Check)
-	}
-	return nil
-}
-
-// --- decoding ---
-
-type decoder struct {
-	b   []byte
-	off int
-}
-
-var errTruncated = fmt.Errorf("%w: truncated body", ErrProtocol)
-
-func (d *decoder) u8() (byte, error) {
-	if d.off >= len(d.b) {
-		return 0, errTruncated
-	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *decoder) u16() (uint16, error) {
-	if d.off+2 > len(d.b) {
-		return 0, errTruncated
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v, nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	if d.off+8 > len(d.b) {
-		return 0, errTruncated
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	d.off += n
-	return v, nil
-}
-
-// count reads a collection length and bounds it by the remaining bytes
-// (each element costs at least one byte), so a corrupt prefix cannot force
-// a huge allocation.
-func (d *decoder) count() (int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(d.b)-d.off) {
-		return 0, errTruncated
-	}
-	return int(n), nil
-}
-
-func (d *decoder) f64() (float64, error) {
-	v, err := d.u64()
-	return math.Float64frombits(v), err
-}
-
-func (d *decoder) bool() (bool, error) {
-	v, err := d.u8()
-	return v != 0, err
-}
-
-func (d *decoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(d.b)-d.off) < n {
-		return "", errTruncated
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func (d *decoder) value() (dynamo.Value, error) {
-	kb, err := d.u8()
-	if err != nil {
-		return dynamo.Null, err
-	}
-	switch dynamo.Kind(kb) {
-	case dynamo.KindNull:
-		return dynamo.Null, nil
-	case dynamo.KindString:
-		s, err := d.str()
-		return dynamo.S(s), err
-	case dynamo.KindNumber:
-		f, err := d.f64()
-		return dynamo.N(f), err
-	case dynamo.KindBool:
-		b, err := d.bool()
-		return dynamo.Bool(b), err
-	case dynamo.KindBytes:
-		n, err := d.uvarint()
-		if err != nil {
-			return dynamo.Null, err
-		}
-		if uint64(len(d.b)-d.off) < n {
-			return dynamo.Null, errTruncated
-		}
-		b := make([]byte, n)
-		copy(b, d.b[d.off:])
-		d.off += int(n)
-		return dynamo.Bytes(b), nil
-	case dynamo.KindList:
-		n, err := d.count()
-		if err != nil {
-			return dynamo.Null, err
-		}
-		l := make([]dynamo.Value, n)
-		for i := range l {
-			if l[i], err = d.value(); err != nil {
-				return dynamo.Null, err
-			}
-		}
-		return dynamo.L(l...), nil
-	case dynamo.KindMap:
-		n, err := d.count()
-		if err != nil {
-			return dynamo.Null, err
-		}
-		m := make(map[string]dynamo.Value, n)
-		for i := 0; i < n; i++ {
-			k, err := d.str()
-			if err != nil {
-				return dynamo.Null, err
-			}
-			if m[k], err = d.value(); err != nil {
-				return dynamo.Null, err
-			}
-		}
-		return dynamo.M(m), nil
-	}
-	return dynamo.Null, fmt.Errorf("%w: unknown value kind %d", ErrProtocol, kb)
-}
-
-func (d *decoder) item() (dynamo.Item, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	it := make(dynamo.Item, n)
-	for i := 0; i < n; i++ {
-		k, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		if it[k], err = d.value(); err != nil {
-			return nil, err
-		}
-	}
-	return it, nil
-}
-
-func (d *decoder) items() ([]dynamo.Item, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	its := make([]dynamo.Item, n)
-	for i := range its {
-		if its[i], err = d.item(); err != nil {
-			return nil, err
-		}
-	}
-	return its, nil
-}
-
-func (d *decoder) key() (dynamo.Key, error) {
-	h, err := d.value()
-	if err != nil {
-		return dynamo.Key{}, err
-	}
-	s, err := d.value()
-	return dynamo.Key{Hash: h, Sort: s}, err
-}
-
-func (d *decoder) path() (dynamo.Path, error) {
-	var p dynamo.Path
-	var err error
-	if p.Attr, err = d.str(); err != nil {
-		return p, err
-	}
-	p.MapKey, err = d.str()
-	return p, err
-}
-
-func (d *decoder) paths() ([]dynamo.Path, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	ps := make([]dynamo.Path, n)
-	for i := range ps {
-		if ps[i], err = d.path(); err != nil {
-			return nil, err
-		}
-	}
-	return ps, nil
-}
-
-func (d *decoder) schema() (dynamo.Schema, error) {
-	var s dynamo.Schema
-	var err error
-	if s.Name, err = d.str(); err != nil {
-		return s, err
-	}
-	if s.HashKey, err = d.str(); err != nil {
-		return s, err
-	}
-	if s.SortKey, err = d.str(); err != nil {
-		return s, err
-	}
-	maxSize, err := d.uvarint()
-	if err != nil {
-		return s, err
-	}
-	s.MaxItemSize = int(maxSize)
-	shards, err := d.uvarint()
-	if err != nil {
-		return s, err
-	}
-	s.Shards = int(shards)
-	n, err := d.count()
-	if err != nil {
-		return s, err
-	}
-	if n > 0 {
-		s.Indexes = make([]dynamo.IndexSchema, n)
-		for i := range s.Indexes {
-			if s.Indexes[i].Name, err = d.str(); err != nil {
-				return s, err
-			}
-			if s.Indexes[i].HashKey, err = d.str(); err != nil {
-				return s, err
-			}
-			if s.Indexes[i].SortKey, err = d.str(); err != nil {
-				return s, err
-			}
-		}
-	}
-	return s, nil
-}
-
-func (d *decoder) condDesc() (dynamo.CondDesc, error) {
-	var cd dynamo.CondDesc
-	kb, err := d.u8()
-	if err != nil {
-		return cd, err
-	}
-	cd.Kind = dynamo.CondKind(kb)
-	switch cd.Kind {
-	case dynamo.CondTrue:
-	case dynamo.CondExists, dynamo.CondNotExists:
-		cd.Path, err = d.path()
-	case dynamo.CondCmp:
-		if cd.Path, err = d.path(); err != nil {
-			return cd, err
-		}
-		if cd.Op, err = d.str(); err != nil {
-			return cd, err
-		}
-		cd.Value, err = d.value()
-	case dynamo.CondAnd, dynamo.CondOr, dynamo.CondNot:
-		var n int
-		if n, err = d.count(); err != nil {
-			return cd, err
-		}
-		cd.Subs = make([]dynamo.CondDesc, n)
-		for i := range cd.Subs {
-			if cd.Subs[i], err = d.condDesc(); err != nil {
-				return cd, err
-			}
-		}
-	default:
-		return cd, fmt.Errorf("%w: unknown condition kind %d", ErrProtocol, kb)
-	}
-	return cd, err
-}
-
-func (d *decoder) cond() (dynamo.Cond, error) {
-	present, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if present == 0 {
-		return nil, nil
-	}
-	cd, err := d.condDesc()
-	if err != nil {
-		return nil, err
-	}
-	c, err := dynamo.CondFromDesc(cd)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	return c, nil
-}
-
-func (d *decoder) updates() ([]dynamo.Update, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	us := make([]dynamo.Update, n)
-	for i := range us {
-		var ud dynamo.UpdateDesc
-		kb, err := d.u8()
-		if err != nil {
-			return nil, err
-		}
-		ud.Kind = dynamo.UpdateKind(kb)
-		if ud.Path, err = d.path(); err != nil {
-			return nil, err
-		}
-		switch ud.Kind {
-		case dynamo.UpdateSet:
-			if ud.Value, err = d.value(); err != nil {
-				return nil, err
-			}
-		case dynamo.UpdateAdd:
-			if ud.Delta, err = d.f64(); err != nil {
-				return nil, err
-			}
-		}
-		if us[i], err = dynamo.UpdateFromDesc(ud); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-	}
-	return us, nil
-}
-
-func (d *decoder) queryOpts() (dynamo.QueryOpts, error) {
-	var o dynamo.QueryOpts
-	var err error
-	if o.Filter, err = d.cond(); err != nil {
-		return o, err
-	}
-	if o.Projection, err = d.paths(); err != nil {
-		return o, err
-	}
-	limit, err := d.uvarint()
-	if err != nil {
-		return o, err
-	}
-	o.Limit = int(limit)
-	o.Descending, err = d.bool()
-	return o, err
-}
-
-func (d *decoder) txOps() ([]dynamo.TxOp, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	ops := make([]dynamo.TxOp, n)
-	for i := range ops {
-		op := &ops[i]
-		if op.Table, err = d.str(); err != nil {
-			return nil, err
-		}
-		if op.Key, err = d.key(); err != nil {
-			return nil, err
-		}
-		if op.Cond, err = d.cond(); err != nil {
-			return nil, err
-		}
-		hasPut, err := d.u8()
-		if err != nil {
-			return nil, err
-		}
-		if hasPut != 0 {
-			if op.Put, err = d.item(); err != nil {
-				return nil, err
-			}
-		}
-		if op.Updates, err = d.updates(); err != nil {
-			return nil, err
-		}
-		if op.Delete, err = d.bool(); err != nil {
-			return nil, err
-		}
-		if op.Check, err = d.bool(); err != nil {
-			return nil, err
-		}
-	}
-	return ops, nil
-}
-
-// --- structured errors ---
+// This file is what is RPC-specific in a message body: the structured error
+// encoding that lets condition failures and canceled transactions round-trip
+// with their errors.Is/errors.As identities intact, and the Metrics reply.
+// Every other field of a request or reply is internal/storage/codec's.
 
 // Wire error codes. Code 0 in a response means success.
 const (
@@ -630,47 +33,52 @@ const (
 // error codes so a response can never be mistaken for a push.
 const codeEvent byte = 0x80
 
+// identities pairs each error identity that crosses the wire with its code,
+// in the order an error is tested against them.
+var identities = []struct {
+	code byte
+	is   error
+}{
+	{codeBadRequest, ErrProtocol},
+	{codeCondFailed, storage.ErrConditionFailed},
+	{codeItemTooLarge, storage.ErrItemTooLarge},
+	{codeNoSuchTable, storage.ErrNoSuchTable},
+	{codeTableExists, storage.ErrTableExists},
+	{codeNoSuchIndex, storage.ErrNoSuchIndex},
+}
+
 // encodeError maps a backend error onto the wire: a code, the message, and
 // for canceled transactions the per-op reason list.
-func encodeError(e *encoder, err error) {
+func encodeError(e *codec.Encoder, err error) {
 	var tce *dynamo.TxCanceledError
-	switch {
-	case errors.As(err, &tce):
-		e.u8(codeTxCanceled)
-		e.str(err.Error())
-		e.uvarint(uint64(len(tce.Reasons)))
+	if errors.As(err, &tce) {
+		e.U8(codeTxCanceled)
+		e.Str(err.Error())
+		e.Int(len(tce.Reasons))
 		for _, r := range tce.Reasons {
 			switch {
 			case r == nil:
-				e.u8(codeOK)
-				e.str("")
+				e.U8(codeOK)
+				e.Str("")
 			case errors.Is(r, dynamo.ErrConditionFailed):
-				e.u8(codeCondFailed)
-				e.str(r.Error())
+				e.U8(codeCondFailed)
+				e.Str(r.Error())
 			default:
-				e.u8(codeInternal)
-				e.str(r.Error())
+				e.U8(codeInternal)
+				e.Str(r.Error())
 			}
 		}
-	case errors.Is(err, dynamo.ErrConditionFailed):
-		e.u8(codeCondFailed)
-		e.str(err.Error())
-	case errors.Is(err, dynamo.ErrItemTooLarge):
-		e.u8(codeItemTooLarge)
-		e.str(err.Error())
-	case errors.Is(err, dynamo.ErrNoSuchTable):
-		e.u8(codeNoSuchTable)
-		e.str(err.Error())
-	case errors.Is(err, dynamo.ErrTableExists):
-		e.u8(codeTableExists)
-		e.str(err.Error())
-	case errors.Is(err, dynamo.ErrNoSuchIndex):
-		e.u8(codeNoSuchIndex)
-		e.str(err.Error())
-	default:
-		e.u8(codeInternal)
-		e.str(err.Error())
+		return
 	}
+	code := codeInternal
+	for _, id := range identities {
+		if errors.Is(err, id.is) {
+			code = id.code
+			break
+		}
+	}
+	e.U8(code)
+	e.Str(err.Error())
 }
 
 // wireErr carries a server-side message while unwrapping to the shared
@@ -683,108 +91,67 @@ type wireErr struct {
 func (e *wireErr) Error() string { return e.msg }
 func (e *wireErr) Unwrap() error { return e.sentinel }
 
-// decodeError rebuilds the error a non-zero response code describes.
-func decodeError(code byte, d *decoder) error {
-	msg, err := d.str()
-	if err != nil {
-		return err
-	}
-	switch code {
-	case codeCondFailed:
-		return &wireErr{msg, storage.ErrConditionFailed}
-	case codeItemTooLarge:
-		return &wireErr{msg, storage.ErrItemTooLarge}
-	case codeNoSuchTable:
-		return &wireErr{msg, storage.ErrNoSuchTable}
-	case codeTableExists:
-		return &wireErr{msg, storage.ErrTableExists}
-	case codeNoSuchIndex:
-		return &wireErr{msg, storage.ErrNoSuchIndex}
-	case codeTxCanceled:
-		n, cerr := d.count()
-		if cerr != nil {
-			return cerr
+// coded rebuilds the error one (code, message) pair describes.
+func coded(code byte, msg string) error {
+	for _, id := range identities {
+		if code == id.code {
+			return &wireErr{msg, id.is}
 		}
-		tce := &dynamo.TxCanceledError{Reasons: make([]error, n)}
-		for i := 0; i < n; i++ {
-			rc, rerr := d.u8()
-			if rerr != nil {
-				return rerr
-			}
-			rmsg, rerr := d.str()
-			if rerr != nil {
-				return rerr
-			}
-			switch rc {
-			case codeOK:
-				tce.Reasons[i] = nil
-			case codeCondFailed:
-				tce.Reasons[i] = &wireErr{rmsg, storage.ErrConditionFailed}
-			default:
-				tce.Reasons[i] = errors.New(rmsg)
-			}
-		}
-		return tce
-	case codeBadRequest:
-		return &wireErr{msg, ErrProtocol}
-	default:
-		return errors.New(msg)
 	}
+	return errors.New(msg)
 }
 
-// encodeMetrics flattens a metrics snapshot for the Metrics RPC.
-func encodeMetrics(e *encoder, s dynamo.Snapshot) {
+// decodeError rebuilds the error a non-zero response code describes.
+func decodeError(code byte, d *codec.Decoder) error {
+	err := coded(code, d.Str())
+	if code == codeTxCanceled { // its message is rebuilt from the reasons
+		tce := &dynamo.TxCanceledError{Reasons: make([]error, d.Count())}
+		for i := range tce.Reasons {
+			if rc, rmsg := d.U8(), d.Str(); rc != codeOK {
+				tce.Reasons[i] = coded(rc, rmsg)
+			}
+		}
+		err = tce
+	}
+	if derr := decodeErr(d); derr != nil {
+		return derr
+	}
+	return err
+}
+
+// metricsCounters lists a snapshot's scalar counters in wire order.
+func metricsCounters(s *dynamo.Snapshot) []*int64 {
+	return []*int64{&s.CondFailures, &s.ItemsScanned, &s.BytesRead, &s.BytesWritten, &s.GroupCommits, &s.GroupCommitOps}
+}
+
+// encodeMetrics flattens a metrics snapshot for the Metrics RPC: the per-op
+// counts by sorted name, then the scalar counters.
+func encodeMetrics(e *codec.Encoder, s dynamo.Snapshot) {
 	names := make([]string, 0, len(s.Ops))
 	for k := range s.Ops {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	e.uvarint(uint64(len(names)))
+	e.Int(len(names))
 	for _, k := range names {
-		e.str(k)
-		e.u64(uint64(s.Ops[k]))
+		e.Str(k)
+		e.U64(uint64(s.Ops[k]))
 	}
-	e.u64(uint64(s.CondFailures))
-	e.u64(uint64(s.ItemsScanned))
-	e.u64(uint64(s.BytesRead))
-	e.u64(uint64(s.BytesWritten))
-	e.u64(uint64(s.GroupCommits))
-	e.u64(uint64(s.GroupCommitOps))
+	for _, v := range metricsCounters(&s) {
+		e.U64(uint64(*v))
+	}
 }
 
 // decodeMetrics parses a Metrics RPC response.
-func decodeMetrics(d *decoder) (dynamo.Snapshot, error) {
-	var s dynamo.Snapshot
-	n, err := d.count()
-	if err != nil {
-		return s, err
+func decodeMetrics(d *codec.Decoder) (dynamo.Snapshot, error) {
+	n := d.Count()
+	s := dynamo.Snapshot{Ops: make(map[string]int64, n)}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := d.Str()
+		s.Ops[k] = int64(d.U64())
 	}
-	s.Ops = make(map[string]int64, n)
-	for i := 0; i < n; i++ {
-		k, err := d.str()
-		if err != nil {
-			return s, err
-		}
-		v, err := d.u64()
-		if err != nil {
-			return s, err
-		}
-		s.Ops[k] = int64(v)
+	for _, v := range metricsCounters(&s) {
+		*v = int64(d.U64())
 	}
-	read := func(dst *int64) {
-		if err != nil {
-			return
-		}
-		var v uint64
-		if v, err = d.u64(); err == nil {
-			*dst = int64(v)
-		}
-	}
-	read(&s.CondFailures)
-	read(&s.ItemsScanned)
-	read(&s.BytesRead)
-	read(&s.BytesWritten)
-	read(&s.GroupCommits)
-	read(&s.GroupCommitOps)
-	return s, err
+	return s, decodeErr(d)
 }

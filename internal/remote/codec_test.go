@@ -10,15 +10,28 @@ import (
 
 	"repro/internal/dynamo"
 	"repro/internal/storage"
+	"repro/internal/storage/codec"
 )
 
+// The encoding of the data model and the frame itself are pinned where they
+// live, in internal/storage/codec (its round-trip table, FuzzDecode and the
+// format fixtures). The tests here pin what this package adds: which failures
+// are ErrProtocol, the structured errors, and the Metrics reply.
+
+func frameOf(body []byte) []byte {
+	e := codec.NewEncoder(16)
+	e.Raw(string(body))
+	return e.Frame()
+}
+
+// TestFrameRoundTrip: frames come back whole through readFrame, and the end
+// of the stream at a frame boundary is a bare io.EOF — serveConn tells a
+// client that hung up from a protocol error by it.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("beldi"), 1000)}
 	for _, b := range bodies {
-		if err := writeFrame(&buf, b); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(frameOf(b))
 	}
 	for i, want := range bodies {
 		got, err := readFrame(&buf)
@@ -36,158 +49,20 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameCorruption(t *testing.T) {
 	// Truncated body.
-	var buf bytes.Buffer
-	writeFrame(&buf, []byte("hello world"))
-	torn := buf.Bytes()[:buf.Len()-3]
-	if _, err := readFrame(bytes.NewReader(torn)); !errors.Is(err, ErrProtocol) {
+	frame := frameOf([]byte("hello world"))
+	if _, err := readFrame(bytes.NewReader(frame[:len(frame)-3])); !errors.Is(err, ErrProtocol) {
 		t.Errorf("torn frame: %v", err)
 	}
 	// Flipped body bit fails the CRC.
-	flipped := append([]byte(nil), buf.Bytes()...)
-	flipped[frameHeaderLen+2] ^= 0x40
+	flipped := append([]byte(nil), frame...)
+	flipped[codec.FrameHeaderLen+2] ^= 0x40
 	if _, err := readFrame(bytes.NewReader(flipped)); !errors.Is(err, ErrProtocol) {
 		t.Errorf("corrupt frame: %v", err)
 	}
-	// Absurd length prefix is rejected before allocation.
-	huge := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
+	// A length prefix past maxFrameBody is rejected before allocation.
+	huge := []byte{0x01, 0x00, 0x00, 0x04, 0, 0, 0, 0}
 	if _, err := readFrame(bytes.NewReader(huge)); !errors.Is(err, ErrProtocol) {
 		t.Errorf("oversized frame: %v", err)
-	}
-}
-
-func TestValueItemRoundTrip(t *testing.T) {
-	vals := []dynamo.Value{
-		dynamo.Null,
-		dynamo.S(""),
-		dynamo.S("héllo"),
-		dynamo.N(0),
-		dynamo.N(-3.25),
-		dynamo.NInt(1 << 50),
-		dynamo.Bool(true),
-		dynamo.Bool(false),
-		dynamo.Bytes([]byte{0, 1, 2, 255}),
-		dynamo.L(dynamo.S("a"), dynamo.NInt(2), dynamo.L()),
-		dynamo.M(map[string]dynamo.Value{"z": dynamo.NInt(1), "a": dynamo.M(map[string]dynamo.Value{"x": dynamo.Null})}),
-	}
-	for i, v := range vals {
-		e := &encoder{}
-		e.value(v)
-		d := &decoder{b: e.b}
-		got, err := d.value()
-		if err != nil {
-			t.Fatalf("value %d: %v", i, err)
-		}
-		if !got.Equal(v) {
-			t.Fatalf("value %d: got %v want %v", i, got, v)
-		}
-		if d.off != len(d.b) {
-			t.Fatalf("value %d: %d trailing bytes", i, len(d.b)-d.off)
-		}
-	}
-
-	it := dynamo.Item{"K": dynamo.S("k"), "V": dynamo.NInt(7), "M": vals[10]}
-	e := &encoder{}
-	e.item(it)
-	got, err := (&decoder{b: e.b}).item()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(it) {
-		t.Fatalf("item: got %v want %v", got, it)
-	}
-	for k, v := range it {
-		if !got[k].Equal(v) {
-			t.Fatalf("item[%s]: got %v want %v", k, got[k], v)
-		}
-	}
-}
-
-func TestSchemaRoundTrip(t *testing.T) {
-	s := dynamo.Schema{
-		Name: "t", HashKey: "K", SortKey: "S", MaxItemSize: 4096, Shards: 8,
-		Indexes: []dynamo.IndexSchema{{Name: "by-g", HashKey: "G", SortKey: "R"}},
-	}
-	e := &encoder{}
-	e.schema(s)
-	got, err := (&decoder{b: e.b}).schema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("schema: got %+v want %+v", got, s)
-	}
-}
-
-// TestCondRoundTrip re-evaluates decoded conditions against items to prove
-// the rebuilt tree is semantically the original.
-func TestCondRoundTrip(t *testing.T) {
-	row := dynamo.Item{"V": dynamo.NInt(5), "Tag": dynamo.S("x")}
-	conds := []dynamo.Cond{
-		nil,
-		dynamo.True(),
-		dynamo.Exists(dynamo.A("V")),
-		dynamo.NotExists(dynamo.A("Absent")),
-		dynamo.Eq(dynamo.A("V"), dynamo.NInt(5)),
-		dynamo.Ne(dynamo.A("Tag"), dynamo.S("y")),
-		dynamo.Lt(dynamo.A("V"), dynamo.NInt(9)),
-		dynamo.And(dynamo.Exists(dynamo.A("V")), dynamo.Gt(dynamo.A("V"), dynamo.NInt(1))),
-		dynamo.Or(dynamo.Eq(dynamo.A("V"), dynamo.NInt(0)), dynamo.Eq(dynamo.A("Tag"), dynamo.S("x"))),
-		dynamo.Not(dynamo.Exists(dynamo.A("Absent"))),
-		dynamo.IsNullOr(dynamo.A("Absent"), dynamo.Eq(dynamo.A("Absent"), dynamo.S("z"))),
-	}
-	for i, c := range conds {
-		e := &encoder{}
-		if err := e.cond(c); err != nil {
-			t.Fatalf("cond %d encode: %v", i, err)
-		}
-		got, err := (&decoder{b: e.b}).cond()
-		if err != nil {
-			t.Fatalf("cond %d decode: %v", i, err)
-		}
-		if (c == nil) != (got == nil) {
-			t.Fatalf("cond %d: nil mismatch (%v vs %v)", i, c, got)
-		}
-		if c == nil {
-			continue
-		}
-		for _, item := range []dynamo.Item{row, {}} {
-			if want, have := c.Eval(item), got.Eval(item); want != have {
-				t.Fatalf("cond %d (%v) on %v: want %v got %v", i, c, item, want, have)
-			}
-		}
-	}
-}
-
-func TestTxOpsRoundTrip(t *testing.T) {
-	ops := []dynamo.TxOp{
-		{Table: "a", Put: dynamo.Item{"K": dynamo.S("x")}},
-		{Table: "b", Key: dynamo.HSK(dynamo.S("h"), dynamo.NInt(2)),
-			Cond:    dynamo.Eq(dynamo.A("V"), dynamo.NInt(1)),
-			Updates: []dynamo.Update{dynamo.Set(dynamo.A("V"), dynamo.NInt(9)), dynamo.Add(dynamo.A("N"), 2), dynamo.Remove(dynamo.A("T"))}},
-		{Table: "c", Key: dynamo.HK(dynamo.S("k")), Delete: true},
-		{Table: "d", Key: dynamo.HK(dynamo.S("k")), Cond: dynamo.Exists(dynamo.A("K")), Check: true},
-	}
-	e := &encoder{}
-	if err := e.txOps(ops); err != nil {
-		t.Fatal(err)
-	}
-	got, err := (&decoder{b: e.b}).txOps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("got %d ops, want %d", len(got), len(ops))
-	}
-	for i := range ops {
-		if got[i].Table != ops[i].Table || got[i].Delete != ops[i].Delete || got[i].Check != ops[i].Check {
-			t.Errorf("op %d flags: %+v vs %+v", i, got[i], ops[i])
-		}
-		if len(got[i].Updates) != len(ops[i].Updates) {
-			t.Errorf("op %d updates: %d vs %d", i, len(got[i].Updates), len(ops[i].Updates))
-		}
-		if (got[i].Put == nil) != (ops[i].Put == nil) {
-			t.Errorf("op %d put presence mismatch", i)
-		}
 	}
 }
 
@@ -206,11 +81,10 @@ func TestErrorRoundTrip(t *testing.T) {
 		{dynamo.ErrNoSuchIndex, storage.ErrNoSuchIndex, "noindex"},
 	}
 	for _, c := range cases {
-		e := &encoder{}
+		e := codec.NewEncoder(64)
 		encodeError(e, c.err)
-		d := &decoder{b: e.b}
-		code, _ := d.u8()
-		got := decodeError(code, d)
+		d := codec.NewDecoder(e.Body())
+		got := decodeError(d.U8(), d)
 		if !errors.Is(got, c.is) {
 			t.Errorf("%s: decoded %v does not match sentinel", c.name, got)
 		}
@@ -221,11 +95,10 @@ func TestErrorRoundTrip(t *testing.T) {
 
 	// Canceled transactions keep their positional reasons.
 	tce := &dynamo.TxCanceledError{Reasons: []error{nil, dynamo.ErrConditionFailed, errors.New("boom")}}
-	e := &encoder{}
+	e := codec.NewEncoder(64)
 	encodeError(e, tce)
-	d := &decoder{b: e.b}
-	code, _ := d.u8()
-	got := decodeError(code, d)
+	d := codec.NewDecoder(e.Body())
+	got := decodeError(d.U8(), d)
 	var gotTce *dynamo.TxCanceledError
 	if !errors.As(got, &gotTce) {
 		t.Fatalf("decoded %T, want TxCanceledError", got)
@@ -246,9 +119,9 @@ func TestMetricsRoundTrip(t *testing.T) {
 	m.CondFailures.Add(1)
 	m.BytesWritten.Add(77)
 	want := m.Snapshot()
-	e := &encoder{}
+	e := codec.NewEncoder(64)
 	encodeMetrics(e, want)
-	got, err := decodeMetrics(&decoder{b: e.b})
+	got, err := decodeMetrics(codec.NewDecoder(e.Body()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,15 +130,73 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecoderTruncation: every decoder entry point fails cleanly (no panic,
-// no giant allocation) on arbitrary prefixes of a valid encoding.
+// TestDecoderTruncation: a request cut short anywhere is refused as a
+// protocol error before the backend sees any of it, and a cut error or
+// metrics reply is a protocol error too — no panic, no half-decoded field
+// acted on. (The backend here has no table "t": a request that reached it
+// would come back ErrNoSuchTable, not ErrProtocol.)
 func TestDecoderTruncation(t *testing.T) {
-	e := &encoder{}
-	e.item(dynamo.Item{"K": dynamo.S("key"), "L": dynamo.L(dynamo.NInt(1), dynamo.S("two"))})
-	full := e.b
-	for n := 0; n < len(full); n++ {
-		if _, err := (&decoder{b: full[:n]}).item(); err == nil {
-			t.Fatalf("truncated item at %d decoded successfully", n)
+	srv := NewServer(dynamo.NewStore(), ServeOptions{})
+	key, cond := dynamo.HK(dynamo.S("k")), dynamo.Eq(dynamo.A("V"), dynamo.NInt(1))
+	requests := map[byte]func(e *codec.Encoder){
+		opCreateTable: func(e *codec.Encoder) { e.Schema(dynamo.Schema{Name: "t", HashKey: "K"}) },
+		opGetProj: func(e *codec.Encoder) {
+			e.Str("t")
+			e.Key(key)
+			e.Paths([]dynamo.Path{dynamo.A("V")})
+		},
+		opPut: func(e *codec.Encoder) {
+			e.Str("t")
+			e.Item(dynamo.Item{"K": dynamo.S("k"), "L": dynamo.L(dynamo.NInt(1), dynamo.S("two"))})
+			e.Cond(cond)
+		},
+		opUpdate: func(e *codec.Encoder) {
+			e.Str("t")
+			e.Key(key)
+			e.Cond(cond)
+			e.Updates([]dynamo.Update{dynamo.Add(dynamo.A("V"), 1)})
+		},
+		opQueryIndex: func(e *codec.Encoder) {
+			e.Str("t")
+			e.Str("ix")
+			e.Value(dynamo.S("h"))
+			e.QueryOpts(dynamo.QueryOpts{Filter: cond, Limit: 3})
+		},
+		opTransactWrite: func(e *codec.Encoder) {
+			e.Str("req-1")
+			e.TxOps([]dynamo.TxOp{{Table: "t", Key: key, Cond: cond, Delete: true}})
+		},
+		opWatch: func(e *codec.Encoder) {
+			e.U64(1)
+			e.Str("t")
+			e.Value(dynamo.S("h"))
+		},
+	}
+	for op, enc := range requests {
+		e := codec.NewEncoder(64)
+		enc(e)
+		for n := 0; n < e.Len(); n++ {
+			pctx := &pushCtx{watches: make(map[uint64]storage.Subscription)}
+			err := srv.handle(pctx, op, codec.NewDecoder(e.Body()[:n]), codec.NewEncoder(64))
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("%s cut to %d of %d bytes: %v", opName(op), n, e.Len(), err)
+			}
+		}
+	}
+
+	e := codec.NewEncoder(64)
+	encodeError(e, &dynamo.TxCanceledError{Reasons: []error{nil, dynamo.ErrConditionFailed}})
+	for n := 1; n < e.Len(); n++ {
+		d := codec.NewDecoder(e.Body()[:n])
+		if err := decodeError(d.U8(), d); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("error reply cut to %d of %d bytes: %v", n, e.Len(), err)
+		}
+	}
+	e = codec.NewEncoder(64)
+	encodeMetrics(e, (&dynamo.Metrics{}).Snapshot())
+	for n := 0; n < e.Len(); n++ {
+		if _, err := decodeMetrics(codec.NewDecoder(e.Body()[:n])); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("metrics reply cut to %d of %d bytes: %v", n, e.Len(), err)
 		}
 	}
 }

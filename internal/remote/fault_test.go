@@ -6,6 +6,7 @@ package remote
 // surfacing ErrUnavailable. Everything runs over real loopback TCP.
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/dynamo"
 	"repro/internal/storage"
+	"repro/internal/storage/codec"
 )
 
 // hookBackend wraps a backend with per-op interception hooks.
@@ -95,27 +97,16 @@ func TestServerSurvivesGarbage(t *testing.T) {
 		func(c net.Conn) { c.Write([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4}) },
 		// A well-formed header whose body never arrives (torn frame).
 		func(c net.Conn) {
-			var b []byte
-			e := &encoder{}
-			e.b = append(e.b, Magic...)
-			e.u16(Version)
-			hdr := make([]byte, frameHeaderLen)
-			putFrameHeader(hdr, e.b)
-			b = append(append(b, hdr...), e.b[:len(e.b)-2]...)
-			c.Write(b)
+			hello := newHello().Frame()
+			c.Write(hello[:len(hello)-2])
 		},
 		// A valid handshake, then a frame whose CRC lies.
 		func(c net.Conn) {
-			e := &encoder{}
-			e.b = append(e.b, Magic...)
-			e.u16(Version)
-			writeFrame(c, e.b)
+			c.Write(newHello().Frame())
 			readFrame(c) // server hello
-			body := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-			hdr := make([]byte, frameHeaderLen)
-			putFrameHeader(hdr, body)
-			body[3] ^= 0x80 // corrupt after checksumming
-			c.Write(append(hdr, body...))
+			frame := frameOf([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+			frame[codec.FrameHeaderLen+3] ^= 0x80 // corrupt after checksumming
+			c.Write(frame)
 		},
 	}
 	for i, p := range poison {
@@ -136,6 +127,62 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	if got := srv.Stats().ProtocolErrors.Load(); got < 3 {
 		t.Errorf("ProtocolErrors = %d, want >= 3", got)
 	}
+
+	// CRC-valid requests whose payload nests 4 Mi levels deep — 8 MiB, well
+	// inside maxFrameBody, hand-built because no encoder survives building
+	// them. The decoder recursed once per level until the runtime killed the
+	// whole server with "fatal error: stack overflow"; now each is a bad
+	// request like any other undecodable payload.
+	const depth = 4 << 20
+	deep := map[string]func(e *codec.Encoder){
+		"put whose item nests": func(e *codec.Encoder) {
+			e.U8(opPut)
+			e.Str("t")
+			e.Int(1) // one attribute
+			e.Str("K")
+			e.Raw(string(bytes.Repeat([]byte{byte(dynamo.KindList), 1}, depth)))
+			e.U8(byte(dynamo.KindNull))
+			e.Cond(nil)
+		},
+		"update whose condition nests": func(e *codec.Encoder) {
+			e.U8(opUpdate)
+			e.Str("t")
+			e.Key(dynamo.HK(dynamo.S("a")))
+			e.U8(1) // a condition follows
+			e.Raw(string(bytes.Repeat([]byte{byte(dynamo.CondNot), 1}, depth)))
+			e.U8(byte(dynamo.CondTrue))
+			e.Updates(nil)
+		},
+	}
+	for name, payload := range deep {
+		before := srv.Stats().ProtocolErrors.Load()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		conn.Write(newHello().Frame())
+		readFrame(conn) // server hello
+		e := codec.NewEncoder(2*depth + 64)
+		e.U64(7)
+		payload(e)
+		conn.Write(e.Frame())
+		body, err := readFrame(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: no reply: %v", name, err)
+		}
+		d := codec.NewDecoder(body)
+		if id, code := d.U64(), d.U8(); id != 7 || code != codeBadRequest {
+			t.Errorf("%s: reply id %d code %d, want a bad request", name, id, code)
+		}
+		if got := srv.Stats().ProtocolErrors.Load(); got <= before {
+			t.Errorf("%s: ProtocolErrors stayed at %d", name, got)
+		}
+		if _, ok, err := client.Get("t", dynamo.HK(dynamo.S("a"))); err != nil || !ok {
+			t.Errorf("%s: Get from another client afterwards = %v %v", name, ok, err)
+		}
+	}
 }
 
 // TestHandshakeVersionMismatch: skewed peers refuse each other with
@@ -149,23 +196,22 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	e := &encoder{}
-	e.b = append(e.b, Magic...)
-	e.u16(Version + 7)
-	if err := writeFrame(conn, e.b); err != nil {
+	future := func() *codec.Encoder {
+		e := codec.NewEncoder(32)
+		e.Raw(Magic)
+		e.U16(Version + 7)
+		return e
+	}
+	if _, err := conn.Write(future().Frame()); err != nil {
 		t.Fatal(err)
 	}
 	body, err := readFrame(conn)
 	if err != nil {
 		t.Fatalf("refusal frame: %v", err)
 	}
-	d := &decoder{b: body[len(Magic):]}
-	if _, err := d.u16(); err != nil {
-		t.Fatal(err)
-	}
-	ok, _ := d.bool()
-	if ok {
-		t.Error("server accepted a future protocol version")
+	d := codec.NewDecoder(body)
+	if ver, ok := readHello(d), d.Bool(); d.Err() != nil || ver != Version || ok {
+		t.Errorf("server answered a future protocol version with version %d, accepted %v (%v)", ver, ok, d.Err())
 	}
 
 	// Server from the future: Dial fails with ErrVersionMismatch.
@@ -181,12 +227,10 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		}
 		defer c.Close()
 		readFrame(c)
-		e := &encoder{}
-		e.b = append(e.b, Magic...)
-		e.u16(Version + 7)
-		e.u8(0)
-		e.str("too new")
-		writeFrame(c, e.b)
+		e := future()
+		e.Bool(false)
+		e.Str("too new")
+		c.Write(e.Frame())
 	}()
 	if _, err := Dial(lis.Addr().String(), Options{Retries: -1}); !errors.Is(err, ErrVersionMismatch) {
 		t.Errorf("dial future server: %v", err)

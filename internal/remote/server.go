@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/storage/codec"
 )
 
 // DefaultDedupWindow is how many TransactWrite request ids the server
@@ -225,14 +226,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		s.stats.BytesRead.Add(int64(len(body)))
-		d := &decoder{b: body}
-		id, err := d.u64()
-		if err != nil {
-			s.stats.ProtocolErrors.Add(1)
-			return
-		}
-		op, err := d.u8()
-		if err != nil {
+		d := codec.NewDecoder(body)
+		id, op := d.U64(), d.U8()
+		if d.Err() != nil {
 			s.stats.ProtocolErrors.Add(1)
 			return
 		}
@@ -242,15 +238,22 @@ func (s *Server) serveConn(conn net.Conn) {
 			if s.opts.Delay > 0 {
 				time.Sleep(s.opts.Delay)
 			}
-			resp := s.dispatch(pctx, id, op, d)
-			pctx.writeMu.Lock()
-			err := writeFrame(conn, resp)
-			pctx.writeMu.Unlock()
-			if err == nil {
-				s.stats.BytesWritten.Add(int64(len(resp)))
-			}
+			s.dispatch(pctx, id, op, d)
 		}()
 	}
+}
+
+// send frames e's body in place and writes it in one Write call under the
+// connection's write lock, so responses and events leave as whole frames.
+func (s *Server) send(pctx *pushCtx, e *codec.Encoder) error {
+	frame := e.Frame()
+	pctx.writeMu.Lock()
+	_, err := pctx.conn.Write(frame)
+	pctx.writeMu.Unlock()
+	if err == nil {
+		s.stats.BytesWritten.Add(int64(e.Len()))
+	}
+	return err
 }
 
 // pushCtx is one connection's server-push state: the write lock every frame
@@ -312,21 +315,17 @@ func (p *pushCtx) closeAll() {
 func (s *Server) pushEvents(pctx *pushCtx, watchID uint64, sub storage.Subscription) {
 	defer pctx.handlers.Done()
 	for ev := range sub.Events() {
-		e := &encoder{}
-		e.u64(watchID)
-		e.u8(codeEvent)
-		e.str(ev.Table)
-		e.value(ev.Hash)
-		e.u64(ev.Seq)
-		pctx.writeMu.Lock()
-		err := writeFrame(pctx.conn, e.b)
-		pctx.writeMu.Unlock()
-		if err != nil {
+		e := codec.NewEncoder(64)
+		e.U64(watchID)
+		e.U8(codeEvent)
+		e.Str(ev.Table)
+		e.Value(ev.Hash)
+		e.U64(ev.Seq)
+		if s.send(pctx, e) != nil {
 			pctx.remove(watchID)
 			sub.Close()
 			return
 		}
-		s.stats.BytesWritten.Add(int64(len(e.b)))
 	}
 }
 
@@ -338,334 +337,224 @@ func (s *Server) handshake(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	d := &decoder{b: body}
-	magic := make([]byte, len(Magic))
-	for i := range magic {
-		if magic[i], err = d.u8(); err != nil {
-			return err
-		}
-	}
-	if string(magic) != Magic {
-		return fmt.Errorf("%w: bad magic %q", ErrProtocol, magic)
-	}
-	ver, err := d.u16()
-	if err != nil {
+	d := codec.NewDecoder(body)
+	ver := readHello(d)
+	if err := decodeErr(d); err != nil {
 		return err
 	}
-	e := &encoder{}
-	e.b = append(e.b, Magic...)
-	e.u16(Version)
+	e := newHello()
 	if ver != Version {
-		e.u8(0)
-		e.str(fmt.Sprintf("server speaks version %d, client sent %d", Version, ver))
-		writeFrame(conn, e.b)
+		e.Bool(false)
+		e.Str(fmt.Sprintf("server speaks version %d, client sent %d", Version, ver))
+		conn.Write(e.Frame())
 		return fmt.Errorf("%w: client version %d", ErrVersionMismatch, ver)
 	}
-	e.u8(1)
-	e.str("")
-	return writeFrame(conn, e.b)
+	e.Bool(true)
+	e.Str("")
+	_, err = conn.Write(e.Frame())
+	return err
 }
 
-// dispatch executes one request and returns the encoded response body.
-func (s *Server) dispatch(pctx *pushCtx, id uint64, op byte, d *decoder) []byte {
+// dispatch executes one request and sends the response: [u64 id][u8 code]
+// and then what handle wrote behind them, or — cut back to the id — the
+// structured error it returned.
+func (s *Server) dispatch(pctx *pushCtx, id uint64, op byte, d *codec.Decoder) {
 	s.stats.RPCs.Add(1)
-	e := &encoder{b: make([]byte, 0, 64)}
-	e.u64(id)
-	payload, err := s.handle(pctx, op, d)
-	if err != nil {
+	e := codec.NewEncoder(64)
+	e.U64(id)
+	mark := e.Len()
+	e.U8(codeOK)
+	if err := s.handle(pctx, op, d, e); err != nil {
 		s.stats.Errors.Add(1)
 		if errors.Is(err, ErrProtocol) {
 			s.stats.ProtocolErrors.Add(1)
-			e.u8(codeBadRequest)
-			e.str(err.Error())
-			return e.b
 		}
+		e.Truncate(mark)
 		encodeError(e, err)
-		return e.b
 	}
-	e.u8(codeOK)
-	e.b = append(e.b, payload...)
-	return e.b
+	s.send(pctx, e)
 }
 
-// handle decodes one request payload, runs it against the backend, and
-// encodes the result payload.
-func (s *Server) handle(pctx *pushCtx, op byte, d *decoder) ([]byte, error) {
-	e := &encoder{}
+// handle decodes one request payload from d, runs it against the backend,
+// and encodes the result payload into e. Each opcode reads its whole payload
+// and checks it once, before the backend sees any of it; whatever is in e
+// when an error is returned, dispatch cuts away.
+func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encoder) error {
 	switch op {
 	case opPing:
-		return nil, nil
+		return nil
 
 	case opCreateTable:
-		sch, err := d.schema()
-		if err != nil {
-			return nil, err
+		sch := d.Schema()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
-		return nil, s.backend.CreateTable(sch)
+		return s.backend.CreateTable(sch)
 
 	case opDeleteTable:
-		name, err := d.str()
-		if err != nil {
-			return nil, err
+		name := d.Str()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
-		return nil, s.backend.DeleteTable(name)
+		return s.backend.DeleteTable(name)
 
 	case opTableNames:
 		names := s.backend.TableNames()
-		e.uvarint(uint64(len(names)))
+		e.Int(len(names))
 		for _, n := range names {
-			e.str(n)
+			e.Str(n)
 		}
-		return e.b, nil
+		return nil
 
-	case opTableShards:
-		name, err := d.str()
-		if err != nil {
-			return nil, err
+	case opTableShards, opTableBytes, opTableItemCount:
+		name := d.Str()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
-		n, err := s.backend.TableShards(name)
-		if err != nil {
-			return nil, err
+		var n int
+		var err error
+		switch op {
+		case opTableShards:
+			n, err = s.backend.TableShards(name)
+		case opTableBytes:
+			n, err = s.backend.TableBytes(name)
+		default:
+			n, err = s.backend.TableItemCount(name)
 		}
-		e.uvarint(uint64(n))
-		return e.b, nil
+		e.Int(n)
+		return err
 
 	case opTableSchema:
-		name, err := d.str()
-		if err != nil {
-			return nil, err
+		name := d.Str()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
 		sch, err := s.backend.TableSchema(name)
-		if err != nil {
-			return nil, err
-		}
-		e.schema(sch)
-		return e.b, nil
-
-	case opTableBytes:
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		n, err := s.backend.TableBytes(name)
-		if err != nil {
-			return nil, err
-		}
-		e.uvarint(uint64(n))
-		return e.b, nil
-
-	case opTableItemCount:
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		n, err := s.backend.TableItemCount(name)
-		if err != nil {
-			return nil, err
-		}
-		e.uvarint(uint64(n))
-		return e.b, nil
+		e.Schema(sch)
+		return err
 
 	case opGet, opGetProj:
-		table, err := d.str()
-		if err != nil {
-			return nil, err
+		table, key := d.Str(), d.Key()
+		var proj []storage.Path
+		if op == opGetProj {
+			proj = d.Paths()
 		}
-		key, err := d.key()
-		if err != nil {
-			return nil, err
+		if err := decodeErr(d); err != nil {
+			return err
 		}
 		var it storage.Item
 		var ok bool
+		var err error
 		if op == opGetProj {
-			proj, perr := d.paths()
-			if perr != nil {
-				return nil, perr
-			}
 			it, ok, err = s.backend.GetProj(table, key, proj)
 		} else {
 			it, ok, err = s.backend.Get(table, key)
 		}
-		if err != nil {
-			return nil, err
-		}
-		e.bool(ok)
+		e.Bool(ok)
 		if ok {
-			e.item(it)
+			e.Item(it)
 		}
-		return e.b, nil
+		return err
 
 	case opPut:
-		table, err := d.str()
-		if err != nil {
-			return nil, err
+		table, it, cond := d.Str(), d.Item(), d.Cond()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
-		it, err := d.item()
-		if err != nil {
-			return nil, err
-		}
-		cond, err := d.cond()
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.backend.Put(table, it, cond)
+		return s.backend.Put(table, it, cond)
 
 	case opUpdate:
-		table, err := d.str()
-		if err != nil {
-			return nil, err
+		table, key, cond, ups := d.Str(), d.Key(), d.Cond(), d.Updates()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
-		key, err := d.key()
-		if err != nil {
-			return nil, err
-		}
-		cond, err := d.cond()
-		if err != nil {
-			return nil, err
-		}
-		ups, err := d.updates()
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.backend.Update(table, key, cond, ups...)
+		return s.backend.Update(table, key, cond, ups...)
 
 	case opDelete:
-		table, err := d.str()
-		if err != nil {
-			return nil, err
+		table, key, cond := d.Str(), d.Key(), d.Cond()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
-		key, err := d.key()
-		if err != nil {
-			return nil, err
-		}
-		cond, err := d.cond()
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.backend.Delete(table, key, cond)
+		return s.backend.Delete(table, key, cond)
 
-	case opQuery:
-		table, err := d.str()
-		if err != nil {
-			return nil, err
+	case opQuery, opQueryIndex:
+		table, index := d.Str(), ""
+		if op == opQueryIndex {
+			index = d.Str()
 		}
-		hash, err := d.value()
-		if err != nil {
-			return nil, err
+		hash, opts := d.Value(), d.QueryOpts()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
-		opts, err := d.queryOpts()
-		if err != nil {
-			return nil, err
+		var rows []storage.Item
+		var err error
+		if op == opQueryIndex {
+			rows, err = s.backend.QueryIndex(table, index, hash, opts)
+		} else {
+			rows, err = s.backend.Query(table, hash, opts)
 		}
-		rows, err := s.backend.Query(table, hash, opts)
-		if err != nil {
-			return nil, err
-		}
-		e.items(rows)
-		return e.b, nil
-
-	case opQueryIndex:
-		table, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		index, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		hash, err := d.value()
-		if err != nil {
-			return nil, err
-		}
-		opts, err := d.queryOpts()
-		if err != nil {
-			return nil, err
-		}
-		rows, err := s.backend.QueryIndex(table, index, hash, opts)
-		if err != nil {
-			return nil, err
-		}
-		e.items(rows)
-		return e.b, nil
+		e.Items(rows)
+		return err
 
 	case opScan:
-		table, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		opts, err := d.queryOpts()
-		if err != nil {
-			return nil, err
+		table, opts := d.Str(), d.QueryOpts()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
 		rows, err := s.backend.Scan(table, opts)
-		if err != nil {
-			return nil, err
-		}
-		e.items(rows)
-		return e.b, nil
+		e.Items(rows)
+		return err
 
 	case opTransactWrite:
-		reqID, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		ops, err := d.txOps()
-		if err != nil {
-			return nil, err
+		reqID, ops := d.Str(), d.TxOps()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
 		if reqID == "" {
-			return nil, s.backend.TransactWrite(ops)
+			return s.backend.TransactWrite(ops)
 		}
 		txErr, hit := s.dedup.do(reqID, func() error { return s.backend.TransactWrite(ops) })
 		if hit {
 			s.stats.DedupHits.Add(1)
 		}
-		return nil, txErr
+		return txErr
 
 	case opMetrics:
 		encodeMetrics(e, s.backend.Metrics().Snapshot())
-		return e.b, nil
+		return nil
 
 	case opWatch:
-		watchID, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		table, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		hash, err := d.value()
-		if err != nil {
-			return nil, err
+		watchID, table, hash := d.U64(), d.Str(), d.Value()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
 		w, ok := s.backend.(storage.Watcher)
 		if !ok {
-			return nil, fmt.Errorf("remote: backend %T does not support watch", s.backend)
+			return fmt.Errorf("remote: backend %T does not support watch", s.backend)
 		}
 		sub, err := w.Watch(table, hash)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !pctx.add(watchID, sub) {
 			sub.Close()
-			return nil, fmt.Errorf("%w: watch id %d rejected (duplicate or connection closing)", ErrProtocol, watchID)
+			return fmt.Errorf("%w: watch id %d rejected (duplicate or connection closing)", ErrProtocol, watchID)
 		}
 		pctx.handlers.Add(1)
 		go s.pushEvents(pctx, watchID, sub)
-		return nil, nil
+		return nil
 
 	case opUnwatch:
-		watchID, err := d.u64()
-		if err != nil {
-			return nil, err
+		watchID := d.U64()
+		if err := decodeErr(d); err != nil {
+			return err
 		}
 		if sub := pctx.remove(watchID); sub != nil {
 			sub.Close()
 		}
-		return nil, nil
+		return nil
 	}
-	return nil, fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
+	return fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
 }
 
 // dedupWindow remembers recent TransactWrite request ids and their

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/storage/codec"
 )
 
 // Client-side commit-stream watch: Watch registers a subscription on the
@@ -65,10 +66,7 @@ func (w *clientSub) Close() {
 	if !live {
 		return
 	}
-	w.client.callOn(w.pc, opUnwatch, func(e *encoder) error {
-		e.u64(w.id)
-		return nil
-	})
+	w.client.callOn(w.pc, opUnwatch, func(e *codec.Encoder) { e.U64(w.id) })
 }
 
 func (w *clientSub) String() string { return fmt.Sprintf("remote-watch(%d)", w.id) }
@@ -103,18 +101,15 @@ func (p *poolConn) dropWatch(w *clientSub) bool {
 // callOn runs one RPC on a specific pooled connection, with no cross-
 // connection retries — watch registration must land on the connection whose
 // readLoop will carry the events.
-func (c *Client) callOn(pc *poolConn, op byte, enc func(*encoder) error) (*decoder, error) {
+func (c *Client) callOn(pc *poolConn, op byte, enc func(*codec.Encoder)) (*codec.Decoder, error) {
 	if c.isClosed() {
 		return nil, ErrClosed
 	}
-	id := c.reqSeq.Add(1)
-	e := &encoder{b: make([]byte, frameHeaderLen, 128)}
-	e.u64(id)
-	e.u8(op)
-	if err := enc(e); err != nil {
+	id, frame, err := c.request(op, enc)
+	if err != nil {
 		return nil, err
 	}
-	body, err := pc.attempt(id, frameInPlace(e.b), c.opts.OpTimeout)
+	res, err := pc.attempt(id, frame, c.opts.OpTimeout)
 	if err != nil {
 		ae := err.(attemptErr)
 		if errors.Is(ae.err, ErrClosed) || errors.Is(ae.err, ErrUnavailable) {
@@ -122,15 +117,7 @@ func (c *Client) callOn(pc *poolConn, op byte, enc func(*encoder) error) (*decod
 		}
 		return nil, fmt.Errorf("%w: %s: %v", ErrUnavailable, opName(op), ae.err)
 	}
-	d := &decoder{b: body}
-	code, cerr := d.u8()
-	if cerr != nil {
-		return nil, cerr
-	}
-	if code != codeOK {
-		return nil, decodeError(code, d)
-	}
-	return d, nil
+	return res.payload()
 }
 
 // Watch implements storage.Watcher over the wire: the subscription is
@@ -150,11 +137,10 @@ func (c *Client) Watch(table string, hash storage.Value) (storage.Subscription, 
 		ch:     make(chan storage.CommitEvent, storage.DefaultWatchBuffer),
 	}
 	pc.addWatch(w)
-	_, err := c.callOn(pc, opWatch, func(e *encoder) error {
-		e.u64(w.id)
-		e.str(table)
-		e.value(hash)
-		return nil
+	_, err := c.callOn(pc, opWatch, func(e *codec.Encoder) {
+		e.U64(w.id)
+		e.Str(table)
+		e.Value(hash)
 	})
 	if err != nil {
 		pc.dropWatch(w)

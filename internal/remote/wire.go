@@ -8,10 +8,12 @@
 //
 // The protocol is stdlib-only and deliberately small:
 //
-//   - Every record is framed [u32 length][u32 crc32c][body] (the walstore
-//     framing idiom), bodies are a deterministic binary encoding of the
-//     storage data model, and a torn or corrupt frame kills only the one
-//     connection — the client reconnects and retries what is safe to retry.
+//   - Every message is one internal/storage/codec frame — the WAL's framing
+//     and the WAL's encoding of the storage data model, documented there —
+//     around this package's envelope (a request id and an opcode or result
+//     code, below). A torn or corrupt frame, or a body that does not decode,
+//     kills only the one connection or fails only the one request — the
+//     client reconnects and retries what is safe to retry.
 //   - Connections open with a versioned handshake, then carry pipelined
 //     request/response pairs matched by request id; the server executes
 //     requests concurrently, so one slow Scan never queues behind a Put.
@@ -28,11 +30,11 @@
 package remote
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"repro/internal/storage/codec"
 )
 
 // Protocol constants.
@@ -48,12 +50,6 @@ const (
 // protocol corruption (a torn stream read as garbage) and kill the
 // connection rather than the process.
 const maxFrameBody = 64 << 20
-
-// frameHeaderLen is the fixed per-record framing overhead.
-const frameHeaderLen = 8
-
-// castagnoli is the CRC-32C table covering every frame body.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Typed errors the client surfaces. ErrUnavailable wraps every failure to
 // reach or keep a server (dial refused, retry budget exhausted, ambiguous
@@ -144,44 +140,40 @@ func opName(op byte) string {
 	return fmt.Sprintf("op%d", op)
 }
 
-// putFrameHeader fills an 8-byte header for body.
-func putFrameHeader(hdr, body []byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
+// readFrame reads one frame's body off a connection. A clean EOF, or an I/O
+// failure before a frame starts, comes back as it is; a frame that is too
+// long, cut short or fails its CRC is an ErrProtocol.
+func readFrame(r io.Reader) ([]byte, error) {
+	body, err := codec.ReadFrame(r, maxFrameBody)
+	return body, protoErr(err)
 }
 
-// writeFrame frames body and writes it to w in one Write call (so a
-// concurrent writer holding the connection's write lock emits whole
-// records).
-func writeFrame(w io.Writer, body []byte) error {
-	frame := make([]byte, frameHeaderLen+len(body))
-	putFrameHeader(frame[:frameHeaderLen], body)
-	copy(frame[frameHeaderLen:], body)
-	_, err := w.Write(frame)
+// protoErr reports a codec failure — a bad frame, a body that does not
+// decode, an expression with no encoding — as the protocol error it is on
+// this seam. Any other error, and nil, pass through.
+func protoErr(err error) error {
+	if errors.Is(err, codec.ErrFormat) {
+		return fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
 	return err
 }
 
-// readFrame reads one framed body from r, verifying the length bound and
-// CRC. Errors other than a clean EOF at a frame boundary wrap ErrProtocol
-// or the underlying I/O failure.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// decodeErr is the once-per-message check on a request or reply body.
+func decodeErr(d *codec.Decoder) error { return protoErr(d.Err()) }
+
+// newHello starts a handshake body, [magic][u16 version]; the server's
+// answer goes on with [bool accepted][str reason].
+func newHello() *codec.Encoder {
+	e := codec.NewEncoder(32)
+	e.Raw(Magic)
+	e.U16(Version)
+	return e
+}
+
+// readHello checks the magic and returns the peer's version.
+func readHello(d *codec.Decoder) uint16 {
+	if magic := d.Raw(len(Magic)); d.Err() == nil && string(magic) != Magic {
+		d.Failf("bad magic %q", magic)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFrameBody {
-		return nil, fmt.Errorf("%w: frame length %d exceeds %d", ErrProtocol, n, maxFrameBody)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("%w: truncated frame: %v", ErrProtocol, err)
-	}
-	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
-		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrProtocol)
-	}
-	return body, nil
+	return d.U16()
 }

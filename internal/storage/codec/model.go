@@ -1,0 +1,348 @@
+package codec
+
+import (
+	"sort"
+
+	"repro/internal/dynamo"
+)
+
+// sortedKeys lists m's keys in the order they are written.
+func sortedKeys(m map[string]dynamo.Value) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Value appends a kind-tagged value.
+func (e *Encoder) Value(v dynamo.Value) {
+	e.U8(byte(v.Kind()))
+	switch v.Kind() {
+	case dynamo.KindString:
+		e.Str(v.Str())
+	case dynamo.KindNumber:
+		e.F64(v.Num())
+	case dynamo.KindBool:
+		e.Bool(v.BoolVal())
+	case dynamo.KindBytes:
+		e.Int(len(v.BytesVal()))
+		e.b = append(e.b, v.BytesVal()...)
+	case dynamo.KindList:
+		e.Int(len(v.List()))
+		for _, el := range v.List() {
+			e.Value(el)
+		}
+	case dynamo.KindMap:
+		e.Item(v.Map())
+	}
+}
+
+// Item appends a row — or a map value's entries, which are encoded alike —
+// in sorted key order.
+func (e *Encoder) Item(it dynamo.Item) {
+	keys := sortedKeys(it)
+	e.Int(len(keys))
+	for _, k := range keys {
+		e.Str(k)
+		e.Value(it[k])
+	}
+}
+
+// Items appends a row count and the rows.
+func (e *Encoder) Items(its []dynamo.Item) {
+	e.Int(len(its))
+	for _, it := range its {
+		e.Item(it)
+	}
+}
+
+// Key appends a primary key: hash value, then sort value (null when absent).
+func (e *Encoder) Key(k dynamo.Key) {
+	e.Value(k.Hash)
+	e.Value(k.Sort)
+}
+
+// Path appends an attribute path.
+func (e *Encoder) Path(p dynamo.Path) {
+	e.Str(p.Attr)
+	e.Str(p.MapKey)
+}
+
+// Paths appends a projection.
+func (e *Encoder) Paths(ps []dynamo.Path) {
+	e.Int(len(ps))
+	for _, p := range ps {
+		e.Path(p)
+	}
+}
+
+// Schema appends a table schema.
+func (e *Encoder) Schema(s dynamo.Schema) {
+	e.Str(s.Name)
+	e.Str(s.HashKey)
+	e.Str(s.SortKey)
+	e.Int(s.MaxItemSize)
+	e.Int(s.Shards)
+	e.Int(len(s.Indexes))
+	for _, ix := range s.Indexes {
+		e.Str(ix.Name)
+		e.Str(ix.HashKey)
+		e.Str(ix.SortKey)
+	}
+}
+
+// Cond appends an optional condition: a presence byte, then the tree
+// dynamo.DescribeCond gives for it.
+func (e *Encoder) Cond(c dynamo.Cond) {
+	if c == nil {
+		e.U8(0)
+		return
+	}
+	cd, ok := dynamo.DescribeCond(c)
+	if !ok && e.err == nil {
+		e.err = errorf("condition %s is not serializable (foreign Cond implementation)", c)
+	}
+	e.U8(1)
+	e.condDesc(cd)
+}
+
+func (e *Encoder) condDesc(cd dynamo.CondDesc) {
+	e.U8(byte(cd.Kind))
+	switch cd.Kind {
+	case dynamo.CondExists, dynamo.CondNotExists:
+		e.Path(cd.Path)
+	case dynamo.CondCmp:
+		e.Path(cd.Path)
+		e.Str(cd.Op)
+		e.Value(cd.Value)
+	case dynamo.CondAnd, dynamo.CondOr, dynamo.CondNot:
+		e.Int(len(cd.Subs))
+		for _, sub := range cd.Subs {
+			e.condDesc(sub)
+		}
+	}
+}
+
+// Updates appends an update expression: a count, then each action as
+// dynamo.DescribeUpdate gives it.
+func (e *Encoder) Updates(us []dynamo.Update) {
+	e.Int(len(us))
+	for _, u := range us {
+		ud, ok := dynamo.DescribeUpdate(u)
+		if !ok && e.err == nil {
+			e.err = errorf("update %s is not serializable (foreign Update implementation)", u)
+		}
+		e.U8(byte(ud.Kind))
+		e.Path(ud.Path)
+		switch ud.Kind {
+		case dynamo.UpdateSet:
+			e.Value(ud.Value)
+		case dynamo.UpdateAdd:
+			e.F64(ud.Delta)
+		}
+	}
+}
+
+// QueryOpts appends the options of a Query, QueryIndex or Scan.
+func (e *Encoder) QueryOpts(o dynamo.QueryOpts) {
+	e.Cond(o.Filter)
+	e.Paths(o.Projection)
+	e.Int(o.Limit)
+	e.Bool(o.Descending)
+}
+
+// TxOps appends the operations of a TransactWrite.
+func (e *Encoder) TxOps(ops []dynamo.TxOp) {
+	e.Int(len(ops))
+	for _, op := range ops {
+		e.Str(op.Table)
+		e.Key(op.Key)
+		e.Cond(op.Cond)
+		e.Bool(op.Put != nil)
+		if op.Put != nil {
+			e.Item(op.Put)
+		}
+		e.Updates(op.Updates)
+		e.Bool(op.Delete)
+		e.Bool(op.Check)
+	}
+}
+
+// Value reads a kind-tagged value.
+func (d *Decoder) Value() dynamo.Value {
+	switch kind := dynamo.Kind(d.U8()); kind {
+	case dynamo.KindNull:
+	case dynamo.KindString:
+		return dynamo.S(d.Str())
+	case dynamo.KindNumber:
+		return dynamo.N(d.F64())
+	case dynamo.KindBool:
+		return dynamo.Bool(d.Bool())
+	case dynamo.KindBytes:
+		p := d.take(d.Uvarint())
+		b := make([]byte, len(p))
+		copy(b, p)
+		return dynamo.Bytes(b)
+	case dynamo.KindList:
+		if !d.nest() {
+			break
+		}
+		l := make([]dynamo.Value, d.Count())
+		for i := 0; i < len(l) && d.err == nil; i++ {
+			l[i] = d.Value()
+		}
+		d.depth--
+		return result(d, dynamo.L(l...))
+	case dynamo.KindMap:
+		if !d.nest() {
+			break
+		}
+		m := d.Item()
+		d.depth--
+		return result(d, dynamo.M(m))
+	default:
+		d.Failf("unknown value kind %d", kind)
+	}
+	return dynamo.Null
+}
+
+// Item reads a row, or a map value's entries.
+func (d *Decoder) Item() dynamo.Item {
+	n := d.Count()
+	it := make(dynamo.Item, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		k := d.Str()
+		it[k] = d.Value()
+	}
+	return result(d, it)
+}
+
+// Items reads a row count and the rows.
+func (d *Decoder) Items() []dynamo.Item {
+	its := make([]dynamo.Item, d.Count())
+	for i := 0; i < len(its) && d.err == nil; i++ {
+		its[i] = d.Item()
+	}
+	return result(d, its)
+}
+
+// Key reads a primary key.
+func (d *Decoder) Key() dynamo.Key {
+	return dynamo.Key{Hash: d.Value(), Sort: d.Value()}
+}
+
+// Path reads an attribute path.
+func (d *Decoder) Path() dynamo.Path {
+	return dynamo.Path{Attr: d.Str(), MapKey: d.Str()}
+}
+
+// Paths reads a projection; an empty one is nil, "whole rows".
+func (d *Decoder) Paths() []dynamo.Path {
+	n := d.Count()
+	if n == 0 {
+		return nil
+	}
+	ps := make([]dynamo.Path, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		ps[i] = d.Path()
+	}
+	return result(d, ps)
+}
+
+// Schema reads a table schema; a table without indexes has nil Indexes.
+func (d *Decoder) Schema() dynamo.Schema {
+	s := dynamo.Schema{Name: d.Str(), HashKey: d.Str(), SortKey: d.Str(), MaxItemSize: d.Int(), Shards: d.Int()}
+	if n := d.Count(); n > 0 {
+		s.Indexes = make([]dynamo.IndexSchema, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			s.Indexes[i] = dynamo.IndexSchema{Name: d.Str(), HashKey: d.Str(), SortKey: d.Str()}
+		}
+	}
+	return result(d, s)
+}
+
+// Cond reads an optional condition and rebuilds it with dynamo.CondFromDesc,
+// whose refusals (an unknown comparison, a NOT without exactly one child)
+// are decoding failures like any other.
+func (d *Decoder) Cond() dynamo.Cond {
+	if d.U8() == 0 {
+		return nil
+	}
+	cd := d.condDesc()
+	if d.err != nil {
+		return nil
+	}
+	c, err := dynamo.CondFromDesc(cd)
+	if err != nil {
+		d.Failf("%v", err)
+	}
+	return c
+}
+
+func (d *Decoder) condDesc() dynamo.CondDesc {
+	cd := dynamo.CondDesc{Kind: dynamo.CondKind(d.U8())}
+	switch cd.Kind {
+	case dynamo.CondTrue:
+	case dynamo.CondExists, dynamo.CondNotExists:
+		cd.Path = d.Path()
+	case dynamo.CondCmp:
+		cd.Path, cd.Op, cd.Value = d.Path(), d.Str(), d.Value()
+	case dynamo.CondAnd, dynamo.CondOr, dynamo.CondNot:
+		if !d.nest() {
+			break
+		}
+		cd.Subs = make([]dynamo.CondDesc, d.Count())
+		for i := 0; i < len(cd.Subs) && d.err == nil; i++ {
+			cd.Subs[i] = d.condDesc()
+		}
+		d.depth--
+	default:
+		d.Failf("unknown condition kind %d", cd.Kind)
+	}
+	return cd
+}
+
+// Updates reads an update expression and rebuilds each action with
+// dynamo.UpdateFromDesc; an empty expression is nil.
+func (d *Decoder) Updates() []dynamo.Update {
+	n := d.Count()
+	if n == 0 {
+		return nil
+	}
+	us := make([]dynamo.Update, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		ud := dynamo.UpdateDesc{Kind: dynamo.UpdateKind(d.U8()), Path: d.Path()}
+		switch ud.Kind {
+		case dynamo.UpdateSet:
+			ud.Value = d.Value()
+		case dynamo.UpdateAdd:
+			ud.Delta = d.F64()
+		}
+		var err error
+		if us[i], err = dynamo.UpdateFromDesc(ud); err != nil {
+			d.Failf("%v", err)
+		}
+	}
+	return result(d, us)
+}
+
+// QueryOpts reads the options of a Query, QueryIndex or Scan.
+func (d *Decoder) QueryOpts() dynamo.QueryOpts {
+	return dynamo.QueryOpts{Filter: d.Cond(), Projection: d.Paths(), Limit: d.Int(), Descending: d.Bool()}
+}
+
+// TxOps reads the operations of a TransactWrite.
+func (d *Decoder) TxOps() []dynamo.TxOp {
+	ops := make([]dynamo.TxOp, d.Count())
+	for i := 0; i < len(ops) && d.err == nil; i++ {
+		op := &ops[i]
+		op.Table, op.Key, op.Cond = d.Str(), d.Key(), d.Cond()
+		if d.Bool() {
+			op.Put = d.Item()
+		}
+		op.Updates, op.Delete, op.Check = d.Updates(), d.Bool(), d.Bool()
+	}
+	return result(d, ops)
+}

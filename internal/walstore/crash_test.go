@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dynamo"
+	"repro/internal/storage/codec"
 )
 
 // This file is the crash matrix: deterministic damage — torn tails,
@@ -126,7 +128,7 @@ func assertRecovered(t *testing.T, dir string, want int64) {
 // boundary: mid-header, mid-body, one byte short. Each cut loses exactly
 // the torn record and nothing else.
 func TestCrashMatrixTornTail(t *testing.T) {
-	for _, cut := range []int64{1, frameHeaderLen - 1, frameHeaderLen, frameHeaderLen + 3, -1} {
+	for _, cut := range []int64{1, codec.FrameHeaderLen - 1, codec.FrameHeaderLen, codec.FrameHeaderLen + 3, -1} {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
 			frameLen := seedCounters(t, dir, 10)
@@ -167,10 +169,45 @@ func TestCrashMatrixBadCRC(t *testing.T) {
 			dir := t.TempDir()
 			frameLen := seedCounters(t, dir, 10)
 			// Flip a byte in the body of the record `depth` from the end.
-			flipByteAt(t, tailSegment(t, dir), -(depth-1)*frameLen-frameLen+frameHeaderLen+2)
+			flipByteAt(t, tailSegment(t, dir), -(depth-1)*frameLen-frameLen+codec.FrameHeaderLen+2)
 			assertRecovered(t, dir, 10-depth)
 		})
 	}
+}
+
+// TestCrashMatrixDeepNesting appends a record that is whole and CRC-valid
+// but whose one value nests 4 Mi levels deep — hand-built, 8 MiB; nothing
+// the store writes looks like it, a disk that rots into it is the point.
+// Replay used to recurse once per level until the runtime killed the
+// process with "fatal error: stack overflow"; now the record is reported as
+// corruption and truncated like a bad CRC.
+func TestCrashMatrixDeepNesting(t *testing.T) {
+	dir := t.TempDir()
+	seedCounters(t, dir, 10) // seq 1 creates the table, 2..11 count
+	e := codec.NewEncoder(64)
+	e.U64(12)
+	e.U8(recCommit)
+	e.Int(1) // one op
+	e.U8(opPut)
+	e.Str("c")
+	e.Int(1) // one attribute
+	e.Str("K")
+	e.Raw(strings.Repeat(string([]byte{byte(dynamo.KindList), 1}), 4<<20))
+	e.U8(byte(dynamo.KindNull))
+	seg, err := os.OpenFile(tailSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Write(e.Frame()); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Fsck(dir); err == nil || !strings.Contains(err.Error(), "undecodable record") {
+		t.Errorf("fsck of the damaged log = %v, want an undecodable record", err)
+	}
+	assertRecovered(t, dir, 10)
 }
 
 // TestCrashMatrixHeaderCorruption flips a length byte: the frame no longer

@@ -2,21 +2,22 @@ package walstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/dynamo"
+	"repro/internal/storage/codec"
 )
 
 // Fuzz targets for the two decode boundaries a crash hands arbitrary bytes
-// to: the record codec (decodeBody parses whatever survived inside a
-// CRC-valid frame) and the segment scanner (scanSegment walks whatever the
-// filesystem kept of a segment file). The seed corpus is real store
-// traffic plus the crash matrix's damage shapes — torn tails at the header
-// and body boundaries, and a flipped byte. CI runs a short -fuzz smoke on
-// both (see .github/workflows/ci.yml); locally:
+// to: the record envelope over the shared codec (decodeRecord parses
+// whatever survived inside a CRC-valid frame) and the segment scanner
+// (scanSegment walks whatever the filesystem kept of a segment file); the
+// codec under both has its own target, codec.FuzzDecode. The seed corpus is
+// real store traffic plus the crash matrix's damage shapes — torn tails at
+// the header and body boundaries, and a flipped byte. CI runs a short -fuzz
+// smoke on both (see .github/workflows/ci.yml); locally:
 //
 //	go test ./internal/walstore -run '^$' -fuzz FuzzSegmentRecovery -fuzztime 30s
 
@@ -64,36 +65,39 @@ func fuzzSegmentBytes(f *testing.F) []byte {
 	return data
 }
 
-// FuzzRecordFraming throws arbitrary bytes at the record codec. decodeBody
-// must never panic, and any body it accepts must canonicalize: re-encoding
-// the decoded record yields a frame that decodes back to the byte-identical
-// frame (one round normalizes non-minimal varints and map key order; after
-// that the encoding is a fixed point — the property that makes a replayed
-// log byte-comparable across runs).
+// FuzzRecordFraming throws arbitrary bytes at the record envelope and the
+// shared codec under it. decodeRecord must never panic, and any body it
+// accepts must canonicalize: re-encoding the decoded record yields a frame
+// that decodes back to the byte-identical frame (one round normalizes
+// non-minimal varints and map key order; after that the encoding is a fixed
+// point — the property that makes a replayed log byte-comparable across runs).
 func FuzzRecordFraming(f *testing.F) {
 	seg := fuzzSegmentBytes(f)
-	for off := 0; off+frameHeaderLen <= len(seg); {
-		n := int(binary.LittleEndian.Uint32(seg[off:]))
-		if n < 0 || off+frameHeaderLen+n > len(seg) {
-			break
+	for off := 0; off < len(seg); {
+		body, next, err := codec.NextFrame(seg, off)
+		if err != nil {
+			f.Fatal(err)
 		}
-		f.Add(append([]byte(nil), seg[off+frameHeaderLen:off+frameHeaderLen+n]...))
-		off += frameHeaderLen + n
+		f.Add(append([]byte(nil), body...))
+		off = next
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, recCommit})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec, err := decodeBody(body)
+		rec, err := decodeRecord(body)
 		if err != nil {
 			return // rejected input; the only obligation is not panicking
 		}
-		frame := encodeFrame(rec)
-		canon := frame[frameHeaderLen:]
-		rec2, err := decodeBody(canon)
+		frame, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatalf("decoded record does not encode: %v", err)
+		}
+		canon := frame[codec.FrameHeaderLen:]
+		rec2, err := decodeRecord(canon)
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v\nbody: %x", err, canon)
 		}
-		if frame2 := encodeFrame(rec2); !bytes.Equal(frame, frame2) {
+		if frame2, _ := encodeRecord(rec2); !bytes.Equal(frame, frame2) {
 			t.Fatalf("encoding is not a fixed point:\n first: %x\nsecond: %x", frame, frame2)
 		}
 	})
@@ -108,7 +112,7 @@ func FuzzRecordFraming(f *testing.F) {
 func FuzzSegmentRecovery(f *testing.F) {
 	seg := fuzzSegmentBytes(f)
 	f.Add(seg)
-	for _, cut := range []int{1, frameHeaderLen - 1, frameHeaderLen, frameHeaderLen + 3, len(seg) - 1} {
+	for _, cut := range []int{1, codec.FrameHeaderLen - 1, codec.FrameHeaderLen, codec.FrameHeaderLen + 3, len(seg) - 1} {
 		if cut > 0 && cut < len(seg) {
 			f.Add(append([]byte(nil), seg[:cut]...))
 		}

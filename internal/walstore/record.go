@@ -1,28 +1,23 @@
 package walstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
-	"sort"
 
 	"repro/internal/dynamo"
+	"repro/internal/storage/codec"
 )
 
-// This file is the WAL's binary codec. Every record is framed as
+// This file is the WAL record's envelope. A record is one codec frame whose
+// body is
 //
-//	[u32 length][u32 crc32c][body]
+//	[u64 seq][u8 record type] then, by type:
+//	  create table  Schema
+//	  delete table  [str name]
+//	  commit        [count]([u8 op kind][str table] then Item (put) ·
+//	                Key (delete) · Key Updates (update))…
 //
-// where length counts the body bytes, crc32c covers the body (Castagnoli
-// polynomial), and the body is
-//
-//	[u64 seq][u8 record type][payload]
-//
-// All integers are little-endian; variable-length fields use uvarint
-// prefixes. Values serialize by kind tag; map attributes are written in
-// sorted key order so the encoding is deterministic (a replayed log is
-// byte-comparable across runs).
+// Everything inside the envelope — primitives, Schema, Item, Key, Updates,
+// the frame and its CRC — is internal/storage/codec's, documented there.
 
 // Record types.
 const (
@@ -38,12 +33,6 @@ const (
 	opUpdate byte = 3
 )
 
-// frameHeaderLen is the fixed per-record framing overhead.
-const frameHeaderLen = 8
-
-// castagnoli is the CRC-32C table used for every checksum in the store.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // walOp is one logical mutation inside a commit record: exactly one of a
 // row put (post-image), a row delete, or an update-expression application.
 // Conditions are evaluated before logging, so records carry none: replay
@@ -51,9 +40,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type walOp struct {
 	kind    byte
 	table   string
-	item    dynamo.Item         // opPut
-	key     dynamo.Key          // opDelete, opUpdate
-	updates []dynamo.UpdateDesc // opUpdate
+	item    dynamo.Item     // opPut
+	key     dynamo.Key      // opDelete, opUpdate
+	updates []dynamo.Update // opUpdate
 }
 
 // record is one decoded WAL record.
@@ -65,428 +54,65 @@ type record struct {
 	ops    []walOp       // recCommit
 }
 
-// --- encoding ---
-
-type encoder struct{ b []byte }
-
-func (e *encoder) u8(v byte)        { e.b = append(e.b, v) }
-func (e *encoder) u64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *encoder) f64(f float64) { e.u64(math.Float64bits(f)) }
-
-func (e *encoder) value(v dynamo.Value) {
-	e.u8(byte(v.Kind()))
-	switch v.Kind() {
-	case dynamo.KindNull:
-	case dynamo.KindString:
-		e.str(v.Str())
-	case dynamo.KindNumber:
-		e.f64(v.Num())
-	case dynamo.KindBool:
-		if v.BoolVal() {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
-	case dynamo.KindBytes:
-		b := v.BytesVal()
-		e.uvarint(uint64(len(b)))
-		e.b = append(e.b, b...)
-	case dynamo.KindList:
-		l := v.List()
-		e.uvarint(uint64(len(l)))
-		for _, el := range l {
-			e.value(el)
-		}
-	case dynamo.KindMap:
-		m := v.Map()
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		e.uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			e.str(k)
-			e.value(m[k])
-		}
-	}
-}
-
-func (e *encoder) item(it dynamo.Item) {
-	keys := make([]string, 0, len(it))
-	for k := range it {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(k)
-		e.value(it[k])
-	}
-}
-
-func (e *encoder) key(k dynamo.Key) {
-	e.value(k.Hash)
-	e.value(k.Sort)
-}
-
-func (e *encoder) schema(s dynamo.Schema) {
-	e.str(s.Name)
-	e.str(s.HashKey)
-	e.str(s.SortKey)
-	e.uvarint(uint64(s.MaxItemSize))
-	e.uvarint(uint64(s.Shards))
-	e.uvarint(uint64(len(s.Indexes)))
-	for _, ix := range s.Indexes {
-		e.str(ix.Name)
-		e.str(ix.HashKey)
-		e.str(ix.SortKey)
-	}
-}
-
-func (e *encoder) op(o walOp) {
-	e.u8(o.kind)
-	e.str(o.table)
-	switch o.kind {
-	case opPut:
-		e.item(o.item)
-	case opDelete:
-		e.key(o.key)
-	case opUpdate:
-		e.key(o.key)
-		e.uvarint(uint64(len(o.updates)))
-		for _, u := range o.updates {
-			e.u8(byte(u.Kind))
-			e.str(u.Path.Attr)
-			e.str(u.Path.MapKey)
-			switch u.Kind {
-			case dynamo.UpdateSet:
-				e.value(u.Value)
-			case dynamo.UpdateAdd:
-				e.f64(u.Delta)
-			}
-		}
-	}
-}
-
-// encodeFrame serializes a record into its on-disk frame.
-func encodeFrame(r record) []byte {
-	e := &encoder{b: make([]byte, 0, 128)}
-	e.u64(r.seq)
-	e.u8(r.typ)
+// encodeRecord serializes r into its on-disk frame.
+func encodeRecord(r record) ([]byte, error) {
+	e := codec.NewEncoder(128)
+	e.U64(r.seq)
+	e.U8(r.typ)
 	switch r.typ {
 	case recCreateTable:
-		e.schema(r.schema)
+		e.Schema(r.schema)
 	case recDeleteTable:
-		e.str(r.name)
+		e.Str(r.name)
 	case recCommit:
-		e.uvarint(uint64(len(r.ops)))
+		e.Int(len(r.ops))
 		for _, o := range r.ops {
-			e.op(o)
-		}
-	}
-	body := e.b
-	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(body))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(body, castagnoli))
-	return append(frame, body...)
-}
-
-// --- decoding ---
-
-type decoder struct {
-	b   []byte
-	off int
-}
-
-var errTruncated = fmt.Errorf("walstore: truncated record body")
-
-func (d *decoder) u8() (byte, error) {
-	if d.off >= len(d.b) {
-		return 0, errTruncated
-	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	if d.off+8 > len(d.b) {
-		return 0, errTruncated
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *decoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(d.b)-d.off) < n {
-		return "", errTruncated
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func (d *decoder) f64() (float64, error) {
-	v, err := d.u64()
-	return math.Float64frombits(v), err
-}
-
-func (d *decoder) value() (dynamo.Value, error) {
-	kb, err := d.u8()
-	if err != nil {
-		return dynamo.Null, err
-	}
-	switch dynamo.Kind(kb) {
-	case dynamo.KindNull:
-		return dynamo.Null, nil
-	case dynamo.KindString:
-		s, err := d.str()
-		return dynamo.S(s), err
-	case dynamo.KindNumber:
-		f, err := d.f64()
-		return dynamo.N(f), err
-	case dynamo.KindBool:
-		b, err := d.u8()
-		return dynamo.Bool(b != 0), err
-	case dynamo.KindBytes:
-		n, err := d.uvarint()
-		if err != nil {
-			return dynamo.Null, err
-		}
-		if uint64(len(d.b)-d.off) < n {
-			return dynamo.Null, errTruncated
-		}
-		b := make([]byte, n)
-		copy(b, d.b[d.off:])
-		d.off += int(n)
-		return dynamo.Bytes(b), nil
-	case dynamo.KindList:
-		n, err := d.uvarint()
-		if err != nil {
-			return dynamo.Null, err
-		}
-		if n > uint64(len(d.b)-d.off) { // each element costs ≥1 byte
-			return dynamo.Null, errTruncated
-		}
-		l := make([]dynamo.Value, n)
-		for i := range l {
-			if l[i], err = d.value(); err != nil {
-				return dynamo.Null, err
+			e.U8(o.kind)
+			e.Str(o.table)
+			switch o.kind {
+			case opPut:
+				e.Item(o.item)
+			case opDelete:
+				e.Key(o.key)
+			case opUpdate:
+				e.Key(o.key)
+				e.Updates(o.updates)
 			}
 		}
-		return dynamo.L(l...), nil
-	case dynamo.KindMap:
-		n, err := d.uvarint()
-		if err != nil {
-			return dynamo.Null, err
-		}
-		if n > uint64(len(d.b)-d.off) {
-			return dynamo.Null, errTruncated
-		}
-		m := make(map[string]dynamo.Value, n)
-		for i := uint64(0); i < n; i++ {
-			k, err := d.str()
-			if err != nil {
-				return dynamo.Null, err
-			}
-			if m[k], err = d.value(); err != nil {
-				return dynamo.Null, err
-			}
-		}
-		return dynamo.M(m), nil
 	}
-	return dynamo.Null, fmt.Errorf("walstore: unknown value kind %d", kb)
+	return e.Frame(), e.Err()
 }
 
-func (d *decoder) item() (dynamo.Item, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.b)-d.off) {
-		return nil, errTruncated
-	}
-	it := make(dynamo.Item, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		if it[k], err = d.value(); err != nil {
-			return nil, err
-		}
-	}
-	return it, nil
-}
-
-func (d *decoder) key() (dynamo.Key, error) {
-	h, err := d.value()
-	if err != nil {
-		return dynamo.Key{}, err
-	}
-	s, err := d.value()
-	return dynamo.Key{Hash: h, Sort: s}, err
-}
-
-func (d *decoder) schema() (dynamo.Schema, error) {
-	var s dynamo.Schema
-	var err error
-	if s.Name, err = d.str(); err != nil {
-		return s, err
-	}
-	if s.HashKey, err = d.str(); err != nil {
-		return s, err
-	}
-	if s.SortKey, err = d.str(); err != nil {
-		return s, err
-	}
-	maxSize, err := d.uvarint()
-	if err != nil {
-		return s, err
-	}
-	s.MaxItemSize = int(maxSize)
-	shards, err := d.uvarint()
-	if err != nil {
-		return s, err
-	}
-	s.Shards = int(shards)
-	n, err := d.uvarint()
-	if err != nil {
-		return s, err
-	}
-	if n > uint64(len(d.b)-d.off) {
-		return s, errTruncated
-	}
-	s.Indexes = make([]dynamo.IndexSchema, n)
-	for i := range s.Indexes {
-		if s.Indexes[i].Name, err = d.str(); err != nil {
-			return s, err
-		}
-		if s.Indexes[i].HashKey, err = d.str(); err != nil {
-			return s, err
-		}
-		if s.Indexes[i].SortKey, err = d.str(); err != nil {
-			return s, err
-		}
-	}
-	return s, nil
-}
-
-func (d *decoder) op() (walOp, error) {
-	var o walOp
-	var err error
-	if o.kind, err = d.u8(); err != nil {
-		return o, err
-	}
-	if o.table, err = d.str(); err != nil {
-		return o, err
-	}
-	switch o.kind {
-	case opPut:
-		o.item, err = d.item()
-	case opDelete:
-		o.key, err = d.key()
-	case opUpdate:
-		if o.key, err = d.key(); err != nil {
-			return o, err
-		}
-		var n uint64
-		if n, err = d.uvarint(); err != nil {
-			return o, err
-		}
-		if n > uint64(len(d.b)-d.off) {
-			return o, errTruncated
-		}
-		o.updates = make([]dynamo.UpdateDesc, n)
-		for i := range o.updates {
-			var kb byte
-			if kb, err = d.u8(); err != nil {
-				return o, err
-			}
-			o.updates[i].Kind = dynamo.UpdateKind(kb)
-			if o.updates[i].Path.Attr, err = d.str(); err != nil {
-				return o, err
-			}
-			if o.updates[i].Path.MapKey, err = d.str(); err != nil {
-				return o, err
-			}
-			switch o.updates[i].Kind {
-			case dynamo.UpdateSet:
-				o.updates[i].Value, err = d.value()
-			case dynamo.UpdateAdd:
-				o.updates[i].Delta, err = d.f64()
-			case dynamo.UpdateRemove:
-			default:
-				return o, fmt.Errorf("walstore: unknown update kind %d", kb)
-			}
-			if err != nil {
-				return o, err
-			}
-		}
-	default:
-		return o, fmt.Errorf("walstore: unknown op kind %d", o.kind)
-	}
-	return o, err
-}
-
-// decodeBody parses a record body (the bytes the frame's CRC covers).
-func decodeBody(body []byte) (record, error) {
-	d := &decoder{b: body}
-	var r record
-	var err error
-	if r.seq, err = d.u64(); err != nil {
-		return r, err
-	}
-	if r.typ, err = d.u8(); err != nil {
-		return r, err
-	}
+// decodeRecord parses a record body (the bytes the frame's CRC covers).
+func decodeRecord(body []byte) (record, error) {
+	d := codec.NewDecoder(body)
+	r := record{seq: d.U64(), typ: d.U8()}
 	switch r.typ {
 	case recCreateTable:
-		r.schema, err = d.schema()
+		r.schema = d.Schema()
 	case recDeleteTable:
-		r.name, err = d.str()
+		r.name = d.Str()
 	case recCommit:
-		var n uint64
-		if n, err = d.uvarint(); err != nil {
-			return r, err
-		}
-		if n > uint64(len(d.b)-d.off) {
-			return r, errTruncated
-		}
-		r.ops = make([]walOp, n)
-		for i := range r.ops {
-			if r.ops[i], err = d.op(); err != nil {
-				return r, err
+		r.ops = make([]walOp, d.Count())
+		for i := 0; i < len(r.ops) && d.Err() == nil; i++ {
+			o := &r.ops[i]
+			o.kind, o.table = d.U8(), d.Str()
+			switch o.kind {
+			case opPut:
+				o.item = d.Item()
+			case opDelete:
+				o.key = d.Key()
+			case opUpdate:
+				o.key, o.updates = d.Key(), d.Updates()
+			default:
+				d.Failf("unknown op kind %d", o.kind)
 			}
 		}
 	default:
-		return r, fmt.Errorf("walstore: unknown record type %d", r.typ)
+		d.Failf("unknown record type %d", r.typ)
 	}
-	if err != nil {
-		return r, err
-	}
-	if d.off != len(d.b) {
-		return r, fmt.Errorf("walstore: %d trailing bytes in record body", len(d.b)-d.off)
+	if err := d.Done(); err != nil {
+		return record{}, fmt.Errorf("walstore: %w", err)
 	}
 	return r, nil
 }

@@ -1,9 +1,7 @@
 package walstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/hist"
+	"repro/internal/storage/codec"
 )
 
 // Segment files are named wal-<firstseq>.seg, where <firstseq> is the
@@ -367,23 +366,12 @@ func scanSegment(path string, expect, skipTo uint64, apply func(record) error) (
 	}
 	off := 0
 	lastSeq = expect - 1
-	for {
-		if off == len(data) {
-			return int64(off), lastSeq, nil, nil
+	for off < len(data) {
+		body, next, ferr := codec.NextFrame(data, off)
+		if ferr != nil {
+			return int64(off), lastSeq, ferr, nil
 		}
-		if len(data)-off < frameHeaderLen {
-			return int64(off), lastSeq, fmt.Errorf("torn frame header at offset %d", off), nil
-		}
-		bodyLen := int(binary.LittleEndian.Uint32(data[off:]))
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		if len(data)-off-frameHeaderLen < bodyLen {
-			return int64(off), lastSeq, fmt.Errorf("torn record at offset %d (%d body bytes missing)", off, bodyLen-(len(data)-off-frameHeaderLen)), nil
-		}
-		body := data[off+frameHeaderLen : off+frameHeaderLen+bodyLen]
-		if crc32.Checksum(body, castagnoli) != wantCRC {
-			return int64(off), lastSeq, fmt.Errorf("CRC mismatch at offset %d", off), nil
-		}
-		rec, derr := decodeBody(body)
+		rec, derr := decodeRecord(body)
 		if derr != nil {
 			return int64(off), lastSeq, fmt.Errorf("undecodable record at offset %d: %v", off, derr), nil
 		}
@@ -396,6 +384,7 @@ func scanSegment(path string, expect, skipTo uint64, apply func(record) error) (
 			}
 		}
 		lastSeq = rec.seq
-		off += frameHeaderLen + bodyLen
+		off = next
 	}
+	return int64(off), lastSeq, nil, nil
 }

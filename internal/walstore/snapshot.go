@@ -1,101 +1,80 @@
 package walstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
 	"repro/internal/dynamo"
+	"repro/internal/storage/codec"
 )
 
 // A snapshot is a compacted image of the whole store at one log position:
 //
-//	[u64 covered seq][uvarint ntables][table…][u32 crc32c of everything above]
+//	[u64 covered seq][count]([Schema][Items])…[u32 crc32c of everything before it]
 //
-// where each table is its schema followed by a uvarint row count and the
-// rows as items (in the store's deterministic scan order). Snapshots are
-// written to a temp file, fsynced, and renamed into place, so a crash
-// mid-snapshot leaves the previous snapshot authoritative; after a
+// one Schema and its rows (in the store's deterministic scan order) per
+// table; the encoding inside the envelope is internal/storage/codec's.
+// Snapshots are written to a temp file, fsynced, and renamed into place, so
+// a crash mid-snapshot leaves the previous snapshot authoritative; after a
 // successful snapshot the log is rotated and every older segment and
 // snapshot is deleted (compaction).
 
 // encodeSnapshot serializes the snapshot image of mem at seq.
 func encodeSnapshot(seq uint64, schemas map[string]dynamo.Schema, mem *dynamo.Store) ([]byte, error) {
-	e := &encoder{b: make([]byte, 0, 4096)}
-	e.u64(seq)
+	e := codec.NewEncoder(4096)
+	e.U64(seq)
 	names := mem.TableNames()
-	e.uvarint(uint64(len(names)))
+	e.Int(len(names))
 	for _, name := range names {
 		sch, ok := schemas[name]
 		if !ok {
 			return nil, fmt.Errorf("walstore: snapshot: no recorded schema for table %s", name)
 		}
-		e.schema(sch)
+		e.Schema(sch)
 		rows, err := mem.Scan(name, dynamo.QueryOpts{})
 		if err != nil {
 			return nil, err
 		}
-		e.uvarint(uint64(len(rows)))
-		for _, it := range rows {
-			e.item(it)
-		}
+		e.Items(rows)
 	}
-	sum := crc32.Checksum(e.b, castagnoli)
-	e.b = binary.LittleEndian.AppendUint32(e.b, sum)
-	return e.b, nil
+	return e.Sealed(), nil
 }
 
 // decodeSnapshot parses a snapshot image, returning the covered sequence,
 // the table schemas, and a freshly loaded in-memory store.
 func decodeSnapshot(data []byte, defaultShards int) (uint64, map[string]dynamo.Schema, *dynamo.Store, error) {
-	if len(data) < 4 {
-		return 0, nil, nil, fmt.Errorf("walstore: snapshot too short")
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
-		return 0, nil, nil, fmt.Errorf("walstore: snapshot CRC mismatch")
-	}
-	d := &decoder{b: body}
-	seq, err := d.u64()
+	body, err := codec.Unseal(data)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, nil, fmt.Errorf("walstore: snapshot %w", err)
 	}
-	ntables, err := d.uvarint()
-	if err != nil {
-		return 0, nil, nil, err
-	}
+	d := codec.NewDecoder(body)
+	seq := d.U64()
+	ntables := d.Count()
 	mem := dynamo.NewStore(dynamo.WithShards(defaultShards))
 	schemas := make(map[string]dynamo.Schema, ntables)
-	for i := uint64(0); i < ntables; i++ {
-		sch, err := d.schema()
-		if err != nil {
-			return 0, nil, nil, err
+	// A table is created, and a row loaded, only once it decoded whole.
+	for i := 0; i < ntables; i++ {
+		sch, nrows := d.Schema(), d.Count()
+		if d.Err() != nil {
+			break
 		}
 		if err := mem.CreateTable(sch); err != nil {
 			return 0, nil, nil, err
 		}
 		schemas[sch.Name] = sch
-		nrows, err := d.uvarint()
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if nrows > uint64(len(d.b)-d.off) {
-			return 0, nil, nil, errTruncated
-		}
-		for r := uint64(0); r < nrows; r++ {
-			it, err := d.item()
-			if err != nil {
-				return 0, nil, nil, err
+		for r := 0; r < nrows; r++ {
+			it := d.Item()
+			if d.Err() != nil {
+				break
 			}
 			if err := mem.Put(sch.Name, it, nil); err != nil {
 				return 0, nil, nil, err
 			}
 		}
 	}
-	if d.off != len(d.b) {
-		return 0, nil, nil, fmt.Errorf("walstore: %d trailing snapshot bytes", len(d.b)-d.off)
+	if err := d.Done(); err != nil {
+		return 0, nil, nil, fmt.Errorf("walstore: snapshot: %w", err)
 	}
 	return seq, schemas, mem, nil
 }

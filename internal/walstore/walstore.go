@@ -269,15 +269,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// MustOpen is Open, panicking on error; for setup code.
-func MustOpen(dir string, opts Options) *Store {
-	s, err := Open(dir, opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // applyRecord applies one replayed record to the memtable.
 func (s *Store) applyRecord(r record) error {
 	switch r.typ {
@@ -302,13 +293,7 @@ func (s *Store) applyRecord(r record) error {
 			case opDelete:
 				err = s.mem.Delete(o.table, o.key, nil)
 			case opUpdate:
-				ups := make([]dynamo.Update, len(o.updates))
-				for i, d := range o.updates {
-					if ups[i], err = dynamo.UpdateFromDesc(d); err != nil {
-						return err
-					}
-				}
-				err = s.mem.Update(o.table, o.key, nil, ups...)
+				err = s.mem.Update(o.table, o.key, nil, o.updates...)
 			}
 			if err != nil {
 				return err
@@ -356,8 +341,13 @@ var errClosed = fmt.Errorf("walstore: store is closed")
 // for durability. It also triggers auto-compaction at the configured
 // threshold. Callers must not hold logMu after this returns.
 func (s *Store) logAndWait(rec record) error {
-	frame := encodeFrame(rec)
-	if err := s.w.append(rec.seq, frame); err != nil {
+	frame, err := encodeRecord(rec)
+	if err != nil {
+		err = s.w.fail(err) // the memtable already holds rec, so the store is ahead of its log
+	} else {
+		err = s.w.append(rec.seq, frame)
+	}
+	if err != nil {
 		s.logMu.Unlock()
 		return err
 	}
@@ -485,20 +475,26 @@ func (s *Store) Put(table string, item dynamo.Item, cond dynamo.Cond) error {
 // Update applies update actions if cond holds, journaling the update
 // expression (replayed deterministically against the same base state).
 func (s *Store) Update(table string, key dynamo.Key, cond dynamo.Cond, updates ...dynamo.Update) error {
-	descs := make([]dynamo.UpdateDesc, len(updates))
-	for i, u := range updates {
-		d, ok := dynamo.DescribeUpdate(u)
-		if !ok {
-			return fmt.Errorf("walstore: Update: non-serializable update %s", u)
-		}
-		descs[i] = d
+	if err := checkUpdates("Update", updates); err != nil {
+		return err
 	}
 	return s.mutate(
 		func() error { return s.mem.Update(table, key, cond, updates...) },
 		func(seq uint64) record {
-			return record{seq: seq, typ: recCommit, ops: []walOp{{kind: opUpdate, table: table, key: key, updates: descs}}}
+			return record{seq: seq, typ: recCommit, ops: []walOp{{kind: opUpdate, table: table, key: key, updates: updates}}}
 		},
 	)
+}
+
+// checkUpdates refuses, before anything is applied, an update expression
+// the log could not carry.
+func checkUpdates(op string, updates []dynamo.Update) error {
+	for _, u := range updates {
+		if _, ok := dynamo.DescribeUpdate(u); !ok {
+			return fmt.Errorf("walstore: %s: non-serializable update %s", op, u)
+		}
+	}
+	return nil
 }
 
 // Delete removes the row at key if cond holds.
@@ -529,15 +525,10 @@ func (s *Store) TransactWrite(ops []dynamo.TxOp) error {
 		case op.Delete:
 			walOps = append(walOps, walOp{kind: opDelete, table: op.Table, key: op.Key})
 		default:
-			descs := make([]dynamo.UpdateDesc, len(op.Updates))
-			for j, u := range op.Updates {
-				d, ok := dynamo.DescribeUpdate(u)
-				if !ok {
-					return fmt.Errorf("walstore: TransactWrite: non-serializable update %s", u)
-				}
-				descs[j] = d
+			if err := checkUpdates("TransactWrite", op.Updates); err != nil {
+				return err
 			}
-			walOps = append(walOps, walOp{kind: opUpdate, table: op.Table, key: op.Key, updates: descs})
+			walOps = append(walOps, walOp{kind: opUpdate, table: op.Table, key: op.Key, updates: op.Updates})
 		}
 	}
 	return s.mutate(
