@@ -45,8 +45,9 @@
 //     give compile-time-checked tables, functions and promises over the
 //     structural ToValue/FromValue codec; typed and dynamic code
 //     interoperate on the same state.
-//   - Durable promises: Env.AsyncInvokePromise returns a Promise backed by
-//     a durable mailbox cell; Promise.Await / Env.AwaitAll are logged
+//   - Durable promises: Env.AsyncInvokePromise returns a Promise whose
+//     result is posted into the caller's own invoke-log row of the call;
+//     Promise.Await / Env.AwaitAll are logged
 //     steps, so fan-out/fan-in survives crash and replay on either side.
 //
 // The same Body runs unchanged in three modes — ModeBeldi (the paper's

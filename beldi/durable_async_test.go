@@ -222,8 +222,8 @@ func key(i int) string {
 // TestDurableAsyncPromiseFanIn runs durable promises over the queue-backed
 // transport: the fan-out's run envelopes become queue messages (carrying
 // the reply coordinates), background mappers deliver them, and the
-// parent's awaits resolve from the posted mailbox cells — promises and
-// durable async compose.
+// parent's awaits resolve from the results posted into its invoke log —
+// promises and durable async compose.
 func TestDurableAsyncPromiseFanIn(t *testing.T) {
 	promiseParent := func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		ps := make([]*beldi.Promise, 3)

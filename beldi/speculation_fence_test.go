@@ -7,7 +7,6 @@ import (
 	"repro/beldi"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
-	"repro/internal/queue"
 	"repro/internal/uuid"
 	"repro/internal/walstore"
 )
@@ -15,7 +14,7 @@ import (
 // Watermark fencing at every effect site. The speculation overlay
 // (DeploymentOptions.Speculation) lets a workflow run ahead of durability;
 // the contract that makes this safe is that no externally visible effect —
-// the entry reply, a mailbox post, a cross-SSF async send, a transaction
+// the entry reply, a promise post, a cross-SSF async send, a transaction
 // commit, a queue ack — outruns the durability watermark. These tests pin
 // that contract deterministically: each one opens a "generation 1"
 // deployment whose overlay runs in ManualFlush mode (nothing becomes
@@ -300,10 +299,10 @@ func TestSpeculationDropsUnfencedAsyncSend(t *testing.T) {
 	}
 }
 
-// TestSpeculationDropsUnfencedPromisePost pins the mailbox-post effect
+// TestSpeculationDropsUnfencedPromisePost pins the promise-post effect
 // site: the callee posts its result speculatively and dies before the
-// batch commits. The post must be absent from the durable mailbox, and the
-// callee's collector — its intent WAS fenced durable by the parent's reply
+// batch commits. The post must be absent from the parent's durable
+// invoke-log row, and the callee's collector — its intent WAS fenced durable by the parent's reply
 // — must rerun the body and post exactly once.
 func TestSpeculationDropsUnfencedPromisePost(t *testing.T) {
 	for name, open := range specBases(t) {
@@ -340,21 +339,26 @@ func TestSpeculationDropsUnfencedPromisePost(t *testing.T) {
 			}
 			d1.Pipeline().DropAndClose()
 
-			// Absent: the post never reached the durable mailbox cell.
-			mb, err := queue.NewMailbox(base, "parent.mailbox", 0)
-			if err != nil {
-				t.Fatalf("mailbox: %v", err)
+			// Absent: the post never reached the durable row that logged the
+			// call, which the parent's fence did commit.
+			posted := func() bool {
+				rows, err := base.Scan("parent.invokelog", dynamo.QueryOpts{
+					Filter: dynamo.Eq(dynamo.A("CalleeId"), dynamo.S(pid))})
+				if err != nil || len(rows) != 1 {
+					t.Fatalf("parent's invoke-log row for %s: %v, err %v", pid, rows, err)
+				}
+				_, ok := rows[0]["Posted"]
+				return ok
 			}
-			if _, posted, err := mb.Fetch(pid); err != nil || posted {
-				t.Fatalf("post outran the watermark: posted=%v err=%v", posted, err)
+			if posted() {
+				t.Fatal("post outran the watermark")
 			}
 
 			_, d2 := specGen(base, "g2", false, nil)
 			d2.Function("work", incBody("count", "n"), "count")
 			d2.Function("parent", parent, "state")
 			collectUntil(t, d2, "work intent finished and posted", func() bool {
-				_, posted, err := mb.Fetch(pid)
-				return err == nil && posted && peekInt(t, d2, "work", "count", "n") == 1
+				return posted() && peekInt(t, d2, "work", "count", "n") == 1
 			})
 			settle(d2)
 			if got := peekInt(t, d2, "work", "count", "n"); got != 1 {

@@ -4,7 +4,7 @@
 // with Func.Async, then awaits all the promises. The fault injector kills
 // the driver mid-fan-in; the intent collector re-executes it, the replayed
 // awaits return the identical results the mappers posted into the driver's
-// durable mailbox, and the merged totals commit exactly once. A context
+// invoke log, and the merged totals commit exactly once. A context
 // with a deadline bounds the client's patience without ever weakening the
 // guarantee.
 //
@@ -92,5 +92,5 @@ func main() {
 	if err := d.FsckAll(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("4. fsck: durable state clean (no leaked cells, logs, or locks)")
+	fmt.Println("4. fsck: durable state clean (no leaked results, logs, or locks)")
 }

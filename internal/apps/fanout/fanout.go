@@ -6,7 +6,7 @@
 // treat as serverless workflows' bread and butter, here with Beldi's
 // exactly-once guarantee end to end. The driver can crash at any operation
 // boundary: the intent collector re-executes it, the replayed awaits
-// observe the identical mailbox results, and the totals commit once.
+// observe the identical posted results, and the totals commit once.
 package fanout
 
 import (

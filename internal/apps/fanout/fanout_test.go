@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/beldi"
+	"repro/internal/dynamo"
 	"repro/internal/platform"
 	"repro/internal/storage/storagetest"
 	"repro/internal/uuid"
@@ -146,4 +147,88 @@ func mapsEqual(a, b map[string]int64) bool {
 		}
 	}
 	return true
+}
+
+// TestFanOutJobStoreOpsByTable prices one job of 8 mappers, table by table.
+// Delivery is made deterministic: the mappers are driven by PollAll one
+// message at a time, the await's fallback timer is out of reach, and each
+// poll waits for the driver to have reacted to the post it caused — so the
+// results arrive one by one, in order, which is also the dearest case for the
+// fan-in (a wake-up fetch plus the next await's first fetch per result; a
+// real run clusters the posts and pays about a quarter of that).
+func TestFanOutJobStoreOpsByTable(t *testing.T) {
+	store := storagetest.NewCounting(dynamo.NewStore())
+	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"}})
+	d := beldi.NewDeployment(beldi.DeploymentOptions{Store: store, Platform: plat,
+		Config: beldi.Config{LockRetryBase: time.Hour}})
+	app := Build(d)
+	da := d.EnableDurableAsync(beldi.DurableAsyncOptions{BatchSize: 1})
+	job := corpus()
+	docs := len(job.Docs)
+
+	const fanIn, mapQueue = FnReduce + ".invokelog", "queue.invoke." + FnMap
+	fetched := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); store.Count(fanIn, "query") < n; time.Sleep(200 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("driver stuck at %d fan-in fetches, waiting for %d: %v", store.Count(fanIn, "query"), n, store.Counts())
+			}
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := app.Reduce.Invoke(job)
+		done <- err
+	}()
+	fetched(1) // fanned out, and waiting on the first result
+	for i := 1; i <= docs; i++ {
+		if n, _, err := da.PollAll(); n != 1 || err != nil {
+			t.Fatalf("poll %d delivered %d messages, err %v", i, n, err)
+		}
+		fetched(min(1+2*i, 2*docs))
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string]int{
+		// The driver: its intent, per document an invoke-log insert, the
+		// registration's confirming callback and the posted result, the fan-in
+		// fetches, one flush of the 8 await rows, and the totals' first write.
+		FnReduce + ".intent put":         1,
+		FnReduce + ".intent update":      1,
+		fanIn + " update":                3 * docs,
+		fanIn + " query":                 2 * docs,
+		FnReduce + ".readlog transact":   1,
+		FnReduce + ".data.totals query":  1,
+		FnReduce + ".data.totals update": 1,
+		// Each mapper: intent registered, loaded by the run, marked done; its
+		// document's first write.
+		FnMap + ".intent put":         docs,
+		FnMap + ".intent get":         docs,
+		FnMap + ".intent update":      docs,
+		FnMap + ".data.perdoc query":  docs,
+		FnMap + ".data.perdoc update": docs,
+		// Each message: enqueued, found by one scan, claimed, acked; PollAll
+		// also polls the driver's own, empty, queue.
+		mapQueue + " put":                    docs,
+		mapQueue + " scan":                   docs,
+		mapQueue + " update":                 docs,
+		mapQueue + " delete":                 docs,
+		"queue.invoke." + FnReduce + " scan": docs,
+	}
+	got := store.Counts()
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("%s = %d, want %d", k, got[k], n)
+		}
+	}
+	for k, n := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("%s = %d: an op on a table, or of a kind, the budget does not know", k, n)
+		}
+	}
+	if err := d.FsckAll(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -18,7 +18,7 @@ import (
 // fan-out width, under a fixed population of closed-loop drivers. Each
 // driver invocation fans out `width` AsyncInvokePromise calls and awaits
 // them all; every await is a logged step and every result a durable
-// mailbox post, so the sweep prices exactly what Durable Functions-style
+// post into the driver's invoke log, so the sweep prices exactly what Durable Functions-style
 // orchestrations (Burckhardt et al.) pay for crash-safe fan-in on Beldi's
 // substrate. Baseline mode runs the same shape on in-memory futures with
 // no durability — the gap is the cost of the guarantee.

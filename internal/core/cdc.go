@@ -106,7 +106,7 @@ func (e *Env) emitChanges(logical, key string, v Value) error {
 		ChangeEvInstance: dynamo.S(e.instanceID),
 	})
 	for _, h := range handlers {
-		if _, err := e.asyncInvoke(h, ev, "", ""); err != nil {
+		if _, _, err := e.asyncInvoke(h, ev, false); err != nil {
 			return fmt.Errorf("core: change handler %s for table %s: %w", h, logical, err)
 		}
 		e.rt.stats.ChangeEvents.Add(1)

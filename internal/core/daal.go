@@ -196,19 +196,32 @@ func (d *daal) readRow(key, rowID string) (daalRow, bool, error) {
 	return decodeDAALRow(it), true, nil
 }
 
-// ensureHead creates key's head row if missing. Losing the creation race is
-// fine — the head then exists either way.
-func (d *daal) ensureHead(key string) error {
-	err := d.rt.store.Put(d.table, dynamo.Item{
-		attrKey:     dynamo.S(key),
-		attrRowID:   dynamo.S(headRowID),
-		attrValue:   dynamo.Null,
-		attrLogSize: dynamo.N(0),
-	}, dynamo.NotExists(dynamo.A(attrKey)))
-	if err != nil && !errors.Is(err, dynamo.ErrConditionFailed) {
-		return err
+// firstWrite is loggedWrite on a key whose DAAL has no head: one upsert,
+// conditional on the head's absence, creates the head with the step's outcome
+// already logged. That condition is what makes the outcome known here: the
+// row the guard must hold against is exactly the empty head (Value Null,
+// nothing logged, no lock), so it is evaluated locally, and the row written
+// is attribute for attribute what creating an empty head and then applying
+// case B1 or B2 to it would leave. won is false when another writer created
+// the head first; the caller then proceeds as for any existing row.
+func (d *daal) firstWrite(key, logKey string, mut mutation) (won, outcome bool, _ error) {
+	outcome = mut.cond == nil || mut.cond.Eval(dynamo.Item{attrKey: dynamo.S(key),
+		attrRowID: dynamo.S(headRowID), attrValue: dynamo.Null, attrLogSize: dynamo.N(0)})
+	ups := []dynamo.Update{
+		dynamo.Set(dynamo.A(attrLogSize), dynamo.N(1)),
+		dynamo.Set(dynamo.AK(attrRecent, logKey), dynamo.Bool(outcome)),
 	}
-	return nil
+	if outcome {
+		ups = append(ups, mut.updates()...)
+	}
+	if !outcome || mut.setVal == nil {
+		ups = append(ups, dynamo.Set(dynamo.A(attrValue), dynamo.Null))
+	}
+	err := d.rt.store.Update(d.table, rowKeyOf(key, headRowID), dynamo.NotExists(dynamo.A(attrKey)), ups...)
+	if errors.Is(err, dynamo.ErrConditionFailed) {
+		return false, false, nil
+	}
+	return err == nil, outcome, err
 }
 
 // appendRow extends the DAAL past a full row (case D, §4.3). The new row
@@ -260,8 +273,8 @@ func (d *daal) loggedWrite(key, logKey string, mut mutation) (bool, error) {
 	}
 	tailID, ok := sk.tail()
 	if !ok {
-		if err := d.ensureHead(key); err != nil {
-			return false, err
+		if won, outcome, err := d.firstWrite(key, logKey, mut); won || err != nil {
+			return outcome, err
 		}
 		tailID = headRowID
 	}

@@ -51,10 +51,10 @@ type Env struct {
 
 // envShared is instance-level state shared across Parallel branches.
 type envShared struct {
-	txn      *TxnContext
-	txnOwner bool
-	app      string // requesting application (§2.2 SSF reusability)
-	reads    readLogState
+	txn    *TxnContext
+	app    string // requesting application (§2.2 SSF reusability)
+	reads  readLogState
+	posted atomic.Pointer[postedResults] // nil until the instance awaits (see postedResults)
 }
 
 // newEnv builds the root-branch Env of one execution. A fresh intent's read

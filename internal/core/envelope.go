@@ -43,12 +43,13 @@ type envelope struct {
 	HasRes   bool
 
 	// Durable-promise reply coordinates (§4.5 extended): a promise-returning
-	// AsyncInvoke stamps the caller function and instance here so the callee,
-	// on completion, posts its result back into the caller's mailbox (a
-	// kindPromisePost invocation routed to ReplyFn). They ride the registered
-	// run envelope, so collector-restarted runs post too.
+	// AsyncInvoke stamps the caller function and its own invoke-log key
+	// (instance, step) here so the callee, on completion, posts its result
+	// into that row (a kindPromisePost invocation routed to ReplyFn). They
+	// ride the registered run envelope, so collector-restarted runs post too.
 	ReplyFn    string
 	ReplyOwner string
+	ReplyStep  string
 
 	// Transaction context; nil when outside any transaction.
 	Txn *TxnContext
@@ -94,6 +95,7 @@ func (ev envelope) encode() Value {
 	if ev.ReplyFn != "" {
 		m["ReplyFn"] = dynamo.S(ev.ReplyFn)
 		m["ReplyOwner"] = dynamo.S(ev.ReplyOwner)
+		m["ReplyStep"] = dynamo.S(ev.ReplyStep)
 	}
 	if ev.Txn != nil {
 		m["Txn"] = ev.Txn.encode()
@@ -165,6 +167,7 @@ func decodeEnvelope(raw Value) envelope {
 	if v, ok := m["ReplyFn"]; ok {
 		ev.ReplyFn = v.Str()
 		ev.ReplyOwner = m["ReplyOwner"].Str()
+		ev.ReplyStep = m["ReplyStep"].Str()
 	}
 	if v, ok := m["Txn"]; ok {
 		ev.Txn = decodeTxnContext(v)

@@ -104,9 +104,10 @@ func TestOneQueryReadUnderGrowingChain(t *testing.T) {
 func TestAwaitOnReplayedIntentReadsTheLog(t *testing.T) {
 	// The driver dies right after its Await's row was flushed at the end of
 	// the body. Its re-execution is not a first execution, so it must load
-	// the read log and return the logged value without going to the mailbox
-	// — the cell is deleted here, so a re-execution that assumed an empty log
-	// would wait for a post that never comes and time out.
+	// the read log and return the logged value without looking for the posted
+	// result — it is removed from the invoke-log row here, so a re-execution
+	// that assumed an empty log would wait for a post that never comes and
+	// time out.
 	f := newFixture(t,
 		withConfig(Config{RowCap: 4, T: 50 * time.Millisecond, ICMinAge: time.Millisecond,
 			AwaitRetryMax: 3, LockRetryBase: time.Millisecond}),
@@ -114,7 +115,7 @@ func TestAwaitOnReplayedIntentReadsTheLog(t *testing.T) {
 	var seq atomic.Int64
 	f.fn("work", fanWorkerBody(&seq), "count")
 	var mu sync.Mutex
-	var driverID, promiseID string
+	var driverID, promiseStep string
 	var observed []Value
 	driver := f.fn("driver", func(e *Env, _ Value) (Value, error) {
 		p, err := e.AsyncInvokePromise("work", dynamo.NInt(0))
@@ -122,7 +123,7 @@ func TestAwaitOnReplayedIntentReadsTheLog(t *testing.T) {
 			return dynamo.Null, err
 		}
 		mu.Lock()
-		driverID, promiseID = e.InstanceID(), p.ID()
+		driverID, promiseStep = e.InstanceID(), p.step
 		mu.Unlock()
 		v, err := p.Await(e)
 		mu.Lock()
@@ -140,7 +141,9 @@ func TestAwaitOnReplayedIntentReadsTheLog(t *testing.T) {
 	if err != nil || len(logged) != 1 {
 		t.Fatalf("read log after the crash: %v %v", logged, err)
 	}
-	if err := driver.mailbox.Delete(promiseID); err != nil {
+	err = f.store.Update(driver.invokeLog, dynamo.HSK(dynamo.S(driverID), dynamo.S(promiseStep)),
+		dynamo.Exists(dynamo.A(attrPosted)), dynamo.Remove(dynamo.A(attrPosted)))
+	if err != nil {
 		t.Fatal(err)
 	}
 	replaysBefore := driver.StatsSnapshot().Replays

@@ -20,7 +20,8 @@ import (
 // The six phases:
 //  1. stamp a finish time on newly done intents; intents whose stamp is
 //     older than T become recyclable,
-//  2. delete the read-log and invoke-log entries of recyclable intents,
+//  2. delete the read-log and invoke-log entries of recyclable intents (the
+//     promise results posted into the invoke log go with them),
 //  3. mark recyclable write-log entries inside DAAL rows (persistently, in
 //     the row's Recycled set, so rows that become non-tail later can still
 //     be judged),
@@ -44,7 +45,6 @@ type GCStats struct {
 	RowsDisconnected int
 	RowsDeleted      int
 	IntentsDeleted   int
-	MailboxReaped    int // promise mailbox cells removed
 }
 
 func (rt *Runtime) gcHandler(_ *platform.Invocation, _ Value) (Value, error) {
@@ -79,14 +79,6 @@ func (rt *Runtime) RunGarbageCollector() (GCStats, error) {
 			}
 			st.LogRowsDeleted += n
 		}
-	}
-
-	// Promise mailbox cells die with the awaiting intent: once the owner is
-	// recyclable (or already collected — a cell a zombie post re-created
-	// after its owner's reap), no straggler can still await the result.
-	// Reaped before phase 6 so a GC crash leaves re-runnable work.
-	if err := rt.gcMailbox(recyclable, &st); err != nil {
-		return st, err
 	}
 
 	// Phases 3–5 per data table, real and shadow.
@@ -128,40 +120,6 @@ func (rt *Runtime) RunGarbageCollector() (GCStats, error) {
 	rt.stats.GCRowsDeleted.Add(int64(st.RowsDeleted))
 	rt.stats.GCDisconnected.Add(int64(st.RowsDisconnected))
 	return st, nil
-}
-
-// gcMailbox removes promise result cells whose owning intent is recyclable
-// this pass or no longer exists at all.
-func (rt *Runtime) gcMailbox(recyclable map[string]bool, st *GCStats) error {
-	cells, err := rt.mailbox.Cells()
-	if err != nil {
-		return err
-	}
-	if len(cells) == 0 {
-		return nil
-	}
-	// One intent-table scan answers liveness for every cell; per-cell Gets
-	// would charge a store round trip per outstanding promise each pass.
-	items, err := rt.store.Scan(rt.intentTable, dynamo.QueryOpts{
-		Projection: []dynamo.Path{dynamo.A(attrInstanceID)},
-	})
-	if err != nil {
-		return err
-	}
-	live := make(map[string]bool, len(items))
-	for _, it := range items {
-		live[it[attrInstanceID].Str()] = true
-	}
-	for _, c := range cells {
-		if !recyclable[c.Owner] && live[c.Owner] {
-			continue
-		}
-		if err := rt.mailbox.Delete(c.ID); err != nil {
-			return err
-		}
-		st.MailboxReaped++
-	}
-	return nil
 }
 
 func (rt *Runtime) gcPhaseStamp(now, tUs int64, st *GCStats) (map[string]bool, error) {

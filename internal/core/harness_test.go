@@ -137,7 +137,6 @@ func (f *fixture) gcAll() GCStats {
 		total.RowsDisconnected += st.RowsDisconnected
 		total.RowsDeleted += st.RowsDeleted
 		total.IntentsDeleted += st.IntentsDeleted
-		total.MailboxReaped += st.MailboxReaped
 	}
 	return total
 }

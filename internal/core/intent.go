@@ -170,7 +170,7 @@ func (rt *Runtime) touchLaunch(id string, observed, now int64) (bool, error) {
 }
 
 // intentDone reads an intent's completion state without decoding its
-// envelope (tests and the promise-post handler use it).
+// envelope (an inspection aid for tests).
 func (rt *Runtime) intentDone(id string) (exists, done bool, ret Value, err error) {
 	it, ok, err := rt.store.Get(rt.intentTable, dynamo.HK(dynamo.S(id)))
 	if err != nil || !ok {

@@ -207,26 +207,27 @@ func (e *Env) AsyncInvoke(callee string, input Value) error {
 	if e.inExecute() {
 		return ErrAsyncInTxn
 	}
-	_, err := e.asyncInvoke(callee, input, "", "")
+	_, _, err := e.asyncInvoke(callee, input, false)
 	return err
 }
 
 // asyncInvoke is the §4.5/Fig 20 fire protocol shared by AsyncInvoke and
 // AsyncInvokePromise: register the intent synchronously (minting the callee
-// id exactly once), then fire the run. replyFn/replyOwner, when set, ride
-// both the registered intent and the run envelope so every eventual
-// execution of the callee — direct or collector-restarted — posts its result
-// into the caller's mailbox. Returns the callee instance id, which doubles
-// as the promise id.
-func (e *Env) asyncInvoke(callee string, input Value, replyFn, replyOwner string) (string, error) {
-	stepKey := e.nextStepKey()
+// id exactly once), then fire the run. For a promise, this step's invoke-log
+// key rides both the registered intent and the run envelope as the reply
+// coordinates, so every eventual execution of the callee — direct or
+// collector-restarted — posts its result into the row that logged the call.
+// Returns the callee instance id, which doubles as the promise id, and the
+// step key.
+func (e *Env) asyncInvoke(callee string, input Value, promise bool) (id, stepKey string, _ error) {
+	stepKey = e.nextStepKey()
 	t0 := e.rt.spanClock()
-	id, replay, err := e.asyncInvokeStep(stepKey, callee, input, replyFn, replyOwner)
+	id, replay, err := e.asyncInvokeStep(stepKey, callee, input, promise)
 	e.callSpan(t0, telemetry.KindAsync, stepKey, callee, id, replay, err)
-	return id, err
+	return id, stepKey, err
 }
 
-func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, replyFn, replyOwner string) (_ string, replay bool, _ error) {
+func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, promise bool) (_ string, replay bool, _ error) {
 	logKey := dynamo.HSK(dynamo.S(e.instanceID), dynamo.S(stepKey))
 
 	calleeID := e.rt.ids.NewString()
@@ -251,21 +252,18 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, replyFn, repl
 		_, registered = rec[attrResult]
 	}
 
+	// The run envelope is what step 2 fires and what the callee's intent
+	// stores, so a promise's reply coordinates reach every execution.
+	run := envelope{Kind: kindAsyncRun, InstanceID: calleeID, Input: input, Async: true, App: e.shared.app}
+	if promise {
+		run.ReplyFn, run.ReplyOwner, run.ReplyStep = e.rt.fn, e.instanceID, stepKey
+	}
 	if !registered {
 		// Step 1: synchronous registration; the callee logs the intent and
 		// confirms through the callback path before we may fire the run.
-		reg := envelope{
-			Kind:           kindAsyncRegister,
-			InstanceID:     calleeID,
-			Input:          input,
-			Async:          true,
-			App:            e.shared.app,
-			CallerFn:       e.rt.fn,
-			CallerInstance: e.instanceID,
-			CallerStep:     stepKey,
-			ReplyFn:        replyFn,
-			ReplyOwner:     replyOwner,
-		}
+		reg := run
+		reg.Kind = kindAsyncRegister
+		reg.CallerFn, reg.CallerInstance, reg.CallerStep = e.rt.fn, e.instanceID, stepKey
 		confirmed, err := e.rt.plat.InvokeInternalCtx(e.Context(), callee, reg.encode())
 		if err != nil {
 			return "", replay, fmt.Errorf("core: asyncInvoke %s: registration: %w", callee, err)
@@ -287,8 +285,6 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, replyFn, repl
 	// and the platform's async goroutine both die. A crash between the
 	// enqueue and the next crash point re-enqueues on re-execution — a
 	// duplicate the callee's intent dedup absorbs.
-	run := envelope{Kind: kindAsyncRun, InstanceID: calleeID, Input: input, Async: true,
-		App: e.shared.app, ReplyFn: replyFn, ReplyOwner: replyOwner}
 	if t := e.rt.asyncTransport(); t != nil {
 		if err := t.Deliver(callee, run.encode()); err != nil {
 			return "", replay, fmt.Errorf("core: asyncInvoke %s: durable delivery: %w", callee, err)

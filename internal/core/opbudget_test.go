@@ -22,7 +22,9 @@ import (
 // listed, and be counted in Stats.Replays. An intent row is an effect's
 // bookkeeping: a callee launched for the first time writes it at its first
 // effect boundary, and one that returns without reaching a boundary writes
-// nothing but its callback — the SyncInvoke(...) rows price whole callees.
+// nothing but its callback — the SyncInvoke(...) rows price whole callees. A
+// write to a never-written key costs what any write does: the head row is
+// created by the upsert that logs the step.
 
 // queuedTransport holds async run envelopes until the test delivers them,
 // so a run's store ops never land inside another step's measurement.
@@ -127,6 +129,19 @@ func TestStoreOpBudget(t *testing.T) {
 				ok, err := e.CondWrite("kv", "k", dynamo.S("v4"), dynamo.Eq(dynamo.A(attrValue), dynamo.S("nope")))
 				return dynamo.Bool(ok), err
 			}),
+			measure("Write (first on its key)", func() (Value, error) {
+				return dynamo.Null, e.Write("kv", "new-w", dynamo.S("v1"))
+			}),
+			measure("CondWrite-true (first on its key)", func() (Value, error) {
+				ok, err := e.CondWrite("kv", "new-ct", dynamo.S("v1"), dynamo.Eq(dynamo.A(attrValue), dynamo.Null))
+				return dynamo.Bool(ok), err
+			}),
+			measure("CondWrite-false (first on its key)", func() (Value, error) {
+				ok, err := e.CondWrite("kv", "new-cf", dynamo.S("v1"), dynamo.Eq(dynamo.A(attrValue), dynamo.S("nope")))
+				return dynamo.Bool(ok), err
+			}),
+			measure("Lock (first on its key)", func() (Value, error) { return dynamo.Null, e.Lock("kv", "new-l") }),
+			e.Unlock("kv", "new-l"),
 			measure("SyncInvoke", func() (Value, error) { return e.SyncInvoke("leaf", dynamo.S("s")) }),
 			measure("SyncInvoke(Read x8)", func() (Value, error) { return e.SyncInvoke("r8", dynamo.Null) }),
 			measure("SyncInvoke(Read, SyncInvoke)", func() (Value, error) { return e.SyncInvoke("r1call", dynamo.S("s")) }),
@@ -208,16 +223,20 @@ func TestStoreOpBudget(t *testing.T) {
 		{"Write after 8 reads", 3, 1, 1, "ONE flush of the 8 queued rows + query + apply-and-log; replay: nothing queued, the query finds the entry"},
 		{"Write", 2, 1, 1, "query(skeleton+log entry) + apply-and-log; replay: the query finds the entry"},
 		{"CondWrite-false", 3, 1, 1, "query + refused B1 + B2 records false; replay: the query finds the entry"},
+		{"Write (first on its key)", 2, 1, 1, "query(no head) + ONE upsert that creates the head with the entry logged; replay: the query finds the entry"},
+		{"CondWrite-true (first on its key)", 2, 1, 1, "as above: the guard is evaluated against the empty head the upsert is conditional on"},
+		{"CondWrite-false (first on its key)", 2, 1, 1, "as above, the upsert logs false and leaves the value Null"},
+		{"Lock (first on its key)", 2, 1, 1, "as above, the upsert sets the owner"},
 		{"SyncInvoke", 2, 2, 1, "invoke-log insert + callback — a first-launched callee that crosses no boundary writes no intent and no done mark; replay: refused insert + get(result)"},
 		{"SyncInvoke(Read x8)", fan + 2, 2, 1, "insert + 8 state queries + callback: an effect-free callee's reads are dropped, not logged"},
 		{"SyncInvoke(Read, SyncInvoke)", 8, 2, 1, "insert + query, then at the callee's first boundary intent put + flush + its own insert, the leaf's callback, callback + done"},
 		{"SyncInvoke(Write)", 6, 2, 1, "insert + intent put at the boundary + query + apply-and-log + callback + done: an effectful callee pays what it always did"},
 		{"SyncInvoke(Read x8), relaunched", 2*fan + 6, 2, 1, "insert + 8 queries that die with the first launch + the relaunch mark on the caller's row (no result held), then the eager relaunch in full: intent put + 8 queries + flush + callback + done"},
 		{"AsyncInvoke", 3, 2, 0, "invoke-log insert + callee intent + confirming callback; replay: refused insert + get(registered)"},
-		{"Await x8", fan, 0, fan, "one mailbox fetch each, rows queued; replay: answered from the loaded log"},
+		{"Await x8", 1, 0, fan, "ONE query of the instance's invoke-log partition finds all 8 posted results and caches them, rows queued; replay: answered from the loaded log"},
 		{"Write after 8 awaits", 3, 1, 1, "ONE flush of the 8 queued rows + the write's 2"},
-		{"txnRead", 6, 2, 2, "lock registry + lock(query, head, apply) + shadow query + state query, row queued; replay: registry + lock query"},
-		{"Transaction(Read)", 13, 7, 3, "the read's 6 + flush at the settle claim + claim + registry query + shadow query + unlock(2) + callee query"},
+		{"txnRead", 5, 2, 2, "lock registry + lock(query, upsert: the key was never written) + shadow query + state query, row queued; replay: registry + lock query"},
+		{"Transaction(Read)", 12, 7, 3, "the read's 5 + flush at the settle claim + claim + registry query + shadow query + unlock(2) + callee query"},
 	}
 	first, replay := execs[0], execs[1]
 	if len(first) != len(budget) || len(replay) != len(budget) {
@@ -305,5 +324,37 @@ func TestStoreOpBudget(t *testing.T) {
 	}
 	if n, _, _ := asyncRun("aleaf", "never-registered"); n != 1 {
 		t.Errorf("async run of an unregistered intent = %d ops; budget 1", n)
+	}
+
+	// The promise post handler: ONE guarded update of the invoke-log row that
+	// logged the call, whether it applies, repeats an applied one, or finds its
+	// owner collected — and never a read of the intent table.
+	postRow := dynamo.HSK(dynamo.S("owner"), dynamo.S("0.000001"))
+	if err := store.Update(w.invokeLog, postRow, nil, dynamo.Set(dynamo.A(attrCalleeID), dynamo.S("callee"))); err != nil {
+		t.Fatal(err)
+	}
+	post := func(owner string) (n, gets, fails int64) {
+		before := store.Metrics().Snapshot()
+		ev := envelope{Kind: kindPromisePost, CalleeID: "callee", ReplyFn: "w", ReplyOwner: owner,
+			ReplyStep: "0.000001", Result: dynamo.S("r"), HasRes: true}
+		if _, err := f.plat.InvokeInternal("w", ev.encode()); err != nil {
+			t.Fatal(err)
+		}
+		d := store.Metrics().Snapshot().Sub(before)
+		return d.TotalOps(), d.Ops["get"], d.CondFailures
+	}
+	for _, c := range []struct {
+		what, owner string
+		fails       int64
+	}{{"applied", "owner", 0}, {"duplicate", "owner", 1}, {"for a collected owner", "collected", 1}} {
+		if n, gets, fails := post(c.owner); n != 1 || gets != 0 || fails != c.fails {
+			t.Errorf("promise post %s = %d ops (%d gets), %d condition failures; budget 1 (0), %d", c.what, n, gets, fails, c.fails)
+		}
+	}
+	if it, _, _ := store.Get(w.invokeLog, postRow); it[attrPosted].Str() != "r" {
+		t.Errorf("posted row = %v", it)
+	}
+	if _, ok, _ := store.Get(w.invokeLog, dynamo.HSK(dynamo.S("collected"), dynamo.S("0.000001"))); ok {
+		t.Error("a refused post created its row")
 	}
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/dynamo"
+	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
 
@@ -13,15 +15,18 @@ import (
 // intent exactly as AsyncInvoke does, but stamps reply coordinates on the
 // registered envelope so that EVERY eventual execution of the callee —
 // fired directly, redelivered by a durable queue, or restarted by its
-// intent collector — posts its result into the caller SSF's mailbox (a
-// single-assignment durable cell keyed by the promise id; see
-// queue.Mailbox). Await is a logged step on the caller, so a crashed and
-// re-executed awaiter observes the identical result, and a crashed callee
-// re-posts the identical (deterministically replayed) value into a cell
-// the first post already owns. Fan-out/fan-in therefore survives crashes
-// on either side without ever weakening exactly-once.
+// intent collector — posts its result into the caller's invoke-log row of
+// the call, the row that already names the callee: a single-assignment
+// Posted attribute (handlePromisePost). The result therefore lives and dies
+// with the log of the instance that may await it, and needs no store, no
+// liveness probe and no collector of its own. Await is a logged step on the
+// caller, so a crashed and re-executed awaiter observes the identical
+// result, and a crashed callee re-posts the identical (deterministically
+// replayed) value into a row the first post already filled. Fan-out/fan-in
+// therefore survives crashes on either side without ever weakening
+// exactly-once.
 
-// ErrAwaitTimeout reports that an Await exhausted its poll budget before
+// ErrAwaitTimeout reports that an Await exhausted its wait budget before
 // the promise's result was posted. The awaiting instance fails; the intent
 // collector re-executes it later, by which time the callee (driven by its
 // own collector) has usually completed.
@@ -29,13 +34,15 @@ var ErrAwaitTimeout = errors.New("core: promise await: result not posted in time
 
 // Promise is a durable handle on an asynchronously invoked SSF's result.
 // The id is the callee's instance id — minted exactly once in the caller's
-// invoke log — so a re-executed caller reconstructs the same Promise and
-// awaits the same cell. Promises are created by Env.AsyncInvokePromise and
-// resolved by Promise.Await; they must be awaited by the instance that
-// created them (the cell is reaped with the creator's intent).
+// invoke log — and step the key of that invoke-log row, so a re-executed
+// caller reconstructs the same Promise and awaits the same row. Promises are
+// created by Env.AsyncInvokePromise and resolved by Promise.Await; they must
+// be awaited by the instance that created them (the result is collected with
+// the creator's invoke log).
 type Promise struct {
 	callee string
 	id     string
+	step   string
 
 	// Baseline mode has no durable machinery; the promise is an in-memory
 	// future fed by a goroutine.
@@ -61,8 +68,8 @@ func (p *Promise) Callee() string { return p.callee }
 // AsyncInvokePromise starts callee asynchronously, like AsyncInvoke, and
 // returns a durable Promise for its result. The callee's registered intent
 // carries this caller's reply coordinates, so completion posts the result
-// into this SSF's mailbox no matter which execution path finishes the
-// intent. Not supported inside transactions (AsyncInvoke's §6.2
+// into this instance's invoke log no matter which execution path finishes
+// the intent. Not supported inside transactions (AsyncInvoke's §6.2
 // restriction applies unchanged). In ModeBaseline the promise is a plain
 // in-memory future with none of the durability.
 func (e *Env) AsyncInvokePromise(callee string, input Value) (*Promise, error) {
@@ -79,17 +86,17 @@ func (e *Env) AsyncInvokePromise(callee string, input Value) (*Promise, error) {
 	if e.inExecute() {
 		return nil, ErrAsyncInTxn
 	}
-	id, err := e.asyncInvoke(callee, input, e.rt.fn, e.instanceID)
+	id, step, err := e.asyncInvoke(callee, input, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Promise{callee: callee, id: id}, nil
+	return &Promise{callee: callee, id: id, step: step}, nil
 }
 
 // Await blocks until the promise's result is durably posted and returns it
 // as a logged step: the first resolution queues the value for the read log
 // under this step's key (durable at the instance's next effect boundary, see
-// readlog.go), and every re-execution returns the recorded value. Polls
+// readlog.go), and every re-execution returns the recorded value. Waits
 // respect the execution's context (Env.Context) and the platform's crash
 // points, and give up with ErrAwaitTimeout after the configured budget
 // (Config.AwaitRetryMax) — failing the instance, not the workflow: the
@@ -118,38 +125,50 @@ func (p *Promise) Await(e *Env) (Value, error) {
 		return val, err
 	}
 
-	// Wait for the callee's post. With a push-capable store the awaiter
-	// subscribes to the cell's commit stream before the first fetch (so a
-	// post landing between fetch and wait still wakes it) and blocks on the
-	// subscription; the exponential-backoff timer stays armed underneath as
-	// the liveness fallback, and each fallback expiry re-fetches — a lost or
-	// coalesced wakeup costs one backoff period, never the result. Without
+	// Wait for the callee's post. Results land in this instance's own
+	// invoke-log partition, so with a push-capable store the awaiter
+	// subscribes to that partition before the first fetch (a post landing
+	// between fetch and wait still wakes it) and blocks on the subscription;
+	// the exponential-backoff timer stays armed underneath as the liveness
+	// fallback, and each expiry re-fetches — a lost or coalesced wakeup costs
+	// one backoff period, never the result. Only a wait that ended on its
+	// timer draws down the budget: a wake-up is some other commit on the
+	// partition (another promise's post, in a fan-in), and charging for it
+	// would time out an await whose own callee merely finishes last. Without
 	// push the loop is the classic poll-with-backoff.
-	sub, _ := e.rt.mailbox.Watch(p.id)
+	resolved := func(val Value) (Value, error) {
+		e.queueRead(stepKey, val)
+		e.awaitSpan(t0, stepKey, p, false, nil)
+		e.crash("await:post:" + stepKey)
+		return val, nil
+	}
+	posted := e.shared.postedResults()
+	if val, ok := posted.get(p.step); ok {
+		return resolved(val)
+	}
+	sub, _ := storage.Watch(e.rt.store, e.rt.invokeLog, dynamo.S(e.instanceID))
 	if sub != nil {
 		defer sub.Close()
 	}
 	backoff := e.rt.cfg.LockRetryBase
-	for attempt := 0; attempt < e.rt.cfg.AwaitRetryMax; attempt++ {
-		val, posted, err := e.rt.mailbox.Fetch(p.id)
+	for timeouts := 0; timeouts < e.rt.cfg.AwaitRetryMax; {
+		val, ok, err := posted.fetch(e, p.step)
 		if err != nil {
 			return dynamo.Null, err
 		}
-		if posted {
-			e.queueRead(stepKey, val)
-			e.awaitSpan(t0, stepKey, p, false, nil)
-			e.crash("await:post:" + stepKey)
-			return val, nil
+		if ok {
+			return resolved(val)
 		}
 		e.crash("await:poll:" + stepKey)
+		woken := false
 		if sub != nil {
 			if werr := e.Context().Err(); werr == nil {
-				sub.Wait(backoff, e.Context().Done())
+				woken = sub.Wait(backoff, e.Context().Done())
 			}
 			if werr := e.Context().Err(); werr != nil {
 				// Canceled mid-wait: nothing was logged for this step, so the
 				// re-execution repeats the await from scratch against the
-				// same cell.
+				// same row.
 				e.awaitSpan(t0, stepKey, p, false, werr)
 				return dynamo.Null, fmt.Errorf("core: await %s (%s): %w", p.id, p.callee, werr)
 			}
@@ -157,12 +176,64 @@ func (p *Promise) Await(e *Env) (Value, error) {
 			e.awaitSpan(t0, stepKey, p, false, werr)
 			return dynamo.Null, fmt.Errorf("core: await %s (%s): %w", p.id, p.callee, werr)
 		}
-		if backoff < 128*e.rt.cfg.LockRetryBase {
-			backoff *= 2
+		if !woken {
+			timeouts++
+			if backoff < 128*e.rt.cfg.LockRetryBase {
+				backoff *= 2
+			}
 		}
 	}
 	e.awaitSpan(t0, stepKey, p, false, ErrAwaitTimeout)
-	return dynamo.Null, fmt.Errorf("%w: %s (%s) after %d polls", ErrAwaitTimeout, p.id, p.callee, e.rt.cfg.AwaitRetryMax)
+	return dynamo.Null, fmt.Errorf("%w: %s (%s) after %d waits", ErrAwaitTimeout, p.id, p.callee, e.rt.cfg.AwaitRetryMax)
+}
+
+// postedResults caches the promise results an execution has fetched, by the
+// invoke-log step of the call, shared by its Parallel branches. A posted
+// result is single-assignment, so a cached one is final.
+type postedResults struct {
+	mu   sync.Mutex
+	vals map[string]Value
+}
+
+// postedResults returns the instance's cache, allocating it on first use:
+// most instances await nothing.
+func (sh *envShared) postedResults() *postedResults {
+	if c := sh.posted.Load(); c != nil {
+		return c
+	}
+	sh.posted.CompareAndSwap(nil, &postedResults{})
+	return sh.posted.Load()
+}
+
+func (c *postedResults) get(step string) (Value, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.vals[step]
+	return v, ok
+}
+
+// fetch reads, in one query of the instance's invoke-log partition, every
+// result posted so far for the call logged at step or a later one — in a
+// fan-in the earlier ones have been awaited already — caches them all, and
+// answers for step.
+func (c *postedResults) fetch(e *Env, step string) (Value, bool, error) {
+	rows, err := e.rt.store.Query(e.rt.invokeLog, dynamo.S(e.instanceID), dynamo.QueryOpts{
+		Filter:     dynamo.And(dynamo.Exists(dynamo.A(attrPosted)), dynamo.Ge(dynamo.A(attrStep), dynamo.S(step))),
+		Projection: []dynamo.Path{dynamo.A(attrStep), dynamo.A(attrPosted)},
+	})
+	if err != nil {
+		return dynamo.Null, false, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.vals == nil {
+		c.vals = make(map[string]Value, len(rows))
+	}
+	for _, it := range rows {
+		c.vals[it[attrStep].Str()] = it[attrPosted]
+	}
+	v, ok := c.vals[step]
+	return v, ok, nil
 }
 
 // awaitSpan records the telemetry span of one Await: the causal edge to
@@ -199,39 +270,47 @@ func (e *Env) AwaitAll(ps ...*Promise) ([]Value, error) {
 	return outs, nil
 }
 
-// postPromise delivers a completed async intent's result to the reply
-// function's mailbox, as a promisePost invocation routed like a callback
-// (§4.5): at-least-once delivery into a first-write-wins cell.
-func (rt *Runtime) postPromise(replyFn, replyOwner, promiseID string, result Value) error {
-	ev := envelope{
+// postPromise delivers a completed async intent's result to the caller's
+// invoke-log row named by ev's reply coordinates, as a promisePost invocation
+// routed like a callback (§4.5): at-least-once delivery into a
+// first-write-wins attribute.
+func (rt *Runtime) postPromise(ev envelope, result Value) error {
+	post := envelope{
 		Kind:       kindPromisePost,
-		CalleeID:   promiseID,
-		ReplyFn:    replyFn,
-		ReplyOwner: replyOwner,
+		CalleeID:   ev.InstanceID,
+		ReplyFn:    ev.ReplyFn,
+		ReplyOwner: ev.ReplyOwner,
+		ReplyStep:  ev.ReplyStep,
 		Result:     result,
 		HasRes:     true,
 	}
-	_, err := rt.plat.InvokeInternal(replyFn, ev.encode())
+	_, err := rt.plat.InvokeInternal(ev.ReplyFn, post.encode())
 	return err
 }
 
-// handlePromisePost is the caller-side post handler: deposit the result in
-// this SSF's mailbox, first write wins. Posts owned by an intent that no
-// longer exists (already garbage-collected, so no awaiter can remain) are
-// dropped like spurious callbacks; the GC also reaps any cell that slips
-// through this check racily.
+// handlePromisePost is the caller-side post handler: ONE guarded update of
+// the invoke-log row that logged the call. The row's existence is the
+// owner-liveness check — the collector deletes an instance's invoke log
+// before its intent, so a post for a collected owner is refused atomically,
+// resurrects nothing and leaves nothing to reap; the callee id guards against
+// a foreign post like a spurious callback; and Posted is single-assignment,
+// so a re-executed callee's second post is a no-op. A refused post reads
+// nothing back: which of the three refused it makes no difference to the
+// callee, which completes either way.
 func (rt *Runtime) handlePromisePost(ev envelope) (Value, error) {
-	exists, _, _, err := rt.intentDone(ev.ReplyOwner)
-	if err != nil {
-		return dynamo.Null, err
+	err := rt.store.Update(rt.invokeLog, dynamo.HSK(dynamo.S(ev.ReplyOwner), dynamo.S(ev.ReplyStep)),
+		dynamo.And(
+			dynamo.Exists(dynamo.A(attrID)),
+			dynamo.Eq(dynamo.A(attrCalleeID), dynamo.S(ev.CalleeID)),
+			dynamo.NotExists(dynamo.A(attrPosted)),
+		),
+		dynamo.Set(dynamo.A(attrPosted), ev.Result))
+	switch {
+	case err == nil:
+		rt.stats.PromisePosts.Add(1)
+	case errors.Is(err, dynamo.ErrConditionFailed):
+		rt.stats.PromisePostsRefused.Add(1)
+		err = nil
 	}
-	if !exists {
-		rt.stats.SpuriousCallback.Add(1)
-		return dynamo.Null, nil
-	}
-	if err := rt.mailbox.Post(ev.CalleeID, ev.ReplyOwner, ev.Result); err != nil {
-		return dynamo.Null, err
-	}
-	rt.stats.PromisePosts.Add(1)
-	return dynamo.Null, nil
+	return dynamo.Null, err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,15 +14,15 @@ import (
 )
 
 // Durable promises: AsyncInvokePromise fans work out as registered intents
-// whose completions post into the caller's mailbox; Await is a logged step.
-// These tests pin the fan-out/fan-in exactly-once story across crashes on
-// the awaiting side, the mailbox's single-assignment discipline, and the
-// GC/fsck lifecycle of the cells.
+// whose completions post into the caller's invoke-log row of the call; Await
+// is a logged step. These tests pin the fan-out/fan-in exactly-once story
+// across crashes on the awaiting side, the posted result's single-assignment
+// discipline, its GC/fsck lifecycle, and the await's cache and wait budget.
 
 // fanWorkerBody returns a worker that bumps a per-index counter (the
 // exactly-once witness) and returns a value containing a token drawn from
 // seq — unique per physical execution, so identical observed results can
-// only come from the durable mailbox, never from silent re-execution.
+// only come from the durable posted result, never from silent re-execution.
 func fanWorkerBody(seq *atomic.Int64) Body {
 	return func(e *Env, in Value) (Value, error) {
 		idx := in.Int()
@@ -146,7 +147,7 @@ func TestPromiseCrashAndReplayExactlyOnce(t *testing.T) {
 			}
 			// Each award index resolved at least once across executions, at
 			// least one index resolved twice (pre- and post-crash), and all
-			// resolutions of one index saw the same token — the mailbox value,
+			// resolutions of one index saw the same token — the posted value,
 			// not a re-computation.
 			mu.Lock()
 			replayedSome := false
@@ -199,7 +200,9 @@ func TestPromiseCalleeCrashReposts(t *testing.T) {
 	f := newFixture(t, withFaults(&platform.CrashOnce{Function: "work", Label: "body:done"}))
 	var seq atomic.Int64
 	f.fn("work", fanWorkerBody(&seq), "count")
-	done := make(chan struct{})
+	// Buffered: the driver's send below does not block, so without a slot it
+	// is lost whenever the driver gets there before the test is receiving.
+	done := make(chan struct{}, 1)
 	f.fn("driver", func(e *Env, in Value) (Value, error) {
 		p, err := e.AsyncInvokePromise("work", dynamo.NInt(7))
 		if err != nil {
@@ -250,50 +253,313 @@ func TestPromiseCalleeCrashReposts(t *testing.T) {
 	}
 }
 
-// TestPromiseMailboxReapedWithOwner pins the cell lifecycle: cells survive
-// while the owning intent lives (a replayed awaiter may still need them)
-// and die in the same GC horizon as the owner.
-func TestPromiseMailboxReapedWithOwner(t *testing.T) {
+// postedRows lists rt's invoke-log rows that hold a posted promise result.
+func postedRows(t *testing.T, f *fixture, rt *Runtime) []dynamo.Item {
+	t.Helper()
+	rows, err := f.store.Scan(rt.invokeLog, dynamo.QueryOpts{Filter: dynamo.Exists(dynamo.A(attrPosted))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// fsckAll fails the test on any structural violation in any runtime.
+func (f *fixture) fsckAll() {
+	f.t.Helper()
+	for _, rt := range f.rts {
+		if err := Fsck(rt); err != nil {
+			f.t.Errorf("fsck %s: %v", rt.fn, err)
+		}
+	}
+}
+
+// TestPromiseResultDiesWithOwnersInvokeLog pins the result's lifecycle: it
+// survives while the owning intent lives (a replayed awaiter may still need
+// it) and dies with the owner's invoke-log partition, in the same GC horizon
+// as the owner — there is nothing else to reap.
+func TestPromiseResultDiesWithOwnersInvokeLog(t *testing.T) {
 	f := newFixture(t, withConfig(Config{RowCap: 4, T: 30 * time.Millisecond, ICMinAge: time.Millisecond}))
 	var seq atomic.Int64
 	f.fn("work", fanWorkerBody(&seq), "count")
-	f.fn("driver", func(e *Env, in Value) (Value, error) {
+	driver := f.fn("driver", func(e *Env, in Value) (Value, error) {
 		p, err := e.AsyncInvokePromise("work", dynamo.NInt(1))
 		if err != nil {
 			return dynamo.Null, err
 		}
 		return p.Await(e)
 	})
-	f.mustInvoke("driver", dynamo.Null)
+	out := f.mustInvoke("driver", dynamo.Null)
 	f.plat.Drain()
 
-	cells, err := f.rts["driver"].mailbox.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 1 {
-		t.Fatalf("cells after completion = %v, want 1", cells)
+	rows := postedRows(t, f, driver)
+	if len(rows) != 1 || !rows[0][attrPosted].Equal(out) {
+		t.Fatalf("posted results after completion = %v, want the one the driver returned (%v)", rows, out)
 	}
 
 	// Two GC passes past T: the first stamps finish times, the second (after
-	// the horizon) recycles the intent and must take the cell with it.
+	// the horizon) recycles the intent and takes the row with it.
 	f.gcAll()
 	time.Sleep(80 * time.Millisecond)
-	st := f.gcAll()
-	if st.MailboxReaped == 0 {
-		t.Errorf("GC reaped no mailbox cells: %+v", st)
+	if st := f.gcAll(); st.LogRowsDeleted == 0 {
+		t.Errorf("GC deleted no log rows: %+v", st)
 	}
-	cells, err = f.rts["driver"].mailbox.Cells()
-	if err != nil {
-		t.Fatal(err)
+	if n, err := f.store.TableItemCount(driver.invokeLog); err != nil || n != 0 {
+		t.Errorf("invoke-log rows after GC = %d (%v), want none", n, err)
 	}
-	if len(cells) != 0 {
-		t.Errorf("cells after GC = %v, want none", cells)
+	f.fsckAll()
+}
+
+// TestPromisePostForCollectedOwnerIsRefused delivers a callee's run after the
+// instance that called it was garbage-collected: the post finds no
+// invoke-log row, is refused by the store in the one op it costs, and leaves
+// nothing behind in any of the owner's tables — fsck is green at once, not
+// after another collector pass.
+func TestPromisePostForCollectedOwnerIsRefused(t *testing.T) {
+	store := dynamo.NewStore()
+	f := newFixture(t, withStore(store),
+		withConfig(Config{RowCap: 4, T: 30 * time.Millisecond, ICMinAge: time.Hour}))
+	var seq atomic.Int64
+	work := f.fn("work", fanWorkerBody(&seq), "count")
+	transport := &queuedTransport{}
+	driver := f.fn("driver", func(e *Env, in Value) (Value, error) {
+		_, err := e.AsyncInvokePromise("work", dynamo.NInt(1))
+		return dynamo.Null, err // never awaited: the driver completes at once
+	})
+	driver.SetAsyncTransport(transport)
+	f.mustInvoke("driver", dynamo.Null)
+
+	f.gcAll()
+	time.Sleep(80 * time.Millisecond)
+	if st := f.gcAll(); st.IntentsDeleted != 1 {
+		t.Fatalf("GC deleted %d intents, want the driver's", st.IntentsDeleted)
 	}
-	for _, rt := range f.rts {
-		if err := Fsck(rt); err != nil {
-			t.Errorf("fsck %s: %v", rt.fn, err)
+
+	runs := transport.take()
+	if len(runs) != 1 {
+		t.Fatalf("%d held runs, want 1", len(runs))
+	}
+	before := store.Metrics().Snapshot()
+	if _, err := f.plat.InvokeInternal(runs[0].fn, runs[0].payload); err != nil {
+		t.Fatalf("late run: %v", err)
+	}
+	d := store.Metrics().Snapshot().Sub(before)
+	if d.CondFailures != 1 {
+		t.Errorf("late run tripped %d store conditions, want 1 (the refused post)", d.CondFailures)
+	}
+	if st := driver.StatsSnapshot(); st.PromisePosts != 0 || st.PromisePostsRefused != 1 {
+		t.Errorf("posts applied/refused = %d/%d, want 0/1", st.PromisePosts, st.PromisePostsRefused)
+	}
+	if _, done, _, _ := work.intentDone(decodeEnvelope(runs[0].payload).InstanceID); !done {
+		t.Error("a refused post must not keep the callee from completing")
+	}
+	for _, tbl := range store.TableNames() {
+		if !strings.HasPrefix(tbl, "driver.") {
+			continue
 		}
+		if n, err := store.TableItemCount(tbl); err != nil || n != 0 {
+			t.Errorf("%s holds %d rows (%v) after a post for a collected owner, want none", tbl, n, err)
+		}
+	}
+	f.fsckAll()
+}
+
+// TestPromiseDuplicatePostKeepsFirstValue re-executes both sides: the callee
+// dies right after posting and its re-execution — whose result carries a new
+// token — posts again; the awaiter dies with its resolved await not logged
+// yet and awaits again. The row keeps the first value, and that is what both
+// awaits see.
+func TestPromiseDuplicatePostKeepsFirstValue(t *testing.T) {
+	f := newFixture(t,
+		withFaults(&platform.CrashOnce{Function: "work", Label: "promise:posted"}),
+		withFaults(&platform.CrashOnce{Function: "driver", Label: "flush:0.000002"}))
+	var seq atomic.Int64
+	f.fn("work", fanWorkerBody(&seq), "count")
+	var mu sync.Mutex
+	var observed []int64
+	driver := f.fn("driver", func(e *Env, in Value) (Value, error) {
+		p, err := e.AsyncInvokePromise("work", dynamo.NInt(7))
+		if err != nil {
+			return dynamo.Null, err
+		}
+		v, err := p.Await(e)
+		if err == nil {
+			tok, _ := v.MapGet("Token")
+			mu.Lock()
+			observed = append(observed, tok.Int())
+			mu.Unlock()
+		}
+		return v, err
+	})
+	if _, err := f.invoke("driver", dynamo.Null); err == nil {
+		t.Fatal("driver survived its crash point")
+	}
+	f.plat.Drain()
+	f.recoverAll()
+
+	// The collector re-executes the callee, and the re-executed driver may
+	// fire its run once more before that completes.
+	reruns := seq.Load() - 1
+	if reruns < 1 {
+		t.Fatal("the worker body was never re-executed")
+	}
+	if st := driver.StatsSnapshot(); st.PromisePosts != 1 || st.PromisePostsRefused != reruns {
+		t.Errorf("posts applied/refused = %d/%d, want 1/%d", st.PromisePosts, st.PromisePostsRefused, reruns)
+	}
+	rows := postedRows(t, f, driver)
+	if len(rows) != 1 {
+		t.Fatalf("posted rows = %v, want 1", rows)
+	}
+	if tok, _ := rows[0][attrPosted].MapGet("Token"); tok.Int() != 1 {
+		t.Errorf("row holds token %d, want the first post's 1", tok.Int())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(observed) != 2 || observed[0] != 1 || observed[1] != 1 {
+		t.Errorf("awaits observed tokens %v, want the first value twice", observed)
+	}
+	if got := f.readData("work", "count", "n07"); got.Int() != 1 {
+		t.Errorf("worker effect ran %v times, want 1", got)
+	}
+	f.fsckAll()
+}
+
+// inOrder awaits a fan-out one promise after the other, on the root branch.
+func inOrder(e *Env, ps []*Promise) ([]Value, error) { return e.AwaitAll(ps...) }
+
+// heldFanOut registers a driver that fans width promises out through a held
+// transport, calls beforeAwait with the held runs — post runs one of them to
+// completion, posting its result — and then awaits the promises with await.
+func heldFanOut(f *fixture, width int, beforeAwait func(runs []queuedRun, post func(queuedRun)),
+	await func(*Env, []*Promise) ([]Value, error)) {
+	transport := &queuedTransport{}
+	post := func(run queuedRun) {
+		if _, err := f.plat.InvokeInternal(run.fn, run.payload); err != nil {
+			f.t.Errorf("held run: %v", err)
+		}
+	}
+	driver := f.fn("driver", func(e *Env, in Value) (Value, error) {
+		ps := make([]*Promise, width)
+		for i := range ps {
+			p, err := e.AsyncInvokePromise("leaf", dynamo.NInt(int64(i)))
+			if err != nil {
+				return dynamo.Null, err
+			}
+			ps[i] = p
+		}
+		beforeAwait(transport.take(), post)
+		outs, err := await(e, ps)
+		return dynamo.L(outs...), err
+	})
+	driver.SetAsyncTransport(transport)
+	f.fn("leaf", func(e *Env, in Value) (Value, error) { return in, nil })
+}
+
+// checkFanIn fails the test unless out is the width results, in order.
+func checkFanIn(t *testing.T, out Value, width int) {
+	t.Helper()
+	if len(out.List()) != width {
+		t.Errorf("awaited %d results, want %d", len(out.List()), width)
+	}
+	for i, v := range out.List() {
+		if v.Int() != int64(i) {
+			t.Errorf("result %d = %v", i, v)
+		}
+	}
+}
+
+// TestAwaitBudgetCountsOnlyTimerWaits is the fan-in that used to time out
+// spuriously: 16 promises, a budget of 4, and the first awaited result posted
+// last. Every other post wakes the awaiter; none of those wake-ups may draw
+// the budget down, and the timer (seconds here) never fires.
+func TestAwaitBudgetCountsOnlyTimerWaits(t *testing.T) {
+	const width = 16
+	f := newFixture(t, withConfig(Config{RowCap: 4, T: DefaultT, ICMinAge: time.Hour,
+		LockRetryBase: 5 * time.Second, AwaitRetryMax: 4}))
+	heldFanOut(f, width, func(runs []queuedRun, post func(queuedRun)) {
+		go func() {
+			for i := len(runs) - 1; i >= 0; i-- {
+				post(runs[i])
+			}
+		}()
+	}, inOrder)
+	checkFanIn(t, f.mustInvoke("driver", dynamo.Null), width)
+}
+
+// TestAwaitFromParallelBranchesSharesResults awaits one fan-out from four
+// Parallel branches at once while the results arrive, last first: the
+// branches share the instance's cache of posted results, so a fetch by one
+// answers awaits of the others — and under -race this is the test that
+// reaches the cache from several goroutines.
+func TestAwaitFromParallelBranchesSharesResults(t *testing.T) {
+	const width, branches = 16, 4
+	f := newFixture(t, withConfig(Config{RowCap: 4, T: DefaultT, ICMinAge: time.Hour,
+		LockRetryBase: 5 * time.Second, AwaitRetryMax: 4}))
+	heldFanOut(f, width, func(runs []queuedRun, post func(queuedRun)) {
+		go func() {
+			for i := len(runs) - 1; i >= 0; i-- {
+				post(runs[i])
+			}
+		}()
+	}, func(e *Env, ps []*Promise) ([]Value, error) {
+		outs := make([]Value, len(ps))
+		fns := make([]func(*Env) error, branches)
+		for b := range fns {
+			fns[b] = func(be *Env) (err error) {
+				for i := b; i < len(ps) && err == nil; i += branches {
+					outs[i], err = ps[i].Await(be)
+				}
+				return err
+			}
+		}
+		return outs, e.Parallel(fns...)
+	})
+	checkFanIn(t, f.mustInvoke("driver", dynamo.Null), width)
+}
+
+// TestAwaitWithoutPostTimesOutOnItsTimer is the other half of the budget
+// rule: with no post at all, an await gives up after exactly AwaitRetryMax
+// timer waits — one fetch ahead of each.
+func TestAwaitWithoutPostTimesOutOnItsTimer(t *testing.T) {
+	store := dynamo.NewStore()
+	f := newFixture(t, withStore(store), withConfig(Config{RowCap: 4, T: DefaultT, ICMinAge: time.Hour,
+		LockRetryBase: 100 * time.Microsecond, AwaitRetryMax: 4}))
+	heldFanOut(f, 1, func([]queuedRun, func(queuedRun)) {}, inOrder)
+	before := store.Metrics().Snapshot()
+	if _, err := f.invoke("driver", dynamo.Null); !errors.Is(err, ErrAwaitTimeout) {
+		t.Fatalf("err = %v, want ErrAwaitTimeout", err)
+	}
+	if q := store.Metrics().Snapshot().Sub(before).Ops["query"]; q != 4 {
+		t.Errorf("await issued %d fetches before giving up, want 4 (AwaitRetryMax)", q)
+	}
+}
+
+// TestAwaitServesOutOfOrderResultsFromCache posts 6 of 8 results — not the
+// first — before the driver's first await. One query caches all six; the
+// awaits on them cost nothing, and only the two late results need fetches of
+// their own. (The fan-in's fetches are the invocation's only queries.)
+func TestAwaitServesOutOfOrderResultsFromCache(t *testing.T) {
+	const width = 8
+	store := dynamo.NewStore()
+	f := newFixture(t, withStore(store), withConfig(Config{RowCap: 4, T: DefaultT, ICMinAge: time.Hour,
+		LockRetryBase: 5 * time.Second}))
+	queries := func() int64 { return store.Metrics().Snapshot().Ops["query"] }
+	before := queries()
+	heldFanOut(f, width, func(runs []queuedRun, post func(queuedRun)) {
+		for _, i := range []int{7, 2, 5, 3, 6, 4} {
+			post(runs[i])
+		}
+		// The two stragglers arrive once the driver has looked for the first.
+		go func() {
+			for deadline := time.Now().Add(5 * time.Second); queries() == before && time.Now().Before(deadline); {
+				time.Sleep(100 * time.Microsecond)
+			}
+			post(runs[1])
+			post(runs[0])
+		}()
+	}, inOrder)
+	checkFanIn(t, f.mustInvoke("driver", dynamo.Null), width)
+	if q := queries() - before; q < 2 || q > 3 {
+		t.Errorf("8 awaits issued %d queries, want 2 or 3: one that finds six results, one or two for the stragglers", q)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/dynamo"
 	"repro/internal/hist"
 	"repro/internal/platform"
-	"repro/internal/queue"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/uuid"
@@ -100,10 +99,11 @@ type Config struct {
 	// LockRetryMax bounds standalone-lock retries per Lock call; retries
 	// consume log entries, so they are bounded. 0 means 50.
 	LockRetryMax int
-	// AwaitRetryMax bounds mailbox polls per Promise.Await before the await
-	// gives up with ErrAwaitTimeout (the instance fails and the intent
-	// collector retries it later). Await polls back off exponentially from
-	// LockRetryBase, capped at 128×. 0 means 200.
+	// AwaitRetryMax bounds the timed-out waits per Promise.Await before the
+	// await gives up with ErrAwaitTimeout (the instance fails and the intent
+	// collector retries it later). The waits back off exponentially from
+	// LockRetryBase, capped at 128×; one cut short by a push wake-up is not
+	// counted. 0 means 200.
 	AwaitRetryMax int
 	// TableShards is the shard count for this SSF's own tables — the DAAL
 	// data tables where appends and lock rows live, the read/invoke logs,
@@ -177,7 +177,6 @@ type Runtime struct {
 	invokeLog   string
 	txCallees   string
 	txLocks     string
-	mailbox     *queue.Mailbox
 
 	mu           sync.Mutex
 	dataTables_  []string
@@ -308,13 +307,6 @@ func (rt *Runtime) createInfraTables() error {
 			return fmt.Errorf("core: %s: %w", rt.fn, err)
 		}
 	}
-	// The promise mailbox: one durable result cell per promise this SSF's
-	// instances fan out (reaped together with the owning intent).
-	mb, err := queue.NewMailbox(rt.store, rt.fn+".mailbox", n)
-	if err != nil {
-		return fmt.Errorf("core: %s: %w", rt.fn, err)
-	}
-	rt.mailbox = mb
 	return nil
 }
 
@@ -572,6 +564,7 @@ const (
 	attrCalleeID   = "CalleeId"
 	attrResult     = "Result"
 	attrRelaunched = "Relaunched" // invoke log: a launch other than the callee's first was issued
+	attrPosted     = "Posted"     // invoke log: the promise result of the async call the row logs
 	attrTxnID      = "TxnId"
 	attrCallee     = "Callee"
 	attrTableKey   = "TableKey"

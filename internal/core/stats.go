@@ -16,10 +16,12 @@ type Stats struct {
 	Unlocks    atomic.Int64
 
 	// Durable promises: promise-returning async invocations issued, awaits
-	// resolved, and results posted into this SSF's mailbox.
-	PromiseCalls atomic.Int64
-	Awaits       atomic.Int64
-	PromisePosts atomic.Int64
+	// resolved, results posted into this SSF's invoke log, and posts refused
+	// (a re-executed callee's duplicate, or a post for a collected owner).
+	PromiseCalls        atomic.Int64
+	Awaits              atomic.Int64
+	PromisePosts        atomic.Int64
+	PromisePostsRefused atomic.Int64
 
 	// ChangeEvents counts table-change (CDC) events emitted: committed
 	// writes to a watched table that fired a registered change handler (one
@@ -73,7 +75,7 @@ type Stats struct {
 // StatsView is a point-in-time copy for reporting.
 type StatsView struct {
 	Reads, Writes, CondWrites, SyncCalls, AsyncCalls, Locks, Unlocks int64
-	PromiseCalls, Awaits, PromisePosts                               int64
+	PromiseCalls, Awaits, PromisePosts, PromisePostsRefused          int64
 	ChangeEvents                                                     int64
 	Replays                                                          int64
 	ReadLogFlushes, ReadLogRows, InstancesSuperseded                 int64
@@ -128,5 +130,6 @@ func (s *Stats) Snapshot() StatsView {
 		ReadLogFlushes:      s.ReadLogFlushes.Load(),
 		ReadLogRows:         s.ReadLogRows.Load(),
 		InstancesSuperseded: s.InstancesSuperseded.Load(),
+		PromisePostsRefused: s.PromisePostsRefused.Load(),
 	}
 }

@@ -54,7 +54,6 @@ func (e *Env) Transaction(body func() error) error {
 		Start: e.intent.startTime,
 	}
 	e.shared.txn = ctx
-	e.shared.txnOwner = true
 
 	bodyErr := runTxnBody(body)
 
@@ -67,7 +66,6 @@ func (e *Env) Transaction(body func() error) error {
 		}
 		e.stepSpan(t0, telemetry.KindTxnCommit, "", ctx.ID, false, e.rt.histTxn, nil)
 		e.shared.txn = nil
-		e.shared.txnOwner = false
 		e.rt.stats.TxnCommitted.Add(1)
 		return nil
 	}
@@ -80,7 +78,6 @@ func (e *Env) Transaction(body func() error) error {
 	}
 	e.stepSpan(t0, telemetry.KindTxnAbort, "", ctx.ID, false, nil, nil)
 	e.shared.txn = nil
-	e.shared.txnOwner = false
 	if errors.Is(bodyErr, ErrTxnAborted) {
 		return ErrTxnAborted
 	}

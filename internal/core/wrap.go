@@ -114,7 +114,7 @@ func (rt *Runtime) handler(inv *platform.Invocation, raw Value) (Value, error) {
 		ret, err := rt.handleCall(inv, ev)
 		if err == nil && ev.CallerFn == "" {
 			// Workflow entry reply: the only effect that leaves the store
-			// entirely (every other effect — callbacks, mailbox posts, txn
+			// entirely (every other effect — callbacks, promise posts, txn
 			// records, queue acks — is itself a store write and rides the
 			// speculation log in order). Under a speculation overlay the
 			// reply must not be released until the steps it depends on are
@@ -262,7 +262,7 @@ func (rt *Runtime) handleAsyncRegister(inv *platform.Invocation, ev envelope) (V
 	// coordinates, so a collector-restarted execution behaves exactly like
 	// the directly fired one — including posting its result back.
 	runEv := envelope{Kind: kindAsyncRun, InstanceID: ev.InstanceID, Input: ev.Input, Async: true,
-		App: ev.App, ReplyFn: ev.ReplyFn, ReplyOwner: ev.ReplyOwner}
+		App: ev.App, ReplyFn: ev.ReplyFn, ReplyOwner: ev.ReplyOwner, ReplyStep: ev.ReplyStep}
 	if _, err := rt.ensureIntent(ev.InstanceID, runEv); err != nil {
 		return dynamo.Null, err
 	}
@@ -304,11 +304,11 @@ func (rt *Runtime) handleAsyncRun(inv *platform.Invocation, ev envelope) (Value,
 	inv.CrashPoint("body:done")
 	// Post the promise result BEFORE done-marking (the same Fig 9 ordering
 	// as callbacks): once the intent is done it can be collected, so the
-	// result must already sit durably in the caller's mailbox. A crash in
-	// between re-runs this intent, which replays the identical result and
-	// re-posts it into the already-won cell — a no-op.
+	// result must already sit durably in the caller's invoke-log row. A crash
+	// in between re-runs this intent, which replays the identical result and
+	// re-posts it into the row the first post already filled — a no-op.
 	if ev.ReplyFn != "" {
-		if err := rt.postPromise(ev.ReplyFn, ev.ReplyOwner, ev.InstanceID, ret); err != nil {
+		if err := rt.postPromise(ev, ret); err != nil {
 			perr := fmt.Errorf("core: %s: promise post to %s failed: %w", rt.fn, ev.ReplyFn, err)
 			obs.complete(perr)
 			return dynamo.Null, perr

@@ -22,7 +22,7 @@
 // appended so far is durable — the runtime calls it before any externally
 // visible effect (a workflow's reply to its client; see core's entry-reply
 // fence via storage.Fence). Effects that are themselves store writes
-// (mailbox posts, queue acks, transaction commit records, cross-SSF async
+// (promise posts, queue acks, transaction commit records, cross-SSF async
 // intents) need no fence at all: they ride the same ordered speculation log
 // and flush atomically with the steps they depend on, so recovery replays
 // only the durable prefix and no effect can outrun its cause.

@@ -26,9 +26,12 @@ import (
 // When the backing store supports commit-stream watches (storage.Watcher),
 // an idle mapper blocks on the queue table's push subscription instead of
 // sleeping out its poll interval: an enqueue wakes it immediately, so
-// trigger latency is decoupled from PollInterval. The poll timer stays armed
-// underneath as the liveness fallback — a dropped or coalesced wakeup costs
-// at most one PollInterval, never progress.
+// trigger latency is decoupled from PollInterval. The subscription is also
+// what lets the mapper pay per message rather than per commit (see run): it
+// knows which events are its own claims and acks, so it neither re-scans
+// after them nor follows every batch with a scan that finds nothing. The
+// poll timer stays armed underneath as the liveness fallback — a dropped or
+// coalesced wakeup costs at most one PollInterval, never progress.
 
 // EventSourceOptions configure one queue→function mapping.
 type EventSourceOptions struct {
@@ -39,8 +42,10 @@ type EventSourceOptions struct {
 	// BatchSize is how many messages one poll claims. 0 means
 	// DefaultBatchSize.
 	BatchSize int
-	// PollInterval is the idle delay between polls when the queue was empty;
-	// a non-empty batch polls again immediately. 0 means
+	// PollInterval is how long an idle mapper waits before it polls again
+	// unprompted — with a push-capable store the bound on what no event
+	// announces (a lost wake-up, a delayed message, an expired visibility
+	// timeout), without one the poll cadence of an empty queue. 0 means
 	// DefaultPollInterval.
 	PollInterval time.Duration
 	// NackOnError returns failed messages to the queue immediately instead
@@ -81,9 +86,9 @@ type Mapper struct {
 	doneCh  chan struct{}
 	started bool
 
-	// subMu guards the lazily acquired push subscription on the source
-	// queue's table (nil when the store has no push support, or after the
-	// subscription died and has not been re-acquired yet).
+	// subMu guards the push subscription on the source queue's table (nil
+	// when the store has no push support, or after the subscription died and
+	// has not been re-acquired yet).
 	subMu sync.Mutex
 	sub   storage.Subscription
 }
@@ -119,33 +124,52 @@ func (m *Mapper) Metrics() *MapperMetrics { return &m.metrics }
 // handler errors are not — they are the redelivery path, not the mapper's
 // failure.
 func (m *Mapper) PollOnce() (processed, failed int, err error) {
+	b, err := m.poll()
+	return b.processed, len(b.claimed) - b.processed, err
+}
+
+// batch is what one poll tells the loop about the batch it settled.
+type batch struct {
+	processed int // invoked and acked
+	// claimed holds the ids of the messages the poll claimed: the hash keys
+	// of every commit the mapper itself made on the queue's table.
+	claimed map[string]bool
+	// nacked: the mapper returned a message to the queue, receivable now.
+	nacked bool
+}
+
+func (m *Mapper) poll() (batch, error) {
 	msgs, err := m.broker.Receive(m.opts.Queue, m.opts.BatchSize)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(msgs) == 0 {
-		return 0, 0, nil
+	if err != nil || len(msgs) == 0 {
+		return batch{}, err
 	}
 	m.metrics.Batches.Add(1)
-	var ok, bad atomic.Int64
+	b := batch{claimed: make(map[string]bool, len(msgs))}
+	var ok atomic.Int64
+	var nacked atomic.Bool
 	var wg sync.WaitGroup
 	for _, msg := range msgs {
+		b.claimed[msg.ID] = true
 		wg.Add(1)
 		go func(msg queue.Message) {
 			defer wg.Done()
-			if m.deliver(msg) {
+			delivered, nack := m.deliver(msg)
+			if delivered {
 				ok.Add(1)
-			} else {
-				bad.Add(1)
+			}
+			if nack {
+				nacked.Store(true)
 			}
 		}(msg)
 	}
 	wg.Wait()
-	return int(ok.Load()), int(bad.Load()), nil
+	b.processed = int(ok.Load())
+	b.nacked = nacked.Load()
+	return b, nil
 }
 
 // deliver triggers the function for one message and settles the message by
-// the outcome. Reports success.
+// the outcome. Reports success, and whether the message was nacked.
 //
 // Admission depends on the platform's saturation policy. Under
 // RejectWhenSaturated the entry path fails fast with ErrThrottled, which we
@@ -154,7 +178,7 @@ func (m *Mapper) PollOnce() (processed, failed int, err error) {
 // visibility clock keeps running — a saturated platform would burn healthy
 // messages' redelivery budgets — so the trigger runs with internal
 // admission, which consumes capacity but never waits for it.
-func (m *Mapper) deliver(msg queue.Message) bool {
+func (m *Mapper) deliver(msg queue.Message) (ok, nacked bool) {
 	var err error
 	if m.plat.opts.RejectWhenSaturated {
 		_, err = m.plat.Invoke(m.opts.Function, msg.Body)
@@ -168,15 +192,16 @@ func (m *Mapper) deliver(msg queue.Message) bool {
 			// failing: return the message immediately so another poll retries
 			// as soon as capacity frees, instead of waiting out the
 			// visibility timeout.
-			if nerr := m.broker.Nack(m.opts.Queue, msg.ID, msg.Receipt); nerr != nil && !errors.Is(nerr, queue.ErrStaleReceipt) {
+			nerr := m.broker.Nack(m.opts.Queue, msg.ID, msg.Receipt)
+			if nerr != nil && !errors.Is(nerr, queue.ErrStaleReceipt) {
 				m.metrics.SettleErrors.Add(1)
 			}
-			return false
+			return false, nerr == nil
 		}
 		// The instance died (crash, timeout) or the handler errored: like a
 		// real dead consumer it cannot nack. The claim expires and the
 		// message is redelivered with its receive count advanced.
-		return false
+		return false, false
 	}
 	if aerr := m.broker.Ack(m.opts.Queue, msg.ID, msg.Receipt); aerr != nil {
 		if errors.Is(aerr, queue.ErrStaleReceipt) {
@@ -184,18 +209,17 @@ func (m *Mapper) deliver(msg queue.Message) bool {
 			// redelivered meanwhile. The other delivery owns settlement now;
 			// the function's idempotence already absorbed the duplicate run.
 			m.metrics.StaleDeliveries.Add(1)
-			return true
+			return true, false
 		}
 		m.metrics.SettleErrors.Add(1)
-		return false
+		return false, false
 	}
 	m.metrics.Delivered.Add(1)
-	return true
+	return true, false
 }
 
-// Start launches the background poll loop. A non-empty batch loops
-// immediately; an empty poll sleeps PollInterval. Start is idempotent while
-// running.
+// Start launches the background poll loop (see run). Start is idempotent
+// while running.
 func (m *Mapper) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -205,75 +229,117 @@ func (m *Mapper) Start() {
 	m.started = true
 	m.stopCh = make(chan struct{})
 	m.doneCh = make(chan struct{})
-	go m.loop(m.stopCh, m.doneCh)
+	go func(stopCh, doneCh chan struct{}) {
+		defer close(doneCh)
+		m.run(stopCh)
+	}(m.stopCh, m.doneCh)
 }
 
-func (m *Mapper) loop(stopCh, doneCh chan struct{}) {
-	defer close(doneCh)
+// Run polls until ctx ends — the context-first alternative to Start/Stop for
+// callers that manage lifecycles with contexts (see run). Run returns
+// ctx.Err() once the context is done; messages already claimed keep their
+// visibility timeout, so nothing is lost.
+func (m *Mapper) Run(ctx context.Context) error {
+	m.run(ctx.Done())
+	return ctx.Err()
+}
+
+// run is the poll loop behind Start and Run: poll, then park until new work
+// is likely. Without push that is the classic loop — a batch that delivered
+// something polls again at once, anything else sleeps PollInterval. With a
+// live subscription the mapper pays per message instead:
+//
+//  1. It holds the subscription before its first scan and empties the event
+//     buffer before every scan, so whatever committed before the drain is
+//     visible to the scan that follows and only later events matter.
+//  2. A poll goes idle unless its batch was full (more may be waiting) or
+//     the mapper itself nacked a message (receivable again, by its own
+//     doing). The subscription is what makes that safe: an enqueue during the
+//     batch is a buffered event, not something only a trailing scan finds.
+//  3. While idle, an event on a message claimed in the batch just settled is
+//     the mapper's own claim or ack. It cannot have made anything receivable
+//     and is skipped; any other event wakes.
+//  4. It filters only when the batch's own events — at most two per message,
+//     a claim and an ack or nack — cannot fill the buffer by themselves. A
+//     full buffer then always holds a foreign event, so an event coalesced
+//     into it is still followed by a wake-up, the store's hint contract; a
+//     batch too big for that wakes on its first event, own or not.
+//  5. PollInterval bounds everything push does not announce: a lost wake-up,
+//     a delayed message coming due, an expired visibility timeout.
+func (m *Mapper) run(cancel <-chan struct{}) {
 	defer m.closeSub()
 	for {
 		select {
-		case <-stopCh:
+		case <-cancel:
 			return
 		default:
 		}
-		n, _, err := m.PollOnce()
-		if err != nil || n == 0 {
-			m.idleWait(stopCh)
+		sub := m.watchSub()
+		if sub != nil {
+			drain(sub.Events())
+		}
+		b, _ := m.poll() // a failed poll is an empty batch: wait, then retry
+		again := b.processed > 0
+		if sub != nil {
+			again = len(b.claimed) == m.opts.BatchSize || b.nacked
+		}
+		if !again {
+			m.idleWait(cancel, sub, b.claimed)
 		}
 	}
 }
 
-// Run polls until ctx ends — the context-first alternative to Start/Stop for
-// callers that manage lifecycles with contexts. A non-empty batch polls again
-// immediately; an idle mapper blocks until a commit lands on the queue (when
-// the store pushes) or PollInterval elapses, whichever is first. Run returns
-// ctx.Err() once the context is done; messages already claimed keep their
-// visibility timeout, so nothing is lost.
-func (m *Mapper) Run(ctx context.Context) error {
-	defer m.closeSub()
+// drain empties a subscription's buffer without blocking.
+func drain(events <-chan storage.CommitEvent) {
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n, _, err := m.PollOnce()
-		if err != nil || n == 0 {
-			m.idleWait(ctx.Done())
+		select {
+		case _, ok := <-events:
+			if !ok {
+				return // closed; the next idle wait drops it
+			}
+		default:
+			return
 		}
 	}
 }
 
 // idleWait parks the mapper until new work is likely: a commit on the source
-// queue's table (push wakeup), PollInterval elapsing (the liveness fallback
-// that bounds staleness when push is unavailable or a wakeup was lost), or
-// cancel firing. The wait is always interruptible by cancel — Stop and
-// context cancellation return promptly no matter how long PollInterval is.
-func (m *Mapper) idleWait(cancel <-chan struct{}) {
-	sub := m.watchSub()
+// queue's table (push wakeup) other than the mapper's own, which are those on
+// the messages in own; PollInterval elapsing (the liveness fallback that
+// bounds staleness when push is unavailable or a wakeup was lost); or cancel
+// firing. The wait is always interruptible by cancel — Stop and context
+// cancellation return promptly no matter how long PollInterval is.
+func (m *Mapper) idleWait(cancel <-chan struct{}, sub storage.Subscription, own map[string]bool) {
 	timer := time.NewTimer(m.opts.PollInterval)
 	defer timer.Stop()
-	if sub == nil {
-		select {
-		case <-cancel:
-		case <-timer.C:
-		}
-		return
+	var events <-chan storage.CommitEvent // nil without push: never ready
+	if sub != nil {
+		events = sub.Events()
 	}
-	select {
-	case _, ok := <-sub.Events():
-		if !ok {
-			// The subscription died (store closed, remote connection lost):
-			// drop it so the next idle period resubscribes or falls back.
-			m.dropSub(sub)
-			select {
-			case <-cancel:
-			case <-timer.C:
+	if 2*len(own) >= cap(events) {
+		own = nil // rule 4: its own events could fill the buffer; skip none
+	}
+	for {
+		select {
+		case ev, ok := <-events:
+			if !ok {
+				// The subscription died (store closed, remote connection lost):
+				// drop it so the next poll resubscribes or falls back, and
+				// sleep out the timer.
+				m.dropSub(sub)
+				events = nil
+				continue
 			}
+			if own[ev.Hash.Str()] {
+				continue
+			}
+			m.metrics.Wakeups.Add(1)
+			return
+		case <-timer.C:
+			return
+		case <-cancel:
 			return
 		}
-		m.metrics.Wakeups.Add(1)
-	case <-timer.C:
-	case <-cancel:
 	}
 }
 
@@ -328,6 +394,7 @@ func (m *Mapper) Stop() {
 // MapperMetrics counts one event-source mapping's activity. Wakeups counts
 // idle waits ended by a push event rather than the fallback timer — the
 // observable difference between push-triggered and poll-triggered delivery.
+// The mapper's own claim and ack events, which it skips, are not counted.
 type MapperMetrics struct {
 	Batches         atomic.Int64
 	Delivered       atomic.Int64

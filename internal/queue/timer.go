@@ -175,23 +175,37 @@ func (ts *TimerService) Cancel(id string) error {
 // directly. A queue-level error on one timer does not stop the others; the
 // first such error is returned after the pass.
 func (ts *TimerService) FireDue() (int, error) {
+	fired, _, err := ts.firePass()
+	return fired, err
+}
+
+// firePass is one scan of the timer table serving the pump twice: it fires
+// what is due and reports the earliest due time among the registrations that
+// are not, 0 when there is none — what the pump's idle wait needs to know.
+func (ts *TimerService) firePass() (fired int, next int64, _ error) {
 	now := ts.b.now()
-	rows, err := ts.b.store.Scan(ts.tbl, dynamo.QueryOpts{
-		Filter: dynamo.Le(dynamo.A(attrDue), dynamo.NInt(now)),
-	})
+	rows, err := ts.b.store.Scan(ts.tbl, dynamo.QueryOpts{})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
+	}
+	due := rows[:0]
+	for _, row := range rows {
+		switch d := row[attrDue].Int(); {
+		case d <= now:
+			due = append(due, row)
+		case next == 0 || d < next:
+			next = d
+		}
 	}
 	// Due order, id tiebreak: deterministic fire order for tests and replay.
-	sort.Slice(rows, func(i, j int) bool {
-		if d := rows[i][attrDue].Int() - rows[j][attrDue].Int(); d != 0 {
+	sort.Slice(due, func(i, j int) bool {
+		if d := due[i][attrDue].Int() - due[j][attrDue].Int(); d != 0 {
 			return d < 0
 		}
-		return rows[i][attrTimerID].Str() < rows[j][attrTimerID].Str()
+		return due[i][attrTimerID].Str() < due[j][attrTimerID].Str()
 	})
-	fired := 0
 	var firstErr error
-	for _, row := range rows {
+	for _, row := range due {
 		ok, err := ts.fireOne(row, now)
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -200,7 +214,7 @@ func (ts *TimerService) FireDue() (int, error) {
 			fired++
 		}
 	}
-	return fired, firstErr
+	return fired, next, firstErr
 }
 
 // fireOne attempts one timer's fire: a single transaction that inserts the
@@ -303,24 +317,6 @@ func (ts *TimerService) Timers() ([]TimerSpec, error) {
 	return out, nil
 }
 
-// nextDue returns the earliest registered due time; ok is false when no
-// timer is registered.
-func (ts *TimerService) nextDue() (int64, bool) {
-	rows, err := ts.b.store.Scan(ts.tbl, dynamo.QueryOpts{
-		Projection: []dynamo.Path{dynamo.A(attrDue)},
-	})
-	if err != nil || len(rows) == 0 {
-		return 0, false
-	}
-	min := rows[0][attrDue].Int()
-	for _, row := range rows[1:] {
-		if d := row[attrDue].Int(); d < min {
-			min = d
-		}
-	}
-	return min, true
-}
-
 // Start launches the background pump. Idempotent while running.
 func (ts *TimerService) Start() {
 	ts.mu.Lock()
@@ -357,32 +353,34 @@ func (ts *TimerService) loop(stopCh, doneCh chan struct{}) {
 			return
 		default:
 		}
-		n, err := ts.FireDue()
+		// Subscribed before the scan: a Schedule that commits after it is a
+		// buffered event by the time the pump waits.
+		sub := ts.watchSub()
+		n, next, err := ts.firePass()
 		if err != nil {
 			ts.metrics.Errors.Add(1)
 		}
 		if n > 0 {
 			continue // more may already be due
 		}
-		ts.idleWait(stopCh)
+		ts.idleWait(stopCh, sub, next)
 	}
 }
 
-// idleWait parks the pump until a timer is likely due: the earlier of the
-// next registered due time and the fallback poll interval, cut short by a
-// commit on the timer table (a Schedule, Cancel, or another firer's advance)
-// when the store pushes.
-func (ts *TimerService) idleWait(cancel <-chan struct{}) {
+// idleWait parks the pump until a timer is likely due: the earlier of next,
+// the earliest pending due time the last pass saw (0: none), and the fallback
+// poll interval, cut short by a commit on the timer table (a Schedule,
+// Cancel, or another firer's advance) when the store pushes.
+func (ts *TimerService) idleWait(cancel <-chan struct{}, sub storage.Subscription, next int64) {
 	wait := ts.poll
-	if due, ok := ts.nextDue(); ok {
-		if d := time.Duration(due-ts.b.now()) * time.Microsecond; d < wait {
+	if next != 0 {
+		if d := time.Duration(next-ts.b.now()) * time.Microsecond; d < wait {
 			wait = d
 		}
 		if wait < time.Millisecond {
 			wait = time.Millisecond
 		}
 	}
-	sub := ts.watchSub()
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	if sub == nil {

@@ -1,12 +1,14 @@
 package queue
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/dynamo"
+	"repro/internal/storage/storagetest"
 )
 
 func newTimerRig(t *testing.T) (*Broker, *clock.Manual, *TimerService) {
@@ -207,5 +209,42 @@ func TestTimerStopInterruptsIdleWait(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop did not interrupt an idle wait with PollInterval = 1h")
+	}
+}
+
+// TestTimerIdlePumpScansOncePerCycle pins the pump's cost while nothing is
+// due: each cycle — here one per Schedule of a far-off timer, which wakes the
+// parked pump — is ONE scan of the timer table, serving both "what is due"
+// and "when is the next one due".
+func TestTimerIdlePumpScansOncePerCycle(t *testing.T) {
+	counted := storagetest.NewCounting(dynamo.NewStore())
+	b := NewBroker(BrokerOptions{Store: counted})
+	b.MustCreate("q", Options{})
+	ts, err := NewTimerService(b, TimerOptions{PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scans := func() int { return counted.Count(ts.Table(), "scan") }
+	cycle := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); scans() < n; time.Sleep(200 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("pump stuck at %d scans, waiting for cycle %d", scans(), n)
+			}
+		}
+	}
+	ts.Start()
+	defer ts.Stop()
+	cycle(1) // the pump subscribed before this scan: no Schedule below is missed
+	const schedules = 5
+	for i := 1; i <= schedules; i++ {
+		if err := ts.Schedule(TimerSpec{ID: fmt.Sprint("far", i), Queue: "q", Delay: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+		cycle(1 + i)
+	}
+	ts.Stop()
+	if got := scans(); got != 1+schedules {
+		t.Errorf("%d idle cycles cost %d scans of the timer table, want %d", 1+schedules, got, 1+schedules)
 	}
 }

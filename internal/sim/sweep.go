@@ -669,7 +669,7 @@ func expectedCounts(docs []fanout.Doc) map[string]int64 {
 }
 
 // fanoutWorkload submits one fan-out word-count job (async promises:
-// durable mailboxes, logged awaits) and audits the committed totals
+// results posted into the driver's invoke log, logged awaits) and audits the committed totals
 // against locally computed counts.
 func fanoutWorkload() *workload {
 	wl := &workload{name: "fanout", requests: 1}

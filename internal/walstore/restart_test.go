@@ -200,7 +200,7 @@ func TestRestartRecoveryOrders(t *testing.T) {
 
 // TestRestartRecoveryFanout: the map-reduce driver is killed mid-fan-in
 // (awaiting durable promises); after the cold restart the collector replays
-// the driver, whose promises resolve from the recovered mailbox cells or
+// the driver, whose promises resolve from the recovered posted results or
 // re-fired children, and the totals equal an undisturbed run's.
 func TestRestartRecoveryFanout(t *testing.T) {
 	job := fanout.Job{Docs: []fanout.Doc{
