@@ -18,6 +18,12 @@ import "sync"
 // (WithShards) or per table (Schema.Shards).
 const DefaultShards = 1
 
+// MaxShards is the most lock stripes a table may ask for. A stripe is an
+// allocation made at CreateTable, and a schema can arrive off a socket or a
+// log, so the count is bounded well above any useful value (stripes beyond
+// the core count buy nothing; this tree's largest is 16).
+const MaxShards = 1024
+
 // shardIndex maps an encoded hash key to a shard by FNV-1a. All rows of one
 // partition (same hash key) land on the same shard, so Query sees a
 // consistent partition snapshot holding a single shard lock.

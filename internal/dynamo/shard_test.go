@@ -30,6 +30,16 @@ func TestSchemaShardsOverrideAndDefault(t *testing.T) {
 	if err := s.CreateTable(Schema{Name: "bad", HashKey: "K", Shards: -1}); err == nil {
 		t.Error("negative shard count accepted")
 	}
+	// A stripe is an allocation: 1<<40 of them, asked for by a 40-byte frame
+	// off a socket, used to be a make that killed the process.
+	for _, n := range []int{MaxShards + 1, 1 << 40} {
+		if err := s.CreateTable(Schema{Name: "huge", HashKey: "K", Shards: n}); err == nil {
+			t.Errorf("shard count %d accepted", n)
+		}
+	}
+	if err := s.CreateTable(Schema{Name: "most", HashKey: "K", Shards: MaxShards}); err != nil {
+		t.Errorf("MaxShards refused: %v", err)
+	}
 	if _, err := s.TableShards("nope"); !errors.Is(err, ErrNoSuchTable) {
 		t.Errorf("TableShards on missing table: %v", err)
 	}

@@ -135,8 +135,8 @@ func (s *Store) CreateTable(schema Schema) error {
 	if schema.Name == "" || schema.HashKey == "" {
 		return fmt.Errorf("dynamo: CreateTable: name and hash key are required")
 	}
-	if schema.Shards < 0 {
-		return fmt.Errorf("dynamo: CreateTable: negative shard count %d", schema.Shards)
+	if schema.Shards < 0 || schema.Shards > MaxShards {
+		return fmt.Errorf("dynamo: CreateTable: shard count %d outside [0, %d]", schema.Shards, MaxShards)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,28 +190,45 @@ func (c *Client) isClosed() bool {
 	return c.closed
 }
 
-func (c *Client) ping() error {
-	_, err := c.call(opPing, nil)
-	return err
-}
+func (c *Client) ping() error { return c.call(opPing, nil, nil) }
 
 // --- RPC core ---
 
 // rpcResult is what a connection's read loop delivers for one request.
 type rpcResult struct {
 	code byte           // the response's result code
-	d    *codec.Decoder // over the response body, positioned after the code
+	m    *codec.Message // the response, positioned after the code
 	err  error          // connection-level failure
 }
 
-// payload is the decoder over a successful response's result, or the error
-// a failed one carries.
-func (r rpcResult) payload() (*codec.Decoder, error) {
+// finish is where a response's bytes become the caller's values: dec reads a
+// successful response's result (nil when it has none to read), a failed one
+// is rebuilt into its error, and either way the body goes back to the pool —
+// nothing decoded aliases it.
+func (r rpcResult) finish(dec func(*codec.Decoder)) error {
+	defer r.m.Release()
 	if r.code != codeOK {
-		return nil, decodeError(r.code, r.d)
+		return decodeError(r.code, &r.m.Decoder)
 	}
-	return r.d, nil
+	if dec != nil {
+		dec(&r.m.Decoder)
+	}
+	return decodeErr(&r.m.Decoder)
 }
+
+// waiter is the per-attempt state a connection's read loop and its caller
+// meet at: the channel the response arrives on and the attempt's deadline.
+// Only an attempt that received on ch recycles its waiter; see attempt.
+type waiter struct {
+	ch    chan rpcResult
+	timer *time.Timer
+}
+
+var waiters = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop() // armed by each attempt's Reset
+	return &waiter{ch: make(chan rpcResult, 1), timer: t}
+}}
 
 // poolConn is one pooled connection: a lazily-dialed TCP conn, a write
 // lock, and a demultiplexing read loop that routes responses to waiters by
@@ -283,22 +301,28 @@ func clientHandshake(conn net.Conn, timeout time.Duration) error {
 // every waiter. Responses for abandoned (timed-out) requests are dropped.
 // Frames whose code byte is codeEvent are server pushes, routed to the watch
 // subscription the id names instead of a pending request.
+//
+// Each frame is read into a pooled codec.Message that whoever decodes it
+// releases: this loop for an event, the waiting call (rpcResult.finish) for a
+// response. A response nobody waits for is dropped to the garbage collector,
+// never pooled — its attempt may already have given up on the channel.
 func (p *poolConn) readLoop(conn net.Conn) {
+	frames := codec.NewFrameReader(conn, maxFrameBody)
 	for {
-		body, err := readFrame(conn)
+		m, err := frames.Next()
 		if err != nil {
-			p.fail(conn, err)
+			p.fail(conn, protoErr(err))
 			return
 		}
-		p.client.stats.BytesRead.Add(int64(len(body)))
-		d := codec.NewDecoder(body)
-		id, code := d.U64(), d.U8()
-		if err := decodeErr(d); err != nil {
+		p.client.stats.BytesRead.Add(int64(m.Len()))
+		id, code := m.U64(), m.U8()
+		if err := decodeErr(&m.Decoder); err != nil {
 			p.fail(conn, err)
 			return
 		}
 		if code == codeEvent {
-			p.deliverEvent(id, d)
+			p.deliverEvent(id, &m.Decoder)
+			m.Release()
 			continue
 		}
 		p.mu.Lock()
@@ -306,7 +330,7 @@ func (p *poolConn) readLoop(conn net.Conn) {
 		delete(p.pending, id)
 		p.mu.Unlock()
 		if ch != nil {
-			ch <- rpcResult{code: code, d: d}
+			ch <- rpcResult{code: code, m: m}
 		}
 	}
 }
@@ -316,7 +340,7 @@ func (p *poolConn) readLoop(conn net.Conn) {
 // watches are dropped, and a full subscription buffer coalesces the event
 // like the in-process hub does.
 func (p *poolConn) deliverEvent(id uint64, d *codec.Decoder) {
-	ev := storage.CommitEvent{Table: d.Str(), Hash: d.Value(), Seq: d.U64()}
+	ev := storage.CommitEvent{Table: d.Name(), Hash: d.Value(), Seq: d.U64()}
 	if d.Err() != nil {
 		return
 	}
@@ -385,18 +409,28 @@ func (a attemptErr) Error() string { return a.err.Error() }
 
 // attempt runs one RPC attempt on this connection: write the request frame,
 // wait for the matching response or the deadline.
+//
+// The response channel and the deadline timer come from a pool, and go back
+// to it only when this attempt received on the channel: then the one send a
+// registration can get (the read loop's, or fail's) is consumed and nobody
+// else holds the channel. An attempt that timed out, or whose write failed,
+// leaves its waiter to the garbage collector on purpose — the read loop may
+// have fetched the channel from pending just before the delete and still
+// send on it, and a recycled channel would hand that late response to some
+// other call. (go.mod says go 1.24: a stopped-then-Reset timer cannot
+// deliver a stale tick.)
 func (p *poolConn) attempt(id uint64, frame []byte, timeout time.Duration) (rpcResult, error) {
 	conn, err := p.get()
 	if err != nil {
 		return rpcResult{}, attemptErr{err: err, written: false}
 	}
-	ch := make(chan rpcResult, 1)
 	p.mu.Lock()
 	if p.conn != conn || p.pending == nil {
 		p.mu.Unlock()
 		return rpcResult{}, attemptErr{err: io.ErrUnexpectedEOF, written: false}
 	}
-	p.pending[id] = ch
+	w := waiters.Get().(*waiter)
+	p.pending[id] = w.ch
 	p.mu.Unlock()
 
 	// The frame is pre-encoded; serialize writers so records never
@@ -421,15 +455,16 @@ func (p *poolConn) attempt(id uint64, frame []byte, timeout time.Duration) (rpcR
 	}
 	p.client.stats.BytesWritten.Add(int64(len(frame) - codec.FrameHeaderLen))
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	w.timer.Reset(timeout)
 	select {
-	case res := <-ch:
+	case res := <-w.ch:
+		w.timer.Stop()
+		waiters.Put(w)
 		if res.err != nil {
 			return rpcResult{}, attemptErr{err: res.err, written: true}
 		}
 		return res, nil
-	case <-timer.C:
+	case <-w.timer.C:
 		p.mu.Lock()
 		if p.pending != nil {
 			delete(p.pending, id)
@@ -454,11 +489,11 @@ func idempotent(op byte) bool {
 	return false
 }
 
-// request encodes one request — [u64 id][u8 opcode] and the payload enc
-// writes, if the opcode has one — and returns its id and finished frame.
-func (c *Client) request(op byte, enc func(*codec.Encoder)) (uint64, []byte, error) {
+// request encodes one request into e — [u64 id][u8 opcode] and the payload
+// enc writes, if the opcode has one — and returns its id and finished frame.
+// The frame is e's memory: the caller keeps e until it has stopped sending.
+func (c *Client) request(e *codec.Encoder, op byte, enc func(*codec.Encoder)) (uint64, []byte, error) {
 	id := c.reqSeq.Add(1)
-	e := codec.NewEncoder(128)
 	e.U64(id)
 	e.U8(op)
 	if enc != nil {
@@ -472,16 +507,23 @@ func (c *Client) request(op byte, enc func(*codec.Encoder)) (uint64, []byte, err
 // have reached the server; exhausting the budget surfaces ErrUnavailable.
 // A decoded server-side error (condition failure, missing table, …) is a
 // result, not a failure — it returns immediately, never retried.
-func (c *Client) call(op byte, enc func(*codec.Encoder)) (*codec.Decoder, error) {
-	id, frame, err := c.request(op, enc)
+//
+// call owns both buffers of the exchange: the encoder holding the request
+// frame from here until it returns (a retry re-sends the frame, so not
+// earlier), and the response body until dec has read the result out of it
+// (rpcResult.finish). dec must not keep the decoder.
+func (c *Client) call(op byte, enc func(*codec.Encoder), dec func(*codec.Decoder)) error {
+	e := codec.GetEncoder()
+	defer codec.PutEncoder(e)
+	id, frame, err := c.request(e, op, enc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	var last attemptErr
 	for try := 0; ; try++ {
 		if c.isClosed() {
-			return nil, ErrClosed
+			return ErrClosed
 		}
 		if try > 0 {
 			c.stats.Retries.Add(1)
@@ -496,19 +538,19 @@ func (c *Client) call(op byte, enc func(*codec.Encoder)) (*codec.Decoder, error)
 			ext.Record(elapsed)
 		}
 		if err == nil {
-			return res.payload()
+			return res.finish(dec)
 		}
 		last = err.(attemptErr)
 		if errors.Is(last.err, ErrClosed) || errors.Is(last.err, ErrVersionMismatch) {
-			return nil, last.err
+			return last.err
 		}
 		retriable := !last.written || idempotent(op)
 		if !retriable || try >= c.opts.Retries {
 			c.stats.Unavailable.Add(1)
 			if errors.Is(last.err, ErrUnavailable) {
-				return nil, last.err
+				return last.err
 			}
-			return nil, fmt.Errorf("%w: %s after %d attempt(s): %v", ErrUnavailable, opName(op), try+1, last.err)
+			return fmt.Errorf("%w: %s after %d attempt(s): %v", ErrUnavailable, opName(op), try+1, last.err)
 		}
 	}
 }
@@ -519,28 +561,25 @@ var _ storage.Backend = (*Client)(nil)
 
 // CreateTable implements storage.Backend.
 func (c *Client) CreateTable(schema storage.Schema) error {
-	_, err := c.call(opCreateTable, func(e *codec.Encoder) { e.Schema(schema) })
-	return err
+	return c.call(opCreateTable, func(e *codec.Encoder) { e.Schema(schema) }, nil)
 }
 
 // DeleteTable implements storage.Backend.
 func (c *Client) DeleteTable(name string) error {
-	_, err := c.call(opDeleteTable, func(e *codec.Encoder) { e.Str(name) })
-	return err
+	return c.call(opDeleteTable, func(e *codec.Encoder) { e.Str(name) }, nil)
 }
 
 // TableNames implements storage.Backend; an unreachable server reads as no
 // tables, matching the signature's no-error contract.
 func (c *Client) TableNames() []string {
-	d, err := c.call(opTableNames, nil)
+	var names []string
+	err := c.call(opTableNames, nil, func(d *codec.Decoder) {
+		names = make([]string, d.Count())
+		for i := range names {
+			names[i] = d.Str()
+		}
+	})
 	if err != nil {
-		return nil
-	}
-	names := make([]string, d.Count())
-	for i := range names {
-		names[i] = d.Str()
-	}
-	if d.Err() != nil {
 		return nil
 	}
 	return names
@@ -561,21 +600,22 @@ func (c *Client) TableItemCount(name string) (int, error) {
 	return c.intRPC(opTableItemCount, name)
 }
 
-func (c *Client) intRPC(op byte, name string) (int, error) {
-	d, err := c.call(op, func(e *codec.Encoder) { e.Str(name) })
+func (c *Client) intRPC(op byte, name string) (n int, err error) {
+	// A table's bytes may pass the bound Int puts on sizes that allocate.
+	err = c.call(op, func(e *codec.Encoder) { e.Str(name) }, func(d *codec.Decoder) { n = int(d.Uvarint()) })
 	if err != nil {
 		return 0, err
 	}
-	return d.Int(), decodeErr(d)
+	return n, nil
 }
 
 // TableSchema implements storage.Backend.
-func (c *Client) TableSchema(name string) (storage.Schema, error) {
-	d, err := c.call(opTableSchema, func(e *codec.Encoder) { e.Str(name) })
+func (c *Client) TableSchema(name string) (sch storage.Schema, err error) {
+	err = c.call(opTableSchema, func(e *codec.Encoder) { e.Str(name) }, func(d *codec.Decoder) { sch = d.Schema() })
 	if err != nil {
 		return storage.Schema{}, err
 	}
-	return d.Schema(), decodeErr(d)
+	return sch, nil
 }
 
 // Get implements storage.Backend.
@@ -590,22 +630,20 @@ func (c *Client) GetProj(table string, key storage.Key, proj []storage.Path) (st
 
 func (c *Client) get(op byte, table string, key storage.Key, proj []storage.Path) (storage.Item, bool, error) {
 	c.metrics.Ops[dynamo.OpGet].Add(1)
-	d, err := c.call(op, func(e *codec.Encoder) {
+	var it storage.Item
+	var ok bool
+	err := c.call(op, func(e *codec.Encoder) {
 		e.Str(table)
 		e.Key(key)
 		if op == opGetProj {
 			e.Paths(proj)
 		}
+	}, func(d *codec.Decoder) {
+		if ok = d.Bool(); ok {
+			it = d.Item()
+		}
 	})
 	if err != nil {
-		return nil, false, err
-	}
-	var it storage.Item
-	ok := d.Bool()
-	if ok {
-		it = d.Item()
-	}
-	if err := decodeErr(d); err != nil {
 		return nil, false, err
 	}
 	return it, ok, nil
@@ -614,35 +652,32 @@ func (c *Client) get(op byte, table string, key storage.Key, proj []storage.Path
 // Put implements storage.Backend.
 func (c *Client) Put(table string, item storage.Item, cond storage.Cond) error {
 	c.metrics.Ops[dynamo.OpPut].Add(1)
-	_, err := c.call(opPut, func(e *codec.Encoder) {
+	return c.noteCond(c.call(opPut, func(e *codec.Encoder) {
 		e.Str(table)
 		e.Item(item)
 		e.Cond(cond)
-	})
-	return c.noteCond(err)
+	}, nil))
 }
 
 // Update implements storage.Backend.
 func (c *Client) Update(table string, key storage.Key, cond storage.Cond, updates ...storage.Update) error {
 	c.metrics.Ops[dynamo.OpUpdate].Add(1)
-	_, err := c.call(opUpdate, func(e *codec.Encoder) {
+	return c.noteCond(c.call(opUpdate, func(e *codec.Encoder) {
 		e.Str(table)
 		e.Key(key)
 		e.Cond(cond)
 		e.Updates(updates)
-	})
-	return c.noteCond(err)
+	}, nil))
 }
 
 // Delete implements storage.Backend.
 func (c *Client) Delete(table string, key storage.Key, cond storage.Cond) error {
 	c.metrics.Ops[dynamo.OpDelete].Add(1)
-	_, err := c.call(opDelete, func(e *codec.Encoder) {
+	return c.noteCond(c.call(opDelete, func(e *codec.Encoder) {
 		e.Str(table)
 		e.Key(key)
 		e.Cond(cond)
-	})
-	return c.noteCond(err)
+	}, nil))
 }
 
 // noteCond mirrors condition failures into the client-side metrics.
@@ -654,12 +689,11 @@ func (c *Client) noteCond(err error) error {
 }
 
 // rows runs one row-returning RPC.
-func (c *Client) rows(op byte, enc func(*codec.Encoder)) ([]storage.Item, error) {
-	d, err := c.call(op, enc)
-	if err != nil {
+func (c *Client) rows(op byte, enc func(*codec.Encoder)) (rows []storage.Item, err error) {
+	if err = c.call(op, enc, func(d *codec.Decoder) { rows = d.Items() }); err != nil {
 		return nil, err
 	}
-	return d.Items(), decodeErr(d)
+	return rows, nil
 }
 
 // Query implements storage.Backend.
@@ -697,12 +731,12 @@ func (c *Client) Scan(table string, opts storage.QueryOpts) ([]storage.Item, err
 // safe, so TransactWrite retries like a read even though it writes.
 func (c *Client) TransactWrite(ops []storage.TxOp) error {
 	c.metrics.Ops[dynamo.OpTxWrite].Add(1)
-	reqID := fmt.Sprintf("%s-%d", c.opts.ClientID, c.txSeq.Add(1))
-	_, err := c.call(opTransactWrite, func(e *codec.Encoder) {
-		e.Str(reqID)
+	var buf [64]byte // "<ClientID>-<n>", built here and appended into the request
+	reqID := strconv.AppendUint(append(append(buf[:0], c.opts.ClientID...), '-'), c.txSeq.Add(1), 10)
+	return c.noteCond(c.call(opTransactWrite, func(e *codec.Encoder) {
+		e.Bytes(reqID)
 		e.TxOps(ops)
-	})
-	return c.noteCond(err)
+	}, nil))
 }
 
 // Metrics implements storage.Backend with the client-side mirror counters
@@ -711,10 +745,10 @@ func (c *Client) TransactWrite(ops []storage.TxOp) error {
 func (c *Client) Metrics() *storage.Metrics { return &c.metrics }
 
 // ServerMetrics fetches the server backend's own metrics snapshot.
-func (c *Client) ServerMetrics() (dynamo.Snapshot, error) {
-	d, err := c.call(opMetrics, nil)
+func (c *Client) ServerMetrics() (snap dynamo.Snapshot, err error) {
+	err = c.call(opMetrics, nil, func(d *codec.Decoder) { snap, _ = decodeMetrics(d) })
 	if err != nil {
 		return dynamo.Snapshot{}, err
 	}
-	return decodeMetrics(d)
+	return snap, nil
 }

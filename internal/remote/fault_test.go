@@ -393,3 +393,69 @@ func TestClosedClient(t *testing.T) {
 		t.Errorf("Get on closed client: %v", err)
 	}
 }
+
+// TestServerSurvivesHugeShardCount: a CreateTable whose schema asks for 1<<40
+// shards is one well-formed, CRC-valid 40-byte frame (hand-built: no encoder
+// is handed such an int). It used to decode cleanly and reach dynamo's
+// make([]*shard, n): "fatal error: runtime: out of memory", the whole server
+// gone. Now the decoder refuses the int, the request is answered as a bad
+// request, and the same connection goes on being served. A count the decoder
+// can carry but no table should have is refused by the backend instead.
+func TestServerSurvivesHugeShardCount(t *testing.T) {
+	srv, addr := startServer(t, dynamo.NewStore(), ServeOptions{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	conn.Write(newHello().Frame())
+	readFrame(conn) // server hello
+
+	before := srv.Stats().Snapshot()
+	e := codec.NewEncoder(64)
+	e.U64(7)
+	e.U8(opCreateTable)
+	e.Str("t")
+	e.Str("K")
+	e.Str("")
+	e.Int(0)
+	e.Uvarint(1 << 40) // shards
+	e.Int(0)
+	conn.Write(e.Frame())
+	body, err := readFrame(conn)
+	if err != nil {
+		t.Fatalf("no reply: %v", err)
+	}
+	d := codec.NewDecoder(body)
+	if id, code := d.U64(), d.U8(); id != 7 || code != codeBadRequest {
+		t.Errorf("reply id %d code %d, want a bad request", id, code)
+	}
+	after := srv.Stats().Snapshot()
+	if after.ProtocolErrors != before.ProtocolErrors+1 || after.Errors != before.Errors+1 {
+		t.Errorf("protocol errors %d → %d, errors %d → %d; want +1 each",
+			before.ProtocolErrors, after.ProtocolErrors, before.Errors, after.Errors)
+	}
+
+	// The next request on the same connection is served.
+	e = codec.NewEncoder(64)
+	e.U64(8)
+	e.U8(opTableNames)
+	conn.Write(e.Frame())
+	if body, err = readFrame(conn); err != nil {
+		t.Fatalf("the connection died with the bad request: %v", err)
+	}
+	d = codec.NewDecoder(body)
+	if id, code, n := d.U64(), d.U8(), d.Count(); id != 8 || code != codeOK || n != 0 || d.Err() != nil {
+		t.Errorf("TableNames afterwards: id %d code %d, %d tables (%v)", id, code, n, d.Err())
+	}
+
+	client := mustDial(t, addr, Options{})
+	err = client.CreateTable(storage.Schema{Name: "t", HashKey: "K", Shards: dynamo.MaxShards + 1})
+	if err == nil || errors.Is(err, ErrProtocol) || errors.Is(err, ErrUnavailable) {
+		t.Errorf("CreateTable with %d shards = %v, want the backend's refusal", dynamo.MaxShards+1, err)
+	}
+	if names := client.TableNames(); len(names) != 0 {
+		t.Errorf("tables after two refused creates: %v", names)
+	}
+}

@@ -216,19 +216,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	// that handlers.Wait then drains.
 	defer pctx.handlers.Wait()
 	defer pctx.closeAll()
+	frames := codec.NewFrameReader(conn, maxFrameBody)
 	for {
-		body, err := readFrame(conn)
+		m, err := frames.Next()
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+			if err = protoErr(err); err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.stats.ProtocolErrors.Add(1)
 				s.logf("remote: conn %s: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
-		s.stats.BytesRead.Add(int64(len(body)))
-		d := codec.NewDecoder(body)
-		id, op := d.U64(), d.U8()
-		if d.Err() != nil {
+		s.stats.BytesRead.Add(int64(m.Len()))
+		id, op := m.U64(), m.U8()
+		if m.Err() != nil {
 			s.stats.ProtocolErrors.Add(1)
 			return
 		}
@@ -238,7 +238,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if s.opts.Delay > 0 {
 				time.Sleep(s.opts.Delay)
 			}
-			s.dispatch(pctx, id, op, d)
+			s.dispatch(pctx, id, op, m)
 		}()
 	}
 }
@@ -314,8 +314,10 @@ func (p *pushCtx) closeAll() {
 // teardown, or backend shutdown) or the connection stops accepting writes.
 func (s *Server) pushEvents(pctx *pushCtx, watchID uint64, sub storage.Subscription) {
 	defer pctx.handlers.Done()
+	e := codec.GetEncoder() // this subscription's, reset once send has returned
+	defer codec.PutEncoder(e)
 	for ev := range sub.Events() {
-		e := codec.NewEncoder(64)
+		e.Reset()
 		e.U64(watchID)
 		e.U8(codeEvent)
 		e.Str(ev.Table)
@@ -357,14 +359,18 @@ func (s *Server) handshake(conn net.Conn) error {
 
 // dispatch executes one request and sends the response: [u64 id][u8 code]
 // and then what handle wrote behind them, or — cut back to the id — the
-// structured error it returned.
-func (s *Server) dispatch(pctx *pushCtx, id uint64, op byte, d *codec.Decoder) {
+// structured error it returned. It owns both buffers of the exchange until it
+// returns, with send done: the request m (nothing handle passed to the
+// backend aliases the body) and the response's encoder.
+func (s *Server) dispatch(pctx *pushCtx, id uint64, op byte, m *codec.Message) {
 	s.stats.RPCs.Add(1)
-	e := codec.NewEncoder(64)
+	defer m.Release()
+	e := codec.GetEncoder()
+	defer codec.PutEncoder(e)
 	e.U64(id)
 	mark := e.Len()
 	e.U8(codeOK)
-	if err := s.handle(pctx, op, d, e); err != nil {
+	if err := s.handle(pctx, op, &m.Decoder, e); err != nil {
 		s.stats.Errors.Add(1)
 		if errors.Is(err, ErrProtocol) {
 			s.stats.ProtocolErrors.Add(1)
@@ -392,7 +398,7 @@ func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encod
 		return s.backend.CreateTable(sch)
 
 	case opDeleteTable:
-		name := d.Str()
+		name := d.Name()
 		if err := decodeErr(d); err != nil {
 			return err
 		}
@@ -407,7 +413,7 @@ func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encod
 		return nil
 
 	case opTableShards, opTableBytes, opTableItemCount:
-		name := d.Str()
+		name := d.Name()
 		if err := decodeErr(d); err != nil {
 			return err
 		}
@@ -425,7 +431,7 @@ func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encod
 		return err
 
 	case opTableSchema:
-		name := d.Str()
+		name := d.Name()
 		if err := decodeErr(d); err != nil {
 			return err
 		}
@@ -434,7 +440,7 @@ func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encod
 		return err
 
 	case opGet, opGetProj:
-		table, key := d.Str(), d.Key()
+		table, key := d.Name(), d.Key()
 		var proj []storage.Path
 		if op == opGetProj {
 			proj = d.Paths()
@@ -457,30 +463,30 @@ func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encod
 		return err
 
 	case opPut:
-		table, it, cond := d.Str(), d.Item(), d.Cond()
+		table, it, cond := d.Name(), d.Item(), d.Cond()
 		if err := decodeErr(d); err != nil {
 			return err
 		}
 		return s.backend.Put(table, it, cond)
 
 	case opUpdate:
-		table, key, cond, ups := d.Str(), d.Key(), d.Cond(), d.Updates()
+		table, key, cond, ups := d.Name(), d.Key(), d.Cond(), d.Updates()
 		if err := decodeErr(d); err != nil {
 			return err
 		}
 		return s.backend.Update(table, key, cond, ups...)
 
 	case opDelete:
-		table, key, cond := d.Str(), d.Key(), d.Cond()
+		table, key, cond := d.Name(), d.Key(), d.Cond()
 		if err := decodeErr(d); err != nil {
 			return err
 		}
 		return s.backend.Delete(table, key, cond)
 
 	case opQuery, opQueryIndex:
-		table, index := d.Str(), ""
+		table, index := d.Name(), ""
 		if op == opQueryIndex {
-			index = d.Str()
+			index = d.Name()
 		}
 		hash, opts := d.Value(), d.QueryOpts()
 		if err := decodeErr(d); err != nil {
@@ -497,7 +503,7 @@ func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encod
 		return err
 
 	case opScan:
-		table, opts := d.Str(), d.QueryOpts()
+		table, opts := d.Name(), d.QueryOpts()
 		if err := decodeErr(d); err != nil {
 			return err
 		}
@@ -524,7 +530,7 @@ func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encod
 		return nil
 
 	case opWatch:
-		watchID, table, hash := d.U64(), d.Str(), d.Value()
+		watchID, table, hash := d.U64(), d.Name(), d.Value()
 		if err := decodeErr(d); err != nil {
 			return err
 		}

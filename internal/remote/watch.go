@@ -66,7 +66,7 @@ func (w *clientSub) Close() {
 	if !live {
 		return
 	}
-	w.client.callOn(w.pc, opUnwatch, func(e *codec.Encoder) { e.U64(w.id) })
+	_ = w.client.callOn(w.pc, opUnwatch, func(e *codec.Encoder) { e.U64(w.id) }) // best effort
 }
 
 func (w *clientSub) String() string { return fmt.Sprintf("remote-watch(%d)", w.id) }
@@ -100,24 +100,28 @@ func (p *poolConn) dropWatch(w *clientSub) bool {
 
 // callOn runs one RPC on a specific pooled connection, with no cross-
 // connection retries — watch registration must land on the connection whose
-// readLoop will carry the events.
-func (c *Client) callOn(pc *poolConn, op byte, enc func(*codec.Encoder)) (*codec.Decoder, error) {
+// readLoop will carry the events. Like call it owns the request's encoder
+// until it returns and releases the response; neither watch reply carries a
+// result to decode.
+func (c *Client) callOn(pc *poolConn, op byte, enc func(*codec.Encoder)) error {
 	if c.isClosed() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	id, frame, err := c.request(op, enc)
+	e := codec.GetEncoder()
+	defer codec.PutEncoder(e)
+	id, frame, err := c.request(e, op, enc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res, err := pc.attempt(id, frame, c.opts.OpTimeout)
 	if err != nil {
 		ae := err.(attemptErr)
 		if errors.Is(ae.err, ErrClosed) || errors.Is(ae.err, ErrUnavailable) {
-			return nil, ae.err
+			return ae.err
 		}
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnavailable, opName(op), ae.err)
+		return fmt.Errorf("%w: %s: %v", ErrUnavailable, opName(op), ae.err)
 	}
-	return res.payload()
+	return res.finish(nil)
 }
 
 // Watch implements storage.Watcher over the wire: the subscription is
@@ -137,7 +141,7 @@ func (c *Client) Watch(table string, hash storage.Value) (storage.Subscription, 
 		ch:     make(chan storage.CommitEvent, storage.DefaultWatchBuffer),
 	}
 	pc.addWatch(w)
-	_, err := c.callOn(pc, opWatch, func(e *codec.Encoder) {
+	err := c.callOn(pc, opWatch, func(e *codec.Encoder) {
 		e.U64(w.id)
 		e.Str(table)
 		e.Value(hash)

@@ -43,9 +43,40 @@
 //
 // An Encoder starts with FrameHeaderLen bytes of room, the body is encoded
 // once behind them, and Frame fills the header in place — one buffer from
-// the first field to the Write. ReadFrame takes frames off a stream,
-// NextFrame off a segment file held in memory. A snapshot is not framed; it
-// ends in the same checksum instead (Sealed, Unseal).
+// the first field to the Write. A FrameReader takes frames off a connection
+// (ReadFrame is its one-shot form, for a handshake), NextFrame off a segment
+// file held in memory. A snapshot is not framed; it ends in the same checksum
+// instead (Sealed, Unseal).
+//
+// # Buffers have owners
+//
+// Carrying a message allocates nothing in steady state, because every buffer
+// on the way has one owner and one release point. An Encoder is reused:
+// GetEncoder hands out a reset one and PutEncoder takes it back once the
+// bytes it framed are dead (written, or given up on), or a single owner
+// keeps one and calls Reset between messages. A FrameReader reads each body
+// into a recycled Message — the body and the Decoder over it, one pooled
+// object — which whoever decodes it gives back with Release after reading
+// the last field. Neither pool keeps a buffer grown past MaxPooledBuffer, so
+// one large scan cannot pin its memory, and a Message nobody releases is
+// simply collected.
+//
+// Releasing a body is safe because of one invariant, which the tests pin by
+// overwriting every released buffer: nothing a Decoder returns aliases its
+// input except Raw. Str, Name and byte values copy; Raw is for a fixed-size
+// field that is compared and dropped, such as the handshake magic.
+//
+// # Names
+//
+// Where the grammar holds an identifier — a row's attribute names, a path's
+// attribute, a comparison operator, a table or index name — the decoder
+// reads it with Name instead of Str: the string comes from a process-wide
+// intern table, so the thousandth row of a table shares its attribute names
+// with the first and decoding them allocates nothing. Data (string values,
+// the keys of a map value) is never interned. The table holds at most
+// MaxInternedNames names of at most MaxInternedNameLen bytes; past either
+// bound Name is Str, so hostile input can make it retain 64 KiB for the life
+// of the process and no more.
 //
 // # Hostile input
 //
@@ -55,6 +86,8 @@
 // one), and lists, maps and condition trees may nest at most MaxDepth deep —
 // enough for anything a row of dynamo.DefaultMaxItemSize can hold, far
 // below the depth at which the recursion would exhaust the goroutine stack.
+// Int refuses anything above math.MaxInt32, so no size, limit or shard count
+// wraps negative or sizes an allocation on its own.
 // A Decoder carries its first error: after it, every method returns a zero
 // value and Count returns 0, so decoding code reads straight through and
 // checks Err (or Done, which also rejects trailing bytes) once per message —
@@ -95,14 +128,30 @@ const MaxDepth = 1 << 17
 // dynamo.Cond or dynamo.Update implementation, which has no description to
 // encode; check Err before using the bytes.
 type Encoder struct {
-	b   []byte
-	err error
+	b []byte
+	// keys is the stack Item sorts attribute names on: a nested map value
+	// pushes its keys above its parent's and pops them on return.
+	keys []string
+	err  error
 }
 
 // NewEncoder returns an empty encoder whose buffer holds size bytes, header
 // included, before it grows.
 func NewEncoder(size int) *Encoder {
 	return &Encoder{b: make([]byte, FrameHeaderLen, size)}
+}
+
+// Reset empties the encoder for the next message, keeping its buffer unless
+// that grew past MaxPooledBuffer. Every slice Body, Frame or Sealed returned
+// is dead from here on.
+func (e *Encoder) Reset() {
+	if poison.Load() {
+		fill(e.b[:cap(e.b)])
+	}
+	if cap(e.b) > MaxPooledBuffer || cap(e.keys) > MaxPooledBuffer/16 {
+		e.b, e.keys = make([]byte, FrameHeaderLen, pooledBufferSize), nil
+	}
+	e.b, e.keys, e.err = e.b[:FrameHeaderLen], e.keys[:0], nil
 }
 
 // Err returns the first encoding failure.
@@ -148,6 +197,12 @@ func (e *Encoder) Bool(v bool) {
 func (e *Encoder) Str(s string) {
 	e.Int(len(s))
 	e.b = append(e.b, s...)
+}
+
+// Bytes appends a length-prefixed byte string; Decoder.Str reads it back.
+func (e *Encoder) Bytes(p []byte) {
+	e.Int(len(p))
+	e.b = append(e.b, p...)
 }
 
 // Raw appends s with no length prefix — a fixed-size field such as a magic.
@@ -244,8 +299,18 @@ func (d *Decoder) Uvarint() uint64 {
 	return v
 }
 
-// Int reads what Encoder.Int wrote.
-func (d *Decoder) Int() int { return int(d.Uvarint()) }
+// Int reads what Encoder.Int wrote. Nothing this repository encodes that way
+// — an item size cap, a shard count, a query limit — comes near
+// math.MaxInt32; a larger value is corruption, refused here before it can
+// wrap negative or reach a make.
+func (d *Decoder) Int() int {
+	v := d.Uvarint()
+	if v > math.MaxInt32 {
+		d.Failf("integer %d out of range", v)
+		return 0
+	}
+	return int(v)
+}
 
 // Count reads a collection length and bounds it by the bytes that remain —
 // every element costs at least one — so a corrupt prefix cannot size a huge
@@ -265,8 +330,13 @@ func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 // Bool reads one byte; any non-zero value is true.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
-// Str reads a length-prefixed string.
+// Str reads a length-prefixed string, copying it out of the input.
 func (d *Decoder) Str() string { return string(d.take(d.Uvarint())) }
+
+// Name reads a length-prefixed string that the grammar says is an
+// identifier, through the intern table (see the package comment): equal to
+// what Str would return, and never aliasing the input either.
+func (d *Decoder) Name() string { return intern(d.take(d.Uvarint())) }
 
 // nest enters one level of a list, map or condition tree; the caller leaves
 // it with d.depth--.

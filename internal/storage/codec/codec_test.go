@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,21 +16,45 @@ import (
 	"repro/internal/dynamo"
 )
 
-// shapes are the top-level decoders, each paired with the encoder that
-// undoes it. The round-trip table and FuzzDecode run their inputs through
-// these.
-var shapes = map[string]func(d *Decoder, e *Encoder){
-	"Value":     func(d *Decoder, e *Encoder) { e.Value(d.Value()) },
-	"Item":      func(d *Decoder, e *Encoder) { e.Item(d.Item()) },
-	"Items":     func(d *Decoder, e *Encoder) { e.Items(d.Items()) },
-	"Key":       func(d *Decoder, e *Encoder) { e.Key(d.Key()) },
-	"Paths":     func(d *Decoder, e *Encoder) { e.Paths(d.Paths()) },
-	"Schema":    func(d *Decoder, e *Encoder) { e.Schema(d.Schema()) },
-	"Cond":      func(d *Decoder, e *Encoder) { e.Cond(d.Cond()) },
-	"Updates":   func(d *Decoder, e *Encoder) { e.Updates(d.Updates()) },
-	"QueryOpts": func(d *Decoder, e *Encoder) { e.QueryOpts(d.QueryOpts()) },
-	"TxOps":     func(d *Decoder, e *Encoder) { e.TxOps(d.TxOps()) },
+// A shape is one top-level decoder paired with the encoder that undoes it.
+type shape struct {
+	dec func(d *Decoder) any
+	enc func(e *Encoder, v any)
 }
+
+func shapeOf[T any](dec func(*Decoder) T, enc func(*Encoder, T)) shape {
+	return shape{
+		dec: func(d *Decoder) any { return dec(d) },
+		enc: func(e *Encoder, v any) { t, _ := v.(T); enc(e, t) }, // a nil Cond is a nil any
+	}
+}
+
+var shapeTable = map[string]shape{
+	"Value":     shapeOf((*Decoder).Value, (*Encoder).Value),
+	"Item":      shapeOf((*Decoder).Item, (*Encoder).Item),
+	"Items":     shapeOf((*Decoder).Items, (*Encoder).Items),
+	"Key":       shapeOf((*Decoder).Key, (*Encoder).Key),
+	"Paths":     shapeOf((*Decoder).Paths, (*Encoder).Paths),
+	"Schema":    shapeOf((*Decoder).Schema, (*Encoder).Schema),
+	"Cond":      shapeOf((*Decoder).Cond, (*Encoder).Cond),
+	"Updates":   shapeOf((*Decoder).Updates, (*Encoder).Updates),
+	"QueryOpts": shapeOf((*Decoder).QueryOpts, (*Encoder).QueryOpts),
+	"TxOps":     shapeOf((*Decoder).TxOps, (*Encoder).TxOps),
+}
+
+// shapes copies one value of the named shape from d to e and returns it. The
+// round-trip table and FuzzDecode run their inputs through these.
+var shapes = func() map[string]func(d *Decoder, e *Encoder) any {
+	m := make(map[string]func(d *Decoder, e *Encoder) any)
+	for name, s := range shapeTable {
+		m[name] = func(d *Decoder, e *Encoder) any {
+			v := s.dec(d)
+			s.enc(e, v)
+			return v
+		}
+	}
+	return m
+}()
 
 // roundTrip is one row of the table: enc writes something of the named
 // shape, and same decodes it back and compares by meaning.
@@ -273,6 +298,45 @@ func TestCorruptModel(t *testing.T) {
 	}
 }
 
+// schemaWithShards is a well-formed Schema body but for its shard count —
+// hand-built, because no encoder is handed such an int.
+func schemaWithShards(n uint64) []byte {
+	e := NewEncoder(64)
+	e.Str("t")
+	e.Str("K")
+	e.Str("")
+	e.Int(0)
+	e.Uvarint(n)
+	e.Int(0)
+	return e.Body()
+}
+
+// TestIntBound: a size, limit or shard count above math.MaxInt32 is
+// corruption, not a number to wrap negative or hand to make. 1<<40 shards in
+// a 40-byte CreateTable frame used to reach dynamo's make([]*shard, n) and
+// kill the process with "fatal error: runtime: out of memory".
+func TestIntBound(t *testing.T) {
+	e := NewEncoder(64)
+	e.Int(1<<31 - 1)
+	e.Uvarint(1 << 31)
+	d := NewDecoder(e.Body())
+	if v := d.Int(); v != 1<<31-1 || d.Err() != nil {
+		t.Fatalf("Int = %d, %v", v, d.Err())
+	}
+	if v := d.Int(); v != 0 || !errors.Is(d.Err(), ErrFormat) {
+		t.Errorf("Int of 1<<31 = %d, %v", v, d.Err())
+	}
+	if sch := NewDecoder(schemaWithShards(16)).Schema(); sch.Shards != 16 {
+		t.Fatalf("a schema with 16 shards decoded to %+v", sch)
+	}
+	for _, n := range []uint64{1 << 40, 1<<64 - 1} {
+		d := NewDecoder(schemaWithShards(n))
+		if sch := d.Schema(); !errors.Is(d.Err(), ErrFormat) || sch.Name != "" {
+			t.Errorf("a schema with %d shards decoded to %+v, %v", n, sch, d.Err())
+		}
+	}
+}
+
 // nest returns depth levels of a one-element collection around a leaf.
 func nest(level []byte, depth int, leaf ...byte) []byte {
 	return append(bytes.Repeat(level, depth), leaf...)
@@ -496,11 +560,13 @@ func FuzzDecode(f *testing.F) {
 		f.Add(nest(mapLevel, depth, byte(dynamo.KindNull)))
 		f.Add(nestedNots(depth))
 	}
+	f.Add(schemaWithShards(1 << 40))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		FreshNames(t) // every input meets an empty intern table, not a full one
 		for name, copyOne := range shapes {
 			d, e := NewDecoder(data), NewEncoder(len(data)+FrameHeaderLen)
-			copyOne(d, e)
+			v := copyOne(d, e)
 			if err := d.Err(); err != nil {
 				if !errors.Is(err, ErrFormat) {
 					t.Fatalf("%s: rejected with %v, not an ErrFormat", name, err)
@@ -510,6 +576,20 @@ func FuzzDecode(f *testing.F) {
 			if err := e.Err(); err != nil {
 				t.Fatalf("%s: decoded input does not encode: %v", name, err)
 			}
+			// The differential oracle for the intern table: with every Name
+			// read as a Str the input decodes to the same value and the same
+			// bytes. (DeepEqual tells a NaN from itself; such values are
+			// compared as printed.)
+			NamesAsStr(func() {
+				ds, es := NewDecoder(data), NewEncoder(len(data)+FrameHeaderLen)
+				vs := copyOne(ds, es)
+				if ds.Err() != nil || !bytes.Equal(es.Body(), e.Body()) {
+					t.Fatalf("%s: without interning: %v\n first: %x\nsecond: %x", name, ds.Err(), e.Body(), es.Body())
+				}
+				if !reflect.DeepEqual(v, vs) && fmt.Sprint(v) != fmt.Sprint(vs) {
+					t.Fatalf("%s: interning changed the value:\n with: %v\n without: %v", name, v, vs)
+				}
+			})
 			d2, e2 := NewDecoder(e.Body()), NewEncoder(e.Len()+FrameHeaderLen)
 			copyOne(d2, e2)
 			if err := d2.Done(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // FrameHeaderLen is the fixed framing overhead: [u32 length][u32 crc32c].
@@ -47,22 +48,38 @@ func parseHeader(hdr []byte) (n int, sum uint32) {
 	return int(binary.LittleEndian.Uint32(hdr[0:4])), binary.LittleEndian.Uint32(hdr[4:8])
 }
 
-// ReadFrame reads one frame from a stream and returns its verified body. A
-// failure to read the header is returned as it is — io.EOF when the stream
-// ends at a frame boundary; a length above max (garbage read as a header —
-// refused before anything is allocated), a body cut short and a checksum
-// mismatch are ErrFormat.
-func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	var hdr [FrameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// A FrameReader takes frames off one stream — a connection — through a
+// header scratch of its own, reading each body into a recycled Message. It is
+// for one goroutine at a time, like the stream under it.
+type FrameReader struct {
+	r   io.Reader
+	max int
+	hdr [FrameHeaderLen]byte
+}
+
+// NewFrameReader reads frames from r, refusing any body longer than max.
+func NewFrameReader(r io.Reader, max int) *FrameReader {
+	return &FrameReader{r: r, max: max}
+}
+
+// read takes the next frame off the stream and returns its verified body,
+// read into buf when that is large enough. A failure to read the header is
+// returned as it is — io.EOF when the stream ends at a frame boundary; a
+// length above max (garbage read as a header — refused before anything is
+// allocated), a body cut short and a checksum mismatch are ErrFormat.
+func (fr *FrameReader) read(buf []byte) ([]byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n, sum := parseHeader(hdr[:])
-	if n > max {
-		return nil, errorf("frame length %d exceeds %d", n, max)
+	n, sum := parseHeader(fr.hdr[:])
+	if n > fr.max {
+		return nil, errorf("frame length %d exceeds %d", n, fr.max)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if cap(buf) < n {
+		buf = make([]byte, n, max(n, pooledBufferSize))
+	}
+	body := buf[:n]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -72,6 +89,51 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 		return nil, errorf("frame CRC mismatch")
 	}
 	return body, nil
+}
+
+// Next reads one frame and returns the message in it, with the errors of
+// ReadFrame. The caller owns the Message until it calls Release, or drops it.
+func (fr *FrameReader) Next() (*Message, error) {
+	m := messages.Get().(*Message)
+	body, err := fr.read(m.buf)
+	if err != nil {
+		messages.Put(m)
+		return nil, err
+	}
+	m.buf, m.Decoder = body, Decoder{b: body}
+	return m, nil
+}
+
+// A Message is one received frame: a Decoder over its body, and the pooled
+// buffer the body was read into. Whoever reads its last field calls Release.
+type Message struct {
+	Decoder
+	buf []byte
+}
+
+var messages = sync.Pool{New: func() any { return new(Message) }}
+
+// Len is the length of the message's body.
+func (m *Message) Len() int { return len(m.buf) }
+
+// Release returns the message and its buffer to the pool. Nothing decoded
+// from it is affected — no decoded value aliases the body — but the Message
+// itself must not be used again.
+func (m *Message) Release() {
+	if poison.Load() {
+		fill(m.buf[:cap(m.buf)])
+	}
+	if cap(m.buf) > MaxPooledBuffer {
+		m.buf = nil
+	}
+	m.Decoder = Decoder{}
+	messages.Put(m)
+}
+
+// ReadFrame reads one frame from a stream and returns its verified body in a
+// buffer of its own: the one-shot form of FrameReader, for a handshake.
+func ReadFrame(r io.Reader, max int) ([]byte, error) {
+	return NewFrameReader(r, max).read(nil)
 }
 
 // NextFrame takes the frame at data[off:] — a segment file read whole — and

@@ -1,20 +1,10 @@
 package codec
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dynamo"
 )
-
-// sortedKeys lists m's keys in the order they are written.
-func sortedKeys(m map[string]dynamo.Value) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // Value appends a kind-tagged value.
 func (e *Encoder) Value(v dynamo.Value) {
@@ -27,8 +17,7 @@ func (e *Encoder) Value(v dynamo.Value) {
 	case dynamo.KindBool:
 		e.Bool(v.BoolVal())
 	case dynamo.KindBytes:
-		e.Int(len(v.BytesVal()))
-		e.b = append(e.b, v.BytesVal()...)
+		e.Bytes(v.BytesVal())
 	case dynamo.KindList:
 		e.Int(len(v.List()))
 		for _, el := range v.List() {
@@ -40,14 +29,23 @@ func (e *Encoder) Value(v dynamo.Value) {
 }
 
 // Item appends a row — or a map value's entries, which are encoded alike —
-// in sorted key order.
+// in sorted key order. The keys are sorted on the encoder's stack, above
+// those of the row this one is nested in; the loop indexes the stack because
+// a nested map value may regrow it.
 func (e *Encoder) Item(it dynamo.Item) {
-	keys := sortedKeys(it)
-	e.Int(len(keys))
-	for _, k := range keys {
+	base := len(e.keys)
+	for k := range it {
+		e.keys = append(e.keys, k)
+	}
+	slices.Sort(e.keys[base:])
+	e.Int(len(it))
+	for i := base; i < base+len(it); i++ {
+		k := e.keys[i]
 		e.Str(k)
 		e.Value(it[k])
 	}
+	clear(e.keys[base:])
+	e.keys = e.keys[:base]
 }
 
 // Items appends a row count and the rows.
@@ -208,12 +206,19 @@ func (d *Decoder) Value() dynamo.Value {
 	return dynamo.Null
 }
 
-// Item reads a row, or a map value's entries.
+// Item reads a row, or a map value's entries. A row's keys are attribute
+// names; a map value's (Value nests before it calls here) are data, such as
+// step keys, and are not interned.
 func (d *Decoder) Item() dynamo.Item {
-	n := d.Count()
+	n, row := d.Count(), d.depth == 0
 	it := make(dynamo.Item, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		k := d.Str()
+		var k string
+		if row {
+			k = d.Name()
+		} else {
+			k = d.Str()
+		}
 		it[k] = d.Value()
 	}
 	return result(d, it)
@@ -235,7 +240,7 @@ func (d *Decoder) Key() dynamo.Key {
 
 // Path reads an attribute path.
 func (d *Decoder) Path() dynamo.Path {
-	return dynamo.Path{Attr: d.Str(), MapKey: d.Str()}
+	return dynamo.Path{Attr: d.Name(), MapKey: d.Str()}
 }
 
 // Paths reads a projection; an empty one is nil, "whole rows".
@@ -288,7 +293,7 @@ func (d *Decoder) condDesc() dynamo.CondDesc {
 	case dynamo.CondExists, dynamo.CondNotExists:
 		cd.Path = d.Path()
 	case dynamo.CondCmp:
-		cd.Path, cd.Op, cd.Value = d.Path(), d.Str(), d.Value()
+		cd.Path, cd.Op, cd.Value = d.Path(), d.Name(), d.Value()
 	case dynamo.CondAnd, dynamo.CondOr, dynamo.CondNot:
 		if !d.nest() {
 			break
@@ -338,7 +343,7 @@ func (d *Decoder) TxOps() []dynamo.TxOp {
 	ops := make([]dynamo.TxOp, d.Count())
 	for i := 0; i < len(ops) && d.err == nil; i++ {
 		op := &ops[i]
-		op.Table, op.Key, op.Cond = d.Str(), d.Key(), d.Cond()
+		op.Table, op.Key, op.Cond = d.Name(), d.Key(), d.Cond()
 		if d.Bool() {
 			op.Put = d.Item()
 		}

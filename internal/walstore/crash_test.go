@@ -332,3 +332,80 @@ func TestCrashMatrixCorruptSnapshotFallsBack(t *testing.T) {
 		t.Error("fsck passed with a corrupt snapshot")
 	}
 }
+
+// TestCrashMatrixHugeShardCount appends a create-table record that is whole
+// and CRC-valid but whose schema asks for 1<<40 shards — hand-built; a disk
+// that rots into it, or a log written by something else, is the point.
+// Replay used to hand the count to dynamo's make([]*shard, n) and die with
+// "fatal error: runtime: out of memory"; now the record does not decode and
+// is reported and truncated like any other undecodable one.
+func TestCrashMatrixHugeShardCount(t *testing.T) {
+	dir := t.TempDir()
+	seedCounters(t, dir, 10) // seq 1 creates the table, 2..11 count
+	e := codec.NewEncoder(64)
+	e.U64(12)
+	e.U8(recCreateTable)
+	e.Str("huge")
+	e.Str("K")
+	e.Str("")
+	e.Int(0)
+	e.Uvarint(1 << 40) // shards
+	e.Int(0)
+	seg, err := os.OpenFile(tailSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Write(e.Frame()); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Fsck(dir); err == nil || !strings.Contains(err.Error(), "undecodable record") {
+		t.Errorf("fsck of the damaged log = %v, want an undecodable record", err)
+	}
+	assertRecovered(t, dir, 10)
+}
+
+// TestCrashMatrixHookMustNotRetainTheFrame pins the rule in
+// Hooks.BeforeAppend's doc. The frame a hook is shown is the store's one
+// record buffer: a hook that keeps it — as a fault injector that replays an
+// old record later might — finds the next record's bytes in it, so what it
+// kept no longer frames the record it saw. A hook that copies is unaffected.
+func TestCrashMatrixHookMustNotRetainTheFrame(t *testing.T) {
+	var kept, copied []byte
+	s := openT(t, t.TempDir(), Options{Hooks: &Hooks{
+		BeforeAppend: func(seq uint64, off int64, frame []byte) []byte {
+			if seq == 2 {
+				kept, copied = frame, append([]byte(nil), frame...)
+			}
+			return nil
+		},
+	}})
+	defer s.Close()
+	if err := s.CreateTable(dynamo.Schema{Name: "c", HashKey: "K"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Update("c", dynamo.HK(dynamo.S("k")), nil, dynamo.Add(dynamo.A("N"), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seqOf := func(frame []byte) uint64 {
+		body, _, err := codec.NextFrame(frame, 0)
+		if err != nil {
+			return 0
+		}
+		rec, err := decodeRecord(body)
+		if err != nil {
+			return 0
+		}
+		return rec.seq
+	}
+	if got := seqOf(copied); got != 2 {
+		t.Fatalf("the copied frame holds record %d, want 2", got)
+	}
+	if got := seqOf(kept); got == 2 {
+		t.Error("a retained frame still held its record two appends later: the record buffer is no longer reused, so the doc rule (and this test) can go")
+	}
+}

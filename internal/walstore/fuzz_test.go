@@ -88,7 +88,7 @@ func FuzzRecordFraming(f *testing.F) {
 		if err != nil {
 			return // rejected input; the only obligation is not panicking
 		}
-		frame, err := encodeRecord(rec)
+		frame, err := encodeRecord(codec.NewEncoder(64), rec)
 		if err != nil {
 			t.Fatalf("decoded record does not encode: %v", err)
 		}
@@ -97,7 +97,7 @@ func FuzzRecordFraming(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v\nbody: %x", err, canon)
 		}
-		if frame2, _ := encodeRecord(rec2); !bytes.Equal(frame, frame2) {
+		if frame2, _ := encodeRecord(codec.NewEncoder(64), rec2); !bytes.Equal(frame, frame2) {
 			t.Fatalf("encoding is not a fixed point:\n first: %x\nsecond: %x", frame, frame2)
 		}
 	})

@@ -54,9 +54,9 @@ type record struct {
 	ops    []walOp       // recCommit
 }
 
-// encodeRecord serializes r into its on-disk frame.
-func encodeRecord(r record) ([]byte, error) {
-	e := codec.NewEncoder(128)
+// encodeRecord serializes r into its on-disk frame, which is e's memory and
+// dies at e's next Reset. e must be empty.
+func encodeRecord(e *codec.Encoder, r record) ([]byte, error) {
 	e.U64(r.seq)
 	e.U8(r.typ)
 	switch r.typ {
@@ -96,7 +96,7 @@ func decodeRecord(body []byte) (record, error) {
 		r.ops = make([]walOp, d.Count())
 		for i := 0; i < len(r.ops) && d.Err() == nil; i++ {
 			o := &r.ops[i]
-			o.kind, o.table = d.U8(), d.Str()
+			o.kind, o.table = d.U8(), d.Name()
 			switch o.kind {
 			case opPut:
 				o.item = d.Item()

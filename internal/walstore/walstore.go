@@ -41,6 +41,7 @@ import (
 	"repro/internal/dynamo"
 	"repro/internal/hist"
 	"repro/internal/storage"
+	"repro/internal/storage/codec"
 )
 
 // SyncPolicy selects when committed records are fsynced.
@@ -113,6 +114,9 @@ type Hooks struct {
 	// file offset, full frame). Returning nil writes the frame unchanged; a
 	// non-nil result is written in its place — truncated or bit-flipped —
 	// and the store is poisoned, simulating a process killed mid-write.
+	// The frame is the store's one record buffer, rewritten by the next
+	// record: the hook may return a slice of it but must not retain it —
+	// copy what has to outlive the call.
 	BeforeAppend func(seq uint64, off int64, frame []byte) []byte
 	// SyncErr, when non-nil, can fail an fsync; a non-nil error poisons the
 	// store.
@@ -180,6 +184,9 @@ type Store struct {
 	seq       uint64 // last assigned record sequence
 	sinceSnap int64  // WAL bytes appended since the last snapshot
 	closed    bool
+	// enc encodes every record, under logMu. walWriter.append writes
+	// synchronously, so a frame is dead — and enc reset — when it returns.
+	enc *codec.Encoder
 
 	w     *walWriter
 	stats Stats
@@ -204,7 +211,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{dir: dir, opts: opts, enc: codec.NewEncoder(512)}
 	s.w = newWALWriter(dir, opts, &s.stats)
 	s.watch = dynamo.NewWatchHub(nil)
 
@@ -341,17 +348,19 @@ var errClosed = fmt.Errorf("walstore: store is closed")
 // for durability. It also triggers auto-compaction at the configured
 // threshold. Callers must not hold logMu after this returns.
 func (s *Store) logAndWait(rec record) error {
-	frame, err := encodeRecord(rec)
+	frame, err := encodeRecord(s.enc, rec)
 	if err != nil {
 		err = s.w.fail(err) // the memtable already holds rec, so the store is ahead of its log
 	} else {
 		err = s.w.append(rec.seq, frame)
 	}
+	n := int64(len(frame))
+	s.enc.Reset() // append wrote the frame synchronously: it is dead
 	if err != nil {
 		s.logMu.Unlock()
 		return err
 	}
-	s.sinceSnap += int64(len(frame))
+	s.sinceSnap += n
 	if s.opts.AutoCompactBytes > 0 && s.sinceSnap > s.opts.AutoCompactBytes {
 		if err := s.compactLocked(); err != nil {
 			s.logMu.Unlock()
@@ -382,7 +391,8 @@ func (s *Store) mutate(apply func() error, mkRec func(seq uint64) record) error 
 	}
 	s.seq++
 	rec := mkRec(s.seq)
-	notes := s.watchNotesLocked(rec)
+	var buf [4]watchNote // most records carry one op: no slice per commit
+	notes := s.watchNotesLocked(rec, buf[:0])
 	if err := s.logAndWait(rec); err != nil {
 		return err
 	}
@@ -400,14 +410,13 @@ type watchNote struct {
 	hash  dynamo.Value
 }
 
-// watchNotesLocked extracts the commit notifications a record will owe once
-// durable. Caller holds logMu. Returns nil (no allocation) when nobody
+// watchNotesLocked appends to notes the commit notifications a record will
+// owe once durable. Caller holds logMu. Nothing is appended when nobody
 // watches.
-func (s *Store) watchNotesLocked(rec record) []watchNote {
+func (s *Store) watchNotesLocked(rec record, notes []watchNote) []watchNote {
 	if !s.watch.Active() || rec.typ != recCommit {
-		return nil
+		return notes
 	}
-	notes := make([]watchNote, 0, len(rec.ops))
 	for _, o := range rec.ops {
 		switch o.kind {
 		case opPut:

@@ -302,7 +302,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		}},
 	}
 	for _, want := range recs {
-		frame, err := encodeRecord(want)
+		frame, err := encodeRecord(codec.NewEncoder(64), want)
 		if err != nil {
 			t.Fatalf("encode seq %d: %v", want.seq, err)
 		}
@@ -315,13 +315,13 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		// Re-encoding the decoded record must reproduce the frame exactly
 		// (deterministic encoding).
-		if re, _ := encodeRecord(got); string(re) != string(frame) {
+		if re, _ := encodeRecord(codec.NewEncoder(64), got); string(re) != string(frame) {
 			t.Errorf("seq %d: re-encoded frame differs", want.seq)
 		}
 	}
 	// A body with bytes after its last field is refused, as is an unknown
 	// record type or op kind.
-	frame, _ := encodeRecord(recs[1])
+	frame, _ := encodeRecord(codec.NewEncoder(64), recs[1])
 	for name, body := range map[string][]byte{
 		"trailing byte":  append(frame[codec.FrameHeaderLen:], 0),
 		"unknown type":   {1, 0, 0, 0, 0, 0, 0, 0, 9},
