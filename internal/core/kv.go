@@ -65,7 +65,7 @@ func (l daalLayer) loggedMutate(logical, key, logKey string, mut mutation) (bool
 	return d.loggedWrite(key, logKey, mut)
 }
 
-func (l daalLayer) shadow() kvLayer { return daalLayer{rt: l.rt, isShadow: true} }
+func (l daalLayer) shadow() kvLayer { return l.rt.kvShadow }
 
 // ----- cross-table transaction layer (§7.3 comparator) -----
 //
@@ -158,14 +158,7 @@ func (l crossTableLayer) readOutcome(logT string, key dynamo.Key) (bool, error) 
 	return it[attrOutcome].BoolVal(), nil
 }
 
-func (l crossTableLayer) shadow() kvLayer { return crossTableLayer{rt: l.rt, isShadow: true} }
+func (l crossTableLayer) shadow() kvLayer { return l.rt.kvShadow }
 
 // layer returns the runtime's kvLayer for its mode.
-func (rt *Runtime) layer() kvLayer {
-	switch rt.mode {
-	case ModeCrossTable:
-		return crossTableLayer{rt: rt}
-	default:
-		return daalLayer{rt: rt}
-	}
-}
+func (rt *Runtime) layer() kvLayer { return rt.kv }

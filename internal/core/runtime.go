@@ -178,9 +178,13 @@ type Runtime struct {
 	txCallees   string
 	txLocks     string
 
-	mu           sync.Mutex
-	dataTables_  []string
-	dataTableSet map[string]bool
+	// kv and kvShadow are the mode's state layer over the data tables and
+	// over their shadows, built once (see layer).
+	kv, kvShadow kvLayer
+
+	mu             sync.RWMutex
+	dataTables_    []string
+	dataTableNames map[string]physicalNames
 
 	// cdc holds the table-change handler registry (see cdc.go).
 	cdc cdcRegistry
@@ -201,8 +205,8 @@ type Runtime struct {
 // dataTables lists the logical data tables registered so far (the GC's
 // getAllDataKeys universe, Figure 10).
 func (rt *Runtime) dataTables() []string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
 	out := make([]string, len(rt.dataTables_))
 	copy(out, rt.dataTables_)
 	return out
@@ -265,6 +269,12 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 		transport:   opts.AsyncTransport,
 		tel:         opts.Telemetry,
 		stopCh:      make(chan struct{}),
+	}
+	switch rt.mode {
+	case ModeCrossTable:
+		rt.kv, rt.kvShadow = crossTableLayer{rt: rt}, crossTableLayer{rt: rt, isShadow: true}
+	default:
+		rt.kv, rt.kvShadow = daalLayer{rt: rt}, daalLayer{rt: rt, isShadow: true}
 	}
 	if rt.tel != nil {
 		rt.histStep = rt.tel.Registry.Histogram("core." + rt.fn + ".step_commit")
@@ -387,10 +397,10 @@ func (rt *Runtime) CreateDataTable(logical string) error {
 	}
 	rt.mu.Lock()
 	rt.dataTables_ = append(rt.dataTables_, logical)
-	if rt.dataTableSet == nil {
-		rt.dataTableSet = make(map[string]bool)
+	if rt.dataTableNames == nil {
+		rt.dataTableNames = make(map[string]physicalNames)
 	}
-	rt.dataTableSet[logical] = true
+	rt.dataTableNames[logical] = rt.physicalOf(logical)
 	rt.mu.Unlock()
 	return nil
 }
@@ -405,9 +415,9 @@ func (rt *Runtime) resolveLogical(app, logical string) string {
 		return logical
 	}
 	scoped := app + ":" + logical
-	rt.mu.Lock()
-	ok := rt.dataTableSet[scoped]
-	rt.mu.Unlock()
+	rt.mu.RLock()
+	_, ok := rt.dataTableNames[scoped]
+	rt.mu.RUnlock()
 	if ok {
 		return scoped
 	}
@@ -421,15 +431,40 @@ func (rt *Runtime) MustCreateDataTable(logical string) {
 	}
 }
 
-// Physical table names. All tables of an SSF share its name as prefix: the
-// unit of data sovereignty.
-func (rt *Runtime) dataTable(logical string) string   { return rt.fn + ".data." + logical }
-func (rt *Runtime) shadowTable(logical string) string { return rt.fn + ".data." + logical + ".shadow" }
-func (rt *Runtime) writeLogTable(logical string) string {
-	return rt.fn + ".data." + logical + ".wlog"
+// physicalNames are one logical data table's physical table names. All
+// tables of an SSF share its name as prefix: the unit of data sovereignty.
+type physicalNames struct {
+	data, shadow, wlog, shadowWlog string
 }
+
+func (rt *Runtime) physicalOf(logical string) physicalNames {
+	data := rt.fn + ".data." + logical
+	return physicalNames{
+		data:       data,
+		shadow:     data + ".shadow",
+		wlog:       data + ".wlog",
+		shadowWlog: data + ".shadow.wlog",
+	}
+}
+
+// names returns logical's physical table names: those built when the table
+// was registered, so a step does not concatenate them again, or fresh ones
+// for a table that was not (the store then reports it missing by name).
+func (rt *Runtime) names(logical string) physicalNames {
+	rt.mu.RLock()
+	n, ok := rt.dataTableNames[logical]
+	rt.mu.RUnlock()
+	if !ok {
+		n = rt.physicalOf(logical)
+	}
+	return n
+}
+
+func (rt *Runtime) dataTable(logical string) string     { return rt.names(logical).data }
+func (rt *Runtime) shadowTable(logical string) string   { return rt.names(logical).shadow }
+func (rt *Runtime) writeLogTable(logical string) string { return rt.names(logical).wlog }
 func (rt *Runtime) shadowWriteLogTable(logical string) string {
-	return rt.fn + ".data." + logical + ".shadow.wlog"
+	return rt.names(logical).shadowWlog
 }
 
 // SetAsyncTransport installs (or clears, with nil) the durable async

@@ -5,11 +5,15 @@ import (
 	"strings"
 )
 
-// Item is a row: a set of named attributes. The map itself is the unit the
-// store clones at its boundary, so callers may mutate items they receive.
+// Item is a row: a set of named attributes. The attribute map is the unit
+// the store copies at its boundary — the Item a read returns is the caller's
+// to add, replace and delete attributes in, and the store keeps a map of its
+// own for an Item it is given — but the copy is one level deep: every Value
+// in it is shared with the store and must not be written (see Value).
 type Item map[string]Value
 
-// Clone deep-copies the item.
+// Clone deep-copies the item, nested values included, for a caller that
+// wants to edit inside them. No store path calls it.
 func (it Item) Clone() Item {
 	if it == nil {
 		return nil
@@ -91,6 +95,8 @@ func (p Path) String() string {
 
 // set stores v at path inside the item, materialising the intermediate map
 // if needed. It returns false if the path descends into a non-map attribute.
+// Only the item's own attribute map is written: a nested map is replaced by
+// an edited copy, never edited.
 func (it Item) set(p Path, v Value) bool {
 	if p.MapKey == "" {
 		it[p.Attr] = v
@@ -104,9 +110,11 @@ func (it Item) set(p Path, v Value) bool {
 	if cur.Kind() != KindMap {
 		return false
 	}
-	// Copy-on-write so aliased values held by readers stay immutable.
-	m := make(map[string]Value, len(cur.m)+1)
-	for k, e := range cur.m {
+	// Copy-on-write: the current map is shared with the stored row and with
+	// every reader that was handed it.
+	old := cur.Map()
+	m := make(map[string]Value, len(old)+1)
+	for k, e := range old {
 		m[k] = e
 	}
 	m[p.MapKey] = v
@@ -125,11 +133,12 @@ func (it Item) remove(p Path) {
 	if !ok || cur.Kind() != KindMap {
 		return
 	}
-	if _, exists := cur.m[p.MapKey]; !exists {
+	old := cur.Map()
+	if _, exists := old[p.MapKey]; !exists {
 		return
 	}
-	m := make(map[string]Value, len(cur.m))
-	for k, e := range cur.m {
+	m := make(map[string]Value, len(old))
+	for k, e := range old {
 		if k != p.MapKey {
 			m[k] = e
 		}

@@ -24,69 +24,64 @@ const DefaultShards = 1
 // the core count buy nothing; this tree's largest is 16).
 const MaxShards = 1024
 
-// shardIndex maps an encoded hash key to a shard by FNV-1a. All rows of one
-// partition (same hash key) land on the same shard, so Query sees a
-// consistent partition snapshot holding a single shard lock.
-func shardIndex(encodedHash string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(encodedHash); i++ {
-		h ^= uint32(encodedHash[i])
-		h *= prime32
-	}
-	return int(h % uint32(n))
-}
-
 // shard is one lock stripe of a table: a private partition map under its own
 // RWMutex, plus the group-commit queue for writes routed to this stripe.
 type shard struct {
+	t     *table
 	mu    sync.RWMutex
-	parts map[string]*partition
+	parts map[ScalarKey]*partition
 
 	gc committer
 }
 
-// committer is a shard's group-commit state: a queue of pending write
-// closures and a leader flag. The first writer to find the shard idle
-// becomes the leader, drains the queue in one critical section, and wakes
-// the followers; writers arriving while a batch is in flight just enqueue
-// and wait, forming the next batch.
+// committer is a shard's group-commit state: a queue of pending writes and a
+// leader flag. The first writer to find the shard idle becomes the leader,
+// drains the queue in one critical section, and wakes the followers; writers
+// arriving while a batch is in flight just enqueue and wait, forming the
+// next batch.
 type committer struct {
 	mu      sync.Mutex
 	pending []*commitOp
 	active  bool
 }
 
-// commitOp is one queued write: a closure run under the shard's write lock,
-// and a channel closed when its batch has committed.
+// commitOp is one queued write: the write, applied under the shard's write
+// lock by whichever writer leads its batch, and a channel closed when that
+// batch has committed.
 type commitOp struct {
-	apply func()
-	done  chan struct{}
+	write
+	done chan struct{}
+}
+
+// find returns the partition and position of the row for key, or nil.
+// Caller holds sh.mu.
+func (sh *shard) find(k Key) (*partition, int) {
+	p := sh.parts[KeyOf(k.Hash)]
+	if p == nil {
+		return nil, 0
+	}
+	i, found := p.find(k.Sort)
+	if !found {
+		return nil, 0
+	}
+	p.rows[i].verify(sh.t)
+	return p, i
 }
 
 // get returns the live item for key, or nil. Caller holds sh.mu.
 func (sh *shard) get(k Key) Item {
-	p, ok := sh.parts[encodeScalar(k.Hash)]
-	if !ok {
-		return nil
-	}
-	i, found := p.find(k.Sort)
-	if !found {
+	p, i := sh.find(k)
+	if p == nil {
 		return nil
 	}
 	return p.rows[i].item
 }
 
-// put installs item under key, replacing any existing row. Caller holds
-// sh.mu.
+// put installs item under key, replacing any existing row. The item's map
+// becomes the store's; its values stay shared with whoever built them.
+// Caller holds sh.mu.
 func (sh *shard) put(k Key, it Item) {
-	hk := encodeScalar(k.Hash)
+	hk := KeyOf(k.Hash)
 	p, ok := sh.parts[hk]
 	if !ok {
 		p = &partition{}
@@ -94,47 +89,47 @@ func (sh *shard) put(k Key, it Item) {
 	}
 	i, found := p.find(k.Sort)
 	if found {
-		p.rows[i].item = it
+		p.rows[i].verify(sh.t)
+		p.rows[i].install(it)
 		return
 	}
-	p.insertAt(i, &row{sortVal: k.Sort, item: it})
+	r := &row{sortVal: k.Sort}
+	r.install(it)
+	p.insertAt(i, r)
 }
 
 // delete removes the row for key if present. Caller holds sh.mu.
 func (sh *shard) delete(k Key) {
-	hk := encodeScalar(k.Hash)
-	p, ok := sh.parts[hk]
-	if !ok {
-		return
-	}
-	i, found := p.find(k.Sort)
-	if !found {
+	p, i := sh.find(k)
+	if p == nil {
 		return
 	}
 	p.removeAt(i)
 	if len(p.rows) == 0 {
-		delete(sh.parts, hk)
+		delete(sh.parts, KeyOf(k.Hash))
 	}
 }
 
-// applyWrite runs fn inside sh's write critical section, charging the
+// applyWrite runs w inside sh's write critical section, charging the
 // latency model's commit cost while the latch is held (real stores hold a
 // partition's write latch for the duration of the persistence flush; see
 // CommitLatencyModel). With group commit off, every write pays its own
-// latch acquisition and flush. With group commit on, fn joins the shard's
-// in-flight batch: a leader drains the whole queue under one latch and one
-// flush, and per-op conditions are evaluated by each closure against the
-// row state its predecessors in the batch left behind — the same
-// serialization the unbatched path produces.
-func (s *Store) applyWrite(sh *shard, fn func()) {
+// latch acquisition and flush, and w never leaves the caller's stack. With
+// group commit on, a copy of w joins the shard's in-flight batch: a leader
+// drains the whole queue under one latch and one flush, and per-op
+// conditions are evaluated by each write against the row state its
+// predecessors in the batch left behind — the same serialization the
+// unbatched path produces.
+func (s *Store) applyWrite(sh *shard, w *write) {
 	if !s.groupCommit.Load() {
 		sh.mu.Lock()
-		fn()
+		w.apply(sh)
 		s.commitSleep(1)
 		sh.mu.Unlock()
 		return
 	}
-	op := &commitOp{apply: fn, done: make(chan struct{})}
+	op := &commitOp{write: *w, done: make(chan struct{})}
+	defer func() { *w = op.write }()
 	sh.gc.mu.Lock()
 	sh.gc.pending = append(sh.gc.pending, op)
 	if sh.gc.active {
@@ -155,7 +150,7 @@ func (s *Store) applyWrite(sh *shard, fn func()) {
 
 		sh.mu.Lock()
 		for _, o := range batch {
-			o.apply()
+			o.apply(sh)
 		}
 		s.commitSleep(len(batch))
 		sh.mu.Unlock()

@@ -2,6 +2,7 @@ package dynamo
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -190,30 +191,15 @@ func (s *Store) charge(op OpKind, items, bytes int) {
 	}
 }
 
-// Get returns a deep copy of the item at key (strongly consistent read).
+// Get returns the item at key (strongly consistent read): an attribute map
+// of the caller's own whose values are shared with the store (see Item).
 func (s *Store) Get(tableName string, key Key) (Item, bool, error) {
-	t, err := s.table(tableName)
-	if err != nil {
-		return nil, false, err
-	}
-	sh := t.shardOf(key)
-	sh.mu.RLock()
-	it := sh.get(key)
-	var out Item
-	if it != nil {
-		out = it.Clone()
-	}
-	sh.mu.RUnlock()
-	bytes := 0
-	if out != nil {
-		bytes = out.Size()
-	}
-	s.charge(OpGet, 1, bytes)
-	return out, out != nil, nil
+	return s.GetProj(tableName, key, nil)
 }
 
 // GetProj is Get with a projection applied server-side, so only the
-// projected bytes count as response traffic.
+// projected bytes count as response traffic. A nil projection is the whole
+// row.
 func (s *Store) GetProj(tableName string, key Key, proj []Path) (Item, bool, error) {
 	t, err := s.table(tableName)
 	if err != nil {
@@ -235,8 +221,76 @@ func (s *Store) GetProj(tableName string, key Key, proj []Path) (Item, bool, err
 	return out, out != nil, nil
 }
 
+// write is one single-row conditional write — exactly one of put, updates
+// or del — and, once applied, its outcome. Put, Update and Delete build one
+// on their stack; only the group-commit queue copies it to the heap.
+type write struct {
+	key     Key
+	cond    Cond
+	put     Item     // replace the row with this map, already the store's own
+	updates []Update // or upsert the row and apply these
+	del     bool     // or remove the row
+
+	err        error
+	condFailed bool
+	written    int // bytes of the row installed; a put arrives with it set
+}
+
+// apply runs the write against the current row, leaving the row exactly as
+// it was when the condition fails, an update cannot be applied or the result
+// is over the size cap: the next row is built beside the current one, whose
+// values are shared and never written. Caller holds sh.mu.
+func (w *write) apply(sh *shard) {
+	t := sh.t
+	cur := sh.get(w.key)
+	if w.cond != nil && !evalAgainst(w.cond, cur) {
+		w.err = condFailure(t.schema.Name, w.key, w.cond)
+		w.condFailed = true
+		return
+	}
+	switch {
+	case w.del:
+		sh.delete(w.key)
+	case w.put != nil:
+		sh.put(w.key, w.put)
+	default:
+		next := t.materialize(cur, w.key)
+		for _, u := range w.updates {
+			if w.err = u.apply(next); w.err != nil {
+				return
+			}
+		}
+		size := next.Size()
+		if size > t.maxSize {
+			w.err = fmt.Errorf("%w: table %s key %s (%d bytes)", ErrItemTooLarge, t.schema.Name, w.key, size)
+			return
+		}
+		sh.put(w.key, next)
+		w.written = size
+	}
+}
+
+// commit applies w to its shard and accounts for the outcome.
+func (s *Store) commit(op OpKind, t *table, w *write) error {
+	s.applyWrite(t.shardOf(w.key), w)
+	if w.err != nil {
+		if w.condFailed {
+			s.metrics.CondFailures.Add(1)
+		}
+		s.charge(op, 1, 0)
+		return w.err
+	}
+	s.metrics.BytesWritten.Add(int64(w.written))
+	s.notifyCommit(t.schema.Name, w.key.Hash)
+	s.charge(op, 1, 0)
+	return nil
+}
+
 // Put installs item, replacing any existing row, if cond holds against the
-// current row (or against the absent row). A nil cond always passes.
+// current row (or against the absent row). A nil cond always passes. The
+// store keeps an attribute map of its own — the caller may go on editing
+// item's attributes — but shares the values in it, which must not be written
+// afterwards (see Value).
 func (s *Store) Put(tableName string, item Item, cond Cond) error {
 	t, err := s.table(tableName)
 	if err != nil {
@@ -246,29 +300,12 @@ func (s *Store) Put(tableName string, item Item, cond Cond) error {
 	if err != nil {
 		return err
 	}
-	if item.Size() > t.maxSize {
-		return fmt.Errorf("%w: table %s key %s (%d bytes)", ErrItemTooLarge, tableName, key, item.Size())
+	size := item.Size()
+	if size > t.maxSize {
+		return fmt.Errorf("%w: table %s key %s (%d bytes)", ErrItemTooLarge, tableName, key, size)
 	}
-	stored := item.Clone()
-	sh := t.shardOf(key)
-	var applyErr error
-	s.applyWrite(sh, func() {
-		cur := sh.get(key)
-		if cond != nil && !evalAgainst(cond, cur) {
-			applyErr = condFailure(tableName, key, cond)
-			return
-		}
-		sh.put(key, stored)
-	})
-	if applyErr != nil {
-		s.metrics.CondFailures.Add(1)
-		s.charge(OpPut, 1, 0)
-		return applyErr
-	}
-	s.metrics.BytesWritten.Add(int64(stored.Size()))
-	s.notifyCommit(tableName, key.Hash)
-	s.charge(OpPut, 1, 0)
-	return nil
+	w := write{key: key, cond: cond, put: maps.Clone(item), written: size}
+	return s.commit(OpPut, t, &w)
 }
 
 // Update applies the update actions to the row at key if cond holds. Like
@@ -282,41 +319,8 @@ func (s *Store) Update(tableName string, key Key, cond Cond, updates ...Update) 
 	if err != nil {
 		return err
 	}
-	sh := t.shardOf(key)
-	var applyErr error
-	var condFailed bool
-	var written int
-	s.applyWrite(sh, func() {
-		cur := sh.get(key)
-		if cond != nil && !evalAgainst(cond, cur) {
-			applyErr = condFailure(tableName, key, cond)
-			condFailed = true
-			return
-		}
-		next := t.materialize(cur, key)
-		for _, u := range updates {
-			if applyErr = u.apply(next); applyErr != nil {
-				return
-			}
-		}
-		if next.Size() > t.maxSize {
-			applyErr = fmt.Errorf("%w: table %s key %s (%d bytes)", ErrItemTooLarge, tableName, key, next.Size())
-			return
-		}
-		sh.put(key, next)
-		written = next.Size()
-	})
-	if applyErr != nil {
-		if condFailed {
-			s.metrics.CondFailures.Add(1)
-		}
-		s.charge(OpUpdate, 1, 0)
-		return applyErr
-	}
-	s.metrics.BytesWritten.Add(int64(written))
-	s.notifyCommit(tableName, key.Hash)
-	s.charge(OpUpdate, 1, 0)
-	return nil
+	w := write{key: key, cond: cond, updates: updates}
+	return s.commit(OpUpdate, t, &w)
 }
 
 // Delete removes the row at key if cond holds. Deleting an absent row with a
@@ -326,24 +330,8 @@ func (s *Store) Delete(tableName string, key Key, cond Cond) error {
 	if err != nil {
 		return err
 	}
-	sh := t.shardOf(key)
-	var applyErr error
-	s.applyWrite(sh, func() {
-		cur := sh.get(key)
-		if cond != nil && !evalAgainst(cond, cur) {
-			applyErr = condFailure(tableName, key, cond)
-			return
-		}
-		sh.delete(key)
-	})
-	if applyErr != nil {
-		s.metrics.CondFailures.Add(1)
-		s.charge(OpDelete, 1, 0)
-		return applyErr
-	}
-	s.notifyCommit(tableName, key.Hash)
-	s.charge(OpDelete, 1, 0)
-	return nil
+	w := write{key: key, cond: cond, del: true}
+	return s.commit(OpDelete, t, &w)
 }
 
 // QueryOpts shape a Query or index Query.
@@ -367,15 +355,14 @@ func (s *Store) Query(tableName string, hash Value, opts QueryOpts) ([]Item, err
 	if err != nil {
 		return nil, err
 	}
-	hk := encodeScalar(hash)
+	hk := KeyOf(hash)
 	sh := t.shardFor(hk)
 	sh.mu.RLock()
-	p := sh.parts[hk]
 	var rows []*row
-	if p != nil {
-		rows = append(rows, p.rows...)
+	if p := sh.parts[hk]; p != nil {
+		rows = p.rows // read in place: filterRows never writes to it
 	}
-	out, scanned, bytes := filterRows(rows, opts)
+	out, scanned, bytes := t.filterRows(rows, opts)
 	sh.mu.RUnlock()
 	s.metrics.ItemsScanned.Add(int64(scanned))
 	s.charge(OpQuery, scanned, bytes)
@@ -396,8 +383,8 @@ func (s *Store) QueryIndex(tableName, indexName string, hash Value, opts QueryOp
 	}
 	t.rlockAll()
 	var matched []*row
-	for _, hk := range t.sortedHashKeys() {
-		for _, r := range t.partFor(hk).rows {
+	for _, p := range t.sortedParts() {
+		for _, r := range p.rows {
 			v, has := r.item[ix.HashKey]
 			if has && v.Equal(hash) {
 				matched = append(matched, r)
@@ -411,7 +398,7 @@ func (s *Store) QueryIndex(tableName, indexName string, hash Value, opts QueryOp
 			return vi.Compare(vj) < 0
 		})
 	}
-	out, scanned, bytes := filterRows(matched, opts)
+	out, scanned, bytes := t.filterRows(matched, opts)
 	t.runlockAll()
 	s.metrics.ItemsScanned.Add(int64(scanned))
 	s.charge(OpQuery, scanned, bytes)
@@ -427,10 +414,10 @@ func (s *Store) Scan(tableName string, opts QueryOpts) ([]Item, error) {
 	}
 	t.rlockAll()
 	var rows []*row
-	for _, hk := range t.sortedHashKeys() {
-		rows = append(rows, t.partFor(hk).rows...)
+	for _, p := range t.sortedParts() {
+		rows = append(rows, p.rows...)
 	}
-	out, scanned, bytes := filterRows(rows, opts)
+	out, scanned, bytes := t.filterRows(rows, opts)
 	t.runlockAll()
 	s.metrics.ItemsScanned.Add(int64(scanned))
 	s.charge(OpScan, scanned, bytes)
@@ -472,12 +459,12 @@ func (s *Store) TableNames() []string {
 	return names
 }
 
-// materialize returns a mutable copy of cur, or a fresh item carrying just
-// the key attributes when cur is nil (upsert). Caller holds the owning
-// shard's lock.
+// materialize returns the row an update edits: a new attribute map holding
+// cur's values (shared, see Item.set), or just the key attributes when cur
+// is nil (upsert). Caller holds the owning shard's lock.
 func (t *table) materialize(cur Item, key Key) Item {
 	if cur != nil {
-		return cur.Clone()
+		return maps.Clone(cur)
 	}
 	it := Item{t.schema.HashKey: key.Hash}
 	if t.schema.SortKey != "" {
@@ -486,11 +473,15 @@ func (t *table) materialize(cur Item, key Key) Item {
 	return it
 }
 
+// noItem is what a condition against an absent row is evaluated on.
+// Conditions only read.
+var noItem = Item{}
+
 // evalAgainst evaluates cond against a possibly-nil current row; conditions
 // against absent rows see an empty item, so attribute_not_exists passes.
 func evalAgainst(c Cond, cur Item) bool {
 	if cur == nil {
-		return c.Eval(Item{})
+		cur = noItem
 	}
 	return c.Eval(cur)
 }
@@ -500,8 +491,9 @@ func condFailure(table string, key Key, c Cond) error {
 }
 
 // filterRows applies filter, projection and limit, returning projected
-// copies plus the scanned-row count and response byte total.
-func filterRows(rows []*row, opts QueryOpts) (out []Item, scanned, bytes int) {
+// copies plus the scanned-row count and response byte total. rows is only
+// read. Caller holds the lock of every shard a row lives on.
+func (t *table) filterRows(rows []*row, opts QueryOpts) (out []Item, scanned, bytes int) {
 	if opts.Descending {
 		rev := make([]*row, len(rows))
 		for i, r := range rows {
@@ -511,6 +503,7 @@ func filterRows(rows []*row, opts QueryOpts) (out []Item, scanned, bytes int) {
 	}
 	for _, r := range rows {
 		scanned++
+		r.verify(t)
 		if opts.Filter != nil && !opts.Filter.Eval(r.item) {
 			continue
 		}

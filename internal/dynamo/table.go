@@ -2,8 +2,8 @@ package dynamo
 
 import (
 	"fmt"
+	"maps"
 	"sort"
-	"strconv"
 )
 
 // DefaultMaxItemSize mirrors DynamoDB's 400 KB item cap [Limits in
@@ -62,29 +62,12 @@ func (k Key) String() string {
 	return k.Hash.String() + "/" + k.Sort.String()
 }
 
-// encodeScalar renders a scalar value as a map key. Only the kinds usable as
-// key attributes (string, number, bytes, bool) are supported.
-func encodeScalar(v Value) string {
-	switch v.Kind() {
-	case KindString:
-		return "s:" + v.Str()
-	case KindNumber:
-		return "n:" + strconv.FormatFloat(v.Num(), 'g', -1, 64)
-	case KindBytes:
-		return "b:" + string(v.BytesVal())
-	case KindBool:
-		return "t:" + strconv.FormatBool(v.BoolVal())
-	case KindNull:
-		return ""
-	default:
-		return "?:" + v.String()
-	}
-}
-
-// row is a stored item plus its decoded sort value for ordering.
+// row is a stored item plus its decoded sort value for ordering. sum is the
+// tripwire's fingerprint of the item (see verify.go); 0 when it is off.
 type row struct {
 	sortVal Value
 	item    Item
+	sum     uint64
 }
 
 // partition holds all rows sharing a hash key, ordered by sort value.
@@ -141,20 +124,19 @@ func newTable(s Schema, defaultShards int) *table {
 	}
 	t := &table{schema: s, maxSize: max, shards: make([]*shard, n)}
 	for i := range t.shards {
-		t.shards[i] = &shard{parts: make(map[string]*partition)}
+		t.shards[i] = &shard{t: t, parts: make(map[ScalarKey]*partition)}
 	}
 	return t
 }
 
-// shardFor returns the shard owning the partition with the given encoded
-// hash key.
-func (t *table) shardFor(encodedHash string) *shard {
-	return t.shards[shardIndex(encodedHash, len(t.shards))]
+// shardFor returns the shard owning the partition with the given hash key.
+func (t *table) shardFor(hk ScalarKey) *shard {
+	return t.shards[hk.stripe(len(t.shards))]
 }
 
 // shardOf returns the shard owning key's partition.
 func (t *table) shardOf(k Key) *shard {
-	return t.shardFor(encodeScalar(k.Hash))
+	return t.shardFor(KeyOf(k.Hash))
 }
 
 // rlockAll read-locks every shard in index order (whole-table snapshot).
@@ -188,12 +170,6 @@ func (t *table) keyOf(it Item) (Key, error) {
 	return k, nil
 }
 
-// partFor returns the partition for an encoded hash key, or nil. Caller
-// holds the owning shard's lock.
-func (t *table) partFor(encodedHash string) *partition {
-	return t.shardFor(encodedHash).parts[encodedHash]
-}
-
 // bytes sums the storage footprint of every row. Caller holds every shard
 // lock.
 func (t *table) bytes() int {
@@ -219,17 +195,26 @@ func (t *table) itemCount() int {
 	return n
 }
 
-// sortedHashKeys returns partition keys across all shards in deterministic
-// order. Caller holds every shard lock.
-func (t *table) sortedHashKeys() []string {
-	var keys []string
+// sortedParts returns the partitions of all shards in deterministic order:
+// that of their keys' rendered form (see ScalarKey.Before), which is the
+// order whole-table reads have always had. Caller holds every shard lock.
+func (t *table) sortedParts() []*partition {
+	type keyed struct {
+		k ScalarKey
+		p *partition
+	}
+	var ks []keyed
 	for _, sh := range t.shards {
-		for k := range sh.parts {
-			keys = append(keys, k)
+		for k, p := range sh.parts {
+			ks = append(ks, keyed{k, p})
 		}
 	}
-	sort.Strings(keys)
-	return keys
+	sort.Slice(ks, func(i, j int) bool { return ks[i].k.Before(ks[j].k) })
+	parts := make([]*partition, len(ks))
+	for i := range ks {
+		parts[i] = ks[i].p
+	}
+	return parts
 }
 
 // findIndex returns the IndexSchema by name.
@@ -243,31 +228,23 @@ func (t *table) findIndex(name string) (IndexSchema, bool) {
 }
 
 // project reduces an item to the requested paths (plus nothing else),
-// mirroring a DynamoDB projection expression. A nil projection returns a
-// clone of the full item. Beldi's DAAL traversal projects just RowId and
-// NextRow to download "256 bits per row" (§4.1).
+// mirroring a DynamoDB projection expression. A nil projection returns the
+// full item. Either way the result is a new attribute map whose values are
+// the row's own, shared: project writes only into maps it made — a map entry
+// projected beside its whole attribute goes through Item.set, which edits a
+// copy. Beldi's DAAL traversal projects just RowId and NextRow to download
+// "256 bits per row" (§4.1).
 func project(it Item, proj []Path) Item {
 	if proj == nil {
-		return it.Clone()
+		return maps.Clone(it)
 	}
 	out := make(Item, len(proj))
 	for _, p := range proj {
-		v, ok := it.Get(p)
-		if !ok {
-			continue
+		// A map entry keeps the map shape, {Attr: {MapKey: v}}, so callers
+		// address entries uniformly.
+		if v, ok := it.Get(p); ok {
+			out.set(p, v)
 		}
-		if p.MapKey != "" {
-			// Keep the map shape: {Attr: {MapKey: v}} so callers address
-			// entries uniformly.
-			cur, exists := out[p.Attr]
-			if !exists || cur.Kind() != KindMap {
-				out[p.Attr] = M(map[string]Value{p.MapKey: v.Clone()})
-			} else {
-				cur.m[p.MapKey] = v.Clone()
-			}
-			continue
-		}
-		out[p.Attr] = v.Clone()
 	}
 	return out
 }

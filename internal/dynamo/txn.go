@@ -2,6 +2,7 @@ package dynamo
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -18,7 +19,8 @@ type TxOp struct {
 	Cond  Cond
 
 	// Put replaces the row with this item (Key must match the item's key
-	// attributes, which callers typically include).
+	// attributes, which callers typically include). As with Store.Put, the
+	// store keeps its own attribute map and shares the values.
 	Put Item
 	// Updates applies update actions (upsert, like Store.Update).
 	Updates []Update
@@ -40,7 +42,7 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 	}
 	// Bookkeeping stays proportional to what the ops do not already hold: a
 	// prepared op points into ops (a Put's derived key is the one copy), the
-	// duplicate check keys on the encoded scalars the shard lookup needs
+	// duplicate check keys on the comparable keys the shard lookup needs
 	// anyway, and the shards to lock — few, however many rows — are a
 	// linearly deduplicated slice.
 	type prepared struct {
@@ -48,7 +50,10 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 		key *Key
 		sh  *shard
 	}
-	type target struct{ table, hash, sort string }
+	type target struct {
+		table      string
+		hash, sort ScalarKey
+	}
 	preps := make([]prepared, len(ops))
 	seen := make(map[target]struct{}, len(ops))
 	type lockTarget struct {
@@ -71,13 +76,13 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 			}
 			key = &k
 		}
-		hk := encodeScalar(key.Hash)
-		tg := target{op.Table, hk, encodeScalar(key.Sort)}
+		hk := KeyOf(key.Hash)
+		tg := target{op.Table, hk, KeyOf(key.Sort)}
 		if _, dup := seen[tg]; dup {
 			return fmt.Errorf("dynamo: TransactWrite: duplicate target %s %s", op.Table, *key)
 		}
 		seen[tg] = struct{}{}
-		idx := shardIndex(hk, len(t.shards))
+		idx := hk.stripe(len(t.shards))
 		sh := t.shards[idx]
 		preps[i] = prepared{t: t, key: key, sh: sh}
 		held := false
@@ -125,7 +130,7 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 			// the row exactly as it is (a nil row stays absent).
 			staged[i] = cur
 		case op.Put != nil:
-			next := op.Put.Clone()
+			next := maps.Clone(op.Put)
 			if next.Size() > p.t.maxSize {
 				reasons[i] = fmt.Errorf("%w: table %s key %s", ErrItemTooLarge, op.Table, *p.key)
 				failed = true

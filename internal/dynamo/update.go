@@ -20,7 +20,9 @@ type updateAdd struct {
 type updateRemove struct{ p Path }
 
 // Set stores v at path, creating the attribute (and, for map paths, the
-// enclosing map) if absent.
+// enclosing map) if absent. v is installed as it is, not copied: a nested
+// map, list or byte slice in it is shared with the store from then on and
+// must not be written (see Value).
 func Set(p Path, v Value) Update { return updateSet{p, v} }
 
 // Add increments the number at path by d, treating a missing attribute as 0

@@ -57,16 +57,22 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed attribute value. The zero Value is NULL.
-// Values are immutable by convention: use Clone before mutating nested
-// lists or maps obtained from the store.
+//
+// Values are immutable: a value handed to or received from a store is
+// shared, not copied — the store installs the caller's nested maps, lists
+// and byte slices as they are and hands the same ones to every reader — so
+// nothing reachable from a Value may be written once it has been built.
+// Clone makes a private deep copy for a caller that wants one to edit.
+//
+// The representation is three words of payload behind the kind (48 bytes):
+// one scalar, one string, one reference for the aggregate kinds. A map is
+// pointer-shaped, so holding it in ref costs nothing; a list or byte slice
+// is boxed (one 24-byte header per value).
 type Value struct {
-	kind  Kind
-	str   string
-	num   float64
-	boolv bool
-	bytes []byte
-	list  []Value
-	m     map[string]Value
+	kind Kind
+	num  float64 // KindNumber payload; KindBool as 0 or 1
+	str  string  // KindString payload
+	ref  any     // map[string]Value, []Value or []byte for KindMap, KindList, KindBytes
 }
 
 // Null is the NULL value.
@@ -84,16 +90,24 @@ func N(f float64) Value { return Value{kind: KindNumber, num: f} }
 func NInt(i int64) Value { return Value{kind: KindNumber, num: float64(i)} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, boolv: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, num: 1}
+	}
+	return Value{kind: KindBool}
+}
 
-// Bytes returns a binary value. The slice is not copied.
-func Bytes(b []byte) Value { return Value{kind: KindBytes, bytes: b} }
+// Bytes returns a binary value. The slice is not copied and, like every
+// Value payload, must not be written afterwards.
+func Bytes(b []byte) Value { return Value{kind: KindBytes, ref: b} }
 
-// L returns a list value. The slice is not copied.
-func L(vs ...Value) Value { return Value{kind: KindList, list: vs} }
+// L returns a list value. The slice is not copied and must not be written
+// afterwards.
+func L(vs ...Value) Value { return Value{kind: KindList, ref: vs} }
 
-// M returns a map value. The map is not copied.
-func M(m map[string]Value) Value { return Value{kind: KindMap, m: m} }
+// M returns a map value. The map is not copied and must not be written
+// afterwards: a store that is handed the value keeps this very map.
+func M(m map[string]Value) Value { return Value{kind: KindMap, ref: m} }
 
 // Kind reports the value's dynamic type.
 func (v Value) Kind() Kind { return v.kind }
@@ -105,56 +119,68 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 func (v Value) Str() string { return v.str }
 
 // Num returns the numeric payload, or 0 for non-numbers.
-func (v Value) Num() float64 { return v.num }
+func (v Value) Num() float64 {
+	if v.kind != KindNumber {
+		return 0
+	}
+	return v.num
+}
 
 // Int returns the numeric payload truncated to int64.
-func (v Value) Int() int64 { return int64(v.num) }
+func (v Value) Int() int64 { return int64(v.Num()) }
 
 // BoolVal returns the boolean payload, or false for non-booleans.
-func (v Value) BoolVal() bool { return v.boolv }
+func (v Value) BoolVal() bool { return v.kind == KindBool && v.num != 0 }
 
-// BytesVal returns the binary payload, or nil for non-binary values.
-func (v Value) BytesVal() []byte { return v.bytes }
+// BytesVal returns the binary payload, or nil for non-binary values. The
+// returned slice must not be mutated.
+func (v Value) BytesVal() []byte {
+	b, _ := v.ref.([]byte)
+	return b
+}
 
 // List returns the list payload, or nil. The returned slice must not be
 // mutated.
-func (v Value) List() []Value { return v.list }
+func (v Value) List() []Value {
+	l, _ := v.ref.([]Value)
+	return l
+}
 
 // Map returns the map payload, or nil. The returned map must not be mutated.
-func (v Value) Map() map[string]Value { return v.m }
+func (v Value) Map() map[string]Value {
+	m, _ := v.ref.(map[string]Value)
+	return m
+}
 
 // MapGet looks up key in a map value, returning the entry and whether it
 // exists. Returns (Null, false) for non-map values.
 func (v Value) MapGet(key string) (Value, bool) {
-	if v.kind != KindMap {
-		return Null, false
-	}
-	e, ok := v.m[key]
+	e, ok := v.Map()[key]
 	return e, ok
 }
 
 // MapLen returns the number of entries in a map value, or 0.
-func (v Value) MapLen() int { return len(v.m) }
+func (v Value) MapLen() int { return len(v.Map()) }
 
-// Clone returns a deep copy of the value.
+// Clone returns a deep copy of the value, for a caller that wants a nested
+// map, list or byte slice of its own to edit. The store never calls it:
+// values are shared across its boundary (see Value).
 func (v Value) Clone() Value {
 	switch v.kind {
 	case KindBytes:
-		b := make([]byte, len(v.bytes))
-		copy(b, v.bytes)
-		return Value{kind: KindBytes, bytes: b}
+		return Bytes(append([]byte{}, v.BytesVal()...))
 	case KindList:
-		l := make([]Value, len(v.list))
-		for i, e := range v.list {
+		l := make([]Value, len(v.List()))
+		for i, e := range v.List() {
 			l[i] = e.Clone()
 		}
-		return Value{kind: KindList, list: l}
+		return L(l...)
 	case KindMap:
-		m := make(map[string]Value, len(v.m))
-		for k, e := range v.m {
+		m := make(map[string]Value, v.MapLen())
+		for k, e := range v.Map() {
 			m[k] = e.Clone()
 		}
-		return Value{kind: KindMap, m: m}
+		return M(m)
 	default:
 		return v
 	}
@@ -174,25 +200,27 @@ func (v Value) Equal(o Value) bool {
 	case KindNumber:
 		return v.num == o.num
 	case KindBool:
-		return v.boolv == o.boolv
+		return v.num == o.num
 	case KindBytes:
-		return string(v.bytes) == string(o.bytes)
+		return string(v.BytesVal()) == string(o.BytesVal())
 	case KindList:
-		if len(v.list) != len(o.list) {
+		vl, ol := v.List(), o.List()
+		if len(vl) != len(ol) {
 			return false
 		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
+		for i := range vl {
+			if !vl[i].Equal(ol[i]) {
 				return false
 			}
 		}
 		return true
 	case KindMap:
-		if len(v.m) != len(o.m) {
+		vm, om := v.Map(), o.Map()
+		if len(vm) != len(om) {
 			return false
 		}
-		for k, e := range v.m {
-			oe, ok := o.m[k]
+		for k, e := range vm {
+			oe, ok := om[k]
 			if !ok || !e.Equal(oe) {
 				return false
 			}
@@ -215,7 +243,7 @@ func (v Value) Compare(o Value) int {
 	switch v.kind {
 	case KindString:
 		return strings.Compare(v.str, o.str)
-	case KindNumber:
+	case KindNumber, KindBool:
 		switch {
 		case v.num < o.num:
 			return -1
@@ -223,16 +251,8 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 		return 0
-	case KindBool:
-		switch {
-		case !v.boolv && o.boolv:
-			return -1
-		case v.boolv && !o.boolv:
-			return 1
-		}
-		return 0
 	case KindBytes:
-		return strings.Compare(string(v.bytes), string(o.bytes))
+		return strings.Compare(string(v.BytesVal()), string(o.BytesVal()))
 	default:
 		return 0
 	}
@@ -252,16 +272,16 @@ func (v Value) Size() int {
 	case KindNumber:
 		return 8
 	case KindBytes:
-		return len(v.bytes)
+		return len(v.BytesVal())
 	case KindList:
 		n := 3
-		for _, e := range v.list {
+		for _, e := range v.List() {
 			n += 1 + e.Size()
 		}
 		return n
 	case KindMap:
 		n := 3
-		for k, e := range v.m {
+		for k, e := range v.Map() {
 			n += len(k) + 1 + e.Size()
 		}
 		return n
@@ -279,24 +299,25 @@ func (v Value) String() string {
 	case KindNumber:
 		return strconv.FormatFloat(v.num, 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.boolv)
+		return strconv.FormatBool(v.BoolVal())
 	case KindBytes:
-		return fmt.Sprintf("b%q", v.bytes)
+		return fmt.Sprintf("b%q", v.BytesVal())
 	case KindList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		parts := make([]string, len(v.List()))
+		for i, e := range v.List() {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ",") + "]"
 	case KindMap:
-		keys := make([]string, 0, len(v.m))
-		for k := range v.m {
+		m := v.Map()
+		keys := make([]string, 0, len(m))
+		for k := range m {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		parts := make([]string, len(keys))
 		for i, k := range keys {
-			parts[i] = fmt.Sprintf("%s:%s", k, v.m[k])
+			parts[i] = fmt.Sprintf("%s:%s", k, m[k])
 		}
 		return "{" + strings.Join(parts, ",") + "}"
 	}

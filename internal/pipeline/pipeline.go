@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -106,9 +105,8 @@ type Stats struct {
 
 // dirtyKey addresses one speculated row awaiting flush.
 type dirtyKey struct {
-	table string
-	hash  string // encoded scalar
-	sort  string
+	table      string
+	hash, sort dynamo.ScalarKey
 }
 
 // keySpec caches a table's primary-key attribute names.
@@ -253,23 +251,6 @@ func (p *Store) DynamoStore() *dynamo.Store {
 	return s
 }
 
-// encodeScalar renders a key attribute for the dirty map (kind-prefixed so
-// distinct values cannot collide).
-func encodeScalar(v dynamo.Value) string {
-	switch v.Kind() {
-	case dynamo.KindString:
-		return "s:" + v.Str()
-	case dynamo.KindNumber:
-		return "n:" + strconv.FormatFloat(v.Num(), 'g', -1, 64)
-	case dynamo.KindBytes:
-		return "b:" + string(v.BytesVal())
-	case dynamo.KindBool:
-		return "t:" + strconv.FormatBool(v.BoolVal())
-	default:
-		return ""
-	}
-}
-
 // spec returns table's key attribute names, resolving through the shadow on
 // first use. Callers hold mu.
 func (p *Store) spec(table string) (keySpec, error) {
@@ -303,7 +284,7 @@ func (p *Store) markDirty(table string, key dynamo.Key) {
 	if len(p.dirty) == 0 {
 		p.oldestAt = time.Now()
 	}
-	p.dirty[dirtyKey{table: table, hash: encodeScalar(key.Hash), sort: encodeScalar(key.Sort)}] = key
+	p.dirty[dirtyKey{table: table, hash: dynamo.KeyOf(key.Hash), sort: dynamo.KeyOf(key.Sort)}] = key
 }
 
 // append runs one speculated write: apply against the shadow (which
@@ -391,9 +372,9 @@ func (p *Store) captureLocked() ([]dynamo.TxOp, uint64, time.Time, error) {
 			return a.table < b.table
 		}
 		if a.hash != b.hash {
-			return a.hash < b.hash
+			return a.hash.Before(b.hash)
 		}
-		return a.sort < b.sort
+		return a.sort.Before(b.sort)
 	})
 	ops := make([]dynamo.TxOp, 0, len(entries))
 	for _, e := range entries {

@@ -25,6 +25,7 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -404,7 +405,9 @@ func (b *Broker) Receive(name string, max int) ([]Message, error) {
 // reverse order could lose the message outright.
 func (b *Broker) deadLetter(name string, row dynamo.Item, observedVis int64, reason string) error {
 	id := row[attrMsgID].Str()
-	dead := row.Clone()
+	// One level deep: only attributes are added; the body stays the value
+	// the store already shares.
+	dead := maps.Clone(row)
 	dead[attrReason] = dynamo.S(reason)
 	if err := b.store.Put(dlqTableOf(name), dead, nil); err != nil {
 		return err
@@ -559,7 +562,8 @@ func (b *Broker) Redrive(name string) (int, error) {
 	n := 0
 	for _, row := range rows {
 		id := row[attrMsgID].Str()
-		live := row.Clone()
+		// One level deep, as in deadLetter: attributes change, values do not.
+		live := maps.Clone(row)
 		delete(live, attrReason)
 		delete(live, attrReceipt)
 		live[attrRecv] = dynamo.NInt(0)

@@ -99,7 +99,10 @@ type Backend interface {
 	// TableItemCount reports the number of live rows.
 	TableItemCount(name string) (int, error)
 
-	// Get returns a deep copy of the item at key (strongly consistent).
+	// Get returns the item at key (strongly consistent). The attribute map
+	// is the caller's; the values in it are immutable and may be shared
+	// with the backend (see dynamo.Value), as are those of every Item a
+	// backend returns or is given.
 	Get(table string, key Key) (Item, bool, error)
 	// GetProj is Get with a server-side projection.
 	GetProj(table string, key Key, proj []Path) (Item, bool, error)

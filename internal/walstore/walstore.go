@@ -612,7 +612,7 @@ func (s *Store) compactLocked() error {
 // Open, so once the WAL is broken the whole store is.
 func (s *Store) readGuard() error { return s.w.sticky() }
 
-// Get returns a deep copy of the item at key.
+// Get returns the item at key (the memtable's Get: see dynamo.Store.Get).
 func (s *Store) Get(table string, key dynamo.Key) (dynamo.Item, bool, error) {
 	if err := s.readGuard(); err != nil {
 		return nil, false, err
