@@ -165,32 +165,33 @@ func BenchmarkQueueBatchSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkShardSweep measures committed logged-step throughput versus the
-// store's shard count at fixed offered load, with the group-commit path off
-// and on (the shard figure; full series via `figures -fig shard`). Each
-// sub-benchmark runs one (shards, commit-mode) cell.
-func BenchmarkShardSweep(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, batched := range []bool{false, true} {
-			commit := "plain"
-			if batched {
-				commit = "batched"
-			}
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, commit), func(b *testing.B) {
+// BenchmarkStepCells runs the five step-commit figures — shard, backend,
+// remote, pipeline, latency — one sub-benchmark per cell of each figure's
+// set, through the one cell runner (full series via `figures -fig <figure>`).
+func BenchmarkStepCells(b *testing.B) {
+	const window, scale, seed = 250 * time.Millisecond, 0.02, 1
+	for _, set := range [][]bench.Cell{
+		bench.ShardCells(window, scale, seed),
+		bench.BackendCells(window, seed),
+		bench.RemoteCells(window, seed),
+		bench.PipelineCells(window, scale, seed),
+		bench.LatencyCells(window, seed),
+	} {
+		for _, c := range set {
+			b.Run(c.Figure+"/"+c.Label, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					pts, err := bench.ShardSweep(bench.ShardSweepOptions{
-						Shards:   []int{shards},
-						Commit:   []bool{batched},
-						Duration: 250 * time.Millisecond,
-						Seed:     1,
-					})
+					p, err := bench.RunCell(c)
 					if err != nil {
 						b.Fatal(err)
 					}
-					for _, p := range pts {
-						b.ReportMetric(p.Throughput, "tput-steps/s")
-						b.ReportMetric(p.MeanBatch, "mean-batch")
-					}
+					b.ReportMetric(p.Throughput, "tput-steps/s")
+					b.ReportMetric(ms(p.P50), "p50-ms")
+					b.ReportMetric(ms(p.P99), "p99-ms")
+					// One amortization ratio per layer that batches; 0 where
+					// the cell has no such layer.
+					b.ReportMetric(p.MeanBatch, "commit-batch")
+					b.ReportMetric(p.SyncBatch, "fsync-batch")
+					b.ReportMetric(p.PipeBatch, "overlay-batch")
 				}
 			})
 		}
@@ -295,59 +296,5 @@ func BenchmarkClusterSweep(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkPipelineSweep measures committed logged-step throughput and
-// per-invocation latency versus commit-pipeline depth on the memory
-// substrate (the pipeline figure; full series via `figures -fig pipeline`).
-// Depth 1 is the synchronous baseline; deeper cells run the speculation
-// overlay and fence each reply on the durability watermark.
-func BenchmarkPipelineSweep(b *testing.B) {
-	for _, depth := range []int{1, 32, 256, 1024} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pts, err := bench.PipelineSweep(bench.PipelineSweepOptions{
-					Depths:   []int{depth},
-					Duration: 250 * time.Millisecond,
-					Seed:     1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, p := range pts {
-					b.ReportMetric(p.Throughput, "tput-steps/s")
-					b.ReportMetric(ms(p.P50), "p50-ms")
-					b.ReportMetric(p.MeanBatch, "mean-batch")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBackendSweep measures committed logged-step throughput per
-// storage backend: the in-memory store versus the durable WAL-backed store
-// with fsync batching on and off (the backend figure; full series via
-// `figures -fig backend`). Each sub-benchmark runs one backend cell.
-func BenchmarkBackendSweep(b *testing.B) {
-	for _, kind := range []bench.BackendKind{
-		bench.BackendMemory, bench.BackendWALNoSync, bench.BackendWALBatched, bench.BackendWALEach,
-	} {
-		b.Run(string(kind), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pts, err := bench.BackendSweep(bench.BackendSweepOptions{
-					Backends: []bench.BackendKind{kind},
-					Duration: 250 * time.Millisecond,
-					Seed:     1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, p := range pts {
-					b.ReportMetric(p.Throughput, "tput-steps/s")
-					b.ReportMetric(float64(p.Fsyncs), "fsyncs")
-				}
-			}
-		})
 	}
 }

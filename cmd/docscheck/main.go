@@ -7,8 +7,8 @@
 //	docscheck [package-dir ...]
 //
 // With no arguments it audits the default set: the public beldi API, the
-// substrate packages (dynamo, platform, queue), the Beldi core, and the
-// utility packages (hist, clock, uuid, workload). Exported types, functions,
+// substrate packages (dynamo, platform, queue), the Beldi core, the utility
+// packages (hist, clock, uuid, workload), and the figure harness (bench). Exported types, functions,
 // methods, and const/var groups are checked; test files are ignored. A
 // const/var group is satisfied by a comment on the group as a whole or on
 // the individual name, matching godoc's rendering rules.
@@ -49,6 +49,7 @@ var defaultDirs = []string{
 	"internal/uuid",
 	"internal/workload",
 	"internal/apps/cron",
+	"internal/bench",
 	"cmd/beldi-trace",
 	"cmd/beldi-storaged",
 }

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,5 +29,48 @@ func TestKnownFigureRuns(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run([]string{"-fig", "costs"}, &stderr); code != 0 {
 		t.Errorf("-fig costs: exit code %d, stderr %q", code, stderr.String())
+	}
+}
+
+// TestFigureIDsAgree: the ids the figure table accepts (as the usage error
+// lists them), the ids in the package comment's usage block, and the -fig
+// lines of the CI workflow name the same figures — a figure added to one and
+// not the others is either undocumented or never run.
+func TestFigureIDsAgree(t *testing.T) {
+	var stderr bytes.Buffer
+	run([]string{"-fig", "?"}, &stderr)
+	_, list, ok := strings.Cut(stderr.String(), "valid ids: ")
+	if !ok {
+		t.Fatalf("usage error lists no ids: %q", stderr.String())
+	}
+	table := strings.Split(strings.TrimSpace(list), ", ")
+
+	ids := func(file, pattern string) []string {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, m := range regexp.MustCompile(pattern).FindAllSubmatch(src, -1) {
+			if id := string(m[1]); !slices.Contains(out, id) {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	usage := ids("main.go", `(?m)^//\tfigures -fig (\S+)`)
+	slices.Sort(table)
+	slices.Sort(usage)
+	if !slices.Equal(usage, table) {
+		t.Errorf("package comment documents -fig %q, the figure table accepts %q", usage, table)
+	}
+	ci := ids("../../.github/workflows/ci.yml", `go run \./cmd/figures -fig (\S+)`)
+	if len(ci) == 0 {
+		t.Error("the CI workflow runs no figure")
+	}
+	for _, id := range ci {
+		if !slices.Contains(table, id) {
+			t.Errorf("the CI workflow runs -fig %s, which the figure table does not accept", id)
+		}
 	}
 }

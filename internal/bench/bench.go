@@ -9,7 +9,6 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"repro/beldi"
@@ -85,9 +84,4 @@ func ModeLabel(m beldi.Mode) string {
 	default:
 		return "Baseline"
 	}
-}
-
-// fmtMs renders a duration in fractional milliseconds, the figures' unit.
-func fmtMs(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000)
 }

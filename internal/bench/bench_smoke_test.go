@@ -3,10 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/beldi"
+	"repro/internal/raceflag"
 )
 
 // Smoke tests: each experiment entry point runs end to end at tiny scale
@@ -223,89 +225,112 @@ func TestTraversalAblationSmoke(t *testing.T) {
 	}
 }
 
-func TestShardSweepSmoke(t *testing.T) {
-	// Throughput assertions on wall-clock measurements can flake on a badly
-	// oversubscribed CI runner, so the sweep gets one retry: the expected
-	// gap between adjacent shard counts is ~2×, which a scheduling hiccup
-	// essentially never erases twice in a row.
-	var pts []ShardSweepPoint
+// wallClock runs a sweep whose shape is judged on wall-clock measurements.
+// shape returns every violated expectation as a message; throughput and
+// latency ratios can flake on an oversubscribed runner, so a sweep that
+// violates any gets one retry of the whole set — the gaps asserted are ≥ 2×,
+// which a scheduling hiccup essentially never erases twice in a row — and
+// what the second attempt still violates fails the test. Under the race
+// detector it is only logged: instrumentation makes the fast cell of each
+// pair CPU-bound (the deep pipeline stops at ~2.4× on two cores), so there the
+// ratios measure the detector. Count-based assertions (batch sizes, RPC and
+// wake-up counts) are exact on every run: callers make them on the returned
+// points, outside the retry.
+func wallClock[P any](t *testing.T, want int, run func() ([]P, error), shape func([]P) []string) []P {
+	t.Helper()
 	for attempt := 0; ; attempt++ {
-		var err error
-		pts, err = ShardSweep(ShardSweepOptions{
-			Duration: 250 * time.Millisecond,
-		})
+		pts, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shardSweepMonotone(pts) || attempt == 1 {
-			break
+		if len(pts) != want {
+			t.Fatalf("%d points, want %d: %+v", len(pts), want, pts)
 		}
-		t.Log("plain-commit curve not monotone; retrying once")
+		bad := shape(pts)
+		if raceflag.Enabled && len(bad) > 0 {
+			t.Logf("under -race, not judged: %q", bad)
+			return pts
+		}
+		if len(bad) == 0 || attempt == 1 {
+			for _, msg := range bad {
+				t.Error(msg)
+			}
+			return pts
+		}
+		t.Logf("retrying once; wall-clock shape violated: %q", bad)
 	}
-	if len(pts) != 8 { // 4 shard counts × {plain, batched}
-		t.Fatalf("%d points", len(pts))
+}
+
+// pick returns the cells of a figure's set with the given labels, in that
+// order.
+func pick(t *testing.T, set []Cell, labels ...string) []Cell {
+	t.Helper()
+	var out []Cell
+	for _, l := range labels {
+		i := slices.IndexFunc(set, func(c Cell) bool { return c.Label == l })
+		if i < 0 {
+			t.Fatalf("no cell %q in the %s set", l, set[0].Figure)
+		}
+		out = append(out, set[i])
 	}
-	byMode := map[bool][]ShardSweepPoint{}
-	for _, p := range pts {
+	return out
+}
+
+func TestShardSweepSmoke(t *testing.T) {
+	// 4 shard counts × {plain, batched}, in that order.
+	pts := wallClock(t, 8, func() ([]Point, error) {
+		return RunCells(ShardCells(250*time.Millisecond, 0.02, 1))
+	}, func(pts []Point) (bad []string) {
+		// The tentpole claim: with the store flush-bound, committed-steps/sec
+		// rises monotonically with the shard count at fixed offered load
+		// (each doubling roughly doubles the number of independent commit
+		// streams, so the margins are wide).
+		for i := 2; i < len(pts); i += 2 {
+			if pts[i].Throughput <= pts[i-2].Throughput {
+				bad = append(bad, fmt.Sprintf("plain commit: tput not increasing %d→%d shards: %.1f <= %.1f",
+					pts[i-2].Shards, pts[i].Shards, pts[i].Throughput, pts[i-2].Throughput))
+			}
+		}
+		// Group commit amortizes the flush across queued writers: on one
+		// shard (maximum contention) it must beat the plain path by a wide
+		// margin.
+		if plain, batched := pts[0], pts[1]; batched.Throughput <= 2*plain.Throughput {
+			bad = append(bad, fmt.Sprintf("group commit on 1 shard: %.1f steps/s <= 2x plain %.1f",
+				batched.Throughput, plain.Throughput))
+		}
+		return bad
+	})
+	for i, p := range pts {
 		if p.Steps <= 0 || p.Throughput <= 0 {
 			t.Fatalf("empty point: %+v", p)
 		}
-		byMode[p.Batched] = append(byMode[p.Batched], p)
-	}
-	// The tentpole claim: with the store flush-bound, committed-steps/sec
-	// rises monotonically with the shard count at fixed offered load (each
-	// doubling roughly doubles the number of independent commit streams, so
-	// the margins are wide).
-	plain := byMode[false]
-	for i := 1; i < len(plain); i++ {
-		if plain[i].Throughput <= plain[i-1].Throughput {
-			t.Errorf("plain commit: tput not increasing %d→%d shards: %.1f <= %.1f",
-				plain[i-1].Shards, plain[i].Shards, plain[i].Throughput, plain[i-1].Throughput)
+		// Plain points must not have touched the batcher.
+		if i%2 == 0 && (p.GroupCommit || p.GroupCommits != 0 || p.MeanBatch != 1) {
+			t.Errorf("plain point at %d shards recorded %d group commits, mean batch %.1f", p.Shards, p.GroupCommits, p.MeanBatch)
 		}
 	}
-	// Group commit amortizes the flush across queued writers: on one shard
-	// (maximum contention) it must beat the plain path by a wide margin and
-	// report real batching.
-	batched := byMode[true]
-	if batched[0].Throughput <= 2*plain[0].Throughput {
-		t.Errorf("group commit on 1 shard: %.1f steps/s <= 2x plain %.1f",
-			batched[0].Throughput, plain[0].Throughput)
-	}
-	if batched[0].GroupCommits <= 0 || batched[0].MeanBatch <= 1.5 {
-		t.Errorf("no real batching: %d batches, mean %.2f",
-			batched[0].GroupCommits, batched[0].MeanBatch)
-	}
-	// Plain points must not have touched the batcher.
-	for _, p := range plain {
-		if p.GroupCommits != 0 {
-			t.Errorf("plain point at %d shards recorded %d group commits", p.Shards, p.GroupCommits)
-		}
+	// ... and the batched one-shard point must report real batching.
+	if batched := pts[1]; batched.GroupCommits <= 0 || batched.MeanBatch <= 1.5 {
+		t.Errorf("no real batching: %d batches, mean %.2f", batched.GroupCommits, batched.MeanBatch)
 	}
 }
 
 func TestFanoutSweepSmoke(t *testing.T) {
-	// Like the shard smoke test, wall-clock throughput gets one retry
-	// against scheduling hiccups; the expected amortization gap between
-	// width 1 and width 8 is ~2×.
-	var pts []FanoutSweepPoint
-	for attempt := 0; ; attempt++ {
-		var err error
-		pts, err = FanoutSweep(FanoutSweepOptions{
+	pts := wallClock(t, 2, func() ([]FanoutSweepPoint, error) {
+		return FanoutSweep(FanoutSweepOptions{
 			Widths:   []int{1, 8},
 			Modes:    []beldi.Mode{beldi.ModeBeldi},
 			Duration: 250 * time.Millisecond,
 		})
-		if err != nil {
-			t.Fatal(err)
+	}, func(pts []FanoutSweepPoint) (bad []string) {
+		// Wider fan-out amortizes the per-round driver overhead across more
+		// awaited results: results/s must grow with width (~2× from 1 to 8).
+		if pts[1].Throughput <= pts[0].Throughput {
+			bad = append(bad, fmt.Sprintf("results/s did not grow with width: %.1f (w=1) vs %.1f (w=8)",
+				pts[0].Throughput, pts[1].Throughput))
 		}
-		if len(pts) == 2 && pts[1].Throughput > pts[0].Throughput || attempt == 1 {
-			break
-		}
-		t.Log("width-8 results/s did not beat width-1; retrying once")
-	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
+		return bad
+	})
 	for _, p := range pts {
 		if p.FanIns <= 0 || p.Results != p.FanIns*int64(p.Width) {
 			t.Fatalf("inconsistent point: %+v", p)
@@ -314,12 +339,6 @@ func TestFanoutSweepSmoke(t *testing.T) {
 			t.Errorf("latency stats broken: %+v", p)
 		}
 	}
-	// Wider fan-out amortizes the per-round driver overhead across more
-	// awaited results: results/s must grow with width.
-	if pts[1].Throughput <= pts[0].Throughput {
-		t.Errorf("results/s did not grow with width: %.1f (w=1) vs %.1f (w=8)",
-			pts[0].Throughput, pts[1].Throughput)
-	}
 }
 
 // TestTriggerLatencySweepSmoke pins the push primitive's headline number:
@@ -327,29 +346,23 @@ func TestFanoutSweepSmoke(t *testing.T) {
 // idle queue is at least 5× better than the PollInterval-bound polling
 // path, and the mapper's Wakeups counter proves which path each cell took.
 func TestTriggerLatencySweepSmoke(t *testing.T) {
-	// Wall-clock latency assertions get one retry against scheduling
-	// hiccups; the expected gap is ~50× (sub-ms push vs a 20ms poll
-	// cadence), which a hiccup essentially never erases twice in a row.
-	var pts []TriggerLatencyPoint
-	for attempt := 0; ; attempt++ {
-		var err error
-		pts, err = TriggerLatencySweep(TriggerLatencySweepOptions{
+	pts := wallClock(t, 2, func() ([]TriggerLatencyPoint, error) {
+		return TriggerLatencySweep(TriggerLatencySweepOptions{
 			Backends:     []BackendKind{BackendMemory},
 			PollInterval: 20 * time.Millisecond,
 			Messages:     16,
 			Warmup:       4,
 		})
-		if err != nil {
-			t.Fatal(err)
+	}, func(pts []TriggerLatencyPoint) (bad []string) {
+		// The headline claim: push drops idle-queue p50 by ≥5× against the
+		// same store, same mapper, same messages (expected ~50×: sub-ms push
+		// vs a 20ms poll cadence).
+		if push, poll := pts[0], pts[1]; push.P50*5 > poll.P50 {
+			bad = append(bad, fmt.Sprintf("push p50 %v not 5x better than poll p50 %v",
+				time.Duration(push.P50), time.Duration(poll.P50)))
 		}
-		if len(pts) == 2 && pts[0].P50*5 <= pts[1].P50 || attempt == 1 {
-			break
-		}
-		t.Log("push p50 not 5x better than poll; retrying once")
-	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
+		return bad
+	})
 	push, poll := pts[0], pts[1]
 	if push.Mode != TriggerPush || poll.Mode != TriggerPoll {
 		t.Fatalf("unexpected cell order: %+v", pts)
@@ -358,12 +371,6 @@ func TestTriggerLatencySweepSmoke(t *testing.T) {
 		if p.Messages != 16 || p.P50 <= 0 || p.P99 < p.P50 {
 			t.Fatalf("malformed cell: %+v", p)
 		}
-	}
-	// The headline claim: push drops idle-queue p50 by ≥5× against the
-	// same store, same mapper, same messages.
-	if push.P50*5 > poll.P50 {
-		t.Errorf("push p50 %v not 5x better than poll p50 %v",
-			time.Duration(push.P50), time.Duration(poll.P50))
 	}
 	// The mapper's own evidence of the path taken: push cells end idle
 	// waits via subscription events; poll cells never can (the Watcher
@@ -376,35 +383,22 @@ func TestTriggerLatencySweepSmoke(t *testing.T) {
 	}
 }
 
-// shardSweepMonotone reports whether the sweep's plain-commit throughput
-// column rises strictly with the shard count.
-func shardSweepMonotone(pts []ShardSweepPoint) bool {
-	var prev float64
-	for _, p := range pts {
-		if p.Batched {
-			continue
-		}
-		if p.Throughput <= prev {
-			return false
-		}
-		prev = p.Throughput
-	}
-	return true
-}
-
 // TestBackendSweepSmoke pins the backend figure's shape: every cell
 // commits work; the WAL cells actually journal; batching amortizes fsyncs
 // (several records per flush) while the unbatched cell pays at least one
 // fsync per committed step.
 func TestBackendSweepSmoke(t *testing.T) {
-	pts, err := BackendSweep(BackendSweepOptions{Duration: 250 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("%d points", len(pts))
-	}
-	byKind := map[BackendKind]BackendSweepPoint{}
+	pts := wallClock(t, 4, func() ([]Point, error) {
+		return RunCells(BackendCells(250*time.Millisecond, 1))
+	}, func(pts []Point) (bad []string) {
+		// Batching must beat per-record fsyncs under concurrent load (~5×).
+		if batched, each := pts[2], pts[3]; batched.Throughput <= each.Throughput {
+			bad = append(bad, fmt.Sprintf("batched (%0.1f steps/s) not faster than fsync-each (%0.1f)",
+				batched.Throughput, each.Throughput))
+		}
+		return bad
+	})
+	byKind := map[BackendKind]Point{}
 	for _, p := range pts {
 		if p.Steps <= 0 || p.Throughput <= 0 {
 			t.Fatalf("empty point: %+v", p)
@@ -416,8 +410,8 @@ func TestBackendSweepSmoke(t *testing.T) {
 			t.Errorf("%s journaled nothing", k)
 		}
 	}
-	if byKind[BackendMemory].Fsyncs != 0 {
-		t.Errorf("memory backend fsynced %d times", byKind[BackendMemory].Fsyncs)
+	if mem := byKind[BackendMemory]; mem.Fsyncs != 0 || mem.SyncBatch != 0 {
+		t.Errorf("memory backend fsynced %d times, sync batch %.1f", mem.Fsyncs, mem.SyncBatch)
 	}
 	// The nosync cell never flushes on the commit path, but segment
 	// rotation still fsyncs the old file; on a fast machine the window can
@@ -425,20 +419,14 @@ func TestBackendSweepSmoke(t *testing.T) {
 	if ns := byKind[BackendWALNoSync]; ns.Fsyncs*10 > ns.Steps {
 		t.Errorf("wal-nosync fsyncs=%d for %d steps (should be rotation-only)", ns.Fsyncs, ns.Steps)
 	}
-	each := byKind[BackendWALEach]
-	if each.Fsyncs < each.Steps {
-		t.Errorf("wal-each fsyncs=%d < steps=%d", each.Fsyncs, each.Steps)
+	// One fsync per record, and a mean batch of 1, not 0: the cell flushed,
+	// it just never batched.
+	if each := byKind[BackendWALEach]; each.Fsyncs < each.Steps || each.SyncBatch != 1 {
+		t.Errorf("wal-each fsyncs=%d < steps=%d, or sync batch %.1f != 1", each.Fsyncs, each.Steps, each.SyncBatch)
 	}
-	batched := byKind[BackendWALBatched]
-	if batched.Fsyncs == 0 || batched.MeanBatch < 2 {
+	if batched := byKind[BackendWALBatched]; batched.Fsyncs == 0 || batched.SyncBatch < 2 {
 		t.Errorf("wal-batched shows no amortization: fsyncs=%d mean batch=%.1f",
-			batched.Fsyncs, batched.MeanBatch)
-	}
-	// Batching must beat per-record fsyncs under concurrent load. The gap
-	// is ~5× here; a CI scheduling hiccup does not erase it.
-	if batched.Throughput <= each.Throughput {
-		t.Errorf("batched (%0.1f steps/s) not faster than fsync-each (%0.1f)",
-			batched.Throughput, each.Throughput)
+			batched.Fsyncs, batched.SyncBatch)
 	}
 }
 
@@ -447,23 +435,17 @@ func TestBackendSweepSmoke(t *testing.T) {
 // (several round trips per committed step), and adding simulated RTT can
 // only slow the remote path down.
 func TestRemoteSweepSmoke(t *testing.T) {
-	pts, err := RemoteSweep(RemoteSweepOptions{
-		RTTs:     []time.Duration{0, 2 * time.Millisecond},
-		Duration: 250 * time.Millisecond,
-	})
+	pts, err := RunCells(pick(t, RemoteCells(250*time.Millisecond, 1), "inproc", "0s", "2ms"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(pts) != 3 { // inproc, remote/0, remote/2ms
-		t.Fatalf("%d points: %+v", len(pts), pts)
 	}
 	for _, p := range pts {
 		if p.Steps <= 0 || p.Throughput <= 0 || p.P99 <= 0 {
 			t.Fatalf("empty cell: %+v", p)
 		}
-		if !p.Remote {
-			if p.RPCs != 0 {
-				t.Errorf("in-process cell reports %d RPCs", p.RPCs)
+		if !p.Wire {
+			if p.RPCs != 0 || p.RPCP99 != 0 {
+				t.Errorf("in-process cell reports %d RPCs, p99 %v", p.RPCs, p.RPCP99)
 			}
 			continue
 		}
@@ -488,38 +470,31 @@ func TestRemoteSweepSmoke(t *testing.T) {
 // the kill cell both commits work and proves recovery (the cell blocks on
 // pending-intent drain, and the survivors' steals are visible).
 func TestClusterSweepSmoke(t *testing.T) {
-	pts, err := ClusterSweep(ClusterSweepOptions{
-		Workers:  []int{1, 4},
-		Duration: 300 * time.Millisecond,
+	// 1/no-kill, 4/no-kill, 4/kill.
+	pts := wallClock(t, 3, func() ([]ClusterSweepPoint, error) {
+		return ClusterSweep(ClusterSweepOptions{
+			Workers:  []int{1, 4},
+			Duration: 300 * time.Millisecond,
+		})
+	}, func(pts []ClusterSweepPoint) (bad []string) {
+		// Horizontal scaling: the latency-bound load quadruples with the
+		// pool; the 1→4 gap is ~3.5×.
+		if one, four := pts[0], pts[1]; four.Throughput <= one.Throughput {
+			bad = append(bad, fmt.Sprintf("4 workers (%.1f steps/s) no faster than 1 (%.1f)", four.Throughput, one.Throughput))
+		}
+		return bad
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 { // 1/no-kill, 4/no-kill, 4/kill
-		t.Fatalf("%d points: %+v", len(pts), pts)
-	}
-	var one, four, killed ClusterSweepPoint
 	for _, p := range pts {
 		if p.Steps <= 0 || p.Throughput <= 0 {
 			t.Fatalf("empty cell: %+v", p)
 		}
-		switch {
-		case p.Workers == 1:
-			one = p
-		case p.Workers == 4 && !p.Killed:
-			four = p
-		case p.Workers == 4 && p.Killed:
-			killed = p
-		}
 	}
-	// Horizontal scaling: the latency-bound load quadruples with the pool;
-	// the 1→4 gap is ~3.5× here, so a scheduling hiccup does not erase it.
-	if four.Throughput <= one.Throughput {
-		t.Errorf("4 workers (%.1f steps/s) no faster than 1 (%.1f)", four.Throughput, one.Throughput)
+	if one, four, killed := pts[0], pts[1], pts[2]; one.Workers != 1 || one.Killed || four.Workers != 4 || four.Killed || killed.Workers != 4 || !killed.Killed {
+		t.Fatalf("unexpected cell order: %+v", pts)
 	}
 	// The kill cell only returns after every in-flight workflow completed
 	// exactly once on a survivor; a successful steal is the mechanism.
-	if killed.Stolen == 0 {
+	if killed := pts[2]; killed.Stolen == 0 {
 		t.Errorf("kill cell stole no partitions: %+v", killed)
 	}
 }

@@ -1,0 +1,223 @@
+package bench
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/remote"
+)
+
+// TestCellSetsPinned pins the five figures' default grids, not the machine:
+// the ordered row labels of each set and, per cell, the parameters the figure
+// is defined by. It fails if a cell is dropped, reordered or re-parameterised.
+func TestCellSetsPinned(t *testing.T) {
+	const (
+		window = 400 * time.Millisecond
+		scale  = 0.07
+		seed   = 9
+	)
+	cross := func(rows []string, cols ...string) (out []string) {
+		for _, r := range rows {
+			for _, c := range cols {
+				out = append(out, r+"/"+c)
+			}
+		}
+		return out
+	}
+	sets := []struct {
+		figure string
+		cells  []Cell
+		labels []string
+	}{
+		{"shard", ShardCells(window, scale, seed), cross([]string{"1", "2", "4", "8"}, "plain", "batched")},
+		{"backend", BackendCells(window, seed), []string{"memory", "wal-nosync", "wal-batched", "wal-each"}},
+		{"remote", RemoteCells(window, seed), []string{"inproc", "0s", "500µs", "2ms"}},
+		{"pipeline", PipelineCells(window, scale, seed), cross([]string{"memory", "wal", "remote"}, "1", "32", "256", "1024")},
+		{"latency", LatencyCells(window, seed), cross([]string{"memory", "wal-batched", "wal-each"}, "1", "8", "32")},
+	}
+	for _, set := range sets {
+		var labels []string
+		for _, c := range set.cells {
+			labels = append(labels, c.Label)
+		}
+		if !slices.Equal(labels, set.labels) {
+			t.Errorf("%s: cells %q, want %q", set.figure, labels, set.labels)
+			continue
+		}
+		for _, c := range set.cells {
+			// What the label says, field by field.
+			head, tail, _ := strings.Cut(c.Label, "/")
+			want := Cell{
+				Figure: set.figure, Label: c.Label,
+				Backend: BackendWALBatched, Depth: 1, StepsPerInvoke: 1, Workers: 32,
+				Duration: window, Seed: seed,
+			}
+			memory := func(shards int, groupCommit, flushBound bool) {
+				want.Backend, want.Shards, want.GroupCommit = BackendMemory, shards, groupCommit
+				if flushBound {
+					want.Scale, want.Flush = scale, 300*time.Microsecond
+				}
+			}
+			var n int
+			fmt.Sscan(tail, &n) //nolint:errcheck // n stays 0 where the tail is not a number
+			switch set.figure {
+			case "shard":
+				fmt.Sscan(head, &n) //nolint:errcheck // the label list above pins head to a number
+				memory(n, tail == "batched", true)
+			case "backend":
+				want.Backend = BackendKind(head)
+			case "remote":
+				want.Wire = head != "inproc"
+				want.RTT, _ = time.ParseDuration(head) // 0 for inproc
+			case "pipeline":
+				want.Depth, want.StepsPerInvoke = n, 16
+				want.Wire = head == "remote"
+				if want.Wire {
+					want.RTT = 500 * time.Microsecond
+				}
+			case "latency":
+				want.Backend, want.Workers = BackendKind(head), n
+				want.Warmup, want.Telemetry = window/4, true
+			}
+			if head == "memory" {
+				memory(1, set.figure == "pipeline", set.figure == "pipeline")
+			}
+			if c != want {
+				t.Errorf("%s cell %s:\n got %+v\nwant %+v", set.figure, c.Label, c, want)
+			}
+		}
+	}
+}
+
+// TestClosedLoopStopsTheFailedWorker: an error from one worker is returned
+// and ends that worker's loop at that call; the others run out the window,
+// and the histogram holds exactly the calls that succeeded.
+func TestClosedLoopStopsTheFailedWorker(t *testing.T) {
+	boom := errors.New("boom")
+	var calls [3]atomic.Int64
+	lat, err := closedLoop(len(calls), time.Now().Add(30*time.Millisecond), func(w, i int) error {
+		calls[w].Add(1)
+		if w == 1 && i == 2 {
+			return boom
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if n := calls[1].Load(); n != 3 {
+		t.Errorf("the failed worker made %d calls, want 3 (i = 0, 1, 2)", n)
+	}
+	if n := calls[0].Load(); n <= 3 {
+		t.Errorf("a healthy worker made only %d calls in the window", n)
+	}
+	if ok := calls[0].Load() + calls[1].Load() + calls[2].Load() - 1; lat.Count() != ok {
+		t.Errorf("histogram holds %d samples, %d calls succeeded", lat.Count(), ok)
+	}
+}
+
+// TestWindowDropsWarmup: the measured histogram holds the calls made after
+// the window opened and none of the warmup's — Point.Invokes is its count.
+func TestWindowDropsWarmup(t *testing.T) {
+	var calls, atOpen atomic.Int64
+	c := Cell{Workers: 4, Warmup: 20 * time.Millisecond, Duration: 20 * time.Millisecond}
+	lat, _, err := window(c, func() { atOpen.Store(calls.Load()) }, func(int, int) error {
+		calls.Add(1)
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if atOpen.Load() == 0 {
+		t.Fatal("no warmup call was made before the window opened")
+	}
+	if measured := calls.Load() - atOpen.Load(); lat.Count() != measured || measured == 0 {
+		t.Errorf("histogram holds %d samples, the window saw %d calls (after %d warmup calls)",
+			lat.Count(), measured, atOpen.Load())
+	}
+}
+
+// TestOpenSubstrateCloseLeavesNothing: after Close the WAL's temp directory
+// is gone and the wire's listener refuses connections — also when the
+// substrate failed half-way, at remote.Dial, and closed itself.
+func TestOpenSubstrateCloseLeavesNothing(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	left := func() []os.DirEntry {
+		entries, err := os.ReadDir(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return entries
+	}
+	refused := func(addr string) {
+		t.Helper()
+		if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			conn.Close()
+			t.Errorf("listener %s still accepts connections", addr)
+		}
+	}
+	cell := Cell{Backend: BackendWALEach, Wire: true, RTT: time.Millisecond}
+
+	s, err := openSubstrate(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.wal == nil || s.client == nil || s.store != s.client || len(left()) != 1 {
+		t.Fatalf("substrate not a WAL behind a wire: %+v, %d temp entries", s, len(left()))
+	}
+	addr := s.client.Addr()
+	s.Close()
+	if l := left(); len(l) != 0 {
+		t.Errorf("Close left %v in the temp directory", l)
+	}
+	refused(addr)
+
+	// Point the client at a port nobody listens on: the WAL and the server
+	// are already up when Dial fails.
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis.Close()
+	defer func(dial func(string, remote.Options) (*remote.Client, error)) { dialWire = dial }(dialWire)
+	dialWire = func(served string, o remote.Options) (*remote.Client, error) {
+		addr = served
+		return remote.Dial(lis.Addr().String(), o)
+	}
+	if s, err := openSubstrate(cell); err == nil {
+		s.Close()
+		t.Fatal("openSubstrate succeeded with its client dialing a closed port")
+	}
+	if l := left(); len(l) != 0 {
+		t.Errorf("the failed open left %v in the temp directory", l)
+	}
+	refused(addr)
+}
+
+// TestRunCellRejectsMalformedCells: a cell that would run no load fails
+// instead of reporting an empty point.
+func TestRunCellRejectsMalformedCells(t *testing.T) {
+	good := BackendCells(10*time.Millisecond, 1)[0]
+	for name, mutate := range map[string]func(*Cell){
+		"no workers":      func(c *Cell) { c.Workers = 0 },
+		"no steps":        func(c *Cell) { c.StepsPerInvoke = 0 },
+		"no shards":       func(c *Cell) { c.Shards = 0 },
+		"unknown backend": func(c *Cell) { c.Backend = "tape" },
+	} {
+		c := good
+		mutate(&c)
+		if _, err := RunCell(c); err == nil {
+			t.Errorf("%s: RunCell accepted %+v", name, c)
+		}
+	}
+}

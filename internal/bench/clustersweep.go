@@ -20,6 +20,14 @@ import (
 // only ends once every workflow started in the window has committed exactly
 // once.
 
+const (
+	// clusterDrivers is the closed-loop invoker count per worker: offered
+	// load scales with the pool.
+	clusterDrivers = 8
+	// clusterPartitions is the pool's ownership-partition count.
+	clusterPartitions = 16
+)
+
 // ClusterSweepOptions configure a cluster sweep.
 type ClusterSweepOptions struct {
 	// Workers are the pool sizes to sweep. nil means {1, 2, 4}.
@@ -29,13 +37,6 @@ type ClusterSweepOptions struct {
 	Kill []bool
 	// Duration is the measurement window per cell. 0 means 400ms.
 	Duration time.Duration
-	// Drivers is the closed-loop invoker count per worker (offered load
-	// scales with the pool). 0 means 8.
-	Drivers int
-	// Partitions is the pool's ownership-partition count. 0 means 16.
-	Partitions int
-	// Keys is the number of distinct counter keys written. 0 means 256.
-	Keys int
 	// Scale compresses the simulated per-op store latency (1.0 =
 	// DynamoDB-like milliseconds). Cloud-shaped latency is what makes the
 	// workload latency-bound — the regime where adding workers adds
@@ -53,15 +54,6 @@ func (o ClusterSweepOptions) withDefaults() ClusterSweepOptions {
 	}
 	if o.Duration == 0 {
 		o.Duration = 400 * time.Millisecond
-	}
-	if o.Drivers == 0 {
-		o.Drivers = 8
-	}
-	if o.Partitions == 0 {
-		o.Partitions = 16
-	}
-	if o.Keys == 0 {
-		o.Keys = 256
 	}
 	if o.Scale == 0 {
 		o.Scale = 0.05
@@ -134,20 +126,31 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 	store := dynamo.NewStore(dynamo.WithLatency(dynamo.NewCloudLatency(opts.Scale, opts.Seed)))
 	c, err := beldi.OpenCluster(beldi.ClusterOptions{
 		Store:      store,
-		Partitions: opts.Partitions,
+		Partitions: clusterPartitions,
 		LeaseTTL:   150 * time.Millisecond,
 		Config:     beldi.Config{RowCap: 16, T: 25 * time.Millisecond, TableShards: 8},
 	})
 	if err != nil {
 		return ClusterSweepPoint{}, err
 	}
-	pool := make([]*beldi.ClusterWorker, workers)
-	for i := range pool {
+	victim := workers - 1
+	killed := false
+	var pool []*beldi.ClusterWorker
+	// Every return stops the workers still alive, so a failed cell leaks no
+	// heartbeat, detector or collector goroutine into the next one.
+	defer func() {
+		for i, w := range pool {
+			if !(killed && i == victim) {
+				w.Stop()
+			}
+		}
+	}()
+	for i := 0; i < workers; i++ {
 		w, err := c.JoinCluster(fmt.Sprintf("w%d", i), registerStep)
 		if err != nil {
 			return ClusterSweepPoint{}, err
 		}
-		pool[i] = w
+		pool = append(pool, w)
 	}
 	// Settle ownership before measuring, then run the protocol loops.
 	for round := 0; round < workers+1; round++ {
@@ -160,7 +163,6 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 	for _, w := range pool {
 		w.Start()
 	}
-	victim := workers - 1
 
 	var steps, failed atomic.Int64
 	var keySeq atomic.Int64
@@ -172,7 +174,7 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 	var killOnce sync.Once
 	var wg sync.WaitGroup
 	for wi, w := range pool {
-		for dIdx := 0; dIdx < opts.Drivers; dIdx++ {
+		for dIdx := 0; dIdx < clusterDrivers; dIdx++ {
 			wg.Add(1)
 			go func(wi int, w *beldi.ClusterWorker) {
 				defer wg.Done()
@@ -181,6 +183,7 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 						killOnce.Do(func() {
 							victimParts = pool[victim].Worker().OwnedPartitions()
 							pool[victim].Kill()
+							killed = true
 							// Baseline for the Recovered column: restarts
 							// after this moment are the kill's recovery work.
 							for i, w := range pool {
@@ -195,7 +198,7 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 					}
 					k := keySeq.Add(1)
 					req := beldi.Map(map[string]beldi.Value{
-						"key": beldi.Str(fmt.Sprintf("k%04d", k%int64(opts.Keys))),
+						"key": beldi.Str(fmt.Sprintf("k%04d", k%cellKeys)),
 					})
 					if _, err := w.Invoke("step", req); err != nil {
 						failed.Add(1)
@@ -265,12 +268,6 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 			pt.Recovered += w.Worker().Stats().Restarts.Load()
 		}
 		pt.Recovered -= restartsAtKill.Load()
-	}
-	for i, w := range pool {
-		if kill && i == victim {
-			continue
-		}
-		w.Stop()
 	}
 	return pt, nil
 }

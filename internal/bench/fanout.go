@@ -2,9 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/beldi"
@@ -23,6 +20,9 @@ import (
 // substrate. Baseline mode runs the same shape on in-memory futures with
 // no durability — the gap is the cost of the guarantee.
 
+// fanoutDrivers is the fixed offered load: closed-loop orchestrators.
+const fanoutDrivers = 8
+
 // FanoutSweepOptions configure a fan-out sweep.
 type FanoutSweepOptions struct {
 	// Widths are the fan-out widths to sweep. nil means 1, 2, 4, 8, 16.
@@ -30,9 +30,6 @@ type FanoutSweepOptions struct {
 	// Modes are the machinery modes per width. nil means Beldi then
 	// baseline.
 	Modes []beldi.Mode
-	// Drivers is the fixed offered load: closed-loop orchestrators. 0
-	// means 8.
-	Drivers int
 	// Duration is the measurement window per point. 0 means 400ms.
 	Duration time.Duration
 	// Scale compresses the per-op cloud latency; 0 means 0.02.
@@ -46,9 +43,6 @@ func (o FanoutSweepOptions) withDefaults() FanoutSweepOptions {
 	}
 	if o.Modes == nil {
 		o.Modes = []beldi.Mode{beldi.ModeBeldi, beldi.ModeBaseline}
-	}
-	if o.Drivers == 0 {
-		o.Drivers = 8
 	}
 	if o.Duration == 0 {
 		o.Duration = 400 * time.Millisecond
@@ -99,12 +93,12 @@ func FanoutSweep(opts FanoutSweepOptions) ([]FanoutSweepPoint, error) {
 	return out, nil
 }
 
-// fanoutSweepPoint measures one cell: Drivers closed-loop orchestrators,
+// fanoutSweepPoint measures one cell: fanoutDrivers closed-loop orchestrators,
 // each fanning width promise invocations per round, for Duration.
 func fanoutSweepPoint(opts FanoutSweepOptions, width int, mode beldi.Mode) (FanoutSweepPoint, error) {
 	store := dynamo.NewStore(dynamo.WithLatency(dynamo.NewCloudLatency(opts.Scale, opts.Seed)))
 	plat := platform.New(platform.Options{
-		ConcurrencyLimit: opts.Drivers * (width + 2),
+		ConcurrencyLimit: fanoutDrivers * (width + 2),
 		Seed:             opts.Seed,
 		IDs:              &uuid.Seq{Prefix: "req"},
 	})
@@ -131,64 +125,30 @@ func fanoutSweepPoint(opts FanoutSweepOptions, width int, mode beldi.Mode) (Fano
 		return beldi.Int(int64(len(outs))), nil
 	})
 
-	var fanIns atomic.Int64
-	var mu sync.Mutex
-	var lats []time.Duration
-	var firstErr error
-	deadline := time.Now().Add(opts.Duration)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Drivers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				t0 := time.Now()
-				out, err := d.Invoke("fan", beldi.Null)
-				lat := time.Since(t0)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				lats = append(lats, lat)
-				mu.Unlock()
-				if out.Int() != int64(width) {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("fan-in returned %d results, want %d", out.Int(), width)
-					}
-					mu.Unlock()
-					return
-				}
-				fanIns.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
+	lat, err := closedLoop(fanoutDrivers, start.Add(opts.Duration), func(int, int) error {
+		out, err := d.Invoke("fan", beldi.Null)
+		if err == nil && out.Int() != int64(width) {
+			err = fmt.Errorf("fan-in returned %d results, want %d", out.Int(), width)
+		}
+		return err
+	})
 	elapsed := time.Since(start)
 	plat.Drain()
 	d.Stop()
-	if firstErr != nil {
-		return FanoutSweepPoint{}, fmt.Errorf("bench: fanout sweep (width %d, %s): %w", width, ModeLabel(mode), firstErr)
+	if err != nil {
+		return FanoutSweepPoint{}, fmt.Errorf("bench: fanout sweep (width %d, %s): %w", width, ModeLabel(mode), err)
 	}
-	n := fanIns.Load()
-	pt := FanoutSweepPoint{
+	n := lat.Count()
+	return FanoutSweepPoint{
 		Width:        width,
 		Mode:         ModeLabel(mode),
 		FanIns:       n,
 		Results:      n * int64(width),
 		Throughput:   float64(n*int64(width)) / elapsed.Seconds(),
 		FanInsPerSec: float64(n) / elapsed.Seconds(),
+		P50:          lat.Median(),
+		P99:          lat.P99(),
 		Elapsed:      elapsed,
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if len(lats) > 0 {
-		pt.P50 = lats[len(lats)/2]
-		pt.P99 = lats[len(lats)*99/100]
-	}
-	return pt, nil
+	}, nil
 }

@@ -1,14 +1,29 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/pipeline"
 )
 
-// Smoke tests for the commit-pipelining sweeps: the speculation overlay must
+// Smoke tests for the commit-pipelining cells: the speculation overlay must
 // actually buy throughput over the synchronous baseline at smoke scale, and
 // the amortization counters must show real batching. The full series live in
-// cmd/figures -fig pipeline and BenchmarkPipelineSweep.
+// cmd/figures -fig pipeline and BenchmarkStepCells.
+
+// specShape is the two tests' wall-clock claim: the speculative cell clears
+// factor × the synchronous one.
+func specShape(factor float64) func([]Point) []string {
+	return func(pts []Point) []string {
+		if base, deep := pts[0], pts[1]; deep.Throughput <= factor*base.Throughput {
+			return []string{fmt.Sprintf("speculation tput %.1f steps/s <= %gx synchronous %.1f",
+				deep.Throughput, factor, base.Throughput)}
+		}
+		return nil
+	}
+}
 
 // TestPipelineSweepSmoke pins the pipeline figure's shape on the memory
 // substrate: the deep-pipeline cell must beat the synchronous depth-1
@@ -16,27 +31,10 @@ import (
 // invoke, so asserting 3× leaves room for a noisy runner), the committer
 // must report real batches, and the baseline must never touch the overlay.
 func TestPipelineSweepSmoke(t *testing.T) {
-	// Throughput assertions on wall-clock measurements can flake on a badly
-	// oversubscribed CI runner, so the sweep gets one retry: a scheduling
-	// hiccup essentially never erases a ~10× gap twice in a row.
-	var pts []PipelineSweepPoint
-	for attempt := 0; ; attempt++ {
-		var err error
-		pts, err = PipelineSweep(PipelineSweepOptions{
-			Depths:   []int{1, 1024},
-			Duration: 300 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pts) == 2 && pts[1].Throughput > 3*pts[0].Throughput || attempt == 1 {
-			break
-		}
-		t.Log("deep pipeline did not clear 3x the synchronous baseline; retrying once")
-	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
+	cells := pick(t, PipelineCells(300*time.Millisecond, 0.02, 1), "memory/1", "memory/1024")
+	// The tentpole claim: speculation overlaps every per-step round trip
+	// and pays one group commit per fence window instead.
+	pts := wallClock(t, 2, func() ([]Point, error) { return RunCells(cells) }, specShape(3))
 	base, deep := pts[0], pts[1]
 	for _, p := range pts {
 		if p.Invokes <= 0 || p.Steps != p.Invokes*16 || p.Throughput <= 0 {
@@ -47,19 +45,13 @@ func TestPipelineSweepSmoke(t *testing.T) {
 		}
 	}
 	// Depth 1 runs without the overlay: no committer, no flushes.
-	if base.Flushes != 0 || base.ModeledFlushTime != 0 {
+	if base.PipeFlushes != 0 || base.PipeBatch != 0 || base.ModeledFlushTime != 0 {
 		t.Errorf("baseline touched the overlay: %+v", base)
-	}
-	// The tentpole claim: speculation overlaps every per-step round trip
-	// and pays one group commit per fence window instead.
-	if deep.Throughput <= 3*base.Throughput {
-		t.Errorf("speculation tput %.1f steps/s <= 3x synchronous %.1f",
-			deep.Throughput, base.Throughput)
 	}
 	// The win must come from amortization, not from skipping durability:
 	// real group commits carrying many post-image rows each.
-	if deep.Flushes <= 0 || deep.MeanBatch <= 1.5 {
-		t.Errorf("no real batching: %d flushes, mean %.2f", deep.Flushes, deep.MeanBatch)
+	if deep.PipeFlushes <= 0 || deep.PipeBatch <= 1.5 {
+		t.Errorf("no real batching: %d flushes, mean %.2f", deep.PipeFlushes, deep.PipeBatch)
 	}
 	// The memory substrate models its commit cost, and the overlay accounts
 	// for it per batch.
@@ -68,49 +60,26 @@ func TestPipelineSweepSmoke(t *testing.T) {
 	}
 }
 
-// TestShardSweepSpecSmoke pins the spec axis added to the shard sweep: on
-// one flush-bound shard with group commit on, the speculation cell must beat
-// the synchronous cell (measured ~9× at 16 steps per invoke) and report the
-// overlay's amortization counters; the synchronous cell must report zeros.
+// TestShardSweepSpecSmoke pins speculation on the shard figure's substrate:
+// on one flush-bound shard with group commit on and 16 steps per invoke, the
+// cell at the overlay's default depth must beat the synchronous cell
+// (measured ~9×) and report the overlay's amortization counters; the
+// synchronous cell must report zeros.
 func TestShardSweepSpecSmoke(t *testing.T) {
-	var pts []ShardSweepPoint
-	for attempt := 0; ; attempt++ {
-		var err error
-		pts, err = ShardSweep(ShardSweepOptions{
-			Shards:         []int{1},
-			Commit:         []bool{true},
-			Spec:           []bool{false, true},
-			StepsPerInvoke: 16,
-			Duration:       300 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pts) == 2 && pts[1].Throughput > 2*pts[0].Throughput || attempt == 1 {
-			break
-		}
-		t.Log("spec cell did not clear 2x the synchronous cell; retrying once")
-	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
-	sync, spec := pts[0], pts[1]
-	if sync.Spec || !spec.Spec {
-		t.Fatalf("cells out of order: %+v", pts)
-	}
+	sync := pick(t, ShardCells(300*time.Millisecond, 0.02, 1), "1/batched")[0]
+	sync.StepsPerInvoke = 16
+	spec := sync
+	spec.Label, spec.Depth = "1/batched/spec", pipeline.DefaultDepth
+	pts := wallClock(t, 2, func() ([]Point, error) { return RunCells([]Cell{sync, spec}) }, specShape(2))
 	for _, p := range pts {
 		if p.Steps <= 0 || p.Throughput <= 0 {
 			t.Fatalf("empty point: %+v", p)
 		}
 	}
-	if sync.PipeFlushes != 0 || sync.PipeBatch != 0 {
-		t.Errorf("synchronous cell touched the overlay: %+v", sync)
+	if base := pts[0]; base.PipeFlushes != 0 || base.PipeBatch != 0 {
+		t.Errorf("synchronous cell touched the overlay: %+v", base)
 	}
-	if spec.Throughput <= 2*sync.Throughput {
-		t.Errorf("spec tput %.1f steps/s <= 2x synchronous %.1f",
-			spec.Throughput, sync.Throughput)
-	}
-	if spec.PipeFlushes <= 0 || spec.PipeBatch <= 1.5 {
-		t.Errorf("no real batching: %d flushes, mean %.2f", spec.PipeFlushes, spec.PipeBatch)
+	if deep := pts[1]; deep.PipeFlushes <= 0 || deep.PipeBatch <= 1.5 {
+		t.Errorf("no real batching: %d flushes, mean %.2f", deep.PipeFlushes, deep.PipeBatch)
 	}
 }

@@ -87,10 +87,7 @@ type SweepOptions struct {
 	Warmup time.Duration
 	// Scale compresses simulated latency; 0 means 0.1.
 	Scale float64
-	// Concurrency is the platform limit; 0 derives a knee near the top of
-	// the rate range.
-	Concurrency int
-	Seed        int64
+	Seed  int64
 }
 
 func (o SweepOptions) withDefaults() SweepOptions {
@@ -106,18 +103,6 @@ func (o SweepOptions) withDefaults() SweepOptions {
 	if o.Scale == 0 {
 		o.Scale = 0.1
 	}
-	if o.Concurrency == 0 {
-		// The paper's 1,000-Lambda ceiling produces a knee around 800 req/s
-		// for these apps; with latencies compressed by Scale each instance
-		// holds its slot for ~Scale× as long, so the equivalent ceiling
-		// scales accordingly. The constant is calibrated so the Beldi curve
-		// saturates near the top of the default 100–800 req/s range, like
-		// the paper's.
-		o.Concurrency = int(3300 * o.Scale)
-		if o.Concurrency < 8 {
-			o.Concurrency = 8
-		}
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -127,9 +112,15 @@ func (o SweepOptions) withDefaults() SweepOptions {
 // Sweep runs one latency-throughput curve.
 func Sweep(opts SweepOptions) ([]SweepPoint, error) {
 	opts = opts.withDefaults()
+	// The paper's 1,000-Lambda ceiling produces a knee around 800 req/s for
+	// these apps; with latencies compressed by Scale each instance holds its
+	// slot for ~Scale× as long, so the equivalent ceiling scales accordingly.
+	// The constant is calibrated so the Beldi curve saturates near the top of
+	// the default 100–800 req/s range, like the paper's.
+	concurrency := max(8, int(3300*opts.Scale))
 	sys := NewSystem(SystemOptions{
 		Mode: opts.Mode, Scale: opts.Scale, Seed: opts.Seed,
-		Concurrency: opts.Concurrency,
+		Concurrency: concurrency,
 		Config: beldi.Config{
 			RowCap: 16,
 			T:      2 * time.Second,

@@ -124,7 +124,7 @@ func NewCloudLatency(scale float64, seed int64) *CloudLatency {
 // owning shard's write latch is held. Wrapping CloudLatency with a nonzero
 // Flush turns the store into a flush-bound substrate whose throughput
 // ceiling is shards/Flush unbatched and far higher under group commit — the
-// regime bench.ShardSweep measures.
+// regime bench.ShardCells measures.
 type CommitCost struct {
 	// Inner handles per-op round-trip latency; nil means ZeroLatency.
 	Inner LatencyModel

@@ -14,7 +14,7 @@ type Metrics struct {
 	BytesWritten atomic.Int64
 	// GroupCommits counts committed batches on the group-commit path;
 	// GroupCommitOps counts the writes they carried. Their ratio is the mean
-	// batch size — the amortization factor the ShardSweep figure reports.
+	// batch size — the amortization factor the shard figure reports.
 	GroupCommits   atomic.Int64
 	GroupCommitOps atomic.Int64
 	// WatchSubs is the number of live commit-stream subscriptions;

@@ -25,7 +25,7 @@ type ServeOptions struct {
 	// evict first. 0 means DefaultDedupWindow.
 	DedupWindow int
 	// Delay artificially delays every request before execution — the
-	// simulated network RTT knob bench.RemoteSweep turns to place the
+	// simulated network RTT knob bench.RemoteCells turns to place the
 	// storage plane at cloud distances.
 	Delay time.Duration
 	// Logf, when set, receives connection-level diagnostics (handshake
