@@ -2,10 +2,12 @@ package beldi
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 )
 
-// The Value codec behind the typed facade (TableOf, RegisterFunc): a
+// The Value codec behind the typed facade (NewTable, RegisterFunc): a
 // reflection-based, deterministic mapping between Go values and the
 // dynamic Value type the runtime stores and logs. The mapping is
 // structural — structs become map Values keyed by field name (or the
@@ -13,14 +15,24 @@ import (
 // numbers — so a typed Put and a hand-built dynamic Map(...) of the same
 // shape produce byte-identical stored state, which is what the
 // typed-vs-dynamic equivalence property test pins.
+//
+// A conversion allocates what it returns and a constant per map it walks,
+// not a copy per entry: map entries pass through one reused key and element.
+
+// exactInt bounds the integers a number holds exactly: numbers are float64,
+// so every integer in [-2^53, 2^53] survives a round trip and no wider
+// range does.
+const exactInt = 1 << 53
 
 // ToValue converts a Go value into a dynamic Value.
 //
 // Supported kinds: bool, all int/uint widths, float32/64, string, []byte,
 // slices/arrays, maps with string keys, structs (exported fields; a
 // `beldi:"-"` tag skips a field, `beldi:"name"` renames it), pointers
-// (nil becomes Null), and Value itself (passed through). Unsupported
-// kinds (chan, func, complex, interface holding nothing) return an error.
+// (nil becomes Null), and Value itself (passed through). Integers must lie
+// in [-2^53, 2^53], the range a number stores exactly; one outside it is an
+// error naming its path, not a silently rounded value. Unsupported kinds
+// (chan, func, complex, interface holding nothing) return an error.
 func ToValue(v any) (Value, error) {
 	if v == nil {
 		return Null, nil
@@ -41,9 +53,17 @@ func toValue(rv reflect.Value) (Value, error) {
 	case reflect.Bool:
 		return BoolVal(rv.Bool()), nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return Int(rv.Int()), nil
+		n := rv.Int()
+		if n < -exactInt || n > exactInt {
+			return Null, codecErr("ToValue", "integer %d is outside ±2^53, the range a number holds exactly", n)
+		}
+		return Int(n), nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return Int(int64(rv.Uint())), nil
+		n := rv.Uint()
+		if n > exactInt {
+			return Null, codecErr("ToValue", "integer %d is outside ±2^53, the range a number holds exactly", n)
+		}
+		return Int(int64(n)), nil
 	case reflect.Float32, reflect.Float64:
 		return Num(rv.Float()), nil
 	case reflect.String:
@@ -63,28 +83,31 @@ func toValue(rv reflect.Value) (Value, error) {
 		for i := 0; i < rv.Len(); i++ {
 			ev, err := toValue(rv.Index(i))
 			if err != nil {
-				return Null, err
+				return Null, within(err, fmt.Sprintf("[%d]", i))
 			}
 			elems[i] = ev
 		}
 		return List(elems...), nil
 	case reflect.Map:
-		if rv.Type().Key().Kind() != reflect.String {
-			return Null, fmt.Errorf("beldi: ToValue: map key type %s is not string", rv.Type().Key())
+		t := rv.Type()
+		if t.Key().Kind() != reflect.String {
+			return Null, codecErr("ToValue", "map key type %s is not string", t.Key())
 		}
 		m := make(map[string]Value, rv.Len())
-		iter := rv.MapRange()
-		for iter.Next() {
-			ev, err := toValue(iter.Value())
+		key, elem := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
+		for iter := rv.MapRange(); iter.Next(); {
+			key.SetIterKey(iter)
+			elem.SetIterValue(iter)
+			ev, err := toValue(elem)
 			if err != nil {
-				return Null, err
+				return Null, within(err, fmt.Sprintf("[%q]", key.String()))
 			}
-			m[iter.Key().String()] = ev
+			m[key.String()] = ev
 		}
 		return Map(m), nil
 	case reflect.Struct:
-		m := make(map[string]Value)
 		t := rv.Type()
+		m := make(map[string]Value, t.NumField())
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			if !f.IsExported() {
@@ -96,21 +119,23 @@ func toValue(rv reflect.Value) (Value, error) {
 			}
 			ev, err := toValue(rv.Field(i))
 			if err != nil {
-				return Null, fmt.Errorf("field %s: %w", f.Name, err)
+				return Null, within(err, "."+f.Name)
 			}
 			m[name] = ev
 		}
 		return Map(m), nil
 	default:
-		return Null, fmt.Errorf("beldi: ToValue: unsupported kind %s", rv.Kind())
+		return Null, codecErr("ToValue", "unsupported kind %s", rv.Kind())
 	}
 }
 
 // FromValue converts a dynamic Value back into *out, the inverse of
 // ToValue. Null decodes to the zero value (and to nil for pointers);
-// numbers decode into any numeric kind; missing map keys leave struct
-// fields at their zero value, mirroring how never-written table keys read
-// as Null.
+// numbers decode into any numeric kind, except that a number an integer
+// kind cannot hold — fractional, negative into an unsigned kind, or out of
+// the kind's range — is an error naming its path, never a wrapped or
+// truncated value; missing map keys leave struct fields at their zero
+// value, mirroring how never-written table keys read as Null.
 func FromValue(v Value, out any) error {
 	rv := reflect.ValueOf(out)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
@@ -142,9 +167,25 @@ func fromValue(v Value, rv reflect.Value) error {
 	case reflect.Bool:
 		rv.SetBool(v.BoolVal())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		rv.SetInt(v.Int())
+		f := v.Num()
+		switch {
+		case f != math.Trunc(f):
+			return codecErr("FromValue", "number %v is not an integer, decoding into %s", f, rv.Type())
+		case f < math.MinInt64 || f >= math.MaxInt64 || rv.OverflowInt(int64(f)):
+			return codecErr("FromValue", "number %v overflows %s", f, rv.Type())
+		}
+		rv.SetInt(int64(f))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		rv.SetUint(uint64(v.Int()))
+		f := v.Num()
+		switch {
+		case f != math.Trunc(f):
+			return codecErr("FromValue", "number %v is not an integer, decoding into %s", f, rv.Type())
+		case f < 0:
+			return codecErr("FromValue", "negative number %v into unsigned %s", f, rv.Type())
+		case f >= math.MaxUint64 || rv.OverflowUint(uint64(f)):
+			return codecErr("FromValue", "number %v overflows %s", f, rv.Type())
+		}
+		rv.SetUint(uint64(f))
 	case reflect.Float32, reflect.Float64:
 		rv.SetFloat(v.Num())
 	case reflect.String:
@@ -158,32 +199,39 @@ func fromValue(v Value, rv reflect.Value) error {
 		out := reflect.MakeSlice(rv.Type(), len(list), len(list))
 		for i, ev := range list {
 			if err := fromValue(ev, out.Index(i)); err != nil {
-				return err
+				return within(err, fmt.Sprintf("[%d]", i))
 			}
 		}
 		rv.Set(out)
 	case reflect.Array:
 		list := v.List()
 		if len(list) != rv.Len() {
-			return fmt.Errorf("beldi: FromValue: list of %d elements into array %s", len(list), rv.Type())
+			return codecErr("FromValue", "list of %d elements into array %s", len(list), rv.Type())
 		}
 		for i, ev := range list {
 			if err := fromValue(ev, rv.Index(i)); err != nil {
-				return err
+				return within(err, fmt.Sprintf("[%d]", i))
 			}
 		}
 	case reflect.Map:
-		if rv.Type().Key().Kind() != reflect.String {
-			return fmt.Errorf("beldi: FromValue: map key type %s is not string", rv.Type().Key())
+		t := rv.Type()
+		if t.Key().Kind() != reflect.String {
+			return codecErr("FromValue", "map key type %s is not string", t.Key())
 		}
 		m := v.Map()
-		out := reflect.MakeMapWithSize(rv.Type(), len(m))
+		out := reflect.MakeMapWithSize(t, len(m))
+		// One key and one element carry every entry: SetMapIndex copies
+		// both into the map, and the element is zeroed first so that nothing
+		// the previous entry decoded into it (a pointer's target, a field)
+		// is shared with this one.
+		key, elem := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
 		for k, ev := range m {
-			ov := reflect.New(rv.Type().Elem()).Elem()
-			if err := fromValue(ev, ov); err != nil {
-				return err
+			elem.SetZero()
+			if err := fromValue(ev, elem); err != nil {
+				return within(err, fmt.Sprintf("[%q]", k))
 			}
-			out.SetMapIndex(reflect.ValueOf(k), ov)
+			key.SetString(k)
+			out.SetMapIndex(key, elem)
 		}
 		rv.Set(out)
 	case reflect.Struct:
@@ -203,11 +251,11 @@ func fromValue(v Value, rv reflect.Value) error {
 				continue
 			}
 			if err := fromValue(fv, rv.Field(i)); err != nil {
-				return fmt.Errorf("field %s: %w", f.Name, err)
+				return within(err, "."+f.Name)
 			}
 		}
 	default:
-		return fmt.Errorf("beldi: FromValue: unsupported kind %s", rv.Kind())
+		return codecErr("FromValue", "unsupported kind %s", rv.Kind())
 	}
 	return nil
 }
@@ -223,4 +271,30 @@ func fieldName(f reflect.StructField) string {
 		return ""
 	}
 	return tag
+}
+
+// codecError is a conversion failure, with the path inside the converted
+// value where it happened: ".Field", "[3]" and `["key"]` steps, outermost
+// first.
+type codecError struct {
+	op, path, msg string
+}
+
+func codecErr(op, format string, args ...any) error {
+	return &codecError{op: op, msg: fmt.Sprintf(format, args...)}
+}
+
+// within prefixes err's path with one step, on the way out of a container.
+func within(err error, step string) error {
+	if ce, ok := err.(*codecError); ok {
+		ce.path = step + ce.path
+	}
+	return err
+}
+
+func (e *codecError) Error() string {
+	if e.path == "" {
+		return "beldi: " + e.op + ": " + e.msg
+	}
+	return "beldi: " + e.op + ": " + strings.TrimPrefix(e.path, ".") + ": " + e.msg
 }

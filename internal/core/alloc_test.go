@@ -1,0 +1,91 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/dynamo"
+	"repro/internal/raceflag"
+)
+
+// The per-step allocation budget: what one logged step allocates in the
+// compute plane and the in-memory store together, with no telemetry hub and
+// no fault plan — the configuration a deployment runs in. A step allocates
+// what it stores or returns (its step key, its log key, the rows and maps the
+// store hands out or keeps, the boxed update and condition values) and
+// nothing for a crash-point label or a span name nobody reads, nor a
+// projection or a row index per read. In the idiom of
+// internal/dynamo/alloc_test.go; EXPERIMENTS.md, "Allocations per step", has
+// the before/after table.
+
+// stepBudget is the table: allocations per step (the parent of this budget
+// read 14, 31, 25 and 44).
+var stepBudget = []struct {
+	name string
+	want float64
+	why  string
+}{
+	{"logged read", 6, "step key; the state query's result slice and projected row (2); the read-log queue, on an instance's first read; the queued row's boxed SET"},
+	{"logged write", 24, "step key, log key, the written value, the projection; the skeleton query (3); the apply-and-log update's boxed actions and conditions; the row's new attribute map and copied log map"},
+	{"first write", 19, "step key, log key, the written value, the projection; the empty query; the head row's guarded upsert, its actions and the new row"},
+	{"sync invoke", 35, "callee id, the invoke-log row's update, the envelope; the platform instance and the effect-free callee's whole execution, callback included"},
+}
+
+// stepAllocs registers a function whose instances each run one measured
+// step, runs it samples times and returns the median allocations per step:
+// the store's own maps grow now and then as keys arrive, which a median does
+// not see. Before sample i, an unmeasured instance of the same function runs
+// setup(e, i) when setup is non-nil (a function sees only its own tables).
+func stepAllocs(t *testing.T, f *fixture, name string, samples int, setup, step func(e *Env, i int) error) float64 {
+	t.Helper()
+	var counts []uint64
+	f.fn(name, func(e *Env, in Value) (Value, error) {
+		i := int(in.Int())
+		if i < 0 {
+			return dynamo.Null, setup(e, -1-i)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := step(e, i)
+		runtime.ReadMemStats(&m1)
+		counts = append(counts, m1.Mallocs-m0.Mallocs)
+		return dynamo.Null, err
+	}, "kv")
+	for i := 0; i < samples; i++ {
+		if setup != nil {
+			f.mustInvoke(name, dynamo.NInt(int64(-1-i)))
+		}
+		f.mustInvoke(name, dynamo.NInt(int64(i)))
+	}
+	slices.Sort(counts)
+	return float64(counts[len(counts)/2])
+}
+
+func TestStepAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f := newFixture(t, withStore(dynamo.NewStore()))
+	const samples = 51
+	keys := make([]string, samples)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
+	}
+	write := func(e *Env, i int) error { return e.Write("kv", keys[i], dynamo.NInt(int64(i))) }
+	f.fn("leaf", func(e *Env, in Value) (Value, error) { return in, nil })
+
+	got := []float64{
+		stepAllocs(t, f, "read", samples, write, func(e *Env, i int) error { _, err := e.Read("kv", keys[i]); return err }),
+		stepAllocs(t, f, "write", samples, write, write),
+		stepAllocs(t, f, "first", samples, nil, write),
+		stepAllocs(t, f, "call", samples, nil, func(e *Env, i int) error { _, err := e.SyncInvoke("leaf", dynamo.Null); return err }),
+	}
+	for i, row := range stepBudget {
+		if got[i] != row.want {
+			t.Errorf("%s: %.2f allocations, want %.0f (%s)", row.name, got[i], row.want, row.why)
+		}
+	}
+}

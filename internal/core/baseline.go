@@ -20,7 +20,7 @@ func (rt *Runtime) baselineHandler(inv *platform.Invocation, raw Value) (Value, 
 }
 
 func (e *Env) baselineRead(table, key string) (Value, error) {
-	e.crash("read")
+	e.crash("read", "")
 	it, ok, err := e.rt.store.Get(e.rt.dataTable(table), dynamo.HK(dynamo.S(key)))
 	if err != nil || !ok {
 		return dynamo.Null, err
@@ -29,13 +29,13 @@ func (e *Env) baselineRead(table, key string) (Value, error) {
 }
 
 func (e *Env) baselineWrite(table, key string, v Value) error {
-	e.crash("write")
+	e.crash("write", "")
 	return e.rt.store.Update(e.rt.dataTable(table), dynamo.HK(dynamo.S(key)), nil,
 		dynamo.Set(dynamo.A(attrValue), v))
 }
 
 func (e *Env) baselineCondWrite(table, key string, v Value, cond dynamo.Cond) (bool, error) {
-	e.crash("condwrite")
+	e.crash("condwrite", "")
 	err := e.rt.store.Update(e.rt.dataTable(table), dynamo.HK(dynamo.S(key)), cond,
 		dynamo.Set(dynamo.A(attrValue), v))
 	if err == nil {
@@ -48,11 +48,11 @@ func (e *Env) baselineCondWrite(table, key string, v Value, cond dynamo.Cond) (b
 }
 
 func (e *Env) baselineSyncInvoke(callee string, input Value) (Value, error) {
-	e.crash("invoke")
+	e.crash("invoke", "")
 	return e.rt.plat.InvokeInternal(callee, envelope{Kind: kindCall, Input: input, App: e.shared.app}.encode())
 }
 
 func (e *Env) baselineAsyncInvoke(callee string, input Value) error {
-	e.crash("ainvoke")
+	e.crash("ainvoke", "")
 	return e.rt.plat.InvokeAsyncInternal(callee, envelope{Kind: kindCall, Input: input, App: e.shared.app}.encode())
 }

@@ -124,53 +124,69 @@ func (m mutation) updates() []dynamo.Update {
 }
 
 // skeleton is the locally reconstructed structure of a linked DAAL from one
-// scan+projection round trip (§4.1): each row's projected item, by row id.
-type skeleton struct {
-	rows map[string]dynamo.Item
-}
+// scan+projection round trip (§4.1): the query's projected rows, in sort-key
+// (row id) order. A chain is a few rows, so rows are found by walking it.
+type skeleton []dynamo.Item
+
+// skeletonPaths is the skeleton's own projection, RowId and NextRow (256 bits
+// per row, §4.1); readProjection adds the item's state for the read path.
+// Shared by every query: backends only read a projection.
+var (
+	skeletonPaths  = []dynamo.Path{dynamo.A(attrRowID), dynamo.A(attrNextRow)}
+	readProjection = []dynamo.Path{dynamo.A(attrRowID), dynamo.A(attrNextRow), dynamo.A(attrValue), dynamo.A(attrLockOwner)}
+)
 
 // scanSkeleton queries every row of key's DAAL in one consistent snapshot,
-// projecting RowId and NextRow (256 bits per row, §4.1) plus extra: the write
-// path adds its single write-log entry — the "has this step already executed
-// anywhere" check (§4.3) — and the read path adds Value and LockOwner, so the
+// projecting proj (skeletonPaths and more): the write path adds its single
+// write-log entry — the "has this step already executed anywhere" check
+// (§4.3) — and the read path (readProjection) Value and LockOwner, so the
 // tail's state comes back with the traversal instead of by a second fetch.
-func (d *daal) scanSkeleton(key string, extra ...dynamo.Path) (skeleton, error) {
-	proj := append([]dynamo.Path{dynamo.A(attrRowID), dynamo.A(attrNextRow)}, extra...)
-	items, err := d.rt.store.Query(d.table, dynamo.S(key), dynamo.QueryOpts{Projection: proj})
-	if err != nil {
-		return skeleton{}, err
+func (d *daal) scanSkeleton(key string, proj []dynamo.Path) (skeleton, error) {
+	return d.rt.store.Query(d.table, dynamo.S(key), dynamo.QueryOpts{Projection: proj})
+}
+
+// logProjection is the write path's projection: the skeleton plus logKey's
+// entry in the write log.
+func logProjection(logKey string) []dynamo.Path {
+	return []dynamo.Path{dynamo.A(attrRowID), dynamo.A(attrNextRow), dynamo.AK(attrRecent, logKey)}
+}
+
+// find returns the index of row id, searching from index from onward and
+// wrapping around: rows come back in id order, so a row's successor is
+// normally the next one. -1 when the snapshot has no such row.
+func (sk skeleton) find(id string, from int) int {
+	for n := 0; n < len(sk); n++ {
+		i := (from + n) % len(sk)
+		if sk[i][attrRowID].Str() == id {
+			return i
+		}
 	}
-	sk := skeleton{rows: make(map[string]dynamo.Item, len(items))}
-	for _, it := range items {
-		sk.rows[it[attrRowID].Str()] = it
-	}
-	return sk, nil
+	return -1
 }
 
 // tail walks the skeleton from the head to the first row without a next
-// pointer. ok is false when the DAAL has no head yet (never-written key).
-// Rows disconnected by the GC are unreachable from the head and therefore
-// ignored, per §5.
-func (sk skeleton) tail() (string, bool) {
-	cur, ok := sk.rows[headRowID]
-	if !ok {
-		return "", false
+// pointer and returns that row. ok is false when the DAAL has no head yet
+// (never-written key). Rows disconnected by the GC are unreachable from the
+// head and therefore ignored, per §5.
+func (sk skeleton) tail() (_ dynamo.Item, ok bool) {
+	i := sk.find(headRowID, 0)
+	if i < 0 {
+		return nil, false
 	}
-	id := headRowID
 	for {
-		nv, linked := cur[attrNextRow]
+		nv, linked := sk[i][attrNextRow]
 		if !linked || nv.IsNull() {
-			return id, true
+			return sk[i], true
 		}
-		next, ok := sk.rows[nv.Str()]
-		if !ok {
+		next := sk.find(nv.Str(), i+1)
+		if next < 0 {
 			// The pointer's target is missing from the snapshot; the store
 			// scan is a consistent snapshot so this indicates the target was
 			// GC-deleted — treat the current row as the effective end; the
 			// conditional-write case analysis self-corrects from there.
-			return id, true
+			return sk[i], true
 		}
-		id, cur = nv.Str(), next
+		i = next
 	}
 }
 
@@ -179,7 +195,7 @@ func (sk skeleton) tail() (string, bool) {
 // rows; finding the entry in any of them is sufficient for case A, because
 // log entries are never moved between rows.
 func (sk skeleton) findLog(logKey string) (Value, bool) {
-	for _, it := range sk.rows {
+	for _, it := range sk {
 		if out, ok := it.Get(dynamo.AK(attrRecent, logKey)); ok {
 			return out, true
 		}
@@ -262,7 +278,7 @@ func (d *daal) appendRow(prev daalRow) (string, error) {
 // mutation was applied (now or by a previous execution of this step), false
 // when the guard failed (recorded as a false conditional, case B2).
 func (d *daal) loggedWrite(key, logKey string, mut mutation) (bool, error) {
-	sk, err := d.scanSkeleton(key, dynamo.AK(attrRecent, logKey))
+	sk, err := d.scanSkeleton(key, logProjection(logKey))
 	if err != nil {
 		return false, err
 	}
@@ -271,12 +287,11 @@ func (d *daal) loggedWrite(key, logKey string, mut mutation) (bool, error) {
 		mut.markReplayed()
 		return out.BoolVal(), nil // case A, resolved by the scan
 	}
-	tailID, ok := sk.tail()
-	if !ok {
-		if won, outcome, err := d.firstWrite(key, logKey, mut); won || err != nil {
-			return outcome, err
-		}
-		tailID = headRowID
+	tailID := headRowID
+	if tail, ok := sk.tail(); ok {
+		tailID = tail[attrRowID].Str()
+	} else if won, outcome, err := d.firstWrite(key, logKey, mut); won || err != nil {
+		return outcome, err
 	}
 	return d.tryWrite(key, logKey, tailID, mut, 0)
 }
@@ -391,16 +406,15 @@ type daalState struct {
 // is not projected (chain and readRow return full rows). ok is false for
 // never-written keys.
 func (d *daal) currentRow(key string) (daalState, bool, error) {
-	sk, err := d.scanSkeleton(key, dynamo.A(attrValue), dynamo.A(attrLockOwner))
+	sk, err := d.scanSkeleton(key, readProjection)
 	if err != nil {
 		return daalState{}, false, err
 	}
-	tailID, ok := sk.tail()
+	it, ok := sk.tail()
 	if !ok {
 		return daalState{}, false, nil
 	}
-	it := sk.rows[tailID]
-	return daalState{rowID: tailID, value: it[attrValue], lock: it[attrLockOwner]}, true, nil
+	return daalState{rowID: it[attrRowID].Str(), value: it[attrValue], lock: it[attrLockOwner]}, true, nil
 }
 
 // chain returns key's rows indexed by id plus the head-reachable order —

@@ -308,20 +308,53 @@ func TestDAALSkeletonProjectionFindsLogAnywhere(t *testing.T) {
 	}
 	// Entry i#0.2 lives in the first row (cap 2); the skeleton scan keyed
 	// on it must find it without reading full rows.
-	sk, err := d.scanSkeleton("k", dynamo.AK(attrRecent, "i#0.2"))
+	sk, err := d.scanSkeleton("k", logProjection("i#0.2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, found := sk.findLog("i#0.2"); !found {
 		t.Error("skeleton missed a log entry in a non-tail row")
 	}
-	sk, _ = d.scanSkeleton("k", dynamo.AK(attrRecent, "i#0.99"))
+	sk, _ = d.scanSkeleton("k", logProjection("i#0.99"))
 	if _, found := sk.findLog("i#0.99"); found {
 		t.Error("skeleton found a never-written entry")
 	}
 	tail, ok := sk.tail()
-	if !ok || tail != "r00000002" {
-		t.Errorf("tail = %s %v", tail, ok)
+	if !ok || tail[attrRowID].Str() != "r00000002" {
+		t.Errorf("tail = %v %v", tail, ok)
+	}
+}
+
+// TestSkeletonTailWalksByID: the skeleton is the query's row slice, walked
+// by id from the head whatever order the rows come in; rows the head does not
+// reach are ignored, and a pointer into a row missing from the snapshot ends
+// the walk at the row holding it.
+func TestSkeletonTailWalksByID(t *testing.T) {
+	row := func(id, next string) dynamo.Item {
+		it := dynamo.Item{attrRowID: dynamo.S(id)}
+		if next != "" {
+			it[attrNextRow] = dynamo.S(next)
+		}
+		return it
+	}
+	for _, c := range []struct {
+		name string
+		sk   skeleton
+		tail string // "" for no head
+	}{
+		{"empty", nil, ""},
+		{"no head", skeleton{row("r00000001", "")}, ""},
+		{"head only", skeleton{row(headRowID, "")}, headRowID},
+		{"in id order", skeleton{row(headRowID, "r00000001"), row("r00000001", "r00000002"), row("r00000002", "")}, "r00000002"},
+		{"out of order", skeleton{row("r00000002", ""), row("r00000001", "r00000002"), row(headRowID, "r00000001")}, "r00000002"},
+		{"orphan after the tail", skeleton{row(headRowID, "r00000001"), row("r00000001", ""), row("r00000005", "")}, "r00000001"},
+		{"target collected", skeleton{row(headRowID, "r00000001"), row("r00000001", "r00000002")}, "r00000001"},
+		{"null pointer", skeleton{{attrRowID: dynamo.S(headRowID), attrNextRow: dynamo.Null}}, headRowID},
+	} {
+		it, ok := c.sk.tail()
+		if got := it[attrRowID].Str(); ok != (c.tail != "") || got != c.tail {
+			t.Errorf("%s: tail %q %v, want %q", c.name, got, ok, c.tail)
+		}
 	}
 }
 

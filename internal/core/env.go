@@ -12,6 +12,7 @@ import (
 	"repro/internal/hist"
 	"repro/internal/platform"
 	"repro/internal/telemetry"
+	"repro/internal/uuid"
 )
 
 // Errors surfaced by Env operations.
@@ -127,21 +128,21 @@ func (e *Env) TxnID() string {
 	return e.shared.txn.ID
 }
 
-// nextStepKey allocates this branch's next step key ("branch.step"), the
-// sort-key half of a log key.
+// nextStepKey allocates this branch's next step key ("branch.step", the
+// step zero-padded to six digits), the sort-key half of a log key.
 func (e *Env) nextStepKey() string {
-	n := e.steps.Add(1)
-	return fmt.Sprintf("%s.%06d", e.branch, n)
+	return uuid.Padded(e.branch, '.', uint64(e.steps.Add(1)), 6)
 }
 
 // logKey forms the full log key for a step.
 func (e *Env) logKey(stepKey string) string { return e.instanceID + "#" + stepKey }
 
 // crash marks an operation boundary for fault injection and timeout
-// enforcement.
-func (e *Env) crash(label string) {
+// enforcement. Its label, point+step, is built only when a fault plan reads
+// it or the instance dies there.
+func (e *Env) crash(point, step string) {
 	if e.inv != nil {
-		e.inv.CrashPoint(label)
+		e.inv.CrashPoint(point, step)
 	}
 }
 
@@ -150,10 +151,19 @@ func (e *Env) inExecute() bool {
 	return e.shared.txn != nil && e.shared.txn.Mode == TxExecute
 }
 
-// stepSpan records one step's telemetry — a trace span plus, for fresh
+// stepSpan records the telemetry of one step on item key of table, named
+// "table/key"; it no-ops without a hub, so the name is built only when one is
+// attached.
+func (e *Env) stepSpan(t0 int64, kind telemetry.Kind, stepKey, table, key string, replay bool, h *hist.Histogram, err error) {
+	if e.rt.tel != nil {
+		e.namedSpan(t0, kind, stepKey, table+"/"+key, replay, h, err)
+	}
+}
+
+// namedSpan records one step's telemetry — a trace span plus, for fresh
 // successful steps, an observation in h — and no-ops without a hub. t0 is
 // rt.spanClock() taken before the operation.
-func (e *Env) stepSpan(t0 int64, kind telemetry.Kind, stepKey, name string, replay bool, h *hist.Histogram, err error) {
+func (e *Env) namedSpan(t0 int64, kind telemetry.Kind, stepKey, name string, replay bool, h *hist.Histogram, err error) {
 	rt := e.rt
 	if rt.tel == nil {
 		return
@@ -205,18 +215,18 @@ func (e *Env) Read(table, key string) (Value, error) {
 func (e *Env) loggedRead(layer kvLayer, table, key string) (Value, error) {
 	stepKey := e.nextStepKey()
 	t0 := e.rt.spanClock()
-	e.crash("read:pre:" + stepKey)
+	e.crash("read:pre:", stepKey)
 	val, replay, err := e.replayedRead(stepKey)
 	if err == nil && !replay {
 		if val, _, _, err = layer.stateRead(table, key); err == nil {
 			e.queueRead(stepKey, val)
 		}
 	}
-	e.stepSpan(t0, telemetry.KindRead, stepKey, table+"/"+key, replay, nil, err)
+	e.stepSpan(t0, telemetry.KindRead, stepKey, table, key, replay, nil, err)
 	if err != nil {
 		return dynamo.Null, err
 	}
-	e.crash("read:post:" + stepKey)
+	e.crash("read:post:", stepKey)
 	return val, nil
 }
 
@@ -234,12 +244,12 @@ func (e *Env) Write(table, key string, v Value) error {
 	}
 	stepKey := e.nextStepKey()
 	t0 := e.rt.spanClock()
-	e.crash("write:pre:" + stepKey)
+	e.crash("write:pre:", stepKey)
 	var replay bool
 	_, err := e.loggedMutate(e.rt.layer(), "write", table, key, stepKey,
 		e.stepMutation(mutation{setVal: &v}, &replay))
-	e.stepSpan(t0, telemetry.KindWrite, stepKey, table+"/"+key, replay, e.rt.histStep, err)
-	e.crash("write:post:" + stepKey)
+	e.stepSpan(t0, telemetry.KindWrite, stepKey, table, key, replay, e.rt.histStep, err)
+	e.crash("write:post:", stepKey)
 	if err != nil {
 		return err
 	}
@@ -262,12 +272,12 @@ func (e *Env) CondWrite(table, key string, v Value, cond dynamo.Cond) (bool, err
 	}
 	stepKey := e.nextStepKey()
 	t0 := e.rt.spanClock()
-	e.crash("condwrite:pre:" + stepKey)
+	e.crash("condwrite:pre:", stepKey)
 	var replay bool
 	ok, err := e.loggedMutate(e.rt.layer(), "condwrite", table, key, stepKey,
 		e.stepMutation(mutation{cond: cond, setVal: &v}, &replay))
-	e.stepSpan(t0, telemetry.KindCondWrite, stepKey, table+"/"+key, replay, e.rt.histStep, err)
-	e.crash("condwrite:post:" + stepKey)
+	e.stepSpan(t0, telemetry.KindCondWrite, stepKey, table, key, replay, e.rt.histStep, err)
+	e.crash("condwrite:post:", stepKey)
 	if err != nil || !ok {
 		// An untaken CondWrite changed nothing; no event to emit. The
 		// outcome is logged, so replays repeat the same (non-)emission.
@@ -315,30 +325,30 @@ func (e *Env) Lock(table, key string) error {
 	var replay bool
 	for attempt := 0; attempt < e.rt.cfg.LockRetryMax; attempt++ {
 		stepKey := e.nextStepKey()
-		e.crash("lock:pre:" + stepKey)
+		e.crash("lock:pre:", stepKey)
 		replay = false
 		ok, err := e.loggedMutate(e.rt.layer(), "lock", table, key, stepKey,
 			e.stepMutation(mutation{cond: lockCond(ownerID), setLock: &owner}, &replay))
-		e.crash("lock:post:" + stepKey)
+		e.crash("lock:post:", stepKey)
 		if err != nil {
-			e.stepSpan(t0, telemetry.KindLock, stepKey, table+"/"+key, replay, nil, err)
+			e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, replay, nil, err)
 			return err
 		}
 		if ok {
-			e.stepSpan(t0, telemetry.KindLock, stepKey, table+"/"+key, replay, e.rt.histLock, nil)
+			e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, replay, e.rt.histLock, nil)
 			return nil
 		}
 		if werr := e.waitRetry(backoff); werr != nil {
 			// Canceled mid-wait: no lock is held (this attempt's acquisition
 			// recorded false), so aborting here leaves nothing to release.
-			e.stepSpan(t0, telemetry.KindLock, stepKey, table+"/"+key, false, nil, werr)
+			e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, false, nil, werr)
 			return fmt.Errorf("core: lock %s/%s: %w", table, key, werr)
 		}
 		if backoff < 128*e.rt.cfg.LockRetryBase {
 			backoff *= 2
 		}
 	}
-	e.stepSpan(t0, telemetry.KindLock, "", table+"/"+key, false, nil, ErrLockUnavailable)
+	e.stepSpan(t0, telemetry.KindLock, "", table, key, false, nil, ErrLockUnavailable)
 	return fmt.Errorf("%w: %s/%s after %d attempts", ErrLockUnavailable, table, key, e.rt.cfg.LockRetryMax)
 }
 
@@ -361,15 +371,15 @@ func (e *Env) Unlock(table, key string) error {
 func (e *Env) unlockAs(layer kvLayer, table, key, ownerID string) error {
 	stepKey := e.nextStepKey()
 	t0 := e.rt.spanClock()
-	e.crash("unlock:pre:" + stepKey)
+	e.crash("unlock:pre:", stepKey)
 	null := dynamo.Null
 	var replay bool
 	_, err := e.loggedMutate(layer, "unlock", table, key, stepKey, e.stepMutation(mutation{
 		cond:    dynamo.Eq(dynamo.AK(attrLockOwner, attrID), dynamo.S(ownerID)),
 		setLock: &null,
 	}, &replay))
-	e.stepSpan(t0, telemetry.KindUnlock, stepKey, table+"/"+key, replay, nil, err)
-	e.crash("unlock:post:" + stepKey)
+	e.stepSpan(t0, telemetry.KindUnlock, stepKey, table, key, replay, nil, err)
+	e.crash("unlock:post:", stepKey)
 	return err
 }
 

@@ -46,10 +46,14 @@ func newFixture(t *testing.T, opts ...fixtureOpt) *fixture {
 	for _, o := range opts {
 		o(f)
 	}
+	var faults platform.FaultPlan // none unless asked for, as in a deployment
+	if len(f.plans) > 0 {
+		faults = f.plans
+	}
 	f.plat = platform.New(platform.Options{
 		ConcurrencyLimit: 10000,
 		IDs:              &uuid.Seq{Prefix: "req"},
-		Faults:           f.plans,
+		Faults:           faults,
 	})
 	return f
 }
@@ -110,11 +114,17 @@ func (f *fixture) collectAll() int {
 }
 
 // recoverAll drives intent collection to quiescence (no restarts issued),
-// bounding the number of rounds.
+// bounding the number of rounds. Each round first waits out the collectors'
+// ICMinAge, so that a round restarting nothing means nothing is pending, not
+// that the last launch was too recent to restart.
 func (f *fixture) recoverAll() {
 	f.t.Helper()
+	wait := 2 * time.Millisecond
+	for _, rt := range f.rts {
+		wait = max(wait, rt.cfg.ICMinAge+time.Millisecond)
+	}
 	for round := 0; round < 50; round++ {
-		time.Sleep(2 * time.Millisecond) // exceed ICMinAge
+		time.Sleep(wait)
 		if f.collectAll() == 0 {
 			return
 		}

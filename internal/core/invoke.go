@@ -66,7 +66,7 @@ func (e *Env) syncInvokeStep(stepKey, callee string, input Value, txn *TxnContex
 
 	// Log the invocation intent, minting the callee id exactly once.
 	calleeID = e.rt.ids.NewString()
-	e.crash("invoke:pre:" + stepKey)
+	e.crash("invoke:pre:", stepKey)
 	err := e.update("invoke", e.rt.invokeLog, logKey,
 		dynamo.NotExists(dynamo.A(attrID)),
 		dynamo.Set(dynamo.A(attrCalleeID), dynamo.S(calleeID)))
@@ -91,7 +91,7 @@ func (e *Env) syncInvokeStep(stepKey, callee string, input Value, txn *TxnContex
 			return v, calleeID, true, rerr
 		}
 	}
-	e.crash("invoke:mid:" + stepKey)
+	e.crash("invoke:mid:", stepKey)
 
 	ev := envelope{
 		Kind:           kindCall,
@@ -134,7 +134,7 @@ func (e *Env) syncInvokeStep(stepKey, callee string, input Value, txn *TxnContex
 		}
 		var out Value
 		out, callErr = e.rt.plat.InvokeInternalCtx(e.Context(), callee, ev.encode())
-		e.crash("invoke:post:" + stepKey)
+		e.crash("invoke:post:", stepKey)
 		if callErr == nil {
 			// The callee completed, which means its callback already
 			// deposited the result in this invoke log (Fig 9's ordering);
@@ -231,7 +231,7 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, promise bool)
 	logKey := dynamo.HSK(dynamo.S(e.instanceID), dynamo.S(stepKey))
 
 	calleeID := e.rt.ids.NewString()
-	e.crash("ainvoke:pre:" + stepKey)
+	e.crash("ainvoke:pre:", stepKey)
 	registered := false
 	err := e.update("invoke", e.rt.invokeLog, logKey,
 		dynamo.NotExists(dynamo.A(attrID)),
@@ -275,7 +275,7 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, promise bool)
 			return "", replay, fmt.Errorf("core: asyncInvoke %s: registration not confirmed", callee)
 		}
 	}
-	e.crash("ainvoke:mid:" + stepKey)
+	e.crash("ainvoke:mid:", stepKey)
 
 	// Step 2: the actual asynchronous invocation. At-least-once is enough:
 	// the run stub skips intents that are missing (GC'd) or complete. With a
@@ -292,7 +292,7 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, promise bool)
 	} else if err := e.rt.plat.InvokeAsyncInternal(callee, run.encode()); err != nil {
 		return "", replay, fmt.Errorf("core: asyncInvoke %s: run: %w", callee, err)
 	}
-	e.crash("ainvoke:post:" + stepKey)
+	e.crash("ainvoke:post:", stepKey)
 	return calleeID, replay, nil
 }
 

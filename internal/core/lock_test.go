@@ -81,7 +81,7 @@ func TestLockSurvivesHolderCrashAndRecovers(t *testing.T) {
 		if err := e.Lock("kv", "m"); err != nil {
 			return dynamo.Null, err
 		}
-		e.crash("mid-critical")
+		e.crash("mid-critical", "")
 		v, err := e.Read("kv", "n")
 		if err != nil {
 			return dynamo.Null, err

@@ -76,7 +76,7 @@ func (e *Env) AsyncInvokePromise(callee string, input Value) (*Promise, error) {
 	e.rt.stats.PromiseCalls.Add(1)
 	if e.rt.mode == ModeBaseline {
 		ch := make(chan baselineResult, 1)
-		e.crash("ainvoke")
+		e.crash("ainvoke", "")
 		go func() {
 			out, err := e.rt.plat.InvokeInternal(callee, envelope{Kind: kindCall, Input: input, App: e.shared.app}.encode())
 			ch <- baselineResult{out, err}
@@ -117,7 +117,7 @@ func (p *Promise) Await(e *Env) (Value, error) {
 
 	stepKey := e.nextStepKey()
 	t0 := e.rt.spanClock()
-	e.crash("await:pre:" + stepKey)
+	e.crash("await:pre:", stepKey)
 
 	// Replay: this await already resolved in a previous execution.
 	if val, replay, err := e.replayedRead(stepKey); err != nil || replay {
@@ -139,7 +139,7 @@ func (p *Promise) Await(e *Env) (Value, error) {
 	resolved := func(val Value) (Value, error) {
 		e.queueRead(stepKey, val)
 		e.awaitSpan(t0, stepKey, p, false, nil)
-		e.crash("await:post:" + stepKey)
+		e.crash("await:post:", stepKey)
 		return val, nil
 	}
 	posted := e.shared.postedResults()
@@ -159,7 +159,7 @@ func (p *Promise) Await(e *Env) (Value, error) {
 		if ok {
 			return resolved(val)
 		}
-		e.crash("await:poll:" + stepKey)
+		e.crash("await:poll:", stepKey)
 		woken := false
 		if sub != nil {
 			if werr := e.Context().Err(); werr == nil {

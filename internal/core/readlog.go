@@ -138,7 +138,7 @@ func (e *Env) flushReads(boundary string) error {
 		chunk := rl.queue[:min(len(rl.queue), readLogChunk)]
 		// The kill between a fetch and its durability: the queued values die
 		// with the worker, having influenced nothing.
-		e.crash("flush:" + chunk[0].step)
+		e.crash("flush:", chunk[0].step)
 		if len(chunk) == 1 {
 			// A one-row transaction is a conditional update; stores price it
 			// as one (DynamoDB bills and serves transactions at a multiple).
@@ -165,7 +165,7 @@ func (e *Env) flushReads(boundary string) error {
 		}
 	}
 	if e.rt.tel != nil {
-		e.stepSpan(t0, telemetry.KindReadLogFlush, first, fmt.Sprintf("%s rows=%d", boundary, rows), false, nil, err)
+		e.namedSpan(t0, telemetry.KindReadLogFlush, first, fmt.Sprintf("%s rows=%d", boundary, rows), false, nil, err)
 	}
 	return err
 }
@@ -186,13 +186,13 @@ func (e *Env) superseded(boundary, why string) error {
 // collector may already have gone by whatever another execution of the id left
 // behind, so a put that succeeds would prove nothing.
 func (e *Env) materialiseIntent(boundary string) error {
-	e.crash("intent:pre")
+	e.crash("intent:pre", "")
 	err := e.rt.createIntent(e.intent)
 	if errors.Is(err, dynamo.ErrConditionFailed) {
 		return e.superseded(boundary, "its deferred intent was created by another execution")
 	}
 	if err == nil {
-		e.crash("intent:logged")
+		e.crash("intent:logged", "")
 	}
 	return err
 }

@@ -185,7 +185,7 @@ func TestBaselineDoubleExecutesUnderCrashRetry(t *testing.T) {
 		if err := e.Write("counter", "k", dynamo.NInt(v.Int()+1)); err != nil {
 			return dynamo.Null, err
 		}
-		e.crash("after-write")
+		e.crash("after-write", "")
 		return dynamo.S("done"), nil
 	}, "counter")
 	if _, err := f.invoke("w", dynamo.Null); !errors.Is(err, platform.ErrCrashed) {

@@ -536,12 +536,12 @@ func TailValue(rt *Runtime, strategy, table, key string) (Value, error) {
 		st, _, err := d.currentRow(key)
 		return st.value, err
 	case "scan":
-		sk, err := d.scanSkeleton(key)
+		sk, err := d.scanSkeleton(key, skeletonPaths)
 		if err != nil {
 			return dynamo.Null, err
 		}
-		tailID, _ := sk.tail() // "" for a never-written key: no such row, Null
-		row, _, err := d.readRow(key, tailID)
+		tail, _ := sk.tail() // nil for a never-written key: no such row, Null
+		row, _, err := d.readRow(key, tail[attrRowID].Str())
 		return row.value, err
 	case "pointer-chase":
 		row, _, err := d.tailByPointerChase(key)

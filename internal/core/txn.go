@@ -61,10 +61,10 @@ func (e *Env) Transaction(body func() error) error {
 		ctx.Mode = TxCommit
 		t0 := e.rt.spanClock()
 		if err := e.finishTxnLocal(ctx); err != nil {
-			e.stepSpan(t0, telemetry.KindTxnCommit, "", ctx.ID, false, nil, err)
+			e.namedSpan(t0, telemetry.KindTxnCommit, "", ctx.ID, false, nil, err)
 			return err
 		}
-		e.stepSpan(t0, telemetry.KindTxnCommit, "", ctx.ID, false, e.rt.histTxn, nil)
+		e.namedSpan(t0, telemetry.KindTxnCommit, "", ctx.ID, false, e.rt.histTxn, nil)
 		e.shared.txn = nil
 		e.rt.stats.TxnCommitted.Add(1)
 		return nil
@@ -73,10 +73,10 @@ func (e *Env) Transaction(body func() error) error {
 	e.rt.stats.TxnAborted.Add(1)
 	t0 := e.rt.spanClock()
 	if err := e.finishTxnLocal(ctx); err != nil {
-		e.stepSpan(t0, telemetry.KindTxnAbort, "", ctx.ID, false, nil, err)
+		e.namedSpan(t0, telemetry.KindTxnAbort, "", ctx.ID, false, nil, err)
 		return err
 	}
-	e.stepSpan(t0, telemetry.KindTxnAbort, "", ctx.ID, false, nil, nil)
+	e.namedSpan(t0, telemetry.KindTxnAbort, "", ctx.ID, false, nil, nil)
 	e.shared.txn = nil
 	if errors.Is(bodyErr, ErrTxnAborted) {
 		return ErrTxnAborted
@@ -136,17 +136,17 @@ func (e *Env) txnLock(table, key string) error {
 	var replay bool
 	for attempt := 0; attempt < e.rt.cfg.LockRetryMax; attempt++ {
 		stepKey := e.nextStepKey()
-		e.crash("txnlock:pre:" + stepKey)
+		e.crash("txnlock:pre:", stepKey)
 		replay = false
 		ok, err := e.loggedMutate(e.rt.layer(), "lock", table, key, stepKey,
 			e.stepMutation(mutation{cond: lockCond(txn.ID), setLock: &owner}, &replay))
-		e.crash("txnlock:post:" + stepKey)
+		e.crash("txnlock:post:", stepKey)
 		if err != nil {
-			e.stepSpan(t0, telemetry.KindLock, stepKey, table+"/"+key, replay, nil, err)
+			e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, replay, nil, err)
 			return err
 		}
 		if ok {
-			e.stepSpan(t0, telemetry.KindLock, stepKey, table+"/"+key, replay, e.rt.histLock, nil)
+			e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, replay, e.rt.histLock, nil)
 			return nil
 		}
 		// Conflict: inspect the holder for wait-die.
@@ -158,7 +158,7 @@ func (e *Env) txnLock(table, key string) error {
 			holderID, _ := lock.MapGet(attrID)
 			holderStart, _ := lock.MapGet("Start")
 			if olderOrSame(holderStart.Int(), holderID.Str(), txn.Start, txn.ID) {
-				e.stepSpan(t0, telemetry.KindLock, stepKey, table+"/"+key, false, nil, ErrTxnAborted)
+				e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, false, nil, ErrTxnAborted)
 				return ErrTxnAborted // die: the holder has priority
 			}
 		}
@@ -196,13 +196,13 @@ func (e *Env) txnRead(table, key string) (Value, error) {
 	}
 	stepKey := e.nextStepKey()
 	t0 := e.rt.spanClock()
-	e.crash("txnread:pre:" + stepKey)
+	e.crash("txnread:pre:", stepKey)
 	val, replay, err := e.txnView(stepKey, table, key)
-	e.stepSpan(t0, telemetry.KindRead, stepKey, table+"/"+key, replay, nil, err)
+	e.stepSpan(t0, telemetry.KindRead, stepKey, table, key, replay, nil, err)
 	if err != nil {
 		return dynamo.Null, err
 	}
-	e.crash("txnread:post:" + stepKey)
+	e.crash("txnread:post:", stepKey)
 	return val, nil
 }
 
@@ -233,12 +233,12 @@ func (e *Env) txnWrite(table, key string, v Value) error {
 	}
 	stepKey := e.nextStepKey()
 	t0 := e.rt.spanClock()
-	e.crash("txnwrite:pre:" + stepKey)
+	e.crash("txnwrite:pre:", stepKey)
 	var replay bool
 	_, err := e.loggedMutate(e.rt.layer().shadow(), "write", table, shadowKey(e.shared.txn.ID, key),
 		stepKey, e.stepMutation(mutation{setVal: &v}, &replay))
-	e.stepSpan(t0, telemetry.KindWrite, stepKey, table+"/"+key, replay, e.rt.histStep, err)
-	e.crash("txnwrite:post:" + stepKey)
+	e.stepSpan(t0, telemetry.KindWrite, stepKey, table, key, replay, e.rt.histStep, err)
+	e.crash("txnwrite:post:", stepKey)
 	return err
 }
 
@@ -258,12 +258,12 @@ func (e *Env) txnCondWrite(table, key string, v Value, cond dynamo.Cond) (bool, 
 	}
 	wStep := e.nextStepKey()
 	t0 := e.rt.spanClock()
-	e.crash("txncondwrite:pre:" + wStep)
+	e.crash("txncondwrite:pre:", wStep)
 	var replay bool
 	_, err = e.loggedMutate(e.rt.layer().shadow(), "condwrite", table, shadowKey(e.shared.txn.ID, key),
 		wStep, e.stepMutation(mutation{setVal: &v}, &replay))
-	e.stepSpan(t0, telemetry.KindCondWrite, wStep, table+"/"+key, replay, e.rt.histStep, err)
-	e.crash("txncondwrite:post:" + wStep)
+	e.stepSpan(t0, telemetry.KindCondWrite, wStep, table, key, replay, e.rt.histStep, err)
+	e.crash("txncondwrite:post:", wStep)
 	return err == nil, err
 }
 
@@ -329,12 +329,12 @@ func (e *Env) settleTxnState(ctx *TxnContext) error {
 			}
 			if found {
 				stepKey := e.nextStepKey()
-				e.crash("txnflush:pre:" + stepKey)
+				e.crash("txnflush:pre:", stepKey)
 				if _, err := e.loggedMutate(layer, "write", table, key, stepKey,
 					mutation{setVal: &sval}); err != nil {
 					return err
 				}
-				e.crash("txnflush:post:" + stepKey)
+				e.crash("txnflush:post:", stepKey)
 			}
 		}
 		if err := e.unlockAs(layer, table, key, ctx.ID); err != nil {

@@ -152,7 +152,7 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 		if intent, err = rt.ensureIntent(id, ev); err != nil {
 			return dynamo.Null, err
 		}
-		inv.CrashPoint("intent:logged")
+		inv.CrashPoint("intent:logged", "")
 	}
 	if intent.done {
 		// A re-invocation of a completed intent: re-deliver the result via
@@ -199,7 +199,7 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 		obs.complete(err)
 		return dynamo.Null, err
 	}
-	inv.CrashPoint("body:done")
+	inv.CrashPoint("body:done", "")
 
 	// Callback before done-marking (Fig 9's ordering: the caller must hold
 	// the result before this intent can be collected). What the caller's row
@@ -209,7 +209,7 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 	case err != nil:
 	case !effectFree:
 		if err = rt.markIntentDone(id, ret); err == nil {
-			inv.CrashPoint("done:marked")
+			inv.CrashPoint("done:marked", "")
 		}
 	case !confirmed:
 		// The callback is all an effect-free instance would have left.
@@ -242,7 +242,7 @@ func (rt *Runtime) deliver(inv *platform.Invocation, ev envelope, id string, ret
 	if err != nil {
 		return dynamo.Null, false, fmt.Errorf("core: %s: callback to %s failed: %w", rt.fn, ev.CallerFn, err)
 	}
-	inv.CrashPoint("callback:sent")
+	inv.CrashPoint("callback:sent", "")
 	return held, confirmed, nil
 }
 
@@ -266,7 +266,7 @@ func (rt *Runtime) handleAsyncRegister(inv *platform.Invocation, ev envelope) (V
 	if _, err := rt.ensureIntent(ev.InstanceID, runEv); err != nil {
 		return dynamo.Null, err
 	}
-	inv.CrashPoint("async:registered")
+	inv.CrashPoint("async:registered", "")
 	if rt.cfg.DisableCallbacks {
 		return dynamo.Bool(false), nil
 	}
@@ -301,7 +301,7 @@ func (rt *Runtime) handleAsyncRun(inv *platform.Invocation, ev envelope) (Value,
 		obs.complete(err)
 		return dynamo.Null, err
 	}
-	inv.CrashPoint("body:done")
+	inv.CrashPoint("body:done", "")
 	// Post the promise result BEFORE done-marking (the same Fig 9 ordering
 	// as callbacks): once the intent is done it can be collected, so the
 	// result must already sit durably in the caller's invoke-log row. A crash
@@ -313,7 +313,7 @@ func (rt *Runtime) handleAsyncRun(inv *platform.Invocation, ev envelope) (Value,
 			obs.complete(perr)
 			return dynamo.Null, perr
 		}
-		inv.CrashPoint("promise:posted")
+		inv.CrashPoint("promise:posted", "")
 	}
 	if err := rt.markIntentDone(ev.InstanceID, ret); err != nil {
 		obs.complete(err)

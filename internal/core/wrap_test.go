@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -119,6 +120,43 @@ func TestParallelBranchesDeterministicSteps(t *testing.T) {
 	})
 	if out := f.mustInvoke("par", dynamo.Null); out.Str() != "A!B!" {
 		t.Errorf("parallel = %q", out.Str())
+	}
+}
+
+// TestStepKeysMatchSprintfAcrossWidth pins step keys — the sort keys of
+// every log row — to the "%s.%06d" form they were first built with, on both
+// sides of the 6-digit edge, in the root branch and in nested Parallel
+// branches.
+func TestStepKeysMatchSprintfAcrossWidth(t *testing.T) {
+	check := func(e *Env) error {
+		for _, start := range []int64{0, 9, 999_997, 9_999_998} {
+			e.steps.Store(start)
+			for n := start + 1; n <= start+3; n++ {
+				if got, want := e.nextStepKey(), fmt.Sprintf("%s.%06d", e.branch, n); got != want {
+					return fmt.Errorf("step %d of branch %s: %q, want %q", n, e.branch, got, want)
+				}
+			}
+		}
+		return nil
+	}
+	branches := make(chan string, 8)
+	f := newFixture(t)
+	f.fn("keys", func(e *Env, in Value) (Value, error) {
+		leaf := func(sub *Env) error { branches <- sub.branch; return check(sub) }
+		err := errors.Join(check(e), e.Parallel(leaf, func(sub *Env) error {
+			return errors.Join(sub.Parallel(leaf, leaf), sub.Parallel(leaf))
+		}))
+		return dynamo.Null, err
+	})
+	f.mustInvoke("keys", dynamo.Null)
+	close(branches)
+	var names []string
+	for b := range branches {
+		names = append(names, b)
+	}
+	slices.Sort(names)
+	if got := fmt.Sprint(names); got != "[0-1-0 0-1-1-1-0 0-1-1-1-1 0-1-1-2-0]" {
+		t.Errorf("branch names %s", got)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestStoreAllocBudget(t *testing.T) {
 		why  string
 	}{
 		{"Get of a 6-attribute row holding a 16-entry map", get, attrMap, "its attribute map and nothing else"},
-		{"Query projecting 2 attributes of 3 rows", query, 3*attrMap + 3, "a map per row and the result slice grown to 1, 2 and 4"},
+		{"Query projecting 2 attributes of 3 rows", query, 3*attrMap + 1, "a map per row and the result slice, sized once"},
 		{"Update appending to a 16-entry log map", update, attrMap + 4, "the row's attribute map and the log map copied once"},
 		{"guarded Put of a new row, and its Delete", putDelete, attrMap + 3, "the stored attribute map, the partition, its row and row slice"},
 	} {

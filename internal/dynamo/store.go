@@ -339,7 +339,8 @@ type QueryOpts struct {
 	// Filter drops non-matching rows after key selection (charged as
 	// scanned, like DynamoDB filter expressions).
 	Filter Cond
-	// Projection trims each returned row; nil returns whole rows.
+	// Projection trims each returned row; nil returns whole rows. Backends
+	// only read it, so callers may share one slice across queries.
 	Projection []Path
 	// Limit caps returned rows; 0 means unlimited.
 	Limit int
@@ -500,6 +501,13 @@ func (t *table) filterRows(rows []*row, opts QueryOpts) (out []Item, scanned, by
 			rev[len(rows)-1-i] = r
 		}
 		rows = rev
+	}
+	if n := len(rows); opts.Filter == nil && n > 0 {
+		// Every row up to the limit is returned: size the result once.
+		if opts.Limit > 0 {
+			n = min(n, opts.Limit)
+		}
+		out = make([]Item, 0, n)
 	}
 	for _, r := range rows {
 		scanned++

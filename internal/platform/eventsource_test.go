@@ -85,7 +85,7 @@ func TestMapperCrashedConsumerLeavesMessageInFlight(t *testing.T) {
 	plat.SetFaults(&CrashOnce{Function: "consume", Label: "work"})
 	plat.Register("consume", func(inv *Invocation, input Value) (Value, error) {
 		calls.Add(1)
-		inv.CrashPoint("work")
+		inv.CrashPoint("work", "")
 		return dynamo.Null, nil
 	}, 0)
 
@@ -131,7 +131,7 @@ func TestMapperNackOnErrorRedeliversImmediately(t *testing.T) {
 	plat.SetFaults(&CrashOnce{Function: "consume", Label: "work"})
 	plat.Register("consume", func(inv *Invocation, input Value) (Value, error) {
 		calls.Add(1)
-		inv.CrashPoint("work")
+		inv.CrashPoint("work", "")
 		return dynamo.Null, nil
 	}, 0)
 	if _, err := broker.Enqueue("q", dynamo.S("x")); err != nil {

@@ -7,8 +7,8 @@ import (
 
 // FaultPlan decides whether an instance dies at a crash point. fn is the
 // function name, label the crash-point label (Beldi labels step boundaries
-// like "write:post:3"), and opIndex the 1-based count of crash points this
-// instance has passed. Implementations must be safe for concurrent use.
+// like "write:post:0.000003"), and opIndex the 1-based count of crash points
+// this instance has passed. Implementations must be safe for concurrent use.
 type FaultPlan interface {
 	ShouldCrash(fn, label string, opIndex int) bool
 }

@@ -485,28 +485,33 @@ func IsInjectedCrash(r any) bool {
 	return ok
 }
 
-// CrashPoint marks an operation boundary. The instance dies here if the
-// fault plan says so or if its execution timeout has expired. Beldi's
-// library calls this around every external operation, giving fault-injection
-// tests step-level kill granularity.
-func (inv *Invocation) CrashPoint(label string) {
+// CrashPoint marks an operation boundary labelled point+step (Beldi passes
+// a boundary kind such as "write:post:" and the step key; step may be
+// empty). The instance dies here if the fault plan says so or if its
+// execution timeout has expired. Beldi's library calls this around every
+// external operation, giving fault-injection tests step-level kill
+// granularity. The label is built only when a fault plan is installed or
+// the instance dies here.
+func (inv *Invocation) CrashPoint(point, step string) {
 	n := inv.ops.Add(1)
 	if !inv.deadline.IsZero() && time.Now().After(inv.deadline) {
-		panic(crash{label: label, timeout: true})
+		panic(crash{label: point + step, timeout: true})
 	}
 	if inv.ctx != nil && inv.ctx.Err() != nil {
 		// The invocation's context ended: die at this operation boundary, the
 		// same way a timeout kills. The intent stays pending — cancellation
 		// aborts cleanly; it never produces a partial effect the collectors
 		// cannot finish or that replay would duplicate.
-		panic(crash{label: label, canceled: true})
+		panic(crash{label: point + step, canceled: true})
 	}
 	p := inv.platform
 	if p == nil {
 		return
 	}
-	if plan := p.faultPlan(); plan != nil && plan.ShouldCrash(inv.Function, label, int(n)) {
-		panic(crash{label: label})
+	if plan := p.faultPlan(); plan != nil {
+		if label := point + step; plan.ShouldCrash(inv.Function, label, int(n)) {
+			panic(crash{label: label})
+		}
 	}
 }
 

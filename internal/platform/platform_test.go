@@ -84,7 +84,7 @@ func TestCrashInjectionAndRecovery(t *testing.T) {
 	var attempts atomic.Int64
 	p.Register("w", func(inv *Invocation, _ Value) (Value, error) {
 		attempts.Add(1)
-		inv.CrashPoint("mid")
+		inv.CrashPoint("mid", "")
 		return dynamo.S("done"), nil
 	}, 0)
 
@@ -133,7 +133,7 @@ func TestTimeoutKillsAtCrashPoint(t *testing.T) {
 	var reachedEnd atomic.Bool
 	p.Register("slow", func(inv *Invocation, _ Value) (Value, error) {
 		time.Sleep(50 * time.Millisecond)
-		inv.CrashPoint("after-sleep") // deadline passed: instance dies here
+		inv.CrashPoint("after-sleep", "") // deadline passed: instance dies here
 		reachedEnd.Store(true)
 		return dynamo.Null, nil
 	}, 10*time.Millisecond)
@@ -270,9 +270,9 @@ func TestCrashNthOpSweep(t *testing.T) {
 	counter := &OpCounter{}
 	p := New(Options{Faults: counter})
 	handler := func(inv *Invocation, _ Value) (Value, error) {
-		inv.CrashPoint("a")
-		inv.CrashPoint("b")
-		inv.CrashPoint("c")
+		inv.CrashPoint("a", "")
+		inv.CrashPoint("b", "")
+		inv.CrashPoint("c", "")
 		return dynamo.S("ok"), nil
 	}
 	p.Register("f", handler, 0)

@@ -31,7 +31,7 @@ var rpcBudget = []struct {
 	wire, direct float64
 }{
 	{"Update", 10, 2},
-	{"Query (projected, 3 rows)", 22, 9},
+	{"Query (projected, 3 rows)", 20, 7},
 	{"Get", 9, 2},
 }
 

@@ -10,6 +10,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -88,5 +89,30 @@ func (s *Seq) NewString() string {
 	s.n++
 	n := s.n
 	s.mu.Unlock()
-	return fmt.Sprintf("%s-%012d", s.Prefix, n)
+	return Padded(s.Prefix, '-', n, 12)
+}
+
+// Padded returns prefix, sep and n in decimal, zero-padded to width digits
+// and wider when n needs more — fmt's "%s<sep>%0<width>d" — in one
+// allocation. Seq ids and Beldi's step keys are built with it.
+func Padded(prefix string, sep byte, n uint64, width int) string {
+	var digits [20]byte
+	i := len(digits)
+	for {
+		i--
+		digits[i] = byte('0' + n%10)
+		if n /= 10; n == 0 {
+			break
+		}
+	}
+	pad := max(0, width-(len(digits)-i))
+	var b strings.Builder
+	b.Grow(len(prefix) + 1 + pad + len(digits) - i)
+	b.WriteString(prefix)
+	b.WriteByte(sep)
+	for ; pad > 0; pad-- {
+		b.WriteByte('0')
+	}
+	b.Write(digits[i:])
+	return b.String()
 }

@@ -1,9 +1,12 @@
 package uuid
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/raceflag"
 )
 
 func TestNewFormat(t *testing.T) {
@@ -56,6 +59,40 @@ func TestUniqueness(t *testing.T) {
 			t.Fatalf("duplicate uuid %s", s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestSeqMatchesSprintfAcrossWidth pins Seq ids to the "%s-%012d" form they
+// were first built with, on both sides of the 12-digit edge.
+func TestSeqMatchesSprintfAcrossWidth(t *testing.T) {
+	for _, start := range []uint64{0, 8, 99, 999_999_999_995, 9_999_999_999_995} {
+		s := &Seq{Prefix: "req", n: start}
+		for n := start + 1; n <= start+10; n++ {
+			if got, want := s.NewString(), fmt.Sprintf("%s-%012d", "req", n); got != want {
+				t.Fatalf("id %d = %q, want %q", n, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		prefix string
+		sep    byte
+		n      uint64
+		width  int
+	}{{"", '.', 0, 6}, {"0-1-2", '.', 999_999, 6}, {"0-1-2", '.', 1_000_000, 6}, {"x", '-', 1<<64 - 1, 12}, {"y", '.', 7, 0}} {
+		want := fmt.Sprintf("%s%c%0*d", c.prefix, c.sep, c.width, c.n)
+		if got := Padded(c.prefix, c.sep, c.n, c.width); got != want {
+			t.Errorf("Padded(%q, %q, %d, %d) = %q, want %q", c.prefix, c.sep, c.n, c.width, got, want)
+		}
+	}
+}
+
+func TestSeqAllocatesTheIdOnly(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	s := &Seq{Prefix: "req"}
+	if got := testing.AllocsPerRun(1000, func() { s.NewString() }); got != 1 {
+		t.Errorf("Seq.NewString: %.0f allocations, want 1 (the id)", got)
 	}
 }
 
