@@ -11,6 +11,7 @@ import (
 	"repro/internal/dynamo"
 	"repro/internal/hist"
 	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/uuid"
 )
@@ -97,24 +98,10 @@ func (e *Env) Context() context.Context {
 	return context.Background()
 }
 
-// waitRetry sleeps d on the runtime clock, returning early with the
-// context's error if the execution's context ends first — the wait primitive
-// under every retry loop (lock acquisition, wait-die backoff, Await polls).
-func (e *Env) waitRetry(d time.Duration) error {
-	ctx := e.Context()
-	if ctx.Done() == nil {
-		e.rt.clk.Sleep(d)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-e.rt.clk.After(d):
-		return nil
-	}
+// nextBackoff is the retry schedule of lock acquisition and Await: each wait
+// doubles the last, from LockRetryBase up to 128×.
+func (rt *Runtime) nextBackoff(d time.Duration) time.Duration {
+	return min(2*d, 128*rt.cfg.LockRetryBase)
 }
 
 // Runtime returns the SSF's runtime.
@@ -314,42 +301,76 @@ func (e *Env) Lock(table, key string) error {
 	if e.rt.mode == ModeBaseline {
 		return nil // baseline offers no synchronization (§7.2)
 	}
-	ownerID := e.instanceID
-	start := e.intent.startTime
 	if e.inExecute() {
 		return e.txnLock(table, key)
 	}
+	return e.acquireLock(table, key, nil)
+}
+
+// acquireLock is the acquisition loop of Lock and, with txn set, of txnLock:
+// one logged conditional set of the lock column per attempt, between its
+// crash points, and a backoff after each refusal, up to the retry budget.
+// The whole acquisition, retries included, is one span.
+func (e *Env) acquireLock(table, key string, txn *TxnContext) error {
+	pre, post, ownerID, start := "lock:pre:", "lock:post:", e.instanceID, e.intent.startTime
+	if txn != nil {
+		pre, post, ownerID, start = "txnlock:pre:", "txnlock:post:", txn.ID, txn.Start
+	}
 	owner := lockOwnerValue(ownerID, start)
 	backoff := e.rt.cfg.LockRetryBase
-	t0 := e.rt.spanClock() // spans the whole acquisition, retries included
-	var replay bool
+	t0 := e.rt.spanClock()
 	for attempt := 0; attempt < e.rt.cfg.LockRetryMax; attempt++ {
 		stepKey := e.nextStepKey()
-		e.crash("lock:pre:", stepKey)
-		replay = false
+		e.crash(pre, stepKey)
+		replay := false
 		ok, err := e.loggedMutate(e.rt.layer(), "lock", table, key, stepKey,
 			e.stepMutation(mutation{cond: lockCond(ownerID), setLock: &owner}, &replay))
-		e.crash("lock:post:", stepKey)
-		if err != nil {
-			e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, replay, nil, err)
-			return err
+		e.crash(post, stepKey)
+		if err == nil && !ok {
+			if err = e.lockRefused(table, key, txn, backoff); err == nil {
+				backoff = e.rt.nextBackoff(backoff)
+				continue
+			}
+			replay = false
 		}
-		if ok {
-			e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, replay, e.rt.histLock, nil)
-			return nil
-		}
-		if werr := e.waitRetry(backoff); werr != nil {
-			// Canceled mid-wait: no lock is held (this attempt's acquisition
-			// recorded false), so aborting here leaves nothing to release.
-			e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, false, nil, werr)
-			return fmt.Errorf("core: lock %s/%s: %w", table, key, werr)
-		}
-		if backoff < 128*e.rt.cfg.LockRetryBase {
-			backoff *= 2
-		}
+		e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, replay, e.rt.histLock, err)
+		return err
 	}
 	e.stepSpan(t0, telemetry.KindLock, "", table, key, false, nil, ErrLockUnavailable)
 	return fmt.Errorf("%w: %s/%s after %d attempts", ErrLockUnavailable, table, key, e.rt.cfg.LockRetryMax)
+}
+
+// lockRefused decides what follows a refused acquisition. Inside a
+// transaction wait-die (Fig 11) dies — aborts — if the holder is older;
+// priority is the intent-creation time with the id as tiebreak, a total
+// order, so no cycles can form. Otherwise it waits out backoff. A wait
+// canceled by the execution's context holds no lock (the attempt recorded
+// false), so aborting leaves nothing to release; inside a transaction it
+// aborts like a die, and the registered lock intention lets the abort phase
+// release anything actually held.
+func (e *Env) lockRefused(table, key string, txn *TxnContext, backoff time.Duration) error {
+	if txn != nil {
+		_, lock, _, err := e.rt.layer().stateRead(table, key)
+		if err != nil {
+			return err
+		}
+		if !lock.IsNull() {
+			holderID, _ := lock.MapGet(attrID)
+			holderStart, _ := lock.MapGet("Start")
+			if olderOrSame(holderStart.Int(), holderID.Str(), txn.Start, txn.ID) {
+				return ErrTxnAborted // die: the holder has priority
+			}
+		}
+	}
+	ctx := e.Context()
+	if storage.Sleep(e.rt.clk, backoff, ctx.Done()) != storage.WakeCancel {
+		return nil
+	}
+	err := fmt.Errorf("core: lock %s/%s: %w", table, key, ctx.Err())
+	if txn != nil {
+		err = fmt.Errorf("%w: %v", ErrTxnAborted, err)
+	}
+	return err
 }
 
 // Unlock releases a lock held by this intent. Releasing an already-released

@@ -126,16 +126,14 @@ func (p *Promise) Await(e *Env) (Value, error) {
 	}
 
 	// Wait for the callee's post. Results land in this instance's own
-	// invoke-log partition, so with a push-capable store the awaiter
-	// subscribes to that partition before the first fetch (a post landing
-	// between fetch and wait still wakes it) and blocks on the subscription;
-	// the exponential-backoff timer stays armed underneath as the liveness
-	// fallback, and each expiry re-fetches — a lost or coalesced wakeup costs
-	// one backoff period, never the result. Only a wait that ended on its
-	// timer draws down the budget: a wake-up is some other commit on the
-	// partition (another promise's post, in a fan-in), and charging for it
-	// would time out an await whose own callee merely finishes last. Without
-	// push the loop is the classic poll-with-backoff.
+	// invoke-log partition, so the awaiter parks on a storage.Waiter over
+	// that partition, armed before each fetch: a post landing between fetch
+	// and wait still wakes it. The exponential-backoff timer bounds every
+	// wait, and each expiry re-fetches — a lost or coalesced wakeup costs one
+	// backoff period, never the result. Only a wait that ended on its timer
+	// draws down the budget: a wake-up is some other commit on the partition
+	// (another promise's post, in a fan-in), and charging for it would time
+	// out an await whose own callee merely finishes last.
 	resolved := func(val Value) (Value, error) {
 		e.queueRead(stepKey, val)
 		e.awaitSpan(t0, stepKey, p, false, nil)
@@ -146,12 +144,12 @@ func (p *Promise) Await(e *Env) (Value, error) {
 	if val, ok := posted.get(p.step); ok {
 		return resolved(val)
 	}
-	sub, _ := storage.Watch(e.rt.store, e.rt.invokeLog, dynamo.S(e.instanceID))
-	if sub != nil {
-		defer sub.Close()
-	}
+	w := storage.NewWaiter(e.rt.store, e.rt.invokeLog, dynamo.S(e.instanceID), e.rt.clk)
+	defer w.Close()
+	ctx := e.Context()
 	backoff := e.rt.cfg.LockRetryBase
 	for timeouts := 0; timeouts < e.rt.cfg.AwaitRetryMax; {
+		w.Arm()
 		val, ok, err := posted.fetch(e, p.step)
 		if err != nil {
 			return dynamo.Null, err
@@ -160,27 +158,15 @@ func (p *Promise) Await(e *Env) (Value, error) {
 			return resolved(val)
 		}
 		e.crash("await:poll:", stepKey)
-		woken := false
-		if sub != nil {
-			if werr := e.Context().Err(); werr == nil {
-				woken = sub.Wait(backoff, e.Context().Done())
-			}
-			if werr := e.Context().Err(); werr != nil {
-				// Canceled mid-wait: nothing was logged for this step, so the
-				// re-execution repeats the await from scratch against the
-				// same row.
-				e.awaitSpan(t0, stepKey, p, false, werr)
-				return dynamo.Null, fmt.Errorf("core: await %s (%s): %w", p.id, p.callee, werr)
-			}
-		} else if werr := e.waitRetry(backoff); werr != nil {
-			e.awaitSpan(t0, stepKey, p, false, werr)
-			return dynamo.Null, fmt.Errorf("core: await %s (%s): %w", p.id, p.callee, werr)
-		}
-		if !woken {
+		switch w.Wait(backoff, ctx.Done(), nil) {
+		case storage.WakeCancel:
+			// Nothing was logged for this step, so the re-execution repeats
+			// the await from scratch against the same row.
+			e.awaitSpan(t0, stepKey, p, false, ctx.Err())
+			return dynamo.Null, fmt.Errorf("core: await %s (%s): %w", p.id, p.callee, ctx.Err())
+		case storage.WakeTimer:
 			timeouts++
-			if backoff < 128*e.rt.cfg.LockRetryBase {
-				backoff *= 2
-			}
+			backoff = e.rt.nextBackoff(backoff)
 		}
 	}
 	e.awaitSpan(t0, stepKey, p, false, ErrAwaitTimeout)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dynamo"
 	"repro/internal/platform"
+	"repro/internal/storage"
 )
 
 // Durable promises: AsyncInvokePromise fans work out as registered intents
@@ -560,6 +561,72 @@ func TestAwaitServesOutOfOrderResultsFromCache(t *testing.T) {
 	checkFanIn(t, f.mustInvoke("driver", dynamo.Null), width)
 	if q := queries() - before; q < 2 || q > 3 {
 		t.Errorf("8 awaits issued %d queries, want 2 or 3: one that finds six results, one or two for the stragglers", q)
+	}
+}
+
+// fetchHookWatcher is a push-capable backend that remembers the first
+// subscription it hands out and calls afterFetch after each query of that
+// subscription's table, with the query's ordinal.
+type fetchHookWatcher struct {
+	storage.Backend
+	afterFetch func(n int, first storage.Subscription)
+
+	mu      sync.Mutex
+	first   storage.Subscription
+	table   string
+	fetches int
+}
+
+func (h *fetchHookWatcher) Watch(table string, hash storage.Value) (storage.Subscription, error) {
+	sub, err := h.Backend.(storage.Watcher).Watch(table, hash)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err == nil && h.first == nil {
+		h.first, h.table = sub, table
+	}
+	return sub, err
+}
+
+func (h *fetchHookWatcher) Query(table string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
+	rows, err := h.Backend.Query(table, hash, opts)
+	h.mu.Lock()
+	first, n := h.first, 0
+	if first != nil && table == h.table {
+		h.fetches++
+		n = h.fetches
+	}
+	h.mu.Unlock()
+	if n > 0 {
+		h.afterFetch(n, first)
+	}
+	return rows, err
+}
+
+// TestAwaitResubscribesWhenItsSubscriptionDies loses the await's
+// subscription as a dropped remote connection would: an event comes through
+// (another promise's post), then the subscription closes, then the awaited
+// result is posted. The await must subscribe again at its next fetch and
+// wake on the post, not sleep out its 2 s backoff on the dead subscription.
+func TestAwaitResubscribesWhenItsSubscriptionDies(t *testing.T) {
+	var runs []queuedRun
+	var post func(queuedRun)
+	w := &fetchHookWatcher{Backend: dynamo.NewStore()}
+	w.afterFetch = func(n int, first storage.Subscription) {
+		switch n {
+		case 1: // the await found nothing: wake it, then drop its subscription
+			post(runs[1])
+			first.Close()
+		case 2:
+			post(runs[0])
+		}
+	}
+	f := newFixture(t, withStore(w), withConfig(Config{RowCap: 4, T: DefaultT, ICMinAge: time.Hour,
+		LockRetryBase: 2 * time.Second}))
+	heldFanOut(f, 2, func(r []queuedRun, p func(queuedRun)) { runs, post = r, p }, inOrder)
+	start := time.Now()
+	checkFanIn(t, f.mustInvoke("driver", dynamo.Null), 2)
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("await took %v: it slept out its backoff on a dead subscription", el)
 	}
 }
 

@@ -117,13 +117,9 @@ func (e *Env) recordTxnLock(table, key string) error {
 }
 
 // txnLock acquires key's lock for the transaction with wait-die deadlock
-// prevention (Fig 11): on conflict, die (abort) if the holder is older,
-// otherwise wait and retry. Priority is the transaction's intent-creation
-// time with the id as tiebreak, a total order, so no cycles can form.
+// prevention (see lockRefused).
 func (e *Env) txnLock(table, key string) error {
 	e.rt.stats.Locks.Add(1)
-	txn := e.shared.txn
-	owner := lockOwnerValue(txn.ID, txn.Start)
 	// Register the lock intention BEFORE acquiring: if the instance dies
 	// between the two, the abort phase releases a lock that may not be held
 	// (a harmless conditional no-op); the reverse order would leak a held,
@@ -131,48 +127,7 @@ func (e *Env) txnLock(table, key string) error {
 	if err := e.recordTxnLock(table, key); err != nil {
 		return err
 	}
-	backoff := e.rt.cfg.LockRetryBase
-	t0 := e.rt.spanClock() // spans the whole wait-die acquisition
-	var replay bool
-	for attempt := 0; attempt < e.rt.cfg.LockRetryMax; attempt++ {
-		stepKey := e.nextStepKey()
-		e.crash("txnlock:pre:", stepKey)
-		replay = false
-		ok, err := e.loggedMutate(e.rt.layer(), "lock", table, key, stepKey,
-			e.stepMutation(mutation{cond: lockCond(txn.ID), setLock: &owner}, &replay))
-		e.crash("txnlock:post:", stepKey)
-		if err != nil {
-			e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, replay, nil, err)
-			return err
-		}
-		if ok {
-			e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, replay, e.rt.histLock, nil)
-			return nil
-		}
-		// Conflict: inspect the holder for wait-die.
-		_, lock, _, err := e.rt.layer().stateRead(table, key)
-		if err != nil {
-			return err
-		}
-		if !lock.IsNull() {
-			holderID, _ := lock.MapGet(attrID)
-			holderStart, _ := lock.MapGet("Start")
-			if olderOrSame(holderStart.Int(), holderID.Str(), txn.Start, txn.ID) {
-				e.stepSpan(t0, telemetry.KindLock, stepKey, table, key, false, nil, ErrTxnAborted)
-				return ErrTxnAborted // die: the holder has priority
-			}
-		}
-		if werr := e.waitRetry(backoff); werr != nil {
-			// Canceled while waiting (wait-die's "wait" arm): abort the
-			// transaction the same way a die would — the lock intention is
-			// registered, so the abort phase releases anything actually held.
-			return fmt.Errorf("%w: txn lock %s/%s: %v", ErrTxnAborted, table, key, werr)
-		}
-		if backoff < 128*e.rt.cfg.LockRetryBase {
-			backoff *= 2
-		}
-	}
-	return fmt.Errorf("%w: txn lock %s/%s", ErrLockUnavailable, table, key)
+	return e.acquireLock(table, key, e.shared.txn)
 }
 
 // olderOrSame reports whether (aStart, aID) has wait-die priority over

@@ -41,12 +41,37 @@ type Subscription interface {
 	// Events returns the delivery channel; closed when the subscription is
 	// closed or its transport is lost.
 	Events() <-chan CommitEvent
-	// Wait blocks until an event arrives (consuming it, true), d elapses,
-	// cancel fires, or the subscription closes (false). A nil cancel never
-	// fires.
-	Wait(d time.Duration, cancel <-chan struct{}) bool
+	// Wait blocks until an event skip does not claim arrives (true), d
+	// elapses or cancel fires (false), consuming every event it sees.
+	// Skipped events do not extend the deadline; a nil skip claims nothing
+	// and a nil cancel never fires. A subscription that is or becomes closed
+	// waits out d like a backend without push, so retry loops keep their
+	// poll cadence instead of spinning.
+	Wait(d time.Duration, cancel <-chan struct{}, skip func(CommitEvent) bool) bool
 	// Close tears the subscription down; idempotent.
 	Close()
+}
+
+// WaitEvents is Subscription.Wait over a subscription's delivery channel, on
+// the wall clock: the one implementation behind every channel-backed
+// subscription.
+func WaitEvents(ch <-chan CommitEvent, d time.Duration, cancel <-chan struct{}, skip func(CommitEvent) bool) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for {
+		select {
+		case ev, ok := <-ch:
+			if !ok {
+				ch = nil // closed: degrade to the plain timer
+			} else if skip == nil || !skip(ev) {
+				return true
+			}
+		case <-timer.C:
+			return false
+		case <-cancel:
+			return false
+		}
+	}
 }
 
 // WatchSub is a live subscription to a table's commit stream, the concrete
@@ -66,28 +91,9 @@ type WatchSub struct {
 // is full, so treat delivery as a wakeup hint and re-read the table.
 func (w *WatchSub) Events() <-chan CommitEvent { return w.ch }
 
-// Wait blocks until an event arrives (consuming it and returning true), the
-// duration elapses, or cancel fires (returning false). A nil cancel never
-// fires. Pending events are consumed without blocking. A closed subscription
-// waits out the full duration like a backend without push — so retry loops
-// built on Wait keep their poll cadence instead of spinning.
-func (w *WatchSub) Wait(d time.Duration, cancel <-chan struct{}) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	ch := w.ch
-	for {
-		select {
-		case _, ok := <-ch:
-			if ok {
-				return true
-			}
-			ch = nil // closed: degrade to the plain timer
-		case <-timer.C:
-			return false
-		case <-cancel:
-			return false
-		}
-	}
+// Wait implements Subscription.Wait (see WaitEvents).
+func (w *WatchSub) Wait(d time.Duration, cancel <-chan struct{}, skip func(CommitEvent) bool) bool {
+	return WaitEvents(w.ch, d, cancel, skip)
 }
 
 // Close tears the subscription down and closes its Events channel. Close is

@@ -415,14 +415,14 @@ func TestWatchDeliversOnlyDurableCommits(t *testing.T) {
 	if _, ok, _ := p.Get("kv", dynamo.HK(dynamo.S("a"))); !ok {
 		t.Fatal("overlay lost its own write")
 	}
-	if sub.Wait(50*time.Millisecond, nil) {
+	if sub.Wait(50*time.Millisecond, nil, nil) {
 		t.Fatal("watch woke for a speculative write before its flush")
 	}
 
 	if _, err := p.FlushStep(); err != nil {
 		t.Fatal(err)
 	}
-	if !sub.Wait(5*time.Second, nil) {
+	if !sub.Wait(5*time.Second, nil, nil) {
 		t.Fatal("flush landed the write on the base but produced no wakeup")
 	}
 	// The event's promise: the durable view now holds the write.

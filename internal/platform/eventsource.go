@@ -85,12 +85,6 @@ type Mapper struct {
 	stopCh  chan struct{}
 	doneCh  chan struct{}
 	started bool
-
-	// subMu guards the push subscription on the source queue's table (nil
-	// when the store has no push support, or after the subscription died and
-	// has not been re-acquired yet).
-	subMu sync.Mutex
-	sub   storage.Subscription
 }
 
 // NewMapper creates an event-source mapping from broker's queue to a
@@ -244,14 +238,15 @@ func (m *Mapper) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// run is the poll loop behind Start and Run: poll, then park until new work
-// is likely. Without push that is the classic loop — a batch that delivered
-// something polls again at once, anything else sleeps PollInterval. With a
-// live subscription the mapper pays per message instead:
+// run is the poll loop behind Start and Run: poll, then park on the queue's
+// storage.Waiter until new work is likely. Without push that is the classic
+// loop — a batch that delivered something polls again at once, anything else
+// sleeps PollInterval. With a live subscription the mapper pays per message
+// instead:
 //
-//  1. It holds the subscription before its first scan and empties the event
-//     buffer before every scan, so whatever committed before the drain is
-//     visible to the scan that follows and only later events matter.
+//  1. The waiter is armed before every scan, so whatever committed before
+//     the arm is visible to the scan that follows and only later events
+//     matter.
 //  2. A poll goes idle unless its batch was full (more may be waiting) or
 //     the mapper itself nacked a message (receivable again, by its own
 //     doing). The subscription is what makes that safe: an enqueue during the
@@ -266,113 +261,34 @@ func (m *Mapper) Run(ctx context.Context) error {
 //     batch too big for that wakes on its first event, own or not.
 //  5. PollInterval bounds everything push does not announce: a lost wake-up,
 //     a delayed message coming due, an expired visibility timeout.
+//
+// The wait is always interruptible by cancel — Stop and context cancellation
+// return promptly no matter how long PollInterval is.
 func (m *Mapper) run(cancel <-chan struct{}) {
-	defer m.closeSub()
+	w := m.broker.Waiter(m.opts.Queue)
+	defer w.Close()
 	for {
 		select {
 		case <-cancel:
 			return
 		default:
 		}
-		sub := m.watchSub()
-		if sub != nil {
-			drain(sub.Events())
-		}
+		push := w.Arm()
 		b, _ := m.poll() // a failed poll is an empty batch: wait, then retry
 		again := b.processed > 0
-		if sub != nil {
+		if push {
 			again = len(b.claimed) == m.opts.BatchSize || b.nacked
 		}
-		if !again {
-			m.idleWait(cancel, sub, b.claimed)
+		if again {
+			continue
 		}
-	}
-}
-
-// drain empties a subscription's buffer without blocking.
-func drain(events <-chan storage.CommitEvent) {
-	for {
-		select {
-		case _, ok := <-events:
-			if !ok {
-				return // closed; the next idle wait drops it
-			}
-		default:
-			return
+		var skip func(storage.CommitEvent) bool
+		if own := b.claimed; len(own) > 0 && 2*len(own) < storage.DefaultWatchBuffer { // rule 4
+			skip = func(ev storage.CommitEvent) bool { return own[ev.Hash.Str()] }
 		}
-	}
-}
-
-// idleWait parks the mapper until new work is likely: a commit on the source
-// queue's table (push wakeup) other than the mapper's own, which are those on
-// the messages in own; PollInterval elapsing (the liveness fallback that
-// bounds staleness when push is unavailable or a wakeup was lost); or cancel
-// firing. The wait is always interruptible by cancel — Stop and context
-// cancellation return promptly no matter how long PollInterval is.
-func (m *Mapper) idleWait(cancel <-chan struct{}, sub storage.Subscription, own map[string]bool) {
-	timer := time.NewTimer(m.opts.PollInterval)
-	defer timer.Stop()
-	var events <-chan storage.CommitEvent // nil without push: never ready
-	if sub != nil {
-		events = sub.Events()
-	}
-	if 2*len(own) >= cap(events) {
-		own = nil // rule 4: its own events could fill the buffer; skip none
-	}
-	for {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				// The subscription died (store closed, remote connection lost):
-				// drop it so the next poll resubscribes or falls back, and
-				// sleep out the timer.
-				m.dropSub(sub)
-				events = nil
-				continue
-			}
-			if own[ev.Hash.Str()] {
-				continue
-			}
+		if w.Wait(m.opts.PollInterval, cancel, skip) == storage.WakeEvent {
 			m.metrics.Wakeups.Add(1)
-			return
-		case <-timer.C:
-			return
-		case <-cancel:
-			return
 		}
-	}
-}
-
-// watchSub returns the live push subscription, acquiring one lazily; nil
-// when the backing store has no push support.
-func (m *Mapper) watchSub() storage.Subscription {
-	m.subMu.Lock()
-	defer m.subMu.Unlock()
-	if m.sub == nil {
-		m.sub, _ = m.broker.Watch(m.opts.Queue)
-	}
-	return m.sub
-}
-
-// dropSub forgets (and closes) a dead subscription so a fresh one can be
-// acquired.
-func (m *Mapper) dropSub(sub storage.Subscription) {
-	m.subMu.Lock()
-	if m.sub == sub {
-		m.sub = nil
-	}
-	m.subMu.Unlock()
-	sub.Close()
-}
-
-// closeSub releases the push subscription on loop exit.
-func (m *Mapper) closeSub() {
-	m.subMu.Lock()
-	sub := m.sub
-	m.sub = nil
-	m.subMu.Unlock()
-	if sub != nil {
-		sub.Close()
 	}
 }
 

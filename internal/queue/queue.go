@@ -479,16 +479,12 @@ func (b *Broker) Nack(name, msgID, receipt string) error {
 	return nil
 }
 
-// Watch subscribes to the queue's commit stream when the backing store
-// supports push: every enqueue (and visibility change) wakes the
-// subscription, so consumers can block on arrival instead of polling. The
-// second result is false when the store has no push support or the queue
-// does not exist — callers fall back to their poll timer.
-func (b *Broker) Watch(name string) (storage.Subscription, bool) {
-	if _, err := b.options(name); err != nil {
-		return nil, false
-	}
-	return storage.Watch(b.store, tableOf(name), dynamo.Null)
+// Waiter returns a waiter on the queue's commit stream: with a push-capable
+// store every enqueue (and visibility change) ends its wait, so consumers
+// block on arrival instead of polling. It sleeps on the wall clock, whatever
+// the broker's clock: its timer stands in for a consumer's poll interval.
+func (b *Broker) Waiter(name string) *storage.Waiter {
+	return storage.NewWaiter(b.store, tableOf(name), dynamo.Null, clock.Real{})
 }
 
 // Len counts messages currently visible (receivable now).

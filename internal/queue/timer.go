@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dynamo"
 	"repro/internal/storage"
 )
@@ -94,11 +95,6 @@ type TimerService struct {
 	stopCh  chan struct{}
 	doneCh  chan struct{}
 	started bool
-
-	// subMu guards the lazily acquired push subscription on the timer table
-	// (nil when the store has no push support or the subscription died).
-	subMu sync.Mutex
-	sub   storage.Subscription
 }
 
 // NewTimerService creates (or reopens) the timer table on b's store.
@@ -344,18 +340,23 @@ func (ts *TimerService) Stop() {
 	<-doneCh
 }
 
+// loop is the pump: fire what is due, then park until a timer is likely
+// due — the earlier of the earliest pending due time the pass saw and the
+// fallback poll interval, cut short by a commit on the timer table (a
+// Schedule, Cancel, or another firer's advance) when the store pushes.
 func (ts *TimerService) loop(stopCh, doneCh chan struct{}) {
 	defer close(doneCh)
-	defer ts.closeSub()
+	w := storage.NewWaiter(ts.b.store, ts.tbl, dynamo.Null, clock.Real{})
+	defer w.Close()
 	for {
 		select {
 		case <-stopCh:
 			return
 		default:
 		}
-		// Subscribed before the scan: a Schedule that commits after it is a
-		// buffered event by the time the pump waits.
-		sub := ts.watchSub()
+		// Armed before the scan: a Schedule that commits after it is an event
+		// for the wait below.
+		w.Arm()
 		n, next, err := ts.firePass()
 		if err != nil {
 			ts.metrics.Errors.Add(1)
@@ -363,76 +364,13 @@ func (ts *TimerService) loop(stopCh, doneCh chan struct{}) {
 		if n > 0 {
 			continue // more may already be due
 		}
-		ts.idleWait(stopCh, sub, next)
-	}
-}
-
-// idleWait parks the pump until a timer is likely due: the earlier of next,
-// the earliest pending due time the last pass saw (0: none), and the fallback
-// poll interval, cut short by a commit on the timer table (a Schedule,
-// Cancel, or another firer's advance) when the store pushes.
-func (ts *TimerService) idleWait(cancel <-chan struct{}, sub storage.Subscription, next int64) {
-	wait := ts.poll
-	if next != 0 {
-		if d := time.Duration(next-ts.b.now()) * time.Microsecond; d < wait {
-			wait = d
+		wait := ts.poll
+		if next != 0 {
+			wait = max(min(wait, time.Duration(next-ts.b.now())*time.Microsecond), time.Millisecond)
 		}
-		if wait < time.Millisecond {
-			wait = time.Millisecond
+		if w.Wait(wait, stopCh, nil) == storage.WakeEvent {
+			ts.metrics.Wakeups.Add(1)
 		}
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	if sub == nil {
-		select {
-		case <-cancel:
-		case <-timer.C:
-		}
-		return
-	}
-	select {
-	case _, ok := <-sub.Events():
-		if !ok {
-			ts.dropSub(sub)
-			select {
-			case <-cancel:
-			case <-timer.C:
-			}
-			return
-		}
-		ts.metrics.Wakeups.Add(1)
-	case <-timer.C:
-	case <-cancel:
-	}
-}
-
-// watchSub returns the live push subscription on the timer table, acquiring
-// one lazily; nil when the store has no push support.
-func (ts *TimerService) watchSub() storage.Subscription {
-	ts.subMu.Lock()
-	defer ts.subMu.Unlock()
-	if ts.sub == nil {
-		ts.sub, _ = storage.Watch(ts.b.store, ts.tbl, dynamo.Null)
-	}
-	return ts.sub
-}
-
-func (ts *TimerService) dropSub(sub storage.Subscription) {
-	ts.subMu.Lock()
-	if ts.sub == sub {
-		ts.sub = nil
-	}
-	ts.subMu.Unlock()
-	sub.Close()
-}
-
-func (ts *TimerService) closeSub() {
-	ts.subMu.Lock()
-	sub := ts.sub
-	ts.sub = nil
-	ts.subMu.Unlock()
-	if sub != nil {
-		sub.Close()
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dynamo"
 	"repro/internal/storage"
 	"repro/internal/storage/codec"
@@ -280,6 +281,52 @@ func TestClientReconnectAfterServerRestart(t *testing.T) {
 	// Conditional writes work again too (fresh connection, not ambiguous).
 	if err := client.Put("t", storage.Item{"K": dynamo.S("b")}, dynamo.NotExists(dynamo.A("K"))); err != nil {
 		t.Errorf("post-restart conditional put: %v", err)
+	}
+}
+
+// TestWaiterResubscribesAfterServerRestart: a storage.Waiter over the wire
+// loses its subscription with its connection when the server restarts. The
+// wait in progress runs out its timer, and the next arm subscribes on a
+// fresh connection, so commits wake it again.
+func TestWaiterResubscribesAfterServerRestart(t *testing.T) {
+	store := dynamo.NewStore()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	srv1 := NewServer(store, ServeOptions{})
+	go srv1.Serve(lis)
+	seedTable(t, store)
+	client := mustDial(t, addr, Options{PoolSize: 1, Retries: 5, RetryBackoff: 20 * time.Millisecond})
+	w := storage.NewWaiter(client, "t", dynamo.Null, clock.Real{})
+	defer w.Close()
+	wakesOnCommit := func() bool {
+		t.Helper()
+		if !w.Arm() {
+			return false
+		}
+		if err := store.Put("t", storage.Item{"K": dynamo.S("b")}, nil); err != nil {
+			t.Fatal(err)
+		}
+		return w.Wait(200*time.Millisecond, nil, nil) == storage.WakeEvent
+	}
+	if !wakesOnCommit() {
+		t.Fatal("a commit did not wake the waiter before the restart")
+	}
+
+	srv1.Close()
+	lis2, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("re-listen %s: %v", addr, err)
+	}
+	srv2 := NewServer(store, ServeOptions{})
+	go srv2.Serve(lis2)
+	defer srv2.Close()
+	// The first round may still hold the dead subscription if the client has
+	// not seen its connection close yet; the one after it must not.
+	if !wakesOnCommit() && !wakesOnCommit() {
+		t.Error("the waiter did not subscribe again after its connection was lost")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dynamo"
 	"repro/internal/storage"
 	"repro/internal/storage/codec"
 )
@@ -30,27 +31,10 @@ type clientSub struct {
 // them as wakeup hints and re-read the table.
 func (w *clientSub) Events() <-chan storage.CommitEvent { return w.ch }
 
-// Wait blocks until an event arrives (consuming it, true), d elapses, or
-// cancel fires (false). A nil cancel never fires. A closed subscription
-// (lost connection) waits out the full duration like a backend without push,
-// so retry loops keep their poll cadence instead of spinning.
-func (w *clientSub) Wait(d time.Duration, cancel <-chan struct{}) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	ch := w.ch
-	for {
-		select {
-		case _, ok := <-ch:
-			if ok {
-				return true
-			}
-			ch = nil
-		case <-timer.C:
-			return false
-		case <-cancel:
-			return false
-		}
-	}
+// Wait implements storage.Subscription.Wait; a lost connection is a closed
+// subscription.
+func (w *clientSub) Wait(d time.Duration, cancel <-chan struct{}, skip func(storage.CommitEvent) bool) bool {
+	return dynamo.WaitEvents(w.ch, d, cancel, skip)
 }
 
 // Close unregisters the subscription locally and tells the server to stop

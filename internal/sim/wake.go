@@ -154,10 +154,10 @@ func (sub *wakeSub) Events() <-chan storage.CommitEvent { return sub.ch }
 
 // Wait implements Subscription.Wait over virtual time: pending events are
 // consumed without blocking; otherwise the task sleeps in bounded slices
-// (each a scheduling decision) until an event lands, d elapses, or cancel
-// fires. A closed subscription waits out the full duration — degrade to the
-// poll cadence, never spin — matching the shared WatchSub contract.
-func (sub *wakeSub) Wait(d time.Duration, cancel <-chan struct{}) bool {
+// (each a scheduling decision) until an unskipped event lands, d elapses, or
+// cancel fires. A closed subscription waits out the full duration — degrade
+// to the poll cadence, never spin — matching the shared WatchSub contract.
+func (sub *wakeSub) Wait(d time.Duration, cancel <-chan struct{}, skip func(storage.CommitEvent) bool) bool {
 	deadline := sub.s.Now().Add(d)
 	// Slice granularity: fine enough that push beats a poll interval by a
 	// wide margin, coarse enough not to flood the trace.
@@ -172,7 +172,10 @@ func (sub *wakeSub) Wait(d time.Duration, cancel <-chan struct{}) bool {
 		default:
 		}
 		select {
-		case _, ok := <-sub.ch:
+		case ev, ok := <-sub.ch:
+			if ok && skip != nil && skip(ev) {
+				continue // skipped: look for the next pending one
+			}
 			if ok {
 				return true
 			}

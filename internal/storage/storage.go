@@ -186,12 +186,11 @@ const DefaultWatchBuffer = dynamo.DefaultWatchBuffer
 type CommitEvent = dynamo.CommitEvent
 
 // Subscription is a live handle on a table's commit stream. Events is the
-// channel form for select-based consumers; Wait is the timer-bounded
-// blocking form used inside retry loops (and the form deterministic
-// simulation wrappers reimplement over virtual time). Delivery is
-// at-least-one-wakeup per commit: events may be coalesced when a subscriber
-// lags, so consumers treat an event as "re-read the table now", never as
-// the data itself.
+// channel form; Wait is the timer-bounded blocking form a Waiter waits on
+// (and the form deterministic simulation wrappers reimplement over virtual
+// time). Delivery is at-least-one-wakeup per commit: events may be coalesced
+// when a subscriber lags, so consumers treat an event as "re-read the table
+// now", never as the data itself.
 type Subscription = dynamo.Subscription
 
 // Watcher is an optional Backend extension: commit-stream subscriptions per

@@ -196,10 +196,10 @@ func testWatchWaitSemantics(t *testing.T, b storage.Backend) {
 	defer sub.Close()
 
 	put(t, b, "t", storage.Item{"K": dynamo.S("a"), "V": dynamo.NInt(1)})
-	if !sub.Wait(watchTimeout, nil) {
+	if !sub.Wait(watchTimeout, nil, nil) {
 		t.Fatal("Wait missed a committed write")
 	}
-	if sub.Wait(watchQuiet, nil) {
+	if sub.Wait(watchQuiet, nil, nil) {
 		t.Fatal("Wait claimed an event on a drained stream")
 	}
 
@@ -207,7 +207,7 @@ func testWatchWaitSemantics(t *testing.T, b storage.Backend) {
 	canceled := make(chan struct{})
 	close(canceled)
 	start := time.Now()
-	if sub.Wait(watchTimeout, canceled) {
+	if sub.Wait(watchTimeout, canceled, nil) {
 		t.Error("canceled Wait claimed an event")
 	}
 	if el := time.Since(start); el > watchTimeout/2 {
@@ -219,7 +219,7 @@ func testWatchWaitSemantics(t *testing.T, b storage.Backend) {
 	sub.Close()
 	const d = 80 * time.Millisecond
 	start = time.Now()
-	if sub.Wait(d, nil) {
+	if sub.Wait(d, nil, nil) {
 		t.Error("Wait on a closed subscription claimed an event")
 	}
 	if el := time.Since(start); el < d/2 {
