@@ -14,33 +14,44 @@ import (
 // compute plane and the in-memory store together, with no telemetry hub and
 // no fault plan — the configuration a deployment runs in. A step allocates
 // what it stores or returns (its step key, its log key, the rows and maps the
-// store hands out or keeps, the boxed update and condition values) and
-// nothing for a crash-point label or a span name nobody reads, nor a
-// projection or a row index per read. In the idiom of
+// store hands out or keeps, its update slice and the conditions that depend
+// on the step) and nothing for a crash-point label or a span name nobody
+// reads, a projection or a row index per read, or a condition on fixed
+// attributes. The bytes column catches a change that trades allocations for
+// bytes. In the idiom of
 // internal/dynamo/alloc_test.go; EXPERIMENTS.md, "Allocations per step", has
 // the before/after table.
 
-// stepBudget is the table: allocations per step (the parent of this budget
-// read 14, 31, 25 and 44).
+// stepBudget is the table: allocations and allocated bytes per step. With
+// boxed update actions and per-call constant conditions the same steps cost
+// 6, 24, 19 and 35 allocations and 760, 2 632, 1 920 and 4 464 bytes (and
+// 14, 31, 25 and 44 allocations before that, while crash labels, span names
+// and projections were built per step).
 var stepBudget = []struct {
-	name string
-	want float64
-	why  string
+	name          string
+	allocs, bytes float64
+	why           string
 }{
-	{"logged read", 6, "step key; the state query's result slice and projected row (2); the read-log queue, on an instance's first read; the queued row's boxed SET"},
-	{"logged write", 24, "step key, log key, the written value, the projection; the skeleton query (3); the apply-and-log update's boxed actions and conditions; the row's new attribute map and copied log map"},
-	{"first write", 19, "step key, log key, the written value, the projection; the empty query; the head row's guarded upsert, its actions and the new row"},
-	{"sync invoke", 35, "callee id, the invoke-log row's update, the envelope; the platform instance and the effect-free callee's whole execution, callback included"},
+	{"logged read", 5, 712, "step key; the state query's result slice and projected row (2); the read-log queue, on an instance's first read"},
+	{"logged write", 18, 2520, "step key, log key, the written value, the projection; the skeleton query (3); the apply-and-log update's actions and conditions; the row's new attribute map and copied log map"},
+	{"first write", 13, 1888, "step key, log key, the written value, the projection; the empty query; the head row's guarded upsert, its actions and the new row"},
+	{"sync invoke", 31, 4400, "callee id, the invoke-log row's update, the envelope; the platform instance and the effect-free callee's whole execution, callback included"},
 }
 
+// bytesSlack is how far a step's allocated bytes may drift from the table
+// either way before the test asks for a look: size classes move a few bytes
+// when a string's length does.
+const bytesSlack = 0.02
+
 // stepAllocs registers a function whose instances each run one measured
-// step, runs it samples times and returns the median allocations per step:
-// the store's own maps grow now and then as keys arrive, which a median does
-// not see. Before sample i, an unmeasured instance of the same function runs
-// setup(e, i) when setup is non-nil (a function sees only its own tables).
-func stepAllocs(t *testing.T, f *fixture, name string, samples int, setup, step func(e *Env, i int) error) float64 {
+// step, runs it samples times and returns the median allocations and
+// allocated bytes per step: the store's own maps grow now and then as keys
+// arrive, which a median does not see. Before sample i, an unmeasured
+// instance of the same function runs setup(e, i) when setup is non-nil (a
+// function sees only its own tables).
+func stepAllocs(t *testing.T, f *fixture, name string, samples int, setup, step func(e *Env, i int) error) stepMem {
 	t.Helper()
-	var counts []uint64
+	var counts, sizes []uint64
 	f.fn(name, func(e *Env, in Value) (Value, error) {
 		i := int(in.Int())
 		if i < 0 {
@@ -51,6 +62,7 @@ func stepAllocs(t *testing.T, f *fixture, name string, samples int, setup, step 
 		err := step(e, i)
 		runtime.ReadMemStats(&m1)
 		counts = append(counts, m1.Mallocs-m0.Mallocs)
+		sizes = append(sizes, m1.TotalAlloc-m0.TotalAlloc)
 		return dynamo.Null, err
 	}, "kv")
 	for i := 0; i < samples; i++ {
@@ -60,8 +72,12 @@ func stepAllocs(t *testing.T, f *fixture, name string, samples int, setup, step 
 		f.mustInvoke(name, dynamo.NInt(int64(i)))
 	}
 	slices.Sort(counts)
-	return float64(counts[len(counts)/2])
+	slices.Sort(sizes)
+	return stepMem{float64(counts[len(counts)/2]), float64(sizes[len(sizes)/2])}
 }
+
+// stepMem is one step's median allocations and allocated bytes.
+type stepMem struct{ allocs, bytes float64 }
 
 func TestStepAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
@@ -77,15 +93,21 @@ func TestStepAllocBudget(t *testing.T) {
 	write := func(e *Env, i int) error { return e.Write("kv", keys[i], dynamo.NInt(int64(i))) }
 	f.fn("leaf", func(e *Env, in Value) (Value, error) { return in, nil })
 
-	got := []float64{
+	got := []stepMem{
 		stepAllocs(t, f, "read", samples, write, func(e *Env, i int) error { _, err := e.Read("kv", keys[i]); return err }),
 		stepAllocs(t, f, "write", samples, write, write),
 		stepAllocs(t, f, "first", samples, nil, write),
 		stepAllocs(t, f, "call", samples, nil, func(e *Env, i int) error { _, err := e.SyncInvoke("leaf", dynamo.Null); return err }),
 	}
 	for i, row := range stepBudget {
-		if got[i] != row.want {
-			t.Errorf("%s: %.2f allocations, want %.0f (%s)", row.name, got[i], row.want, row.why)
+		t.Logf("%s: %.0f allocations, %.0f bytes", row.name, got[i].allocs, got[i].bytes)
+		if got[i].allocs != row.allocs {
+			t.Errorf("%s: %.2f allocations, want %.0f (%s)", row.name, got[i].allocs, row.allocs, row.why)
+		}
+		if got[i].bytes > row.bytes*(1+bytesSlack) {
+			t.Errorf("%s: %.0f bytes allocated, over its %.0f by more than %.0f%%", row.name, got[i].bytes, row.bytes, 100*bytesSlack)
+		} else if got[i].bytes < row.bytes*(1-bytesSlack) {
+			t.Errorf("%s: %.0f bytes allocated, well under its %.0f: lower the table", row.name, got[i].bytes, row.bytes)
 		}
 	}
 }

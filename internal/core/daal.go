@@ -112,8 +112,20 @@ func (m mutation) guard() dynamo.Cond {
 	return m.cond
 }
 
-func (m mutation) updates() []dynamo.Update {
-	var ups []dynamo.Update
+// numUpdates is how many actions appendUpdates appends.
+func (m mutation) numUpdates() int {
+	n := 0
+	if m.setVal != nil {
+		n++
+	}
+	if m.setLock != nil {
+		n++
+	}
+	return n
+}
+
+// appendUpdates appends the mutation's actions to ups.
+func (m mutation) appendUpdates(ups []dynamo.Update) []dynamo.Update {
 	if m.setVal != nil {
 		ups = append(ups, dynamo.Set(dynamo.A(attrValue), *m.setVal))
 	}
@@ -223,17 +235,18 @@ func (d *daal) readRow(key, rowID string) (daalRow, bool, error) {
 func (d *daal) firstWrite(key, logKey string, mut mutation) (won, outcome bool, _ error) {
 	outcome = mut.cond == nil || mut.cond.Eval(dynamo.Item{attrKey: dynamo.S(key),
 		attrRowID: dynamo.S(headRowID), attrValue: dynamo.Null, attrLogSize: dynamo.N(0)})
-	ups := []dynamo.Update{
+	ups := make([]dynamo.Update, 0, 3+mut.numUpdates())
+	ups = append(ups,
 		dynamo.Set(dynamo.A(attrLogSize), dynamo.N(1)),
 		dynamo.Set(dynamo.AK(attrRecent, logKey), dynamo.Bool(outcome)),
-	}
+	)
 	if outcome {
-		ups = append(ups, mut.updates()...)
+		ups = mut.appendUpdates(ups)
 	}
 	if !outcome || mut.setVal == nil {
 		ups = append(ups, dynamo.Set(dynamo.A(attrValue), dynamo.Null))
 	}
-	err := d.rt.store.Update(d.table, rowKeyOf(key, headRowID), dynamo.NotExists(dynamo.A(attrKey)), ups...)
+	err := d.rt.store.Update(d.table, rowKeyOf(key, headRowID), keyAbsent, ups...)
 	if errors.Is(err, dynamo.ErrConditionFailed) {
 		return false, false, nil
 	}
@@ -255,7 +268,7 @@ func (d *daal) appendRow(prev daalRow) (string, error) {
 	if !prev.lock.IsNull() {
 		item[attrLockOwner] = prev.lock
 	}
-	err := d.rt.store.Put(d.table, item, dynamo.NotExists(dynamo.A(attrKey)))
+	err := d.rt.store.Put(d.table, item, keyAbsent)
 	if err != nil && !errors.Is(err, dynamo.ErrConditionFailed) {
 		return "", err
 	}
@@ -263,7 +276,7 @@ func (d *daal) appendRow(prev daalRow) (string, error) {
 	// appender already linked it — to the same deterministic id.
 	err = d.rt.store.Update(d.table,
 		dynamo.HSK(dynamo.S(prev.key), dynamo.S(prev.rowID)),
-		dynamo.NotExists(dynamo.A(attrNextRow)),
+		nextRowAbsent,
 		dynamo.Set(dynamo.A(attrNextRow), dynamo.S(newID)))
 	if err != nil && !errors.Is(err, dynamo.ErrConditionFailed) {
 		return "", err
@@ -305,14 +318,11 @@ func (d *daal) tryWrite(key, logKey, rowID string, mut mutation, depth int) (boo
 		return false, fmt.Errorf("core: %s/%s: DAAL chain walk exceeded %d hops", d.table, key, maxChainHops)
 	}
 	rowKey := dynamo.HSK(dynamo.S(key), dynamo.S(rowID))
-	roomLeft := dynamo.And(
-		dynamo.NotExists(dynamo.AK(attrRecent, logKey)),
-		dynamo.Lt(dynamo.A(attrLogSize), dynamo.N(float64(d.rt.cfg.RowCap))),
-		dynamo.NotExists(dynamo.A(attrNextRow)),
-	)
+	roomLeft := dynamo.And(dynamo.NotExists(dynamo.AK(attrRecent, logKey)), d.rt.logRoom, nextRowAbsent)
 
 	// Case B1: guard holds, space available — apply and log atomically.
-	ups := append(mut.updates(),
+	ups := mut.appendUpdates(make([]dynamo.Update, 0, mut.numUpdates()+2))
+	ups = append(ups,
 		dynamo.Add(dynamo.A(attrLogSize), 1),
 		dynamo.Set(dynamo.AK(attrRecent, logKey), dynamo.Bool(true)),
 	)

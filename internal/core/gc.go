@@ -142,9 +142,7 @@ func (rt *Runtime) gcPhaseStamp(now, tUs int64, st *GCStats) (map[string]bool, e
 		case !rec.hasFinish:
 			// First sighting after completion: stamp. Conditional so a
 			// concurrent GC's earlier stamp is never overwritten forward.
-			err := rt.store.Update(rt.intentTable, dynamo.HK(dynamo.S(rec.id)),
-				dynamo.And(dynamo.Eq(dynamo.A(attrDone), dynamo.Bool(true)),
-					dynamo.NotExists(dynamo.A(attrFinishTime))),
+			err := rt.store.Update(rt.intentTable, dynamo.HK(dynamo.S(rec.id)), doneUnstamped,
 				dynamo.Set(dynamo.A(attrFinishTime), dynamo.NInt(now)))
 			if err != nil && !errors.Is(err, dynamo.ErrConditionFailed) {
 				return nil, err
@@ -330,8 +328,7 @@ func (rt *Runtime) gcChain(table, key string, rows map[string]daalRow, recyclabl
 		if reachable[id] || row.dangle != 0 {
 			continue
 		}
-		if err := rt.store.Update(table, rowKeyOf(key, id),
-			dynamo.NotExists(dynamo.A(attrDangleTime)),
+		if err := rt.store.Update(table, rowKeyOf(key, id), dangleAbsent,
 			dynamo.Set(dynamo.A(attrDangleTime), dynamo.NInt(now))); err != nil &&
 			!errors.Is(err, dynamo.ErrConditionFailed) {
 			return err

@@ -189,3 +189,13 @@ func counterBody(e *Env, input Value) (Value, error) {
 	}
 	return next, nil
 }
+
+// intentDone reads an intent's completion state without decoding its
+// envelope (an inspection aid for tests).
+func (rt *Runtime) intentDone(id string) (exists, done bool, ret Value, err error) {
+	it, ok, err := rt.store.Get(rt.intentTable, dynamo.HK(dynamo.S(id)))
+	if err != nil || !ok {
+		return false, false, dynamo.Null, err
+	}
+	return true, it[attrDone].BoolVal(), it[attrRet], nil
+}

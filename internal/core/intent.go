@@ -82,7 +82,7 @@ func (rt *Runtime) createIntent(rec *intentRecord) error {
 		attrStartTime:  dynamo.NInt(rec.startTime),
 		attrLastLaunch: dynamo.NInt(rec.lastLaunch),
 	}
-	err := rt.store.Put(rt.intentTable, item, dynamo.NotExists(dynamo.A(attrInstanceID)))
+	err := rt.store.Put(rt.intentTable, item, instanceAbsent)
 	if err == nil {
 		rt.stats.IntentsStarted.Add(1)
 	}
@@ -131,7 +131,7 @@ func (rt *Runtime) loadIntent(id string) (*intentRecord, bool, error) {
 // can finish arbitrarily late; the condition turns its late completion into
 // a no-op (the work was already done and collected).
 func (rt *Runtime) markIntentDone(id string, ret Value) error {
-	guard := dynamo.Exists(dynamo.A(attrInstanceID))
+	guard := instancePresent
 	if FaultUnguardedIntentDone.Load() {
 		guard = nil // reintroduce the zombie-upsert bug (see simfault.go)
 	}
@@ -167,14 +167,4 @@ func (rt *Runtime) touchLaunch(id string, observed, now int64) (bool, error) {
 		return false, nil
 	}
 	return false, err
-}
-
-// intentDone reads an intent's completion state without decoding its
-// envelope (an inspection aid for tests).
-func (rt *Runtime) intentDone(id string) (exists, done bool, ret Value, err error) {
-	it, ok, err := rt.store.Get(rt.intentTable, dynamo.HK(dynamo.S(id)))
-	if err != nil || !ok {
-		return false, false, dynamo.Null, err
-	}
-	return true, it[attrDone].BoolVal(), it[attrRet], nil
 }

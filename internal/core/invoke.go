@@ -67,8 +67,7 @@ func (e *Env) syncInvokeStep(stepKey, callee string, input Value, txn *TxnContex
 	// Log the invocation intent, minting the callee id exactly once.
 	calleeID = e.rt.ids.NewString()
 	e.crash("invoke:pre:", stepKey)
-	err := e.update("invoke", e.rt.invokeLog, logKey,
-		dynamo.NotExists(dynamo.A(attrID)),
+	err := e.update("invoke", e.rt.invokeLog, logKey, idAbsent,
 		dynamo.Set(dynamo.A(attrCalleeID), dynamo.S(calleeID)))
 	if err != nil {
 		if !errors.Is(err, dynamo.ErrConditionFailed) {
@@ -158,8 +157,7 @@ func (e *Env) syncInvokeStep(stepKey, callee string, input Value, txn *TxnContex
 // and every execution from here on shares one intent and one log; refused, a
 // result is already held and is returned instead of launching anything.
 func (e *Env) relaunchCallee(logKey dynamo.Key) (res Value, has bool, _ error) {
-	err := e.rt.store.Update(e.rt.invokeLog, logKey,
-		dynamo.And(dynamo.Exists(dynamo.A(attrID)), dynamo.NotExists(dynamo.A(attrResult))),
+	err := e.rt.store.Update(e.rt.invokeLog, logKey, loggedResultUnset,
 		dynamo.Set(dynamo.A(attrRelaunched), dynamo.Bool(true)))
 	if !errors.Is(err, dynamo.ErrConditionFailed) {
 		return dynamo.Null, false, err
@@ -233,8 +231,7 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, promise bool)
 	calleeID := e.rt.ids.NewString()
 	e.crash("ainvoke:pre:", stepKey)
 	registered := false
-	err := e.update("invoke", e.rt.invokeLog, logKey,
-		dynamo.NotExists(dynamo.A(attrID)),
+	err := e.update("invoke", e.rt.invokeLog, logKey, idAbsent,
 		dynamo.Set(dynamo.A(attrCalleeID), dynamo.S(calleeID)))
 	if err != nil {
 		if !errors.Is(err, dynamo.ErrConditionFailed) {
@@ -329,9 +326,13 @@ const callbackHeld = "Held"
 
 // What a callback requires of its invoke-log row beyond naming its callee,
 // built once (every callback of every workflow evaluates one of them): no
-// result yet, and for an effect-free result no relaunch either.
-var resultUnset = dynamo.NotExists(dynamo.A(attrResult))
-var resultUnsetRowOpen = dynamo.And(resultUnset, dynamo.NotExists(dynamo.A(attrRelaunched)))
+// result yet, and for an effect-free result no relaunch either. What
+// relaunchCallee requires: a logged call with no result yet.
+var (
+	resultUnset        = dynamo.NotExists(dynamo.A(attrResult))
+	resultUnsetRowOpen = dynamo.And(resultUnset, dynamo.NotExists(dynamo.A(attrRelaunched)))
+	loggedResultUnset  = dynamo.And(idPresent, resultUnset)
+)
 
 // handleCallback is the caller-side callback handler: record the result for
 // the (instance, step) invoke-log entry, guarded by the callee id so a
@@ -353,7 +354,7 @@ func (rt *Runtime) handleCallback(ev envelope) (Value, error) {
 	}
 	err := rt.store.Update(rt.invokeLog, lk,
 		dynamo.And(
-			dynamo.Exists(dynamo.A(attrID)),
+			idPresent,
 			dynamo.Eq(dynamo.A(attrCalleeID), dynamo.S(ev.CalleeID)),
 			open,
 		),

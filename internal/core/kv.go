@@ -105,14 +105,13 @@ func (l crossTableLayer) loggedMutate(logical, key, logKey string, mut mutation)
 	dataT, logT := l.dataPhysical(logical), l.logPhysical(logical)
 	id, step := splitLogKey(logKey)
 	logKeyD := dynamo.HSK(dynamo.S(id), dynamo.S(step))
-	logCond := dynamo.NotExists(dynamo.A(attrID))
 	dataKey := dynamo.HK(dynamo.S(key))
 
 	// First attempt: guard holds and the step is new — apply and log
 	// atomically across the two tables (the analogue of case B1).
 	err := l.rt.store.TransactWrite([]dynamo.TxOp{
-		{Table: dataT, Key: dataKey, Cond: mut.guard(), Updates: mut.updates()},
-		{Table: logT, Key: logKeyD, Cond: logCond,
+		{Table: dataT, Key: dataKey, Cond: mut.guard(), Updates: mut.appendUpdates(nil)},
+		{Table: logT, Key: logKeyD, Cond: idAbsent,
 			Updates: []dynamo.Update{dynamo.Set(dynamo.A(attrOutcome), dynamo.Bool(true))}},
 	})
 	if err == nil {
@@ -134,7 +133,7 @@ func (l crossTableLayer) loggedMutate(logical, key, logKey string, mut mutation)
 	// (Appendix A). A conditional failure here means a concurrent executor
 	// of the same step won; adopt its outcome.
 	err = l.rt.store.TransactWrite([]dynamo.TxOp{
-		{Table: logT, Key: logKeyD, Cond: logCond,
+		{Table: logT, Key: logKeyD, Cond: idAbsent,
 			Updates: []dynamo.Update{dynamo.Set(dynamo.A(attrOutcome), dynamo.Bool(false))}},
 	})
 	if err == nil {

@@ -204,7 +204,7 @@ func (c *postedResults) get(step string) (Value, bool) {
 // answers for step.
 func (c *postedResults) fetch(e *Env, step string) (Value, bool, error) {
 	rows, err := e.rt.store.Query(e.rt.invokeLog, dynamo.S(e.instanceID), dynamo.QueryOpts{
-		Filter:     dynamo.And(dynamo.Exists(dynamo.A(attrPosted)), dynamo.Ge(dynamo.A(attrStep), dynamo.S(step))),
+		Filter:     dynamo.And(postedPresent, dynamo.Ge(dynamo.A(attrStep), dynamo.S(step))),
 		Projection: []dynamo.Path{dynamo.A(attrStep), dynamo.A(attrPosted)},
 	})
 	if err != nil {
@@ -286,9 +286,9 @@ func (rt *Runtime) postPromise(ev envelope, result Value) error {
 func (rt *Runtime) handlePromisePost(ev envelope) (Value, error) {
 	err := rt.store.Update(rt.invokeLog, dynamo.HSK(dynamo.S(ev.ReplyOwner), dynamo.S(ev.ReplyStep)),
 		dynamo.And(
-			dynamo.Exists(dynamo.A(attrID)),
+			idPresent,
 			dynamo.Eq(dynamo.A(attrCalleeID), dynamo.S(ev.CalleeID)),
-			dynamo.NotExists(dynamo.A(attrPosted)),
+			postedAbsent,
 		),
 		dynamo.Set(dynamo.A(attrPosted), ev.Result))
 	switch {

@@ -39,11 +39,10 @@ var ErrInstanceSuperseded = errors.New("core: instance superseded by a concurren
 // between chunks leaves a logged prefix.
 const readLogChunk = 25
 
-// readLogRow is one queued read-log insert: the step key and the row's SET
-// action, boxed once at queue time so the queue itself stays two words a row.
+// readLogRow is one queued read-log insert: the step key and the value read.
 type readLogRow struct {
 	step string
-	set  dynamo.Update
+	val  Value
 }
 
 // readLogState is an instance's view of its read-log partition, shared by
@@ -101,7 +100,7 @@ func (e *Env) loadReadLog(rl *readLogState) error {
 func (e *Env) queueRead(stepKey string, val Value) {
 	rl := &e.shared.reads
 	rl.mu.Lock()
-	rl.queue = append(rl.queue, readLogRow{stepKey, dynamo.Set(dynamo.A(attrValue), val)})
+	rl.queue = append(rl.queue, readLogRow{stepKey, val})
 	rl.mu.Unlock()
 }
 
@@ -132,7 +131,7 @@ func (e *Env) flushReads(boundary string) error {
 	}
 	t0 := e.rt.spanClock()
 	first, rows := rl.queue[0].step, len(rl.queue)
-	id, cond := dynamo.S(e.instanceID), dynamo.NotExists(dynamo.A(attrID))
+	id := dynamo.S(e.instanceID)
 	var err error
 	for len(rl.queue) > 0 && err == nil {
 		chunk := rl.queue[:min(len(rl.queue), readLogChunk)]
@@ -142,13 +141,14 @@ func (e *Env) flushReads(boundary string) error {
 		if len(chunk) == 1 {
 			// A one-row transaction is a conditional update; stores price it
 			// as one (DynamoDB bills and serves transactions at a multiple).
-			err = e.rt.store.Update(e.rt.readLog, dynamo.HSK(id, dynamo.S(chunk[0].step)), cond, chunk[0].set)
+			err = e.rt.store.Update(e.rt.readLog, dynamo.HSK(id, dynamo.S(chunk[0].step)), idAbsent,
+				dynamo.Set(dynamo.A(attrValue), chunk[0].val))
 		} else {
 			ops, sets := make([]dynamo.TxOp, len(chunk)), make([]dynamo.Update, len(chunk))
 			for i, r := range chunk {
-				sets[i] = r.set
+				sets[i] = dynamo.Set(dynamo.A(attrValue), r.val)
 				ops[i] = dynamo.TxOp{Table: e.rt.readLog, Key: dynamo.HSK(id, dynamo.S(r.step)),
-					Cond: cond, Updates: sets[i : i+1 : i+1]}
+					Cond: idAbsent, Updates: sets[i : i+1 : i+1]}
 			}
 			err = e.rt.store.TransactWrite(ops)
 		}
@@ -228,7 +228,7 @@ func (e *Env) adoptLogged(rl *readLogState) error {
 		logged, ok := rl.logged[r.step]
 		if !ok {
 			kept = append(kept, r)
-		} else if d, _ := dynamo.DescribeUpdate(r.set); !d.Value.Equal(logged) {
+		} else if !r.val.Equal(logged) {
 			return ErrInstanceSuperseded
 		}
 	}

@@ -181,6 +181,8 @@ type Runtime struct {
 	// kv and kvShadow are the mode's state layer over the data tables and
 	// over their shadows, built once (see layer).
 	kv, kvShadow kvLayer
+	// logRoom is "LogSize < RowCap", the DAAL row's room-left test.
+	logRoom dynamo.Cond
 
 	mu             sync.RWMutex
 	dataTables_    []string
@@ -276,6 +278,7 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 	default:
 		rt.kv, rt.kvShadow = daalLayer{rt: rt}, daalLayer{rt: rt, isShadow: true}
 	}
+	rt.logRoom = dynamo.Lt(dynamo.A(attrLogSize), dynamo.N(float64(rt.cfg.RowCap)))
 	if rt.tel != nil {
 		rt.histStep = rt.tel.Registry.Histogram("core." + rt.fn + ".step_commit")
 		rt.histLock = rt.tel.Registry.Histogram("core." + rt.fn + ".lock_acquire")
@@ -606,4 +609,22 @@ const (
 	attrOutcome    = "Outcome"
 
 	indexPending = "pending"
+)
+
+// Conditions on fixed attributes, built once: a Cond is a boxed value, and
+// every logged step evaluates one or more of these. The callback's and the
+// relaunch's (resultUnset, …) live beside handleCallback.
+var (
+	idAbsent        = dynamo.NotExists(dynamo.A(attrID))
+	idPresent       = dynamo.Exists(dynamo.A(attrID))
+	instanceAbsent  = dynamo.NotExists(dynamo.A(attrInstanceID))
+	instancePresent = dynamo.Exists(dynamo.A(attrInstanceID))
+	keyAbsent       = dynamo.NotExists(dynamo.A(attrKey))
+	nextRowAbsent   = dynamo.NotExists(dynamo.A(attrNextRow))
+	dangleAbsent    = dynamo.NotExists(dynamo.A(attrDangleTime))
+	postedPresent   = dynamo.Exists(dynamo.A(attrPosted))
+	postedAbsent    = dynamo.NotExists(dynamo.A(attrPosted))
+	// doneUnstamped is a finished intent the collector has not stamped yet.
+	doneUnstamped = dynamo.And(dynamo.Eq(dynamo.A(attrDone), dynamo.Bool(true)),
+		dynamo.NotExists(dynamo.A(attrFinishTime)))
 )

@@ -254,7 +254,7 @@ func (e *Env) claimTxnSettle(ctx *TxnContext) (bool, error) {
 	err := e.update("txn", e.rt.txCallees,
 		dynamo.HSK(dynamo.S(ctx.ID), dynamo.S(settleMarker)),
 		dynamo.Or(
-			dynamo.NotExists(dynamo.A(attrInstanceID)),
+			instanceAbsent,
 			dynamo.Eq(dynamo.A(attrInstanceID), dynamo.S(e.instanceID)),
 		),
 		dynamo.Set(dynamo.A(attrInstanceID), dynamo.S(e.instanceID)))

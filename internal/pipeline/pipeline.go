@@ -37,7 +37,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,6 +109,18 @@ type dirtyKey struct {
 	hash, sort dynamo.ScalarKey
 }
 
+// before orders dirty rows by table, then hash, then sort key: a flush's
+// deterministic install order.
+func (a dirtyKey) before(b dirtyKey) bool {
+	if a.table != b.table {
+		return a.table < b.table
+	}
+	if a.hash != b.hash {
+		return a.hash.Before(b.hash)
+	}
+	return a.sort.Before(b.sort)
+}
+
 // keySpec caches a table's primary-key attribute names.
 type keySpec struct {
 	hash, sort string
@@ -140,6 +152,12 @@ type Store struct {
 	histBatch *hist.Histogram // rows per flushed batch (as a duration in ns units)
 	histLag   *hist.Histogram // append→durable latency of the oldest row per batch
 	oldestAt  time.Time       // when the oldest currently-dirty row was appended
+
+	// entries and ops are the capture buffers, reused by every flush: one
+	// flush is in flight at a time (flushLocked waits out the committer's),
+	// and finishFlush zeroes ops so the buffer pins no post-image.
+	entries []captureEntry
+	ops     []dynamo.TxOp
 
 	done chan struct{} // background committer exit
 }
@@ -351,46 +369,52 @@ func (p *Store) stuck() error {
 	return nil
 }
 
+// captureEntry is one dirty row in capture order.
+type captureEntry struct {
+	dk  dirtyKey
+	key dynamo.Key
+}
+
 // captureLocked drains the dirty set into a deterministic batch of
-// unconditional post-image installs. Callers hold mu.
+// unconditional post-image installs, in the reused ops buffer: the batch is
+// valid until finishFlush. Callers hold mu.
 func (p *Store) captureLocked() ([]dynamo.TxOp, uint64, time.Time, error) {
 	target := p.appendLSN
 	if len(p.dirty) == 0 {
 		return nil, target, time.Time{}, nil
 	}
-	type entry struct {
-		dk  dirtyKey
-		key dynamo.Key
-	}
-	entries := make([]entry, 0, len(p.dirty))
+	entries := p.entries[:0]
 	for dk, key := range p.dirty {
-		entries = append(entries, entry{dk, key})
+		entries = append(entries, captureEntry{dk, key})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i].dk, entries[j].dk
-		if a.table != b.table {
-			return a.table < b.table
+	slices.SortFunc(entries, func(a, b captureEntry) int {
+		if a.dk.before(b.dk) {
+			return -1
 		}
-		if a.hash != b.hash {
-			return a.hash.Before(b.hash)
+		if b.dk.before(a.dk) {
+			return 1
 		}
-		return a.sort.Before(b.sort)
+		return 0
 	})
-	ops := make([]dynamo.TxOp, 0, len(entries))
+	var err error
 	for _, e := range entries {
-		it, ok, err := p.shadow.Get(e.dk.table, e.key)
-		if err != nil {
-			return nil, 0, time.Time{}, err
+		it, ok, gerr := p.shadow.Get(e.dk.table, e.key)
+		if err = gerr; err != nil {
+			break
 		}
 		if ok {
-			ops = append(ops, dynamo.TxOp{Table: e.dk.table, Put: it})
+			p.ops = append(p.ops, dynamo.TxOp{Table: e.dk.table, Put: it})
 		} else {
-			ops = append(ops, dynamo.TxOp{Table: e.dk.table, Key: e.key, Delete: true})
+			p.ops = append(p.ops, dynamo.TxOp{Table: e.dk.table, Key: e.key, Delete: true})
 		}
 	}
-	oldest := p.oldestAt
-	p.dirty = make(map[dirtyKey]dynamo.Key)
-	return ops, target, oldest, nil
+	clear(entries)
+	p.entries = entries[:0]
+	if err != nil {
+		return nil, 0, time.Time{}, err
+	}
+	clear(p.dirty)
+	return p.ops, target, p.oldestAt, nil
 }
 
 // flushLocked performs one capture+install round while holding mu (the
@@ -409,12 +433,15 @@ func (p *Store) flushLocked() error {
 	if err == nil && len(ops) > 0 {
 		err = p.base.TransactWrite(ops)
 	}
-	p.finishFlush(ops, target, oldest, err)
+	p.finishFlush(len(ops), target, oldest, err)
 	return p.flushErr
 }
 
-// finishFlush records one flush round's outcome. Callers hold mu.
-func (p *Store) finishFlush(ops []dynamo.TxOp, target uint64, oldest time.Time, err error) {
+// finishFlush records the outcome of one flush round of rows installs and
+// zeroes the capture buffer. Callers hold mu.
+func (p *Store) finishFlush(rows int, target uint64, oldest time.Time, err error) {
+	clear(p.ops)
+	p.ops = p.ops[:0]
 	if err != nil {
 		if p.flushErr == nil {
 			p.flushErr = fmt.Errorf("pipeline: flush failed, overlay poisoned: %w", err)
@@ -423,17 +450,17 @@ func (p *Store) finishFlush(ops []dynamo.TxOp, target uint64, oldest time.Time, 
 		if target > p.durableLSN {
 			p.durableLSN = target
 		}
-		if len(ops) > 0 {
+		if rows > 0 {
 			p.stats.Flushes++
-			p.stats.FlushedRows += int64(len(ops))
-			if int64(len(ops)) > p.stats.MaxBatch {
-				p.stats.MaxBatch = int64(len(ops))
+			p.stats.FlushedRows += int64(rows)
+			if int64(rows) > p.stats.MaxBatch {
+				p.stats.MaxBatch = int64(rows)
 			}
 			if ds, ok := storage.AsDynamo(p.base); ok {
-				p.stats.ModeledFlushTime += ds.ModelCommitLatency(len(ops))
+				p.stats.ModeledFlushTime += ds.ModelCommitLatency(rows)
 			}
 			if h := p.histBatch; h != nil {
-				h.Record(time.Duration(len(ops)))
+				h.Record(time.Duration(rows))
 			}
 			if h := p.histLag; h != nil && !oldest.IsZero() {
 				h.Record(time.Since(oldest))
@@ -475,7 +502,7 @@ func (p *Store) committer() {
 		}
 		p.mu.Lock()
 		p.flushing = false
-		p.finishFlush(ops, target, oldest, err)
+		p.finishFlush(len(ops), target, oldest, err)
 		p.mu.Unlock()
 	}
 }
@@ -549,7 +576,7 @@ func (p *Store) Close() error {
 // log prefix.
 func (p *Store) DropAndClose() {
 	p.mu.Lock()
-	p.dirty = make(map[dirtyKey]dynamo.Key)
+	clear(p.dirty)
 	p.durableLSN = p.appendLSN // nothing left to flush
 	p.closed = true
 	p.condWork.Broadcast()

@@ -254,6 +254,32 @@ func TestDepthOneIsSynchronous(t *testing.T) {
 	}
 }
 
+// TestDepthBoundsUnflushedWrites walks past Depth: the writes below it stay
+// speculative, the one that reaches it is not acknowledged until a flush has
+// made everything before it durable.
+func TestDepthBoundsUnflushedWrites(t *testing.T) {
+	const depth = 4
+	base := newBase(t)
+	p, err := New(base, Options{Depth: depth, ManualFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2*depth; i++ {
+		if err := p.Put("kv", dynamo.Item{"K": dynamo.S(fmt.Sprintf("k%d", i)), "V": dynamo.NInt(int64(i))}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if want := i % depth; p.Lag() != want {
+			t.Fatalf("after write %d: Lag = %d, want %d", i, p.Lag(), want)
+		}
+	}
+	if st := p.Snapshot(); st.Flushes != 2 || st.FlushedRows != 2*depth {
+		t.Fatalf("stats = %+v, want 2 flushes of %d rows", st, depth)
+	}
+	if n, _ := base.TableItemCount("kv"); n != 2*depth {
+		t.Fatalf("base holds %d rows, want %d", n, 2*depth)
+	}
+}
+
 func TestFenceWaitsForCommitter(t *testing.T) {
 	base := newBase(t)
 	p, err := New(base, Options{Linger: time.Millisecond})

@@ -201,6 +201,13 @@ const (
 	attrReason  = "Reason" // DLQ rows: why the message was dead-lettered
 )
 
+// A message row's existence tests, built once: a Cond is a boxed value, and
+// every enqueue, claim and ack evaluates one.
+var (
+	msgAbsent  = dynamo.NotExists(dynamo.A(attrMsgID))
+	msgPresent = dynamo.Exists(dynamo.A(attrMsgID))
+)
+
 // Physical table names.
 func tableOf(q string) string    { return "queue." + q }
 func dlqTableOf(q string) string { return "queue." + q + ".dlq" }
@@ -312,7 +319,7 @@ func (b *Broker) EnqueueDelayed(name string, body Value, delay time.Duration) (s
 		attrVisible: dynamo.NInt(now + delay.Microseconds()),
 		attrRecv:    dynamo.NInt(0),
 	}
-	if err := b.store.Put(tableOf(name), item, dynamo.NotExists(dynamo.A(attrMsgID))); err != nil {
+	if err := b.store.Put(tableOf(name), item, msgAbsent); err != nil {
 		return "", err
 	}
 	b.metrics.Enqueued.Add(1)
@@ -365,7 +372,7 @@ func (b *Broker) Receive(name string, max int) ([]Message, error) {
 		// we observed so racing consumers cannot double-claim one delivery.
 		err := b.store.Update(tableOf(name), dynamo.HK(dynamo.S(id)),
 			dynamo.And(
-				dynamo.Exists(dynamo.A(attrMsgID)),
+				msgPresent,
 				dynamo.Eq(dynamo.A(attrVisible), dynamo.NInt(observedVis)),
 			),
 			dynamo.Set(dynamo.A(attrVisible), dynamo.NInt(now+opts.VisibilityTimeout.Microseconds())),
@@ -414,7 +421,7 @@ func (b *Broker) deadLetter(name string, row dynamo.Item, observedVis int64, rea
 	}
 	err := b.store.Delete(tableOf(name), dynamo.HK(dynamo.S(id)),
 		dynamo.And(
-			dynamo.Exists(dynamo.A(attrMsgID)),
+			msgPresent,
 			dynamo.Eq(dynamo.A(attrVisible), dynamo.NInt(observedVis)),
 		))
 	if err != nil {
@@ -439,7 +446,7 @@ func (b *Broker) Ack(name, msgID, receipt string) error {
 	}
 	err := b.store.Delete(tableOf(name), dynamo.HK(dynamo.S(msgID)),
 		dynamo.And(
-			dynamo.Exists(dynamo.A(attrMsgID)),
+			msgPresent,
 			dynamo.Eq(dynamo.A(attrReceipt), dynamo.S(receipt)),
 		))
 	if err != nil {
@@ -462,7 +469,7 @@ func (b *Broker) Nack(name, msgID, receipt string) error {
 	}
 	err := b.store.Update(tableOf(name), dynamo.HK(dynamo.S(msgID)),
 		dynamo.And(
-			dynamo.Exists(dynamo.A(attrMsgID)),
+			msgPresent,
 			dynamo.Eq(dynamo.A(attrReceipt), dynamo.S(receipt)),
 		),
 		dynamo.Set(dynamo.A(attrVisible), dynamo.NInt(b.now())),
@@ -564,7 +571,7 @@ func (b *Broker) Redrive(name string) (int, error) {
 		delete(live, attrReceipt)
 		live[attrRecv] = dynamo.NInt(0)
 		live[attrVisible] = dynamo.NInt(b.now())
-		err := b.store.Put(tableOf(name), live, dynamo.NotExists(dynamo.A(attrMsgID)))
+		err := b.store.Put(tableOf(name), live, msgAbsent)
 		if err != nil && !errors.Is(err, dynamo.ErrConditionFailed) {
 			return n, err
 		}

@@ -43,6 +43,12 @@ const (
 	attrStamp   = "StampKey"
 )
 
+// A timer row's existence tests, built once.
+var (
+	timerAbsent  = dynamo.NotExists(dynamo.A(attrTimerID))
+	timerPresent = dynamo.Exists(dynamo.A(attrTimerID))
+)
+
 // DefaultTimerTable is the timer registration table's name.
 const DefaultTimerTable = "queue.timers"
 
@@ -143,7 +149,7 @@ func (ts *TimerService) Schedule(spec TimerSpec) error {
 	if spec.StampKey != "" {
 		item[attrStamp] = dynamo.S(spec.StampKey)
 	}
-	err := ts.b.store.Put(ts.tbl, item, dynamo.NotExists(dynamo.A(attrTimerID)))
+	err := ts.b.store.Put(ts.tbl, item, timerAbsent)
 	if err != nil {
 		if errors.Is(err, dynamo.ErrConditionFailed) {
 			return nil // already registered
@@ -251,14 +257,14 @@ func (ts *TimerService) fireOne(row dynamo.Item, now int64) (bool, error) {
 		attrRecv:    dynamo.NInt(0),
 	}
 	guard := dynamo.And(
-		dynamo.Exists(dynamo.A(attrTimerID)),
+		timerPresent,
 		dynamo.Eq(dynamo.A(attrFires), dynamo.NInt(fires)),
 	)
 	ops := []dynamo.TxOp{{
 		Table: tableOf(q),
 		Key:   dynamo.HK(dynamo.S(msgID)),
 		Put:   msg,
-		Cond:  dynamo.NotExists(dynamo.A(attrMsgID)),
+		Cond:  msgAbsent,
 	}}
 	if period > 0 {
 		ops = append(ops, dynamo.TxOp{

@@ -17,12 +17,15 @@ import (
 // server and nothing else: encoders, frame bodies, decoders, attribute and
 // table names, the reply channel and the deadline timer are all reused. What
 // is left is what the call returns (rows: their maps and data strings) and
-// what dynamo and the decode-then-rebuild of conditions and updates allocate
-// — both outside this package's reach (ROADMAP, "Smaller, ledger-bounded
-// cuts"). The store's share is one attribute map per row it returns or
-// installs (internal/dynamo/alloc_test.go): it was 10, 11 and 4 while the
-// store deep-copied rows and built a string per key lookup. ARCHITECTURE.md, "Remote storage plane", repeats the table; the
-// slack of 1 is a pool emptied by a GC cycle.
+// what dynamo and the decode-then-rebuild of conditions allocate — both
+// outside this package's reach (ROADMAP, "Smaller, ledger-bounded cuts").
+// Update actions decode straight into the values the store applies; the
+// Update row was 10 while they were rebuilt as boxes. The store's share is
+// one attribute map per row it returns or installs
+// (internal/dynamo/alloc_test.go): it was 10, 11 and 4 while the store
+// deep-copied rows and built a string per key lookup. ARCHITECTURE.md,
+// "Remote storage plane", repeats the table; the slack of 1 is a pool
+// emptied by a GC cycle.
 
 // rpcBudget is the table: allocations per call, and how many of them the same
 // call costs directly against the store.
@@ -30,7 +33,7 @@ var rpcBudget = []struct {
 	name         string
 	wire, direct float64
 }{
-	{"Update", 10, 2},
+	{"Update", 8, 2},
 	{"Query (projected, 3 rows)", 20, 7},
 	{"Get", 9, 2},
 }

@@ -101,8 +101,7 @@ func isIntentDone(table string, updates []storage.Update) bool {
 		return false
 	}
 	for _, u := range updates {
-		d, ok := dynamo.DescribeUpdate(u)
-		if ok && d.Kind == dynamo.UpdateSet && d.Path.Attr == "Done" && d.Path.MapKey == "" && d.Value.BoolVal() {
+		if u.Kind == dynamo.UpdateSet && u.Path == dynamo.A("Done") && u.Value.BoolVal() {
 			return true
 		}
 	}
@@ -201,9 +200,7 @@ func (b *Backend) debug(op, table string, key storage.Key, err error, updates []
 	}
 	fmt.Printf("DBG %8s %-14s %s %s key=%v err=%v", b.s.Now().Sub(b.s.opts.Epoch), name, op, table, key, err)
 	for _, u := range updates {
-		if d, ok := dynamo.DescribeUpdate(u); ok {
-			fmt.Printf(" [%v %s.%s=%v]", d.Kind, d.Path.Attr, d.Path.MapKey, d.Value)
-		}
+		fmt.Printf(" [%v %s.%s=%v]", u.Kind, u.Path.Attr, u.Path.MapKey, u.Value)
 	}
 	fmt.Println()
 }

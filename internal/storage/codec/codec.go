@@ -125,8 +125,8 @@ const MaxDepth = 1 << 17
 
 // An Encoder appends one message body to a buffer that begins with room for
 // the frame header. It carries the one error encoding can have — a foreign
-// dynamo.Cond or dynamo.Update implementation, which has no description to
-// encode; check Err before using the bytes.
+// dynamo.Cond implementation, which has no description to encode; check Err
+// before using the bytes.
 type Encoder struct {
 	b []byte
 	// keys is the stack Item sorts attribute names on: a nested map value

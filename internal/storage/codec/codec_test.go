@@ -287,6 +287,7 @@ func TestCorruptModel(t *testing.T) {
 		"unknown comparison":      {"Cond", []byte{1, byte(dynamo.CondCmp), 1, 'V', 0, 1, '~', 0}},
 		"NOT with two children":   {"Cond", []byte{1, byte(dynamo.CondNot), 2, byte(dynamo.CondTrue), byte(dynamo.CondTrue)}},
 		"unknown update kind":     {"Updates", []byte{1, 9, 1, 'A', 0}},
+		"update of no kind":       {"Updates", kindlessUpdate()},
 		"string longer than body": {"Value", []byte{byte(dynamo.KindString), 200, 'x'}},
 		"count longer than body":  {"Items", []byte{200, 1, 0}},
 	} {
@@ -296,6 +297,15 @@ func TestCorruptModel(t *testing.T) {
 			t.Errorf("%s: Err = %v", name, d.Err())
 		}
 	}
+}
+
+// kindlessUpdate is the body an encoder writes for the zero dynamo.Update
+// beside a SET: nothing stops an encoder from writing a kind no decoder
+// accepts, so the decoder is where it is refused.
+func kindlessUpdate() []byte {
+	e := NewEncoder(64)
+	e.Updates([]dynamo.Update{dynamo.Set(dynamo.A("V"), dynamo.S("x")), {Path: dynamo.A("V")}})
+	return e.Body()
 }
 
 // schemaWithShards is a well-formed Schema body but for its shard count —
@@ -561,6 +571,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(nestedNots(depth))
 	}
 	f.Add(schemaWithShards(1 << 40))
+	f.Add(kindlessUpdate())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		FreshNames(t) // every input meets an empty intern table, not a full one

@@ -123,22 +123,18 @@ func (e *Encoder) condDesc(cd dynamo.CondDesc) {
 	}
 }
 
-// Updates appends an update expression: a count, then each action as
-// dynamo.DescribeUpdate gives it.
+// Updates appends an update expression: a count, then each action's kind,
+// path and payload (SET's value, ADD's delta as a float64).
 func (e *Encoder) Updates(us []dynamo.Update) {
 	e.Int(len(us))
 	for _, u := range us {
-		ud, ok := dynamo.DescribeUpdate(u)
-		if !ok && e.err == nil {
-			e.err = errorf("update %s is not serializable (foreign Update implementation)", u)
-		}
-		e.U8(byte(ud.Kind))
-		e.Path(ud.Path)
-		switch ud.Kind {
+		e.U8(byte(u.Kind))
+		e.Path(u.Path)
+		switch u.Kind {
 		case dynamo.UpdateSet:
-			e.Value(ud.Value)
+			e.Value(u.Value)
 		case dynamo.UpdateAdd:
-			e.F64(ud.Delta)
+			e.F64(u.Value.Num())
 		}
 	}
 }
@@ -309,8 +305,8 @@ func (d *Decoder) condDesc() dynamo.CondDesc {
 	return cd
 }
 
-// Updates reads an update expression and rebuilds each action with
-// dynamo.UpdateFromDesc; an empty expression is nil.
+// Updates reads an update expression, refusing an unknown action kind; an
+// empty expression is nil.
 func (d *Decoder) Updates() []dynamo.Update {
 	n := d.Count()
 	if n == 0 {
@@ -318,16 +314,16 @@ func (d *Decoder) Updates() []dynamo.Update {
 	}
 	us := make([]dynamo.Update, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		ud := dynamo.UpdateDesc{Kind: dynamo.UpdateKind(d.U8()), Path: d.Path()}
-		switch ud.Kind {
+		u := &us[i]
+		u.Kind, u.Path = dynamo.UpdateKind(d.U8()), d.Path()
+		switch u.Kind {
 		case dynamo.UpdateSet:
-			ud.Value = d.Value()
+			u.Value = d.Value()
 		case dynamo.UpdateAdd:
-			ud.Delta = d.F64()
-		}
-		var err error
-		if us[i], err = dynamo.UpdateFromDesc(ud); err != nil {
-			d.Failf("%v", err)
+			u.Value = dynamo.N(d.F64())
+		case dynamo.UpdateRemove:
+		default:
+			d.Failf("unknown update kind %d", u.Kind)
 		}
 	}
 	return result(d, us)

@@ -484,26 +484,12 @@ func (s *Store) Put(table string, item dynamo.Item, cond dynamo.Cond) error {
 // Update applies update actions if cond holds, journaling the update
 // expression (replayed deterministically against the same base state).
 func (s *Store) Update(table string, key dynamo.Key, cond dynamo.Cond, updates ...dynamo.Update) error {
-	if err := checkUpdates("Update", updates); err != nil {
-		return err
-	}
 	return s.mutate(
 		func() error { return s.mem.Update(table, key, cond, updates...) },
 		func(seq uint64) record {
 			return record{seq: seq, typ: recCommit, ops: []walOp{{kind: opUpdate, table: table, key: key, updates: updates}}}
 		},
 	)
-}
-
-// checkUpdates refuses, before anything is applied, an update expression
-// the log could not carry.
-func checkUpdates(op string, updates []dynamo.Update) error {
-	for _, u := range updates {
-		if _, ok := dynamo.DescribeUpdate(u); !ok {
-			return fmt.Errorf("walstore: %s: non-serializable update %s", op, u)
-		}
-	}
-	return nil
 }
 
 // Delete removes the row at key if cond holds.
@@ -534,9 +520,6 @@ func (s *Store) TransactWrite(ops []dynamo.TxOp) error {
 		case op.Delete:
 			walOps = append(walOps, walOp{kind: opDelete, table: op.Table, key: op.Key})
 		default:
-			if err := checkUpdates("TransactWrite", op.Updates); err != nil {
-				return err
-			}
 			walOps = append(walOps, walOp{kind: opUpdate, table: op.Table, key: op.Key, updates: op.Updates})
 		}
 	}
