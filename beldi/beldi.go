@@ -77,6 +77,8 @@ type (
 	// Value is the dynamic value type flowing through inputs, outputs and
 	// storage.
 	Value = dynamo.Value
+	// Field is one named entry of a map Value (see Fields).
+	Field = dynamo.Field
 	// Env is the per-instance execution context exposing Beldi's API.
 	Env = core.Env
 	// Body is an SSF's application logic.
@@ -176,8 +178,17 @@ func Bytes(b []byte) Value { return dynamo.Bytes(b) }
 // List builds a list value.
 func List(vs ...Value) Value { return dynamo.L(vs...) }
 
-// Map builds a map value.
+// Map builds a map value from a Go map, which it copies.
 func Map(m map[string]Value) Value { return dynamo.M(m) }
+
+// Fields builds a map value from its entries, without a Go map in between:
+// Fields(F("op", Str("search")), F("lat", Num(1.5))). The entries are sorted
+// by name in place and a repeated name keeps its last value; the slice must
+// not be written afterwards.
+func Fields(fs ...Field) Value { return dynamo.Fields(fs...) }
+
+// F builds one entry for Fields.
+func F(name string, v Value) Field { return dynamo.F(name, v) }
 
 // Cond is a condition for CondWrite, evaluated against the item's current
 // state; build with ValueEq and friends.

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // The Value codec behind the typed facade (NewTable, RegisterFunc): a
@@ -18,6 +20,9 @@ import (
 //
 // A conversion allocates what it returns and a constant per map it walks,
 // not a copy per entry: map entries pass through one reused key and element.
+// A map Value is a field list sorted by key (see Fields): a struct's fields
+// are converted in a per-type order sorted once, by name, and a Go map's
+// entries are sorted once, after they are converted.
 
 // exactInt bounds the integers a number holds exactly: numbers are float64,
 // so every integer in [-2^53, 2^53] survives a round trip and no wider
@@ -93,7 +98,7 @@ func toValue(rv reflect.Value) (Value, error) {
 		if t.Key().Kind() != reflect.String {
 			return Null, codecErr("ToValue", "map key type %s is not string", t.Key())
 		}
-		m := make(map[string]Value, rv.Len())
+		fs := make([]Field, 0, rv.Len())
 		key, elem := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
 		for iter := rv.MapRange(); iter.Next(); {
 			key.SetIterKey(iter)
@@ -102,28 +107,20 @@ func toValue(rv reflect.Value) (Value, error) {
 			if err != nil {
 				return Null, within(err, fmt.Sprintf("[%q]", key.String()))
 			}
-			m[key.String()] = ev
+			fs = append(fs, F(key.String(), ev))
 		}
-		return Map(m), nil
+		return Fields(fs...), nil
 	case reflect.Struct:
-		t := rv.Type()
-		m := make(map[string]Value, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			name := fieldName(f)
-			if name == "" {
-				continue
-			}
-			ev, err := toValue(rv.Field(i))
+		sfs := structFieldsOf(rv.Type())
+		fs := make([]Field, len(sfs))
+		for i, sf := range sfs {
+			ev, err := toValue(rv.Field(sf.index))
 			if err != nil {
-				return Null, within(err, "."+f.Name)
+				return Null, within(err, "."+rv.Type().Field(sf.index).Name)
 			}
-			m[name] = ev
+			fs[i] = F(sf.name, ev)
 		}
-		return Map(m), nil
+		return Fields(fs...), nil
 	default:
 		return Null, codecErr("ToValue", "unsupported kind %s", rv.Kind())
 	}
@@ -218,14 +215,13 @@ func fromValue(v Value, rv reflect.Value) error {
 		if t.Key().Kind() != reflect.String {
 			return codecErr("FromValue", "map key type %s is not string", t.Key())
 		}
-		m := v.Map()
-		out := reflect.MakeMapWithSize(t, len(m))
+		out := reflect.MakeMapWithSize(t, v.MapLen())
 		// One key and one element carry every entry: SetMapIndex copies
 		// both into the map, and the element is zeroed first so that nothing
 		// the previous entry decoded into it (a pointer's target, a field)
 		// is shared with this one.
 		key, elem := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
-		for k, ev := range m {
+		for k, ev := range v.Entries() {
 			elem.SetZero()
 			if err := fromValue(ev, elem); err != nil {
 				return within(err, fmt.Sprintf("[%q]", k))
@@ -258,6 +254,42 @@ func fromValue(v Value, rv reflect.Value) error {
 		return codecErr("FromValue", "unsupported kind %s", rv.Kind())
 	}
 	return nil
+}
+
+// structField is one field of a struct type as ToValue writes it: its Value
+// map key and its index.
+type structField struct {
+	name  string
+	index int
+}
+
+// structFields caches structFieldsOf per type.
+var structFields sync.Map // reflect.Type -> []structField
+
+// structFieldsOf lists t's exported, named fields in the order of their map
+// keys: the order of the field list a struct converts to. A key two fields
+// share (by tag) is the later field's, as it would be were the fields
+// assigned into a Go map in declaration order.
+func structFieldsOf(t reflect.Type) []structField {
+	if sfs, ok := structFields.Load(t); ok {
+		return sfs.([]structField)
+	}
+	var sfs []structField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if name := fieldName(f); f.IsExported() && name != "" {
+			sfs = append(sfs, structField{name, i})
+		}
+	}
+	slices.SortStableFunc(sfs, func(a, b structField) int { return strings.Compare(a.name, b.name) })
+	out := sfs[:0]
+	for i, sf := range sfs {
+		if i+1 == len(sfs) || sfs[i+1].name != sf.name {
+			out = append(out, sf)
+		}
+	}
+	structFields.Store(t, out)
+	return out
 }
 
 // fieldName resolves a struct field's Value map key: the `beldi` tag when

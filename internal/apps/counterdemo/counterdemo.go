@@ -32,7 +32,7 @@ func Register(d *beldi.Deployment) {
 		return beldi.Null, e.AsyncInvoke(FnCounter, in)
 	})
 	d.Function(FnCounter, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-		key := in.Map()["key"].Str()
+		key := in.Get("key").Str()
 		v, err := e.Read(StateTable, key)
 		if err != nil {
 			return beldi.Null, err
@@ -50,5 +50,5 @@ func Key(i int) string { return fmt.Sprintf("k%02d", i) }
 
 // Request builds the ingest/counter input for request i.
 func Request(i int) beldi.Value {
-	return beldi.Map(map[string]beldi.Value{"key": beldi.Str(Key(i))})
+	return beldi.Fields(beldi.F("key", beldi.Str(Key(i))))
 }

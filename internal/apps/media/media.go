@@ -71,9 +71,7 @@ func Build(d *beldi.Deployment) *App {
 // Seed populates catalogue data.
 func (a *App) Seed() error {
 	for _, fn := range []string{FnUser, FnMovieID, FnMovieInfo, FnPlot, FnCastInfo} {
-		if _, err := a.d.Invoke(fn, beldi.Map(map[string]beldi.Value{
-			"op": beldi.Str("seed"),
-		})); err != nil {
+		if _, err := a.d.Invoke(fn, beldi.Fields(beldi.F("op", beldi.Str("seed")))); err != nil {
 			return fmt.Errorf("media: seeding %s: %w", fn, err)
 		}
 	}
@@ -89,48 +87,48 @@ func MovieTitle(i int) string { return fmt.Sprintf("The Example Movie %d", i) }
 // --- account / text / id SSFs ---------------------------------------------
 
 func (a *App) user(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	switch m["op"].Str() {
+	switch in.Get("op").Str() {
 	case "seed":
 		for i := 0; i < NumUsers; i++ {
-			u := beldi.Map(map[string]beldi.Value{
-				"name":     beldi.Str(fmt.Sprintf("User %03d", i)),
-				"password": beldi.Str(fmt.Sprintf("pw-%03d", i)),
-			})
+			u := beldi.Fields(
+				beldi.F("name", beldi.Str(fmt.Sprintf("User %03d", i))),
+				beldi.F("password", beldi.Str(fmt.Sprintf("pw-%03d", i))),
+			)
 			if err := e.Write("users", userID(i), u); err != nil {
 				return beldi.Null, err
 			}
 		}
 		return beldi.Str("seeded"), nil
 	case "register":
-		ok, err := e.CondWrite("users", m["user"].Str(),
-			beldi.Map(map[string]beldi.Value{
-				"name": m["name"], "password": m["password"],
-			}),
+		ok, err := e.CondWrite("users", in.Get("user").Str(),
+			beldi.Fields(
+				beldi.F("name", in.Get("name")),
+				beldi.F("password", in.Get("password")),
+			),
 			beldi.ValueAbsent())
 		if err != nil {
 			return beldi.Null, err
 		}
 		return beldi.BoolVal(ok), nil
 	default: // validate
-		u, err := e.Read("users", m["user"].Str())
+		u, err := e.Read("users", in.Get("user").Str())
 		if err != nil {
 			return beldi.Null, err
 		}
 		if u.IsNull() {
 			return beldi.BoolVal(false), nil
 		}
-		return beldi.Map(map[string]beldi.Value{
-			"valid": beldi.BoolVal(true),
-			"user":  m["user"],
-		}), nil
+		return beldi.Fields(
+			beldi.F("valid", beldi.BoolVal(true)),
+			beldi.F("user", in.Get("user")),
+		), nil
 	}
 }
 
 // text sanitizes review text (pure compute: no state, still exactly-once by
 // construction).
 func (a *App) text(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	t := in.Map()["text"].Str()
+	t := in.Get("text").Str()
 	t = strings.TrimSpace(t)
 	if len(t) > 512 {
 		t = t[:512]
@@ -140,8 +138,7 @@ func (a *App) text(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 
 // movieID resolves a title to the canonical id.
 func (a *App) movieID(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if m["op"].Str() == "seed" {
+	if in.Get("op").Str() == "seed" {
 		for i := 0; i < NumMovies; i++ {
 			if err := e.Write("titles", MovieTitle(i), beldi.Str(movieID(i))); err != nil {
 				return beldi.Null, err
@@ -149,7 +146,7 @@ func (a *App) movieID(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		}
 		return beldi.Str("seeded"), nil
 	}
-	return e.Read("titles", m["title"].Str())
+	return e.Read("titles", in.Get("title").Str())
 }
 
 // uniqueID mints review ids from a persisted counter — the classic
@@ -169,42 +166,43 @@ func (a *App) uniqueID(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 // --- review pipeline -------------------------------------------------------
 
 func (a *App) composeReview(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	review := beldi.Map(map[string]beldi.Value{
-		"id":     m["reviewId"],
-		"user":   m["user"],
-		"movie":  m["movie"],
-		"text":   m["text"],
-		"rating": m["rating"],
-	})
-	if _, err := e.SyncInvoke(FnReviewStorage, beldi.Map(map[string]beldi.Value{
-		"op": beldi.Str("store"), "review": review,
-	})); err != nil {
+	review := beldi.Fields(
+		beldi.F("id", in.Get("reviewId")),
+		beldi.F("user", in.Get("user")),
+		beldi.F("movie", in.Get("movie")),
+		beldi.F("text", in.Get("text")),
+		beldi.F("rating", in.Get("rating")),
+	)
+	if _, err := e.SyncInvoke(FnReviewStorage, beldi.Fields(
+		beldi.F("op", beldi.Str("store")),
+		beldi.F("review", review),
+	)); err != nil {
 		return beldi.Null, err
 	}
 	// Index maintenance in both directions.
-	if _, err := e.SyncInvoke(FnUserReview, beldi.Map(map[string]beldi.Value{
-		"user": m["user"], "reviewId": m["reviewId"],
-	})); err != nil {
+	if _, err := e.SyncInvoke(FnUserReview, beldi.Fields(
+		beldi.F("user", in.Get("user")),
+		beldi.F("reviewId", in.Get("reviewId")),
+	)); err != nil {
 		return beldi.Null, err
 	}
-	if _, err := e.SyncInvoke(FnMovieReview, beldi.Map(map[string]beldi.Value{
-		"movie": m["movie"], "reviewId": m["reviewId"],
-	})); err != nil {
+	if _, err := e.SyncInvoke(FnMovieReview, beldi.Fields(
+		beldi.F("movie", in.Get("movie")),
+		beldi.F("reviewId", in.Get("reviewId")),
+	)); err != nil {
 		return beldi.Null, err
 	}
-	return m["reviewId"], nil
+	return in.Get("reviewId"), nil
 }
 
 func (a *App) reviewStorage(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	switch m["op"].Str() {
+	switch in.Get("op").Str() {
 	case "store":
-		rev := m["review"]
-		return beldi.Str("stored"), e.Write("reviews", rev.Map()["id"].Str(), rev)
+		rev := in.Get("review")
+		return beldi.Str("stored"), e.Write("reviews", rev.Get("id").Str(), rev)
 	default: // fetch
 		var out []beldi.Value
-		for _, idv := range m["ids"].List() {
+		for _, idv := range in.Get("ids").List() {
 			r, err := e.Read("reviews", idv.Str())
 			if err != nil {
 				return beldi.Null, err
@@ -232,49 +230,46 @@ func appendCapped(e *beldi.Env, table, key string, id beldi.Value, limit int) er
 }
 
 func (a *App) userReview(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if m["op"].Str() == "list" {
-		return e.Read("byuser", m["user"].Str())
+	if in.Get("op").Str() == "list" {
+		return e.Read("byuser", in.Get("user").Str())
 	}
-	return beldi.Str("ok"), appendCapped(e, "byuser", m["user"].Str(), m["reviewId"], 20)
+	return beldi.Str("ok"), appendCapped(e, "byuser", in.Get("user").Str(), in.Get("reviewId"), 20)
 }
 
 func (a *App) movieReview(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if m["op"].Str() == "list" {
-		ids, err := e.Read("bymovie", m["movie"].Str())
+	if in.Get("op").Str() == "list" {
+		ids, err := e.Read("bymovie", in.Get("movie").Str())
 		if err != nil {
 			return beldi.Null, err
 		}
-		return e.SyncInvoke(FnReviewStorage, beldi.Map(map[string]beldi.Value{
-			"op": beldi.Str("fetch"), "ids": ids,
-		}))
+		return e.SyncInvoke(FnReviewStorage, beldi.Fields(
+			beldi.F("op", beldi.Str("fetch")),
+			beldi.F("ids", ids),
+		))
 	}
-	return beldi.Str("ok"), appendCapped(e, "bymovie", m["movie"].Str(), m["reviewId"], 20)
+	return beldi.Str("ok"), appendCapped(e, "bymovie", in.Get("movie").Str(), in.Get("reviewId"), 20)
 }
 
 // --- movie page ------------------------------------------------------------
 
 func (a *App) movieInfo(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if m["op"].Str() == "seed" {
+	if in.Get("op").Str() == "seed" {
 		for i := 0; i < NumMovies; i++ {
-			info := beldi.Map(map[string]beldi.Value{
-				"title": beldi.Str(MovieTitle(i)),
-				"year":  beldi.Int(int64(1970 + i%55)),
-			})
+			info := beldi.Fields(
+				beldi.F("title", beldi.Str(MovieTitle(i))),
+				beldi.F("year", beldi.Int(int64(1970+i%55))),
+			)
 			if err := e.Write("info", movieID(i), info); err != nil {
 				return beldi.Null, err
 			}
 		}
 		return beldi.Str("seeded"), nil
 	}
-	return e.Read("info", m["movie"].Str())
+	return e.Read("info", in.Get("movie").Str())
 }
 
 func (a *App) plot(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if m["op"].Str() == "seed" {
+	if in.Get("op").Str() == "seed" {
 		for i := 0; i < NumMovies; i++ {
 			if err := e.Write("plots", movieID(i),
 				beldi.Str(fmt.Sprintf("A thrilling plot for movie %d.", i))); err != nil {
@@ -283,12 +278,11 @@ func (a *App) plot(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		}
 		return beldi.Str("seeded"), nil
 	}
-	return e.Read("plots", m["movie"].Str())
+	return e.Read("plots", in.Get("movie").Str())
 }
 
 func (a *App) castInfo(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if m["op"].Str() == "seed" {
+	if in.Get("op").Str() == "seed" {
 		for i := 0; i < NumMovies; i++ {
 			cast := beldi.List(
 				beldi.Str(fmt.Sprintf("Actor %d", i%50)),
@@ -300,7 +294,7 @@ func (a *App) castInfo(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		}
 		return beldi.Str("seeded"), nil
 	}
-	return e.Read("casts", m["movie"].Str())
+	return e.Read("casts", in.Get("movie").Str())
 }
 
 // page assembles a movie page from four SSFs in parallel — the read path of
@@ -326,35 +320,36 @@ func (a *App) page(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		},
 		func(sub *beldi.Env) error {
 			var err error
-			reviews, err = sub.SyncInvoke(FnMovieReview, beldi.Map(map[string]beldi.Value{
-				"op": beldi.Str("list"), "movie": req.Map()["movie"],
-			}))
+			reviews, err = sub.SyncInvoke(FnMovieReview, beldi.Fields(
+				beldi.F("op", beldi.Str("list")),
+				beldi.F("movie", req.Get("movie")),
+			))
 			return err
 		},
 	)
 	if err != nil {
 		return beldi.Null, err
 	}
-	return beldi.Map(map[string]beldi.Value{
-		"info": info, "plot": plot, "cast": cast, "reviews": reviews,
-	}), nil
+	return beldi.Fields(
+		beldi.F("info", info),
+		beldi.F("plot", plot),
+		beldi.F("cast", cast),
+		beldi.F("reviews", reviews),
+	), nil
 }
 
 // frontend routes client requests.
 func (a *App) frontend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	switch m["op"].Str() {
+	switch in.Get("op").Str() {
 	case "compose":
 		// Validate the user, sanitize text, resolve the movie id and mint
 		// the review id, then run the compose pipeline (Figure 23's write
 		// path).
-		valid, err := e.SyncInvoke(FnUser, beldi.Map(map[string]beldi.Value{
-			"user": m["user"],
-		}))
+		valid, err := e.SyncInvoke(FnUser, beldi.Fields(beldi.F("user", in.Get("user"))))
 		if err != nil {
 			return beldi.Null, err
 		}
-		if valid.Map() == nil { // the user SSF returns false for unknown users
+		if valid.MapLen() == 0 { // the user SSF returns false for unknown users
 			return beldi.Str("invalid-user"), nil
 		}
 		var text, movie, reviewID beldi.Value
@@ -378,21 +373,22 @@ func (a *App) frontend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		if err != nil {
 			return beldi.Null, err
 		}
-		return e.SyncInvoke(FnComposeReview, beldi.Map(map[string]beldi.Value{
-			"reviewId": reviewID,
-			"user":     m["user"],
-			"movie":    movie,
-			"text":     text,
-			"rating":   m["rating"],
-		}))
+		return e.SyncInvoke(FnComposeReview, beldi.Fields(
+			beldi.F("reviewId", reviewID),
+			beldi.F("user", in.Get("user")),
+			beldi.F("movie", movie),
+			beldi.F("text", text),
+			beldi.F("rating", in.Get("rating")),
+		))
 	case "page":
 		return e.SyncInvoke(FnPage, in)
 	case "userReviews":
-		return e.SyncInvoke(FnUserReview, beldi.Map(map[string]beldi.Value{
-			"op": beldi.Str("list"), "user": m["user"],
-		}))
+		return e.SyncInvoke(FnUserReview, beldi.Fields(
+			beldi.F("op", beldi.Str("list")),
+			beldi.F("user", in.Get("user")),
+		))
 	default:
-		return beldi.Null, fmt.Errorf("media: unknown op %q", m["op"].Str())
+		return beldi.Null, fmt.Errorf("media: unknown op %q", in.Get("op").Str())
 	}
 }
 
@@ -408,22 +404,22 @@ func (a *App) Request(r *rand.Rand) beldi.Value {
 	movie := r.Intn(NumMovies)
 	switch {
 	case p < 0.65:
-		return beldi.Map(map[string]beldi.Value{
-			"op":    beldi.Str("page"),
-			"movie": beldi.Str(movieID(movie)),
-		})
+		return beldi.Fields(
+			beldi.F("op", beldi.Str("page")),
+			beldi.F("movie", beldi.Str(movieID(movie))),
+		)
 	case p < 0.80:
-		return beldi.Map(map[string]beldi.Value{
-			"op":   beldi.Str("userReviews"),
-			"user": beldi.Str(userID(r.Intn(NumUsers))),
-		})
+		return beldi.Fields(
+			beldi.F("op", beldi.Str("userReviews")),
+			beldi.F("user", beldi.Str(userID(r.Intn(NumUsers)))),
+		)
 	default:
-		return beldi.Map(map[string]beldi.Value{
-			"op":     beldi.Str("compose"),
-			"user":   beldi.Str(userID(r.Intn(NumUsers))),
-			"title":  beldi.Str(MovieTitle(movie)),
-			"text":   beldi.Str("  An insightful review with trailing spaces.  "),
-			"rating": beldi.Int(int64(1 + r.Intn(10))),
-		})
+		return beldi.Fields(
+			beldi.F("op", beldi.Str("compose")),
+			beldi.F("user", beldi.Str(userID(r.Intn(NumUsers)))),
+			beldi.F("title", beldi.Str(MovieTitle(movie))),
+			beldi.F("text", beldi.Str("  An insightful review with trailing spaces.  ")),
+			beldi.F("rating", beldi.Int(int64(1+r.Intn(10)))),
+		)
 	}
 }

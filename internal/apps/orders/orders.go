@@ -103,9 +103,7 @@ var _ io.Closer = (*App)(nil)
 
 // Seed catalogues the inventory.
 func (a *App) Seed() error {
-	if _, err := a.d.Invoke(FnInventory, beldi.Map(map[string]beldi.Value{
-		"op": beldi.Str("seed"),
-	})); err != nil {
+	if _, err := a.d.Invoke(FnInventory, beldi.Fields(beldi.F("op", beldi.Str("seed")))); err != nil {
 		return fmt.Errorf("orders: seeding %s: %w", FnInventory, err)
 	}
 	return nil
@@ -122,17 +120,16 @@ func UserID(i int) string { return fmt.Sprintf("user-%03d", i) }
 // frontend accepts client requests: "place" appends the order record and
 // emits the payment event; "status" reads the order record back.
 func (a *App) frontend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	switch m["op"].Str() {
+	switch in.Get("op").Str() {
 	case "place":
-		order := m["order"].Str()
-		rec := beldi.Map(map[string]beldi.Value{
-			"status": beldi.Str("placed"),
-			"user":   m["user"],
-			"item":   m["item"],
-			"qty":    m["qty"],
-			"amount": m["amount"],
-		})
+		order := in.Get("order").Str()
+		rec := beldi.Fields(
+			beldi.F("status", beldi.Str("placed")),
+			beldi.F("user", in.Get("user")),
+			beldi.F("item", in.Get("item")),
+			beldi.F("qty", in.Get("qty")),
+			beldi.F("amount", in.Get("amount")),
+		)
 		if err := e.Write("orders", order, rec); err != nil {
 			return beldi.Null, err
 		}
@@ -141,13 +138,14 @@ func (a *App) frontend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		if err := e.AsyncInvoke(FnPayment, in); err != nil {
 			return beldi.Null, err
 		}
-		return beldi.Map(map[string]beldi.Value{
-			"order": m["order"], "status": beldi.Str("placed"),
-		}), nil
+		return beldi.Fields(
+			beldi.F("order", in.Get("order")),
+			beldi.F("status", beldi.Str("placed")),
+		), nil
 	case "status":
-		return e.Read("orders", m["order"].Str())
+		return e.Read("orders", in.Get("order").Str())
 	default:
-		return beldi.Null, fmt.Errorf("orders: unknown op %q", m["op"].Str())
+		return beldi.Null, fmt.Errorf("orders: unknown op %q", in.Get("op").Str())
 	}
 }
 
@@ -155,13 +153,12 @@ func (a *App) frontend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 // read-modify-write; a duplicated event would leave charge = 2×amount — and
 // fans out to inventory and shipping.
 func (a *App) payment(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	chargeKey := "charge." + m["order"].Str()
+	chargeKey := "charge." + in.Get("order").Str()
 	cur, err := e.Read("ledger", chargeKey)
 	if err != nil {
 		return beldi.Null, err
 	}
-	if err := e.Write("ledger", chargeKey, beldi.Int(cur.Int()+m["amount"].Int())); err != nil {
+	if err := e.Write("ledger", chargeKey, beldi.Int(cur.Int()+in.Get("amount").Int())); err != nil {
 		return beldi.Null, err
 	}
 	if err := e.AsyncInvoke(FnInventory, in); err != nil {
@@ -176,8 +173,7 @@ func (a *App) payment(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 // inventory validates the item against the catalogue and accrues the order's
 // reservation.
 func (a *App) inventory(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if m["op"].Str() == "seed" {
+	if in.Get("op").Str() == "seed" {
 		for i := 0; i < NumItems; i++ {
 			if err := e.Write("stock", ItemID(i), beldi.Int(SeedStock)); err != nil {
 				return beldi.Null, err
@@ -185,19 +181,19 @@ func (a *App) inventory(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		}
 		return beldi.Str("seeded"), nil
 	}
-	stock, err := e.Read("stock", m["item"].Str())
+	stock, err := e.Read("stock", in.Get("item").Str())
 	if err != nil {
 		return beldi.Null, err
 	}
 	if stock.IsNull() {
-		return beldi.Null, fmt.Errorf("orders: unknown item %q", m["item"].Str())
+		return beldi.Null, fmt.Errorf("orders: unknown item %q", in.Get("item").Str())
 	}
-	resvKey := "resv." + m["order"].Str()
+	resvKey := "resv." + in.Get("order").Str()
 	cur, err := e.Read("stock", resvKey)
 	if err != nil {
 		return beldi.Null, err
 	}
-	if err := e.Write("stock", resvKey, beldi.Int(cur.Int()+m["qty"].Int())); err != nil {
+	if err := e.Write("stock", resvKey, beldi.Int(cur.Int()+in.Get("qty").Int())); err != nil {
 		return beldi.Null, err
 	}
 	return beldi.Str("reserved"), nil
@@ -205,13 +201,12 @@ func (a *App) inventory(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 
 // shipping records the shipment and emits the notification event.
 func (a *App) shipping(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	rec := beldi.Map(map[string]beldi.Value{
-		"status": beldi.Str("shipped"),
-		"item":   m["item"],
-		"qty":    m["qty"],
-	})
-	if err := e.Write("shipments", m["order"].Str(), rec); err != nil {
+	rec := beldi.Fields(
+		beldi.F("status", beldi.Str("shipped")),
+		beldi.F("item", in.Get("item")),
+		beldi.F("qty", in.Get("qty")),
+	)
+	if err := e.Write("shipments", in.Get("order").Str(), rec); err != nil {
 		return beldi.Null, err
 	}
 	if err := e.AsyncInvoke(FnNotify, in); err != nil {
@@ -223,13 +218,12 @@ func (a *App) shipping(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 // notify accrues the order's notification count — one more per-order
 // counter, so a duplicated notification event is directly visible.
 func (a *App) notify(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if m["user"].Str() == PoisonUser && a.poisonArmed.Load() {
+	if in.Get("user").Str() == PoisonUser && a.poisonArmed.Load() {
 		// A deterministic consumer bug: the worker dies on every delivery of
 		// this message until the fix ships (ArmPoison(false)).
 		panic("orders: poison notification")
 	}
-	noteKey := "note." + m["order"].Str()
+	noteKey := "note." + in.Get("order").Str()
 	cur, err := e.Read("inbox", noteKey)
 	if err != nil {
 		return beldi.Null, err
@@ -289,14 +283,14 @@ func (a *App) Totals(orders []string) (Totals, error) {
 
 // PlaceRequest builds a "place" payload.
 func PlaceRequest(order, user, item string, qty, amount int64) beldi.Value {
-	return beldi.Map(map[string]beldi.Value{
-		"op":     beldi.Str("place"),
-		"order":  beldi.Str(order),
-		"user":   beldi.Str(user),
-		"item":   beldi.Str(item),
-		"qty":    beldi.Int(qty),
-		"amount": beldi.Int(amount),
-	})
+	return beldi.Fields(
+		beldi.F("op", beldi.Str("place")),
+		beldi.F("order", beldi.Str(order)),
+		beldi.F("user", beldi.Str(user)),
+		beldi.F("item", beldi.Str(item)),
+		beldi.F("qty", beldi.Int(qty)),
+		beldi.F("amount", beldi.Int(amount)),
+	)
 }
 
 // --- workload ---------------------------------------------------------------
@@ -317,10 +311,10 @@ func (a *App) Request(r *rand.Rand) beldi.Value {
 			10+int64(r.Intn(90)),
 		)
 	}
-	return beldi.Map(map[string]beldi.Value{
-		"op":    beldi.Str("status"),
-		"order": beldi.Str(fmt.Sprintf("o-%016x", r.Int63())),
-	})
+	return beldi.Fields(
+		beldi.F("op", beldi.Str("status")),
+		beldi.F("order", beldi.Str(fmt.Sprintf("o-%016x", r.Int63()))),
+	)
 }
 
 // DefaultEventOptions are the queue parameters harnesses use for this app:

@@ -71,9 +71,7 @@ func Build(d *beldi.Deployment) *App {
 // Seed populates users and the follower graph.
 func (a *App) Seed() error {
 	for _, fn := range []string{FnUser, FnSocialGraph} {
-		if _, err := a.d.Invoke(fn, beldi.Map(map[string]beldi.Value{
-			"op": beldi.Str("seed"),
-		})); err != nil {
+		if _, err := a.d.Invoke(fn, beldi.Fields(beldi.F("op", beldi.Str("seed")))); err != nil {
 			return fmt.Errorf("social: seeding %s: %w", fn, err)
 		}
 	}
@@ -97,7 +95,7 @@ func (a *App) uniqueID(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 }
 
 func (a *App) media(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	urls := in.Map()["media"]
+	urls := in.Get("media")
 	if urls.IsNull() {
 		return beldi.List(), nil
 	}
@@ -114,7 +112,7 @@ func (a *App) media(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 
 func (a *App) urlShorten(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 	var out []beldi.Value
-	for _, u := range in.Map()["urls"].List() {
+	for _, u := range in.Get("urls").List() {
 		short := fmt.Sprintf("s.ly/%08x", hash32(u.Str()))
 		if err := e.Write("urls", short, u); err != nil {
 			return beldi.Null, err
@@ -135,9 +133,9 @@ func hash32(s string) uint32 {
 
 func (a *App) userMention(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 	var out []beldi.Value
-	for _, m := range in.Map()["mentions"].List() {
+	for _, m := range in.Get("mentions").List() {
 		// Record the mention against the mentioned user.
-		if err := appendCapped(e, "mentions", m.Str(), in.Map()["postId"], TimelineCap); err != nil {
+		if err := appendCapped(e, "mentions", m.Str(), in.Get("postId"), TimelineCap); err != nil {
 			return beldi.Null, err
 		}
 		out = append(out, m)
@@ -148,7 +146,7 @@ func (a *App) userMention(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 // text extracts URLs and @mentions and fans out to the shortener and the
 // mention service (Figure 24's Text → {UrlShorten, UserMention} edges).
 func (a *App) text(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	body := in.Map()["text"].Str()
+	body := in.Get("text").Str()
 	var urls, mentions []beldi.Value
 	for _, tok := range strings.Fields(body) {
 		switch {
@@ -162,63 +160,61 @@ func (a *App) text(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 	err := e.Parallel(
 		func(sub *beldi.Env) error {
 			var err error
-			shortened, err = sub.SyncInvoke(FnURLShorten, beldi.Map(map[string]beldi.Value{
-				"urls": beldi.List(urls...),
-			}))
+			shortened, err = sub.SyncInvoke(FnURLShorten, beldi.Fields(beldi.F("urls", beldi.List(urls...))))
 			return err
 		},
 		func(sub *beldi.Env) error {
 			var err error
-			mentioned, err = sub.SyncInvoke(FnUserMention, beldi.Map(map[string]beldi.Value{
-				"mentions": beldi.List(mentions...),
-				"postId":   in.Map()["postId"],
-			}))
+			mentioned, err = sub.SyncInvoke(FnUserMention, beldi.Fields(
+				beldi.F("mentions", beldi.List(mentions...)),
+				beldi.F("postId", in.Get("postId")),
+			))
 			return err
 		},
 	)
 	if err != nil {
 		return beldi.Null, err
 	}
-	return beldi.Map(map[string]beldi.Value{
-		"text": beldi.Str(body), "urls": shortened, "mentions": mentioned,
-	}), nil
+	return beldi.Fields(
+		beldi.F("text", beldi.Str(body)),
+		beldi.F("urls", shortened),
+		beldi.F("mentions", mentioned),
+	), nil
 }
 
 func (a *App) user(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	switch m["op"].Str() {
+	switch in.Get("op").Str() {
 	case "seed":
 		for i := 0; i < NumUsers; i++ {
-			u := beldi.Map(map[string]beldi.Value{
-				"name":     beldi.Str(fmt.Sprintf("user %d", i)),
-				"password": beldi.Str(fmt.Sprintf("pw-%03d", i)),
-			})
+			u := beldi.Fields(
+				beldi.F("name", beldi.Str(fmt.Sprintf("user %d", i))),
+				beldi.F("password", beldi.Str(fmt.Sprintf("pw-%03d", i))),
+			)
 			if err := e.Write("users", userID(i), u); err != nil {
 				return beldi.Null, err
 			}
 		}
 		return beldi.Str("seeded"), nil
 	case "login":
-		u, err := e.Read("users", m["user"].Str())
+		u, err := e.Read("users", in.Get("user").Str())
 		if err != nil {
 			return beldi.Null, err
 		}
-		ok := !u.IsNull() && u.Map()["password"].Str() == m["password"].Str()
+		ok := !u.IsNull() && u.Get("password").Str() == in.Get("password").Str()
 		return beldi.BoolVal(ok), nil
 	default: // resolve
-		return e.Read("users", m["user"].Str())
+		return e.Read("users", in.Get("user").Str())
 	}
 }
 
 func (a *App) postStorage(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	switch m["op"].Str() {
+	switch in.Get("op").Str() {
 	case "store":
-		post := m["post"]
-		return beldi.Str("stored"), e.Write("posts", post.Map()["id"].Str(), post)
+		post := in.Get("post")
+		return beldi.Str("stored"), e.Write("posts", post.Get("id").Str(), post)
 	default: // fetch
 		var out []beldi.Value
-		for _, idv := range m["ids"].List() {
+		for _, idv := range in.Get("ids").List() {
 			p, err := e.Read("posts", idv.Str())
 			if err != nil {
 				return beldi.Null, err
@@ -234,8 +230,7 @@ func (a *App) postStorage(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 // socialGraph stores follower lists; followers of u receive u's posts on
 // their home timelines.
 func (a *App) socialGraph(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	switch m["op"].Str() {
+	switch in.Get("op").Str() {
 	case "seed":
 		for i := 0; i < NumUsers; i++ {
 			var followers []beldi.Value
@@ -249,53 +244,57 @@ func (a *App) socialGraph(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		}
 		return beldi.Str("seeded"), nil
 	case "follow":
-		return beldi.Str("ok"), appendCapped(e, "graph", m["followee"].Str(), m["follower"], NumUsers)
+		return beldi.Str("ok"), appendCapped(e, "graph", in.Get("followee").Str(), in.Get("follower"), NumUsers)
 	default: // followers
-		return e.Read("graph", m["user"].Str())
+		return e.Read("graph", in.Get("user").Str())
 	}
 }
 
 // timeline stores per-user timelines: "h|user" home, "u|user" own posts.
 func (a *App) timeline(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	key := m["kind"].Str() + "|" + m["user"].Str()
-	switch m["op"].Str() {
+	key := in.Get("kind").Str() + "|" + in.Get("user").Str()
+	switch in.Get("op").Str() {
 	case "append":
-		return beldi.Str("ok"), appendCapped(e, "timelines", key, m["postId"], TimelineCap)
+		return beldi.Str("ok"), appendCapped(e, "timelines", key, in.Get("postId"), TimelineCap)
 	default: // read
 		return e.Read("timelines", key)
 	}
 }
 
 func (a *App) userTimeline(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	ids, err := e.SyncInvoke(FnTimeline, beldi.Map(map[string]beldi.Value{
-		"op": beldi.Str("read"), "kind": beldi.Str("u"), "user": in.Map()["user"],
-	}))
+	ids, err := e.SyncInvoke(FnTimeline, beldi.Fields(
+		beldi.F("op", beldi.Str("read")),
+		beldi.F("kind", beldi.Str("u")),
+		beldi.F("user", in.Get("user")),
+	))
 	if err != nil {
 		return beldi.Null, err
 	}
-	return e.SyncInvoke(FnPostStorage, beldi.Map(map[string]beldi.Value{
-		"op": beldi.Str("fetch"), "ids": ids,
-	}))
+	return e.SyncInvoke(FnPostStorage, beldi.Fields(
+		beldi.F("op", beldi.Str("fetch")),
+		beldi.F("ids", ids),
+	))
 }
 
 func (a *App) homeTimeline(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	ids, err := e.SyncInvoke(FnTimeline, beldi.Map(map[string]beldi.Value{
-		"op": beldi.Str("read"), "kind": beldi.Str("h"), "user": in.Map()["user"],
-	}))
+	ids, err := e.SyncInvoke(FnTimeline, beldi.Fields(
+		beldi.F("op", beldi.Str("read")),
+		beldi.F("kind", beldi.Str("h")),
+		beldi.F("user", in.Get("user")),
+	))
 	if err != nil {
 		return beldi.Null, err
 	}
-	return e.SyncInvoke(FnPostStorage, beldi.Map(map[string]beldi.Value{
-		"op": beldi.Str("fetch"), "ids": ids,
-	}))
+	return e.SyncInvoke(FnPostStorage, beldi.Fields(
+		beldi.F("op", beldi.Str("fetch")),
+		beldi.F("ids", ids),
+	))
 }
 
 // composePost is Figure 24's hub: mint an id, process text/media/user in
 // parallel, store the post, then fan the post id out to the author's user
 // timeline and every follower's home timeline.
 func (a *App) composePost(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
 	postID, err := e.SyncInvoke(FnUniqueID, beldi.Null)
 	if err != nil {
 		return beldi.Null, err
@@ -304,58 +303,66 @@ func (a *App) composePost(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 	err = e.Parallel(
 		func(sub *beldi.Env) error {
 			var err error
-			textOut, err = sub.SyncInvoke(FnText, beldi.Map(map[string]beldi.Value{
-				"text": m["text"], "postId": postID,
-			}))
+			textOut, err = sub.SyncInvoke(FnText, beldi.Fields(
+				beldi.F("text", in.Get("text")),
+				beldi.F("postId", postID),
+			))
 			return err
 		},
 		func(sub *beldi.Env) error {
 			var err error
-			mediaOut, err = sub.SyncInvoke(FnMedia, beldi.Map(map[string]beldi.Value{
-				"media": m["media"],
-			}))
+			mediaOut, err = sub.SyncInvoke(FnMedia, beldi.Fields(beldi.F("media", in.Get("media"))))
 			return err
 		},
 		func(sub *beldi.Env) error {
 			var err error
-			author, err = sub.SyncInvoke(FnUser, beldi.Map(map[string]beldi.Value{
-				"op": beldi.Str("resolve"), "user": m["user"],
-			}))
+			author, err = sub.SyncInvoke(FnUser, beldi.Fields(
+				beldi.F("op", beldi.Str("resolve")),
+				beldi.F("user", in.Get("user")),
+			))
 			return err
 		},
 	)
 	if err != nil {
 		return beldi.Null, err
 	}
-	post := beldi.Map(map[string]beldi.Value{
-		"id":     postID,
-		"user":   m["user"],
-		"author": author,
-		"body":   textOut,
-		"media":  mediaOut,
-	})
-	if _, err := e.SyncInvoke(FnPostStorage, beldi.Map(map[string]beldi.Value{
-		"op": beldi.Str("store"), "post": post,
-	})); err != nil {
+	post := beldi.Fields(
+		beldi.F("id", postID),
+		beldi.F("user", in.Get("user")),
+		beldi.F("author", author),
+		beldi.F("body", textOut),
+		beldi.F("media", mediaOut),
+	)
+	if _, err := e.SyncInvoke(FnPostStorage, beldi.Fields(
+		beldi.F("op", beldi.Str("store")),
+		beldi.F("post", post),
+	)); err != nil {
 		return beldi.Null, err
 	}
 	// Own timeline.
-	if _, err := e.SyncInvoke(FnTimeline, beldi.Map(map[string]beldi.Value{
-		"op": beldi.Str("append"), "kind": beldi.Str("u"), "user": m["user"], "postId": postID,
-	})); err != nil {
+	if _, err := e.SyncInvoke(FnTimeline, beldi.Fields(
+		beldi.F("op", beldi.Str("append")),
+		beldi.F("kind", beldi.Str("u")),
+		beldi.F("user", in.Get("user")),
+		beldi.F("postId", postID),
+	)); err != nil {
 		return beldi.Null, err
 	}
 	// Followers' home timelines.
-	followers, err := e.SyncInvoke(FnSocialGraph, beldi.Map(map[string]beldi.Value{
-		"op": beldi.Str("followers"), "user": m["user"],
-	}))
+	followers, err := e.SyncInvoke(FnSocialGraph, beldi.Fields(
+		beldi.F("op", beldi.Str("followers")),
+		beldi.F("user", in.Get("user")),
+	))
 	if err != nil {
 		return beldi.Null, err
 	}
 	for _, fv := range followers.List() {
-		if _, err := e.SyncInvoke(FnTimeline, beldi.Map(map[string]beldi.Value{
-			"op": beldi.Str("append"), "kind": beldi.Str("h"), "user": fv, "postId": postID,
-		})); err != nil {
+		if _, err := e.SyncInvoke(FnTimeline, beldi.Fields(
+			beldi.F("op", beldi.Str("append")),
+			beldi.F("kind", beldi.Str("h")),
+			beldi.F("user", fv),
+			beldi.F("postId", postID),
+		)); err != nil {
 			return beldi.Null, err
 		}
 	}
@@ -364,8 +371,7 @@ func (a *App) composePost(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 
 // frontend routes client requests.
 func (a *App) frontend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	switch m["op"].Str() {
+	switch in.Get("op").Str() {
 	case "compose":
 		return e.SyncInvoke(FnComposePost, in)
 	case "home":
@@ -373,13 +379,15 @@ func (a *App) frontend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 	case "user":
 		return e.SyncInvoke(FnUserTimeline, in)
 	case "login":
-		return e.SyncInvoke(FnUser, beldi.Map(map[string]beldi.Value{
-			"op": beldi.Str("login"), "user": m["user"], "password": m["password"],
-		}))
+		return e.SyncInvoke(FnUser, beldi.Fields(
+			beldi.F("op", beldi.Str("login")),
+			beldi.F("user", in.Get("user")),
+			beldi.F("password", in.Get("password")),
+		))
 	case "follow":
 		return e.SyncInvoke(FnSocialGraph, in)
 	default:
-		return beldi.Null, fmt.Errorf("social: unknown op %q", m["op"].Str())
+		return beldi.Null, fmt.Errorf("social: unknown op %q", in.Get("op").Str())
 	}
 }
 
@@ -410,29 +418,31 @@ func (a *App) Request(r *rand.Rand) beldi.Value {
 	u := userID(r.Intn(NumUsers))
 	switch {
 	case p < 0.55:
-		return beldi.Map(map[string]beldi.Value{
-			"op": beldi.Str("home"), "user": beldi.Str(u),
-		})
+		return beldi.Fields(
+			beldi.F("op", beldi.Str("home")),
+			beldi.F("user", beldi.Str(u)),
+		)
 	case p < 0.80:
-		return beldi.Map(map[string]beldi.Value{
-			"op": beldi.Str("user"), "user": beldi.Str(u),
-		})
+		return beldi.Fields(
+			beldi.F("op", beldi.Str("user")),
+			beldi.F("user", beldi.Str(u)),
+		)
 	case p < 0.90:
 		mention := userID(r.Intn(NumUsers))
-		return beldi.Map(map[string]beldi.Value{
-			"op":   beldi.Str("compose"),
-			"user": beldi.Str(u),
-			"text": beldi.Str("hello @" + mention + " see https://example.com/" + u),
-			"media": beldi.List(
-				beldi.Str("https://img.example.com/" + u + ".png"),
-			),
-		})
+		return beldi.Fields(
+			beldi.F("op", beldi.Str("compose")),
+			beldi.F("user", beldi.Str(u)),
+			beldi.F("text", beldi.Str("hello @"+mention+" see https://example.com/"+u)),
+			beldi.F("media", beldi.List(
+				beldi.Str("https://img.example.com/"+u+".png"),
+			)),
+		)
 	default:
 		i := r.Intn(NumUsers)
-		return beldi.Map(map[string]beldi.Value{
-			"op":       beldi.Str("login"),
-			"user":     beldi.Str(userID(i)),
-			"password": beldi.Str(fmt.Sprintf("pw-%03d", i)),
-		})
+		return beldi.Fields(
+			beldi.F("op", beldi.Str("login")),
+			beldi.F("user", beldi.Str(userID(i))),
+			beldi.F("password", beldi.Str(fmt.Sprintf("pw-%03d", i))),
+		)
 	}
 }

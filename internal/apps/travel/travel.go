@@ -82,9 +82,7 @@ func Build(d *beldi.Deployment) *App {
 // the data goes through the same write path the apps use.
 func (a *App) Seed() error {
 	for _, fn := range []string{FnGeo, FnRate, FnRecommend, FnProfile, FnUser, FnReserveHotel, FnReserveFlight} {
-		if _, err := a.d.Invoke(fn, beldi.Map(map[string]beldi.Value{
-			"op": beldi.Str("seed"),
-		})); err != nil {
+		if _, err := a.d.Invoke(fn, beldi.Fields(beldi.F("op", beldi.Str("seed")))); err != nil {
 			return fmt.Errorf("travel: seeding %s: %w", fn, err)
 		}
 	}
@@ -99,20 +97,19 @@ func userID(i int) string   { return fmt.Sprintf("user-%03d", i) }
 
 // geo returns hotels near a location. State: per-hotel coordinates.
 func (a *App) geo(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if op, _ := m["op"]; op.Str() == "seed" {
+	if in.Get("op").Str() == "seed" {
 		for i := 0; i < NumHotels; i++ {
-			pos := beldi.Map(map[string]beldi.Value{
-				"lat": beldi.Num(float64(i%10) * 0.3),
-				"lon": beldi.Num(float64(i/10) * 0.3),
-			})
+			pos := beldi.Fields(
+				beldi.F("lat", beldi.Num(float64(i%10)*0.3)),
+				beldi.F("lon", beldi.Num(float64(i/10)*0.3)),
+			)
 			if err := e.Write("geo", hotelID(i), pos); err != nil {
 				return beldi.Null, err
 			}
 		}
 		return beldi.Str("seeded"), nil
 	}
-	lat, lon := m["lat"].Num(), m["lon"].Num()
+	lat, lon := in.Get("lat").Num(), in.Get("lon").Num()
 	// Distance check against a deterministic candidate subset (a real geo
 	// index would shard; the read pattern is what matters here).
 	var nearby []beldi.Value
@@ -125,25 +122,22 @@ func (a *App) geo(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		if pos.IsNull() {
 			continue
 		}
-		dlat := pos.Map()["lat"].Num() - lat
-		dlon := pos.Map()["lon"].Num() - lon
+		dlat := pos.Get("lat").Num() - lat
+		dlon := pos.Get("lon").Num() - lon
 		dist := math.Sqrt(dlat*dlat + dlon*dlon)
-		nearby = append(nearby, beldi.Map(map[string]beldi.Value{
-			"hotel": beldi.Str(id), "distance": beldi.Num(dist),
-		}))
+		nearby = append(nearby, beldi.Fields(beldi.F("distance", beldi.Num(dist)), beldi.F("hotel", beldi.Str(id))))
 	}
 	return beldi.List(nearby...), nil
 }
 
 // rate returns room rates for the requested hotels.
 func (a *App) rate(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if op, _ := m["op"]; op.Str() == "seed" {
+	if in.Get("op").Str() == "seed" {
 		for i := 0; i < NumHotels; i++ {
-			rate := beldi.Map(map[string]beldi.Value{
-				"price": beldi.Num(80 + float64((i*37)%200)),
-				"stars": beldi.Num(float64(1 + i%5)),
-			})
+			rate := beldi.Fields(
+				beldi.F("price", beldi.Num(80+float64((i*37)%200))),
+				beldi.F("stars", beldi.Num(float64(1+i%5))),
+			)
 			if err := e.Write("rates", hotelID(i), rate); err != nil {
 				return beldi.Null, err
 			}
@@ -151,21 +145,21 @@ func (a *App) rate(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		return beldi.Str("seeded"), nil
 	}
 	var out []beldi.Value
-	for _, hv := range m["hotels"].List() {
-		id := hv.Map()["hotel"].Str()
-		r, err := e.Read("rates", id)
+	for _, hv := range in.Get("hotels").List() {
+		r, err := e.Read("rates", hv.Get("hotel").Str())
 		if err != nil {
 			return beldi.Null, err
 		}
-		entry := map[string]beldi.Value{"hotel": beldi.Str(id)}
-		for k, v := range hv.Map() {
-			entry[k] = v
+		// The nearby entry (its hotel among its fields), with the rate's
+		// price and stars over it when the hotel has one.
+		entry := make([]beldi.Field, 0, hv.MapLen()+2)
+		for k, v := range hv.Entries() {
+			entry = append(entry, beldi.F(k, v))
 		}
 		if !r.IsNull() {
-			entry["price"] = r.Map()["price"]
-			entry["stars"] = r.Map()["stars"]
+			entry = append(entry, beldi.F("price", r.Get("price")), beldi.F("stars", r.Get("stars")))
 		}
-		out = append(out, beldi.Map(entry))
+		out = append(out, beldi.Fields(entry...))
 	}
 	return beldi.List(out...), nil
 }
@@ -176,9 +170,7 @@ func (a *App) search(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 	if err != nil {
 		return beldi.Null, err
 	}
-	rated, err := e.SyncInvoke(FnRate, beldi.Map(map[string]beldi.Value{
-		"hotels": nearby,
-	}))
+	rated, err := e.SyncInvoke(FnRate, beldi.Fields(beldi.F("hotels", nearby)))
 	if err != nil {
 		return beldi.Null, err
 	}
@@ -188,8 +180,7 @@ func (a *App) search(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 // recommend returns hotels ranked by the requested criterion
 // (price/distance/rate), reading a per-criterion precomputed list.
 func (a *App) recommend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if op, _ := m["op"]; op.Str() == "seed" {
+	if in.Get("op").Str() == "seed" {
 		for _, crit := range []string{"price", "distance", "rate"} {
 			var ids []beldi.Value
 			for i := 0; i < 5; i++ {
@@ -201,7 +192,7 @@ func (a *App) recommend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		}
 		return beldi.Str("seeded"), nil
 	}
-	crit := m["require"].Str()
+	crit := in.Get("require").Str()
 	if crit == "" {
 		crit = "price"
 	}
@@ -210,46 +201,40 @@ func (a *App) recommend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 
 // profile returns hotel profiles.
 func (a *App) profile(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if op, _ := m["op"]; op.Str() == "seed" {
+	if in.Get("op").Str() == "seed" {
 		for i := 0; i < NumHotels; i++ {
-			p := beldi.Map(map[string]beldi.Value{
-				"name":  beldi.Str(fmt.Sprintf("Hotel %03d", i)),
-				"phone": beldi.Str(fmt.Sprintf("+1-555-%04d", i)),
-			})
+			p := beldi.Fields(
+				beldi.F("name", beldi.Str(fmt.Sprintf("Hotel %03d", i))),
+				beldi.F("phone", beldi.Str(fmt.Sprintf("+1-555-%04d", i))),
+			)
 			if err := e.Write("profiles", hotelID(i), p); err != nil {
 				return beldi.Null, err
 			}
 		}
 		return beldi.Str("seeded"), nil
 	}
-	return e.Read("profiles", m["hotel"].Str())
+	return e.Read("profiles", in.Get("hotel").Str())
 }
 
 // user validates credentials.
 func (a *App) user(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	m := in.Map()
-	if op, _ := m["op"]; op.Str() == "seed" {
+	if in.Get("op").Str() == "seed" {
 		for i := 0; i < NumUsers; i++ {
-			cred := beldi.Map(map[string]beldi.Value{
-				"password": beldi.Str(fmt.Sprintf("pw-%03d", i)),
-			})
+			cred := beldi.Fields(beldi.F("password", beldi.Str(fmt.Sprintf("pw-%03d", i))))
 			if err := e.Write("users", userID(i), cred); err != nil {
 				return beldi.Null, err
 			}
 		}
 		return beldi.Str("seeded"), nil
 	}
-	cred, err := e.Read("users", m["user"].Str())
+	cred, err := e.Read("users", in.Get("user").Str())
 	if err != nil {
 		return beldi.Null, err
 	}
-	ok := !cred.IsNull() && cred.Map()["password"].Str() == m["password"].Str()
+	ok := !cred.IsNull() && cred.Get("password").Str() == in.Get("password").Str()
 	if ok {
 		// Fetch the hotel profile as the post-login landing data.
-		if _, err := e.SyncInvoke(FnProfile, beldi.Map(map[string]beldi.Value{
-			"hotel": beldi.Str(hotelID(0)),
-		})); err != nil {
+		if _, err := e.SyncInvoke(FnProfile, beldi.Fields(beldi.F("hotel", beldi.Str(hotelID(0))))); err != nil {
 			return beldi.Null, err
 		}
 	}
@@ -262,8 +247,8 @@ func (a *App) user(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 // check capacity, decrement, and append the booking — three operations that
 // must be atomic with the *other* SSF's reservation.
 func (a *App) reserveInventory(e *beldi.Env, table string, in beldi.Value, seedID func(int) string) (beldi.Value, error) {
-	m := in.Map()
-	if op, _ := m["op"]; op.Str() == "seed" {
+	op := in.Get("op").Str()
+	if op == "seed" {
 		for i := 0; i < NumHotels; i++ {
 			if err := e.Write("inventory", seedID(i), beldi.Int(a.Capacity)); err != nil {
 				return beldi.Null, err
@@ -271,7 +256,7 @@ func (a *App) reserveInventory(e *beldi.Env, table string, in beldi.Value, seedI
 		}
 		return beldi.Str("seeded"), nil
 	}
-	if op, _ := m["op"]; op.Str() == "audit" {
+	if op == "audit" {
 		// Sum remaining capacity — the §7.2 consistency probe. Read through
 		// the SSF's own API so sovereignty holds even for audits.
 		var total int64
@@ -284,7 +269,7 @@ func (a *App) reserveInventory(e *beldi.Env, table string, in beldi.Value, seedI
 		}
 		return beldi.Int(total), nil
 	}
-	id := m[table].Str()
+	id := in.Get(table).Str()
 	cap, err := e.Read("inventory", id)
 	if err != nil {
 		return beldi.Null, err
@@ -335,7 +320,7 @@ func (a *App) reserve(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 
 // frontend routes client requests into the workflow.
 func (a *App) frontend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-	switch in.Map()["op"].Str() {
+	switch op := in.Get("op").Str(); op {
 	case "search":
 		return e.SyncInvoke(FnSearch, in)
 	case "recommend":
@@ -345,7 +330,7 @@ func (a *App) frontend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 	case "reserve":
 		return e.SyncInvoke(FnReserve, in)
 	default:
-		return beldi.Null, fmt.Errorf("travel: unknown op %q", in.Map()["op"].Str())
+		return beldi.Null, fmt.Errorf("travel: unknown op %q", op)
 	}
 }
 
@@ -362,30 +347,31 @@ func (a *App) Request(r *rand.Rand) beldi.Value {
 	p := r.Float64()
 	switch {
 	case p < 0.60:
-		return beldi.Map(map[string]beldi.Value{
-			"op":  beldi.Str("search"),
-			"lat": beldi.Num(r.Float64() * 3),
-			"lon": beldi.Num(r.Float64() * 3),
-		})
+		return beldi.Fields(
+			beldi.F("lat", beldi.Num(r.Float64()*3)),
+			beldi.F("lon", beldi.Num(r.Float64()*3)),
+			beldi.F("op", beldi.Str("search")),
+		)
 	case p < 0.78:
 		criteria := []string{"price", "distance", "rate"}
-		return beldi.Map(map[string]beldi.Value{
-			"op":      beldi.Str("recommend"),
-			"require": beldi.Str(criteria[r.Intn(len(criteria))]),
-		})
+		return beldi.Fields(
+			beldi.F("op", beldi.Str("recommend")),
+			beldi.F("require", beldi.Str(criteria[r.Intn(len(criteria))])),
+		)
 	case p < 0.93:
 		u := r.Intn(NumUsers)
-		return beldi.Map(map[string]beldi.Value{
-			"op":       beldi.Str("login"),
-			"user":     beldi.Str(userID(u)),
-			"password": beldi.Str(fmt.Sprintf("pw-%03d", u)),
-		})
+		return beldi.Fields(
+			beldi.F("op", beldi.Str("login")),
+			beldi.F("password", beldi.Str(fmt.Sprintf("pw-%03d", u))),
+			beldi.F("user", beldi.Str(userID(u))),
+		)
 	default:
-		return beldi.Map(map[string]beldi.Value{
-			"op":     beldi.Str("reserve"),
-			"hotel":  beldi.Str(hotelID(normalChoice(r, NumHotels))),
-			"flight": beldi.Str(flightID(normalChoice(r, NumFlights))),
-		})
+		hotel := hotelID(normalChoice(r, NumHotels)) // drawn before the flight
+		return beldi.Fields(
+			beldi.F("flight", beldi.Str(flightID(normalChoice(r, NumFlights)))),
+			beldi.F("hotel", beldi.Str(hotel)),
+			beldi.F("op", beldi.Str("reserve")),
+		)
 	}
 }
 
@@ -408,7 +394,7 @@ func normalChoice(r *rand.Rand, n int) int {
 // equal (initial - total) flight seats exactly; under the baseline they
 // drift apart.
 func AuditInventory(d *beldi.Deployment, fn string) (int64, error) {
-	out, err := d.Invoke(fn, beldi.Map(map[string]beldi.Value{"op": beldi.Str("audit")}))
+	out, err := d.Invoke(fn, beldi.Fields(beldi.F("op", beldi.Str("audit"))))
 	if err != nil {
 		return 0, err
 	}

@@ -315,14 +315,13 @@ func window(c Cell, open func(), do func(w, i int) error) (*hist.Histogram, time
 // when there are several).
 func stepBody(steps int) beldi.Body {
 	return func(e *beldi.Env, input beldi.Value) (beldi.Value, error) {
-		m := input.Map()
-		key := m["Key"].Str()
+		key := input.Get("Key").Str()
 		for j := 0; j < steps; j++ {
 			k := key
 			if steps > 1 {
 				k = fmt.Sprintf("%s-%d", key, j)
 			}
-			if err := e.Write("state", k, m["Val"]); err != nil {
+			if err := e.Write("state", k, input.Get("Val")); err != nil {
 				return beldi.Null, err
 			}
 		}
@@ -374,10 +373,10 @@ func RunCell(c Cell) (Point, error) {
 	d := beldi.NewDeployment(dopts)
 	d.Function("step", stepBody(c.StepsPerInvoke), "state")
 	invoke := func(w, i int) error {
-		_, err := d.Invoke("step", beldi.Map(map[string]beldi.Value{
-			"Key": beldi.Str(fmt.Sprintf("k%04d", (w*31+i)%cellKeys)),
-			"Val": beldi.Int(int64(i)),
-		}))
+		_, err := d.Invoke("step", beldi.Fields(
+			beldi.F("Key", beldi.Str(fmt.Sprintf("k%04d", (w*31+i)%cellKeys))),
+			beldi.F("Val", beldi.Int(int64(i))),
+		))
 		return err
 	}
 

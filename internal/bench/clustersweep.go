@@ -109,7 +109,7 @@ func ClusterSweep(opts ClusterSweepOptions) ([]ClusterSweepPoint, error) {
 // request, keyed so duplicates or losses would corrupt the final audit.
 func registerStep(d *beldi.Deployment) {
 	d.Function("step", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-		key := in.Map()["key"].Str()
+		key := in.Get("key").Str()
 		v, err := e.Read("state", key)
 		if err != nil {
 			return beldi.Null, err
@@ -197,9 +197,7 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 						}
 					}
 					k := keySeq.Add(1)
-					req := beldi.Map(map[string]beldi.Value{
-						"key": beldi.Str(fmt.Sprintf("k%04d", k%cellKeys)),
-					})
+					req := beldi.Fields(beldi.F("key", beldi.Str(fmt.Sprintf("k%04d", k%cellKeys))))
 					if _, err := w.Invoke("step", req); err != nil {
 						failed.Add(1)
 						if wi == victim {

@@ -147,9 +147,7 @@ func fig13Cell(op string, mode beldi.Mode, opts Fig13Options) (med, p99 time.Dur
 	if mode != beldi.ModeBaseline && opts.DAALRows > 1 {
 		fillWrites = (opts.DAALRows-1)*opts.RowCap + 1
 	}
-	if _, err := sys.D.Invoke("op", beldi.Map(map[string]beldi.Value{
-		"fill": beldi.Int(int64(fillWrites)),
-	})); err != nil {
+	if _, err := sys.D.Invoke("op", beldi.Fields(beldi.F("fill", beldi.Int(int64(fillWrites))))); err != nil {
 		return 0, 0, err
 	}
 
@@ -172,7 +170,7 @@ func fig13Cell(op string, mode beldi.Mode, opts Fig13Options) (med, p99 time.Dur
 	var envelope time.Duration
 	run := invoke(beldi.Null)
 	if op == "Read" {
-		empty := invoke(beldi.Map(map[string]beldi.Value{"empty": beldi.BoolVal(true)}))
+		empty := invoke(beldi.Fields(beldi.F("empty", beldi.BoolVal(true))))
 		for i := 0; i < opts.Ops; i++ {
 			if err := timed(empty); err != nil {
 				return 0, 0, err

@@ -98,13 +98,13 @@ func (e *Env) emitChanges(logical, key string, v Value) error {
 	if len(handlers) == 0 {
 		return nil
 	}
-	ev := dynamo.M(map[string]Value{
-		ChangeEvTable:    dynamo.S(logical),
-		ChangeEvKey:      dynamo.S(key),
-		ChangeEvValue:    v,
-		ChangeEvFn:       dynamo.S(e.rt.fn),
-		ChangeEvInstance: dynamo.S(e.instanceID),
-	})
+	ev := dynamo.Fields(
+		dynamo.F(ChangeEvTable, dynamo.S(logical)),
+		dynamo.F(ChangeEvKey, dynamo.S(key)),
+		dynamo.F(ChangeEvValue, v),
+		dynamo.F(ChangeEvFn, dynamo.S(e.rt.fn)),
+		dynamo.F(ChangeEvInstance, dynamo.S(e.instanceID)),
+	)
 	for _, h := range handlers {
 		if _, _, err := e.asyncInvoke(h, ev, false); err != nil {
 			return fmt.Errorf("core: change handler %s for table %s: %w", h, logical, err)

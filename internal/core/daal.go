@@ -50,10 +50,10 @@ type daalRow struct {
 	value    Value
 	lock     Value // Null or M{Id, Start}
 	logSize  int
-	recent   map[string]Value // logKey -> outcome
-	recycled map[string]bool  // logKey -> marked recyclable by the GC
-	next     string           // "" when this row is the tail
-	dangle   int64            // 0 when not dangling
+	recent   Value  // the write log, a map value: logKey -> outcome
+	recycled Value  // a map value: logKey -> true, marked recyclable by the GC
+	next     string // "" when this row is the tail
+	dangle   int64  // 0 when not dangling
 }
 
 func decodeDAALRow(it dynamo.Item) daalRow {
@@ -64,18 +64,7 @@ func decodeDAALRow(it dynamo.Item) daalRow {
 		lock:  it[attrLockOwner],
 	}
 	r.logSize = int(it[attrLogSize].Int())
-	if m := it[attrRecent].Map(); m != nil {
-		r.recent = make(map[string]Value, len(m))
-		for k, v := range m {
-			r.recent[k] = v
-		}
-	}
-	if m := it[attrRecycled].Map(); m != nil {
-		r.recycled = make(map[string]bool, len(m))
-		for k := range m {
-			r.recycled[k] = true
-		}
-	}
+	r.recent, r.recycled = it[attrRecent], it[attrRecycled]
 	if v, ok := it[attrNextRow]; ok && !v.IsNull() {
 		r.next = v.Str()
 	}
@@ -360,7 +349,7 @@ func (d *daal) tryWrite(key, logKey, rowID string, mut mutation, depth int) (boo
 		// grows forward.
 		return d.loggedWrite(key, logKey, mut)
 	}
-	if out, done := row.recent[logKey]; done {
+	if out, done := row.recent.MapGet(logKey); done {
 		d.rt.stats.Replays.Add(1)
 		mut.markReplayed()
 		return out.BoolVal(), nil // case A

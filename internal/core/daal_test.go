@@ -32,8 +32,8 @@ func TestDAALFirstWriteCreatesHead(t *testing.T) {
 		t.Errorf("value = %v", row.value)
 	}
 	// currentRow projects state only; the write log comes from readRow.
-	if full, _, _ := d.readRow("k", headRowID); full.logSize != 1 || len(full.recent) != 1 {
-		t.Errorf("log: size=%d entries=%d", full.logSize, len(full.recent))
+	if full, _, _ := d.readRow("k", headRowID); full.logSize != 1 || full.recent.MapLen() != 1 {
+		t.Errorf("log: size=%d entries=%d", full.logSize, full.recent.MapLen())
 	}
 }
 
@@ -235,13 +235,13 @@ func TestDAALConcurrentDistinctWritersAllLogged(t *testing.T) {
 	seen := make(map[string]int)
 	for _, id := range order {
 		r := rows[id]
-		if len(r.recent) > 3 {
-			t.Errorf("row %s over capacity: %d", id, len(r.recent))
+		if r.recent.MapLen() > 3 {
+			t.Errorf("row %s over capacity: %d", id, r.recent.MapLen())
 		}
-		if r.logSize != len(r.recent) {
-			t.Errorf("row %s logSize=%d entries=%d", id, r.logSize, len(r.recent))
+		if r.logSize != r.recent.MapLen() {
+			t.Errorf("row %s logSize=%d entries=%d", id, r.logSize, r.recent.MapLen())
 		}
-		for k := range r.recent {
+		for k := range r.recent.Entries() {
 			seen[k]++
 		}
 	}
@@ -292,7 +292,7 @@ func TestDAALConcurrentSameLogKeyAppliesOnce(t *testing.T) {
 	rows, order, _ := d.chain("k")
 	total := 0
 	for _, id := range order {
-		total += len(rows[id].recent)
+		total += rows[id].recent.MapLen()
 	}
 	if total != 6 {
 		t.Errorf("total log entries = %d, want 6", total)

@@ -276,10 +276,7 @@ func (e *Env) CondWrite(table, key string, v Value, cond dynamo.Cond) (bool, err
 // lockOwnerValue builds the lock-owner column value: the owning intent and
 // its creation time (wait-die priority).
 func lockOwnerValue(id string, start int64) Value {
-	return dynamo.M(map[string]Value{
-		attrID:  dynamo.S(id),
-		"Start": dynamo.NInt(start),
-	})
+	return dynamo.Fields(dynamo.F(attrID, dynamo.S(id)), dynamo.F("Start", dynamo.NInt(start)))
 }
 
 // lockCond is the §6.1 acquisition guard: free, or already owned by this

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dynamo"
 )
@@ -64,46 +65,45 @@ const (
 	kindPromisePost   = "promisePost"
 )
 
-// encode marshals the envelope to a map Value.
+// encode marshals the envelope to a map Value. Its entries are listed in key
+// order, so the field list is built as it is, once.
 func (ev envelope) encode() Value {
-	m := map[string]Value{
-		"Kind":  dynamo.S(ev.Kind),
-		"Input": ev.Input,
-	}
-	if ev.InstanceID != "" {
-		m["InstanceId"] = dynamo.S(ev.InstanceID)
+	var buf [15]dynamo.Field
+	fs := buf[:0]
+	if ev.App != "" {
+		fs = append(fs, dynamo.F("App", dynamo.S(ev.App)))
 	}
 	if ev.Async {
-		m["Async"] = dynamo.Bool(true)
-	}
-	if ev.App != "" {
-		m["App"] = dynamo.S(ev.App)
-	}
-	if ev.CallerFn != "" {
-		m["CallerFn"] = dynamo.S(ev.CallerFn)
-	}
-	if ev.CallerInstance != "" {
-		m["CallerInstance"] = dynamo.S(ev.CallerInstance)
-		m["CallerStep"] = dynamo.S(ev.CallerStep)
+		fs = append(fs, dynamo.F("Async", dynamo.Bool(true)))
 	}
 	if ev.CalleeID != "" {
-		m["CalleeId"] = dynamo.S(ev.CalleeID)
+		fs = append(fs, dynamo.F("CalleeId", dynamo.S(ev.CalleeID)))
 	}
-	if ev.HasRes {
-		m["Result"] = ev.Result
+	if ev.CallerFn != "" {
+		fs = append(fs, dynamo.F("CallerFn", dynamo.S(ev.CallerFn)))
 	}
-	if ev.ReplyFn != "" {
-		m["ReplyFn"] = dynamo.S(ev.ReplyFn)
-		m["ReplyOwner"] = dynamo.S(ev.ReplyOwner)
-		m["ReplyStep"] = dynamo.S(ev.ReplyStep)
-	}
-	if ev.Txn != nil {
-		m["Txn"] = ev.Txn.encode()
+	if ev.CallerInstance != "" {
+		fs = append(fs, dynamo.F("CallerInstance", dynamo.S(ev.CallerInstance)), dynamo.F("CallerStep", dynamo.S(ev.CallerStep)))
 	}
 	if ev.First {
-		m["First"] = dynamo.Bool(true)
+		fs = append(fs, dynamo.F("First", dynamo.Bool(true)))
 	}
-	return dynamo.M(m)
+	fs = append(fs, dynamo.F("Input", ev.Input))
+	if ev.InstanceID != "" {
+		fs = append(fs, dynamo.F(InstanceKey, dynamo.S(ev.InstanceID)))
+	}
+	fs = append(fs, dynamo.F("Kind", dynamo.S(ev.Kind)))
+	if ev.ReplyFn != "" {
+		fs = append(fs, dynamo.F("ReplyFn", dynamo.S(ev.ReplyFn)), dynamo.F("ReplyOwner", dynamo.S(ev.ReplyOwner)),
+			dynamo.F("ReplyStep", dynamo.S(ev.ReplyStep)))
+	}
+	if ev.HasRes {
+		fs = append(fs, dynamo.F("Result", ev.Result))
+	}
+	if ev.Txn != nil {
+		fs = append(fs, dynamo.F("Txn", ev.Txn.encode()))
+	}
+	return dynamo.Fields(slices.Clone(fs)...)
 }
 
 // InstanceKey is the envelope map entry carrying the callee's instance id.
@@ -131,49 +131,43 @@ func ClientEnvelopeForApp(app string, input Value) Value {
 // kindCall with the payload as Input, so Beldi SSFs remain directly
 // invokable.
 func decodeEnvelope(raw Value) envelope {
-	m := raw.Map()
-	if m == nil {
+	if _, ok := raw.MapGet("Kind"); !ok {
 		return envelope{Kind: kindCall, Input: raw}
 	}
-	kindV, ok := m["Kind"]
-	if !ok {
-		return envelope{Kind: kindCall, Input: raw}
-	}
-	ev := envelope{Kind: kindV.Str()}
-	ev.Input = m["Input"]
-	if v, ok := m["InstanceId"]; ok {
-		ev.InstanceID = v.Str()
-	}
-	if v, ok := m["Async"]; ok {
-		ev.Async = v.BoolVal()
-	}
-	if v, ok := m["App"]; ok {
-		ev.App = v.Str()
-	}
-	if v, ok := m["CallerFn"]; ok {
-		ev.CallerFn = v.Str()
-	}
-	if v, ok := m["CallerInstance"]; ok {
-		ev.CallerInstance = v.Str()
-		ev.CallerStep = m["CallerStep"].Str()
-	}
-	if v, ok := m["CalleeId"]; ok {
-		ev.CalleeID = v.Str()
-	}
-	if v, ok := m["Result"]; ok {
-		ev.Result = v
-		ev.HasRes = true
-	}
-	if v, ok := m["ReplyFn"]; ok {
-		ev.ReplyFn = v.Str()
-		ev.ReplyOwner = m["ReplyOwner"].Str()
-		ev.ReplyStep = m["ReplyStep"].Str()
-	}
-	if v, ok := m["Txn"]; ok {
-		ev.Txn = decodeTxnContext(v)
-	}
-	if v, ok := m["First"]; ok {
-		ev.First = v.BoolVal()
+	var ev envelope
+	for k, v := range raw.Entries() {
+		switch k {
+		case "App":
+			ev.App = v.Str()
+		case "Async":
+			ev.Async = v.BoolVal()
+		case "CalleeId":
+			ev.CalleeID = v.Str()
+		case "CallerFn":
+			ev.CallerFn = v.Str()
+		case "CallerInstance":
+			ev.CallerInstance = v.Str()
+		case "CallerStep":
+			ev.CallerStep = v.Str()
+		case "First":
+			ev.First = v.BoolVal()
+		case "Input":
+			ev.Input = v
+		case InstanceKey:
+			ev.InstanceID = v.Str()
+		case "Kind":
+			ev.Kind = v.Str()
+		case "ReplyFn":
+			ev.ReplyFn = v.Str()
+		case "ReplyOwner":
+			ev.ReplyOwner = v.Str()
+		case "ReplyStep":
+			ev.ReplyStep = v.Str()
+		case "Result":
+			ev.Result, ev.HasRes = v, true
+		case "Txn":
+			ev.Txn = decodeTxnContext(v)
+		}
 	}
 	return ev
 }
@@ -199,22 +193,21 @@ type TxnContext struct {
 }
 
 func (tc *TxnContext) encode() Value {
-	return dynamo.M(map[string]Value{
-		"Id":    dynamo.S(tc.ID),
-		"Mode":  dynamo.S(string(tc.Mode)),
-		"Start": dynamo.NInt(tc.Start),
-	})
+	return dynamo.Fields(
+		dynamo.F("Id", dynamo.S(tc.ID)),
+		dynamo.F("Mode", dynamo.S(string(tc.Mode))),
+		dynamo.F("Start", dynamo.NInt(tc.Start)),
+	)
 }
 
 func decodeTxnContext(v Value) *TxnContext {
-	m := v.Map()
-	if m == nil {
+	if v.Kind() != dynamo.KindMap {
 		return nil
 	}
 	return &TxnContext{
-		ID:    m["Id"].Str(),
-		Mode:  TxnMode(m["Mode"].Str()),
-		Start: m["Start"].Int(),
+		ID:    v.Get("Id").Str(),
+		Mode:  TxnMode(v.Get("Mode").Str()),
+		Start: v.Get("Start").Int(),
 	}
 }
 

@@ -113,14 +113,14 @@ func fsckDAALTable(rt *Runtime, table string, doneIntents map[string]bool, repor
 	for key, rows := range byKey {
 		// Per-row invariants.
 		for id, r := range rows {
-			if r.logSize != len(r.recent) {
-				report("%s/%s row %s: LogSize %d != %d entries", table, key, id, r.logSize, len(r.recent))
+			if r.logSize != r.recent.MapLen() {
+				report("%s/%s row %s: LogSize %d != %d entries", table, key, id, r.logSize, r.recent.MapLen())
 			}
 			if r.logSize > rt.cfg.RowCap {
 				report("%s/%s row %s: LogSize %d exceeds cap %d", table, key, id, r.logSize, rt.cfg.RowCap)
 			}
-			for mark := range r.recycled {
-				if _, ok := r.recent[mark]; !ok {
+			for mark := range r.recycled.Entries() {
+				if _, ok := r.recent.MapGet(mark); !ok {
 					report("%s/%s row %s: recycled mark %s has no log entry", table, key, id, mark)
 				}
 			}

@@ -235,9 +235,9 @@ func (rt *Runtime) gcChain(table, key string, rows map[string]daalRow, recyclabl
 	for _, id := range rowIDs {
 		row := rows[id]
 		var marks []dynamo.Update
-		for _, logKey := range sortedKeys(row.recent) {
+		for logKey := range row.recent.Entries() {
 			intent, _ := splitLogKey(logKey)
-			if recyclable[intent] && !row.recycled[logKey] {
+			if _, marked := row.recycled.MapGet(logKey); recyclable[intent] && !marked {
 				marks = append(marks, dynamo.Set(dynamo.AK(attrRecycled, logKey), dynamo.Bool(true)))
 			}
 		}
@@ -247,15 +247,16 @@ func (rt *Runtime) gcChain(table, key string, rows map[string]daalRow, recyclabl
 		if err := rt.store.Update(table, rowKeyOf(key, id), nil, marks...); err != nil {
 			return err
 		}
-		if row.recycled == nil {
-			row.recycled = make(map[string]bool)
-		}
-		for logKey := range row.recent {
+		// Every entry of a recyclable intent is marked now; the rows' next
+		// phases read the marks from here, not from the store.
+		marked := make([]dynamo.Field, 0, row.recent.MapLen())
+		for logKey := range row.recent.Entries() {
 			intent, _ := splitLogKey(logKey)
-			if recyclable[intent] {
-				row.recycled[logKey] = true
+			if _, was := row.recycled.MapGet(logKey); was || recyclable[intent] {
+				marked = append(marked, dynamo.F(logKey, dynamo.Bool(true)))
 			}
 		}
+		row.recycled = dynamo.Fields(marked...)
 		rows[id] = row
 		st.RowsMarked++
 	}
@@ -369,12 +370,11 @@ func chainOrder(rows map[string]daalRow) []string {
 	return order
 }
 
+// fullyRecycled reports whether every entry of r's log is marked; an empty
+// log needs no retention.
 func fullyRecycled(r daalRow) bool {
-	if len(r.recent) == 0 {
-		return true // an empty log needs no retention
-	}
-	for logKey := range r.recent {
-		if !r.recycled[logKey] {
+	for logKey := range r.recent.Entries() {
+		if _, marked := r.recycled.MapGet(logKey); !marked {
 			return false
 		}
 	}

@@ -183,7 +183,7 @@ func txnResult(res Value, txn *TxnContext) (Value, error) {
 // transaction died under wait-die; the caller converts it back into
 // ErrTxnAborted.
 func abortMarker() Value {
-	return dynamo.M(map[string]Value{"__beldi_abort": dynamo.Bool(true)})
+	return dynamo.Fields(dynamo.F("__beldi_abort", dynamo.Bool(true)))
 }
 
 func isAbortMarker(v Value) bool {
@@ -368,7 +368,7 @@ func (rt *Runtime) handleCallback(ev envelope) (Value, error) {
 	}
 	if ok && rec[attrCalleeID].Str() == ev.CalleeID {
 		if res, has := rec[attrResult]; has {
-			return dynamo.M(map[string]Value{callbackHeld: res}), nil
+			return dynamo.Fields(dynamo.F(callbackHeld, res)), nil
 		}
 		// An effect-free result for a row a relaunch has closed.
 		return dynamo.Bool(false), nil

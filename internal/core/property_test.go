@@ -87,11 +87,11 @@ func TestDAALInvariantsUnderRandomOps(t *testing.T) {
 		// LogSize == len(recent); each logKey in exactly one row.
 		seen := map[string]int{}
 		for id, r := range rows {
-			if r.logSize != len(r.recent) {
-				t.Logf("row %s logSize %d != entries %d", id, r.logSize, len(r.recent))
+			if r.logSize != r.recent.MapLen() {
+				t.Logf("row %s logSize %d != entries %d", id, r.logSize, r.recent.MapLen())
 				return false
 			}
-			for k := range r.recent {
+			for k := range r.recent.Entries() {
 				seen[k]++
 			}
 		}

@@ -11,11 +11,12 @@ import (
 
 // The store-side allocation budget: what one operation costs against the
 // in-memory store, in the idiom of internal/remote/alloc_test.go (whose
-// "direct" column these numbers explain). The store copies one level — the
-// attribute map of a row it returns or installs — and shares every value, so
-// an operation allocates the maps it hands out or keeps and nothing for the
-// key, the critical section or the values. ARCHITECTURE.md, "Storage
-// backends", repeats the table.
+// "direct" column these numbers explain). The store converts one level at its
+// boundary — a row it installs becomes a sorted attribute list of its own, a
+// row it returns a new Item — and shares every value, so an operation
+// allocates the lists and maps it keeps or hands out and nothing for the key,
+// the critical section or the values. ARCHITECTURE.md, "Storage backends",
+// repeats the table.
 
 // budgetFixture is a store holding one DAAL-shaped partition: 3 rows of 6
 // attributes, each with a 16-entry write-log map.
@@ -103,8 +104,8 @@ func TestStoreAllocBudget(t *testing.T) {
 	}{
 		{"Get of a 6-attribute row holding a 16-entry map", get, attrMap, "its attribute map and nothing else"},
 		{"Query projecting 2 attributes of 3 rows", query, 3*attrMap + 1, "a map per row and the result slice, sized once"},
-		{"Update appending to a 16-entry log map", update, attrMap + 4, "the row's attribute map and the log map copied once"},
-		{"guarded Put of a new row, and its Delete", putDelete, attrMap + 3, "the stored attribute map, the partition, its row and row slice"},
+		{"Update appending to a 16-entry log map", update, 2, "the row's attribute list and the log's field list, each built once at its final size"},
+		{"guarded Put of a new row, and its Delete", putDelete, 4, "the stored attribute list, the partition, its row and row slice"},
 	} {
 		if got := testing.AllocsPerRun(1000, c.call); got != c.want {
 			t.Errorf("%s: %.0f allocations, want %.0f (%s)", c.name, got, c.want, c.why)

@@ -10,8 +10,15 @@ import (
 // expression. Beldi's entire at-most-once argument rests on these checks
 // being atomic with the update they guard (§3.1 of the paper).
 type Cond interface {
-	Eval(it Item) bool
+	Eval(a Attrs) bool
 	String() string
+}
+
+// Attrs is read-only access to a row's attributes: what a condition is
+// evaluated against. An Item is one, and so is a row the store holds, which a
+// condition reads in place — neither is converted or copied to be evaluated.
+type Attrs interface {
+	Get(p Path) (Value, bool)
 }
 
 type condExists struct{ p Path }
@@ -72,20 +79,20 @@ func IsNullOr(p Path, inner Cond) Cond {
 	return Or(NotExists(p), Eq(p, Null), inner)
 }
 
-func (c condExists) Eval(it Item) bool {
-	_, ok := it.Get(c.p)
+func (c condExists) Eval(a Attrs) bool {
+	_, ok := a.Get(c.p)
 	return ok
 }
 func (c condExists) String() string { return fmt.Sprintf("attribute_exists(%s)", c.p) }
 
-func (c condNotExists) Eval(it Item) bool {
-	_, ok := it.Get(c.p)
+func (c condNotExists) Eval(a Attrs) bool {
+	_, ok := a.Get(c.p)
 	return !ok
 }
 func (c condNotExists) String() string { return fmt.Sprintf("attribute_not_exists(%s)", c.p) }
 
-func (c condCmp) Eval(it Item) bool {
-	got, ok := it.Get(c.p)
+func (c condCmp) Eval(a Attrs) bool {
+	got, ok := a.Get(c.p)
 	if !ok {
 		// DynamoDB: comparisons against missing attributes fail, except
 		// inequality which holds vacuously.
@@ -112,9 +119,9 @@ func (c condCmp) Eval(it Item) bool {
 }
 func (c condCmp) String() string { return fmt.Sprintf("%s %s %s", c.p, c.op, c.v) }
 
-func (c condAnd) Eval(it Item) bool {
+func (c condAnd) Eval(a Attrs) bool {
 	for _, sub := range c.cs {
-		if !sub.Eval(it) {
+		if !sub.Eval(a) {
 			return false
 		}
 	}
@@ -122,9 +129,9 @@ func (c condAnd) Eval(it Item) bool {
 }
 func (c condAnd) String() string { return joinConds(c.cs, " AND ") }
 
-func (c condOr) Eval(it Item) bool {
+func (c condOr) Eval(a Attrs) bool {
 	for _, sub := range c.cs {
-		if sub.Eval(it) {
+		if sub.Eval(a) {
 			return true
 		}
 	}
@@ -132,11 +139,11 @@ func (c condOr) Eval(it Item) bool {
 }
 func (c condOr) String() string { return joinConds(c.cs, " OR ") }
 
-func (c condNot) Eval(it Item) bool { return !c.c.Eval(it) }
+func (c condNot) Eval(a Attrs) bool { return !c.c.Eval(a) }
 func (c condNot) String() string    { return fmt.Sprintf("NOT (%s)", c.c) }
 
-func (condTrue) Eval(Item) bool { return true }
-func (condTrue) String() string { return "TRUE" }
+func (condTrue) Eval(Attrs) bool { return true }
+func (condTrue) String() string  { return "TRUE" }
 
 func joinConds(cs []Cond, sep string) string {
 	parts := make([]string, len(cs))

@@ -103,54 +103,61 @@ func TestCondStrings(t *testing.T) {
 	}
 }
 
+// apply runs an update expression against it, as the store does against a
+// stored row, and returns the row it leaves.
+func apply(it Item, us ...Update) (Item, error) {
+	a, err := applied(attrsOf(it), us)
+	return a.item(), err
+}
+
 func TestUpdateSet(t *testing.T) {
-	it := Item{}
-	if err := Set(A("V"), S("x")).apply(it); err != nil {
+	it, err := apply(Item{}, Set(A("V"), S("x")))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := it.Get(A("V")); v.Str() != "x" {
 		t.Errorf("V = %v", v)
 	}
-	if err := Set(AK("Log", "k"), Bool(true)).apply(it); err != nil {
+	if it, err = apply(it, Set(AK("Log", "k"), Bool(true))); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := it.Get(AK("Log", "k")); !ok || !v.BoolVal() {
 		t.Errorf("Log.k = %v %v", v, ok)
 	}
-	if err := Set(AK("V", "k"), N(1)).apply(it); err == nil {
+	if _, err := apply(it, Set(AK("V", "k"), N(1))); err == nil {
 		t.Error("Set through scalar should error")
 	}
 }
 
 func TestUpdateAdd(t *testing.T) {
-	it := Item{"N": N(5)}
-	if err := Add(A("N"), 3).apply(it); err != nil {
+	it, err := apply(Item{"N": N(5)}, Add(A("N"), 3))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := it.Get(A("N")); v.Num() != 8 {
 		t.Errorf("N = %v", v)
 	}
 	// Missing attribute treated as zero.
-	if err := Add(A("M"), 2).apply(it); err != nil {
+	if it, err = apply(it, Add(A("M"), 2)); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := it.Get(A("M")); v.Num() != 2 {
 		t.Errorf("M = %v", v)
 	}
-	if err := Add(A("S"), 1).apply(Item{"S": S("x")}); err == nil {
+	if _, err := apply(Item{"S": S("x")}, Add(A("S"), 1)); err == nil {
 		t.Error("Add to string should error")
 	}
 }
 
 func TestUpdateRemove(t *testing.T) {
-	it := Item{"A": N(1), "M": M(map[string]Value{"k": N(2), "j": N(3)})}
-	if err := Remove(A("A")).apply(it); err != nil {
+	it, err := apply(Item{"A": N(1), "M": M(map[string]Value{"k": N(2), "j": N(3)})}, Remove(A("A")))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := it.Get(A("A")); ok {
 		t.Error("A survived")
 	}
-	if err := Remove(AK("M", "k")).apply(it); err != nil {
+	if it, err = apply(it, Remove(AK("M", "k"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := it.Get(AK("M", "k")); ok {

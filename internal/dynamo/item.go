@@ -5,11 +5,12 @@ import (
 	"strings"
 )
 
-// Item is a row: a set of named attributes. The attribute map is the unit
-// the store copies at its boundary — the Item a read returns is the caller's
-// to add, replace and delete attributes in, and the store keeps a map of its
-// own for an Item it is given — but the copy is one level deep: every Value
-// in it is shared with the store and must not be written (see Value).
+// Item is a row: a set of named attributes. It is the form callers build and
+// receive, converted at the store's boundary — the store keeps a row's
+// attributes as a sorted field list of its own (see Field) and a read builds
+// a new Item, which is the caller's to add, replace and delete attributes in
+// — but the conversion is one level deep: every Value in it is shared with
+// the store and must not be written (see Value).
 type Item map[string]Value
 
 // Clone deep-copies the item, nested values included, for a caller that
@@ -26,7 +27,8 @@ func (it Item) Clone() Item {
 }
 
 // Get returns the attribute at path. A path is either a bare attribute name
-// or an attribute plus a map key (see Path).
+// or an attribute plus a map key (see Path). It makes an Item the Attrs a
+// condition is evaluated against.
 func (it Item) Get(p Path) (Value, bool) {
 	v, ok := it[p.Attr]
 	if !ok {
@@ -98,50 +100,12 @@ func (p Path) String() string {
 // Only the item's own attribute map is written: a nested map is replaced by
 // an edited copy, never edited.
 func (it Item) set(p Path, v Value) bool {
-	if p.MapKey == "" {
-		it[p.Attr] = v
-		return true
-	}
-	cur, ok := it[p.Attr]
-	if !ok || cur.IsNull() {
-		it[p.Attr] = M(map[string]Value{p.MapKey: v})
-		return true
-	}
-	if cur.Kind() != KindMap {
-		return false
-	}
-	// Copy-on-write: the current map is shared with the stored row and with
-	// every reader that was handed it.
-	old := cur.Map()
-	m := make(map[string]Value, len(old)+1)
-	for k, e := range old {
-		m[k] = e
-	}
-	m[p.MapKey] = v
-	it[p.Attr] = M(m)
-	return true
-}
-
-// remove deletes the attribute or map entry at path. Removing a missing
-// path is a no-op, matching DynamoDB's REMOVE action.
-func (it Item) remove(p Path) {
-	if p.MapKey == "" {
-		delete(it, p.Attr)
-		return
-	}
-	cur, ok := it[p.Attr]
-	if !ok || cur.Kind() != KindMap {
-		return
-	}
-	old := cur.Map()
-	if _, exists := old[p.MapKey]; !exists {
-		return
-	}
-	m := make(map[string]Value, len(old))
-	for k, e := range old {
-		if k != p.MapKey {
-			m[k] = e
+	if p.MapKey != "" {
+		var ok bool
+		if v, ok = withEntry(it[p.Attr], p.MapKey, v); !ok {
+			return false
 		}
 	}
-	it[p.Attr] = M(m)
+	it[p.Attr] = v
+	return true
 }

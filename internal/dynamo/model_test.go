@@ -184,11 +184,11 @@ func TestTransactWriteAgreesWithSequential(t *testing.T) {
 		allPass := true
 		for _, op := range ops {
 			it, ok, _ := seqStore2.Get("t", op.Key)
-			var cur Item
+			cur := noItem
 			if ok {
 				cur = it
 			}
-			if op.Cond != nil && !evalAgainst(op.Cond, cur) {
+			if op.Cond != nil && !op.Cond.Eval(cur) {
 				allPass = false
 			}
 		}

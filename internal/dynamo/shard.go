@@ -68,19 +68,19 @@ func (sh *shard) find(k Key) (*partition, int) {
 	return p, i
 }
 
-// get returns the live item for key, or nil. Caller holds sh.mu.
-func (sh *shard) get(k Key) Item {
+// get returns the live row for key, or nil. Caller holds sh.mu.
+func (sh *shard) get(k Key) *row {
 	p, i := sh.find(k)
 	if p == nil {
 		return nil
 	}
-	return p.rows[i].item
+	return p.rows[i]
 }
 
-// put installs item under key, replacing any existing row. The item's map
-// becomes the store's; its values stay shared with whoever built them.
-// Caller holds sh.mu.
-func (sh *shard) put(k Key, it Item) {
+// put installs a under key, replacing any existing row. The list becomes the
+// store's; its values stay shared with whoever built them. Caller holds
+// sh.mu.
+func (sh *shard) put(k Key, a attrs) {
 	hk := KeyOf(k.Hash)
 	p, ok := sh.parts[hk]
 	if !ok {
@@ -90,11 +90,11 @@ func (sh *shard) put(k Key, it Item) {
 	i, found := p.find(k.Sort)
 	if found {
 		p.rows[i].verify(sh.t)
-		p.rows[i].install(it)
+		p.rows[i].install(a)
 		return
 	}
 	r := &row{sortVal: k.Sort}
-	r.install(it)
+	r.install(a)
 	p.insertAt(i, r)
 }
 

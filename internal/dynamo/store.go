@@ -2,7 +2,7 @@ package dynamo
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -207,10 +207,9 @@ func (s *Store) GetProj(tableName string, key Key, proj []Path) (Item, bool, err
 	}
 	sh := t.shardOf(key)
 	sh.mu.RLock()
-	it := sh.get(key)
 	var out Item
-	if it != nil {
-		out = project(it, proj)
+	if r := sh.get(key); r != nil {
+		out = project(r.attrs, proj)
 	}
 	sh.mu.RUnlock()
 	bytes := 0
@@ -227,7 +226,7 @@ func (s *Store) GetProj(tableName string, key Key, proj []Path) (Item, bool, err
 type write struct {
 	key     Key
 	cond    Cond
-	put     Item     // replace the row with this map, already the store's own
+	put     attrs    // replace the row with these attributes, already the store's own
 	updates []Update // or upsert the row and apply these
 	del     bool     // or remove the row
 
@@ -254,13 +253,11 @@ func (w *write) apply(sh *shard) {
 	case w.put != nil:
 		sh.put(w.key, w.put)
 	default:
-		next := t.materialize(cur, w.key)
-		for _, u := range w.updates {
-			if w.err = u.apply(next); w.err != nil {
-				return
-			}
+		var next attrs
+		if next, w.err = t.updated(cur, w.key, w.updates); w.err != nil {
+			return
 		}
-		size := next.Size()
+		size := next.size()
 		if size > t.maxSize {
 			w.err = fmt.Errorf("%w: table %s key %s (%d bytes)", ErrItemTooLarge, t.schema.Name, w.key, size)
 			return
@@ -288,8 +285,8 @@ func (s *Store) commit(op OpKind, t *table, w *write) error {
 
 // Put installs item, replacing any existing row, if cond holds against the
 // current row (or against the absent row). A nil cond always passes. The
-// store keeps an attribute map of its own — the caller may go on editing
-// item's attributes — but shares the values in it, which must not be written
+// store keeps the attributes in a list of its own — the caller may go on
+// editing item — but shares the values in it, which must not be written
 // afterwards (see Value).
 func (s *Store) Put(tableName string, item Item, cond Cond) error {
 	t, err := s.table(tableName)
@@ -304,7 +301,7 @@ func (s *Store) Put(tableName string, item Item, cond Cond) error {
 	if size > t.maxSize {
 		return fmt.Errorf("%w: table %s key %s (%d bytes)", ErrItemTooLarge, tableName, key, size)
 	}
-	w := write{key: key, cond: cond, put: maps.Clone(item), written: size}
+	w := write{key: key, cond: cond, put: attrsOf(item), written: size}
 	return s.commit(OpPut, t, &w)
 }
 
@@ -386,7 +383,7 @@ func (s *Store) QueryIndex(tableName, indexName string, hash Value, opts QueryOp
 	var matched []*row
 	for _, p := range t.sortedParts() {
 		for _, r := range p.rows {
-			v, has := r.item[ix.HashKey]
+			v, has := lookup(r.attrs, ix.HashKey)
 			if has && v.Equal(hash) {
 				matched = append(matched, r)
 			}
@@ -394,8 +391,8 @@ func (s *Store) QueryIndex(tableName, indexName string, hash Value, opts QueryOp
 	}
 	if ix.SortKey != "" {
 		sort.SliceStable(matched, func(i, j int) bool {
-			vi := matched[i].item[ix.SortKey]
-			vj := matched[j].item[ix.SortKey]
+			vi, _ := lookup(matched[i].attrs, ix.SortKey)
+			vj, _ := lookup(matched[j].attrs, ix.SortKey)
 			return vi.Compare(vj) < 0
 		})
 	}
@@ -460,18 +457,20 @@ func (s *Store) TableNames() []string {
 	return names
 }
 
-// materialize returns the row an update edits: a new attribute map holding
-// cur's values (shared, see Item.set), or just the key attributes when cur
-// is nil (upsert). Caller holds the owning shard's lock.
-func (t *table) materialize(cur Item, key Key) Item {
+// updated returns the attributes the row at key has after us: cur's with
+// the updates applied, or, when cur is nil (upsert), the key attributes'. The
+// list is new; cur's is only read. Caller holds the owning shard's lock.
+func (t *table) updated(cur *row, key Key, us []Update) (attrs, error) {
 	if cur != nil {
-		return maps.Clone(cur)
+		return applied(cur.attrs, us)
 	}
-	it := Item{t.schema.HashKey: key.Hash}
+	var keys [2]Field
+	base := append(keys[:0], Field{t.schema.HashKey, key.Hash})
 	if t.schema.SortKey != "" {
-		it[t.schema.SortKey] = key.Sort
+		base = append(base, Field{t.schema.SortKey, key.Sort})
+		slices.SortFunc(base, cmpField)
 	}
-	return it
+	return applied(base, us)
 }
 
 // noItem is what a condition against an absent row is evaluated on.
@@ -480,9 +479,9 @@ var noItem = Item{}
 
 // evalAgainst evaluates cond against a possibly-nil current row; conditions
 // against absent rows see an empty item, so attribute_not_exists passes.
-func evalAgainst(c Cond, cur Item) bool {
+func evalAgainst(c Cond, cur *row) bool {
 	if cur == nil {
-		cur = noItem
+		return c.Eval(noItem)
 	}
 	return c.Eval(cur)
 }
@@ -512,10 +511,10 @@ func (t *table) filterRows(rows []*row, opts QueryOpts) (out []Item, scanned, by
 	for _, r := range rows {
 		scanned++
 		r.verify(t)
-		if opts.Filter != nil && !opts.Filter.Eval(r.item) {
+		if opts.Filter != nil && !opts.Filter.Eval(r) {
 			continue
 		}
-		p := project(r.item, opts.Projection)
+		p := project(r.attrs, opts.Projection)
 		bytes += p.Size()
 		out = append(out, p)
 		if opts.Limit > 0 && len(out) >= opts.Limit {

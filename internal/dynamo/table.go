@@ -2,7 +2,6 @@ package dynamo
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 )
 
@@ -62,13 +61,17 @@ func (k Key) String() string {
 	return k.Hash.String() + "/" + k.Sort.String()
 }
 
-// row is a stored item plus its decoded sort value for ordering. sum is the
-// tripwire's fingerprint of the item (see verify.go); 0 when it is off.
+// row is a stored row's attributes plus its decoded sort value for ordering.
+// sum is the tripwire's fingerprint of the attributes (see verify.go); 0 when
+// it is off.
 type row struct {
 	sortVal Value
-	item    Item
+	attrs   attrs
 	sum     uint64
 }
+
+// Get makes a stored row the Attrs a condition reads in place.
+func (r *row) Get(p Path) (Value, bool) { return r.attrs.Get(p) }
 
 // partition holds all rows sharing a hash key, ordered by sort value.
 type partition struct {
@@ -153,15 +156,15 @@ func (t *table) runlockAll() {
 	}
 }
 
-// keyOf extracts the primary key from an item.
-func (t *table) keyOf(it Item) (Key, error) {
-	h, ok := it[t.schema.HashKey]
+// keyOf extracts the primary key from an item or a row.
+func (t *table) keyOf(it Attrs) (Key, error) {
+	h, ok := it.Get(A(t.schema.HashKey))
 	if !ok {
 		return Key{}, fmt.Errorf("dynamo: table %s: item missing hash key %q", t.schema.Name, t.schema.HashKey)
 	}
 	k := Key{Hash: h}
 	if t.schema.SortKey != "" {
-		sv, ok := it[t.schema.SortKey]
+		sv, ok := it.Get(A(t.schema.SortKey))
 		if !ok {
 			return Key{}, fmt.Errorf("dynamo: table %s: item missing sort key %q", t.schema.Name, t.schema.SortKey)
 		}
@@ -177,7 +180,7 @@ func (t *table) bytes() int {
 	for _, sh := range t.shards {
 		for _, p := range sh.parts {
 			for _, r := range p.rows {
-				n += r.item.Size()
+				n += r.attrs.size()
 			}
 		}
 	}
@@ -227,22 +230,21 @@ func (t *table) findIndex(name string) (IndexSchema, bool) {
 	return IndexSchema{}, false
 }
 
-// project reduces an item to the requested paths (plus nothing else),
+// project reduces a row to the requested paths (plus nothing else),
 // mirroring a DynamoDB projection expression. A nil projection returns the
-// full item. Either way the result is a new attribute map whose values are
-// the row's own, shared: project writes only into maps it made — a map entry
-// projected beside its whole attribute goes through Item.set, which edits a
-// copy. Beldi's DAAL traversal projects just RowId and NextRow to download
-// "256 bits per row" (§4.1).
-func project(it Item, proj []Path) Item {
+// full row. Either way the result is a new Item whose values are the row's
+// own, shared: a map entry projected beside its whole attribute goes through
+// Item.set, which builds a new map. Beldi's DAAL traversal projects just
+// RowId and NextRow to download "256 bits per row" (§4.1).
+func project(a attrs, proj []Path) Item {
 	if proj == nil {
-		return maps.Clone(it)
+		return a.item()
 	}
 	out := make(Item, len(proj))
 	for _, p := range proj {
 		// A map entry keeps the map shape, {Attr: {MapKey: v}}, so callers
 		// address entries uniformly.
-		if v, ok := it.Get(p); ok {
+		if v, ok := a.Get(p); ok {
 			out.set(p, v)
 		}
 	}

@@ -43,8 +43,10 @@ func logStore(t *testing.T, entries int) *dynamo.Store {
 }
 
 // TestTripwireCatchesAWriterThatKeepsItsMap is the rule's failing example: a
-// writer hands a map to the store, keeps it, and writes to it later. Whatever
-// next touches the row reports it, naming table and key.
+// writer hands a map to the store, keeps the byte slice inside it, and writes
+// to that later. M copies the map itself (see TestEditingTheMapAfterInstall),
+// but not the lists and byte slices its values hold, which stay shared.
+// Whatever next touches the row reports it, naming table and key.
 func TestTripwireCatchesAWriterThatKeepsItsMap(t *testing.T) {
 	tripwire(t)
 	key := dynamo.HK(dynamo.S("a"))
@@ -72,7 +74,8 @@ func TestTripwireCatchesAWriterThatKeepsItsMap(t *testing.T) {
 			t.Run(iname+"/"+tname, func(t *testing.T) {
 				s := dynamo.NewStore()
 				s.MustCreateTable(dynamo.Schema{Name: "t", HashKey: "K"})
-				m := map[string]dynamo.Value{"k0": dynamo.Bool(true)}
+				b := []byte("payload")
+				m := map[string]dynamo.Value{"k0": dynamo.Bool(true), "k1": dynamo.Bytes(b)}
 				if err := install(s, m); err != nil {
 					t.Fatal(err)
 				}
@@ -80,16 +83,45 @@ func TestTripwireCatchesAWriterThatKeepsItsMap(t *testing.T) {
 				if err := install(s, m); err != nil {
 					t.Fatal(err)
 				}
-				m["k1"] = dynamo.Bool(false) // the bug
+				b[0] = 'P' // the bug
 				defer func() {
 					msg := fmt.Sprint(recover())
 					if !strings.Contains(msg, `table t key "a"`) || !strings.Contains(msg, "written after it was installed") {
-						t.Errorf("touching the row after its map was written: %s", msg)
+						t.Errorf("touching the row after its bytes were written: %s", msg)
 					}
 				}()
 				touch(s)
 			})
 		}
+	}
+}
+
+// TestEditingTheMapAfterInstall: a caller that edits the Go map it passed to
+// M, or the Item it passed to Put, after the call changes nothing the store
+// holds — both are copied at the call — so the tripwire has nothing to report
+// and the row reads back as installed.
+func TestEditingTheMapAfterInstall(t *testing.T) {
+	tripwire(t)
+	s := dynamo.NewStore()
+	s.MustCreateTable(dynamo.Schema{Name: "t", HashKey: "K"})
+	key := dynamo.HK(dynamo.S("a"))
+	m := map[string]dynamo.Value{"k0": dynamo.Bool(true), "k1": dynamo.N(1)}
+	item := dynamo.Item{"K": dynamo.S("a"), "Log": dynamo.M(m), "V": dynamo.S("v")}
+	want := dynamo.Fields(dynamo.F("K", dynamo.S("a")), dynamo.F("Log", dynamo.Fields(dynamo.F("k0", dynamo.Bool(true)), dynamo.F("k1", dynamo.N(1)))), dynamo.F("V", dynamo.S("v")))
+	if err := s.Put("t", item, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update("t", key, nil, dynamo.Set(dynamo.A("Log"), dynamo.M(m))); err != nil {
+		t.Fatal(err)
+	}
+	m["k1"] = dynamo.N(2)
+	m["k2"] = dynamo.S("late")
+	delete(m, "k0")
+	item["V"] = dynamo.S("edited")
+	delete(item, "Log")
+	got, ok, err := s.Get("t", key)
+	if err != nil || !ok || !dynamo.M(got).Equal(want) {
+		t.Errorf("row after its caller edited the map and the item = %v, want %v (%v)", got, want, err)
 	}
 }
 

@@ -2,7 +2,6 @@ package dynamo
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 )
 
@@ -20,7 +19,7 @@ type TxOp struct {
 
 	// Put replaces the row with this item (Key must match the item's key
 	// attributes, which callers typically include). As with Store.Put, the
-	// store keeps its own attribute map and shares the values.
+	// store keeps its own attribute list and shares the values.
 	Put Item
 	// Updates applies update actions (upsert, like Store.Update).
 	Updates []Update
@@ -115,7 +114,7 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 
 	reasons := make([]error, len(ops))
 	failed := false
-	staged := make([]Item, len(ops)) // result row per op; nil means delete
+	staged := make([]attrs, len(ops)) // result row per op; nil for a delete or a check
 	for i, p := range preps {
 		op := &ops[i]
 		cur := p.sh.get(*p.key)
@@ -126,12 +125,11 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 		}
 		switch {
 		case op.Check:
-			// Condition-only: the guard above already evaluated Cond; keep
-			// the row exactly as it is (a nil row stays absent).
-			staged[i] = cur
+			// Condition-only: the guard above already evaluated Cond and
+			// nothing is written.
 		case op.Put != nil:
-			next := maps.Clone(op.Put)
-			if next.Size() > p.t.maxSize {
+			next := attrsOf(op.Put)
+			if next.size() > p.t.maxSize {
 				reasons[i] = fmt.Errorf("%w: table %s key %s", ErrItemTooLarge, op.Table, *p.key)
 				failed = true
 				continue
@@ -140,15 +138,11 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 		case op.Delete:
 			staged[i] = nil
 		default:
-			next := p.t.materialize(cur, *p.key)
-			for _, u := range op.Updates {
-				if err := u.apply(next); err != nil {
-					reasons[i] = err
-					failed = true
-					break
-				}
-			}
-			if reasons[i] == nil && next.Size() > p.t.maxSize {
+			next, err := p.t.updated(cur, *p.key, op.Updates)
+			if err != nil {
+				reasons[i] = err
+				failed = true
+			} else if next.size() > p.t.maxSize {
 				reasons[i] = fmt.Errorf("%w: table %s key %s", ErrItemTooLarge, op.Table, *p.key)
 				failed = true
 			}
@@ -172,7 +166,7 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 			continue
 		}
 		p.sh.put(*p.key, staged[i])
-		s.metrics.BytesWritten.Add(int64(staged[i].Size()))
+		s.metrics.BytesWritten.Add(int64(staged[i].size()))
 	}
 	s.commitSleep(len(ops))
 	unlock()

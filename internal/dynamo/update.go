@@ -38,26 +38,49 @@ func Add(p Path, d float64) Update { return Update{Kind: UpdateAdd, Path: p, Val
 // Remove deletes the attribute or map entry at path.
 func Remove(p Path) Update { return Update{Kind: UpdateRemove, Path: p} }
 
-func (u Update) apply(it Item) error {
+// apply brings one attribute the update names to its state after the
+// update (see applied).
+func (u Update) apply(t *touched) error {
 	switch u.Kind {
 	case UpdateSet:
-		if !it.set(u.Path, u.Value) {
+		if !t.set(u.Path.MapKey, u.Value) {
 			return fmt.Errorf("dynamo: SET %s: attribute %q is not a map", u.Path, u.Path.Attr)
 		}
 	case UpdateAdd:
-		cur, ok := it.Get(u.Path)
+		cur, ok := t.v, t.present
+		if u.Path.MapKey != "" {
+			cur, ok = t.v.MapGet(u.Path.MapKey)
+		}
 		if ok && cur.Kind() != KindNumber && !cur.IsNull() {
 			return fmt.Errorf("dynamo: ADD %s: attribute is %s, not a number", u.Path, cur.Kind())
 		}
-		if !it.set(u.Path, N(cur.Num()+u.Value.Num())) {
+		if !t.set(u.Path.MapKey, N(cur.Num()+u.Value.Num())) {
 			return fmt.Errorf("dynamo: ADD %s: attribute %q is not a map", u.Path, u.Path.Attr)
 		}
 	case UpdateRemove:
-		it.remove(u.Path)
+		if u.Path.MapKey == "" {
+			t.v, t.present = Null, false
+		} else {
+			t.v = withoutEntry(t.v, u.Path.MapKey)
+		}
 	default:
 		return fmt.Errorf("dynamo: %s", u)
 	}
 	return nil
+}
+
+// set stores v in the attribute, or at key inside it — in an edited copy of
+// its map, materialised when the attribute is absent or NULL. It returns
+// false if the attribute holds something else.
+func (t *touched) set(key string, v Value) bool {
+	if key != "" {
+		var ok bool
+		if v, ok = withEntry(t.v, key, v); !ok {
+			return false
+		}
+	}
+	t.v, t.present = v, true
+	return true
 }
 
 // String renders the action for diagnostics.

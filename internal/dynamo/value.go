@@ -14,9 +14,11 @@ package dynamo
 
 import (
 	"fmt"
-	"sort"
+	"iter"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind discriminates the dynamic type of a Value.
@@ -59,20 +61,23 @@ func (k Kind) String() string {
 // Value is a dynamically typed attribute value. The zero Value is NULL.
 //
 // Values are immutable: a value handed to or received from a store is
-// shared, not copied — the store installs the caller's nested maps, lists
-// and byte slices as they are and hands the same ones to every reader — so
-// nothing reachable from a Value may be written once it has been built.
+// shared, not copied — the store installs the caller's nested field lists,
+// lists and byte slices as they are and hands the same ones to every reader
+// — so nothing reachable from a Value may be written once it has been built.
 // Clone makes a private deep copy for a caller that wants one to edit.
 //
 // The representation is three words of payload behind the kind (48 bytes):
-// one scalar, one string, one reference for the aggregate kinds. A map is
-// pointer-shaped, so holding it in ref costs nothing; a list or byte slice
-// is boxed (one 24-byte header per value).
+// one scalar, one string, one reference for the aggregate kinds. A map is a
+// field list (see Field): ref points at its first field and num holds its
+// length, so a map value costs its fields and nothing more — and
+// reflect.DeepEqual, following the pointer, sees only the first field:
+// compare values with Equal. A list or byte slice is boxed (one 24-byte
+// header per value).
 type Value struct {
 	kind Kind
-	num  float64 // KindNumber payload; KindBool as 0 or 1
+	num  float64 // KindNumber payload; KindBool as 0 or 1; KindMap's field count
 	str  string  // KindString payload
-	ref  any     // map[string]Value, []Value or []byte for KindMap, KindList, KindBytes
+	ref  any     // *Field (a map's first), []Value or []byte for KindMap, KindList, KindBytes
 }
 
 // Null is the NULL value.
@@ -105,9 +110,17 @@ func Bytes(b []byte) Value { return Value{kind: KindBytes, ref: b} }
 // afterwards.
 func L(vs ...Value) Value { return Value{kind: KindList, ref: vs} }
 
-// M returns a map value. The map is not copied and must not be written
-// afterwards: a store that is handed the value keeps this very map.
-func M(m map[string]Value) Value { return Value{kind: KindMap, ref: m} }
+// M returns a map value holding m's entries. The map is copied into a field
+// list, so the caller may go on editing it; the values in it are shared (see
+// Value). Fields builds a map value without a Go map in between.
+func M(m map[string]Value) Value {
+	fs := make([]Field, 0, len(m))
+	for k, v := range m {
+		fs = append(fs, Field{k, v})
+	}
+	slices.SortFunc(fs, cmpField)
+	return mapOf(fs)
+}
 
 // Kind reports the value's dynamic type.
 func (v Value) Kind() Kind { return v.kind }
@@ -146,21 +159,56 @@ func (v Value) List() []Value {
 	return l
 }
 
-// Map returns the map payload, or nil. The returned map must not be mutated.
+// Map returns a copy of the map payload as a Go map of the caller's own, or
+// nil for a non-map value. The values in it are shared. It allocates the
+// whole map: a reader wants MapGet, Get or Entries.
 func (v Value) Map() map[string]Value {
-	m, _ := v.ref.(map[string]Value)
+	if v.kind != KindMap {
+		return nil
+	}
+	fs := v.fields()
+	m := make(map[string]Value, len(fs))
+	for _, f := range fs {
+		m[f.Name] = f.Value
+	}
 	return m
 }
 
 // MapGet looks up key in a map value, returning the entry and whether it
 // exists. Returns (Null, false) for non-map values.
-func (v Value) MapGet(key string) (Value, bool) {
-	e, ok := v.Map()[key]
-	return e, ok
+func (v Value) MapGet(key string) (Value, bool) { return lookup(v.fields(), key) }
+
+// Get returns the entry at key in a map value: Null when there is none or v
+// is not a map.
+func (v Value) Get(key string) Value {
+	e, _ := v.MapGet(key)
+	return e
 }
 
 // MapLen returns the number of entries in a map value, or 0.
-func (v Value) MapLen() int { return len(v.Map()) }
+func (v Value) MapLen() int { return len(v.fields()) }
+
+// Entries iterates a map value's entries in key order, allocating nothing;
+// a non-map value has none.
+func (v Value) Entries() iter.Seq2[string, Value] {
+	fs := v.fields()
+	return func(yield func(string, Value) bool) {
+		for i := range fs {
+			if !yield(fs[i].Name, fs[i].Value) {
+				return
+			}
+		}
+	}
+}
+
+// fields is a map value's field list, sorted by name; nil for any other kind.
+// It is the value's own and must not be written.
+func (v Value) fields() []Field {
+	if v.kind != KindMap || v.num == 0 {
+		return nil
+	}
+	return unsafe.Slice(v.ref.(*Field), int(v.num))
+}
 
 // Clone returns a deep copy of the value, for a caller that wants a nested
 // map, list or byte slice of its own to edit. The store never calls it:
@@ -176,11 +224,11 @@ func (v Value) Clone() Value {
 		}
 		return L(l...)
 	case KindMap:
-		m := make(map[string]Value, v.MapLen())
-		for k, e := range v.Map() {
-			m[k] = e.Clone()
+		fs := slices.Clone(v.fields())
+		for i := range fs {
+			fs[i].Value = fs[i].Value.Clone()
 		}
-		return M(m)
+		return mapOf(fs)
 	default:
 		return v
 	}
@@ -215,17 +263,9 @@ func (v Value) Equal(o Value) bool {
 		}
 		return true
 	case KindMap:
-		vm, om := v.Map(), o.Map()
-		if len(vm) != len(om) {
-			return false
-		}
-		for k, e := range vm {
-			oe, ok := om[k]
-			if !ok || !e.Equal(oe) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(v.fields(), o.fields(), func(a, b Field) bool {
+			return a.Name == b.Name && a.Value.Equal(b.Value)
+		})
 	}
 	return false
 }
@@ -281,8 +321,8 @@ func (v Value) Size() int {
 		return n
 	case KindMap:
 		n := 3
-		for k, e := range v.Map() {
-			n += len(k) + 1 + e.Size()
+		for _, f := range v.fields() {
+			n += len(f.Name) + 1 + f.Value.Size()
 		}
 		return n
 	}
@@ -309,15 +349,10 @@ func (v Value) String() string {
 		}
 		return "[" + strings.Join(parts, ",") + "]"
 	case KindMap:
-		m := v.Map()
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		parts := make([]string, len(keys))
-		for i, k := range keys {
-			parts[i] = fmt.Sprintf("%s:%s", k, m[k])
+		fs := v.fields()
+		parts := make([]string, len(fs))
+		for i, f := range fs {
+			parts[i] = fmt.Sprintf("%s:%s", f.Name, f.Value)
 		}
 		return "{" + strings.Join(parts, ",") + "}"
 	}

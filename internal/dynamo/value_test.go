@@ -1,6 +1,7 @@
 package dynamo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -191,18 +192,24 @@ func TestItemGetSetRemove(t *testing.T) {
 	if it.set(AK("A", "x"), N(1)) {
 		t.Fatal("set through non-map succeeded")
 	}
-	it.remove(AK("Log", "k1"))
+	it, err := apply(it, Remove(AK("Log", "k1")))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := it.Get(AK("Log", "k1")); ok {
 		t.Fatal("map entry survived remove")
 	}
-	it.remove(A("A"))
+	if it, err = apply(it, Remove(A("A"))); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := it.Get(A("A")); ok {
 		t.Fatal("attr survived remove")
 	}
 	// Removing missing paths is a no-op.
-	it.remove(A("missing"))
-	it.remove(AK("missing", "x"))
-	it.remove(AK("Log", "missing"))
+	before := it.String()
+	if it, err = apply(it, Remove(A("missing")), Remove(AK("missing", "x")), Remove(AK("Log", "missing"))); err != nil || it.String() != before {
+		t.Fatalf("removing missing paths: %v, %v (was %v)", it, err, before)
+	}
 }
 
 func TestItemSetCopyOnWrite(t *testing.T) {
@@ -229,5 +236,47 @@ func TestItemStringDeterministic(t *testing.T) {
 	it := Item{"b": N(2), "a": N(1)}
 	if got := it.String(); got != "{a=1 b=2}" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestFieldsSortsOnceAndKeepsTheLast: Fields takes entries in any order,
+// keeps a repeated name's last value, and reads back in key order through
+// Entries; Map hands out a copy that does not reach the value.
+func TestFieldsSortsOnceAndKeepsTheLast(t *testing.T) {
+	v := Fields(F("b", N(2)), F("a", N(1)), F("c", N(3)), F("a", N(9)))
+	var got []string
+	for k, e := range v.Entries() {
+		got = append(got, fmt.Sprintf("%s=%v", k, e))
+	}
+	if want := "[a=9 b=2 c=3]"; fmt.Sprint(got) != want || v.MapLen() != 3 {
+		t.Errorf("entries %v (%d), want %s", got, v.MapLen(), want)
+	}
+	if !v.Equal(M(map[string]Value{"a": N(9), "b": N(2), "c": N(3)})) || v.Get("b").Num() != 2 || !v.Get("z").IsNull() {
+		t.Errorf("%v does not read as the map it holds", v)
+	}
+	m := v.Map()
+	m["a"] = N(0)
+	if v.Get("a").Num() != 9 {
+		t.Error("editing the map Map returned reached the value")
+	}
+}
+
+// TestAppliedBuildsTheRowAtItsFinalSize: an update expression that adds,
+// removes and edits attributes — one of them twice — leaves a list sorted by
+// name, each name once, with no spare capacity for the store to keep.
+func TestAppliedBuildsTheRowAtItsFinalSize(t *testing.T) {
+	cur := attrsOf(Item{"K": S("k"), "Pending": S("1"), "Done": Bool(false), "Log": M(map[string]Value{"x": N(1)})})
+	next, err := applied(cur, []Update{
+		Set(A("Done"), Bool(true)), Set(A("Ret"), S("ok")), Remove(A("Pending")),
+		Set(AK("Log", "y"), N(2)), Remove(AK("Log", "x")), Add(A("N"), 2), Add(A("N"), 3),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mapOf(next).String(), `{Done:true,K:"k",Log:{y:2},N:5,Ret:"ok"}`; got != want || cap(next) != len(next) {
+		t.Errorf("next row %s (len %d, cap %d), want %s at its length", got, len(next), cap(next), want)
+	}
+	if got := mapOf(cur).String(); got != `{Done:false,K:"k",Log:{x:1},Pending:"1"}` {
+		t.Errorf("the current row was written: %s", got)
 	}
 }

@@ -16,26 +16,26 @@ import (
 // under test are used and not flipped while they run.
 var verifyShared bool
 
-// install makes it the row's item. Caller holds the shard's write lock.
-func (r *row) install(it Item) {
-	r.item = it
+// install makes a the row's attributes. Caller holds the shard's write lock.
+func (r *row) install(a attrs) {
+	r.attrs = a
 	if verifyShared {
-		r.sum = fingerprint(M(it))
+		r.sum = fingerprint(mapOf(a))
 	}
 }
 
 // verify panics if the row's values are not what was installed. Caller
 // holds the shard's lock.
 func (r *row) verify(t *table) {
-	if verifyShared && fingerprint(M(r.item)) != r.sum {
-		k, _ := t.keyOf(r.item)
+	if verifyShared && fingerprint(mapOf(r.attrs)) != r.sum {
+		k, _ := t.keyOf(r)
 		panic(fmt.Sprintf("dynamo: table %s key %s: a value shared with the store was written after it was installed (row is now %s)",
-			t.schema.Name, k, r.item))
+			t.schema.Name, k, r.attrs.item()))
 	}
 }
 
-// fingerprint hashes a value's kind and payload, recursively. Map entries
-// are combined by addition so that iteration order does not matter.
+// fingerprint hashes a value's kind and payload, recursively; a map's
+// fields, and a row's attributes, in their sorted order.
 func fingerprint(v Value) uint64 {
 	const prime = 1099511628211
 	h := (14695981039346656037 ^ uint64(v.kind)) * prime
@@ -57,11 +57,9 @@ func fingerprint(v Value) uint64 {
 			h = (h ^ fingerprint(e)) * prime
 		}
 	case KindMap:
-		var sum uint64
-		for k, e := range v.Map() {
-			sum += mix(fingerprint(e), k)
+		for _, f := range v.fields() {
+			h = (h ^ mix(fingerprint(f.Value), f.Name)) * prime
 		}
-		h = (h ^ sum ^ uint64(v.MapLen())) * prime
 	}
 	return h
 }

@@ -15,16 +15,18 @@ import (
 // The flush's allocation budget, in the idiom of
 // internal/dynamo/alloc_test.go: the capture buffers and the dirty set are
 // reused from flush to flush, so a flush allocates the post-images it reads
-// from the shadow (one attribute map per row: 16 of the 45 below) and what
-// the base allocates to install them (29), and nothing for its own
-// bookkeeping. Before the buffers were reused the same flush cost 51: a fresh
-// entry slice, op slice and dirty map per flush, and sort.Slice's reflection.
+// from the shadow (one attribute map per row: 16 of the 37 below) and what
+// the base allocates to install them (21; 29 while the store kept each row
+// in a Go map of its own, where it now keeps one attribute list), and nothing
+// for its own bookkeeping. Before the buffers were reused the same flush cost
+// 51: a fresh entry slice, op slice and dirty map per flush, and sort.Slice's
+// reflection.
 
 // flushBudget is allocations per flush of flushRows dirty rows over the
 // in-memory store.
 const (
 	flushRows   = 8
-	flushBudget = 45
+	flushBudget = 37
 )
 
 func TestFlushAllocBudget(t *testing.T) {

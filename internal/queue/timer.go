@@ -238,15 +238,12 @@ func (ts *TimerService) fireOne(row dynamo.Item, now int64) (bool, error) {
 	}
 	msgID := fmt.Sprintf("timer-%s-%s-%016x", id, row[attrGen].Str(), fires)
 	body := row[attrBody]
-	if sk := row[attrStamp].Str(); sk != "" {
-		if m := body.Map(); m != nil {
-			stamped := make(map[string]dynamo.Value, len(m)+1)
-			for k, v := range m {
-				stamped[k] = v
-			}
-			stamped[sk] = dynamo.S(msgID)
-			body = dynamo.M(stamped)
+	if sk := row[attrStamp].Str(); sk != "" && body.Kind() == dynamo.KindMap {
+		stamped := make([]dynamo.Field, 0, body.MapLen()+1)
+		for k, v := range body.Entries() {
+			stamped = append(stamped, dynamo.F(k, v))
 		}
+		body = dynamo.Fields(append(stamped, dynamo.F(sk, dynamo.S(msgID)))...) // the stamp wins over a body entry of its name
 	}
 	msg := dynamo.Item{
 		attrMsgID:   dynamo.S(msgID),

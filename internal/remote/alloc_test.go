@@ -21,9 +21,10 @@ import (
 // outside this package's reach (ROADMAP, "Smaller, ledger-bounded cuts").
 // Update actions decode straight into the values the store applies; the
 // Update row was 10 while they were rebuilt as boxes. The store's share is
-// one attribute map per row it returns or installs
-// (internal/dynamo/alloc_test.go): it was 10, 11 and 4 while the store
-// deep-copied rows and built a string per key lookup. ARCHITECTURE.md,
+// one attribute map per row it returns and one attribute list per row it
+// installs (internal/dynamo/alloc_test.go): it was 10, 11 and 4 while the
+// store deep-copied rows and built a string per key lookup, and the Update
+// row 8 and 2 while it kept each row in a Go map. ARCHITECTURE.md,
 // "Remote storage plane", repeats the table; the slack of 1 is a pool
 // emptied by a GC cycle.
 
@@ -33,7 +34,7 @@ var rpcBudget = []struct {
 	name         string
 	wire, direct float64
 }{
-	{"Update", 8, 2},
+	{"Update", 7, 1},
 	{"Query (projected, 3 rows)", 20, 7},
 	{"Get", 9, 2},
 }

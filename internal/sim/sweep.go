@@ -470,7 +470,7 @@ func travelWorkload() *workload {
 		app := travel.Build(d)
 		app.Capacity = capacity
 		d.Function(fnTally, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-			sum, err := e.SyncInvoke(travel.FnReserveHotel, beldi.Map(map[string]beldi.Value{"op": beldi.Str("audit")}))
+			sum, err := e.SyncInvoke(travel.FnReserveHotel, beldi.Fields(beldi.F("op", beldi.Str("audit"))))
 			if err != nil {
 				return beldi.Null, err
 			}
@@ -497,18 +497,18 @@ func travelWorkload() *workload {
 	wl.seed = func(c *Cluster) error {
 		for _, fn := range []string{travel.FnGeo, travel.FnRate, travel.FnRecommend, travel.FnProfile,
 			travel.FnUser, travel.FnReserveHotel, travel.FnReserveFlight} {
-			if _, err := c.Workers[0].CW.Invoke(fn, beldi.Map(map[string]beldi.Value{"op": beldi.Str("seed")})); err != nil {
+			if _, err := c.Workers[0].CW.Invoke(fn, beldi.Fields(beldi.F("op", beldi.Str("seed")))); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	wl.client = func(w *Worker, i int) error {
-		_, err := w.CW.Invoke(travel.FnFrontend, beldi.Map(map[string]beldi.Value{
-			"op":     beldi.Str("reserve"),
-			"hotel":  beldi.Str(fmt.Sprintf("hotel-%03d", i)),
-			"flight": beldi.Str(fmt.Sprintf("flight-%03d", i)),
-		}))
+		_, err := w.CW.Invoke(travel.FnFrontend, beldi.Fields(
+			beldi.F("op", beldi.Str("reserve")),
+			beldi.F("hotel", beldi.Str(fmt.Sprintf("hotel-%03d", i))),
+			beldi.F("flight", beldi.Str(fmt.Sprintf("flight-%03d", i))),
+		))
 		return err
 	}
 	wl.audit = func(c *Cluster, sc Scenario, errs []error) error {
@@ -590,7 +590,7 @@ func ordersWorkload(prng *rand.Rand) *workload {
 		apps = append(apps, orders.Build(d))
 	}
 	wl.seed = func(c *Cluster) error {
-		_, err := c.Workers[0].CW.Invoke(orders.FnInventory, beldi.Map(map[string]beldi.Value{"op": beldi.Str("seed")}))
+		_, err := c.Workers[0].CW.Invoke(orders.FnInventory, beldi.Fields(beldi.F("op", beldi.Str("seed"))))
 		return err
 	}
 	wl.client = func(w *Worker, i int) error {
@@ -717,7 +717,7 @@ func fanoutWorkload() *workload {
 // equality.
 func counterRegister(d *beldi.Deployment) {
 	d.Function("counter", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-		key := in.Map()["key"].Str()
+		key := in.Get("key").Str()
 		if err := e.Lock("state", "total"); err != nil {
 			return beldi.Null, err
 		}
@@ -789,7 +789,7 @@ func runTorn(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 					keys = append(keys, key)
 					w, i, key := c.Workers[(wave*phase1+i)%len(c.Workers)], i, key
 					tasks = append(tasks, s.Go(TaskOpts{Name: "client." + key}, func() {
-						_, err := w.CW.Invoke("counter", beldi.Map(map[string]beldi.Value{"key": beldi.Str(key)}))
+						_, err := w.CW.Invoke("counter", beldi.Fields(beldi.F("key", beldi.Str(key))))
 						waveErrs[i] = err
 					}))
 					s.Sleep(2 * time.Millisecond)
@@ -831,7 +831,7 @@ func runTorn(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 				keys = append(keys, key)
 				w, i, key := c2.Workers[i%len(c2.Workers)], i, key
 				tasks = append(tasks, s.Go(TaskOpts{Name: "client." + key}, func() {
-					_, err := w.CW.Invoke("counter", beldi.Map(map[string]beldi.Value{"key": beldi.Str(key)}))
+					_, err := w.CW.Invoke("counter", beldi.Fields(beldi.F("key", beldi.Str(key))))
 					phase2Errs[i] = err
 				}))
 				s.Sleep(2 * time.Millisecond)
@@ -987,7 +987,7 @@ func runSpec(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 					waveKeys[i] = key
 					i, key := i, key
 					tasks = append(tasks, s.Go(TaskOpts{Name: "client." + key}, func() {
-						_, err := w0.CW.Invoke("counter", beldi.Map(map[string]beldi.Value{"key": beldi.Str(key)}))
+						_, err := w0.CW.Invoke("counter", beldi.Fields(beldi.F("key", beldi.Str(key))))
 						waveErrs[i] = err
 					}))
 					s.Sleep(2 * time.Millisecond)
@@ -1044,7 +1044,7 @@ func runSpec(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 				keys = append(keys, key)
 				w, i, key := c2.Workers[i%len(c2.Workers)], i, key
 				tasks = append(tasks, s.Go(TaskOpts{Name: "client." + key}, func() {
-					_, err := w.CW.Invoke("counter", beldi.Map(map[string]beldi.Value{"key": beldi.Str(key)}))
+					_, err := w.CW.Invoke("counter", beldi.Fields(beldi.F("key", beldi.Str(key))))
 					phase2Errs[i] = err
 				}))
 				s.Sleep(2 * time.Millisecond)

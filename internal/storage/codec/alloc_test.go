@@ -74,15 +74,16 @@ func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 	NewDecoder(body).Item() // first sight of the six attribute names
 	var got dynamo.Item
 	// The row's map (2: header and slots, on the go 1.24 runtime), the nested
-	// map (2), the six data strings budgetRow lists, and the slice header of
-	// the byte value (a 48-byte Value holds a byte slice or list boxed; it
-	// was 10 while a Value was 96 bytes). Names: 0.
-	const want = 2 + 2 + 6 + 1
+	// map value's field list (1; 2 while it was a Go map), the six data
+	// strings budgetRow lists, and the slice header of the byte value (a
+	// 48-byte Value holds a byte slice or list boxed; it was 10 while a Value
+	// was 96 bytes). Names: 0.
+	const want = 2 + 1 + 6 + 1
 	if n := allocsPerRun(t, func() {
 		d := Decoder{b: body}
 		got = d.Item()
 	}); n != want {
-		t.Errorf("decoding a row: %v allocations, want %d (its maps, data strings and one boxed slice)", n, want)
+		t.Errorf("decoding a row: %v allocations, want %d (its map, field list, data strings and one boxed slice)", n, want)
 	}
 	if !itemsEqual(got, budgetRow()) {
 		t.Errorf("decoded %v", got)
@@ -133,7 +134,7 @@ func TestRetentionCap(t *testing.T) {
 	e.Item(wide)
 	e.Reset()
 	if cap(e.keys) > MaxPooledBuffer/16 {
-		t.Errorf("after Reset the encoder holds a key stack of %d", cap(e.keys))
+		t.Errorf("after Reset the encoder holds a key buffer of %d", cap(e.keys))
 	}
 
 	e.Raw(big)

@@ -29,11 +29,12 @@
 //	TxOps      [count]([str table][Key][Cond][u8 has put][Item, if so]
 //	           [Updates][bool delete][bool check])…
 //
-// The encoding is deterministic: map and item keys are written in sorted
-// order, so equal values encode to equal bytes and a replayed log is
-// byte-comparable across runs. Decoding then re-encoding any accepted input
-// reaches a fixed point after one round (non-minimal varints, duplicate map
-// keys and non-canonical bools normalise once).
+// The encoding is deterministic: map and item keys are written in strictly
+// increasing byte order, so equal values encode to equal bytes and a replayed log is
+// byte-comparable across runs. The decoder holds input to that order —
+// keys out of order, or one repeated, are refused rather than resolved — so
+// decoding then re-encoding any accepted input reaches a fixed point after
+// one round (non-minimal varints and non-canonical bools normalise once).
 //
 // # The frame
 //
@@ -129,8 +130,7 @@ const MaxDepth = 1 << 17
 // before using the bytes.
 type Encoder struct {
 	b []byte
-	// keys is the stack Item sorts attribute names on: a nested map value
-	// pushes its keys above its parent's and pops them on return.
+	// keys is the buffer Item sorts attribute names in.
 	keys []string
 	err  error
 }

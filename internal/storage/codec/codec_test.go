@@ -290,6 +290,10 @@ func TestCorruptModel(t *testing.T) {
 		"update of no kind":       {"Updates", kindlessUpdate()},
 		"string longer than body": {"Value", []byte{byte(dynamo.KindString), 200, 'x'}},
 		"count longer than body":  {"Items", []byte{200, 1, 0}},
+		"repeated key":            {"Item", rowWithKeys("K", "V", "V")},
+		"keys out of order":       {"Item", rowWithKeys("V", "K")},
+		"repeated map key":        {"Value", mapWithKeys("step-1", "step-1")},
+		"map keys out of order":   {"Value", mapWithKeys("step-2", "step-1")},
 	} {
 		d := NewDecoder(tc.in)
 		shapes[tc.shape](d, NewEncoder(64))
@@ -297,6 +301,23 @@ func TestCorruptModel(t *testing.T) {
 			t.Errorf("%s: Err = %v", name, d.Err())
 		}
 	}
+}
+
+// rowWithKeys is a row body holding the attributes in the order given, each
+// set to 1 — hand-built, because an encoder writes them sorted and once.
+func rowWithKeys(keys ...string) []byte {
+	e := NewEncoder(64)
+	e.Int(len(keys))
+	for _, k := range keys {
+		e.Str(k)
+		e.Value(dynamo.NInt(1))
+	}
+	return e.Body()
+}
+
+// mapWithKeys is rowWithKeys as a map value.
+func mapWithKeys(keys ...string) []byte {
+	return append([]byte{byte(dynamo.KindMap)}, rowWithKeys(keys...)...)
 }
 
 // kindlessUpdate is the body an encoder writes for the zero dynamo.Update
@@ -401,8 +422,8 @@ func TestNestingBound(t *testing.T) {
 // foreign is a Cond this package cannot describe.
 type foreign struct{}
 
-func (foreign) Eval(dynamo.Item) bool { return true }
-func (foreign) String() string        { return "foreign" }
+func (foreign) Eval(dynamo.Attrs) bool { return true }
+func (foreign) String() string         { return "foreign" }
 
 func TestForeignCondIsAnEncoderError(t *testing.T) {
 	for _, c := range []dynamo.Cond{foreign{}, dynamo.And(dynamo.True(), dynamo.Not(foreign{}))} {
@@ -549,11 +570,12 @@ func fixtureBodies(f *testing.F) [][]byte {
 // FuzzDecode throws arbitrary bytes at every top-level decoder. None may
 // panic or fail with anything but an ErrFormat, and whatever one accepts
 // must canonicalize: it re-encodes, and decoding and encoding that again
-// gives the same bytes (one round normalizes non-minimal varints, duplicate
-// map keys and non-canonical bools; after it the encoding is a fixed point).
+// gives the same bytes (one round normalizes non-minimal varints and
+// non-canonical bools; after it the encoding is a fixed point).
 // Seeds: the bodies inside the format fixtures (real WAL and wire traffic),
-// the round-trip table's encodings, and the deep-nesting shapes, shallow and
-// just past MaxDepth. CI runs a short -fuzz smoke; locally:
+// the round-trip table's encodings, the deep-nesting shapes, shallow and
+// just past MaxDepth, and rows and maps with keys repeated or out of order.
+// CI runs a short -fuzz smoke; locally:
 //
 //	go test ./internal/storage/codec -run '^$' -fuzz 'FuzzDecode$' -fuzztime 30s
 func FuzzDecode(f *testing.F) {
@@ -573,6 +595,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(schemaWithShards(1 << 40))
 	f.Add(kindlessUpdate())
 	f.Add([]byte{})
+	f.Add(rowWithKeys("K", "V", "V"))
+	f.Add(rowWithKeys("V", "K"))
+	f.Add(mapWithKeys("step-1", "step-1"))
+	f.Add(mapWithKeys("step-2", "step-1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		FreshNames(t) // every input meets an empty intern table, not a full one
 		for name, copyOne := range shapes {

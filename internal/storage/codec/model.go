@@ -24,28 +24,31 @@ func (e *Encoder) Value(v dynamo.Value) {
 			e.Value(el)
 		}
 	case dynamo.KindMap:
-		e.Item(v.Map())
+		// A map value's entries are encoded like a row's attributes, and are
+		// already in key order.
+		e.Int(v.MapLen())
+		for k, ev := range v.Entries() {
+			e.Str(k)
+			e.Value(ev)
+		}
 	}
 }
 
-// Item appends a row — or a map value's entries, which are encoded alike —
-// in sorted key order. The keys are sorted on the encoder's stack, above
-// those of the row this one is nested in; the loop indexes the stack because
-// a nested map value may regrow it.
+// Item appends a row in sorted attribute order, sorting the names in the
+// encoder's reused key buffer. A map value inside the row does not use the
+// buffer: its entries are already in order.
 func (e *Encoder) Item(it dynamo.Item) {
-	base := len(e.keys)
 	for k := range it {
 		e.keys = append(e.keys, k)
 	}
-	slices.Sort(e.keys[base:])
+	slices.Sort(e.keys)
 	e.Int(len(it))
-	for i := base; i < base+len(it); i++ {
-		k := e.keys[i]
+	for _, k := range e.keys {
 		e.Str(k)
 		e.Value(it[k])
 	}
-	clear(e.keys[base:])
-	e.keys = e.keys[:base]
+	clear(e.keys)
+	e.keys = e.keys[:0]
 }
 
 // Items appends a row count and the rows.
@@ -193,31 +196,48 @@ func (d *Decoder) Value() dynamo.Value {
 		if !d.nest() {
 			break
 		}
-		m := d.Item()
+		// The keys are data, such as step keys, and are not interned. They
+		// arrive in order, so the entries are the field list as they come.
+		fs := make([]dynamo.Field, d.Count())
+		for i := 0; i < len(fs) && d.err == nil; i++ {
+			fs[i].Name = d.Str()
+			if i > 0 {
+				d.ordered(fs[i-1].Name, fs[i].Name)
+			}
+			fs[i].Value = d.Value()
+		}
 		d.depth--
-		return result(d, dynamo.M(m))
+		return result(d, dynamo.Fields(fs...))
 	default:
 		d.Failf("unknown value kind %d", kind)
 	}
 	return dynamo.Null
 }
 
-// Item reads a row, or a map value's entries. A row's keys are attribute
-// names; a map value's (Value nests before it calls here) are data, such as
-// step keys, and are not interned.
+// Item reads a row, refusing attributes out of order as a map value's
+// entries are.
 func (d *Decoder) Item() dynamo.Item {
-	n, row := d.Count(), d.depth == 0
+	n := d.Count()
 	it := make(dynamo.Item, n)
+	prev := ""
 	for i := 0; i < n && d.err == nil; i++ {
-		var k string
-		if row {
-			k = d.Name()
-		} else {
-			k = d.Str()
+		k := d.Name()
+		if i > 0 {
+			d.ordered(prev, k)
 		}
-		it[k] = d.Value()
+		it[k], prev = d.Value(), k
 	}
 	return result(d, it)
+}
+
+// ordered refuses a row attribute or map key unless it sorts strictly after
+// the one before it: an encoder writes them in order, each once, so anything
+// else — above all a repeated key, whose earlier value would silently be
+// lost — is not an encoding.
+func (d *Decoder) ordered(prev, k string) {
+	if k <= prev {
+		d.Failf("keys not strictly increasing: %q after %q", k, prev)
+	}
 }
 
 // Items reads a row count and the rows.

@@ -73,13 +73,9 @@ func DurableSpans(b storage.Backend) ([]Span, error) {
 				if !it[durAttrDone].BoolVal() {
 					sp.Err = "pending"
 				}
-				if args, ok := it[durAttrArgs]; ok {
-					if m := args.Map(); m != nil {
-						if v, ok := m["CallerInstance"]; ok {
-							sp.ParentIntent = v.Str()
-							sp.ParentStep = m["CallerStep"].Str()
-						}
-					}
+				if v, ok := it[durAttrArgs].MapGet("CallerInstance"); ok {
+					sp.ParentIntent = v.Str()
+					sp.ParentStep = it[durAttrArgs].Get("CallerStep").Str()
 				}
 				spans = append(spans, sp)
 			}
