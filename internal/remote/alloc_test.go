@@ -11,16 +11,18 @@ import (
 
 // The per-RPC allocation budget: what one storage call costs end to end
 // through a real loopback server over the in-memory store — client goroutine,
-// the connection's read loop, the server's per-request goroutine and the
-// backend together (process-wide mallocs, as testing.AllocsPerRun counts
-// them). The wire itself is budgeted at the goroutine and its closure on the
-// server and nothing else: encoders, frame bodies, decoders, attribute and
-// table names, the reply channel and the deadline timer are all reused. What
-// is left is what the call returns (rows: their maps and data strings) and
-// what dynamo and the decode-then-rebuild of conditions allocate — both
-// outside this package's reach (ROADMAP, "Smaller, ledger-bounded cuts").
-// Update actions decode straight into the values the store applies; the
-// Update row was 10 while they were rebuilt as boxes. The store's share is
+// the connection's read loop, the server goroutine that reads and runs the
+// request and the backend together (process-wide mallocs, as
+// testing.AllocsPerRun counts them). The wire's own share is nothing:
+// encoders, frame bodies, decoders, attribute and table names, the reply
+// channel and the deadline timer are all reused, and a request runs on the
+// server goroutine that read it (each row was 1 higher while the server
+// started a goroutine and its closure per request). What is left is what the
+// call returns (rows: their maps and data strings) and what dynamo and the
+// decode-then-rebuild of conditions allocate — both outside this package's
+// reach (ROADMAP, "Smaller, ledger-bounded cuts"). Update actions decode
+// straight into the values the store applies; the Update row was 10 while
+// they were rebuilt as boxes. The store's share is
 // one attribute map per row it returns and one attribute list per row it
 // installs (internal/dynamo/alloc_test.go): it was 10, 11 and 4 while the
 // store deep-copied rows and built a string per key lookup, and the Update
@@ -34,9 +36,9 @@ var rpcBudget = []struct {
 	name         string
 	wire, direct float64
 }{
-	{"Update", 7, 1},
-	{"Query (projected, 3 rows)", 20, 7},
-	{"Get", 9, 2},
+	{"Update", 6, 1},
+	{"Query (projected, 3 rows)", 19, 7},
+	{"Get", 8, 2},
 }
 
 // budgetCalls returns the three budgeted calls, in rpcBudget's order, bound to b.

@@ -160,10 +160,7 @@ func (s *Server) Serve(lis net.Listener) error {
 		s.stats.Conns.Add(1)
 		s.wg.Add(1)
 		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
+		go s.serveConn(conn)
 	}
 }
 
@@ -193,54 +190,122 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// serveConn handshakes, then reads pipelined requests and dispatches each
-// in its own goroutine; responses interleave in completion order, matched
-// by request id.
+// serveConn handshakes, then serves the connection's pipelined requests
+// leader/follower (see lead); responses interleave in completion order,
+// matched by request id. It runs on the goroutine Serve started, counted in
+// s.wg until the connection's last goroutine is gone.
 func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
 	if err := s.handshake(conn); err != nil {
 		s.stats.ProtocolErrors.Add(1)
 		s.logf("remote: handshake with %s: %v", conn.RemoteAddr(), err)
+		s.hangUp(conn)
 		return
 	}
 	s.stats.Handshakes.Add(1)
+	c := &serverConn{
+		pctx:   pushCtx{conn: conn, watches: make(map[uint64]storage.Subscription)},
+		frames: codec.NewFrameReader(conn, maxFrameBody),
+		wake:   make(chan struct{}, 1),
+	}
+	c.pctx.handlers.Add(1)
+	s.lead(c)
+}
 
-	pctx := &pushCtx{conn: conn, watches: make(map[uint64]storage.Subscription)}
-	// LIFO defers: closing the watches first unblocks the pusher goroutines
-	// that handlers.Wait then drains.
-	defer pctx.handlers.Wait()
-	defer pctx.closeAll()
-	frames := codec.NewFrameReader(conn, maxFrameBody)
+// hangUp closes conn and forgets it: the end of serveConn's count in s.wg.
+func (s *Server) hangUp(conn net.Conn) {
+	conn.Close()
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	s.wg.Done()
+}
+
+// A serverConn is one connection's request side, served leader/follower: the
+// goroutine holding the read side (the leader) reads one request, hands the
+// read side to the connection's idle goroutine — or starts one if none is
+// idle — and then runs the request itself. A goroutine whose request is done
+// becomes the idle one, or exits if another already is, so the connection
+// holds its leader, one goroutine per request in flight and at most one idle
+// goroutine. Requests still run concurrently, and one that is slow in the
+// backend never holds up the next read; but in the steady state of a client
+// waiting for each reply, the request runs on the goroutine that read it and
+// no goroutine is started.
+type serverConn struct {
+	pctx   pushCtx
+	frames *codec.FrameReader // the leader's: handing over lead passes it on
+
+	idle atomic.Bool // a goroutine is parked on wake, or about to be
+	// wake hands the read side to the idle goroutine: at most one token is
+	// ever in it, because only the leader sends and the token is the lead.
+	// The leader whose read fails closes it, releasing the idle goroutine.
+	wake chan struct{}
+}
+
+// handOff passes the read side on: to the idle goroutine, or to a new one.
+func (s *Server) handOff(c *serverConn) {
+	if c.idle.CompareAndSwap(true, false) {
+		c.wake <- struct{}{}
+		return
+	}
+	c.pctx.handlers.Add(1)
+	go s.lead(c)
+}
+
+// park makes a goroutine whose request is done the connection's idle one and
+// waits for the lead: true once it holds the read side, false — exit — when
+// another goroutine is already idle or the read side has failed.
+func (c *serverConn) park() bool {
+	if !c.idle.CompareAndSwap(false, true) {
+		return false
+	}
+	_, ok := <-c.wake
+	return ok
+}
+
+// lead runs one goroutine of c, counted in c.pctx.handlers: it reads a
+// request while it holds the read side, hands the read side on, runs the
+// request, and parks to lead again. The goroutine whose read fails tears the
+// connection down.
+func (s *Server) lead(c *serverConn) {
 	for {
-		m, err := frames.Next()
+		m, err := c.frames.Next()
 		if err != nil {
 			if err = protoErr(err); err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.stats.ProtocolErrors.Add(1)
-				s.logf("remote: conn %s: %v", conn.RemoteAddr(), err)
+				s.logf("remote: conn %s: %v", c.pctx.conn.RemoteAddr(), err)
 			}
+			s.tearDown(c)
 			return
 		}
 		s.stats.BytesRead.Add(int64(m.Len()))
 		id, op := m.U64(), m.U8()
 		if m.Err() != nil {
 			s.stats.ProtocolErrors.Add(1)
+			s.tearDown(c)
 			return
 		}
-		pctx.handlers.Add(1)
-		go func() {
-			defer pctx.handlers.Done()
-			if s.opts.Delay > 0 {
-				time.Sleep(s.opts.Delay)
-			}
-			s.dispatch(pctx, id, op, m)
-		}()
+		s.handOff(c)
+		if s.opts.Delay > 0 {
+			time.Sleep(s.opts.Delay)
+		}
+		s.dispatch(&c.pctx, id, op, m)
+		if !c.park() {
+			c.pctx.handlers.Done()
+			return
+		}
 	}
+}
+
+// tearDown ends a connection whose read side failed, on the goroutine that
+// last held it: it releases the idle goroutine, closes the watches — which
+// unblocks their pushers — waits for every other goroutine of the connection,
+// requests in flight included, and hangs up.
+func (s *Server) tearDown(c *serverConn) {
+	close(c.wake)
+	c.pctx.closeAll()
+	c.pctx.handlers.Done()
+	c.pctx.handlers.Wait()
+	s.hangUp(c.pctx.conn)
 }
 
 // send frames e's body in place and writes it in one Write call under the

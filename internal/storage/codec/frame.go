@@ -50,7 +50,10 @@ func parseHeader(hdr []byte) (n int, sum uint32) {
 
 // A FrameReader takes frames off one stream — a connection — through a
 // header scratch of its own, reading each body into a recycled Message. It is
-// for one goroutine at a time, like the stream under it.
+// for one goroutine at a time, like the stream under it, but that need not be
+// the same goroutine throughout: a server connection's reader changes hands
+// between the goroutines serving it, and the handoff that passes it on orders
+// the next reader's calls after the last one's.
 type FrameReader struct {
 	r   io.Reader
 	max int
