@@ -60,7 +60,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -262,7 +261,7 @@ type DeploymentOptions struct {
 }
 
 // SpeculationOptions tune the commit-pipelining overlay; see
-// pipeline.Options for the fields (Depth, Batch, Linger).
+// pipeline.Options for the fields (Depth, ManualFlush).
 type SpeculationOptions = pipeline.Options
 
 // Deployment wires SSFs to their runtimes: the app-developer view of
@@ -468,6 +467,3 @@ func (d *Deployment) RunAllCollectors() error {
 	}
 	return nil
 }
-
-// WaitForDuration is a tiny convenience used by examples to let timers fire.
-func WaitForDuration(d time.Duration) { time.Sleep(d) }

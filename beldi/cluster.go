@@ -20,7 +20,8 @@ import (
 	"repro/internal/uuid"
 )
 
-// ClusterOptions configure OpenCluster.
+// ClusterOptions configure OpenCluster. Every worker's functions run in
+// ModeBeldi.
 type ClusterOptions struct {
 	// Name identifies the cluster: workers joining the same name on the
 	// same Store form one pool. Default "main".
@@ -28,9 +29,6 @@ type ClusterOptions struct {
 	// Store is the shared backend every worker coordinates over — in-memory
 	// for simulation, the WAL-backed store for durability. Required.
 	Store Backend
-	// Mode selects the machinery for every worker's functions; ModeBeldi by
-	// default.
-	Mode Mode
 	// Config tunes protocol parameters for every worker's functions.
 	Config Config
 	// Partitions is the number of ownership partitions the intent space is
@@ -40,21 +38,10 @@ type ClusterOptions struct {
 	// LeaseTTL is how long a silent worker keeps its lease before peers
 	// declare it dead and steal its work. 0 means cluster.DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// Platform shapes each worker's in-process platform (concurrency limit,
-	// start latencies, seed). The IDs and Faults fields are per-worker and
-	// left untouched here.
-	Platform platform.Options
 	// DurableAsync, when non-nil, wires every worker's AsyncInvoke through
 	// durable per-function invocation queues, with each queue drained by
 	// whichever worker owns the function's partition.
 	DurableAsync *DurableAsyncOptions
-	// Telemetry, when set, is shared by every worker's deployment: one hub
-	// collects the whole pool's traces (an intent's spans stitch across
-	// workers because spans are keyed by intent id, not by worker), and each
-	// worker's cluster-protocol counters register under
-	// "cluster.<worker-id>". Per-function counters keep the latest worker's
-	// wiring; give workers separate hubs to keep them apart.
-	Telemetry *Telemetry
 }
 
 // Cluster is a handle on a worker pool's shared configuration. It holds no
@@ -68,9 +55,6 @@ type Cluster struct {
 func OpenCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.Store == nil {
 		return nil, fmt.Errorf("beldi: OpenCluster: Store is required")
-	}
-	if opts.Name == "" {
-		opts.Name = "main"
 	}
 	return &Cluster{opts: opts}, nil
 }
@@ -128,15 +112,16 @@ type WorkerOptions struct {
 	// underlying tables — the intended use is a fault- or delay-injecting
 	// wrapper around the pool's Store, not a different database.
 	Store Backend
-	// Platform, when non-nil, replaces the pool-wide platform options for
-	// this worker (per-worker seeds, fault plans, dispatch hooks).
+	// Platform, when non-nil, shapes this worker's in-process platform
+	// (per-worker seeds, fault plans, dispatch hooks). Nil means
+	// platform.Options{}.
 	Platform *platform.Options
 }
 
 // JoinClusterWith is JoinCluster with per-worker overrides; see
 // WorkerOptions.
 func (c *Cluster) JoinClusterWith(id string, register RegisterApp, wo WorkerOptions) (*ClusterWorker, error) {
-	popts := c.opts.Platform
+	var popts platform.Options
 	if wo.Platform != nil {
 		popts = *wo.Platform
 	}
@@ -149,13 +134,11 @@ func (c *Cluster) JoinClusterWith(id string, register RegisterApp, wo WorkerOpti
 	}
 	plat := platform.New(popts)
 	d := NewDeployment(DeploymentOptions{
-		Store:     store,
-		Platform:  plat,
-		Mode:      c.opts.Mode,
-		Config:    c.opts.Config,
-		Clock:     wo.Clock,
-		IDs:       wo.IDs,
-		Telemetry: c.opts.Telemetry,
+		Store:    store,
+		Platform: plat,
+		Config:   c.opts.Config,
+		Clock:    wo.Clock,
+		IDs:      wo.IDs,
 	})
 	register(d)
 	w, err := cluster.Join(cluster.Options{
@@ -171,16 +154,8 @@ func (c *Cluster) JoinClusterWith(id string, register RegisterApp, wo WorkerOpti
 		return nil, err
 	}
 	cw := &ClusterWorker{c: c, d: d, w: w, plat: plat}
-	if h := c.opts.Telemetry; h != nil {
-		stats := w.Stats()
-		h.Registry.Register("cluster."+w.ID(), func() any { return stats.Snapshot() })
-	}
 	for _, name := range d.Functions() {
-		rt := d.Runtime(name)
-		if rt.Mode() == ModeBaseline {
-			continue
-		}
-		w.Attach(rt)
+		w.Attach(d.Runtime(name))
 	}
 	if c.opts.DurableAsync != nil {
 		da := d.EnableDurableAsync(*c.opts.DurableAsync)

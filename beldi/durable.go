@@ -34,9 +34,6 @@ type DurableAsyncOptions struct {
 	// PollInterval is the mapper's idle poll delay; 0 means
 	// platform.DefaultPollInterval.
 	PollInterval time.Duration
-	// NackOnError requeues failed deliveries immediately instead of waiting
-	// out the visibility timeout.
-	NackOnError bool
 }
 
 // DurableAsync is a deployment's event-queue wiring: the broker, the
@@ -88,7 +85,6 @@ func (d *Deployment) EnableDurableAsync(opts DurableAsyncOptions) *DurableAsync 
 			Function:     name,
 			BatchSize:    opts.BatchSize,
 			PollInterval: opts.PollInterval,
-			NackOnError:  opts.NackOnError,
 		})
 		if h := d.opts.Telemetry; h != nil {
 			m := da.mappers[name].Metrics()

@@ -6,8 +6,8 @@ package beldi
 // and queue hop an intent performs, with replayed operations tagged, so a
 // workflow that crashed and was restarted by the collector reads as ONE
 // trace with its pre-crash attempt marked — and (2) a metrics registry that
-// unifies every subsystem's counters (core, store, WAL, queue, platform,
-// cluster) under hierarchical names next to latency histograms on the hot
+// unifies every subsystem's counters (core, store, WAL, queue, platform)
+// under hierarchical names next to latency histograms on the hot
 // paths (step commit, lock acquire, txn commit, enqueue→receive, WAL
 // fsync). Serve it over HTTP with telemetry.Serve / telemetry.Handler, or
 // snapshot it in-process; see OPERATIONS.md "Observability".

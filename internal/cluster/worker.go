@@ -31,22 +31,10 @@ type Options struct {
 	// LeaseTTL is how long a heartbeat keeps the worker's lease alive; a
 	// worker silent for longer is marked dead and its work stolen. 0 means
 	// DefaultLeaseTTL. Worker clock skew must stay well under this bound
-	// (see OPERATIONS.md).
+	// (see OPERATIONS.md). Start's loops run on periods derived from it:
+	// heartbeat LeaseTTL/4, detect LeaseTTL/2, rebalance and collect
+	// LeaseTTL, GC 4·LeaseTTL.
 	LeaseTTL time.Duration
-	// HeartbeatEvery is the Start loop's renewal period. 0 means LeaseTTL/4.
-	HeartbeatEvery time.Duration
-	// DetectEvery is the Start loop's failure-detection period. 0 means
-	// LeaseTTL/2.
-	DetectEvery time.Duration
-	// RebalanceEvery is the Start loop's partition-rebalance period. 0 means
-	// LeaseTTL.
-	RebalanceEvery time.Duration
-	// CollectEvery is the Start loop's intent-collection period. 0 means
-	// LeaseTTL.
-	CollectEvery time.Duration
-	// PollEvery is the Start loop's idle delay between polls of the owned
-	// event-source mappers. 0 means 2ms.
-	PollEvery time.Duration
 	// Partitions is the cluster's partition count; only the first joiner's
 	// value matters (later joiners adopt the persisted count, and error if
 	// they ask for a different one). 0 adopts, or DefaultPartitions when
@@ -65,21 +53,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LeaseTTL == 0 {
 		o.LeaseTTL = DefaultLeaseTTL
-	}
-	if o.HeartbeatEvery == 0 {
-		o.HeartbeatEvery = o.LeaseTTL / 4
-	}
-	if o.DetectEvery == 0 {
-		o.DetectEvery = o.LeaseTTL / 2
-	}
-	if o.RebalanceEvery == 0 {
-		o.RebalanceEvery = o.LeaseTTL
-	}
-	if o.CollectEvery == 0 {
-		o.CollectEvery = o.LeaseTTL
-	}
-	if o.PollEvery == 0 {
-		o.PollEvery = 2 * time.Millisecond
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Real{}
@@ -133,11 +106,10 @@ func (s *Stats) Snapshot() StatsView {
 // Create with Join; drive deterministically with the *Once methods or start
 // the background loops with Start.
 type Worker struct {
-	id      string
-	cluster string
-	store   storage.Backend
-	clk     clock.Clock
-	opts    Options
+	id    string
+	store storage.Backend
+	clk   clock.Clock
+	ttl   time.Duration // LeaseTTL; every loop period derives from it
 
 	partitions int
 	leases     string
@@ -190,10 +162,9 @@ func Join(opts Options) (*Worker, error) {
 	}
 	w := &Worker{
 		id:         opts.ID,
-		cluster:    opts.Cluster,
 		store:      opts.Store,
 		clk:        opts.Clock,
-		opts:       opts,
+		ttl:        opts.LeaseTTL,
 		partitions: partitions,
 		leases:     leaseTableOf(opts.Cluster),
 		parts:      partTableOf(opts.Cluster),
@@ -208,19 +179,10 @@ func Join(opts Options) (*Worker, error) {
 	return w, nil
 }
 
-// MustJoin is Join, panicking on error; for setup code.
-func MustJoin(opts Options) *Worker {
-	w, err := Join(opts)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // acquireLease installs (or takes over) this worker's lease row.
 func (w *Worker) acquireLease() error {
 	now := w.now()
-	exp := now + w.opts.LeaseTTL.Microseconds()
+	exp := now + w.ttl.Microseconds()
 	row, ok, err := w.store.Get(w.leases, dynamo.HK(dynamo.S(w.id)))
 	if err != nil {
 		return err
@@ -377,7 +339,7 @@ func (w *Worker) HeartbeatOnce() error {
 			dynamo.Eq(dynamo.A(attrEpoch), dynamo.NInt(epoch)),
 			dynamo.Eq(dynamo.A(attrState), dynamo.S(stateLive)),
 		),
-		dynamo.Set(dynamo.A(attrExpiresAt), dynamo.NInt(w.now()+w.opts.LeaseTTL.Microseconds())),
+		dynamo.Set(dynamo.A(attrExpiresAt), dynamo.NInt(w.now()+w.ttl.Microseconds())),
 	)
 	if errors.Is(err, dynamo.ErrConditionFailed) {
 		w.fence()
@@ -798,12 +760,7 @@ func (w *Worker) Start() {
 // cost the lease costs the partitions, never the worker's life.
 func (w *Worker) heartbeatLoop(stopCh chan struct{}) {
 	defer w.wg.Done()
-	for {
-		select {
-		case <-stopCh:
-			return
-		case <-w.clk.After(w.opts.HeartbeatEvery):
-		}
+	for w.wait(stopCh, w.ttl/4) {
 		if w.paused.Load() {
 			continue // zombie simulation: the process is stalled
 		}
@@ -816,50 +773,35 @@ func (w *Worker) heartbeatLoop(stopCh chan struct{}) {
 }
 
 // workLoop drives detection, rebalancing, collection and GC on the worker's
-// clock. Periods are multiples of the heartbeat period, so one timer drives
-// every cadence. It exits once the worker is fenced.
+// clock. One tick is a heartbeat period, LeaseTTL/4: detection runs every 2
+// ticks, rebalancing and collection every 4, GC every 16. Fenced, it waits
+// for the heartbeat loop's Rejoin.
 func (w *Worker) workLoop(stopCh chan struct{}) {
 	defer w.wg.Done()
-	period := w.opts.HeartbeatEvery
-	every := func(d time.Duration) int64 {
-		n := int64(d / period)
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	detectN := every(w.opts.DetectEvery)
-	rebalN := every(w.opts.RebalanceEvery)
-	collectN := every(w.opts.CollectEvery)
-	gcN := 4 * collectN
-	for tick := int64(1); ; tick++ {
-		select {
-		case <-stopCh:
-			return
-		case <-w.clk.After(period):
-		}
+	for tick := 1; w.wait(stopCh, w.ttl/4); tick++ {
 		if w.paused.Load() {
 			continue // zombie simulation: the process is stalled
 		}
 		if w.Fenced() {
 			continue // wait for the heartbeat loop's Rejoin
 		}
-		if tick%detectN == 0 {
+		if tick%2 == 0 {
 			if _, stolen, err := w.DetectOnce(); err == nil && stolen > 0 {
 				w.CollectOnce() //nolint:errcheck // next tick retries
 			}
 		}
-		if tick%rebalN == 0 {
+		if tick%4 == 0 {
 			w.RebalanceOnce() //nolint:errcheck // next tick retries
+			w.CollectOnce()   //nolint:errcheck // next tick retries
 		}
-		if tick%collectN == 0 {
-			w.CollectOnce() //nolint:errcheck // next tick retries
-		}
-		if tick%gcN == 0 {
+		if tick%16 == 0 {
 			w.GCOnce() //nolint:errcheck // next tick retries
 		}
 	}
 }
+
+// pollIdle is how long pollLoop sleeps when no owned mapper had work.
+const pollIdle = 2 * time.Millisecond
 
 // pollLoop drains the owned event-source mappings continuously.
 func (w *Worker) pollLoop(stopCh chan struct{}) {
@@ -870,22 +812,25 @@ func (w *Worker) pollLoop(stopCh chan struct{}) {
 			return
 		default:
 		}
-		if w.paused.Load() {
-			select {
-			case <-stopCh:
-				return
-			case <-w.clk.After(w.opts.PollEvery):
-			}
-			continue
-		}
-		n, _, _ := w.PollOnce()
-		if n == 0 {
-			select {
-			case <-stopCh:
-				return
-			case <-w.clk.After(w.opts.PollEvery):
+		if !w.paused.Load() {
+			if n, _, _ := w.PollOnce(); n > 0 {
+				continue
 			}
 		}
+		if !w.wait(stopCh, pollIdle) {
+			return
+		}
+	}
+}
+
+// wait sleeps d on the worker's clock. It reports false, at once, when
+// stopCh closes.
+func (w *Worker) wait(stopCh chan struct{}, d time.Duration) bool {
+	select {
+	case <-stopCh:
+		return false
+	case <-w.clk.After(d):
+		return true
 	}
 }
 

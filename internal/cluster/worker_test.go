@@ -433,3 +433,58 @@ func TestPartitionOfStableAndInRange(t *testing.T) {
 		}
 	}
 }
+
+// armingClock is a manual clock that reports every After(period) call, so a
+// test advances it only once Start's heartbeat and work loops both wait on
+// their next tick. (The poll loop waits on a different duration.)
+type armingClock struct {
+	*clock.Manual
+	period time.Duration
+	armed  chan struct{}
+}
+
+func (c *armingClock) After(d time.Duration) <-chan time.Time {
+	ch := c.Manual.After(d)
+	if d == c.period {
+		c.armed <- struct{}{}
+	}
+	return ch
+}
+
+// TestStartRunsTheLeaseTTLSchedule pins the schedule Start derives from
+// LeaseTTL alone: one heartbeat per tick of LeaseTTL/4, a detection pass
+// every 2 ticks, and a GC pass over the attached runtimes every 16.
+func TestStartRunsTheLeaseTTLSchedule(t *testing.T) {
+	store := newSharedStore(t)
+	clk := &armingClock{Manual: clock.NewManual(t0), period: testTTL / 4, armed: make(chan struct{}, 8)}
+	w := join(t, store, clk, "w1", 4)
+	rt, _ := newRuntime(t, store, clk, "w1")
+	w.Attach(rt)
+	w.Start()
+	defer w.Stop()
+	park := func() {
+		for i := 0; i < 2; i++ {
+			select {
+			case <-clk.armed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("a loop never waited on its next tick")
+			}
+		}
+	}
+	const ticks = 34
+	for n := 1; n <= ticks; n++ {
+		park()
+		clk.Advance(testTTL / 4)
+	}
+	park() // both loops have finished the last tick
+	st := w.Stats().Snapshot()
+	if st.Heartbeats != ticks {
+		t.Errorf("Heartbeats = %d after %d ticks, want %d", st.Heartbeats, ticks, ticks)
+	}
+	if st.Detects != ticks/2 {
+		t.Errorf("Detects = %d after %d ticks, want %d", st.Detects, ticks, ticks/2)
+	}
+	if got := rt.StatsSnapshot().GCRuns; got != ticks/16 {
+		t.Errorf("GCRuns = %d after %d ticks, want %d", got, ticks, ticks/16)
+	}
+}

@@ -232,10 +232,6 @@ type RuntimeOptions struct {
 	Clock clock.Clock
 	// IDs defaults to random UUIDs.
 	IDs uuid.Source
-	// AsyncTransport, when set, makes AsyncInvoke deliver its run envelope
-	// through a durable queue instead of the platform's in-process async
-	// handoff. Settable later with SetAsyncTransport.
-	AsyncTransport AsyncTransport
 	// Telemetry, when set, makes the runtime emit causal trace spans for
 	// every logged step and invocation, and record hot-path latency
 	// histograms under "core.<fn>.*". Nil disables all of it.
@@ -268,7 +264,6 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 		invokeLog:   opts.Function + ".invokelog",
 		txCallees:   opts.Function + ".txcallees",
 		txLocks:     opts.Function + ".txlocks",
-		transport:   opts.AsyncTransport,
 		tel:         opts.Telemetry,
 		stopCh:      make(chan struct{}),
 	}
@@ -471,8 +466,10 @@ func (rt *Runtime) shadowWriteLogTable(logical string) string {
 }
 
 // SetAsyncTransport installs (or clears, with nil) the durable async
-// delivery path at runtime. Deployments call it when durable async is
-// enabled after functions were registered.
+// delivery path: AsyncInvoke then delivers its run envelope through a
+// durable queue instead of the platform's in-process async handoff. It is
+// the one way in; deployments call it when durable async is enabled after
+// functions were registered.
 func (rt *Runtime) SetAsyncTransport(t AsyncTransport) {
 	rt.transportMu.Lock()
 	rt.transport = t

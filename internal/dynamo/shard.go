@@ -121,7 +121,7 @@ func (sh *shard) delete(k Key) {
 // predecessors in the batch left behind — the same serialization the
 // unbatched path produces.
 func (s *Store) applyWrite(sh *shard, w *write) {
-	if !s.groupCommit.Load() {
+	if !s.groupCommit {
 		sh.mu.Lock()
 		w.apply(sh)
 		s.commitSleep(1)
@@ -167,7 +167,7 @@ func (s *Store) applyWrite(sh *shard, w *write) {
 // commitSleep charges the commit-latch cost for a batch of ops, when the
 // latency model defines one.
 func (s *Store) commitSleep(ops int) {
-	m, ok := s.lat().(CommitLatencyModel)
+	m, ok := s.latency.(CommitLatencyModel)
 	if !ok {
 		return
 	}

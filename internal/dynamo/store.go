@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -24,7 +23,7 @@ type Store struct {
 	tables map[string]*table
 
 	defaultShards int
-	groupCommit   atomic.Bool
+	groupCommit   bool
 
 	latency LatencyModel
 	metrics Metrics
@@ -34,7 +33,8 @@ type Store struct {
 // Option configures a Store.
 type Option func(*Store)
 
-// WithLatency installs a latency model; the default is ZeroLatency.
+// WithLatency installs a latency model, fixed for the store's life; the
+// default is ZeroLatency.
 func WithLatency(m LatencyModel) Option {
 	return func(s *Store) { s.latency = m }
 }
@@ -50,10 +50,14 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithGroupCommit enables the per-shard group-commit path at construction
-// time (see SetGroupCommit).
+// WithGroupCommit switches on the group-commit write path for the store's
+// life: conditional writes landing on the same shard while a batch is in
+// flight are applied together inside one critical section, amortizing the
+// latch acquisition and the commit flush. Each batched op still evaluates its
+// own condition against the then-current row, so observable semantics are
+// unchanged.
 func WithGroupCommit(on bool) Option {
-	return func(s *Store) { s.groupCommit.Store(on) }
+	return func(s *Store) { s.groupCommit = on }
 }
 
 // NewStore creates an empty store.
@@ -73,14 +77,6 @@ func NewStore(opts ...Option) *Store {
 // Metrics exposes the store's traffic counters.
 func (s *Store) Metrics() *Metrics { return &s.metrics }
 
-// SetLatency swaps the latency model (benchmarks flip between zero and
-// cloud-shaped latency on a shared store).
-func (s *Store) SetLatency(m LatencyModel) {
-	s.mu.Lock()
-	s.latency = m
-	s.mu.Unlock()
-}
-
 // ModelCommitLatency reports what the installed latency model charges, while
 // the owning shard's write latch is held, for committing a batch of ops
 // operations — the same per-batch cost TransactWrite pays once inside its
@@ -89,21 +85,11 @@ func (s *Store) SetLatency(m LatencyModel) {
 // attribute modeled flush time to their batches so simulated and wall-clock
 // sweeps agree on batch-size amortization.
 func (s *Store) ModelCommitLatency(ops int) time.Duration {
-	if m, ok := s.lat().(CommitLatencyModel); ok {
+	if m, ok := s.latency.(CommitLatencyModel); ok {
 		return m.CommitLatency(ops)
 	}
 	return 0
 }
-
-// SetGroupCommit toggles the group-commit write path: when on, conditional
-// writes landing on the same shard while a batch is in flight are applied
-// together inside one critical section, amortizing the latch acquisition and
-// the commit flush. Each batched op still evaluates its own condition
-// against the then-current row, so observable semantics are unchanged.
-func (s *Store) SetGroupCommit(on bool) { s.groupCommit.Store(on) }
-
-// GroupCommitEnabled reports whether the group-commit path is on.
-func (s *Store) GroupCommitEnabled() bool { return s.groupCommit.Load() }
 
 // DefaultShards returns the store's default per-table shard count.
 func (s *Store) DefaultShards() int { return s.defaultShards }
@@ -176,17 +162,10 @@ func (s *Store) table(name string) (*table, error) {
 	return t, nil
 }
 
-func (s *Store) lat() LatencyModel {
-	s.mu.RLock()
-	m := s.latency
-	s.mu.RUnlock()
-	return m
-}
-
 func (s *Store) charge(op OpKind, items, bytes int) {
 	s.metrics.Ops[op].Add(1)
 	s.metrics.BytesRead.Add(int64(bytes))
-	if d := s.lat().OpLatency(op, items, bytes); d > 0 {
+	if d := s.latency.OpLatency(op, items, bytes); d > 0 {
 		sleep(d)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/dynamo"
 	"repro/internal/raceflag"
@@ -67,7 +66,7 @@ func TestFlushAllocBudget(t *testing.T) {
 func TestFenceLeavesNoPostImageInCaptureBuffers(t *testing.T) {
 	for _, manualFlush := range []bool{true, false} {
 		t.Run(fmt.Sprintf("manual=%v", manualFlush), func(t *testing.T) {
-			p, err := New(newBase(t), Options{ManualFlush: manualFlush, Linger: time.Millisecond})
+			p, err := New(newBase(t), Options{ManualFlush: manualFlush})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,35 +46,30 @@ import (
 	"repro/internal/storage"
 )
 
-// Defaults for Options fields left zero.
+// The overlay's sizes: Depth's default, and the committer's two fixed
+// triggers.
 const (
 	// DefaultDepth is the default bound on speculated-but-unflushed write
 	// operations.
 	DefaultDepth = 4096
-	// DefaultBatch is the default dirty-row count that triggers a flush
-	// without waiting for Linger (also a soft cap keeping one batch inside
+	// flushBatch is the dirty-row count that triggers a flush without
+	// waiting for flushLinger (also a soft cap keeping one batch inside
 	// sane TransactWrite/wire-frame sizes).
-	DefaultBatch = 128
-	// DefaultLinger is the default time the committer waits for a batch to
-	// fill when nobody is fencing.
-	DefaultLinger = 200 * time.Microsecond
+	flushBatch = 128
+	// flushLinger is how long the committer lets a batch fill when no
+	// fence is waiting and flushBatch has not been reached.
+	flushLinger = 200 * time.Microsecond
 )
 
-// Options tune a Store. The zero value gives the defaults above with a
-// background committer.
+// Options tune a Store. The zero value gives DefaultDepth with a background
+// committer, which flushes at 128 dirty rows (flushBatch), after 200 µs of
+// filling (flushLinger), or as soon as a Fence is waiting.
 type Options struct {
 	// Depth bounds how many write operations may sit above the durability
 	// watermark before writers block on the committer. Depth 1 is the
 	// synchronous regime: every write waits for its own flush. 0 means
 	// DefaultDepth.
 	Depth int
-	// Batch is the dirty-row count that triggers an immediate flush; the
-	// committer also flushes whatever accumulated when Linger expires or a
-	// Fence is waiting. 0 means DefaultBatch.
-	Batch int
-	// Linger is how long the committer lets a batch fill when no fence is
-	// waiting and Batch has not been reached. 0 means DefaultLinger.
-	Linger time.Duration
 	// ManualFlush disables the background committer: flushes happen only
 	// inside Fence, FlushStep, and depth-bound writes. The deterministic
 	// simulator schedules FlushStep as a first-class task; wall-clock
@@ -170,12 +165,6 @@ func New(base storage.Backend, opts Options) (*Store, error) {
 	if opts.Depth <= 0 {
 		opts.Depth = DefaultDepth
 	}
-	if opts.Batch <= 0 {
-		opts.Batch = DefaultBatch
-	}
-	if opts.Linger <= 0 {
-		opts.Linger = DefaultLinger
-	}
 	p := &Store{
 		base:   base,
 		shadow: dynamo.NewStore(),
@@ -262,8 +251,8 @@ func (p *Store) Lag() int {
 func (p *Store) Base() storage.Backend { return p.base }
 
 // DynamoStore unwraps to the base's in-memory store when it is one, so
-// storage.AsDynamo keeps working through the overlay (benches reach shard
-// and batching knobs this way).
+// storage.AsDynamo keeps working through the overlay (benches reach the
+// store's modeled commit latency and shard layout this way).
 func (p *Store) DynamoStore() *dynamo.Store {
 	s, _ := storage.AsDynamo(p.base)
 	return s
@@ -336,7 +325,7 @@ func (p *Store) append(apply func() error, touched func() ([]dirtyRow, error)) e
 	if h := p.histDepth; h != nil {
 		h.Record(time.Duration(p.appendLSN - p.durableLSN))
 	}
-	if len(p.dirty) >= p.opts.Batch {
+	if len(p.dirty) >= flushBatch {
 		p.condWork.Signal()
 	}
 	for p.appendLSN-p.durableLSN >= uint64(p.opts.Depth) && p.flushErr == nil && !p.closed {
@@ -471,7 +460,7 @@ func (p *Store) finishFlush(rows int, target uint64, oldest time.Time, err error
 }
 
 // committer is the background flush loop: wait for dirty rows, linger to
-// let a batch fill (skipped when a fence is waiting or Batch is reached),
+// let a batch fill (skipped when a fence is waiting or flushBatch is reached),
 // capture under the mutex, install on the base outside it.
 func (p *Store) committer() {
 	defer close(p.done)
@@ -484,8 +473,8 @@ func (p *Store) committer() {
 			p.mu.Unlock()
 			return
 		}
-		linger := p.opts.Linger
-		if p.fenceWaits > 0 || len(p.dirty) >= p.opts.Batch ||
+		linger := flushLinger
+		if p.fenceWaits > 0 || len(p.dirty) >= flushBatch ||
 			p.appendLSN-p.durableLSN >= uint64(p.opts.Depth) || p.closed {
 			linger = 0
 		}

@@ -282,7 +282,7 @@ func TestDepthBoundsUnflushedWrites(t *testing.T) {
 
 func TestFenceWaitsForCommitter(t *testing.T) {
 	base := newBase(t)
-	p, err := New(base, Options{Linger: time.Millisecond})
+	p, err := New(base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestFenceWaitsForCommitter(t *testing.T) {
 
 func TestConcurrentWritersUnderRace(t *testing.T) {
 	base := newBase(t)
-	p, err := New(base, Options{Batch: 16, Linger: 100 * time.Microsecond})
+	p, err := New(base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,11 +64,6 @@ type Options struct {
 	// RejectWhenSaturated makes invocations beyond the limit fail with
 	// ErrThrottled instead of queueing.
 	RejectWhenSaturated bool
-	// DefaultTimeout bounds each instance's execution; 0 disables timeouts.
-	// Instances are killed at the next operation boundary after expiry,
-	// matching how Beldi's GC synchrony assumption treats the user-defined
-	// timeout as the bound T (§5).
-	DefaultTimeout time.Duration
 	// ColdStart and WarmStart are invocation dispatch latencies. A warm
 	// instance is reused when one is idle; otherwise the invocation pays
 	// ColdStart.
@@ -155,12 +150,12 @@ func (p *Platform) faultPlan() FaultPlan {
 	return p.faults
 }
 
-// Register installs a function under name. Timeout 0 uses the platform
-// default. Re-registering a name replaces the handler (deployments).
+// Register installs a function under name. A positive timeout bounds each
+// instance's execution: the instance is killed at its next operation
+// boundary after expiry, matching how Beldi's GC synchrony assumption
+// treats the user-defined timeout as the bound T (§5). 0 means no timeout.
+// Re-registering a name replaces the handler (deployments).
 func (p *Platform) Register(name string, h Handler, timeout time.Duration) {
-	if timeout == 0 {
-		timeout = p.opts.DefaultTimeout
-	}
 	p.mu.Lock()
 	p.fns[name] = &function{name: name, handler: h, timeout: timeout}
 	p.mu.Unlock()

@@ -76,16 +76,6 @@ type Options struct {
 	// its (MaxReceives+1)th delivery is dead-lettered instead. 0 means
 	// DefaultMaxReceives; negative disables dead-lettering.
 	MaxReceives int
-	// Shards is the shard count of the queue's message table. The default
-	// (0, meaning 1) gives each queue single-shard affinity: all of a
-	// queue's enqueues and claims share one commit stream, so the store's
-	// group-commit path coalesces an enqueue burst into a handful of
-	// batches, while different queues — separate tables — never contend.
-	// Very hot queues can raise it to stripe messages across latches at the
-	// cost of that coalescing. A queue reopened over a message table that
-	// survived a prior broker adopts the surviving table's shard count (a
-	// table's layout is fixed at creation).
-	Shards int
 }
 
 // Defaults for Options zero values.
@@ -100,9 +90,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxReceives == 0 {
 		o.MaxReceives = DefaultMaxReceives
-	}
-	if o.Shards == 0 {
-		o.Shards = 1
 	}
 	return o
 }
@@ -213,7 +200,10 @@ func tableOf(q string) string    { return "queue." + q }
 func dlqTableOf(q string) string { return "queue." + q + ".dlq" }
 
 // Create declares a queue, materializing its message table and dead-letter
-// table.
+// table. Both are single-shard whatever the store's default: all of a
+// queue's enqueues and claims share one commit stream, so the store's
+// group-commit path coalesces an enqueue burst into a handful of batches,
+// while different queues — separate tables — never contend.
 func (b *Broker) Create(name string, opts Options) error {
 	if name == "" {
 		return fmt.Errorf("queue: Create: name is required")
@@ -223,33 +213,19 @@ func (b *Broker) Create(name string, opts Options) error {
 	if _, ok := b.queues[name]; ok {
 		return fmt.Errorf("%w: %s", ErrQueueExists, name)
 	}
-	opts = opts.withDefaults()
-	// The DLQ stays single-shard: it is cold by construction.
-	for _, s := range []dynamo.Schema{
-		{Name: tableOf(name), HashKey: attrMsgID, Shards: opts.Shards},
-		{Name: dlqTableOf(name), HashKey: attrMsgID, Shards: 1},
-	} {
-		err := b.store.CreateTable(s)
+	for _, table := range []string{tableOf(name), dlqTableOf(name)} {
+		err := b.store.CreateTable(dynamo.Schema{Name: table, HashKey: attrMsgID, Shards: 1})
 		if errors.Is(err, dynamo.ErrTableExists) {
 			// Tables surviving from a prior broker are the point of
 			// durability: a restarted broker reopens its queues, backlog
-			// intact — and a table's shard layout is fixed at creation, so
-			// the reopened queue adopts the surviving layout rather than
-			// recording a Shards value the store isn't honoring.
-			if s.Name == tableOf(name) {
-				n, err := b.store.TableShards(s.Name)
-				if err != nil {
-					return err
-				}
-				opts.Shards = n
-			}
+			// intact.
 			continue
 		}
 		if err != nil {
 			return err
 		}
 	}
-	b.queues[name] = opts
+	b.queues[name] = opts.withDefaults()
 	return nil
 }
 

@@ -49,8 +49,8 @@ var (
 	timerPresent = dynamo.Exists(dynamo.A(attrTimerID))
 )
 
-// DefaultTimerTable is the timer registration table's name.
-const DefaultTimerTable = "queue.timers"
+// timerTable is the timer registration table's name.
+const timerTable = "queue.timers"
 
 // DefaultTimerPoll is the pump's fallback poll interval.
 const DefaultTimerPoll = 50 * time.Millisecond
@@ -80,8 +80,6 @@ type TimerSpec struct {
 
 // TimerOptions configure a TimerService.
 type TimerOptions struct {
-	// Table is the registration table name; "" means DefaultTimerTable.
-	Table string
 	// PollInterval is the pump's fallback poll cadence; 0 means
 	// DefaultTimerPoll.
 	PollInterval time.Duration
@@ -92,7 +90,6 @@ type TimerOptions struct {
 // drive firing deterministically with FireDue.
 type TimerService struct {
 	b    *Broker
-	tbl  string
 	poll time.Duration
 
 	metrics TimerMetrics
@@ -103,26 +100,21 @@ type TimerService struct {
 	started bool
 }
 
-// NewTimerService creates (or reopens) the timer table on b's store.
+// NewTimerService creates (or reopens) the timer table, "queue.timers",
+// on b's store.
 func NewTimerService(b *Broker, opts TimerOptions) (*TimerService, error) {
-	if opts.Table == "" {
-		opts.Table = DefaultTimerTable
-	}
 	if opts.PollInterval == 0 {
 		opts.PollInterval = DefaultTimerPoll
 	}
-	err := b.store.CreateTable(dynamo.Schema{Name: opts.Table, HashKey: attrTimerID, Shards: 1})
+	err := b.store.CreateTable(dynamo.Schema{Name: timerTable, HashKey: attrTimerID, Shards: 1})
 	if err != nil && !errors.Is(err, dynamo.ErrTableExists) {
 		return nil, err
 	}
-	return &TimerService{b: b, tbl: opts.Table, poll: opts.PollInterval}, nil
+	return &TimerService{b: b, poll: opts.PollInterval}, nil
 }
 
 // Metrics exposes the service's counters.
 func (ts *TimerService) Metrics() *TimerMetrics { return &ts.metrics }
-
-// Table returns the registration table's name.
-func (ts *TimerService) Table() string { return ts.tbl }
 
 // Schedule durably registers a timer. Idempotent per id: re-scheduling an
 // id that is still registered is a no-op (the durable registration already
@@ -149,7 +141,7 @@ func (ts *TimerService) Schedule(spec TimerSpec) error {
 	if spec.StampKey != "" {
 		item[attrStamp] = dynamo.S(spec.StampKey)
 	}
-	err := ts.b.store.Put(ts.tbl, item, timerAbsent)
+	err := ts.b.store.Put(timerTable, item, timerAbsent)
 	if err != nil {
 		if errors.Is(err, dynamo.ErrConditionFailed) {
 			return nil // already registered
@@ -163,7 +155,7 @@ func (ts *TimerService) Schedule(spec TimerSpec) error {
 // Cancel removes a registration. Unknown ids are a no-op; a fire that
 // already committed is not recalled.
 func (ts *TimerService) Cancel(id string) error {
-	err := ts.b.store.Delete(ts.tbl, dynamo.HK(dynamo.S(id)), nil)
+	err := ts.b.store.Delete(timerTable, dynamo.HK(dynamo.S(id)), nil)
 	if err != nil {
 		return err
 	}
@@ -186,7 +178,7 @@ func (ts *TimerService) FireDue() (int, error) {
 // are not, 0 when there is none — what the pump's idle wait needs to know.
 func (ts *TimerService) firePass() (fired int, next int64, _ error) {
 	now := ts.b.now()
-	rows, err := ts.b.store.Scan(ts.tbl, dynamo.QueryOpts{})
+	rows, err := ts.b.store.Scan(timerTable, dynamo.QueryOpts{})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -265,7 +257,7 @@ func (ts *TimerService) fireOne(row dynamo.Item, now int64) (bool, error) {
 	}}
 	if period > 0 {
 		ops = append(ops, dynamo.TxOp{
-			Table: ts.tbl,
+			Table: timerTable,
 			Key:   dynamo.HK(dynamo.S(id)),
 			Cond:  guard,
 			Updates: []dynamo.Update{
@@ -275,7 +267,7 @@ func (ts *TimerService) fireOne(row dynamo.Item, now int64) (bool, error) {
 		})
 	} else {
 		ops = append(ops, dynamo.TxOp{
-			Table:  ts.tbl,
+			Table:  timerTable,
 			Key:    dynamo.HK(dynamo.S(id)),
 			Cond:   guard,
 			Delete: true,
@@ -297,7 +289,7 @@ func (ts *TimerService) fireOne(row dynamo.Item, now int64) (bool, error) {
 
 // Timers returns the live registrations, sorted by id.
 func (ts *TimerService) Timers() ([]TimerSpec, error) {
-	rows, err := ts.b.store.Scan(ts.tbl, dynamo.QueryOpts{})
+	rows, err := ts.b.store.Scan(timerTable, dynamo.QueryOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +341,7 @@ func (ts *TimerService) Stop() {
 // Schedule, Cancel, or another firer's advance) when the store pushes.
 func (ts *TimerService) loop(stopCh, doneCh chan struct{}) {
 	defer close(doneCh)
-	w := storage.NewWaiter(ts.b.store, ts.tbl, dynamo.Null, clock.Real{})
+	w := storage.NewWaiter(ts.b.store, timerTable, dynamo.Null, clock.Real{})
 	defer w.Close()
 	for {
 		select {

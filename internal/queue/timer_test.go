@@ -224,7 +224,7 @@ func TestTimerIdlePumpScansOncePerCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scans := func() int { return counted.Count(ts.Table(), "scan") }
+	scans := func() int { return counted.Count(timerTable, "scan") }
 	cycle := func(n int) {
 		t.Helper()
 		for deadline := time.Now().Add(5 * time.Second); scans() < n; time.Sleep(200 * time.Microsecond) {

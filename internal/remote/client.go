@@ -32,7 +32,8 @@ type Options struct {
 	// retry.
 	OpTimeout time.Duration
 	// Retries is how many times an idempotence-safe operation is retried
-	// after its first failed attempt (default 3).
+	// after its first failed attempt. 0 means the default, 3; a negative
+	// value means no retries.
 	Retries int
 	// RetryBackoff is the base sleep between attempts, growing linearly
 	// (default 10ms).

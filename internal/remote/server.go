@@ -13,17 +13,14 @@ import (
 	"repro/internal/storage/codec"
 )
 
-// DefaultDedupWindow is how many TransactWrite request ids the server
-// remembers for retry deduplication. The window only needs to outlive a
-// client's retry budget (a few seconds), so a few thousand entries cover
-// even a hot cluster.
-const DefaultDedupWindow = 4096
+// dedupCapacity is how many TransactWrite request ids the server
+// remembers for retry deduplication; the oldest evicts first. The window
+// only needs to outlive a client's retry budget (a few seconds), so a few
+// thousand entries cover even a hot cluster.
+const dedupCapacity = 4096
 
 // ServeOptions configure a Server.
 type ServeOptions struct {
-	// DedupWindow caps remembered TransactWrite request ids; oldest entries
-	// evict first. 0 means DefaultDedupWindow.
-	DedupWindow int
 	// Delay artificially delays every request before execution — the
 	// simulated network RTT knob bench.RemoteCells turns to place the
 	// storage plane at cloud distances.
@@ -99,13 +96,10 @@ type Server struct {
 
 // NewServer wraps backend in a wire-protocol server.
 func NewServer(backend storage.Backend, opts ServeOptions) *Server {
-	if opts.DedupWindow <= 0 {
-		opts.DedupWindow = DefaultDedupWindow
-	}
 	return &Server{
 		backend:   backend,
 		opts:      opts,
-		dedup:     newDedupWindow(opts.DedupWindow),
+		dedup:     &dedupWindow{entries: make(map[string]*dedupEntry, dedupCapacity)},
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
@@ -628,14 +622,14 @@ func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encod
 	return fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
 }
 
-// dedupWindow remembers recent TransactWrite request ids and their
-// outcomes. A retried id returns the recorded outcome without re-applying;
+// dedupWindow remembers the last dedupCapacity TransactWrite request
+// ids and their outcomes. A retried id returns the recorded outcome without
+// re-applying;
 // a retry racing the original execution waits for it — the property that
 // makes "retry after ambiguous timeout" safe for the conditional
 // transactions every fencing guarantee rides on.
 type dedupWindow struct {
 	mu      sync.Mutex
-	cap     int
 	entries map[string]*dedupEntry
 	order   []string // insertion order, for FIFO eviction
 }
@@ -643,10 +637,6 @@ type dedupWindow struct {
 type dedupEntry struct {
 	done chan struct{}
 	err  error
-}
-
-func newDedupWindow(capacity int) *dedupWindow {
-	return &dedupWindow{cap: capacity, entries: make(map[string]*dedupEntry, capacity)}
 }
 
 // do executes fn exactly once per id within the window, returning fn's
@@ -661,7 +651,7 @@ func (w *dedupWindow) do(id string, fn func() error) (error, bool) {
 	ent := &dedupEntry{done: make(chan struct{})}
 	w.entries[id] = ent
 	w.order = append(w.order, id)
-	if len(w.order) > w.cap {
+	if len(w.order) > dedupCapacity {
 		evict := w.order[0]
 		w.order = w.order[1:]
 		delete(w.entries, evict)

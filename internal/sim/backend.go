@@ -198,7 +198,7 @@ func (b *Backend) debug(op, table string, key storage.Key, err error, updates []
 	if b.s.current != nil {
 		name = b.s.current.Name
 	}
-	fmt.Printf("DBG %8s %-14s %s %s key=%v err=%v", b.s.Now().Sub(b.s.opts.Epoch), name, op, table, key, err)
+	fmt.Printf("DBG %8s %-14s %s %s key=%v err=%v", b.s.Now().Sub(epoch), name, op, table, key, err)
 	for _, u := range updates {
 		fmt.Printf(" [%v %s.%s=%v]", u.Kind, u.Path.Attr, u.Path.MapKey, u.Value)
 	}

@@ -24,17 +24,10 @@ type ClusterConfig struct {
 	LeaseTTL time.Duration
 	// Config carries the protocol parameters (T, RowCap, ...).
 	Config beldi.Config
-	// Mode selects the protocol machinery; beldi.ModeBeldi by default.
-	Mode beldi.Mode
 	// DurableAsync, when non-nil, wires AsyncInvoke through durable queues.
 	DurableAsync *beldi.DurableAsyncOptions
 	// Faults is the storage-boundary fault schedule shared by all workers.
 	Faults *StoreFaults
-	// CrashProb, when positive, arms per-worker background crash injection
-	// at every platform crash point, seeded from CrashSeed.
-	CrashProb float64
-	// CrashSeed seeds the crash plans (plus the worker index).
-	CrashSeed int64
 	// Skew maps a worker index to its clock skew; nil means none.
 	Skew func(i int) time.Duration
 	// Register installs the application on each joining worker.
@@ -82,9 +75,6 @@ type Cluster struct {
 // scheduling points are no-ops, so construction is deterministic by
 // serialization.
 func NewCluster(s *Scheduler, inner storage.Backend, cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 3
-	}
 	if cfg.NamePrefix == "" {
 		cfg.NamePrefix = "w"
 	}
@@ -98,7 +88,6 @@ func NewCluster(s *Scheduler, inner storage.Backend, cfg ClusterConfig) (*Cluste
 		Store:        inner,
 		Partitions:   cfg.Partitions,
 		LeaseTTL:     cfg.LeaseTTL,
-		Mode:         cfg.Mode,
 		Config:       cfg.Config,
 		DurableAsync: cfg.DurableAsync,
 	})
@@ -123,9 +112,6 @@ func NewCluster(s *Scheduler, inner storage.Backend, cfg ClusterConfig) (*Cluste
 				w.asyncN++
 				s.Go(TaskOpts{Name: fmt.Sprintf("%s.async%d", name, w.asyncN), Proc: name}, run)
 			},
-		}
-		if cfg.CrashProb > 0 {
-			popts.Faults = &platform.CrashProb{P: cfg.CrashProb, Seed: cfg.CrashSeed*31 + int64(i) + 1}
 		}
 		// Layering invariant: the sim wrapper is the TOP of each worker's
 		// store stack. Anything with its own cross-task locking (the
@@ -167,8 +153,12 @@ func NewCluster(s *Scheduler, inner storage.Backend, cfg ClusterConfig) (*Cluste
 // StartPumps spawns each worker's background pumps as scheduler tasks,
 // mirroring the cadence structure of cluster.Worker.Start: a heartbeat pump
 // (renewal and post-fence rejoin), a work pump (detection, rebalancing,
-// collection, GC), and a poll pump (owned durable queues). Cadences derive
-// from LeaseTTL exactly like the real loops'.
+// collection, GC), and a poll pump (owned durable queues). The tick is the
+// real loops' LeaseTTL/4, and detection (every 2 ticks) and rebalancing
+// (every 4) match them. Collection and GC do not: the work pump collects
+// every 2 ticks and runs GC every 4, where the real work loop collects
+// every 4 and runs GC every 16; and an idle poll pump sleeps a tick, not
+// 2 ms. The pinned sim seeds' traces depend on these cadences.
 func (c *Cluster) StartPumps() {
 	for _, w := range c.Workers {
 		c.startPumpsFor(w)

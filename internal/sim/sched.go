@@ -96,13 +96,15 @@ type Options struct {
 	// Policy names the interleaving policy ("random", "lifo", "sticky",
 	// "starve"); "" means "random". See PolicyByName.
 	Policy string
-	// MaxSteps bounds the number of scheduling decisions before Run fails
-	// (a livelock backstop). 0 means 4,000,000.
-	MaxSteps int
-	// Epoch is the virtual clock's start; the zero value means a fixed
-	// constant so traces never depend on wall time.
-	Epoch time.Time
 }
+
+// maxSteps bounds the number of scheduling decisions before Run fails (a
+// livelock backstop).
+const maxSteps = 4_000_000
+
+// epoch is the virtual clock's start, fixed so traces never depend on wall
+// time.
+var epoch = time.Unix(1_700_000_000, 0).UTC()
 
 // Scheduler runs tasks one at a time under a seeded interleaving policy and
 // owns virtual time: when no task is runnable it advances the clock to the
@@ -111,40 +113,30 @@ type Options struct {
 // the scheduler (the single-baton discipline makes that race-free by
 // construction).
 type Scheduler struct {
-	opts     Options
-	rng      *rand.Rand
-	policy   Policy
-	tasks    []*Task
-	now      time.Time
-	steps    int
-	maxSteps int
-	current  *Task
-	parked   chan struct{}
-	hash     uint64
-	recent   []string
-	fail     error
-	reaping  bool
+	rng     *rand.Rand
+	policy  Policy
+	tasks   []*Task
+	now     time.Time
+	steps   int
+	current *Task
+	parked  chan struct{}
+	hash    uint64
+	recent  []string
+	fail    error
+	reaping bool
 }
 
 // New builds a Scheduler.
 func New(opts Options) *Scheduler {
-	if opts.Epoch.IsZero() {
-		opts.Epoch = time.Unix(1_700_000_000, 0).UTC()
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 4_000_000
-	}
 	pol, err := PolicyByName(opts.Policy)
 	if err != nil {
 		panic(err) // programmer error: names come from the scenario table
 	}
 	return &Scheduler{
-		opts:     opts,
-		rng:      rand.New(rand.NewSource(opts.Seed ^ 0x5eed51)),
-		policy:   pol,
-		now:      opts.Epoch,
-		maxSteps: opts.MaxSteps,
-		parked:   make(chan struct{}),
+		rng:    rand.New(rand.NewSource(opts.Seed ^ 0x5eed51)),
+		policy: pol,
+		now:    epoch,
+		parked: make(chan struct{}),
 	}
 }
 
@@ -290,8 +282,8 @@ func (s *Scheduler) Run(root *Task) error {
 		if s.fail != nil {
 			return s.fail
 		}
-		if s.steps >= s.maxSteps {
-			return fmt.Errorf("sim: step budget %d exhausted (livelock?)\n%s", s.maxSteps, s.dump())
+		if s.steps >= maxSteps {
+			return fmt.Errorf("sim: step budget %d exhausted (livelock?)\n%s", maxSteps, s.dump())
 		}
 		t := s.pickNext()
 		if t == nil {

@@ -104,7 +104,7 @@ func TestSchedulerPauseFreezesAndResumeReleases(t *testing.T) {
 		s.Go(TaskOpts{Name: "worker", Proc: "p"}, func() {
 			for i := 0; i < 2; i++ {
 				s.Sleep(time.Millisecond)
-				events = append(events, fmt.Sprintf("work@%dms", s.Now().Sub(s.opts.Epoch)/time.Millisecond))
+				events = append(events, fmt.Sprintf("work@%dms", s.Now().Sub(epoch)/time.Millisecond))
 			}
 		})
 		s.Sleep(500 * time.Microsecond)

@@ -135,9 +135,11 @@ type Backend interface {
 var _ Backend = (*dynamo.Store)(nil)
 
 // AsDynamo unwraps a Backend down to its concrete in-memory *dynamo.Store
-// when the backend is (or wraps) one — the accessor benches use to reach
-// shard- and batching-specific knobs (SetGroupCommit, SetLatency) that are
-// implementation details, not part of the seam. Backends that wrap a dynamo
+// when the backend is (or wraps) one — the accessor benches and the overlay
+// use to reach what is an implementation detail, not part of the seam: the
+// modeled commit latency (ModelCommitLatency) and the shard layout. (Latency
+// and group commit are fixed when the store is built: dynamo.WithLatency,
+// dynamo.WithGroupCommit.) Backends that wrap a dynamo
 // store implement interface{ DynamoStore() *dynamo.Store }; a wrapper whose
 // base has none (an overlay over a remote client) answers nil there, which
 // is reported as ok == false, never as a store.

@@ -24,12 +24,12 @@ func Fsck(dir string) error {
 		if err != nil {
 			return fmt.Errorf("walstore: fsck %s: %w", dir, err)
 		}
-		if _, _, _, err := decodeSnapshot(data, 0); err != nil {
+		if _, _, _, err := decodeSnapshot(data); err != nil {
 			return fmt.Errorf("walstore: fsck %s: snapshot %s: %w", dir, name, err)
 		}
 	}
 
-	snapSeq, schemas, mem, _, err := loadNewestSnapshot(dir, 0)
+	snapSeq, schemas, mem, _, err := loadNewestSnapshot(dir)
 	if err != nil {
 		return fmt.Errorf("walstore: fsck %s: %w", dir, err)
 	}

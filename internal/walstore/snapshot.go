@@ -43,7 +43,7 @@ func encodeSnapshot(seq uint64, schemas map[string]dynamo.Schema, mem *dynamo.St
 
 // decodeSnapshot parses a snapshot image, returning the covered sequence,
 // the table schemas, and a freshly loaded in-memory store.
-func decodeSnapshot(data []byte, defaultShards int) (uint64, map[string]dynamo.Schema, *dynamo.Store, error) {
+func decodeSnapshot(data []byte) (uint64, map[string]dynamo.Schema, *dynamo.Store, error) {
 	body, err := codec.Unseal(data)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("walstore: snapshot %w", err)
@@ -51,7 +51,7 @@ func decodeSnapshot(data []byte, defaultShards int) (uint64, map[string]dynamo.S
 	d := codec.NewDecoder(body)
 	seq := d.U64()
 	ntables := d.Count()
-	mem := dynamo.NewStore(dynamo.WithShards(defaultShards))
+	mem := dynamo.NewStore()
 	schemas := make(map[string]dynamo.Schema, ntables)
 	// A table is created, and a row loaded, only once it decoded whole.
 	for i := 0; i < ntables; i++ {
@@ -113,7 +113,7 @@ func writeSnapshotFile(dir string, seq uint64, data []byte) error {
 // the next-older one; with none valid, recovery starts from an empty store.
 // It returns the covered seq (0 when none), schemas, store, and the name of
 // the snapshot used ("" when none).
-func loadNewestSnapshot(dir string, defaultShards int) (uint64, map[string]dynamo.Schema, *dynamo.Store, string, error) {
+func loadNewestSnapshot(dir string) (uint64, map[string]dynamo.Schema, *dynamo.Store, string, error) {
 	names, _, err := listSeqFiles(dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return 0, nil, nil, "", err
@@ -123,11 +123,11 @@ func loadNewestSnapshot(dir string, defaultShards int) (uint64, map[string]dynam
 		if err != nil {
 			return 0, nil, nil, "", err
 		}
-		seq, schemas, mem, err := decodeSnapshot(data, defaultShards)
+		seq, schemas, mem, err := decodeSnapshot(data)
 		if err != nil {
 			continue // fall back to an older snapshot
 		}
 		return seq, schemas, mem, names[i], nil
 	}
-	return 0, make(map[string]dynamo.Schema), dynamo.NewStore(dynamo.WithShards(defaultShards)), "", nil
+	return 0, make(map[string]dynamo.Schema), dynamo.NewStore(), "", nil
 }

@@ -84,9 +84,6 @@ type Options struct {
 	AutoCompactBytes int64
 	// Sync selects the fsync policy for committed records.
 	Sync SyncPolicy
-	// Shards is the memtable's default per-table shard count (the same
-	// knob as dynamo.WithShards). 0 means 1.
-	Shards int
 	// Hooks inject deterministic write/sync failures; tests only.
 	Hooks *Hooks
 }
@@ -215,7 +212,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.w = newWALWriter(dir, opts, &s.stats)
 	s.watch = dynamo.NewWatchHub(nil)
 
-	snapSeq, schemas, mem, _, err := loadNewestSnapshot(dir, opts.Shards)
+	snapSeq, schemas, mem, _, err := loadNewestSnapshot(dir)
 	if err != nil {
 		return nil, fmt.Errorf("walstore: open %s: %w", dir, err)
 	}
