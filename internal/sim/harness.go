@@ -15,13 +15,9 @@ type ClusterConfig struct {
 	// Workers is the pool size; NamePrefix+index names each worker's
 	// process ("w0", "w1", ...).
 	Workers int
-	// NamePrefix distinguishes worker generations; "" means "w". The torn-
-	// write scenario reopens the store under a second generation ("r").
+	// NamePrefix distinguishes worker generations; "" means "w". The torn
+	// and spec scenarios reopen the store under a second generation ("r").
 	NamePrefix string
-	// Partitions, LeaseTTL and Config mirror beldi.ClusterOptions.
-	Partitions int
-	// LeaseTTL is the lease bound; pump cadences derive from it.
-	LeaseTTL time.Duration
 	// Config carries the protocol parameters (T, RowCap, ...).
 	Config beldi.Config
 	// DurableAsync, when non-nil, wires AsyncInvoke through durable queues.
@@ -33,7 +29,7 @@ type ClusterConfig struct {
 	// Register installs the application on each joining worker.
 	Register beldi.RegisterApp
 	// Rejoin marks a later generation joining a store with earlier workers'
-	// unexpired leases still on record (the torn-write restart): ownership
+	// unexpired leases still on record (the torn and spec restarts): ownership
 	// cannot settle by rebalancing alone, so the owns-something assertion is
 	// skipped — the new pumps steal the dead generation's partitions once
 	// its leases expire.
@@ -78,16 +74,10 @@ func NewCluster(s *Scheduler, inner storage.Backend, cfg ClusterConfig) (*Cluste
 	if cfg.NamePrefix == "" {
 		cfg.NamePrefix = "w"
 	}
-	if cfg.Partitions == 0 {
-		cfg.Partitions = 8
-	}
-	if cfg.LeaseTTL == 0 {
-		cfg.LeaseTTL = 60 * time.Millisecond
-	}
 	bc, err := beldi.OpenCluster(beldi.ClusterOptions{
 		Store:        inner,
-		Partitions:   cfg.Partitions,
-		LeaseTTL:     cfg.LeaseTTL,
+		Partitions:   simPartitions,
+		LeaseTTL:     simLeaseTTL,
 		Config:       cfg.Config,
 		DurableAsync: cfg.DurableAsync,
 	})
@@ -167,7 +157,7 @@ func (c *Cluster) StartPumps() {
 
 func (c *Cluster) startPumpsFor(w *Worker) {
 	s := c.S
-	tick := c.cfg.LeaseTTL / 4
+	tick := simLeaseTTL / 4
 	wk := w.CW.Worker()
 	s.Go(TaskOpts{Name: w.Name + ".hb", Proc: w.Name, Pump: true}, func() {
 		for {
@@ -315,7 +305,7 @@ func (c *Cluster) Quiesce(fns []string, budget time.Duration) error {
 			return fmt.Errorf("sim: not quiesced within %v: %d intents pending, %d messages queued\n%s",
 				budget, pending, depth, c.S.dump())
 		}
-		c.S.Sleep(c.cfg.LeaseTTL / 2)
+		c.S.Sleep(simLeaseTTL / 2)
 	}
 }
 
@@ -340,7 +330,7 @@ func (c *Cluster) FsckAll() error {
 // completion's zombie row is visible before the collector reaps it. rounds
 // of LeaseTTL-and-a-half steps; 16 rounds cover several GC generations.
 func (c *Cluster) SettleAndCheck(rounds int) error {
-	step := c.cfg.LeaseTTL + c.cfg.LeaseTTL/2
+	step := simLeaseTTL + simLeaseTTL/2
 	for r := 0; r < rounds; r++ {
 		c.S.Sleep(step)
 		if err := c.FsckAll(); err != nil {

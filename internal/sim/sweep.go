@@ -24,8 +24,9 @@ import (
 // what gives the late-completion fault a wide window to land on a recycled
 // intent.
 const (
-	simLeaseTTL = 60 * time.Millisecond
-	simT        = 30 * time.Millisecond
+	simLeaseTTL   = 60 * time.Millisecond
+	simT          = 30 * time.Millisecond
+	simPartitions = 8
 )
 
 // Kinds lists the fault-schedule kinds a seed can select, in derivation
@@ -76,7 +77,7 @@ func ScenarioFor(seed int64) Scenario {
 		Workload: wls[(seed/int64(len(kinds)))%int64(len(wls))],
 		Policy:   pols[(seed/int64(len(kinds)*len(wls)))%int64(len(pols))],
 	}
-	if sc.Kind == "torn" || sc.Kind == "spec" {
+	if isRestart(sc.Kind) {
 		sc.Workload = "counter"
 	}
 	return sc
@@ -133,7 +134,7 @@ func RunSeed(seed int64, opts RunOpts) (Result, error) {
 	if sc.Backend == "" {
 		sc.Backend = "mem"
 	}
-	if sc.Kind == "torn" || sc.Kind == "spec" {
+	if isRestart(sc.Kind) {
 		sc.Backend = "wal"
 	}
 	res := Result{Scenario: sc}
@@ -147,12 +148,9 @@ func RunSeed(seed int64, opts RunOpts) (Result, error) {
 	prng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
 
 	var err error
-	switch sc.Kind {
-	case "torn":
-		err = runTorn(s, sc, prng, opts.Dir)
-	case "spec":
-		err = runSpec(s, sc, prng, opts.Dir)
-	default:
+	if isRestart(sc.Kind) {
+		err = runRestart(s, sc, prng, opts.Dir)
+	} else {
 		var store storage.Backend
 		var ws *walstore.Store
 		if sc.Backend == "wal" {
@@ -195,17 +193,12 @@ func simConfig() beldi.Config {
 	}
 }
 
-// runScenario drives every kind except torn: one cluster generation, fault
-// at mid-load where the kind calls for one, quiesce, audit, settle.
+// runScenario drives every kind except torn and spec: one cluster
+// generation, fault at mid-load where the kind calls for one, quiesce,
+// audit, settle.
 func runScenario(s *Scheduler, sc Scenario, prng *rand.Rand, store storage.Backend, res *Result) error {
 	wl := newWorkload(sc, prng)
-	cfg := ClusterConfig{
-		Workers:    3,
-		Partitions: 8,
-		LeaseTTL:   simLeaseTTL,
-		Config:     simConfig(),
-		Register:   wl.register,
-	}
+	cfg := ClusterConfig{Workers: 3, Config: simConfig(), Register: wl.register}
 	if wl.durable {
 		cfg.DurableAsync = &beldi.DurableAsyncOptions{
 			VisibilityTimeout: 2 * simT,
@@ -710,7 +703,7 @@ func fanoutWorkload() *workload {
 	return wl
 }
 
-// counterRegister registers the restart-auditable workload the torn kind
+// counterRegister registers the restart-auditable workload runRestart
 // drives: each request increments one shared locked counter and drops a
 // per-request marker row, so after recovery the counter must equal the
 // number of markers — a lost increment or a replayed one breaks the
@@ -738,17 +731,48 @@ func counterRegister(d *beldi.Deployment) {
 	}, "state")
 }
 
-// runTorn is the two-generation scenario: generation one runs the counter
-// workload on a WAL store armed with a torn append (the Nth framed record
-// is cut or corrupted, poisoning the store mid-load, like a process dying
-// mid-write); the harness then kills generation one, reopens the
-// directory, and a fresh generation must recover — finish the surviving
-// intents, take the dead generation's partitions, serve new load — with
-// the counter audit and both Fscks clean at the end.
-func runTorn(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
+// restartKinds are the kinds runRestart drives, with what each varies: the
+// range its tear's append index is drawn from, its phase-1 wave budget and
+// its phase-1 key prefix.
+var restartKinds = map[string]struct {
+	tearFrom, tearSpan, waves int
+	prefix                    string
+}{
+	// Past any setup append, inside the load phase's range.
+	"torn": {150, 150, 6, "t-"},
+	// The overlay batches the hot path into few large appends, so the append
+	// index sits lower; the low end lands inside the load phase's flushes,
+	// the high end may never fire — then the kill+drop alone is the crash.
+	"spec": {60, 160, 5, "s-"},
+}
+
+// isRestart reports whether kind is a two-generation kind (runRestart).
+func isRestart(kind string) bool {
+	_, ok := restartKinds[kind]
+	return ok
+}
+
+// runRestart is the two-generation scenario the torn and spec kinds share.
+// Generation one runs the counter workload on a WAL store armed with a
+// seeded torn append (the Nth framed record is cut or corrupted, poisoning
+// the store mid-load, like a process dying mid-write). Under torn it is two
+// workers, loaded until the tear fires or the waves run out. Under spec it
+// is a single worker over the commit-pipelining overlay (internal/pipeline
+// in ManualFlush mode — a scheduled pump task is the committer, so the flush
+// cadence is part of the explored schedule), killed at a seed-chosen wave
+// with clients in flight; the overlay then drops everything above the
+// durability watermark — the crash window between speculative execution and
+// batch durability. Either way the harness kills generation one and reopens
+// the directory, which holds a consistent log prefix, possibly ending in a
+// torn record the WAL recovery must truncate. A fresh generation must then
+// recover — steal the dead generation's partitions, finish the surviving
+// intents, serve new load — and the audit requires counter == markers
+// (exactly-once across the restart), that every increment acked before
+// generation one died kept its marker, and both Fscks clean.
+func runRestart(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
+	kind := restartKinds[sc.Kind]
 	tear := TornWrite{
-		// Past any setup append, inside the load phase's range.
-		AppendN: 150 + prng.Intn(150),
+		AppendN: kind.tearFrom + prng.Intn(kind.tearSpan),
 		CutAt:   1 + prng.Intn(64),
 		Flip:    prng.Intn(2) == 0,
 	}
@@ -756,87 +780,147 @@ func runTorn(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 	if err != nil {
 		return err
 	}
-	cfg := ClusterConfig{
-		Workers:    2,
-		Partitions: 8,
-		LeaseTTL:   simLeaseTTL,
-		Config:     simConfig(),
-		Register:   counterRegister,
+	var overlay *pipeline.Store
+	var ws2 *walstore.Store
+	defer func() {
+		// Every store this run opened is closed on every path; a second
+		// Close is a no-op.
+		if overlay != nil {
+			overlay.DropAndClose()
+		}
+		ws.Close() //nolint:errcheck // poisoned stores report the injected tear here
+		if ws2 != nil {
+			ws2.Close() //nolint:errcheck // a passing run closed it already and checked
+		}
+	}()
+	cfg := ClusterConfig{Workers: 2, Config: simConfig(), Register: counterRegister}
+	var gen1 storage.Backend = ws
+	killWave := -1
+	if sc.Kind == "spec" {
+		// The overlay sits UNDER the worker's sim wrapper (the wrapper's
+		// inner store), not above it: every overlay operation — a
+		// speculative append, a fence's inline flush — then runs atomically
+		// inside one scheduling point, so the overlay's real mutex is never
+		// held across a park. The inverted arrangement (overlay wrapping the
+		// sim backend) let a fence park mid-flush with the mutex held while
+		// the flush pump blocked on that same mutex with the baton — a
+		// schedule-dependent deadlock.
+		if overlay, err = pipeline.New(ws, pipeline.Options{ManualFlush: true}); err != nil {
+			return err
+		}
+		// One worker: the overlay assumes a single writing process (see the
+		// pipeline package comment), which is exactly the deployment model
+		// speculation ships under.
+		gen1, cfg.Workers = overlay, 1
+		killWave = 1 + prng.Intn(kind.waves-1)
 	}
-	c, err := NewCluster(s, ws, cfg)
+	c, err := NewCluster(s, gen1, cfg)
 	if err != nil {
 		return err
 	}
 
-	const phase1, phase2, waves = 6, 6, 6
+	const phase1, phase2 = 6, 6
 	var keys []string
 	phase1Errs := map[string]error{}
+	// launch starts one counter client per entry of errs, keyed prefix+NNN
+	// from first and placed round robin over c's workers, 2 ms apart.
+	launch := func(c *Cluster, prefix string, first int, errs []error) []*Task {
+		var tasks []*Task
+		for i := range errs {
+			key := fmt.Sprintf("%s%03d", prefix, first+i)
+			keys = append(keys, key)
+			w := c.Workers[(first+i)%len(c.Workers)]
+			tasks = append(tasks, s.Go(TaskOpts{Name: "client." + key}, func() {
+				_, errs[i] = w.CW.Invoke("counter", beldi.Fields(beldi.F("key", beldi.Str(key))))
+			}))
+			s.Sleep(2 * time.Millisecond)
+		}
+		return tasks
+	}
 	var driveErr error
-	var c2 *Cluster
 	root := s.Go(TaskOpts{Name: "driver"}, func() {
 		driveErr = func() error {
 			c.StartPumps()
-			// Phase 1: drive waves of increments until the tear poisons the
-			// store (a client error is the signal) or the wave budget runs
-			// out — the tear's append index is seed-chosen, so the wave in
-			// which it fires varies.
-			torn := false
-			for wave := 0; wave < waves && !torn; wave++ {
-				var tasks []*Task
+			if overlay != nil {
+				// The committer as a first-class scheduled task: every flush
+				// is a schedule decision, and killing the worker kills it
+				// mid-cadence.
+				w0 := c.Workers[0]
+				s.Go(TaskOpts{Name: w0.Name + ".flush", Proc: w0.Name, Pump: true}, func() {
+					for {
+						s.Sleep(simLeaseTTL / 4)
+						if w0.Killed {
+							return
+						}
+						// The overlay is beneath the sim wrapper, so the
+						// flush's base write is not a wrapped operation —
+						// note it here to keep flush rounds in the trace.
+						s.Note("flushstep @" + w0.Name)
+						overlay.FlushStep() //nolint:errcheck // poison surfaces at fences and clients
+					}
+				})
+			}
+			// Phase 1: drive waves of increments until the kill wave
+			// (clients still in flight when the worker dies), until the tear
+			// poisons the store (a client error is the signal), or until the
+			// wave budget runs out — the tear's append index is seed-chosen,
+			// so the wave in which it fires varies.
+			down := false
+			for wave := 0; wave < kind.waves && !down; wave++ {
 				waveErrs := make([]error, phase1)
-				for i := 0; i < phase1; i++ {
-					key := fmt.Sprintf("t-%03d", wave*phase1+i)
-					keys = append(keys, key)
-					w, i, key := c.Workers[(wave*phase1+i)%len(c.Workers)], i, key
-					tasks = append(tasks, s.Go(TaskOpts{Name: "client." + key}, func() {
-						_, err := w.CW.Invoke("counter", beldi.Fields(beldi.F("key", beldi.Str(key))))
-						waveErrs[i] = err
-					}))
-					s.Sleep(2 * time.Millisecond)
+				tasks := launch(c, kind.prefix, wave*phase1, waveErrs)
+				if wave == killWave {
+					// The crash window: this wave's workflows have steps
+					// speculated above the durability watermark.
+					c.Kill(0)
+					down = true
 				}
 				s.Await(tasks...)
 				for i := 0; i < phase1; i++ {
 					phase1Errs[keys[wave*phase1+i]] = waveErrs[i]
 					if waveErrs[i] != nil {
-						torn = true
+						down = true
 					}
 				}
 			}
 			// Generation one dies; the directory is everything that
 			// survives.
-			for i := range c.Workers {
-				c.Kill(i)
+			for i, w := range c.Workers {
+				if !w.Killed {
+					c.Kill(i)
+				}
+			}
+			if overlay != nil {
+				// The worker dies with its speculation tail: the base keeps
+				// only the flushed prefix.
+				overlay.DropAndClose()
+				if overlay.Snapshot().Appended == 0 {
+					return fmt.Errorf("sim: spec scenario speculated nothing; the overlay never saw the load")
+				}
 			}
 			ws.Close() //nolint:errcheck // poisoned stores report the injected tear here
-			ws2, err := walstore.Open(dir, walstore.Options{Sync: walstore.SyncNone})
+			reopened, err := walstore.Open(dir, walstore.Options{Sync: walstore.SyncNone})
 			if err != nil {
-				return fmt.Errorf("sim: reopening torn walstore: %w", err)
+				return fmt.Errorf("sim: %s: reopening walstore: %w", sc.Kind, err)
 			}
-			cfg2 := cfg
-			cfg2.NamePrefix = "r"
-			cfg2.Rejoin = true // generation one's leases are still on record
-			c2, err = NewCluster(s, ws2, cfg2)
+			ws2 = reopened
+			c2, err := NewCluster(s, ws2, ClusterConfig{
+				Workers:    2,
+				NamePrefix: "r",
+				Config:     simConfig(),
+				Register:   counterRegister,
+				Rejoin:     true, // generation one's leases are still on record
+			})
 			if err != nil {
-				return fmt.Errorf("sim: rejoining after torn-write restart: %w", err)
+				return fmt.Errorf("sim: %s: rejoining after the restart: %w", sc.Kind, err)
 			}
 			c2.StartPumps()
 			// Let the dead generation's leases expire and be stolen.
 			s.Sleep(3 * simLeaseTTL)
 			// Phase 2: new load through the recovered pool must fully
 			// succeed.
-			var tasks []*Task
 			phase2Errs := make([]error, phase2)
-			for i := 0; i < phase2; i++ {
-				key := fmt.Sprintf("u-%03d", i)
-				keys = append(keys, key)
-				w, i, key := c2.Workers[i%len(c2.Workers)], i, key
-				tasks = append(tasks, s.Go(TaskOpts{Name: "client." + key}, func() {
-					_, err := w.CW.Invoke("counter", beldi.Fields(beldi.F("key", beldi.Str(key))))
-					phase2Errs[i] = err
-				}))
-				s.Sleep(2 * time.Millisecond)
-			}
-			s.Await(tasks...)
+			s.Await(launch(c2, "u-", 0, phase2Errs)...)
 			for i, err := range phase2Errs {
 				if err != nil {
 					return fmt.Errorf("sim: post-recovery request %d failed: %w", i, err)
@@ -846,9 +930,12 @@ func runTorn(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 				return err
 			}
 			// Audit: the counter equals the number of marker rows. A
-			// workflow whose intent survived the tear was finished by
+			// workflow whose intent survived the crash was finished by
 			// generation two (increment and marker both land, once); one
-			// whose intent was torn away never ran at all.
+			// whose intent was torn or dropped away never ran at all. And no
+			// acked increment lost its marker — under spec the reply fence
+			// means an ack implies durability, even though the worker died
+			// with unflushed speculation behind it.
 			rt := c2.Live(0).CW.Deployment().Runtime("counter")
 			markers := 0
 			for _, key := range keys {
@@ -858,8 +945,8 @@ func runTorn(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 				}
 				if !m.IsNull() {
 					markers++
-				} else if err := phase1Errs[key]; err == nil && strings.HasPrefix(key, "t-") {
-					return fmt.Errorf("sim: increment %s acked before the tear but its marker is gone", key)
+				} else if err, ok := phase1Errs[key]; ok && err == nil {
+					return fmt.Errorf("sim: %s: increment %s acked before generation one died but its marker is gone", sc.Kind, key)
 				}
 			}
 			total, err := beldi.PeekState(rt, "state", "total")
@@ -867,8 +954,8 @@ func runTorn(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 				return err
 			}
 			if total.Int() != int64(markers) {
-				return fmt.Errorf("sim: counter=%d but %d markers present: not exactly-once across the restart",
-					total.Int(), markers)
+				return fmt.Errorf("sim: %s: counter=%d but %d markers present: not exactly-once across the restart",
+					sc.Kind, total.Int(), markers)
 			}
 			if markers < phase2 {
 				return fmt.Errorf("sim: only %d markers present, phase 2 alone placed %d", markers, phase2)
@@ -881,242 +968,28 @@ func runTorn(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 	if runErr == nil {
 		runErr = driveErr
 	}
-	if c2 != nil {
-		if cerr := c2.Inner.(*walstore.Store).Close(); cerr != nil && runErr == nil {
-			runErr = fmt.Errorf("sim: closing recovered walstore: %w", cerr)
-		}
+	if runErr != nil {
+		return runErr
 	}
-	if runErr == nil {
-		if ferr := walstore.Fsck(dir); ferr != nil {
-			runErr = fmt.Errorf("sim: walstore fsck after torn-write recovery: %w", ferr)
-		}
+	if err := ws2.Close(); err != nil {
+		return fmt.Errorf("sim: closing recovered walstore: %w", err)
 	}
-	return runErr
-}
-
-// runSpec is the speculation-crash scenario: generation one is a single
-// worker running the counter workload through the commit-pipelining overlay
-// (internal/pipeline in ManualFlush mode — a scheduled pump task is the
-// committer, so the flush cadence is part of the explored schedule) over a
-// WAL store armed with a seeded torn append. Mid-load, at a seed-chosen
-// wave, the worker is killed with clients in flight and the overlay drops
-// everything above the durability watermark — the crash window between
-// speculative execution and batch durability. The directory then holds a
-// consistent speculation-log prefix, possibly ending in a torn group-commit
-// record the WAL recovery must truncate. A fresh generation reopens the base
-// bare, steals the dead worker's partitions, finishes the surviving intents
-// and serves new load; the audit requires counter == markers (exactly-once
-// across the crash) and that every increment acked before the kill — the
-// reply was fenced on the watermark — kept its marker.
-func runSpec(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
-	tear := TornWrite{
-		// The overlay batches the hot path into few large appends, so the
-		// append index sits lower than runTorn's; the low end lands inside
-		// the load phase's flushes, the high end may never fire — then the
-		// kill+drop alone is the crash.
-		AppendN: 60 + prng.Intn(160),
-		CutAt:   1 + prng.Intn(64),
-		Flip:    prng.Intn(2) == 0,
+	if err := walstore.Fsck(dir); err != nil {
+		return fmt.Errorf("sim: %s: walstore fsck after recovery: %w", sc.Kind, err)
 	}
-	ws, err := walstore.Open(dir, walstore.Options{Sync: walstore.SyncNone, Hooks: tear.Hooks()})
-	if err != nil {
-		return err
-	}
-	// The overlay sits UNDER the worker's sim wrapper (the wrapper's inner
-	// store), not above it: every overlay operation — a speculative append,
-	// a fence's inline flush — then runs atomically inside one scheduling
-	// point, so the overlay's real mutex is never held across a park. The
-	// inverted arrangement (overlay wrapping the sim backend) let a fence
-	// park mid-flush with the mutex held while the flush pump blocked on
-	// that same mutex with the baton — a schedule-dependent deadlock.
-	overlay, err := pipeline.New(ws, pipeline.Options{ManualFlush: true})
-	if err != nil {
-		return err
-	}
-	cfg := ClusterConfig{
-		// One worker: the overlay assumes a single writing process (see the
-		// pipeline package comment), which is exactly the deployment model
-		// speculation ships under.
-		Workers:    1,
-		Partitions: 8,
-		LeaseTTL:   simLeaseTTL,
-		Config:     simConfig(),
-		Register:   counterRegister,
-	}
-	c, err := NewCluster(s, overlay, cfg)
-	if err != nil {
-		return err
-	}
-
-	const phase1, phase2, waves = 6, 6, 5
-	killWave := 1 + prng.Intn(waves-1)
-	var keys []string
-	phase1Errs := map[string]error{}
-	var driveErr error
-	var c2 *Cluster
-	root := s.Go(TaskOpts{Name: "driver"}, func() {
-		driveErr = func() error {
-			c.StartPumps()
-			w0 := c.Workers[0]
-			// The committer as a first-class scheduled task: every flush is a
-			// schedule decision, and killing the worker kills it mid-cadence.
-			s.Go(TaskOpts{Name: w0.Name + ".flush", Proc: w0.Name, Pump: true}, func() {
-				for {
-					s.Sleep(simLeaseTTL / 4)
-					if w0.Killed {
-						return
-					}
-					// The overlay is beneath the sim wrapper, so the flush's
-					// base write is not a wrapped operation — note it here to
-					// keep flush rounds in the trace.
-					s.Note("flushstep @" + w0.Name)
-					overlay.FlushStep() //nolint:errcheck // poison surfaces at fences and clients
-				}
-			})
-			// Phase 1: waves of increments until the kill wave (clients still
-			// in flight when the worker dies) or until the tear poisons the
-			// store (a client error is the signal).
-			down := false
-			for wave := 0; wave < waves && !down; wave++ {
-				var tasks []*Task
-				waveKeys := make([]string, phase1)
-				waveErrs := make([]error, phase1)
-				for i := 0; i < phase1; i++ {
-					key := fmt.Sprintf("s-%03d", wave*phase1+i)
-					keys = append(keys, key)
-					waveKeys[i] = key
-					i, key := i, key
-					tasks = append(tasks, s.Go(TaskOpts{Name: "client." + key}, func() {
-						_, err := w0.CW.Invoke("counter", beldi.Fields(beldi.F("key", beldi.Str(key))))
-						waveErrs[i] = err
-					}))
-					s.Sleep(2 * time.Millisecond)
-				}
-				if wave == killWave {
-					// The crash window: this wave's workflows have steps
-					// speculated above the durability watermark.
-					c.Kill(0)
-					down = true
-				}
-				s.Await(tasks...)
-				for i := 0; i < phase1; i++ {
-					phase1Errs[waveKeys[i]] = waveErrs[i]
-					if waveErrs[i] != nil {
-						down = true
-					}
-				}
-			}
-			if !w0.Killed {
-				c.Kill(0)
-			}
-			// The worker dies with its speculation tail: the base keeps only
-			// the flushed prefix.
-			overlay.DropAndClose()
-			if st := overlay.Snapshot(); st.Appended == 0 {
-				return fmt.Errorf("sim: spec scenario speculated nothing; the overlay never saw the load")
-			}
-			ws.Close() //nolint:errcheck // poisoned stores report the injected tear here
-			ws2, err := walstore.Open(dir, walstore.Options{Sync: walstore.SyncNone})
-			if err != nil {
-				return fmt.Errorf("sim: reopening walstore after speculation crash: %w", err)
-			}
-			cfg2 := ClusterConfig{
-				Workers:    2,
-				NamePrefix: "r",
-				Partitions: 8,
-				LeaseTTL:   simLeaseTTL,
-				Config:     simConfig(),
-				Register:   counterRegister,
-				Rejoin:     true, // generation one's lease is still on record
-			}
-			c2, err = NewCluster(s, ws2, cfg2)
-			if err != nil {
-				return fmt.Errorf("sim: rejoining after speculation crash: %w", err)
-			}
-			c2.StartPumps()
-			// Let the dead generation's lease expire and be stolen.
-			s.Sleep(3 * simLeaseTTL)
-			// Phase 2: new load through the recovered pool must fully succeed.
-			var tasks []*Task
-			phase2Errs := make([]error, phase2)
-			for i := 0; i < phase2; i++ {
-				key := fmt.Sprintf("u-%03d", i)
-				keys = append(keys, key)
-				w, i, key := c2.Workers[i%len(c2.Workers)], i, key
-				tasks = append(tasks, s.Go(TaskOpts{Name: "client." + key}, func() {
-					_, err := w.CW.Invoke("counter", beldi.Fields(beldi.F("key", beldi.Str(key))))
-					phase2Errs[i] = err
-				}))
-				s.Sleep(2 * time.Millisecond)
-			}
-			s.Await(tasks...)
-			for i, err := range phase2Errs {
-				if err != nil {
-					return fmt.Errorf("sim: post-recovery request %d failed: %w", i, err)
-				}
-			}
-			if err := c2.Quiesce([]string{"counter"}, 30*time.Second); err != nil {
-				return err
-			}
-			// Audit: the counter equals the number of marker rows, and no
-			// acked increment lost its marker — the reply fence means an ack
-			// implies durability, even though the worker died with unflushed
-			// speculation behind it.
-			rt := c2.Live(0).CW.Deployment().Runtime("counter")
-			markers := 0
-			for _, key := range keys {
-				m, err := beldi.PeekState(rt, "state", "mark."+key)
-				if err != nil {
-					return err
-				}
-				if !m.IsNull() {
-					markers++
-				} else if err := phase1Errs[key]; err == nil && strings.HasPrefix(key, "s-") {
-					return fmt.Errorf("sim: increment %s acked before the speculation crash but its marker is gone", key)
-				}
-			}
-			total, err := beldi.PeekState(rt, "state", "total")
-			if err != nil {
-				return err
-			}
-			if total.Int() != int64(markers) {
-				return fmt.Errorf("sim: counter=%d but %d markers present: not exactly-once across the speculation crash",
-					total.Int(), markers)
-			}
-			if markers < phase2 {
-				return fmt.Errorf("sim: only %d markers present, phase 2 alone placed %d", markers, phase2)
-			}
-			return c2.SettleAndCheck(8)
-		}()
-	})
-	runErr := s.Run(root)
-	s.Shutdown()
-	if runErr == nil {
-		runErr = driveErr
-	}
-	if c2 != nil {
-		if cerr := c2.Inner.(*walstore.Store).Close(); cerr != nil && runErr == nil {
-			runErr = fmt.Errorf("sim: closing recovered walstore: %w", cerr)
-		}
-	}
-	if runErr == nil {
-		if ferr := walstore.Fsck(dir); ferr != nil {
-			runErr = fmt.Errorf("sim: walstore fsck after speculation-crash recovery: %w", ferr)
-		}
-	}
-	return runErr
+	return nil
 }
 
 // SweepOptions configure a Sweep.
 type SweepOptions struct {
 	// Seeds are the scenario seeds to run, in order.
 	Seeds []int64
-	// Backend selects the storage backend for non-torn scenarios: "mem"
-	// (default) or "wal".
+	// Backend selects the storage backend for every kind but torn and spec,
+	// which always run on "wal": "mem" (default) or "wal".
 	Backend string
 	// TempDir returns a fresh directory for each run that needs the WAL
-	// backend; required when Backend is "wal" or any seed derives the torn
-	// kind.
+	// backend; required when Backend is "wal" or any seed derives the torn or
+	// spec kind.
 	TempDir func() string
 	// Logf receives progress and failure lines (testing.T.Logf-shaped);
 	// nil discards them.
@@ -1157,7 +1030,7 @@ func Sweep(o SweepOptions) Report {
 	for _, seed := range o.Seeds {
 		sc := ScenarioFor(seed)
 		dir := ""
-		if backend == "wal" || sc.Kind == "torn" || sc.Kind == "spec" {
+		if backend == "wal" || isRestart(sc.Kind) {
 			if o.TempDir == nil {
 				logf("sim: seed %d (%s) skipped: WAL scenario but no TempDir", seed, sc.Kind)
 				rep.Skipped++

@@ -4,6 +4,9 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,12 +20,17 @@ var (
 	simSeed    = flag.Int64("sim.seed", -1, "replay this scenario seed (see a failing sweep's reproduce line)")
 	simBackend = flag.String("sim.backend", "mem", "backend for -sim.seed replay: mem or wal")
 	simDeep    = flag.Int("sim.deep", 0, "deep-sweep seed budget (nightly CI); 0 skips the deep sweep")
+	update     = flag.Bool("update", false, "rewrite testdata/tracehashes.golden from this build")
 )
 
 // TestSimSweepBounded is the tier-1 sweep: one contiguous seed block
-// covering every fault kind and every workload at least once. Every seed
-// must pass — a failure here is a protocol bug with a printed reproduction
-// line.
+// covering every fault kind and every workload at least once, on both
+// backends. Every seed must pass — a failure here is a protocol bug with a
+// printed reproduction line — and every run's trace hash must match
+// testdata/tracehashes.golden. A hash that moves means the run took another
+// schedule; regenerate (go test ./internal/sim -run TestSimSweepBounded
+// -update) only for a change meant to move it, and the file's diff names
+// the seeds it re-derived.
 func TestSimSweepBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep skipped in -short")
@@ -31,12 +39,50 @@ func TestSimSweepBounded(t *testing.T) {
 	for seed := int64(0); seed < 33; seed++ {
 		seeds = append(seeds, seed)
 	}
-	rep := Sweep(SweepOptions{Seeds: seeds, TempDir: t.TempDir, Logf: t.Logf})
-	if len(rep.Failures) != 0 {
-		t.Fatalf("%d/%d seeds failed; reproduction lines above", len(rep.Failures), len(rep.Results))
+	var lines []string
+	for _, backend := range []string{"mem", "wal"} {
+		rep := Sweep(SweepOptions{Seeds: seeds, Backend: backend, TempDir: t.TempDir, Logf: t.Logf})
+		if len(rep.Failures) != 0 {
+			t.Fatalf("%s: %d/%d seeds failed; reproduction lines above", backend, len(rep.Failures), len(rep.Results))
+		}
+		if rep.Skipped != 0 {
+			t.Fatalf("%s: %d seeds skipped; the bounded sweep must run everything", backend, rep.Skipped)
+		}
+		for _, r := range rep.Results {
+			sc := r.Scenario
+			lines = append(lines, fmt.Sprintf("%d %s %s %s %s %d %016x",
+				sc.Seed, sc.Backend, sc.Kind, sc.Workload, sc.Policy, r.Steps, r.TraceHash))
+		}
 	}
-	if rep.Skipped != 0 {
-		t.Fatalf("%d seeds skipped; the bounded sweep must run everything", rep.Skipped)
+	checkGolden(t, filepath.Join("testdata", "tracehashes.golden"), lines)
+}
+
+// checkGolden compares lines with the file at path, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, path string, lines []string) {
+	t.Helper()
+	got := strings.Join(lines, "\n") + "\n"
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: line %d differs:\n got  %s\n want %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
 	}
 }
 
@@ -106,24 +152,30 @@ func TestSimReplayIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimSpecCrashRecovery pins the speculation-crash scenario (the spec
-// kind): a single worker running the counter workload through the
-// commit-pipelining overlay is killed with clients in flight, the overlay
-// drops everything above the durability watermark, and a fresh generation
-// recovering from the bare WAL must show counter == markers with every
-// fenced (acked) increment intact. The pinned seeds must keep deriving the
-// spec kind, pass, and replay bit-identically — the regression guard for
-// the overlay's crash-consistency argument.
+// TestSimSpecCrashRecovery pins both restart scenarios. The spec kind: a
+// single worker running the counter workload through the commit-pipelining
+// overlay is killed with clients in flight, the overlay drops everything
+// above the durability watermark, and a fresh generation recovering from
+// the bare WAL must show counter == markers with every fenced (acked)
+// increment intact. The torn kind: two workers run the same workload until
+// a torn append poisons the WAL, and the fresh generation must show the
+// same. The pinned seeds must keep deriving their kind, pass, and replay
+// bit-identically — the regression guard for the overlay's and the WAL's
+// crash-consistency arguments.
 func TestSimSpecCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation scenario skipped in -short")
 	}
-	// Spec seeds across both policies the tier-1 sweep reaches (kind index
-	// 9 of Kinds, stride len(Kinds)).
-	for _, seed := range []int64{9, 20, 42} {
+	// Seeds across the random and lifo policies (kind index 8 for torn, 9
+	// for spec, stride len(Kinds)).
+	for _, row := range []struct {
+		kind string
+		seed int64
+	}{{"spec", 9}, {"spec", 20}, {"spec", 42}, {"torn", 8}, {"torn", 19}, {"torn", 41}} {
+		seed := row.seed
 		sc := ScenarioFor(seed)
-		if sc.Kind != "spec" || sc.Workload != "counter" {
-			t.Fatalf("seed %d derives %s/%s, this test needs spec/counter — re-pin the seed", seed, sc.Kind, sc.Workload)
+		if sc.Kind != row.kind || sc.Workload != "counter" {
+			t.Fatalf("seed %d derives %s/%s, this test needs %s/counter — re-pin the seed", seed, sc.Kind, sc.Workload, row.kind)
 		}
 		a, errA := RunSeed(seed, RunOpts{Dir: t.TempDir()})
 		if errA != nil {
@@ -336,7 +388,6 @@ func TestSimEverythingAtOnce(t *testing.T) {
 	}
 	c, err := NewCluster(s, store, ClusterConfig{
 		Workers:  3,
-		LeaseTTL: simLeaseTTL,
 		Config:   simConfig(),
 		Register: register,
 	})

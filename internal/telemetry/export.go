@@ -3,11 +3,9 @@ package telemetry
 import (
 	"encoding/json"
 	"expvar"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
 // Handler returns the hub's HTTP surface:
@@ -17,7 +15,7 @@ import (
 //	GET /traces             JSON list of root intent ids
 //	GET /trace?root=ID      JSON Trace assembled from the live tracer
 //	GET /trace?root=ID&format=text   rendered tree instead of JSON
-//	GET /debug/vars         expvar (stdlib metrics + published hubs)
+//	GET /debug/vars         expvar (stdlib metrics)
 //	GET /debug/pprof/...    stdlib profiling endpoints
 //
 // Mount it on a mux of your own or pass it to Serve.
@@ -65,28 +63,6 @@ func Handler(h *Hub) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// expvarPublished guards against double-publishing a name, which expvar
-// treats as a panic.
-var (
-	expvarMu        sync.Mutex
-	expvarPublished = map[string]bool{}
-)
-
-// PublishExpvar exposes the hub's registry snapshot as an expvar variable
-// under the given name (shown by /debug/vars). Publishing a name twice
-// returns an error instead of expvar's panic; republishing after a
-// restart should reuse the same hub.
-func PublishExpvar(name string, h *Hub) error {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvarPublished[name] {
-		return fmt.Errorf("telemetry: expvar name %q already published", name)
-	}
-	expvarPublished[name] = true
-	expvar.Publish(name, expvar.Func(func() any { return h.Registry.Snapshot() }))
-	return nil
 }
 
 // Server is a started telemetry endpoint.
