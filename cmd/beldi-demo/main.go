@@ -33,7 +33,7 @@ import (
 	"repro/beldi"
 	"repro/internal/apps/counterdemo"
 	"repro/internal/bench"
-	"repro/internal/dynamo"
+	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/remote"
 )
@@ -121,7 +121,11 @@ func main() {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)
 				}
-				pending := pendingIntents(sys)
+				pending, err := pendingIntents(sys)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(1)
+				}
 				fmt.Printf("  pending intents: %d\n", pending)
 				if pending == 0 {
 					fmt.Println("recovered: every intent completed exactly once")
@@ -178,20 +182,15 @@ func runWorker(storeAddr, clusterName, id string, leaseTTL time.Duration) error 
 	return w.Leave()
 }
 
-// pendingIntents counts unfinished intents across all functions.
-func pendingIntents(sys *bench.System) int {
+// pendingIntents counts unfinished intents across the deployment's functions.
+func pendingIntents(sys *bench.System) (int, error) {
 	total := 0
-	for _, name := range sys.Store.TableNames() {
-		if len(name) < 7 || name[len(name)-7:] != ".intent" {
-			continue
-		}
-		items, err := sys.Store.Scan(name, dynamo.QueryOpts{
-			Filter: dynamo.Eq(dynamo.A("Done"), dynamo.Bool(false)),
-		})
+	for _, fn := range sys.D.Functions() {
+		n, err := core.PendingIntents(sys.Store, fn)
 		if err != nil {
-			continue
+			return 0, err
 		}
-		total += len(items)
+		total += n
 	}
-	return total
+	return total, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/beldi"
+	"repro/internal/core"
 	"repro/internal/dynamo"
 )
 
@@ -231,7 +232,7 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 		probe := pool[0].Deployment().Runtime("step")
 		waitUntil := time.Now().Add(10 * time.Second)
 		for {
-			items, err := store.QueryIndex(probe.Function()+".intent", "pending", dynamo.S("1"), dynamo.QueryOpts{})
+			pending, err := core.PendingIntents(store, probe.Function())
 			if err != nil {
 				return pt, err
 			}
@@ -249,12 +250,12 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 					orphaned++
 				}
 			}
-			if len(items) == 0 && orphaned == 0 {
+			if pending == 0 && orphaned == 0 {
 				break
 			}
 			if time.Now().After(waitUntil) {
 				return pt, fmt.Errorf("bench: cluster sweep: %d workflows still pending, %d of the victim's %d partitions not taken over after kill recovery",
-					len(items), orphaned, len(victimParts))
+					pending, orphaned, len(victimParts))
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dynamo"
 	"repro/internal/platform"
+	"repro/internal/storage"
 )
 
 // The intent collector (§3.3): a timer-triggered serverless function that
@@ -69,6 +70,14 @@ func (rt *Runtime) RunIntentCollector() (int, error) {
 		restarted++
 	}
 	return restarted, nil
+}
+
+// PendingIntents counts fn's unfinished intents on store: the rows of the
+// sparse index a collection pass pages through. It reads the store, not a
+// runtime, so a harness can ask about a deployment that is crashed or gone.
+func PendingIntents(store storage.Backend, fn string) (int, error) {
+	items, err := store.QueryIndex(fn+".intent", indexPending, dynamo.S(pendingMarker), dynamo.QueryOpts{})
+	return len(items), err
 }
 
 // StartCollectors begins the timer loops that trigger the intent collector

@@ -272,7 +272,7 @@ func (s *Store) Put(tableName string, item Item, cond Cond) error {
 	if err != nil {
 		return err
 	}
-	key, err := t.keyOf(item)
+	key, err := t.schema.KeyOf(item)
 	if err != nil {
 		return err
 	}

@@ -30,6 +30,23 @@ type Schema struct {
 	Indexes []IndexSchema
 }
 
+// KeyOf derives the primary key of an item or a stored row.
+func (s Schema) KeyOf(it Attrs) (Key, error) {
+	h, ok := it.Get(A(s.HashKey))
+	if !ok {
+		return Key{}, fmt.Errorf("dynamo: table %s: item missing hash key %q", s.Name, s.HashKey)
+	}
+	k := Key{Hash: h}
+	if s.SortKey != "" {
+		sv, ok := it.Get(A(s.SortKey))
+		if !ok {
+			return Key{}, fmt.Errorf("dynamo: table %s: item missing sort key %q", s.Name, s.SortKey)
+		}
+		k.Sort = sv
+	}
+	return k, nil
+}
+
 // IndexSchema describes a secondary index with its own hash (and optional
 // sort) attribute. Items missing the index hash attribute simply do not
 // appear in the index, which is how Beldi's intent collector keeps its
@@ -154,23 +171,6 @@ func (t *table) runlockAll() {
 	for i := len(t.shards) - 1; i >= 0; i-- {
 		t.shards[i].mu.RUnlock()
 	}
-}
-
-// keyOf extracts the primary key from an item or a row.
-func (t *table) keyOf(it Attrs) (Key, error) {
-	h, ok := it.Get(A(t.schema.HashKey))
-	if !ok {
-		return Key{}, fmt.Errorf("dynamo: table %s: item missing hash key %q", t.schema.Name, t.schema.HashKey)
-	}
-	k := Key{Hash: h}
-	if t.schema.SortKey != "" {
-		sv, ok := it.Get(A(t.schema.SortKey))
-		if !ok {
-			return Key{}, fmt.Errorf("dynamo: table %s: item missing sort key %q", t.schema.Name, t.schema.SortKey)
-		}
-		k.Sort = sv
-	}
-	return k, nil
 }
 
 // bytes sums the storage footprint of every row. Caller holds every shard

@@ -69,7 +69,7 @@ func (s *Store) TransactWrite(ops []TxOp) error {
 		}
 		key := &op.Key
 		if op.Put != nil {
-			k, err := t.keyOf(op.Put)
+			k, err := t.schema.KeyOf(op.Put)
 			if err != nil {
 				return err
 			}

@@ -28,7 +28,7 @@ func (r *row) install(a attrs) {
 // holds the shard's lock.
 func (r *row) verify(t *table) {
 	if verifyShared && fingerprint(mapOf(r.attrs)) != r.sum {
-		k, _ := t.keyOf(r)
+		k, _ := t.schema.KeyOf(r)
 		panic(fmt.Sprintf("dynamo: table %s key %s: a value shared with the store was written after it was installed (row is now %s)",
 			t.schema.Name, k, r.attrs.item()))
 	}

@@ -116,11 +116,6 @@ func (a dirtyKey) before(b dirtyKey) bool {
 	return a.sort.Before(b.sort)
 }
 
-// keySpec caches a table's primary-key attribute names.
-type keySpec struct {
-	hash, sort string
-}
-
 // Store is the speculation overlay; it implements storage.Backend. See the
 // package comment for the model. Create with New, enable per deployment with
 // beldi.DeploymentOptions.Speculation.
@@ -136,7 +131,7 @@ type Store struct {
 	durableLSN  uint64
 	flushedLSN  uint64 // highest LSN handed to an in-flight or completed flush
 	dirty       map[dirtyKey]dynamo.Key
-	keys        map[string]keySpec
+	schemas     map[string]dynamo.Schema
 	fenceWaits  int   // fences currently waiting (skips linger)
 	flushErr    error // sticky: a failed flush poisons the overlay
 	closed      bool
@@ -166,12 +161,12 @@ func New(base storage.Backend, opts Options) (*Store, error) {
 		opts.Depth = DefaultDepth
 	}
 	p := &Store{
-		base:   base,
-		shadow: dynamo.NewStore(),
-		opts:   opts,
-		dirty:  make(map[dirtyKey]dynamo.Key),
-		keys:   make(map[string]keySpec),
-		done:   make(chan struct{}),
+		base:    base,
+		shadow:  dynamo.NewStore(),
+		opts:    opts,
+		dirty:   make(map[dirtyKey]dynamo.Key),
+		schemas: make(map[string]dynamo.Schema),
+		done:    make(chan struct{}),
 	}
 	p.condWork = sync.NewCond(&p.mu)
 	p.condDurable = sync.NewCond(&p.mu)
@@ -209,7 +204,7 @@ func (p *Store) warm(name string) error {
 	if err := p.shadow.CreateTable(schema); err != nil {
 		return err
 	}
-	p.keys[name] = keySpec{hash: schema.HashKey, sort: schema.SortKey}
+	p.schemas[name] = schema
 	items, err := p.base.Scan(name, storage.QueryOpts{})
 	if err != nil {
 		return err
@@ -256,34 +251,6 @@ func (p *Store) Base() storage.Backend { return p.base }
 func (p *Store) DynamoStore() *dynamo.Store {
 	s, _ := storage.AsDynamo(p.base)
 	return s
-}
-
-// spec returns table's key attribute names, resolving through the shadow on
-// first use. Callers hold mu.
-func (p *Store) spec(table string) (keySpec, error) {
-	if ks, ok := p.keys[table]; ok {
-		return ks, nil
-	}
-	schema, err := p.shadow.TableSchema(table)
-	if err != nil {
-		return keySpec{}, err
-	}
-	ks := keySpec{hash: schema.HashKey, sort: schema.SortKey}
-	p.keys[table] = ks
-	return ks, nil
-}
-
-// keyOf derives an item's primary key. Callers hold mu.
-func (p *Store) keyOf(table string, it dynamo.Item) (dynamo.Key, error) {
-	ks, err := p.spec(table)
-	if err != nil {
-		return dynamo.Key{}, err
-	}
-	k := dynamo.Key{Hash: it[ks.hash]}
-	if ks.sort != "" {
-		k.Sort = it[ks.sort]
-	}
-	return k, nil
 }
 
 // markDirty records a speculated row. Callers hold mu.
@@ -594,7 +561,7 @@ func (p *Store) CreateTable(schema storage.Schema) error {
 			p.flushErr = fmt.Errorf("pipeline: shadow diverged on CreateTable(%s): %w", schema.Name, serr)
 			return p.flushErr
 		}
-		p.keys[schema.Name] = keySpec{hash: schema.HashKey, sort: schema.SortKey}
+		p.schemas[schema.Name] = schema
 		return nil
 	case errors.Is(err, storage.ErrTableExists):
 		if werr := p.warm(schema.Name); werr != nil {
@@ -617,7 +584,7 @@ func (p *Store) DeleteTable(name string) error {
 	if err := p.base.DeleteTable(name); err != nil {
 		return err
 	}
-	delete(p.keys, name)
+	delete(p.schemas, name)
 	return p.shadow.DeleteTable(name)
 }
 
@@ -673,7 +640,7 @@ func (p *Store) Put(table string, item storage.Item, cond storage.Cond) error {
 	return p.append(
 		func() error { return p.shadow.Put(table, item, cond) },
 		func() ([]dirtyRow, error) {
-			k, err := p.keyOf(table, item)
+			k, err := p.schemas[table].KeyOf(item)
 			if err != nil {
 				return nil, err
 			}
@@ -713,7 +680,7 @@ func (p *Store) TransactWrite(ops []storage.TxOp) error {
 				}
 				key := op.Key
 				if op.Put != nil {
-					k, err := p.keyOf(op.Table, op.Put)
+					k, err := p.schemas[op.Table].KeyOf(op.Put)
 					if err != nil {
 						return nil, err
 					}

@@ -149,9 +149,9 @@ func TestServerSurvivesGarbage(t *testing.T) {
 			e.U8(opUpdate)
 			e.Str("t")
 			e.Key(dynamo.HK(dynamo.S("a")))
-			e.U8(1) // a condition follows
-			e.Raw(string(bytes.Repeat([]byte{byte(dynamo.CondNot), 1}, depth)))
-			e.U8(byte(dynamo.CondTrue))
+			e.U8(1)                                          // a condition follows
+			e.Raw(string(bytes.Repeat([]byte{7, 1}, depth))) // NOT, one child
+			e.U8(1)                                          // TRUE
 			e.Updates(nil)
 		},
 	}

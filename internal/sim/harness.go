@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/beldi"
+	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/storage"
 	"repro/internal/uuid"
@@ -262,11 +263,11 @@ func (c *Cluster) Live(i int) *Worker {
 func (c *Cluster) PendingIntents(fns []string) (int, error) {
 	pending := 0
 	for _, fn := range fns {
-		items, err := c.Inner.QueryIndex(fn+".intent", "pending", beldi.Str("1"), storage.QueryOpts{})
+		n, err := core.PendingIntents(c.Inner, fn)
 		if err != nil {
 			return 0, err
 		}
-		pending += len(items)
+		pending += n
 	}
 	return pending, nil
 }

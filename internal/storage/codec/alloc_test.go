@@ -33,6 +33,16 @@ func budgetRow() dynamo.Item {
 	}
 }
 
+// budgetCond is a lock-shaped composite condition: a conjunction holding a
+// comparison on a data string, a negation and a comparison on a number.
+func budgetCond() dynamo.Cond {
+	return dynamo.And(
+		dynamo.Eq(dynamo.A("Owner"), dynamo.S("txn-1")),
+		dynamo.Not(dynamo.NotExists(dynamo.A("Lock"))),
+		dynamo.Lt(dynamo.A("Ts"), dynamo.NInt(9)),
+	)
+}
+
 // allocsPerRun is testing.AllocsPerRun where that means something.
 func allocsPerRun(t *testing.T, f func()) float64 {
 	t.Helper()
@@ -53,6 +63,18 @@ func TestEncodeIntoReusedEncoderAllocatesNothing(t *testing.T) {
 		t.Errorf("encoding a row into a reused encoder: %v allocations, want 0", n)
 	}
 	if got := NewDecoder(frame[FrameHeaderLen:]).Item(); !itemsEqual(got, row) {
+		t.Errorf("the reused encoder wrote %v", got)
+	}
+
+	cond := budgetCond()
+	if n := allocsPerRun(t, func() {
+		e.Reset()
+		e.Cond(cond)
+		frame = e.Frame()
+	}); n != 0 {
+		t.Errorf("encoding a condition into a reused encoder: %v allocations, want 0", n)
+	}
+	if got := NewDecoder(frame[FrameHeaderLen:]).Cond(); got == nil || got.String() != cond.String() {
 		t.Errorf("the reused encoder wrote %v", got)
 	}
 
@@ -87,6 +109,25 @@ func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 	}
 	if !itemsEqual(got, budgetRow()) {
 		t.Errorf("decoded %v", got)
+	}
+
+	// A condition is the tree it decodes to: the conjunction's child slice,
+	// each of the five nodes boxed as a Cond, and the one data string.
+	// Names and operators: 0.
+	e.Reset()
+	e.Cond(budgetCond())
+	body = e.Body()
+	NewDecoder(body).Cond()
+	var cond dynamo.Cond
+	const wantCond = 1 + 5 + 1
+	if n := allocsPerRun(t, func() {
+		d := Decoder{b: body}
+		cond = d.Cond()
+	}); n != wantCond {
+		t.Errorf("decoding a condition: %v allocations, want %d (its child slice, five nodes and a data string)", n, wantCond)
+	}
+	if cond == nil || cond.String() != budgetCond().String() {
+		t.Errorf("decoded %v", cond)
 	}
 }
 

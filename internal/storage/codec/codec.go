@@ -21,9 +21,10 @@
 //	Path       [str attr][str map key]
 //	Schema     [str name][str hash key][str sort key][uvarint max item size]
 //	           [uvarint shards][count]([str name][str hash key][str sort key])…
-//	Cond       [u8 present] then, when present, a dynamo.CondDesc tree:
-//	           [u8 kind] then Path (exists, not-exists) · Path [str op] Value
-//	           (comparison) · [count][tree…] (and, or, not) · nothing (true)
+//	Cond       [u8 present] then, when present, a tree of dynamo's node types:
+//	           [u8 kind] then nothing (1 CondTrue) · Path (2 CondExists,
+//	           3 CondNotExists) · Path [str op] Value (4 CondCmp) ·
+//	           [count][tree…] (5 CondAnd, 6 CondOr, 7 CondNot: count 1)
 //	Updates    [count]([u8 kind][Path] then Value (set) · f64 (add) · nothing (remove))…
 //	QueryOpts  [Cond filter][count][Path…][uvarint limit][bool descending]
 //	TxOps      [count]([str table][Key][Cond][u8 has put][Item, if so]
@@ -125,9 +126,9 @@ var errTruncated = errorf("truncated body")
 const MaxDepth = 1 << 17
 
 // An Encoder appends one message body to a buffer that begins with room for
-// the frame header. It carries the one error encoding can have — a foreign
-// dynamo.Cond implementation, which has no description to encode; check Err
-// before using the bytes.
+// the frame header. It carries the one error encoding can have — a
+// condition that is not one of dynamo's node types, which has no encoding;
+// check Err before using the bytes.
 type Encoder struct {
 	b []byte
 	// keys is the buffer Item sorts attribute names in.

@@ -169,7 +169,10 @@ func roundTrips() []roundTrip {
 		condRow("lt", dynamo.Lt(dynamo.A("V"), dynamo.NInt(9))),
 		condRow("and", dynamo.And(dynamo.Exists(dynamo.A("V")), dynamo.Gt(dynamo.A("V"), dynamo.NInt(1)))),
 		condRow("or", dynamo.Or(dynamo.Eq(dynamo.A("V"), dynamo.NInt(0)), dynamo.Eq(dynamo.A("Tag"), dynamo.S("x")))),
+		condRow("le", dynamo.Le(dynamo.A("V"), dynamo.NInt(5))),
+		condRow("ge", dynamo.Ge(dynamo.A("Tag"), dynamo.S("a"))),
 		condRow("not", dynamo.Not(dynamo.Exists(dynamo.A("Absent")))),
+		condRow("and of eq, not, lt", budgetCond()),
 		condRow("is null or", dynamo.IsNullOr(dynamo.A("Absent"), dynamo.Eq(dynamo.A("Absent"), dynamo.S("z")))),
 		{"updates", "Updates", func(e *Encoder) { e.Updates(updates) },
 			func(d *Decoder) bool { return sameUpdates(d.Updates()) }},
@@ -236,6 +239,40 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRoundTripCoversEveryCondNode: the Cond rows of the table, between
+// them, hold every node type the codec has a kind byte for.
+func TestRoundTripCoversEveryCondNode(t *testing.T) {
+	seen := map[string]bool{}
+	var walk func(c dynamo.Cond)
+	walk = func(c dynamo.Cond) {
+		seen[reflect.TypeOf(c).Name()] = true
+		switch c := c.(type) {
+		case dynamo.CondAnd:
+			for _, sub := range c.Conds {
+				walk(sub)
+			}
+		case dynamo.CondOr:
+			for _, sub := range c.Conds {
+				walk(sub)
+			}
+		case dynamo.CondNot:
+			walk(c.Cond)
+		}
+	}
+	for _, rt := range roundTrips() {
+		if rt.shape == "Cond" {
+			e := NewEncoder(64)
+			rt.enc(e)
+			if c := NewDecoder(e.Body()).Cond(); c != nil {
+				walk(c)
+			}
+		}
+	}
+	if len(seen) != int(condNot) {
+		t.Errorf("the round-trip table decodes to %d node types, want all %d: %v", len(seen), condNot, seen)
+	}
+}
+
 // TestFirstErrorSticks: after a failure the error does not change, every
 // method returns its zero value, and Count returns 0.
 func TestFirstErrorSticks(t *testing.T) {
@@ -284,8 +321,8 @@ func TestCorruptModel(t *testing.T) {
 	}{
 		"unknown value kind":      {"Value", []byte{9}},
 		"unknown condition kind":  {"Cond", []byte{1, 0}},
-		"unknown comparison":      {"Cond", []byte{1, byte(dynamo.CondCmp), 1, 'V', 0, 1, '~', 0}},
-		"NOT with two children":   {"Cond", []byte{1, byte(dynamo.CondNot), 2, byte(dynamo.CondTrue), byte(dynamo.CondTrue)}},
+		"unknown comparison":      {"Cond", []byte{1, condCmp, 1, 'V', 0, 1, '~', 0}},
+		"NOT with two children":   {"Cond", []byte{1, condNot, 2, condTrue, condTrue}},
 		"unknown update kind":     {"Updates", []byte{1, 9, 1, 'A', 0}},
 		"update of no kind":       {"Updates", kindlessUpdate()},
 		"string longer than body": {"Value", []byte{byte(dynamo.KindString), 200, 'x'}},
@@ -376,11 +413,11 @@ func nest(level []byte, depth int, leaf ...byte) []byte {
 var (
 	listLevel = []byte{byte(dynamo.KindList), 1}
 	mapLevel  = []byte{byte(dynamo.KindMap), 1, 0} // one entry under the empty key
-	notLevel  = []byte{byte(dynamo.CondNot), 1}
+	notLevel  = []byte{condNot, 1}
 )
 
 func nestedNots(depth int) []byte {
-	return append([]byte{1}, nest(notLevel, depth, byte(dynamo.CondTrue))...)
+	return append([]byte{1}, nest(notLevel, depth, condTrue)...)
 }
 
 // TestNestingBound: input nested past MaxDepth fails like any other corrupt
@@ -419,14 +456,19 @@ func TestNestingBound(t *testing.T) {
 	}
 }
 
-// foreign is a Cond this package cannot describe.
+// foreign is a Cond this package has no encoding for.
 type foreign struct{}
 
 func (foreign) Eval(dynamo.Attrs) bool { return true }
 func (foreign) String() string         { return "foreign" }
 
 func TestForeignCondIsAnEncoderError(t *testing.T) {
-	for _, c := range []dynamo.Cond{foreign{}, dynamo.And(dynamo.True(), dynamo.Not(foreign{}))} {
+	for _, c := range []dynamo.Cond{
+		foreign{},
+		dynamo.And(dynamo.True(), dynamo.Not(foreign{})),
+		dynamo.Not(nil),
+		dynamo.CondCmp{Path: dynamo.A("V"), Op: "~", Value: dynamo.NInt(1)},
+	} {
 		e := NewEncoder(64)
 		e.Cond(dynamo.True())
 		if e.Err() != nil {

@@ -94,35 +94,70 @@ func (e *Encoder) Schema(s dynamo.Schema) {
 	}
 }
 
-// Cond appends an optional condition: a presence byte, then the tree
-// dynamo.DescribeCond gives for it.
+// The kind byte of each condition node type.
+const (
+	condTrue byte = iota + 1
+	condExists
+	condNotExists
+	condCmp
+	condAnd
+	condOr
+	condNot
+)
+
+// cmpOps are dynamo.CondCmp's operators.
+var cmpOps = map[string]bool{"=": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
+
+// Cond appends an optional condition: a presence byte, then the tree of
+// dynamo's condition node types. Any other Cond implementation, and a
+// comparison whose operator the decoder would refuse, has no encoding.
 func (e *Encoder) Cond(c dynamo.Cond) {
 	if c == nil {
 		e.U8(0)
 		return
 	}
-	cd, ok := dynamo.DescribeCond(c)
-	if !ok && e.err == nil {
-		e.err = errorf("condition %s is not serializable (foreign Cond implementation)", c)
-	}
 	e.U8(1)
-	e.condDesc(cd)
+	e.cond(c)
 }
 
-func (e *Encoder) condDesc(cd dynamo.CondDesc) {
-	e.U8(byte(cd.Kind))
-	switch cd.Kind {
-	case dynamo.CondExists, dynamo.CondNotExists:
-		e.Path(cd.Path)
+func (e *Encoder) cond(c dynamo.Cond) {
+	switch c := c.(type) {
+	case dynamo.CondTrue:
+		e.U8(condTrue)
+	case dynamo.CondExists:
+		e.U8(condExists)
+		e.Path(c.Path)
+	case dynamo.CondNotExists:
+		e.U8(condNotExists)
+		e.Path(c.Path)
 	case dynamo.CondCmp:
-		e.Path(cd.Path)
-		e.Str(cd.Op)
-		e.Value(cd.Value)
-	case dynamo.CondAnd, dynamo.CondOr, dynamo.CondNot:
-		e.Int(len(cd.Subs))
-		for _, sub := range cd.Subs {
-			e.condDesc(sub)
+		if !cmpOps[c.Op] && e.err == nil {
+			e.err = errorf("comparison operator %q has no encoding", c.Op)
 		}
+		e.U8(condCmp)
+		e.Path(c.Path)
+		e.Str(c.Op)
+		e.Value(c.Value)
+	case dynamo.CondAnd:
+		e.conds(condAnd, c.Conds)
+	case dynamo.CondOr:
+		e.conds(condOr, c.Conds)
+	case dynamo.CondNot:
+		e.U8(condNot)
+		e.Int(1)
+		e.cond(c.Cond)
+	default:
+		if e.err == nil {
+			e.err = errorf("condition %s is not serializable (foreign Cond implementation)", c)
+		}
+	}
+}
+
+func (e *Encoder) conds(kind byte, cs []dynamo.Cond) {
+	e.U8(kind)
+	e.Int(len(cs))
+	for _, c := range cs {
+		e.cond(c)
 	}
 }
 
@@ -284,45 +319,54 @@ func (d *Decoder) Schema() dynamo.Schema {
 	return result(d, s)
 }
 
-// Cond reads an optional condition and rebuilds it with dynamo.CondFromDesc,
-// whose refusals (an unknown comparison, a NOT without exactly one child)
-// are decoding failures like any other.
+// Cond reads an optional condition, refusing an unknown node kind or
+// comparison operator and a NOT without exactly one child.
 func (d *Decoder) Cond() dynamo.Cond {
 	if d.U8() == 0 {
 		return nil
 	}
-	cd := d.condDesc()
-	if d.err != nil {
-		return nil
-	}
-	c, err := dynamo.CondFromDesc(cd)
-	if err != nil {
-		d.Failf("%v", err)
-	}
-	return c
+	return result(d, d.cond())
 }
 
-func (d *Decoder) condDesc() dynamo.CondDesc {
-	cd := dynamo.CondDesc{Kind: dynamo.CondKind(d.U8())}
-	switch cd.Kind {
-	case dynamo.CondTrue:
-	case dynamo.CondExists, dynamo.CondNotExists:
-		cd.Path = d.Path()
-	case dynamo.CondCmp:
-		cd.Path, cd.Op, cd.Value = d.Path(), d.Name(), d.Value()
-	case dynamo.CondAnd, dynamo.CondOr, dynamo.CondNot:
+func (d *Decoder) cond() dynamo.Cond {
+	switch kind := d.U8(); kind {
+	case condTrue:
+		return dynamo.CondTrue{}
+	case condExists:
+		return dynamo.CondExists{Path: d.Path()}
+	case condNotExists:
+		return dynamo.CondNotExists{Path: d.Path()}
+	case condCmp:
+		c := dynamo.CondCmp{Path: d.Path(), Op: d.Name(), Value: d.Value()}
+		if !cmpOps[c.Op] {
+			d.Failf("unknown comparison operator %q", c.Op)
+		}
+		return c
+	case condNot:
+		if n := d.Count(); n != 1 {
+			d.Failf("NOT wants 1 child, got %d", n)
+		} else if d.nest() {
+			c := dynamo.CondNot{Cond: d.cond()}
+			d.depth--
+			return c
+		}
+	case condAnd, condOr:
 		if !d.nest() {
 			break
 		}
-		cd.Subs = make([]dynamo.CondDesc, d.Count())
-		for i := 0; i < len(cd.Subs) && d.err == nil; i++ {
-			cd.Subs[i] = d.condDesc()
+		cs := make([]dynamo.Cond, d.Count())
+		for i := 0; i < len(cs) && d.err == nil; i++ {
+			cs[i] = d.cond()
 		}
 		d.depth--
+		if kind == condAnd {
+			return dynamo.CondAnd{Conds: cs}
+		}
+		return dynamo.CondOr{Conds: cs}
 	default:
-		d.Failf("unknown condition kind %d", cd.Kind)
+		d.Failf("unknown condition kind %d", kind)
 	}
-	return cd
+	return nil
 }
 
 // Updates reads an update expression, refusing an unknown action kind; an

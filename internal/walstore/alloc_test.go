@@ -36,7 +36,7 @@ func TestUpdateAllocBudget(t *testing.T) {
 	}
 	update()
 
-	rec := record{seq: 1, typ: recCommit, ops: []walOp{{kind: opUpdate, table: "c", key: key, updates: ups}}}
+	rec := record{seq: 1, typ: recCommit, ops: []dynamo.TxOp{{Table: "c", Key: key, Updates: ups}}}
 	if n := testing.AllocsPerRun(1000, func() {
 		if _, err := encodeRecord(s.enc, rec); err != nil {
 			t.Fatal(err)

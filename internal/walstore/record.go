@@ -13,11 +13,15 @@ import (
 //	[u64 seq][u8 record type] then, by type:
 //	  create table  Schema
 //	  delete table  [str name]
-//	  commit        [count]([u8 op kind][str table] then Item (put) ·
-//	                Key (delete) · Key Updates (update))…
+//	  commit        [count]([u8 op kind][str table] then Item (1 put) ·
+//	                Key (2 delete) · Key Updates (3 update))…
 //
-// Everything inside the envelope — primitives, Schema, Item, Key, Updates,
-// the frame and its CRC — is internal/storage/codec's, documented there.
+// A commit record holds the dynamo.TxOps that committed, less their
+// conditions: those were decided before logging, so replay applies the ops
+// unconditionally, in log order, onto the same base state. Check ops write
+// nothing and are left out. Everything inside the envelope — primitives,
+// Schema, Item, Key, Updates, the frame and its CRC — is
+// internal/storage/codec's, documented there.
 
 // Record types.
 const (
@@ -33,25 +37,13 @@ const (
 	opUpdate byte = 3
 )
 
-// walOp is one logical mutation inside a commit record: exactly one of a
-// row put (post-image), a row delete, or an update-expression application.
-// Conditions are evaluated before logging, so records carry none: replay
-// applies the ops unconditionally, in log order, onto the same base state.
-type walOp struct {
-	kind    byte
-	table   string
-	item    dynamo.Item     // opPut
-	key     dynamo.Key      // opDelete, opUpdate
-	updates []dynamo.Update // opUpdate
-}
-
 // record is one decoded WAL record.
 type record struct {
 	seq    uint64
 	typ    byte
 	schema dynamo.Schema // recCreateTable
 	name   string        // recDeleteTable
-	ops    []walOp       // recCommit
+	ops    []dynamo.TxOp // recCommit
 }
 
 // encodeRecord serializes r into its on-disk frame, which is e's memory and
@@ -65,18 +57,29 @@ func encodeRecord(e *codec.Encoder, r record) ([]byte, error) {
 	case recDeleteTable:
 		e.Str(r.name)
 	case recCommit:
-		e.Int(len(r.ops))
-		for _, o := range r.ops {
-			e.U8(o.kind)
-			e.Str(o.table)
-			switch o.kind {
-			case opPut:
-				e.Item(o.item)
-			case opDelete:
-				e.Key(o.key)
-			case opUpdate:
-				e.Key(o.key)
-				e.Updates(o.updates)
+		n := 0
+		for _, op := range r.ops {
+			if !op.Check {
+				n++
+			}
+		}
+		e.Int(n)
+		for _, op := range r.ops {
+			switch {
+			case op.Check:
+			case op.Put != nil:
+				e.U8(opPut)
+				e.Str(op.Table)
+				e.Item(op.Put)
+			case op.Delete:
+				e.U8(opDelete)
+				e.Str(op.Table)
+				e.Key(op.Key)
+			default:
+				e.U8(opUpdate)
+				e.Str(op.Table)
+				e.Key(op.Key)
+				e.Updates(op.Updates)
 			}
 		}
 	}
@@ -93,19 +96,20 @@ func decodeRecord(body []byte) (record, error) {
 	case recDeleteTable:
 		r.name = d.Str()
 	case recCommit:
-		r.ops = make([]walOp, d.Count())
+		r.ops = make([]dynamo.TxOp, d.Count())
 		for i := 0; i < len(r.ops) && d.Err() == nil; i++ {
-			o := &r.ops[i]
-			o.kind, o.table = d.U8(), d.Name()
-			switch o.kind {
+			op := &r.ops[i]
+			kind := d.U8()
+			op.Table = d.Name()
+			switch kind {
 			case opPut:
-				o.item = d.Item()
+				op.Put = d.Item()
 			case opDelete:
-				o.key = d.Key()
+				op.Key, op.Delete = d.Key(), true
 			case opUpdate:
-				o.key, o.updates = d.Key(), d.Updates()
+				op.Key, op.Updates = d.Key(), d.Updates()
 			default:
-				d.Failf("unknown op kind %d", o.kind)
+				d.Failf("unknown op kind %d", kind)
 			}
 		}
 	default:

@@ -81,17 +81,6 @@ func listSeqFiles(dir, prefix, suffix string) ([]string, []uint64, error) {
 	return names, seqs, nil
 }
 
-// syncDir fsyncs the directory so renames and creations are durable.
-// Best-effort: some filesystems refuse directory syncs.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
-}
-
 // walWriter owns the tail segment file and the group-commit fsync path.
 // Appends are serialized by the store's log mutex; durability waits run
 // leader/follower — the first waiter to find no sync in flight fsyncs once
@@ -151,12 +140,37 @@ func (w *walWriter) openTail(firstSeq, lastSeq uint64, size int64) error {
 		f.Close()
 		return err
 	}
+	if err := w.syncDir(); err != nil {
+		f.Close()
+		return err
+	}
 	w.f = f
 	w.size = size
 	w.firstSeq = firstSeq
 	w.appended.Store(lastSeq)
 	w.durable = lastSeq
-	syncDir(w.dir)
+	return nil
+}
+
+// syncDir fsyncs the directory, so that the files created, renamed and
+// removed in it stay that way.
+func (w *walWriter) syncDir() error {
+	if err := w.injected(w.dir); err != nil {
+		return err
+	}
+	d, err := os.Open(w.dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// injected is Hooks.SyncErr's verdict on an fsync of path.
+func (w *walWriter) injected(path string) error {
+	if h := w.opts.Hooks; h != nil && h.SyncErr != nil {
+		return h.SyncErr(path)
+	}
 	return nil
 }
 
@@ -240,22 +254,19 @@ func (w *walWriter) rotate(seq uint64) error {
 	w.size = 0
 	w.firstSeq = seq
 	w.stats.Segments.Add(1)
-	syncDir(w.dir)
-	return nil
+	return w.syncDir()
 }
 
 // syncFile fsyncs the tail segment (with fault injection), serialized
 // against rotation's and close's handle swaps.
 func (w *walWriter) syncFile() error {
-	if h := w.opts.Hooks; h != nil && h.SyncErr != nil {
-		if err := h.SyncErr(); err != nil {
-			return err
-		}
-	}
 	w.fileMu.Lock()
 	defer w.fileMu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("walstore: WAL is closed")
+	}
+	if err := w.injected(w.f.Name()); err != nil {
+		return err
 	}
 	w.stats.Fsyncs.Add(1)
 	if h := w.fsyncHist.Load(); h != nil {

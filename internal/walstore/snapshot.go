@@ -79,9 +79,10 @@ func decodeSnapshot(data []byte) (uint64, map[string]dynamo.Schema, *dynamo.Stor
 	return seq, schemas, mem, nil
 }
 
-// writeSnapshotFile durably writes the snapshot image for seq into dir.
-func writeSnapshotFile(dir string, seq uint64, data []byte) error {
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+// writeSnapshotFile durably writes the snapshot image for seq into the
+// store's directory.
+func (w *walWriter) writeSnapshotFile(seq uint64, data []byte) error {
+	tmp, err := os.CreateTemp(w.dir, "snap-*.tmp")
 	if err != nil {
 		return err
 	}
@@ -100,12 +101,11 @@ func writeSnapshotFile(dir string, seq uint64, data []byte) error {
 		os.Remove(tmpName)
 		return err
 	}
-	if err := os.Rename(tmpName, filepath.Join(dir, snapName(seq))); err != nil {
+	if err := os.Rename(tmpName, filepath.Join(w.dir, snapName(seq))); err != nil {
 		os.Remove(tmpName)
 		return err
 	}
-	syncDir(dir)
-	return nil
+	return w.syncDir()
 }
 
 // loadNewestSnapshot finds the newest decodable snapshot in dir. A corrupt

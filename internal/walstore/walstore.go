@@ -115,9 +115,10 @@ type Hooks struct {
 	// record: the hook may return a slice of it but must not retain it —
 	// copy what has to outlive the call.
 	BeforeAppend func(seq uint64, off int64, frame []byte) []byte
-	// SyncErr, when non-nil, can fail an fsync; a non-nil error poisons the
-	// store.
-	SyncErr func() error
+	// SyncErr, when non-nil, can fail the fsync of path: a segment file, or
+	// the store's directory after a segment or snapshot is created, renamed
+	// or removed. A non-nil error poisons the store, or fails Open.
+	SyncErr func(path string) error
 }
 
 // Stats count WAL activity. All fields are updated atomically and may be
@@ -263,7 +264,9 @@ func Open(dir string, opts Options) (*Store, error) {
 					return nil, fmt.Errorf("walstore: open %s: discard %s: %w", dir, later, err)
 				}
 			}
-			syncDir(dir)
+			if err := s.w.syncDir(); err != nil {
+				return nil, fmt.Errorf("walstore: open %s: repair: %w", dir, err)
+			}
 			break
 		}
 	}
@@ -289,15 +292,15 @@ func (s *Store) applyRecord(r record) error {
 		delete(s.schemas, r.name)
 		return nil
 	case recCommit:
-		for _, o := range r.ops {
+		for _, op := range r.ops {
 			var err error
-			switch o.kind {
-			case opPut:
-				err = s.mem.Put(o.table, o.item, nil)
-			case opDelete:
-				err = s.mem.Delete(o.table, o.key, nil)
-			case opUpdate:
-				err = s.mem.Update(o.table, o.key, nil, o.updates...)
+			switch {
+			case op.Put != nil:
+				err = s.mem.Put(op.Table, op.Put, nil)
+			case op.Delete:
+				err = s.mem.Delete(op.Table, op.Key, nil)
+			default:
+				err = s.mem.Update(op.Table, op.Key, nil, op.Updates...)
 			}
 			if err != nil {
 				return err
@@ -414,16 +417,17 @@ func (s *Store) watchNotesLocked(rec record, notes []watchNote) []watchNote {
 	if !s.watch.Active() || rec.typ != recCommit {
 		return notes
 	}
-	for _, o := range rec.ops {
-		switch o.kind {
-		case opPut:
-			sch, ok := s.schemas[o.table]
+	for _, op := range rec.ops {
+		switch {
+		case op.Check: // wrote nothing, so wakes nobody
+		case op.Put != nil:
+			sch, ok := s.schemas[op.Table]
 			if !ok {
 				continue
 			}
-			notes = append(notes, watchNote{table: o.table, hash: o.item[sch.HashKey]})
+			notes = append(notes, watchNote{table: op.Table, hash: op.Put[sch.HashKey]})
 		default:
-			notes = append(notes, watchNote{table: o.table, hash: o.key.Hash})
+			notes = append(notes, watchNote{table: op.Table, hash: op.Key.Hash})
 		}
 	}
 	return notes
@@ -473,7 +477,7 @@ func (s *Store) Put(table string, item dynamo.Item, cond dynamo.Cond) error {
 	return s.mutate(
 		func() error { return s.mem.Put(table, item, cond) },
 		func(seq uint64) record {
-			return record{seq: seq, typ: recCommit, ops: []walOp{{kind: opPut, table: table, item: item}}}
+			return record{seq: seq, typ: recCommit, ops: []dynamo.TxOp{{Table: table, Put: item}}}
 		},
 	)
 }
@@ -484,7 +488,7 @@ func (s *Store) Update(table string, key dynamo.Key, cond dynamo.Cond, updates .
 	return s.mutate(
 		func() error { return s.mem.Update(table, key, cond, updates...) },
 		func(seq uint64) record {
-			return record{seq: seq, typ: recCommit, ops: []walOp{{kind: opUpdate, table: table, key: key, updates: updates}}}
+			return record{seq: seq, typ: recCommit, ops: []dynamo.TxOp{{Table: table, Key: key, Updates: updates}}}
 		},
 	)
 }
@@ -494,7 +498,7 @@ func (s *Store) Delete(table string, key dynamo.Key, cond dynamo.Cond) error {
 	return s.mutate(
 		func() error { return s.mem.Delete(table, key, cond) },
 		func(seq uint64) record {
-			return record{seq: seq, typ: recCommit, ops: []walOp{{kind: opDelete, table: table, key: key}}}
+			return record{seq: seq, typ: recCommit, ops: []dynamo.TxOp{{Table: table, Key: key, Delete: true}}}
 		},
 	)
 }
@@ -505,24 +509,9 @@ func (s *Store) TransactWrite(ops []dynamo.TxOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	walOps := make([]walOp, 0, len(ops))
-	for _, op := range ops {
-		switch {
-		case op.Check:
-			// Condition checks write nothing, so recovery has nothing to
-			// replay for them; only the mutating ops are journaled.
-			continue
-		case op.Put != nil:
-			walOps = append(walOps, walOp{kind: opPut, table: op.Table, item: op.Put})
-		case op.Delete:
-			walOps = append(walOps, walOp{kind: opDelete, table: op.Table, key: op.Key})
-		default:
-			walOps = append(walOps, walOp{kind: opUpdate, table: op.Table, key: op.Key, updates: op.Updates})
-		}
-	}
 	return s.mutate(
 		func() error { return s.mem.TransactWrite(ops) },
-		func(seq uint64) record { return record{seq: seq, typ: recCommit, ops: walOps} },
+		func(seq uint64) record { return record{seq: seq, typ: recCommit, ops: ops} },
 	)
 }
 
@@ -546,7 +535,7 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := writeSnapshotFile(s.dir, s.seq, data); err != nil {
+	if err := s.w.writeSnapshotFile(s.seq, data); err != nil {
 		return s.w.fail(err)
 	}
 	// Rotate so the tail segment starts past the snapshot; then every other
@@ -577,7 +566,7 @@ func (s *Store) compactLocked() error {
 			_ = os.Remove(filepath.Join(s.dir, name))
 		}
 	}
-	syncDir(s.dir)
+	_ = s.w.syncDir() // a lost unlink only leaves a covered file, which Open skips
 	s.sinceSnap = 0
 	s.stats.Snapshots.Add(1)
 	return nil

@@ -257,7 +257,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 func TestWriteFailurePoisonsStore(t *testing.T) {
 	boom := errors.New("disk on fire")
 	armed := false
-	s := openT(t, t.TempDir(), Options{Hooks: &Hooks{SyncErr: func() error {
+	s := openT(t, t.TempDir(), Options{Hooks: &Hooks{SyncErr: func(string) error {
 		if armed {
 			return boom
 		}
@@ -285,6 +285,71 @@ func TestWriteFailurePoisonsStore(t *testing.T) {
 	}
 }
 
+// TestDirSyncFailurePoisonsStore: a directory fsync that fails after a
+// rotation or a snapshot leaves a file whose name may not survive a crash,
+// so the write that needed it fails and so does everything after it; one
+// that fails while opening fails Open.
+func TestDirSyncFailurePoisonsStore(t *testing.T) {
+	boom := errors.New("directory entry not durable")
+	open := func(t *testing.T, armed *bool) (*Store, string) {
+		dir := t.TempDir()
+		s := openT(t, dir, Options{SegmentBytes: 256, Sync: SyncNone, AutoCompactBytes: -1, Hooks: &Hooks{
+			SyncErr: func(path string) error {
+				if *armed && path == dir {
+					return boom
+				}
+				return nil
+			},
+		}})
+		t.Cleanup(func() { s.Close() })
+		if err := s.CreateTable(dynamo.Schema{Name: "t", HashKey: "K"}); err != nil {
+			t.Fatal(err)
+		}
+		*armed = true
+		return s, dir
+	}
+	poisoned := func(t *testing.T, s *Store) {
+		t.Helper()
+		if err := s.Put("t", dynamo.Item{"K": dynamo.S("later")}, nil); !errors.Is(err, boom) {
+			t.Errorf("a write after the failed directory sync: %v", err)
+		}
+		if _, _, err := s.Get("t", dynamo.HK(dynamo.S("later"))); !errors.Is(err, boom) {
+			t.Errorf("a read after the failed directory sync: %v", err)
+		}
+	}
+
+	t.Run("rotate", func(t *testing.T) {
+		var armed bool
+		s, _ := open(t, &armed)
+		var err error
+		for i := 0; i < 64 && err == nil; i++ {
+			err = s.Put("t", dynamo.Item{"K": dynamo.S(fmt.Sprintf("k%02d", i)), "Pad": dynamo.S("0123456789abcdef")}, nil)
+		}
+		if !errors.Is(err, boom) || s.WAL().Segments.Load() == 0 {
+			t.Fatalf("writes across a 256-byte segment: %v after %d rotations, want the injected error", err, s.WAL().Segments.Load())
+		}
+		poisoned(t, s)
+	})
+	t.Run("snapshot", func(t *testing.T) {
+		var armed bool
+		s, _ := open(t, &armed)
+		if err := s.Compact(); !errors.Is(err, boom) {
+			t.Fatalf("Compact = %v, want the injected error", err)
+		}
+		poisoned(t, s)
+	})
+	t.Run("open", func(t *testing.T) {
+		var armed bool
+		s, dir := open(t, &armed)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, s.opts); !errors.Is(err, boom) {
+			t.Fatalf("Open = %v, want the injected error", err)
+		}
+	})
+}
+
 // TestCodecRoundTrip pins the record envelope: every record type and op
 // kind must survive encode/decode byte-identically. (What is inside the
 // envelope — every value kind, schemas, update actions — is pinned by
@@ -293,10 +358,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	recs := []record{
 		{seq: 1, typ: recCreateTable, schema: usersSchema()},
 		{seq: 2, typ: recDeleteTable, name: "users"},
-		{seq: 3, typ: recCommit, ops: []walOp{
-			{kind: opPut, table: "t", item: dynamo.Item{"S": dynamo.S("str"), "L": dynamo.L(dynamo.S("a"), dynamo.NInt(1))}},
-			{kind: opDelete, table: "t", key: dynamo.HSK(dynamo.S("h"), dynamo.NInt(7))},
-			{kind: opUpdate, table: "t", key: dynamo.HK(dynamo.S("k")), updates: []dynamo.Update{
+		{seq: 3, typ: recCommit, ops: []dynamo.TxOp{
+			{Table: "t", Put: dynamo.Item{"S": dynamo.S("str"), "L": dynamo.L(dynamo.S("a"), dynamo.NInt(1))}},
+			{Table: "t", Key: dynamo.HSK(dynamo.S("h"), dynamo.NInt(7)), Delete: true},
+			{Table: "t", Key: dynamo.HK(dynamo.S("k")), Updates: []dynamo.Update{
 				dynamo.Set(dynamo.AK("A", "m"), dynamo.S("v")), dynamo.Add(dynamo.A("C"), -2.5), dynamo.Remove(dynamo.A("R")),
 			}},
 		}},
@@ -318,6 +383,14 @@ func TestCodecRoundTrip(t *testing.T) {
 		if re, _ := encodeRecord(codec.NewEncoder(64), got); string(re) != string(frame) {
 			t.Errorf("seq %d: re-encoded frame differs", want.seq)
 		}
+	}
+	// A Check op writes nothing, and a commit record leaves it out.
+	commit := recs[2]
+	checked := commit
+	checked.ops = append([]dynamo.TxOp{{Table: "t", Key: dynamo.HK(dynamo.S("k")), Cond: dynamo.Exists(dynamo.A("K")), Check: true}}, commit.ops...)
+	plain, _ := encodeRecord(codec.NewEncoder(64), commit)
+	if withCheck, _ := encodeRecord(codec.NewEncoder(64), checked); string(withCheck) != string(plain) {
+		t.Error("a commit record holding a Check op differs from one without it")
 	}
 	// A body with bytes after its last field is refused, as is an unknown
 	// record type or op kind.
