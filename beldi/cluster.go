@@ -219,16 +219,10 @@ func (cw *ClusterWorker) Leave() error {
 // detector and work stealing exist for. Chaos tests and the cluster demo
 // use it; production workers just die.
 func (cw *ClusterWorker) Kill() {
-	cw.plat.SetFaults(killAllPlan{})
+	cw.plat.SetFaults(platform.CrashAll{})
 	cw.w.Stop()
 	cw.d.Stop()
 }
-
-// killAllPlan crashes every instance at its next crash point.
-type killAllPlan struct{}
-
-// ShouldCrash implements platform.FaultPlan.
-func (killAllPlan) ShouldCrash(string, string, int) bool { return true }
 
 // Functions lists the deployment's registered function names in sorted
 // order.

@@ -44,8 +44,8 @@ func requireScenario(t *testing.T, seed int64, kind, workload string) {
 func TestTravelWorkerKillKeepsReservationsExactlyOnce(t *testing.T) {
 	const seed = 3 // kill/travel under the random policy
 	requireScenario(t, seed, "kill", "travel")
-	if _, err := sim.RunSeed(seed, sim.RunOpts{Dir: t.TempDir()}); err != nil {
-		t.Fatalf("%v\nreproduce: %s", err, sim.ReproLine(seed, "mem"))
+	if _, err := sim.RunSeed(seed); err != nil {
+		t.Fatalf("%v\nreproduce: %s", err, sim.ReproLine(seed))
 	}
 }
 
@@ -58,8 +58,8 @@ func TestTravelWorkerKillKeepsReservationsExactlyOnce(t *testing.T) {
 func TestOrdersWorkerKillDrainsPipelineExactlyOnce(t *testing.T) {
 	const seed = 14 // kill/orders under the random policy
 	requireScenario(t, seed, "kill", "orders")
-	if _, err := sim.RunSeed(seed, sim.RunOpts{Dir: t.TempDir()}); err != nil {
-		t.Fatalf("%v\nreproduce: %s", err, sim.ReproLine(seed, "mem"))
+	if _, err := sim.RunSeed(seed); err != nil {
+		t.Fatalf("%v\nreproduce: %s", err, sim.ReproLine(seed))
 	}
 }
 
@@ -67,12 +67,11 @@ func TestOrdersWorkerKillDrainsPipelineExactlyOnce(t *testing.T) {
 // no heartbeats, no collection, no polling), lets the pool declare it dead
 // and steal its work, then heals the partition. The zombie must rejoin at a
 // higher epoch via its own heartbeat pump, and the audit must show no lost
-// or duplicated executions from the handover — in either direction. Runs on
-// the WAL backend so the handover is also exercised over durable storage.
+// or duplicated executions from the handover — in either direction.
 func TestZombiePartitionHealsAndRejoins(t *testing.T) {
 	const seed = 4 // partition/travel under the random policy
 	requireScenario(t, seed, "partition", "travel")
-	if _, err := sim.RunSeed(seed, sim.RunOpts{Backend: "wal", Dir: t.TempDir()}); err != nil {
-		t.Fatalf("%v\nreproduce: %s", err, sim.ReproLine(seed, "wal"))
+	if _, err := sim.RunSeed(seed); err != nil {
+		t.Fatalf("%v\nreproduce: %s", err, sim.ReproLine(seed))
 	}
 }

@@ -128,7 +128,6 @@ type Worker struct {
 	stopCh  chan struct{}
 	started bool
 	wg      sync.WaitGroup
-	paused  atomic.Bool
 
 	stats Stats
 }
@@ -761,9 +760,6 @@ func (w *Worker) Start() {
 func (w *Worker) heartbeatLoop(stopCh chan struct{}) {
 	defer w.wg.Done()
 	for w.wait(stopCh, w.ttl/4) {
-		if w.paused.Load() {
-			continue // zombie simulation: the process is stalled
-		}
 		if w.Fenced() {
 			w.Rejoin() //nolint:errcheck // old lease may still run; retry next tick
 			continue
@@ -779,9 +775,6 @@ func (w *Worker) heartbeatLoop(stopCh chan struct{}) {
 func (w *Worker) workLoop(stopCh chan struct{}) {
 	defer w.wg.Done()
 	for tick := 1; w.wait(stopCh, w.ttl/4); tick++ {
-		if w.paused.Load() {
-			continue // zombie simulation: the process is stalled
-		}
 		if w.Fenced() {
 			continue // wait for the heartbeat loop's Rejoin
 		}
@@ -812,10 +805,8 @@ func (w *Worker) pollLoop(stopCh chan struct{}) {
 			return
 		default:
 		}
-		if !w.paused.Load() {
-			if n, _, _ := w.PollOnce(); n > 0 {
-				continue
-			}
+		if n, _, _ := w.PollOnce(); n > 0 {
+			continue
 		}
 		if !w.wait(stopCh, pollIdle) {
 			return
@@ -848,15 +839,6 @@ func (w *Worker) Stop() {
 	w.loopMu.Unlock()
 	w.wg.Wait()
 }
-
-// Pause suspends the worker's background activity without stopping the
-// loops — the zombie simulation: the process stalls (GC pause, partition),
-// its lease expires, and whatever it does after Resume runs against fenced
-// tokens until it notices.
-func (w *Worker) Pause() { w.paused.Store(true) }
-
-// Resume ends a Pause.
-func (w *Worker) Resume() { w.paused.Store(false) }
 
 // Leave exits gracefully: it releases every owned partition, marks its own
 // lease dead, and stops the loops. Peers rebalance the released partitions

@@ -13,6 +13,15 @@ type FaultPlan interface {
 	ShouldCrash(fn, label string, opIndex int) bool
 }
 
+// CrashAll kills every instance at its next crash point — the sudden-death
+// model a worker kill uses: in-flight handlers die at their next operation
+// boundary, which preserves the at-entry contract (an instance's intent
+// lands before its first crash point can fire).
+type CrashAll struct{}
+
+// ShouldCrash implements FaultPlan.
+func (CrashAll) ShouldCrash(string, string, int) bool { return true }
+
 // CrashOnce kills the first instance of Function that reaches Label, then
 // disarms — the canonical "fail, then let the intent collector finish the
 // job" scenario from the paper's exactly-once experiments.

@@ -2,16 +2,6 @@ package sim
 
 import "repro/internal/walstore"
 
-// CrashAll is a platform fault plan that kills every instance at its next
-// crash point — the sudden-death model a worker kill uses: in-flight
-// handlers die at their next operation boundary, which preserves the
-// at-entry contract (an instance's intent lands before its first crash
-// point can fire).
-type CrashAll struct{}
-
-// ShouldCrash implements platform.FaultPlan.
-func (CrashAll) ShouldCrash(string, string, int) bool { return true }
-
 // TornWrite arms a single torn WAL append: the Nth framed record written
 // through the hooks is cut or corrupted at a chosen byte, and the store
 // poisons itself — the simulator's model of a process dying mid-write. The

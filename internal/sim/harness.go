@@ -225,7 +225,7 @@ func (c *Cluster) startPumpsFor(w *Worker) {
 func (c *Cluster) Kill(i int) {
 	w := c.Workers[i]
 	w.Killed = true
-	w.CW.Platform().SetFaults(CrashAll{})
+	w.CW.Platform().SetFaults(platform.CrashAll{})
 	c.S.KillProc(w.Name)
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"repro/internal/apps/fanout"
 	"repro/internal/apps/orders"
 	"repro/internal/apps/travel"
-	"repro/internal/dynamo"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
 	"repro/internal/storage"
@@ -44,8 +44,8 @@ func Kinds() []string {
 // WorkloadNames lists the application workloads a seed can select: the
 // travel reservation app (cross-SSF transactions), the event-driven order
 // pipeline (durable queues), and the fan-out word count (async promises).
-// The torn and spec kinds override the selection with a counter workload on
-// the WAL backend, whose audit is meaningful across a restart.
+// The torn and spec kinds override the selection with a counter workload,
+// whose audit is meaningful across a restart.
 func WorkloadNames() []string { return []string{"travel", "orders", "fanout"} }
 
 // Scenario is the seed-derived shape of one simulation run.
@@ -58,9 +58,6 @@ type Scenario struct {
 	Workload string
 	// Policy names the interleaving policy; see Policies.
 	Policy string
-	// Backend is the storage backend the run resolved to ("mem" or "wal");
-	// set by RunSeed.
-	Backend string
 }
 
 // ScenarioFor derives the scenario a seed selects: the kind cycles
@@ -81,16 +78,6 @@ func ScenarioFor(seed int64) Scenario {
 		sc.Workload = "counter"
 	}
 	return sc
-}
-
-// RunOpts configure one RunSeed call.
-type RunOpts struct {
-	// Backend selects the storage backend: "mem" (default) or "wal". The
-	// torn and spec kinds always run on "wal".
-	Backend string
-	// Dir is the WAL directory; required whenever the run resolves to the
-	// wal backend. Use a fresh directory per run.
-	Dir string
 }
 
 // Result describes a completed (or failed) run.
@@ -118,61 +105,52 @@ type Result struct {
 }
 
 // ReproLine returns the command that replays a failing seed.
-func ReproLine(seed int64, backend string) string {
-	return fmt.Sprintf("go test ./internal/sim -run 'TestSimReplaySeed' -sim.seed=%d -sim.backend=%s", seed, backend)
+func ReproLine(seed int64) string {
+	return fmt.Sprintf("go test ./internal/sim -run 'TestSimReplaySeed' -sim.seed=%d", seed)
 }
 
-// RunSeed executes the scenario seed selects, end to end: build the
-// cluster, drive the workload while the fault schedule fires, quiesce,
-// audit exactly-once totals and transactional invariants, then advance
-// time through several GC generations with a full Fsck after each step. A
-// nil error means every audit passed; the Result's trace hash is returned
-// either way so replays can be compared.
-func RunSeed(seed int64, opts RunOpts) (Result, error) {
+// RunSeed executes the scenario seed selects, end to end, over a WAL store
+// in a directory it creates under os.TempDir and removes before it returns:
+// build the cluster, drive the workload while the fault schedule fires,
+// quiesce, audit exactly-once totals and transactional invariants, then
+// advance time through several GC generations with a full Fsck after each
+// step, and finally walstore.Fsck the directory. A nil error means every
+// audit passed; the Result's trace hash is returned either way so replays
+// can be compared.
+func RunSeed(seed int64) (res Result, err error) {
 	sc := ScenarioFor(seed)
-	sc.Backend = opts.Backend
-	if sc.Backend == "" {
-		sc.Backend = "mem"
+	res = Result{Scenario: sc}
+	dir, err := os.MkdirTemp("", "sim-wal-")
+	if err != nil {
+		return res, err
 	}
-	if isRestart(sc.Kind) {
-		sc.Backend = "wal"
-	}
-	res := Result{Scenario: sc}
-	if sc.Backend == "wal" && opts.Dir == "" {
-		return res, fmt.Errorf("sim: scenario %d (%s) needs the wal backend: set RunOpts.Dir", seed, sc.Kind)
-	}
+	defer func() {
+		if rerr := os.RemoveAll(dir); rerr != nil && err == nil {
+			err = fmt.Errorf("sim: removing the WAL directory: %w", rerr)
+		}
+	}()
 
 	s := New(Options{Seed: seed, Policy: sc.Policy})
 	// Load parameters draw from their own stream so scenario shape never
 	// perturbs scheduling decisions.
 	prng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
 
-	var err error
 	if isRestart(sc.Kind) {
-		err = runRestart(s, sc, prng, opts.Dir)
+		err = runRestart(s, sc, prng, dir)
 	} else {
-		var store storage.Backend
+		// SyncNone: the simulation models no page-cache loss (a torn append
+		// is a hook, not a lost fsync), and real fsyncs would dominate sweep
+		// wall time.
 		var ws *walstore.Store
-		if sc.Backend == "wal" {
-			// SyncNone: fsync policy is irrelevant to the simulation (no
-			// page-cache loss is modeled outside the torn kind) and real
-			// fsyncs would dominate sweep wall time.
-			ws, err = walstore.Open(opts.Dir, walstore.Options{Sync: walstore.SyncNone})
-			if err != nil {
-				return res, err
-			}
-			store = ws
-		} else {
-			store = dynamo.NewStore()
+		if ws, err = walstore.Open(dir, walstore.Options{Sync: walstore.SyncNone}); err != nil {
+			return res, err
 		}
-		err = runScenario(s, sc, prng, store, &res)
-		if ws != nil {
-			if cerr := ws.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("sim: closing walstore: %w", cerr)
-			}
-			if ferr := walstore.Fsck(opts.Dir); ferr != nil && err == nil {
-				err = fmt.Errorf("sim: walstore fsck: %w", ferr)
-			}
+		err = runScenario(s, sc, prng, ws, &res)
+		if cerr := ws.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("sim: closing walstore: %w", cerr)
+		}
+		if ferr := walstore.Fsck(dir); ferr != nil && err == nil {
+			err = fmt.Errorf("sim: walstore fsck: %w", ferr)
 		}
 	}
 	res.TraceHash = s.TraceHash()
@@ -984,13 +962,6 @@ func runRestart(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 type SweepOptions struct {
 	// Seeds are the scenario seeds to run, in order.
 	Seeds []int64
-	// Backend selects the storage backend for every kind but torn and spec,
-	// which always run on "wal": "mem" (default) or "wal".
-	Backend string
-	// TempDir returns a fresh directory for each run that needs the WAL
-	// backend; required when Backend is "wal" or any seed derives the torn or
-	// spec kind.
-	TempDir func() string
 	// Logf receives progress and failure lines (testing.T.Logf-shaped);
 	// nil discards them.
 	Logf func(format string, args ...any)
@@ -1009,46 +980,30 @@ type Report struct {
 	Results []SeedResult
 	// Failures holds the failing subset, in input order.
 	Failures []SeedResult
-	// Skipped counts seeds that could not run (no TempDir for a WAL
-	// scenario).
-	Skipped int
 }
 
-// Sweep runs every seed's scenario and reports the failures; each failure
-// logs the exact command that replays it. CI runs a bounded sweep in
-// tier-1 and a deep one nightly (see .github/workflows/ci.yml).
+// Sweep runs every seed's scenario once, each through RunSeed on a WAL
+// store of its own, and reports the failures; each failure logs the exact
+// command that replays it. CI runs a bounded sweep in tier-1 and a deep one
+// nightly (see .github/workflows/ci.yml).
 func Sweep(o SweepOptions) Report {
 	logf := o.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	backend := o.Backend
-	if backend == "" {
-		backend = "mem"
-	}
 	var rep Report
 	for _, seed := range o.Seeds {
-		sc := ScenarioFor(seed)
-		dir := ""
-		if backend == "wal" || isRestart(sc.Kind) {
-			if o.TempDir == nil {
-				logf("sim: seed %d (%s) skipped: WAL scenario but no TempDir", seed, sc.Kind)
-				rep.Skipped++
-				continue
-			}
-			dir = o.TempDir()
-		}
-		res, err := RunSeed(seed, RunOpts{Backend: backend, Dir: dir})
+		res, err := RunSeed(seed)
 		sr := SeedResult{Result: res, Err: err}
 		rep.Results = append(rep.Results, sr)
+		sc := res.Scenario
 		if err != nil {
 			rep.Failures = append(rep.Failures, sr)
-			logf("sim: seed %d FAILED (kind=%s workload=%s policy=%s backend=%s): %v\n  reproduce: %s",
-				seed, res.Scenario.Kind, res.Scenario.Workload, res.Scenario.Policy, res.Scenario.Backend,
-				err, ReproLine(seed, res.Scenario.Backend))
+			logf("sim: seed %d FAILED (kind=%s workload=%s policy=%s): %v\n  reproduce: %s",
+				seed, sc.Kind, sc.Workload, sc.Policy, err, ReproLine(seed))
 		} else {
 			logf("sim: seed %d ok (kind=%s workload=%s policy=%s): %d steps, trace %016x",
-				seed, res.Scenario.Kind, res.Scenario.Workload, res.Scenario.Policy, res.Steps, res.TraceHash)
+				seed, sc.Kind, sc.Workload, sc.Policy, res.Steps, res.TraceHash)
 		}
 	}
 	return rep

@@ -17,15 +17,14 @@ import (
 )
 
 var (
-	simSeed    = flag.Int64("sim.seed", -1, "replay this scenario seed (see a failing sweep's reproduce line)")
-	simBackend = flag.String("sim.backend", "mem", "backend for -sim.seed replay: mem or wal")
-	simDeep    = flag.Int("sim.deep", 0, "deep-sweep seed budget (nightly CI); 0 skips the deep sweep")
-	update     = flag.Bool("update", false, "rewrite testdata/tracehashes.golden from this build")
+	simSeed = flag.Int64("sim.seed", -1, "replay this scenario seed (see a failing sweep's reproduce line)")
+	simDeep = flag.Int("sim.deep", 0, "deep-sweep seed budget (nightly CI); 0 skips the deep sweep")
+	update  = flag.Bool("update", false, "rewrite testdata/tracehashes.golden from this build")
 )
 
 // TestSimSweepBounded is the tier-1 sweep: one contiguous seed block
-// covering every fault kind and every workload at least once, on both
-// backends. Every seed must pass — a failure here is a protocol bug with a
+// covering every fault kind and every workload at least once, each run once
+// on the WAL. Every seed must pass — a failure here is a protocol bug with a
 // printed reproduction line — and every run's trace hash must match
 // testdata/tracehashes.golden. A hash that moves means the run took another
 // schedule; regenerate (go test ./internal/sim -run TestSimSweepBounded
@@ -39,20 +38,15 @@ func TestSimSweepBounded(t *testing.T) {
 	for seed := int64(0); seed < 33; seed++ {
 		seeds = append(seeds, seed)
 	}
+	rep := Sweep(SweepOptions{Seeds: seeds, Logf: t.Logf})
+	if len(rep.Failures) != 0 {
+		t.Fatalf("%d/%d seeds failed; reproduction lines above", len(rep.Failures), len(rep.Results))
+	}
 	var lines []string
-	for _, backend := range []string{"mem", "wal"} {
-		rep := Sweep(SweepOptions{Seeds: seeds, Backend: backend, TempDir: t.TempDir, Logf: t.Logf})
-		if len(rep.Failures) != 0 {
-			t.Fatalf("%s: %d/%d seeds failed; reproduction lines above", backend, len(rep.Failures), len(rep.Results))
-		}
-		if rep.Skipped != 0 {
-			t.Fatalf("%s: %d seeds skipped; the bounded sweep must run everything", backend, rep.Skipped)
-		}
-		for _, r := range rep.Results {
-			sc := r.Scenario
-			lines = append(lines, fmt.Sprintf("%d %s %s %s %s %d %016x",
-				sc.Seed, sc.Backend, sc.Kind, sc.Workload, sc.Policy, r.Steps, r.TraceHash))
-		}
+	for _, r := range rep.Results {
+		sc := r.Scenario
+		lines = append(lines, fmt.Sprintf("%d %s %s %s %d %016x",
+			sc.Seed, sc.Kind, sc.Workload, sc.Policy, r.Steps, r.TraceHash))
 	}
 	checkGolden(t, filepath.Join("testdata", "tracehashes.golden"), lines)
 }
@@ -97,7 +91,7 @@ func TestSimDeepSweep(t *testing.T) {
 	for seed := int64(0); seed < int64(*simDeep); seed++ {
 		seeds = append(seeds, seed)
 	}
-	rep := Sweep(SweepOptions{Seeds: seeds, Backend: *simBackend, TempDir: t.TempDir, Logf: t.Logf})
+	rep := Sweep(SweepOptions{Seeds: seeds, Logf: t.Logf})
 	if len(rep.Failures) != 0 {
 		t.Fatalf("%d/%d seeds failed; reproduction lines above", len(rep.Failures), len(rep.Results))
 	}
@@ -105,7 +99,7 @@ func TestSimDeepSweep(t *testing.T) {
 
 // TestSimReplaySeed is the reproduction entry point a failing sweep prints:
 //
-//	go test ./internal/sim -run 'TestSimReplaySeed' -sim.seed=N -sim.backend=B
+//	go test ./internal/sim -run 'TestSimReplaySeed' -sim.seed=N
 //
 // It replays the seed's scenario twice and reports the failure along with
 // both trace hashes, which must be identical — the whole point of
@@ -115,10 +109,10 @@ func TestSimReplaySeed(t *testing.T) {
 	if seed < 0 {
 		seed = 3 // cheap default so the entry point is exercised in tier-1
 	}
-	first, err1 := RunSeed(seed, RunOpts{Backend: *simBackend, Dir: t.TempDir()})
-	second, err2 := RunSeed(seed, RunOpts{Backend: *simBackend, Dir: t.TempDir()})
-	t.Logf("seed %d (%s/%s/%s on %s): trace %016x / %016x, %d steps",
-		seed, first.Scenario.Kind, first.Scenario.Workload, first.Scenario.Policy, first.Scenario.Backend,
+	first, err1 := RunSeed(seed)
+	second, err2 := RunSeed(seed)
+	t.Logf("seed %d (%s/%s/%s): trace %016x / %016x, %d steps",
+		seed, first.Scenario.Kind, first.Scenario.Workload, first.Scenario.Policy,
 		first.TraceHash, second.TraceHash, first.Steps)
 	if first.TraceHash != second.TraceHash {
 		t.Errorf("replay diverged: trace %016x then %016x", first.TraceHash, second.TraceHash)
@@ -140,8 +134,8 @@ func TestSimReplayIsDeterministic(t *testing.T) {
 	}
 	for seed := int64(0); seed < int64(len(Kinds())); seed++ {
 		sc := ScenarioFor(seed)
-		a, errA := RunSeed(seed, RunOpts{Dir: t.TempDir()})
-		b, errB := RunSeed(seed, RunOpts{Dir: t.TempDir()})
+		a, errA := RunSeed(seed)
+		b, errB := RunSeed(seed)
 		if a.TraceHash != b.TraceHash {
 			t.Errorf("seed %d (%s/%s): trace %016x then %016x — not deterministic",
 				seed, sc.Kind, sc.Workload, a.TraceHash, b.TraceHash)
@@ -149,6 +143,28 @@ func TestSimReplayIsDeterministic(t *testing.T) {
 		if (errA == nil) != (errB == nil) {
 			t.Errorf("seed %d (%s/%s): outcome diverged: %v then %v", seed, sc.Kind, sc.Workload, errA, errB)
 		}
+	}
+}
+
+// TestSimRunOwnsItsDirectory pins RunSeed's storage contract: a run keeps
+// its WAL in a directory of its own under os.TempDir and removes it before
+// returning, on a one-generation cluster seed and on a two-generation
+// restart seed alike, so a sweep of any length leaves nothing behind.
+func TestSimRunOwnsItsDirectory(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for _, seed := range []int64{25, 8} { // kill/fanout, torn/counter
+		sc := ScenarioFor(seed)
+		if _, err := RunSeed(seed); err != nil {
+			t.Fatalf("seed %d (%s/%s) failed: %v\nreproduce: %s", seed, sc.Kind, sc.Workload, err, ReproLine(seed))
+		}
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("a run left %s behind in its temporary directory", e.Name())
 	}
 }
 
@@ -177,12 +193,12 @@ func TestSimSpecCrashRecovery(t *testing.T) {
 		if sc.Kind != row.kind || sc.Workload != "counter" {
 			t.Fatalf("seed %d derives %s/%s, this test needs %s/counter — re-pin the seed", seed, sc.Kind, sc.Workload, row.kind)
 		}
-		a, errA := RunSeed(seed, RunOpts{Dir: t.TempDir()})
+		a, errA := RunSeed(seed)
 		if errA != nil {
-			t.Errorf("seed %d (policy=%s) failed: %v\nreproduce: %s", seed, sc.Policy, errA, ReproLine(seed, "wal"))
+			t.Errorf("seed %d (policy=%s) failed: %v\nreproduce: %s", seed, sc.Policy, errA, ReproLine(seed))
 			continue
 		}
-		b, errB := RunSeed(seed, RunOpts{Dir: t.TempDir()})
+		b, errB := RunSeed(seed)
 		if errB != nil || a.TraceHash != b.TraceHash {
 			t.Errorf("seed %d replay diverged: trace %016x then %016x (err %v)", seed, a.TraceHash, b.TraceHash, errB)
 		}
@@ -207,12 +223,12 @@ func TestSimWakeFaultsPreserveLiveness(t *testing.T) {
 		if sc.Kind != "wake" {
 			t.Fatalf("seed %d derives %s/%s, this test needs the wake kind — re-pin the seed", seed, sc.Kind, sc.Workload)
 		}
-		a, errA := RunSeed(seed, RunOpts{Dir: t.TempDir()})
+		a, errA := RunSeed(seed)
 		if errA != nil {
-			t.Errorf("seed %d (%s/%s) failed: %v\nreproduce: %s", seed, sc.Kind, sc.Workload, errA, ReproLine(seed, "mem"))
+			t.Errorf("seed %d (%s/%s) failed: %v\nreproduce: %s", seed, sc.Kind, sc.Workload, errA, ReproLine(seed))
 			continue
 		}
-		b, errB := RunSeed(seed, RunOpts{Dir: t.TempDir()})
+		b, errB := RunSeed(seed)
 		if errB != nil || a.TraceHash != b.TraceHash {
 			t.Errorf("seed %d replay diverged: trace %016x then %016x (err %v)", seed, a.TraceHash, b.TraceHash, errB)
 		}
@@ -271,9 +287,9 @@ func pinnedPauseSeeds(t *testing.T, launch string, seeds []int64, missed func(Re
 		if sc.Kind != "pause" || sc.Workload != "travel" {
 			t.Fatalf("seed %d derives %s/%s, this test needs pause/travel — re-pin the seed", seed, sc.Kind, sc.Workload)
 		}
-		a, errA := RunSeed(seed, RunOpts{Dir: t.TempDir()})
+		a, errA := RunSeed(seed)
 		if errA != nil {
-			t.Errorf("seed %d (policy=%s) failed: %v\nreproduce: %s", seed, sc.Policy, errA, ReproLine(seed, "mem"))
+			t.Errorf("seed %d (policy=%s) failed: %v\nreproduce: %s", seed, sc.Policy, errA, ReproLine(seed))
 			continue
 		}
 		if a.ReadHeavy != launch {
@@ -281,7 +297,7 @@ func pinnedPauseSeeds(t *testing.T, launch string, seeds []int64, missed func(Re
 		} else if why := missed(a); why != "" {
 			t.Errorf("seed %d (policy=%s): %s — re-pin the seed", seed, sc.Policy, why)
 		}
-		b, errB := RunSeed(seed, RunOpts{Dir: t.TempDir()})
+		b, errB := RunSeed(seed)
 		if errB != nil || a.TraceHash != b.TraceHash || a.Superseded != b.Superseded || a.ReadHeavyResults != b.ReadHeavyResults {
 			t.Errorf("seed %d replay diverged: trace %016x then %016x, superseded %d then %d, results %d then %d (err %v)",
 				seed, a.TraceHash, b.TraceHash, a.Superseded, b.Superseded, a.ReadHeavyResults, b.ReadHeavyResults, errB)
@@ -309,7 +325,7 @@ func TestSimCatchesUnguardedIntentDone(t *testing.T) {
 		seeds = append(seeds, seed)
 	}
 	var caught *SeedResult
-	rep := Sweep(SweepOptions{Seeds: seeds, TempDir: t.TempDir, Logf: t.Logf})
+	rep := Sweep(SweepOptions{Seeds: seeds, Logf: t.Logf})
 	for i := range rep.Failures {
 		caught = &rep.Failures[i]
 		break
@@ -317,11 +333,11 @@ func TestSimCatchesUnguardedIntentDone(t *testing.T) {
 	if caught == nil {
 		t.Fatalf("the sweep missed the reintroduced zombie-upsert bug across %d latedone seeds", len(seeds))
 	}
-	t.Logf("caught at seed %d: %v", caught.Scenario.Seed, caught.Err)
+	t.Logf("caught at seed %d (trace %016x): %v", caught.Scenario.Seed, caught.TraceHash, caught.Err)
 
 	// The printed seed must replay the identical failing schedule.
-	r1, err1 := RunSeed(caught.Scenario.Seed, RunOpts{Dir: t.TempDir()})
-	r2, err2 := RunSeed(caught.Scenario.Seed, RunOpts{Dir: t.TempDir()})
+	r1, err1 := RunSeed(caught.Scenario.Seed)
+	r2, err2 := RunSeed(caught.Scenario.Seed)
 	if err1 == nil || err2 == nil {
 		t.Fatalf("caught seed %d did not fail on replay: %v / %v", caught.Scenario.Seed, err1, err2)
 	}
