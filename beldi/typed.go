@@ -175,15 +175,22 @@ func (p *PromiseOf[T]) Await(e *Env) (T, error) {
 }
 
 // AwaitAllOf resolves typed promises in order and returns their decoded
-// values — AwaitAll for a homogeneous typed fan-out.
+// values — Env.AwaitAll for a homogeneous typed fan-out, so the fan-in waits
+// once for all its results and each Await stays its own logged step.
 func AwaitAllOf[T any](e *Env, ps ...*PromiseOf[T]) ([]T, error) {
-	outs := make([]T, len(ps))
+	raw := make([]*Promise, len(ps))
 	for i, p := range ps {
-		v, err := p.Await(e)
-		if err != nil {
+		raw[i] = p.p
+	}
+	vals, err := e.AwaitAll(raw...)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]T, len(ps))
+	for i, v := range vals {
+		if err := FromValue(v, &outs[i]); err != nil {
 			return nil, err
 		}
-		outs[i] = v
 	}
 	return outs, nil
 }

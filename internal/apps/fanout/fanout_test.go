@@ -2,12 +2,14 @@ package fanout
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/beldi"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/storage/storagetest"
 	"repro/internal/uuid"
 )
@@ -149,15 +151,45 @@ func mapsEqual(a, b map[string]int64) bool {
 	return true
 }
 
+// eventCounting is a counting store that also counts the commit events the
+// waits on one table have taken from their subscriptions, skipped or not.
+type eventCounting struct {
+	*storagetest.Counting
+	table  string
+	events atomic.Int64
+}
+
+func (c *eventCounting) Watch(table string, hash storage.Value) (storage.Subscription, error) {
+	sub, err := c.Counting.Watch(table, hash)
+	if err != nil || table != c.table {
+		return sub, err
+	}
+	return countedSub{sub, &c.events}, nil
+}
+
+type countedSub struct {
+	storage.Subscription
+	events *atomic.Int64
+}
+
+func (s countedSub) Wait(d time.Duration, cancel <-chan struct{}, skip func(storage.CommitEvent) bool) bool {
+	return s.Subscription.Wait(d, cancel, func(ev storage.CommitEvent) bool {
+		s.events.Add(1)
+		return skip != nil && skip(ev)
+	})
+}
+
 // TestFanOutJobStoreOpsByTable prices one job of 8 mappers, table by table.
 // Delivery is made deterministic: the mappers are driven by PollAll one
 // message at a time, the await's fallback timer is out of reach, and each
-// poll waits for the driver to have reacted to the post it caused — so the
-// results arrive one by one, in order, which is also the dearest case for the
-// fan-in (a wake-up fetch plus the next await's first fetch per result; a
-// real run clusters the posts and pays about a quarter of that).
+// poll waits for the driver's wait to have taken the commit event of the
+// post it caused — so the results arrive one by one, in order, the case that
+// once cost the fan-in a wake-up fetch plus the next await's first fetch per
+// result. The fan-in now waits once: one fetch finds nothing, the wait skips
+// the first 7 posts and wakes on the 8th, and one more fetch finds all 8.
 func TestFanOutJobStoreOpsByTable(t *testing.T) {
-	store := storagetest.NewCounting(dynamo.NewStore())
+	const fanIn, mapQueue = FnReduce + ".invokelog", "queue.invoke." + FnMap
+	store := &eventCounting{Counting: storagetest.NewCounting(dynamo.NewStore()), table: fanIn}
 	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"}})
 	d := beldi.NewDeployment(beldi.DeploymentOptions{Store: store, Platform: plat,
 		Config: beldi.Config{LockRetryBase: time.Hour}})
@@ -166,12 +198,11 @@ func TestFanOutJobStoreOpsByTable(t *testing.T) {
 	job := corpus()
 	docs := len(job.Docs)
 
-	const fanIn, mapQueue = FnReduce + ".invokelog", "queue.invoke." + FnMap
-	fetched := func(n int) {
+	until := func(what string, n int, got func() int) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); store.Count(fanIn, "query") < n; time.Sleep(200 * time.Microsecond) {
+		for deadline := time.Now().Add(5 * time.Second); got() < n; time.Sleep(200 * time.Microsecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("driver stuck at %d fan-in fetches, waiting for %d: %v", store.Count(fanIn, "query"), n, store.Counts())
+				t.Fatalf("driver stuck at %d %s, waiting for %d: %v", got(), what, n, store.Counts())
 			}
 		}
 	}
@@ -180,12 +211,13 @@ func TestFanOutJobStoreOpsByTable(t *testing.T) {
 		_, err := app.Reduce.Invoke(job)
 		done <- err
 	}()
-	fetched(1) // fanned out, and waiting on the first result
+	// Fanned out, and waiting on all the results.
+	until("fan-in fetches", 1, func() int { return store.Count(fanIn, "query") })
 	for i := 1; i <= docs; i++ {
 		if n, _, err := da.PollAll(); n != 1 || err != nil {
 			t.Fatalf("poll %d delivered %d messages, err %v", i, n, err)
 		}
-		fetched(min(1+2*i, 2*docs))
+		until("commit events taken", i, func() int { return int(store.events.Load()) })
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -198,7 +230,7 @@ func TestFanOutJobStoreOpsByTable(t *testing.T) {
 		FnReduce + ".intent put":         1,
 		FnReduce + ".intent update":      1,
 		fanIn + " update":                3 * docs,
-		fanIn + " query":                 2 * docs,
+		fanIn + " query":                 2,
 		FnReduce + ".readlog transact":   1,
 		FnReduce + ".data.totals query":  1,
 		FnReduce + ".data.totals update": 1,

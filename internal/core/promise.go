@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/dynamo"
@@ -100,8 +101,14 @@ func (e *Env) AsyncInvokePromise(callee string, input Value) (*Promise, error) {
 // respect the execution's context (Env.Context) and the platform's crash
 // points, and give up with ErrAwaitTimeout after the configured budget
 // (Config.AwaitRetryMax) — failing the instance, not the workflow: the
-// intent collector retries the await later.
-func (p *Promise) Await(e *Env) (Value, error) {
+// intent collector retries the await later. An Await inside Env.AwaitAll
+// waits for the whole fan-in at once; see there.
+func (p *Promise) Await(e *Env) (Value, error) { return p.await(e, nil) }
+
+// await is Await for a promise that rest, the later promises of a fan-in,
+// follow: if it has to wait at all, it waits until every one of them is
+// posted too, so their Awaits are answered from the cache.
+func (p *Promise) await(e *Env, rest []*Promise) (Value, error) {
 	e.rt.stats.Awaits.Add(1)
 	if p.resolved {
 		return p.val, p.err
@@ -128,12 +135,14 @@ func (p *Promise) Await(e *Env) (Value, error) {
 	// Wait for the callee's post. Results land in this instance's own
 	// invoke-log partition, so the awaiter parks on a storage.Waiter over
 	// that partition, armed before each fetch: a post landing between fetch
-	// and wait still wakes it. The exponential-backoff timer bounds every
-	// wait, and each expiry re-fetches — a lost or coalesced wakeup costs one
-	// backoff period, never the result. Only a wait that ended on its timer
-	// draws down the budget: a wake-up is some other commit on the partition
-	// (another promise's post, in a fan-in), and charging for it would time
-	// out an await whose own callee merely finishes last.
+	// and wait still wakes it. A fetch that leaves m of the fan-in's results
+	// missing is followed by a wait for m commits on the partition (see
+	// skipUntil); the exponential-backoff timer bounds every wait, and each
+	// expiry re-fetches — a lost or coalesced wakeup costs one backoff
+	// period, never the result. Only a wait that ended on its timer draws
+	// down the budget: a wake-up is commits on the partition — in a fan-in,
+	// posts — and charging for it would time out an await whose own callee
+	// merely finishes last.
 	resolved := func(val Value) (Value, error) {
 		e.queueRead(stepKey, val)
 		e.awaitSpan(t0, stepKey, p, false, nil)
@@ -144,21 +153,28 @@ func (p *Promise) Await(e *Env) (Value, error) {
 	if val, ok := posted.get(p.step); ok {
 		return resolved(val)
 	}
+	want := []string{p.step}
+	for _, q := range rest {
+		if q.id != "" { // not a baseline future
+			want = append(want, q.step)
+		}
+	}
 	w := storage.NewWaiter(e.rt.store, e.rt.invokeLog, dynamo.S(e.instanceID), e.rt.clk)
 	defer w.Close()
 	ctx := e.Context()
 	backoff := e.rt.cfg.LockRetryBase
 	for timeouts := 0; timeouts < e.rt.cfg.AwaitRetryMax; {
 		w.Arm()
-		val, ok, err := posted.fetch(e, p.step)
-		if err != nil {
+		var err error
+		if want, err = posted.fetch(e, want); err != nil {
 			return dynamo.Null, err
 		}
-		if ok {
+		if len(want) == 0 {
+			val, _ := posted.get(p.step)
 			return resolved(val)
 		}
 		e.crash("await:poll:", stepKey)
-		switch w.Wait(backoff, ctx.Done(), nil) {
+		switch w.Wait(backoff, ctx.Done(), skipUntil(len(want))) {
 		case storage.WakeCancel:
 			// Nothing was logged for this step, so the re-execution repeats
 			// the await from scratch against the same row.
@@ -171,6 +187,25 @@ func (p *Promise) Await(e *Env) (Value, error) {
 	}
 	e.awaitSpan(t0, stepKey, p, false, ErrAwaitTimeout)
 	return dynamo.Null, fmt.Errorf("%w: %s (%s) after %d waits", ErrAwaitTimeout, p.id, p.callee, e.rt.cfg.AwaitRetryMax)
+}
+
+// skipUntil returns the skip of a wait for m missing results: it claims the
+// first m−1 commit events on the partition, so the wait wakes on the m-th —
+// each missing result commits one post after the fetch, so no earlier event
+// can complete the fan-in; another commit (a Parallel sibling's call) only
+// wakes it one post early. It counts only while m is below the watch
+// buffer: a coalesced event is then followed by a buffer-full of events to
+// count, so the wake-up still comes (the event-source mapper's rule 4,
+// platform/eventsource.go); a bigger fan-in wakes on its first event.
+func skipUntil(m int) func(storage.CommitEvent) bool {
+	if m < 2 || m >= storage.DefaultWatchBuffer {
+		return nil
+	}
+	skips := m - 1
+	return func(storage.CommitEvent) bool {
+		skips--
+		return skips >= 0
+	}
 }
 
 // postedResults caches the promise results an execution has fetched, by the
@@ -199,16 +234,16 @@ func (c *postedResults) get(step string) (Value, bool) {
 }
 
 // fetch reads, in one query of the instance's invoke-log partition, every
-// result posted so far for the call logged at step or a later one — in a
-// fan-in the earlier ones have been awaited already — caches them all, and
-// answers for step.
-func (c *postedResults) fetch(e *Env, step string) (Value, bool, error) {
+// result posted so far for the call logged at the earliest of steps or a
+// later one — in a fan-in the earlier ones have been awaited already —
+// caches them all, and returns the steps still unposted, in place.
+func (c *postedResults) fetch(e *Env, steps []string) ([]string, error) {
 	rows, err := e.rt.store.Query(e.rt.invokeLog, dynamo.S(e.instanceID), dynamo.QueryOpts{
-		Filter:     dynamo.And(postedPresent, dynamo.Ge(dynamo.A(attrStep), dynamo.S(step))),
+		Filter:     dynamo.And(postedPresent, dynamo.Ge(dynamo.A(attrStep), dynamo.S(slices.Min(steps)))),
 		Projection: []dynamo.Path{dynamo.A(attrStep), dynamo.A(attrPosted)},
 	})
 	if err != nil {
-		return dynamo.Null, false, err
+		return steps, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -218,8 +253,13 @@ func (c *postedResults) fetch(e *Env, step string) (Value, bool, error) {
 	for _, it := range rows {
 		c.vals[it[attrStep].Str()] = it[attrPosted]
 	}
-	v, ok := c.vals[step]
-	return v, ok, nil
+	missing := steps[:0]
+	for _, s := range steps {
+		if _, ok := c.vals[s]; !ok {
+			missing = append(missing, s)
+		}
+	}
+	return missing, nil
 }
 
 // awaitSpan records the telemetry span of one Await: the causal edge to
@@ -240,14 +280,18 @@ func (e *Env) awaitSpan(t0 int64, stepKey string, p *Promise, replay bool, err e
 }
 
 // AwaitAll resolves every promise, in order, and returns their values in
-// the same order — the fan-in half of fan-out/fan-in. Resolution is
-// sequential so the logged steps replay deterministically; the fan-out
-// itself already runs concurrently. The first error aborts the remaining
-// awaits.
+// the same order — the fan-in half of fan-out/fan-in. Each promise's Await
+// is its own logged step, so the fan-in replays deterministically; the
+// fan-out itself already runs concurrently. The first Await that has to
+// wait waits for all the promises after it as well, and pays two fetches of
+// the invoke-log partition when the results trickle in — one before the
+// wait, one after the last post — instead of one per wake-up; the Awaits
+// after it are answered from the cache. The first error aborts the
+// remaining awaits.
 func (e *Env) AwaitAll(ps ...*Promise) ([]Value, error) {
 	outs := make([]Value, len(ps))
 	for i, p := range ps {
-		v, err := p.Await(e)
+		v, err := p.await(e, ps[i+1:])
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -602,31 +603,197 @@ func (h *fetchHookWatcher) Query(table string, hash storage.Value, opts storage.
 	return rows, err
 }
 
+// oneByOne awaits a fan-out one promise after the other, each Await waiting
+// for its own result only.
+func oneByOne(e *Env, ps []*Promise) ([]Value, error) {
+	outs := make([]Value, len(ps))
+	for i, p := range ps {
+		var err error
+		if outs[i], err = p.Await(e); err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
 // TestAwaitResubscribesWhenItsSubscriptionDies loses the await's
 // subscription as a dropped remote connection would: an event comes through
 // (another promise's post), then the subscription closes, then the awaited
 // result is posted. The await must subscribe again at its next fetch and
-// wake on the post, not sleep out its 2 s backoff on the dead subscription.
+// wake on the post, not sleep out its backoff on the dead subscription. An
+// Await on its own wakes on the event and resubscribes at once. A fan-in
+// counts the event as one of its two posts, so it waits the dead
+// subscription out once, on its timer; the fetch after that resubscribes and
+// wakes on the last post instead of sleeping out the doubled backoff.
 func TestAwaitResubscribesWhenItsSubscriptionDies(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		await func(*Env, []*Promise) ([]Value, error)
+		base  time.Duration // the first backoff
+		limit time.Duration // what the await may take
+	}{
+		{"Await", oneByOne, 2 * time.Second, time.Second},
+		{"AwaitAll", inOrder, 500 * time.Millisecond, time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var runs []queuedRun
+			var post func(queuedRun)
+			w := &fetchHookWatcher{Backend: dynamo.NewStore()}
+			w.afterFetch = func(n int, first storage.Subscription) {
+				switch n {
+				case 1: // the await found nothing: wake it, then drop its subscription
+					post(runs[1])
+					first.Close()
+				case 2:
+					post(runs[0])
+				}
+			}
+			f := newFixture(t, withStore(w), withConfig(Config{RowCap: 4, T: DefaultT, ICMinAge: time.Hour,
+				LockRetryBase: tc.base}))
+			heldFanOut(f, 2, func(r []queuedRun, p func(queuedRun)) { runs, post = r, p }, tc.await)
+			start := time.Now()
+			checkFanIn(t, f.mustInvoke("driver", dynamo.Null), 2)
+			if el := time.Since(start); el > tc.limit {
+				t.Errorf("await took %v: it slept out its backoff on a dead subscription", el)
+			}
+		})
+	}
+}
+
+// fanInFetches is the fan-in wait's schedule: the invoke-log fetches of a
+// driver awaiting n promises once foreign other commits and then the first
+// posts of its results have landed on its partition, all after its first
+// fetch, each after the driver reacted to the one before. A wait for m
+// missing results wakes on the m-th commit, or on the first while m is not
+// below the watch buffer.
+func fanInFetches(n, foreign, posts int) int {
+	fetches, missing, seen := 1, n, 0
+	for ev := 1; ev <= foreign+posts; ev++ {
+		if seen++; seen < missing && missing < storage.DefaultWatchBuffer {
+			continue
+		}
+		fetches, seen, missing = fetches+1, 0, n-max(0, ev-foreign)
+		if missing == 0 {
+			break
+		}
+	}
+	return fetches
+}
+
+// TestFanInWaitsOnce prices a fan-in whose results trickle in one post at a
+// time, the schedule in which every post used to wake the awaiter for a
+// fetch and the next Await fetched again: 2n fetches. The fan-in now waits
+// once, for all of them: 2 fetches, one that finds nothing and one after the
+// last post. At 64 or more missing the wait wakes on every post (a coalesced
+// event must still be followed by a wake-up), so 100 promises cost 37
+// wake-ups before the last 63 are counted in one wait. A Parallel sibling's
+// call commits on the same partition during the wait — its row, then its
+// callee's result — and the wait, counting those as posts, wakes two posts
+// early: one fetch more, and no result lost.
+func TestFanInWaitsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		n       int
+		sibling bool  // a Parallel sibling calls "other" during the wait
+		want    int64 // invoke-log fetches; 2n when every post woke the awaiter
+	}{
+		{"2", 2, false, 2},
+		{"8", 8, false, 2},
+		{"63", 63, false, 2},
+		{"100", 100, false, 39},
+		{"8+sibling", 8, true, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fetches atomic.Int64
+			firstFetch, start := make(chan struct{}), make(chan struct{})
+			w := &fetchHookWatcher{Backend: dynamo.NewStore()}
+			w.afterFetch = func(n int, _ storage.Subscription) {
+				fetches.Store(int64(n))
+				if n == 1 {
+					close(firstFetch)
+					if !tc.sibling {
+						close(start)
+					}
+				}
+			}
+			f := newFixture(t, withStore(w), withConfig(Config{RowCap: 4, T: DefaultT, ICMinAge: time.Hour,
+				LockRetryBase: 5 * time.Second}))
+			f.fn("other", func(e *Env, in Value) (Value, error) { return dynamo.S("other"), nil })
+			foreign, await := 0, inOrder
+			if tc.sibling {
+				foreign = 2 // the sibling's invoke-log row and its callee's result
+				await = func(e *Env, ps []*Promise) ([]Value, error) {
+					var outs []Value
+					err := e.Parallel(
+						func(be *Env) (err error) {
+							outs, err = be.AwaitAll(ps...)
+							return err
+						},
+						func(be *Env) error {
+							defer close(start)
+							<-firstFetch
+							_, err := be.SyncInvoke("other", dynamo.Null)
+							return err
+						})
+					return outs, err
+				}
+			}
+			posted := make(chan struct{})
+			heldFanOut(f, tc.n, func(runs []queuedRun, post func(queuedRun)) {
+				go func() {
+					defer close(posted)
+					<-start
+					for i, run := range runs {
+						post(run)
+						want := int64(fanInFetches(tc.n, foreign, i+1))
+						for deadline := time.Now().Add(5 * time.Second); fetches.Load() < want; time.Sleep(100 * time.Microsecond) {
+							if time.Now().After(deadline) {
+								t.Errorf("after post %d: %d fetches, want %d", i+1, fetches.Load(), want)
+								return
+							}
+						}
+					}
+				}()
+			}, await)
+			checkFanIn(t, f.mustInvoke("driver", dynamo.Null), tc.n)
+			<-posted
+			if got := fetches.Load(); got != tc.want {
+				t.Errorf("fan-in of %d made %d fetches, want %d", tc.n, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestFanInCancelReturnsPromptly cancels a fan-in in the middle of its
+// counted wait — 3 of 8 results posted, the wait waking only on the 8th —
+// and the instance still returns at once, not after its 5 s timer.
+func TestFanInCancelReturnsPromptly(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var runs []queuedRun
 	var post func(queuedRun)
+	canceledAt := make(chan time.Time, 1)
 	w := &fetchHookWatcher{Backend: dynamo.NewStore()}
-	w.afterFetch = func(n int, first storage.Subscription) {
-		switch n {
-		case 1: // the await found nothing: wake it, then drop its subscription
-			post(runs[1])
-			first.Close()
-		case 2:
-			post(runs[0])
+	w.afterFetch = func(n int, _ storage.Subscription) {
+		if n == 1 {
+			go func() {
+				for _, run := range runs[:3] {
+					post(run)
+				}
+				canceledAt <- time.Now()
+				cancel()
+			}()
 		}
 	}
 	f := newFixture(t, withStore(w), withConfig(Config{RowCap: 4, T: DefaultT, ICMinAge: time.Hour,
-		LockRetryBase: 2 * time.Second}))
-	heldFanOut(f, 2, func(r []queuedRun, p func(queuedRun)) { runs, post = r, p }, inOrder)
-	start := time.Now()
-	checkFanIn(t, f.mustInvoke("driver", dynamo.Null), 2)
-	if el := time.Since(start); el > time.Second {
-		t.Errorf("await took %v: it slept out its backoff on a dead subscription", el)
+		LockRetryBase: 5 * time.Second}))
+	heldFanOut(f, 8, func(r []queuedRun, p func(queuedRun)) { runs, post = r, p }, inOrder)
+	_, err := f.plat.InvokeCtx(ctx, "driver", ClientEnvelope(dynamo.Null))
+	if !errors.Is(err, platform.ErrCanceled) && !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want cancellation", err)
+	}
+	if el := time.Since(<-canceledAt); el > 500*time.Millisecond {
+		t.Errorf("canceled fan-in returned after %v, want prompt", el)
 	}
 }
 
