@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/dynamo"
@@ -142,7 +143,9 @@ func (p *Promise) await(e *Env, rest []*Promise) (Value, error) {
 	// period, never the result. Only a wait that ended on its timer draws
 	// down the budget: a wake-up is commits on the partition — in a fan-in,
 	// posts — and charging for it would time out an await whose own callee
-	// merely finishes last.
+	// merely finishes last. And a fetch that finds a result refills it, so
+	// the budget is per missing result, as it is for a lone Await: a fan-in
+	// whose results trickle in may take longer than one budget in all.
 	resolved := func(val Value) (Value, error) {
 		e.queueRead(stepKey, val)
 		e.awaitSpan(t0, stepKey, p, false, nil)
@@ -153,10 +156,10 @@ func (p *Promise) await(e *Env, rest []*Promise) (Value, error) {
 	if val, ok := posted.get(p.step); ok {
 		return resolved(val)
 	}
-	want := []string{p.step}
+	want := []*Promise{p}
 	for _, q := range rest {
-		if q.id != "" { // not a baseline future
-			want = append(want, q.step)
+		if q.id != "" { // a zero Promise: its own Await reports the error
+			want = append(want, q)
 		}
 	}
 	w := storage.NewWaiter(e.rt.store, e.rt.invokeLog, dynamo.S(e.instanceID), e.rt.clk)
@@ -165,11 +168,14 @@ func (p *Promise) await(e *Env, rest []*Promise) (Value, error) {
 	backoff := e.rt.cfg.LockRetryBase
 	for timeouts := 0; timeouts < e.rt.cfg.AwaitRetryMax; {
 		w.Arm()
-		var err error
-		if want, err = posted.fetch(e, want); err != nil {
+		missing, err := posted.fetch(e, want)
+		if err != nil {
 			return dynamo.Null, err
 		}
-		if len(want) == 0 {
+		if len(missing) < len(want) {
+			timeouts = 0
+		}
+		if want = missing; len(want) == 0 {
 			val, _ := posted.get(p.step)
 			return resolved(val)
 		}
@@ -186,7 +192,7 @@ func (p *Promise) await(e *Env, rest []*Promise) (Value, error) {
 		}
 	}
 	e.awaitSpan(t0, stepKey, p, false, ErrAwaitTimeout)
-	return dynamo.Null, fmt.Errorf("%w: %s (%s) after %d waits", ErrAwaitTimeout, p.id, p.callee, e.rt.cfg.AwaitRetryMax)
+	return dynamo.Null, fmt.Errorf("%w: %s (%s) after %d waits", ErrAwaitTimeout, want[0].id, want[0].callee, e.rt.cfg.AwaitRetryMax)
 }
 
 // skipUntil returns the skip of a wait for m missing results: it claims the
@@ -234,16 +240,17 @@ func (c *postedResults) get(step string) (Value, bool) {
 }
 
 // fetch reads, in one query of the instance's invoke-log partition, every
-// result posted so far for the call logged at the earliest of steps or a
+// result posted so far for the calls logged at the earliest step of ps or a
 // later one — in a fan-in the earlier ones have been awaited already —
-// caches them all, and returns the steps still unposted, in place.
-func (c *postedResults) fetch(e *Env, steps []string) ([]string, error) {
+// caches them all, and returns the promises of ps still unposted, in place.
+func (c *postedResults) fetch(e *Env, ps []*Promise) ([]*Promise, error) {
+	from := slices.MinFunc(ps, func(a, b *Promise) int { return strings.Compare(a.step, b.step) }).step
 	rows, err := e.rt.store.Query(e.rt.invokeLog, dynamo.S(e.instanceID), dynamo.QueryOpts{
-		Filter:     dynamo.And(postedPresent, dynamo.Ge(dynamo.A(attrStep), dynamo.S(slices.Min(steps)))),
+		Filter:     dynamo.And(postedPresent, dynamo.Ge(dynamo.A(attrStep), dynamo.S(from))),
 		Projection: []dynamo.Path{dynamo.A(attrStep), dynamo.A(attrPosted)},
 	})
 	if err != nil {
-		return steps, err
+		return ps, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -253,10 +260,10 @@ func (c *postedResults) fetch(e *Env, steps []string) ([]string, error) {
 	for _, it := range rows {
 		c.vals[it[attrStep].Str()] = it[attrPosted]
 	}
-	missing := steps[:0]
-	for _, s := range steps {
-		if _, ok := c.vals[s]; !ok {
-			missing = append(missing, s)
+	missing := ps[:0]
+	for _, p := range ps {
+		if _, ok := c.vals[p.step]; !ok {
+			missing = append(missing, p)
 		}
 	}
 	return missing, nil

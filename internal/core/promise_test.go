@@ -535,6 +535,33 @@ func TestAwaitWithoutPostTimesOutOnItsTimer(t *testing.T) {
 	}
 }
 
+// TestFanInTricklingPastOneBudgetCompletes posts a fan-in's 4 results one
+// per 3 fetches, each after the third, so the fetch after it is the first
+// to find it: 3 timer-ended waits per result but the last, which wakes on
+// its post — 11 in all against a budget of 4. A fetch that finds a result
+// refills the budget, which is per missing result as for a lone Await, so
+// the fan-in completes, after 13 fetches.
+func TestFanInTricklingPastOneBudgetCompletes(t *testing.T) {
+	const width, every = 4, 3
+	var runs []queuedRun
+	var post func(queuedRun)
+	var fetches int
+	w := &fetchHookWatcher{Backend: dynamo.NewStore()}
+	w.afterFetch = func(n int, _ storage.Subscription) {
+		fetches = n
+		if n%every == 0 {
+			post(runs[n/every-1])
+		}
+	}
+	f := newFixture(t, withStore(w), withConfig(Config{RowCap: 4, T: DefaultT, ICMinAge: time.Hour,
+		LockRetryBase: 100 * time.Microsecond, AwaitRetryMax: 4}))
+	heldFanOut(f, width, func(r []queuedRun, p func(queuedRun)) { runs, post = r, p }, inOrder)
+	checkFanIn(t, f.mustInvoke("driver", dynamo.Null), width)
+	if want := width*every + 1; fetches != want {
+		t.Errorf("%d fetches, want %d", fetches, want)
+	}
+}
+
 // TestAwaitServesOutOfOrderResultsFromCache posts 6 of 8 results — not the
 // first — before the driver's first await. One query caches all six; the
 // awaits on them cost nothing, and only the two late results need fetches of
@@ -620,20 +647,17 @@ func oneByOne(e *Env, ps []*Promise) ([]Value, error) {
 // subscription as a dropped remote connection would: an event comes through
 // (another promise's post), then the subscription closes, then the awaited
 // result is posted. The await must subscribe again at its next fetch and
-// wake on the post, not sleep out its backoff on the dead subscription. An
-// Await on its own wakes on the event and resubscribes at once. A fan-in
-// counts the event as one of its two posts, so it waits the dead
-// subscription out once, on its timer; the fetch after that resubscribes and
-// wakes on the last post instead of sleeping out the doubled backoff.
+// wake on the post, not sleep out its 2 s backoff on the dead subscription.
+// An Await on its own wakes on the event; a fan-in's wait skips it as one of
+// its two posts, and the close then ends the wait that event counted
+// towards.
 func TestAwaitResubscribesWhenItsSubscriptionDies(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		await func(*Env, []*Promise) ([]Value, error)
-		base  time.Duration // the first backoff
-		limit time.Duration // what the await may take
 	}{
-		{"Await", oneByOne, 2 * time.Second, time.Second},
-		{"AwaitAll", inOrder, 500 * time.Millisecond, time.Second},
+		{"AwaitAll", inOrder},
+		{"Await", oneByOne},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var runs []queuedRun
@@ -649,11 +673,11 @@ func TestAwaitResubscribesWhenItsSubscriptionDies(t *testing.T) {
 				}
 			}
 			f := newFixture(t, withStore(w), withConfig(Config{RowCap: 4, T: DefaultT, ICMinAge: time.Hour,
-				LockRetryBase: tc.base}))
+				LockRetryBase: 2 * time.Second}))
 			heldFanOut(f, 2, func(r []queuedRun, p func(queuedRun)) { runs, post = r, p }, tc.await)
 			start := time.Now()
 			checkFanIn(t, f.mustInvoke("driver", dynamo.Null), 2)
-			if el := time.Since(start); el > tc.limit {
+			if el := time.Since(start); el > time.Second {
 				t.Errorf("await took %v: it slept out its backoff on a dead subscription", el)
 			}
 		})

@@ -101,9 +101,10 @@ type Config struct {
 	LockRetryMax int
 	// AwaitRetryMax bounds the timed-out waits per Promise.Await before the
 	// await gives up with ErrAwaitTimeout (the instance fails and the intent
-	// collector retries it later). The waits back off exponentially from
-	// LockRetryBase, capped at 128×; one cut short by a push wake-up is not
-	// counted. 0 means 200.
+	// collector retries it later); in Env.AwaitAll the budget is per missing
+	// result, refilled by each fetch that finds one. The waits back off
+	// exponentially from LockRetryBase, capped at 128×; one cut short by a
+	// push wake-up is not counted. 0 means 200.
 	AwaitRetryMax int
 	// TableShards is the shard count for this SSF's own tables — the DAAL
 	// data tables where appends and lock rows live, the read/invoke logs,

@@ -46,7 +46,10 @@ type Subscription interface {
 	// Skipped events do not extend the deadline; a nil skip claims nothing
 	// and a nil cancel never fires. A subscription that is or becomes closed
 	// waits out d like a backend without push, so retry loops keep their
-	// poll cadence instead of spinning.
+	// poll cadence instead of spinning — unless skip claimed an event in
+	// this wait: the wake-up those events were counting towards can no
+	// longer come, so the close reports it (true) and the caller re-reads
+	// and resubscribes.
 	Wait(d time.Duration, cancel <-chan struct{}, skip func(CommitEvent) bool) bool
 	// Close tears the subscription down; idempotent.
 	Close()
@@ -58,13 +61,19 @@ type Subscription interface {
 func WaitEvents(ch <-chan CommitEvent, d time.Duration, cancel <-chan struct{}, skip func(CommitEvent) bool) bool {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
+	claimed := false
 	for {
 		select {
 		case ev, ok := <-ch:
-			if !ok {
+			switch {
+			case !ok && claimed:
+				return true // the claimed events' wake-up is owed
+			case !ok:
 				ch = nil // closed: degrade to the plain timer
-			} else if skip == nil || !skip(ev) {
+			case skip == nil || !skip(ev):
 				return true
+			default:
+				claimed = true
 			}
 		case <-timer.C:
 			return false

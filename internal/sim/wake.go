@@ -156,7 +156,8 @@ func (sub *wakeSub) Events() <-chan storage.CommitEvent { return sub.ch }
 // consumed without blocking; otherwise the task sleeps in bounded slices
 // (each a scheduling decision) until an unskipped event lands, d elapses, or
 // cancel fires. A closed subscription waits out the full duration — degrade
-// to the poll cadence, never spin — matching the shared WatchSub contract.
+// to the poll cadence, never spin — unless skip claimed an event first,
+// matching the shared WatchSub contract.
 func (sub *wakeSub) Wait(d time.Duration, cancel <-chan struct{}, skip func(storage.CommitEvent) bool) bool {
 	deadline := sub.s.Now().Add(d)
 	// Slice granularity: fine enough that push beats a poll interval by a
@@ -165,6 +166,7 @@ func (sub *wakeSub) Wait(d time.Duration, cancel <-chan struct{}, skip func(stor
 	if slice < 250*time.Microsecond {
 		slice = 250 * time.Microsecond
 	}
+	claimed := false
 	for {
 		select {
 		case <-cancel:
@@ -174,9 +176,10 @@ func (sub *wakeSub) Wait(d time.Duration, cancel <-chan struct{}, skip func(stor
 		select {
 		case ev, ok := <-sub.ch:
 			if ok && skip != nil && skip(ev) {
+				claimed = true
 				continue // skipped: look for the next pending one
 			}
-			if ok {
+			if ok || claimed {
 				return true
 			}
 			// Closed: no more events can arrive; fall through to sleeping

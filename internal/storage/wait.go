@@ -73,7 +73,9 @@ const (
 // Wait blocks until a commit skip does not claim (WakeEvent), d elapses
 // (WakeTimer) or cancel fires (WakeCancel). Skipped events do not extend
 // the deadline; a nil skip claims nothing and a nil cancel never fires. A
-// subscription that closed is waited out, and the next Arm replaces it.
+// subscription that closed is waited out — or ends the wait as WakeEvent
+// if skip had claimed an event on it, whose wake-up is owed — and the next
+// Arm replaces it.
 func (w *Waiter) Wait(d time.Duration, cancel <-chan struct{}, skip func(CommitEvent) bool) Wake {
 	select {
 	case <-cancel:

@@ -142,7 +142,8 @@ func (s *subsWatcher) last() (storage.Subscription, int) {
 
 // A subscription that dies after the read is waited out — the timer, not a
 // spin — and replaced at the next Arm; one found dead at Arm is replaced at
-// once.
+// once. One that dies after the wait skipped an event on it ends the wait:
+// the wake-up the skipped events were counting towards is owed.
 func TestWaiterResubscribesAfterItsSubscriptionDies(t *testing.T) {
 	s := waiterStore(t)
 	ws := &subsWatcher{Backend: s}
@@ -178,6 +179,17 @@ func TestWaiterResubscribesAfterItsSubscriptionDies(t *testing.T) {
 	}
 	if _, n := ws.last(); n != 3 {
 		t.Errorf("%d subscriptions, want 3: a dead one found at Arm is replaced there", n)
+	}
+
+	commit(t, s, "a")
+	sub, _ = ws.last()
+	sub.Close()
+	start = time.Now()
+	if why := w.Wait(5*time.Second, nil, func(storage.CommitEvent) bool { return true }); why != storage.WakeEvent {
+		t.Errorf("a subscription that died after a skipped event ended the wait with %v, want WakeEvent", why)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("the owed wake-up came after %v, want at once", el)
 	}
 }
 
