@@ -18,17 +18,20 @@ import (
 // channel and the deadline timer are all reused, and a request runs on the
 // server goroutine that read it (each row was 1 higher while the server
 // started a goroutine and its closure per request). What is left is what the
-// call returns (rows: their maps and data strings) and what dynamo and the
-// decode-then-rebuild of conditions allocate — both outside this package's
-// reach (ROADMAP, "Smaller, ledger-bounded cuts"). Update actions decode
-// straight into the values the store applies; the Update row was 10 while
-// they were rebuilt as boxes. The store's share is
-// one attribute map per row it returns and one attribute list per row it
-// installs (internal/dynamo/alloc_test.go): it was 10, 11 and 4 while the
-// store deep-copied rows and built a string per key lookup, and the Update
-// row 8 and 2 while it kept each row in a Go map. ARCHITECTURE.md,
-// "Remote storage plane", repeats the table; the slack of 1 is a pool
-// emptied by a GC cycle.
+// call returns (rows: their maps, and one string arena per row holding its
+// data strings) and what dynamo and the decode-then-rebuild of conditions
+// allocate — both outside this package's reach (ROADMAP, "Smaller,
+// ledger-bounded cuts"). Update actions decode straight into the values the
+// store applies; the Update row was 10 while they were rebuilt as boxes. The
+// Get row was 8 while each of its row's three data strings was its own
+// allocation; Update decodes no row (its key, condition and actions are
+// scalars outside any), and a projected Query row holds one data string, so
+// neither moved. The store's share is one attribute map per row it returns
+// and one attribute list per row it installs (internal/dynamo/alloc_test.go):
+// it was 10, 11 and 4 while the store deep-copied rows and built a string
+// per key lookup, and the Update row 8 and 2 while it kept each row in a Go
+// map. ARCHITECTURE.md, "Remote storage plane", repeats the table; the slack
+// of 1 is a pool emptied by a GC cycle.
 
 // rpcBudget is the table: allocations per call, and how many of them the same
 // call costs directly against the store.
@@ -38,7 +41,7 @@ var rpcBudget = []struct {
 }{
 	{"Update", 6, 1},
 	{"Query (projected, 3 rows)", 19, 7},
-	{"Get", 8, 2},
+	{"Get", 6, 2},
 }
 
 // budgetCalls returns the three budgeted calls, in rpcBudget's order, bound to b.

@@ -11,9 +11,9 @@ import (
 )
 
 // The allocation budget of the codec itself: what carrying one row costs once
-// the buffers are warm. A row's maps and its data strings are what decoding
-// returns, so they are what it may allocate; the encoder, the frame reader
-// and attribute names may allocate nothing. internal/remote and
+// the buffers are warm. A row's maps and its data strings, in one arena, are
+// what decoding returns, so they are what it may allocate; the encoder, the
+// frame reader and attribute names may allocate nothing. internal/remote and
 // internal/walstore pin the same per RPC and per record.
 
 // budgetRow has six attributes, one of them a map value. Its data strings:
@@ -96,16 +96,18 @@ func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 	NewDecoder(body).Item() // first sight of the six attribute names
 	var got dynamo.Item
 	// The row's map (2: header and slots, on the go 1.24 runtime), the nested
-	// map value's field list (1; 2 while it was a Go map), the six data
-	// strings budgetRow lists, and the slice header of the byte value (a
-	// 48-byte Value holds a byte slice or list boxed; it was 10 while a Value
-	// was 96 bytes). Names: 0.
-	const want = 2 + 1 + 6 + 1
+	// map value's field list (1; 2 while it was a Go map), one string arena
+	// for the five data strings that are strings (two values, and two keys
+	// and a value inside the map; 5 while each was its own), the byte value's
+	// private copy, and the slice header of the byte value (a 48-byte Value
+	// holds a byte slice or list boxed; it was 10 while a Value was 96
+	// bytes). Names: 0.
+	const want = 2 + 1 + 1 + 1 + 1
 	if n := allocsPerRun(t, func() {
 		d := Decoder{b: body}
 		got = d.Item()
 	}); n != want {
-		t.Errorf("decoding a row: %v allocations, want %d (its map, field list, data strings and one boxed slice)", n, want)
+		t.Errorf("decoding a row: %v allocations, want %d (its map, field list, string arena, byte value and one boxed slice)", n, want)
 	}
 	if !itemsEqual(got, budgetRow()) {
 		t.Errorf("decoded %v", got)

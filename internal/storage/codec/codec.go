@@ -80,6 +80,31 @@
 // bound Name is Str, so hostile input can make it retain 64 KiB for the life
 // of the process and no more.
 //
+// # Data strings
+//
+// A decoded row (Item) is a scope, and so is a list or map value decoded
+// outside one (Value); nested rows and values do not open scopes of their
+// own. Before decoding a scope, the decoder walks its bytes once, decoding
+// nothing and allocating nothing (but the error of input it refuses), over
+// the same grammar under the same bounds (lengths checked as Count checks
+// them, MaxDepth), and counts its data-string bytes: string values and the
+// keys of map values, not names and not byte values. One strings.Builder grown to exactly that count is the
+// scope's arena; Str inside the scope copies into it and returns a substring,
+// so a row's data strings are one allocation, not one each. A Str that finds
+// the arena without room falls back to a string of its own: a miscount costs
+// bytes, never correctness (the fuzz test checks no accepted input spills).
+// Outside a scope — a key, an update's value, a condition's operand — a
+// string value is one allocation, as are byte values everywhere. Every arena
+// is fresh and is dropped when its scope ends, never pooled, so decoded
+// values stay immutable and alias nothing.
+//
+// The unit is a row because a row's strings are retained together — the
+// store keeps the row or drops it — so an arena pins no dead string for
+// longer than its live neighbours. A coarser unit does: one arena per message
+// keeps a scan's dropped rows alive with the one a caller kept, and a shared
+// slab keeps dead strings alive with any one live neighbour (both measured in
+// EXPERIMENTS.md, "A decoded row is one string allocation").
+//
 // # Hostile input
 //
 // Decoded bytes come from a disk after a crash or from a socket, so a
@@ -101,6 +126,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // ErrFormat matches, under errors.Is, every error this package reports:
@@ -216,6 +242,13 @@ type Decoder struct {
 	off   int
 	depth int
 	err   error
+	// scoped is set while a row, or a list or map value outside one, is
+	// decoded; arena then holds its data strings (see "Data strings").
+	scoped bool
+	arena  strings.Builder
+	// spills counts Strs inside a scope that found the arena full, which the
+	// sizing walk says never happens to accepted input; tests read it.
+	spills int
 }
 
 // NewDecoder reads body.
@@ -331,8 +364,21 @@ func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 // Bool reads one byte; any non-zero value is true.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
-// Str reads a length-prefixed string, copying it out of the input.
-func (d *Decoder) Str() string { return string(d.take(d.Uvarint())) }
+// Str reads a length-prefixed string, copying it out of the input: into the
+// scope's arena inside a scope, into a string of its own outside one.
+func (d *Decoder) Str() string {
+	p := d.take(d.Uvarint())
+	if !d.scoped || len(p) == 0 {
+		return string(p)
+	}
+	start := d.arena.Len()
+	if d.arena.Cap()-start < len(p) {
+		d.spills++
+		return string(p)
+	}
+	d.arena.Write(p)
+	return d.arena.String()[start:]
+}
 
 // Name reads a length-prefixed string that the grammar says is an
 // identifier, through the intern table (see the package comment): equal to
@@ -348,6 +394,37 @@ func (d *Decoder) nest() bool {
 	}
 	d.depth++
 	return true
+}
+
+// enter opens a scope over the row (row) or value at d's offset, unless one
+// is open already, and reports whether it did; the caller closes it with
+// leave. The arena is sized by walking a copy of d over the same grammar
+// under the same bounds; a walk that fails means the decode will fail too,
+// and the scope is opened without an arena so that nothing nested in it
+// walks again.
+func (d *Decoder) enter(row bool) bool {
+	if d.scoped || noArenas.Load() {
+		return false
+	}
+	w := Decoder{b: d.b, off: d.off, depth: d.depth}
+	var n int
+	if row {
+		n = w.skipItem()
+	} else {
+		n = w.skipValue()
+	}
+	d.scoped = true
+	if w.err == nil && n > 0 {
+		d.arena.Grow(n)
+	}
+	return true
+}
+
+// leave closes the scope. The arena is dropped, never reused: the strings in
+// it are the decoded values', and immutable.
+func (d *Decoder) leave() {
+	d.scoped = false
+	d.arena.Reset()
 }
 
 // result is what a composite decoder returns: v, or the zero value once

@@ -613,7 +613,11 @@ func fixtureBodies(f *testing.F) [][]byte {
 // panic or fail with anything but an ErrFormat, and whatever one accepts
 // must canonicalize: it re-encodes, and decoding and encoding that again
 // gives the same bytes (one round normalizes non-minimal varints and
-// non-canonical bools; after it the encoding is a fixed point).
+// non-canonical bools; after it the encoding is a fixed point). Two
+// differential oracles ride along: the input decodes to the same verdict,
+// value and bytes with every name read as a Str (the intern table) and with
+// every data string a string of its own (the arenas), and no data string
+// decoded in a scope finds its arena full (the sizing walk is exact).
 // Seeds: the bodies inside the format fixtures (real WAL and wire traffic),
 // the round-trip table's encodings, the deep-nesting shapes, shallow and
 // just past MaxDepth, and rows and maps with keys repeated or out of order.
@@ -650,6 +654,13 @@ func FuzzDecode(f *testing.F) {
 				if !errors.Is(err, ErrFormat) {
 					t.Fatalf("%s: rejected with %v, not an ErrFormat", name, err)
 				}
+				WithoutArenas(func() {
+					do := NewDecoder(data)
+					copyOne(do, NewEncoder(len(data)+FrameHeaderLen))
+					if do.Err() == nil {
+						t.Fatalf("%s: accepted without arenas, rejected with them: %v", name, err)
+					}
+				})
 				continue
 			}
 			if err := e.Err(); err != nil {
@@ -667,6 +678,22 @@ func FuzzDecode(f *testing.F) {
 				}
 				if !reflect.DeepEqual(v, vs) && fmt.Sprint(v) != fmt.Sprint(vs) {
 					t.Fatalf("%s: interning changed the value:\n with: %v\n without: %v", name, v, vs)
+				}
+			})
+			// The oracle for the arenas: with every data string a string of
+			// its own, the same verdict, value and bytes; and the sizing walk
+			// is exact, so no string in a scope found its arena full.
+			if d.spills != 0 {
+				t.Fatalf("%s: %d data strings spilled out of their arena", name, d.spills)
+			}
+			WithoutArenas(func() {
+				do, eo := NewDecoder(data), NewEncoder(len(data)+FrameHeaderLen)
+				vo := copyOne(do, eo)
+				if do.Err() != nil || !bytes.Equal(eo.Body(), e.Body()) {
+					t.Fatalf("%s: without arenas: %v\n first: %x\nsecond: %x", name, do.Err(), e.Body(), eo.Body())
+				}
+				if !reflect.DeepEqual(v, vo) && fmt.Sprint(v) != fmt.Sprint(vo) {
+					t.Fatalf("%s: arenas changed the value:\n with: %v\n without: %v", name, v, vo)
 				}
 			})
 			d2, e2 := NewDecoder(e.Body()), NewEncoder(e.Len()+FrameHeaderLen)

@@ -46,3 +46,11 @@ func swapNames(m *map[string]string) (restore func()) {
 		names.Store(old)
 	}
 }
+
+// WithoutArenas runs f with every data string decoded into a string of its
+// own: the reference the differential tests compare scoped decoding with.
+func WithoutArenas(f func()) {
+	noArenas.Store(true)
+	defer noArenas.Store(false)
+	f()
+}

@@ -202,8 +202,18 @@ func (e *Encoder) TxOps(ops []dynamo.TxOp) {
 	}
 }
 
-// Value reads a kind-tagged value.
+// Value reads a kind-tagged value. A list or map read outside a row is a
+// scope of its own.
 func (d *Decoder) Value() dynamo.Value {
+	if d.off < len(d.b) {
+		if k := dynamo.Kind(d.b[d.off]); (k == dynamo.KindList || k == dynamo.KindMap) && d.enter(false) {
+			defer d.leave()
+		}
+	}
+	return d.value()
+}
+
+func (d *Decoder) value() dynamo.Value {
 	switch kind := dynamo.Kind(d.U8()); kind {
 	case dynamo.KindNull:
 	case dynamo.KindString:
@@ -223,7 +233,7 @@ func (d *Decoder) Value() dynamo.Value {
 		}
 		l := make([]dynamo.Value, d.Count())
 		for i := 0; i < len(l) && d.err == nil; i++ {
-			l[i] = d.Value()
+			l[i] = d.value()
 		}
 		d.depth--
 		return result(d, dynamo.L(l...))
@@ -239,7 +249,7 @@ func (d *Decoder) Value() dynamo.Value {
 			if i > 0 {
 				d.ordered(fs[i-1].Name, fs[i].Name)
 			}
-			fs[i].Value = d.Value()
+			fs[i].Value = d.value()
 		}
 		d.depth--
 		return result(d, dynamo.Fields(fs...))
@@ -249,9 +259,44 @@ func (d *Decoder) Value() dynamo.Value {
 	return dynamo.Null
 }
 
+// skipValue walks one value as value reads it, decoding nothing, and returns
+// the bytes of its data strings.
+func (d *Decoder) skipValue() int {
+	switch kind := dynamo.Kind(d.U8()); kind {
+	case dynamo.KindNull:
+	case dynamo.KindString:
+		return len(d.take(d.Uvarint()))
+	case dynamo.KindNumber:
+		d.U64()
+	case dynamo.KindBool:
+		d.U8()
+	case dynamo.KindBytes:
+		d.take(d.Uvarint())
+	case dynamo.KindList, dynamo.KindMap:
+		if !d.nest() {
+			break
+		}
+		n := 0
+		for i, c := 0, d.Count(); i < c && d.err == nil; i++ {
+			if kind == dynamo.KindMap {
+				n += len(d.take(d.Uvarint()))
+			}
+			n += d.skipValue()
+		}
+		d.depth--
+		return n
+	default:
+		d.Failf("unknown value kind %d", kind)
+	}
+	return 0
+}
+
 // Item reads a row, refusing attributes out of order as a map value's
-// entries are.
+// entries are. A row is a scope.
 func (d *Decoder) Item() dynamo.Item {
+	if d.enter(true) {
+		defer d.leave()
+	}
 	n := d.Count()
 	it := make(dynamo.Item, n)
 	prev := ""
@@ -260,7 +305,7 @@ func (d *Decoder) Item() dynamo.Item {
 		if i > 0 {
 			d.ordered(prev, k)
 		}
-		it[k], prev = d.Value(), k
+		it[k], prev = d.value(), k
 	}
 	return result(d, it)
 }
@@ -275,7 +320,18 @@ func (d *Decoder) ordered(prev, k string) {
 	}
 }
 
-// Items reads a row count and the rows.
+// skipItem walks one row as Item reads it and returns the bytes of its data
+// strings; its attribute names are interned, not counted.
+func (d *Decoder) skipItem() int {
+	n := 0
+	for i, c := 0, d.Count(); i < c && d.err == nil; i++ {
+		d.take(d.Uvarint())
+		n += d.skipValue()
+	}
+	return n
+}
+
+// Items reads a row count and the rows, each a scope of its own.
 func (d *Decoder) Items() []dynamo.Item {
 	its := make([]dynamo.Item, d.Count())
 	for i := 0; i < len(its) && d.err == nil; i++ {

@@ -33,6 +33,11 @@ func PutEncoder(e *Encoder) {
 // sees 0xDB instead of plausible stale bytes.
 var poison atomic.Bool
 
+// noArenas, which only tests set, decodes every data string into a string of
+// its own, as Str does outside a scope: the reference the fuzz oracle
+// compares scoped decoding with.
+var noArenas atomic.Bool
+
 func fill(b []byte) {
 	for i := range b {
 		b[i] = 0xDB
