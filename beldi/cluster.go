@@ -40,7 +40,9 @@ type ClusterOptions struct {
 	LeaseTTL time.Duration
 	// DurableAsync, when non-nil, wires every worker's AsyncInvoke through
 	// durable per-function invocation queues, with each queue drained by
-	// whichever worker owns the function's partition.
+	// whichever worker owns the function's partition. Its PollInterval
+	// governs a started worker's mappers and timer pump as it does a
+	// standalone deployment's.
 	DurableAsync *DurableAsyncOptions
 }
 
@@ -76,7 +78,7 @@ type RegisterApp func(d *Deployment)
 
 // ClusterWorker is one member of the pool: a full Deployment (its own
 // platform and function registry over the shared store) plus the cluster
-// worker that leases, detects, steals, collects, and polls for it.
+// worker that leases, detects, steals, and collects for it.
 type ClusterWorker struct {
 	c    *Cluster
 	d    *Deployment
@@ -87,7 +89,7 @@ type ClusterWorker struct {
 // JoinCluster adds a worker to the pool: it builds the worker's deployment
 // over the shared store (adopting the tables earlier workers created), runs
 // register to install the application, acquires the worker's lease, and
-// scopes the deployment's collectors and queue pollers to the partitions
+// scopes the deployment's collectors and queue mappers to the partitions
 // the worker owns. Pass id "" to auto-generate one. Call Start to launch
 // the background loops (heartbeat, failure detection, recovery), or drive
 // the Worker's *Once methods deterministically.
@@ -159,10 +161,8 @@ func (c *Cluster) JoinClusterWith(id string, register RegisterApp, wo WorkerOpti
 	}
 	if c.opts.DurableAsync != nil {
 		da := d.EnableDurableAsync(*c.opts.DurableAsync)
-		for _, name := range d.Functions() {
-			if m := da.Mapper(name); m != nil {
-				w.AttachMapper(name, m)
-			}
+		for _, name := range da.functions() {
+			da.Mapper(name).SetGate(func() bool { return w.OwnsIntent(name) })
 		}
 	}
 	return cw, nil
@@ -192,10 +192,17 @@ func (cw *ClusterWorker) Invoke(name string, input Value) (Value, error) {
 	return cw.d.Invoke(name, input)
 }
 
-// Start launches the worker's background loops: lease heartbeats, failure
+// Start launches the worker's background loops — lease heartbeats, failure
 // detection with immediate recovery collection, partition rebalancing,
-// scoped intent collection, garbage collection, and owned-queue polling.
-func (cw *ClusterWorker) Start() { cw.w.Start() }
+// scoped intent collection and garbage collection — and then, with durable
+// async, the deployment's DurableAsync: every mapper's push loop, gated on
+// partition ownership, and the timer pump.
+func (cw *ClusterWorker) Start() {
+	cw.w.Start()
+	if da := cw.d.DurableAsync(); da != nil {
+		da.Start()
+	}
+}
 
 // Stop halts the worker's loops without releasing its lease — the
 // crash-shaped stop (peers will eventually declare it dead). Use Leave for

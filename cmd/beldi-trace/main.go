@@ -31,6 +31,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/walstore"
 )
@@ -110,7 +111,7 @@ func fromWAL(dir, root string, all bool) error {
 		return err
 	}
 	defer st.Close()
-	spans, err := telemetry.DurableSpans(st)
+	spans, err := core.DurableSpans(st)
 	if err != nil {
 		return err
 	}

@@ -16,12 +16,16 @@
 //     conditional write guarded on their epoch; a renewal that fails means
 //     the worker has been fenced and must stop claiming work.
 //
-//   - A partition table divides the intent space (and the per-function
-//     invocation queues) into a fixed number of partitions, each owned by at
-//     most one worker. Every ownership transition — claim, steal, release —
-//     bumps the partition's Epoch, so an ownership record doubles as a
-//     fencing token: a worker that lost a partition holds a stale epoch and
-//     every claim it fences with it is rejected by the store.
+//   - A partition table divides the intent space into a fixed number of
+//     partitions, each owned by at most one worker. Every ownership
+//     transition — claim, steal, release — bumps the partition's Epoch, so
+//     an ownership record doubles as a fencing token: a worker that lost a
+//     partition holds a stale epoch and every claim it fences with it is
+//     rejected by the store. The same ownership gates each worker's
+//     invocation-queue mappers (Worker.OwnsIntent of the function's name):
+//     a function's queue is drained by the owner of its partition. The
+//     cluster decides ownership only; the mappers themselves are the
+//     deployment's, driven exactly as in a standalone deployment.
 //
 //   - Each worker runs a failure detector: a scan that marks workers whose
 //     lease expired as dead (guarded on the observed epoch and deadline, so

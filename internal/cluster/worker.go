@@ -11,7 +11,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dynamo"
-	"repro/internal/platform"
 	"repro/internal/storage"
 	"repro/internal/uuid"
 )
@@ -102,7 +101,7 @@ func (s *Stats) Snapshot() StatsView {
 }
 
 // Worker is one member of a cluster: a lease it heartbeats, the partitions
-// it owns, and the runtimes and event-source mappers whose work it drives.
+// it owns, and the runtimes whose recovery it drives.
 // Create with Join; drive deterministically with the *Once methods or start
 // the background loops with Start.
 type Worker struct {
@@ -122,7 +121,6 @@ type Worker struct {
 
 	rtMu     sync.Mutex
 	runtimes []*core.Runtime
-	mappers  []ownedMapper
 
 	loopMu  sync.Mutex
 	stopCh  chan struct{}
@@ -130,14 +128,6 @@ type Worker struct {
 	wg      sync.WaitGroup
 
 	stats Stats
-}
-
-// ownedMapper is one queue→function mapping the worker polls while it owns
-// the mapping's partition.
-type ownedMapper struct {
-	part int
-	fn   string
-	m    *platform.Mapper
 }
 
 // Join registers a worker in the cluster: it creates or adopts the shared
@@ -621,19 +611,9 @@ func (w *Worker) Attach(rt *core.Runtime) {
 	w.rtMu.Unlock()
 }
 
-// AttachMapper puts a queue→function event-source mapping under this
-// worker's ownership scope: the worker polls it only while it owns the
-// function's partition, so exactly one live worker drains each invocation
-// queue (redundant polling would be safe — queue claims and intent dedup
-// still hold — just wasted round trips).
-func (w *Worker) AttachMapper(fn string, m *platform.Mapper) {
-	w.rtMu.Lock()
-	w.mappers = append(w.mappers, ownedMapper{part: PartitionOf(fn, w.partitions), fn: fn, m: m})
-	w.rtMu.Unlock()
-}
-
 // OwnsIntent implements core.CollectorGate: the worker owns an intent when
-// it owns the intent id's partition (and is not fenced).
+// it owns the intent id's partition (and is not fenced). Given a function
+// name it is the gate of the function's invocation-queue mapper.
 func (w *Worker) OwnsIntent(id string) bool {
 	p := PartitionOf(id, w.partitions)
 	w.mu.Lock()
@@ -707,38 +687,14 @@ func (w *Worker) GCOnce() error {
 	return nil
 }
 
-// PollOnce polls every attached event-source mapping whose partition this
-// worker owns, returning messages processed and failed across them.
-func (w *Worker) PollOnce() (processed, failed int, err error) {
-	w.rtMu.Lock()
-	ms := append([]ownedMapper(nil), w.mappers...)
-	w.rtMu.Unlock()
-	for _, om := range ms {
-		w.mu.Lock()
-		_, ok := w.owned[om.part]
-		fenced := w.fenced
-		w.mu.Unlock()
-		if fenced || !ok {
-			continue
-		}
-		p, f, perr := om.m.PollOnce()
-		processed += p
-		failed += f
-		if perr != nil && err == nil {
-			err = perr
-		}
-	}
-	return processed, failed, err
-}
-
 // --- lifecycle -------------------------------------------------------------
 
 // Start launches the worker's background loops: a dedicated heartbeat loop
 // (lease renewal must never wait behind heavy work — a worker whose own GC
 // pass starved its heartbeats would zombie itself), a work loop for failure
 // detection (followed by an immediate collection pass when work was
-// stolen), rebalancing, collection and garbage collection, and a mapper
-// poll loop. Stop (or fencing) halts them.
+// stolen), rebalancing, collection and garbage collection. Stop (or
+// fencing) halts them.
 func (w *Worker) Start() {
 	w.loopMu.Lock()
 	defer w.loopMu.Unlock()
@@ -747,10 +703,9 @@ func (w *Worker) Start() {
 	}
 	w.started = true
 	w.stopCh = make(chan struct{})
-	w.wg.Add(3)
+	w.wg.Add(2)
 	go w.heartbeatLoop(w.stopCh)
 	go w.workLoop(w.stopCh)
-	go w.pollLoop(w.stopCh)
 }
 
 // heartbeatLoop renews the lease and nothing else, so renewal latency is
@@ -789,27 +744,6 @@ func (w *Worker) workLoop(stopCh chan struct{}) {
 		}
 		if tick%16 == 0 {
 			w.GCOnce() //nolint:errcheck // next tick retries
-		}
-	}
-}
-
-// pollIdle is how long pollLoop sleeps when no owned mapper had work.
-const pollIdle = 2 * time.Millisecond
-
-// pollLoop drains the owned event-source mappings continuously.
-func (w *Worker) pollLoop(stopCh chan struct{}) {
-	defer w.wg.Done()
-	for {
-		select {
-		case <-stopCh:
-			return
-		default:
-		}
-		if n, _, _ := w.PollOnce(); n > 0 {
-			continue
-		}
-		if !w.wait(stopCh, pollIdle) {
-			return
 		}
 	}
 }

@@ -436,7 +436,7 @@ func TestPartitionOfStableAndInRange(t *testing.T) {
 
 // armingClock is a manual clock that reports every After(period) call, so a
 // test advances it only once Start's heartbeat and work loops both wait on
-// their next tick. (The poll loop waits on a different duration.)
+// their next tick.
 type armingClock struct {
 	*clock.Manual
 	period time.Duration

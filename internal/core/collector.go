@@ -76,7 +76,7 @@ func (rt *Runtime) RunIntentCollector() (int, error) {
 // sparse index a collection pass pages through. It reads the store, not a
 // runtime, so a harness can ask about a deployment that is crashed or gone.
 func PendingIntents(store storage.Backend, fn string) (int, error) {
-	items, err := store.QueryIndex(fn+".intent", indexPending, dynamo.S(pendingMarker), dynamo.QueryOpts{})
+	items, err := store.QueryIndex(fn+intentSuffix, indexPending, dynamo.S(pendingMarker), dynamo.QueryOpts{})
 	return len(items), err
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/dynamo"
 )
@@ -148,6 +149,22 @@ func (rt *Runtime) markIntentDone(id string, ret Value) error {
 		rt.stats.IntentsCompleted.Add(1)
 	}
 	return err
+}
+
+// MarksIntentDone reports whether an Update of table with updates is an
+// intent's completion (markIntentDone's): an update of an intent table that
+// sets Done to true. The simulator's late-completion fault delays exactly
+// these.
+func MarksIntentDone(table string, updates []dynamo.Update) bool {
+	if !strings.HasSuffix(table, intentSuffix) {
+		return false
+	}
+	for _, u := range updates {
+		if u.Kind == dynamo.UpdateSet && u.Path == dynamo.A(attrDone) && u.Value.BoolVal() {
+			return true
+		}
+	}
+	return false
 }
 
 // touchLaunch conditionally advances LastLaunch from its observed value —

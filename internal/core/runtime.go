@@ -260,9 +260,9 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 		mode:        opts.Mode,
 		clk:         clk,
 		ids:         ids,
-		intentTable: opts.Function + ".intent",
+		intentTable: opts.Function + intentSuffix,
 		readLog:     opts.Function + ".readlog",
-		invokeLog:   opts.Function + ".invokelog",
+		invokeLog:   opts.Function + invokeLogSuffix,
 		txCallees:   opts.Function + ".txcallees",
 		txLocks:     opts.Function + ".txlocks",
 		tel:         opts.Telemetry,
@@ -577,6 +577,9 @@ func (rt *Runtime) Stop() {
 
 // Attribute and table-schema names shared across the core.
 const (
+	intentSuffix    = ".intent"    // fn + intentSuffix is fn's intent table
+	invokeLogSuffix = ".invokelog" // fn + invokeLogSuffix is fn's invoke log
+
 	attrInstanceID = "InstanceId"
 	attrID         = "Id"
 	attrStep       = "Step"

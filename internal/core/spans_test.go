@@ -1,10 +1,11 @@
-package telemetry_test
+package core_test
 
 import (
 	"strings"
 	"testing"
 
 	"repro/beldi"
+	"repro/internal/core"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
 	"repro/internal/telemetry"
@@ -34,7 +35,7 @@ func TestDurableSpansRoundTrip(t *testing.T) {
 	}
 	d.Stop()
 
-	spans, err := telemetry.DurableSpans(store)
+	spans, err := core.DurableSpans(store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package remote
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -373,6 +374,32 @@ func TestAmbiguousTransactWriteDedup(t *testing.T) {
 	it, _, err := client.Get("t", dynamo.HK(dynamo.S("a")))
 	if err != nil || it["V"].Int() != 2 {
 		t.Errorf("V = %v (%v), want 2", it["V"], err)
+	}
+}
+
+// TestTransactWriteDedupWindowEdge pins the window's edge: a retry is
+// answered from the window while its id is among the last dedupCapacity
+// ids, and executes again once dedupCapacity later ids have evicted it.
+func TestTransactWriteDedupWindowEdge(t *testing.T) {
+	w := &dedupWindow{entries: make(map[string]*dedupEntry)}
+	runs := make(map[string]int)
+	do := func(id string) (deduped bool) {
+		_, hit := w.do(id, func() error { runs[id]++; return nil })
+		return hit
+	}
+	do("first")
+	for i := 1; i < dedupCapacity; i++ {
+		do(fmt.Sprint("later-", i))
+	}
+	if !do("first") || !do("later-1") {
+		t.Fatal("a retry inside the window executed again")
+	}
+	do(fmt.Sprint("later-", dedupCapacity)) // the dedupCapacity-th later id
+	if do("first") {
+		t.Fatalf("a retry after %d later ids was answered from the window", dedupCapacity)
+	}
+	if runs["first"] != 2 || runs["later-1"] != 1 {
+		t.Errorf("runs: first %d, later-1 %d; want 2 and 1", runs["first"], runs["later-1"])
 	}
 }
 

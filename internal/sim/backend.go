@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dynamo"
+	"repro/internal/core"
 	"repro/internal/storage"
 )
 
@@ -28,8 +28,8 @@ type StoreFaults struct {
 	DelayProb float64
 	// MaxDelay bounds each injected delay; keep it under T/2.
 	MaxDelay time.Duration
-	// LateDone, when non-nil, turns intent-completion updates (an Update on
-	// a ".intent" table that sets Done=true) into in-flight writes: the
+	// LateDone, when non-nil, turns intent-completion updates (those
+	// core.MarksIntentDone reports) into in-flight writes: the
 	// issuer is acked immediately and the update applies on a detached task
 	// far past the GC horizon — the zombie write whose late arrival the
 	// markIntentDone existence guard must neutralize. The issuer must NOT
@@ -94,20 +94,6 @@ func (b *Backend) delayFor(table string, updates []storage.Update) time.Duration
 	return 0
 }
 
-// isIntentDone reports whether the operation is an intent-completion
-// update: an Update against an intent table that sets Done=true.
-func isIntentDone(table string, updates []storage.Update) bool {
-	if !strings.HasSuffix(table, ".intent") {
-		return false
-	}
-	for _, u := range updates {
-		if u.Kind == dynamo.UpdateSet && u.Path == dynamo.A("Done") && u.Value.BoolVal() {
-			return true
-		}
-	}
-	return false
-}
-
 // CreateTable implements storage.Backend.
 func (b *Backend) CreateTable(schema storage.Schema) error {
 	b.step("CreateTable", schema.Name, nil)
@@ -159,7 +145,7 @@ func (b *Backend) Put(table string, item storage.Item, cond storage.Cond) error 
 
 // Update implements storage.Backend.
 func (b *Backend) Update(table string, key storage.Key, cond storage.Cond, updates ...storage.Update) error {
-	if f := b.faults; f != nil && f.LateDone != nil && isIntentDone(table, updates) {
+	if f := b.faults; f != nil && f.LateDone != nil && core.MarksIntentDone(table, updates) {
 		span := f.LateDone.MaxDelay - f.LateDone.MinDelay
 		d := f.LateDone.MinDelay
 		if span > 0 {

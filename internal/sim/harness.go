@@ -142,14 +142,17 @@ func NewCluster(s *Scheduler, inner storage.Backend, cfg ClusterConfig) (*Cluste
 }
 
 // StartPumps spawns each worker's background pumps as scheduler tasks,
-// mirroring the cadence structure of cluster.Worker.Start: a heartbeat pump
-// (renewal and post-fence rejoin), a work pump (detection, rebalancing,
-// collection, GC), and a poll pump (owned durable queues). The tick is the
-// real loops' LeaseTTL/4, and detection (every 2 ticks) and rebalancing
-// (every 4) match them. Collection and GC do not: the work pump collects
-// every 2 ticks and runs GC every 4, where the real work loop collects
-// every 4 and runs GC every 16; and an idle poll pump sleeps a tick, not
-// 2 ms. The pinned sim seeds' traces depend on these cadences.
+// mirroring the cadence structure of beldi.ClusterWorker.Start: a heartbeat
+// pump (renewal and post-fence rejoin), a work pump (detection,
+// rebalancing, collection, GC), and a poll pump (the deployment's durable
+// queues through DurableAsync.PollAll, whose mappers are gated on partition
+// ownership). The tick is the real loops' LeaseTTL/4, and detection (every
+// 2 ticks) and rebalancing (every 4) match them. Collection and GC do not:
+// the work pump collects every 2 ticks and runs GC every 4, where the real
+// work loop collects every 4 and runs GC every 16; and an idle poll pump
+// sleeps a tick, where a started worker's mappers park on their queues'
+// commit streams for up to PollInterval. The pump fires no timers. The
+// pinned sim seeds' traces depend on these cadences.
 func (c *Cluster) StartPumps() {
 	for _, w := range c.Workers {
 		c.startPumpsFor(w)
@@ -207,7 +210,10 @@ func (c *Cluster) startPumpsFor(w *Worker) {
 				s.Sleep(tick)
 				continue
 			}
-			n, _, _ := wk.PollOnce()
+			n := 0
+			if da := w.CW.Deployment().DurableAsync(); da != nil {
+				n, _, _ = da.PollAll()
+			}
 			if n == 0 {
 				s.Sleep(tick)
 			} else {
