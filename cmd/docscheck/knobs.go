@@ -54,9 +54,9 @@ func collectKnobs(fset *token.FileSet, d *ast.GenDecl, pkg string) {
 	}
 }
 
-// unsetKnobs type-checks the module and reports every collected field
-// nothing sets.
-func unsetKnobs() ([]string, error) {
+// checkModule type-checks the module and reports every collected field
+// nothing sets and every reflect.DeepEqual over values (deepequal.go).
+func checkModule() ([]string, error) {
 	gomod, err := os.ReadFile("go.mod")
 	if err != nil {
 		return nil, err
@@ -69,6 +69,7 @@ func unsetKnobs() ([]string, error) {
 		dirs:   map[string]*pkgFiles{},
 		pkgs:   map[string]*types.Package{},
 		set:    map[string]bool{},
+		found:  map[string]bool{},
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	if err := l.parse(); err != nil {
@@ -80,6 +81,9 @@ func unsetKnobs() ([]string, error) {
 		}
 	}
 	var problems []string
+	for p := range l.found {
+		problems = append(problems, p)
+	}
 	for pos, field := range knobFields {
 		if !l.set[pos] {
 			problems = append(problems, pos+": "+field+" is set nowhere in the module: make it a constant, or give it a caller")
@@ -99,6 +103,8 @@ type loader struct {
 	pkgs   map[string]*types.Package // directory → its package as others import it
 	under  map[string]*types.Package // import path → its package with tests, while its external tests are checked
 	set    map[string]bool
+	nested []string        // directories holding a go.mod of their own: other modules
+	found  map[string]bool // DeepEqual findings, each once however often its file is checked
 }
 
 // pkgFiles are one directory's parsed files.
@@ -112,6 +118,9 @@ func (l *loader) parse() error {
 			return err
 		case d.IsDir() && p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
 			return filepath.SkipDir
+		case d.Name() == "go.mod" && p != "go.mod":
+			l.nested = append(l.nested, filepath.ToSlash(filepath.Dir(p)))
+			return nil
 		case d.IsDir() || !strings.HasSuffix(p, ".go"):
 			return nil
 		}
@@ -212,6 +221,7 @@ func (l *loader) check(p string, files []*ast.File, strict bool) (*types.Package
 	}
 	for _, f := range files {
 		l.setters(f, info)
+		l.deepEquals(f, info)
 	}
 	return pkg, nil
 }

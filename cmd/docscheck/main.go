@@ -2,8 +2,9 @@
 // exported identifier in the audited packages lacks a godoc comment, when
 // an audited package lacks a package-level doc comment, or when an exported
 // field of an audited …Options or …Config struct is set nowhere in the
-// module (knobs.go says what counts as setting it). Run it from the module
-// root.
+// module (knobs.go says what counts as setting it), or when a call of
+// reflect.DeepEqual in the root module takes a dynamo.Value or anything
+// holding one (deepequal.go). Run it from the module root.
 //
 // Usage:
 //
@@ -71,17 +72,17 @@ func main() {
 		}
 		problems = append(problems, ps...)
 	}
-	unset, err := unsetKnobs()
+	found, err := checkModule()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "docscheck: knobs: %v\n", err)
+		fmt.Fprintf(os.Stderr, "docscheck: module: %v\n", err)
 		os.Exit(2)
 	}
-	if problems = append(problems, unset...); len(problems) > 0 {
+	if problems = append(problems, found...); len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {
 			fmt.Println(p)
 		}
-		fmt.Fprintf(os.Stderr, "docscheck: %d findings: undocumented exported identifiers, option fields nothing sets\n", len(problems))
+		fmt.Fprintf(os.Stderr, "docscheck: %d findings: undocumented exported identifiers, option fields nothing sets, DeepEqual over values\n", len(problems))
 		os.Exit(1)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"testing"
-	"unsafe"
 
 	"repro/internal/raceflag"
 )
@@ -75,9 +74,6 @@ func storeCalls(tb testing.TB) (get, query, update, putDelete func()) {
 func TestStoreAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation budgets are meaningless under the race detector")
-	}
-	if size := unsafe.Sizeof(Value{}); size > 48 {
-		t.Errorf("a Value is %d bytes, over its 48: every map[string]Value group grows with it", size)
 	}
 	s, key := budgetFixture(t)
 	tab, _ := s.table("t")

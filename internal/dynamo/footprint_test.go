@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/raceflag"
 )
@@ -11,7 +12,7 @@ import (
 // The store's footprint budget: the heap one row keeps alive once installed,
 // for the three shapes Beldi's logs leave in a store until the collector
 // recycles them. A row's attributes, and a map value's entries, are a sorted
-// field list of 64 bytes per entry; a Go map costs 608 bytes for one to eight
+// field list of 56 bytes per entry; a Go map costs 608 bytes for one to eight
 // entries and 2 376 for sixteen. With Go maps the same rows kept the
 // "parent" column alive, which the test fails against. OPERATIONS.md
 // ("Sizing memory for the memtable") and EXPERIMENTS.md ("Stored data
@@ -70,14 +71,14 @@ func TestRetainedBytes(t *testing.T) {
 				return Item{"InstanceId": S(id), "Done": Bool(false), "Pending": S("1"), "Args": args,
 					"Async": Bool(false), "StartTime": NInt(int64(i)), "LastLaunch": NInt(int64(i))}
 			},
-			1199, 2097},
+			1080, 2097},
 		{"log row: 4 attributes",
 			Schema{Name: "invokelog", HashKey: "Id", SortKey: "Step"},
 			func(i int) Item {
 				return Item{"Id": S(fmt.Sprintf("instance-%08d", i)), "Step": S("3"),
 					"CalleeId": S(fmt.Sprintf("callee-%08d", i)), "Result": NInt(int64(i))}
 			},
-			504, 856},
+			424, 856},
 		{"DAAL row: 6 attributes, a 16-entry write log",
 			Schema{Name: "daal", HashKey: "Key", SortKey: "RowId"},
 			func(i int) Item {
@@ -88,12 +89,66 @@ func TestRetainedBytes(t *testing.T) {
 				return Item{"Key": S(fmt.Sprintf("item-%08d", i)), "RowId": S("r00000000"), "Value": NInt(int64(i)),
 					"LogSize": NInt(16), "NextRow": S("r00000001"), "RecentWrites": M(log)}
 			},
-			2144, 3608},
+			1936, 3608},
 	} {
 		got := retainedPerRow(t, c.schema, c.row)
 		t.Logf("%s: %.0f bytes retained per row (%.0f with Go maps)", c.name, got, c.parent)
 		if got > c.want*(1+slack) || got < c.want*(1-slack) {
 			t.Errorf("%s: %.0f bytes retained per row, want %.0f ± %.0f%%", c.name, got, c.want, 100*slack)
+		}
+	}
+}
+
+// layoutSink makes the values TestValueLayout builds escape, as a stored
+// value does.
+var layoutSink Value
+
+// TestValueLayout pins the data model's sizes and what building a value
+// costs. A Value is 40 bytes — one scalar, one string, one reference whose
+// dynamic type is the kind — so a field is 56, a key or an update action 80,
+// and a stored row, which points at its own sort value instead of copying it
+// and keeps no fingerprint, 32. No constructor allocates: a kind is a boxed
+// one-byte constant, and a list, byte slice or map is a pointer to its first
+// element (48, 64, 96, 88 and 80 bytes, and 1 allocation for L and Bytes,
+// while the kind was a field and lists and byte slices were boxed).
+func TestValueLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Value", unsafe.Sizeof(Value{}), 40},
+		{"Field", unsafe.Sizeof(Field{}), 56},
+		{"row", unsafe.Sizeof(row{}), 32},
+		{"Key", unsafe.Sizeof(Key{}), 80},
+		{"Update", unsafe.Sizeof(Update{}), 80},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	list := []Value{S("a"), N(1)}
+	bytes := []byte("payload")
+	fields := []Field{F("a", Null), F("b", Bool(true))}
+	for _, c := range []struct {
+		name  string
+		build func() Value
+	}{
+		{"S", func() Value { return S("s") }},
+		{"N", func() Value { return N(1.5) }},
+		{"NInt", func() Value { return NInt(7) }},
+		{"Bool", func() Value { return Bool(true) }},
+		{"L", func() Value { return L(list...) }},
+		{"Bytes", func() Value { return Bytes(bytes) }},
+		{"Fields", func() Value { return Fields(fields...) }},
+	} {
+		if got := testing.AllocsPerRun(100, func() { layoutSink = c.build() }); got != 0 {
+			t.Errorf("%s: %.0f allocations, want 0", c.name, got)
 		}
 	}
 }

@@ -27,7 +27,7 @@ var nanBits = math.Float64bits(math.NaN())
 
 // KeyOf returns v's comparable identity (see ScalarKey).
 func KeyOf(v Value) ScalarKey {
-	switch v.kind {
+	switch k := v.Kind(); k {
 	case KindNull:
 		return ScalarKey{}
 	case KindString:
@@ -42,7 +42,7 @@ func KeyOf(v Value) ScalarKey {
 	case KindBytes:
 		return ScalarKey{kind: KindBytes, str: string(v.BytesVal())}
 	default:
-		return ScalarKey{kind: v.kind, str: v.String()}
+		return ScalarKey{kind: k, str: v.String()}
 	}
 }
 

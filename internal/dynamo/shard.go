@@ -64,7 +64,7 @@ func (sh *shard) find(k Key) (*partition, int) {
 	if !found {
 		return nil, 0
 	}
-	p.rows[i].verify(sh.t)
+	sh.t.verify(p.rows[i])
 	return p, i
 }
 
@@ -89,13 +89,27 @@ func (sh *shard) put(k Key, a attrs) {
 	}
 	i, found := p.find(k.Sort)
 	if found {
-		p.rows[i].verify(sh.t)
-		p.rows[i].install(a)
+		sh.t.verify(p.rows[i])
+		sh.install(p.rows[i], a)
 		return
 	}
-	r := &row{sortVal: k.Sort}
-	r.install(a)
+	r := &row{}
+	sh.install(r, a)
 	p.insertAt(i, r)
+}
+
+// install makes a the row's attributes and finds its sort value among them.
+// Caller holds sh.mu.
+func (sh *shard) install(r *row, a attrs) {
+	r.attrs, r.sort = a, -1
+	if name := sh.t.schema.SortKey; name != "" {
+		i, ok := search(a, name)
+		if !ok {
+			panic("dynamo: table " + sh.t.schema.Name + ": a row without its sort attribute " + name)
+		}
+		r.sort = i
+	}
+	sh.t.remember(r)
 }
 
 // delete removes the row for key if present. Caller holds sh.mu.
@@ -104,6 +118,7 @@ func (sh *shard) delete(k Key) {
 	if p == nil {
 		return
 	}
+	sh.t.forget(p.rows[i])
 	p.removeAt(i)
 	if len(p.rows) == 0 {
 		delete(sh.parts, KeyOf(k.Hash))

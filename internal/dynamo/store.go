@@ -438,18 +438,34 @@ func (s *Store) TableNames() []string {
 
 // updated returns the attributes the row at key has after us: cur's with
 // the updates applied, or, when cur is nil (upsert), the key attributes'. The
-// list is new; cur's is only read. Caller holds the owning shard's lock.
+// list is new; cur's is only read. Like DynamoDB it refuses an update that
+// changes or removes a key attribute: a row's key attributes are its key.
+// Caller holds the owning shard's lock.
 func (t *table) updated(cur *row, key Key, us []Update) (attrs, error) {
+	var base attrs
 	if cur != nil {
-		return applied(cur.attrs, us)
+		base = cur.attrs
+	} else {
+		var keys [2]Field
+		base = append(keys[:0], Field{t.schema.HashKey, key.Hash})
+		if t.schema.SortKey != "" {
+			base = append(base, Field{t.schema.SortKey, key.Sort})
+			slices.SortFunc(base, cmpField)
+		}
 	}
-	var keys [2]Field
-	base := append(keys[:0], Field{t.schema.HashKey, key.Hash})
-	if t.schema.SortKey != "" {
-		base = append(base, Field{t.schema.SortKey, key.Sort})
-		slices.SortFunc(base, cmpField)
+	next, err := applied(base, us)
+	if err != nil {
+		return nil, err
 	}
-	return applied(base, us)
+	for _, u := range us {
+		if a := u.Path.Attr; a != t.schema.HashKey && a != t.schema.SortKey {
+			continue
+		}
+		if k, err := t.schema.KeyOf(next); err != nil || !k.Hash.Equal(key.Hash) || !k.Sort.Equal(key.Sort) {
+			return nil, fmt.Errorf("dynamo: table %s key %s: %s changes a key attribute", t.schema.Name, key, u)
+		}
+	}
+	return next, nil
 }
 
 // noItem is what a condition against an absent row is evaluated on.
@@ -489,7 +505,7 @@ func (t *table) filterRows(rows []*row, opts QueryOpts) (out []Item, scanned, by
 	}
 	for _, r := range rows {
 		scanned++
-		r.verify(t)
+		t.verify(r)
 		if opts.Filter != nil && !opts.Filter.Eval(r) {
 			continue
 		}

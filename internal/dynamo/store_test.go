@@ -167,6 +167,44 @@ func TestItemSizeCap(t *testing.T) {
 	}
 }
 
+// TestUpdateKeepsTheKey: a row's key attributes are its key — the store
+// orders a partition by the sort attribute in place — so, as on DynamoDB, an
+// update that changes or removes one is refused and leaves the row as it
+// was; one that sets a key attribute to the value it has is no change.
+func TestUpdateKeepsTheKey(t *testing.T) {
+	s := newTestStore(t)
+	for _, r := range []string{"r0", "r1", "r2"} {
+		mustPut(t, s, "daal", Item{"Key": S("k"), "RowId": S(r), "Value": N(1)})
+	}
+	key := HSK(S("k"), S("r1"))
+	for _, u := range []Update{Set(A("RowId"), S("r9")), Remove(A("RowId")), Set(A("Key"), S("other")), Remove(A("Key")), Add(A("RowId"), 1)} {
+		if err := s.Update("daal", key, nil, u); err == nil {
+			t.Errorf("%s on a key attribute: accepted", u)
+		}
+		if err := s.TransactWrite([]TxOp{{Table: "daal", Key: key, Updates: []Update{u}}}); err == nil {
+			t.Errorf("%s on a key attribute in a transaction: accepted", u)
+		}
+	}
+	if err := s.Update("daal", HSK(S("k"), S("r5")), nil, Set(A("RowId"), S("r6"))); err == nil {
+		t.Error("an upsert that changes its sort attribute: accepted")
+	}
+	if err := s.Update("daal", key, nil, Set(A("RowId"), S("r1")), Add(A("Value"), 1)); err != nil {
+		t.Errorf("setting the sort attribute to its own value: %v", err)
+	}
+	items, err := s.Query("daal", S("k"), QueryOpts{})
+	if err != nil || len(items) != 3 {
+		t.Fatalf("query after refused updates: %v, %v", items, err)
+	}
+	for i, it := range items {
+		if want := fmt.Sprintf("r%d", i); it["RowId"].Str() != want {
+			t.Errorf("row %d = %v, want RowId %s", i, it, want)
+		}
+	}
+	if got, ok, _ := s.Get("daal", key); !ok || got["Value"].Num() != 2 {
+		t.Errorf("row r1 = %v, %v after its update", got, ok)
+	}
+}
+
 func TestQueryOrderingAndProjection(t *testing.T) {
 	s := newTestStore(t)
 	for i := 0; i < 5; i++ {

@@ -78,17 +78,26 @@ func (k Key) String() string {
 	return k.Hash.String() + "/" + k.Sort.String()
 }
 
-// row is a stored row's attributes plus its decoded sort value for ordering.
-// sum is the tripwire's fingerprint of the attributes (see verify.go); 0 when
-// it is off.
+// row is a stored row: its attributes, and where among them its sort value
+// is — the index in attrs of the schema's sort attribute, or -1 for a table
+// with a simple key — so that the value a partition is ordered by is not
+// kept twice. A row's key attributes equal its key (Store.Update refuses to
+// change them), so the index is fixed from install to the next install.
 type row struct {
-	sortVal Value
-	attrs   attrs
-	sum     uint64
+	attrs attrs
+	sort  int
 }
 
 // Get makes a stored row the Attrs a condition reads in place.
 func (r *row) Get(p Path) (Value, bool) { return r.attrs.Get(p) }
+
+// sortVal is the row's sort attribute value, Null under a simple key.
+func (r *row) sortVal() Value {
+	if r.sort < 0 {
+		return Null
+	}
+	return r.attrs[r.sort].Value
+}
 
 // partition holds all rows sharing a hash key, ordered by sort value.
 type partition struct {
@@ -97,9 +106,9 @@ type partition struct {
 
 func (p *partition) find(sortVal Value) (int, bool) {
 	i := sort.Search(len(p.rows), func(i int) bool {
-		return p.rows[i].sortVal.Compare(sortVal) >= 0
+		return p.rows[i].sortVal().Compare(sortVal) >= 0
 	})
-	if i < len(p.rows) && p.rows[i].sortVal.Equal(sortVal) {
+	if i < len(p.rows) && p.rows[i].sortVal().Equal(sortVal) {
 		return i, true
 	}
 	return i, false
@@ -128,6 +137,7 @@ type table struct {
 	schema  Schema
 	maxSize int
 	shards  []*shard
+	sums    sums // the tripwire's fingerprints (verify.go)
 }
 
 func newTable(s Schema, defaultShards int) *table {

@@ -207,6 +207,66 @@ func TestRefusedWritesNeverBuiltOnTheRow(t *testing.T) {
 	}
 }
 
+// TestTripwireForgetsRowsThatLeave: the fingerprints live beside the rows,
+// one per live row, whichever way a row comes and goes — put, replacing put,
+// upsert and update, transactional put and delete — so cycles of puts and
+// deletes leave the side table empty, and every row in it is checked.
+func TestTripwireForgetsRowsThatLeave(t *testing.T) {
+	tripwire(t)
+	s := dynamo.NewStore()
+	s.MustCreateTable(dynamo.Schema{Name: "t", HashKey: "K", SortKey: "R", Shards: 4})
+	const rows = 16
+	key := func(i int) dynamo.Key {
+		return dynamo.HSK(dynamo.S(fmt.Sprintf("k%d", i%4)), dynamo.NInt(int64(i)))
+	}
+	put := func(i int, v string) dynamo.Item {
+		k := key(i)
+		return dynamo.Item{"K": k.Hash, "R": k.Sort, "V": dynamo.S(v), "L": dynamo.L(dynamo.Bytes([]byte(v)))}
+	}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < rows; i++ {
+			var err error
+			switch i % 3 {
+			case 0:
+				err = s.Put("t", put(i, "first"), nil)
+			case 1:
+				err = s.Update("t", key(i), nil, dynamo.Set(dynamo.A("V"), dynamo.S("upserted")))
+			default:
+				err = s.TransactWrite([]dynamo.TxOp{{Table: "t", Put: put(i, "first")}})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put("t", put(i, "replaced"), nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Update("t", key(i), nil, dynamo.Add(dynamo.A("N"), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := s.Fingerprinted("t"); n != rows {
+			t.Fatalf("round %d: %d fingerprints for %d rows", round, n, rows)
+		}
+		if _, err := s.Scan("t", dynamo.QueryOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			var err error
+			if i%2 == 0 {
+				err = s.Delete("t", key(i), nil)
+			} else {
+				err = s.TransactWrite([]dynamo.TxOp{{Table: "t", Key: key(i), Delete: true}})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := s.Fingerprinted("t"); n != 0 {
+			t.Fatalf("round %d: %d fingerprints left after every row was deleted", round, n)
+		}
+	}
+}
+
 // TestWorkloadsNeverWriteASharedValue drives the code above the store — the
 // travel mix with its transactional reservations, a typed fan-out job and the
 // queue-backed orders pipeline — over one tripwired store each. A layer that

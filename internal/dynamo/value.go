@@ -66,49 +66,63 @@ func (k Kind) String() string {
 // — so nothing reachable from a Value may be written once it has been built.
 // Clone makes a private deep copy for a caller that wants one to edit.
 //
-// The representation is three words of payload behind the kind (48 bytes):
-// one scalar, one string, one reference for the aggregate kinds. A map is a
-// field list (see Field): ref points at its first field and num holds its
-// length, so a map value costs its fields and nothing more — and
-// reflect.DeepEqual, following the pointer, sees only the first field:
-// compare values with Equal. A list or byte slice is boxed (one 24-byte
-// header per value).
+// The representation is 40 bytes: one scalar, one string, and one reference
+// whose dynamic type is the kind. ref is nil for NULL; a Kind constant for S,
+// N and BOOL (boxing a one-byte constant allocates nothing); and for M, L and
+// B a pointer to the first element of the payload — *Field, *Value or *byte —
+// with num holding its length. So a map is its field list (see Field), a list
+// or byte slice is its backing array, and none costs a header of its own.
+//
+// reflect.DeepEqual, following ref, sees only the first element of any
+// aggregate: the first field of a map, the first element of a list, the
+// first byte of a byte slice. Compare values with Equal. For the same reason
+// == on two maps, lists or byte slices compares their identity, not their
+// contents: it no longer panics, and it is still not what a caller wants.
 type Value struct {
-	kind Kind
-	num  float64 // KindNumber payload; KindBool as 0 or 1; KindMap's field count
-	str  string  // KindString payload
-	ref  any     // *Field (a map's first), []Value or []byte for KindMap, KindList, KindBytes
+	num float64 // KindNumber payload; KindBool as 0 or 1; a map's, list's or byte slice's length
+	str string  // KindString payload
+	ref any     // nil, a Kind, or an aggregate's first *Field, *Value or *byte: see above
 }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // S returns a string value.
-func S(s string) Value { return Value{kind: KindString, str: s} }
+func S(s string) Value { return Value{str: s, ref: KindString} }
 
 // N returns a number value. DynamoDB numbers are arbitrary-precision
 // decimals; this store uses float64, which is exact for the integer ranges
 // Beldi needs (step counters, timestamps in microseconds, ids).
-func N(f float64) Value { return Value{kind: KindNumber, num: f} }
+func N(f float64) Value { return Value{num: f, ref: KindNumber} }
 
 // NInt returns a number value from an int64.
-func NInt(i int64) Value { return Value{kind: KindNumber, num: float64(i)} }
+func NInt(i int64) Value { return Value{num: float64(i), ref: KindNumber} }
 
 // Bool returns a boolean value.
 func Bool(b bool) Value {
 	if b {
-		return Value{kind: KindBool, num: 1}
+		return Value{num: 1, ref: KindBool}
 	}
-	return Value{kind: KindBool}
+	return Value{ref: KindBool}
 }
 
 // Bytes returns a binary value. The slice is not copied and, like every
 // Value payload, must not be written afterwards.
-func Bytes(b []byte) Value { return Value{kind: KindBytes, ref: b} }
+func Bytes(b []byte) Value {
+	if len(b) == 0 {
+		return Value{ref: (*byte)(nil)}
+	}
+	return Value{num: float64(len(b)), ref: &b[0]}
+}
 
 // L returns a list value. The slice is not copied and must not be written
 // afterwards.
-func L(vs ...Value) Value { return Value{kind: KindList, ref: vs} }
+func L(vs ...Value) Value {
+	if len(vs) == 0 {
+		return Value{ref: (*Value)(nil)}
+	}
+	return Value{num: float64(len(vs)), ref: &vs[0]}
+}
 
 // M returns a map value holding m's entries. The map is copied into a field
 // list, so the caller may go on editing it; the values in it are shared (see
@@ -123,17 +137,33 @@ func M(m map[string]Value) Value {
 }
 
 // Kind reports the value's dynamic type.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	// One comparison of ref's type word each, the scalars' first: a type
+	// switch would load a hash from the type descriptor before comparing.
+	if k, ok := v.ref.(Kind); ok {
+		return k
+	}
+	if _, ok := v.ref.(*Field); ok {
+		return KindMap
+	}
+	if _, ok := v.ref.(*Value); ok {
+		return KindList
+	}
+	if _, ok := v.ref.(*byte); ok {
+		return KindBytes
+	}
+	return KindNull
+}
 
 // IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.ref == nil }
 
 // Str returns the string payload, or "" for non-strings.
 func (v Value) Str() string { return v.str }
 
 // Num returns the numeric payload, or 0 for non-numbers.
 func (v Value) Num() float64 {
-	if v.kind != KindNumber {
+	if v.ref != KindNumber {
 		return 0
 	}
 	return v.num
@@ -143,27 +173,33 @@ func (v Value) Num() float64 {
 func (v Value) Int() int64 { return int64(v.Num()) }
 
 // BoolVal returns the boolean payload, or false for non-booleans.
-func (v Value) BoolVal() bool { return v.kind == KindBool && v.num != 0 }
+func (v Value) BoolVal() bool { return v.ref == KindBool && v.num != 0 }
 
 // BytesVal returns the binary payload, or nil for non-binary values. The
 // returned slice must not be mutated.
 func (v Value) BytesVal() []byte {
-	b, _ := v.ref.([]byte)
-	return b
+	p, _ := v.ref.(*byte)
+	if p == nil {
+		return nil
+	}
+	return unsafe.Slice(p, int(v.num))
 }
 
 // List returns the list payload, or nil. The returned slice must not be
 // mutated.
 func (v Value) List() []Value {
-	l, _ := v.ref.([]Value)
-	return l
+	p, _ := v.ref.(*Value)
+	if p == nil {
+		return nil
+	}
+	return unsafe.Slice(p, int(v.num))
 }
 
 // Map returns a copy of the map payload as a Go map of the caller's own, or
 // nil for a non-map value. The values in it are shared. It allocates the
 // whole map: a reader wants MapGet, Get or Entries.
 func (v Value) Map() map[string]Value {
-	if v.kind != KindMap {
+	if _, ok := v.ref.(*Field); !ok {
 		return nil
 	}
 	fs := v.fields()
@@ -204,17 +240,18 @@ func (v Value) Entries() iter.Seq2[string, Value] {
 // fields is a map value's field list, sorted by name; nil for any other kind.
 // It is the value's own and must not be written.
 func (v Value) fields() []Field {
-	if v.kind != KindMap || v.num == 0 {
+	p, _ := v.ref.(*Field)
+	if p == nil {
 		return nil
 	}
-	return unsafe.Slice(v.ref.(*Field), int(v.num))
+	return unsafe.Slice(p, int(v.num))
 }
 
 // Clone returns a deep copy of the value, for a caller that wants a nested
 // map, list or byte slice of its own to edit. The store never calls it:
 // values are shared across its boundary (see Value).
 func (v Value) Clone() Value {
-	switch v.kind {
+	switch v.Kind() {
 	case KindBytes:
 		return Bytes(append([]byte{}, v.BytesVal()...))
 	case KindList:
@@ -237,33 +274,26 @@ func (v Value) Clone() Value {
 // Equal reports deep equality of two values. Values of different kinds are
 // never equal (no numeric coercion).
 func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
-		return false
-	}
-	switch v.kind {
-	case KindNull:
-		return true
-	case KindString:
-		return v.str == o.str
-	case KindNumber:
-		return v.num == o.num
-	case KindBool:
-		return v.num == o.num
-	case KindBytes:
-		return string(v.BytesVal()) == string(o.BytesVal())
-	case KindList:
-		vl, ol := v.List(), o.List()
-		if len(vl) != len(ol) {
+	switch r := v.ref.(type) {
+	case nil:
+		return o.ref == nil
+	case Kind:
+		if k, ok := o.ref.(Kind); !ok || k != r {
 			return false
 		}
-		for i := range vl {
-			if !vl[i].Equal(ol[i]) {
-				return false
-			}
+		if r == KindString {
+			return v.str == o.str
 		}
-		return true
-	case KindMap:
-		return slices.EqualFunc(v.fields(), o.fields(), func(a, b Field) bool {
+		return v.num == o.num
+	case *byte:
+		_, ok := o.ref.(*byte)
+		return ok && string(v.BytesVal()) == string(o.BytesVal())
+	case *Value:
+		_, ok := o.ref.(*Value)
+		return ok && slices.EqualFunc(v.List(), o.List(), Value.Equal)
+	case *Field:
+		_, ok := o.ref.(*Field)
+		return ok && slices.EqualFunc(v.fields(), o.fields(), func(a, b Field) bool {
 			return a.Name == b.Name && a.Value.Equal(b.Value)
 		})
 	}
@@ -274,13 +304,14 @@ func (v Value) Equal(o Value) bool {
 // different kinds order by kind, matching how a sort key column with mixed
 // types would be rejected by a real store but keeping ordering total here.
 func (v Value) Compare(o Value) int {
-	if v.kind != o.kind {
-		if v.kind < o.kind {
+	k, ko := v.Kind(), o.Kind()
+	if k != ko {
+		if k < ko {
 			return -1
 		}
 		return 1
 	}
-	switch v.kind {
+	switch k {
 	case KindString:
 		return strings.Compare(v.str, o.str)
 	case KindNumber, KindBool:
@@ -304,34 +335,35 @@ func (v Value) Compare(o Value) int {
 // map element plus 1 byte per nesting level; this approximation is close
 // enough for the 400 KB row cap and the §7.3 storage accounting).
 func (v Value) Size() int {
-	switch v.kind {
-	case KindNull, KindBool:
-		return 1
-	case KindString:
-		return len(v.str)
-	case KindNumber:
-		return 8
-	case KindBytes:
-		return len(v.BytesVal())
-	case KindList:
+	switch r := v.ref.(type) {
+	case Kind:
+		switch r {
+		case KindString:
+			return len(v.str)
+		case KindNumber:
+			return 8
+		}
+	case *byte:
+		return int(v.num)
+	case *Value:
 		n := 3
 		for _, e := range v.List() {
 			n += 1 + e.Size()
 		}
 		return n
-	case KindMap:
+	case *Field:
 		n := 3
 		for _, f := range v.fields() {
 			n += len(f.Name) + 1 + f.Value.Size()
 		}
 		return n
 	}
-	return 1
+	return 1 // NULL, BOOL
 }
 
 // String renders the value for debugging.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "null"
 	case KindString:

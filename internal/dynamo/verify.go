@@ -3,6 +3,7 @@ package dynamo
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // verifyShared is the immutability tripwire, switched on only by tests
@@ -16,18 +17,52 @@ import (
 // under test are used and not flipped while they run.
 var verifyShared bool
 
-// install makes a the row's attributes. Caller holds the shard's write lock.
-func (r *row) install(a attrs) {
-	r.attrs = a
-	if verifyShared {
-		r.sum = fingerprint(mapOf(a))
+// sums is the tripwire's side table: the fingerprint of each of a table's
+// live rows, taken at install. Rows do not carry it, so the store pays
+// nothing for it while the tripwire is off, and it is written and read only
+// while the tripwire is on. A row deleted from the table leaves it; a
+// replaced row, which is the same row with new attributes, is
+// fingerprinted again.
+type sums struct {
+	mu sync.Mutex
+	of map[*row]uint64
+}
+
+// remember fingerprints r's attributes as installed. Caller holds the
+// shard's write lock.
+func (t *table) remember(r *row) {
+	if !verifyShared {
+		return
 	}
+	t.sums.mu.Lock()
+	if t.sums.of == nil {
+		t.sums.of = make(map[*row]uint64)
+	}
+	t.sums.of[r] = fingerprint(mapOf(r.attrs))
+	t.sums.mu.Unlock()
+}
+
+// forget drops a row that leaves the table. Caller holds the shard's write
+// lock.
+func (t *table) forget(r *row) {
+	if !verifyShared {
+		return
+	}
+	t.sums.mu.Lock()
+	delete(t.sums.of, r)
+	t.sums.mu.Unlock()
 }
 
 // verify panics if the row's values are not what was installed. Caller
 // holds the shard's lock.
-func (r *row) verify(t *table) {
-	if verifyShared && fingerprint(mapOf(r.attrs)) != r.sum {
+func (t *table) verify(r *row) {
+	if !verifyShared {
+		return
+	}
+	t.sums.mu.Lock()
+	sum := t.sums.of[r]
+	t.sums.mu.Unlock()
+	if fingerprint(mapOf(r.attrs)) != sum {
 		k, _ := t.schema.KeyOf(r)
 		panic(fmt.Sprintf("dynamo: table %s key %s: a value shared with the store was written after it was installed (row is now %s)",
 			t.schema.Name, k, r.attrs.item()))
@@ -38,14 +73,15 @@ func (r *row) verify(t *table) {
 // fields, and a row's attributes, in their sorted order.
 func fingerprint(v Value) uint64 {
 	const prime = 1099511628211
-	h := (14695981039346656037 ^ uint64(v.kind)) * prime
+	k := v.Kind()
+	h := (14695981039346656037 ^ uint64(k)) * prime
 	mix := func(h uint64, s string) uint64 {
 		for i := 0; i < len(s); i++ {
 			h = (h ^ uint64(s[i])) * prime
 		}
 		return (h ^ uint64(len(s))) * prime
 	}
-	switch v.kind {
+	switch k {
 	case KindString:
 		h = mix(h, v.str)
 	case KindNumber, KindBool:

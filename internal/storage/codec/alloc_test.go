@@ -98,16 +98,16 @@ func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 	// The row's map (2: header and slots, on the go 1.24 runtime), the nested
 	// map value's field list (1; 2 while it was a Go map), one string arena
 	// for the five data strings that are strings (two values, and two keys
-	// and a value inside the map; 5 while each was its own), the byte value's
-	// private copy, and the slice header of the byte value (a 48-byte Value
-	// holds a byte slice or list boxed; it was 10 while a Value was 96
+	// and a value inside the map; 5 while each was its own), and the byte
+	// value's private copy, which the Value points at (6 while a 48-byte
+	// Value boxed a byte slice's or list's header; 10 while a Value was 96
 	// bytes). Names: 0.
-	const want = 2 + 1 + 1 + 1 + 1
+	const want = 2 + 1 + 1 + 1
 	if n := allocsPerRun(t, func() {
 		d := Decoder{b: body}
 		got = d.Item()
 	}); n != want {
-		t.Errorf("decoding a row: %v allocations, want %d (its map, field list, string arena, byte value and one boxed slice)", n, want)
+		t.Errorf("decoding a row: %v allocations, want %d (its map, field list, string arena and byte value)", n, want)
 	}
 	if !itemsEqual(got, budgetRow()) {
 		t.Errorf("decoded %v", got)

@@ -162,7 +162,7 @@ func retainedPerRow(t *testing.T, schema dynamo.Schema, row func(i int) dynamo.I
 // string a string of its own. The arena holds a row's data strings and
 // nothing else, and every one of them is retained with the row, so what it
 // can cost is its size class's rounding, once per row instead of once per
-// string. (A decoded intent row keeps ~110 bytes more than the same row built
+// string. (A decoded intent row keeps ~100 bytes more than the same row built
 // directly, arenas or not: built, its map keys and constant values are string
 // literals, which live outside the heap.)
 func TestArenaRetainsNoMore(t *testing.T) {
@@ -191,14 +191,14 @@ func TestArenaRetainsNoMore(t *testing.T) {
 				return dynamo.Item{"InstanceId": dynamo.S(id), "Done": dynamo.Bool(false), "Pending": dynamo.S("1"), "Args": args,
 					"Async": dynamo.Bool(false), "StartTime": dynamo.NInt(int64(i)), "LastLaunch": dynamo.NInt(int64(i))}
 			},
-			1199},
+			1080},
 		{"log row: 4 attributes",
 			dynamo.Schema{Name: "invokelog", HashKey: "Id", SortKey: "Step"},
 			func(i int) dynamo.Item {
 				return dynamo.Item{"Id": dynamo.S(fmt.Sprintf("instance-%08d", i)), "Step": dynamo.S("3"),
 					"CalleeId": dynamo.S(fmt.Sprintf("callee-%08d", i)), "Result": dynamo.NInt(int64(i))}
 			},
-			504},
+			424},
 		{"DAAL row: 6 attributes, a 16-entry write log",
 			dynamo.Schema{Name: "daal", HashKey: "Key", SortKey: "RowId"},
 			func(i int) dynamo.Item {
@@ -209,7 +209,7 @@ func TestArenaRetainsNoMore(t *testing.T) {
 				return dynamo.Item{"Key": dynamo.S(fmt.Sprintf("item-%08d", i)), "RowId": dynamo.S("r00000000"), "Value": dynamo.NInt(int64(i)),
 					"LogSize": dynamo.NInt(16), "NextRow": dynamo.S("r00000001"), "RecentWrites": dynamo.M(log)}
 			},
-			2144},
+			1936},
 	} {
 		var own float64
 		WithoutArenas(func() { own = retainedPerRow(t, c.schema, c.row) })
