@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -47,7 +48,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/beldi"
 	"repro/internal/bench"
 )
 
@@ -78,7 +78,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
 // run regenerates the figure(s) -fig names and returns the exit code: 1 when
 // a figure fails, 2 for a bad command line — an id that is not in the table
-// below included, which used to print nothing and exit 0.
+// below, or a flag value no figure can run with, included.
 func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -87,33 +87,42 @@ func run(args []string, stderr io.Writer) int {
 		duration = fs.Duration("duration", 3*time.Second, "measurement duration per sweep point")
 		minutes  = fs.Int("minutes", 30, "simulated minutes for fig 16")
 		minute   = fs.Duration("minute", 300*time.Millisecond, "real time per simulated minute in fig 16")
-		rates    = fs.String("rates", "", "comma-separated offered rates for sweeps (default 100..800)")
+		rates    = fs.String("rates", "100,200,300,400,500,600,700,800", "comma-separated offered rates (req/s) for the latency-throughput sweeps")
 		seed     = fs.Int64("seed", 1, "random seed")
 		ops      = fs.Int("ops", 60, "operations per fig 13/25 cell")
 		jsonOut  = fs.Bool("json", false, "also write each sweep as BENCH_<fig>.json (see -out)")
 		outDir   = fs.String("out", ".", "directory for -json output files")
 		rateList []float64
 	)
+	curves := func(id, app string) func() error {
+		return func() error {
+			return runCurves(id, fmt.Sprintf("# Figure %s — %s app: response time (ms) vs throughput (req/s)", id, app),
+				"mode", -10, bench.AppCurves(app, rateList, *duration, *scale, *seed))
+		}
+	}
 	figures := []struct {
 		id  string
 		run func() error
 	}{
-		{"13", func() error { return runFig13(20, *scale, *seed, *ops, "13") }},
-		{"14", func() error { return runSweep("14", "media", rateList, *duration, *scale, *seed) }},
-		{"15", func() error { return runSweep("15", "travel", rateList, *duration, *scale, *seed) }},
-		{"15b", func() error { return runNoTxnSweep(rateList, *duration, *scale, *seed) }},
-		{"16", func() error { return runFig16(*minutes, *minute, *scale, *seed) }},
-		{"25", func() error { return runFig13(5, *scale, *seed, *ops, "25") }},
-		{"26", func() error { return runSweep("26", "social", rateList, *duration, *scale, *seed) }},
+		{"13", func() error { return runOps("13", bench.OpCells(20, *ops, *scale, *seed)) }},
+		{"14", curves("14", "media")},
+		{"15", curves("15", "travel")},
+		{"15b", func() error {
+			return runCurves("15b", "# §7.4 ablation — travel app on Beldi without transactions", "config", -14,
+				bench.NoTxnCurves(rateList, *duration, *scale, *seed))
+		}},
+		{"16", func() error { return runFig16(bench.GCLines(*minutes, *minute, *scale, *seed)) }},
+		{"25", func() error { return runOps("25", bench.OpCells(5, *ops, *scale, *seed)) }},
+		{"26", curves("26", "social")},
 		{"costs", runCosts},
-		{"ablation", func() error { return runAblation(*scale, *seed) }},
-		{"queue", func() error { return runQueueSweep(*scale, *seed) }},
-		{"orders", func() error { return runSweep("orders", "orders", rateList, *duration, *scale, *seed) }},
+		{"ablation", func() error { return runAblation(bench.AblationDepths(*scale, *seed)) }},
+		{"queue", func() error { return runQueueSweep(bench.QueueCells(*scale, *seed)) }},
+		{"orders", curves("orders", "orders")},
 		{"shard", func() error { return runCells(shardTable, bench.ShardCells(*duration, *scale, *seed)) }},
-		{"fanout", func() error { return runFanoutSweep(*duration, *scale, *seed) }},
+		{"fanout", func() error { return runFanoutSweep(bench.FanoutCells(*duration, *scale, *seed)) }},
 		{"backend", func() error { return runCells(backendTable, bench.BackendCells(*duration, *seed)) }},
-		{"latency", func() error { return runLatency(*duration, *seed) }},
-		{"cluster", func() error { return runClusterSweep(*duration, *scale, *seed) }},
+		{"latency", func() error { return runLatency(bench.LatencyCells(*duration, *seed), bench.TriggerCells(*seed)) }},
+		{"cluster", func() error { return runClusterSweep(bench.ClusterCells(*duration, *scale, *seed)) }},
 		{"remote", func() error { return runCells(remoteTable, bench.RemoteCells(*duration, *seed)) }},
 		{"pipeline", func() error { return runCells(pipelineTable, bench.PipelineCells(*duration, *scale, *seed)) }},
 	}
@@ -130,10 +139,29 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "figures: unknown -fig %q; valid ids: %s\n", *fig, valid)
 		return 2
 	}
+	for _, f := range []struct {
+		name string
+		ok   bool
+	}{
+		{"duration", *duration > 0}, {"minutes", *minutes > 0}, {"minute", *minute > 0}, {"ops", *ops > 0},
+	} {
+		if !f.ok {
+			fmt.Fprintf(stderr, "figures: -%s must be positive, not %s\n", f.name, fs.Lookup(f.name).Value)
+			return 2
+		}
+	}
+	if *scale < 0 {
+		fmt.Fprintf(stderr, "figures: -scale must not be negative, not %v\n", *scale)
+		return 2
+	}
+	var err error
+	if rateList, err = parseRates(*rates); err != nil {
+		fmt.Fprintf(stderr, "figures: -rates: %v\n", err)
+		return 2
+	}
 	if *jsonOut {
 		jsonDir = *outDir
 	}
-	rateList = parseRates(*rates)
 	for _, f := range figures {
 		if *fig != "all" && *fig != f.id {
 			continue
@@ -257,27 +285,38 @@ func substrate(p bench.Point) string {
 	return pick(p.Wire, "remote", pick(p.Backend == bench.BackendMemory, "memory", "wal"))
 }
 
+// runSet prints a figure: its title and header, then one row per parameter
+// set as bench.RunAll measures them, and BENCH_<name>.json unless name is "".
+func runSet[P, R any](name, title, header string, set []P, run func(P) (R, error), row func(R)) error {
+	fmt.Println(title)
+	fmt.Println(header)
+	res, err := bench.RunAll(set, run)
+	if err != nil {
+		return err
+	}
+	for _, r := range res {
+		row(r)
+	}
+	fmt.Println()
+	if name == "" {
+		return nil
+	}
+	return emitJSON(name, res)
+}
+
 // runCells prints a step-commit figure: the table's title and header, then
-// one row per cell as bench.RunCells measures it, and BENCH_<figure>.json.
+// one row per cell, and BENCH_<figure>.json.
 func runCells(t table, cells []bench.Cell) error {
-	fmt.Println(t.title)
-	row := func(text func(column) string) {
+	line := func(text func(column) string) string {
 		parts := make([]string, len(t.cols))
 		for i, c := range t.cols {
 			parts[i] = fmt.Sprintf("%*s", c.width, text(c))
 		}
-		fmt.Println(strings.Join(parts, " "))
+		return strings.Join(parts, " ")
 	}
-	row(func(c column) string { return c.head })
-	pts, err := bench.RunCells(cells)
-	if err != nil {
-		return err
-	}
-	for _, p := range pts {
-		row(func(c column) string { return c.text(p) })
-	}
-	fmt.Println()
-	return emitJSON(cells[0].Figure, pts)
+	return runSet(cells[0].Figure, t.title, line(func(c column) string { return c.head }), cells, bench.RunCell, func(p bench.Point) {
+		fmt.Println(line(func(c column) string { return c.text(p) }))
+	})
 }
 
 // runClusterSweep prints committed workflow steps per second versus worker
@@ -286,27 +325,13 @@ func runCells(t table, cells []bench.Cell) error {
 // exactly-once recovery verified before a kill cell reports (the Netherite
 // worker-scaling comparison; see EXPERIMENTS.md). -scale compresses the
 // simulated store latency that makes the workload latency-bound.
-func runClusterSweep(duration time.Duration, scale float64, seed int64) error {
-	fmt.Println("# Cluster sweep — committed steps/s vs worker count, with and without a mid-run kill")
-	fmt.Printf("%-8s %-8s %14s %10s %8s %8s %10s\n", "workers", "kill", "tput(steps/s)", "steps", "failed", "stolen", "recovered")
-	pts, err := bench.ClusterSweep(bench.ClusterSweepOptions{
-		Duration: duration,
-		Scale:    scale,
-		Seed:     seed,
-	})
-	if err != nil {
-		return err
-	}
-	for _, p := range pts {
-		killed := "no"
-		if p.Killed {
-			killed = "mid-run"
-		}
-		fmt.Printf("%-8d %-8s %14.1f %10d %8d %8d %10d\n",
-			p.Workers, killed, p.Throughput, p.Steps, p.Failed, p.Stolen, p.Recovered)
-	}
-	fmt.Println()
-	return emitJSON("cluster", pts)
+func runClusterSweep(cells []bench.ClusterCell) error {
+	return runSet("cluster", "# Cluster sweep — committed steps/s vs worker count, with and without a mid-run kill",
+		fmt.Sprintf("%-8s %-8s %14s %10s %8s %8s %10s", "workers", "kill", "tput(steps/s)", "steps", "failed", "stolen", "recovered"),
+		cells, bench.RunCluster, func(p bench.ClusterSweepPoint) {
+			fmt.Printf("%-8d %-8s %14.1f %10d %8d %8d %10d\n",
+				p.Workers, pick(p.Killed, "mid-run", "no"), p.Throughput, p.Steps, p.Failed, p.Stolen, p.Recovered)
+		})
 }
 
 // runLatency prints client-observed p50/p99 request latency per backend and
@@ -314,172 +339,99 @@ func runClusterSweep(duration time.Duration, scale float64, seed int64) error {
 // step-commit and fsync distributions telemetry measures underneath them,
 // then the push-vs-poll trigger latency table (BENCH_trigger.json). See
 // EXPERIMENTS.md, "Tail latency".
-func runLatency(duration time.Duration, seed int64) error {
-	if err := runCells(latencyTable, bench.LatencyCells(duration, seed)); err != nil {
-		return err
-	}
-	fmt.Println("# Trigger latency — enqueue→receive on an idle queue, push vs poll")
-	fmt.Printf("%-14s %-6s %10s %10s %10s %10s %10s %9s\n",
-		"backend", "mode", "interval", "p50(ms)", "p90(ms)", "p99(ms)", "max(ms)", "wakeups")
-	tpts, err := bench.TriggerLatencySweep(bench.TriggerLatencySweepOptions{Seed: seed})
-	if err != nil {
+func runLatency(cells []bench.Cell, triggers []bench.TriggerCell) error {
+	if err := runCells(latencyTable, cells); err != nil {
 		return err
 	}
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
-	for _, p := range tpts {
-		fmt.Printf("%-14s %-6s %10s %10.3f %10.3f %10.3f %10.3f %9d\n",
-			p.Backend, p.Mode, p.PollInterval, ms(p.P50), ms(p.P90), ms(p.P99), ms(p.Max), p.Wakeups)
-	}
-	fmt.Println()
-	return emitJSON("trigger", tpts)
+	return runSet("trigger", "# Trigger latency — enqueue→receive on an idle queue, push vs poll",
+		fmt.Sprintf("%-14s %-6s %10s %10s %10s %10s %10s %9s",
+			"backend", "mode", "interval", "p50(ms)", "p90(ms)", "p99(ms)", "max(ms)", "wakeups"),
+		triggers, bench.RunTrigger, func(p bench.TriggerLatencyPoint) {
+			fmt.Printf("%-14s %-6s %10s %10.3f %10.3f %10.3f %10.3f %9d\n",
+				p.Backend, p.Mode, p.PollInterval, ms(p.P50), ms(p.P90), ms(p.P99), ms(p.Max), p.Wakeups)
+		})
 }
 
 // runFanoutSweep prints committed promise results per second versus fan-out
 // width for the durable path and the in-memory baseline — the price of
 // crash-safe fan-out/fan-in.
-func runFanoutSweep(duration time.Duration, scale float64, seed int64) error {
-	fmt.Println("# Fan-out — durable-promise results/s vs fan-out width, fixed driver population")
-	fmt.Printf("%-8s %-10s %14s %12s %10s %10s %10s\n", "width", "mode", "tput(res/s)", "fanins/s", "rounds", "p50(ms)", "p99(ms)")
-	pts, err := bench.FanoutSweep(bench.FanoutSweepOptions{
-		Duration: duration,
-		Scale:    scale,
-		Seed:     seed,
-	})
-	if err != nil {
-		return err
-	}
-	for _, p := range pts {
-		fmt.Printf("%-8d %-10s %14.1f %12.1f %10d %10.2f %10.2f\n",
-			p.Width, p.Mode, p.Throughput, p.FanInsPerSec, p.FanIns, ms(p.P50), ms(p.P99))
-	}
-	fmt.Println()
-	return emitJSON("fanout", pts)
+func runFanoutSweep(cells []bench.FanoutCell) error {
+	return runSet("fanout", "# Fan-out — durable-promise results/s vs fan-out width, fixed driver population",
+		fmt.Sprintf("%-8s %-10s %14s %12s %10s %10s %10s", "width", "mode", "tput(res/s)", "fanins/s", "rounds", "p50(ms)", "p99(ms)"),
+		cells, bench.RunFanout, func(p bench.FanoutSweepPoint) {
+			fmt.Printf("%-8d %-10s %14.1f %12.1f %10d %10.2f %10.2f\n",
+				p.Width, p.Mode, p.Throughput, p.FanInsPerSec, p.FanIns, ms(p.P50), ms(p.P99))
+		})
 }
 
 // runQueueSweep prints the event-queue subsystem's consume throughput versus
 // event-source-mapper batch size.
-func runQueueSweep(scale float64, seed int64) error {
-	fmt.Println("# Queue — durable event-queue consume throughput vs mapper batch size")
-	fmt.Printf("%-8s %12s %10s %12s\n", "batch", "tput(msg/s)", "polls", "elapsed(ms)")
-	pts, err := bench.QueueSweep(bench.QueueSweepOptions{Scale: scale, Seed: seed})
-	if err != nil {
-		return err
-	}
-	for _, p := range pts {
-		fmt.Printf("%-8d %12.1f %10d %12.2f\n", p.Batch, p.Throughput, p.Polls, ms(p.Elapsed))
-	}
-	fmt.Println()
-	return emitJSON("queue", pts)
+func runQueueSweep(cells []bench.QueueCell) error {
+	return runSet("queue", "# Queue — durable event-queue consume throughput vs mapper batch size",
+		fmt.Sprintf("%-8s %12s %10s %12s", "batch", "tput(msg/s)", "polls", "elapsed(ms)"),
+		cells, bench.RunQueue, func(p bench.QueueSweepPoint) {
+			fmt.Printf("%-8d %12.1f %10d %12.2f\n", p.Batch, p.Throughput, p.Polls, ms(p.Elapsed))
+		})
 }
 
-func runAblation(scale float64, seed int64) error {
-	fmt.Println("# Ablation — DAAL tail traversal: one query (state projected with the skeleton) vs scan+projection then tail read vs pointer chasing (§4.1)")
-	fmt.Printf("%-8s %-15s %12s %12s %12s\n", "depth", "strategy", "median(ms)", "store ops", "bytes read")
-	rows, err := bench.TraversalAblation(bench.AblationOptions{Scale: scale, Seed: seed})
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		fmt.Printf("%-8d %-15s %12.2f %12.1f %12.0f\n", r.Depth, r.Strategy, ms(r.Median), r.StoreOps, r.BytesRead)
-	}
-	fmt.Println()
-	return nil
+func runAblation(depths []bench.AblationDepth) error {
+	return runSet("", "# Ablation — DAAL tail traversal: one query (state projected with the skeleton) vs scan+projection then tail read vs pointer chasing (§4.1)",
+		fmt.Sprintf("%-8s %-15s %12s %12s %12s", "depth", "strategy", "median(ms)", "store ops", "bytes read"),
+		depths, bench.RunDepth, func(rows []bench.AblationRow) {
+			for _, r := range rows {
+				fmt.Printf("%-8d %-15s %12.2f %12.1f %12.0f\n", r.Depth, r.Strategy, ms(r.Median), r.StoreOps, r.BytesRead)
+			}
+		})
 }
 
-func parseRates(s string) []float64 {
-	if s == "" {
-		return nil
-	}
+// parseRates reads -rates: one or more positive offered loads.
+func parseRates(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: bad rate %q: %v\n", part, err)
-			os.Exit(2)
+		if err != nil || !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad rate %q: want a positive number of requests per second", part)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func runFig13(rows int, scale float64, seed int64, ops int, label string) error {
-	fmt.Printf("# Figure %s — operation latency (ms), %d-row linked DAAL, 1B keys / 16B values\n", label, rows)
-	fmt.Printf("%-10s %-24s %10s %10s\n", "op", "mode", "median", "p99")
-	res, err := bench.Fig13(bench.Fig13Options{
-		DAALRows: rows, Scale: scale, Seed: seed, Ops: ops,
-	})
-	if err != nil {
-		return err
-	}
-	for _, r := range res {
-		fmt.Printf("%-10s %-24s %10.2f %10.2f\n", r.Op, bench.ModeLabel(r.Mode), ms(r.Median), ms(r.P99))
-	}
-	fmt.Println()
-	return nil
+func runOps(id string, cells []bench.OpCell) error {
+	return runSet("", fmt.Sprintf("# Figure %s — operation latency (ms), %d-row linked DAAL, 1B keys / 16B values", id, cells[0].DAALRows),
+		fmt.Sprintf("%-10s %-24s %10s %10s", "op", "mode", "median", "p99"),
+		cells, bench.RunOp, func(r bench.Fig13Row) {
+			fmt.Printf("%-10s %-24s %10.2f %10.2f\n", r.Op, bench.ModeLabel(r.Mode), ms(r.Median), ms(r.P99))
+		})
 }
 
-// curve is one series of a latency-throughput figure: its row label, and the
-// app and mode it sweeps.
-type curve struct {
-	label, app string
-	mode       beldi.Mode
-}
-
-// runSweep prints Figures 14/15/26/orders: one app, baseline against Beldi.
-func runSweep(id, app string, rates []float64, duration time.Duration, scale float64, seed int64) error {
-	title := fmt.Sprintf("# Figure %s — %s app: response time (ms) vs throughput (req/s)", id, app)
-	return runCurves(id, title, "mode", -10, []curve{
-		{bench.ModeLabel(beldi.ModeBaseline), app, beldi.ModeBaseline},
-		{bench.ModeLabel(beldi.ModeBeldi), app, beldi.ModeBeldi},
-	}, rates, duration, scale, seed)
-}
-
-// runNoTxnSweep is the §7.4 ablation: the travel site with Beldi's fault
-// tolerance but without the reservation transaction (the paper measures a
-// 16% lower median and 20% lower p99 at saturation).
-func runNoTxnSweep(rates []float64, duration time.Duration, scale float64, seed int64) error {
-	return runCurves("15b", "# §7.4 ablation — travel app on Beldi without transactions", "config", -14, []curve{
-		{"travel", "travel", beldi.ModeBeldi},
-		{"travel-notxn", "travel-notxn", beldi.ModeBeldi},
-	}, rates, duration, scale, seed)
-}
-
-// runCurves sweeps each curve over the offered rates, prints one row per
-// (curve, rate) under the label column (head, width) and writes the series as
-// BENCH_<id>.json.
-func runCurves(id, title, head string, width int, curves []curve, rates []float64, duration time.Duration, scale float64, seed int64) error {
-	fmt.Println(title)
-	fmt.Printf("%*s %8s %10s %10s %10s %8s\n", width, head, "offered", "tput", "p50", "p99", "errors")
+// runCurves prints a latency-throughput figure (14, 15, 15b, 26, orders): one
+// row per (curve, rate) under the label column (head, width), and writes the
+// series as BENCH_<id>.json.
+func runCurves(id, title, head string, width int, curves []bench.Curve) error {
 	type series struct {
 		Mode   string
 		Points []bench.SweepPoint
 	}
-	var out []series
-	for _, c := range curves {
-		pts, err := bench.Sweep(bench.SweepOptions{
-			App: c.app, Mode: c.mode, Rates: rates,
-			Duration: duration, Scale: scale, Seed: seed,
+	return runSet(id, title, fmt.Sprintf("%*s %8s %10s %10s %10s %8s", width, head, "offered", "tput", "p50", "p99", "errors"),
+		curves, func(c bench.Curve) (series, error) {
+			pts, err := bench.RunCurve(c)
+			return series{c.Label, pts}, err
+		}, func(s series) {
+			for _, p := range s.Points {
+				fmt.Printf("%*s %8.0f %10.1f %10.2f %10.2f %8d\n",
+					width, s.Mode, p.Rate, p.Throughput, ms(p.P50), ms(p.P99), p.Errors+p.Dropped)
+			}
 		})
-		if err != nil {
-			return err
-		}
-		for _, p := range pts {
-			fmt.Printf("%*s %8.0f %10.1f %10.2f %10.2f %8d\n",
-				width, c.label, p.Rate, p.Throughput, ms(p.P50), ms(p.P99), p.Errors+p.Dropped)
-		}
-		out = append(out, series{Mode: c.label, Points: pts})
-	}
-	fmt.Println()
-	return emitJSON(id, out)
 }
 
-func runFig16(minutes int, minuteDur time.Duration, scale float64, seed int64) error {
+func runFig16(lines []bench.GCLine) error {
+	minutes := lines[0].Minutes
 	fmt.Printf("# Figure 16 — single-write SSF median latency (ms) over %d simulated minutes\n", minutes)
-	series, err := bench.Fig16(bench.Fig16Options{
-		Minutes: minutes, MinuteDuration: minuteDur, Scale: scale, Seed: seed,
-	})
+	series, err := bench.RunAll(lines, bench.RunGCLine)
 	if err != nil {
 		return err
 	}
@@ -510,7 +462,7 @@ func runFig16(minutes int, minuteDur time.Duration, scale float64, seed int64) e
 }
 
 func runCosts() error {
-	rep, err := bench.Costs(0)
+	rep, err := bench.Costs()
 	if err != nil {
 		return err
 	}

@@ -25,6 +25,33 @@ func TestUnknownFigureListsValidIDsAndExits2(t *testing.T) {
 	}
 }
 
+// A value no figure can run with used to be replaced silently — -minutes 0
+// ran 30 simulated minutes and printed none, -ops 0 ran 60 — or, for a bad
+// -rates, exited the process from inside run. Each is a usage error now,
+// reported on run's own stderr before any figure starts.
+func TestBadFlagValuesExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-duration", "0"},
+		{"-duration", "-1s"},
+		{"-minutes", "0"},
+		{"-minute", "0s"},
+		{"-ops", "0"},
+		{"-scale", "-0.1"},
+		{"-rates", "100,x"},
+		{"-rates", ""},
+		{"-rates", "100,0"},
+		{"-rates", "inf"},
+	} {
+		var stderr bytes.Buffer
+		if code := run(append([]string{"-fig", "costs"}, args...), &stderr); code != 2 {
+			t.Errorf("%q: exit code %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), args[0]) {
+			t.Errorf("%q: stderr %q does not name the flag", args, stderr.String())
+		}
+	}
+}
+
 func TestKnownFigureRuns(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run([]string{"-fig", "costs"}, &stderr); code != 0 {

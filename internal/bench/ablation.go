@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/beldi"
@@ -30,48 +31,38 @@ type AblationRow struct {
 	BytesRead float64 // response bytes per traversal
 }
 
-// AblationOptions configure the traversal ablation.
-type AblationOptions struct {
-	// Depths are the DAAL depths to measure. nil means 1, 2, 4, … 64.
-	Depths []int
-	// Ops per cell. 0 means 40.
-	Ops int
-	// Scale compresses simulated latency. 0 means 0.2.
+// AblationDepth is one DAAL depth of the ablation, at which every strategy
+// is measured.
+type AblationDepth struct {
+	// Label is the depth in decimal.
+	Label string
+	Depth int
+	// Scale compresses simulated latency.
 	Scale float64
 	Seed  int64
 }
 
-// TraversalAblation measures every strategy at each depth.
-func TraversalAblation(opts AblationOptions) ([]AblationRow, error) {
-	if opts.Depths == nil {
-		opts.Depths = []int{1, 2, 4, 8, 16, 32, 64}
+// ablationOps is the number of traversals per strategy and depth.
+const ablationOps = 40
+
+// AblationDepths is the ablation's depths, 1, 2, 4, … 64 rows.
+func AblationDepths(scale float64, seed int64) []AblationDepth {
+	var depths []AblationDepth
+	for depth := 1; depth <= 64; depth *= 2 {
+		depths = append(depths, AblationDepth{Label: strconv.Itoa(depth), Depth: depth, Scale: scale, Seed: seed})
 	}
-	if opts.Ops == 0 {
-		opts.Ops = 40
-	}
-	if opts.Scale == 0 {
-		opts.Scale = 0.2
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	var out []AblationRow
-	for _, depth := range opts.Depths {
-		rows, err := ablationDepth(depth, opts)
-		if err != nil {
-			return nil, fmt.Errorf("bench: ablation depth=%d: %w", depth, err)
-		}
-		out = append(out, rows...)
-	}
-	return out, nil
+	return depths
 }
 
-// ablationDepth grows one key's DAAL to depth rows (the tail holding one
-// entry) and measures every strategy against it.
-func ablationDepth(depth int, opts AblationOptions) ([]AblationRow, error) {
+// RunDepth grows one key's DAAL to the depth's row count (the tail holding
+// one entry) on a fresh system and measures every strategy against it.
+func RunDepth(d AblationDepth) ([]AblationRow, error) {
 	const rowCap = 16
+	fail := func(err error) ([]AblationRow, error) {
+		return nil, fmt.Errorf("bench: ablation depth=%d: %w", d.Depth, err)
+	}
 	sys := NewSystem(SystemOptions{
-		Mode: beldi.ModeBeldi, Scale: opts.Scale, Seed: opts.Seed,
+		Mode: beldi.ModeBeldi, Scale: d.Scale, Seed: d.Seed,
 		Concurrency: 10000,
 		Config:      beldi.Config{RowCap: rowCap, T: time.Hour},
 	})
@@ -83,9 +74,9 @@ func ablationDepth(depth int, opts AblationOptions) ([]AblationRow, error) {
 		}
 		return beldi.Null, nil
 	}, "data")
-	fillWrites := (depth-1)*rowCap + 1
+	fillWrites := (d.Depth-1)*rowCap + 1
 	if _, err := sys.D.Invoke("fill", beldi.Int(int64(fillWrites))); err != nil {
-		return nil, err
+		return fail(err)
 	}
 
 	rt := sys.D.Runtime("fill")
@@ -93,24 +84,24 @@ func ablationDepth(depth int, opts AblationOptions) ([]AblationRow, error) {
 	for _, strategy := range traversalStrategies {
 		h := &hist.Histogram{}
 		before := sys.Store.Metrics().Snapshot()
-		for i := 0; i < opts.Ops; i++ {
+		for i := 0; i < ablationOps; i++ {
 			t0 := time.Now()
 			v, err := core.TailValue(rt, strategy, "data", "k")
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", strategy, err)
+				return fail(fmt.Errorf("%s: %w", strategy, err))
 			}
 			if v.Str() != value16 {
-				return nil, fmt.Errorf("%s: resolved %v, not the written value", strategy, v)
+				return fail(fmt.Errorf("%s: resolved %v, not the written value", strategy, v))
 			}
 			h.Record(time.Since(t0))
 		}
 		diff := sys.Store.Metrics().Snapshot().Sub(before)
 		out = append(out, AblationRow{
-			Depth:     depth,
+			Depth:     d.Depth,
 			Strategy:  strategy,
 			Median:    h.Median(),
-			StoreOps:  float64(diff.TotalOps()) / float64(opts.Ops),
-			BytesRead: float64(diff.BytesRead) / float64(opts.Ops),
+			StoreOps:  float64(diff.TotalOps()) / ablationOps,
+			BytesRead: float64(diff.BytesRead) / ablationOps,
 		})
 	}
 	return out, nil

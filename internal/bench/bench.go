@@ -1,6 +1,10 @@
 // Package bench is the experiment harness behind every figure in the
-// paper's evaluation (§7). cmd/figures prints the same series the paper
-// plots; bench_test.go wraps the same entry points as testing.B benchmarks.
+// paper's evaluation (§7). Each figure is a function returning its parameter
+// sets — every value spelled out, built only from what the caller passes
+// (the window, the latency compression, the seed and the like) — and a
+// runner that measures one set; RunAll measures a figure. cmd/figures prints
+// the series the paper plots; bench_test.go runs the same sets as testing.B
+// benchmarks.
 //
 // Absolute numbers are simulator-relative (the substrate recreates
 // DynamoDB/Lambda cost *structure*, not AWS hardware), so each experiment's
@@ -28,7 +32,8 @@ type System struct {
 	Scale float64
 }
 
-// SystemOptions configure NewSystem.
+// SystemOptions describe a System completely: every caller fills in every
+// field.
 type SystemOptions struct {
 	Mode beldi.Mode
 	// Scale compresses all simulated latencies (1.0 = DynamoDB-like
@@ -45,16 +50,7 @@ type SystemOptions struct {
 
 // NewSystem builds a System.
 func NewSystem(opts SystemOptions) *System {
-	if opts.Scale == 0 {
-		opts.Scale = 1.0
-	}
-	if opts.Concurrency == 0 {
-		opts.Concurrency = platform.DefaultConcurrencyLimit
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	store := dynamo.NewStore(dynamo.WithLatency(dynamo.NewCloudLatency(opts.Scale, opts.Seed)))
+	store := cloudStore(opts.Scale, opts.Seed)
 	plat := platform.New(platform.Options{
 		ConcurrencyLimit: opts.Concurrency,
 		// Lambda dispatch costs: ~60ms cold, ~15ms warm (HTTP + SDK + scheduler),
@@ -72,6 +68,27 @@ func NewSystem(opts SystemOptions) *System {
 		Store: store, Platform: plat, Mode: opts.Mode, Config: opts.Config,
 	})
 	return &System{Store: store, Plat: plat, D: d, Mode: opts.Mode, Scale: opts.Scale}
+}
+
+// cloudStore is the in-memory store under cloud-shaped per-op latency
+// compressed by scale: the substrate of every figure but the step-commit
+// cells.
+func cloudStore(scale float64, seed int64) *dynamo.Store {
+	return dynamo.NewStore(dynamo.WithLatency(dynamo.NewCloudLatency(scale, seed)))
+}
+
+// RunAll measures a figure's parameter sets in order, each with run, stopping
+// at the first that fails.
+func RunAll[P, R any](set []P, run func(P) (R, error)) ([]R, error) {
+	out := make([]R, 0, len(set))
+	for _, p := range set {
+		r, err := run(p)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
 }
 
 // ModeLabel names modes the way the figures do.

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func TestFig13Smoke(t *testing.T) {
 	// sleep granularity: a Beldi read is two round trips to baseline's one
 	// (three before the one-query read), so the comparison below needs real
 	// sleeps, not scheduler noise, to tell them apart.
-	rows, err := Fig13(Fig13Options{DAALRows: 3, Ops: 9, RowCap: 8, Scale: 0.05})
+	rows, err := RunAll(OpCells(3, 9, 0.05, 1), RunOp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +49,7 @@ func TestFig13Smoke(t *testing.T) {
 }
 
 func TestSweepSmoke(t *testing.T) {
-	pts, err := Sweep(SweepOptions{
-		App: "media", Mode: beldi.ModeBaseline,
-		Rates:    []float64{50},
-		Duration: 300 * time.Millisecond,
-		Warmup:   50 * time.Millisecond,
-		Scale:    0.01,
-	})
+	pts, err := RunCurve(pick(t, AppCurves("media", []float64{50}, 300*time.Millisecond, 0.01, 1), "Baseline")[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +63,7 @@ func TestSweepSmoke(t *testing.T) {
 
 func TestSweepAllAppsBuild(t *testing.T) {
 	for _, app := range []string{"media", "travel", "social", "orders"} {
-		sys := NewSystem(SystemOptions{Mode: beldi.ModeBeldi, Scale: 0.0001, Concurrency: 10000})
+		sys := NewSystem(SystemOptions{Mode: beldi.ModeBeldi, Scale: 0.0001, Seed: 1, Concurrency: 10000})
 		a, err := BuildApp(sys, app)
 		if err != nil {
 			t.Errorf("%s: %v", app, err)
@@ -77,20 +72,14 @@ func TestSweepAllAppsBuild(t *testing.T) {
 			c.Close() //nolint:errcheck
 		}
 	}
-	sys := NewSystem(SystemOptions{Scale: 0.0001})
+	sys := NewSystem(SystemOptions{Mode: beldi.ModeBeldi, Scale: 0.0001, Seed: 1, Concurrency: 10000})
 	if _, err := BuildApp(sys, "nope"); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
 
 func TestOrdersSweepSmoke(t *testing.T) {
-	pts, err := Sweep(SweepOptions{
-		App: "orders", Mode: beldi.ModeBeldi,
-		Rates:    []float64{40},
-		Duration: 300 * time.Millisecond,
-		Warmup:   50 * time.Millisecond,
-		Scale:    0.01,
-	})
+	pts, err := RunCurve(pick(t, AppCurves("orders", []float64{40}, 300*time.Millisecond, 0.01, 1), "Beldi")[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +92,7 @@ func TestOrdersSweepSmoke(t *testing.T) {
 }
 
 func TestQueueSweepSmoke(t *testing.T) {
-	pts, err := QueueSweep(QueueSweepOptions{
-		Messages:   40,
-		BatchSizes: []int{1, 8},
-		Scale:      0.01,
-	})
+	pts, err := RunAll(pick(t, QueueCells(0.01, 1), "1", "8"), RunQueue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +115,10 @@ func TestQueueSweepSmoke(t *testing.T) {
 }
 
 func TestFig16Smoke(t *testing.T) {
-	series, err := Fig16(Fig16Options{
-		Minutes: 4, MinuteDuration: 80 * time.Millisecond,
-		Rate: 300, RowCap: 2, Scale: 0.0005, TsMinutes: []int{1},
-	})
+	// A 250 ms minute writes about two 8-entry rows at the figure's 60
+	// writes/s: enough for the collector's trims to show by minute 4.
+	series, err := RunAll(pick(t, GCLines(4, 250*time.Millisecond, 0.0005, 1),
+		"without GC", "with GC (1 min)", "cross-table txn"), RunGCLine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,15 +130,14 @@ func TestFig16Smoke(t *testing.T) {
 			t.Errorf("%s: %d medians %d rows", s.Label, len(s.Median), len(s.Rows))
 		}
 	}
-	// Without GC the DAAL must end deeper than with GC (tiny row capacity
-	// and hundreds of writes force visible growth even at smoke scale).
+	// Without GC the DAAL must end deeper than with GC.
 	if series[0].Rows[3] <= series[1].Rows[3] {
 		t.Errorf("no-GC depth %d <= GC depth %d", series[0].Rows[3], series[1].Rows[3])
 	}
 }
 
 func TestCostsSmoke(t *testing.T) {
-	rep, err := Costs(5)
+	rep, err := Costs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,15 +189,17 @@ func TestCostsSmoke(t *testing.T) {
 // pointer chase one per row; and on the one-row chain that is the common
 // case the single query also moves the fewest bytes.
 func TestTraversalAblationSmoke(t *testing.T) {
-	rows, err := TraversalAblation(AblationOptions{Depths: []int{1, 3}, Ops: 3, Scale: 0.0001})
+	depths, err := RunAll(pick(t, AblationDepths(0.0001, 1), "1", "4"), RunDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byCell := map[string]AblationRow{}
-	for _, r := range rows {
-		byCell[fmt.Sprintf("%s@%d", r.Strategy, r.Depth)] = r
+	for _, rows := range depths {
+		for _, r := range rows {
+			byCell[fmt.Sprintf("%s@%d", r.Strategy, r.Depth)] = r
+		}
 	}
-	for _, depth := range []int{1, 3} {
+	for _, depth := range []int{1, 4} {
 		for strategy, want := range map[string]float64{"one-query": 1, "scan": 2, "pointer-chase": float64(depth)} {
 			if got := byCell[fmt.Sprintf("%s@%d", strategy, depth)].StoreOps; got != want {
 				t.Errorf("%s at depth %d: %.1f store ops per traversal, want %.0f", strategy, depth, got, want)
@@ -261,15 +247,18 @@ func wallClock[P any](t *testing.T, want int, run func() ([]P, error), shape fun
 	}
 }
 
-// pick returns the cells of a figure's set with the given labels, in that
+// label is a parameter set's Label field: every figure's set type has one.
+func label(p any) string { return reflect.ValueOf(p).FieldByName("Label").String() }
+
+// pick returns the parameter sets of a figure with the given labels, in that
 // order.
-func pick(t *testing.T, set []Cell, labels ...string) []Cell {
+func pick[P any](t *testing.T, set []P, labels ...string) []P {
 	t.Helper()
-	var out []Cell
+	var out []P
 	for _, l := range labels {
-		i := slices.IndexFunc(set, func(c Cell) bool { return c.Label == l })
+		i := slices.IndexFunc(set, func(p P) bool { return label(p) == l })
 		if i < 0 {
-			t.Fatalf("no cell %q in the %s set", l, set[0].Figure)
+			t.Fatalf("no parameter set labelled %q in %+v", l, set)
 		}
 		out = append(out, set[i])
 	}
@@ -279,7 +268,7 @@ func pick(t *testing.T, set []Cell, labels ...string) []Cell {
 func TestShardSweepSmoke(t *testing.T) {
 	// 4 shard counts × {plain, batched}, in that order.
 	pts := wallClock(t, 8, func() ([]Point, error) {
-		return RunCells(ShardCells(250*time.Millisecond, 0.02, 1))
+		return RunAll(ShardCells(250*time.Millisecond, 0.02, 1), RunCell)
 	}, func(pts []Point) (bad []string) {
 		// The tentpole claim: with the store flush-bound, committed-steps/sec
 		// rises monotonically with the shard count at fixed offered load
@@ -317,11 +306,7 @@ func TestShardSweepSmoke(t *testing.T) {
 
 func TestFanoutSweepSmoke(t *testing.T) {
 	pts := wallClock(t, 2, func() ([]FanoutSweepPoint, error) {
-		return FanoutSweep(FanoutSweepOptions{
-			Widths:   []int{1, 8},
-			Modes:    []beldi.Mode{beldi.ModeBeldi},
-			Duration: 250 * time.Millisecond,
-		})
+		return RunAll(pick(t, FanoutCells(250*time.Millisecond, 0.02, 1), "1/beldi", "8/beldi"), RunFanout)
 	}, func(pts []FanoutSweepPoint) (bad []string) {
 		// Wider fan-out amortizes the per-round driver overhead across more
 		// awaited results: results/s must grow with width (~2× from 1 to 8).
@@ -347,12 +332,7 @@ func TestFanoutSweepSmoke(t *testing.T) {
 // path, and the mapper's Wakeups counter proves which path each cell took.
 func TestTriggerLatencySweepSmoke(t *testing.T) {
 	pts := wallClock(t, 2, func() ([]TriggerLatencyPoint, error) {
-		return TriggerLatencySweep(TriggerLatencySweepOptions{
-			Backends:     []BackendKind{BackendMemory},
-			PollInterval: 20 * time.Millisecond,
-			Messages:     16,
-			Warmup:       4,
-		})
+		return RunAll(pick(t, TriggerCells(1), "memory/push", "memory/poll"), RunTrigger)
 	}, func(pts []TriggerLatencyPoint) (bad []string) {
 		// The headline claim: push drops idle-queue p50 by ≥5× against the
 		// same store, same mapper, same messages (expected ~50×: sub-ms push
@@ -368,7 +348,7 @@ func TestTriggerLatencySweepSmoke(t *testing.T) {
 		t.Fatalf("unexpected cell order: %+v", pts)
 	}
 	for _, p := range pts {
-		if p.Messages != 16 || p.P50 <= 0 || p.P99 < p.P50 {
+		if p.Messages != triggerMessages || p.P50 <= 0 || p.P99 < p.P50 {
 			t.Fatalf("malformed cell: %+v", p)
 		}
 	}
@@ -389,7 +369,7 @@ func TestTriggerLatencySweepSmoke(t *testing.T) {
 // fsync per committed step.
 func TestBackendSweepSmoke(t *testing.T) {
 	pts := wallClock(t, 4, func() ([]Point, error) {
-		return RunCells(BackendCells(250*time.Millisecond, 1))
+		return RunAll(BackendCells(250*time.Millisecond, 1), RunCell)
 	}, func(pts []Point) (bad []string) {
 		// Batching must beat per-record fsyncs under concurrent load (~5×).
 		if batched, each := pts[2], pts[3]; batched.Throughput <= each.Throughput {
@@ -435,7 +415,7 @@ func TestBackendSweepSmoke(t *testing.T) {
 // (several round trips per committed step), and adding simulated RTT can
 // only slow the remote path down.
 func TestRemoteSweepSmoke(t *testing.T) {
-	pts, err := RunCells(pick(t, RemoteCells(250*time.Millisecond, 1), "inproc", "0s", "2ms"))
+	pts, err := RunAll(pick(t, RemoteCells(250*time.Millisecond, 1), "inproc", "0s", "2ms"), RunCell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,10 +452,7 @@ func TestRemoteSweepSmoke(t *testing.T) {
 func TestClusterSweepSmoke(t *testing.T) {
 	// 1/no-kill, 4/no-kill, 4/kill.
 	pts := wallClock(t, 3, func() ([]ClusterSweepPoint, error) {
-		return ClusterSweep(ClusterSweepOptions{
-			Workers:  []int{1, 4},
-			Duration: 300 * time.Millisecond,
-		})
+		return RunAll(pick(t, ClusterCells(300*time.Millisecond, 0.05, 1), "1", "4", "4/kill"), RunCluster)
 	}, func(pts []ClusterSweepPoint) (bad []string) {
 		// Horizontal scaling: the latency-bound load quadruples with the
 		// pool; the 1→4 gap is ~3.5×.

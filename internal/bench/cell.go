@@ -409,17 +409,3 @@ func RunCell(c Cell) (Point, error) {
 	pt.FsyncP50, pt.FsyncP99 = fsyncHist.Median(), fsyncHist.P99()
 	return pt, nil
 }
-
-// RunCells measures the cells in order, each on a fresh system, stopping at
-// the first that fails.
-func RunCells(cells []Cell) ([]Point, error) {
-	pts := make([]Point, 0, len(cells))
-	for _, c := range cells {
-		pt, err := RunCell(c)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -91,6 +93,113 @@ func TestCellSetsPinned(t *testing.T) {
 			}
 			if c != want {
 				t.Errorf("%s cell %s:\n got %+v\nwant %+v", set.figure, c.Label, c, want)
+			}
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/grids.golden from this build")
+
+// The flags cmd/figures runs every figure with by default.
+const (
+	figDuration = 3 * time.Second
+	figScale    = 0.1
+	figMinutes  = 30
+	figMinute   = 300 * time.Millisecond
+	figOps      = 60
+)
+
+var figRates = []float64{100, 200, 300, 400, 500, 600, 700, 800}
+
+// figureSet is one figure's parameter sets, by cmd/figures' id ("trigger" is
+// -fig latency's second table).
+type figureSet struct {
+	figure string
+	sets   []any
+}
+
+func anys[P any](set []P) []any {
+	out := make([]any, len(set))
+	for i, p := range set {
+		out[i] = p
+	}
+	return out
+}
+
+// figureSets is every figure's parameter sets as cmd/figures builds them from
+// its default flags and the given seed. Costs takes no parameters.
+func figureSets(seed int64) []figureSet {
+	return []figureSet{
+		{"13", anys(OpCells(20, figOps, figScale, seed))},
+		{"14", anys(AppCurves("media", figRates, figDuration, figScale, seed))},
+		{"15", anys(AppCurves("travel", figRates, figDuration, figScale, seed))},
+		{"15b", anys(NoTxnCurves(figRates, figDuration, figScale, seed))},
+		{"16", anys(GCLines(figMinutes, figMinute, figScale, seed))},
+		{"25", anys(OpCells(5, figOps, figScale, seed))},
+		{"26", anys(AppCurves("social", figRates, figDuration, figScale, seed))},
+		{"ablation", anys(AblationDepths(figScale, seed))},
+		{"queue", anys(QueueCells(figScale, seed))},
+		{"orders", anys(AppCurves("orders", figRates, figDuration, figScale, seed))},
+		{"shard", anys(ShardCells(figDuration, figScale, seed))},
+		{"fanout", anys(FanoutCells(figDuration, figScale, seed))},
+		{"backend", anys(BackendCells(figDuration, seed))},
+		{"latency", anys(LatencyCells(figDuration, seed))},
+		{"trigger", anys(TriggerCells(seed))},
+		{"cluster", anys(ClusterCells(figDuration, figScale, seed))},
+		{"remote", anys(RemoteCells(figDuration, seed))},
+		{"pipeline", anys(PipelineCells(figDuration, figScale, seed))},
+	}
+}
+
+// TestFigureGridsPinned pins every figure's grid as cmd/figures runs it by
+// default: one line per parameter set, every field printed, in the order the
+// figure measures them, so a dropped, reordered or re-parameterised set
+// fails. testdata/grids.golden was checked against the option structs' values
+// at the commit that replaced them; regenerate it only for a deliberate
+// change: go test ./internal/bench -run FigureGridsPinned -update.
+func TestFigureGridsPinned(t *testing.T) {
+	var b strings.Builder
+	for _, f := range figureSets(1) {
+		for _, p := range f.sets {
+			fmt.Fprintf(&b, "%s %+v\n", f.figure, p)
+		}
+	}
+	const golden = "testdata/grids.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(wantLines)) {
+		if i >= len(got) || i >= len(wantLines) || got[i] != wantLines[i] {
+			t.Fatalf("%s line %d:\n got %q\nwant %q\n(%d sets, %d pinned)", golden, i+1,
+				at(got, i), at(wantLines, i), len(got)-1, len(wantLines)-1)
+		}
+	}
+}
+
+// at is s[i], or "" past its end.
+func at(s []string, i int) string {
+	if i < len(s) {
+		return s[i]
+	}
+	return ""
+}
+
+// TestSeedZeroIsASeed: every figure passes its seed through unchanged — 0
+// included, which eight entry points once read as 1.
+func TestSeedZeroIsASeed(t *testing.T) {
+	for _, seed := range []int64{0, 7} {
+		for _, f := range figureSets(seed) {
+			for _, p := range f.sets {
+				if got := reflect.ValueOf(p).FieldByName("Seed").Int(); got != seed {
+					t.Errorf("%s %s built with seed %d carries seed %d", f.figure, label(p), seed, got)
+				}
 			}
 		}
 	}

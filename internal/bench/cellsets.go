@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// The five step-commit figures, each the list of cells RunCells measures for
-// it, in the order cmd/figures prints them. Every parameter is spelled out
+// The five step-commit figures, each the list of cells RunAll(cells, RunCell)
+// measures for it, in the order cmd/figures prints them. Every parameter is spelled out
 // here; what a caller may vary is the window, the seed and — where the
 // substrate is simulated — the latency compression.
 

@@ -1,25 +1,25 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/beldi"
 	"repro/internal/core"
-	"repro/internal/dynamo"
 )
 
-// ClusterSweep measures the multi-worker runtime: committed workflow steps
-// per second as the worker pool grows from one to several workers over one
-// shared backend, with and without a worker being killed mid-window. The
-// offered load is closed-loop and per-worker, so the no-kill series shows
-// how far the pool scales (the Netherite worker-scaling experiment at
-// simulation scale), while the kill series shows what a mid-run death costs
-// and proves the survivors absorb the dead worker's partitions: the cell
-// only ends once every workflow started in the window has committed exactly
-// once.
+// The cluster sweep measures the multi-worker runtime: committed workflow
+// steps per second as the worker pool grows from one to several workers over
+// one shared backend, with and without a worker being killed mid-window. The
+// offered load is closed-loop and per-worker, so the no-kill series shows how
+// far the pool scales (the Netherite worker-scaling experiment at simulation
+// scale), while the kill series shows what a mid-run death costs and proves
+// the survivors absorb the dead worker's partitions: the cell only ends once
+// every workflow started in the window has committed exactly once.
 
 const (
 	// clusterDrivers is the closed-loop invoker count per worker: offered
@@ -29,40 +29,35 @@ const (
 	clusterPartitions = 16
 )
 
-// ClusterSweepOptions configure a cluster sweep.
-type ClusterSweepOptions struct {
-	// Workers are the pool sizes to sweep. nil means {1, 2, 4}.
-	Workers []int
-	// Kill adds, for each pool size > 1, a cell where one worker is killed
-	// at half the window. nil means {false, true}.
-	Kill []bool
-	// Duration is the measurement window per cell. 0 means 400ms.
+// ClusterCell is one (workers, kill) cell of the cluster sweep.
+type ClusterCell struct {
+	// Label is the pool size in decimal, "/kill" appended for a kill cell.
+	Label string
+	// Workers is the pool size; Kill kills one worker at half the window.
+	Workers int
+	Kill    bool
+	// Duration is the measured window.
 	Duration time.Duration
 	// Scale compresses the simulated per-op store latency (1.0 =
 	// DynamoDB-like milliseconds). Cloud-shaped latency is what makes the
 	// workload latency-bound — the regime where adding workers adds
-	// throughput, as in the paper's deployment. 0 means 0.05.
+	// throughput, as in the paper's deployment.
 	Scale float64
 	Seed  int64
 }
 
-func (o ClusterSweepOptions) withDefaults() ClusterSweepOptions {
-	if o.Workers == nil {
-		o.Workers = []int{1, 2, 4}
+// ClusterCells is the cluster sweep: pools of 1, 2 and 4 workers, each pool
+// of more than one also with a worker killed mid-window (nothing can recover
+// a one-worker pool's kill).
+func ClusterCells(duration time.Duration, scale float64, seed int64) []ClusterCell {
+	cell := func(workers int, kill bool) ClusterCell {
+		label := strconv.Itoa(workers)
+		if kill {
+			label += "/kill"
+		}
+		return ClusterCell{Label: label, Workers: workers, Kill: kill, Duration: duration, Scale: scale, Seed: seed}
 	}
-	if o.Kill == nil {
-		o.Kill = []bool{false, true}
-	}
-	if o.Duration == 0 {
-		o.Duration = 400 * time.Millisecond
-	}
-	if o.Scale == 0 {
-		o.Scale = 0.05
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
+	return []ClusterCell{cell(1, false), cell(2, false), cell(2, true), cell(4, false), cell(4, true)}
 }
 
 // ClusterSweepPoint is one (workers, kill) cell of the sweep.
@@ -86,26 +81,6 @@ type ClusterSweepPoint struct {
 	Elapsed   time.Duration
 }
 
-// ClusterSweep runs every configured (workers, kill) cell, each against a
-// fresh shared store and a fresh pool.
-func ClusterSweep(opts ClusterSweepOptions) ([]ClusterSweepPoint, error) {
-	opts = opts.withDefaults()
-	var out []ClusterSweepPoint
-	for _, workers := range opts.Workers {
-		for _, kill := range opts.Kill {
-			if kill && workers < 2 {
-				continue // nothing can recover a one-worker pool's kill
-			}
-			pt, err := clusterSweepPoint(opts, workers, kill)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pt)
-		}
-	}
-	return out, nil
-}
-
 // registerStep installs the sweep's SSF: one logged read-modify-write per
 // request, keyed so duplicates or losses would corrupt the final audit.
 func registerStep(d *beldi.Deployment) {
@@ -122,10 +97,14 @@ func registerStep(d *beldi.Deployment) {
 	}, "state")
 }
 
-// clusterSweepPoint measures one cell.
-func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (ClusterSweepPoint, error) {
-	store := dynamo.NewStore(dynamo.WithLatency(dynamo.NewCloudLatency(opts.Scale, opts.Seed)))
-	c, err := beldi.OpenCluster(beldi.ClusterOptions{
+// errDown ends a driver of the killed worker: the dead machine drives
+// nothing.
+var errDown = errors.New("bench: driver's worker was killed")
+
+// RunCluster measures one cell against a fresh shared store and a fresh pool.
+func RunCluster(c ClusterCell) (ClusterSweepPoint, error) {
+	store := cloudStore(c.Scale, c.Seed)
+	cl, err := beldi.OpenCluster(beldi.ClusterOptions{
 		Store:      store,
 		Partitions: clusterPartitions,
 		LeaseTTL:   150 * time.Millisecond,
@@ -134,7 +113,7 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 	if err != nil {
 		return ClusterSweepPoint{}, err
 	}
-	victim := workers - 1
+	victim := c.Workers - 1
 	killed := false
 	var pool []*beldi.ClusterWorker
 	// Every return stops the workers still alive, so a failed cell leaks no
@@ -146,15 +125,15 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 			}
 		}
 	}()
-	for i := 0; i < workers; i++ {
-		w, err := c.JoinCluster(fmt.Sprintf("w%d", i), registerStep)
+	for i := 0; i < c.Workers; i++ {
+		w, err := cl.JoinCluster(fmt.Sprintf("w%d", i), registerStep)
 		if err != nil {
 			return ClusterSweepPoint{}, err
 		}
 		pool = append(pool, w)
 	}
 	// Settle ownership before measuring, then run the protocol loops.
-	for round := 0; round < workers+1; round++ {
+	for round := 0; round < c.Workers+1; round++ {
 		for _, w := range pool {
 			if _, _, err := w.Worker().RebalanceOnce(); err != nil {
 				return ClusterSweepPoint{}, err
@@ -169,61 +148,55 @@ func clusterSweepPoint(opts ClusterSweepOptions, workers int, kill bool) (Cluste
 	var keySeq atomic.Int64
 	var restartsAtKill atomic.Int64 // survivors' restart count when the kill fired
 	var victimParts []int           // what the victim owned when the kill fired
-	start := time.Now()
-	deadline := start.Add(opts.Duration)
-	killAt := start.Add(opts.Duration / 2)
 	var killOnce sync.Once
-	var wg sync.WaitGroup
-	for wi, w := range pool {
-		for dIdx := 0; dIdx < clusterDrivers; dIdx++ {
-			wg.Add(1)
-			go func(wi int, w *beldi.ClusterWorker) {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					if kill && time.Now().After(killAt) {
-						killOnce.Do(func() {
-							victimParts = pool[victim].Worker().OwnedPartitions()
-							pool[victim].Kill()
-							killed = true
-							// Baseline for the Recovered column: restarts
-							// after this moment are the kill's recovery work.
-							for i, w := range pool {
-								if i != victim {
-									restartsAtKill.Add(w.Worker().Stats().Restarts.Load())
-								}
-							}
-						})
-						if wi == victim {
-							return // the dead machine drives nothing
-						}
+	start := time.Now()
+	killAt := start.Add(c.Duration / 2)
+	// Driver d offers load to worker d / clusterDrivers. A failed call is
+	// counted, not an error: only errDown, which ends a victim's driver,
+	// comes back from the loop.
+	closedLoop(c.Workers*clusterDrivers, start.Add(c.Duration), func(d, _ int) error { //nolint:errcheck // only errDown
+		wi := d / clusterDrivers
+		if c.Kill && time.Now().After(killAt) {
+			killOnce.Do(func() {
+				victimParts = pool[victim].Worker().OwnedPartitions()
+				pool[victim].Kill()
+				killed = true
+				// Baseline for the Recovered column: restarts after this
+				// moment are the kill's recovery work.
+				for i, w := range pool {
+					if i != victim {
+						restartsAtKill.Add(w.Worker().Stats().Restarts.Load())
 					}
-					k := keySeq.Add(1)
-					req := beldi.Fields(beldi.F("key", beldi.Str(fmt.Sprintf("k%04d", k%cellKeys))))
-					if _, err := w.Invoke("step", req); err != nil {
-						failed.Add(1)
-						if wi == victim {
-							return // its platform is dying; stop offering
-						}
-						continue
-					}
-					steps.Add(1)
 				}
-			}(wi, w)
+			})
+			if wi == victim {
+				return errDown
+			}
 		}
-	}
-	wg.Wait()
+		k := keySeq.Add(1)
+		req := beldi.Fields(beldi.F("key", beldi.Str(fmt.Sprintf("k%04d", k%cellKeys))))
+		if _, err := pool[wi].Invoke("step", req); err != nil {
+			failed.Add(1)
+			if wi == victim {
+				return errDown // its platform is dying; stop offering
+			}
+			return nil
+		}
+		steps.Add(1)
+		return nil
+	})
 	elapsed := time.Since(start)
 
 	pt := ClusterSweepPoint{
-		Workers:    workers,
-		Killed:     kill,
+		Workers:    c.Workers,
+		Killed:     c.Kill,
 		Steps:      steps.Load(),
 		Throughput: float64(steps.Load()) / elapsed.Seconds(),
 		Failed:     failed.Load(),
 		Elapsed:    elapsed,
 	}
 
-	if kill {
+	if c.Kill {
 		// The cell is only done when the survivors have finished every
 		// workflow the dead worker left behind — and have taken over its
 		// partitions: a victim killed with nothing in flight leaves no

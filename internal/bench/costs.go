@@ -65,11 +65,9 @@ var costsCalleeReads = []int{0, 1, 8}
 // costsReadBatches are the reads-per-instance points of OpsPerReadAtK.
 var costsReadBatches = []int{1, 2, 4, 8, 16}
 
-// Costs measures the report. ops controls the sample size (0 = 50).
-func Costs(ops int) (*CostsReport, error) {
-	if ops == 0 {
-		ops = 50
-	}
+// Costs measures the report.
+func Costs() (*CostsReport, error) {
+	const ops = 50 // the sample size of every measurement
 	rep := &CostsReport{}
 
 	for _, mode := range []beldi.Mode{beldi.ModeBeldi, beldi.ModeBaseline} {
@@ -127,7 +125,11 @@ func Costs(ops int) (*CostsReport, error) {
 			if _, err := sys.D.Invoke("op", beldi.Null); err != nil {
 				return nil, err
 			}
-			rep.DAALBytes20Rows, _ = sys.Store.TableBytes(dataTableName("op", "data"))
+			bytes, err := sys.Store.TableBytes(dataTableName("op", "data"))
+			if err != nil {
+				return nil, err
+			}
+			rep.DAALBytes20Rows = bytes
 		} else {
 			doOp = "write"
 			if _, err := sys.D.Invoke("op", beldi.Null); err != nil {

@@ -23,69 +23,57 @@ type Fig13Row struct {
 	P99    time.Duration
 }
 
-// Fig13Options configure the microbenchmark.
-type Fig13Options struct {
-	// DAALRows pre-populates the key's linked DAAL (20 for Fig 13, 5 for
-	// Fig 25).
+// OpCell is one bar of Figure 13 or 25: one primitive in one mode, timed
+// over Ops sequential calls against a key whose linked DAAL holds DAALRows
+// rows.
+type OpCell struct {
+	// Label is "<op>/<mode>".
+	Label string
+	// Op is Read, Write, CondWrite or Invoke.
+	Op   string
+	Mode beldi.Mode
+	// DAALRows is the pre-populated DAAL depth (20 for Fig 13, 5 for Fig
+	// 25).
 	DAALRows int
-	// Ops is the number of measured operations per cell. It must stay at
-	// or below RowCap so measurement itself does not grow the DAAL by more
-	// than one row. 0 means 60.
+	// Ops is the number of measured operations. It must stay at or below
+	// opRowCap so measurement itself does not grow the DAAL by more than one
+	// row.
 	Ops int
-	// RowCap is the per-row log capacity; large enough that prefill, not
-	// measurement, sets the depth. 0 means 64.
-	RowCap int
 	// Scale compresses simulated latency.
 	Scale float64
 	Seed  int64
 }
 
-func (o Fig13Options) withDefaults() Fig13Options {
-	if o.DAALRows == 0 {
-		o.DAALRows = 20
-	}
-	if o.Ops == 0 {
-		o.Ops = 60
-	}
-	if o.RowCap == 0 {
-		o.RowCap = 64
-	}
-	if o.Scale == 0 {
-		o.Scale = 1.0
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// opRowCap is the per-row log capacity: large enough that prefill, not
+// measurement, sets the depth.
+const opRowCap = 64
 
 // value16 is the 16-byte value of §7.3.
 const value16 = "0123456789abcdef"
 
-// Fig13 runs the microbenchmark and returns rows grouped by operation then
-// mode (Baseline, Beldi, CrossTable), matching the figure's bar order.
-func Fig13(opts Fig13Options) ([]Fig13Row, error) {
-	opts = opts.withDefaults()
-	ops := []string{"Read", "Write", "CondWrite", "Invoke"}
-	modes := []beldi.Mode{beldi.ModeBaseline, beldi.ModeBeldi, beldi.ModeCrossTable}
-	var out []Fig13Row
-	for _, op := range ops {
-		for _, mode := range modes {
-			med, p99, err := fig13Cell(op, mode, opts)
-			if err != nil {
-				return nil, fmt.Errorf("bench: fig13 %s/%s: %w", op, ModeLabel(mode), err)
-			}
-			out = append(out, Fig13Row{Op: op, Mode: mode, Median: med, P99: p99})
+// OpCells is the microbenchmark at a DAAL depth (20 rows for Fig 13, 5 for
+// Fig 25), grouped by operation then mode (baseline, Beldi, cross-table),
+// matching the figure's bar order.
+func OpCells(daalRows, ops int, scale float64, seed int64) []OpCell {
+	var cells []OpCell
+	for _, op := range []string{"Read", "Write", "CondWrite", "Invoke"} {
+		for _, mode := range []beldi.Mode{beldi.ModeBaseline, beldi.ModeBeldi, beldi.ModeCrossTable} {
+			cells = append(cells, OpCell{Label: op + "/" + mode.String(), Op: op, Mode: mode,
+				DAALRows: daalRows, Ops: ops, Scale: scale, Seed: seed})
 		}
 	}
-	return out, nil
+	return cells
 }
 
-func fig13Cell(op string, mode beldi.Mode, opts Fig13Options) (med, p99 time.Duration, err error) {
+// RunOp measures one bar on a fresh system.
+func RunOp(c OpCell) (Fig13Row, error) {
+	fail := func(err error) (Fig13Row, error) {
+		return Fig13Row{}, fmt.Errorf("bench: op cell %s: %w", c.Label, err)
+	}
 	sys := NewSystem(SystemOptions{
-		Mode: mode, Scale: opts.Scale, Seed: opts.Seed,
+		Mode: c.Mode, Scale: c.Scale, Seed: c.Seed,
 		Concurrency: 10000,
-		Config:      beldi.Config{RowCap: opts.RowCap, T: time.Hour},
+		Config:      beldi.Config{RowCap: opRowCap, T: time.Hour},
 	})
 	h := &hist.Histogram{}
 	timed := func(f func() error) error {
@@ -114,7 +102,7 @@ func fig13Cell(op string, mode beldi.Mode, opts Fig13Options) (med, p99 time.Dur
 		if _, ok := in.MapGet("empty"); ok {
 			return beldi.Null, nil
 		}
-		switch op {
+		switch c.Op {
 		case "Read":
 			// Timed from the caller (below): the read's log row becomes
 			// durable at the instance's next effect boundary — here the
@@ -137,24 +125,24 @@ func fig13Cell(op string, mode beldi.Mode, opts Fig13Options) (med, p99 time.Dur
 				return err
 			})
 		}
-		return beldi.Null, fmt.Errorf("unknown op %s", op)
+		return beldi.Null, fmt.Errorf("unknown op %s", c.Op)
 	}, "data")
 
 	// Pre-populate the DAAL depth. Baseline keys are single rows, so only
 	// the logged modes need depth; the single write still seeds the value
 	// for all modes.
 	fillWrites := 1
-	if mode != beldi.ModeBaseline && opts.DAALRows > 1 {
-		fillWrites = (opts.DAALRows-1)*opts.RowCap + 1
+	if c.Mode != beldi.ModeBaseline && c.DAALRows > 1 {
+		fillWrites = (c.DAALRows-1)*opRowCap + 1
 	}
 	if _, err := sys.D.Invoke("op", beldi.Fields(beldi.F("fill", beldi.Int(int64(fillWrites))))); err != nil {
-		return 0, 0, err
+		return fail(err)
 	}
 
 	// Warm the op function (cold start + first-row setup), then measure
 	// sequential low-load operations.
 	if _, err := sys.D.Invoke("op", beldi.Null); err != nil {
-		return 0, 0, err
+		return fail(err)
 	}
 	h.Reset()
 	// A read is priced to durability (fetch + its share of the read-log
@@ -169,21 +157,21 @@ func fig13Cell(op string, mode beldi.Mode, opts Fig13Options) (med, p99 time.Dur
 	}
 	var envelope time.Duration
 	run := invoke(beldi.Null)
-	if op == "Read" {
+	if c.Op == "Read" {
 		empty := invoke(beldi.Fields(beldi.F("empty", beldi.BoolVal(true))))
-		for i := 0; i < opts.Ops; i++ {
+		for i := 0; i < c.Ops; i++ {
 			if err := timed(empty); err != nil {
-				return 0, 0, err
+				return fail(err)
 			}
 		}
 		envelope = h.Median()
 		h.Reset()
 		run = func() error { return timed(invoke(beldi.Null)) }
 	}
-	for i := 0; i < opts.Ops; i++ {
+	for i := 0; i < c.Ops; i++ {
 		if err := run(); err != nil {
-			return 0, 0, err
+			return fail(err)
 		}
 	}
-	return h.Median() - envelope, h.P99() - envelope, nil
+	return Fig13Row{Op: c.Op, Mode: c.Mode, Median: h.Median() - envelope, P99: h.P99() - envelope}, nil
 }

@@ -18,9 +18,9 @@ import (
 // slowly pays for it; with GC the chain stays shallow for every T, which is
 // the paper's point — T matters for storage, barely for latency.
 //
-// Wall-clock minutes are simulated: one "paper minute" maps to
-// MinuteDuration of real time, preserving the write-rate : GC-period :
-// row-capacity ratios that drive the figure's shape.
+// Wall-clock minutes are simulated: one "paper minute" maps to a line's
+// Minute of real time, preserving the write-rate : GC-period : row-capacity
+// ratios that drive the figure's shape.
 
 // Fig16Series is one line of the figure.
 type Fig16Series struct {
@@ -34,82 +34,54 @@ type Fig16Series struct {
 	Bytes []int
 }
 
-// Fig16Options configure the run.
-type Fig16Options struct {
-	// Minutes is the simulated duration (60 in the paper). 0 means 30.
+// GCLine is one line of Figure 16, described completely.
+type GCLine struct {
+	// Label names the line in the figure's header.
+	Label string
+	Mode  beldi.Mode
+	// T is the collector's lifetime in simulated minutes; 0 runs no
+	// collector.
+	T int
+	// Minutes is the simulated duration (60 in the paper), Minute the real
+	// time per simulated minute.
 	Minutes int
-	// MinuteDuration is real time per simulated minute. 0 means 300ms.
-	MinuteDuration time.Duration
-	// Rate is the offered write load in req/s. 0 means 60.
-	Rate float64
-	// RowCap keeps rows small so depth grows visibly. 0 means 8.
-	RowCap int
-	// TsMinutes are the GC lifetimes to sweep. nil means {1, 10, 30}.
-	TsMinutes []int
-	// Scale compresses simulated latency. 0 means 0.05.
+	Minute  time.Duration
+	// Scale compresses simulated latency.
 	Scale float64
 	Seed  int64
 }
 
-func (o Fig16Options) withDefaults() Fig16Options {
-	if o.Minutes == 0 {
-		o.Minutes = 30
+const (
+	// gcRate is the offered write load in req/s.
+	gcRate = 60
+	// gcRowCap keeps rows small so depth grows visibly.
+	gcRowCap = 8
+)
+
+// GCLines is Figure 16: Beldi without garbage collection, with it at T = 1,
+// 10 and 30 minutes, and the cross-table-transaction layout collected at
+// T = 1 minute.
+func GCLines(minutes int, minute time.Duration, scale float64, seed int64) []GCLine {
+	line := func(label string, mode beldi.Mode, t int) GCLine {
+		return GCLine{Label: label, Mode: mode, T: t, Minutes: minutes, Minute: minute, Scale: scale, Seed: seed}
 	}
-	if o.MinuteDuration == 0 {
-		o.MinuteDuration = 300 * time.Millisecond
+	lines := []GCLine{line("without GC", beldi.ModeBeldi, 0)}
+	for _, t := range []int{1, 10, 30} {
+		lines = append(lines, line(fmt.Sprintf("with GC (%d min)", t), beldi.ModeBeldi, t))
 	}
-	if o.Rate == 0 {
-		o.Rate = 60
-	}
-	if o.RowCap == 0 {
-		o.RowCap = 8
-	}
-	if o.TsMinutes == nil {
-		o.TsMinutes = []int{1, 10, 30}
-	}
-	if o.Scale == 0 {
-		o.Scale = 0.05
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
+	return append(lines, line("cross-table txn", beldi.ModeCrossTable, 1))
 }
 
-// Fig16 runs all series.
-func Fig16(opts Fig16Options) ([]Fig16Series, error) {
-	opts = opts.withDefaults()
-	var out []Fig16Series
-	s, err := fig16Series("without GC", beldi.ModeBeldi, -1, opts)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, s)
-	for _, tMin := range opts.TsMinutes {
-		s, err := fig16Series(fmt.Sprintf("with GC (%d min)", tMin), beldi.ModeBeldi, tMin, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	s, err = fig16Series("cross-table txn", beldi.ModeCrossTable, 1, opts)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, s)
-	return out, nil
-}
-
-// fig16Series runs one line. tMinutes < 0 disables garbage collection.
-func fig16Series(label string, mode beldi.Mode, tMinutes int, opts Fig16Options) (Fig16Series, error) {
+// RunGCLine runs one line on a fresh system.
+func RunGCLine(l GCLine) (Fig16Series, error) {
 	t := time.Hour // effectively never reclaim
-	if tMinutes > 0 {
-		t = time.Duration(tMinutes) * opts.MinuteDuration
+	if l.T > 0 {
+		t = time.Duration(l.T) * l.Minute
 	}
 	sys := NewSystem(SystemOptions{
-		Mode: mode, Scale: opts.Scale, Seed: opts.Seed,
+		Mode: l.Mode, Scale: l.Scale, Seed: l.Seed,
 		Concurrency: 10000,
-		Config:      beldi.Config{RowCap: opts.RowCap, T: t},
+		Config:      beldi.Config{RowCap: gcRowCap, T: t},
 	})
 	sys.D.Function("w", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		return beldi.Null, e.Write("data", "k", beldi.Str(value16))
@@ -118,13 +90,13 @@ func fig16Series(label string, mode beldi.Mode, tMinutes int, opts Fig16Options)
 		return Fig16Series{}, err
 	}
 
-	series := Fig16Series{Label: label}
+	series := Fig16Series{Label: l.Label}
 	rt := sys.D.Runtime("w")
-	for min := 0; min < opts.Minutes; min++ {
+	for min := 0; min < l.Minutes; min++ {
 		res := workload.Run(workload.Options{
-			Rate:     opts.Rate,
-			Duration: opts.MinuteDuration,
-			Seed:     opts.Seed + int64(min),
+			Rate:     gcRate,
+			Duration: l.Minute,
+			Seed:     l.Seed + int64(min),
 		}, func(r *rand.Rand) error {
 			_, err := sys.D.Invoke("w", beldi.Null)
 			return err
@@ -132,7 +104,7 @@ func fig16Series(label string, mode beldi.Mode, tMinutes int, opts Fig16Options)
 		series.Median = append(series.Median, res.Latency.Median())
 
 		// Minute boundary: the 1-minute GC trigger (§7.2).
-		if tMinutes > 0 {
+		if l.T > 0 {
 			if _, err := rt.RunGarbageCollector(); err != nil {
 				return Fig16Series{}, err
 			}

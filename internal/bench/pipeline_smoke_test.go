@@ -34,7 +34,7 @@ func TestPipelineSweepSmoke(t *testing.T) {
 	cells := pick(t, PipelineCells(300*time.Millisecond, 0.02, 1), "memory/1", "memory/1024")
 	// The tentpole claim: speculation overlaps every per-step round trip
 	// and pays one group commit per fence window instead.
-	pts := wallClock(t, 2, func() ([]Point, error) { return RunCells(cells) }, specShape(3))
+	pts := wallClock(t, 2, func() ([]Point, error) { return RunAll(cells, RunCell) }, specShape(3))
 	base, deep := pts[0], pts[1]
 	for _, p := range pts {
 		if p.Invokes <= 0 || p.Steps != p.Invokes*16 || p.Throughput <= 0 {
@@ -70,7 +70,7 @@ func TestShardSweepSpecSmoke(t *testing.T) {
 	sync.StepsPerInvoke = 16
 	spec := sync
 	spec.Label, spec.Depth = "1/batched/spec", pipeline.DefaultDepth
-	pts := wallClock(t, 2, func() ([]Point, error) { return RunCells([]Cell{sync, spec}) }, specShape(2))
+	pts := wallClock(t, 2, func() ([]Point, error) { return RunAll([]Cell{sync, spec}, RunCell) }, specShape(2))
 	for _, p := range pts {
 		if p.Steps <= 0 || p.Throughput <= 0 {
 			t.Fatalf("empty point: %+v", p)

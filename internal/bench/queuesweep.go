@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -10,40 +11,34 @@ import (
 	"repro/internal/queue"
 )
 
-// QueueSweep measures the durable event-queue subsystem's consume throughput
-// as a function of the event-source mapper's batch size — the Netherite
-// observation that batching receives and dispatches is what amortizes
-// per-message round trips. Each point drains the same backlog through one
-// mapper with cloud-shaped store latency; small batches pay one poll's scan
-// round trip for little work, large batches claim and trigger many handlers
-// per poll.
+// The queue sweep measures the durable event-queue subsystem's consume
+// throughput as a function of the event-source mapper's batch size — the
+// Netherite observation that batching receives and dispatches is what
+// amortizes per-message round trips. Each point drains the same backlog
+// through one mapper with cloud-shaped store latency; small batches pay one
+// poll's scan round trip for little work, large batches claim and trigger
+// many handlers per poll.
 
-// QueueSweepOptions configure a queue throughput sweep.
-type QueueSweepOptions struct {
-	// Messages is the backlog drained per point. 0 means 300.
-	Messages int
-	// BatchSizes are the mapper batch sizes to sweep. nil means
-	// 1,2,4,8,16,32.
-	BatchSizes []int
-	// Scale compresses simulated latency; 0 means 0.05.
+// QueueCell is one batch size of the queue sweep.
+type QueueCell struct {
+	// Label is the batch size in decimal.
+	Label string
+	Batch int
+	// Scale compresses simulated latency.
 	Scale float64
 	Seed  int64
 }
 
-func (o QueueSweepOptions) withDefaults() QueueSweepOptions {
-	if o.Messages == 0 {
-		o.Messages = 300
+// queueMessages is the backlog drained per cell.
+const queueMessages = 300
+
+// QueueCells is the queue sweep's batch sizes, 1, 2, 4, … 32.
+func QueueCells(scale float64, seed int64) []QueueCell {
+	var cells []QueueCell
+	for batch := 1; batch <= 32; batch *= 2 {
+		cells = append(cells, QueueCell{Label: strconv.Itoa(batch), Batch: batch, Scale: scale, Seed: seed})
 	}
-	if o.BatchSizes == nil {
-		o.BatchSizes = []int{1, 2, 4, 8, 16, 32}
-	}
-	if o.Scale == 0 {
-		o.Scale = 0.05
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
+	return cells
 }
 
 // QueueSweepPoint is one batch-size position of the sweep.
@@ -54,50 +49,45 @@ type QueueSweepPoint struct {
 	Elapsed    time.Duration
 }
 
-// QueueSweep drains a fixed backlog at each batch size and reports consume
-// throughput.
-func QueueSweep(opts QueueSweepOptions) ([]QueueSweepPoint, error) {
-	opts = opts.withDefaults()
-	var out []QueueSweepPoint
-	for _, batch := range opts.BatchSizes {
-		store := dynamo.NewStore(dynamo.WithLatency(dynamo.NewCloudLatency(opts.Scale, opts.Seed)))
-		broker := queue.NewBroker(queue.BrokerOptions{Store: store})
-		broker.MustCreate("bench", queue.Options{VisibilityTimeout: time.Minute})
-		plat := platform.New(platform.Options{
-			WarmStart: time.Duration(float64(15*time.Millisecond) * opts.Scale),
-			ColdStart: time.Duration(float64(60*time.Millisecond) * opts.Scale),
-			Jitter:    0.2,
-			Seed:      opts.Seed,
-		})
-		var consumed atomic.Int64
-		plat.Register("consume", func(inv *platform.Invocation, input platform.Value) (platform.Value, error) {
-			consumed.Add(1)
-			return dynamo.Null, nil
-		}, 0)
-		mapper := platform.MustNewMapper(broker, plat, platform.EventSourceOptions{
-			Queue: "bench", Function: "consume", BatchSize: batch,
-		})
-		for i := 0; i < opts.Messages; i++ {
-			if _, err := broker.Enqueue("bench", dynamo.NInt(int64(i))); err != nil {
-				return nil, err
-			}
+// RunQueue drains the backlog through one mapper at the cell's batch size,
+// on a fresh store, and reports consume throughput.
+func RunQueue(c QueueCell) (QueueSweepPoint, error) {
+	store := cloudStore(c.Scale, c.Seed)
+	broker := queue.NewBroker(queue.BrokerOptions{Store: store})
+	broker.MustCreate("bench", queue.Options{VisibilityTimeout: time.Minute})
+	plat := platform.New(platform.Options{
+		WarmStart: time.Duration(float64(15*time.Millisecond) * c.Scale),
+		ColdStart: time.Duration(float64(60*time.Millisecond) * c.Scale),
+		Jitter:    0.2,
+		Seed:      c.Seed,
+	})
+	var consumed atomic.Int64
+	plat.Register("consume", func(inv *platform.Invocation, input platform.Value) (platform.Value, error) {
+		consumed.Add(1)
+		return dynamo.Null, nil
+	}, 0)
+	mapper := platform.MustNewMapper(broker, plat, platform.EventSourceOptions{
+		Queue: "bench", Function: "consume", BatchSize: c.Batch,
+	})
+	for i := 0; i < queueMessages; i++ {
+		if _, err := broker.Enqueue("bench", dynamo.NInt(int64(i))); err != nil {
+			return QueueSweepPoint{}, err
 		}
-		start := time.Now()
-		for consumed.Load() < int64(opts.Messages) {
-			if _, _, err := mapper.PollOnce(); err != nil {
-				return nil, err
-			}
-		}
-		elapsed := time.Since(start)
-		if n := consumed.Load(); n != int64(opts.Messages) {
-			return nil, fmt.Errorf("bench: queue sweep batch %d consumed %d/%d", batch, n, opts.Messages)
-		}
-		out = append(out, QueueSweepPoint{
-			Batch:      batch,
-			Throughput: float64(opts.Messages) / elapsed.Seconds(),
-			Polls:      mapper.Metrics().Batches.Load(),
-			Elapsed:    elapsed,
-		})
 	}
-	return out, nil
+	start := time.Now()
+	for consumed.Load() < queueMessages {
+		if _, _, err := mapper.PollOnce(); err != nil {
+			return QueueSweepPoint{}, err
+		}
+	}
+	elapsed := time.Since(start)
+	if n := consumed.Load(); n != queueMessages {
+		return QueueSweepPoint{}, fmt.Errorf("bench: queue sweep batch %d consumed %d/%d", c.Batch, n, queueMessages)
+	}
+	return QueueSweepPoint{
+		Batch:      c.Batch,
+		Throughput: queueMessages / elapsed.Seconds(),
+		Polls:      mapper.Metrics().Batches.Load(),
+		Elapsed:    elapsed,
+	}, nil
 }

@@ -12,14 +12,14 @@ import (
 	"repro/internal/uuid"
 )
 
-// TriggerLatencySweep measures enqueue→receive latency through the durable
-// queue and its event-source mapper, with the commit-stream push path on
-// ("push": an idle mapper blocks on the queue table's watch subscription and
-// an enqueue wakes it immediately) and off ("poll": the Watcher capability
-// is stripped from the store, so the idle mapper sleeps out PollInterval —
-// the pre-push behavior, whose p50 is bounded below by the poll cadence).
-// The gap between the two cells is what the push primitive buys; the smoke
-// test pins it at ≥5× on the p50.
+// The trigger-latency sweep measures enqueue→receive latency through the
+// durable queue and its event-source mapper, with the commit-stream push path
+// on ("push": an idle mapper blocks on the queue table's watch subscription
+// and an enqueue wakes it immediately) and off ("poll": the Watcher
+// capability is stripped from the store, so the idle mapper sleeps out
+// PollInterval — the pre-push behavior, whose p50 is bounded below by the
+// poll cadence). The gap between the two cells is what the push primitive
+// buys; the smoke test pins it at ≥5× on the p50.
 
 // Trigger modes.
 const (
@@ -27,40 +27,33 @@ const (
 	TriggerPoll = "poll"
 )
 
-// TriggerLatencySweepOptions configure a push-vs-poll trigger sweep.
-type TriggerLatencySweepOptions struct {
-	// Backends are the storage configurations swept. nil means memory and
-	// wal-batched.
-	Backends []BackendKind
-	// PollInterval is the mapper's idle poll delay — the latency floor the
-	// poll cells are bounded by. 0 means platform.DefaultPollInterval.
-	PollInterval time.Duration
-	// Messages is the closed-loop message count measured per cell. 0 means
-	// 48.
-	Messages int
-	// Warmup messages run and are discarded before measurement. 0 means
-	// Messages/4.
-	Warmup int
-	Seed   int64
+// TriggerCell is one (backend, mode) cell of the trigger-latency sweep.
+type TriggerCell struct {
+	// Label is "<backend>/<mode>".
+	Label   string
+	Backend BackendKind
+	// Mode is TriggerPush or TriggerPoll.
+	Mode string
+	Seed int64
 }
 
-func (o TriggerLatencySweepOptions) withDefaults() TriggerLatencySweepOptions {
-	if o.Backends == nil {
-		o.Backends = []BackendKind{BackendMemory, BackendWALBatched}
+const (
+	// triggerMessages is the closed-loop message count measured per cell,
+	// after triggerWarmup messages run and are discarded.
+	triggerMessages = 48
+	triggerWarmup   = triggerMessages / 4
+)
+
+// TriggerCells is the trigger-latency sweep: the memory store, then the
+// group-committed WAL, each pushed then polled.
+func TriggerCells(seed int64) []TriggerCell {
+	var cells []TriggerCell
+	for _, kind := range []BackendKind{BackendMemory, BackendWALBatched} {
+		for _, mode := range []string{TriggerPush, TriggerPoll} {
+			cells = append(cells, TriggerCell{Label: string(kind) + "/" + mode, Backend: kind, Mode: mode, Seed: seed})
+		}
 	}
-	if o.PollInterval == 0 {
-		o.PollInterval = platform.DefaultPollInterval
-	}
-	if o.Messages == 0 {
-		o.Messages = 48
-	}
-	if o.Warmup == 0 {
-		o.Warmup = o.Messages / 4
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
+	return cells
 }
 
 // TriggerLatencyPoint is one (backend, mode) cell. Latencies are
@@ -84,73 +77,56 @@ type TriggerLatencyPoint struct {
 // Watch never reaches the capability probe.
 type pushless struct{ storage.Backend }
 
-// TriggerLatencySweep runs every (backend, mode) cell against a fresh
-// store, queue and mapper.
-func TriggerLatencySweep(opts TriggerLatencySweepOptions) ([]TriggerLatencyPoint, error) {
-	opts = opts.withDefaults()
-	var out []TriggerLatencyPoint
-	for _, kind := range opts.Backends {
-		for _, mode := range []string{TriggerPush, TriggerPoll} {
-			pt, err := triggerLatencyPoint(opts, kind, mode)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pt)
-		}
-	}
-	return out, nil
-}
-
-// triggerLatencyPoint measures one cell closed-loop: enqueue one message
+// RunTrigger measures one cell against a fresh store, queue and mapper,
+// closed-loop: enqueue one message
 // carrying its send time, wait for the triggered handler to report the
 // enqueue→receive gap, repeat. Between messages the mapper is idle — parked
 // on its push subscription or its poll timer — which is exactly the state
 // whose wake latency the cell measures.
-func triggerLatencyPoint(opts TriggerLatencySweepOptions, kind BackendKind, mode string) (TriggerLatencyPoint, error) {
-	sub, err := openSubstrate(Cell{Backend: kind, Shards: 1})
+func RunTrigger(c TriggerCell) (TriggerLatencyPoint, error) {
+	sub, err := openSubstrate(Cell{Backend: c.Backend, Shards: 1})
 	if err != nil {
 		return TriggerLatencyPoint{}, fmt.Errorf("bench: trigger sweep: %w", err)
 	}
 	defer sub.Close()
 	store := sub.store
-	if mode == TriggerPoll {
+	if c.Mode == TriggerPoll {
 		store = pushless{store}
 	}
 
 	broker := queue.NewBroker(queue.BrokerOptions{Store: store, IDs: &uuid.Seq{Prefix: "m"}})
 	broker.MustCreate("lat", queue.Options{VisibilityTimeout: time.Minute})
-	plat := platform.New(platform.Options{Seed: opts.Seed, IDs: &uuid.Seq{Prefix: "req"}})
+	plat := platform.New(platform.Options{Seed: c.Seed, IDs: &uuid.Seq{Prefix: "req"}})
 	recv := make(chan time.Duration, 16)
 	plat.Register("recv", func(inv *platform.Invocation, input platform.Value) (platform.Value, error) {
 		recv <- time.Since(time.Unix(0, input.Int()))
 		return dynamo.Null, nil
 	}, 0)
 	mapper := platform.MustNewMapper(broker, plat, platform.EventSourceOptions{
-		Queue: "lat", Function: "recv", BatchSize: 1, PollInterval: opts.PollInterval,
+		Queue: "lat", Function: "recv", BatchSize: 1, PollInterval: platform.DefaultPollInterval,
 	})
 	mapper.Start()
 	defer mapper.Stop()
 
 	var h hist.Histogram
 	start := time.Now()
-	total := opts.Warmup + opts.Messages
-	for i := 0; i < total; i++ {
+	for i := 0; i < triggerWarmup+triggerMessages; i++ {
 		if _, err := broker.Enqueue("lat", dynamo.NInt(time.Now().UnixNano())); err != nil {
 			return TriggerLatencyPoint{}, err
 		}
 		select {
 		case d := <-recv:
-			if i >= opts.Warmup {
+			if i >= triggerWarmup {
 				h.Record(d)
 			}
 		case <-time.After(10 * time.Second):
-			return TriggerLatencyPoint{}, fmt.Errorf("bench: trigger sweep (%s/%s): message %d never delivered", kind, mode, i)
+			return TriggerLatencyPoint{}, fmt.Errorf("bench: trigger cell %s: message %d never delivered", c.Label, i)
 		}
 	}
 	return TriggerLatencyPoint{
-		Backend:      kind,
-		Mode:         mode,
-		PollInterval: opts.PollInterval,
+		Backend:      c.Backend,
+		Mode:         c.Mode,
+		PollInterval: platform.DefaultPollInterval,
 		Messages:     h.Count(),
 		P50:          int64(h.Quantile(0.5)),
 		P90:          int64(h.Quantile(0.9)),
