@@ -30,7 +30,10 @@ import (
 // 4 400 bytes; with boxed update actions and per-call constant conditions
 // 6, 24, 19 and 35 allocations and 760, 2 632, 1 920 and 4 464 bytes (and
 // 14, 31, 25 and 44 allocations before that, while crash labels, span names
-// and projections were built per step).
+// and projections were built per step). The sync invoke cost 27 allocations
+// and 3 040 bytes while every platform instance ran on a goroutine of its
+// own, and 21 while an instance's root Env and its branch-shared state were
+// two allocations.
 var stepBudget = []struct {
 	name          string
 	allocs, bytes float64
@@ -39,7 +42,7 @@ var stepBudget = []struct {
 	{"logged read", 5, 616, "step key; the state query's result slice and projected row (2); the read-log queue, on an instance's first read"},
 	{"logged write", 16, 1528, "step key, log key, the written value, the projection; the skeleton query (3); the apply-and-log update's actions and conditions; the row's new attribute list and copied log"},
 	{"first write", 11, 928, "step key, log key, the written value, the projection; the empty query; the head row's guarded upsert, its actions and the new row's attribute and log lists"},
-	{"sync invoke", 27, 3040, "callee id, the invoke-log row's update, the envelope; the platform instance and the effect-free callee's whole execution, callback included"},
+	{"sync invoke", 20, 2528, "callee id, the invoke-log row's update, the envelope; the platform instance and the effect-free callee's whole execution, callback included — run on the invoking goroutine (no goroutine, result channel or closure per instance), its root Env and shared state one allocation"},
 }
 
 // bytesSlack is how far a step's allocated bytes may drift from the table

@@ -59,12 +59,20 @@ type envShared struct {
 	posted atomic.Pointer[postedResults] // nil until the instance awaits (see postedResults)
 }
 
+// rootEnv is an execution's root-branch Env together with the state its
+// branches share, so one instance's runtime state is one allocation.
+type rootEnv struct {
+	env    Env
+	shared envShared
+}
+
 // newEnv builds the root-branch Env of one execution. A fresh intent's read
 // log is known empty without asking the store.
 func newEnv(rt *Runtime, inv *platform.Invocation, id string, intent *intentRecord, app string) *Env {
-	sh := &envShared{app: app}
-	sh.reads.loaded = intent.fresh
-	return &Env{rt: rt, inv: inv, instanceID: id, branch: "0", intent: intent, shared: sh}
+	r := &rootEnv{shared: envShared{app: app}}
+	r.shared.reads.loaded = intent.fresh
+	r.env = Env{rt: rt, inv: inv, instanceID: id, branch: "0", intent: intent, shared: &r.shared}
+	return &r.env
 }
 
 // table resolves a body-level table name for the requesting application.

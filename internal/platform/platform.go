@@ -330,37 +330,27 @@ func (p *Platform) invokeInner(ctx context.Context, name string, input Value, as
 	return out, err
 }
 
-// runInstance executes the handler in its own goroutine so an injected
-// crash (panic) unwinds the instance without touching the caller, exactly
-// like a worker VM dying.
+// runInstance executes the handler as one worker instance. An instance
+// nothing outside can end early — no execution timeout and a context that
+// can never be canceled — runs on the invoking goroutine, as a function
+// call: a nested synchronous invocation deepens its invoker's stack. Only an
+// instance with a deadline or a cancelable context gets a goroutine of its
+// own, because only then may its caller be answered (ErrTimeout,
+// ErrCanceled) before the instance itself returns; it dies later, at its
+// next CrashPoint.
 func (p *Platform) runInstance(fn *function, inv *Invocation, input Value) (Value, error) {
+	if inv.deadline.IsZero() && inv.ctx.Done() == nil {
+		out, err := p.call(fn, inv, input)
+		p.metrics.Completions.Add(1)
+		return out, err
+	}
 	type result struct {
 		out Value
 		err error
 	}
 	done := make(chan result, 1)
 	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if c, ok := r.(crash); ok {
-					switch {
-					case c.timeout:
-						p.metrics.Timeouts.Add(1)
-						done <- result{dynamo.Null, fmt.Errorf("%w: %s at %q", ErrTimeout, inv.Function, c.label)}
-					case c.canceled:
-						done <- result{dynamo.Null, fmt.Errorf("%w: %s at %q", ErrCanceled, inv.Function, c.label)}
-					default:
-						p.metrics.Crashes.Add(1)
-						done <- result{dynamo.Null, fmt.Errorf("%w: %s at %q", ErrCrashed, inv.Function, c.label)}
-					}
-					return
-				}
-				// A genuine application panic also kills the worker.
-				p.metrics.Crashes.Add(1)
-				done <- result{dynamo.Null, fmt.Errorf("%w: %s: panic: %v", ErrCrashed, inv.Function, r)}
-			}
-		}()
-		out, err := fn.handler(inv, input)
+		out, err := p.call(fn, inv, input)
 		done <- result{out, err}
 	}()
 
@@ -383,6 +373,39 @@ func (p *Platform) runInstance(fn *function, inv *Invocation, input Value) (Valu
 		// its next CrashPoint (the same boundary discipline as timeouts), and
 		// whatever it leaves behind is the intent collector's to finish.
 		return dynamo.Null, fmt.Errorf("%w: %s: %v", ErrCanceled, inv.Function, inv.ctx.Err())
+	}
+}
+
+// call runs the handler, turning a panic that kills the instance — an
+// injected crash, a timeout or cancellation at a CrashPoint, or an
+// application panic — into its error, so the death unwinds the instance
+// without touching the caller, exactly like a worker VM dying.
+func (p *Platform) call(fn *function, inv *Invocation, input Value) (out Value, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = dynamo.Null, p.died(inv, r)
+		}
+	}()
+	return fn.handler(inv, input)
+}
+
+// died is the error, and the Metrics count, of an instance killed by the
+// recovered panic value r.
+func (p *Platform) died(inv *Invocation, r any) error {
+	c, ok := r.(crash)
+	switch {
+	case !ok:
+		// A genuine application panic also kills the worker.
+		p.metrics.Crashes.Add(1)
+		return fmt.Errorf("%w: %s: panic: %v", ErrCrashed, inv.Function, r)
+	case c.timeout:
+		p.metrics.Timeouts.Add(1)
+		return fmt.Errorf("%w: %s at %q", ErrTimeout, inv.Function, c.label)
+	case c.canceled:
+		return fmt.Errorf("%w: %s at %q", ErrCanceled, inv.Function, c.label)
+	default:
+		p.metrics.Crashes.Add(1)
+		return fmt.Errorf("%w: %s at %q", ErrCrashed, inv.Function, c.label)
 	}
 }
 

@@ -1,13 +1,17 @@
 package platform
 
 import (
+	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dynamo"
+	"repro/internal/raceflag"
 	"repro/internal/uuid"
 )
 
@@ -78,53 +82,166 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestCrashInjectionAndRecovery(t *testing.T) {
-	plan := &CrashOnce{Function: "w", Label: "mid"}
-	p := New(Options{Faults: plan})
-	var attempts atomic.Int64
-	p.Register("w", func(inv *Invocation, _ Value) (Value, error) {
-		attempts.Add(1)
-		inv.CrashPoint("mid", "")
-		return dynamo.S("done"), nil
-	}, 0)
+// invokers are the two ways a synchronous invocation runs its instance:
+// inline, on the caller's goroutine, when nothing outside can end it early,
+// and on a goroutine of its own when a live, cancelable context could. Both
+// keep one contract: the same error and the same Metrics counts.
+var invokers = []struct {
+	name   string
+	invoke func(p *Platform, name string, in Value) (Value, error)
+}{
+	{"Invoke", (*Platform).Invoke},
+	{"InvokeCtx", func(p *Platform, name string, in Value) (Value, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		return p.InvokeCtx(ctx, name, in)
+	}},
+}
 
-	_, err := p.Invoke("w", dynamo.Null)
-	if !errors.Is(err, ErrCrashed) {
-		t.Fatalf("first invoke: %v", err)
+// deathCounts is the part of MetricsView an instance's death moves.
+type deathCounts struct{ Crashes, Completions, Timeouts, Cancels int64 }
+
+func countsOf(p *Platform) deathCounts {
+	m := p.Metrics().Snapshot()
+	return deathCounts{m.Crashes, m.Completions, m.Timeouts, m.Cancels}
+}
+
+// checkDeath asserts one invocation's error class and message, and the
+// counts its platform holds afterwards.
+func checkDeath(t *testing.T, p *Platform, err, class error, msg string, want deathCounts) {
+	t.Helper()
+	if !errors.Is(err, class) {
+		t.Errorf("err = %v, want %v", err, class)
+	} else if err.Error() != msg {
+		t.Errorf("err = %q, want %q", err, msg)
 	}
-	if !plan.Fired() {
-		t.Fatal("plan did not fire")
+	if got := countsOf(p); got != want {
+		t.Errorf("counts = %+v, want %+v", got, want)
 	}
-	out, err := p.Invoke("w", dynamo.Null)
-	if err != nil || out.Str() != "done" {
-		t.Fatalf("second invoke: %v %v", out, err)
-	}
-	if attempts.Load() != 2 {
-		t.Errorf("attempts = %d", attempts.Load())
-	}
-	if p.Metrics().Crashes.Load() != 1 {
-		t.Errorf("crash count = %d", p.Metrics().Crashes.Load())
+}
+
+func TestCrashInjectionAndRecovery(t *testing.T) {
+	for _, iv := range invokers {
+		t.Run(iv.name, func(t *testing.T) {
+			plan := &CrashOnce{Function: "w", Label: "mid"}
+			p := New(Options{Faults: plan})
+			var attempts atomic.Int64
+			p.Register("w", func(inv *Invocation, _ Value) (Value, error) {
+				attempts.Add(1)
+				inv.CrashPoint("mid", "")
+				return dynamo.S("done"), nil
+			}, 0)
+
+			_, err := iv.invoke(p, "w", dynamo.Null)
+			checkDeath(t, p, err, ErrCrashed, `platform: function instance crashed: w at "mid"`,
+				deathCounts{Crashes: 1, Completions: 1})
+			if !plan.Fired() {
+				t.Fatal("plan did not fire")
+			}
+			out, err := iv.invoke(p, "w", dynamo.Null)
+			if err != nil || out.Str() != "done" {
+				t.Fatalf("second invoke: %v %v", out, err)
+			}
+			if attempts.Load() != 2 {
+				t.Errorf("attempts = %d", attempts.Load())
+			}
+			if got, want := countsOf(p), (deathCounts{Crashes: 1, Completions: 2}); got != want {
+				t.Errorf("counts = %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 
 func TestApplicationPanicBecomesCrash(t *testing.T) {
-	p := New(Options{})
-	p.Register("p", func(*Invocation, Value) (Value, error) {
-		panic("application bug")
-	}, 0)
-	if _, err := p.Invoke("p", dynamo.Null); !errors.Is(err, ErrCrashed) {
-		t.Errorf("panic: %v", err)
+	for _, iv := range invokers {
+		t.Run(iv.name, func(t *testing.T) {
+			p := New(Options{})
+			p.Register("p", func(*Invocation, Value) (Value, error) {
+				panic("application bug")
+			}, 0)
+			_, err := iv.invoke(p, "p", dynamo.Null)
+			checkDeath(t, p, err, ErrCrashed, "platform: function instance crashed: p: panic: application bug",
+				deathCounts{Crashes: 1, Completions: 1})
+		})
 	}
 }
 
 func TestKill(t *testing.T) {
-	p := New(Options{})
-	p.Register("k", func(inv *Invocation, _ Value) (Value, error) {
-		inv.Kill("deliberate")
-		return dynamo.Null, nil
-	}, 0)
-	if _, err := p.Invoke("k", dynamo.Null); !errors.Is(err, ErrCrashed) {
-		t.Errorf("kill: %v", err)
+	for _, iv := range invokers {
+		t.Run(iv.name, func(t *testing.T) {
+			p := New(Options{})
+			p.Register("k", func(inv *Invocation, _ Value) (Value, error) {
+				inv.Kill("deliberate")
+				return dynamo.Null, nil
+			}, 0)
+			_, err := iv.invoke(p, "k", dynamo.Null)
+			checkDeath(t, p, err, ErrCrashed, `platform: function instance crashed: k at "deliberate"`,
+				deathCounts{Crashes: 1, Completions: 1})
+		})
+	}
+}
+
+// goid is the id of the calling goroutine, from its stack header
+// ("goroutine 18 [running]:").
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+func TestInstanceRunsOnTheInvokersGoroutineUnlessInterruptible(t *testing.T) {
+	var ran string
+	record := func(*Invocation, Value) (Value, error) { ran = goid(); return dynamo.Null, nil }
+	p := New(Options{AsyncDispatch: func(run func()) { run() }})
+	p.Register("f", record, 0)
+	p.Register("bounded", record, time.Minute)
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	for _, c := range []struct {
+		name   string
+		call   func() error
+		inline bool
+	}{
+		{"Invoke", func() error { _, err := p.Invoke("f", dynamo.Null); return err }, true},
+		{"InvokeInternal", func() error { _, err := p.InvokeInternal("f", dynamo.Null); return err }, true},
+		{"InvokeCtx/uncancelable", func() error {
+			_, err := p.InvokeCtx(context.WithValue(context.Background(), ctxKey{}, 1), "f", dynamo.Null)
+			return err
+		}, true},
+		// The dispatcher runs the async instance here: its run starts no
+		// goroutine of its own.
+		{"InvokeAsync", func() error { return p.InvokeAsync("f", dynamo.Null) }, true},
+		{"InvokeCtx/cancelable", func() error { _, err := p.InvokeCtx(cancelable, "f", dynamo.Null); return err }, false},
+		{"Invoke/timeout", func() error { _, err := p.Invoke("bounded", dynamo.Null); return err }, false},
+	} {
+		ran = ""
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if inline := ran == goid(); inline != c.inline {
+			t.Errorf("%s: instance on the invoker's goroutine = %v, want %v", c.name, inline, c.inline)
+		}
+	}
+}
+
+type ctxKey struct{}
+
+// TestNoopInvokeAllocs pins what the platform itself costs an invocation:
+// the Invocation and its request id. While every instance ran on a goroutine
+// of its own, the goroutine, its closure and the result channel made it 5.
+func TestNoopInvokeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	p := New(Options{IDs: &uuid.Seq{Prefix: "req"}})
+	p.Register("noop", func(*Invocation, Value) (Value, error) { return dynamo.Null, nil }, 0)
+	got := testing.AllocsPerRun(1000, func() {
+		if _, err := p.Invoke("noop", dynamo.Null); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 2 {
+		t.Errorf("no-op Invoke: %.0f allocations, want 2 (the Invocation and its request id)", got)
 	}
 }
 
