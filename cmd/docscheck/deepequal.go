@@ -25,11 +25,8 @@ const valuePath = "/internal/dynamo"
 // deepEquals reports every DeepEqual over values in one checked file, as
 // "file:line: message", into found.
 func (l *loader) deepEquals(f *ast.File, info *types.Info) {
-	name := l.fset.Position(f.Pos()).Filename
-	for _, dir := range l.nested {
-		if strings.HasPrefix(filepath.ToSlash(name), dir+"/") {
-			return
-		}
+	if l.foreign(l.fset.Position(f.Pos()).Filename) {
+		return
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -46,6 +43,17 @@ func (l *loader) deepEquals(f *ast.File, info *types.Info) {
 		}
 		return true
 	})
+}
+
+// foreign reports whether the file named name belongs to another module
+// (a directory under the root with a go.mod of its own).
+func (l *loader) foreign(name string) bool {
+	for _, dir := range l.nested {
+		if strings.HasPrefix(filepath.ToSlash(name), dir+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // isDeepEqual reports whether fun names reflect.DeepEqual.

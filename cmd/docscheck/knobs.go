@@ -55,7 +55,8 @@ func collectKnobs(fset *token.FileSet, d *ast.GenDecl, pkg string) {
 }
 
 // checkModule type-checks the module and reports every collected field
-// nothing sets and every reflect.DeepEqual over values (deepequal.go).
+// nothing sets, every reflect.DeepEqual over values (deepequal.go) and every
+// hand-written forwarder of the typed data calls (forwarders.go).
 func checkModule() ([]string, error) {
 	gomod, err := os.ReadFile("go.mod")
 	if err != nil {
@@ -80,7 +81,7 @@ func checkModule() ([]string, error) {
 			return nil, err
 		}
 	}
-	var problems []string
+	problems := l.forwarders()
 	for p := range l.found {
 		problems = append(problems, p)
 	}

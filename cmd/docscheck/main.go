@@ -4,7 +4,9 @@
 // field of an audited …Options or …Config struct is set nowhere in the
 // module (knobs.go says what counts as setting it), or when a call of
 // reflect.DeepEqual in the root module takes a dynamo.Value or anything
-// holding one (deepequal.go). Run it from the module root.
+// holding one (deepequal.go), or when a method outside the storage adapter
+// and the reference store forwards the typed data calls GetProj or
+// QueryIndex (forwarders.go). Run it from the module root.
 //
 // Usage:
 //
@@ -82,7 +84,7 @@ func main() {
 		for _, p := range problems {
 			fmt.Println(p)
 		}
-		fmt.Fprintf(os.Stderr, "docscheck: %d findings: undocumented exported identifiers, option fields nothing sets, DeepEqual over values\n", len(problems))
+		fmt.Fprintf(os.Stderr, "docscheck: %d findings: undocumented exported identifiers, option fields nothing sets, DeepEqual over values, typed-call forwarders\n", len(problems))
 		os.Exit(1)
 	}
 }

@@ -31,6 +31,66 @@ type TxOp struct {
 	Check bool
 }
 
+// Op is one data-plane call as a value — Get, Put, Update, Delete, Query,
+// Scan or TransactWrite — for the layers that treat every call alike: the
+// wire, a journal, a scheduler, a counter. Kind names the call, and the call
+// reads these fields:
+//
+//	OpGet      Table Key, and Opts.Projection (GetProj when non-nil)
+//	OpPut      Table Item Cond
+//	OpUpdate   Table Key Cond Updates
+//	OpDelete   Table Key Cond
+//	OpQuery    Table Key.Hash Opts, and Index (QueryIndex when not "")
+//	OpScan     Table Opts
+//	OpTxWrite  Tx
+//
+// An Op travels by value: it holds what the call's arguments hold and
+// shares it, as the call does.
+type Op struct {
+	Kind    OpKind
+	Table   string
+	Index   string
+	Key     Key
+	Item    Item
+	Cond    Cond
+	Updates []Update
+	Opts    QueryOpts
+	Tx      []TxOp
+}
+
+// Result is what an Op returns: a Get's row and whether it was found, or a
+// Query's or Scan's rows. A write returns none.
+type Result struct {
+	Item  Item
+	Found bool
+	Items []Item
+}
+
+// IsWrite reports whether ops of kind k write rows.
+func (k OpKind) IsWrite() bool {
+	return k == OpPut || k == OpUpdate || k == OpDelete || k == OpTxWrite
+}
+
+// TxOps returns the rows a write op writes, as the TxOps a TransactWrite of
+// them would hold: a transaction's own ops, or a single-row write as one,
+// built in one (the caller's, so the view allocates nothing). It is nil for
+// a read.
+func (op *Op) TxOps(one *[1]TxOp) []TxOp {
+	switch op.Kind {
+	case OpPut:
+		one[0] = TxOp{Table: op.Table, Cond: op.Cond, Put: op.Item}
+	case OpUpdate:
+		one[0] = TxOp{Table: op.Table, Key: op.Key, Cond: op.Cond, Updates: op.Updates}
+	case OpDelete:
+		one[0] = TxOp{Table: op.Table, Key: op.Key, Cond: op.Cond, Delete: true}
+	case OpTxWrite:
+		return op.Tx
+	default:
+		return nil
+	}
+	return one[:]
+}
+
 // TransactWrite applies all ops atomically: either every condition passes
 // and every op applies, or nothing does and a *TxCanceledError describes the
 // per-op outcomes. Ops must target distinct rows (DynamoDB rejects duplicate

@@ -120,8 +120,11 @@ func (a dirtyKey) before(b dirtyKey) bool {
 // package comment for the model. Create with New, enable per deployment with
 // beldi.DeploymentOptions.Speculation.
 type Store struct {
+	storage.Calls // the typed data calls, each one Do
+
 	base   storage.Backend
 	shadow *dynamo.Store
+	view   storage.Doer // the shadow's data plane
 	opts   Options
 
 	mu          sync.Mutex
@@ -168,6 +171,8 @@ func New(base storage.Backend, opts Options) (*Store, error) {
 		schemas: make(map[string]dynamo.Schema),
 		done:    make(chan struct{}),
 	}
+	p.Calls = storage.Calls{Doer: p}
+	p.view = storage.DoerOf(p.shadow)
 	p.condWork = sync.NewCond(&p.mu)
 	p.condDurable = sync.NewCond(&p.mu)
 	for _, name := range base.TableNames() {
@@ -261,31 +266,44 @@ func (p *Store) markDirty(table string, key dynamo.Key) {
 	p.dirty[dirtyKey{table: table, hash: dynamo.KeyOf(key.Hash), sort: dynamo.KeyOf(key.Sort)}] = key
 }
 
-// append runs one speculated write: apply against the shadow (which
-// evaluates conditions with exact store semantics), mark the touched rows
-// dirty, advance the append watermark, and hold the writer to the Depth
-// bound. The condition-failure path charges nothing and dirties nothing —
-// a failed conditional write has no durable effect to pipeline.
-func (p *Store) append(apply func() error, touched func() ([]dirtyRow, error)) error {
+// append runs one speculated write: apply it to the shadow (which evaluates
+// conditions with exact store semantics), mark the rows it writes dirty,
+// advance the append watermark, and hold the writer to the Depth bound. A
+// transaction's rows flush atomically with everything before them. A write
+// the shadow refuses dirties nothing — it has no durable effect to pipeline —
+// and never reaches the base, so a refused condition is counted here, in the
+// base's CondFailures, which Metrics reports.
+func (p *Store) append(op *storage.Op) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.stuck(); err != nil {
 		return err
 	}
-	if err := apply(); err != nil {
+	if _, err := p.view.Do(*op); err != nil {
+		if errors.Is(err, storage.ErrConditionFailed) {
+			p.base.Metrics().CondFailures.Add(1)
+		}
 		return err
 	}
-	rows, err := touched()
-	if err != nil {
-		// The shadow applied the write but the rows cannot be addressed —
-		// unreachable for well-formed schemas; poison rather than silently
-		// lose a mutation.
-		p.flushErr = fmt.Errorf("pipeline: untrackable write: %w", err)
-		p.condDurable.Broadcast()
-		return p.flushErr
-	}
-	for _, r := range rows {
-		p.markDirty(r.table, r.key)
+	var one [1]dynamo.TxOp
+	for _, w := range op.TxOps(&one) {
+		if w.Check {
+			continue
+		}
+		key := w.Key
+		if w.Put != nil {
+			k, err := p.schemas[w.Table].KeyOf(w.Put)
+			if err != nil {
+				// The shadow applied the write but the row cannot be
+				// addressed — unreachable for well-formed schemas; poison
+				// rather than silently lose a mutation.
+				p.flushErr = fmt.Errorf("pipeline: untrackable write: %w", err)
+				p.condDurable.Broadcast()
+				return p.flushErr
+			}
+			key = k
+		}
+		p.markDirty(w.Table, key)
 	}
 	p.appendLSN++
 	p.stats.Appended++
@@ -306,12 +324,6 @@ func (p *Store) append(apply func() error, touched func() ([]dirtyRow, error)) e
 		p.condDurable.Wait()
 	}
 	return p.stuck()
-}
-
-// dirtyRow pairs a table with one touched key.
-type dirtyRow struct {
-	table string
-	key   dynamo.Key
 }
 
 // stuck reports the sticky failure state. Callers hold mu.
@@ -605,92 +617,15 @@ func (p *Store) TableBytes(name string) (int, error) { return p.shadow.TableByte
 // TableItemCount reports the number of live rows in the speculative view.
 func (p *Store) TableItemCount(name string) (int, error) { return p.shadow.TableItemCount(name) }
 
-// --- storage.Backend: reads (all from the shadow: read-your-own-writes,
-// no round trip) ---
+// --- storage.Doer: the data plane ---
 
-// Get returns the speculative row at key.
-func (p *Store) Get(table string, key storage.Key) (storage.Item, bool, error) {
-	return p.shadow.Get(table, key)
-}
-
-// GetProj is Get with a projection.
-func (p *Store) GetProj(table string, key storage.Key, proj []storage.Path) (storage.Item, bool, error) {
-	return p.shadow.GetProj(table, key, proj)
-}
-
-// Query returns one partition's speculative rows in sort order.
-func (p *Store) Query(table string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
-	return p.shadow.Query(table, hash, opts)
-}
-
-// QueryIndex queries a secondary index of the speculative view.
-func (p *Store) QueryIndex(table, index string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
-	return p.shadow.QueryIndex(table, index, hash, opts)
-}
-
-// Scan walks the whole speculative table.
-func (p *Store) Scan(table string, opts storage.QueryOpts) ([]storage.Item, error) {
-	return p.shadow.Scan(table, opts)
-}
-
-// --- storage.Backend: writes (speculated) ---
-
-// Put speculates a conditional put.
-func (p *Store) Put(table string, item storage.Item, cond storage.Cond) error {
-	return p.append(
-		func() error { return p.shadow.Put(table, item, cond) },
-		func() ([]dirtyRow, error) {
-			k, err := p.schemas[table].KeyOf(item)
-			if err != nil {
-				return nil, err
-			}
-			return []dirtyRow{{table, k}}, nil
-		},
-	)
-}
-
-// Update speculates a conditional update.
-func (p *Store) Update(table string, key storage.Key, cond storage.Cond, updates ...storage.Update) error {
-	return p.append(
-		func() error { return p.shadow.Update(table, key, cond, updates...) },
-		func() ([]dirtyRow, error) { return []dirtyRow{{table, key}}, nil },
-	)
-}
-
-// Delete speculates a conditional delete.
-func (p *Store) Delete(table string, key storage.Key, cond storage.Cond) error {
-	return p.append(
-		func() error { return p.shadow.Delete(table, key, cond) },
-		func() ([]dirtyRow, error) { return []dirtyRow{{table, key}}, nil },
-	)
-}
-
-// TransactWrite speculates a multi-row transaction: conditions evaluate
-// against the speculative state with exact store semantics (per-op reasons
-// included), and on success every mutated row joins the current batch — the
-// transaction flushes atomically with everything before it.
-func (p *Store) TransactWrite(ops []storage.TxOp) error {
-	return p.append(
-		func() error { return p.shadow.TransactWrite(ops) },
-		func() ([]dirtyRow, error) {
-			rows := make([]dirtyRow, 0, len(ops))
-			for _, op := range ops {
-				if op.Check {
-					continue
-				}
-				key := op.Key
-				if op.Put != nil {
-					k, err := p.schemas[op.Table].KeyOf(op.Put)
-					if err != nil {
-						return nil, err
-					}
-					key = k
-				}
-				rows = append(rows, dirtyRow{op.Table, key})
-			}
-			return rows, nil
-		},
-	)
+// Do implements storage.Doer. A read is the shadow's: read-your-own-writes,
+// no round trip. A write is speculated (see append).
+func (p *Store) Do(op storage.Op) (storage.Result, error) {
+	if !op.Kind.IsWrite() {
+		return p.view.Do(op)
+	}
+	return storage.Result{}, p.append(&op)
 }
 
 // Metrics exposes the BASE backend's counters: the durable traffic is what
@@ -716,5 +651,6 @@ func (p *Store) Watch(table string, hash storage.Value) (storage.Subscription, e
 // Compile-time seam checks.
 var (
 	_ storage.Backend = (*Store)(nil)
+	_ storage.Doer    = (*Store)(nil)
 	_ storage.Watcher = (*Store)(nil)
 )

@@ -115,6 +115,8 @@ func (s *ClientStats) Snapshot() ClientStatsSnapshot {
 // Client is a storage.Backend whose every call is an RPC to a storaged
 // server. Safe for concurrent use; Close releases the pool.
 type Client struct {
+	storage.Calls // the typed data calls, each one Do
+
 	addr string
 	opts Options
 
@@ -144,6 +146,7 @@ type Client struct {
 // use.
 func Dial(addr string, opts Options) (*Client, error) {
 	c := &Client{addr: addr, opts: opts.withDefaults()}
+	c.Calls = storage.Calls{Doer: c}
 	c.pool = make([]*poolConn, c.opts.PoolSize)
 	for i := range c.pool {
 		c.pool[i] = &poolConn{client: c}
@@ -558,7 +561,10 @@ func (c *Client) call(op byte, enc func(*codec.Encoder), dec func(*codec.Decoder
 
 // --- storage.Backend surface ---
 
-var _ storage.Backend = (*Client)(nil)
+var (
+	_ storage.Backend = (*Client)(nil)
+	_ storage.Doer    = (*Client)(nil)
+)
 
 // CreateTable implements storage.Backend.
 func (c *Client) CreateTable(schema storage.Schema) error {
@@ -619,125 +625,32 @@ func (c *Client) TableSchema(name string) (sch storage.Schema, err error) {
 	return sch, nil
 }
 
-// Get implements storage.Backend.
-func (c *Client) Get(table string, key storage.Key) (storage.Item, bool, error) {
-	return c.get(opGet, table, key, nil)
-}
-
-// GetProj implements storage.Backend.
-func (c *Client) GetProj(table string, key storage.Key, proj []storage.Path) (storage.Item, bool, error) {
-	return c.get(opGetProj, table, key, proj)
-}
-
-func (c *Client) get(op byte, table string, key storage.Key, proj []storage.Path) (storage.Item, bool, error) {
-	c.metrics.Ops[dynamo.OpGet].Add(1)
-	var it storage.Item
-	var ok bool
-	err := c.call(op, func(e *codec.Encoder) {
-		e.Str(table)
-		e.Key(key)
-		if op == opGetProj {
-			e.Paths(proj)
-		}
-	}, func(d *codec.Decoder) {
-		if ok = d.Bool(); ok {
-			it = d.Item()
-		}
-	})
-	if err != nil {
-		return nil, false, err
+// Do implements storage.Doer: one RPC, the op's request (opcodeOf names it)
+// answered by its result. Each op counts in the client-side Metrics mirror
+// by its kind, and so does each condition failure it meets. Every
+// TransactWrite carries a unique request id; the server's dedup window makes
+// retry-after-ambiguity safe, so a TransactWrite retries like a read even
+// though it writes.
+func (c *Client) Do(op storage.Op) (r storage.Result, err error) {
+	code := opcodeOf(&op)
+	if code == 0 {
+		return r, fmt.Errorf("remote: unknown op kind %d", op.Kind)
 	}
-	return it, ok, nil
-}
-
-// Put implements storage.Backend.
-func (c *Client) Put(table string, item storage.Item, cond storage.Cond) error {
-	c.metrics.Ops[dynamo.OpPut].Add(1)
-	return c.noteCond(c.call(opPut, func(e *codec.Encoder) {
-		e.Str(table)
-		e.Item(item)
-		e.Cond(cond)
-	}, nil))
-}
-
-// Update implements storage.Backend.
-func (c *Client) Update(table string, key storage.Key, cond storage.Cond, updates ...storage.Update) error {
-	c.metrics.Ops[dynamo.OpUpdate].Add(1)
-	return c.noteCond(c.call(opUpdate, func(e *codec.Encoder) {
-		e.Str(table)
-		e.Key(key)
-		e.Cond(cond)
-		e.Updates(updates)
-	}, nil))
-}
-
-// Delete implements storage.Backend.
-func (c *Client) Delete(table string, key storage.Key, cond storage.Cond) error {
-	c.metrics.Ops[dynamo.OpDelete].Add(1)
-	return c.noteCond(c.call(opDelete, func(e *codec.Encoder) {
-		e.Str(table)
-		e.Key(key)
-		e.Cond(cond)
-	}, nil))
-}
-
-// noteCond mirrors condition failures into the client-side metrics.
-func (c *Client) noteCond(err error) error {
-	if err != nil && errors.Is(err, storage.ErrConditionFailed) {
-		c.metrics.CondFailures.Add(1)
-	}
-	return err
-}
-
-// rows runs one row-returning RPC.
-func (c *Client) rows(op byte, enc func(*codec.Encoder)) (rows []storage.Item, err error) {
-	if err = c.call(op, enc, func(d *codec.Decoder) { rows = d.Items() }); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// Query implements storage.Backend.
-func (c *Client) Query(table string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
-	c.metrics.Ops[dynamo.OpQuery].Add(1)
-	return c.rows(opQuery, func(e *codec.Encoder) {
-		e.Str(table)
-		e.Value(hash)
-		e.QueryOpts(opts)
-	})
-}
-
-// QueryIndex implements storage.Backend.
-func (c *Client) QueryIndex(table, index string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
-	c.metrics.Ops[dynamo.OpQuery].Add(1)
-	return c.rows(opQueryIndex, func(e *codec.Encoder) {
-		e.Str(table)
-		e.Str(index)
-		e.Value(hash)
-		e.QueryOpts(opts)
-	})
-}
-
-// Scan implements storage.Backend.
-func (c *Client) Scan(table string, opts storage.QueryOpts) ([]storage.Item, error) {
-	c.metrics.Ops[dynamo.OpScan].Add(1)
-	return c.rows(opScan, func(e *codec.Encoder) {
-		e.Str(table)
-		e.QueryOpts(opts)
-	})
-}
-
-// TransactWrite implements storage.Backend. Every transaction carries a
-// unique request id; the server's dedup window makes retry-after-ambiguity
-// safe, so TransactWrite retries like a read even though it writes.
-func (c *Client) TransactWrite(ops []storage.TxOp) error {
-	c.metrics.Ops[dynamo.OpTxWrite].Add(1)
+	c.metrics.Ops[op.Kind].Add(1)
 	var buf [64]byte // "<ClientID>-<n>", built here and appended into the request
-	reqID := strconv.AppendUint(append(append(buf[:0], c.opts.ClientID...), '-'), c.txSeq.Add(1), 10)
-	return c.noteCond(c.call(opTransactWrite, func(e *codec.Encoder) {
-		e.Bytes(reqID)
-		e.TxOps(ops)
-	}, nil))
+	var reqID []byte
+	if code == opTransactWrite {
+		reqID = strconv.AppendUint(append(append(buf[:0], c.opts.ClientID...), '-'), c.txSeq.Add(1), 10)
+	}
+	err = c.call(code, func(e *codec.Encoder) { encodeOp(e, code, reqID, &op) },
+		func(d *codec.Decoder) { r = decodeResult(d, op.Kind) })
+	if err != nil {
+		if errors.Is(err, storage.ErrConditionFailed) {
+			c.metrics.CondFailures.Add(1)
+		}
+		return storage.Result{}, err
+	}
+	return r, nil
 }
 
 // Metrics implements storage.Backend with the client-side mirror counters

@@ -9,10 +9,138 @@ import (
 	"repro/internal/storage/codec"
 )
 
-// This file is what is RPC-specific in a message body: the structured error
-// encoding that lets condition failures and canceled transactions round-trip
-// with their errors.Is/errors.As identities intact, and the Metrics reply.
-// Every other field of a request or reply is internal/storage/codec's.
+// This file is what is RPC-specific in a message body: which fields a
+// data-plane op's request and result carry, the structured error encoding
+// that lets condition failures and canceled transactions round-trip with
+// their errors.Is/errors.As identities intact, and the Metrics reply. Every
+// field itself is internal/storage/codec's.
+
+// opcodes is the request each op kind travels as. A Get with a projection
+// is GetProj and a Query of an index QueryIndex, each with an opcode of its
+// own (opcodeOf).
+var opcodes = [...]byte{
+	dynamo.OpGet:     opGet,
+	dynamo.OpPut:     opPut,
+	dynamo.OpUpdate:  opUpdate,
+	dynamo.OpDelete:  opDelete,
+	dynamo.OpQuery:   opQuery,
+	dynamo.OpScan:    opScan,
+	dynamo.OpTxWrite: opTransactWrite,
+}
+
+// opcodeOf names the request op travels as, 0 for an unknown kind.
+func opcodeOf(op *storage.Op) byte {
+	switch {
+	case int(op.Kind) >= len(opcodes):
+		return 0
+	case op.Kind == dynamo.OpGet && op.Opts.Projection != nil:
+		return opGetProj
+	case op.Kind == dynamo.OpQuery && op.Index != "":
+		return opQueryIndex
+	}
+	return opcodes[op.Kind]
+}
+
+// encodeOp appends the request payload of op, whose opcode is code:
+//
+//	get            [str table] Key
+//	get_proj       [str table] Key Paths
+//	put            [str table] Item Cond
+//	update         [str table] Key Cond Updates
+//	delete         [str table] Key Cond
+//	query          [str table] Value QueryOpts
+//	query_index    [str table][str index] Value QueryOpts
+//	scan           [str table] QueryOpts
+//	transact_write [str request id] TxOps
+func encodeOp(e *codec.Encoder, code byte, reqID []byte, op *storage.Op) {
+	if code == opTransactWrite {
+		e.Bytes(reqID)
+		e.TxOps(op.Tx)
+		return
+	}
+	e.Str(op.Table)
+	switch code {
+	case opGet:
+		e.Key(op.Key)
+	case opGetProj:
+		e.Key(op.Key)
+		e.Paths(op.Opts.Projection)
+	case opPut:
+		e.Item(op.Item)
+		e.Cond(op.Cond)
+	case opUpdate:
+		e.Key(op.Key)
+		e.Cond(op.Cond)
+		e.Updates(op.Updates)
+	case opDelete:
+		e.Key(op.Key)
+		e.Cond(op.Cond)
+	case opQueryIndex:
+		e.Str(op.Index)
+		fallthrough
+	case opQuery:
+		e.Value(op.Key.Hash)
+		e.QueryOpts(op.Opts)
+	case opScan:
+		e.QueryOpts(op.Opts)
+	}
+}
+
+// decodeOp reads the request payload encodeOp wrote for code, with a
+// transaction's request id; ok is false when code is no data-plane op.
+func decodeOp(code byte, d *codec.Decoder) (op storage.Op, reqID string, ok bool) {
+	switch code {
+	case opGet:
+		op = storage.Op{Kind: dynamo.OpGet, Table: d.Name(), Key: d.Key()}
+	case opGetProj:
+		op = storage.Op{Kind: dynamo.OpGet, Table: d.Name(), Key: d.Key(), Opts: storage.QueryOpts{Projection: d.Paths()}}
+	case opPut:
+		op = storage.Op{Kind: dynamo.OpPut, Table: d.Name(), Item: d.Item(), Cond: d.Cond()}
+	case opUpdate:
+		op = storage.Op{Kind: dynamo.OpUpdate, Table: d.Name(), Key: d.Key(), Cond: d.Cond(), Updates: d.Updates()}
+	case opDelete:
+		op = storage.Op{Kind: dynamo.OpDelete, Table: d.Name(), Key: d.Key(), Cond: d.Cond()}
+	case opQuery:
+		op = storage.Op{Kind: dynamo.OpQuery, Table: d.Name(), Key: storage.Key{Hash: d.Value()}, Opts: d.QueryOpts()}
+	case opQueryIndex:
+		op = storage.Op{Kind: dynamo.OpQuery, Table: d.Name(), Index: d.Name(), Key: storage.Key{Hash: d.Value()}, Opts: d.QueryOpts()}
+	case opScan:
+		op = storage.Op{Kind: dynamo.OpScan, Table: d.Name(), Opts: d.QueryOpts()}
+	case opTransactWrite:
+		reqID = d.Str()
+		op = storage.Op{Kind: dynamo.OpTxWrite, Tx: d.TxOps()}
+	default:
+		return op, "", false
+	}
+	return op, reqID, true
+}
+
+// encodeResult appends what an op of kind returned: [bool found] and the row
+// when found (get), the rows (query, scan), nothing (a write).
+func encodeResult(e *codec.Encoder, kind dynamo.OpKind, r storage.Result) {
+	switch kind {
+	case dynamo.OpGet:
+		e.Bool(r.Found)
+		if r.Found {
+			e.Item(r.Item)
+		}
+	case dynamo.OpQuery, dynamo.OpScan:
+		e.Items(r.Items)
+	}
+}
+
+// decodeResult reads what encodeResult wrote for kind.
+func decodeResult(d *codec.Decoder, kind dynamo.OpKind) (r storage.Result) {
+	switch kind {
+	case dynamo.OpGet:
+		if r.Found = d.Bool(); r.Found {
+			r.Item = d.Item()
+		}
+	case dynamo.OpQuery, dynamo.OpScan:
+		r.Items = d.Items()
+	}
+	return r
+}
 
 // Wire error codes. Code 0 in a response means success.
 const (

@@ -83,6 +83,7 @@ func (s *ServerStats) Snapshot() ServerStatsSnapshot {
 // hangs up every connection.
 type Server struct {
 	backend storage.Backend
+	doer    storage.Doer // backend's data plane
 	opts    ServeOptions
 	dedup   *dedupWindow
 	stats   ServerStats
@@ -98,6 +99,7 @@ type Server struct {
 func NewServer(backend storage.Backend, opts ServeOptions) *Server {
 	return &Server{
 		backend:   backend,
+		doer:      storage.DoerOf(backend),
 		opts:      opts,
 		dedup:     &dedupWindow{entries: make(map[string]*dedupEntry, dedupCapacity)},
 		listeners: make(map[net.Listener]struct{}),
@@ -498,92 +500,6 @@ func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encod
 		e.Schema(sch)
 		return err
 
-	case opGet, opGetProj:
-		table, key := d.Name(), d.Key()
-		var proj []storage.Path
-		if op == opGetProj {
-			proj = d.Paths()
-		}
-		if err := decodeErr(d); err != nil {
-			return err
-		}
-		var it storage.Item
-		var ok bool
-		var err error
-		if op == opGetProj {
-			it, ok, err = s.backend.GetProj(table, key, proj)
-		} else {
-			it, ok, err = s.backend.Get(table, key)
-		}
-		e.Bool(ok)
-		if ok {
-			e.Item(it)
-		}
-		return err
-
-	case opPut:
-		table, it, cond := d.Name(), d.Item(), d.Cond()
-		if err := decodeErr(d); err != nil {
-			return err
-		}
-		return s.backend.Put(table, it, cond)
-
-	case opUpdate:
-		table, key, cond, ups := d.Name(), d.Key(), d.Cond(), d.Updates()
-		if err := decodeErr(d); err != nil {
-			return err
-		}
-		return s.backend.Update(table, key, cond, ups...)
-
-	case opDelete:
-		table, key, cond := d.Name(), d.Key(), d.Cond()
-		if err := decodeErr(d); err != nil {
-			return err
-		}
-		return s.backend.Delete(table, key, cond)
-
-	case opQuery, opQueryIndex:
-		table, index := d.Name(), ""
-		if op == opQueryIndex {
-			index = d.Name()
-		}
-		hash, opts := d.Value(), d.QueryOpts()
-		if err := decodeErr(d); err != nil {
-			return err
-		}
-		var rows []storage.Item
-		var err error
-		if op == opQueryIndex {
-			rows, err = s.backend.QueryIndex(table, index, hash, opts)
-		} else {
-			rows, err = s.backend.Query(table, hash, opts)
-		}
-		e.Items(rows)
-		return err
-
-	case opScan:
-		table, opts := d.Name(), d.QueryOpts()
-		if err := decodeErr(d); err != nil {
-			return err
-		}
-		rows, err := s.backend.Scan(table, opts)
-		e.Items(rows)
-		return err
-
-	case opTransactWrite:
-		reqID, ops := d.Str(), d.TxOps()
-		if err := decodeErr(d); err != nil {
-			return err
-		}
-		if reqID == "" {
-			return s.backend.TransactWrite(ops)
-		}
-		txErr, hit := s.dedup.do(reqID, func() error { return s.backend.TransactWrite(ops) })
-		if hit {
-			s.stats.DedupHits.Add(1)
-		}
-		return txErr
-
 	case opMetrics:
 		encodeMetrics(e, s.backend.Metrics().Snapshot())
 		return nil
@@ -619,7 +535,33 @@ func (s *Server) handle(pctx *pushCtx, op byte, d *codec.Decoder, e *codec.Encod
 		}
 		return nil
 	}
-	return fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
+	return s.do(op, d, e)
+}
+
+// do runs one data-plane request: its payload decodes to an Op, which the
+// backend runs, and its result is encoded. A transaction with a request id
+// runs once per id within the dedup window.
+func (s *Server) do(code byte, d *codec.Decoder, e *codec.Encoder) error {
+	op, reqID, ok := decodeOp(code, d)
+	if !ok {
+		return fmt.Errorf("%w: unknown opcode %d", ErrProtocol, code)
+	}
+	if err := decodeErr(d); err != nil {
+		return err
+	}
+	if reqID != "" {
+		txErr, hit := s.dedup.do(reqID, func() error {
+			_, err := s.doer.Do(op)
+			return err
+		})
+		if hit {
+			s.stats.DedupHits.Add(1)
+		}
+		return txErr
+	}
+	r, err := s.doer.Do(op)
+	encodeResult(e, op.Kind, r)
+	return err
 }
 
 // dedupWindow remembers the last dedupCapacity TransactWrite request

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dynamo"
 	"repro/internal/storage"
 )
 
@@ -60,7 +61,9 @@ type LateDone struct {
 // the shared StoreFaults. Wrap each worker's view of the shared store so
 // process-tagged traces make failures readable.
 type Backend struct {
-	inner  storage.Backend
+	storage.Calls // the typed data calls, each one Do
+
+	inner  storage.Doer
 	s      *Scheduler
 	proc   string
 	faults *StoreFaults
@@ -69,13 +72,15 @@ type Backend struct {
 // WrapBackend returns proc's fault-injected view of inner under s. faults
 // may be nil for pure interleaving without delays.
 func WrapBackend(inner storage.Backend, s *Scheduler, proc string, faults *StoreFaults) *Backend {
-	return &Backend{inner: inner, s: s, proc: proc, faults: faults}
+	b := &Backend{inner: storage.DoerOf(inner), s: s, proc: proc, faults: faults}
+	b.Calls = storage.Calls{Doer: b}
+	return b
 }
 
-// step is the scheduling point every data operation passes through.
-func (b *Backend) step(op, table string, updates []storage.Update) {
+// step is the scheduling point every operation passes through.
+func (b *Backend) step(op, table string) {
 	b.s.Note(op + " " + table + " @" + b.proc)
-	if d := b.delayFor(table, updates); d > 0 {
+	if d := b.delay(); d > 0 {
 		b.s.Note(fmt.Sprintf("delay %s %s", table, d))
 		b.s.Sleep(d)
 		return
@@ -83,12 +88,10 @@ func (b *Backend) step(op, table string, updates []storage.Update) {
 	b.s.Yield()
 }
 
-func (b *Backend) delayFor(table string, updates []storage.Update) time.Duration {
+// delay draws the operation's injected delay, 0 for none.
+func (b *Backend) delay() time.Duration {
 	f := b.faults
-	if f == nil {
-		return 0
-	}
-	if f.DelayProb > 0 && f.MaxDelay > 0 && b.s.rng.Float64() < f.DelayProb {
+	if f != nil && f.DelayProb > 0 && f.MaxDelay > 0 && b.s.rng.Float64() < f.DelayProb {
 		return time.Duration(b.s.rng.Int63n(int64(f.MaxDelay))) + time.Microsecond
 	}
 	return 0
@@ -96,13 +99,13 @@ func (b *Backend) delayFor(table string, updates []storage.Update) time.Duration
 
 // CreateTable implements storage.Backend.
 func (b *Backend) CreateTable(schema storage.Schema) error {
-	b.step("CreateTable", schema.Name, nil)
+	b.step("CreateTable", schema.Name)
 	return b.inner.CreateTable(schema)
 }
 
 // DeleteTable implements storage.Backend.
 func (b *Backend) DeleteTable(name string) error {
-	b.step("DeleteTable", name, nil)
+	b.step("DeleteTable", name)
 	return b.inner.DeleteTable(name)
 }
 
@@ -121,55 +124,76 @@ func (b *Backend) TableBytes(name string) (int, error) { return b.inner.TableByt
 // TableItemCount implements storage.Backend (no scheduling point: metadata).
 func (b *Backend) TableItemCount(name string) (int, error) { return b.inner.TableItemCount(name) }
 
-// Get implements storage.Backend.
-func (b *Backend) Get(table string, key storage.Key) (storage.Item, bool, error) {
-	b.step("Get", table, nil)
-	return b.inner.Get(table, key)
-}
-
-// GetProj implements storage.Backend.
-func (b *Backend) GetProj(table string, key storage.Key, proj []storage.Path) (storage.Item, bool, error) {
-	b.step("GetProj", table, nil)
-	return b.inner.GetProj(table, key, proj)
-}
-
-// Put implements storage.Backend.
-func (b *Backend) Put(table string, item storage.Item, cond storage.Cond) error {
-	b.step("Put", table, nil)
-	err := b.inner.Put(table, item, cond)
-	if err == nil {
-		b.wakeForItem(table, item)
+// Do implements storage.Doer: every data op is one scheduling point, noted
+// as the typed call it stands for ("Get t @p", "QueryIndex t @p", "Tx a,b
+// @p"), and every write that commits wakes the rows it wrote.
+func (b *Backend) Do(op storage.Op) (storage.Result, error) {
+	if f := b.faults; op.Kind == dynamo.OpUpdate && f != nil && f.LateDone != nil && core.MarksIntentDone(op.Table, op.Updates) {
+		b.lateDone(op, f.LateDone)
+		return storage.Result{}, nil
 	}
-	return err
-}
-
-// Update implements storage.Backend.
-func (b *Backend) Update(table string, key storage.Key, cond storage.Cond, updates ...storage.Update) error {
-	if f := b.faults; f != nil && f.LateDone != nil && core.MarksIntentDone(table, updates) {
-		span := f.LateDone.MaxDelay - f.LateDone.MinDelay
-		d := f.LateDone.MinDelay
-		if span > 0 {
-			d += time.Duration(b.s.rng.Int63n(int64(span)))
+	table := op.Table
+	if op.Kind == dynamo.OpTxWrite {
+		tables := make([]string, 0, len(op.Tx))
+		for _, w := range op.Tx {
+			tables = append(tables, w.Table)
 		}
-		b.s.Note(fmt.Sprintf("latedone %s %s", table, d))
-		// The in-flight write is deliberately NOT proc-tagged: a kill stops
-		// the process, not a packet already in the network. The guard may
-		// rightly refuse the apply (intent already collected) — that is the
-		// scenario under test, so the error is dropped.
-		b.s.Go(TaskOpts{Name: "latedone@" + b.proc}, func() {
-			b.s.Sleep(d)
-			b.inner.Update(table, key, cond, updates...) //nolint:errcheck
-		})
-		b.s.Yield()
-		return nil
+		table = strings.Join(tables, ",")
 	}
-	b.step("Update", table, updates)
-	err := b.inner.Update(table, key, cond, updates...)
-	b.debug("upd", table, key, err, updates)
-	if err == nil {
-		b.wake(table, key.Hash)
+	b.step(callName(&op), table)
+	r, err := b.inner.Do(op)
+	if op.Kind == dynamo.OpUpdate {
+		b.debug("upd", op.Table, op.Key, err, op.Updates)
 	}
-	return err
+	if err != nil {
+		return r, err
+	}
+	var one [1]storage.TxOp
+	for _, w := range op.TxOps(&one) {
+		switch {
+		case w.Check:
+		case w.Put != nil:
+			b.wakeForItem(w.Table, w.Put)
+		default:
+			b.wake(w.Table, w.Key.Hash)
+		}
+	}
+	return r, nil
+}
+
+// callName names the typed call op stands for.
+func callName(op *storage.Op) string {
+	switch {
+	case op.Kind == dynamo.OpGet && op.Opts.Projection != nil:
+		return "GetProj"
+	case op.Kind == dynamo.OpQuery && op.Index != "":
+		return "QueryIndex"
+	case op.Kind == dynamo.OpTxWrite:
+		return "Tx"
+	}
+	name := op.Kind.String()
+	return strings.ToUpper(name[:1]) + name[1:]
+}
+
+// lateDone turns an intent-completion update into an in-flight write: the
+// issuer is acked at once and the update applies on a detached task after
+// the configured delay (see StoreFaults.LateDone).
+func (b *Backend) lateDone(op storage.Op, late *LateDone) {
+	span := late.MaxDelay - late.MinDelay
+	d := late.MinDelay
+	if span > 0 {
+		d += time.Duration(b.s.rng.Int63n(int64(span)))
+	}
+	b.s.Note(fmt.Sprintf("latedone %s %s", op.Table, d))
+	// The in-flight write is deliberately NOT proc-tagged: a kill stops
+	// the process, not a packet already in the network. The guard may
+	// rightly refuse the apply (intent already collected) — that is the
+	// scenario under test, so the error is dropped.
+	b.s.Go(TaskOpts{Name: "latedone@" + b.proc}, func() {
+		b.s.Sleep(d)
+		b.inner.Do(op) //nolint:errcheck
+	})
+	b.s.Yield()
 }
 
 // debug prints store traffic for tables matching the SIM_DEBUG_TABLE
@@ -193,57 +217,6 @@ func (b *Backend) debug(op, table string, key storage.Key, err error, updates []
 
 var debugTable = os.Getenv("SIM_DEBUG_TABLE")
 
-// Delete implements storage.Backend.
-func (b *Backend) Delete(table string, key storage.Key, cond storage.Cond) error {
-	b.step("Delete", table, nil)
-	err := b.inner.Delete(table, key, cond)
-	if err == nil {
-		b.wake(table, key.Hash)
-	}
-	return err
-}
-
-// Query implements storage.Backend.
-func (b *Backend) Query(table string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
-	b.step("Query", table, nil)
-	return b.inner.Query(table, hash, opts)
-}
-
-// QueryIndex implements storage.Backend.
-func (b *Backend) QueryIndex(table, index string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
-	b.step("QueryIndex", table, nil)
-	return b.inner.QueryIndex(table, index, hash, opts)
-}
-
-// Scan implements storage.Backend.
-func (b *Backend) Scan(table string, opts storage.QueryOpts) ([]storage.Item, error) {
-	b.step("Scan", table, nil)
-	return b.inner.Scan(table, opts)
-}
-
-// TransactWrite implements storage.Backend.
-func (b *Backend) TransactWrite(ops []storage.TxOp) error {
-	tables := make([]string, 0, len(ops))
-	for _, op := range ops {
-		tables = append(tables, op.Table)
-	}
-	b.step("Tx", strings.Join(tables, ","), nil)
-	err := b.inner.TransactWrite(ops)
-	if err == nil {
-		for _, op := range ops {
-			if op.Check {
-				continue
-			}
-			if op.Put != nil {
-				b.wakeForItem(op.Table, op.Put)
-			} else {
-				b.wake(op.Table, op.Key.Hash)
-			}
-		}
-	}
-	return err
-}
-
 // Fence implements storage.Fencer by delegation when the wrapped store is
 // itself a Fencer (the speculation overlay sits beneath this wrapper in the
 // spec scenario): the fence is one scheduling point, and the delegated
@@ -254,14 +227,18 @@ func (b *Backend) TransactWrite(ops []storage.TxOp) error {
 // other inner store Fence is a free no-op with no scheduling point, leaving
 // those scenarios' schedules untouched.
 func (b *Backend) Fence() error {
-	if _, ok := b.inner.(storage.Fencer); !ok {
+	f, ok := b.inner.(storage.Fencer)
+	if !ok {
 		return nil
 	}
-	b.step("Fence", "fence", nil)
-	return storage.Fence(b.inner)
+	b.step("Fence", "fence")
+	return f.Fence()
 }
 
 // Metrics implements storage.Backend (no scheduling point: counters).
 func (b *Backend) Metrics() *storage.Metrics { return b.inner.Metrics() }
 
-var _ storage.Backend = (*Backend)(nil)
+var (
+	_ storage.Backend = (*Backend)(nil)
+	_ storage.Doer    = (*Backend)(nil)
+)

@@ -15,7 +15,11 @@
 //     log plus snapshots, so the same protocol state survives the process
 //     and Open(dir) recovers it.
 //
-// The data model (Value, Item, Key, Cond, Update, Schema, …) is shared by
+// The same data plane is also one call, Doer's Do(Op), for the layers that
+// treat every call alike (op.go); Typed and DoerOf convert between the two
+// forms.
+//
+// The data model (Value, Item, Key, Cond, Update, Schema, Op, …) is shared by
 // all backends and lives in internal/dynamo; this package re-exports it
 // under storage names so consumers can depend on the seam alone. The
 // conformance suite in storage/storagetest pins every backend to identical
@@ -48,6 +52,10 @@ type (
 	Path = dynamo.Path
 	// TxOp is one write inside a TransactWrite.
 	TxOp = dynamo.TxOp
+	// Op is one data-plane call as a value (see Doer).
+	Op = dynamo.Op
+	// Result is what an Op returns.
+	Result = dynamo.Result
 	// Metrics counts a backend's traffic (the metrics hook every backend
 	// exposes; walstore adds WAL-specific counters on the side).
 	Metrics = dynamo.Metrics
@@ -81,23 +89,7 @@ var (
 // complete strictly before the call are reflected in the result, the
 // property Beldi's DAAL traversal needs from scans (§4.1).
 type Backend interface {
-	// CreateTable registers a new table; ErrTableExists on duplicates.
-	CreateTable(schema Schema) error
-	// DeleteTable drops a table and its data.
-	DeleteTable(name string) error
-	// TableNames lists tables in sorted order.
-	TableNames() []string
-	// TableShards reports the shard count of an existing table (1 for
-	// backends without striping).
-	TableShards(name string) (int, error)
-	// TableSchema returns an existing table's schema (Shards resolved to
-	// the effective stripe count) — what adoption checks against when a
-	// durable deployment reopens its tables.
-	TableSchema(name string) (Schema, error)
-	// TableBytes reports the table's current storage footprint.
-	TableBytes(name string) (int, error)
-	// TableItemCount reports the number of live rows.
-	TableItemCount(name string) (int, error)
+	Admin
 
 	// Get returns the item at key (strongly consistent). The attribute map
 	// is the caller's; the values in it are immutable and may be shared
@@ -126,7 +118,29 @@ type Backend interface {
 	// TransactWrite applies all ops atomically or none, reporting per-op
 	// outcomes via *TxCanceledError.
 	TransactWrite(ops []TxOp) error
+}
 
+// Admin is the half of the seam that is not data-plane traffic: table
+// management, table sizes and the traffic counters. Backend and Doer both
+// hold it.
+type Admin interface {
+	// CreateTable registers a new table; ErrTableExists on duplicates.
+	CreateTable(schema Schema) error
+	// DeleteTable drops a table and its data.
+	DeleteTable(name string) error
+	// TableNames lists tables in sorted order.
+	TableNames() []string
+	// TableShards reports the shard count of an existing table (1 for
+	// backends without striping).
+	TableShards(name string) (int, error)
+	// TableSchema returns an existing table's schema (Shards resolved to
+	// the effective stripe count) — what adoption checks against when a
+	// durable deployment reopens its tables.
+	TableSchema(name string) (Schema, error)
+	// TableBytes reports the table's current storage footprint.
+	TableBytes(name string) (int, error)
+	// TableItemCount reports the number of live rows.
+	TableItemCount(name string) (int, error)
 	// Metrics exposes the backend's live traffic counters.
 	Metrics() *Metrics
 }

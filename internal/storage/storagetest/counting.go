@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/dynamo"
 	"repro/internal/storage"
 )
 
@@ -14,7 +15,8 @@ import (
 // against the table of its first op. It forwards Watch to the wrapped
 // backend, so push consumers behave as they do without it.
 type Counting struct {
-	storage.Backend
+	storage.Doer  // the wrapped backend's; its admin calls are Counting's
+	storage.Calls // the typed data calls, each one counted Do
 
 	mu  sync.Mutex
 	ops map[string]int // "table kind"
@@ -22,7 +24,9 @@ type Counting struct {
 
 // NewCounting wraps b.
 func NewCounting(b storage.Backend) *Counting {
-	return &Counting{Backend: b, ops: make(map[string]int)}
+	c := &Counting{Doer: storage.DoerOf(b), ops: make(map[string]int)}
+	c.Calls = storage.Calls{Doer: c}
+	return c
 }
 
 func (c *Counting) count(table, kind string) {
@@ -50,66 +54,24 @@ func (c *Counting) Counts() map[string]int {
 	return out
 }
 
-// Get counts and forwards.
-func (c *Counting) Get(table string, key storage.Key) (storage.Item, bool, error) {
-	c.count(table, "get")
-	return c.Backend.Get(table, key)
-}
-
-// GetProj counts (as a get) and forwards.
-func (c *Counting) GetProj(table string, key storage.Key, proj []storage.Path) (storage.Item, bool, error) {
-	c.count(table, "get")
-	return c.Backend.GetProj(table, key, proj)
-}
-
-// Put counts and forwards.
-func (c *Counting) Put(table string, item storage.Item, cond storage.Cond) error {
-	c.count(table, "put")
-	return c.Backend.Put(table, item, cond)
-}
-
-// Update counts and forwards.
-func (c *Counting) Update(table string, key storage.Key, cond storage.Cond, updates ...storage.Update) error {
-	c.count(table, "update")
-	return c.Backend.Update(table, key, cond, updates...)
-}
-
-// Delete counts and forwards.
-func (c *Counting) Delete(table string, key storage.Key, cond storage.Cond) error {
-	c.count(table, "delete")
-	return c.Backend.Delete(table, key, cond)
-}
-
-// Query counts and forwards.
-func (c *Counting) Query(table string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
-	c.count(table, "query")
-	return c.Backend.Query(table, hash, opts)
-}
-
-// QueryIndex counts (as a query) and forwards.
-func (c *Counting) QueryIndex(table, index string, hash storage.Value, opts storage.QueryOpts) ([]storage.Item, error) {
-	c.count(table, "query")
-	return c.Backend.QueryIndex(table, index, hash, opts)
-}
-
-// Scan counts and forwards.
-func (c *Counting) Scan(table string, opts storage.QueryOpts) ([]storage.Item, error) {
-	c.count(table, "scan")
-	return c.Backend.Scan(table, opts)
-}
-
-// TransactWrite counts once, against its first op's table, and forwards.
-func (c *Counting) TransactWrite(ops []storage.TxOp) error {
-	if len(ops) > 0 {
-		c.count(ops[0].Table, "transact")
+// Do counts op by its table and kind — a GetProj as a get, a QueryIndex as
+// a query, a TransactWrite once, against its first op's table — and
+// forwards it.
+func (c *Counting) Do(op storage.Op) (storage.Result, error) {
+	switch {
+	case op.Kind != dynamo.OpTxWrite:
+		c.count(op.Table, op.Kind.String())
+	case len(op.Tx) > 0:
+		c.count(op.Tx[0].Table, "transact")
 	}
-	return c.Backend.TransactWrite(ops)
+	return c.Doer.Do(op)
 }
 
 // Watch forwards to the wrapped backend's commit stream.
 func (c *Counting) Watch(table string, hash storage.Value) (storage.Subscription, error) {
-	if sub, ok := storage.Watch(c.Backend, table, hash); ok {
+	b := storage.Typed(c.Doer)
+	if sub, ok := storage.Watch(b, table, hash); ok {
 		return sub, nil
 	}
-	return nil, fmt.Errorf("storagetest: no push subscription on %s from %T", table, c.Backend)
+	return nil, fmt.Errorf("storagetest: no push subscription on %s from %T", table, b)
 }

@@ -173,11 +173,14 @@ func (s *Stats) Snapshot() StatsView {
 // log append form one atomic step, so log order equals commit order) and
 // return once their record is durable per the sync policy.
 type Store struct {
+	storage.Calls // the typed data calls, each one Do
+
 	dir  string
 	opts Options
 
 	logMu     sync.Mutex // serializes mutations: apply + append + (auto)compact
 	mem       *dynamo.Store
+	memDo     storage.Doer // mem's data plane
 	schemas   map[string]dynamo.Schema
 	seq       uint64 // last assigned record sequence
 	sinceSnap int64  // WAL bytes appended since the last snapshot
@@ -197,8 +200,11 @@ type Store struct {
 	watch *dynamo.WatchHub
 }
 
-var _ storage.Backend = (*Store)(nil)
-var _ storage.Watcher = (*Store)(nil)
+var (
+	_ storage.Backend = (*Store)(nil)
+	_ storage.Doer    = (*Store)(nil)
+	_ storage.Watcher = (*Store)(nil)
+)
 
 // Open opens (creating if needed) the store rooted at dir, recovering the
 // newest snapshot plus the WAL tail. Torn or corrupt tail records — a
@@ -217,7 +223,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("walstore: open %s: %w", dir, err)
 	}
-	s.mem = mem
+	s.Calls = storage.Calls{Doer: s}
+	s.mem, s.memDo = mem, storage.DoerOf(mem)
 	s.schemas = schemas
 	s.seq = snapSeq
 
@@ -372,10 +379,11 @@ func (s *Store) logAndWait(rec record) error {
 	return s.w.waitDurable(seq)
 }
 
-// mutate runs apply (a memtable mutation) and, when it commits, journals
-// rec and waits for durability. Condition failures and validation errors
-// surface without touching the log.
-func (s *Store) mutate(apply func() error, mkRec func(seq uint64) record) error {
+// mutate runs apply (a memtable mutation) under logMu and, when it commits,
+// journals rec (given its sequence number here) and waits for durability.
+// Condition failures and validation errors surface without touching the
+// log.
+func (s *Store) mutate(rec record, apply func() error) error {
 	s.logMu.Lock()
 	if s.closed {
 		s.logMu.Unlock()
@@ -390,7 +398,7 @@ func (s *Store) mutate(apply func() error, mkRec func(seq uint64) record) error 
 		return err
 	}
 	s.seq++
-	rec := mkRec(s.seq)
+	rec.seq = s.seq
 	var buf [4]watchNote // most records carry one op: no slice per commit
 	notes := s.watchNotesLocked(rec, buf[:0])
 	if err := s.logAndWait(rec); err != nil {
@@ -445,13 +453,13 @@ func (s *Store) Watch(table string, hash dynamo.Value) (dynamo.Subscription, err
 
 // CreateTable registers a new table.
 func (s *Store) CreateTable(schema dynamo.Schema) error {
-	return s.mutate(
-		func() error { return s.mem.CreateTable(schema) },
-		func(seq uint64) record {
-			s.schemas[schema.Name] = schema
-			return record{seq: seq, typ: recCreateTable, schema: schema}
-		},
-	)
+	return s.mutate(record{typ: recCreateTable, schema: schema}, func() error {
+		if err := s.mem.CreateTable(schema); err != nil {
+			return err
+		}
+		s.schemas[schema.Name] = schema
+		return nil
+	})
 }
 
 // MustCreateTable is CreateTable, panicking on error; for setup code.
@@ -463,56 +471,35 @@ func (s *Store) MustCreateTable(schema dynamo.Schema) {
 
 // DeleteTable drops a table and its data.
 func (s *Store) DeleteTable(name string) error {
-	return s.mutate(
-		func() error { return s.mem.DeleteTable(name) },
-		func(seq uint64) record {
-			delete(s.schemas, name)
-			return record{seq: seq, typ: recDeleteTable, name: name}
-		},
-	)
-}
-
-// Put installs item if cond holds, journaling the post-image.
-func (s *Store) Put(table string, item dynamo.Item, cond dynamo.Cond) error {
-	return s.mutate(
-		func() error { return s.mem.Put(table, item, cond) },
-		func(seq uint64) record {
-			return record{seq: seq, typ: recCommit, ops: []dynamo.TxOp{{Table: table, Put: item}}}
-		},
-	)
-}
-
-// Update applies update actions if cond holds, journaling the update
-// expression (replayed deterministically against the same base state).
-func (s *Store) Update(table string, key dynamo.Key, cond dynamo.Cond, updates ...dynamo.Update) error {
-	return s.mutate(
-		func() error { return s.mem.Update(table, key, cond, updates...) },
-		func(seq uint64) record {
-			return record{seq: seq, typ: recCommit, ops: []dynamo.TxOp{{Table: table, Key: key, Updates: updates}}}
-		},
-	)
-}
-
-// Delete removes the row at key if cond holds.
-func (s *Store) Delete(table string, key dynamo.Key, cond dynamo.Cond) error {
-	return s.mutate(
-		func() error { return s.mem.Delete(table, key, cond) },
-		func(seq uint64) record {
-			return record{seq: seq, typ: recCommit, ops: []dynamo.TxOp{{Table: table, Key: key, Delete: true}}}
-		},
-	)
-}
-
-// TransactWrite applies all ops atomically or none. A committed transaction
-// is journaled as one record, so recovery replays it all-or-nothing too.
-func (s *Store) TransactWrite(ops []dynamo.TxOp) error {
-	if len(ops) == 0 {
+	return s.mutate(record{typ: recDeleteTable, name: name}, func() error {
+		if err := s.mem.DeleteTable(name); err != nil {
+			return err
+		}
+		delete(s.schemas, name)
 		return nil
+	})
+}
+
+// Do implements storage.Doer. A read is the memtable's, once readGuard lets
+// it through. A write that commits is journaled as one record of the rows
+// it wrote — a put's post-image, a delete, an update expression (replayed
+// deterministically against the same base state), or a whole transaction,
+// so recovery replays it all-or-nothing too.
+func (s *Store) Do(op storage.Op) (storage.Result, error) {
+	if !op.Kind.IsWrite() {
+		if err := s.readGuard(); err != nil {
+			return storage.Result{}, err
+		}
+		return s.memDo.Do(op)
 	}
-	return s.mutate(
-		func() error { return s.mem.TransactWrite(ops) },
-		func(seq uint64) record { return record{seq: seq, typ: recCommit, ops: ops} },
-	)
+	if op.Kind == dynamo.OpTxWrite && len(op.Tx) == 0 {
+		return storage.Result{}, nil
+	}
+	var one [1]dynamo.TxOp
+	return storage.Result{}, s.mutate(record{typ: recCommit, ops: op.TxOps(&one)}, func() error {
+		_, err := s.memDo.Do(op)
+		return err
+	})
 }
 
 // Compact writes a durable snapshot of the whole store, rotates the log,
@@ -580,46 +567,6 @@ func (s *Store) compactLocked() error {
 // callers rows that were reported as errors and will vanish at the next
 // Open, so once the WAL is broken the whole store is.
 func (s *Store) readGuard() error { return s.w.sticky() }
-
-// Get returns the item at key (the memtable's Get: see dynamo.Store.Get).
-func (s *Store) Get(table string, key dynamo.Key) (dynamo.Item, bool, error) {
-	if err := s.readGuard(); err != nil {
-		return nil, false, err
-	}
-	return s.mem.Get(table, key)
-}
-
-// GetProj is Get with a server-side projection.
-func (s *Store) GetProj(table string, key dynamo.Key, proj []dynamo.Path) (dynamo.Item, bool, error) {
-	if err := s.readGuard(); err != nil {
-		return nil, false, err
-	}
-	return s.mem.GetProj(table, key, proj)
-}
-
-// Query returns one partition's rows in sort-key order.
-func (s *Store) Query(table string, hash dynamo.Value, opts dynamo.QueryOpts) ([]dynamo.Item, error) {
-	if err := s.readGuard(); err != nil {
-		return nil, err
-	}
-	return s.mem.Query(table, hash, opts)
-}
-
-// QueryIndex queries a secondary index by its hash attribute.
-func (s *Store) QueryIndex(table, index string, hash dynamo.Value, opts dynamo.QueryOpts) ([]dynamo.Item, error) {
-	if err := s.readGuard(); err != nil {
-		return nil, err
-	}
-	return s.mem.QueryIndex(table, index, hash, opts)
-}
-
-// Scan walks the whole table in deterministic partition order.
-func (s *Store) Scan(table string, opts dynamo.QueryOpts) ([]dynamo.Item, error) {
-	if err := s.readGuard(); err != nil {
-		return nil, err
-	}
-	return s.mem.Scan(table, opts)
-}
 
 // TableNames lists tables in sorted order.
 func (s *Store) TableNames() []string { return s.mem.TableNames() }
