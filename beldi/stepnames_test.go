@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/beldi"
 	"repro/internal/apps/travel"
+	"repro/internal/core"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
 	"repro/internal/uuid"
@@ -54,12 +56,14 @@ func goldenRequests() []beldi.Value {
 const goldenChainFn, goldenChainWrites = "chain", 8
 
 // runGoldenWorkflows seeds a travel deployment, calls arm, then runs the
-// fixed requests and one chain workflow of eight logged writes.
-func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.Platform)) {
+// fixed requests and one chain workflow of eight logged writes. It returns
+// the deployment's store.
+func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.Platform)) *dynamo.Store {
 	t.Helper()
 	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"}})
+	store := dynamo.NewStore()
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
-		Store: dynamo.NewStore(), Platform: plat, IDs: &uuid.Seq{Prefix: "id"}, Telemetry: tel,
+		Store: store, Platform: plat, IDs: &uuid.Seq{Prefix: "id"}, Telemetry: tel,
 	})
 	app := travel.Build(d)
 	d.Function(goldenChainFn, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
@@ -85,6 +89,7 @@ func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.P
 	if _, err := d.Invoke(goldenChainFn, beldi.Null); err != nil {
 		t.Fatalf("chain: %v", err)
 	}
+	return store
 }
 
 // labelRecorder is a FaultPlan that never crashes and writes down what it
@@ -116,6 +121,25 @@ func TestStepNamesSpansGolden(t *testing.T) {
 			s.Kind, s.Fn, s.Intent, s.Step, s.Name, s.Child, s.ParentIntent, s.ParentStep, s.Replay, s.Err))
 	}
 	checkGolden(t, "spans.golden", lines)
+}
+
+// TestDurableSpansGolden pins the trace core.DurableSpans rebuilds from the
+// golden run's tables alone, one sorted line per span without the
+// wall-clock Start and End. Regenerate only for a deliberate change:
+// go test ./beldi -run DurableSpans -update.
+func TestDurableSpansGolden(t *testing.T) {
+	store := runGoldenWorkflows(t, nil, func(*platform.Platform) {})
+	spans, err := core.DurableSpans(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, s := range spans {
+		lines = append(lines, fmt.Sprintf("%s %s %s step=%q name=%q child=%s parent=%s/%s replay=%v err=%q",
+			s.Kind, s.Fn, s.Intent, s.Step, s.Name, s.Child, s.ParentIntent, s.ParentStep, s.Replay, s.Err))
+	}
+	sort.Strings(lines)
+	checkGolden(t, "durablespans.golden", lines)
 }
 
 // TestStepNamesPanicLabel kills the chain at one recorded label: the
