@@ -429,18 +429,7 @@ func (d *daal) chain(key string) (map[string]daalRow, []string, error) {
 		r := decodeDAALRow(it)
 		rows[r.rowID] = r
 	}
-	var order []string
-	seen := make(map[string]bool)
-	for id := headRowID; id != "" && !seen[id]; {
-		r, ok := rows[id]
-		if !ok {
-			break
-		}
-		order = append(order, id)
-		seen[id] = true
-		id = r.next
-	}
-	return rows, order, nil
+	return rows, chainOrder(rows), nil
 }
 
 // keys lists the distinct item keys in this table (head rows only) — the

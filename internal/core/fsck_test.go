@@ -108,6 +108,11 @@ func TestFsckDetectsCorruption(t *testing.T) {
 		}, func(s *state) string {
 			return table + "/k row " + headRowID + ": recycled mark bogus has no log entry"
 		}},
+		{"cycle", func(s *state) error {
+			return s.f.store.Update(table, rowKey(s.tailID), nil, dynamo.Set(dynamo.A(attrNextRow), dynamo.S(headRowID)))
+		}, func(s *state) string {
+			return table + "/k: cycle through row " + headRowID
+		}},
 		{"tail points at a missing row", func(s *state) error {
 			return s.f.store.Update(table, rowKey(s.tailID), nil, dynamo.Set(dynamo.A(attrNextRow), dynamo.S("r99999999")))
 		}, func(s *state) string {

@@ -182,24 +182,11 @@ func (rt *Runtime) deletePartition(table, hash string) (int, error) {
 // shadow tables: the map of transaction id → recyclable settle claimant,
 // enabling whole-chain (head and tail included) collection.
 func (rt *Runtime) gcDAALTable(table string, recyclable map[string]bool, settled map[string]bool, now, tUs int64, st *GCStats) error {
-	items, err := rt.store.Scan(table, dynamo.QueryOpts{})
+	byKey, err := scanDAAL(rt.store, table)
 	if err != nil {
 		return err
 	}
-	byKey := make(map[string]map[string]daalRow)
-	for _, it := range items {
-		r := decodeDAALRow(it)
-		if byKey[r.key] == nil {
-			byKey[r.key] = make(map[string]daalRow)
-		}
-		byKey[r.key][r.rowID] = r
-	}
-	keys := make([]string, 0, len(byKey))
-	for key := range byKey {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range sortedKeys(byKey) {
 		if err := rt.gcChain(table, key, byKey[key], recyclable, settled, now, tUs, st); err != nil {
 			return err
 		}
@@ -225,11 +212,7 @@ func sortedKeys[V any](m map[string]V) []string {
 
 func (rt *Runtime) gcChain(table, key string, rows map[string]daalRow, recyclable, settled map[string]bool, now, tUs int64, st *GCStats) error {
 	// Row iteration is sorted throughout this pass — see phase 2.
-	rowIDs := make([]string, 0, len(rows))
-	for id := range rows {
-		rowIDs = append(rowIDs, id)
-	}
-	sort.Strings(rowIDs)
+	rowIDs := sortedKeys(rows)
 	// Phase 3: persist marks for recyclable log entries, in every row
 	// (reachable or not).
 	for _, id := range rowIDs {

@@ -261,10 +261,10 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 		clk:         clk,
 		ids:         ids,
 		intentTable: opts.Function + intentSuffix,
-		readLog:     opts.Function + ".readlog",
+		readLog:     opts.Function + readLogSuffix,
 		invokeLog:   opts.Function + invokeLogSuffix,
-		txCallees:   opts.Function + ".txcallees",
-		txLocks:     opts.Function + ".txlocks",
+		txCallees:   opts.Function + txCalleesSuffix,
+		txLocks:     opts.Function + txLocksSuffix,
 		tel:         opts.Telemetry,
 		stopCh:      make(chan struct{}),
 	}
@@ -437,12 +437,12 @@ type physicalNames struct {
 }
 
 func (rt *Runtime) physicalOf(logical string) physicalNames {
-	data := rt.fn + ".data." + logical
+	data := rt.fn + dataInfix + logical
 	return physicalNames{
 		data:       data,
-		shadow:     data + ".shadow",
-		wlog:       data + ".wlog",
-		shadowWlog: data + ".shadow.wlog",
+		shadow:     data + shadowSuffix,
+		wlog:       data + wlogSuffix,
+		shadowWlog: data + shadowSuffix + wlogSuffix,
 	}
 }
 
@@ -575,10 +575,18 @@ func (rt *Runtime) Stop() {
 	}
 }
 
-// Attribute and table-schema names shared across the core.
+// Attribute and table-schema names shared across the core. An SSF's tables
+// are fn plus a suffix; a data table is fn + dataInfix + logical, and its
+// shadow and write logs add their suffixes to that.
 const (
-	intentSuffix    = ".intent"    // fn + intentSuffix is fn's intent table
-	invokeLogSuffix = ".invokelog" // fn + invokeLogSuffix is fn's invoke log
+	intentSuffix    = ".intent"
+	readLogSuffix   = ".readlog"
+	invokeLogSuffix = ".invokelog"
+	txCalleesSuffix = ".txcallees"
+	txLocksSuffix   = ".txlocks"
+	dataInfix       = ".data."
+	shadowSuffix    = ".shadow" // a data table's transaction-local copy
+	wlogSuffix      = ".wlog"   // a cross-table data table's write log
 
 	attrInstanceID = "InstanceId"
 	attrID         = "Id"

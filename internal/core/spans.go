@@ -1,10 +1,10 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
-	"repro/internal/dynamo"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
@@ -16,96 +16,55 @@ import (
 // of a workflow survives in the store and can be rendered after the fact,
 // from a reopened WAL dir included.
 //
-// It synthesizes spans for every intent and invoke-log row in the backend:
-// one exec span per intent (timestamps from StartTime and LastLaunch,
-// microsecond precision; Replay marks an intent whose LastLaunch advanced
-// past its StartTime, i.e. a collector restart) and one call span per
-// invoke-log row. Feed the result to telemetry's Roots/Assemble/Render —
-// that is what `beldi-trace -wal` does.
+// It walks every function with an intent table in the backend (inspect)
+// and synthesizes one exec span per intent (timestamps from StartTime and
+// LastLaunch, microsecond precision; Replay marks an intent whose
+// LastLaunch advanced past its StartTime, i.e. a collector restart) and one
+// call span per invoke-log edge. Feed the result to telemetry's
+// Roots/Assemble/Render — that is what `beldi-trace -wal` does.
 func DurableSpans(b storage.Backend) ([]telemetry.Span, error) {
 	var spans []telemetry.Span
-	calleeFn := make(map[string]string) // callee intent id → function name
-	type pendingCall struct {
-		caller, step, callee string
-		done                 bool
-		fn                   string
-	}
-	var calls []pendingCall
-	intentStart := make(map[string]int64)
-
+	fnOf := make(map[string]string) // intent id → function name
+	start := make(map[string]int64) // intent id → start, ns
 	for _, table := range b.TableNames() {
-		switch {
-		case strings.HasSuffix(table, intentSuffix):
-			fn := strings.TrimSuffix(table, intentSuffix)
-			rows, err := b.Scan(table, dynamo.QueryOpts{})
-			if err != nil {
-				return nil, err
+		fn, ok := strings.CutSuffix(table, intentSuffix)
+		if !ok {
+			continue
+		}
+		ds, err := inspect(b, fn)
+		if err != nil {
+			return nil, err
+		}
+		for _, in := range ds.intents {
+			sp := telemetry.Span{Intent: in.id, Kind: telemetry.KindExec, Fn: fn,
+				Start: in.startTime * 1000, End: in.lastLaunch * 1000, // µs → ns
+				ParentIntent: in.args.CallerInstance, ParentStep: in.args.CallerStep}
+			sp.Replay = sp.End > sp.Start
+			if !in.done {
+				sp.Err = "pending"
 			}
-			for _, it := range rows {
-				rec := decodeIntent(it)
-				calleeFn[rec.id] = fn
-				start := rec.startTime * 1000 // µs → ns
-				last := rec.lastLaunch * 1000
-				intentStart[rec.id] = start
-				sp := telemetry.Span{
-					Intent:       rec.id,
-					Kind:         telemetry.KindExec,
-					Fn:           fn,
-					Start:        start,
-					End:          last,
-					Replay:       last > start,
-					ParentIntent: rec.args.CallerInstance,
-					ParentStep:   rec.args.CallerStep,
-				}
-				if !rec.done {
-					sp.Err = "pending"
-				}
-				spans = append(spans, sp)
+			fnOf[in.id], start[in.id] = fn, sp.Start
+			spans = append(spans, sp)
+		}
+		for _, e := range ds.logs[fn+invokeLogSuffix] {
+			if e.callee == "" {
+				continue // a row that names no callee
 			}
-		case strings.HasSuffix(table, invokeLogSuffix):
-			fn := strings.TrimSuffix(table, invokeLogSuffix)
-			rows, err := b.Scan(table, dynamo.QueryOpts{})
-			if err != nil {
-				return nil, err
+			sp := telemetry.Span{Intent: e.owner, Step: e.step, Kind: telemetry.KindCall, Fn: fn, Child: e.callee}
+			if !e.done {
+				sp.Err = "no result"
 			}
-			for _, it := range rows {
-				callee, ok := it[attrCalleeID]
-				if !ok {
-					continue // a result-only callback row or read-log shape
-				}
-				_, done := it[attrResult]
-				calls = append(calls, pendingCall{
-					caller: it[attrID].Str(),
-					step:   it[attrStep].Str(),
-					callee: callee.Str(),
-					done:   done,
-					fn:     fn,
-				})
-			}
+			spans = append(spans, sp)
 		}
 	}
-
-	for _, c := range calls {
-		sp := telemetry.Span{
-			Intent: c.caller,
-			Step:   c.step,
-			Kind:   telemetry.KindCall,
-			Fn:     c.fn,
-			Name:   calleeFn[c.callee],
-			Child:  c.callee,
-			Start:  intentStart[c.callee],
-			End:    intentStart[c.callee],
+	// A callee's name and time are known once every intent table is read.
+	for i := range spans {
+		if sp := &spans[i]; sp.Kind == telemetry.KindCall {
+			sp.Name, sp.Start, sp.End = fnOf[sp.Child], start[sp.Child], start[sp.Child]
 		}
-		if !c.done {
-			sp.Err = "no result"
-		}
-		spans = append(spans, sp)
 	}
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].Intent < spans[j].Intent
+	slices.SortFunc(spans, func(a, b telemetry.Span) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), strings.Compare(a.Intent, b.Intent))
 	})
 	return spans, nil
 }
