@@ -431,17 +431,15 @@ func PeekState(rt *Runtime, table, key string) (Value, error) {
 	return rt.PeekState(table, key)
 }
 
-// Fsck audits an SSF's durable state against the protocol invariants
-// (well-formed DAAL chains, log-size accounting, no locks held by completed
-// intents, no leaked log rows). Run it at quiescence — after chaos tests,
-// or as an operational consistency check. A nil error means every check
-// passed.
-func Fsck(rt *Runtime) error { return core.Fsck(rt) }
-
-// FsckAll audits every function in the deployment.
+// FsckAll audits every function's durable state against the protocol
+// invariants (well-formed DAAL chains, log-size accounting, no locks held by
+// completed intents, no leaked log rows), in sorted function order, and
+// returns the first function's problems. Run it at quiescence — after chaos
+// tests, or as an operational consistency check. A nil error means every
+// check passed.
 func (d *Deployment) FsckAll() error {
-	for _, rt := range d.runtimes {
-		if err := core.Fsck(rt); err != nil {
+	for _, fn := range d.Functions() {
+		if err := core.Fsck(d.runtimes[fn]); err != nil {
 			return err
 		}
 	}

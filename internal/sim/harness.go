@@ -316,22 +316,6 @@ func (c *Cluster) Quiesce(fns []string, budget time.Duration) error {
 	}
 }
 
-// FsckAll audits every function's durable state through a live worker, in
-// sorted function order so replays issue identical operation sequences.
-func (c *Cluster) FsckAll() error {
-	d := c.Live(0).CW.Deployment()
-	for _, fn := range d.Functions() {
-		rt := d.Runtime(fn)
-		if rt.Mode() == beldi.ModeBaseline {
-			continue
-		}
-		if err := beldi.Fsck(rt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SettleAndCheck advances virtual time through the GC horizon in rounds,
 // running a full Fsck after each step — the window where a late
 // completion's zombie row is visible before the collector reaps it. rounds
@@ -340,7 +324,9 @@ func (c *Cluster) SettleAndCheck(rounds int) error {
 	step := simLeaseTTL + simLeaseTTL/2
 	for r := 0; r < rounds; r++ {
 		c.S.Sleep(step)
-		if err := c.FsckAll(); err != nil {
+		// FsckAll runs in sorted function order, so replays issue identical
+		// operation sequences.
+		if err := c.Live(0).CW.Deployment().FsckAll(); err != nil {
 			return fmt.Errorf("sim: fsck (settle round %d): %w", r, err)
 		}
 	}
