@@ -53,7 +53,7 @@ func main() {
 	if *addr != "" {
 		err = fromLive(*addr, *root, *all)
 	} else {
-		err = fromWAL(*wal, *root, *all)
+		err = fromWAL(*wal, *root, *all, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "beldi-trace:", err)
@@ -103,9 +103,10 @@ func fetch(url string, w io.Writer) error {
 	return err
 }
 
-// fromWAL recovers the store from dir (read path only; nothing is appended)
-// and reconstructs traces from the intent and invoke-log tables.
-func fromWAL(dir, root string, all bool) error {
+// fromWAL recovers the store from dir (read path only; nothing is appended),
+// reconstructs traces from the intent and invoke-log tables and writes them
+// to w.
+func fromWAL(dir, root string, all bool, w io.Writer) error {
 	st, err := walstore.Open(dir, walstore.Options{})
 	if err != nil {
 		return err
@@ -116,17 +117,17 @@ func fromWAL(dir, root string, all bool) error {
 		return err
 	}
 	if len(spans) == 0 {
-		fmt.Println("no intents recorded")
+		fmt.Fprintln(w, "no intents recorded")
 		return nil
 	}
 	roots := telemetry.Roots(spans)
 	if root != "" {
 		roots = []string{root}
 	} else if !all {
-		fmt.Printf("%d roots (pass -root ID or -all to render):\n", len(roots))
+		fmt.Fprintf(w, "%d roots (pass -root ID or -all to render):\n", len(roots))
 		sort.Strings(roots)
 		for _, r := range roots {
-			fmt.Println(" ", r)
+			fmt.Fprintln(w, " ", r)
 		}
 		return nil
 	}
@@ -135,8 +136,8 @@ func fromWAL(dir, root string, all bool) error {
 		if len(tr.Spans) == 0 {
 			return fmt.Errorf("no spans for root %s", r)
 		}
-		tr.Render(os.Stdout)
-		fmt.Println()
+		tr.Render(w)
+		fmt.Fprintln(w)
 	}
 	return nil
 }
