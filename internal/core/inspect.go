@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 	"strings"
 
 	"repro/internal/dynamo"
@@ -52,9 +51,7 @@ func inspect(store storage.Backend, fn string) (*durableState, error) {
 		_, hasStart := it[attrStartTime]
 		ds.intents = append(ds.intents, walkedIntent{decodeIntent(it), hasArgs, hasStart})
 	}
-	names := store.TableNames()
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range store.TableNames() { // sorted
 		if !strings.HasPrefix(name, fn+dataInfix) {
 			continue
 		}
@@ -68,7 +65,8 @@ func inspect(store storage.Backend, fn string) (*durableState, error) {
 			return nil, err
 		}
 	}
-	proj := dynamo.QueryOpts{Projection: []dynamo.Path{dynamo.A(attrID), dynamo.A(attrStep), dynamo.A(attrCalleeID), dynamo.A(attrResult)}}
+	proj := dynamo.QueryOpts{Projection: []dynamo.Path{
+		dynamo.A(attrID), dynamo.A(attrStep), dynamo.A(attrCalleeID), dynamo.A(attrResult)}}
 	for _, table := range []string{fn + readLogSuffix, fn + invokeLogSuffix} {
 		rows, err := store.Scan(table, proj)
 		if err != nil {

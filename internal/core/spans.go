@@ -24,8 +24,7 @@ import (
 // Roots/Assemble/Render — that is what `beldi-trace -wal` does.
 func DurableSpans(b storage.Backend) ([]telemetry.Span, error) {
 	var spans []telemetry.Span
-	fnOf := make(map[string]string) // intent id → function name
-	start := make(map[string]int64) // intent id → start, ns
+	execOf := make(map[string]telemetry.Span) // intent id → its exec span
 	for _, table := range b.TableNames() {
 		fn, ok := strings.CutSuffix(table, intentSuffix)
 		if !ok {
@@ -43,7 +42,7 @@ func DurableSpans(b storage.Backend) ([]telemetry.Span, error) {
 			if !in.done {
 				sp.Err = "pending"
 			}
-			fnOf[in.id], start[in.id] = fn, sp.Start
+			execOf[in.id] = sp
 			spans = append(spans, sp)
 		}
 		for _, e := range ds.logs[fn+invokeLogSuffix] {
@@ -57,10 +56,11 @@ func DurableSpans(b storage.Backend) ([]telemetry.Span, error) {
 			spans = append(spans, sp)
 		}
 	}
-	// A callee's name and time are known once every intent table is read.
+	// A callee's name and start are known once every intent table is read.
 	for i := range spans {
 		if sp := &spans[i]; sp.Kind == telemetry.KindCall {
-			sp.Name, sp.Start, sp.End = fnOf[sp.Child], start[sp.Child], start[sp.Child]
+			ex := execOf[sp.Child]
+			sp.Name, sp.Start, sp.End = ex.Fn, ex.Start, ex.Start
 		}
 	}
 	slices.SortFunc(spans, func(a, b telemetry.Span) int {
