@@ -431,20 +431,3 @@ func (d *daal) chain(key string) (map[string]daalRow, []string, error) {
 	}
 	return rows, chainOrder(rows), nil
 }
-
-// keys lists the distinct item keys in this table (head rows only) — the
-// GC's getAllDataKeys (Figure 10).
-func (d *daal) keys() ([]string, error) {
-	items, err := d.rt.store.Scan(d.table, dynamo.QueryOpts{
-		Filter:     dynamo.Eq(dynamo.A(attrRowID), dynamo.S(headRowID)),
-		Projection: []dynamo.Path{dynamo.A(attrKey)},
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(items))
-	for _, it := range items {
-		out = append(out, it[attrKey].Str())
-	}
-	return out, nil
-}
