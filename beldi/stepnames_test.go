@@ -60,10 +60,24 @@ const goldenChainFn, goldenChainWrites = "chain", 8
 // the deployment's store.
 func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.Platform)) *dynamo.Store {
 	t.Helper()
+	d, plat, store := goldenDeployment(t, tel, beldi.Config{})
+	arm(plat)
+	for i, c := range goldenCalls() {
+		if _, err := d.Invoke(c.fn, c.in); err != nil {
+			t.Fatalf("call %d (%s): %v", i, c.fn, err)
+		}
+	}
+	return store
+}
+
+// goldenDeployment builds and seeds the golden run's deployment: travel
+// plus the chain function, under cfg, with sequential ids.
+func goldenDeployment(t *testing.T, tel *beldi.Telemetry, cfg beldi.Config) (*beldi.Deployment, *platform.Platform, *dynamo.Store) {
+	t.Helper()
 	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"}})
 	store := dynamo.NewStore()
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
-		Store: store, Platform: plat, IDs: &uuid.Seq{Prefix: "id"}, Telemetry: tel,
+		Store: store, Platform: plat, IDs: &uuid.Seq{Prefix: "id"}, Telemetry: tel, Config: cfg,
 	})
 	app := travel.Build(d)
 	d.Function(goldenChainFn, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
@@ -80,16 +94,23 @@ func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.P
 	if tel != nil {
 		tel.Tracer.Reset()
 	}
-	arm(plat)
-	for i, req := range goldenRequests() {
-		if _, err := d.Invoke(app.Entry(), req); err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
+	return d, plat, store
+}
+
+// goldenCall is one client invocation of the golden run.
+type goldenCall struct {
+	fn string
+	in beldi.Value
+}
+
+// goldenCalls lists the golden run in order: the travel requests, then the
+// chain workflow.
+func goldenCalls() []goldenCall {
+	var calls []goldenCall
+	for _, req := range goldenRequests() {
+		calls = append(calls, goldenCall{travel.FnFrontend, req})
 	}
-	if _, err := d.Invoke(goldenChainFn, beldi.Null); err != nil {
-		t.Fatalf("chain: %v", err)
-	}
-	return store
+	return append(calls, goldenCall{goldenChainFn, beldi.Null})
 }
 
 // labelRecorder is a FaultPlan that never crashes and writes down what it

@@ -284,7 +284,7 @@ func (d *daal) loggedWrite(key, logKey string, mut mutation) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if out, found := sk.findLog(logKey); found {
+	if out, found := sk.findLog(logKey); found && !FaultDAALSkipsLoggedCheck.Load() {
 		d.rt.stats.Replays.Add(1)
 		mut.markReplayed()
 		return out.BoolVal(), nil // case A, resolved by the scan
@@ -308,6 +308,9 @@ func (d *daal) tryWrite(key, logKey, rowID string, mut mutation, depth int) (boo
 	}
 	rowKey := dynamo.HSK(dynamo.S(key), dynamo.S(rowID))
 	roomLeft := dynamo.And(dynamo.NotExists(dynamo.AK(attrRecent, logKey)), d.rt.logRoom, nextRowAbsent)
+	if FaultDAALSkipsLoggedCheck.Load() {
+		roomLeft = dynamo.And(d.rt.logRoom, nextRowAbsent) // see simfault.go
+	}
 
 	// Case B1: guard holds, space available — apply and log atomically.
 	ups := mut.appendUpdates(make([]dynamo.Update, 0, mut.numUpdates()+2))
@@ -349,7 +352,7 @@ func (d *daal) tryWrite(key, logKey, rowID string, mut mutation, depth int) (boo
 		// grows forward.
 		return d.loggedWrite(key, logKey, mut)
 	}
-	if out, done := row.recent.MapGet(logKey); done {
+	if out, done := row.recent.MapGet(logKey); done && !FaultDAALSkipsLoggedCheck.Load() {
 		d.rt.stats.Replays.Add(1)
 		mut.markReplayed()
 		return out.BoolVal(), nil // case A

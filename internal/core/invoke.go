@@ -84,10 +84,12 @@ func (e *Env) syncInvokeStep(stepKey, callee string, input Value, txn *TxnContex
 		}
 		e.rt.stats.Replays.Add(1)
 		replay = true
-		calleeID = rec[attrCalleeID].Str()
-		if res, has := rec[attrResult]; has {
-			v, rerr := txnResult(res, txn)
-			return v, calleeID, true, rerr
+		if !FaultReinvokeIgnoresCalleeID.Load() { // see simfault.go
+			calleeID = rec[attrCalleeID].Str()
+			if res, has := rec[attrResult]; has {
+				v, rerr := txnResult(res, txn)
+				return v, calleeID, true, rerr
+			}
 		}
 	}
 	e.crash("invoke:mid:", stepKey)
@@ -112,7 +114,7 @@ func (e *Env) syncInvokeStep(stepKey, callee string, input Value, txn *TxnContex
 	// Only the launch that directly follows this execution's own applied
 	// insert is first by construction; a replay or a retry may meet an
 	// earlier execution of the callee, which may still be alive.
-	ev.First = !replay
+	ev.First = !replay || FaultReinvokeIgnoresCalleeID.Load()
 	var callErr error
 	for attempt := 0; ; attempt++ {
 		if !ev.First {

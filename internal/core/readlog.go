@@ -126,6 +126,9 @@ func (e *Env) flushReads(boundary string) error {
 			e.intent.deferred = false
 		}
 	}
+	if rl.stopped == nil && !e.intent.deferred && FaultDoneBeforeFlush.Load() {
+		rl.stopped = e.rt.markIntentDone(e.instanceID, dynamo.Null) // see simfault.go
+	}
 	if rl.stopped != nil || len(rl.queue) == 0 {
 		return rl.stopped
 	}
