@@ -138,6 +138,9 @@ var (
 	// intent is finished by the other execution. See
 	// core.ErrInstanceSuperseded.
 	ErrInstanceSuperseded = core.ErrInstanceSuperseded
+	// ErrTableSealed reports a write, conditional write or lock of a table
+	// sealed with Deployment.Seal; see core.ErrTableSealed.
+	ErrTableSealed = core.ErrTableSealed
 	// ErrCanceled reports an invocation killed because its context ended
 	// (InvokeCtx with a canceled context or an expired deadline). The
 	// workflow's intent stays pending and is finished by the collectors:
@@ -343,6 +346,21 @@ func (d *Deployment) OnTableChange(fn, table, handler string) error {
 	}
 	d.runtimes[fn].RegisterChangeHandler(table, handler)
 	return nil
+}
+
+// Seal makes fn's logical table read-only for good, durably: from then on
+// its Write, CondWrite and Lock fail with ErrTableSealed before any store
+// op, and a read costs no read-log row and, once the key was read, no store
+// op at all (the value cannot change, so a re-execution reads it again).
+// Seal is a load-phase call: make it after the table is filled and before
+// workflows run. A runtime that registers the table over the store later —
+// a restarted deployment, a cluster worker that joins — adopts the seal; one
+// opened before it does not see it.
+func (d *Deployment) Seal(fn, table string) error {
+	if err := d.known(fn); err != nil {
+		return err
+	}
+	return d.runtimes[fn].Seal(table)
 }
 
 // Invoke calls a function synchronously from outside any workflow (an

@@ -40,11 +40,11 @@ func BuildApp(sys *System, name string) (workloadApp, error) {
 		return app, app.Seed()
 	case "travel":
 		app := travel.Build(sys.D)
-		return app, app.Seed()
+		return app, app.Load()
 	case "travel-notxn":
 		app := travel.Build(sys.D)
 		app.DisableTxn = true
-		return app, app.Seed()
+		return app, app.Load()
 	case "social":
 		app := social.Build(sys.D)
 		return app, app.Seed()

@@ -188,17 +188,19 @@ func (e *Env) stepMutation(mut mutation, replay *bool) mutation {
 
 // Read returns the current value of key in the SSF's logical table (Fig 5).
 // Never-written keys read as Null. Inside a transaction the key is locked
-// and the transaction's own writes are visible (§6.2).
+// and the transaction's own writes are visible (§6.2) — unless the table is
+// sealed: nothing can write it, so the read takes no lock and no shadow.
 func (e *Env) Read(table, key string) (Value, error) {
 	e.rt.stats.Reads.Add(1)
 	table = e.table(table)
 	if e.rt.mode == ModeBaseline {
 		return e.baselineRead(table, key)
 	}
-	if e.inExecute() {
+	sealed := e.rt.sealedTable(table)
+	if sealed == nil && e.inExecute() {
 		return e.txnRead(table, key)
 	}
-	return e.loggedRead(e.rt.layer(), table, key)
+	return e.loggedRead(e.rt.layer(), sealed, table, key)
 }
 
 // loggedRead implements Figure 5 with a group-committed log: a step a
@@ -206,13 +208,18 @@ func (e *Env) Read(table, key string) (Value, error) {
 // otherwise the current value is fetched and its row queued, to become
 // durable at the instance's next effect boundary (see readlog.go). The read
 // itself has no external effect, so re-reading before the row is durable is
-// harmless.
-func (e *Env) loggedRead(layer kvLayer, table, key string) (Value, error) {
+// harmless. A sealed table's value is served from its cache and queues no
+// row: a re-execution reads the same value again (seal.go).
+func (e *Env) loggedRead(layer kvLayer, sealed *sealedTable, table, key string) (Value, error) {
 	stepKey := e.nextStepKey()
 	t0 := e.rt.spanClock()
 	e.crash("read:pre:", stepKey)
 	val, replay, err := e.replayedRead(stepKey)
-	if err == nil && !replay {
+	switch {
+	case err != nil || replay:
+	case sealed != nil:
+		val, err = sealed.read(layer, table, key)
+	default:
 		if val, _, _, err = layer.stateRead(table, key); err == nil {
 			e.queueRead(stepKey, val)
 		}
@@ -231,6 +238,9 @@ func (e *Env) Write(table, key string, v Value) error {
 	e.rt.stats.Writes.Add(1)
 	logical := table
 	table = e.table(table)
+	if err := e.rt.refuseSealed(table, key); err != nil {
+		return err
+	}
 	if e.rt.mode == ModeBaseline {
 		return e.baselineWrite(table, key, v)
 	}
@@ -259,6 +269,9 @@ func (e *Env) CondWrite(table, key string, v Value, cond dynamo.Cond) (bool, err
 	e.rt.stats.CondWrites.Add(1)
 	logical := table
 	table = e.table(table)
+	if err := e.rt.refuseSealed(table, key); err != nil {
+		return false, err
+	}
 	if e.rt.mode == ModeBaseline {
 		return e.baselineCondWrite(table, key, v, cond)
 	}
@@ -303,6 +316,9 @@ func lockCond(ownerID string) dynamo.Cond {
 func (e *Env) Lock(table, key string) error {
 	e.rt.stats.Locks.Add(1)
 	table = e.table(table)
+	if err := e.rt.refuseSealed(table, key); err != nil {
+		return err
+	}
 	if e.rt.mode == ModeBaseline {
 		return nil // baseline offers no synchronization (§7.2)
 	}

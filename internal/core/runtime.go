@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"errors"
@@ -188,6 +189,9 @@ type Runtime struct {
 	mu             sync.RWMutex
 	dataTables_    []string
 	dataTableNames map[string]physicalNames
+	// sealed maps each sealed logical table to its read cache (seal.go); nil
+	// until a table is sealed. Written under mu, copied on each seal.
+	sealed atomic.Pointer[map[string]*sealedTable]
 
 	// cdc holds the table-change handler registry (see cdc.go).
 	cdc cdcRegistry
@@ -312,7 +316,7 @@ func (rt *Runtime) createInfraTables() error {
 		{Name: rt.txLocks, HashKey: attrTxnID, SortKey: attrTableKey, Shards: n},
 	}
 	for _, s := range tables {
-		if err := rt.createOrAdopt(s); err != nil {
+		if _, err := rt.createOrAdopt(s); err != nil {
 			return fmt.Errorf("core: %s: %w", rt.fn, err)
 		}
 	}
@@ -328,21 +332,22 @@ func (rt *Runtime) createInfraTables() error {
 // surviving table's keys and indexes must match what this runtime's mode
 // would have created — reopening a directory with a different Mode (or a
 // colliding function name whose tables have another shape) fails loudly
-// instead of silently running the protocol on the wrong layout.
-func (rt *Runtime) createOrAdopt(s dynamo.Schema) error {
+// instead of silently running the protocol on the wrong layout. adopted
+// reports that the table already existed.
+func (rt *Runtime) createOrAdopt(s dynamo.Schema) (adopted bool, _ error) {
 	err := rt.store.CreateTable(s)
 	if !errors.Is(err, dynamo.ErrTableExists) {
-		return err
+		return false, err
 	}
 	have, err := rt.store.TableSchema(s.Name)
 	if err != nil {
-		return err
+		return true, err
 	}
 	if have.HashKey != s.HashKey || have.SortKey != s.SortKey || !sameIndexes(have.Indexes, s.Indexes) {
-		return fmt.Errorf("core: adopt table %s: existing schema (hash %q, sort %q, %d indexes) does not match required (hash %q, sort %q, %d indexes); was the store written by a different mode or function?",
+		return true, fmt.Errorf("core: adopt table %s: existing schema (hash %q, sort %q, %d indexes) does not match required (hash %q, sort %q, %d indexes); was the store written by a different mode or function?",
 			s.Name, have.HashKey, have.SortKey, len(have.Indexes), s.HashKey, s.SortKey, len(s.Indexes))
 	}
-	return nil
+	return true, nil
 }
 
 // sameIndexes reports whether two index lists declare the same indexes (in
@@ -362,35 +367,36 @@ func sameIndexes(a, b []dynamo.IndexSchema) bool {
 // CreateDataTable declares a logical data table owned by this SSF, creating
 // the physical table(s) the runtime's mode needs (a linked-DAAL table plus
 // its shadow in Beldi mode; value + write-log + shadows in cross-table mode;
-// one plain table in baseline mode).
+// one plain table in baseline mode). A table the store already had adopts
+// its seal, if it has one (seal.go).
 func (rt *Runtime) CreateDataTable(logical string) error {
 	// Data tables key by item, so DAAL appends and lock rows for different
 	// items stripe across shards; all rows of one item's DAAL chain share a
 	// shard (the item key is the hash key), keeping each chain's
 	// scan+update protocol on a single latch.
 	n := rt.cfg.TableShards
+	var schemas []dynamo.Schema
 	switch rt.mode {
 	case ModeBeldi:
 		for _, name := range []string{rt.dataTable(logical), rt.shadowTable(logical)} {
-			if err := rt.createOrAdopt(dynamo.Schema{
-				Name: name, HashKey: attrKey, SortKey: attrRowID, Shards: n,
-			}); err != nil {
-				return err
-			}
+			schemas = append(schemas, dynamo.Schema{Name: name, HashKey: attrKey, SortKey: attrRowID, Shards: n})
 		}
 	case ModeCrossTable:
 		for _, name := range []string{rt.dataTable(logical), rt.shadowTable(logical)} {
-			if err := rt.createOrAdopt(dynamo.Schema{Name: name, HashKey: attrKey, Shards: n}); err != nil {
-				return err
-			}
+			schemas = append(schemas, dynamo.Schema{Name: name, HashKey: attrKey, Shards: n})
 		}
 		for _, name := range []string{rt.writeLogTable(logical), rt.shadowWriteLogTable(logical)} {
-			if err := rt.createOrAdopt(dynamo.Schema{Name: name, HashKey: attrID, SortKey: attrStep, Shards: n}); err != nil {
-				return err
-			}
+			schemas = append(schemas, dynamo.Schema{Name: name, HashKey: attrID, SortKey: attrStep, Shards: n})
 		}
 	case ModeBaseline:
-		if err := rt.createOrAdopt(dynamo.Schema{Name: rt.dataTable(logical), HashKey: attrKey, Shards: n}); err != nil {
+		schemas = append(schemas, dynamo.Schema{Name: rt.dataTable(logical), HashKey: attrKey, Shards: n})
+	}
+	for i, s := range schemas {
+		adopted, err := rt.createOrAdopt(s)
+		if err == nil && adopted && i == 0 {
+			err = rt.adoptSeal(logical)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -585,8 +591,9 @@ const (
 	txCalleesSuffix = ".txcallees"
 	txLocksSuffix   = ".txlocks"
 	dataInfix       = ".data."
-	shadowSuffix    = ".shadow" // a data table's transaction-local copy
-	wlogSuffix      = ".wlog"   // a cross-table data table's write log
+	sealedInfix     = ".sealed." // a sealed data table's marker (seal.go)
+	shadowSuffix    = ".shadow"  // a data table's transaction-local copy
+	wlogSuffix      = ".wlog"    // a cross-table data table's write log
 
 	attrInstanceID = "InstanceId"
 	attrID         = "Id"
