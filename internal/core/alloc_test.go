@@ -42,6 +42,7 @@ var stepBudget = []struct {
 	{"logged read", 5, 616, "step key; the state query's result slice and projected row (2); the read-log queue, on an instance's first read"},
 	{"logged write", 16, 1528, "step key, log key, the written value, the projection; the skeleton query (3); the apply-and-log update's actions and conditions; the row's new attribute list and copied log"},
 	{"first write", 11, 928, "step key, log key, the written value, the projection; the empty query; the head row's guarded upsert, its actions and the new row's attribute and log lists"},
+	{"sealed read, warm", 1, 16, "step key: the sealed table's cache answers, with no query and no queued read-log row"},
 	{"sync invoke", 20, 2528, "callee id, the invoke-log row's update, the envelope; the platform instance and the effect-free callee's whole execution, callback included — run on the invoking goroutine (no goroutine, result channel or closure per instance), its root Env and shared state one allocation"},
 }
 
@@ -104,6 +105,20 @@ func TestStepAllocBudget(t *testing.T) {
 		stepAllocs(t, f, "read", samples, write, func(e *Env, i int) error { _, err := e.Read("kv", keys[i]); return err }),
 		stepAllocs(t, f, "write", samples, write, write),
 		stepAllocs(t, f, "first", samples, nil, write),
+		stepAllocs(t, f, "sealed", samples, func(e *Env, i int) error {
+			if i == 0 { // fill the table, then seal it
+				for j := range keys {
+					if err := write(e, j); err != nil {
+						return err
+					}
+				}
+				if err := e.rt.Seal("kv"); err != nil {
+					return err
+				}
+			}
+			_, err := e.Read("kv", keys[i]) // warms the cache
+			return err
+		}, func(e *Env, i int) error { _, err := e.Read("kv", keys[i]); return err }),
 		stepAllocs(t, f, "call", samples, nil, func(e *Env, i int) error { _, err := e.SyncInvoke("leaf", dynamo.Null); return err }),
 	}
 	for i, row := range stepBudget {

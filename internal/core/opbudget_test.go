@@ -89,6 +89,17 @@ func TestStoreOpBudget(t *testing.T) {
 		return dynamo.NInt(sum), nil
 	}
 	f.fn("r8", readFan, "kv")
+	r8s := f.fn("r8s", func(e *Env, _ Value) (Value, error) {
+		var sum int64
+		for i := 0; i < fan; i++ {
+			v, err := e.Read("ref", "n")
+			if err != nil {
+				return dynamo.Null, err
+			}
+			sum += v.Int()
+		}
+		return dynamo.NInt(sum), nil
+	}, "ref")
 	f.fn("r8dies", readFan, "kv")
 	f.fn("r1call", func(e *Env, in Value) (Value, error) {
 		if _, err := e.Read("kv", "n"); err != nil {
@@ -123,6 +134,8 @@ func TestStoreOpBudget(t *testing.T) {
 				}
 				return dynamo.L(outs...), nil
 			}),
+			measure("Read (sealed, cold)", func() (Value, error) { return e.Read("ref", "r") }),
+			measure("Read (sealed, warm)", func() (Value, error) { return e.Read("ref", "r") }),
 			measure("Write after 8 reads", write("v2")),
 			measure("Write", write("v3")),
 			measure("CondWrite-false", func() (Value, error) {
@@ -144,6 +157,7 @@ func TestStoreOpBudget(t *testing.T) {
 			e.Unlock("kv", "new-l"),
 			measure("SyncInvoke", func() (Value, error) { return e.SyncInvoke("leaf", dynamo.S("s")) }),
 			measure("SyncInvoke(Read x8)", func() (Value, error) { return e.SyncInvoke("r8", dynamo.Null) }),
+			measure("SyncInvoke(sealed Read x8), warm", func() (Value, error) { return e.SyncInvoke("r8s", dynamo.Null) }),
 			measure("SyncInvoke(Read, SyncInvoke)", func() (Value, error) { return e.SyncInvoke("r1call", dynamo.S("s")) }),
 			measure("SyncInvoke(Write)", func() (Value, error) { return e.SyncInvoke("w1", dynamo.S("s")) }),
 			measure("SyncInvoke(Read x8), relaunched", func() (Value, error) { return e.SyncInvoke("r8dies", dynamo.Null) }),
@@ -183,18 +197,29 @@ func TestStoreOpBudget(t *testing.T) {
 		)
 		execs = append(execs, steps)
 		return dynamo.Null, err
-	}, "kv")
+	}, "kv", "ref")
 	w.SetAsyncTransport(transport)
 
-	// Existing keys, written by earlier instances.
+	// Existing keys, written by earlier instances; "ref" is then sealed.
 	for _, seed := range []struct {
-		rt  *Runtime
-		key string
-	}{{w, "k"}, {w1, "n"}} {
-		kv := daal{rt: seed.rt, table: seed.rt.dataTable("kv")}
-		if _, err := kv.loggedWrite(seed.key, "seed#0.000001", mutation{setVal: valPtr(dynamo.S("v1"))}); err != nil {
+		rt    *Runtime
+		table string
+		key   string
+		v     Value
+	}{{w, "kv", "k", dynamo.S("v1")}, {w1, "kv", "n", dynamo.S("v1")}, {w, "ref", "r", dynamo.S("r1")}, {r8s, "ref", "n", dynamo.NInt(3)}} {
+		kv := daal{rt: seed.rt, table: seed.rt.dataTable(seed.table)}
+		if _, err := kv.loggedWrite(seed.key, "seed#0.000001", mutation{setVal: &seed.v}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, rt := range []*Runtime{w, r8s} {
+		if err := rt.Seal("ref"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm r8s's cache: the callee measured below reads from memory only.
+	if out, err := f.invoke("r8s", dynamo.Null); err != nil || out.Int() != 3*fan {
+		t.Fatalf("warming r8s: %v, %v", out, err)
 	}
 
 	if _, err := f.invoke("w", dynamo.Null); err == nil || !crash.Fired() {
@@ -220,6 +245,8 @@ func TestStoreOpBudget(t *testing.T) {
 	}{
 		{"Read (first)", 1, 1, 1, "query(state), row queued; replay: the re-executed instance's one read-log load, no fetch"},
 		{"Read x7", fan - 1, 0, fan - 1, "one query(state) each, rows queued; replay: answered from the loaded log"},
+		{"Read (sealed, cold)", 1, 0, 0, "query(state) fills the sealed table's cache, no row queued; replay: no logged row, the cache answers"},
+		{"Read (sealed, warm)", 0, 0, 0, "the cache answers: no store op, no row queued"},
 		{"Write after 8 reads", 3, 1, 1, "ONE flush of the 8 queued rows + query + apply-and-log; replay: nothing queued, the query finds the entry"},
 		{"Write", 2, 1, 1, "query(skeleton+log entry) + apply-and-log; replay: the query finds the entry"},
 		{"CondWrite-false", 3, 1, 1, "query + refused B1 + B2 records false; replay: the query finds the entry"},
@@ -229,6 +256,7 @@ func TestStoreOpBudget(t *testing.T) {
 		{"Lock (first on its key)", 2, 1, 1, "as above, the upsert sets the owner"},
 		{"SyncInvoke", 2, 2, 1, "invoke-log insert + callback — a first-launched callee that crosses no boundary writes no intent and no done mark; replay: refused insert + get(result)"},
 		{"SyncInvoke(Read x8)", fan + 2, 2, 1, "insert + 8 state queries + callback: an effect-free callee's reads are dropped, not logged"},
+		{"SyncInvoke(sealed Read x8), warm", 2, 2, 1, "insert + callback: the callee's 8 reads of a sealed table come from its warm cache"},
 		{"SyncInvoke(Read, SyncInvoke)", 8, 2, 1, "insert + query, then at the callee's first boundary intent put + flush + its own insert, the leaf's callback, callback + done"},
 		{"SyncInvoke(Write)", 6, 2, 1, "insert + intent put at the boundary + query + apply-and-log + callback + done: an effectful callee pays what it always did"},
 		{"SyncInvoke(Read x8), relaunched", 2*fan + 6, 2, 1, "insert + 8 queries that die with the first launch + the relaunch mark on the caller's row (no result held), then the eager relaunch in full: intent put + 8 queries + flush + callback + done"},
@@ -274,7 +302,7 @@ func TestStoreOpBudget(t *testing.T) {
 		t.Errorf("Await x8 returned %v", got)
 	}
 	for fn, want := range map[string][3]int64{ // intent rows written, launches deferred, rows never written
-		"leaf": {0, 2, 2}, "r8": {0, 1, 1}, "r1call": {1, 1, 0}, "w1": {1, 1, 0}, "r8dies": {1, 1, 0},
+		"leaf": {0, 2, 2}, "r8": {0, 1, 1}, "r8s": {1, 1, 1}, "r1call": {1, 1, 0}, "w1": {1, 1, 0}, "r8dies": {1, 1, 0},
 	} {
 		st := f.rts[fn].StatsSnapshot()
 		if got := [3]int64{st.IntentsStarted, st.IntentsDeferred, st.IntentsElided}; got != want {
