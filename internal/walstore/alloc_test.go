@@ -9,9 +9,8 @@ import (
 
 // TestUpdateAllocBudget pins what one committed mutation allocates on an open
 // store: nothing for its record — the store's one encoder frames it in place,
-// keys sorted on the encoder's own stack — and one for the mutation itself
-// (the record's op slice; the rest is the memtable's apply, internal/dynamo's
-// to shrink). The watcher is there because commit notifications used to cost
+// keys sorted on the encoder's own stack — and nothing of its own beyond the
+// memtable's apply, which is internal/dynamo's to shrink. The watcher is there because commit notifications used to cost
 // a slice per record while anyone watched.
 func TestUpdateAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
@@ -53,7 +52,7 @@ func TestUpdateAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const own = 1 // the walstore's own share of a mutation, on top of the memtable's
+	const own = 0 // the walstore's own share of a mutation, on top of the memtable's
 	if n := testing.AllocsPerRun(1000, update); n > apply+own {
 		t.Errorf("one Update: %v allocations, want at most the memtable's %v + %d", n, apply, own)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/apps/travel"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
+	"repro/internal/storage/storagetest"
 	"repro/internal/uuid"
 	"repro/internal/walstore"
 )
@@ -56,7 +57,9 @@ var restartCfg = beldi.Config{RowCap: 8, T: 50 * time.Millisecond, ICMinAge: tim
 
 // TestRestartRecoveryTravel: the reserve transaction is killed mid-flight;
 // the reopened deployment's collectors finish it, and both inventories
-// show exactly one booking, in lockstep.
+// show exactly one booking, in lockstep. The seals Seed put on the
+// reference tables come back from the directory too: a write to geo is
+// refused, and a key geo read once is read from memory after that.
 func TestRestartRecoveryTravel(t *testing.T) {
 	dir := t.TempDir()
 	const capacity = 40
@@ -88,7 +91,8 @@ func TestRestartRecoveryTravel(t *testing.T) {
 	// Phase 2: cold restart from the directory alone.
 	store2 := reopen(t, dir)
 	plat2 := newPlat(nil, "p2")
-	d2 := beldi.NewDeployment(beldi.DeploymentOptions{Store: store2, Platform: plat2, Config: restartCfg})
+	counted := storagetest.NewCounting(store2)
+	d2 := beldi.NewDeployment(beldi.DeploymentOptions{Store: counted, Platform: plat2, Config: restartCfg})
 	travel.Build(d2) // no re-seed: the recovered tables are the state
 
 	wantHotels := int64(travel.NumHotels*capacity) - 1
@@ -127,6 +131,24 @@ func TestRestartRecoveryTravel(t *testing.T) {
 	}
 	if err := d2.FsckAll(); err != nil {
 		t.Errorf("beldi fsck: %v", err)
+	}
+
+	// The reopened geo table is still sealed: a search's first geo read of
+	// a key queries it, the next reads of that key do not, and the seeding
+	// workflow's first write is refused.
+	geoTable := travel.FnGeo + ".data.geo"
+	search := beldi.Fields(beldi.F("op", beldi.Str("search")), beldi.F("lat", beldi.Num(0.4)), beldi.F("lon", beldi.Num(1.7)))
+	for i, want := range []int{8, 0} {
+		before := counted.Count(geoTable, "query")
+		if _, err := d2.Invoke(travel.FnFrontend, search); err != nil {
+			t.Fatal(err)
+		}
+		if got := counted.Count(geoTable, "query") - before; got != want {
+			t.Errorf("search %d: %d queries of %s, want %d", i+1, got, geoTable, want)
+		}
+	}
+	if _, err := d2.Invoke(travel.FnGeo, beldi.Fields(beldi.F("op", beldi.Str("seed")))); !errors.Is(err, beldi.ErrTableSealed) {
+		t.Errorf("writing geo after the restart: %v, want ErrTableSealed", err)
 	}
 	fsckDir(t, store2, dir)
 }
