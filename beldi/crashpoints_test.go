@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,11 +32,11 @@ import (
 var crashRecoveryConfig = beldi.Config{ICMinAge: time.Nanosecond}
 
 // crashAtCall is a FaultPlan that kills the instance at its n-th ShouldCrash
-// call and then disarms; label is the point it killed at.
+// call and then disarms; label is the point it killed at. The n-th call is
+// made by a golden call, which runs on the test's goroutine.
 type crashAtCall struct {
 	n     int
 	calls atomic.Int64
-	mu    sync.Mutex
 	label string
 }
 
@@ -45,9 +44,7 @@ func (c *crashAtCall) ShouldCrash(fn, label string, opIndex int) bool {
 	if c.calls.Add(1) != int64(c.n) {
 		return false
 	}
-	c.mu.Lock()
 	c.label = fmt.Sprintf("%s %d %s", fn, opIndex, label)
-	c.mu.Unlock()
 	return true
 }
 

@@ -233,7 +233,8 @@ func (e *Env) loggedRead(layer kvLayer, sealed *sealedTable, table, key string) 
 }
 
 // Write stores v at key with exactly-once semantics (Fig 6). Inside a
-// transaction the write goes to the transaction's shadow copy.
+// transaction the write goes to the transaction's shadow copy. A write of a
+// sealed table fails with ErrTableSealed, as do CondWrite and Lock.
 func (e *Env) Write(table, key string, v Value) error {
 	e.rt.stats.Writes.Add(1)
 	logical := table
