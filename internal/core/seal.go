@@ -25,7 +25,7 @@ import (
 // before the seal does not see it, so sealing is a load-phase call.
 
 // ErrTableSealed reports a write, conditional write or lock of a sealed
-// table. It is refused before any step key is taken or store op issued.
+// table. It is refused before any step key is taken or any store op is made.
 var ErrTableSealed = errors.New("core: table is sealed")
 
 // sealedTable is one sealed table's read cache: the values of the keys a

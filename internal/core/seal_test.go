@@ -73,7 +73,7 @@ func TestSealedReadReplaysAValueLoggedBeforeTheSeal(t *testing.T) {
 
 // TestSealedTableRefusesEveryWrite: Write, CondWrite, Lock, and a
 // transaction's Write and CondWrite of a sealed table fail with
-// ErrTableSealed, take no step key and issue no store op.
+// ErrTableSealed, take no step key and make no store op.
 func TestSealedTableRefusesEveryWrite(t *testing.T) {
 	store := dynamo.NewStore()
 	f := newFixture(t, withStore(store))
