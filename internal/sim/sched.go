@@ -12,7 +12,7 @@
 //	go test ./internal/sim -run 'TestSimReplaySeed' -sim.seed=N
 //
 // On top of the scheduler, the package composes the codebase's fault seams
-// (platform crash points, walstore write/sync hooks, lease clock skew) with
+// (platform crash points, the walstore file system, lease clock skew) with
 // simulator-native ones (storage-op delays, late intent completions, torn
 // WAL writes, worker kill / pause / partition) into seed-derived fault
 // schedules, and Sweep drives the full worker+queue+WAL stack over the

@@ -139,8 +139,8 @@ func RunSeed(seed int64) (res Result, err error) {
 		err = runRestart(s, sc, prng, dir)
 	} else {
 		// SyncNone: the simulation models no page-cache loss (a torn append
-		// is a hook, not a lost fsync), and real fsyncs would dominate sweep
-		// wall time.
+		// is a failed write, not a lost fsync), and real fsyncs would
+		// dominate sweep wall time.
 		var ws *walstore.Store
 		if ws, err = walstore.Open(dir, walstore.Options{Sync: walstore.SyncNone}); err != nil {
 			return res, err
@@ -749,12 +749,12 @@ func isRestart(kind string) bool {
 // generation one died kept its marker, and both Fscks clean.
 func runRestart(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 	kind := restartKinds[sc.Kind]
-	tear := TornWrite{
+	tear := &TornWrite{
 		AppendN: kind.tearFrom + prng.Intn(kind.tearSpan),
 		CutAt:   1 + prng.Intn(64),
 		Flip:    prng.Intn(2) == 0,
 	}
-	ws, err := walstore.Open(dir, walstore.Options{Sync: walstore.SyncNone, Hooks: tear.Hooks()})
+	ws, err := walstore.Open(dir, walstore.Options{Sync: walstore.SyncNone, FS: tear.On(walstore.OS)})
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ package codec_test
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"strings"
 	"sync"
@@ -206,19 +207,14 @@ func TestOwnershipLateReplies(t *testing.T) {
 	}
 }
 
-// TestOwnershipWALHookMustCopy is the rule in walstore.Hooks.BeforeAppend's
-// doc, for the one case the crash matrix cannot show without the poison: a
-// hook that kept the LAST frame it was shown. No later record overwrites it,
+// TestOwnershipWALWriteMustCopy is the rule in walstore.File.Write's doc,
+// for the one case the crash matrix cannot show without the poison: a File
+// that kept the LAST frame it was handed. No later record overwrites it,
 // but the buffer went back to its owner all the same.
-func TestOwnershipWALHookMustCopy(t *testing.T) {
+func TestOwnershipWALWriteMustCopy(t *testing.T) {
 	codec.Poison(t)
-	var kept, copied []byte
-	s, err := walstore.Open(t.TempDir(), walstore.Options{Hooks: &walstore.Hooks{
-		BeforeAppend: func(seq uint64, off int64, frame []byte) []byte {
-			kept, copied = frame, append([]byte(nil), frame...)
-			return nil
-		},
-	}})
+	keep := &keepFS{FS: walstore.OS}
+	s, err := walstore.Open(t.TempDir(), walstore.Options{FS: keep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +222,34 @@ func TestOwnershipWALHookMustCopy(t *testing.T) {
 	if err := s.CreateTable(dynamo.Schema{Name: "c", HashKey: "K"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := codec.NextFrame(copied, 0); err != nil {
+	if _, _, err := codec.NextFrame(keep.copied, 0); err != nil {
 		t.Fatalf("the copied frame is damaged: %v", err)
 	}
-	if _, _, err := codec.NextFrame(kept, 0); err == nil {
-		t.Error("a frame retained past BeforeAppend is still whole: the record buffer is not released at the append")
+	if _, _, err := codec.NextFrame(keep.kept, 0); err == nil {
+		t.Error("a frame retained past File.Write is still whole: the record buffer is not released at the append")
 	}
+}
+
+// keepFS's files keep the last bytes they were handed, and a copy of them.
+type keepFS struct {
+	walstore.FS
+	kept, copied []byte
+}
+
+func (k *keepFS) OpenFile(name string, flag int, perm fs.FileMode) (walstore.File, error) {
+	f, err := k.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return keepFile{f, k}, nil
+}
+
+type keepFile struct {
+	walstore.File
+	k *keepFS
+}
+
+func (f keepFile) Write(p []byte) (int, error) {
+	f.k.kept, f.k.copied = p, append([]byte(nil), p...)
+	return f.File.Write(p)
 }

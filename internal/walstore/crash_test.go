@@ -1,6 +1,7 @@
 package walstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -92,7 +93,7 @@ func counterValue(t *testing.T, s *Store) int64 {
 // tailSegment returns the single segment file of dir.
 func tailSegment(t *testing.T, dir string) string {
 	t.Helper()
-	segs, _, err := listSeqFiles(dir, segPrefix, segSuffix)
+	segs, _, err := listSeqFiles(OS, dir, segPrefix, segSuffix)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v (%v)", segs, err)
 	}
@@ -219,18 +220,20 @@ func TestCrashMatrixHeaderCorruption(t *testing.T) {
 	assertRecovered(t, dir, 3)
 }
 
-// TestCrashMatrixInjectedTornWrite uses the write-fault hook to kill the
+// TestCrashMatrixInjectedTornWrite uses a fault file system to kill the
 // store mid-append at a deterministic sequence, writing only half the
 // frame — the in-process version of a process dying inside write(2).
 func TestCrashMatrixInjectedTornWrite(t *testing.T) {
 	dir := t.TempDir()
-	var tornSeq uint64 = 8
-	s := openT(t, dir, Options{Hooks: &Hooks{
-		BeforeAppend: func(seq uint64, off int64, frame []byte) []byte {
-			if seq == tornSeq {
-				return frame[:len(frame)/2]
+	const tornSeq = 8 // the 8th write is record 8: no snapshot is written
+	writes, cut := 0, 0
+	s := openT(t, dir, Options{FS: &faultFS{FS: OS,
+		write: func(_ string, p []byte) ([]byte, error) {
+			if writes++; writes != tornSeq {
+				return p, nil
 			}
-			return nil
+			cut = len(p) / 2
+			return p[:cut], errors.New("torn write")
 		},
 	}})
 	if err := s.CreateTable(dynamo.Schema{Name: "c", HashKey: "K"}); err != nil {
@@ -251,6 +254,11 @@ func TestCrashMatrixInjectedTornWrite(t *testing.T) {
 	// The store is poisoned; later writes fail fast without touching disk.
 	if err := s.Update("c", dynamo.HK(dynamo.S("k")), nil, dynamo.Add(dynamo.A("N"), 1)); err == nil {
 		t.Fatal("poisoned store accepted a write")
+	}
+	s.Close()
+	s = openT(t, dir, Options{})
+	if got := s.WAL().TruncatedBytes.Load(); got != int64(cut) {
+		t.Errorf("TruncatedBytes = %d, want the %d bytes the torn write left", got, cut)
 	}
 	s.Close()
 	// seq 1 is the table create, so increments 1..commits are durable.
@@ -316,7 +324,7 @@ func TestCrashMatrixCorruptSnapshotFallsBack(t *testing.T) {
 		}
 	}
 	s.Close()
-	snaps, _, _ := listSeqFiles(dir, snapPrefix, snapSuffix)
+	snaps, _, _ := listSeqFiles(OS, dir, snapPrefix, snapSuffix)
 	if len(snaps) != 1 {
 		t.Fatal("want one snapshot")
 	}
@@ -367,19 +375,20 @@ func TestCrashMatrixHugeShardCount(t *testing.T) {
 	assertRecovered(t, dir, 10)
 }
 
-// TestCrashMatrixHookMustNotRetainTheFrame pins the rule in
-// Hooks.BeforeAppend's doc. The frame a hook is shown is the store's one
-// record buffer: a hook that keeps it — as a fault injector that replays an
-// old record later might — finds the next record's bytes in it, so what it
-// kept no longer frames the record it saw. A hook that copies is unaffected.
-func TestCrashMatrixHookMustNotRetainTheFrame(t *testing.T) {
+// TestCrashMatrixWriteMustNotRetainTheFrame pins the rule in File.Write's
+// doc. The frame a File is handed is the store's one record buffer: a File
+// that keeps it — as a fault injector that replays an old record later
+// might — finds the next record's bytes in it, so what it kept no longer
+// frames the record it saw. A File that copies is unaffected.
+func TestCrashMatrixWriteMustNotRetainTheFrame(t *testing.T) {
 	var kept, copied []byte
-	s := openT(t, t.TempDir(), Options{Hooks: &Hooks{
-		BeforeAppend: func(seq uint64, off int64, frame []byte) []byte {
-			if seq == 2 {
-				kept, copied = frame, append([]byte(nil), frame...)
+	writes := 0
+	s := openT(t, t.TempDir(), Options{FS: &faultFS{FS: OS,
+		write: func(_ string, p []byte) ([]byte, error) {
+			if writes++; writes == 2 {
+				kept, copied = p, append([]byte(nil), p...)
 			}
-			return nil
+			return p, nil
 		},
 	}})
 	defer s.Close()

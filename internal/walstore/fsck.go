@@ -2,7 +2,6 @@ package walstore
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 )
 
@@ -13,14 +12,14 @@ import (
 // losslessly — the state Open leaves behind after repairing a torn tail.
 // Run it on a closed (or quiescent) directory.
 func Fsck(dir string) error {
-	snapNames, _, err := listSeqFiles(dir, snapPrefix, snapSuffix)
+	snapNames, _, err := listSeqFiles(OS, dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return fmt.Errorf("walstore: fsck %s: %w", dir, err)
 	}
 	// Snapshots are written via fsync+rename, so every one that made it to
 	// its final name must be readable; a corrupt one is a durability bug.
 	for _, name := range snapNames {
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		data, err := OS.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return fmt.Errorf("walstore: fsck %s: %w", dir, err)
 		}
@@ -29,13 +28,13 @@ func Fsck(dir string) error {
 		}
 	}
 
-	snapSeq, schemas, mem, _, err := loadNewestSnapshot(dir)
+	snapSeq, schemas, mem, _, err := loadNewestSnapshot(OS, dir)
 	if err != nil {
 		return fmt.Errorf("walstore: fsck %s: %w", dir, err)
 	}
 	replayer := &Store{mem: mem, schemas: schemas}
 
-	segNames, segSeqs, err := listSeqFiles(dir, segPrefix, segSuffix)
+	segNames, segSeqs, err := listSeqFiles(OS, dir, segPrefix, segSuffix)
 	if err != nil {
 		return fmt.Errorf("walstore: fsck %s: %w", dir, err)
 	}
@@ -50,7 +49,11 @@ func Fsck(dir string) error {
 		if covered {
 			apply = nil // validated, but predates the snapshot
 		}
-		_, segLast, corrupt, err := scanSegment(filepath.Join(dir, name), first, snapSeq, apply)
+		data, err := OS.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return fmt.Errorf("walstore: fsck %s: %w", dir, err)
+		}
+		_, segLast, corrupt, err := scanSegment(data, first, snapSeq, apply)
 		if err != nil {
 			return fmt.Errorf("walstore: fsck %s: %w", dir, err)
 		}

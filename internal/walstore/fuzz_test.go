@@ -13,7 +13,7 @@ import (
 // Fuzz targets for the two decode boundaries a crash hands arbitrary bytes
 // to: the record envelope over the shared codec (decodeRecord parses
 // whatever survived inside a CRC-valid frame) and the segment scanner
-// (scanSegment walks whatever the filesystem kept of a segment file); the
+// (scanSegment walks whatever the file system kept of a segment file); the
 // codec under both has its own target, codec.FuzzDecode. The seed corpus is
 // real store traffic plus the crash matrix's damage shapes — torn tails at
 // the header and body boundaries, and a flipped byte. CI runs a short -fuzz
@@ -122,12 +122,8 @@ func FuzzSegmentRecovery(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), segName(1))
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		var seqs []uint64
-		validEnd, lastSeq, corrupt, err := scanSegment(path, 1, 0, func(r record) error {
+		validEnd, lastSeq, corrupt, err := scanSegment(data, 1, 0, func(r record) error {
 			seqs = append(seqs, r.seq)
 			return nil
 		})
@@ -145,10 +141,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 		if lastSeq != uint64(len(seqs)) {
 			t.Fatalf("last sequence %d after %d applied records", lastSeq, len(seqs))
 		}
-		if err := os.WriteFile(path, data[:validEnd], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		end2, last2, corrupt2, err2 := scanSegment(path, 1, 0, nil)
+		end2, last2, corrupt2, err2 := scanSegment(data[:validEnd], 1, 0, nil)
 		if err2 != nil || corrupt2 != nil || end2 != validEnd || last2 != lastSeq {
 			t.Fatalf("durable prefix not stable after truncation at %d: end=%d seq=%d→%d corrupt=%v err=%v (first scan corrupt=%v)",
 				validEnd, end2, lastSeq, last2, corrupt2, err2, corrupt)

@@ -18,13 +18,17 @@ import (
 // Segment files are named wal-<firstseq>.seg, where <firstseq> is the
 // zero-padded sequence number of the first record the segment holds (so a
 // directory listing is also the log's seq-order). Snapshots are
-// snap-<seq>.snap, covering every record with sequence ≤ <seq>.
+// snap-<seq>.snap, covering every record with sequence ≤ <seq>, and are
+// written as snap-<seq>.snap.tmp first.
 const (
 	segPrefix  = "wal-"
 	segSuffix  = ".seg"
 	snapPrefix = "snap-"
 	snapSuffix = ".snap"
+	tmpSuffix  = ".tmp"
 	seqDigits  = 20
+	// segFlags open a segment for appending; every write lands at its end.
+	segFlags = os.O_CREATE | os.O_WRONLY | os.O_APPEND
 )
 
 func segName(firstSeq uint64) string {
@@ -53,8 +57,8 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 
 // listSeqFiles returns the directory's segment (or snapshot) files sorted by
 // their embedded sequence number.
-func listSeqFiles(dir, prefix, suffix string) ([]string, []uint64, error) {
-	ents, err := os.ReadDir(dir)
+func listSeqFiles(fsys FS, dir, prefix, suffix string) ([]string, []uint64, error) {
+	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -98,7 +102,7 @@ type walWriter struct {
 	// Sync/Close/swap of the handle serializes on fileMu. appended is
 	// written under the log mutex but read by durability leaders outside
 	// it, hence atomic.
-	f        *os.File
+	f        File
 	size     int64
 	firstSeq uint64        // first sequence in the tail segment
 	appended atomic.Uint64 // last sequence appended (any segment)
@@ -131,13 +135,10 @@ func (w *walWriter) openTail(firstSeq, lastSeq uint64, size int64) error {
 		firstSeq = lastSeq + 1
 		size = 0
 	}
-	path := filepath.Join(w.dir, segName(firstSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	// Open truncated the tail to its durable prefix, so size is the file's
+	// length and appending starts at size.
+	f, err := w.opts.FS.OpenFile(filepath.Join(w.dir, segName(firstSeq)), segFlags, 0o644)
 	if err != nil {
-		return err
-	}
-	if _, err := f.Seek(size, 0); err != nil {
-		f.Close()
 		return err
 	}
 	if err := w.syncDir(); err != nil {
@@ -154,25 +155,7 @@ func (w *walWriter) openTail(firstSeq, lastSeq uint64, size int64) error {
 
 // syncDir fsyncs the directory, so that the files created, renamed and
 // removed in it stay that way.
-func (w *walWriter) syncDir() error {
-	if err := w.injected(w.dir); err != nil {
-		return err
-	}
-	d, err := os.Open(w.dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// injected is Hooks.SyncErr's verdict on an fsync of path.
-func (w *walWriter) injected(path string) error {
-	if h := w.opts.Hooks; h != nil && h.SyncErr != nil {
-		return h.SyncErr(path)
-	}
-	return nil
-}
+func (w *walWriter) syncDir() error { return w.opts.FS.SyncDir(w.dir) }
 
 // fail records a sticky failure and wakes every durability waiter.
 func (w *walWriter) fail(err error) error {
@@ -205,19 +188,6 @@ func (w *walWriter) append(seq uint64, frame []byte) error {
 			return w.fail(err)
 		}
 	}
-	if h := w.opts.Hooks; h != nil && h.BeforeAppend != nil {
-		// Fault injection: a non-nil result replaces the bytes that hit the
-		// disk — shortened or bit-flipped — simulating a torn or corrupted
-		// write at this exact offset. The damaged append then poisons the
-		// store, like a process dying mid-write.
-		if mangled := h.BeforeAppend(seq, w.size, frame); mangled != nil {
-			if _, err := w.f.Write(mangled); err != nil {
-				return w.fail(err)
-			}
-			w.size += int64(len(mangled))
-			return w.fail(fmt.Errorf("walstore: injected torn write at seq %d", seq))
-		}
-	}
 	n, err := w.f.Write(frame)
 	w.size += int64(n)
 	if err != nil {
@@ -240,7 +210,7 @@ func (w *walWriter) rotate(seq uint64) error {
 	if err := w.syncFile(); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(seq)), os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o644)
+	f, err := w.opts.FS.OpenFile(filepath.Join(w.dir, segName(seq)), segFlags|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
@@ -257,16 +227,13 @@ func (w *walWriter) rotate(seq uint64) error {
 	return w.syncDir()
 }
 
-// syncFile fsyncs the tail segment (with fault injection), serialized
+// syncFile fsyncs the tail segment, serialized
 // against rotation's and close's handle swaps.
 func (w *walWriter) syncFile() error {
 	w.fileMu.Lock()
 	defer w.fileMu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("walstore: WAL is closed")
-	}
-	if err := w.injected(w.f.Name()); err != nil {
-		return err
 	}
 	w.stats.Fsyncs.Add(1)
 	if h := w.fsyncHist.Load(); h != nil {
@@ -364,17 +331,13 @@ func (w *walWriter) close() error {
 	return err
 }
 
-// scanSegment reads one segment file, calling apply for every valid record.
-// It returns the byte offset just past the last valid record and a non-nil
+// scanSegment walks one segment file's bytes, calling apply for every valid
+// record. It returns the byte offset just past the last valid record and a non-nil
 // corruption description when the scan stopped early (torn frame, CRC
 // mismatch, undecodable body, or out-of-order sequence). expect is the
 // sequence the first record must carry; records with sequence ≤ skipTo are
 // validated but not applied (they predate the snapshot).
-func scanSegment(path string, expect, skipTo uint64, apply func(record) error) (validEnd int64, lastSeq uint64, corrupt error, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, nil, err
-	}
+func scanSegment(data []byte, expect, skipTo uint64, apply func(record) error) (validEnd int64, lastSeq uint64, corrupt error, err error) {
 	off := 0
 	lastSeq = expect - 1
 	for off < len(data) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/dynamo"
 	"repro/internal/storage/codec"
@@ -81,31 +82,53 @@ func decodeSnapshot(data []byte) (uint64, map[string]dynamo.Schema, *dynamo.Stor
 
 // writeSnapshotFile durably writes the snapshot image for seq into the
 // store's directory.
+// A crash before the rename leaves the temp file, which the next Open
+// removes.
 func (w *walWriter) writeSnapshotFile(seq uint64, data []byte) error {
-	tmp, err := os.CreateTemp(w.dir, "snap-*.tmp")
+	fsys := w.opts.FS
+	name := filepath.Join(w.dir, snapName(seq))
+	tmpName := name + tmpSuffix
+	tmp, err := fsys.OpenFile(tmpName, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		os.Remove(tmpName)
+		fsys.Remove(tmpName)
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		os.Remove(tmpName)
+		fsys.Remove(tmpName)
 		return err
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+		fsys.Remove(tmpName)
 		return err
 	}
-	if err := os.Rename(tmpName, filepath.Join(w.dir, snapName(seq))); err != nil {
-		os.Remove(tmpName)
+	if err := fsys.Rename(tmpName, name); err != nil {
+		fsys.Remove(tmpName)
 		return err
 	}
 	return w.syncDir()
+}
+
+// removeSnapshotTemps removes the temp files of snapshots that never made it
+// to their final name: snap-<seq>.snap.tmp, and the snap-<random>.tmp names
+// of directories written before the name was fixed.
+func removeSnapshotTemps(fsys FS, dir string) error {
+	ents, err := fsys.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if name := e.Name(); strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, tmpSuffix) {
+			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // loadNewestSnapshot finds the newest decodable snapshot in dir. A corrupt
@@ -113,13 +136,13 @@ func (w *walWriter) writeSnapshotFile(seq uint64, data []byte) error {
 // the next-older one; with none valid, recovery starts from an empty store.
 // It returns the covered seq (0 when none), schemas, store, and the name of
 // the snapshot used ("" when none).
-func loadNewestSnapshot(dir string) (uint64, map[string]dynamo.Schema, *dynamo.Store, string, error) {
-	names, _, err := listSeqFiles(dir, snapPrefix, snapSuffix)
+func loadNewestSnapshot(fsys FS, dir string) (uint64, map[string]dynamo.Schema, *dynamo.Store, string, error) {
+	names, _, err := listSeqFiles(fsys, dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return 0, nil, nil, "", err
 	}
 	for i := len(names) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(filepath.Join(dir, names[i]))
+		data, err := fsys.ReadFile(filepath.Join(dir, names[i]))
 		if err != nil {
 			return 0, nil, nil, "", err
 		}

@@ -33,7 +33,6 @@ package walstore
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -84,8 +83,8 @@ type Options struct {
 	AutoCompactBytes int64
 	// Sync selects the fsync policy for committed records.
 	Sync SyncPolicy
-	// Hooks inject deterministic write/sync failures; tests only.
-	Hooks *Hooks
+	// FS is the file system the store's directory lives in. nil means OS.
+	FS FS
 }
 
 // Defaults for Options zero values.
@@ -101,24 +100,10 @@ func (o Options) withDefaults() Options {
 	if o.AutoCompactBytes == 0 {
 		o.AutoCompactBytes = DefaultAutoCompactBytes
 	}
+	if o.FS == nil {
+		o.FS = OS
+	}
 	return o
-}
-
-// Hooks inject deterministic faults into the WAL write path, for the
-// crash-matrix tests.
-type Hooks struct {
-	// BeforeAppend inspects every record about to be appended (seq, current
-	// file offset, full frame). Returning nil writes the frame unchanged; a
-	// non-nil result is written in its place — truncated or bit-flipped —
-	// and the store is poisoned, simulating a process killed mid-write.
-	// The frame is the store's one record buffer, rewritten by the next
-	// record: the hook may return a slice of it but must not retain it —
-	// copy what has to outlive the call.
-	BeforeAppend func(seq uint64, off int64, frame []byte) []byte
-	// SyncErr, when non-nil, can fail the fsync of path: a segment file, or
-	// the store's directory after a segment or snapshot is created, renamed
-	// or removed. A non-nil error poisons the store, or fails Open.
-	SyncErr func(path string) error
 }
 
 // Stats count WAL activity. All fields are updated atomically and may be
@@ -212,14 +197,18 @@ var (
 // last durable prefix.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fsys := opts.FS
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts, enc: codec.NewEncoder(512)}
 	s.w = newWALWriter(dir, opts, &s.stats)
 	s.watch = dynamo.NewWatchHub(nil)
 
-	snapSeq, schemas, mem, _, err := loadNewestSnapshot(dir)
+	if err := removeSnapshotTemps(fsys, dir); err != nil {
+		return nil, fmt.Errorf("walstore: open %s: %w", dir, err)
+	}
+	snapSeq, schemas, mem, _, err := loadNewestSnapshot(fsys, dir)
 	if err != nil {
 		return nil, fmt.Errorf("walstore: open %s: %w", dir, err)
 	}
@@ -228,7 +217,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.schemas = schemas
 	s.seq = snapSeq
 
-	segNames, segSeqs, err := listSeqFiles(dir, segPrefix, segSuffix)
+	segNames, segSeqs, err := listSeqFiles(fsys, dir, segPrefix, segSuffix)
 	if err != nil {
 		return nil, fmt.Errorf("walstore: open %s: %w", dir, err)
 	}
@@ -247,7 +236,11 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("walstore: open %s: missing segment before %s (have seq %d)", dir, name, s.seq)
 		}
 		path := filepath.Join(dir, name)
-		validEnd, lastSeq, corrupt, err := scanSegment(path, first, snapSeq, func(r record) error {
+		data, err := fsys.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("walstore: open %s: %w", dir, err)
+		}
+		validEnd, lastSeq, corrupt, err := scanSegment(data, first, snapSeq, func(r record) error {
 			s.stats.RecoveredRecords.Add(1)
 			return s.applyRecord(r)
 		})
@@ -259,19 +252,16 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		tailFirst, tailSize = first, validEnd
 		if corrupt != nil {
-			fi, _ := os.Stat(path)
-			if fi != nil {
-				s.stats.TruncatedBytes.Add(fi.Size() - validEnd)
-			}
-			if err := os.Truncate(path, validEnd); err != nil {
+			s.stats.TruncatedBytes.Add(int64(len(data)) - validEnd)
+			if err := fsys.Truncate(path, validEnd); err != nil {
 				return nil, fmt.Errorf("walstore: open %s: repair %s: %w", dir, name, err)
 			}
 			for _, later := range segNames[i+1:] {
-				if err := os.Remove(filepath.Join(dir, later)); err != nil {
+				if err := fsys.Remove(filepath.Join(dir, later)); err != nil {
 					return nil, fmt.Errorf("walstore: open %s: discard %s: %w", dir, later, err)
 				}
 			}
-			if err := s.w.syncDir(); err != nil {
+			if err := fsys.SyncDir(dir); err != nil {
 				return nil, fmt.Errorf("walstore: open %s: repair: %w", dir, err)
 			}
 			break
@@ -535,25 +525,26 @@ func (s *Store) compactLocked() error {
 			return s.w.fail(err)
 		}
 	}
-	segNames, _, err := listSeqFiles(s.dir, segPrefix, segSuffix)
+	fsys := s.opts.FS
+	segNames, _, err := listSeqFiles(fsys, s.dir, segPrefix, segSuffix)
 	if err != nil {
 		return err
 	}
 	for _, name := range segNames {
 		if name != segName(s.seq+1) {
-			_ = os.Remove(filepath.Join(s.dir, name))
+			_ = fsys.Remove(filepath.Join(s.dir, name))
 		}
 	}
-	snapNames, _, err := listSeqFiles(s.dir, snapPrefix, snapSuffix)
+	snapNames, _, err := listSeqFiles(fsys, s.dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return err
 	}
 	for _, name := range snapNames {
 		if name != snapName(s.seq) {
-			_ = os.Remove(filepath.Join(s.dir, name))
+			_ = fsys.Remove(filepath.Join(s.dir, name))
 		}
 	}
-	_ = s.w.syncDir() // a lost unlink only leaves a covered file, which Open skips
+	_ = fsys.SyncDir(s.dir) // a lost unlink only leaves a covered file, which Open skips
 	s.sinceSnap = 0
 	s.stats.Snapshots.Add(1)
 	return nil

@@ -3,7 +3,10 @@ package walstore
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -156,8 +159,8 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _, _ := listSeqFiles(dir, segPrefix, segSuffix)
-	snaps, _, _ := listSeqFiles(dir, snapPrefix, snapSuffix)
+	segs, _, _ := listSeqFiles(OS, dir, segPrefix, segSuffix)
+	snaps, _, _ := listSeqFiles(OS, dir, snapPrefix, snapSuffix)
 	if len(segs) != 1 || len(snaps) != 1 {
 		t.Fatalf("after compaction: %d segments, %d snapshots", len(segs), len(snaps))
 	}
@@ -257,7 +260,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 func TestWriteFailurePoisonsStore(t *testing.T) {
 	boom := errors.New("disk on fire")
 	armed := false
-	s := openT(t, t.TempDir(), Options{Hooks: &Hooks{SyncErr: func(string) error {
+	s := openT(t, t.TempDir(), Options{FS: &faultFS{FS: OS, sync: func(string) error {
 		if armed {
 			return boom
 		}
@@ -293,9 +296,9 @@ func TestDirSyncFailurePoisonsStore(t *testing.T) {
 	boom := errors.New("directory entry not durable")
 	open := func(t *testing.T, armed *bool) (*Store, string) {
 		dir := t.TempDir()
-		s := openT(t, dir, Options{SegmentBytes: 256, Sync: SyncNone, AutoCompactBytes: -1, Hooks: &Hooks{
-			SyncErr: func(path string) error {
-				if *armed && path == dir {
+		s := openT(t, dir, Options{SegmentBytes: 256, Sync: SyncNone, AutoCompactBytes: -1, FS: &faultFS{FS: OS,
+			syncDir: func(string) error {
+				if *armed {
 					return boom
 				}
 				return nil
@@ -348,6 +351,79 @@ func TestDirSyncFailurePoisonsStore(t *testing.T) {
 			t.Fatalf("Open = %v, want the injected error", err)
 		}
 	})
+}
+
+// TestSnapshotFailurePoisonsStore: a snapshot whose temp file cannot be
+// written, or cannot be renamed into place, fails Compact and poisons the
+// store, and leaves no temp file behind.
+func TestSnapshotFailurePoisonsStore(t *testing.T) {
+	boom := errors.New("snapshot not written")
+	for name, fsys := range map[string]*faultFS{
+		"write": {FS: OS, write: func(name string, p []byte) ([]byte, error) {
+			if strings.HasSuffix(name, tmpSuffix) {
+				return p[:len(p)/2], boom
+			}
+			return p, nil
+		}},
+		"rename": {FS: OS, rename: func(string, string) error { return boom }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openT(t, dir, Options{FS: fsys})
+			defer s.Close()
+			if err := s.CreateTable(usersSchema()); err != nil {
+				t.Fatal(err)
+			}
+			putUser(t, s, "a", 1, 1)
+			if err := s.Compact(); !errors.Is(err, boom) {
+				t.Fatalf("Compact = %v, want the injected error", err)
+			}
+			if err := s.Put("users", dynamo.Item{"Id": dynamo.S("b"), "Rev": dynamo.NInt(1)}, nil); !errors.Is(err, boom) {
+				t.Errorf("a write after the failed snapshot: %v", err)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				if strings.HasPrefix(e.Name(), snapPrefix) {
+					t.Errorf("the failed snapshot left %s behind", e.Name())
+				}
+			}
+		})
+	}
+}
+
+// TestOpenRemovesSnapshotTemps: a crash between creating a snapshot's temp
+// file and renaming it leaves the temp file behind; the next Open removes
+// it, under its fixed name and under the random names older directories
+// hold.
+func TestOpenRemovesSnapshotTemps(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	if err := s.CreateTable(usersSchema()); err != nil {
+		t.Fatal(err)
+	}
+	putUser(t, s, "a", 1, 7)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leftovers := []string{snapName(2) + tmpSuffix, "snap-2906331087.tmp"}
+	for _, name := range leftovers {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("half a snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s = openT(t, dir, Options{})
+	defer s.Close()
+	for _, name := range leftovers {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s after Open: %v, want it removed", name, err)
+		}
+	}
+	if it, ok, err := s.Get("users", dynamo.HSK(dynamo.S("a"), dynamo.NInt(1))); err != nil || !ok || it["N"].Int() != 7 {
+		t.Errorf("the row after Open: %v %v %v", it, ok, err)
+	}
 }
 
 // TestCodecRoundTrip pins the record envelope: every record type and op
@@ -430,7 +506,7 @@ func TestReopenAppendsToTail(t *testing.T) {
 	if n, _ := s.TableItemCount("t"); n != 2 {
 		t.Fatalf("items = %d, want 2", n)
 	}
-	segs, _, _ := listSeqFiles(dir, segPrefix, segSuffix)
+	segs, _, _ := listSeqFiles(OS, dir, segPrefix, segSuffix)
 	if len(segs) != 1 {
 		t.Errorf("segments = %v, want a single tail", segs)
 	}
@@ -453,7 +529,7 @@ func TestFsckDetectsCorruption(t *testing.T) {
 		}
 	}
 	s.Close()
-	segs, _, _ := listSeqFiles(dir, segPrefix, segSuffix)
+	segs, _, _ := listSeqFiles(OS, dir, segPrefix, segSuffix)
 	if len(segs) != 1 {
 		t.Fatal("want one segment")
 	}
