@@ -98,6 +98,9 @@ type Result struct {
 	// travel workload: "first" (a first launch, its intent row still deferred)
 	// or "relaunch" (an eager relaunch that owns a row); "" elsewhere.
 	ReadHeavy string
+	// Torn is the number of bytes the torn and spec kinds' seeded torn
+	// append left on disk: 0 when it did not fire, or the kind tears nothing.
+	Torn int
 	// ReadHeavyResults counts the callbacks that reached the read-heavy
 	// request's one invoke-log row: above 1, more than one execution of its
 	// callee delivered a result, and the row's first-wins rule chose.
@@ -136,7 +139,7 @@ func RunSeed(seed int64) (res Result, err error) {
 	prng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
 
 	if isRestart(sc.Kind) {
-		err = runRestart(s, sc, prng, dir)
+		err = runRestart(s, sc, prng, dir, &res)
 	} else {
 		// SyncNone: the simulation models no page-cache loss (a torn append
 		// is a failed write, not a lost fsync), and real fsyncs would
@@ -718,10 +721,11 @@ var restartKinds = map[string]struct {
 }{
 	// Past any setup append, inside the load phase's range.
 	"torn": {150, 150, 6, "t-"},
-	// The overlay batches the hot path into few large appends, so the append
-	// index sits lower; the low end lands inside the load phase's flushes,
-	// the high end may never fire — then the kill+drop alone is the crash.
-	"spec": {60, 160, 5, "s-"},
+	// The overlay batches the hot path into few large appends: generation
+	// one makes 21–42 of them over seeds 0–329. The low end tears inside
+	// the load, the high end may never fire — then the kill+drop alone is
+	// the crash.
+	"spec": {10, 40, 5, "s-"},
 }
 
 // isRestart reports whether kind is a two-generation kind (runRestart).
@@ -746,8 +750,9 @@ func isRestart(kind string) bool {
 // recover — steal the dead generation's partitions, finish the surviving
 // intents, serve new load — and the audit requires counter == markers
 // (exactly-once across the restart), that every increment acked before
-// generation one died kept its marker, and both Fscks clean.
-func runRestart(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
+// generation one died kept its marker, that the reopened store truncated
+// exactly the bytes the torn append left, and both Fscks clean.
+func runRestart(s *Scheduler, sc Scenario, prng *rand.Rand, dir string, res *Result) error {
 	kind := restartKinds[sc.Kind]
 	tear := &TornWrite{
 		AppendN: kind.tearFrom + prng.Intn(kind.tearSpan),
@@ -882,6 +887,10 @@ func runRestart(s *Scheduler, sc Scenario, prng *rand.Rand, dir string) error {
 				return fmt.Errorf("sim: %s: reopening walstore: %w", sc.Kind, err)
 			}
 			ws2 = reopened
+			res.Torn = tear.Left
+			if got := ws2.WAL().TruncatedBytes.Load(); got != int64(tear.Left) {
+				return fmt.Errorf("sim: %s: the reopened store truncated %d bytes, the torn append left %d", sc.Kind, got, tear.Left)
+			}
 			c2, err := NewCluster(s, ws2, ClusterConfig{
 				Workers:    2,
 				NamePrefix: "r",

@@ -177,13 +177,15 @@ func TestSimRunOwnsItsDirectory(t *testing.T) {
 // a torn append poisons the WAL, and the fresh generation must show the
 // same. The pinned seeds must keep deriving their kind, pass, and replay
 // bit-identically — the regression guard for the overlay's and the WAL's
-// crash-consistency arguments.
+// crash-consistency arguments. Every pinned torn seed's tear fires, and so
+// does at least one spec seed's: a window that tears nothing tests nothing.
 func TestSimSpecCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation scenario skipped in -short")
 	}
 	// Seeds across the random and lifo policies (kind index 8 for torn, 9
 	// for spec, stride len(Kinds)).
+	specTears := 0
 	for _, row := range []struct {
 		kind string
 		seed int64
@@ -202,6 +204,15 @@ func TestSimSpecCrashRecovery(t *testing.T) {
 		if errB != nil || a.TraceHash != b.TraceHash {
 			t.Errorf("seed %d replay diverged: trace %016x then %016x (err %v)", seed, a.TraceHash, b.TraceHash, errB)
 		}
+		switch {
+		case row.kind == "spec" && a.Torn > 0:
+			specTears++
+		case row.kind == "torn" && a.Torn == 0:
+			t.Errorf("torn seed %d: the tear never fired", seed)
+		}
+	}
+	if specTears == 0 {
+		t.Error("no pinned spec seed's tear fired")
 	}
 }
 
