@@ -98,13 +98,13 @@ type Result struct {
 	// travel workload: "first" (a first launch, its intent row still deferred)
 	// or "relaunch" (an eager relaunch that owns a row); "" elsewhere.
 	ReadHeavy string
-	// Torn is the number of bytes the torn and spec kinds' seeded torn
-	// append left on disk: 0 when it did not fire, or the kind tears nothing.
-	Torn int
 	// ReadHeavyResults counts the callbacks that reached the read-heavy
 	// request's one invoke-log row: above 1, more than one execution of its
 	// callee delivered a result, and the row's first-wins rule chose.
 	ReadHeavyResults int64
+	// Torn is the number of bytes the torn and spec kinds' seeded torn
+	// append left on disk: 0 when it did not fire, or the kind tears nothing.
+	Torn int
 }
 
 // ReproLine returns the command that replays a failing seed.

@@ -227,8 +227,8 @@ func (w *walWriter) rotate(seq uint64) error {
 	return w.syncDir()
 }
 
-// syncFile fsyncs the tail segment, serialized
-// against rotation's and close's handle swaps.
+// syncFile fsyncs the tail segment, serialized against rotation's and
+// close's handle swaps.
 func (w *walWriter) syncFile() error {
 	w.fileMu.Lock()
 	defer w.fileMu.Unlock()
@@ -332,9 +332,9 @@ func (w *walWriter) close() error {
 }
 
 // scanSegment walks one segment file's bytes, calling apply for every valid
-// record. It returns the byte offset just past the last valid record and a non-nil
-// corruption description when the scan stopped early (torn frame, CRC
-// mismatch, undecodable body, or out-of-order sequence). expect is the
+// record. It returns the byte offset just past the last valid record and a
+// non-nil corruption description when the scan stopped early (torn frame,
+// CRC mismatch, undecodable body, or out-of-order sequence). expect is the
 // sequence the first record must carry; records with sequence ≤ skipTo are
 // validated but not applied (they predate the snapshot).
 func scanSegment(data []byte, expect, skipTo uint64, apply func(record) error) (validEnd int64, lastSeq uint64, corrupt error, err error) {

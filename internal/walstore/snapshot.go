@@ -81,9 +81,8 @@ func decodeSnapshot(data []byte) (uint64, map[string]dynamo.Schema, *dynamo.Stor
 }
 
 // writeSnapshotFile durably writes the snapshot image for seq into the
-// store's directory.
-// A crash before the rename leaves the temp file, which the next Open
-// removes.
+// store's directory. A crash before the rename leaves the temp file, which
+// the next Open removes.
 func (w *walWriter) writeSnapshotFile(seq uint64, data []byte) error {
 	fsys := w.opts.FS
 	name := filepath.Join(w.dir, snapName(seq))
