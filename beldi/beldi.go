@@ -26,11 +26,15 @@
 //	}
 //
 // Deployment pairs each SSF with its own database tables (data
-// sovereignty), an intent collector, and a garbage collector:
+// sovereignty), an intent collector, and a garbage collector. StartCollectors
+// runs both on one loop for the whole deployment: the intent collector every
+// ICMinAge and the garbage collector every T (Config; both default to T, 2 s),
+// so the defaults alone finish a crashed workflow:
 //
 //	d := beldi.NewDeployment(beldi.DeploymentOptions{Store: store, Platform: plat})
 //	d.Function("counter", Counter, "state")
 //	d.StartCollectors()
+//	defer d.Stop()
 //	out, err := d.Invoke("counter", beldi.Null)
 //
 // Three further surfaces layer on this dynamic core (see ARCHITECTURE.md,
@@ -60,6 +64,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -85,7 +91,7 @@ type (
 	// Mode selects Beldi / cross-table / baseline machinery.
 	Mode = core.Mode
 	// Config tunes protocol parameters (row capacity N, lifetime bound T,
-	// collector intervals).
+	// the collectors' minimum restart age and paging).
 	Config = core.Config
 	// Runtime is one SSF's runtime (advanced use; Deployment manages these).
 	Runtime = core.Runtime
@@ -274,6 +280,9 @@ type Deployment struct {
 	runtimes map[string]*core.Runtime
 	durable  *DurableAsync
 	pipe     *pipeline.Store
+
+	loopMu sync.Mutex
+	loop   *collectLoop // nil until StartCollectors starts it
 }
 
 // NewDeployment creates an empty deployment.
@@ -415,24 +424,86 @@ func (d *Deployment) known(name string) error {
 	return nil
 }
 
-// StartCollectors starts every function's intent- and garbage-collector
-// timers (per the configured intervals).
+// StartCollectors starts the deployment's collection loop: one goroutine on
+// the deployment's clock that runs an intent-collection pass every ICMinAge
+// (T unless set) and a garbage-collection pass every T, each at least 1 ms
+// apart. A pass covers the non-baseline functions registered when
+// StartCollectors is called, in sorted order, with RunAllCollectors' body; a
+// failed pass is retried at the next one, since both collectors are
+// at-least-once (§5). Stop ends the loop. A second call is a no-op.
 func (d *Deployment) StartCollectors() {
-	for _, rt := range d.runtimes {
-		rt.StartCollectors()
+	rts := d.collected()
+	d.loopMu.Lock()
+	defer d.loopMu.Unlock()
+	if d.loop != nil || len(rts) == 0 {
+		return
+	}
+	clk := d.opts.Clock
+	if clk == nil {
+		clk = clock.Real{}
+	}
+	d.loop = &collectLoop{stop: make(chan struct{}), done: make(chan struct{})}
+	go d.loop.run(rts, clk)
+}
+
+// minCollectPeriod floors the collection loop's periods, as the timer pump
+// floors its wait (internal/queue/timer.go): a tiny ICMinAge or T would
+// otherwise make the loop spin.
+const minCollectPeriod = time.Millisecond
+
+// collectLoop is the goroutine StartCollectors starts: closing stop ends it,
+// and done closes once it has returned.
+type collectLoop struct {
+	stop, done chan struct{}
+	once       sync.Once
+}
+
+func (l *collectLoop) run(rts []*core.Runtime, clk clock.Clock) {
+	defer close(l.done)
+	cfg := rts[0].Config() // one Config serves every function of a deployment
+	icEvery := max(cfg.ICMinAge, minCollectPeriod)
+	gcEvery := max(cfg.T, minCollectPeriod)
+	start := clk.Now()
+	nextIC, nextGC := start.Add(icEvery), start.Add(gcEvery)
+	for {
+		next := nextIC
+		if nextGC.Before(next) {
+			next = nextGC
+		}
+		select {
+		case <-l.stop:
+			return
+		case <-clk.After(next.Sub(clk.Now())):
+		}
+		now := clk.Now()
+		ic, gc := !now.Before(nextIC), !now.Before(nextGC)
+		for _, rt := range rts {
+			_ = collect(rt, ic, gc) // retried at the next pass (see StartCollectors)
+		}
+		end := clk.Now() // the next pass is due a period after this one ends
+		if ic {
+			nextIC = end.Add(icEvery)
+		}
+		if gc {
+			nextGC = end.Add(gcEvery)
+		}
 	}
 }
 
-// Stop halts all collector timers and, when durable async is enabled, the
-// event-source mappers. With speculation on it then fences and closes the
-// pipeline, so everything speculated before Stop is durable when Stop
-// returns.
+// Stop ends the collection loop, waiting for a pass in flight, and stops the
+// event-source mappers when durable async is enabled. With speculation on it
+// then fences and closes the pipeline, so everything speculated before Stop
+// is durable when Stop returns. A second Stop finds the loop already ended.
 func (d *Deployment) Stop() {
 	if d.durable != nil {
 		d.durable.Stop()
 	}
-	for _, rt := range d.runtimes {
-		rt.Stop()
+	d.loopMu.Lock()
+	l := d.loop
+	d.loopMu.Unlock()
+	if l != nil {
+		l.once.Do(func() { close(l.stop) })
+		<-l.done
 	}
 	if d.pipe != nil {
 		// The sticky flush error, if any, already failed the workflows that
@@ -469,14 +540,35 @@ func (d *Deployment) FsckAll() error {
 // issues the same store operations on every run — deterministic collection
 // for tests and benchmarks.
 func (d *Deployment) RunAllCollectors() error {
-	for _, fn := range d.Functions() {
-		rt := d.runtimes[fn]
-		if rt.Mode() == ModeBaseline {
-			continue
+	for _, rt := range d.collected() {
+		if err := collect(rt, true, true); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// collected lists the runtimes the collectors serve: every non-baseline
+// function, in sorted function order.
+func (d *Deployment) collected() []*core.Runtime {
+	var rts []*core.Runtime
+	for _, fn := range d.Functions() {
+		if rt := d.runtimes[fn]; rt.Mode() != ModeBaseline {
+			rts = append(rts, rt)
+		}
+	}
+	return rts
+}
+
+// collect runs one function's intent-collection pass when ic is set, then
+// its garbage-collection pass when gc is.
+func collect(rt *core.Runtime, ic, gc bool) error {
+	if ic {
 		if _, err := rt.RunIntentCollector(); err != nil {
 			return err
 		}
+	}
+	if gc {
 		if _, err := rt.RunGarbageCollector(); err != nil {
 			return err
 		}

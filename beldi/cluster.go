@@ -168,12 +168,6 @@ func (c *Cluster) JoinClusterWith(id string, register RegisterApp, wo WorkerOpti
 	return cw, nil
 }
 
-// JoinCluster is the package-level spelling of Cluster.JoinCluster for call
-// sites that read better as a function.
-func JoinCluster(c *Cluster, id string, register RegisterApp) (*ClusterWorker, error) {
-	return c.JoinCluster(id, register)
-}
-
 // Deployment returns the worker's deployment — the surface workflows are
 // invoked through. Requests may enter at any live worker; recovery of
 // whatever they start is governed by partition ownership, not by the entry

@@ -39,7 +39,7 @@ func TestClusterWorkersShareState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := beldi.JoinCluster(c, "w2", registerCounter)
+	w2, err := c.JoinCluster("w2", registerCounter)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,8 @@ func main() {
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
 		Store: store, Platform: plat,
 		Config: beldi.Config{
-			RowCap:     16,
-			T:          500 * time.Millisecond,
-			ICInterval: 500 * time.Millisecond,
-			GCInterval: 500 * time.Millisecond,
+			RowCap: 16,
+			T:      500 * time.Millisecond,
 		},
 	})
 	app := social.Build(d)

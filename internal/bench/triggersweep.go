@@ -83,6 +83,13 @@ type pushless struct{ storage.Backend }
 // enqueue→receive gap, repeat. Between messages the mapper is idle — parked
 // on its push subscription or its poll timer — which is exactly the state
 // whose wake latency the cell measures.
+//
+// The handler reports before the mapper acks its message, and on the WAL
+// that ack waits for an fsync. An enqueue sent at the report would land
+// while the mapper is still busy, and the re-scan after its ack would find
+// the message without the mapper ever going idle. So each enqueue first
+// waits for the broker's EmptyReceives to pass its value at the report:
+// that re-scan has come back empty, and the mapper is idle.
 func RunTrigger(c TriggerCell) (TriggerLatencyPoint, error) {
 	sub, err := openSubstrate(Cell{Backend: c.Backend, Shards: 1})
 	if err != nil {
@@ -96,10 +103,15 @@ func RunTrigger(c TriggerCell) (TriggerLatencyPoint, error) {
 
 	broker := queue.NewBroker(queue.BrokerOptions{Store: store, IDs: &uuid.Seq{Prefix: "m"}})
 	broker.MustCreate("lat", queue.Options{VisibilityTimeout: time.Minute})
+	empties := &broker.Metrics().EmptyReceives
 	plat := platform.New(platform.Options{Seed: c.Seed, IDs: &uuid.Seq{Prefix: "req"}})
-	recv := make(chan time.Duration, 16)
+	type report struct {
+		gap     time.Duration
+		empties int64 // EmptyReceives when the handler ran
+	}
+	recv := make(chan report, 16)
 	plat.Register("recv", func(inv *platform.Invocation, input platform.Value) (platform.Value, error) {
-		recv <- time.Since(time.Unix(0, input.Int()))
+		recv <- report{time.Since(time.Unix(0, input.Int())), empties.Load()}
 		return dynamo.Null, nil
 	}, 0)
 	mapper := platform.MustNewMapper(broker, plat, platform.EventSourceOptions{
@@ -110,15 +122,23 @@ func RunTrigger(c TriggerCell) (TriggerLatencyPoint, error) {
 
 	var h hist.Histogram
 	start := time.Now()
+	idleAfter := int64(0) // the mapper's first scan must come back empty too
 	for i := 0; i < triggerWarmup+triggerMessages; i++ {
+		for deadline := time.Now().Add(10 * time.Second); empties.Load() <= idleAfter; {
+			if time.Now().After(deadline) {
+				return TriggerLatencyPoint{}, fmt.Errorf("bench: trigger cell %s: mapper never went idle after message %d", c.Label, i-1)
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
 		if _, err := broker.Enqueue("lat", dynamo.NInt(time.Now().UnixNano())); err != nil {
 			return TriggerLatencyPoint{}, err
 		}
 		select {
-		case d := <-recv:
+		case r := <-recv:
 			if i >= triggerWarmup {
-				h.Record(d)
+				h.Record(r.gap)
 			}
+			idleAfter = r.empties
 		case <-time.After(10 * time.Second):
 			return TriggerLatencyPoint{}, fmt.Errorf("bench: trigger cell %s: message %d never delivered", c.Label, i)
 		}

@@ -1,37 +1,29 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/dynamo"
-	"repro/internal/platform"
 	"repro/internal/storage"
 )
 
-// The intent collector (§3.3): a timer-triggered serverless function that
-// finds this SSF's unfinished intents and re-executes them with their
-// original instance id and arguments. Restarting a still-running instance
-// is safe — every step is at-most-once — so the collector needs no failure
-// detector; it only rate-limits restarts (ICMinAge) and pages its scan
-// (ICPageLimit) to bound its own execution time (Appendix A).
+// The intent collector (§3.3): a pass, run on a timer, that finds this SSF's
+// unfinished intents and re-executes them with their original instance id
+// and arguments. Restarting a still-running instance is safe — every step is
+// at-most-once — so the collector needs no failure detector; it only
+// rate-limits restarts (ICMinAge) and pages its scan (ICPageLimit) to bound
+// its own execution time (Appendix A).
+//
+// The core runs no timer of its own. A deployment's collection loop
+// (beldi.Deployment.StartCollectors) runs this pass every ICMinAge and the
+// garbage collector every T, function by function; a cluster worker and the
+// simulator drive both from their own loops.
 //
 // In a clustered deployment (internal/cluster) a CollectorGate scopes each
 // worker's pass to the intent partitions its lease covers and fences every
 // claim, so the one-logical-collector model becomes N cooperating shards
 // with store-enforced ownership (see gate.go).
 
-// icHandler is the collector's body, registered as "<fn>.ic".
-func (rt *Runtime) icHandler(inv *platform.Invocation, _ Value) (Value, error) {
-	n, err := rt.RunIntentCollector()
-	if err != nil {
-		return dynamo.Null, err
-	}
-	return dynamo.NInt(int64(n)), nil
-}
-
 // RunIntentCollector performs one collection pass, returning how many
-// instances it restarted. Exposed for tests and for deployments that drive
-// collection themselves.
+// instances it restarted.
 func (rt *Runtime) RunIntentCollector() (int, error) {
 	items, err := rt.store.QueryIndex(rt.intentTable, indexPending, dynamo.S(pendingMarker),
 		dynamo.QueryOpts{Limit: rt.cfg.ICPageLimit})
@@ -78,29 +70,4 @@ func (rt *Runtime) RunIntentCollector() (int, error) {
 func PendingIntents(store storage.Backend, fn string) (int, error) {
 	items, err := store.QueryIndex(fn+intentSuffix, indexPending, dynamo.S(pendingMarker), dynamo.QueryOpts{})
 	return len(items), err
-}
-
-// StartCollectors begins the timer loops that trigger the intent collector
-// and garbage collector through the platform (the paper triggers both every
-// minute, AWS's finest timer resolution). Stop() ends them.
-func (rt *Runtime) StartCollectors() {
-	if rt.cfg.ICInterval > 0 {
-		go rt.timerLoop(rt.cfg.ICInterval, rt.fn+".ic")
-	}
-	if rt.cfg.GCInterval > 0 {
-		go rt.timerLoop(rt.cfg.GCInterval, rt.fn+".gc")
-	}
-}
-
-func (rt *Runtime) timerLoop(period time.Duration, fn string) {
-	for {
-		select {
-		case <-rt.stopCh:
-			return
-		case <-rt.clk.After(period):
-		}
-		// Collector failures are retried on the next tick; both collectors
-		// are at-least-once by design (§5).
-		rt.plat.InvokeInternal(fn, dynamo.Null) //nolint:errcheck
-	}
 }

@@ -6,16 +6,15 @@ import (
 	"strings"
 
 	"repro/internal/dynamo"
-	"repro/internal/platform"
 )
 
-// The garbage collector (§5, Figure 10): a timer-triggered serverless
-// function that prunes the logs of long-finished intents and keeps every
-// linked DAAL shallow, without blocking concurrent SSF, IC or other GC
-// instances. Safety rests on the synchrony assumption that an SSF instance
-// terminates within T (the platform enforces execution timeouts and Beldi's
-// instances die at the next operation boundary past their deadline), so an
-// intent that finished more than T ago can have no straggler instance left.
+// The garbage collector (§5, Figure 10): a pass, run on a timer, that prunes
+// the logs of long-finished intents and keeps every linked DAAL shallow,
+// without blocking concurrent SSF, IC or other GC instances. Safety rests on
+// the synchrony assumption that an SSF instance terminates within T (the
+// platform enforces execution timeouts and Beldi's instances die at the next
+// operation boundary past their deadline), so an intent that finished more
+// than T ago can have no straggler instance left.
 //
 // The six phases:
 //  1. stamp a finish time on newly done intents; intents whose stamp is
@@ -47,16 +46,7 @@ type GCStats struct {
 	IntentsDeleted   int
 }
 
-func (rt *Runtime) gcHandler(_ *platform.Invocation, _ Value) (Value, error) {
-	st, err := rt.RunGarbageCollector()
-	if err != nil {
-		return dynamo.Null, err
-	}
-	return dynamo.NInt(int64(st.RowsDeleted)), nil
-}
-
-// RunGarbageCollector performs one pass. Exposed for tests and benchmarks;
-// the "<fn>.gc" platform function wraps it.
+// RunGarbageCollector performs one pass.
 func (rt *Runtime) RunGarbageCollector() (GCStats, error) {
 	var st GCStats
 	now := rt.now()
@@ -132,9 +122,9 @@ func (rt *Runtime) gcPhaseStamp(now, tUs int64, st *GCStats) (map[string]bool, e
 	recyclable := make(map[string]bool)
 	for _, it := range items {
 		if rt.cfg.GCPageLimit > 0 && len(recyclable) >= rt.cfg.GCPageLimit {
-			// Appendix A's bounding: collectors are SSFs with their own
-			// execution timeouts, so each run reclaims a bounded batch and
-			// the next run continues.
+			// Appendix A's bounding: each run reclaims a bounded batch,
+			// so one pass's run time stays bounded, and the next run
+			// continues.
 			break
 		}
 		rec := decodeIntent(it)

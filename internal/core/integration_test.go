@@ -165,38 +165,3 @@ func TestIntegrationEverythingAtOnce(t *testing.T) {
 		}
 	}
 }
-
-func TestIntegrationTimerDrivenCollectors(t *testing.T) {
-	// StartCollectors' real timers drive recovery without manual pumping.
-	f := newFixture(t, withConfig(Config{
-		RowCap: 4, T: 10 * time.Millisecond,
-		ICInterval: 5 * time.Millisecond, GCInterval: 5 * time.Millisecond,
-		ICMinAge: 5 * time.Millisecond,
-	}))
-	var failOnce sync.Once
-	shouldFail := func() (failed bool) {
-		failOnce.Do(func() { failed = true })
-		return
-	}
-	f.fn("flaky", func(e *Env, in Value) (Value, error) {
-		if shouldFail() {
-			return dynamo.Null, fmt.Errorf("transient")
-		}
-		return counterBody(e, in)
-	}, "counter")
-	for _, rt := range f.rts {
-		rt.StartCollectors()
-		defer rt.Stop()
-	}
-	f.invoke("flaky", dynamo.S("k")) //nolint:errcheck // first attempt fails
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if got := f.readData("flaky", "counter", "k"); got.Int() == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timer-driven recovery never completed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}

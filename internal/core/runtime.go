@@ -4,10 +4,11 @@
 //
 // Each SSF gets a Runtime bundling its own database tables (intent table,
 // read log, invoke log, data tables stored as linked DAALs) and two
-// timer-driven companions: an intent collector that re-executes unfinished
-// instances and a garbage collector that prunes logs and DAAL rows. Data
-// sovereignty (§2.2) falls out of the layout: every table belongs to exactly
-// one SSF, and other SSFs interact with it only by invocation.
+// collectors, run in passes by whoever drives them: an intent collector that
+// re-executes unfinished instances and a garbage collector that prunes logs
+// and DAAL rows. Data sovereignty (§2.2) falls out of the layout: every table
+// belongs to exactly one SSF, and other SSFs interact with it only by
+// invocation.
 package core
 
 import (
@@ -69,18 +70,13 @@ type Config struct {
 	// T is the maximum lifetime of an SSF instance: the GC's synchrony
 	// bound (§5). 0 means DefaultT.
 	T time.Duration
-	// ICInterval is the intent-collector timer period (the paper uses the
-	// 1-minute AWS minimum). 0 disables the timer (RunOnce still works).
-	ICInterval time.Duration
 	// ICMinAge makes the collector restart an instance only when its last
-	// launch is at least this old (§3.3's first IC optimization).
-	// 0 means T.
+	// launch is at least this old (§3.3's first IC optimization). A
+	// deployment's collection loop also runs its intent-collection passes
+	// this far apart (beldi.Deployment.StartCollectors). 0 means T.
 	ICMinAge time.Duration
-	// GCInterval is the garbage-collector timer period. 0 disables the
-	// timer.
-	GCInterval time.Duration
 	// ICPageLimit bounds intents processed per collector run (Appendix A's
-	// paging: collectors are themselves SSFs with execution timeouts, so
+	// paging: the paper's collectors are SSFs with execution timeouts, so
 	// each run must be bounded; the next run continues where the last left
 	// off). 0 means unlimited. The pending index is ordered by LastLaunch,
 	// and restarting an instance advances its LastLaunch, so limited runs
@@ -206,7 +202,6 @@ type Runtime struct {
 	histStep *hist.Histogram // step commit (logged write/condwrite/unlock)
 	histLock *hist.Histogram // lock acquire, retries included
 	histTxn  *hist.Histogram // transaction commit (finishTxnLocal on commit)
-	stopCh   chan struct{}
 }
 
 // dataTables lists the logical data tables registered so far (the GC's
@@ -227,7 +222,8 @@ type RuntimeOptions struct {
 	// dynamo store, the durable walstore, …). Required. SSFs of the same
 	// team may share a store; tables are namespaced by function name.
 	Store storage.Backend
-	// Platform hosts the SSF and its collectors. Required.
+	// Platform hosts the SSF; the intent collector restarts instances
+	// through it. Required.
 	Platform *platform.Platform
 	// Mode selects Beldi / cross-table / baseline machinery.
 	Mode Mode
@@ -270,7 +266,6 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 		txCallees:   opts.Function + txCalleesSuffix,
 		txLocks:     opts.Function + txLocksSuffix,
 		tel:         opts.Telemetry,
-		stopCh:      make(chan struct{}),
 	}
 	switch rt.mode {
 	case ModeCrossTable:
@@ -570,15 +565,6 @@ func (rt *Runtime) PeekState(table, key string) (Value, error) {
 	}
 	val, _, _, err := rt.layer().stateRead(table, key)
 	return val, err
-}
-
-// Stop halts the runtime's collector timers (if started).
-func (rt *Runtime) Stop() {
-	select {
-	case <-rt.stopCh:
-	default:
-		close(rt.stopCh)
-	}
 }
 
 // Attribute and table-schema names shared across the core. An SSF's tables

@@ -75,17 +75,12 @@ func (rt *Runtime) dedupExec(id string, ev envelope) {
 // Register installs the SSF on its platform: the body is wrapped with
 // Beldi's protocol actions — intent check/log on entry, replayed execution,
 // callback delivery, and done-marking on exit (§3.2: "Beldi takes actions
-// before and after the main body of the SSF"). It also registers the
-// intent-collector and garbage-collector companion functions (§3.3).
+// before and after the main body of the SSF"). It registers one platform
+// function, the SSF itself: the collectors are not platform functions but
+// passes, called directly (RunIntentCollector, RunGarbageCollector).
 func Register(rt *Runtime, body Body) {
 	rt.body = body
-	if rt.mode == ModeBaseline {
-		rt.plat.Register(rt.fn, rt.baselineHandler, 0)
-		return
-	}
-	rt.plat.Register(rt.fn, rt.handler, 0)
-	rt.plat.Register(rt.fn+".ic", rt.icHandler, 0)
-	rt.plat.Register(rt.fn+".gc", rt.gcHandler, 0)
+	rt.plat.Register(rt.fn, rt.Handler(), 0)
 }
 
 // Handler exposes the wrapped platform handler, for deployments that
