@@ -248,18 +248,12 @@ func (d *daal) firstWrite(key, logKey string, mut mutation) (won, outcome bool, 
 // always holds the item's most recent state.
 func (d *daal) appendRow(prev daalRow) (string, error) {
 	newID := nextRowID(prev.rowID)
-	item := dynamo.Item{
-		attrKey:     dynamo.S(prev.key),
-		attrRowID:   dynamo.S(newID),
-		attrValue:   prev.value,
-		attrLogSize: dynamo.N(0),
-	}
-	if !prev.lock.IsNull() {
-		item[attrLockOwner] = prev.lock
-	}
-	err := d.rt.store.Put(d.table, item, keyAbsent)
+	err := d.rt.store.Put(d.table, successorRow(prev), keyAbsent)
 	if err != nil && !errors.Is(err, dynamo.ErrConditionFailed) {
 		return "", err
+	}
+	if h := FaultStallAppend.Load(); h != nil {
+		(*h)() // see simfault.go
 	}
 	// Link the predecessor. A conditional failure means a concurrent
 	// appender already linked it — to the same deterministic id.
@@ -273,99 +267,139 @@ func (d *daal) appendRow(prev daalRow) (string, error) {
 	return newID, nil
 }
 
+// successorRow is the row appendRow puts past the full row prev: the
+// deterministic next id, prev's value and lock, an empty log.
+func successorRow(prev daalRow) dynamo.Item {
+	item := dynamo.Item{
+		attrKey:     dynamo.S(prev.key),
+		attrRowID:   dynamo.S(nextRowID(prev.rowID)),
+		attrValue:   prev.value,
+		attrLogSize: dynamo.N(0),
+	}
+	if !prev.lock.IsNull() {
+		item[attrLockOwner] = prev.lock
+	}
+	return item
+}
+
 // loggedWrite performs the lock-free logged conditional write of §4.3/§4.4
 // (Figures 6, 7, 17, 18): find the tail, check whether logKey already
 // executed, atomically apply-and-log, appending rows as needed. It returns
 // the operation's outcome — true when the mutation's guard held and the
 // mutation was applied (now or by a previous execution of this step), false
 // when the guard failed (recorded as a false conditional, case B2).
+//
+// The walk is one loop with one hop budget: a scan picks a start row and
+// each full row hands on to its successor. A row that vanished under the
+// walk restarts it from a fresh scan, unless its predecessor still links it:
+// then it is an appended row a GC pass took before its link landed
+// (appendRow), and the walk puts it back. Restarts spend the same budget, so
+// a walk that cannot settle ends in an error naming the key.
 func (d *daal) loggedWrite(key, logKey string, mut mutation) (bool, error) {
-	sk, err := d.scanSkeleton(key, logProjection(logKey))
-	if err != nil {
-		return false, err
-	}
-	if out, found := sk.findLog(logKey); found && !FaultDAALSkipsLoggedCheck.Load() {
-		d.rt.stats.Replays.Add(1)
-		mut.markReplayed()
-		return out.BoolVal(), nil // case A, resolved by the scan
-	}
-	tailID := headRowID
-	if tail, ok := sk.tail(); ok {
-		tailID = tail[attrRowID].Str()
-	} else if won, outcome, err := d.firstWrite(key, logKey, mut); won || err != nil {
-		return outcome, err
-	}
-	return d.tryWrite(key, logKey, tailID, mut, 0)
-}
-
-// maxChainHops bounds tryWrite's walk; a DAAL under GC stays shallow, and a
-// walk this long indicates a livelock-grade anomaly worth surfacing.
-const maxChainHops = 1 << 16
-
-func (d *daal) tryWrite(key, logKey, rowID string, mut mutation, depth int) (bool, error) {
-	if depth > maxChainHops {
-		return false, fmt.Errorf("core: %s/%s: DAAL chain walk exceeded %d hops", d.table, key, maxChainHops)
-	}
-	rowKey := dynamo.HSK(dynamo.S(key), dynamo.S(rowID))
-	roomLeft := dynamo.And(dynamo.NotExists(dynamo.AK(attrRecent, logKey)), d.rt.logRoom, nextRowAbsent)
-	if FaultDAALSkipsLoggedCheck.Load() {
-		roomLeft = dynamo.And(d.rt.logRoom, nextRowAbsent) // see simfault.go
-	}
-
-	// Case B1: guard holds, space available — apply and log atomically.
-	ups := mut.appendUpdates(make([]dynamo.Update, 0, mut.numUpdates()+2))
-	ups = append(ups,
-		dynamo.Add(dynamo.A(attrLogSize), 1),
-		dynamo.Set(dynamo.AK(attrRecent, logKey), dynamo.Bool(true)),
-	)
-	err := d.rt.store.Update(d.table, rowKey, dynamo.And(mut.guard(), roomLeft), ups...)
-	if err == nil {
-		return true, nil
-	}
-	if !errors.Is(err, dynamo.ErrConditionFailed) {
-		return false, err
-	}
-
-	// Case B2: space available but the guard failed — record the false
-	// conditional. Serialization point is the B1 attempt (§ Appendix A).
-	// Skipped for unconditional mutations, whose guard cannot fail.
-	if mut.cond != nil {
-		err = d.rt.store.Update(d.table, rowKey, roomLeft,
-			dynamo.Add(dynamo.A(attrLogSize), 1),
-			dynamo.Set(dynamo.AK(attrRecent, logKey), dynamo.Bool(false)))
-		if err == nil {
-			return false, nil
+	rowID := ""      // the row to try next; "" asks for a fresh scan
+	var prev daalRow // the row whose NextRow named rowID; zero when a scan chose it
+	var roomLeft dynamo.Cond
+	var ups []dynamo.Update // case B1's, built once a first write did not settle the step
+	for hop := 0; hop <= maxChainHops; hop++ {
+		if rowID == "" {
+			sk, err := d.scanSkeleton(key, logProjection(logKey))
+			if err != nil {
+				return false, err
+			}
+			if out, found := sk.findLog(logKey); found && !FaultDAALSkipsLoggedCheck.Load() {
+				d.rt.stats.Replays.Add(1)
+				mut.markReplayed()
+				return out.BoolVal(), nil // case A, resolved by the scan
+			}
+			rowID, prev = headRowID, daalRow{}
+			if tail, ok := sk.tail(); ok {
+				rowID = tail[attrRowID].Str()
+			} else if won, outcome, err := d.firstWrite(key, logKey, mut); won || err != nil {
+				return outcome, err
+			}
 		}
+		if ups == nil {
+			roomLeft = dynamo.And(dynamo.NotExists(dynamo.AK(attrRecent, logKey)), d.rt.logRoom, nextRowAbsent)
+			if FaultDAALSkipsLoggedCheck.Load() {
+				roomLeft = dynamo.And(d.rt.logRoom, nextRowAbsent) // see simfault.go
+			}
+			ups = mut.appendUpdates(make([]dynamo.Update, 0, mut.numUpdates()+2))
+			ups = append(ups,
+				dynamo.Add(dynamo.A(attrLogSize), 1),
+				dynamo.Set(dynamo.AK(attrRecent, logKey), dynamo.Bool(true)))
+		}
+		rowKey := rowKeyOf(key, rowID)
+
+		// Case B1: guard holds, space available — apply and log atomically.
+		err := d.rt.store.Update(d.table, rowKey, dynamo.And(mut.guard(), roomLeft), ups...)
 		if !errors.Is(err, dynamo.ErrConditionFailed) {
-			return false, err
+			return err == nil, err
 		}
-	}
 
-	// Cases A, C, D: inspect the row.
-	row, ok, err := d.readRow(key, rowID)
-	if err != nil {
-		return false, err
-	}
-	if !ok {
-		// The row vanished (GC of a dangling row we held a stale reference
-		// to). Restart from a fresh scan; terminates because the chain only
-		// grows forward.
-		return d.loggedWrite(key, logKey, mut)
-	}
-	if out, done := row.recent.MapGet(logKey); done && !FaultDAALSkipsLoggedCheck.Load() {
-		d.rt.stats.Replays.Add(1)
-		mut.markReplayed()
-		return out.BoolVal(), nil // case A
-	}
-	next := row.next
-	if next == "" { // case D: full tail — extend
-		id, err := d.appendRow(row)
+		// Case B2: space available but the guard failed — record the false
+		// conditional. Serialization point is the B1 attempt (§ Appendix A).
+		// Skipped for unconditional mutations, whose guard cannot fail.
+		if mut.cond != nil {
+			err = d.rt.store.Update(d.table, rowKey, roomLeft,
+				dynamo.Add(dynamo.A(attrLogSize), 1),
+				dynamo.Set(dynamo.AK(attrRecent, logKey), dynamo.Bool(false)))
+			if !errors.Is(err, dynamo.ErrConditionFailed) {
+				return false, err
+			}
+		}
+
+		// Cases A, C, D: inspect the row.
+		row, ok, err := d.readRow(key, rowID)
 		if err != nil {
 			return false, err
 		}
-		next = id
+		if !ok {
+			if prev.rowID == "" {
+				rowID = "" // a stale reference to a collected row
+			} else if err := d.repairSuccessor(prev); errors.Is(err, dynamo.ErrConditionFailed) {
+				rowID = "" // prev no longer links it, or another walk put it back
+			} else if err != nil {
+				return false, err
+			}
+			continue
+		}
+		if out, done := row.recent.MapGet(logKey); done && !FaultDAALSkipsLoggedCheck.Load() {
+			d.rt.stats.Replays.Add(1)
+			mut.markReplayed()
+			return out.BoolVal(), nil // case A
+		}
+		next := row.next
+		if next == "" { // case D: full tail — extend
+			if next, err = d.appendRow(row); err != nil {
+				return false, err
+			}
+		}
+		rowID, prev = next, row // case C
 	}
-	return d.tryWrite(key, logKey, next, mut, depth+1) // case C
+	return false, fmt.Errorf("core: %s/%s: DAAL write walk exceeded %d hops", d.table, key, maxChainHops)
+}
+
+// maxChainHops bounds a DAAL walk; a DAAL under GC stays shallow, and a walk
+// this long indicates a livelock-grade anomaly worth surfacing.
+const maxChainHops = 1 << 16
+
+// repairSuccessor puts back prev's missing successor, in one transaction
+// that checks prev still links it: appendRow's own row, which a GC pass
+// stamped and deleted while the appender stalled between its put and its
+// link. The row held no logged step when it went — phase 5 deletes only a
+// row whose LogSize is what its pass scanned, and a row no predecessor
+// linked had none — and a full row's value and lock never change, so the
+// row put back is the row that was lost.
+func (d *daal) repairSuccessor(prev daalRow) error {
+	err := d.rt.store.TransactWrite([]dynamo.TxOp{
+		{Table: d.table, Key: rowKeyOf(prev.key, prev.rowID), Check: true,
+			Cond: dynamo.Eq(dynamo.A(attrNextRow), dynamo.S(prev.next))},
+		{Table: d.table, Key: rowKeyOf(prev.key, prev.next), Put: successorRow(prev), Cond: keyAbsent},
+	})
+	if err == nil {
+		d.rt.stats.DAALRepairs.Add(1)
+	}
+	return err
 }
 
 // tailByPointerChase walks NextRow pointers with one read per row — the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dynamo"
 )
@@ -368,3 +369,51 @@ func TestNextRowIDPanicsOnGarbage(t *testing.T) {
 }
 
 func valPtr(v Value) *Value { return &v }
+
+// TestStalledAppendIsRepaired stalls an appender between its put of the new
+// row and its link past T, while GC passes run: the first pass finds the row
+// unreachable and stamps it, the second deletes it, and only then does the
+// link land, naming a row that is gone. The write must still complete — the
+// walk puts the row back once, counted in DAALRepairs — and every later
+// write of the key must work, leaving a chain Fsck accepts.
+func TestStalledAppendIsRepaired(t *testing.T) {
+	const tBound = time.Millisecond
+	f := newFixture(t, withConfig(Config{RowCap: 2, T: tBound, ICMinAge: tBound}))
+	rt := f.fn("w", func(e *Env, in Value) (Value, error) {
+		return dynamo.Null, e.Write("kv", "k", in)
+	}, "kv")
+	f.mustInvoke("w", dynamo.NInt(1))
+	f.mustInvoke("w", dynamo.NInt(2)) // the head is full
+
+	var deleted int
+	stall := func() {
+		FaultStallAppend.Store(nil) // one stall
+		for pass := 0; pass < 2; pass++ {
+			st, err := rt.RunGarbageCollector()
+			if err != nil {
+				t.Errorf("gc: %v", err)
+			}
+			deleted += st.RowsDeleted
+			time.Sleep(3 * tBound)
+		}
+	}
+	FaultStallAppend.Store(&stall)
+	defer FaultStallAppend.Store(nil)
+
+	f.mustInvoke("w", dynamo.NInt(3))
+	if deleted != 1 {
+		t.Fatalf("the GC deleted %d rows during the stall, want the appended row: the stall is vacuous", deleted)
+	}
+	if n := rt.StatsSnapshot().DAALRepairs; n != 1 {
+		t.Errorf("DAALRepairs = %d, want 1", n)
+	}
+	for i := int64(4); i <= 8; i++ {
+		f.mustInvoke("w", dynamo.NInt(i))
+	}
+	if got := f.readData("w", "kv", "k"); got.Int() != 8 {
+		t.Errorf("k = %v, want 8", got)
+	}
+	if err := Fsck(rt); err != nil {
+		t.Error(err)
+	}
+}

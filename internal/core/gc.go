@@ -310,13 +310,22 @@ func (rt *Runtime) gcChain(table, key string, rows map[string]daalRow, recyclabl
 	}
 
 	// Phase 5: delete rows that have dangled for T and are (still) not
-	// reachable.
+	// reachable. The reachability is this pass's scan, which can be stale:
+	// an appended row whose link lands after the scan is reachable by the
+	// time of the delete. The delete is therefore guarded on the LogSize
+	// the scan saw, so it never takes a row a write reached since (a
+	// disconnected row is full and never changes); the write walk puts back
+	// a linked row deleted before any write reached it (repairSuccessor).
 	for _, id := range rowIDs {
 		row := rows[id]
 		if reachable[id] || row.dangle == 0 || now-row.dangle <= tUs {
 			continue
 		}
-		if err := rt.store.Delete(table, rowKeyOf(key, id), nil); err != nil {
+		err := rt.store.Delete(table, rowKeyOf(key, id), dynamo.Eq(dynamo.A(attrLogSize), dynamo.N(float64(row.logSize))))
+		if errors.Is(err, dynamo.ErrConditionFailed) {
+			continue
+		}
+		if err != nil {
 			return err
 		}
 		st.RowsDeleted++

@@ -31,3 +31,9 @@ var FaultReinvokeIgnoresCalleeID atomic.Bool
 // boundary before the read-log flush, so an intent is done before its last
 // effect: a crash past the mark leaves work the collector never resumes.
 var FaultDoneBeforeFlush atomic.Bool
+
+// FaultStallAppend, when set, is called by appendRow between its put of the
+// new row and its link from the full row: a writer stalled there for as
+// long as the hook runs. A hook that runs GC passes past T reproduces a row
+// collected before its link landed, which the write walk must repair.
+var FaultStallAppend atomic.Pointer[func()]

@@ -70,6 +70,11 @@ type Stats struct {
 	GCLogRows      atomic.Int64
 	GCRowsDeleted  atomic.Int64
 	GCDisconnected atomic.Int64
+
+	// DAALRepairs counts appended rows a write walk put back: rows a GC pass
+	// collected while their appender stalled between its put and its link
+	// (daal.go, repairSuccessor).
+	DAALRepairs atomic.Int64
 }
 
 // StatsView is a point-in-time copy for reporting.
@@ -84,6 +89,7 @@ type StatsView struct {
 	IntentsDeferred, IntentsElided                                   int64
 	CallbacksIn, SpuriousCallback, FencedClaims                      int64
 	GCRuns, GCIntents, GCLogRows, GCRowsDeleted, GCDisconnected      int64
+	DAALRepairs                                                      int64
 }
 
 // Stats exposes the runtime's counters.
@@ -126,6 +132,7 @@ func (s *Stats) Snapshot() StatsView {
 		GCLogRows:        s.GCLogRows.Load(),
 		GCRowsDeleted:    s.GCRowsDeleted.Load(),
 		GCDisconnected:   s.GCDisconnected.Load(),
+		DAALRepairs:      s.DAALRepairs.Load(),
 
 		ReadLogFlushes:      s.ReadLogFlushes.Load(),
 		ReadLogRows:         s.ReadLogRows.Load(),
