@@ -28,8 +28,9 @@ import (
 
 // crashRecoveryConfig lets the intent collector restart a pending intent as
 // soon as it runs; the GC's bound keeps its default, so no intent is
-// collected while the run still reads it.
-var crashRecoveryConfig = beldi.Config{ICMinAge: time.Nanosecond}
+// collected while the run still reads it. An await whose callee died gives
+// up after one wait: the collectors, not the awaiter, finish the callee.
+var crashRecoveryConfig = beldi.Config{ICMinAge: time.Nanosecond, AwaitRetryMax: 1}
 
 // crashAtCall is a FaultPlan that kills the instance at its n-th ShouldCrash
 // call and then disarms; label is the point it killed at. The n-th call is

@@ -21,7 +21,8 @@ import (
 
 // A step builds its crash-point label only when a fault plan is installed and
 // its span name only when a telemetry hub is attached. These goldens pin both
-// byte for byte over a fixed list of travel requests and one chain workflow:
+// byte for byte over a fixed list of travel requests, one chain workflow and
+// one promise fan-out:
 // every label a plan sees, in order with its op index, and every span a trace
 // records. They were written by the commit before the labels and names became
 // lazy; a diff means a plan or a trace now sees something else. Regenerate
@@ -55,9 +56,15 @@ func goldenRequests() []beldi.Value {
 
 const goldenChainFn, goldenChainWrites = "chain", 8
 
+// The fan-out: goldenFanFn counts its runs in a key it reads and rewrites,
+// async-invokes goldenLeafFn goldenFanWidth times with promises, and returns
+// the results' sum plus 100 times the count it read; each leaf writes its
+// input.
+const goldenFanFn, goldenLeafFn, goldenFanWidth = "fan", "leaf", 3
+
 // runGoldenWorkflows seeds a travel deployment, calls arm, then runs the
-// fixed requests and one chain workflow of eight logged writes. It returns
-// the deployment's store.
+// fixed requests, one chain workflow of eight logged writes and one promise
+// fan-out. It returns the deployment's store.
 func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.Platform)) *dynamo.Store {
 	t.Helper()
 	d, plat, store := goldenDeployment(t, tel, beldi.Config{})
@@ -71,10 +78,13 @@ func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.P
 }
 
 // goldenDeployment builds and seeds the golden run's deployment: travel
-// plus the chain function, under cfg, with sequential ids.
+// plus the chain and fan-out functions, under cfg, with sequential ids. The
+// platform runs every asynchronous fire inline, on the firing goroutine, so
+// the run is sequential and its labels come in program order.
 func goldenDeployment(t *testing.T, tel *beldi.Telemetry, cfg beldi.Config) (*beldi.Deployment, *platform.Platform, *dynamo.Store) {
 	t.Helper()
-	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"}})
+	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"},
+		AsyncDispatch: func(run func()) { run() }})
 	store := dynamo.NewStore()
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
 		Store: store, Platform: plat, IDs: &uuid.Seq{Prefix: "id"}, Telemetry: tel, Config: cfg,
@@ -88,6 +98,38 @@ func goldenDeployment(t *testing.T, tel *beldi.Telemetry, cfg beldi.Config) (*be
 		}
 		return beldi.Int(goldenChainWrites), nil
 	}, "state")
+	d.Function(goldenFanFn, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
+		runs, err := e.Read("runs", "n")
+		if err != nil {
+			return beldi.Null, err
+		}
+		if err := e.Write("runs", "n", beldi.Int(runs.Int()+1)); err != nil {
+			return beldi.Null, err
+		}
+		ps := make([]*beldi.Promise, goldenFanWidth)
+		for i := range ps {
+			p, err := e.AsyncInvokePromise(goldenLeafFn, beldi.Int(int64(i)))
+			if err != nil {
+				return beldi.Null, err
+			}
+			ps[i] = p
+		}
+		vs, err := beldi.AwaitAll(e, ps...)
+		if err != nil {
+			return beldi.Null, err
+		}
+		sum := 100 * runs.Int()
+		for _, v := range vs {
+			sum += v.Int()
+		}
+		return beldi.Int(sum), nil
+	}, "runs")
+	d.Function(goldenLeafFn, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
+		if err := e.Write("tally", fmt.Sprintf("k%d", in.Int()), in); err != nil {
+			return beldi.Null, err
+		}
+		return beldi.Int(10 * in.Int()), nil
+	}, "tally")
 	if err := app.Seed(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +145,14 @@ type goldenCall struct {
 	in beldi.Value
 }
 
-// goldenCalls lists the golden run in order: the travel requests, then the
-// chain workflow.
+// goldenCalls lists the golden run in order: the travel requests, the chain
+// workflow, then the fan-out.
 func goldenCalls() []goldenCall {
 	var calls []goldenCall
 	for _, req := range goldenRequests() {
 		calls = append(calls, goldenCall{travel.FnFrontend, req})
 	}
-	return append(calls, goldenCall{goldenChainFn, beldi.Null})
+	return append(calls, goldenCall{goldenChainFn, beldi.Null}, goldenCall{goldenFanFn, beldi.Null})
 }
 
 // labelRecorder is a FaultPlan that never crashes and writes down what it
