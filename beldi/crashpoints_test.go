@@ -1,9 +1,11 @@
 package beldi_test
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/beldi"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
@@ -49,6 +52,79 @@ func (c *crashAtCall) ShouldCrash(fn, label string, opIndex int) bool {
 	return true
 }
 
+// pauseAtCall is a FaultPlan that, at its n-th ShouldCrash call, holds the
+// instance there while a collection pass (collect, RunAllCollectors under
+// crashRecoveryConfig) relaunches every pending intent — the paused one
+// included — and then lets the paused attempt go on as a zombie. It never
+// crashes anything. The pass runs on its own goroutine, and the asynchronous
+// fires it makes run inline on it; the plan waits for the pass to return, or
+// for relaunchSettle if it blocks on the paused attempt (blocked), before the
+// zombie resumes. settled waits for the pass either way.
+//
+// A zombie may outlive T only by its done mark: the store op an instance
+// issued in time that lands late (the simulator's latedone kind). So where
+// the paused attempt is the workflow's entry at body:done, with nothing left
+// to do but that mark, the pass then moves the clock past T and collects
+// again, which takes the relaunch's finished intent before the mark lands.
+type pauseAtCall struct {
+	n       int
+	calls   atomic.Int64
+	label   string
+	blocked bool
+	entry   string // the function of the golden call in flight
+	collect func() error
+	clk     *jumpClock
+	done    chan error // the pass's outcome, nil until the pause
+}
+
+// relaunchSettle is how long a pause waits for its collection pass before
+// it counts the pass as blocked on the paused attempt.
+const relaunchSettle = 100 * time.Millisecond
+
+func (p *pauseAtCall) ShouldCrash(fn, label string, opIndex int) bool {
+	if p.calls.Add(1) != int64(p.n) {
+		return false
+	}
+	p.label = fmt.Sprintf("%s %d %s", fn, opIndex, label)
+	p.done = make(chan error, 1)
+	late := fn == p.entry && label == "body:done"
+	go func() {
+		err := p.collect()
+		if err == nil && late {
+			p.clk.jump(2*core.DefaultT + time.Millisecond)
+			err = p.collect()
+		}
+		p.done <- err
+	}()
+	select {
+	case err := <-p.done:
+		p.done <- err
+	case <-time.After(relaunchSettle):
+		p.blocked = true
+	}
+	return false
+}
+
+// jumpClock is the real clock moved forward by every jump so far.
+type jumpClock struct {
+	clock.Real
+	off atomic.Int64
+}
+
+func (c *jumpClock) Now() time.Time       { return time.Now().Add(time.Duration(c.off.Load())) }
+func (c *jumpClock) jump(d time.Duration) { c.off.Add(int64(d)) }
+
+// settled waits for the pause's collection pass, if one ran since the last
+// call, and returns its error.
+func (p *pauseAtCall) settled() error {
+	if p.done == nil {
+		return nil
+	}
+	err := <-p.done
+	p.done = nil
+	return err
+}
+
 // goldenOutcome is what a golden run leaves: one reply per call, and every
 // data table's keys with their values ("<fn>/<table>/<key>").
 type goldenOutcome struct {
@@ -62,7 +138,12 @@ type goldenOutcome struct {
 // Ret. The run then settles, passes FsckAll, and its outcome is read.
 func runGoldenRecovered(t *testing.T, plan platform.FaultPlan) (goldenOutcome, error) {
 	t.Helper()
-	d, plat, store := goldenDeployment(t, nil, crashRecoveryConfig)
+	clk := &jumpClock{}
+	d, plat, store := goldenDeployment(t, nil, crashRecoveryConfig, clk)
+	pause, _ := plan.(*pauseAtCall)
+	if pause != nil {
+		pause.collect, pause.clk = d.RunAllCollectors, clk
+	}
 	if plan != nil {
 		plat.SetFaults(plan)
 	}
@@ -72,7 +153,15 @@ func runGoldenRecovered(t *testing.T, plan platform.FaultPlan) (goldenOutcome, e
 		if err != nil {
 			return out, err
 		}
+		if pause != nil {
+			pause.entry = c.fn
+		}
 		reply, err := d.Invoke(c.fn, c.in)
+		if pause != nil {
+			if perr := pause.settled(); perr != nil {
+				return out, fmt.Errorf("call %d (%s): relaunch pass: %w", i, c.fn, perr)
+			}
+		}
 		if err != nil {
 			if reply, err = recoveredReply(d, plat, store, c.fn, before); err != nil {
 				return out, fmt.Errorf("call %d (%s): %w", i, c.fn, err)
@@ -226,16 +315,41 @@ func enumerateCrashPoints(t *testing.T, want goldenOutcome, points []string) []s
 	for i, point := range points {
 		plan := &crashAtCall{n: i + 1}
 		got, err := runGoldenRecovered(t, plan)
-		switch {
-		case plan.label != point:
-			t.Fatalf("call %d crashed at %q, golden line %d is %q: the run is no longer the golden's", i+1, plan.label, i+1, point)
-		case err != nil:
-			failures[i] = err.Error()
-		default:
-			failures[i] = want.diff(got)
-		}
+		failures[i] = checkPoint(t, want, got, err, i, point, plan.label)
 	}
 	return failures
+}
+
+// enumerateRelaunchPoints pauses the golden run once at each of the given
+// golden lines (1-based) and relaunches it there; see pauseAtCall. It
+// returns, per line, "" or what went wrong, and how many pauses found their
+// relaunch blocked on the paused attempt.
+func enumerateRelaunchPoints(t *testing.T, want goldenOutcome, points []string, lines []int) (failures []string, blocked int) {
+	t.Helper()
+	failures = make([]string, len(lines))
+	for k, line := range lines {
+		plan := &pauseAtCall{n: line}
+		got, err := runGoldenRecovered(t, plan)
+		failures[k] = checkPoint(t, want, got, err, line-1, points[line-1], plan.label)
+		if plan.blocked {
+			blocked++
+		}
+	}
+	return failures, blocked
+}
+
+// checkPoint compares the outcome of a run faulted at golden line i+1 with
+// the crash-free run: "" or what went wrong. A fault that hit another label
+// means the run no longer follows the golden, and fails the test.
+func checkPoint(t *testing.T, want, got goldenOutcome, err error, i int, point, label string) string {
+	t.Helper()
+	switch {
+	case label != point:
+		t.Fatalf("call %d faulted at %q, golden line %d is %q: the run is no longer the golden's", i+1, label, i+1, point)
+	case err != nil:
+		return err.Error()
+	}
+	return want.diff(got)
 }
 
 func TestCrashPointsMatchTheCrashFreeRun(t *testing.T) {
@@ -286,6 +400,96 @@ func TestCrashPointsCatchReplayMutations(t *testing.T) {
 				t.Fatalf("no crash point fails with the mutation on")
 			}
 			t.Logf("fails on %d of %d points; first: %s", failed, len(points), first)
+		})
+	}
+}
+
+// relaunchAll runs the relaunch enumeration at every golden point instead
+// of relaunchPinned; the nightly job sets it.
+var relaunchAll = flag.Bool("relaunch.all", false, "run the relaunch enumeration at every crash point")
+
+// relaunchPinned is tier-1's share of the relaunch enumeration beside every
+// seventh golden line: the lines where the zombie mutations of
+// TestRelaunchPointsCatchZombieMutations first fail (52, a travel entry's
+// body:done; 304, the fan's intent:logged).
+var relaunchPinned = []int{52, 304}
+
+// relaunchLines lists the golden lines the relaunch enumeration visits.
+func relaunchLines(points []string) []int {
+	if *relaunchAll {
+		lines := make([]int, len(points))
+		for i := range lines {
+			lines[i] = i + 1
+		}
+		return lines
+	}
+	lines := append([]int(nil), relaunchPinned...)
+	for line := 1; line <= len(points); line += 7 {
+		lines = append(lines, line)
+	}
+	sort.Ints(lines)
+	return slices.Compact(lines)
+}
+
+// TestRelaunchPointsMatchTheCrashFreeRun pauses the golden run at a golden
+// point, lets the collectors relaunch what it left pending, and resumes the
+// paused attempt as a zombie: one zombie at a time. The oracle is the
+// crash-free run's replies and data, and FsckAll.
+func TestRelaunchPointsMatchTheCrashFreeRun(t *testing.T) {
+	start := time.Now()
+	want, err := runGoldenRecovered(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := goldenCrashPoints(t)
+	lines := relaunchLines(points)
+	failures, blocked := enumerateRelaunchPoints(t, want, points, lines)
+	for k, f := range failures {
+		if f != "" {
+			t.Errorf("relaunch at %s (line %d): %s", points[lines[k]-1], lines[k], f)
+		}
+	}
+	t.Logf("%d of %d points in %v; the relaunch blocked on the paused attempt at %d", len(lines), len(points), time.Since(start), blocked)
+}
+
+// TestRelaunchPointsCatchZombieMutations turns on each of two zombie bugs —
+// a differing logged read adopted, an unguarded done mark — and requires
+// the relaunch enumeration to fail on some point for each. The lazy
+// intent's fifth rule (core.FaultRelaunchLeavesRowOpen) is not in the list:
+// it refuses an effect-free callback that lands after a relaunch was
+// launched and before the relaunch's own, and here the relaunch always
+// delivers first, since the zombie waits for its pass.
+func TestRelaunchPointsCatchZombieMutations(t *testing.T) {
+	want, err := runGoldenRecovered(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := goldenCrashPoints(t)
+	lines := relaunchLines(points)
+	for _, m := range []struct {
+		name  string
+		fault *atomic.Bool
+	}{
+		{"AdoptIgnoresDiffer", &core.FaultAdoptIgnoresDiffer},
+		{"UnguardedIntentDone", &core.FaultUnguardedIntentDone},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			m.fault.Store(true)
+			defer m.fault.Store(false)
+			failures, _ := enumerateRelaunchPoints(t, want, points, lines)
+			failed, first := 0, ""
+			for k, f := range failures {
+				if f != "" {
+					if failed == 0 {
+						first = fmt.Sprintf("line %d %s: %s", lines[k], points[lines[k]-1], f)
+					}
+					failed++
+				}
+			}
+			if failed == 0 {
+				t.Fatalf("no relaunch point fails with the mutation on")
+			}
+			t.Logf("fails on %d of %d points; first: %s", failed, len(lines), first)
 		})
 	}
 }

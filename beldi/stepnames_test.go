@@ -13,6 +13,7 @@ import (
 
 	"repro/beldi"
 	"repro/internal/apps/travel"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
@@ -67,7 +68,7 @@ const goldenFanFn, goldenLeafFn, goldenFanWidth = "fan", "leaf", 3
 // fan-out. It returns the deployment's store.
 func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.Platform)) *dynamo.Store {
 	t.Helper()
-	d, plat, store := goldenDeployment(t, tel, beldi.Config{})
+	d, plat, store := goldenDeployment(t, tel, beldi.Config{}, nil)
 	arm(plat)
 	for i, c := range goldenCalls() {
 		if _, err := d.Invoke(c.fn, c.in); err != nil {
@@ -78,16 +79,17 @@ func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.P
 }
 
 // goldenDeployment builds and seeds the golden run's deployment: travel
-// plus the chain and fan-out functions, under cfg, with sequential ids. The
+// plus the chain and fan-out functions, under cfg and clk (nil for the real
+// clock), with sequential ids. The
 // platform runs every asynchronous fire inline, on the firing goroutine, so
 // the run is sequential and its labels come in program order.
-func goldenDeployment(t *testing.T, tel *beldi.Telemetry, cfg beldi.Config) (*beldi.Deployment, *platform.Platform, *dynamo.Store) {
+func goldenDeployment(t *testing.T, tel *beldi.Telemetry, cfg beldi.Config, clk clock.Clock) (*beldi.Deployment, *platform.Platform, *dynamo.Store) {
 	t.Helper()
 	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"},
 		AsyncDispatch: func(run func()) { run() }})
 	store := dynamo.NewStore()
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
-		Store: store, Platform: plat, IDs: &uuid.Seq{Prefix: "id"}, Telemetry: tel, Config: cfg,
+		Store: store, Platform: plat, IDs: &uuid.Seq{Prefix: "id"}, Telemetry: tel, Config: cfg, Clock: clk,
 	})
 	app := travel.Build(d)
 	d.Function(goldenChainFn, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
