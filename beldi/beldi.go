@@ -491,7 +491,7 @@ func (l *collectLoop) run(rts []*core.Runtime, clk clock.Clock) {
 }
 
 // Stop ends the collection loop, waiting for a pass in flight, and stops the
-// event-source mappers when durable async is enabled. With speculation on it
+// timer pump when durable async is enabled. With speculation on it
 // then fences and closes the pipeline, so everything speculated before Stop
 // is durable when Stop returns. A second Stop finds the loop already ended.
 func (d *Deployment) Stop() {

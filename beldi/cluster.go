@@ -38,11 +38,10 @@ type ClusterOptions struct {
 	// LeaseTTL is how long a silent worker keeps its lease before peers
 	// declare it dead and steal its work. 0 means cluster.DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// DurableAsync, when non-nil, wires every worker's AsyncInvoke through
-	// durable per-function invocation queues, with each queue drained by
-	// whichever worker owns the function's partition. Its PollInterval
-	// governs a started worker's mappers and timer pump as it does a
-	// standalone deployment's.
+	// DurableAsync, when non-nil, enables durable asynchrony on every
+	// worker's deployment: the launch budget on async intents, which the
+	// owning worker's scoped intent collector relaunches, and the timer
+	// service, whose pump a started worker runs on PollInterval.
 	DurableAsync *DurableAsyncOptions
 }
 
@@ -89,8 +88,7 @@ type ClusterWorker struct {
 // JoinCluster adds a worker to the pool: it builds the worker's deployment
 // over the shared store (adopting the tables earlier workers created), runs
 // register to install the application, acquires the worker's lease, and
-// scopes the deployment's collectors and queue mappers to the partitions
-// the worker owns. Pass id "" to auto-generate one. Call Start to launch
+// scopes the deployment's collectors to the partitions the worker owns. Pass id "" to auto-generate one. Call Start to launch
 // the background loops (heartbeat, failure detection, recovery), or drive
 // the Worker's *Once methods deterministically.
 func (c *Cluster) JoinCluster(id string, register RegisterApp) (*ClusterWorker, error) {
@@ -103,10 +101,10 @@ func (c *Cluster) JoinCluster(id string, register RegisterApp) (*ClusterWorker, 
 // platform overrides. The zero value keeps every pool default.
 type WorkerOptions struct {
 	// Clock drives the worker's deployment (protocol timestamps, durable
-	// queue visibility) and its cluster lease machinery. Nil means the wall
+	// timers) and its cluster lease machinery. Nil means the wall
 	// clock. Distinct workers may carry distinct (skewed) clocks.
 	Clock clock.Clock
-	// IDs mints the worker's instance, queue, and worker ids. Nil means
+	// IDs mints the worker's instance and worker ids. Nil means
 	// random UUIDs.
 	IDs uuid.Source
 	// Store, when non-nil, replaces the pool's shared Store for this
@@ -160,10 +158,7 @@ func (c *Cluster) JoinClusterWith(id string, register RegisterApp, wo WorkerOpti
 		w.Attach(d.Runtime(name))
 	}
 	if c.opts.DurableAsync != nil {
-		da := d.EnableDurableAsync(*c.opts.DurableAsync)
-		for _, name := range da.functions() {
-			da.Mapper(name).SetGate(func() bool { return w.OwnsIntent(name) })
-		}
+		d.EnableDurableAsync(*c.opts.DurableAsync)
 	}
 	return cw, nil
 }
@@ -189,8 +184,7 @@ func (cw *ClusterWorker) Invoke(name string, input Value) (Value, error) {
 // Start launches the worker's background loops — lease heartbeats, failure
 // detection with immediate recovery collection, partition rebalancing,
 // scoped intent collection and garbage collection — and then, with durable
-// async, the deployment's DurableAsync: every mapper's push loop, gated on
-// partition ownership, and the timer pump.
+// async, the deployment's timer pump.
 func (cw *ClusterWorker) Start() {
 	cw.w.Start()
 	if da := cw.d.DurableAsync(); da != nil {

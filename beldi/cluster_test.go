@@ -207,9 +207,7 @@ func TestOpenClusterValidation(t *testing.T) {
 }
 
 // The tests below pin how a started cluster worker drives durable async:
-// exactly as a standalone deployment does (the mappers' push loops and the
-// timer pump), with each function's mapper gated on the worker owning the
-// function's partition.
+// exactly as a standalone deployment does, with the timer pump.
 
 // keyed is counter's request for key.
 func keyed(key string) beldi.Value {
@@ -265,9 +263,9 @@ func TestClusterWorkerFiresScheduledTimer(t *testing.T) {
 	}
 }
 
-// TestClusterWorkerIdleScans: an idle started worker scans each invocation
-// queue and the timer table about once per PollInterval, as a standalone
-// deployment does, not once per owned queue every few milliseconds.
+// TestClusterWorkerIdleScans: an idle started worker scans the timer table
+// about once per PollInterval, as a standalone deployment does, not every
+// few milliseconds.
 func TestClusterWorkerIdleScans(t *testing.T) {
 	const window = 300 * time.Millisecond
 	fns := []string{"a", "b", "c"}
@@ -287,9 +285,6 @@ func TestClusterWorkerIdleScans(t *testing.T) {
 	defer w.Stop()
 	scans := func(table string) int { return counted.Count(table, "scan") + counted.Count(table, "query") }
 	tables := []string{"queue.timers"}
-	for _, fn := range fns {
-		tables = append(tables, "queue.invoke."+fn)
-	}
 	before := make(map[string]int)
 	for _, table := range tables {
 		before[table] = scans(table)
@@ -302,88 +297,6 @@ func TestClusterWorkerIdleScans(t *testing.T) {
 			t.Errorf("%s: %d scans in %v idle, want at most 2 at PollInterval 1s", table, n, window)
 		} else {
 			t.Logf("%s: %d scans in %v idle", table, n, window)
-		}
-	}
-}
-
-// TestClusterQueueDrainedByPartitionOwner: in a two-worker pool a function's
-// queue is claimed only by the owner of the function's partition, which a
-// commit wakes; the other worker's mapper claims nothing and scans nothing.
-// Once the owner leaves, the survivor, which takes the partition over,
-// drains the next message.
-func TestClusterQueueDrainedByPartitionOwner(t *testing.T) {
-	shared := storagetest.Open(t)
-	c := beldi.MustOpenCluster(beldi.ClusterOptions{
-		Store: shared, Partitions: 8, LeaseTTL: 100 * time.Millisecond,
-		Config: beldi.Config{T: 50 * time.Millisecond},
-		// A delivery within the test arrived on a wake-up or not at all.
-		DurableAsync: &beldi.DurableAsyncOptions{PollInterval: time.Hour},
-	})
-	register := func(d *beldi.Deployment) {
-		registerCounter(d)
-		d.Function("front", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-			return beldi.Null, e.AsyncInvoke("counter", in)
-		})
-	}
-	var workers []*beldi.ClusterWorker
-	var stores []*storagetest.Counting
-	for _, id := range []string{"w1", "w2"} {
-		store := storagetest.NewCounting(shared)
-		w, err := c.JoinClusterWith(id, register, beldi.WorkerOptions{Store: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Stop()
-		workers, stores = append(workers, w), append(stores, store)
-	}
-	for round := 0; round < 4; round++ {
-		for _, w := range workers {
-			if _, _, err := w.Worker().RebalanceOnce(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	owner, other := 0, 1
-	if !workers[owner].Worker().OwnsIntent("counter") {
-		owner, other = other, owner
-	}
-	if !workers[owner].Worker().OwnsIntent("counter") || workers[other].Worker().OwnsIntent("counter") {
-		t.Fatal("counter's partition is not owned by exactly one worker")
-	}
-	const queueTable = "queue.invoke.counter"
-	for _, w := range workers {
-		w.Start()
-	}
-	// The owner's mapper subscribes before its first scan: wait for that
-	// scan, so the message below is announced, not found by it.
-	waitUntil(t, "the owner's first scan", func() bool { return stores[owner].Count(queueTable, "scan") > 0 })
-	if _, err := workers[other].Invoke("front", keyed("first")); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "the first message delivered", func() bool { return counterAt(t, workers[owner], "first") == 1 })
-	ownerMapper := workers[owner].Deployment().DurableAsync().Mapper("counter").Metrics()
-	otherMapper := workers[other].Deployment().DurableAsync().Mapper("counter").Metrics()
-	if ownerMapper.Wakeups.Load() == 0 {
-		t.Error("the owner's mapper delivered without a wake-up: its push loop is not running")
-	}
-	if b := otherMapper.Batches.Load(); b != 0 {
-		t.Errorf("the non-owner's mapper claimed %d batches, want 0", b)
-	}
-	if n := stores[other].Count(queueTable, "scan"); n != 0 {
-		t.Errorf("the non-owner scanned counter's queue %d times, want 0", n)
-	}
-
-	if err := workers[owner].Leave(); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "the survivor owns counter's partition", func() bool { return workers[other].Worker().OwnsIntent("counter") })
-	if _, err := workers[other].Invoke("front", keyed("second")); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "the survivor drained the next message", func() bool { return otherMapper.Delivered.Load() == 1 })
-	for _, key := range []string{"first", "second"} {
-		if n := counterAt(t, workers[other], key); n != 1 {
-			t.Errorf("the %s message ran %d times, want 1", key, n)
 		}
 	}
 }

@@ -2,179 +2,129 @@ package beldi
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dynamo"
 	"repro/internal/platform"
 	"repro/internal/queue"
 )
 
-// This file wires the durable event-queue subsystem (internal/queue and the
-// platform's event-source mappers) into a Deployment: one invocation queue
-// and one queue→function mapping per SSF, plus the transport that reroutes
-// every AsyncInvoke through them. With durable async enabled, an
-// asynchronous workflow edge is an intent-table registration *paired with a
-// durable message*, so it survives the caller crashing right after
-// registration, the platform dropping the in-process handoff, and the
-// consumer crashing mid-handler — the redelivery/dedup pairing the paper's
-// §4.5 fire-and-forget protocol assumes of its provider.
+// This file wires durable asynchrony into a Deployment. An asynchronous
+// workflow edge is the paper's §4.5 protocol as it stands: the callee's
+// intent row is registered synchronously, then the run is fired in-process.
+// The registered intent is the durable record of the invocation — it holds
+// the whole run envelope and sits in the pending index — so the intent
+// collector, which every collection loop runs, is what redelivers a run the
+// caller or the platform lost. EnableDurableAsync adds what that leaves
+// out: a bound on how often one intent is launched, so a poison callee ends
+// up listed (DeadIntents) rather than relaunched forever, and durable
+// timers whose occurrences register intents the same way.
 
 // DurableAsyncOptions configure EnableDurableAsync.
 type DurableAsyncOptions struct {
-	// VisibilityTimeout hides an in-flight message until its consumer acks
-	// or dies; 0 means queue.DefaultVisibilityTimeout.
-	VisibilityTimeout time.Duration
-	// MaxReceives is the per-message redelivery budget before dead-
-	// lettering; 0 means queue.DefaultMaxReceives, negative disables.
+	// MaxReceives is the launch budget of an asynchronous intent: its
+	// in-process fire counts as the first launch, and each intent-collector
+	// relaunch as one more; a relaunch past the budget marks the intent
+	// dead instead (DeadIntents, Redrive). 0 means DefaultMaxReceives,
+	// negative disables the bound.
 	MaxReceives int
-	// BatchSize is how many messages each mapper poll claims; 0 means
-	// platform.DefaultBatchSize.
-	BatchSize int
-	// PollInterval is the mapper's idle poll delay; 0 means
-	// platform.DefaultPollInterval.
+	// PollInterval is the timer pump's idle poll delay; 0 means
+	// queue.DefaultTimerPoll.
 	PollInterval time.Duration
 }
 
-// DurableAsync is a deployment's event-queue wiring: the broker, the
-// per-function invocation queues, their event-source mappers, and the
-// durable timer service.
+// DefaultMaxReceives is the default launch budget of an asynchronous intent.
+const DefaultMaxReceives = 5
+
+// DurableAsync is a deployment's durable-asynchrony wiring: the launch
+// budget on its functions' async intents and the durable timer service.
 type DurableAsync struct {
-	broker    *queue.Broker
-	transport *queue.Transport
-	mappers   map[string]*platform.Mapper
-	timers    *queue.TimerService
+	d      *Deployment
+	broker *queue.Broker
+	timers *queue.TimerService
 }
 
-// EnableDurableAsync switches every registered function's AsyncInvoke to
-// queue-backed delivery and returns the wiring. Call it after all Function
-// registrations; then either Start the mappers' background pollers or drive
-// delivery deterministically with PollAll/Drain. Functions in ModeBaseline
-// keep the raw platform handoff (the baseline measures the provider's own
-// semantics).
+// EnableDurableAsync puts a launch budget on every registered function's
+// asynchronous intents and returns the wiring, with its timer service. Call
+// it after all Function registrations. Functions in ModeBaseline are left
+// alone (the baseline measures the provider's own semantics).
 func (d *Deployment) EnableDurableAsync(opts DurableAsyncOptions) *DurableAsync {
+	budget := opts.MaxReceives
+	if budget == 0 {
+		budget = DefaultMaxReceives
+	}
 	broker := queue.NewBroker(queue.BrokerOptions{Store: d.opts.Store, Clock: d.opts.Clock, IDs: d.opts.IDs})
-	transport := queue.NewTransport(broker, queue.Options{
-		VisibilityTimeout: opts.VisibilityTimeout,
-		MaxReceives:       opts.MaxReceives,
-	})
 	broker.SetTelemetry(d.opts.Telemetry)
-	timers, err := queue.NewTimerService(broker, queue.TimerOptions{PollInterval: opts.PollInterval})
+	da := &DurableAsync{d: d, broker: broker}
+	timers, err := queue.NewTimerService(broker, queue.TimerOptions{Fire: da.fire, PollInterval: opts.PollInterval})
 	if err != nil {
 		panic(fmt.Sprintf("beldi: EnableDurableAsync: %v", err))
 	}
-	da := &DurableAsync{broker: broker, transport: transport, mappers: make(map[string]*platform.Mapper), timers: timers}
+	da.timers = timers
 	if h := d.opts.Telemetry; h != nil {
 		m := timers.Metrics()
 		h.Registry.Register("timers", func() any { return m.Snapshot() })
 	}
-	// Provision in sorted function order: queue creation issues storage
-	// operations, and a deterministic setup sequence is what lets a
-	// simulation seed replay bit-identically.
-	for _, name := range d.Functions() {
-		rt := d.runtimes[name]
-		if rt.Mode() == ModeBaseline {
-			continue
-		}
-		if err := transport.EnsureQueueFor(name); err != nil {
-			panic(fmt.Sprintf("beldi: EnableDurableAsync: %v", err))
-		}
-		rt.SetAsyncTransport(transport)
-		da.mappers[name] = platform.MustNewMapper(broker, d.opts.Platform, platform.EventSourceOptions{
-			Queue:        queue.QueueFor(name),
-			Function:     name,
-			BatchSize:    opts.BatchSize,
-			PollInterval: opts.PollInterval,
-		})
-		if h := d.opts.Telemetry; h != nil {
-			m := da.mappers[name].Metrics()
-			h.Registry.Register("mapper."+name, func() any { return m.Snapshot() })
-		}
+	for _, rt := range d.collected() {
+		rt.SetLaunchBudget(budget)
 	}
 	d.durable = da
 	return da
 }
 
-// DurableAsync returns the deployment's event-queue wiring, or nil when
-// EnableDurableAsync has not been called.
+// DurableAsync returns the deployment's durable-asynchrony wiring, or nil
+// when EnableDurableAsync has not been called.
 func (d *Deployment) DurableAsync() *DurableAsync { return d.durable }
 
-// Broker exposes the underlying queue broker (inspection, direct
-// enqueueing, DLQ access).
+// Broker exposes a queue broker on the deployment's store, for application
+// queues and their inspection; asynchronous invocations use no queue.
 func (da *DurableAsync) Broker() *queue.Broker { return da.broker }
 
-// Mapper returns the event-source mapping for one function, or nil.
-func (da *DurableAsync) Mapper(fn string) *platform.Mapper { return da.mappers[fn] }
+// Mapper returns nil for every function: asynchronous invocations have no
+// event-source mapping, since the intent collector redelivers them. It is
+// kept for callers that sum mapper metrics over a deployment's functions.
+func (da *DurableAsync) Mapper(string) *platform.Mapper { return nil }
 
-// Timers returns the deployment's durable timer service, backed by the same
-// store as the invocation queues. Registrations survive crashes and broker
-// restarts; fires are exactly-once per occurrence (see queue.TimerService).
+// Timers returns the deployment's durable timer service. Registrations
+// survive crashes and broker restarts; fires are exactly-once per
+// occurrence (see queue.TimerService).
 func (da *DurableAsync) Timers() *queue.TimerService { return da.timers }
 
 // ScheduleInvoke durably registers a timer that invokes fn with input after
-// delay, repeating every period when period > 0 (a cron workflow). The fire
-// enqueues a client invocation envelope onto fn's invocation queue with a
-// deterministic per-occurrence instance id stamped in, so each occurrence
-// runs as exactly one workflow instance no matter how often the queue
-// redelivers it. Idempotent per id; cancel with Timers().Cancel(id).
+// delay, repeating every period when period > 0 (a cron workflow). Each
+// occurrence registers an asynchronous intent of fn whose instance id is the
+// occurrence's id, in the transaction that advances the timer, then fires it
+// in-process: an occurrence runs as exactly one workflow instance, and the
+// intent collector relaunches one whose fire was lost. Idempotent per id;
+// cancel with Timers().Cancel(id).
 func (da *DurableAsync) ScheduleInvoke(id, fn string, input Value, delay, period time.Duration) error {
-	if _, ok := da.mappers[fn]; !ok {
-		return fmt.Errorf("beldi: ScheduleInvoke: %q has no durable invocation queue", fn)
+	if rt := da.d.runtimes[fn]; rt == nil || rt.Mode() == ModeBaseline {
+		return fmt.Errorf("beldi: ScheduleInvoke: %q is not a registered Beldi function", fn)
 	}
-	return da.timers.Schedule(queue.TimerSpec{
-		ID:       id,
-		Queue:    queue.QueueFor(fn),
-		Body:     core.ClientEnvelope(input),
-		Delay:    delay,
-		Period:   period,
-		StampKey: core.InstanceKey,
-	})
+	return da.timers.Schedule(queue.TimerSpec{ID: id, Target: fn, Body: input, Delay: delay, Period: period})
 }
 
-// functions lists the mapped function names in sorted order, so every
-// all-mappers pass issues its storage operations in a replayable sequence.
-func (da *DurableAsync) functions() []string {
-	out := make([]string, 0, len(da.mappers))
-	for name := range da.mappers {
-		out = append(out, name)
+// fire is the timer service's Fire: the occurrence's intent put and its
+// in-process launch (core.Runtime.ScheduledIntent).
+func (da *DurableAsync) fire(fn, id string, input Value) (dynamo.TxOp, func(), error) {
+	rt := da.d.runtimes[fn]
+	if rt == nil || rt.Mode() == ModeBaseline {
+		return dynamo.TxOp{}, nil, fmt.Errorf("beldi: timer target %q is not a registered Beldi function", fn)
 	}
-	sort.Strings(out)
-	return out
+	put, run := rt.ScheduledIntent(id, input)
+	return put, run, nil
 }
 
-// Start launches every mapping's background poll loop and the timer pump.
-func (da *DurableAsync) Start() {
-	for _, name := range da.functions() {
-		da.mappers[name].Start()
-	}
-	da.timers.Start()
-}
+// Start launches the timer pump. It starts no collection loop: that is
+// Deployment.StartCollectors.
+func (da *DurableAsync) Start() { da.timers.Start() }
 
-// Stop halts every mapping's poll loop and the timer pump.
-func (da *DurableAsync) Stop() {
-	da.timers.Stop()
-	for _, name := range da.functions() {
-		da.mappers[name].Stop()
-	}
-}
+// Stop halts the timer pump.
+func (da *DurableAsync) Stop() { da.timers.Stop() }
 
-// PollAll runs one poll over every mapping in sorted function order,
-// returning total messages processed successfully and failed — the
-// deterministic drive for tests.
-func (da *DurableAsync) PollAll() (processed, failed int, err error) {
-	for _, name := range da.functions() {
-		p, f, perr := da.mappers[name].PollOnce()
-		processed += p
-		failed += f
-		if perr != nil && err == nil {
-			err = perr
-		}
-	}
-	return processed, failed, err
-}
-
-// Depth sums live messages (visible and in flight) across all invocation
-// queues.
+// Depth sums live messages (visible and in flight) across the broker's
+// queues; asynchronous invocations add none.
 func (da *DurableAsync) Depth() (int, error) {
 	total := 0
 	for _, q := range da.broker.Queues() {
@@ -187,33 +137,60 @@ func (da *DurableAsync) Depth() (int, error) {
 	return total, nil
 }
 
-// Drain polls every mapping until all invocation queues are empty — waiting
-// out visibility timeouts of crashed consumers, so redelivery and
-// dead-lettering run to completion — or until timeout. Returns the number of
-// successful deliveries.
+// Drain settles the deployment's asynchronous work, the deterministic drive
+// for tests and demos: it waits for the platform's in-flight runs, then, while
+// any function has a pending intent, runs one intent-collection pass over
+// every function, until none is pending or until timeout. A pass relaunches
+// only intents older than ICMinAge, so a deployment with a long one waits
+// for it. It returns how many instances the passes relaunched.
 func (da *DurableAsync) Drain(timeout time.Duration) (int, error) {
 	deadline := time.Now().Add(timeout)
-	delivered := 0
+	relaunched := 0
 	for {
-		p, _, err := da.PollAll()
-		delivered += p
-		if err != nil {
-			return delivered, err
+		da.d.opts.Platform.Drain()
+		pending := 0
+		for _, rt := range da.d.collected() {
+			n, err := core.PendingIntents(da.d.opts.Store, rt.Function())
+			if err != nil {
+				return relaunched, err
+			}
+			pending += n
 		}
-		depth, err := da.Depth()
-		if err != nil {
-			return delivered, err
-		}
-		if depth == 0 {
-			return delivered, nil
+		if pending == 0 {
+			return relaunched, nil
 		}
 		if time.Now().After(deadline) {
-			return delivered, fmt.Errorf("beldi: Drain: %d messages still queued after %v", depth, timeout)
+			return relaunched, fmt.Errorf("beldi: Drain: %d intents still pending after %v", pending, timeout)
 		}
-		if p == 0 {
-			// Nothing visible: in-flight claims must expire before the
-			// redelivery (or dead-lettering) can happen.
-			time.Sleep(time.Millisecond)
+		pass := 0
+		for _, rt := range da.d.collected() {
+			n, err := rt.RunIntentCollector()
+			if err != nil {
+				return relaunched, err
+			}
+			pass += n
+		}
+		if relaunched += pass; pass == 0 {
+			time.Sleep(time.Millisecond) // the pending intents are younger than ICMinAge
 		}
 	}
+}
+
+// DeadIntents lists fn's dead intents — asynchronous intents whose launch
+// budget ran out — by instance id.
+func (da *DurableAsync) DeadIntents(fn string) ([]string, error) {
+	if err := da.d.known(fn); err != nil {
+		return nil, err
+	}
+	return da.d.runtimes[fn].DeadIntents()
+}
+
+// Redrive returns fn's dead intents to the pending index with a fresh launch
+// budget and fires each one in-process; it returns how many it redrove. Fix
+// what made them fail first.
+func (da *DurableAsync) Redrive(fn string) (int, error) {
+	if err := da.d.known(fn); err != nil {
+		return 0, err
+	}
+	return da.d.runtimes[fn].Redrive()
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/beldi"
+	"repro/internal/core"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
 	"repro/internal/uuid"
@@ -451,12 +452,12 @@ func TestSpeculationDropsUnfencedTxnCommit(t *testing.T) {
 	}
 }
 
-// TestSpeculationDropsUnfencedQueueAck pins the queue-ack effect site
-// under durable async: the enqueued message was fenced durable by the
-// caller's reply, but the delivery — the claim, the worker's effect, and
-// the ack — ran speculatively and dies with the worker. The message must
-// still be visible (immediately: the claim never became durable either),
-// and redelivery processes it exactly once.
+// TestSpeculationDropsUnfencedQueueAck pins the completion of an async run
+// under durable async, the effect site a queue ack used to be: the callee's
+// registered intent was fenced durable by the caller's reply, but the run —
+// the worker's effect and its done mark — ran speculatively and dies with
+// the worker. The intent must still be pending, and the collector's relaunch
+// processes it exactly once.
 func TestSpeculationDropsUnfencedQueueAck(t *testing.T) {
 	front := func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		if err := e.AsyncInvoke("worker", beldi.Null); err != nil {
@@ -467,45 +468,42 @@ func TestSpeculationDropsUnfencedQueueAck(t *testing.T) {
 	for name, open := range specBases(t) {
 		t.Run(name, func(t *testing.T) {
 			base := open(t)
-			_, d1 := specGen(base, "g1", true, nil)
+			var held []func()
+			_, d1 := specGen(base, "g1", true, func(run func()) { held = append(held, run) })
 			d1.Function("worker", incBody("count", "n"), "count")
 			d1.Function("front", front)
-			da1 := d1.EnableDurableAsync(beldi.DurableAsyncOptions{})
+			d1.EnableDurableAsync(beldi.DurableAsyncOptions{})
 
 			if _, err := d1.Invoke("front", beldi.Null); err != nil {
 				t.Fatalf("front: %v", err)
 			}
-			// Deliver the fenced-durable message; everything the delivery
+			// Run the fenced-durable registration's fire; everything the run
 			// does stays above the watermark.
-			if p, f, err := da1.PollAll(); err != nil || p != 1 || f != 0 {
-				t.Fatalf("deliver: p=%d f=%d err=%v", p, f, err)
+			if len(held) != 1 {
+				t.Fatalf("%d fires held, want the worker's", len(held))
 			}
+			held[0]()
 			if d1.Pipeline().Lag() == 0 {
-				t.Fatal("delivery left nothing speculative")
+				t.Fatal("the run left nothing speculative")
 			}
 			d1.Pipeline().DropAndClose()
 
-			_, d2 := specGen(base, "g2", false, nil)
+			plat2, d2 := specGen(base, "g2", false, nil)
 			d2.Function("worker", incBody("count", "n"), "count")
 			d2.Function("front", front)
-			da2 := d2.EnableDurableAsync(beldi.DurableAsyncOptions{})
+			d2.EnableDurableAsync(beldi.DurableAsyncOptions{})
 			if got := peekInt(t, d2, "worker", "count", "n"); got != 0 {
-				t.Fatalf("dropped delivery executed anyway: n = %d", got)
+				t.Fatalf("dropped run executed anyway: n = %d", got)
+			}
+			if n, err := core.PendingIntents(base, "worker"); err != nil || n != 1 {
+				t.Fatalf("worker's pending intents = %d (%v), want the registered one", n, err)
 			}
 
-			// Redelivery processes the message exactly once and drains.
-			if p, _, err := da2.PollAll(); err != nil || p != 1 {
-				t.Fatalf("redeliver: p=%d err=%v", p, err)
-			}
-			if got := peekInt(t, d2, "worker", "count", "n"); got != 1 {
-				t.Fatalf("redelivered effect n = %d, want 1", got)
-			}
-			if p, f, err := da2.PollAll(); err != nil || p != 0 || f != 0 {
-				t.Fatalf("queue not drained: p=%d f=%d err=%v", p, f, err)
-			}
-			if depth, err := da2.Depth(); err != nil || depth != 0 {
-				t.Fatalf("depth=%d err=%v", depth, err)
-			}
+			// The relaunch processes the intent exactly once.
+			plat2.Drain()
+			collectUntil(t, d2, "worker ran once", func() bool {
+				return peekInt(t, d2, "worker", "count", "n") == 1
+			})
 			settle(d2)
 			if got := peekInt(t, d2, "worker", "count", "n"); got != 1 {
 				t.Fatalf("worker effect ran %d times, want 1", got)

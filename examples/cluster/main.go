@@ -7,17 +7,16 @@
 //     internal/remote wire protocol (the data plane; what the paper runs on
 //     DynamoDB),
 //   - three worker processes — each dials the storage server, joins the
-//     cluster pool, and drains the shared durable invocation queues (the
-//     compute plane; `beldi-demo -worker` is the standalone spelling),
-//   - and the orchestrator (this process), which enqueues 40 counter
+//     cluster pool, and collects the intents of the partitions it owns
+//     (the compute plane; `beldi-demo -worker` is the standalone spelling),
+//   - and the orchestrator (this process), which registers 40 counter
 //     workflows through an "ingest" SSF and then kills worker w1 with
 //     SIGKILL — a real kill -9 on a real pid, mid-load.
 //
 // No process shares memory with any other; every byte of coordination
-// (leases, intents, locks, queue messages) crosses TCP. The survivors'
-// failure detectors notice w1's silent lease, steal its partitions, finish
-// its in-flight workflows, and the durable queue redelivers its unacked
-// messages — after which the audit reads every one of the 40 counters
+// (leases, intents, locks) crosses TCP. The survivors' failure detectors
+// notice w1's silent lease, steal its partitions, and relaunch its pending
+// intents — after which the audit reads every one of the 40 counters
 // through the wire and finds each at exactly 1: nothing lost to the kill,
 // nothing duplicated by the recovery.
 //
@@ -53,10 +52,7 @@ const (
 
 var protocolConfig = beldi.Config{T: 300 * time.Millisecond, ICMinAge: 10 * time.Millisecond}
 
-var durableOpts = beldi.DurableAsyncOptions{
-	VisibilityTimeout: time.Second,
-	PollInterval:      20 * time.Millisecond,
-}
+var durableOpts = beldi.DurableAsyncOptions{PollInterval: 20 * time.Millisecond}
 
 func main() {
 	role := flag.String("role", "", "internal: storaged | worker (set by re-exec)")
@@ -198,9 +194,11 @@ func orchestrate() {
 	}
 
 	// The orchestrator is a gateway, not a pool member: a deployment over
-	// the same remote store whose only job is running "ingest" (which
-	// registers the intent and enqueues the counter message durably). It
-	// starts no mappers and no collectors — the workers own all execution.
+	// the same remote store whose only job is running "ingest", which
+	// registers the counter's intent durably. It runs no counter — its
+	// platform kills each in-process fire at its first operation boundary —
+	// and starts no collectors: the workers' collectors launch every
+	// counter.
 	client, err := remote.Dial(addr, remote.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -208,7 +206,7 @@ func orchestrate() {
 	defer client.Close()
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
 		Store:    client,
-		Platform: platform.New(platform.Options{}),
+		Platform: platform.New(platform.Options{Faults: counterdemo.GatewayFaults{}}),
 		Config:   protocolConfig,
 	})
 	counterdemo.Register(d)

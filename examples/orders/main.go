@@ -1,13 +1,12 @@
-// Event-driven workflows: an order pipeline composed entirely of durable
-// queue messages instead of direct calls.
+// Event-driven workflows: an order pipeline composed entirely of
+// asynchronous invocations instead of direct calls.
 //
-// The frontend SSF registers an intent AND enqueues a durable message for
-// each asynchronous edge; platform event-source mappers poll the queues in
-// batches and trigger the consumer SSFs. A consumer killed mid-handler
-// cannot ack, so its message reappears after the visibility timeout and the
-// re-execution replays to exactly-once completion. A consumer that
-// crash-loops burns its redelivery budget and the message is parked in the
-// dead-letter queue — then redriven once the "bug" is fixed.
+// Each asynchronous edge registers the consumer's intent, then fires the
+// consumer in-process. A consumer killed mid-handler leaves its intent
+// pending, and the intent collector relaunches it once it is ICMinAge old;
+// the re-execution replays to exactly-once completion. A consumer that
+// crash-loops burns its launch budget and its intent is marked dead — then
+// redriven once the "bug" is fixed.
 //
 //	go run ./examples/orders
 package main
@@ -21,13 +20,13 @@ import (
 	"repro/internal/apps/orders"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
-	"repro/internal/queue"
 )
 
 func main() {
 	store := dynamo.NewStore()
 	plat := platform.New(platform.Options{})
-	d := beldi.NewDeployment(beldi.DeploymentOptions{Store: store, Platform: plat})
+	d := beldi.NewDeployment(beldi.DeploymentOptions{Store: store, Platform: plat,
+		Config: beldi.Config{ICMinAge: 10 * time.Millisecond}})
 	app := orders.Build(d)
 	da := app.EnableEvents(orders.DefaultEventOptions())
 	defer d.Stop()
@@ -52,12 +51,11 @@ func main() {
 		ids = append(ids, id)
 	}
 
-	if _, err := da.Drain(10 * time.Second); err != nil {
+	relaunched, err := da.Drain(10 * time.Second)
+	if err != nil {
 		log.Fatal(err)
 	}
-	bm := da.Broker().Metrics()
-	fmt.Printf("crash injected: %v; messages redelivered after visibility timeout: %d\n",
-		fault.Fired(), bm.Redelivered.Load())
+	fmt.Printf("crash injected: %v; intents relaunched by the collector: %d\n", fault.Fired(), relaunched)
 
 	tot, err := app.Totals(ids)
 	if err != nil {
@@ -77,14 +75,15 @@ func main() {
 	if _, err := da.Drain(10 * time.Second); err != nil {
 		log.Fatal(err)
 	}
-	notifyQ := queue.QueueFor(orders.FnNotify)
-	dead, _ := da.Broker().DeadLetters(notifyQ)
-	fmt.Printf("dead-letter queue: %d message(s) after %d failed deliveries\n",
-		len(dead), dead[0].ReceiveCount)
+	dead, err := da.DeadIntents(orders.FnNotify)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("dead intents: %d after %d launches each\n", len(dead), beldi.DefaultMaxReceives)
 
-	fmt.Println("fixing the consumer and redriving the DLQ ...")
+	fmt.Println("fixing the consumer and redriving the dead intent ...")
 	app.ArmPoison(false)
-	if _, err := da.Broker().Redrive(notifyQ); err != nil {
+	if _, err := da.Redrive(orders.FnNotify); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := da.Drain(10 * time.Second); err != nil {

@@ -4,9 +4,9 @@
 // whose only effect is incrementing the request's own key — an effect that
 // makes lost executions (a counter at 0) and duplicated executions (a
 // counter at 2) directly countable after a crash. Every process of a pool
-// registers this same app; the orchestrator enqueues through ingest, worker
-// processes drain the counter queue, and the audit asserts every counter is
-// exactly 1.
+// registers this same app; the orchestrator registers counter intents
+// through ingest, worker processes' collectors launch them, and the audit
+// asserts every counter is exactly 1.
 package counterdemo
 
 import (
@@ -26,9 +26,9 @@ const (
 // (workers and orchestrator alike) must register the same set.
 func Register(d *beldi.Deployment) {
 	d.Function(FnIngest, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-		// Durable handoff: intent registration paired with a queued message,
-		// so the increment survives any single process dying after this
-		// call returns.
+		// Durable handoff: the counter's intent is registered before this
+		// call returns, so the increment survives any single process dying
+		// after it.
 		return beldi.Null, e.AsyncInvoke(FnCounter, in)
 	})
 	d.Function(FnCounter, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
@@ -51,4 +51,15 @@ func Key(i int) string { return fmt.Sprintf("k%02d", i) }
 // Request builds the ingest/counter input for request i.
 func Request(i int) beldi.Value {
 	return beldi.Fields(beldi.F("key", beldi.Str(Key(i))))
+}
+
+// GatewayFaults is the fault plan of a gateway process that runs no counter:
+// it lets a counter's registration through and kills each counter run at
+// its first operation boundary, so the pool's collectors launch every
+// counter.
+type GatewayFaults struct{}
+
+// ShouldCrash implements platform.FaultPlan.
+func (GatewayFaults) ShouldCrash(fn, label string, _ int) bool {
+	return fn == FnCounter && label != "async:registered"
 }

@@ -2,10 +2,10 @@
 // "ingest" SSF (DurableAsync.ScheduleInvoke), and a table-change (CDC)
 // handler — "index", subscribed to ingest's events table — maintains a
 // derived count. Every edge in the chain is the at-least-once/exactly-once
-// pairing under test: the timer fire is transactional (one message per
-// occurrence, ever), the queue redelivers the occurrence until it is acked,
-// the stamped instance id makes redeliveries collapse in the intent table,
-// and the CDC fire is a logged step of the ingest instance. The crash-sweep
+// pairing under test: the timer fire is transactional (one registered
+// intent per occurrence, ever, whose instance id is the occurrence's id),
+// the intent collector relaunches the occurrence until it completes, and
+// the CDC fire is a logged step of the ingest instance. The crash-sweep
 // test kills both SSFs at every operation boundary and asserts the counts
 // come out as if nothing had crashed.
 package cron
@@ -33,7 +33,7 @@ const (
 func Register(d *beldi.Deployment) {
 	d.Function(FnIngest, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		// One row per occurrence: the instance id IS the occurrence id
-		// (stamped by the timer fire), so a redelivered occurrence replays
+		// (registered by the timer fire), so a relaunched occurrence replays
 		// this write instead of adding a row.
 		if err := e.Write(EventsTable, e.InstanceID(), in); err != nil {
 			return beldi.Null, err

@@ -11,12 +11,13 @@ import (
 	"repro/internal/uuid"
 )
 
-// rig is one deployment with durable async enabled: timers, invocation
-// queues, mappers. The visibility timeout is short so a crashed delivery is
-// redelivered within a few drive rounds.
+// rig is one deployment with durable async enabled: timers whose
+// occurrences register intents. ICMinAge is short so a crashed run is
+// relaunched within a few drive rounds.
 type rig struct {
-	d  *beldi.Deployment
-	da *beldi.DurableAsync
+	d    *beldi.Deployment
+	da   *beldi.DurableAsync
+	plat *platform.Platform
 }
 
 func newRig(t *testing.T, faults platform.FaultPlan) *rig {
@@ -31,22 +32,19 @@ func newRig(t *testing.T, faults platform.FaultPlan) *rig {
 	})
 	Register(d)
 	da := d.EnableDurableAsync(beldi.DurableAsyncOptions{
-		VisibilityTimeout: 2 * time.Millisecond,
-		MaxReceives:       -1, // sweeps redeliver many times; never dead-letter
+		MaxReceives: -1, // sweeps relaunch many times; never mark an intent dead
 	})
-	return &rig{d: d, da: da}
+	return &rig{d: d, da: da, plat: plat}
 }
 
-// drive advances the whole machine one round: fire due timers, deliver
-// queued invocations, restart crashed intents.
+// drive advances the whole machine one round: fire due timers, wait for
+// the runs they launched, restart crashed intents.
 func (r *rig) drive(t *testing.T) {
 	t.Helper()
 	if _, err := r.da.Timers().FireDue(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.da.PollAll(); err != nil {
-		t.Fatal(err)
-	}
+	r.plat.Drain()
 	if err := r.d.RunAllCollectors(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +56,7 @@ func (r *rig) converge(t *testing.T, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		time.Sleep(2 * time.Millisecond) // exceed ICMinAge and the visibility timeout
+		time.Sleep(2 * time.Millisecond) // exceed ICMinAge
 		r.drive(t)
 		total, err := Total(r.d)
 		if err != nil {
@@ -78,7 +76,7 @@ func (r *rig) converge(t *testing.T, want int64) {
 			t.Fatalf("never converged: total=%d indexed=%d, want %d", total, indexed, want)
 		}
 	}
-	// Stability: more fires, deliveries and collection must change nothing.
+	// Stability: more fires, runs and collection must change nothing.
 	for i := 0; i < 3; i++ {
 		time.Sleep(2 * time.Millisecond)
 		r.drive(t)
@@ -176,7 +174,7 @@ func TestCronFirerRestartDoesNotDuplicate(t *testing.T) {
 
 // TestCronCrashSweepExactlyOnce is the kill-mid-fire sweep: for every
 // operation boundary of the ingest SSF and of the CDC handler, a worker is
-// killed there mid-delivery; the queue redelivers, the collectors restart,
+// killed there mid-run; the collectors restart it,
 // and the final counts must equal the crash-free run — one ingested
 // occurrence, one indexed change — on whatever backend the matrix selects
 // (BELDI_BACKEND=wal runs this against the durable walstore).

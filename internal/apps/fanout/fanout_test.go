@@ -180,21 +180,24 @@ func (s countedSub) Wait(d time.Duration, cancel <-chan struct{}, skip func(stor
 }
 
 // TestFanOutJobStoreOpsByTable prices one job of 8 mappers, table by table.
-// Delivery is made deterministic: the mappers are driven by PollAll one
-// message at a time, the await's fallback timer is out of reach, and each
-// poll waits for the driver's wait to have taken the commit event of the
-// post it caused — so the results arrive one by one, in order, the case that
-// once cost the fan-in a wake-up fetch plus the next await's first fetch per
-// result. The fan-in now waits once: one fetch finds nothing, the wait skips
-// the first 7 posts and wakes on the 8th, and one more fetch finds all 8.
+// Delivery is made deterministic: the platform hands each mapper's fire to
+// the test, which runs them one at a time on its own goroutine; the await's
+// fallback timer is out of reach, and each run waits for the driver's wait
+// to have taken the commit event of the post it caused — so the results
+// arrive one by one, in order, the case that once cost the fan-in a wake-up
+// fetch plus the next await's first fetch per result. The fan-in now waits
+// once: one fetch finds nothing, the wait skips the first 7 posts and wakes
+// on the 8th, and one more fetch finds all 8.
 func TestFanOutJobStoreOpsByTable(t *testing.T) {
-	const fanIn, mapQueue = FnReduce + ".invokelog", "queue.invoke." + FnMap
+	const fanIn = FnReduce + ".invokelog"
 	store := &eventCounting{Counting: storagetest.NewCounting(dynamo.NewStore()), table: fanIn}
-	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"}})
+	fires := make(chan func(), 64)
+	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"},
+		AsyncDispatch: func(run func()) { fires <- run }})
 	d := beldi.NewDeployment(beldi.DeploymentOptions{Store: store, Platform: plat,
 		Config: beldi.Config{LockRetryBase: time.Hour}})
 	app := Build(d)
-	da := d.EnableDurableAsync(beldi.DurableAsyncOptions{BatchSize: 1})
+	d.EnableDurableAsync(beldi.DurableAsyncOptions{})
 	job := corpus()
 	docs := len(job.Docs)
 
@@ -214,8 +217,11 @@ func TestFanOutJobStoreOpsByTable(t *testing.T) {
 	// Fanned out, and waiting on all the results.
 	until("fan-in fetches", 1, func() int { return store.Count(fanIn, "query") })
 	for i := 1; i <= docs; i++ {
-		if n, _, err := da.PollAll(); n != 1 || err != nil {
-			t.Fatalf("poll %d delivered %d messages, err %v", i, n, err)
+		select {
+		case run := <-fires:
+			run()
+		default:
+			t.Fatalf("run %d: the driver fired only %d mappers", i, i-1)
 		}
 		until("commit events taken", i, func() int { return int(store.events.Load()) })
 	}
@@ -241,13 +247,6 @@ func TestFanOutJobStoreOpsByTable(t *testing.T) {
 		FnMap + ".intent update":      docs,
 		FnMap + ".data.perdoc query":  docs,
 		FnMap + ".data.perdoc update": docs,
-		// Each message: enqueued, found by one scan, claimed, acked; PollAll
-		// also polls the driver's own, empty, queue.
-		mapQueue + " put":                    docs,
-		mapQueue + " scan":                   docs,
-		mapQueue + " update":                 docs,
-		mapQueue + " delete":                 docs,
-		"queue.invoke." + FnReduce + " scan": docs,
 	}
 	got := store.Counts()
 	for k, n := range want {

@@ -1,12 +1,12 @@
 // Package orders is an event-driven order-processing pipeline: the fan-out
-// scenario the durable event-queue subsystem exists for. Unlike the paper's
-// case studies (media, travel, social), which compose SSFs with synchronous
-// calls, every edge after the client request here is an asynchronous event
-// delivered through a durable per-function invocation queue and drained by a
-// platform event-source mapper — Triggerflow-style composition on Beldi
+// scenario durable asynchrony exists for. Unlike the paper's case studies
+// (media, travel, social), which compose SSFs with synchronous calls, every
+// edge after the client request here is an asynchronous invocation — a
+// registered intent, fired in-process and relaunched by the intent
+// collector if the fire is lost — Triggerflow-style composition on Beldi
 // semantics.
 //
-// The workflow (5 SSFs, queue edges marked ⇒):
+// The workflow (5 SSFs, asynchronous edges marked ⇒):
 //
 //	client → frontend ⇒ payment ⇒ inventory
 //	                            ⇒ shipping ⇒ notify
@@ -18,8 +18,8 @@
 //
 // Design note: consumers deliberately avoid cross-message locks on hot keys
 // (a global revenue counter, a shared stock cell). Under at-least-once
-// redelivery, an instance that exhausts its logged lock-retry budget replays
-// those failed attempts deterministically forever — the message turns to
+// relaunching, an instance that exhausts its logged lock-retry budget replays
+// those failed attempts deterministically forever — the intent turns to
 // poison. Keying every effect by order id removes the contention instead;
 // aggregates are derived at read time. Beldi's per-instance step replay then
 // yields exactly-once with no cross-consumer coordination at all.
@@ -27,10 +27,8 @@ package orders
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sync/atomic"
-	"time"
 
 	"repro/beldi"
 )
@@ -53,17 +51,16 @@ const (
 )
 
 // PoisonUser marks orders whose notification consumer crash-loops while the
-// poison is armed — the poison-message scenario for dead-letter tests.
+// poison is armed — the poison scenario for launch-budget tests.
 const PoisonUser = "user-poison"
 
 // App wires the pipeline.
 type App struct {
-	d  *beldi.Deployment
-	da *beldi.DurableAsync
+	d *beldi.Deployment
 
 	// poisonArmed makes notify crash on PoisonUser orders: a consumer-side
-	// bug that redelivery alone cannot fix (until "deployed away" by
-	// disarming), which is what drives messages to the DLQ.
+	// bug that relaunching alone cannot fix (until "deployed away" by
+	// disarming), which is what runs an intent out of its launch budget.
 	poisonArmed atomic.Bool
 }
 
@@ -71,7 +68,7 @@ type App struct {
 func (a *App) ArmPoison(on bool) { a.poisonArmed.Store(on) }
 
 // Build registers the five SSFs. Call EnableEvents (or the deployment's own
-// EnableDurableAsync) afterwards to put queues under the async edges.
+// EnableDurableAsync) afterwards to bound the async edges' launches.
 func Build(d *beldi.Deployment) *App {
 	a := &App{d: d}
 	d.Function(FnFrontend, a.frontend, "orders")
@@ -82,24 +79,11 @@ func Build(d *beldi.Deployment) *App {
 	return a
 }
 
-// EnableEvents wires the durable event-queue subsystem under the pipeline's
-// async edges and starts the background event-source mappers. Returns the
-// wiring for inspection (queue depths, DLQs, mapper metrics).
+// EnableEvents enables durable asynchrony under the pipeline's async edges
+// and returns the wiring for inspection (dead intents).
 func (a *App) EnableEvents(opts beldi.DurableAsyncOptions) *beldi.DurableAsync {
-	a.da = a.d.EnableDurableAsync(opts)
-	a.da.Start()
-	return a.da
+	return a.d.EnableDurableAsync(opts)
 }
-
-// Close stops the background mappers (io.Closer so harnesses can clean up).
-func (a *App) Close() error {
-	if a.da != nil {
-		a.da.Stop()
-	}
-	return nil
-}
-
-var _ io.Closer = (*App)(nil)
 
 // Seed catalogues the inventory.
 func (a *App) Seed() error {
@@ -133,8 +117,8 @@ func (a *App) frontend(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		if err := e.Write("orders", order, rec); err != nil {
 			return beldi.Null, err
 		}
-		// The durable handoff: intent registration + queue message. From
-		// here the pipeline advances by events alone.
+		// The durable handoff: the payment intent's registration, then its
+		// fire. From here the pipeline advances by events alone.
 		if err := e.AsyncInvoke(FnPayment, in); err != nil {
 			return beldi.Null, err
 		}
@@ -317,13 +301,8 @@ func (a *App) Request(r *rand.Rand) beldi.Value {
 	)
 }
 
-// DefaultEventOptions are the queue parameters harnesses use for this app:
-// quick redelivery so fault-injection runs converge fast.
+// DefaultEventOptions are the durable-async parameters harnesses use for
+// this app: the default launch budget, stated.
 func DefaultEventOptions() beldi.DurableAsyncOptions {
-	return beldi.DurableAsyncOptions{
-		VisibilityTimeout: 25 * time.Millisecond,
-		MaxReceives:       5,
-		BatchSize:         8,
-		PollInterval:      time.Millisecond,
-	}
+	return beldi.DurableAsyncOptions{MaxReceives: beldi.DefaultMaxReceives}
 }

@@ -7,14 +7,13 @@ import (
 
 	"repro/beldi"
 	"repro/internal/platform"
-	"repro/internal/queue"
 	"repro/internal/storage"
 	"repro/internal/storage/storagetest"
 )
 
-// rig builds the pipeline on a fresh store/platform with queue-backed async
-// edges. Mappers are not started: tests drive delivery deterministically
-// with da.Drain / da.PollAll unless they opt into background polling.
+// rig builds the pipeline on a fresh store/platform with durable async
+// edges. Nothing runs in the background: tests settle the pipeline with
+// da.Drain unless they start the collection loop.
 type rig struct {
 	store storage.Backend
 	plat  *platform.Platform
@@ -106,8 +105,8 @@ func TestPipelineCompletesExactlyOnce(t *testing.T) {
 
 // TestCrashedConsumerIsRedeliveredExactlyOnce is the acceptance scenario: a
 // CrashOnce fault kills the payment consumer mid-handler — after it has
-// already accrued revenue — so the queue message stays in flight, reappears
-// after the visibility timeout, and the re-execution replays to completion
+// already accrued revenue — so its intent stays pending, the intent
+// collector relaunches it, and the re-execution replays to completion
 // without double-charging.
 func TestCrashedConsumerIsRedeliveredExactlyOnce(t *testing.T) {
 	r := newRig(t, DefaultEventOptions())
@@ -124,8 +123,8 @@ func TestCrashedConsumerIsRedeliveredExactlyOnce(t *testing.T) {
 	if !fault.Fired() {
 		t.Fatal("fault never fired; the scenario did not run")
 	}
-	if r.da.Broker().Metrics().Redelivered.Load() == 0 {
-		t.Fatal("no redelivery observed: the crashed consumer's message should have come back")
+	if r.d.Runtime(FnPayment).StatsSnapshot().Restarts == 0 {
+		t.Fatal("no relaunch observed: the crashed consumer's intent should have come back")
 	}
 	r.assertTotals(t, ids, revenue, units)
 }
@@ -171,22 +170,39 @@ func TestCrashSweepAcrossPaymentSteps(t *testing.T) {
 	}
 }
 
-// TestPoisonMessageDeadLettersThenRedrives drives a message whose consumer
-// crash-loops into the DLQ after its redelivery budget, confirms the rest of
-// the pipeline was unaffected, then "fixes the consumer", redrives, and sees
-// the notification land exactly once.
-func TestPoisonMessageDeadLettersThenRedrives(t *testing.T) {
+// TestPoisonIntentGoesDeadThenRedrives drives an order whose notification
+// crash-loops while collector passes keep running: the notify intent is
+// launched exactly MaxReceives times — its in-process fire and then the
+// collector's relaunches — and then marked dead, after which no pass
+// relaunches it, while the rest of the pipeline completes. Once the consumer
+// is fixed, Redrive delivers the notification exactly once.
+func TestPoisonIntentGoesDeadThenRedrives(t *testing.T) {
 	opts := DefaultEventOptions()
 	opts.MaxReceives = 3
 	r := newRig(t, opts)
 	r.app.ArmPoison(true)
+	launches := func() int64 { return r.plat.Metrics().Crashes.Load() } // each poisoned launch dies
 
 	id := "order-poison"
 	if _, err := r.d.Invoke(FnFrontend, PlaceRequest(id, PoisonUser, ItemID(0), 2, 42)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.da.Drain(5 * time.Second); err != nil {
-		t.Fatal(err)
+	for pass := 0; pass < 10; pass++ {
+		r.plat.Drain()
+		if err := r.d.RunAllCollectors(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.plat.Drain()
+	if n := launches(); n != int64(opts.MaxReceives) {
+		t.Fatalf("the poisoned notification ran %d times under 10 collector passes, want the budget %d", n, opts.MaxReceives)
+	}
+	if st := r.d.Runtime(FnNotify).StatsSnapshot(); st.Restarts != int64(opts.MaxReceives-1) || st.IntentsDead != 1 {
+		t.Fatalf("notify relaunched %d times and marked %d intents dead, want %d and 1", st.Restarts, st.IntentsDead, opts.MaxReceives-1)
+	}
+	dead, err := r.da.DeadIntents(FnNotify)
+	if err != nil || len(dead) != 1 {
+		t.Fatalf("DeadIntents = %v, %v; want one", dead, err)
 	}
 
 	// Payment, inventory and shipping completed; only the notification is
@@ -198,17 +214,6 @@ func TestPoisonMessageDeadLettersThenRedrives(t *testing.T) {
 	if tot.Revenue != 42 || tot.StockSold != 2 || tot.PaidOrders != 1 || tot.Shipments != 1 {
 		t.Fatalf("upstream pipeline disturbed by poison: %+v", tot)
 	}
-	notifyQ := queue.QueueFor(FnNotify)
-	dead, err := r.da.Broker().DeadLetters(notifyQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dead) != 1 {
-		t.Fatalf("DLQ has %d messages, want 1", len(dead))
-	}
-	if dead[0].ReceiveCount != opts.MaxReceives {
-		t.Fatalf("poison message received %d times, want the budget %d", dead[0].ReceiveCount, opts.MaxReceives)
-	}
 	note, err := beldi.PeekState(r.d.Runtime(FnNotify), "inbox", "note."+id)
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +222,10 @@ func TestPoisonMessageDeadLettersThenRedrives(t *testing.T) {
 		t.Fatalf("poisoned notification partially applied: %v", note)
 	}
 
-	// Fix the consumer and redrive: the same message (same intent) now
-	// completes, exactly once.
+	// Fix the consumer and redrive: the same intent now completes, exactly
+	// once.
 	r.app.ArmPoison(false)
-	n, err := r.da.Broker().Redrive(notifyQ)
+	n, err := r.da.Redrive(FnNotify)
 	if err != nil || n != 1 {
 		t.Fatalf("Redrive = %d, %v", n, err)
 	}
@@ -234,50 +239,45 @@ func TestPoisonMessageDeadLettersThenRedrives(t *testing.T) {
 	if note.Int() != 1 {
 		t.Fatalf("note count after redrive = %d, want exactly 1", note.Int())
 	}
-	if dead, _ := r.da.Broker().DeadLetters(notifyQ); len(dead) != 0 {
-		t.Fatalf("DLQ not emptied by redrive: %v", dead)
+	if dead, _ := r.da.DeadIntents(FnNotify); len(dead) != 0 {
+		t.Fatalf("dead intents after redrive: %v", dead)
 	}
 	if err := r.d.FsckAll(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPipelineUnderChaosWithBackgroundMappers runs the full rig the way a
-// deployment would — background event-source mappers — while a probabilistic
-// fault plan keeps killing inventory consumers. Redelivery plus replay must
-// still converge to exact totals. Dead-lettering is disabled so no amount of
-// bad luck can strand a message.
-func TestPipelineUnderChaosWithBackgroundMappers(t *testing.T) {
+// TestPipelineUnderChaosWithCollectionLoop runs the full rig the way a
+// deployment would — the deployment's background collection loop — while a
+// probabilistic fault plan keeps killing inventory consumers. Relaunch plus
+// replay must still converge to exact totals. The launch budget is off so
+// no amount of bad luck can strand an intent.
+func TestPipelineUnderChaosWithCollectionLoop(t *testing.T) {
 	opts := DefaultEventOptions()
 	opts.MaxReceives = -1
 	r := newRig(t, opts)
 	r.plat.SetFaults(&platform.CrashProb{Function: FnInventory, P: 0.1, Seed: 11})
-	r.da.Start()
+	r.d.StartCollectors()
 
 	ids, revenue, units := r.place(t, 30)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		depth, err := r.da.Depth()
+		tot, err := r.app.Totals(ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if depth == 0 {
-			tot, err := r.app.Totals(ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tot.Revenue == revenue && tot.StockSold == units &&
-				tot.Shipments == len(ids) && tot.Notifications == int64(len(ids)) {
-				break
-			}
+		if tot.Revenue == revenue && tot.StockSold == units &&
+			tot.Shipments == len(ids) && tot.Notifications == int64(len(ids)) {
+			break
 		}
 		if time.Now().After(deadline) {
-			tot, _ := r.app.Totals(ids)
-			t.Fatalf("pipeline did not converge: depth=%d totals=%+v want revenue=%d units=%d n=%d",
-				depth, tot, revenue, units, len(ids))
+			t.Fatalf("pipeline did not converge: totals=%+v want revenue=%d units=%d n=%d",
+				tot, revenue, units, len(ids))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	r.d.Stop()
+	r.plat.Drain()
 	r.plat.SetFaults(nil)
 	r.assertTotals(t, ids, revenue, units)
 }

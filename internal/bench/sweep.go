@@ -53,11 +53,7 @@ func BuildApp(sys *System, name string) (workloadApp, error) {
 		if err := app.Seed(); err != nil {
 			return nil, err
 		}
-		eo := orders.DefaultEventOptions()
-		// Queue parameters scale with the system's latency compression the
-		// same way the platform's dispatch costs do.
-		eo.VisibilityTimeout = time.Duration(float64(500*time.Millisecond) * sys.Scale)
-		app.EnableEvents(eo)
+		app.EnableEvents(orders.DefaultEventOptions())
 		return app, nil
 	default:
 		return nil, fmt.Errorf("bench: unknown app %q", name)

@@ -90,7 +90,7 @@ func (ev envelope) encode() Value {
 	}
 	fs = append(fs, dynamo.F("Input", ev.Input))
 	if ev.InstanceID != "" {
-		fs = append(fs, dynamo.F(InstanceKey, dynamo.S(ev.InstanceID)))
+		fs = append(fs, dynamo.F(instanceKey, dynamo.S(ev.InstanceID)))
 	}
 	fs = append(fs, dynamo.F("Kind", dynamo.S(ev.Kind)))
 	if ev.ReplyFn != "" {
@@ -106,12 +106,8 @@ func (ev envelope) encode() Value {
 	return dynamo.Fields(slices.Clone(fs)...)
 }
 
-// InstanceKey is the envelope map entry carrying the callee's instance id.
-// Fire sources that stamp a deterministic per-occurrence id into a client
-// envelope (durable timers; see queue.TimerSpec.StampKey) name this entry,
-// so every redelivery of the same occurrence runs as the same intent and
-// the intent table deduplicates it.
-const InstanceKey = "InstanceId"
+// instanceKey is the envelope map entry carrying the callee's instance id.
+const instanceKey = "InstanceId"
 
 // ClientEnvelope wraps a raw client payload as a call envelope — how
 // external requests enter a workflow. (Raw payloads are also accepted;
@@ -153,7 +149,7 @@ func decodeEnvelope(raw Value) envelope {
 			ev.First = v.BoolVal()
 		case "Input":
 			ev.Input = v
-		case InstanceKey:
+		case instanceKey:
 			ev.InstanceID = v.Str()
 		case "Kind":
 			ev.Kind = v.Str()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/dynamo"
 )
@@ -53,28 +54,30 @@ func (rt *Runtime) collectorGate() CollectorGate {
 	return rt.gate
 }
 
-// touchLaunchFenced is touchLaunch with fencing: the LastLaunch
-// compare-and-set commits in one transaction with the gate's condition
+// touchLaunchFenced is the collector's claim of intent id: one conditional
+// update, guarded on the LastLaunch it observed and on the intent not being
+// done, that applies ups (a relaunch's, or a dead mark's; see launchClaim).
+// With a fence it commits in one transaction with the gate's condition
 // checks, so the claim lands only while the claimant still holds its
 // authority. A claim rejected by a fence check (rather than by the
 // LastLaunch race) is counted in Stats.FencedClaims — the observable
 // signature of a zombie's write being refused.
-func (rt *Runtime) touchLaunchFenced(id string, observed, now int64, fence []dynamo.TxOp) (bool, error) {
-	if len(fence) == 0 {
-		return rt.touchLaunch(id, observed, now)
-	}
-	ops := make([]dynamo.TxOp, 0, len(fence)+1)
-	ops = append(ops, fence...)
-	ops = append(ops, dynamo.TxOp{
+func (rt *Runtime) touchLaunchFenced(id string, observed int64, fence []dynamo.TxOp, ups []dynamo.Update) (bool, error) {
+	claim := dynamo.TxOp{
 		Table: rt.intentTable,
 		Key:   dynamo.HK(dynamo.S(id)),
 		Cond: dynamo.And(
 			dynamo.Eq(dynamo.A(attrLastLaunch), dynamo.NInt(observed)),
 			dynamo.Eq(dynamo.A(attrDone), dynamo.Bool(false)),
 		),
-		Updates: []dynamo.Update{dynamo.Set(dynamo.A(attrLastLaunch), dynamo.NInt(now))},
-	})
-	err := rt.store.TransactWrite(ops)
+		Updates: ups,
+	}
+	var err error
+	if len(fence) == 0 {
+		err = rt.store.Update(claim.Table, claim.Key, claim.Cond, ups...)
+	} else {
+		err = rt.store.TransactWrite(append(slices.Clip(fence), claim))
+	}
 	if err == nil {
 		return true, nil
 	}
@@ -89,6 +92,9 @@ func (rt *Runtime) touchLaunchFenced(id string, observed, now int64, fence []dyn
 				break
 			}
 		}
+		return false, nil
+	}
+	if errors.Is(err, dynamo.ErrConditionFailed) {
 		return false, nil
 	}
 	return false, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -23,6 +24,47 @@ type fixture struct {
 	mode  Mode
 	cfg   Config
 	plans platform.Plans
+	held  heldRuns
+}
+
+// heldRuns is the fixture platform's AsyncDispatch: while a test holds it,
+// every asynchronous fire is kept for the test to run, so a run's store ops
+// never land inside another step's measurement; otherwise each runs on its
+// own goroutine, as the platform's default does. A held run must be run
+// before the platform drains.
+type heldRuns struct {
+	mu      sync.Mutex
+	holding bool
+	runs    []queuedRun
+}
+
+// queuedRun is one held asynchronous fire.
+type queuedRun func()
+
+func (h *heldRuns) dispatch(run func()) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.holding {
+		h.runs = append(h.runs, run)
+		return
+	}
+	go run()
+}
+
+// hold keeps every asynchronous fire from now until the next take.
+func (h *heldRuns) hold() {
+	h.mu.Lock()
+	h.holding = true
+	h.mu.Unlock()
+}
+
+// take returns the held fires and stops holding.
+func (h *heldRuns) take() []queuedRun {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	runs := h.runs
+	h.runs, h.holding = nil, false
+	return runs
 }
 
 type fixtureOpt func(*fixture)
@@ -54,6 +96,7 @@ func newFixture(t *testing.T, opts ...fixtureOpt) *fixture {
 		ConcurrencyLimit: 10000,
 		IDs:              &uuid.Seq{Prefix: "req"},
 		Faults:           faults,
+		AsyncDispatch:    f.held.dispatch,
 	})
 	return f
 }

@@ -27,6 +27,7 @@ type intentRecord struct {
 	ret        Value
 	startTime  int64
 	lastLaunch int64
+	launches   int64 // collector launches counted so far; 0 until the first
 	finishTime int64
 	hasFinish  bool
 	// fresh is true when this execution is the intent's first, not a replayed
@@ -50,6 +51,7 @@ func decodeIntent(it dynamo.Item) *intentRecord {
 		ret:        it[attrRet],
 		startTime:  it[attrStartTime].Int(),
 		lastLaunch: it[attrLastLaunch].Int(),
+		launches:   it[attrLaunches].Int(),
 	}
 	if v, ok := it[attrArgs]; ok {
 		r.args = decodeEnvelope(v)
@@ -74,7 +76,16 @@ func (rt *Runtime) newIntent(id string, ev envelope) *intentRecord {
 // entry (ensureIntent) or at a deferred instance's first effect boundary
 // (materialiseIntent).
 func (rt *Runtime) createIntent(rec *intentRecord) error {
-	item := dynamo.Item{
+	err := rt.store.Put(rt.intentTable, rec.item(), instanceAbsent)
+	if err == nil {
+		rt.stats.IntentsStarted.Add(1)
+	}
+	return err
+}
+
+// item is rec's intent row as it is first written: pending, not done.
+func (rec *intentRecord) item() dynamo.Item {
+	return dynamo.Item{
 		attrInstanceID: dynamo.S(rec.id),
 		attrDone:       dynamo.Bool(false),
 		attrPending:    dynamo.S(pendingMarker),
@@ -83,11 +94,19 @@ func (rt *Runtime) createIntent(rec *intentRecord) error {
 		attrStartTime:  dynamo.NInt(rec.startTime),
 		attrLastLaunch: dynamo.NInt(rec.lastLaunch),
 	}
-	err := rt.store.Put(rt.intentTable, item, instanceAbsent)
-	if err == nil {
-		rt.stats.IntentsStarted.Add(1)
-	}
-	return err
+}
+
+// ScheduledIntent registers an asynchronous run of this SSF with input as
+// instance id — asyncInvoke's two steps for a durable timer's occurrence.
+// put is step 1, the intent row's put guarded on its absence, for the
+// transaction that also advances the timer, so the occurrence and the
+// advance commit together and the id deduplicates the occurrence; fire is
+// step 2, the in-process fire, to run once that transaction commits. A lost
+// fire leaves the intent pending for the intent collector.
+func (rt *Runtime) ScheduledIntent(id string, input Value) (put dynamo.TxOp, fire func()) {
+	run := envelope{Kind: kindAsyncRun, InstanceID: id, Input: input, Async: true}
+	put = dynamo.TxOp{Table: rt.intentTable, Key: dynamo.HK(dynamo.S(id)), Put: rt.newIntent(id, run).item(), Cond: instanceAbsent}
+	return put, func() { _ = rt.plat.InvokeAsyncInternal(rt.fn, run.encode()) }
 }
 
 // ensureIntent makes the instance's intent row exist, creating it on first
@@ -165,23 +184,4 @@ func MarksIntentDone(table string, updates []dynamo.Update) bool {
 		}
 	}
 	return false
-}
-
-// touchLaunch conditionally advances LastLaunch from its observed value —
-// the claim step that keeps concurrent intent collectors from double-
-// restarting the same instance.
-func (rt *Runtime) touchLaunch(id string, observed, now int64) (bool, error) {
-	err := rt.store.Update(rt.intentTable, dynamo.HK(dynamo.S(id)),
-		dynamo.And(
-			dynamo.Eq(dynamo.A(attrLastLaunch), dynamo.NInt(observed)),
-			dynamo.Eq(dynamo.A(attrDone), dynamo.Bool(false)),
-		),
-		dynamo.Set(dynamo.A(attrLastLaunch), dynamo.NInt(now)))
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, dynamo.ErrConditionFailed) {
-		return false, nil
-	}
-	return false, err
 }

@@ -276,19 +276,12 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, promise bool)
 	}
 	e.crash("ainvoke:mid:", stepKey)
 
-	// Step 2: the actual asynchronous invocation. At-least-once is enough:
-	// the run stub skips intents that are missing (GC'd) or complete. With a
-	// durable transport configured, the run envelope becomes a queue message
-	// instead of an in-process handoff: the registered intent now pairs with
-	// a durable record an event-source mapper will drain even if this caller
-	// and the platform's async goroutine both die. A crash between the
-	// enqueue and the next crash point re-enqueues on re-execution — a
-	// duplicate the callee's intent dedup absorbs.
-	if t := e.rt.asyncTransport(); t != nil {
-		if err := t.Deliver(callee, run.encode()); err != nil {
-			return "", replay, fmt.Errorf("core: asyncInvoke %s: durable delivery: %w", callee, err)
-		}
-	} else if err := e.rt.plat.InvokeAsyncInternal(callee, run.encode()); err != nil {
+	// Step 2: the actual asynchronous invocation, an in-process fire.
+	// At-least-once is enough: the run stub skips intents that are missing
+	// (GC'd) or complete. The registered intent is the durable record of the
+	// run: if this fire is lost — the caller or the platform's async
+	// goroutine dies — the callee's intent collector launches it.
+	if err := e.rt.plat.InvokeAsyncInternal(callee, run.encode()); err != nil {
 		return "", replay, fmt.Errorf("core: asyncInvoke %s: run: %w", callee, err)
 	}
 	e.crash("ainvoke:post:", stepKey)

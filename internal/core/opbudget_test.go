@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -26,33 +25,6 @@ import (
 // write to a never-written key costs what any write does: the head row is
 // created by the upsert that logs the step.
 
-// queuedTransport holds async run envelopes until the test delivers them,
-// so a run's store ops never land inside another step's measurement.
-type queuedTransport struct {
-	mu   sync.Mutex
-	runs []queuedRun
-}
-
-type queuedRun struct {
-	fn      string
-	payload Value
-}
-
-func (q *queuedTransport) Deliver(fn string, payload Value) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.runs = append(q.runs, queuedRun{fn, payload})
-	return nil
-}
-
-func (q *queuedTransport) take() []queuedRun {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	runs := q.runs
-	q.runs = nil
-	return runs
-}
-
 // stepCost is one measured step: store ops, replays counted, value returned.
 type stepCost struct {
 	kind    string
@@ -71,7 +43,6 @@ func TestStoreOpBudget(t *testing.T) {
 		withConfig(Config{RowCap: 8, T: 50 * time.Millisecond, ICMinAge: time.Millisecond}))
 	ops := func() int64 { return store.Metrics().Snapshot().TotalOps() }
 
-	transport := &queuedTransport{}
 	leaf := func(e *Env, in Value) (Value, error) { return dynamo.S("leaf:" + in.Str()), nil }
 	f.fn("leaf", leaf)
 	f.fn("aleaf", leaf)
@@ -112,6 +83,7 @@ func TestStoreOpBudget(t *testing.T) {
 	var execs [][]stepCost // one slice of measured steps per execution of w
 	w := f.fn("w", func(e *Env, _ Value) (Value, error) {
 		var steps []stepCost
+		f.held.hold() // the async callees run below, after their invocations are measured
 		measure := func(kind string, step func() (Value, error)) error {
 			o, r := ops(), e.rt.stats.Replays.Load()
 			out, err := step()
@@ -174,10 +146,8 @@ func TestStoreOpBudget(t *testing.T) {
 		}
 		// Run the queued callees to completion now: the promises are posted and
 		// every async intent is done before the Awaits below are measured.
-		for _, run := range transport.take() {
-			if _, err := e.rt.plat.InvokeInternal(run.fn, run.payload); err != nil {
-				return dynamo.Null, err
-			}
+		for _, run := range f.held.take() {
+			run()
 		}
 		err = errors.Join(
 			measure("Await x8", func() (Value, error) {
@@ -198,7 +168,6 @@ func TestStoreOpBudget(t *testing.T) {
 		execs = append(execs, steps)
 		return dynamo.Null, err
 	}, "kv", "ref")
-	w.SetAsyncTransport(transport)
 
 	// Existing keys, written by earlier instances; "ref" is then sealed.
 	for _, seed := range []struct {

@@ -16,8 +16,7 @@ import (
 // Fig 20) into fan-out/fan-in: AsyncInvokePromise registers the callee
 // intent exactly as AsyncInvoke does, but stamps reply coordinates on the
 // registered envelope so that EVERY eventual execution of the callee —
-// fired directly, redelivered by a durable queue, or restarted by its
-// intent collector — posts its result into the caller's invoke-log row of
+// fired directly or restarted by its intent collector — posts its result into the caller's invoke-log row of
 // the call, the row that already names the callee: a single-assignment
 // Posted attribute (handlePromisePost). The result therefore lives and dies
 // with the log of the instance that may await it, and needs no store, no

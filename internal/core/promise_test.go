@@ -322,12 +322,11 @@ func TestPromisePostForCollectedOwnerIsRefused(t *testing.T) {
 		withConfig(Config{RowCap: 4, T: 30 * time.Millisecond, ICMinAge: time.Hour}))
 	var seq atomic.Int64
 	work := f.fn("work", fanWorkerBody(&seq), "count")
-	transport := &queuedTransport{}
 	driver := f.fn("driver", func(e *Env, in Value) (Value, error) {
+		f.held.hold()
 		_, err := e.AsyncInvokePromise("work", dynamo.NInt(1))
 		return dynamo.Null, err // never awaited: the driver completes at once
 	})
-	driver.SetAsyncTransport(transport)
 	f.mustInvoke("driver", dynamo.Null)
 
 	f.gcAll()
@@ -336,14 +335,12 @@ func TestPromisePostForCollectedOwnerIsRefused(t *testing.T) {
 		t.Fatalf("GC deleted %d intents, want the driver's", st.IntentsDeleted)
 	}
 
-	runs := transport.take()
+	runs := f.held.take()
 	if len(runs) != 1 {
 		t.Fatalf("%d held runs, want 1", len(runs))
 	}
 	before := store.Metrics().Snapshot()
-	if _, err := f.plat.InvokeInternal(runs[0].fn, runs[0].payload); err != nil {
-		t.Fatalf("late run: %v", err)
-	}
+	runs[0]()
 	d := store.Metrics().Snapshot().Sub(before)
 	if d.CondFailures != 1 {
 		t.Errorf("late run tripped %d store conditions, want 1 (the refused post)", d.CondFailures)
@@ -351,7 +348,11 @@ func TestPromisePostForCollectedOwnerIsRefused(t *testing.T) {
 	if st := driver.StatsSnapshot(); st.PromisePosts != 0 || st.PromisePostsRefused != 1 {
 		t.Errorf("posts applied/refused = %d/%d, want 0/1", st.PromisePosts, st.PromisePostsRefused)
 	}
-	if _, done, _, _ := work.intentDone(decodeEnvelope(runs[0].payload).InstanceID); !done {
+	intents, err := f.store.Scan(work.intentTable, dynamo.QueryOpts{})
+	if err != nil || len(intents) != 1 {
+		t.Fatalf("work intents = %v (%v), want the one the late run completed", intents, err)
+	}
+	if !intents[0][attrDone].BoolVal() {
 		t.Error("a refused post must not keep the callee from completing")
 	}
 	for _, tbl := range store.TableNames() {
@@ -428,18 +429,14 @@ func TestPromiseDuplicatePostKeepsFirstValue(t *testing.T) {
 // inOrder awaits a fan-out one promise after the other, on the root branch.
 func inOrder(e *Env, ps []*Promise) ([]Value, error) { return e.AwaitAll(ps...) }
 
-// heldFanOut registers a driver that fans width promises out through a held
-// transport, calls beforeAwait with the held runs — post runs one of them to
+// heldFanOut registers a driver that fans width promises out with their
+// runs held (fixture.held), calls beforeAwait with the held runs — post runs one of them to
 // completion, posting its result — and then awaits the promises with await.
 func heldFanOut(f *fixture, width int, beforeAwait func(runs []queuedRun, post func(queuedRun)),
 	await func(*Env, []*Promise) ([]Value, error)) {
-	transport := &queuedTransport{}
-	post := func(run queuedRun) {
-		if _, err := f.plat.InvokeInternal(run.fn, run.payload); err != nil {
-			f.t.Errorf("held run: %v", err)
-		}
-	}
-	driver := f.fn("driver", func(e *Env, in Value) (Value, error) {
+	post := func(run queuedRun) { run() }
+	f.fn("driver", func(e *Env, in Value) (Value, error) {
+		f.held.hold()
 		ps := make([]*Promise, width)
 		for i := range ps {
 			p, err := e.AsyncInvokePromise("leaf", dynamo.NInt(int64(i)))
@@ -448,11 +445,10 @@ func heldFanOut(f *fixture, width int, beforeAwait func(runs []queuedRun, post f
 			}
 			ps[i] = p
 		}
-		beforeAwait(transport.take(), post)
+		beforeAwait(f.held.take(), post)
 		outs, err := await(e, ps)
 		return dynamo.L(outs...), err
 	})
-	driver.SetAsyncTransport(transport)
 	f.fn("leaf", func(e *Env, in Value) (Value, error) { return in, nil })
 }
 

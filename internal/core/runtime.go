@@ -141,16 +141,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// AsyncTransport delivers asynchronous run envelopes durably, decoupling
-// AsyncInvoke's fire from the in-process platform handoff. Implementations
-// (queue.Transport) must provide at-least-once delivery of payload to an
-// eventual invocation of fn; Beldi's intent-table dedup turns that into
-// exactly-once execution. Deliver is called from live instances and must be
-// safe for concurrent use.
-type AsyncTransport interface {
-	Deliver(fn string, payload Value) error
-}
-
 // Runtime is the per-SSF infrastructure: its function name, its own
 // database, the platform it runs on, and its configuration.
 type Runtime struct {
@@ -162,8 +152,9 @@ type Runtime struct {
 	clk   clock.Clock
 	ids   uuid.Source
 
-	transportMu sync.RWMutex
-	transport   AsyncTransport
+	// launchBudget bounds the collector's launches of an async intent; 0
+	// means unbounded (SetLaunchBudget).
+	launchBudget atomic.Int64
 
 	gateMu sync.RWMutex
 	gate   CollectorGate
@@ -467,23 +458,12 @@ func (rt *Runtime) shadowWriteLogTable(logical string) string {
 	return rt.names(logical).shadowWlog
 }
 
-// SetAsyncTransport installs (or clears, with nil) the durable async
-// delivery path: AsyncInvoke then delivers its run envelope through a
-// durable queue instead of the platform's in-process async handoff. It is
-// the one way in; deployments call it when durable async is enabled after
-// functions were registered.
-func (rt *Runtime) SetAsyncTransport(t AsyncTransport) {
-	rt.transportMu.Lock()
-	rt.transport = t
-	rt.transportMu.Unlock()
-}
-
-// asyncTransport returns the current durable delivery path, or nil.
-func (rt *Runtime) asyncTransport() AsyncTransport {
-	rt.transportMu.RLock()
-	defer rt.transportMu.RUnlock()
-	return rt.transport
-}
+// SetLaunchBudget bounds how many times an async intent of this SSF is
+// launched: its in-process fire counts as the first, and each intent-
+// collector claim as one more. A claim that would go past n marks the intent
+// dead instead (RunIntentCollector), and Redrive returns it to the pending
+// index. n <= 0 means unbounded, the default.
+func (rt *Runtime) SetLaunchBudget(n int) { rt.launchBudget.Store(int64(max(n, 0))) }
 
 // Function returns the SSF's platform name.
 func (rt *Runtime) Function() string { return rt.fn }
@@ -600,6 +580,8 @@ const (
 	attrRet        = "Ret"
 	attrStartTime  = "StartTime"
 	attrLastLaunch = "LastLaunch"
+	attrLaunches   = "Launches" // intent: collector launches of an async intent under a launch budget
+	attrDead       = "Dead"     // intent: when its launch budget ran out (off the pending index)
 	attrFinishTime = "FinishTime"
 	attrCalleeID   = "CalleeId"
 	attrResult     = "Result"
@@ -626,6 +608,7 @@ var (
 	dangleAbsent    = dynamo.NotExists(dynamo.A(attrDangleTime))
 	postedPresent   = dynamo.Exists(dynamo.A(attrPosted))
 	postedAbsent    = dynamo.NotExists(dynamo.A(attrPosted))
+	deadPresent     = dynamo.Exists(dynamo.A(attrDead))
 	// doneUnstamped is a finished intent the collector has not stamped yet.
 	doneUnstamped = dynamo.And(dynamo.Eq(dynamo.A(attrDone), dynamo.Bool(true)),
 		dynamo.NotExists(dynamo.A(attrFinishTime)))

@@ -56,6 +56,7 @@ type Stats struct {
 	IntentsDeferred  atomic.Int64
 	IntentsElided    atomic.Int64
 	Restarts         atomic.Int64 // instances re-launched by the collector
+	IntentsDead      atomic.Int64 // async intents a claim found past their launch budget
 	CallbacksIn      atomic.Int64
 	SpuriousCallback atomic.Int64
 
@@ -86,7 +87,7 @@ type StatsView struct {
 	ReadLogFlushes, ReadLogRows, InstancesSuperseded                 int64
 	TxnBegun, TxnCommitted, TxnAborted                               int64
 	IntentsStarted, IntentsCompleted, Restarts                       int64
-	IntentsDeferred, IntentsElided                                   int64
+	IntentsDeferred, IntentsElided, IntentsDead                      int64
 	CallbacksIn, SpuriousCallback, FencedClaims                      int64
 	GCRuns, GCIntents, GCLogRows, GCRowsDeleted, GCDisconnected      int64
 	DAALRepairs                                                      int64
@@ -124,6 +125,7 @@ func (s *Stats) Snapshot() StatsView {
 		IntentsDeferred:  s.IntentsDeferred.Load(),
 		IntentsElided:    s.IntentsElided.Load(),
 		Restarts:         s.Restarts.Load(),
+		IntentsDead:      s.IntentsDead.Load(),
 		CallbacksIn:      s.CallbacksIn.Load(),
 		SpuriousCallback: s.SpuriousCallback.Load(),
 		FencedClaims:     s.FencedClaims.Load(),

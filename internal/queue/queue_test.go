@@ -402,28 +402,6 @@ func TestDeadLetterSurvivesInBothTablesNever(t *testing.T) {
 	}
 }
 
-func TestTransportDeliversToPerFunctionQueue(t *testing.T) {
-	b, _ := newTestBroker(t)
-	tr := NewTransport(b, Options{})
-	if err := tr.Deliver("fn-a", dynamo.S("payload")); err != nil {
-		t.Fatal(err)
-	}
-	msgs, err := b.Receive(QueueFor("fn-a"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 1 || msgs[0].Body.Str() != "payload" {
-		t.Fatalf("got %+v", msgs)
-	}
-	// Deliveries to the same function reuse the queue.
-	if err := tr.Deliver("fn-a", dynamo.S("again")); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Queues(); len(got) != 1 {
-		t.Fatalf("Queues() = %v, want one", got)
-	}
-}
-
 func TestLenCountsOnlyVisible(t *testing.T) {
 	b, _ := newTestBroker(t)
 	b.MustCreate("q", Options{VisibilityTimeout: time.Hour})

@@ -13,19 +13,19 @@ import (
 	"repro/internal/storage"
 )
 
-// Durable timers: registrations in a store-backed timer table that fire by
-// enqueueing a message onto an ordinary queue when their due time passes —
-// the EventBridge-Scheduler slice of the event subsystem. A fire is one
-// TransactWrite that atomically pairs the message insert with the timer
-// row's advance (periodic) or delete (one-shot), so a firer killed mid-fire
-// leaves either both effects or neither: re-scanning after recovery either
-// sees the timer still due (nothing happened) or already advanced (the
-// message is durably queued). Racing firers collapse the same way — the
-// loser's transaction cancels on the Fires guard — which makes the fire
-// exactly-once per (timer, occurrence) without any coordination beyond the
-// store's conditional writes. Delivery of the fired message is then the
-// queue's ordinary at-least-once contract, and Beldi consumers dedup it
-// through the intent table as usual.
+// Durable timers: registrations in a store-backed timer table that fire when
+// their due time passes. What a fire does is the service's Fire: it names
+// the row an occurrence writes, and a fire is one TransactWrite that pairs
+// that row's put with the timer row's advance (periodic) or delete
+// (one-shot), so a firer killed mid-fire leaves either both effects or
+// neither: re-scanning after recovery either sees the timer still due
+// (nothing happened) or already advanced (the occurrence's row is durable).
+// Racing firers collapse the same way — the loser's transaction cancels on
+// the Fires guard — which makes the fire exactly-once per (timer,
+// occurrence) without any coordination beyond the store's conditional
+// writes. Once the transaction commits, the fire runs what Fire returned
+// with the row; Beldi's is the in-process launch of the intent the row
+// registered, which the intent collector relaunches if it is lost.
 //
 // The background pump watches the timer table's commit stream when the
 // store pushes (storage.Watcher), so a fresh Schedule with a near due time
@@ -35,12 +35,11 @@ import (
 // Timer table attributes.
 const (
 	attrTimerID = "TimerId"
-	attrTimerQ  = "Queue"
+	attrTarget  = "Target"
 	attrDue     = "DueAt"  // microseconds, broker clock
 	attrPeriod  = "Period" // microseconds; 0 = one-shot
 	attrFires   = "Fires"  // completed fire count; the advance guard
-	attrGen     = "Gen"    // registration nonce: re-registered ids mint fresh message ids
-	attrStamp   = "StampKey"
+	attrGen     = "Gen"    // registration nonce: re-registered ids mint fresh occurrence ids
 )
 
 // A timer row's existence tests, built once.
@@ -59,27 +58,30 @@ const DefaultTimerPoll = 50 * time.Millisecond
 type TimerSpec struct {
 	// ID names the timer; Schedule is idempotent per id (first write wins).
 	ID string
-	// Queue receives the fired message. It must be declared on the broker by
-	// fire time.
-	Queue string
-	// Body is the message payload enqueued on each fire.
+	// Target is what the timer fires, as the service's Fire reads it.
+	Target string
+	// Body is the payload each fire hands to Fire.
 	Body Value
 	// Delay is the time until the first fire, from now on the broker's clock.
 	Delay time.Duration
 	// Period repeats the timer every Period after the first fire; 0 makes it
 	// one-shot. A pump that was down for several periods catches up one fire
-	// per due period, each with its own message.
+	// per due period, each with its own occurrence id.
 	Period time.Duration
-	// StampKey, when non-empty and Body is a map, names a map entry each
-	// fire sets to the occurrence's deterministic message id. Consumers that
-	// dedup on that entry (Beldi adopts it as the instance id when it is
-	// "InstanceId") turn the queue's at-least-once delivery into exactly-once
-	// processing per occurrence.
-	StampKey string
 }
+
+// Fire turns a due occurrence of a timer into the row it writes — put goes
+// into the transaction that advances the timer — and into run, called once
+// that transaction has committed. id is the occurrence's deterministic id,
+// distinct per (registration, fire count), so a put guarded on id's absence
+// deduplicates the occurrence. An error leaves the registration unfired
+// (an unknown target, say), for an operator.
+type Fire func(target, id string, body Value) (put dynamo.TxOp, run func(), err error)
 
 // TimerOptions configure a TimerService.
 type TimerOptions struct {
+	// Fire is what every fire does; required.
+	Fire Fire
 	// PollInterval is the pump's fallback poll cadence; 0 means
 	// DefaultTimerPoll.
 	PollInterval time.Duration
@@ -90,6 +92,7 @@ type TimerOptions struct {
 // drive firing deterministically with FireDue.
 type TimerService struct {
 	b    *Broker
+	fire Fire
 	poll time.Duration
 
 	metrics TimerMetrics
@@ -103,6 +106,9 @@ type TimerService struct {
 // NewTimerService creates (or reopens) the timer table, "queue.timers",
 // on b's store.
 func NewTimerService(b *Broker, opts TimerOptions) (*TimerService, error) {
+	if opts.Fire == nil {
+		return nil, fmt.Errorf("queue: NewTimerService: Fire is required")
+	}
 	if opts.PollInterval == 0 {
 		opts.PollInterval = DefaultTimerPoll
 	}
@@ -110,7 +116,7 @@ func NewTimerService(b *Broker, opts TimerOptions) (*TimerService, error) {
 	if err != nil && !errors.Is(err, dynamo.ErrTableExists) {
 		return nil, err
 	}
-	return &TimerService{b: b, poll: opts.PollInterval}, nil
+	return &TimerService{b: b, fire: opts.Fire, poll: opts.PollInterval}, nil
 }
 
 // Metrics exposes the service's counters.
@@ -120,26 +126,20 @@ func (ts *TimerService) Metrics() *TimerMetrics { return &ts.metrics }
 // id that is still registered is a no-op (the durable registration already
 // exists), so workflows can retry Schedule safely.
 func (ts *TimerService) Schedule(spec TimerSpec) error {
-	if spec.ID == "" || spec.Queue == "" {
-		return fmt.Errorf("queue: Schedule: ID and Queue are required")
+	if spec.ID == "" || spec.Target == "" {
+		return fmt.Errorf("queue: Schedule: ID and Target are required")
 	}
 	if spec.Delay < 0 || spec.Period < 0 {
 		return fmt.Errorf("queue: Schedule: negative Delay/Period")
 	}
-	if _, err := ts.b.options(spec.Queue); err != nil {
-		return err
-	}
 	item := dynamo.Item{
 		attrTimerID: dynamo.S(spec.ID),
-		attrTimerQ:  dynamo.S(spec.Queue),
+		attrTarget:  dynamo.S(spec.Target),
 		attrBody:    spec.Body,
 		attrDue:     dynamo.NInt(ts.b.now() + spec.Delay.Microseconds()),
 		attrPeriod:  dynamo.NInt(spec.Period.Microseconds()),
 		attrFires:   dynamo.NInt(0),
 		attrGen:     dynamo.S(ts.b.ids.NewString()),
-	}
-	if spec.StampKey != "" {
-		item[attrStamp] = dynamo.S(spec.StampKey)
 	}
 	err := ts.b.store.Put(timerTable, item, timerAbsent)
 	if err != nil {
@@ -166,8 +166,8 @@ func (ts *TimerService) Cancel(id string) error {
 // FireDue fires every registration whose due time has passed, returning how
 // many fired. Safe to call concurrently with other firers (races collapse on
 // the store's conditions) and deterministic enough for tests to drive
-// directly. A queue-level error on one timer does not stop the others; the
-// first such error is returned after the pass.
+// directly. An error on one timer does not stop the others; the first such
+// error is returned after the pass.
 func (ts *TimerService) FireDue() (int, error) {
 	fired, _, err := ts.firePass()
 	return fired, err
@@ -200,7 +200,7 @@ func (ts *TimerService) firePass() (fired int, next int64, _ error) {
 	})
 	var firstErr error
 	for _, row := range due {
-		ok, err := ts.fireOne(row, now)
+		ok, err := ts.fireOne(row)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -211,69 +211,35 @@ func (ts *TimerService) firePass() (fired int, next int64, _ error) {
 	return fired, next, firstErr
 }
 
-// fireOne attempts one timer's fire: a single transaction that inserts the
-// occurrence's message and advances (or deletes) the registration. The
-// message id embeds the registration nonce and fire count, so every
-// occurrence — across crashes, races, and re-registrations — gets a
-// distinct, deterministic id.
-func (ts *TimerService) fireOne(row dynamo.Item, now int64) (bool, error) {
+// fireOne attempts one timer's fire: a single transaction that puts the
+// occurrence's row and advances (or deletes) the registration, then the run
+// Fire returned. The occurrence id embeds the registration nonce and fire
+// count, so every occurrence — across crashes, races, and re-registrations —
+// gets a distinct, deterministic id.
+func (ts *TimerService) fireOne(row dynamo.Item) (bool, error) {
 	id := row[attrTimerID].Str()
-	q := row[attrTimerQ].Str()
 	fires := row[attrFires].Int()
 	period := row[attrPeriod].Int()
-	if _, err := ts.b.options(q); err != nil {
-		// The target queue is not declared on this broker (e.g. a surviving
-		// registration from a prior deployment). Leave the row for an
-		// operator; firing cannot proceed.
+	put, run, err := ts.fire(row[attrTarget].Str(), fmt.Sprintf("timer-%s-%s-%016x", id, row[attrGen].Str(), fires), row[attrBody])
+	if err != nil {
+		// Nothing here can fire this registration (e.g. one surviving from a
+		// prior deployment). Leave the row for an operator.
 		ts.metrics.Orphaned.Add(1)
 		return false, err
-	}
-	msgID := fmt.Sprintf("timer-%s-%s-%016x", id, row[attrGen].Str(), fires)
-	body := row[attrBody]
-	if sk := row[attrStamp].Str(); sk != "" && body.Kind() == dynamo.KindMap {
-		stamped := make([]dynamo.Field, 0, body.MapLen()+1)
-		for k, v := range body.Entries() {
-			stamped = append(stamped, dynamo.F(k, v))
-		}
-		body = dynamo.Fields(append(stamped, dynamo.F(sk, dynamo.S(msgID)))...) // the stamp wins over a body entry of its name
-	}
-	msg := dynamo.Item{
-		attrMsgID:   dynamo.S(msgID),
-		attrBody:    body,
-		attrSeq:     dynamo.NInt(ts.b.seq.Add(1)),
-		attrEnq:     dynamo.NInt(now),
-		attrVisible: dynamo.NInt(now),
-		attrRecv:    dynamo.NInt(0),
 	}
 	guard := dynamo.And(
 		timerPresent,
 		dynamo.Eq(dynamo.A(attrFires), dynamo.NInt(fires)),
 	)
-	ops := []dynamo.TxOp{{
-		Table: tableOf(q),
-		Key:   dynamo.HK(dynamo.S(msgID)),
-		Put:   msg,
-		Cond:  msgAbsent,
-	}}
+	advance := dynamo.TxOp{Table: timerTable, Key: dynamo.HK(dynamo.S(id)), Cond: guard, Delete: true}
 	if period > 0 {
-		ops = append(ops, dynamo.TxOp{
-			Table: timerTable,
-			Key:   dynamo.HK(dynamo.S(id)),
-			Cond:  guard,
-			Updates: []dynamo.Update{
-				dynamo.Set(dynamo.A(attrDue), dynamo.NInt(row[attrDue].Int()+period)),
-				dynamo.Add(dynamo.A(attrFires), 1),
-			},
-		})
-	} else {
-		ops = append(ops, dynamo.TxOp{
-			Table:  timerTable,
-			Key:    dynamo.HK(dynamo.S(id)),
-			Cond:   guard,
-			Delete: true,
-		})
+		advance.Delete = false
+		advance.Updates = []dynamo.Update{
+			dynamo.Set(dynamo.A(attrDue), dynamo.NInt(row[attrDue].Int()+period)),
+			dynamo.Add(dynamo.A(attrFires), 1),
+		}
 	}
-	if err := ts.b.store.TransactWrite(ops); err != nil {
+	if err := ts.b.store.TransactWrite([]dynamo.TxOp{put, advance}); err != nil {
 		if errors.Is(err, dynamo.ErrConditionFailed) {
 			// Another firer committed this occurrence first (or the timer was
 			// canceled mid-pass). Either way the occurrence is settled.
@@ -283,7 +249,7 @@ func (ts *TimerService) fireOne(row dynamo.Item, now int64) (bool, error) {
 		return false, err
 	}
 	ts.metrics.Fired.Add(1)
-	ts.b.metrics.Enqueued.Add(1)
+	run()
 	return true, nil
 }
 
@@ -298,7 +264,7 @@ func (ts *TimerService) Timers() ([]TimerSpec, error) {
 	for _, row := range rows {
 		out = append(out, TimerSpec{
 			ID:     row[attrTimerID].Str(),
-			Queue:  row[attrTimerQ].Str(),
+			Target: row[attrTarget].Str(),
 			Body:   row[attrBody],
 			Delay:  time.Duration(row[attrDue].Int()-now) * time.Microsecond,
 			Period: time.Duration(row[attrPeriod].Int()) * time.Microsecond,

@@ -11,20 +11,63 @@ import (
 	"repro/internal/storage/storagetest"
 )
 
-func newTimerRig(t *testing.T) (*Broker, *clock.Manual, *TimerService) {
+// fireLog is a Fire for tests: each occurrence puts a row, keyed by its id,
+// into the "fired" table, and its run records the occurrence once the fire
+// has committed.
+type fireLog struct {
+	mu  sync.Mutex
+	ran []occurrence
+}
+
+type occurrence struct {
+	target, id string
+	body       Value
+}
+
+func newFireLog(t *testing.T, b *Broker) *fireLog {
 	t.Helper()
-	b, clk := newTestBroker(t)
-	b.MustCreate("q", Options{})
-	ts, err := NewTimerService(b, TimerOptions{})
+	if err := b.store.CreateTable(dynamo.Schema{Name: "fired", HashKey: "Id"}); err != nil {
+		t.Fatal(err)
+	}
+	return &fireLog{}
+}
+
+func (l *fireLog) fire(target, id string, body Value) (dynamo.TxOp, func(), error) {
+	put := dynamo.TxOp{Table: "fired", Key: dynamo.HK(dynamo.S(id)),
+		Put: dynamo.Item{"Id": dynamo.S(id), "Body": body}, Cond: dynamo.NotExists(dynamo.A("Id"))}
+	return put, func() {
+		l.mu.Lock()
+		l.ran = append(l.ran, occurrence{target, id, body})
+		l.mu.Unlock()
+	}, nil
+}
+
+// occurrences returns the runs so far.
+func (l *fireLog) occurrences() []occurrence {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]occurrence(nil), l.ran...)
+}
+
+func newTimerService(t *testing.T, b *Broker, l *fireLog, poll time.Duration) *TimerService {
+	t.Helper()
+	ts, err := NewTimerService(b, TimerOptions{Fire: l.fire, PollInterval: poll})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, clk, ts
+	return ts
+}
+
+func newTimerRig(t *testing.T) (*Broker, *clock.Manual, *TimerService, *fireLog) {
+	t.Helper()
+	b, clk := newTestBroker(t)
+	l := newFireLog(t, b)
+	return b, clk, newTimerService(t, b, l, 0), l
 }
 
 func TestTimerOneShotFires(t *testing.T) {
-	b, clk, ts := newTimerRig(t)
-	if err := ts.Schedule(TimerSpec{ID: "t1", Queue: "q", Body: dynamo.S("ding"), Delay: 100 * time.Millisecond}); err != nil {
+	b, clk, ts, l := newTimerRig(t)
+	if err := ts.Schedule(TimerSpec{ID: "t1", Target: "fn", Body: dynamo.S("ding"), Delay: 100 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := ts.FireDue(); err != nil || n != 0 {
@@ -34,9 +77,12 @@ func TestTimerOneShotFires(t *testing.T) {
 	if n, err := ts.FireDue(); err != nil || n != 1 {
 		t.Fatalf("FireDue at due = (%d, %v), want (1, nil)", n, err)
 	}
-	msgs, err := b.Receive("q", 10)
-	if err != nil || len(msgs) != 1 || msgs[0].Body.Str() != "ding" {
-		t.Fatalf("Receive = (%v, %v), want one %q message", msgs, err, "ding")
+	ran := l.occurrences()
+	if len(ran) != 1 || ran[0].target != "fn" || ran[0].body.Str() != "ding" {
+		t.Fatalf("fired %v, want one %q occurrence of fn", ran, "ding")
+	}
+	if n, _ := b.store.TableItemCount("fired"); n != 1 {
+		t.Fatalf("fired rows = %d, want the occurrence's", n)
 	}
 	// One-shot: the registration is consumed with the fire.
 	if regs, _ := ts.Timers(); len(regs) != 0 {
@@ -48,8 +94,8 @@ func TestTimerOneShotFires(t *testing.T) {
 }
 
 func TestTimerPeriodicCatchesUpOnePerDuePeriod(t *testing.T) {
-	b, clk, ts := newTimerRig(t)
-	err := ts.Schedule(TimerSpec{ID: "tick", Queue: "q", Body: dynamo.S("tick"),
+	_, clk, ts, l := newTimerRig(t)
+	err := ts.Schedule(TimerSpec{ID: "tick", Target: "fn", Body: dynamo.S("tick"),
 		Delay: 100 * time.Millisecond, Period: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -69,13 +115,9 @@ func TestTimerPeriodicCatchesUpOnePerDuePeriod(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("catch-up fired %d occurrences, want 3", total)
 	}
-	msgs, err := b.Receive("q", 10)
-	if err != nil || len(msgs) != 3 {
-		t.Fatalf("Receive = (%d msgs, %v), want 3", len(msgs), err)
-	}
 	ids := map[string]bool{}
-	for _, m := range msgs {
-		ids[m.ID] = true
+	for _, o := range l.occurrences() {
+		ids[o.id] = true
 	}
 	if len(ids) != 3 {
 		t.Fatalf("occurrence ids not distinct: %v", ids)
@@ -87,8 +129,8 @@ func TestTimerPeriodicCatchesUpOnePerDuePeriod(t *testing.T) {
 }
 
 func TestTimerScheduleIsIdempotent(t *testing.T) {
-	_, clk, ts := newTimerRig(t)
-	spec := TimerSpec{ID: "once", Queue: "q", Body: dynamo.S("x"), Delay: 10 * time.Millisecond}
+	_, clk, ts, _ := newTimerRig(t)
+	spec := TimerSpec{ID: "once", Target: "fn", Body: dynamo.S("x"), Delay: 10 * time.Millisecond}
 	if err := ts.Schedule(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +144,8 @@ func TestTimerScheduleIsIdempotent(t *testing.T) {
 }
 
 func TestTimerCancel(t *testing.T) {
-	_, clk, ts := newTimerRig(t)
-	if err := ts.Schedule(TimerSpec{ID: "t", Queue: "q", Body: dynamo.Null, Delay: 10 * time.Millisecond}); err != nil {
+	_, clk, ts, _ := newTimerRig(t)
+	if err := ts.Schedule(TimerSpec{ID: "t", Target: "fn", Body: dynamo.Null, Delay: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ts.Cancel("t"); err != nil {
@@ -117,14 +159,11 @@ func TestTimerCancel(t *testing.T) {
 
 // TestTimerRacingFirersFireExactlyOnce runs two services over the same table
 // and fires concurrently: the transactional advance guard must collapse the
-// race to one enqueued occurrence.
+// race to one committed occurrence.
 func TestTimerRacingFirersFireExactlyOnce(t *testing.T) {
-	b, clk, ts1 := newTimerRig(t)
-	ts2, err := NewTimerService(b, TimerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ts1.Schedule(TimerSpec{ID: "contested", Queue: "q", Body: dynamo.S("x"), Delay: time.Millisecond}); err != nil {
+	b, clk, ts1, l := newTimerRig(t)
+	ts2 := newTimerService(t, b, l, 0)
+	if err := ts1.Schedule(TimerSpec{ID: "contested", Target: "fn", Body: dynamo.S("x"), Delay: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(10 * time.Millisecond)
@@ -145,37 +184,30 @@ func TestTimerRacingFirersFireExactlyOnce(t *testing.T) {
 	if total := fired[0] + fired[1]; total != 1 {
 		t.Fatalf("racing firers fired %d times total, want exactly 1", total)
 	}
-	if n, _ := b.Depth("q"); n != 1 {
-		t.Fatalf("queue depth = %d, want exactly 1 occurrence", n)
+	if n, _ := b.store.TableItemCount("fired"); n != 1 || len(l.occurrences()) != 1 {
+		t.Fatalf("fired rows = %d, runs %v, want exactly 1 occurrence", n, l.occurrences())
 	}
 }
 
 // TestTimerPumpPushWakeup pins the pump's push path: with no registered
 // timers the pump parks on a huge fallback interval, and a fresh Schedule
-// must wake it through the timer table's commit stream — the fired message
-// appears long before any poll timer could have.
+// must wake it through the timer table's commit stream — the occurrence
+// fires long before any poll timer could have.
 func TestTimerPumpPushWakeup(t *testing.T) {
 	b := NewBroker(BrokerOptions{Store: dynamo.NewStore()})
-	b.MustCreate("q", Options{})
-	ts, err := NewTimerService(b, TimerOptions{PollInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newFireLog(t, b)
+	ts := newTimerService(t, b, l, time.Hour)
 	ts.Start()
 	defer ts.Stop()
 	time.Sleep(20 * time.Millisecond) // park on the subscription
-	if err := ts.Schedule(TimerSpec{ID: "now", Queue: "q", Body: dynamo.S("pushed")}); err != nil {
+	if err := ts.Schedule(TimerSpec{ID: "now", Target: "fn", Body: dynamo.S("pushed")}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		msgs, err := b.Receive("q", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(msgs) == 1 {
-			if msgs[0].Body.Str() != "pushed" {
-				t.Fatalf("fired body = %q, want %q", msgs[0].Body.Str(), "pushed")
+		if ran := l.occurrences(); len(ran) == 1 {
+			if ran[0].body.Str() != "pushed" {
+				t.Fatalf("fired body = %q, want %q", ran[0].body.Str(), "pushed")
 			}
 			break
 		}
@@ -193,11 +225,7 @@ func TestTimerPumpPushWakeup(t *testing.T) {
 // pump is parked with a long fallback interval.
 func TestTimerStopInterruptsIdleWait(t *testing.T) {
 	b := NewBroker(BrokerOptions{Store: dynamo.NewStore()})
-	b.MustCreate("q", Options{})
-	ts, err := NewTimerService(b, TimerOptions{PollInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := newTimerService(t, b, newFireLog(t, b), time.Hour)
 	ts.Start()
 	time.Sleep(20 * time.Millisecond)
 	done := make(chan struct{})
@@ -219,11 +247,7 @@ func TestTimerStopInterruptsIdleWait(t *testing.T) {
 func TestTimerIdlePumpScansOncePerCycle(t *testing.T) {
 	counted := storagetest.NewCounting(dynamo.NewStore())
 	b := NewBroker(BrokerOptions{Store: counted})
-	b.MustCreate("q", Options{})
-	ts, err := NewTimerService(b, TimerOptions{PollInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := newTimerService(t, b, newFireLog(t, b), time.Hour)
 	scans := func() int { return counted.Count(timerTable, "scan") }
 	cycle := func(n int) {
 		t.Helper()
@@ -238,7 +262,7 @@ func TestTimerIdlePumpScansOncePerCycle(t *testing.T) {
 	cycle(1) // the pump subscribed before this scan: no Schedule below is missed
 	const schedules = 5
 	for i := 1; i <= schedules; i++ {
-		if err := ts.Schedule(TimerSpec{ID: fmt.Sprint("far", i), Queue: "q", Delay: time.Hour}); err != nil {
+		if err := ts.Schedule(TimerSpec{ID: fmt.Sprint("far", i), Target: "fn", Delay: time.Hour}); err != nil {
 			t.Fatal(err)
 		}
 		cycle(1 + i)

@@ -32,10 +32,7 @@ import (
 
 var procConfig = beldi.Config{T: 300 * time.Millisecond, ICMinAge: 10 * time.Millisecond}
 
-var procDurable = beldi.DurableAsyncOptions{
-	VisibilityTimeout: time.Second,
-	PollInterval:      20 * time.Millisecond,
-}
+var procDurable = beldi.DurableAsyncOptions{PollInterval: 20 * time.Millisecond}
 
 func TestMain(m *testing.M) {
 	if os.Getenv("BELDI_REMOTE_PROC_WORKER") == "1" {
@@ -135,11 +132,10 @@ func startWorkerProc(t *testing.T, addr, id string) *exec.Cmd {
 	return cmd
 }
 
-// TestWorkerSIGKILLRecovery: two worker processes drain durable counter
-// workflows from a shared remote store; one is SIGKILLed mid-load; the
-// survivor detects the silent lease, steals the dead worker's partitions,
-// finishes its in-flight intents, and the queue redelivers its unacked
-// messages — every counter lands at exactly 1.
+// TestWorkerSIGKILLRecovery: two worker processes launch durable counter
+// intents from a shared remote store; one is SIGKILLed mid-load; the
+// survivor detects the silent lease, steals the dead worker's partitions
+// and relaunches their pending intents — every counter lands at exactly 1.
 func TestWorkerSIGKILLRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
@@ -163,8 +159,10 @@ func TestWorkerSIGKILLRecovery(t *testing.T) {
 	})
 	addr := lis.Addr().String()
 
-	// Gateway deployment: enqueues through ingest, executes nothing (no
-	// mappers, no collectors — the worker processes own all execution).
+	// Gateway deployment: registers counter intents through ingest and
+	// executes none (its platform kills each in-process fire at its first
+	// operation boundary, and it runs no collectors — the worker processes
+	// own all execution).
 	client, err := remote.Dial(addr, remote.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +170,7 @@ func TestWorkerSIGKILLRecovery(t *testing.T) {
 	t.Cleanup(func() { client.Close() })
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
 		Store:    client,
-		Platform: platform.New(platform.Options{}),
+		Platform: platform.New(platform.Options{Faults: counterdemo.GatewayFaults{}}),
 		Config:   procConfig,
 	})
 	counterdemo.Register(d)
@@ -186,7 +184,7 @@ func TestWorkerSIGKILLRecovery(t *testing.T) {
 	const requests = 12
 	for i := 0; i < requests; i++ {
 		if i == requests/2 {
-			// SIGKILL w1 while the queue still holds work: no deferred
+			// SIGKILL w1 while intents are still pending: no deferred
 			// cleanup, no lease release — the failure mode the pool exists
 			// to absorb.
 			if err := w1.Process.Signal(syscall.SIGKILL); err != nil {

@@ -21,8 +21,6 @@ type ClusterConfig struct {
 	NamePrefix string
 	// Config carries the protocol parameters (T, RowCap, ...).
 	Config beldi.Config
-	// DurableAsync, when non-nil, wires AsyncInvoke through durable queues.
-	DurableAsync *beldi.DurableAsyncOptions
 	// Faults is the storage-boundary fault schedule shared by all workers.
 	Faults *StoreFaults
 	// Skew maps a worker index to its clock skew; nil means none.
@@ -76,11 +74,10 @@ func NewCluster(s *Scheduler, inner storage.Backend, cfg ClusterConfig) (*Cluste
 		cfg.NamePrefix = "w"
 	}
 	bc, err := beldi.OpenCluster(beldi.ClusterOptions{
-		Store:        inner,
-		Partitions:   simPartitions,
-		LeaseTTL:     simLeaseTTL,
-		Config:       cfg.Config,
-		DurableAsync: cfg.DurableAsync,
+		Store:      inner,
+		Partitions: simPartitions,
+		LeaseTTL:   simLeaseTTL,
+		Config:     cfg.Config,
 	})
 	if err != nil {
 		return nil, err
@@ -143,16 +140,15 @@ func NewCluster(s *Scheduler, inner storage.Backend, cfg ClusterConfig) (*Cluste
 
 // StartPumps spawns each worker's background pumps as scheduler tasks,
 // mirroring the cadence structure of beldi.ClusterWorker.Start: a heartbeat
-// pump (renewal and post-fence rejoin), a work pump (detection,
-// rebalancing, collection, GC), and a poll pump (the deployment's durable
-// queues through DurableAsync.PollAll, whose mappers are gated on partition
-// ownership). The tick is the real loops' LeaseTTL/4, and detection (every
-// 2 ticks) and rebalancing (every 4) match them. Collection and GC do not:
-// the work pump collects every 2 ticks and runs GC every 4, where the real
-// work loop collects every 4 and runs GC every 16; and an idle poll pump
-// sleeps a tick, where a started worker's mappers park on their queues'
-// commit streams for up to PollInterval. The pump fires no timers. The
-// pinned sim seeds' traces depend on these cadences.
+// pump (renewal and post-fence rejoin) and a work pump (detection,
+// rebalancing, collection, GC). The tick is the real loops' LeaseTTL/4, and
+// detection (every 2 ticks) and rebalancing (every 4) match them.
+// Collection and GC do not: the work pump collects every 2 ticks and runs GC
+// every 4, where the real work loop collects every 4 and runs GC every 16.
+// Asynchronous runs are fired in-process (the platform's AsyncDispatch
+// spawns them as tasks), and the work pump's collection relaunches a lost
+// one. The pumps fire no timers. The pinned sim seeds' traces depend on
+// these cadences.
 func (c *Cluster) StartPumps() {
 	for _, w := range c.Workers {
 		c.startPumpsFor(w)
@@ -198,26 +194,6 @@ func (c *Cluster) startPumpsFor(w *Worker) {
 			}
 			if n%4 == 2 {
 				wk.GCOnce() //nolint:errcheck // next tick retries
-			}
-		}
-	})
-	s.Go(TaskOpts{Name: w.Name + ".poll", Proc: w.Name, Pump: true}, func() {
-		for {
-			if w.Killed {
-				return
-			}
-			if wk.Fenced() {
-				s.Sleep(tick)
-				continue
-			}
-			n := 0
-			if da := w.CW.Deployment().DurableAsync(); da != nil {
-				n, _, _ = da.PollAll()
-			}
-			if n == 0 {
-				s.Sleep(tick)
-			} else {
-				s.Yield()
 			}
 		}
 	})
@@ -278,22 +254,8 @@ func (c *Cluster) PendingIntents(fns []string) (int, error) {
 	return pending, nil
 }
 
-// QueueDepth sums the durable invocation queues' depths through a live
-// worker, or 0 when durable async is not enabled.
-func (c *Cluster) QueueDepth() (int, error) {
-	if c.cfg.DurableAsync == nil {
-		return 0, nil
-	}
-	da := c.Live(0).CW.Deployment().DurableAsync()
-	if da == nil {
-		return 0, nil
-	}
-	return da.Depth()
-}
-
-// Quiesce polls until no intent is pending on the named functions and the
-// durable queues are empty, failing once the virtual budget is spent. Call
-// it from the driver task.
+// Quiesce polls until no intent is pending on the named functions, failing
+// once the virtual budget is spent. Call it from the driver task.
 func (c *Cluster) Quiesce(fns []string, budget time.Duration) error {
 	deadline := c.S.Now().Add(budget)
 	for {
@@ -301,16 +263,12 @@ func (c *Cluster) Quiesce(fns []string, budget time.Duration) error {
 		if err != nil {
 			return err
 		}
-		depth, err := c.QueueDepth()
-		if err != nil {
-			return err
-		}
-		if pending == 0 && depth == 0 {
+		if pending == 0 {
 			return nil
 		}
 		if c.S.Now().After(deadline) {
-			return fmt.Errorf("sim: not quiesced within %v: %d intents pending, %d messages queued\n%s",
-				budget, pending, depth, c.S.dump())
+			return fmt.Errorf("sim: not quiesced within %v: %d intents pending\n%s",
+				budget, pending, c.S.dump())
 		}
 		c.S.Sleep(simLeaseTTL / 2)
 	}

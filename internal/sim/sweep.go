@@ -43,7 +43,8 @@ func Kinds() []string {
 
 // WorkloadNames lists the application workloads a seed can select: the
 // travel reservation app (cross-SSF transactions), the event-driven order
-// pipeline (durable queues), and the fan-out word count (async promises).
+// pipeline (asynchronous invocations), and the fan-out word count (async
+// promises).
 // The torn and spec kinds override the selection with a counter workload,
 // whose audit is meaningful across a restart.
 func WorkloadNames() []string { return []string{"travel", "orders", "fanout"} }
@@ -179,23 +180,10 @@ func simConfig() beldi.Config {
 // audit, settle.
 func runScenario(s *Scheduler, sc Scenario, prng *rand.Rand, store storage.Backend, res *Result) error {
 	wl := newWorkload(sc, prng)
+	// No durable-async launch budget: adversarial schedules legally starve a
+	// callee past any budget, and a dead intent would fail the exactly-once
+	// audit without any protocol bug.
 	cfg := ClusterConfig{Workers: 3, Config: simConfig(), Register: wl.register}
-	if wl.durable {
-		cfg.DurableAsync = &beldi.DurableAsyncOptions{
-			VisibilityTimeout: 2 * simT,
-			// No dead-lettering: adversarial schedules legally starve a
-			// consumer past any receive budget, and a dead-lettered message
-			// would fail the exactly-once audit without any protocol bug.
-			MaxReceives:  -1,
-			BatchSize:    1, // one message per poll keeps delivery single-file under the baton
-			PollInterval: time.Millisecond,
-		}
-		if sc.Kind == "latedone" {
-			// Completions stall up to 8T; redelivering before that window
-			// closes is legitimate but noisy, so stretch visibility past it.
-			cfg.DurableAsync.VisibilityTimeout = 10 * simT
-		}
-	}
 	switch sc.Kind {
 	case "delay":
 		cfg.Faults = &StoreFaults{DelayProb: 0.25, MaxDelay: simT / 4}
@@ -394,7 +382,6 @@ type workload struct {
 	name     string
 	fns      []string // intent tables Quiesce polls
 	requests int
-	durable  bool // wire AsyncInvoke through durable queues
 	register beldi.RegisterApp
 	seed     func(c *Cluster) error
 	client   func(w *Worker, i int) error
@@ -540,8 +527,8 @@ func travelWorkload() *workload {
 	return wl
 }
 
-// ordersWorkload drives the event-driven order pipeline over durable
-// queues and audits the per-order counters: every order whose frontend
+// ordersWorkload drives the event-driven order pipeline's asynchronous
+// invocations and audits the per-order counters: every order whose frontend
 // record exists is charged once, reserved once, shipped once and notified
 // once.
 func ordersWorkload(prng *rand.Rand) *workload {
@@ -549,7 +536,7 @@ func ordersWorkload(prng *rand.Rand) *workload {
 		order       string
 		qty, amount int64
 	}
-	wl := &workload{name: "orders", requests: 10, durable: true}
+	wl := &workload{name: "orders", requests: 10}
 	wl.fns = []string{orders.FnFrontend, orders.FnPayment, orders.FnInventory, orders.FnShipping, orders.FnNotify}
 	reqs := make([]placed, wl.requests)
 	for i := range reqs {
