@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -64,12 +63,8 @@ func TestSweepSmoke(t *testing.T) {
 func TestSweepAllAppsBuild(t *testing.T) {
 	for _, app := range []string{"media", "travel", "social", "orders"} {
 		sys := NewSystem(SystemOptions{Mode: beldi.ModeBeldi, Scale: 0.0001, Seed: 1, Concurrency: 10000})
-		a, err := BuildApp(sys, app)
-		if err != nil {
+		if _, err := BuildApp(sys, app); err != nil {
 			t.Errorf("%s: %v", app, err)
-		}
-		if c, ok := a.(io.Closer); ok {
-			c.Close() //nolint:errcheck
 		}
 	}
 	sys := NewSystem(SystemOptions{Mode: beldi.ModeBeldi, Scale: 0.0001, Seed: 1, Concurrency: 10000})

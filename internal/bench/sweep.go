@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -30,9 +29,8 @@ type workloadApp interface {
 // BuildApp wires the named app ("media", "travel", "travel-notxn", "social"
 // or "orders") onto a system and seeds it. "travel-notxn" is the §7.4
 // ablation: Beldi fault tolerance without the reservation transaction.
-// "orders" is the event-driven pipeline: its workflow edges run over durable
-// queues drained by background event-source mappers (apps implementing
-// io.Closer are closed by RunCurve when the run ends).
+// "orders" is the event-driven pipeline: its workflow edges are
+// asynchronous invocations under durable async.
 func BuildApp(sys *System, name string) (workloadApp, error) {
 	switch name {
 	case "media":
@@ -128,9 +126,6 @@ func RunCurve(c Curve) ([]SweepPoint, error) {
 	app, err := BuildApp(sys, c.App)
 	if err != nil {
 		return nil, err
-	}
-	if cl, ok := app.(io.Closer); ok {
-		defer cl.Close() //nolint:errcheck // background mappers; nothing to report
 	}
 	var out []SweepPoint
 	for _, rate := range c.Rates {

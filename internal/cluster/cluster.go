@@ -1,6 +1,6 @@
 // Package cluster is the multi-worker distributed runtime: it lets N
 // independent worker processes — each hosting its own platform, function
-// registry, collectors, and event-source mappers — cooperate over one shared
+// registry and collectors — cooperate over one shared
 // storage.Backend with crash tolerance, the deployment shape the paper's
 // fault-tolerance story assumes (§2.1: a fleet of stateless workers
 // re-invoking timed-out SSFs over shared logs) and the one Netherite treats
@@ -21,11 +21,7 @@
 //     transition — claim, steal, release — bumps the partition's Epoch, so
 //     an ownership record doubles as a fencing token: a worker that lost a
 //     partition holds a stale epoch and every claim it fences with it is
-//     rejected by the store. The same ownership gates each worker's
-//     invocation-queue mappers (Worker.OwnsIntent of the function's name):
-//     a function's queue is drained by the owner of its partition. The
-//     cluster decides ownership only; the mappers themselves are the
-//     deployment's, driven exactly as in a standalone deployment.
+//     rejected by the store.
 //
 //   - Each worker runs a failure detector: a scan that marks workers whose
 //     lease expired as dead (guarded on the observed epoch and deadline, so

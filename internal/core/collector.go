@@ -94,7 +94,7 @@ func (rt *Runtime) launchClaim(rec *intentRecord, now int64) (ups []dynamo.Updat
 
 // deadIntents scans for the intents a claim marked dead, in id order.
 func (rt *Runtime) deadIntents() ([]*intentRecord, error) {
-	items, err := rt.store.Scan(rt.intentTable, dynamo.QueryOpts{Filter: deadPresent})
+	items, err := rt.store.Scan(rt.intentTable, dynamo.QueryOpts{Filter: deadUndone})
 	if err != nil {
 		return nil, err
 	}
@@ -127,13 +127,13 @@ func (rt *Runtime) Redrive() (int, error) {
 	}
 	n := 0
 	for _, rec := range recs {
-		err := rt.store.Update(rt.intentTable, dynamo.HK(dynamo.S(rec.id)), deadPresent,
+		err := rt.store.Update(rt.intentTable, dynamo.HK(dynamo.S(rec.id)), deadUndone,
 			dynamo.Remove(dynamo.A(attrDead)),
 			dynamo.Remove(dynamo.A(attrLaunches)),
 			dynamo.Set(dynamo.A(attrPending), dynamo.S(pendingMarker)),
 			dynamo.Set(dynamo.A(attrLastLaunch), dynamo.NInt(rt.now())))
 		if errors.Is(err, dynamo.ErrConditionFailed) {
-			continue // another Redrive took it
+			continue // another Redrive took it, or a late execution completed it
 		}
 		if err != nil {
 			return n, err

@@ -27,7 +27,7 @@ type intentRecord struct {
 	ret        Value
 	startTime  int64
 	lastLaunch int64
-	launches   int64 // collector launches counted so far; 0 until the first
+	launches   int64 // launches so far, the in-process fire included; 0 until a claim counts one
 	finishTime int64
 	hasFinish  bool
 	// fresh is true when this execution is the intent's first, not a replayed

@@ -608,7 +608,9 @@ var (
 	dangleAbsent    = dynamo.NotExists(dynamo.A(attrDangleTime))
 	postedPresent   = dynamo.Exists(dynamo.A(attrPosted))
 	postedAbsent    = dynamo.NotExists(dynamo.A(attrPosted))
-	deadPresent     = dynamo.Exists(dynamo.A(attrDead))
+	// deadUndone is an intent a claim marked dead that no late execution
+	// has completed since.
+	deadUndone = dynamo.And(dynamo.Exists(dynamo.A(attrDead)), dynamo.Eq(dynamo.A(attrDone), dynamo.Bool(false)))
 	// doneUnstamped is a finished intent the collector has not stamped yet.
 	doneUnstamped = dynamo.And(dynamo.Eq(dynamo.A(attrDone), dynamo.Bool(true)),
 		dynamo.NotExists(dynamo.A(attrFinishTime)))

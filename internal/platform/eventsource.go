@@ -80,7 +80,6 @@ type Mapper struct {
 	opts   EventSourceOptions
 
 	metrics MapperMetrics
-	gate    atomic.Pointer[func() bool] // SetGate's; nil drains unconditionally
 
 	mu      sync.Mutex
 	stopCh  chan struct{}
@@ -112,14 +111,6 @@ func (m *Mapper) Options() EventSourceOptions { return m.opts }
 // Metrics exposes the mapping's counters.
 func (m *Mapper) Metrics() *MapperMetrics { return &m.metrics }
 
-// SetGate scopes the mapping to a share of the work: while owns reports
-// false, a poll — PollOnce's or the loop's — claims nothing and issues no
-// store operation. A clustered deployment gates each function's mapper on
-// the worker owning the function's partition, so exactly one worker drains
-// each queue; a started mapper whose gate opens drains at its next wake-up
-// (the next commit on the queue, or PollInterval).
-func (m *Mapper) SetGate(owns func() bool) { m.gate.Store(&owns) }
-
 // PollOnce claims one batch and triggers the function once per message,
 // concurrently across the batch. It returns how many messages were processed
 // successfully (invoked and acked) and how many failed (left in flight for
@@ -142,9 +133,6 @@ type batch struct {
 }
 
 func (m *Mapper) poll() (batch, error) {
-	if owns := m.gate.Load(); owns != nil && !(*owns)() {
-		return batch{}, nil
-	}
 	msgs, err := m.broker.Receive(m.opts.Queue, m.opts.BatchSize)
 	if err != nil || len(msgs) == 0 {
 		return batch{}, err
