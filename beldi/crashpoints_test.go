@@ -408,23 +408,20 @@ func TestCrashPointsCatchReplayMutations(t *testing.T) {
 // of relaunchPinned; the nightly job sets it.
 var relaunchAll = flag.Bool("relaunch.all", false, "run the relaunch enumeration at every crash point")
 
-// relaunchPinned is tier-1's share of the relaunch enumeration beside every
-// seventh golden line: the lines where the zombie mutations of
+// relaunchPinned are the lines where the zombie mutations of
 // TestRelaunchPointsCatchZombieMutations first fail (52, a travel entry's
-// body:done; 304, the fan's intent:logged).
+// body:done; 304, the fan's intent:logged): tier-1's mutation run, and part
+// of its match run beside every seventh golden line.
 var relaunchPinned = []int{52, 304}
 
-// relaunchLines lists the golden lines the relaunch enumeration visits.
-func relaunchLines(points []string) []int {
+// relaunchLines lists the golden lines the relaunch enumeration visits:
+// every one under -relaunch.all, else the pinned lines and every every-th.
+func relaunchLines(points []string, every int) []int {
 	if *relaunchAll {
-		lines := make([]int, len(points))
-		for i := range lines {
-			lines[i] = i + 1
-		}
-		return lines
+		every = 1
 	}
 	lines := append([]int(nil), relaunchPinned...)
-	for line := 1; line <= len(points); line += 7 {
+	for line := 1; line <= len(points) && every > 0; line += every {
 		lines = append(lines, line)
 	}
 	sort.Ints(lines)
@@ -442,7 +439,7 @@ func TestRelaunchPointsMatchTheCrashFreeRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := goldenCrashPoints(t)
-	lines := relaunchLines(points)
+	lines := relaunchLines(points, 7)
 	failures, blocked := enumerateRelaunchPoints(t, want, points, lines)
 	for k, f := range failures {
 		if f != "" {
@@ -465,7 +462,7 @@ func TestRelaunchPointsCatchZombieMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := goldenCrashPoints(t)
-	lines := relaunchLines(points)
+	lines := relaunchLines(points, 0)
 	for _, m := range []struct {
 		name  string
 		fault *atomic.Bool
