@@ -452,10 +452,10 @@ func TestRelaunchPointsMatchTheCrashFreeRun(t *testing.T) {
 // TestRelaunchPointsCatchZombieMutations turns on each of two zombie bugs —
 // a differing logged read adopted, an unguarded done mark — and requires
 // the relaunch enumeration to fail on some point for each. The lazy
-// intent's fifth rule (core.FaultRelaunchLeavesRowOpen) is not in the list:
-// it refuses an effect-free callback that lands after a relaunch was
-// launched and before the relaunch's own, and here the relaunch always
-// delivers first, since the zombie waits for its pass.
+// intent's fifth rule is not in the list: it refuses an effect-free callback
+// that lands after a relaunch was launched and before the relaunch's own,
+// and here the relaunch always delivers first, since the zombie waits for
+// its pass.
 func TestRelaunchPointsCatchZombieMutations(t *testing.T) {
 	want, err := runGoldenRecovered(t, nil)
 	if err != nil {

@@ -2,6 +2,7 @@ package beldi
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -108,6 +109,9 @@ func (da *DurableAsync) ScheduleInvoke(id, fn string, input Value, delay, period
 // fire is the timer service's Fire: the occurrence's intent put and its
 // in-process launch (core.Runtime.ScheduledIntent).
 func (da *DurableAsync) fire(fn, id string, input Value) (dynamo.TxOp, func(), error) {
+	if name, ok := strings.CutPrefix(fn, legacyInvokeQueue); ok {
+		fn, input = name, core.ClientInput(input)
+	}
 	rt := da.d.runtimes[fn]
 	if rt == nil || rt.Mode() == ModeBaseline {
 		return dynamo.TxOp{}, nil, fmt.Errorf("beldi: timer target %q is not a registered Beldi function", fn)
@@ -115,6 +119,12 @@ func (da *DurableAsync) fire(fn, id string, input Value) (dynamo.TxOp, func(), e
 	put, run := rt.ScheduledIntent(id, input)
 	return put, run, nil
 }
+
+// legacyInvokeQueue prefixes the target of a registration ScheduleInvoke
+// wrote when a fire was enqueued on fn's invocation queue: "invoke."+fn, with
+// fn's client envelope as the body. Such a registration fires as one written
+// now would.
+const legacyInvokeQueue = "invoke."
 
 // Start launches the timer pump. It starts no collection loop: that is
 // Deployment.StartCollectors.

@@ -6,6 +6,7 @@ import (
 
 	"repro/beldi"
 	"repro/internal/core"
+	"repro/internal/dynamo"
 	"repro/internal/platform"
 	"repro/internal/storage"
 	"repro/internal/storage/storagetest"
@@ -191,6 +192,45 @@ func TestDurableAsyncPromiseFanIn(t *testing.T) {
 	r.plat.Drain()
 	if got := r.count(t); got != 3 {
 		t.Fatalf("child ran %d times, want 3", got)
+	}
+	if err := r.d.FsckAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLegacyTimerRegistrationFires: a registration ScheduleInvoke wrote when
+// its fires were enqueued on fn's invocation queue — a Queue of "invoke."+fn
+// and fn's client envelope as the body, no Target — still fires fn once with
+// its input, instead of sitting orphaned.
+func TestLegacyTimerRegistrationFires(t *testing.T) {
+	r := newDurableRig(t, asyncParent, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
+		return beldi.Null, e.Write("state", "got", in)
+	}, func(run func()) { run() })
+	legacy := dynamo.Item{
+		"TimerId":  dynamo.S("old"),
+		"Queue":    dynamo.S("invoke.child"),
+		"Body":     core.ClientEnvelope(beldi.Str("tick")),
+		"DueAt":    dynamo.NInt(0),
+		"Period":   dynamo.NInt(0),
+		"Fires":    dynamo.NInt(0),
+		"Gen":      dynamo.S("g"),
+		"StampKey": dynamo.S("InstanceId"),
+	}
+	if err := r.store.Put("queue.timers", legacy, nil); err != nil {
+		t.Fatal(err)
+	}
+	ts := r.da.Timers()
+	if n, err := ts.FireDue(); err != nil || n != 1 {
+		t.Fatalf("FireDue = %d (%v), want the legacy registration's one fire", n, err)
+	}
+	if n, err := ts.FireDue(); err != nil || n != 0 {
+		t.Fatalf("second FireDue = %d (%v), want 0: the one-shot is spent", n, err)
+	}
+	if n := ts.Metrics().Orphaned.Load(); n != 0 {
+		t.Errorf("Orphaned = %d, want 0", n)
+	}
+	if got, err := beldi.PeekState(r.d.Runtime("child"), "state", "got"); err != nil || got.Str() != "tick" {
+		t.Errorf("child ran with %v (%v), want the registered input %q", got, err, "tick")
 	}
 	if err := r.d.FsckAll(); err != nil {
 		t.Fatal(err)

@@ -196,8 +196,7 @@ func orchestrate() {
 	// The orchestrator is a gateway, not a pool member: a deployment over
 	// the same remote store whose only job is running "ingest", which
 	// registers the counter's intent durably. It runs no counter — its
-	// platform kills each in-process fire at its first operation boundary —
-	// and starts no collectors: the workers' collectors launch every
+	// platform drops each in-process fire — and starts no collectors: the workers' collectors launch every
 	// counter.
 	client, err := remote.Dial(addr, remote.Options{})
 	if err != nil {
@@ -206,7 +205,7 @@ func orchestrate() {
 	defer client.Close()
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
 		Store:    client,
-		Platform: platform.New(platform.Options{Faults: counterdemo.GatewayFaults{}}),
+		Platform: platform.New(platform.Options{AsyncDispatch: counterdemo.DropFires}),
 		Config:   protocolConfig,
 	})
 	counterdemo.Register(d)

@@ -53,13 +53,7 @@ func Request(i int) beldi.Value {
 	return beldi.Fields(beldi.F("key", beldi.Str(Key(i))))
 }
 
-// GatewayFaults is the fault plan of a gateway process that runs no counter:
-// it lets a counter's registration through and kills each counter run at
-// its first operation boundary, so the pool's collectors launch every
-// counter.
-type GatewayFaults struct{}
-
-// ShouldCrash implements platform.FaultPlan.
-func (GatewayFaults) ShouldCrash(fn, label string, _ int) bool {
-	return fn == FnCounter && label != "async:registered"
-}
+// DropFires is the AsyncDispatch of a gateway process that runs no counter:
+// it drops every in-process fire, so a counter's registration is all the
+// gateway leaves and the pool's collectors launch every counter.
+func DropFires(func()) {}

@@ -373,6 +373,7 @@ func (d *daal) loggedWrite(key, logKey string, mut mutation) (bool, error) {
 			if next, err = d.appendRow(row); err != nil {
 				return false, err
 			}
+			row.next = next // the link appendRow wrote, which a repair checks
 		}
 		rowID, prev = next, row // case C
 	}

@@ -374,8 +374,9 @@ func valPtr(v Value) *Value { return &v }
 // row and its link past T, while GC passes run: the first pass finds the row
 // unreachable and stamps it, the second deletes it, and only then does the
 // link land, naming a row that is gone. The write must still complete — the
-// walk puts the row back once, counted in DAALRepairs — and every later
-// write of the key must work, leaving a chain Fsck accepts.
+// walk puts the row back once, counted in DAALRepairs, from the link it has
+// just written and without a fresh scan — and every later write of the key
+// must work, leaving a chain Fsck accepts.
 func TestStalledAppendIsRepaired(t *testing.T) {
 	const tBound = time.Millisecond
 	f := newFixture(t, withConfig(Config{RowCap: 2, T: tBound, ICMinAge: tBound}))
@@ -386,6 +387,7 @@ func TestStalledAppendIsRepaired(t *testing.T) {
 	f.mustInvoke("w", dynamo.NInt(2)) // the head is full
 
 	var deleted int
+	var afterStall dynamo.Snapshot
 	stall := func() {
 		FaultStallAppend.Store(nil) // one stall
 		for pass := 0; pass < 2; pass++ {
@@ -396,6 +398,7 @@ func TestStalledAppendIsRepaired(t *testing.T) {
 			deleted += st.RowsDeleted
 			time.Sleep(3 * tBound)
 		}
+		afterStall = f.store.Metrics().Snapshot()
 	}
 	FaultStallAppend.Store(&stall)
 	defer FaultStallAppend.Store(nil)
@@ -406,6 +409,9 @@ func TestStalledAppendIsRepaired(t *testing.T) {
 	}
 	if n := rt.StatsSnapshot().DAALRepairs; n != 1 {
 		t.Errorf("DAALRepairs = %d, want 1", n)
+	}
+	if n := f.store.Metrics().Snapshot().Sub(afterStall).Ops["query"]; n != 0 {
+		t.Errorf("the stalled write scanned %d times after its link, want 0: its repair must check the link it wrote", n)
 	}
 	for i := int64(4); i <= 8; i++ {
 		f.mustInvoke("w", dynamo.NInt(i))

@@ -122,6 +122,9 @@ func ClientEnvelopeForApp(app string, input Value) Value {
 	return envelope{Kind: kindCall, Input: input, App: app}.encode()
 }
 
+// ClientInput is the client payload a ClientEnvelope wraps.
+func ClientInput(env Value) Value { return decodeEnvelope(env).Input }
+
 // decodeEnvelope unmarshals an invocation payload. Raw payloads that are not
 // envelopes (external clients invoking the workflow directly) are treated as
 // kindCall with the payload as Input, so Beldi SSFs remain directly

@@ -85,7 +85,8 @@ type Options struct {
 	// AsyncDispatch, when non-nil, runs asynchronous invocations instead of
 	// `go run()` — the scheduling seam deterministic simulators use to turn
 	// fire-and-forget handoffs into schedulable tasks. run must be called
-	// exactly once (on any goroutine).
+	// exactly once (on any goroutine) for Drain to return; a dispatch that
+	// drops it is a platform that loses every asynchronous fire.
 	AsyncDispatch func(run func())
 }
 

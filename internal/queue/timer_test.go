@@ -272,3 +272,25 @@ func TestTimerIdlePumpScansOncePerCycle(t *testing.T) {
 		t.Errorf("%d idle cycles cost %d scans of the timer table, want %d", 1+schedules, got, 1+schedules)
 	}
 }
+
+// TestTimerOlderRowFiresItsQueue: a registration written before timers named
+// a Target, which holds the queue its fires were enqueued on, fires with that
+// queue as its target and lists it as such.
+func TestTimerOlderRowFiresItsQueue(t *testing.T) {
+	b, _, ts, l := newTimerRig(t)
+	row := dynamo.Item{attrTimerID: dynamo.S("old"), attrQueue: dynamo.S("invoke.fn"), attrBody: dynamo.S("x"),
+		attrDue: dynamo.NInt(0), attrPeriod: dynamo.NInt(0), attrFires: dynamo.NInt(0), attrGen: dynamo.S("g")}
+	if err := b.store.Put(timerTable, row, nil); err != nil {
+		t.Fatal(err)
+	}
+	specs, err := ts.Timers()
+	if err != nil || len(specs) != 1 || specs[0].Target != "invoke.fn" {
+		t.Fatalf("Timers = %+v (%v), want the row with target invoke.fn", specs, err)
+	}
+	if n, err := ts.FireDue(); err != nil || n != 1 {
+		t.Fatalf("FireDue = %d (%v), want 1", n, err)
+	}
+	if got := l.occurrences(); len(got) != 1 || got[0].target != "invoke.fn" {
+		t.Errorf("occurrences = %+v, want one for invoke.fn", got)
+	}
+}

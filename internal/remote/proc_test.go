@@ -160,9 +160,8 @@ func TestWorkerSIGKILLRecovery(t *testing.T) {
 	addr := lis.Addr().String()
 
 	// Gateway deployment: registers counter intents through ingest and
-	// executes none (its platform kills each in-process fire at its first
-	// operation boundary, and it runs no collectors — the worker processes
-	// own all execution).
+	// executes none (its platform drops each in-process fire, and it runs
+	// no collectors — the worker processes own all execution).
 	client, err := remote.Dial(addr, remote.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +169,7 @@ func TestWorkerSIGKILLRecovery(t *testing.T) {
 	t.Cleanup(func() { client.Close() })
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
 		Store:    client,
-		Platform: platform.New(platform.Options{Faults: counterdemo.GatewayFaults{}}),
+		Platform: platform.New(platform.Options{AsyncDispatch: counterdemo.DropFires}),
 		Config:   procConfig,
 	})
 	counterdemo.Register(d)
