@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,8 +67,16 @@ func (c *crashAtCall) ShouldCrash(fn, label string, opIndex int) bool {
 // the paused attempt is the workflow's entry at body:done, with nothing left
 // to do but that mark, the pass then moves the clock past T and collects
 // again, which takes the relaunch's finished intent before the mark lands.
+//
+// In pair mode the zombie goes first instead: the pass is held when it
+// reaches the paused function's body:done, about to deliver, and the zombie
+// resumes then and runs its golden call to the end before the pass goes on.
+// That is the order in which a zombie's callback lands after its relaunch
+// was launched and before the relaunch delivers. A pass held for
+// relaunchSettle goes on anyway (zombieWaited): the zombie is waiting on it.
 type pauseAtCall struct {
 	n       int
+	pair    bool
 	calls   atomic.Int64
 	label   string
 	blocked bool
@@ -75,19 +84,40 @@ type pauseAtCall struct {
 	collect func() error
 	clk     *jumpClock
 	done    chan error // the pass's outcome, nil until the pause
+
+	fn           string      // the paused function
+	paused       atomic.Bool // the zombie is held: ShouldCrash calls come from the pass
+	heldOnce     atomic.Bool
+	held         chan struct{} // pair: closed when the pass is held before delivering
+	release      chan struct{}
+	releaseOnce  sync.Once
+	zombieWaited atomic.Bool
 }
 
 // relaunchSettle is how long a pause waits for its collection pass before
-// it counts the pass as blocked on the paused attempt.
+// it counts the pass as blocked on the paused attempt, and how long a pair's
+// held pass waits for the zombie.
 const relaunchSettle = 100 * time.Millisecond
 
 func (p *pauseAtCall) ShouldCrash(fn, label string, opIndex int) bool {
+	if p.pair && p.paused.Load() && fn == p.fn && label == "body:done" && p.heldOnce.CompareAndSwap(false, true) {
+		close(p.held)
+		select {
+		case <-p.release:
+		case <-time.After(relaunchSettle):
+			p.zombieWaited.Store(true)
+		}
+		return false
+	}
 	if p.calls.Add(1) != int64(p.n) {
 		return false
 	}
 	p.label = fmt.Sprintf("%s %d %s", fn, opIndex, label)
+	p.fn = fn
 	p.done = make(chan error, 1)
-	late := fn == p.entry && label == "body:done"
+	p.held, p.release = make(chan struct{}), make(chan struct{})
+	p.paused.Store(true)
+	late := !p.pair && fn == p.entry && label == "body:done"
 	go func() {
 		err := p.collect()
 		if err == nil && late {
@@ -99,9 +129,11 @@ func (p *pauseAtCall) ShouldCrash(fn, label string, opIndex int) bool {
 	select {
 	case err := <-p.done:
 		p.done <- err
+	case <-p.held:
 	case <-time.After(relaunchSettle):
 		p.blocked = true
 	}
+	p.paused.Store(false)
 	return false
 }
 
@@ -114,12 +146,13 @@ type jumpClock struct {
 func (c *jumpClock) Now() time.Time       { return time.Now().Add(time.Duration(c.off.Load())) }
 func (c *jumpClock) jump(d time.Duration) { c.off.Add(int64(d)) }
 
-// settled waits for the pause's collection pass, if one ran since the last
-// call, and returns its error.
+// settled lets a pair's held pass go on, waits for the pause's collection
+// pass, if one ran since the last call, and returns its error.
 func (p *pauseAtCall) settled() error {
 	if p.done == nil {
 		return nil
 	}
+	p.releaseOnce.Do(func() { close(p.release) })
 	err := <-p.done
 	p.done = nil
 	return err
@@ -321,21 +354,25 @@ func enumerateCrashPoints(t *testing.T, want goldenOutcome, points []string) []s
 }
 
 // enumerateRelaunchPoints pauses the golden run once at each of the given
-// golden lines (1-based) and relaunches it there; see pauseAtCall. It
-// returns, per line, "" or what went wrong, and how many pauses found their
-// relaunch blocked on the paused attempt.
-func enumerateRelaunchPoints(t *testing.T, want goldenOutcome, points []string, lines []int) (failures []string, blocked int) {
+// golden lines (1-based) and relaunches it there, in pair mode or not; see
+// pauseAtCall. It returns, per line, "" or what went wrong, how many pauses
+// found their relaunch blocked on the paused attempt, and how many held
+// relaunches the zombie waited on.
+func enumerateRelaunchPoints(t *testing.T, want goldenOutcome, points []string, lines []int, pair bool) (failures []string, blocked, waited int) {
 	t.Helper()
 	failures = make([]string, len(lines))
 	for k, line := range lines {
-		plan := &pauseAtCall{n: line}
+		plan := &pauseAtCall{n: line, pair: pair}
 		got, err := runGoldenRecovered(t, plan)
 		failures[k] = checkPoint(t, want, got, err, line-1, points[line-1], plan.label)
 		if plan.blocked {
 			blocked++
 		}
+		if plan.zombieWaited.Load() {
+			waited++
+		}
 	}
-	return failures, blocked
+	return failures, blocked, waited
 }
 
 // checkPoint compares the outcome of a run faulted at golden line i+1 with
@@ -410,9 +447,10 @@ var relaunchAll = flag.Bool("relaunch.all", false, "run the relaunch enumeration
 
 // relaunchPinned are the lines where the zombie mutations of
 // TestRelaunchPointsCatchZombieMutations first fail (52, a travel entry's
-// body:done; 304, the fan's intent:logged): tier-1's mutation run, and part
-// of its match run beside every seventh golden line.
-var relaunchPinned = []int{52, 304}
+// body:done; 304, the fan's intent:logged; 346, once's first read, in pair
+// mode): tier-1's mutation run, and part of its match run beside every
+// seventh golden line.
+var relaunchPinned = []int{52, 304, 346}
 
 // relaunchLines lists the golden lines the relaunch enumeration visits:
 // every one under -relaunch.all, else the pinned lines and every every-th.
@@ -430,32 +468,35 @@ func relaunchLines(points []string, every int) []int {
 
 // TestRelaunchPointsMatchTheCrashFreeRun pauses the golden run at a golden
 // point, lets the collectors relaunch what it left pending, and resumes the
-// paused attempt as a zombie: one zombie at a time. The oracle is the
-// crash-free run's replies and data, and FsckAll.
+// paused attempt as a zombie: one zombie at a time, after its relaunch and,
+// in pair mode, before the relaunch delivers. The oracle is the crash-free
+// run's replies and data, and FsckAll.
 func TestRelaunchPointsMatchTheCrashFreeRun(t *testing.T) {
-	start := time.Now()
 	want, err := runGoldenRecovered(t, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	points := goldenCrashPoints(t)
 	lines := relaunchLines(points, 7)
-	failures, blocked := enumerateRelaunchPoints(t, want, points, lines)
-	for k, f := range failures {
-		if f != "" {
-			t.Errorf("relaunch at %s (line %d): %s", points[lines[k]-1], lines[k], f)
+	for _, pair := range []bool{false, true} {
+		start := time.Now()
+		failures, blocked, waited := enumerateRelaunchPoints(t, want, points, lines, pair)
+		for k, f := range failures {
+			if f != "" {
+				t.Errorf("relaunch at %s (line %d, pair %v): %s", points[lines[k]-1], lines[k], pair, f)
+			}
 		}
+		t.Logf("pair %v: %d of %d points in %v; the relaunch blocked on the paused attempt at %d, the zombie on the held relaunch at %d",
+			pair, len(lines), len(points), time.Since(start), blocked, waited)
 	}
-	t.Logf("%d of %d points in %v; the relaunch blocked on the paused attempt at %d", len(lines), len(points), time.Since(start), blocked)
 }
 
-// TestRelaunchPointsCatchZombieMutations turns on each of two zombie bugs —
-// a differing logged read adopted, an unguarded done mark — and requires
-// the relaunch enumeration to fail on some point for each. The lazy
-// intent's fifth rule is not in the list: it refuses an effect-free callback
-// that lands after a relaunch was launched and before the relaunch's own,
-// and here the relaunch always delivers first, since the zombie waits for
-// its pass.
+// TestRelaunchPointsCatchZombieMutations turns on each of three zombie bugs
+// — a differing logged read adopted, an unguarded done mark, the lazy
+// intent's fifth rule dropped — and requires the relaunch enumeration to
+// fail on some point for each. The fifth rule refuses an effect-free
+// callback that lands after a relaunch was launched and before the
+// relaunch's own, so its mutation runs in pair mode.
 func TestRelaunchPointsCatchZombieMutations(t *testing.T) {
 	want, err := runGoldenRecovered(t, nil)
 	if err != nil {
@@ -466,14 +507,16 @@ func TestRelaunchPointsCatchZombieMutations(t *testing.T) {
 	for _, m := range []struct {
 		name  string
 		fault *atomic.Bool
+		pair  bool
 	}{
-		{"AdoptIgnoresDiffer", &core.FaultAdoptIgnoresDiffer},
-		{"UnguardedIntentDone", &core.FaultUnguardedIntentDone},
+		{"AdoptIgnoresDiffer", &core.FaultAdoptIgnoresDiffer, false},
+		{"UnguardedIntentDone", &core.FaultUnguardedIntentDone, false},
+		{"RelaunchLeavesRowOpen", &core.FaultRelaunchLeavesRowOpen, true},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			m.fault.Store(true)
 			defer m.fault.Store(false)
-			failures, _ := enumerateRelaunchPoints(t, want, points, lines)
+			failures, _, _ := enumerateRelaunchPoints(t, want, points, lines, m.pair)
 			failed, first := 0, ""
 			for k, f := range failures {
 				if f != "" {

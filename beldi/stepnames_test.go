@@ -22,8 +22,8 @@ import (
 
 // A step builds its crash-point label only when a fault plan is installed and
 // its span name only when a telemetry hub is attached. These goldens pin both
-// byte for byte over a fixed list of travel requests, one chain workflow and
-// one promise fan-out:
+// byte for byte over a fixed list of travel requests, one chain workflow, one
+// promise fan-out and one claim:
 // every label a plan sees, in order with its op index, and every span a trace
 // records. They were written by the commit before the labels and names became
 // lazy; a diff means a plan or a trace now sees something else. Regenerate
@@ -63,9 +63,15 @@ const goldenChainFn, goldenChainWrites = "chain", 8
 // input.
 const goldenFanFn, goldenLeafFn, goldenFanWidth = "fan", "leaf", 3
 
+// The claim: goldenClaimFn calls goldenOnceFn, which reads a slot and, only
+// if it is empty, writes its input there: "won" then, "taken" without an
+// effect when the slot is already held. Two executions of one call can take
+// different paths, one of them effect-free.
+const goldenClaimFn, goldenOnceFn = "claim", "once"
+
 // runGoldenWorkflows seeds a travel deployment, calls arm, then runs the
-// fixed requests, one chain workflow of eight logged writes and one promise
-// fan-out. It returns the deployment's store.
+// fixed requests, one chain workflow of eight logged writes, one promise
+// fan-out and one claim. It returns the deployment's store.
 func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.Platform)) *dynamo.Store {
 	t.Helper()
 	d, plat, store := goldenDeployment(t, tel, beldi.Config{}, nil)
@@ -79,10 +85,10 @@ func runGoldenWorkflows(t *testing.T, tel *beldi.Telemetry, arm func(*platform.P
 }
 
 // goldenDeployment builds and seeds the golden run's deployment: travel
-// plus the chain and fan-out functions, under cfg and clk (nil for the real
-// clock), with sequential ids. The
-// platform runs every asynchronous fire inline, on the firing goroutine, so
-// the run is sequential and its labels come in program order.
+// plus the chain, fan-out and claim functions, under cfg and clk (nil for
+// the real clock), with sequential ids. The platform runs every
+// asynchronous fire inline, on the firing goroutine, so the run is
+// sequential and its labels come in program order.
 func goldenDeployment(t *testing.T, tel *beldi.Telemetry, cfg beldi.Config, clk clock.Clock) (*beldi.Deployment, *platform.Platform, *dynamo.Store) {
 	t.Helper()
 	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"},
@@ -132,6 +138,16 @@ func goldenDeployment(t *testing.T, tel *beldi.Telemetry, cfg beldi.Config, clk 
 		}
 		return beldi.Int(10 * in.Int()), nil
 	}, "tally")
+	d.Function(goldenClaimFn, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
+		return e.SyncInvoke(goldenOnceFn, beldi.Str(goldenClaimFn))
+	})
+	d.Function(goldenOnceFn, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
+		held, err := e.Read("slot", "owner")
+		if err != nil || !held.IsNull() {
+			return beldi.Str("taken"), err
+		}
+		return beldi.Str("won"), e.Write("slot", "owner", in)
+	}, "slot")
 	if err := app.Seed(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +170,8 @@ func goldenCalls() []goldenCall {
 	for _, req := range goldenRequests() {
 		calls = append(calls, goldenCall{travel.FnFrontend, req})
 	}
-	return append(calls, goldenCall{goldenChainFn, beldi.Null}, goldenCall{goldenFanFn, beldi.Null})
+	return append(calls, goldenCall{goldenChainFn, beldi.Null}, goldenCall{goldenFanFn, beldi.Null},
+		goldenCall{goldenClaimFn, beldi.Null})
 }
 
 // labelRecorder is a FaultPlan that never crashes and writes down what it

@@ -344,7 +344,7 @@ func (rt *Runtime) handleCallback(ev envelope) (Value, error) {
 	lk := dynamo.HSK(dynamo.S(ev.CallerInstance), dynamo.S(ev.CallerStep))
 	rt.stats.CallbacksIn.Add(1)
 	open := resultUnset
-	if ev.First {
+	if ev.First && !FaultRelaunchLeavesRowOpen.Load() { // see simfault.go
 		open = resultUnsetRowOpen
 	}
 	err := rt.store.Update(rt.invokeLog, lk,

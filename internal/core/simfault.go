@@ -32,6 +32,12 @@ var FaultReinvokeIgnoresCalleeID atomic.Bool
 // effect: a crash past the mark leaves work the collector never resumes.
 var FaultDoneBeforeFlush atomic.Bool
 
+// FaultRelaunchLeavesRowOpen, when true, lets an effect-free callback fill a
+// caller's invoke-log row that a relaunch has closed: the lazy intent's
+// fifth rule is gone, and the caller can hold the result of one execution
+// beside the effects of another.
+var FaultRelaunchLeavesRowOpen atomic.Bool
+
 // FaultAdoptIgnoresDiffer, when true, makes a refused read-log flush adopt a
 // logged read whose value differs from the one this execution fetched,
 // instead of stopping the execution as superseded: it goes on acting on a
