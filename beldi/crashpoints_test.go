@@ -341,14 +341,17 @@ func goldenCrashPoints(t *testing.T) []string {
 }
 
 // enumerateCrashPoints crashes the golden run once at each golden point and
-// returns, per point, "" or what went wrong.
-func enumerateCrashPoints(t *testing.T, want goldenOutcome, points []string) []string {
+// returns, per point, "" or what went wrong; with firstOnly, it stops after
+// the first point that goes wrong.
+func enumerateCrashPoints(t *testing.T, want goldenOutcome, points []string, firstOnly bool) []string {
 	t.Helper()
 	failures := make([]string, len(points))
 	for i, point := range points {
 		plan := &crashAtCall{n: i + 1}
 		got, err := runGoldenRecovered(t, plan)
-		failures[i] = checkPoint(t, want, got, err, i, point, plan.label)
+		if failures[i] = checkPoint(t, want, got, err, i, point, plan.label); firstOnly && failures[i] != "" {
+			return failures[:i+1]
+		}
 	}
 	return failures
 }
@@ -396,13 +399,17 @@ func TestCrashPointsMatchTheCrashFreeRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := goldenCrashPoints(t)
-	for i, f := range enumerateCrashPoints(t, want, points) {
+	for i, f := range enumerateCrashPoints(t, want, points, false) {
 		if f != "" {
 			t.Errorf("crash at %s (line %d): %s", points[i], i+1, f)
 		}
 	}
 	t.Logf("%d crash points in %v", len(points), time.Since(start))
 }
+
+// crashAll makes TestCrashPointsCatchReplayMutations count every point each
+// mutation fails instead of stopping at its first; the nightly job sets it.
+var crashAll = flag.Bool("crash.all", false, "count every crash point a replay mutation fails")
 
 // TestCrashPointsCatchReplayMutations re-applies an effect on replay in
 // three ways, each a core fault switch, and requires the enumeration to fail
@@ -425,16 +432,20 @@ func TestCrashPointsCatchReplayMutations(t *testing.T) {
 			m.fault.Store(true)
 			defer m.fault.Store(false)
 			failed, first := 0, ""
-			for i, f := range enumerateCrashPoints(t, want, points) {
+			for i, f := range enumerateCrashPoints(t, want, points, !*crashAll) {
 				if f != "" {
 					if failed == 0 {
-						first = fmt.Sprintf("%s: %s", points[i], f)
+						first = fmt.Sprintf("line %d %s: %s", i+1, points[i], f)
 					}
 					failed++
 				}
 			}
 			if failed == 0 {
 				t.Fatalf("no crash point fails with the mutation on")
+			}
+			if !*crashAll {
+				t.Logf("first fails at %s", first)
+				return
 			}
 			t.Logf("fails on %d of %d points; first: %s", failed, len(points), first)
 		})

@@ -64,8 +64,7 @@ func (d *Deployment) EnableDurableAsync(opts DurableAsyncOptions) *DurableAsync 
 	}
 	da.timers = timers
 	if h := d.opts.Telemetry; h != nil {
-		m := timers.Metrics()
-		h.Registry.Register("timers", func() any { return m.Snapshot() })
+		h.Registry.Register("timers", func() any { return timers.Metrics().Snapshot() })
 	}
 	for _, rt := range d.collected() {
 		rt.SetLaunchBudget(budget)
@@ -109,7 +108,9 @@ func (da *DurableAsync) ScheduleInvoke(id, fn string, input Value, delay, period
 // fire is the timer service's Fire: the occurrence's intent put and its
 // in-process launch (core.Runtime.ScheduledIntent).
 func (da *DurableAsync) fire(fn, id string, input Value) (dynamo.TxOp, func(), error) {
-	if name, ok := strings.CutPrefix(fn, legacyInvokeQueue); ok {
+	// A registration written when a fire was enqueued on fn's invocation
+	// queue names "invoke."+fn, with fn's client envelope as the body.
+	if name, ok := strings.CutPrefix(fn, "invoke."); ok {
 		fn, input = name, core.ClientInput(input)
 	}
 	rt := da.d.runtimes[fn]
@@ -119,12 +120,6 @@ func (da *DurableAsync) fire(fn, id string, input Value) (dynamo.TxOp, func(), e
 	put, run := rt.ScheduledIntent(id, input)
 	return put, run, nil
 }
-
-// legacyInvokeQueue prefixes the target of a registration ScheduleInvoke
-// wrote when a fire was enqueued on fn's invocation queue: "invoke."+fn, with
-// fn's client envelope as the body. Such a registration fires as one written
-// now would.
-const legacyInvokeQueue = "invoke."
 
 // Start launches the timer pump. It starts no collection loop: that is
 // Deployment.StartCollectors.

@@ -61,38 +61,24 @@ type Subscription interface {
 func WaitEvents(ch <-chan CommitEvent, d time.Duration, cancel <-chan struct{}, skip func(CommitEvent) bool) bool {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
-	claimed, expired := false, false
+	claimed := false
 	for {
-		var ev CommitEvent
-		var ok bool
-		if expired {
-			// An event already buffered when the timer fired still ends the
-			// wait as one: a waiter scheduled late finds both ready, and a
-			// select would pick between them at random.
-			select {
-			case ev, ok = <-ch:
+		select {
+		case ev, ok := <-ch:
+			switch {
+			case !ok && claimed:
+				return true // the claimed events' wake-up is owed
+			case !ok:
+				ch = nil // closed: degrade to the plain timer
+			case skip == nil || !skip(ev):
+				return true
 			default:
-				return false
+				claimed = true
 			}
-		} else {
-			select {
-			case ev, ok = <-ch:
-			case <-timer.C:
-				expired = true
-				continue
-			case <-cancel:
-				return false
-			}
-		}
-		switch {
-		case !ok && claimed:
-			return true // the claimed events' wake-up is owed
-		case !ok:
-			ch = nil // closed: degrade to the plain timer
-		case skip == nil || !skip(ev):
-			return true
-		default:
-			claimed = true
+		case <-timer.C:
+			return false
+		case <-cancel:
+			return false
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -44,14 +45,6 @@ const (
 	// queue its fires were enqueued on, which Fire receives as the target.
 	attrQueue = "Queue"
 )
-
-// targetOf is what a timer row fires: its Target, or an older row's queue.
-func targetOf(row dynamo.Item) string {
-	if t, ok := row[attrTarget]; ok {
-		return t.Str()
-	}
-	return row[attrQueue].Str()
-}
 
 // A timer row's existence tests, built once.
 var (
@@ -231,7 +224,7 @@ func (ts *TimerService) fireOne(row dynamo.Item) (bool, error) {
 	id := row[attrTimerID].Str()
 	fires := row[attrFires].Int()
 	period := row[attrPeriod].Int()
-	put, run, err := ts.fire(targetOf(row), fmt.Sprintf("timer-%s-%s-%016x", id, row[attrGen].Str(), fires), row[attrBody])
+	put, run, err := ts.fire(cmp.Or(row[attrTarget].Str(), row[attrQueue].Str()), fmt.Sprintf("timer-%s-%s-%016x", id, row[attrGen].Str(), fires), row[attrBody])
 	if err != nil {
 		// Nothing here can fire this registration (e.g. one surviving from a
 		// prior deployment). Leave the row for an operator.
@@ -275,7 +268,7 @@ func (ts *TimerService) Timers() ([]TimerSpec, error) {
 	for _, row := range rows {
 		out = append(out, TimerSpec{
 			ID:     row[attrTimerID].Str(),
-			Target: targetOf(row),
+			Target: cmp.Or(row[attrTarget].Str(), row[attrQueue].Str()),
 			Body:   row[attrBody],
 			Delay:  time.Duration(row[attrDue].Int()-now) * time.Microsecond,
 			Period: time.Duration(row[attrPeriod].Int()) * time.Microsecond,
