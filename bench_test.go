@@ -46,7 +46,7 @@ func BenchmarkOpLatency(b *testing.B) {
 		id   string
 		rows int
 	}{{"13", 20}, {"25", 5}} {
-		benchSets(b, fig.id+"/", bench.OpCells(fig.rows, 30, 0.02, 1), bench.RunOp, func(b *testing.B, r bench.Fig13Row) {
+		benchSets(b, fig.id+"/", bench.OpCells(fig.rows, 30, 1), bench.RunOp, func(b *testing.B, r bench.Fig13Row) {
 			b.ReportMetric(ms(r.Median), "p50-ms")
 			b.ReportMetric(ms(r.P99), "p99-ms")
 		})
@@ -94,7 +94,7 @@ func BenchmarkFig16GCEffect(b *testing.B) {
 // BenchmarkTraversalAblation measures the §4.1 DAAL traversal strategies per
 // depth (full series via `figures -fig ablation`).
 func BenchmarkTraversalAblation(b *testing.B) {
-	benchSets(b, "", bench.AblationDepths(0.02, 1), bench.RunDepth, func(b *testing.B, rows []bench.AblationRow) {
+	benchSets(b, "", bench.AblationDepths(1), bench.RunDepth, func(b *testing.B, rows []bench.AblationRow) {
 		for _, r := range rows {
 			b.ReportMetric(r.StoreOps, "store-ops-"+r.Strategy)
 			b.ReportMetric(r.BytesRead, "bytes-read-"+r.Strategy)

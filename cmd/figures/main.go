@@ -83,7 +83,7 @@ func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		scale    = fs.Float64("scale", 0.1, "latency compression factor (1.0 = DynamoDB-like milliseconds)")
+		scale    = fs.Float64("scale", 0.1, "latency compression factor (1.0 = DynamoDB-like milliseconds); figs 13, 25, ablation and costs ignore it: they run on modeled time at 1.0")
 		duration = fs.Duration("duration", 3*time.Second, "measurement duration per sweep point")
 		minutes  = fs.Int("minutes", 30, "simulated minutes for fig 16")
 		minute   = fs.Duration("minute", 300*time.Millisecond, "real time per simulated minute in fig 16")
@@ -104,7 +104,7 @@ func run(args []string, stderr io.Writer) int {
 		id  string
 		run func() error
 	}{
-		{"13", func() error { return runOps("13", bench.OpCells(20, *ops, *scale, *seed)) }},
+		{"13", func() error { return runOps("13", bench.OpCells(20, *ops, *seed)) }},
 		{"14", curves("14", "media")},
 		{"15", curves("15", "travel")},
 		{"15b", func() error {
@@ -112,10 +112,10 @@ func run(args []string, stderr io.Writer) int {
 				bench.NoTxnCurves(rateList, *duration, *scale, *seed))
 		}},
 		{"16", func() error { return runFig16(bench.GCLines(*minutes, *minute, *scale, *seed)) }},
-		{"25", func() error { return runOps("25", bench.OpCells(5, *ops, *scale, *seed)) }},
+		{"25", func() error { return runOps("25", bench.OpCells(5, *ops, *seed)) }},
 		{"26", curves("26", "social")},
 		{"costs", runCosts},
-		{"ablation", func() error { return runAblation(bench.AblationDepths(*scale, *seed)) }},
+		{"ablation", func() error { return runAblation(bench.AblationDepths(*seed)) }},
 		{"queue", func() error { return runQueueSweep(bench.QueueCells(*scale, *seed)) }},
 		{"orders", curves("orders", "orders")},
 		{"shard", func() error { return runCells(shardTable, bench.ShardCells(*duration, *scale, *seed)) }},

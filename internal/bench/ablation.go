@@ -32,13 +32,12 @@ type AblationRow struct {
 }
 
 // AblationDepth is one DAAL depth of the ablation, at which every strategy
-// is measured.
+// is measured. Medians are modeled time at scale 1, read from the run's
+// virtual clock (see RunOp).
 type AblationDepth struct {
 	// Label is the depth in decimal.
 	Label string
 	Depth int
-	// Scale compresses simulated latency.
-	Scale float64
 	Seed  int64
 }
 
@@ -46,10 +45,10 @@ type AblationDepth struct {
 const ablationOps = 40
 
 // AblationDepths is the ablation's depths, 1, 2, 4, … 64 rows.
-func AblationDepths(scale float64, seed int64) []AblationDepth {
+func AblationDepths(seed int64) []AblationDepth {
 	var depths []AblationDepth
 	for depth := 1; depth <= 64; depth *= 2 {
-		depths = append(depths, AblationDepth{Label: strconv.Itoa(depth), Depth: depth, Scale: scale, Seed: seed})
+		depths = append(depths, AblationDepth{Label: strconv.Itoa(depth), Depth: depth, Seed: seed})
 	}
 	return depths
 }
@@ -61,11 +60,7 @@ func RunDepth(d AblationDepth) ([]AblationRow, error) {
 	fail := func(err error) ([]AblationRow, error) {
 		return nil, fmt.Errorf("bench: ablation depth=%d: %w", d.Depth, err)
 	}
-	sys := NewSystem(SystemOptions{
-		Mode: beldi.ModeBeldi, Scale: d.Scale, Seed: d.Seed,
-		Concurrency: 10000,
-		Config:      beldi.Config{RowCap: rowCap, T: time.Hour},
-	})
+	sys, clk := virtualSystem(beldi.ModeBeldi, d.Seed, beldi.Config{RowCap: rowCap, T: time.Hour})
 	sys.D.Function("fill", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		for i := int64(0); i < in.Int(); i++ {
 			if err := e.Write("data", "k", beldi.Str(value16)); err != nil {
@@ -85,7 +80,7 @@ func RunDepth(d AblationDepth) ([]AblationRow, error) {
 		h := &hist.Histogram{}
 		before := sys.Store.Metrics().Snapshot()
 		for i := 0; i < ablationOps; i++ {
-			t0 := time.Now()
+			t0 := clk.Now()
 			v, err := core.TailValue(rt, strategy, "data", "k")
 			if err != nil {
 				return fail(fmt.Errorf("%s: %w", strategy, err))
@@ -93,7 +88,7 @@ func RunDepth(d AblationDepth) ([]AblationRow, error) {
 			if v.Str() != value16 {
 				return fail(fmt.Errorf("%s: resolved %v, not the written value", strategy, v))
 			}
-			h.Record(time.Since(t0))
+			h.Record(clk.Now().Sub(t0))
 		}
 		diff := sys.Store.Metrics().Snapshot().Sub(before)
 		out = append(out, AblationRow{

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/beldi"
+	"repro/internal/clock"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
 	"repro/internal/storage"
@@ -48,9 +49,14 @@ type SystemOptions struct {
 	Config beldi.Config
 }
 
-// NewSystem builds a System.
-func NewSystem(opts SystemOptions) *System {
-	store := cloudStore(opts.Scale, opts.Seed)
+// NewSystem builds a System on the wall clock.
+func NewSystem(opts SystemOptions) *System { return newSystem(opts, clock.Real{}) }
+
+// newSystem builds a System whose store, platform and deployment all wait on
+// clk: the store's round trips and commits, the platform's start latencies,
+// and the runtime's timestamps.
+func newSystem(opts SystemOptions, clk clock.Clock) *System {
+	store := cloudStore(opts.Scale, opts.Seed, dynamo.WithClock(clk))
 	plat := platform.New(platform.Options{
 		ConcurrencyLimit: opts.Concurrency,
 		// Lambda dispatch costs: ~60ms cold, ~15ms warm (HTTP + SDK + scheduler),
@@ -63,9 +69,10 @@ func NewSystem(opts SystemOptions) *System {
 		Jitter:         0.2,
 		Seed:           opts.Seed,
 		IDs:            &uuid.Seq{Prefix: "req"},
+		Clock:          clk,
 	})
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
-		Store: store, Platform: plat, Mode: opts.Mode, Config: opts.Config,
+		Store: store, Platform: plat, Mode: opts.Mode, Config: opts.Config, Clock: clk,
 	})
 	return &System{Store: store, Plat: plat, D: d, Mode: opts.Mode, Scale: opts.Scale}
 }
@@ -73,8 +80,19 @@ func NewSystem(opts SystemOptions) *System {
 // cloudStore is the in-memory store under cloud-shaped per-op latency
 // compressed by scale: the substrate of every figure but the step-commit
 // cells.
-func cloudStore(scale float64, seed int64) *dynamo.Store {
-	return dynamo.NewStore(dynamo.WithLatency(dynamo.NewCloudLatency(scale, seed)))
+func cloudStore(scale float64, seed int64, opts ...dynamo.Option) *dynamo.Store {
+	return dynamo.NewStore(append(opts, dynamo.WithLatency(dynamo.NewCloudLatency(scale, seed)))...)
+}
+
+// virtualSystem builds a System at scale 1 on a fresh clock.Virtual: the
+// substrate of the sequential runners (RunOp, RunDepth, Costs). Every
+// modeled wait advances the clock at once, so a duration read from the
+// returned clock is the modeled cost of what ran, an exact function of the
+// seed, and the run takes no wall time waiting. It is only sound while one
+// operation runs at a time.
+func virtualSystem(mode beldi.Mode, seed int64, config beldi.Config) (*System, *clock.Virtual) {
+	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	return newSystem(SystemOptions{Mode: mode, Scale: 1, Seed: seed, Concurrency: 10000, Config: config}, clk), clk
 }
 
 // RunAll measures a figure's parameter sets in order, each with run, stopping

@@ -16,13 +16,20 @@ import (
 // cmd/figures and bench_test.go.
 
 func TestFig13Smoke(t *testing.T) {
-	// The scale keeps a simulated round trip (~0.1 ms) well above the
-	// sleep granularity: a Beldi read is two round trips to baseline's one
-	// (three before the one-query read), so the comparison below needs real
-	// sleeps, not scheduler noise, to tell them apart.
-	rows, err := RunAll(OpCells(3, 9, 0.05, 1), RunOp)
+	// The cells run on a virtual clock: a Beldi read is two modeled round
+	// trips to baseline's one (three before the one-query read), and the
+	// medians are those charges, not wall time, so the comparison below
+	// cannot be moved by scheduling. Two runs of the set must agree exactly.
+	rows, err := RunAll(OpCells(3, 9, 1), RunOp)
 	if err != nil {
 		t.Fatal(err)
+	}
+	again, err := RunAll(OpCells(3, 9, 1), RunOp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rows, again) {
+		t.Errorf("two runs of seed 1 differ:\n%v\n%v", rows, again)
 	}
 	if len(rows) != 12 { // 4 ops × 3 modes
 		t.Fatalf("%d rows", len(rows))
@@ -184,7 +191,7 @@ func TestCostsSmoke(t *testing.T) {
 // pointer chase one per row; and on the one-row chain that is the common
 // case the single query also moves the fewest bytes.
 func TestTraversalAblationSmoke(t *testing.T) {
-	depths, err := RunAll(pick(t, AblationDepths(0.0001, 1), "1", "4"), RunDepth)
+	depths, err := RunAll(pick(t, AblationDepths(1), "1", "4"), RunDepth)
 	if err != nil {
 		t.Fatal(err)
 	}

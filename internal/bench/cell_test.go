@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -130,14 +131,14 @@ func anys[P any](set []P) []any {
 // its default flags and the given seed. Costs takes no parameters.
 func figureSets(seed int64) []figureSet {
 	return []figureSet{
-		{"13", anys(OpCells(20, figOps, figScale, seed))},
+		{"13", anys(OpCells(20, figOps, seed))},
 		{"14", anys(AppCurves("media", figRates, figDuration, figScale, seed))},
 		{"15", anys(AppCurves("travel", figRates, figDuration, figScale, seed))},
 		{"15b", anys(NoTxnCurves(figRates, figDuration, figScale, seed))},
 		{"16", anys(GCLines(figMinutes, figMinute, figScale, seed))},
-		{"25", anys(OpCells(5, figOps, figScale, seed))},
+		{"25", anys(OpCells(5, figOps, seed))},
 		{"26", anys(AppCurves("social", figRates, figDuration, figScale, seed))},
-		{"ablation", anys(AblationDepths(figScale, seed))},
+		{"ablation", anys(AblationDepths(seed))},
 		{"queue", anys(QueueCells(figScale, seed))},
 		{"orders", anys(AppCurves("orders", figRates, figDuration, figScale, seed))},
 		{"shard", anys(ShardCells(figDuration, figScale, seed))},
@@ -206,17 +207,32 @@ func TestSeedZeroIsASeed(t *testing.T) {
 }
 
 // TestClosedLoopStopsTheFailedWorker: an error from one worker is returned
-// and ends that worker's loop at that call; the others run out the window,
-// and the histogram holds exactly the calls that succeeded.
+// and ends that worker's loop at that call; the others go on calling, and the
+// histogram holds exactly the calls that succeeded. The order is set by a
+// channel, not by the window: workers 0 and 2 block in their first call until
+// worker 1 has failed, then worker 0 makes one more call, and each stops by
+// ending its goroutine (closedLoop's deferred Done still runs) without an
+// error that could race boom.
 func TestClosedLoopStopsTheFailedWorker(t *testing.T) {
 	boom := errors.New("boom")
+	failed := make(chan struct{})
 	var calls [3]atomic.Int64
-	lat, err := closedLoop(len(calls), time.Now().Add(30*time.Millisecond), func(w, i int) error {
+	var afterFailure, stops atomic.Int64
+	lat, err := closedLoop(len(calls), time.Now().Add(time.Hour), func(w, i int) error {
 		calls[w].Add(1)
-		if w == 1 && i == 2 {
+		switch {
+		case w == 1 && i < 2:
+		case w == 1 && i == 2:
+			close(failed)
 			return boom
+		case i == 0:
+			<-failed
+		case w == 0 && i == 1:
+			afterFailure.Add(1)
+		default:
+			stops.Add(1)
+			runtime.Goexit()
 		}
-		time.Sleep(time.Millisecond)
 		return nil
 	})
 	if !errors.Is(err, boom) {
@@ -225,10 +241,10 @@ func TestClosedLoopStopsTheFailedWorker(t *testing.T) {
 	if n := calls[1].Load(); n != 3 {
 		t.Errorf("the failed worker made %d calls, want 3 (i = 0, 1, 2)", n)
 	}
-	if n := calls[0].Load(); n <= 3 {
-		t.Errorf("a healthy worker made only %d calls in the window", n)
+	if afterFailure.Load() != 1 {
+		t.Error("a healthy worker made no call after the failure")
 	}
-	if ok := calls[0].Load() + calls[1].Load() + calls[2].Load() - 1; lat.Count() != ok {
+	if ok := calls[0].Load() + calls[1].Load() + calls[2].Load() - 1 - stops.Load(); lat.Count() != ok {
 		t.Errorf("histogram holds %d samples, %d calls succeeded", lat.Count(), ok)
 	}
 }

@@ -71,10 +71,7 @@ func Costs() (*CostsReport, error) {
 	rep := &CostsReport{}
 
 	for _, mode := range []beldi.Mode{beldi.ModeBeldi, beldi.ModeBaseline} {
-		sys := NewSystem(SystemOptions{
-			Mode: mode, Scale: 0.0001, Seed: 1, Concurrency: 10000,
-			Config: beldi.Config{RowCap: 64, T: time.Hour},
-		})
+		sys, _ := virtualSystem(mode, 1, beldi.Config{RowCap: 64, T: time.Hour})
 		kind := "noop"
 		sys.D.Function(kind, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 			return beldi.Null, nil

@@ -25,7 +25,9 @@ type Fig13Row struct {
 
 // OpCell is one bar of Figure 13 or 25: one primitive in one mode, timed
 // over Ops sequential calls against a key whose linked DAAL holds DAALRows
-// rows.
+// rows. Its latencies are modeled time at scale 1 (the paper's DynamoDB-like
+// milliseconds), read from the virtual clock the run charges every round
+// trip and start latency to, so a bar is an exact function of its seed.
 type OpCell struct {
 	// Label is "<op>/<mode>".
 	Label string
@@ -38,10 +40,8 @@ type OpCell struct {
 	// Ops is the number of measured operations. It must stay at or below
 	// opRowCap so measurement itself does not grow the DAAL by more than one
 	// row.
-	Ops int
-	// Scale compresses simulated latency.
-	Scale float64
-	Seed  int64
+	Ops  int
+	Seed int64
 }
 
 // opRowCap is the per-row log capacity: large enough that prefill, not
@@ -54,12 +54,12 @@ const value16 = "0123456789abcdef"
 // OpCells is the microbenchmark at a DAAL depth (20 rows for Fig 13, 5 for
 // Fig 25), grouped by operation then mode (baseline, Beldi, cross-table),
 // matching the figure's bar order.
-func OpCells(daalRows, ops int, scale float64, seed int64) []OpCell {
+func OpCells(daalRows, ops int, seed int64) []OpCell {
 	var cells []OpCell
 	for _, op := range []string{"Read", "Write", "CondWrite", "Invoke"} {
 		for _, mode := range []beldi.Mode{beldi.ModeBaseline, beldi.ModeBeldi, beldi.ModeCrossTable} {
 			cells = append(cells, OpCell{Label: op + "/" + mode.String(), Op: op, Mode: mode,
-				DAALRows: daalRows, Ops: ops, Scale: scale, Seed: seed})
+				DAALRows: daalRows, Ops: ops, Seed: seed})
 		}
 	}
 	return cells
@@ -70,18 +70,14 @@ func RunOp(c OpCell) (Fig13Row, error) {
 	fail := func(err error) (Fig13Row, error) {
 		return Fig13Row{}, fmt.Errorf("bench: op cell %s: %w", c.Label, err)
 	}
-	sys := NewSystem(SystemOptions{
-		Mode: c.Mode, Scale: c.Scale, Seed: c.Seed,
-		Concurrency: 10000,
-		Config:      beldi.Config{RowCap: opRowCap, T: time.Hour},
-	})
+	sys, clk := virtualSystem(c.Mode, c.Seed, beldi.Config{RowCap: opRowCap, T: time.Hour})
 	h := &hist.Histogram{}
 	timed := func(f func() error) error {
-		t0 := time.Now()
+		t0 := clk.Now()
 		if err := f(); err != nil {
 			return err
 		}
-		h.Record(time.Since(t0))
+		h.Record(clk.Now().Sub(t0))
 		return nil
 	}
 

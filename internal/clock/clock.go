@@ -1,6 +1,8 @@
 // Package clock abstracts time so Beldi's timer-driven components (the
-// intent collector and garbage collector, §3.3/§5 of the paper) can be
-// driven by a manual clock in tests and by real time in benchmarks.
+// intent collector and garbage collector, §3.3/§5 of the paper) and the
+// substrate's modeled costs (the store's round trips, the platform's start
+// latency) can be driven by a manual or virtual clock in tests and
+// sequential measurements and by real time in concurrent benchmarks.
 package clock
 
 import (
@@ -98,4 +100,26 @@ func (m *Manual) Advance(d time.Duration) {
 	}
 	m.waiters = rest
 	m.mu.Unlock()
+}
+
+// Virtual is a Manual clock whose Sleep advances it at once: modeled time
+// that passes only when the program charges a wait to it, so a measurement
+// taken with Now is an exact function of the charges and takes no wall time.
+// An After-waiter fires once a Sleep or Advance passes its deadline.
+//
+// Every Sleep adds its whole duration, so two goroutines sleeping at once are
+// charged one after the other, not side by side. Use Virtual only for
+// sequential runs, where one modeled wait happens at a time.
+type Virtual struct{ Manual }
+
+// NewVirtual returns a Virtual clock starting at start.
+func NewVirtual(start time.Time) *Virtual {
+	return &Virtual{Manual{now: start}}
+}
+
+// Sleep implements Clock: it advances the clock by d and returns.
+func (v *Virtual) Sleep(d time.Duration) {
+	if d > 0 {
+		v.Advance(d)
+	}
 }

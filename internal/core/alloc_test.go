@@ -33,7 +33,8 @@ import (
 // and projections were built per step). The sync invoke cost 27 allocations
 // and 3 040 bytes while every platform instance ran on a goroutine of its
 // own, and 21 while an instance's root Env and its branch-shared state were
-// two allocations.
+// two allocations; it cost 2 528 bytes while platform.Invocation carried a
+// start time nothing read.
 var stepBudget = []struct {
 	name          string
 	allocs, bytes float64
@@ -43,7 +44,7 @@ var stepBudget = []struct {
 	{"logged write", 16, 1528, "step key, log key, the written value, the projection; the skeleton query (3); the apply-and-log update's actions and conditions; the row's new attribute list and copied log"},
 	{"first write", 11, 928, "step key, log key, the written value, the projection; the empty query; the head row's guarded upsert, its actions and the new row's attribute and log lists"},
 	{"sealed read, warm", 1, 16, "step key: the sealed table's cache answers, with no query and no queued read-log row"},
-	{"sync invoke", 20, 2528, "callee id, the invoke-log row's update, the envelope; the platform instance and the effect-free callee's whole execution, callback included — run on the invoking goroutine (no goroutine, result channel or closure per instance), its root Env and shared state one allocation"},
+	{"sync invoke", 20, 2464, "callee id, the invoke-log row's update, the envelope; the platform instance and the effect-free callee's whole execution, callback included — run on the invoking goroutine (no goroutine, result channel or closure per instance), its root Env and shared state one allocation"},
 }
 
 // bytesSlack is how far a step's allocated bytes may drift from the table

@@ -147,10 +147,6 @@ func (c CommitCost) CommitLatency(ops int) time.Duration {
 	return c.Flush + time.Duration(ops)*c.PerOp
 }
 
-// sleep blocks for d; a seam kept trivial on purpose (benchmarks rely on
-// real sleeping to recreate round-trip concurrency).
-func sleep(d time.Duration) { time.Sleep(d) }
-
 // OpLatency implements LatencyModel.
 func (m *CloudLatency) OpLatency(op OpKind, items, bytes int) time.Duration {
 	d := m.Base[op] + time.Duration(items)*m.PerItem + time.Duration(bytes/1024)*m.PerKB

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func TestZeroLatency(t *testing.T) {
@@ -133,23 +135,48 @@ func TestModelCommitLatencyExposesTheModel(t *testing.T) {
 func TestTransactWriteChargesCommitCostPerBatch(t *testing.T) {
 	// TransactWrite charges CommitLatency once for the whole batch — not
 	// once per op — which is exactly the amortization ModelCommitLatency
-	// lets the pipeline committer account for.
+	// lets the pipeline committer account for. On a virtual clock the
+	// charge is the clock's whole advance.
 	const flush = 30 * time.Millisecond
-	s := NewStore(WithLatency(CommitCost{Flush: flush}))
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	s := NewStore(WithLatency(CommitCost{Flush: flush}), WithClock(clk))
 	s.MustCreateTable(Schema{Name: "kv", HashKey: "K"})
 	ops := make([]TxOp, 8)
 	for i := range ops {
 		ops[i] = TxOp{Table: "kv", Put: Item{"K": S(fmt.Sprintf("k%d", i)), "V": NInt(int64(i))}}
 	}
-	start := time.Now()
+	start := clk.Now()
 	if err := s.TransactWrite(ops); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
-	if elapsed < flush {
-		t.Errorf("TransactWrite took %v, want >= one flush (%v)", elapsed, flush)
+	if got := clk.Now().Sub(start); got != flush {
+		t.Errorf("an 8-op TransactWrite advanced the clock %v, want one flush (%v)", got, flush)
 	}
-	if elapsed >= time.Duration(len(ops))*flush {
-		t.Errorf("TransactWrite took %v: flush charged per op, not per batch", elapsed)
+}
+
+func TestPlainOpsChargeTheClock(t *testing.T) {
+	// The plain path: a Get pays its round trip, a Put its round trip plus
+	// a one-op commit, each as one exact advance of the store's clock.
+	cloud := NewCloudLatency(1, 1)
+	cloud.Jitter, cloud.TailP = 0, 0
+	cost := CommitCost{Inner: cloud, Flush: 2 * time.Millisecond, PerOp: time.Millisecond}
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	s := NewStore(WithLatency(cost), WithClock(clk))
+	s.MustCreateTable(Schema{Name: "kv", HashKey: "K"})
+	for _, tc := range []struct {
+		name string
+		op   func() error
+		want time.Duration
+	}{
+		{"get", func() error { _, _, err := s.Get("kv", HK(S("a"))); return err }, cloud.Base[OpGet] + cloud.PerItem},
+		{"put", func() error { return s.Put("kv", Item{"K": S("a")}, nil) }, cloud.Base[OpPut] + cloud.PerItem + 3*time.Millisecond},
+	} {
+		start := clk.Now()
+		if err := tc.op(); err != nil {
+			t.Fatal(err)
+		}
+		if got := clk.Now().Sub(start); got != tc.want {
+			t.Errorf("%s advanced the clock %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -179,14 +179,14 @@ func (s *Store) applyWrite(sh *shard, w *write) {
 	}
 }
 
-// commitSleep charges the commit-latch cost for a batch of ops, when the
-// latency model defines one.
+// commitSleep charges the commit-latch cost for a batch of ops to the
+// store's clock, when the latency model defines one.
 func (s *Store) commitSleep(ops int) {
 	m, ok := s.latency.(CommitLatencyModel)
 	if !ok {
 		return
 	}
 	if d := m.CommitLatency(ops); d > 0 {
-		sleep(d)
+		s.clk.Sleep(d)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Store is the in-memory NoSQL service. It is safe for concurrent use; each
@@ -26,6 +28,7 @@ type Store struct {
 	groupCommit   bool
 
 	latency LatencyModel
+	clk     clock.Clock
 	metrics Metrics
 	watch   *WatchHub
 }
@@ -37,6 +40,13 @@ type Option func(*Store)
 // default is ZeroLatency.
 func WithLatency(m LatencyModel) Option {
 	return func(s *Store) { s.latency = m }
+}
+
+// WithClock sets the clock the latency model's charges are slept on, fixed
+// for the store's life; the default is clock.Real. A clock.Virtual makes
+// every modeled round trip and commit an exact advance of virtual time.
+func WithClock(c clock.Clock) Option {
+	return func(s *Store) { s.clk = c }
 }
 
 // WithShards sets the default shard count for tables created without an
@@ -65,6 +75,7 @@ func NewStore(opts ...Option) *Store {
 	s := &Store{
 		tables:        make(map[string]*table),
 		latency:       ZeroLatency{},
+		clk:           clock.Real{},
 		defaultShards: DefaultShards,
 	}
 	s.watch = NewWatchHub(&s.metrics)
@@ -166,7 +177,7 @@ func (s *Store) charge(op OpKind, items, bytes int) {
 	s.metrics.Ops[op].Add(1)
 	s.metrics.BytesRead.Add(int64(bytes))
 	if d := s.latency.OpLatency(op, items, bytes); d > 0 {
-		sleep(d)
+		s.clk.Sleep(d)
 	}
 }
 

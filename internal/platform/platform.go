@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dynamo"
 	"repro/internal/uuid"
 )
@@ -82,6 +83,9 @@ type Options struct {
 	// Faults is the crash plan consulted at every CrashPoint; nil disables
 	// injection.
 	Faults FaultPlan
+	// Clock is what start latencies are slept on and execution timeouts
+	// are measured by; nil means clock.Real.
+	Clock clock.Clock
 	// AsyncDispatch, when non-nil, runs asynchronous invocations instead of
 	// `go run()` — the scheduling seam deterministic simulators use to turn
 	// fire-and-forget handoffs into schedulable tasks. run must be called
@@ -128,6 +132,9 @@ func New(opts Options) *Platform {
 	ids := opts.IDs
 	if ids == nil {
 		ids = uuid.Random{}
+	}
+	if opts.Clock == nil {
+		opts.Clock = clock.Real{}
 	}
 	return &Platform{
 		opts:   opts,
@@ -307,7 +314,7 @@ func (p *Platform) invokeInner(ctx context.Context, name string, input Value, as
 		startLat += c
 	}
 	if startLat > 0 {
-		time.Sleep(startLat)
+		p.opts.Clock.Sleep(startLat)
 	}
 
 	inv := &Invocation{
@@ -316,10 +323,9 @@ func (p *Platform) invokeInner(ctx context.Context, name string, input Value, as
 		Async:     async,
 		ctx:       ctx,
 		platform:  p,
-		started:   time.Now(),
 	}
 	if fn.timeout > 0 {
-		inv.deadline = inv.started.Add(fn.timeout)
+		inv.deadline = p.opts.Clock.Now().Add(fn.timeout)
 	}
 	p.metrics.Invocations.Add(1)
 
@@ -357,7 +363,7 @@ func (p *Platform) runInstance(fn *function, inv *Invocation, input Value) (Valu
 
 	var expired <-chan time.Time
 	if !inv.deadline.IsZero() {
-		expired = time.After(time.Until(inv.deadline) + 10*time.Millisecond)
+		expired = p.opts.Clock.After(inv.deadline.Sub(p.opts.Clock.Now()) + 10*time.Millisecond)
 	}
 	select {
 	case r := <-done:
@@ -473,7 +479,6 @@ type Invocation struct {
 
 	ctx      context.Context
 	platform *Platform
-	started  time.Time
 	deadline time.Time
 	ops      atomic.Int64
 }
@@ -513,7 +518,7 @@ func IsInjectedCrash(r any) bool {
 // the instance dies here.
 func (inv *Invocation) CrashPoint(point, step string) {
 	n := inv.ops.Add(1)
-	if !inv.deadline.IsZero() && time.Now().After(inv.deadline) {
+	if !inv.deadline.IsZero() && inv.platform.opts.Clock.Now().After(inv.deadline) {
 		panic(crash{label: point + step, timeout: true})
 	}
 	if inv.ctx != nil && inv.ctx.Err() != nil {
@@ -543,9 +548,6 @@ func (inv *Invocation) Kill(label string) {
 // Platform returns the platform that spawned this instance, letting
 // handlers invoke other functions (driver functions, §2.1).
 func (inv *Invocation) Platform() *Platform { return inv.platform }
-
-// Elapsed reports how long the instance has been running.
-func (inv *Invocation) Elapsed() time.Duration { return time.Since(inv.started) }
 
 // Metrics counts platform activity.
 type Metrics struct {
