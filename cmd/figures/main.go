@@ -12,6 +12,7 @@
 //	figures -fig 25                  # Fig 13 with a 5-row DAAL (Appendix C)
 //	figures -fig 26                  # social media site (Appendix C)
 //	figures -fig costs               # §7.3 storage / IO accounting
+//	figures -fig counts              # store ops per table, bytes, WAL records, fsyncs, RPCs per workflow (costs.golden)
 //	figures -fig 15b                 # §7.4 Beldi-without-transactions ablation
 //	figures -fig ablation            # §4.1 DAAL traversal strategy ablation
 //	figures -fig queue               # event-queue throughput vs mapper batch size
@@ -29,7 +30,9 @@
 // archive the bench trajectory across commits. The shard, backend, remote,
 // pipeline and latency figures are parameter sets of one cell runner and
 // share one shape, []bench.Point; -fig latency writes its trigger table as
-// BENCH_trigger.json.
+// BENCH_trigger.json. -fig counts writes its rows as BENCH_counts.json; the
+// copy committed at the repository root is the count trajectory, and
+// internal/bench's TestCountsGolden keeps it equal to testdata/costs.golden.
 //
 // Numbers are simulator-relative; the shapes (ratios, knees, growth trends)
 // are the reproduction targets. See EXPERIMENTS.md.
@@ -115,6 +118,7 @@ func run(args []string, stderr io.Writer) int {
 		{"25", func() error { return runOps("25", bench.OpCells(5, *ops, *seed)) }},
 		{"26", curves("26", "social")},
 		{"costs", runCosts},
+		{"counts", func() error { return runCounts(bench.CountSets(*seed)) }},
 		{"ablation", func() error { return runAblation(bench.AblationDepths(*seed)) }},
 		{"queue", func() error { return runQueueSweep(bench.QueueCells(*scale, *seed)) }},
 		{"orders", curves("orders", "orders")},
@@ -461,13 +465,24 @@ func runFig16(lines []bench.GCLine) error {
 	return nil
 }
 
+func runCounts(sets []bench.CountSet) error {
+	rows, err := bench.RunAll(sets, bench.RunCount)
+	if err != nil {
+		return err
+	}
+	fmt.Println("# Counts per workflow — store ops by table and kind, stored bytes, WAL records, fsyncs, RPCs; the collection apart")
+	fmt.Print(bench.FormatCounts(rows))
+	fmt.Println()
+	return emitJSON("counts", rows)
+}
+
 func runCosts() error {
 	rep, err := bench.Costs()
 	if err != nil {
 		return err
 	}
 	fmt.Println("# §7.3 'Other costs' — storage and IO accounting")
-	fmt.Printf("stored bytes per op beyond the value:  beldi=%.1f  baseline=%.1f\n",
+	fmt.Printf("stored bytes per write:                beldi=%.1f  baseline=%.1f  (beldi beyond the value it logs; baseline overwrites in place)\n",
 		rep.StoredBytesPerOpBeldi, rep.StoredBytesPerOpBaseline)
 	fmt.Printf("response bytes per read (20-row DAAL): beldi=%d  baseline=%d  (extra=%d)\n",
 		rep.ReadBytesBeldi, rep.ReadBytesBaseline, rep.ReadBytesBeldi-rep.ReadBytesBaseline)

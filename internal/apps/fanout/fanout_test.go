@@ -187,7 +187,10 @@ func (s countedSub) Wait(d time.Duration, cancel <-chan struct{}, skip func(stor
 // arrive one by one, in order, the case that once cost the fan-in a wake-up
 // fetch plus the next await's first fetch per result. The fan-in now waits
 // once: one fetch finds nothing, the wait skips the first 7 posts and wakes
-// on the 8th, and one more fetch finds all 8.
+// on the 8th, and one more fetch finds all 8. The job's total, on the
+// in-memory store and over the wire to a walstore, with the collection's ops
+// beside it, is pinned by internal/bench's testdata/costs.golden (its
+// "fanout … store_ops" lines), which paces the job the same way.
 func TestFanOutJobStoreOpsByTable(t *testing.T) {
 	const fanIn = FnReduce + ".invokelog"
 	store := &eventCounting{Counting: storagetest.NewCounting(dynamo.NewStore()), table: fanIn}

@@ -99,7 +99,7 @@ func TestCellSetsPinned(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/grids.golden from this build")
+var update = flag.Bool("update", false, "rewrite testdata/grids.golden, testdata/costs.golden and BENCH_counts.json from this build")
 
 // The flags cmd/figures runs every figure with by default.
 const (
