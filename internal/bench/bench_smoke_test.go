@@ -155,6 +155,10 @@ func TestCostsSmoke(t *testing.T) {
 	if rep.StoredBytesPerOpBeldi <= 0 {
 		t.Errorf("beldi stored bytes per op = %f", rep.StoredBytesPerOpBeldi)
 	}
+	// An overwrite in place grows nothing; it cannot shrink the store.
+	if rep.StoredBytesPerOpBaseline < 0 {
+		t.Errorf("baseline stored bytes per op = %f, want >= 0", rep.StoredBytesPerOpBaseline)
+	}
 	// A lone read is fetch + flush, the figure's single-read row; k reads of
 	// one instance share the flush.
 	if rep.StoreOpsPerReadBeldi != 2 {
