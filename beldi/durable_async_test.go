@@ -1,6 +1,7 @@
 package beldi_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -233,6 +234,52 @@ func TestLegacyTimerRegistrationFires(t *testing.T) {
 		t.Errorf("child ran with %v (%v), want the registered input %q", got, err, "tick")
 	}
 	if err := r.d.FsckAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTimerOccurrenceStoreOps pins one timer occurrence's ops on its target's
+// tables: the intent row is put in the transaction that advances the timer
+// (a TransactWrite counts against its first op's table), and the fire, a
+// first launch younger than ICMinAge, reads no row before the body's write
+// and the done mark.
+func TestTimerOccurrenceStoreOps(t *testing.T) {
+	store := storagetest.NewCounting(dynamo.NewStore())
+	plat := platform.New(platform.Options{AsyncDispatch: func(run func()) { run() }})
+	d := beldi.NewDeployment(beldi.DeploymentOptions{Store: store, Platform: plat, Config: beldi.Config{T: time.Hour}})
+	t.Cleanup(d.Stop)
+	d.Function("child", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
+		return beldi.Null, e.Write("state", "got", in)
+	}, "state")
+	da := d.EnableDurableAsync(beldi.DurableAsyncOptions{})
+	if err := da.ScheduleInvoke("tick", "child", beldi.Str("tick"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := store.Counts()
+	if n, err := da.Timers().FireDue(); err != nil || n != 1 {
+		t.Fatalf("FireDue = %d (%v), want one occurrence", n, err)
+	}
+	want := map[string]int{
+		"child.intent transact":   1,
+		"child.data.state query":  1,
+		"child.data.state update": 1,
+		"child.intent update":     1,
+	}
+	after := store.Counts()
+	for k := range after {
+		if _, ok := want[k]; !ok && strings.HasPrefix(k, "child.") {
+			want[k] = 0 // an op on the target the budget does not know
+		}
+	}
+	for k, n := range want {
+		if got := after[k] - before[k]; got != n {
+			t.Errorf("%s = %d, want %d", k, got, n)
+		}
+	}
+	if got, err := beldi.PeekState(d.Runtime("child"), "state", "got"); err != nil || got.Str() != "tick" {
+		t.Errorf("child ran with %v (%v), want %q", got, err, "tick")
+	}
+	if err := d.FsckAll(); err != nil {
 		t.Fatal(err)
 	}
 }

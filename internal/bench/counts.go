@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -91,7 +90,9 @@ func RunCount(set CountSet) (CountRow, error) {
 	defer st.close()
 	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
 	// A fan-out's fires are handed to the runner, which delivers them one
-	// at a time; no other workload fires anything.
+	// at a time; no other workload fires anything. The buffer holds more
+	// than a job's 8, so that a stray fire (the collection's relaunch, say)
+	// is reported below instead of blocking its sender.
 	fires := make(chan func(), 64)
 	plat := platform.New(platform.Options{Seed: set.Seed, IDs: &uuid.Seq{Prefix: "req"}, Clock: clk,
 		AsyncDispatch: func(run func()) { fires <- run }})
@@ -409,10 +410,8 @@ func (st *countStack) storedBytes() (int, error) {
 	if st.wal != nil {
 		b = st.wal
 	}
-	names := b.TableNames()
-	sort.Strings(names)
 	total := 0
-	for _, name := range names {
+	for _, name := range b.TableNames() {
 		n, err := b.TableBytes(name)
 		if err != nil {
 			return 0, err

@@ -35,13 +35,12 @@ func (rt *Runtime) RunIntentCollector() (int, error) {
 		return 0, err
 	}
 	now := rt.now()
-	minAge := rt.cfg.ICMinAge.Microseconds()
 	gate := rt.collectorGate()
 	restarted := 0
 	for _, it := range items {
 		rec := decodeIntent(it)
-		if now-rec.lastLaunch < minAge {
-			continue // launched recently; give it time (first IC optimization)
+		if rt.launchedRecently(rec.lastLaunch, now) {
+			continue // give it time (first IC optimization)
 		}
 		var fence []dynamo.TxOp
 		if gate != nil {
@@ -71,6 +70,13 @@ func (rt *Runtime) RunIntentCollector() (int, error) {
 		restarted++
 	}
 	return restarted, nil
+}
+
+// launchedRecently reports whether a launch at at is younger than ICMinAge
+// at now: a collector pass leaves such an intent alone, so no relaunch of it
+// can have been claimed (an async first run relies on it, asyncRunIntent).
+func (rt *Runtime) launchedRecently(at, now int64) bool {
+	return now-at < rt.cfg.ICMinAge.Microseconds()
 }
 
 // launchClaim is the update a collector's claim of rec makes at now: the

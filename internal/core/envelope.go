@@ -18,14 +18,22 @@ type envelope struct {
 	Input      Value
 	Async      bool
 	// First marks the one launch of a callee that is fresh by construction:
-	// syncInvokeStep sets it only on the invocation that directly follows its
-	// own applied invoke-log insert, so the callee id was minted a moment ago
-	// and no other execution of it can exist. Such a callee defers its intent
-	// row to its first effect boundary (handleCall). Never stored: the Args
-	// of a materialised intent describe a relaunch, which is never first. On
-	// a callback it marks the result of such a launch that stayed
+	// syncInvokeStep and asyncInvokeStep set it only on the invocation that
+	// directly follows their own applied invoke-log insert, so the callee id
+	// was minted a moment ago and no other execution of it can exist; a
+	// timer occurrence's fire sets it once the transaction that created the
+	// occurrence's row has committed. Such a sync callee defers its intent
+	// row to its first effect boundary (handleCall); such an async run skips
+	// reading its row while it is younger than ICMinAge (handleAsyncRun).
+	// Never stored: the Args of an intent describe a relaunch, which is never
+	// first. On a callback it marks the result of such a launch that stayed
 	// effect-free, which a row closed by a relaunch refuses (handleCallback).
 	First bool
+	// Launched is the caller's clock reading (rt.now) taken before it
+	// registered an async callee: the registration writes it as the row's
+	// StartTime and LastLaunch, and a First run measures its age from it.
+	// Never stored in Args.
+	Launched int64
 
 	// App names the application the request belongs to (§2.2 SSF
 	// reusability: one SSF serving several applications keeps each
@@ -68,7 +76,7 @@ const (
 // encode marshals the envelope to a map Value. Its entries are listed in key
 // order, so the field list is built as it is, once.
 func (ev envelope) encode() Value {
-	var buf [15]dynamo.Field
+	var buf [16]dynamo.Field
 	fs := buf[:0]
 	if ev.App != "" {
 		fs = append(fs, dynamo.F("App", dynamo.S(ev.App)))
@@ -93,6 +101,9 @@ func (ev envelope) encode() Value {
 		fs = append(fs, dynamo.F(instanceKey, dynamo.S(ev.InstanceID)))
 	}
 	fs = append(fs, dynamo.F("Kind", dynamo.S(ev.Kind)))
+	if ev.Launched != 0 {
+		fs = append(fs, dynamo.F("Launched", dynamo.NInt(ev.Launched)))
+	}
 	if ev.ReplyFn != "" {
 		fs = append(fs, dynamo.F("ReplyFn", dynamo.S(ev.ReplyFn)), dynamo.F("ReplyOwner", dynamo.S(ev.ReplyOwner)),
 			dynamo.F("ReplyStep", dynamo.S(ev.ReplyStep)))
@@ -156,6 +167,8 @@ func decodeEnvelope(raw Value) envelope {
 			ev.InstanceID = v.Str()
 		case "Kind":
 			ev.Kind = v.Str()
+		case "Launched":
+			ev.Launched = v.Int()
 		case "ReplyFn":
 			ev.ReplyFn = v.Str()
 		case "ReplyOwner":

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
 	"repro/internal/storage"
@@ -25,6 +26,7 @@ type fixture struct {
 	cfg   Config
 	plans platform.Plans
 	held  heldRuns
+	clk   clock.Clock // the runtimes'; nil is the wall clock
 }
 
 // heldRuns is the fixture platform's AsyncDispatch: while a test holds it,
@@ -72,6 +74,7 @@ type fixtureOpt func(*fixture)
 func withMode(m Mode) fixtureOpt             { return func(f *fixture) { f.mode = m } }
 func withConfig(c Config) fixtureOpt         { return func(f *fixture) { f.cfg = c } }
 func withStore(s storage.Backend) fixtureOpt { return func(f *fixture) { f.store = s } }
+func withClock(c clock.Clock) fixtureOpt     { return func(f *fixture) { f.clk = c } }
 func withFaults(p platform.FaultPlan) fixtureOpt {
 	return func(f *fixture) { f.plans = append(f.plans, p) }
 }
@@ -111,6 +114,7 @@ func (f *fixture) fn(name string, body Body, tables ...string) *Runtime {
 		Mode:     f.mode,
 		Config:   f.cfg,
 		IDs:      &uuid.Seq{Prefix: name},
+		Clock:    f.clk,
 	})
 	if err != nil {
 		f.t.Fatal(err)

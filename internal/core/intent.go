@@ -32,7 +32,8 @@ type intentRecord struct {
 	hasFinish  bool
 	// fresh is true when this execution is the intent's first, not a replayed
 	// re-execution, so no log row of the instance can pre-date it: ensureIntent
-	// created the row in this call, or the launch is a deferred first one.
+	// created the row in this call, the launch is a deferred first one, or it
+	// is an async first run younger than ICMinAge (handleAsyncRun).
 	// In-memory only (telemetry's restart marker; what lets newEnv start with
 	// a known-empty read log), never stored.
 	fresh bool
@@ -63,12 +64,12 @@ func decodeIntent(it dynamo.Item) *intentRecord {
 	return r
 }
 
-// newIntent is the record of an instance first launched now, as createIntent
-// stores it. Its start time — the wait-die priority — is fixed here, so a
-// deferred intent hands its transactions the very value its row will hold.
-func (rt *Runtime) newIntent(id string, ev envelope) *intentRecord {
-	now := rt.now()
-	return &intentRecord{id: id, args: ev, async: ev.Async, startTime: now, lastLaunch: now, fresh: true}
+// newIntent is the record of an instance first launched at at, as
+// createIntent stores it. Its start time — the wait-die priority — is fixed
+// here, so a deferred intent hands its transactions the very value its row
+// will hold, and an async first run the value its registration wrote.
+func (rt *Runtime) newIntent(id string, ev envelope, at int64) *intentRecord {
+	return &intentRecord{id: id, args: ev, async: ev.Async, startTime: at, lastLaunch: at, fresh: true}
 }
 
 // createIntent writes rec's row unless the instance already has one
@@ -101,11 +102,15 @@ func (rec *intentRecord) item() dynamo.Item {
 // put is step 1, the intent row's put guarded on its absence, for the
 // transaction that also advances the timer, so the occurrence and the
 // advance commit together and the id deduplicates the occurrence; fire is
-// step 2, the in-process fire, to run once that transaction commits. A lost
-// fire leaves the intent pending for the intent collector.
+// step 2, the in-process fire, to run once that transaction commits. Only
+// then is the row this put's, so the fire is a first launch from the put's
+// start time, as asyncInvoke's is. A lost fire leaves the intent pending for
+// the intent collector.
 func (rt *Runtime) ScheduledIntent(id string, input Value) (put dynamo.TxOp, fire func()) {
 	run := envelope{Kind: kindAsyncRun, InstanceID: id, Input: input, Async: true}
-	put = dynamo.TxOp{Table: rt.intentTable, Key: dynamo.HK(dynamo.S(id)), Put: rt.newIntent(id, run).item(), Cond: instanceAbsent}
+	rec := rt.newIntent(id, run, rt.now())
+	put = dynamo.TxOp{Table: rt.intentTable, Key: dynamo.HK(dynamo.S(id)), Put: rec.item(), Cond: instanceAbsent}
+	run.First, run.Launched = true, rec.startTime
 	return put, func() { _ = rt.plat.InvokeAsyncInternal(rt.fn, run.encode()) }
 }
 
@@ -113,9 +118,10 @@ func (rt *Runtime) ScheduledIntent(id string, input Value) (put dynamo.TxOp, fir
 // execution and reading it back on re-execution (the first operation of
 // every Beldi SSF but a first-launched callee, §3.3). The returned record
 // carries the authoritative start time — the wait-die priority — which is
-// the *original* execution's, not the re-execution's.
-func (rt *Runtime) ensureIntent(id string, ev envelope) (*intentRecord, error) {
-	rec := rt.newIntent(id, ev)
+// the *original* execution's, not the re-execution's. A created row starts
+// at at.
+func (rt *Runtime) ensureIntent(id string, ev envelope, at int64) (*intentRecord, error) {
+	rec := rt.newIntent(id, ev, at)
 	err := rt.createIntent(rec)
 	if err == nil {
 		return rec, nil

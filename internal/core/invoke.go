@@ -257,12 +257,15 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, promise bool)
 	if promise {
 		run.ReplyFn, run.ReplyOwner, run.ReplyStep = e.rt.fn, e.instanceID, stepKey
 	}
+	launched := e.rt.now()
 	if !registered {
-		// Step 1: synchronous registration; the callee logs the intent and
-		// confirms through the callback path before we may fire the run.
+		// Step 1: synchronous registration; the callee logs the intent,
+		// started at this stamp, and confirms through the callback path
+		// before we may fire the run.
 		reg := run
 		reg.Kind = kindAsyncRegister
 		reg.CallerFn, reg.CallerInstance, reg.CallerStep = e.rt.fn, e.instanceID, stepKey
+		reg.Launched = launched
 		confirmed, err := e.rt.plat.InvokeInternalCtx(e.Context(), callee, reg.encode())
 		if err != nil {
 			return "", replay, fmt.Errorf("core: asyncInvoke %s: registration: %w", callee, err)
@@ -280,7 +283,13 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, promise bool)
 	// At-least-once is enough: the run stub skips intents that are missing
 	// (GC'd) or complete. The registered intent is the durable record of the
 	// run: if this fire is lost — the caller or the platform's async
-	// goroutine dies — the callee's intent collector launches it.
+	// goroutine dies — the callee's intent collector launches it. Only the
+	// fire that directly follows this execution's own applied insert is
+	// first: the registration it just made is the row's only launch, from
+	// the stamp the row holds. A replay's fire may follow a relaunch.
+	if !replay {
+		run.First, run.Launched = true, launched
+	}
 	if err := e.rt.plat.InvokeAsyncInternal(callee, run.encode()); err != nil {
 		return "", replay, fmt.Errorf("core: asyncInvoke %s: run: %w", callee, err)
 	}

@@ -300,7 +300,7 @@ func TestStoreOpBudget(t *testing.T) {
 	}
 	register := func(fn, id string) {
 		reg := envelope{Kind: kindAsyncRegister, InstanceID: id, Input: dynamo.S("r"), Async: true}
-		if _, err := f.rts[fn].ensureIntent(id, reg); err != nil {
+		if _, err := f.rts[fn].ensureIntent(id, reg, f.rts[fn].now()); err != nil {
 			t.Fatal(err)
 		}
 	}

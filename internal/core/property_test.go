@@ -162,7 +162,7 @@ func TestReplayedOutcomesStableQuick(t *testing.T) {
 // envelopes — the wire format every workflow hop depends on.
 func TestEnvelopeRoundTripQuick(t *testing.T) {
 	check := func(kindSel uint8, id, callerFn, callerInst, callerStep, calleeID string,
-		async, hasRes bool, txnSel uint8) bool {
+		async, hasRes, first bool, launched uint32, txnSel uint8) bool {
 		kinds := []string{kindCall, kindCallback, kindAsyncRegister, kindAsyncRun}
 		ev := envelope{
 			Kind:           kinds[int(kindSel)%len(kinds)],
@@ -172,6 +172,8 @@ func TestEnvelopeRoundTripQuick(t *testing.T) {
 			CallerFn:       callerFn,
 			CallerInstance: callerInst,
 			CalleeID:       calleeID,
+			First:          first,
+			Launched:       int64(launched),
 		}
 		if callerInst != "" {
 			ev.CallerStep = callerStep
@@ -190,7 +192,8 @@ func TestEnvelopeRoundTripQuick(t *testing.T) {
 		if got.Kind != ev.Kind || got.InstanceID != ev.InstanceID ||
 			got.Async != ev.Async || got.CallerFn != ev.CallerFn ||
 			got.CallerInstance != ev.CallerInstance || got.CalleeID != ev.CalleeID ||
-			got.HasRes != ev.HasRes || !got.Input.Equal(ev.Input) {
+			got.HasRes != ev.HasRes || !got.Input.Equal(ev.Input) ||
+			got.First != ev.First || got.Launched != ev.Launched {
 			return false
 		}
 		if ev.CallerInstance != "" && got.CallerStep != ev.CallerStep {

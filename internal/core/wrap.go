@@ -139,12 +139,12 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 		// boundary (materialiseIntent). If the body never reaches one, the
 		// result in the caller's invoke-log row is all the instance leaves.
 		ev.First = false
-		intent = rt.newIntent(id, ev)
+		intent = rt.newIntent(id, ev, rt.now())
 		intent.deferred = true
 		rt.stats.IntentsDeferred.Add(1)
 	} else {
 		var err error
-		if intent, err = rt.ensureIntent(id, ev); err != nil {
+		if intent, err = rt.ensureIntent(id, ev, rt.now()); err != nil {
 			return dynamo.Null, err
 		}
 		inv.CrashPoint("intent:logged", "")
@@ -250,15 +250,15 @@ func (rt *Runtime) runBody(env *Env, input Value) (Value, error) {
 
 // handleAsyncRegister is the callee side of asyncInvoke step 1 (Fig 20):
 // log the intent (flagged async, carrying the run envelope for the intent
-// collector), confirm to the caller via callback, and return whether the
-// confirmation was recorded.
+// collector, started at the caller's stamp), confirm to the caller via
+// callback, and return whether the confirmation was recorded.
 func (rt *Runtime) handleAsyncRegister(inv *platform.Invocation, ev envelope) (Value, error) {
 	// The stored run envelope keeps the app scope and the promise reply
 	// coordinates, so a collector-restarted execution behaves exactly like
 	// the directly fired one — including posting its result back.
 	runEv := envelope{Kind: kindAsyncRun, InstanceID: ev.InstanceID, Input: ev.Input, Async: true,
 		App: ev.App, ReplyFn: ev.ReplyFn, ReplyOwner: ev.ReplyOwner, ReplyStep: ev.ReplyStep}
-	if _, err := rt.ensureIntent(ev.InstanceID, runEv); err != nil {
+	if _, err := rt.ensureIntent(ev.InstanceID, runEv, ev.Launched); err != nil {
 		return dynamo.Null, err
 	}
 	inv.CrashPoint("async:registered", "")
@@ -269,18 +269,35 @@ func (rt *Runtime) handleAsyncRegister(inv *platform.Invocation, ev envelope) (V
 	return dynamo.Bool(confirmed), err
 }
 
+// asyncRunIntent is the intent a run executes under, nil when there is none
+// (never registered, or collected). A first fire younger than ICMinAge reads
+// nothing: it directly follows the registration that created the row, and no
+// collector can have claimed a relaunch of it yet (RunIntentCollector skips a
+// row of that age), so the row is pending and uncollected and no other
+// execution has logged anything — which is all the read would establish. Its
+// record is the row as registered, its read log known empty. Past that age,
+// or without First, the run reads the row.
+func (rt *Runtime) asyncRunIntent(ev envelope) (*intentRecord, error) {
+	if ev.First && rt.launchedRecently(ev.Launched, rt.now()) {
+		args := ev
+		args.First, args.Launched = false, 0
+		return rt.newIntent(ev.InstanceID, args, ev.Launched), nil
+	}
+	intent, _, err := rt.loadIntent(ev.InstanceID)
+	return intent, err
+}
+
 // handleAsyncRun is the callee side of asyncInvoke step 2 (Fig 20): run the
 // body only if the intent is registered and incomplete, so that re-deliveries
 // and GC-pruned intents are skipped.
 func (rt *Runtime) handleAsyncRun(inv *platform.Invocation, ev envelope) (Value, error) {
-	intent, exists, err := rt.loadIntent(ev.InstanceID)
-	if err != nil || !exists || intent.done {
+	intent, err := rt.asyncRunIntent(ev)
+	if err != nil || intent == nil || intent.done {
 		return dynamo.Null, err
 	}
-	// The intent was registered by asyncInvoke step 1, so fresh never holds
-	// here; a collector restart is visible as an advanced LastLaunch. The
-	// causal parent of an async run is the promise's reply owner (plain
-	// AsyncInvoke callees are linked through the caller's async span).
+	// A collector restart is visible as an advanced LastLaunch. The causal
+	// parent of an async run is the promise's reply owner (plain AsyncInvoke
+	// callees are linked through the caller's async span).
 	parentEv := intent.args
 	if parentEv.CallerInstance == "" && parentEv.ReplyOwner != "" {
 		parentEv.CallerInstance = parentEv.ReplyOwner
