@@ -15,10 +15,10 @@ import (
 
 // CostsReport is the measured accounting.
 type CostsReport struct {
-	// StoredBytesPerOp is the net storage growth per write. Beldi's appends
-	// a log entry holding the 16-byte value, so its figure is what it stores
-	// beyond the value; the baseline's write overwrites the value in place,
-	// so its figure is the growth as it is: 0 bytes of log.
+	// StoredBytesPerOp is the net storage growth per write. Beldi's write
+	// appends a log entry holding the 16-byte value, so its figure is what
+	// it stores beyond the value; the baseline's write overwrites the value
+	// in place, so its figure is the growth as it is: 0 bytes of log.
 	StoredBytesPerOpBeldi    float64
 	StoredBytesPerOpBaseline float64
 	// ReadBytesBeldi/Baseline are response bytes for one read against a

@@ -25,10 +25,10 @@ import (
 	"repro/internal/walstore"
 )
 
-// The count figure (ROADMAP item 17): what one workflow of each benchmark
-// workload costs the store — ops table by table, stored bytes, WAL records,
-// fsyncs and RPCs — with the collectors' ops counted apart, priced the way
-// §7.3 and the extended version's cost section price ops. Workflows run one
+// The count figure: what one workflow of each benchmark workload costs the
+// store — ops table by table, stored bytes, WAL records, fsyncs and RPCs —
+// with the collectors' ops counted apart, priced the way §7.3 and the
+// extended version's cost section price ops. Workflows run one
 // at a time on a clock.Virtual, and the collection advances that clock, so
 // every count is an exact function of the seed: testdata/costs.golden pins
 // them, and `figures -fig counts -json` writes the same rows as
