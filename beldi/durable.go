@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dynamo"
-	"repro/internal/platform"
 	"repro/internal/queue"
 )
 
@@ -81,10 +80,23 @@ func (d *Deployment) DurableAsync() *DurableAsync { return d.durable }
 // queues and their inspection; asynchronous invocations use no queue.
 func (da *DurableAsync) Broker() *queue.Broker { return da.broker }
 
-// Mapper returns nil for every function: asynchronous invocations have no
-// event-source mapping, since the intent collector redelivers them. It is
-// kept for callers that sum mapper metrics over a deployment's functions.
-func (da *DurableAsync) Mapper(string) *platform.Mapper { return nil }
+// Mapper returns nil for every function: nothing polls a queue to trigger
+// a function, since an asynchronous invocation is its registered intent and
+// the intent collector redelivers it. Mapper and NoMapper are a shim kept
+// only for the benchmark module's ledger, which sums Batches and Wakeups
+// over a deployment's functions; ROADMAP's [benchmark] slot deletes them
+// with those ledger lines.
+func (da *DurableAsync) Mapper(string) *NoMapper { return nil }
+
+// NoMapper is the type of Mapper's nil result: the counters of a mapping
+// that does not exist.
+type NoMapper struct{ Batches, Wakeups int64 }
+
+// Metrics returns zero counters.
+func (*NoMapper) Metrics() NoMapper { return NoMapper{} }
+
+// Snapshot returns m.
+func (m NoMapper) Snapshot() NoMapper { return m }
 
 // Timers returns the deployment's durable timer service. Registrations
 // survive crashes and broker restarts; fires are exactly-once per

@@ -57,8 +57,8 @@ func BenchmarkOpLatency(b *testing.B) {
 // per curve: 14 (movie review), 15 (travel reservation, cross-SSF
 // transactions), 15b (§7.4: travel without its transaction), 26 (social
 // media, Appendix C) and the event-driven order pipeline, whose entry
-// latency is the client-visible placement while the pipeline drains through
-// queues in the background.
+// latency is the client-visible placement while the pipeline's asynchronous
+// edges run in the background.
 func BenchmarkSweep(b *testing.B) {
 	const window, scale, seed = 600 * time.Millisecond, 0.05, 1
 	rates := []float64{200}
@@ -102,17 +102,6 @@ func BenchmarkTraversalAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkQueueBatchSweep measures the durable event-queue subsystem's
-// consume throughput across event-source-mapper batch sizes (the queue
-// figure; full series via `figures -fig queue`). Each sub-benchmark drains a
-// fixed backlog at one batch size.
-func BenchmarkQueueBatchSweep(b *testing.B) {
-	benchSets(b, "", bench.QueueCells(0.02, 1), bench.RunQueue, func(b *testing.B, p bench.QueueSweepPoint) {
-		b.ReportMetric(p.Throughput, "tput-msg/s")
-		b.ReportMetric(float64(p.Polls), "polls")
-	})
-}
-
 // BenchmarkStepCells runs the five step-commit figures — shard, backend,
 // remote, pipeline, latency — one sub-benchmark per cell of each figure's
 // set, through the one cell runner (full series via `figures -fig <figure>`).
@@ -136,15 +125,6 @@ func BenchmarkStepCells(b *testing.B) {
 			b.ReportMetric(p.PipeBatch, "overlay-batch")
 		})
 	}
-}
-
-// BenchmarkTriggerLatency measures enqueue→receive latency on an idle queue,
-// push against poll, per backend (`figures -fig latency`, second table).
-func BenchmarkTriggerLatency(b *testing.B) {
-	benchSets(b, "", bench.TriggerCells(1), bench.RunTrigger, func(b *testing.B, p bench.TriggerLatencyPoint) {
-		b.ReportMetric(ms(time.Duration(p.P50)), "p50-ms")
-		b.ReportMetric(ms(time.Duration(p.P99)), "p99-ms")
-	})
 }
 
 // BenchmarkFanoutSweep measures durable-promise fan-out/fan-in throughput

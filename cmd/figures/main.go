@@ -15,12 +15,11 @@
 //	figures -fig counts              # store ops per table, bytes, WAL records, fsyncs, RPCs per workflow (costs.golden)
 //	figures -fig 15b                 # §7.4 Beldi-without-transactions ablation
 //	figures -fig ablation            # §4.1 DAAL traversal strategy ablation
-//	figures -fig queue               # event-queue throughput vs mapper batch size
 //	figures -fig orders              # event-driven order pipeline under load
 //	figures -fig shard               # store shard-count scaling, group commit on/off
 //	figures -fig fanout              # durable-promise fan-out/fan-in scaling
 //	figures -fig backend             # storage backends: memory vs durable WAL, fsync batching
-//	figures -fig latency             # request p50/p99 per backend and worker count (§7.2 tails) + push-vs-poll trigger latency
+//	figures -fig latency             # request p50/p99 per backend and worker count (§7.2 tails)
 //	figures -fig cluster             # multi-worker scaling, with and without a mid-run worker kill
 //	figures -fig remote              # wire-protocol storage plane vs in-process, at simulated RTTs
 //	figures -fig pipeline            # speculation + pipelined commit: steps/s vs pipeline depth
@@ -29,8 +28,7 @@
 // machine-readable BENCH_<fig>.json into -out (default "."), so CI can
 // archive the bench trajectory across commits. The shard, backend, remote,
 // pipeline and latency figures are parameter sets of one cell runner and
-// share one shape, []bench.Point; -fig latency writes its trigger table as
-// BENCH_trigger.json. -fig counts writes its rows as BENCH_counts.json; the
+// share one shape, []bench.Point. -fig counts writes its rows as BENCH_counts.json; the
 // copy committed at the repository root is the count trajectory, and
 // internal/bench's TestCountsGolden keeps it equal to testdata/costs.golden.
 //
@@ -120,12 +118,11 @@ func run(args []string, stderr io.Writer) int {
 		{"costs", runCosts},
 		{"counts", func() error { return runCounts(bench.CountSets(*seed)) }},
 		{"ablation", func() error { return runAblation(bench.AblationDepths(*seed)) }},
-		{"queue", func() error { return runQueueSweep(bench.QueueCells(*scale, *seed)) }},
 		{"orders", curves("orders", "orders")},
 		{"shard", func() error { return runCells(shardTable, bench.ShardCells(*duration, *scale, *seed)) }},
 		{"fanout", func() error { return runFanoutSweep(bench.FanoutCells(*duration, *scale, *seed)) }},
 		{"backend", func() error { return runCells(backendTable, bench.BackendCells(*duration, *seed)) }},
-		{"latency", func() error { return runLatency(bench.LatencyCells(*duration, *seed), bench.TriggerCells(*seed)) }},
+		{"latency", func() error { return runCells(latencyTable, bench.LatencyCells(*duration, *seed)) }},
 		{"cluster", func() error { return runClusterSweep(bench.ClusterCells(*duration, *scale, *seed)) }},
 		{"remote", func() error { return runCells(remoteTable, bench.RemoteCells(*duration, *seed)) }},
 		{"pipeline", func() error { return runCells(pipelineTable, bench.PipelineCells(*duration, *scale, *seed)) }},
@@ -262,6 +259,9 @@ var (
 		col("mean batch", 12, "%.1f", func(p bench.Point) float64 { return p.PipeBatch }),
 		col("flush ms", 12, "%.1f", func(p bench.Point) float64 { return ms(p.ModeledFlushTime) }),
 	}}
+	// Client-observed p50/p99 per backend and worker count — the wrk2-shaped
+	// tail figures of §7.2 — next to the step-commit and fsync distributions
+	// telemetry measures underneath them. See EXPERIMENTS.md, "Tail latency".
 	latencyTable = table{"# Latency sweep — request p50/p99 vs backend and worker count (telemetry histograms)", []column{
 		col("backend", -14, "%s", func(p bench.Point) bench.BackendKind { return p.Backend }),
 		col("workers", -8, "%d", func(p bench.Point) int { return p.Workers }),
@@ -338,25 +338,6 @@ func runClusterSweep(cells []bench.ClusterCell) error {
 		})
 }
 
-// runLatency prints client-observed p50/p99 request latency per backend and
-// worker count — the wrk2-shaped tail figures of §7.2 — next to the
-// step-commit and fsync distributions telemetry measures underneath them,
-// then the push-vs-poll trigger latency table (BENCH_trigger.json). See
-// EXPERIMENTS.md, "Tail latency".
-func runLatency(cells []bench.Cell, triggers []bench.TriggerCell) error {
-	if err := runCells(latencyTable, cells); err != nil {
-		return err
-	}
-	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
-	return runSet("trigger", "# Trigger latency — enqueue→receive on an idle queue, push vs poll",
-		fmt.Sprintf("%-14s %-6s %10s %10s %10s %10s %10s %9s",
-			"backend", "mode", "interval", "p50(ms)", "p90(ms)", "p99(ms)", "max(ms)", "wakeups"),
-		triggers, bench.RunTrigger, func(p bench.TriggerLatencyPoint) {
-			fmt.Printf("%-14s %-6s %10s %10.3f %10.3f %10.3f %10.3f %9d\n",
-				p.Backend, p.Mode, p.PollInterval, ms(p.P50), ms(p.P90), ms(p.P99), ms(p.Max), p.Wakeups)
-		})
-}
-
 // runFanoutSweep prints committed promise results per second versus fan-out
 // width for the durable path and the in-memory baseline — the price of
 // crash-safe fan-out/fan-in.
@@ -366,16 +347,6 @@ func runFanoutSweep(cells []bench.FanoutCell) error {
 		cells, bench.RunFanout, func(p bench.FanoutSweepPoint) {
 			fmt.Printf("%-8d %-10s %14.1f %12.1f %10d %10.2f %10.2f\n",
 				p.Width, p.Mode, p.Throughput, p.FanInsPerSec, p.FanIns, ms(p.P50), ms(p.P99))
-		})
-}
-
-// runQueueSweep prints the event-queue subsystem's consume throughput versus
-// event-source-mapper batch size.
-func runQueueSweep(cells []bench.QueueCell) error {
-	return runSet("queue", "# Queue — durable event-queue consume throughput vs mapper batch size",
-		fmt.Sprintf("%-8s %12s %10s %12s", "batch", "tput(msg/s)", "polls", "elapsed(ms)"),
-		cells, bench.RunQueue, func(p bench.QueueSweepPoint) {
-			fmt.Printf("%-8d %12.1f %10d %12.2f\n", p.Batch, p.Throughput, p.Polls, ms(p.Elapsed))
 		})
 }
 

@@ -93,29 +93,6 @@ func TestOrdersSweepSmoke(t *testing.T) {
 	}
 }
 
-func TestQueueSweepSmoke(t *testing.T) {
-	pts, err := RunAll(pick(t, QueueCells(0.01, 1), "1", "8"), RunQueue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
-	for _, p := range pts {
-		if p.Throughput <= 0 || p.Polls <= 0 {
-			t.Errorf("batch %d: %+v", p.Batch, p)
-		}
-	}
-	// Batching must amortize the poll round trip: batch 8 strictly beats
-	// batch 1, and uses fewer polls.
-	if pts[1].Throughput <= pts[0].Throughput {
-		t.Errorf("batch 8 tput %.1f <= batch 1 tput %.1f", pts[1].Throughput, pts[0].Throughput)
-	}
-	if pts[1].Polls >= pts[0].Polls {
-		t.Errorf("batch 8 polls %d >= batch 1 polls %d", pts[1].Polls, pts[0].Polls)
-	}
-}
-
 func TestFig16Smoke(t *testing.T) {
 	// A 250 ms minute writes about two 8-entry rows at the figure's 60
 	// writes/s: enough for the collector's trims to show by minute 4.
@@ -328,55 +305,6 @@ func TestFanoutSweepSmoke(t *testing.T) {
 		}
 		if p.P50 <= 0 || p.P99 < p.P50 {
 			t.Errorf("latency stats broken: %+v", p)
-		}
-	}
-}
-
-// TestTriggerLatencySweepSmoke pins the push primitive's headline number:
-// with the commit-stream watch on, the p50 enqueue→receive latency of an
-// idle queue is at least 5× better than the PollInterval-bound polling
-// path, on the memory store and on the group-committed WAL, and the
-// mapper's Wakeups counter proves which path each cell took.
-func TestTriggerLatencySweepSmoke(t *testing.T) {
-	pts := wallClock(t, 4, func() ([]TriggerLatencyPoint, error) {
-		return RunAll(TriggerCells(1), RunTrigger)
-	}, func(pts []TriggerLatencyPoint) (bad []string) {
-		for i := 0; i < len(pts); i += 2 {
-			push, poll := pts[i], pts[i+1]
-			// The headline claim: push drops idle-queue p50 by ≥5× against
-			// the same store, same mapper, same messages (expected ~1000× on
-			// memory and ~40× on the WAL, whose push p50 is the enqueue's own
-			// fsync, against a 10ms poll cadence).
-			if push.P50*5 > poll.P50 {
-				bad = append(bad, fmt.Sprintf("%s: push p50 %v not 5x better than poll p50 %v", push.Backend,
-					time.Duration(push.P50), time.Duration(poll.P50)))
-			}
-			// Every message, warmup included, lands on an idle mapper and
-			// ends its wait with a subscription event. A message committed
-			// just as a fallback timer re-arms the wait is found by the scan
-			// instead, so under load this is a wall-clock shape too.
-			if want := int64(triggerWarmup + triggerMessages); push.Wakeups != want {
-				bad = append(bad, fmt.Sprintf("%s: push cell recorded %d wakeups, want one per message (%d)",
-					push.Backend, push.Wakeups, want))
-			}
-		}
-		return bad
-	})
-	for i, p := range pts {
-		if want := []string{TriggerPush, TriggerPoll}[i%2]; p.Mode != want {
-			t.Fatalf("unexpected cell order: %+v", pts)
-		}
-		if p.Messages != triggerMessages || p.P50 <= 0 || p.P99 < p.P50 {
-			t.Fatalf("malformed cell: %+v", p)
-		}
-		// The mapper's own evidence of the path taken: push cells end idle
-		// waits via subscription events; poll cells never can (the Watcher
-		// capability is stripped, so there is no subscription to fire).
-		if p.Mode == TriggerPush && p.Wakeups == 0 {
-			t.Errorf("%s push cell recorded no wakeups", p.Backend)
-		}
-		if p.Mode == TriggerPoll && p.Wakeups != 0 {
-			t.Errorf("%s poll cell recorded %d wakeups through a stripped Watcher", p.Backend, p.Wakeups)
 		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 // BackendKind names a store and, for the WAL, its sync policy.
 type BackendKind string
 
-// The store kinds a cell (or a trigger-latency cell) runs on.
+// The store kinds a cell runs on.
 const (
 	// BackendMemory is the in-memory dynamo store.
 	BackendMemory BackendKind = "memory"

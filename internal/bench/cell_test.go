@@ -112,8 +112,7 @@ const (
 
 var figRates = []float64{100, 200, 300, 400, 500, 600, 700, 800}
 
-// figureSet is one figure's parameter sets, by cmd/figures' id ("trigger" is
-// -fig latency's second table).
+// figureSet is one figure's parameter sets, by cmd/figures' id.
 type figureSet struct {
 	figure string
 	sets   []any
@@ -139,13 +138,11 @@ func figureSets(seed int64) []figureSet {
 		{"25", anys(OpCells(5, figOps, seed))},
 		{"26", anys(AppCurves("social", figRates, figDuration, figScale, seed))},
 		{"ablation", anys(AblationDepths(seed))},
-		{"queue", anys(QueueCells(figScale, seed))},
 		{"orders", anys(AppCurves("orders", figRates, figDuration, figScale, seed))},
 		{"shard", anys(ShardCells(figDuration, figScale, seed))},
 		{"fanout", anys(FanoutCells(figDuration, figScale, seed))},
 		{"backend", anys(BackendCells(figDuration, seed))},
 		{"latency", anys(LatencyCells(figDuration, seed))},
-		{"trigger", anys(TriggerCells(seed))},
 		{"cluster", anys(ClusterCells(figDuration, figScale, seed))},
 		{"remote", anys(RemoteCells(figDuration, seed))},
 		{"pipeline", anys(PipelineCells(figDuration, figScale, seed))},

@@ -612,8 +612,7 @@ func (w *Worker) Attach(rt *core.Runtime) {
 }
 
 // OwnsIntent implements core.CollectorGate: the worker owns an intent when
-// it owns the intent id's partition (and is not fenced). Given a function
-// name it is the gate of the function's invocation-queue mapper.
+// it owns the intent id's partition (and is not fenced).
 func (w *Worker) OwnsIntent(id string) bool {
 	p := PartitionOf(id, w.partitions)
 	w.mu.Lock()

@@ -199,9 +199,11 @@ func (p *Promise) await(e *Env, rest []*Promise) (Value, error) {
 // each missing result commits one post after the fetch, so no earlier event
 // can complete the fan-in; another commit (a Parallel sibling's call) only
 // wakes it one post early. It counts only while m is below the watch
-// buffer: a coalesced event is then followed by a buffer-full of events to
-// count, so the wake-up still comes (the event-source mapper's rule 4,
-// platform/eventsource.go); a bigger fan-in wakes on its first event.
+// buffer, so that no skip loses a wake-up: a subscription buffers
+// storage.DefaultWatchBuffer events and coalesces later ones into those
+// pending, and a skip that claims fewer events than that leaves a full
+// buffer holding one it does not claim. A bigger fan-in wakes on its first
+// event.
 func skipUntil(m int) func(storage.CommitEvent) bool {
 	if m < 2 || m >= storage.DefaultWatchBuffer {
 		return nil

@@ -97,6 +97,11 @@ type Options struct {
 // DefaultConcurrencyLimit mirrors the AWS limit in the paper's evaluation.
 const DefaultConcurrencyLimit = 1000
 
+// DefaultBatchSize is the receive batch of the benchmark module's queue
+// probe (benchmarks/probes.go), its only reader; nothing in this package
+// uses it. It goes with that probe.
+const DefaultBatchSize = 10
+
 // Platform runs registered functions.
 type Platform struct {
 	opts Options

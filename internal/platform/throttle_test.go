@@ -11,8 +11,7 @@ import (
 )
 
 // Throttling under RejectWhenSaturated: the admission behavior the paper's
-// saturation experiments and the event-source mapper's nack-and-retry path
-// both depend on.
+// saturation experiments depend on.
 
 // saturate occupies every slot of p with "hold" instances and returns the
 // release function.
@@ -98,8 +97,8 @@ func TestAsyncEntryThrottledSilently(t *testing.T) {
 	release := saturate(t, p, 1)
 
 	// Fire-and-forget entry invocations are admitted or dropped without a
-	// caller-visible error (the provider behavior Beldi's durable queue path
-	// exists to fix).
+	// caller-visible error (the provider behavior Beldi's registered async
+	// intent exists to fix).
 	if err := p.InvokeAsync("f", dynamo.Null); err != nil {
 		t.Fatalf("InvokeAsync returned %v, want nil (errors are dropped by design)", err)
 	}

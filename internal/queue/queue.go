@@ -7,19 +7,18 @@
 // Semantics follow SQS standard queues: Enqueue durably appends a message;
 // Receive claims up to a batch of visible messages, hiding each behind a
 // visibility timeout and handing back a receipt; Ack deletes a message by
-// receipt; Nack returns it to the queue immediately. A consumer that crashes
-// mid-handler simply never acks — the message reappears after the visibility
-// timeout, with its receive count incremented. Messages whose receive count
-// exceeds the queue's redelivery budget are moved to a dead-letter queue
-// instead of being delivered again, bounding the damage of poison messages.
+// receipt. A consumer that crashes mid-handler simply never acks — the
+// message reappears after the visibility timeout, with its receive count
+// incremented. Messages whose receive count exceeds the queue's redelivery
+// budget are moved to a dead-letter queue instead of being delivered again,
+// bounding the damage of poison messages.
 //
 // Delivery is at least once; exactly-once downstream is the consumer's job.
-// Beldi consumers get it for free: the queued payload is an intent-addressed
-// invocation envelope, and re-deliveries replay deterministically against
-// the intent table (§3.3 of the paper). This pairing — durable message +
-// logged intent — is what lets core.Env.AsyncInvoke survive caller and
-// platform crashes (the Triggerflow/Netherite-style composition layer; see
-// platform.Mapper for the polling trigger side).
+// Beldi's own asynchronous invocations use no queue: an async edge is the
+// callee's registered intent, and the intent collector redelivers it. The
+// broker serves application queues, and its timer service (timer.go) fires
+// durable timers — beldi's DurableAsync puts a timer occurrence's intent row
+// in the transaction that advances the timer.
 package queue
 
 import (
@@ -48,7 +47,7 @@ var (
 	ErrNoSuchQueue = errors.New("queue: no such queue")
 	// ErrQueueExists reports a duplicate Create.
 	ErrQueueExists = errors.New("queue: queue already exists")
-	// ErrStaleReceipt reports an Ack or Nack with a receipt that no longer
+	// ErrStaleReceipt reports an Ack with a receipt that no longer
 	// matches: the message's visibility timeout expired and it was
 	// re-claimed (or already acked) by someone else. Callers treat this as
 	// "someone else owns the message now", not as data loss.
@@ -56,7 +55,7 @@ var (
 )
 
 // Message is one received message. Receipt identifies this particular
-// delivery: Ack and Nack require it, so a slow consumer whose claim expired
+// delivery: Ack requires it, so a slow consumer whose claim expired
 // cannot ack a message that has since been redelivered elsewhere.
 type Message struct {
 	ID           string
@@ -69,7 +68,7 @@ type Message struct {
 // Options configure a queue at Create time.
 type Options struct {
 	// VisibilityTimeout hides a received message from other consumers until
-	// it is acked, nacked, or the timeout expires. 0 means
+	// it is acked or the timeout expires. 0 means
 	// DefaultVisibilityTimeout.
 	VisibilityTimeout time.Duration
 	// MaxReceives is the redelivery budget: a message that comes back for
@@ -436,40 +435,6 @@ func (b *Broker) Ack(name, msgID, receipt string) error {
 	return nil
 }
 
-// Nack returns a received message to the queue immediately (visible now),
-// identified by its delivery receipt. The receive count is not rolled back:
-// a nack is a failed delivery and draws down the redelivery budget.
-func (b *Broker) Nack(name, msgID, receipt string) error {
-	if _, err := b.options(name); err != nil {
-		return err
-	}
-	err := b.store.Update(tableOf(name), dynamo.HK(dynamo.S(msgID)),
-		dynamo.And(
-			msgPresent,
-			dynamo.Eq(dynamo.A(attrReceipt), dynamo.S(receipt)),
-		),
-		dynamo.Set(dynamo.A(attrVisible), dynamo.NInt(b.now())),
-		dynamo.Remove(dynamo.A(attrReceipt)),
-	)
-	if err != nil {
-		if errors.Is(err, dynamo.ErrConditionFailed) {
-			b.metrics.StaleAcks.Add(1)
-			return fmt.Errorf("%w: %s/%s", ErrStaleReceipt, name, msgID)
-		}
-		return err
-	}
-	b.metrics.Nacked.Add(1)
-	return nil
-}
-
-// Waiter returns a waiter on the queue's commit stream: with a push-capable
-// store every enqueue (and visibility change) ends its wait, so consumers
-// block on arrival instead of polling. It sleeps on the wall clock, whatever
-// the broker's clock: its timer stands in for a consumer's poll interval.
-func (b *Broker) Waiter(name string) *storage.Waiter {
-	return storage.NewWaiter(b.store, tableOf(name), dynamo.Null, clock.Real{})
-}
-
 // Len counts messages currently visible (receivable now).
 func (b *Broker) Len(name string) (int, error) {
 	if _, err := b.options(name); err != nil {
@@ -564,7 +529,6 @@ type Metrics struct {
 	Enqueued      atomic.Int64
 	Received      atomic.Int64
 	Acked         atomic.Int64
-	Nacked        atomic.Int64
 	Redelivered   atomic.Int64
 	DeadLettered  atomic.Int64
 	StaleAcks     atomic.Int64
@@ -574,9 +538,9 @@ type Metrics struct {
 // MetricsView is a point-in-time copy for reporting — the common snapshot
 // shape shared with core.Stats, dynamo.Metrics, and the other subsystems.
 type MetricsView struct {
-	Enqueued, Received, Acked, Nacked int64
-	Redelivered, DeadLettered         int64
-	StaleAcks, EmptyReceives          int64
+	Enqueued, Received, Acked int64
+	Redelivered, DeadLettered int64
+	StaleAcks, EmptyReceives  int64
 }
 
 // Snapshot copies the counters.
@@ -585,7 +549,6 @@ func (m *Metrics) Snapshot() MetricsView {
 		Enqueued:      m.Enqueued.Load(),
 		Received:      m.Received.Load(),
 		Acked:         m.Acked.Load(),
-		Nacked:        m.Nacked.Load(),
 		Redelivered:   m.Redelivered.Load(),
 		DeadLettered:  m.DeadLettered.Load(),
 		StaleAcks:     m.StaleAcks.Load(),

@@ -131,28 +131,6 @@ func TestVisibilityTimeoutRedelivers(t *testing.T) {
 	}
 }
 
-func TestNackMakesMessageImmediatelyVisible(t *testing.T) {
-	b, _ := newTestBroker(t)
-	b.MustCreate("q", Options{VisibilityTimeout: time.Hour})
-	if _, err := b.Enqueue("q", dynamo.S("x")); err != nil {
-		t.Fatal(err)
-	}
-	msgs, _ := b.Receive("q", 1)
-	if err := b.Nack("q", msgs[0].ID, msgs[0].Receipt); err != nil {
-		t.Fatal(err)
-	}
-	again, err := b.Receive("q", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 1 {
-		t.Fatal("nacked message not immediately receivable")
-	}
-	if again[0].ReceiveCount != 2 {
-		t.Fatalf("ReceiveCount = %d, want 2 (nack draws down the budget)", again[0].ReceiveCount)
-	}
-}
-
 func TestEnqueueDelayed(t *testing.T) {
 	b, clk := newTestBroker(t)
 	b.MustCreate("q", Options{})

@@ -47,6 +47,7 @@ func Run(t *testing.T, open Opener) {
 	sub("WatchHashFilter", testWatchHashFilter)
 	sub("WatchWaitSemantics", testWatchWaitSemantics)
 	sub("WatchCloseSemantics", testWatchCloseSemantics)
+	sub("WatchBufferOverflow", testWatchBufferOverflow)
 	if simSection != nil {
 		t.Run("SimInterleavings", func(t *testing.T) { simSection(t, open) })
 	} else {

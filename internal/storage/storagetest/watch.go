@@ -1,6 +1,7 @@
 package storagetest
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -271,5 +272,52 @@ closed:
 	}
 	if _, ok := storage.Watch(b, "t", dynamo.Null); !ok {
 		t.Error("storage.Watch reported no push support on a Watcher backend")
+	}
+}
+
+// testWatchBufferOverflow: a subscriber that lags more than
+// storage.DefaultWatchBuffer commits still wakes, and its re-read sees every
+// commit. A full buffer coalesces each later event into the wake-ups
+// already pending; it must never lose them, since the timer pump and
+// promise awaits rely on "an event is pending" meaning "a wake-up will
+// come". Each round overflows a fresh subscription by a different amount,
+// the first by exactly one commit. On the memory store the coalesced
+// events are counted as WatchDrops.
+func testWatchBufferOverflow(t *testing.T, b storage.Backend) {
+	requireWatcher(t, b)
+	mustCreate(t, b, storage.Schema{Name: "t", HashKey: "K"})
+	mem, isMem := b.(*dynamo.Store)
+	for round, over := range []int{1, 2, storage.DefaultWatchBuffer / 2} {
+		sub := mustWatch(t, b, "t", dynamo.Null)
+		var drops int64
+		if isMem {
+			drops = mem.Metrics().Snapshot().WatchDrops
+		}
+		n := storage.DefaultWatchBuffer + over
+		for i := 0; i < n; i++ {
+			put(t, b, "t", storage.Item{"K": dynamo.S(fmt.Sprintf("k%03d", i)), "V": dynamo.NInt(int64(round))})
+		}
+		if !sub.Wait(watchTimeout, nil, nil) {
+			t.Fatalf("round %d: a subscriber %d commits behind never woke: the overflow lost its pending wake-up", round, n)
+		}
+		rows, err := b.Scan("t", storage.QueryOpts{})
+		if err != nil {
+			t.Fatalf("round %d: re-read: %v", round, err)
+		}
+		fresh := 0
+		for _, r := range rows {
+			if r["V"].Int() == int64(round) {
+				fresh++
+			}
+		}
+		if fresh != n {
+			t.Fatalf("round %d: re-read after the wake-up saw %d of %d commits", round, fresh, n)
+		}
+		if isMem {
+			if d := mem.Metrics().Snapshot().WatchDrops - drops; d < int64(over) {
+				t.Errorf("round %d: WatchDrops rose by %d, want at least %d for a buffer overflowed by %d", round, d, over, over)
+			}
+		}
+		sub.Close()
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Waiter is the trigger plane's one wait primitive: what a consumer that
-// re-reads a table whenever it may have changed — the queue mapper, the
-// timer pump, a promise await — parks on between reads. Each round is
+// re-reads a table whenever it may have changed — the timer pump, a
+// promise await — parks on between reads. Each round is
 // Arm, then the caller's read, then Wait. With a push-capable store a wait
 // ends on the first commit to (table, hash) the caller does not claim as its
 // own, on its timer, or on cancel; without one it sleeps on the clock, so
