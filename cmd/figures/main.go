@@ -28,9 +28,10 @@
 // machine-readable BENCH_<fig>.json into -out (default "."), so CI can
 // archive the bench trajectory across commits. The shard, backend, remote,
 // pipeline and latency figures are parameter sets of one cell runner and
-// share one shape, []bench.Point. -fig counts writes its rows as BENCH_counts.json; the
-// copy committed at the repository root is the count trajectory, and
-// internal/bench's TestCountsGolden keeps it equal to testdata/costs.golden.
+// share one shape, []bench.Point. -fig counts writes its rows as
+// BENCH_counts.json; the copy committed at the repository root is the count
+// trajectory, and internal/bench's TestCountsGolden keeps it equal to
+// testdata/costs.golden.
 //
 // Numbers are simulator-relative; the shapes (ratios, knees, growth trends)
 // are the reproduction targets. See EXPERIMENTS.md.

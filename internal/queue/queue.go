@@ -47,16 +47,16 @@ var (
 	ErrNoSuchQueue = errors.New("queue: no such queue")
 	// ErrQueueExists reports a duplicate Create.
 	ErrQueueExists = errors.New("queue: queue already exists")
-	// ErrStaleReceipt reports an Ack with a receipt that no longer
-	// matches: the message's visibility timeout expired and it was
-	// re-claimed (or already acked) by someone else. Callers treat this as
+	// ErrStaleReceipt reports an Ack with a receipt that no longer matches:
+	// the message's visibility timeout expired and it was re-claimed (or
+	// already acked) by someone else. Callers treat this as
 	// "someone else owns the message now", not as data loss.
 	ErrStaleReceipt = errors.New("queue: stale receipt")
 )
 
 // Message is one received message. Receipt identifies this particular
-// delivery: Ack requires it, so a slow consumer whose claim expired
-// cannot ack a message that has since been redelivered elsewhere.
+// delivery: Ack requires it, so a slow consumer whose claim expired cannot
+// ack a message that has since been redelivered elsewhere.
 type Message struct {
 	ID           string
 	Body         Value
@@ -68,8 +68,7 @@ type Message struct {
 // Options configure a queue at Create time.
 type Options struct {
 	// VisibilityTimeout hides a received message from other consumers until
-	// it is acked or the timeout expires. 0 means
-	// DefaultVisibilityTimeout.
+	// it is acked or the timeout expires. 0 means DefaultVisibilityTimeout.
 	VisibilityTimeout time.Duration
 	// MaxReceives is the redelivery budget: a message that comes back for
 	// its (MaxReceives+1)th delivery is dead-lettered instead. 0 means

@@ -14,7 +14,8 @@ import (
 // with strictly increasing per-table Seq, synchronous registration (no
 // commit between Watch returning and the first event is ever missed),
 // hash-key filtering, timer-bounded Wait that degrades (never spins) on a
-// closed subscription, and idempotent Close that closes the Events channel.
+// closed subscription, idempotent Close that closes the Events channel, and
+// a full buffer that coalesces events without losing its pending wake-up.
 // Backends without push support skip the section; their consumers fall back
 // to polling through the storage.Watch capability probe.
 
