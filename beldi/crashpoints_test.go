@@ -458,10 +458,11 @@ var relaunchAll = flag.Bool("relaunch.all", false, "run the relaunch enumeration
 
 // relaunchPinned are the lines where the zombie mutations of
 // TestRelaunchPointsCatchZombieMutations first fail (52, a travel entry's
-// body:done; 304, the fan's intent:logged; 346, once's first read, in pair
-// mode): tier-1's mutation run, and part of its match run beside every
-// seventh golden line.
-var relaunchPinned = []int{52, 304, 346}
+// body:done; 106, a hotel reservation's transactional read, before the
+// shadow write a zombie's head-first update would apply again; 304, the
+// fan's intent:logged; 346, once's first read, in pair mode): tier-1's
+// mutation run, and part of its match run beside every seventh golden line.
+var relaunchPinned = []int{52, 106, 304, 346}
 
 // relaunchLines lists the golden lines the relaunch enumeration visits:
 // every one under -relaunch.all, else the pinned lines and every every-th.
@@ -502,12 +503,14 @@ func TestRelaunchPointsMatchTheCrashFreeRun(t *testing.T) {
 	}
 }
 
-// TestRelaunchPointsCatchZombieMutations turns on each of three zombie bugs
+// TestRelaunchPointsCatchZombieMutations turns on each of four zombie bugs
 // — a differing logged read adopted, an unguarded done mark, the lazy
-// intent's fifth rule dropped — and requires the relaunch enumeration to
-// fail on some point for each. The fifth rule refuses an effect-free
-// callback that lands after a relaunch was launched and before the
-// relaunch's own, so its mutation runs in pair mode.
+// intent's fifth rule dropped, a head-first write without its logged check
+// — and requires the relaunch enumeration to fail on some point for each.
+// The fifth rule refuses an effect-free callback that lands after a relaunch
+// was launched and before the relaunch's own, so its mutation runs in pair
+// mode. A crash-point replay is never a fresh execution, so only this
+// enumeration sees the head-first mutation.
 func TestRelaunchPointsCatchZombieMutations(t *testing.T) {
 	want, err := runGoldenRecovered(t, nil)
 	if err != nil {
@@ -523,6 +526,7 @@ func TestRelaunchPointsCatchZombieMutations(t *testing.T) {
 		{"AdoptIgnoresDiffer", &core.FaultAdoptIgnoresDiffer, false},
 		{"UnguardedIntentDone", &core.FaultUnguardedIntentDone, false},
 		{"RelaunchLeavesRowOpen", &core.FaultRelaunchLeavesRowOpen, true},
+		{"HeadFirstSkipsLoggedCheck", &core.FaultHeadFirstSkipsLoggedCheck, false},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			m.fault.Store(true)

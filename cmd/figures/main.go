@@ -474,7 +474,7 @@ func runCosts() error {
 	for _, r := range rep.OpsPerCallAtK {
 		fmt.Printf("  k=%d: %.0f effect-free / %.0f ending in a write", r.K, r.EffectFree, r.Writes)
 	}
-	fmt.Println("  (2+k: no intent row without an effect; 6+k, +1 flush when k ≥ 1)")
+	fmt.Println("  (2+k: no intent row without an effect; 5+k, +1 flush when k ≥ 1, +1 query once the callee's key has grown past its head row)")
 	fmt.Println()
 	return nil
 }

@@ -44,8 +44,10 @@ type CostsReport struct {
 	// effect's bookkeeping: a callee that returns effect-free writes none and
 	// the call costs the caller's invoke-log insert, the K fetches and the
 	// callback (2+K); one that ends in a write pays in full — intent row,
-	// write (query + update) and done mark on top, plus the flush of its K
-	// read-log rows (6+K, +1 when K ≥ 1).
+	// write and done mark on top, plus the flush of its K read-log rows
+	// (5+K, +1 when K ≥ 1). The write is one head-first update while the
+	// callee's one key fits its head row, and query + update once the key
+	// has grown past it: from K = 1 on, after more writes than RowCap (+1).
 	OpsPerCallAtK []KCallRow
 }
 

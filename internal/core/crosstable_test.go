@@ -93,7 +93,7 @@ func TestCrossTableTransactionCommitAbort(t *testing.T) {
 	rt := f.rts["bank"]
 	// Seed directly through the layer.
 	for k, v := range map[string]int64{"a": 100, "b": 50} {
-		if _, err := rt.layer().loggedMutate("acct", k, "seed#"+k, mutation{setVal: valPtr(dynamo.NInt(v))}); err != nil {
+		if _, err := rt.layer().loggedMutate("acct", k, "seed#"+k, setTo(dynamo.NInt(v))); err != nil {
 			t.Fatal(err)
 		}
 	}

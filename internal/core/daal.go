@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/dynamo"
 )
@@ -80,12 +81,20 @@ func decodeDAALRow(it dynamo.Item) daalRow {
 // LockOwner (§6.1 stores lock ownership "alongside the data and logs").
 type mutation struct {
 	cond    dynamo.Cond // nil means unconditional
-	setVal  *Value
+	setVal  Value       // the new Value, when hasVal
+	hasVal  bool
 	setLock *Value
+	// fresh marks a step of a fresh execution (intentRecord.fresh): no log
+	// row of its instance pre-dates it, so a head-first attempt is worth
+	// its op (daal.headFirst).
+	fresh bool
 	// replayed, when non-nil, is set true if the step's outcome turns out
 	// to be already logged (case A) — the telemetry layer's replay marker.
 	replayed *bool
 }
+
+// setTo is the unconditional mutation that stores v.
+func setTo(v Value) mutation { return mutation{setVal: v, hasVal: true} }
 
 // markReplayed flags the step as already-logged for the telemetry layer.
 func (m mutation) markReplayed() {
@@ -104,7 +113,7 @@ func (m mutation) guard() dynamo.Cond {
 // numUpdates is how many actions appendUpdates appends.
 func (m mutation) numUpdates() int {
 	n := 0
-	if m.setVal != nil {
+	if m.hasVal {
 		n++
 	}
 	if m.setLock != nil {
@@ -115,8 +124,8 @@ func (m mutation) numUpdates() int {
 
 // appendUpdates appends the mutation's actions to ups.
 func (m mutation) appendUpdates(ups []dynamo.Update) []dynamo.Update {
-	if m.setVal != nil {
-		ups = append(ups, dynamo.Set(dynamo.A(attrValue), *m.setVal))
+	if m.hasVal {
+		ups = append(ups, dynamo.Set(dynamo.A(attrValue), m.setVal))
 	}
 	if m.setLock != nil {
 		ups = append(ups, dynamo.Set(dynamo.A(attrLockOwner), *m.setLock))
@@ -232,7 +241,7 @@ func (d *daal) firstWrite(key, logKey string, mut mutation) (won, outcome bool, 
 	if outcome {
 		ups = mut.appendUpdates(ups)
 	}
-	if !outcome || mut.setVal == nil {
+	if !outcome || !mut.hasVal {
 		ups = append(ups, dynamo.Set(dynamo.A(attrValue), dynamo.Null))
 	}
 	err := d.rt.store.Update(d.table, rowKeyOf(key, headRowID), keyAbsent, ups...)
@@ -282,12 +291,84 @@ func successorRow(prev daalRow) dynamo.Item {
 	return item
 }
 
+// headFirst is case B1 addressed to the head without a scan: one update that
+// sets v and logs logKey, conditional on the head having room, no NextRow and
+// no entry for logKey — or on there being no head at all, when the update is
+// an upsert that writes, attribute for attribute, the row firstWrite writes.
+// done is false when the condition failed; the caller then walks as usual.
+//
+// The condition is the whole case analysis of a one-row item. A successor is
+// put only past a full row and linked before anything is logged into it, the
+// GC rewires a head's NextRow but never clears it, and LogSize never falls:
+// so a head with room and no NextRow is the item's only row, and the entry's
+// absence from it is case A's check. A collected shadow chain loses its head
+// last (gcChain), so no head means no rows. None of this depends on the step
+// being fresh or on the grown hint: those decide only whether the attempt is
+// worth its op.
+func (d *daal) headFirst(key, logKey string, v Value) (done bool, _ error) {
+	a := &struct { // the condition's operands and the actions, one allocation
+		conds [2]dynamo.Cond
+		ups   [3]dynamo.Update
+	}{
+		conds: [2]dynamo.Cond{dynamo.NotExists(dynamo.AK(attrRecent, logKey)), d.rt.headRoom},
+		ups: [3]dynamo.Update{
+			dynamo.Set(dynamo.A(attrValue), v),
+			dynamo.Add(dynamo.A(attrLogSize), 1),
+			dynamo.Set(dynamo.AK(attrRecent, logKey), dynamo.Bool(true)),
+		},
+	}
+	cond := dynamo.Cond(dynamo.CondAnd{Conds: a.conds[:]})
+	if FaultHeadFirstSkipsLoggedCheck.Load() {
+		cond = d.rt.headRoom // see simfault.go
+	}
+	err := d.rt.store.Update(d.table, rowKeyOf(key, headRowID), cond, a.ups[:]...)
+	if errors.Is(err, dynamo.ErrConditionFailed) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// grownKeys is the head-first hint: per physical table, the keys this
+// runtime has seen with a row past the head, on which a head-first attempt
+// would be refused. It never forgets a key — a head's NextRow, once set,
+// stays set — and a stale entry (a shadow chain collected whole) costs only
+// the walk's scan.
+type grownKeys struct {
+	mu   sync.RWMutex
+	keys map[tableKey]struct{}
+}
+
+type tableKey struct{ table, key string }
+
+func (g *grownKeys) has(table, key string) bool {
+	g.mu.RLock()
+	_, ok := g.keys[tableKey{table, key}]
+	g.mu.RUnlock()
+	return ok
+}
+
+func (g *grownKeys) add(table, key string) {
+	if g.has(table, key) {
+		return
+	}
+	g.mu.Lock()
+	if g.keys == nil {
+		g.keys = make(map[tableKey]struct{})
+	}
+	g.keys[tableKey{table, key}] = struct{}{}
+	g.mu.Unlock()
+}
+
 // loggedWrite performs the lock-free logged conditional write of §4.3/§4.4
 // (Figures 6, 7, 17, 18): find the tail, check whether logKey already
 // executed, atomically apply-and-log, appending rows as needed. It returns
 // the operation's outcome — true when the mutation's guard held and the
 // mutation was applied (now or by a previous execution of this step), false
 // when the guard failed (recorded as a false conditional, case B2).
+//
+// A fresh step that sets a value unconditionally, on a key not known to have
+// grown past its head, first tries headFirst: one op when the item is one
+// row. Everything else, and a refused attempt, walks.
 //
 // The walk is one loop with one hop budget: a scan picks a start row and
 // each full row hands on to its successor. A row that vanished under the
@@ -296,6 +377,11 @@ func successorRow(prev daalRow) dynamo.Item {
 // (appendRow), and the walk puts it back. Restarts spend the same budget, so
 // a walk that cannot settle ends in an error naming the key.
 func (d *daal) loggedWrite(key, logKey string, mut mutation) (bool, error) {
+	if mut.fresh && mut.cond == nil && mut.hasVal && !d.rt.grown.has(d.table, key) {
+		if done, err := d.headFirst(key, logKey, mut.setVal); done || err != nil {
+			return done, err
+		}
+	}
 	rowID := ""      // the row to try next; "" asks for a fresh scan
 	var prev daalRow // the row whose NextRow named rowID; zero when a scan chose it
 	var roomLeft dynamo.Cond
@@ -305,6 +391,9 @@ func (d *daal) loggedWrite(key, logKey string, mut mutation) (bool, error) {
 			sk, err := d.scanSkeleton(key, logProjection(logKey))
 			if err != nil {
 				return false, err
+			}
+			if len(sk) > 1 {
+				d.rt.grown.add(d.table, key)
 			}
 			if out, found := sk.findLog(logKey); found && !FaultDAALSkipsLoggedCheck.Load() {
 				d.rt.stats.Replays.Add(1)
@@ -375,6 +464,7 @@ func (d *daal) loggedWrite(key, logKey string, mut mutation) (bool, error) {
 			}
 			row.next = next // the link appendRow wrote, which a repair checks
 		}
+		d.rt.grown.add(d.table, key)
 		rowID, prev = next, row // case C
 	}
 	return false, fmt.Errorf("core: %s/%s: DAAL write walk exceeded %d hops", d.table, key, maxChainHops)

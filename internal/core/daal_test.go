@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func newDAAL(t *testing.T, rowCap int) (*daal, *fixture) {
 
 func TestDAALFirstWriteCreatesHead(t *testing.T) {
 	d, _ := newDAAL(t, 4)
-	ok, err := d.loggedWrite("k", "i1#0.1", mutation{setVal: valPtr(dynamo.S("v1"))})
+	ok, err := d.loggedWrite("k", "i1#0.1", setTo(dynamo.S("v1")))
 	if err != nil || !ok {
 		t.Fatalf("write: %v %v", ok, err)
 	}
@@ -41,15 +42,15 @@ func TestDAALFirstWriteCreatesHead(t *testing.T) {
 func TestDAALReplaySameLogKeyIsNoop(t *testing.T) {
 	d, _ := newDAAL(t, 4)
 	logKey := "i1#0.1"
-	if _, err := d.loggedWrite("k", logKey, mutation{setVal: valPtr(dynamo.S("v1"))}); err != nil {
+	if _, err := d.loggedWrite("k", logKey, setTo(dynamo.S("v1"))); err != nil {
 		t.Fatal(err)
 	}
 	// A different step writes v2; then the first step replays with v1 —
 	// it must NOT re-apply (at-most-once).
-	if _, err := d.loggedWrite("k", "i1#0.2", mutation{setVal: valPtr(dynamo.S("v2"))}); err != nil {
+	if _, err := d.loggedWrite("k", "i1#0.2", setTo(dynamo.S("v2"))); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := d.loggedWrite("k", logKey, mutation{setVal: valPtr(dynamo.S("v1"))})
+	ok, err := d.loggedWrite("k", logKey, setTo(dynamo.S("v1")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestDAALAppendsRowsWhenFull(t *testing.T) {
 	d, _ := newDAAL(t, 2)
 	for i := 1; i <= 7; i++ {
 		logKey := fmt.Sprintf("i1#0.%d", i)
-		if _, err := d.loggedWrite("k", logKey, mutation{setVal: valPtr(dynamo.NInt(int64(i)))}); err != nil {
+		if _, err := d.loggedWrite("k", logKey, setTo(dynamo.NInt(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,16 +103,16 @@ func TestDAALAppendsRowsWhenFull(t *testing.T) {
 func TestDAALCondWriteOutcomes(t *testing.T) {
 	d, _ := newDAAL(t, 4)
 	eq := func(v Value) dynamo.Cond { return dynamo.Eq(dynamo.A(attrValue), v) }
-	if _, err := d.loggedWrite("k", "i#0.1", mutation{setVal: valPtr(dynamo.NInt(1))}); err != nil {
+	if _, err := d.loggedWrite("k", "i#0.1", setTo(dynamo.NInt(1))); err != nil {
 		t.Fatal(err)
 	}
 	// Condition true: applies.
-	ok, err := d.loggedWrite("k", "i#0.2", mutation{cond: eq(dynamo.NInt(1)), setVal: valPtr(dynamo.NInt(2))})
+	ok, err := d.loggedWrite("k", "i#0.2", mutation{cond: eq(dynamo.NInt(1)), setVal: dynamo.NInt(2), hasVal: true})
 	if err != nil || !ok {
 		t.Fatalf("cond-true: %v %v", ok, err)
 	}
 	// Condition false: recorded, not applied (case B2).
-	ok, err = d.loggedWrite("k", "i#0.3", mutation{cond: eq(dynamo.NInt(1)), setVal: valPtr(dynamo.NInt(99))})
+	ok, err = d.loggedWrite("k", "i#0.3", mutation{cond: eq(dynamo.NInt(1)), setVal: dynamo.NInt(99), hasVal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +124,10 @@ func TestDAALCondWriteOutcomes(t *testing.T) {
 		t.Errorf("value = %v, want 2", row.value)
 	}
 	// Replays return the recorded outcomes even though state has moved on.
-	if ok, _ := d.loggedWrite("k", "i#0.3", mutation{cond: eq(dynamo.NInt(2)), setVal: valPtr(dynamo.NInt(99))}); ok {
+	if ok, _ := d.loggedWrite("k", "i#0.3", mutation{cond: eq(dynamo.NInt(2)), setVal: dynamo.NInt(99), hasVal: true}); ok {
 		t.Error("B2 replay flipped to true")
 	}
-	if ok, _ := d.loggedWrite("k", "i#0.2", mutation{cond: eq(dynamo.NInt(777)), setVal: valPtr(dynamo.NInt(0))}); !ok {
+	if ok, _ := d.loggedWrite("k", "i#0.2", mutation{cond: eq(dynamo.NInt(777)), setVal: dynamo.NInt(0), hasVal: true}); !ok {
 		t.Error("B1 replay flipped to false")
 	}
 	// The false-condition entry still consumed log space.
@@ -140,13 +141,13 @@ func TestDAALCondWriteFalseAcrossFullRows(t *testing.T) {
 	// record the false outcome there (cases C/D then B2).
 	d, _ := newDAAL(t, 2)
 	for i := 1; i <= 2; i++ {
-		if _, err := d.loggedWrite("k", fmt.Sprintf("i#0.%d", i), mutation{setVal: valPtr(dynamo.NInt(int64(i)))}); err != nil {
+		if _, err := d.loggedWrite("k", fmt.Sprintf("i#0.%d", i), setTo(dynamo.NInt(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ok, err := d.loggedWrite("k", "i#0.3", mutation{
 		cond:   dynamo.Eq(dynamo.A(attrValue), dynamo.NInt(42)),
-		setVal: valPtr(dynamo.NInt(0)),
+		setVal: dynamo.NInt(0), hasVal: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +168,7 @@ func TestDAALCondWriteFalseAcrossFullRows(t *testing.T) {
 func TestDAALReadAcrossRows(t *testing.T) {
 	d, _ := newDAAL(t, 2)
 	for i := 1; i <= 5; i++ {
-		if _, err := d.loggedWrite("k", fmt.Sprintf("i#0.%d", i), mutation{setVal: valPtr(dynamo.NInt(int64(i)))}); err != nil {
+		if _, err := d.loggedWrite("k", fmt.Sprintf("i#0.%d", i), setTo(dynamo.NInt(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +192,7 @@ func TestDAALLockColumnCarriedOnAppend(t *testing.T) {
 	}
 	// Fill the row and force appends; the lock must survive on the tail.
 	for i := 2; i <= 6; i++ {
-		if _, err := d.loggedWrite("k", fmt.Sprintf("w#0.%d", i), mutation{setVal: valPtr(dynamo.NInt(int64(i)))}); err != nil {
+		if _, err := d.loggedWrite("k", fmt.Sprintf("w#0.%d", i), setTo(dynamo.NInt(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +224,7 @@ func TestDAALConcurrentDistinctWritersAllLogged(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			logKey := fmt.Sprintf("i%d#0.1", w)
-			if _, err := d.loggedWrite("k", logKey, mutation{setVal: valPtr(dynamo.NInt(int64(w)))}); err != nil {
+			if _, err := d.loggedWrite("k", logKey, setTo(dynamo.NInt(int64(w)))); err != nil {
 				t.Errorf("writer %d: %v", w, err)
 			}
 		}(w)
@@ -264,7 +265,7 @@ func TestDAALConcurrentSameLogKeyAppliesOnce(t *testing.T) {
 	// The same (instance, step) raced by 10 executors must apply exactly
 	// once — the at-most-once core of §3.1, under duplicate IC restarts.
 	d, _ := newDAAL(t, 4)
-	if _, err := d.loggedWrite("k", "seed#0.1", mutation{setVal: valPtr(dynamo.NInt(0))}); err != nil {
+	if _, err := d.loggedWrite("k", "seed#0.1", setTo(dynamo.NInt(0))); err != nil {
 		t.Fatal(err)
 	}
 	for round := 1; round <= 5; round++ {
@@ -278,7 +279,7 @@ func TestDAALConcurrentSameLogKeyAppliesOnce(t *testing.T) {
 				// target value (deterministic replay), so at-most-once is
 				// what keeps the counter correct.
 				v := dynamo.NInt(int64(round))
-				if _, err := d.loggedWrite("k", logKey, mutation{setVal: &v}); err != nil {
+				if _, err := d.loggedWrite("k", logKey, setTo(v)); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -303,7 +304,7 @@ func TestDAALConcurrentSameLogKeyAppliesOnce(t *testing.T) {
 func TestDAALSkeletonProjectionFindsLogAnywhere(t *testing.T) {
 	d, _ := newDAAL(t, 2)
 	for i := 1; i <= 5; i++ {
-		if _, err := d.loggedWrite("k", fmt.Sprintf("i#0.%d", i), mutation{setVal: valPtr(dynamo.NInt(int64(i)))}); err != nil {
+		if _, err := d.loggedWrite("k", fmt.Sprintf("i#0.%d", i), setTo(dynamo.NInt(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,8 +369,6 @@ func TestNextRowIDPanicsOnGarbage(t *testing.T) {
 	nextRowID("not-a-row")
 }
 
-func valPtr(v Value) *Value { return &v }
-
 // TestStalledAppendIsRepaired stalls an appender between its put of the new
 // row and its link past T, while GC passes run: the first pass finds the row
 // unreachable and stamps it, the second deletes it, and only then does the
@@ -421,5 +420,51 @@ func TestStalledAppendIsRepaired(t *testing.T) {
 	}
 	if err := Fsck(rt); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHeadFirstIsRefusedToAZombie pauses a fresh execution before its first
+// Write, lets the collector relaunch it — the relaunch logs that step and
+// then a later value on the same one-row key — and resumes the paused
+// attempt. Its head-first update must be refused by the entry the relaunch
+// logged in the head: the step is a replay, the key keeps the later value,
+// and Fsck is green. With FaultHeadFirstSkipsLoggedCheck on, the same run
+// must show the damage, or the check sees nothing.
+func TestHeadFirstIsRefusedToAZombie(t *testing.T) {
+	run := func(t *testing.T) (val Value, replays int64, fsck error) {
+		plan, arrived, release := parkArrivals("w", "write:pre:0.000001", 1)
+		f := newFixture(t, withFaults(plan))
+		var launches atomic.Int64
+		w := f.fn("w", func(e *Env, in Value) (Value, error) {
+			zombie := launches.Add(1) == 1
+			if err := e.Write("kv", "k", dynamo.S("early")); err != nil || zombie {
+				return dynamo.Null, err
+			}
+			return dynamo.Null, e.Write("kv", "k", dynamo.S("late"))
+		}, "kv")
+		first := goInvoke(func() (Value, error) { return f.invoke("w", dynamo.Null) })
+		<-arrived[0]
+		f.recoverAll()
+		if got := f.readData("w", "kv", "k"); got.Str() != "late" || launches.Load() != 2 {
+			t.Fatalf("after the relaunch: k = %v, %d launches; want late, 2", got, launches.Load())
+		}
+		before := w.StatsSnapshot().Replays
+		close(release[0])
+		if r := <-first; r.err != nil {
+			t.Fatalf("the zombie: %v", r.err)
+		}
+		return f.readData("w", "kv", "k"), w.StatsSnapshot().Replays - before, Fsck(w)
+	}
+
+	val, replays, fsck := run(t)
+	if val.Str() != "late" || replays != 1 || fsck != nil {
+		t.Errorf("k = %v, %d replays, fsck %v; want late, the zombie's write a replay, fsck green", val, replays, fsck)
+	}
+
+	FaultHeadFirstSkipsLoggedCheck.Store(true)
+	defer FaultHeadFirstSkipsLoggedCheck.Store(false)
+	val, replays, fsck = run(t)
+	if val.Str() != "early" || replays != 0 || fsck == nil {
+		t.Errorf("with the logged check dropped: k = %v, %d replays, fsck %v; want the zombie's early, no replay, fsck red", val, replays, fsck)
 	}
 }

@@ -253,7 +253,7 @@ func (e *Env) Write(table, key string, v Value) error {
 	e.crash("write:pre:", stepKey)
 	var replay bool
 	_, err := e.loggedMutate(e.rt.layer(), "write", table, key, stepKey,
-		e.stepMutation(mutation{setVal: &v}, &replay))
+		e.stepMutation(setTo(v), &replay))
 	e.stepSpan(t0, telemetry.KindWrite, stepKey, table, key, replay, e.rt.histStep, err)
 	e.crash("write:post:", stepKey)
 	if err != nil {
@@ -284,7 +284,7 @@ func (e *Env) CondWrite(table, key string, v Value, cond dynamo.Cond) (bool, err
 	e.crash("condwrite:pre:", stepKey)
 	var replay bool
 	ok, err := e.loggedMutate(e.rt.layer(), "condwrite", table, key, stepKey,
-		e.stepMutation(mutation{cond: cond, setVal: &v}, &replay))
+		e.stepMutation(mutation{cond: cond, setVal: v, hasVal: true}, &replay))
 	e.stepSpan(t0, telemetry.KindCondWrite, stepKey, table, key, replay, e.rt.histStep, err)
 	e.crash("condwrite:post:", stepKey)
 	if err != nil || !ok {

@@ -246,7 +246,11 @@ func (rt *Runtime) gcChain(table, key string, rows map[string]daalRow, recyclabl
 			txnID = key[:i]
 		}
 		if settled[txnID] && allRowsRecycled(rows) {
-			for _, id := range rowIDs {
+			// The head, first in rowIDs, is deleted last: a pass that dies
+			// midway leaves a chain the next pass finishes, never rows
+			// without a head, which a head-first write would take for an
+			// absent item.
+			for _, id := range append(rowIDs[1:], rowIDs[0]) {
 				if err := rt.store.Delete(table, rowKeyOf(key, id), nil); err != nil {
 					return err
 				}

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dynamo"
+	"repro/internal/storage"
+	"repro/internal/storage/storagetest"
 )
 
 // gcFixture builds a single-SSF fixture with a tiny T so tests can age
@@ -424,5 +428,69 @@ func TestGCStorageShrinks(t *testing.T) {
 	after, _ := f.store.TableBytes(rt.dataTable("counter"))
 	if after >= before/2 {
 		t.Errorf("storage %d → %d; expected at least halving", before, after)
+	}
+}
+
+// failNthDelete fails the n-th Delete of one table; table is set once the
+// runtime has named it.
+type failNthDelete struct {
+	storage.Backend
+	table string
+	n     int64
+	seen  atomic.Int64
+}
+
+func (s *failNthDelete) Delete(table string, key dynamo.Key, cond dynamo.Cond) error {
+	if table == s.table && s.seen.Add(1) == s.n {
+		return errors.New("injected delete failure")
+	}
+	return s.Backend.Delete(table, key, cond)
+}
+
+func TestGCDeletesACollectedShadowChainHeadLast(t *testing.T) {
+	// A pass that dies after the first delete of a two-row shadow chain must
+	// leave the head, never a headless row a head-first write would take for
+	// an absent item; the next pass finishes the chain.
+	store := &failNthDelete{Backend: storagetest.Open(t), n: 2}
+	f := newFixture(t, withStore(store), withConfig(Config{RowCap: 2, T: 5 * time.Millisecond, ICMinAge: time.Millisecond}))
+	rt := f.fn("w", func(e *Env, in Value) (Value, error) {
+		return dynamo.Null, e.Transaction(func() error {
+			for i := int64(1); i <= 3; i++ { // three shadow entries: two rows
+				if err := e.Write("acct", "x", dynamo.NInt(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}, "acct")
+	f.mustInvoke("w", dynamo.Null)
+	shadow := rt.shadowTable("acct")
+	if n, _ := store.TableItemCount(shadow); n != 2 {
+		t.Fatalf("setup: %d shadow rows, want a two-row chain", n)
+	}
+	store.table = shadow
+	var err error
+	for pass := 0; pass < 3 && err == nil; pass++ {
+		age()
+		_, err = rt.RunGarbageCollector()
+	}
+	if err == nil {
+		t.Fatal("no pass hit the injected delete failure: the chain was never collected")
+	}
+	rows, qerr := store.Scan(shadow, dynamo.QueryOpts{})
+	if qerr != nil || len(rows) != 1 || rows[0][attrRowID].Str() != headRowID {
+		t.Fatalf("after the failed pass the shadow table holds %v (%v), want the head alone", rows, qerr)
+	}
+	if _, err := rt.RunGarbageCollector(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := store.TableItemCount(shadow); n != 0 {
+		t.Errorf("%d shadow rows survive the next pass", n)
+	}
+	if got := f.readData("w", "acct", "x"); got.Int() != 3 {
+		t.Errorf("x = %v, want 3", got)
+	}
+	if err := Fsck(rt); err != nil {
+		t.Error(err)
 	}
 }

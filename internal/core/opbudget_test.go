@@ -23,7 +23,9 @@ import (
 // effect boundary, and one that returns without reaching a boundary writes
 // nothing but its callback — the SyncInvoke(...) rows price whole callees. A
 // write to a never-written key costs what any write does: the head row is
-// created by the upsert that logs the step.
+// created by the upsert that logs the step. A fresh execution's Write to a
+// one-row key is that one update, addressed to the head with no query
+// (daal.headFirst); a conditional step, a lock and every replay query first.
 
 // stepCost is one measured step: store ops, replays counted, value returned.
 type stepCost struct {
@@ -177,7 +179,7 @@ func TestStoreOpBudget(t *testing.T) {
 		v     Value
 	}{{w, "kv", "k", dynamo.S("v1")}, {w1, "kv", "n", dynamo.S("v1")}, {w, "ref", "r", dynamo.S("r1")}, {r8s, "ref", "n", dynamo.NInt(3)}} {
 		kv := daal{rt: seed.rt, table: seed.rt.dataTable(seed.table)}
-		if _, err := kv.loggedWrite(seed.key, "seed#0.000001", mutation{setVal: &seed.v}); err != nil {
+		if _, err := kv.loggedWrite(seed.key, "seed#0.000001", setTo(seed.v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,22 +218,22 @@ func TestStoreOpBudget(t *testing.T) {
 		{"Read x7", fan - 1, 0, fan - 1, "one query(state) each, rows queued; replay: answered from the loaded log"},
 		{"Read (sealed, cold)", 1, 0, 0, "query(state) fills the sealed table's cache, no row queued; replay: no logged row, the cache answers"},
 		{"Read (sealed, warm)", 0, 0, 0, "the cache answers: no store op, no row queued"},
-		{"Write after 8 reads", 3, 1, 1, "ONE flush of the 8 queued rows + query + apply-and-log; replay: nothing queued, the query finds the entry"},
-		{"Write", 2, 1, 1, "query(skeleton+log entry) + apply-and-log; replay: the query finds the entry"},
+		{"Write after 8 reads", 2, 1, 1, "ONE flush of the 8 queued rows + the head-first apply-and-log; replay: nothing queued, the query finds the entry"},
+		{"Write", 1, 1, 1, "ONE head-first apply-and-log: a fresh step on a one-row key needs no query; replay: the query finds the entry"},
 		{"CondWrite-false", 3, 1, 1, "query + refused B1 + B2 records false; replay: the query finds the entry"},
-		{"Write (first on its key)", 2, 1, 1, "query(no head) + ONE upsert that creates the head with the entry logged; replay: the query finds the entry"},
-		{"CondWrite-true (first on its key)", 2, 1, 1, "as above: the guard is evaluated against the empty head the upsert is conditional on"},
+		{"Write (first on its key)", 1, 1, 1, "ONE head-first upsert that creates the head with the entry logged; replay: the query finds the entry"},
+		{"CondWrite-true (first on its key)", 2, 1, 1, "query(no head) + ONE upsert that creates the head with the entry logged: the guard is evaluated against the empty head the upsert is conditional on"},
 		{"CondWrite-false (first on its key)", 2, 1, 1, "as above, the upsert logs false and leaves the value Null"},
 		{"Lock (first on its key)", 2, 1, 1, "as above, the upsert sets the owner"},
 		{"SyncInvoke", 2, 2, 1, "invoke-log insert + callback — a first-launched callee that crosses no boundary writes no intent and no done mark; replay: refused insert + get(result)"},
 		{"SyncInvoke(Read x8)", fan + 2, 2, 1, "insert + 8 state queries + callback: an effect-free callee's reads are dropped, not logged"},
 		{"SyncInvoke(sealed Read x8), warm", 2, 2, 1, "insert + callback: the callee's 8 reads of a sealed table come from its warm cache"},
 		{"SyncInvoke(Read, SyncInvoke)", 8, 2, 1, "insert + query, then at the callee's first boundary intent put + flush + its own insert, the leaf's callback, callback + done"},
-		{"SyncInvoke(Write)", 6, 2, 1, "insert + intent put at the boundary + query + apply-and-log + callback + done: an effectful callee pays what it always did"},
+		{"SyncInvoke(Write)", 5, 2, 1, "insert + intent put at the boundary + head-first apply-and-log + callback + done"},
 		{"SyncInvoke(Read x8), relaunched", 2*fan + 6, 2, 1, "insert + 8 queries that die with the first launch + the relaunch mark on the caller's row (no result held), then the eager relaunch in full: intent put + 8 queries + flush + callback + done"},
 		{"AsyncInvoke", 3, 2, 0, "invoke-log insert + callee intent + confirming callback; replay: refused insert + get(registered)"},
 		{"Await x8", 1, 0, fan, "ONE query of the instance's invoke-log partition finds all 8 posted results and caches them, rows queued; replay: answered from the loaded log"},
-		{"Write after 8 awaits", 3, 1, 1, "ONE flush of the 8 queued rows + the write's 2"},
+		{"Write after 8 awaits", 2, 1, 1, "ONE flush of the 8 queued rows + the write's 1"},
 		{"txnRead", 5, 2, 2, "lock registry + lock(query, upsert: the key was never written) + shadow query + state query, row queued; replay: registry + lock query"},
 		{"Transaction(Read)", 12, 7, 3, "the read's 5 + flush at the settle claim + claim + registry query + shadow query + unlock(2) + callee query"},
 	}

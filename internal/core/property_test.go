@@ -42,7 +42,7 @@ func TestDAALInvariantsUnderRandomOps(t *testing.T) {
 			logKey := fmt.Sprintf("i%d#0.%06d", rng.Intn(3), i)
 			v := int64(i)
 			val := dynamo.NInt(v)
-			mut := mutation{setVal: &val}
+			mut := setTo(val)
 			wantApplied := true
 			if rng.Intn(3) == 0 {
 				// Conditional write guarded on the current value (a fresh
@@ -130,7 +130,7 @@ func TestReplayedOutcomesStableQuick(t *testing.T) {
 			logKey := fmt.Sprintf("i#0.%06d", i)
 			val := dynamo.NInt(int64(rng.Intn(5)))
 			cond := dynamo.Eq(dynamo.A(attrValue), dynamo.NInt(int64(rng.Intn(5))))
-			ok, err := d.loggedWrite("k", logKey, mutation{cond: cond, setVal: &val})
+			ok, err := d.loggedWrite("k", logKey, mutation{cond: cond, setVal: val, hasVal: true})
 			if err != nil {
 				return false
 			}
@@ -140,7 +140,7 @@ func TestReplayedOutcomesStableQuick(t *testing.T) {
 		// Replay every op (with a *different* value — it must not apply).
 		for i, logKey := range keys {
 			val := dynamo.NInt(999)
-			ok, err := d.loggedWrite("k", logKey, mutation{cond: dynamo.True(), setVal: &val})
+			ok, err := d.loggedWrite("k", logKey, mutation{cond: dynamo.True(), setVal: val, hasVal: true})
 			if err != nil || ok != outcomes[i] {
 				t.Logf("replay %d: ok=%v want %v err=%v", i, ok, outcomes[i], err)
 				return false

@@ -253,6 +253,7 @@ func (e *Env) loggedMutate(layer kvLayer, boundary, table, key, stepKey string, 
 	if err := e.flushReads(boundary); err != nil {
 		return false, err
 	}
+	mut.fresh = e.intent.fresh
 	return layer.loggedMutate(table, key, e.logKey(stepKey), mut)
 }
 

@@ -27,7 +27,7 @@ func (f *fixture) foreignWrite(fn, table, key string, v Value) {
 	rt := f.rts[fn]
 	d := daal{rt: rt, table: rt.dataTable(table)}
 	logKey := fmt.Sprintf("foreign-%d#0.000001", foreignSeq.Add(1))
-	if _, err := d.loggedWrite(key, logKey, mutation{setVal: &v}); err != nil {
+	if _, err := d.loggedWrite(key, logKey, setTo(v)); err != nil {
 		f.t.Fatal(err)
 	}
 }

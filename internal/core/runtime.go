@@ -171,7 +171,11 @@ type Runtime struct {
 	// over their shadows, built once (see layer).
 	kv, kvShadow kvLayer
 	// logRoom is "LogSize < RowCap", the DAAL row's room-left test.
-	logRoom dynamo.Cond
+	// headRoom is "(logRoom AND no NextRow) OR no Key": a head that is its
+	// item's only row and has room, or no head at all (daal.headFirst).
+	logRoom, headRoom dynamo.Cond
+	// grown is the head-first hint (daal.headFirst).
+	grown grownKeys
 
 	mu             sync.RWMutex
 	dataTables_    []string
@@ -265,6 +269,7 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 		rt.kv, rt.kvShadow = daalLayer{rt: rt}, daalLayer{rt: rt, isShadow: true}
 	}
 	rt.logRoom = dynamo.Lt(dynamo.A(attrLogSize), dynamo.N(float64(rt.cfg.RowCap)))
+	rt.headRoom = dynamo.Or(dynamo.And(rt.logRoom, nextRowAbsent), keyAbsent)
 	if rt.tel != nil {
 		rt.histStep = rt.tel.Registry.Histogram("core." + rt.fn + ".step_commit")
 		rt.histLock = rt.tel.Registry.Histogram("core." + rt.fn + ".lock_acquire")

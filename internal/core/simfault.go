@@ -21,6 +21,13 @@ var FaultUnguardedIntentDone atomic.Bool
 // again instead of returning the outcome its write-log entry records.
 var FaultDAALSkipsLoggedCheck atomic.Bool
 
+// FaultHeadFirstSkipsLoggedCheck, when true, drops "no entry for this step"
+// from a DAAL head-first attempt's condition: a zombie's fresh step whose
+// relaunch already logged it applies its mutation again on a one-row item.
+// A crash-point replay is never fresh, so only the relaunch enumeration and
+// a zombie test can see it.
+var FaultHeadFirstSkipsLoggedCheck atomic.Bool
+
 // FaultReinvokeIgnoresCalleeID, when true, makes a re-executed SyncInvoke
 // ignore the callee id its invoke-log row holds, and with it the result
 // logged for that callee, and launch the callee as new under a fresh id: a

@@ -191,7 +191,7 @@ func (e *Env) txnWrite(table, key string, v Value) error {
 	e.crash("txnwrite:pre:", stepKey)
 	var replay bool
 	_, err := e.loggedMutate(e.rt.layer().shadow(), "write", table, shadowKey(e.shared.txn.ID, key),
-		stepKey, e.stepMutation(mutation{setVal: &v}, &replay))
+		stepKey, e.stepMutation(setTo(v), &replay))
 	e.stepSpan(t0, telemetry.KindWrite, stepKey, table, key, replay, e.rt.histStep, err)
 	e.crash("txnwrite:post:", stepKey)
 	return err
@@ -216,7 +216,7 @@ func (e *Env) txnCondWrite(table, key string, v Value, cond dynamo.Cond) (bool, 
 	e.crash("txncondwrite:pre:", wStep)
 	var replay bool
 	_, err = e.loggedMutate(e.rt.layer().shadow(), "condwrite", table, shadowKey(e.shared.txn.ID, key),
-		wStep, e.stepMutation(mutation{setVal: &v}, &replay))
+		wStep, e.stepMutation(setTo(v), &replay))
 	e.stepSpan(t0, telemetry.KindCondWrite, wStep, table, key, replay, e.rt.histStep, err)
 	e.crash("txncondwrite:post:", wStep)
 	return err == nil, err
@@ -286,7 +286,7 @@ func (e *Env) settleTxnState(ctx *TxnContext) error {
 				stepKey := e.nextStepKey()
 				e.crash("txnflush:pre:", stepKey)
 				if _, err := e.loggedMutate(layer, "write", table, key, stepKey,
-					mutation{setVal: &sval}); err != nil {
+					setTo(sval)); err != nil {
 					return err
 				}
 				e.crash("txnflush:post:", stepKey)

@@ -66,7 +66,7 @@ func seedAccounts(t *testing.T, f *fixture, fn string, balances map[string]int64
 	rt := f.rts[fn]
 	for k, v := range balances {
 		d := daal{rt: rt, table: rt.dataTable("acct")}
-		if _, err := d.loggedWrite(k, "seed#"+k, mutation{setVal: valPtr(dynamo.NInt(v))}); err != nil {
+		if _, err := d.loggedWrite(k, "seed#"+k, setTo(dynamo.NInt(v))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +254,7 @@ func seedCapacity(t *testing.T, f *fixture, fn string, n int64) {
 	t.Helper()
 	rt := f.rts[fn]
 	d := daal{rt: rt, table: rt.dataTable("inv")}
-	if _, err := d.loggedWrite("capacity", "seed#0.1", mutation{setVal: valPtr(dynamo.NInt(n))}); err != nil {
+	if _, err := d.loggedWrite("capacity", "seed#0.1", setTo(dynamo.NInt(n))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -478,7 +478,7 @@ func TestOpacityDoomedTransactionSeesConsistentSnapshot(t *testing.T) {
 	rt := f.rts["inc"]
 	for _, k := range []string{"x", "y"} {
 		d := daal{rt: rt, table: rt.dataTable("kv")}
-		if _, err := d.loggedWrite(k, "seed#0.1", mutation{setVal: valPtr(dynamo.NInt(0))}); err != nil {
+		if _, err := d.loggedWrite(k, "seed#0.1", setTo(dynamo.NInt(0))); err != nil {
 			t.Fatal(err)
 		}
 	}
