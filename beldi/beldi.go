@@ -147,6 +147,9 @@ var (
 	// ErrTableSealed reports a write, conditional write or lock of a table
 	// sealed with Deployment.Seal; see core.ErrTableSealed.
 	ErrTableSealed = core.ErrTableSealed
+	// ErrSealPending reports a Seal refused while the function has pending
+	// intents; see core.ErrSealPending.
+	ErrSealPending = core.ErrSealPending
 	// ErrCanceled reports an invocation killed because its context ended
 	// (InvokeCtx with a canceled context or an expired deadline). The
 	// workflow's intent stays pending and is finished by the collectors:
@@ -362,9 +365,10 @@ func (d *Deployment) OnTableChange(fn, table, handler string) error {
 // op, and a read costs no read-log row and, once the key was read, no store
 // op at all (the value cannot change, so a re-execution reads it again).
 // Seal is a load-phase call: make it after the table is filled and before
-// workflows run. A runtime that registers the table over the store later —
-// a restarted deployment, a cluster worker that joins — adopts the seal; one
-// opened before it does not see it.
+// workflows run; while fn has pending intents it fails with ErrSealPending.
+// A runtime that registers the table over the store later — a restarted
+// deployment, a cluster worker that joins — adopts the seal; one opened
+// before it does not see it.
 func (d *Deployment) Seal(fn, table string) error {
 	if err := d.known(fn); err != nil {
 		return err

@@ -458,11 +458,11 @@ var relaunchAll = flag.Bool("relaunch.all", false, "run the relaunch enumeration
 
 // relaunchPinned are the lines where the zombie mutations of
 // TestRelaunchPointsCatchZombieMutations first fail (52, a travel entry's
-// body:done; 106, a hotel reservation's transactional read, before the
-// shadow write a zombie's head-first update would apply again; 304, the
-// fan's intent:logged; 346, once's first read, in pair mode): tier-1's
+// body:done; 101, a hotel reservation's transactional read, before the
+// shadow write a zombie's head-first update would apply again; 281, the
+// fan's intent:logged; 323, once's first read, in pair mode): tier-1's
 // mutation run, and part of its match run beside every seventh golden line.
-var relaunchPinned = []int{52, 106, 304, 346}
+var relaunchPinned = []int{52, 101, 281, 323}
 
 // relaunchLines lists the golden lines the relaunch enumeration visits:
 // every one under -relaunch.all, else the pinned lines and every every-th.

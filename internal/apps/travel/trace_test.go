@@ -125,3 +125,41 @@ func TestTraceContinuityAcrossCrash(t *testing.T) {
 		t.Errorf("rendered trace does not distinguish restart/replay:\n%s", out)
 	}
 }
+
+// TestUnloggedSearchIsVisible: on a sealed deployment the first search is
+// logged and teaches the hints, and the second runs its whole tree
+// unlogged. A trace names each of that tree's exec spans "unlogged", and
+// the registry counts the calls under core.<fn>.calls_unlogged.
+func TestUnloggedSearchIsVisible(t *testing.T) {
+	tel := beldi.NewTelemetry()
+	plat := platform.New(platform.Options{ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"}})
+	d := beldi.NewDeployment(beldi.DeploymentOptions{Store: storagetest.Open(t), Platform: plat, Telemetry: tel})
+	if err := Build(d).Seed(); err != nil {
+		t.Fatal(err)
+	}
+	search := beldi.Map(map[string]beldi.Value{"op": beldi.Str("search"), "lat": beldi.Num(1), "lon": beldi.Num(2)})
+	first, err := d.Invoke(FnFrontend, search)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel.Tracer.Reset()
+	second, err := d.Invoke(FnFrontend, search)
+	if err != nil || !second.Equal(first) {
+		t.Fatalf("second search = %v, %v; want the first's %v", second, err, first)
+	}
+	unlogged := map[string]bool{}
+	for _, s := range tel.Tracer.Spans() {
+		if s.Kind == telemetry.KindExec && s.Name == "unlogged" {
+			unlogged[s.Fn] = true
+		}
+	}
+	if !unlogged[FnSearch] || !unlogged[FnGeo] || !unlogged[FnRate] || len(unlogged) != 3 {
+		t.Errorf("unlogged exec spans of %v, want search, geo and rate", unlogged)
+	}
+	counters := tel.Registry.Snapshot().Counters
+	for fn, want := range map[string]int64{FnFrontend: 1, FnSearch: 2} {
+		if got := counters["core."+fn+".calls_unlogged"]; got != want {
+			t.Errorf("core.%s.calls_unlogged = %v, want %v", fn, got, want)
+		}
+	}
+}

@@ -47,6 +47,7 @@ var stepBudget = []struct {
 	{"first write", 11, 808, "step key, log key; the head-first upsert's actions and condition operands (one allocation) and its two condition boxes; the new head row, its attribute and log lists"},
 	{"sealed read, warm", 1, 16, "step key: the sealed table's cache answers, with no query and no queued read-log row"},
 	{"sync invoke", 20, 2464, "callee id, the invoke-log row's update, the envelope; the platform instance and the effect-free callee's whole execution, callback included — run on the invoking goroutine (no goroutine, result channel or closure per instance), its root Env and shared state one allocation"},
+	{"pure call, warm", 7, 632, "step key, callee id, the envelope; the platform instance and its request id; the unlogged callee's root Env and its sealed read's step key, answered from a warm cache — no invoke-log row, no callback, no intent"},
 }
 
 // bytesSlack is how far a step's allocated bytes may drift from the table
@@ -57,13 +58,14 @@ const bytesSlack = 0.02
 // stepAllocs registers a function whose instances each run one measured
 // step, runs it samples times and returns the median allocations and
 // allocated bytes per step: the store's own maps grow now and then as keys
-// arrive, which a median does not see. Before sample i, an unmeasured
-// instance of the same function runs setup(e, i) when setup is non-nil (a
-// function sees only its own tables).
-func stepAllocs(t *testing.T, f *fixture, name string, samples int, setup, step func(e *Env, i int) error) stepMem {
+// arrive, which a median does not see. Once the function is registered,
+// prep runs on its runtime when prep is non-nil. Before sample i, an
+// unmeasured instance of the same function runs setup(e, i) when setup is
+// non-nil (a function sees only its own tables).
+func stepAllocs(t *testing.T, f *fixture, name string, samples int, prep func(rt *Runtime) error, setup, step func(e *Env, i int) error) stepMem {
 	t.Helper()
 	var counts, sizes []uint64
-	f.fn(name, func(e *Env, in Value) (Value, error) {
+	rt := f.fn(name, func(e *Env, in Value) (Value, error) {
 		i := int(in.Int())
 		if i < 0 {
 			return dynamo.Null, setup(e, -1-i)
@@ -76,6 +78,11 @@ func stepAllocs(t *testing.T, f *fixture, name string, samples int, setup, step 
 		sizes = append(sizes, m1.TotalAlloc-m0.TotalAlloc)
 		return dynamo.Null, err
 	}, "kv")
+	if prep != nil {
+		if err := prep(rt); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < samples; i++ {
 		if setup != nil {
 			f.mustInvoke(name, dynamo.NInt(int64(-1-i)))
@@ -102,27 +109,32 @@ func TestStepAllocBudget(t *testing.T) {
 		keys[i] = fmt.Sprintf("key-%04d", i)
 	}
 	write := func(e *Env, i int) error { return e.Write("kv", keys[i], dynamo.NInt(int64(i))) }
+	read := func(e *Env, i int) error { _, err := e.Read("kv", keys[i]); return err }
+	// fillAndSeal writes every key of rt's kv table, then seals it: the load
+	// phase, with no instance running.
+	fillAndSeal := func(rt *Runtime) error {
+		kv := daal{rt: rt, table: rt.dataTable("kv")}
+		for i, key := range keys {
+			if _, err := kv.loggedWrite(key, "seed#0.000001", setTo(dynamo.NInt(int64(i)))); err != nil {
+				return err
+			}
+		}
+		return rt.Seal("kv")
+	}
 	f.fn("leaf", func(e *Env, in Value) (Value, error) { return in, nil })
+	pleaf := f.fn("pleaf", func(e *Env, in Value) (Value, error) { return e.Read("kv", keys[0]) }, "kv")
+	if err := fillAndSeal(pleaf); err != nil {
+		t.Fatal(err)
+	}
+	pureCall := func(e *Env, _ int) error { _, err := e.SyncInvoke("pleaf", dynamo.Null); return err }
 
 	got := []stepMem{
-		stepAllocs(t, f, "read", samples, write, func(e *Env, i int) error { _, err := e.Read("kv", keys[i]); return err }),
-		stepAllocs(t, f, "write", samples, write, write),
-		stepAllocs(t, f, "first", samples, nil, write),
-		stepAllocs(t, f, "sealed", samples, func(e *Env, i int) error {
-			if i == 0 { // fill the table, then seal it
-				for j := range keys {
-					if err := write(e, j); err != nil {
-						return err
-					}
-				}
-				if err := e.rt.Seal("kv"); err != nil {
-					return err
-				}
-			}
-			_, err := e.Read("kv", keys[i]) // warms the cache
-			return err
-		}, func(e *Env, i int) error { _, err := e.Read("kv", keys[i]); return err }),
-		stepAllocs(t, f, "call", samples, nil, func(e *Env, i int) error { _, err := e.SyncInvoke("leaf", dynamo.Null); return err }),
+		stepAllocs(t, f, "read", samples, nil, write, read),
+		stepAllocs(t, f, "write", samples, nil, write, write),
+		stepAllocs(t, f, "first", samples, nil, nil, write),
+		stepAllocs(t, f, "sealed", samples, fillAndSeal, read, read), // the setup's read warms the cache
+		stepAllocs(t, f, "call", samples, nil, nil, func(e *Env, i int) error { _, err := e.SyncInvoke("leaf", dynamo.Null); return err }),
+		stepAllocs(t, f, "pcall", samples, nil, pureCall, pureCall), // the first setup's call is logged and teaches the hint
 	}
 	for i, row := range stepBudget {
 		t.Logf("%s: %.0f allocations, %.0f bytes", row.name, got[i].allocs, got[i].bytes)

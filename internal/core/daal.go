@@ -328,34 +328,45 @@ func (d *daal) headFirst(key, logKey string, v Value) (done bool, _ error) {
 	return err == nil, err
 }
 
-// grownKeys is the head-first hint: per physical table, the keys this
-// runtime has seen with a row past the head, on which a head-first attempt
-// would be refused. It never forgets a key — a head's NextRow, once set,
-// stays set — and a stale entry (a shadow chain collected whole) costs only
-// the walk's scan.
-type grownKeys struct {
+// hintSet is a runtime's set of string pairs behind a hint: a wrong entry
+// costs a refused attempt, never a wrong result. Runtime.grown is the
+// head-first hint: per physical table, the keys this runtime has seen with a
+// row past the head, on which a head-first attempt would be refused. It never
+// forgets a key — a head's NextRow, once set, stays set — and a stale entry
+// (a shadow chain collected whole) costs only the walk's scan. Runtime.pure
+// is the pure-call hint, per app, of callees (invoke.go).
+type hintSet struct {
 	mu   sync.RWMutex
-	keys map[tableKey]struct{}
+	keys map[hintKey]struct{}
 }
 
-type tableKey struct{ table, key string }
+type hintKey struct{ a, b string }
 
-func (g *grownKeys) has(table, key string) bool {
+func (g *hintSet) has(a, b string) bool {
 	g.mu.RLock()
-	_, ok := g.keys[tableKey{table, key}]
+	_, ok := g.keys[hintKey{a, b}]
 	g.mu.RUnlock()
 	return ok
 }
 
-func (g *grownKeys) add(table, key string) {
-	if g.has(table, key) {
+func (g *hintSet) add(a, b string) {
+	if g.has(a, b) {
 		return
 	}
 	g.mu.Lock()
 	if g.keys == nil {
-		g.keys = make(map[tableKey]struct{})
+		g.keys = make(map[hintKey]struct{})
 	}
-	g.keys[tableKey{table, key}] = struct{}{}
+	g.keys[hintKey{a, b}] = struct{}{}
+	g.mu.Unlock()
+}
+
+func (g *hintSet) remove(a, b string) {
+	if !g.has(a, b) {
+		return
+	}
+	g.mu.Lock()
+	delete(g.keys, hintKey{a, b})
 	g.mu.Unlock()
 }
 

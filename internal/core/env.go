@@ -28,6 +28,11 @@ var (
 	// ErrAsyncInTxn reports AsyncInvoke inside a transaction, which Beldi
 	// does not support (§6.2).
 	ErrAsyncInTxn = errors.New("core: asyncInvoke is not supported inside transactions")
+	// ErrNotPure reports an op an unlogged execution may not make: anything
+	// but a read of a sealed table and a call to a pure callee (invoke.go).
+	// The execution is refused for good, and its caller makes the call
+	// logged instead.
+	ErrNotPure = errors.New("core: not pure")
 )
 
 // Body is an SSF's application logic, written against Env's API exactly as a
@@ -85,8 +90,13 @@ func (e *Env) table(logical string) string {
 func (e *Env) App() string { return e.shared.app }
 
 // InstanceID returns the instance id Beldi assigned to this execution intent
-// (§3.3).
-func (e *Env) InstanceID() string { return e.instanceID }
+// (§3.3). An unlogged execution's id is fresh on every execution, so a
+// result that depends on it is not deterministic: reading it makes the
+// execution impure.
+func (e *Env) InstanceID() string {
+	_ = e.impure("InstanceID")
+	return e.instanceID
+}
 
 // Context returns the context this execution runs under: the caller's (an
 // InvokeCtx entry or an SSF-to-SSF call carrying one), or
@@ -197,7 +207,11 @@ func (e *Env) Read(table, key string) (Value, error) {
 		return e.baselineRead(table, key)
 	}
 	sealed := e.rt.sealedTable(table)
-	if sealed == nil && e.inExecute() {
+	if sealed != nil {
+		e.licensed()
+	} else if err := e.impure("read"); err != nil {
+		return dynamo.Null, err
+	} else if e.inExecute() {
 		return e.txnRead(table, key)
 	}
 	return e.loggedRead(e.rt.layer(), sealed, table, key)
@@ -237,6 +251,9 @@ func (e *Env) loggedRead(layer kvLayer, sealed *sealedTable, table, key string) 
 // sealed table fails with ErrTableSealed, as do CondWrite and Lock.
 func (e *Env) Write(table, key string, v Value) error {
 	e.rt.stats.Writes.Add(1)
+	if err := e.impure("write"); err != nil {
+		return err
+	}
 	logical := table
 	table = e.table(table)
 	if err := e.rt.refuseSealed(table, key); err != nil {
@@ -268,6 +285,9 @@ func (e *Env) Write(table, key string, v Value) error {
 // the write took effect; replays report the originally recorded outcome.
 func (e *Env) CondWrite(table, key string, v Value, cond dynamo.Cond) (bool, error) {
 	e.rt.stats.CondWrites.Add(1)
+	if err := e.impure("condwrite"); err != nil {
+		return false, err
+	}
 	logical := table
 	table = e.table(table)
 	if err := e.rt.refuseSealed(table, key); err != nil {
@@ -316,6 +336,9 @@ func lockCond(ownerID string) dynamo.Cond {
 // use Transaction, which locks implicitly with wait-die.
 func (e *Env) Lock(table, key string) error {
 	e.rt.stats.Locks.Add(1)
+	if err := e.impure("lock"); err != nil {
+		return err
+	}
 	table = e.table(table)
 	if err := e.rt.refuseSealed(table, key); err != nil {
 		return err
@@ -400,6 +423,9 @@ func (e *Env) lockRefused(table, key string, txn *TxnContext, backoff time.Durat
 // unlocks safe even after another intent has re-acquired the lock (§6.1).
 func (e *Env) Unlock(table, key string) error {
 	e.rt.stats.Unlocks.Add(1)
+	if err := e.impure("unlock"); err != nil {
+		return err
+	}
 	table = e.table(table)
 	if e.rt.mode == ModeBaseline {
 		return nil

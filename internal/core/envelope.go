@@ -13,7 +13,7 @@ import (
 // transaction context (§6.2). It is encoded as a plain map Value so it
 // survives any serverless transport.
 type envelope struct {
-	Kind       string // "call", "callback", "asyncRegister", "asyncRun"
+	Kind       string // "call", "callback", "asyncRegister", "asyncRun", "promisePost", "pure"
 	InstanceID string // callee instance id ("" = adopt the platform request id)
 	Input      Value
 	Async      bool
@@ -46,10 +46,13 @@ type envelope struct {
 	CallerInstance string
 	CallerStep     string
 
-	// Callback payload.
+	// Callback payload. Pure names the callee of an execution that claims
+	// purity, which the caller adds, with App, to its pure-call hint
+	// (invoke.go). Omitted when empty, and never stored.
 	CalleeID string
 	Result   Value
 	HasRes   bool
+	Pure     string
 
 	// Durable-promise reply coordinates (§4.5 extended): a promise-returning
 	// AsyncInvoke stamps the caller function and its own invoke-log key
@@ -71,6 +74,7 @@ const (
 	kindAsyncRegister = "asyncRegister"
 	kindAsyncRun      = "asyncRun"
 	kindPromisePost   = "promisePost"
+	kindPure          = "pure" // an unlogged call (invoke.go)
 )
 
 // encode marshals the envelope to a map Value. Its entries are listed in key
@@ -103,6 +107,9 @@ func (ev envelope) encode() Value {
 	fs = append(fs, dynamo.F("Kind", dynamo.S(ev.Kind)))
 	if ev.Launched != 0 {
 		fs = append(fs, dynamo.F("Launched", dynamo.NInt(ev.Launched)))
+	}
+	if ev.Pure != "" {
+		fs = append(fs, dynamo.F("Pure", dynamo.S(ev.Pure)))
 	}
 	if ev.ReplyFn != "" {
 		fs = append(fs, dynamo.F("ReplyFn", dynamo.S(ev.ReplyFn)), dynamo.F("ReplyOwner", dynamo.S(ev.ReplyOwner)),
@@ -169,6 +176,8 @@ func decodeEnvelope(raw Value) envelope {
 			ev.Kind = v.Str()
 		case "Launched":
 			ev.Launched = v.Int()
+		case "Pure":
+			ev.Pure = v.Str()
 		case "ReplyFn":
 			ev.ReplyFn = v.Str()
 		case "ReplyOwner":

@@ -21,15 +21,16 @@ const pendingMarker = "1"
 // intentRecord is a decoded intent row.
 type intentRecord struct {
 	id         string
-	done       bool
-	async      bool
 	args       envelope
 	ret        Value
 	startTime  int64
 	lastLaunch int64
 	launches   int64 // launches so far, the in-process fire included; 0 until a claim counts one
 	finishTime int64
-	hasFinish  bool
+	// The flags sit together, so the record keeps its size class.
+	done      bool
+	async     bool
+	hasFinish bool
 	// fresh is true when this execution is the intent's first, not a replayed
 	// re-execution, so no log row of the instance can pre-date it: ensureIntent
 	// created the row in this call, the launch is a deferred first one, or it

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/dynamo"
+	"repro/internal/platform"
 	"repro/internal/telemetry"
 )
 
@@ -19,10 +20,78 @@ import (
 // before the caller ever saw the result, which would cause a re-execution
 // and a duplicated effect.
 
+// Unlogged calls to pure callees. A callee that reads only sealed tables and
+// calls only such callees computes the same result in every execution: a
+// sealed read returns the same value every time (seal.go), and a callee with
+// no effects needs no intent (handleCall). So its call needs no invoke-log
+// row and no callback either. A SyncInvoke outside a transaction whose
+// callee is hinted pure runs unlogged: the callee gets a fresh id and keeps
+// no intent, not even a deferred one, and the caller still consumes the step
+// key, so a logged re-execution and an unlogged one agree on numbering.
+//
+// The callee's side is one check, impure, which every Env op but a sealed
+// read and a pure call makes first. In a logged execution it marks the
+// execution impure. In an unlogged one it refuses the op with ErrNotPure,
+// before any step key or store op, and poisons the execution: its reply is
+// the not-pure marker whatever the body returns. The caller then makes the
+// logged call at the same step key; nothing durable was written. A nested
+// call of an unlogged execution is always tried unlogged, and a refused one
+// refuses the whole tree.
+//
+// The caller's hint is per runtime: the (app, callee) pairs whose logged
+// execution claimed purity in its callback (handleCallback). A logged
+// execution claims purity only if it was never marked impure and made at
+// least one sealed read or pure call, so a deployment that seals nothing
+// never takes the rule. A wrong hint costs one refused invocation and no
+// store write, and the refusal removes it.
+
+// The bits of readLogState.purity.
+const (
+	purityUnlogged uint32 = 1 << iota // runs unlogged: only sealed reads and pure calls are admitted
+	purityRefused                     // unlogged, and an op was refused: the execution is poisoned
+	purityImpure                      // logged, and made an op other than a sealed read or a pure call
+	purityLicensed                    // made a sealed read or a pure call
+)
+
+// impure is the check every Env op but a sealed read and a pure call makes
+// first, op naming it. A logged execution is marked impure and the op
+// admitted; an unlogged one is refused, for good.
+func (e *Env) impure(op string) error {
+	p := &e.shared.reads.purity
+	v := p.Load()
+	if v&purityUnlogged == 0 {
+		if v&purityImpure == 0 {
+			p.Or(purityImpure)
+		}
+		return nil
+	}
+	if (op == "read" && FaultUnloggedAdmitsUnsealedRead.Load()) || // see simfault.go
+		((op == "write" || op == "condwrite") && FaultUnloggedAdmitsWrite.Load()) {
+		return nil
+	}
+	p.Or(purityRefused)
+	return fmt.Errorf("%w: %s %s in an unlogged execution of %s", ErrNotPure, e.rt.fn, op, e.instanceID)
+}
+
+// licensed records a sealed read or a pure call: what entitles a logged
+// execution to claim purity.
+func (e *Env) licensed() {
+	if p := &e.shared.reads.purity; p.Load()&purityLicensed == 0 {
+		p.Or(purityLicensed)
+	}
+}
+
+// claimsPure reports whether a logged execution may teach its caller that
+// its callee is pure: never marked impure, and licensed.
+func (e *Env) claimsPure() bool {
+	return e.shared.reads.purity.Load()&(purityImpure|purityLicensed) == purityLicensed
+}
+
 // SyncInvoke calls another Beldi-enabled SSF and returns its result, with
 // exactly-once semantics end to end. Inside a transaction, the transaction
 // context rides along and the callee is recorded for commit/abort
-// propagation (§6.2).
+// propagation (§6.2). Outside one, a call to a callee hinted pure runs
+// unlogged (see above).
 func (e *Env) SyncInvoke(callee string, input Value) (Value, error) {
 	e.rt.stats.SyncCalls.Add(1)
 	if e.rt.mode == ModeBaseline {
@@ -38,10 +107,84 @@ func (e *Env) SyncInvoke(callee string, input Value) (Value, error) {
 
 func (e *Env) syncInvoke(callee string, input Value, txn *TxnContext) (Value, error) {
 	stepKey := e.nextStepKey()
+	unlogged := e.shared.reads.purity.Load()&purityUnlogged != 0
+	if unlogged || (txn == nil && !e.rt.cfg.DisableCallbacks && e.rt.pure.has(e.shared.app, callee)) {
+		if out, ok := e.pureCall(stepKey, callee, input); ok {
+			return out, nil
+		}
+		if unlogged {
+			return dynamo.Null, e.impure("call of " + callee)
+		}
+	}
 	t0 := e.rt.spanClock()
 	out, calleeID, replay, err := e.syncInvokeStep(stepKey, callee, input, txn)
 	e.callSpan(t0, telemetry.KindCall, stepKey, callee, calleeID, replay, err)
+	if err == nil && e.rt.pure.has(e.shared.app, callee) {
+		e.licensed() // the callee came back pure
+	} else {
+		_ = e.impure("logged call")
+	}
 	return out, err
+}
+
+// pureCall runs callee unlogged at stepKey: no invoke-log row, no callback,
+// a fresh callee id. ok is false when the callee was refused as not pure,
+// which unlearns the hint, or failed in any other way.
+func (e *Env) pureCall(stepKey, callee string, input Value) (_ Value, ok bool) {
+	t0 := e.rt.spanClock()
+	calleeID := e.rt.ids.NewString()
+	ev := envelope{Kind: kindPure, InstanceID: calleeID, Input: input, App: e.shared.app,
+		CallerInstance: e.instanceID, CallerStep: stepKey}
+	out, err := e.rt.plat.InvokeInternalCtx(e.Context(), callee, ev.encode())
+	if err == nil && isNotPureMarker(out) {
+		e.rt.pure.remove(e.shared.app, callee)
+		e.rt.stats.CallsUnloggedRefused.Add(1)
+		err = fmt.Errorf("%w: %s refused an unlogged call", ErrNotPure, callee)
+	}
+	e.callSpan(t0, telemetry.KindCall, stepKey, callee, calleeID, false, err)
+	if err != nil {
+		return dynamo.Null, false
+	}
+	e.rt.stats.CallsUnlogged.Add(1)
+	e.licensed()
+	return out, true
+}
+
+// handlePure is the callee side of an unlogged call: the body runs with no
+// intent, no read log and no callback. The reply is the result, or the
+// not-pure marker if any op was refused, whatever the body returned: a body
+// that swallowed ErrNotPure cannot hand back a result with an effect missing.
+func (rt *Runtime) handlePure(inv *platform.Invocation, ev envelope) (Value, error) {
+	obs := rt.beginExec(ev.InstanceID, ev, false)
+	defer obs.finish()
+	if obs != nil {
+		// Why a trace shows a call that left no durable rows.
+		obs.s.Name = "unlogged"
+	}
+	env := newEnv(rt, inv, ev.InstanceID, unloggedIntent, ev.App)
+	env.shared.reads.purity.Store(purityUnlogged)
+	ret, err := rt.runBody(env, ev.Input)
+	if env.shared.reads.purity.Load()&purityRefused != 0 {
+		obs.complete(ErrNotPure)
+		return notPureMarker(), nil
+	}
+	obs.complete(err)
+	return ret, err
+}
+
+// unloggedIntent is the record every unlogged execution runs under: fresh,
+// so its read log is known empty, and never written. Nothing writes to it.
+var unloggedIntent = &intentRecord{fresh: true}
+
+// notPureMarker is the reply of a refused unlogged execution, sent as a
+// value like abortMarker so that it survives any transport.
+func notPureMarker() Value {
+	return dynamo.Fields(dynamo.F("__beldi_notpure", dynamo.Bool(true)))
+}
+
+func isNotPureMarker(v Value) bool {
+	mv, ok := v.MapGet("__beldi_notpure")
+	return ok && mv.BoolVal()
 }
 
 // callSpan records the span of one invocation step: the causal edge from
@@ -201,6 +344,9 @@ func isAbortMarker(v Value) bool {
 // registered intent exactly once.
 func (e *Env) AsyncInvoke(callee string, input Value) error {
 	e.rt.stats.AsyncCalls.Add(1)
+	if err := e.impure("async invoke"); err != nil {
+		return err
+	}
 	if e.rt.mode == ModeBaseline {
 		return e.baselineAsyncInvoke(callee, input)
 	}
@@ -297,25 +443,29 @@ func (e *Env) asyncInvokeStep(stepKey, callee string, input Value, promise bool)
 	return calleeID, replay, nil
 }
 
-// issueCallback delivers result to the caller SSF's invoke log (§4.5). It
-// targets "some instance" of the caller function — request routing is
+// issueCallback delivers result to the invoke log of call's caller (§4.5).
+// It targets "some instance" of the caller function — request routing is
 // stateless — and needs only at-least-once semantics. It relays
 // handleCallback's verdict: held is the result the invoke-log row holds
 // afterwards (result itself when this callback applied, an earlier one when
 // the row already had it) and confirmed whether it holds one at all — false
 // for a refused callback, where held is just result. effectFree marks the
-// result of a first launch that kept no log.
-func (rt *Runtime) issueCallback(callerFn, callerInstance, callerStep, calleeID string, result Value, effectFree bool) (held Value, confirmed bool, _ error) {
+// result of a first launch that kept no log, and pure that of an execution
+// that claims purity, which teaches the caller to call this SSF unlogged.
+func (rt *Runtime) issueCallback(call envelope, calleeID string, result Value, effectFree, pure bool) (held Value, confirmed bool, _ error) {
 	cb := envelope{
 		Kind:           kindCallback,
-		CallerInstance: callerInstance,
-		CallerStep:     callerStep,
+		CallerInstance: call.CallerInstance,
+		CallerStep:     call.CallerStep,
 		CalleeID:       calleeID,
 		Result:         result,
 		HasRes:         true,
 		First:          effectFree,
 	}
-	out, err := rt.plat.InvokeInternal(callerFn, cb.encode())
+	if pure {
+		cb.App, cb.Pure = call.App, rt.fn
+	}
+	out, err := rt.plat.InvokeInternal(call.CallerFn, cb.encode())
 	if err != nil {
 		return dynamo.Null, false, err
 	}
@@ -348,10 +498,14 @@ var (
 // taken only while no other execution of the callee was launched
 // (relaunchCallee). The reply is true when the update applied, {Held: result}
 // when the row already held one for this callee (the sender adopts it), false
-// when it was refused: spurious, or effect-free and too late.
+// when it was refused: spurious, or effect-free and too late. A callback that
+// claims purity adds its callee to the pure-call hint either way.
 func (rt *Runtime) handleCallback(ev envelope) (Value, error) {
 	lk := dynamo.HSK(dynamo.S(ev.CallerInstance), dynamo.S(ev.CallerStep))
 	rt.stats.CallbacksIn.Add(1)
+	if ev.Pure != "" {
+		rt.pure.add(ev.App, ev.Pure)
+	}
 	open := resultUnset
 	if ev.First && !FaultRelaunchLeavesRowOpen.Load() { // see simfault.go
 		open = resultUnsetRowOpen

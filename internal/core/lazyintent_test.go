@@ -508,11 +508,11 @@ func TestLazyIntentRedeliveredResultIsHeldNotSpurious(t *testing.T) {
 	if out, err := f.plat.Invoke("w", retry.encode()); err != nil || out.Int() != 1 {
 		t.Errorf("re-invoked done intent replied %v, %v; want the held 1", out, err)
 	}
-	held, confirmed, err := w.issueCallback("front", retry.CallerInstance, retry.CallerStep, retry.InstanceID, dynamo.NInt(99), false)
+	held, confirmed, err := w.issueCallback(retry, retry.InstanceID, dynamo.NInt(99), false, false)
 	if err != nil || !confirmed || held.Int() != 1 {
 		t.Errorf("a second result for the row: held=%v confirmed=%v err=%v; want 1, true", held, confirmed, err)
 	}
-	if _, confirmed, _ := w.issueCallback("front", retry.CallerInstance, retry.CallerStep, "someone-else", dynamo.NInt(99), false); confirmed {
+	if _, confirmed, _ := w.issueCallback(retry, "someone-else", dynamo.NInt(99), false, false); confirmed {
 		t.Error("a callback naming another callee was confirmed")
 	}
 	if st := front.StatsSnapshot(); st.CallbacksIn != 4 || st.SpuriousCallback != 1 {

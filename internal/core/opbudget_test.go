@@ -22,10 +22,12 @@ import (
 // bookkeeping: a callee launched for the first time writes it at its first
 // effect boundary, and one that returns without reaching a boundary writes
 // nothing but its callback — the SyncInvoke(...) rows price whole callees. A
-// write to a never-written key costs what any write does: the head row is
-// created by the upsert that logs the step. A fresh execution's Write to a
-// one-row key is that one update, addressed to the head with no query
-// (daal.headFirst); a conditional step, a lock and every replay query first.
+// call to a callee hinted pure runs unlogged: no insert, no callback, no
+// intent, only the callee's sealed cache misses (invoke.go). A write to a
+// never-written key costs what any write does: the head row is created by
+// the upsert that logs the step. A fresh execution's Write to a one-row key
+// is that one update, addressed to the head with no query (daal.headFirst);
+// a conditional step, a lock and every replay query first.
 
 // stepCost is one measured step: store ops, replays counted, value returned.
 type stepCost struct {
@@ -62,10 +64,14 @@ func TestStoreOpBudget(t *testing.T) {
 		return dynamo.NInt(sum), nil
 	}
 	f.fn("r8", readFan, "kv")
-	r8s := f.fn("r8s", func(e *Env, _ Value) (Value, error) {
+	r8s := f.fn("r8s", func(e *Env, in Value) (Value, error) {
+		key := in.Str()
+		if key == "" {
+			key = "n"
+		}
 		var sum int64
 		for i := 0; i < fan; i++ {
-			v, err := e.Read("ref", "n")
+			v, err := e.Read("ref", key)
 			if err != nil {
 				return dynamo.Null, err
 			}
@@ -131,7 +137,8 @@ func TestStoreOpBudget(t *testing.T) {
 			e.Unlock("kv", "new-l"),
 			measure("SyncInvoke", func() (Value, error) { return e.SyncInvoke("leaf", dynamo.S("s")) }),
 			measure("SyncInvoke(Read x8)", func() (Value, error) { return e.SyncInvoke("r8", dynamo.Null) }),
-			measure("SyncInvoke(sealed Read x8), warm", func() (Value, error) { return e.SyncInvoke("r8s", dynamo.Null) }),
+			measure("SyncInvoke(sealed Read x8), warm cache, cold hint", func() (Value, error) { return e.SyncInvoke("r8s", dynamo.Null) }),
+			measure("SyncInvoke(sealed Read x8), cold key, warm hint", func() (Value, error) { return e.SyncInvoke("r8s", dynamo.S("m")) }),
 			measure("SyncInvoke(Read, SyncInvoke)", func() (Value, error) { return e.SyncInvoke("r1call", dynamo.S("s")) }),
 			measure("SyncInvoke(Write)", func() (Value, error) { return e.SyncInvoke("w1", dynamo.S("s")) }),
 			measure("SyncInvoke(Read x8), relaunched", func() (Value, error) { return e.SyncInvoke("r8dies", dynamo.Null) }),
@@ -177,7 +184,7 @@ func TestStoreOpBudget(t *testing.T) {
 		table string
 		key   string
 		v     Value
-	}{{w, "kv", "k", dynamo.S("v1")}, {w1, "kv", "n", dynamo.S("v1")}, {w, "ref", "r", dynamo.S("r1")}, {r8s, "ref", "n", dynamo.NInt(3)}} {
+	}{{w, "kv", "k", dynamo.S("v1")}, {w1, "kv", "n", dynamo.S("v1")}, {w, "ref", "r", dynamo.S("r1")}, {r8s, "ref", "n", dynamo.NInt(3)}, {r8s, "ref", "m", dynamo.NInt(4)}} {
 		kv := daal{rt: seed.rt, table: seed.rt.dataTable(seed.table)}
 		if _, err := kv.loggedWrite(seed.key, "seed#0.000001", setTo(seed.v)); err != nil {
 			t.Fatal(err)
@@ -227,7 +234,8 @@ func TestStoreOpBudget(t *testing.T) {
 		{"Lock (first on its key)", 2, 1, 1, "as above, the upsert sets the owner"},
 		{"SyncInvoke", 2, 2, 1, "invoke-log insert + callback — a first-launched callee that crosses no boundary writes no intent and no done mark; replay: refused insert + get(result)"},
 		{"SyncInvoke(Read x8)", fan + 2, 2, 1, "insert + 8 state queries + callback: an effect-free callee's reads are dropped, not logged"},
-		{"SyncInvoke(sealed Read x8), warm", 2, 2, 1, "insert + callback: the callee's 8 reads of a sealed table come from its warm cache"},
+		{"SyncInvoke(sealed Read x8), warm cache, cold hint", 2, 0, 0, "insert + callback: the callee's 8 reads of a sealed table come from its warm cache, and the callback claims purity, which teaches w the hint; replay: the call runs unlogged, the invoke-log row unused"},
+		{"SyncInvoke(sealed Read x8), cold key, warm hint", 1, 0, 0, "unlogged: no insert, no callback, no intent — only the callee's one cache miss, the query that fills it; replay: the same from the warm cache"},
 		{"SyncInvoke(Read, SyncInvoke)", 8, 2, 1, "insert + query, then at the callee's first boundary intent put + flush + its own insert, the leaf's callback, callback + done"},
 		{"SyncInvoke(Write)", 5, 2, 1, "insert + intent put at the boundary + head-first apply-and-log + callback + done"},
 		{"SyncInvoke(Read x8), relaunched", 2*fan + 6, 2, 1, "insert + 8 queries that die with the first launch + the relaunch mark on the caller's row (no result held), then the eager relaunch in full: intent put + 8 queries + flush + callback + done"},

@@ -75,6 +75,9 @@ func (p *Promise) Callee() string { return p.callee }
 // in-memory future with none of the durability.
 func (e *Env) AsyncInvokePromise(callee string, input Value) (*Promise, error) {
 	e.rt.stats.PromiseCalls.Add(1)
+	if err := e.impure("promise"); err != nil {
+		return nil, err
+	}
 	if e.rt.mode == ModeBaseline {
 		ch := make(chan baselineResult, 1)
 		e.crash("ainvoke", "")
@@ -297,6 +300,9 @@ func (e *Env) awaitSpan(t0 int64, stepKey string, p *Promise, replay bool, err e
 // after it are answered from the cache. The first error aborts the
 // remaining awaits.
 func (e *Env) AwaitAll(ps ...*Promise) ([]Value, error) {
+	if err := e.impure("await"); err != nil {
+		return nil, err
+	}
 	outs := make([]Value, len(ps))
 	for i, p := range ps {
 		v, err := p.await(e, ps[i+1:])

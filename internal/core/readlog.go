@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dynamo"
 	"repro/internal/telemetry"
@@ -52,7 +53,11 @@ type readLogRow struct {
 // flush of its rows is still in flight.
 type readLogState struct {
 	mu     sync.Mutex
-	loaded bool             // logged is complete as of the load (or the intent is fresh)
+	loaded bool // logged is complete as of the load (or the intent is fresh)
+	// purity holds what the execution did, for the pure-call rule: purity*
+	// bits (invoke.go). It sits beside loaded, in padding, so an Env's
+	// instance-level state keeps its size.
+	purity atomic.Uint32
 	logged map[string]Value // step key -> durable value
 	queue  []readLogRow     // in step order of arrival
 	// stopped, once set, fails every later boundary of this execution the
@@ -114,9 +119,13 @@ func (e *Env) queueRead(stepKey string, val Value) {
 // rows it already holds with the very value this execution fetched are
 // dropped from the queue — for those steps this execution is where a replay
 // would be — while a differing value means ErrInstanceSuperseded, here and at
-// every later boundary of this execution.
+// every later boundary of this execution. An unlogged execution has no
+// intent and no log: it is refused at any boundary, whichever op led here.
 func (e *Env) flushReads(boundary string) error {
 	rl := &e.shared.reads
+	if rl.purity.Load()&purityUnlogged != 0 && !FaultUnloggedAdmitsWrite.Load() { // see simfault.go
+		return e.impure(boundary)
+	}
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	if rl.stopped == nil && e.intent.deferred {

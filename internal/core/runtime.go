@@ -174,8 +174,9 @@ type Runtime struct {
 	// headRoom is "(logRoom AND no NextRow) OR no Key": a head that is its
 	// item's only row and has room, or no head at all (daal.headFirst).
 	logRoom, headRoom dynamo.Cond
-	// grown is the head-first hint (daal.headFirst).
-	grown grownKeys
+	// grown is the head-first hint (daal.headFirst), keyed by table and key;
+	// pure the pure-call hint (invoke.go), keyed by app and callee.
+	grown, pure hintSet
 
 	mu             sync.RWMutex
 	dataTables_    []string

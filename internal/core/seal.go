@@ -28,6 +28,12 @@ import (
 // table. It is refused before any step key is taken or any store op is made.
 var ErrTableSealed = errors.New("core: table is sealed")
 
+// ErrSealPending reports a Seal refused because the owning function has
+// pending intents: one that wrote the table, or read it under a lock, could
+// not re-execute once the table is sealed. Recover them (the collectors)
+// and seal again.
+var ErrSealPending = errors.New("core: seal refused: the function has pending intents")
+
 // sealedTable is one sealed table's read cache: the values of the keys a
 // read found. Nothing can write the table, so an entry never goes stale; an
 // absent key is not cached, so the cache holds at most the table's rows.
@@ -38,13 +44,23 @@ type sealedTable struct {
 
 // Seal makes the logical table read-only for good: it writes the durable
 // marker, then refuses every later write through this runtime and serves
-// its reads from memory. Sealing twice is harmless.
+// its reads from memory. Sealing twice is harmless. While the function has
+// a pending intent, Seal fails with ErrSealPending and leaves no marker.
 func (rt *Runtime) Seal(logical string) error {
 	rt.mu.RLock()
 	_, ok := rt.dataTableNames[logical]
 	rt.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("core: %s: seal %q: no such data table", rt.fn, logical)
+	}
+	if rt.mode != ModeBaseline { // a baseline SSF keeps no intents
+		n, err := PendingIntents(rt.store, rt.fn)
+		if err == nil && n > 0 {
+			err = fmt.Errorf("%w: %d pending", ErrSealPending, n)
+		}
+		if err != nil {
+			return fmt.Errorf("core: %s: seal %q: %w", rt.fn, logical, err)
+		}
 	}
 	if _, err := rt.createOrAdopt(dynamo.Schema{Name: rt.sealMarker(logical), HashKey: attrKey}); err != nil {
 		return fmt.Errorf("core: %s: seal %q: %w", rt.fn, logical, err)

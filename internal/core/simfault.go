@@ -51,6 +51,17 @@ var FaultRelaunchLeavesRowOpen atomic.Bool
 // value the log does not hold.
 var FaultAdoptIgnoresDiffer atomic.Bool
 
+// FaultUnloggedAdmitsWrite, when true, lets an unlogged execution make a
+// Write or CondWrite, and pass the boundary that would refuse it: a callee
+// hinted pure applies an effect that no log records, once per execution of
+// its caller.
+var FaultUnloggedAdmitsWrite atomic.Bool
+
+// FaultUnloggedAdmitsUnsealedRead, when true, lets an unlogged execution
+// read an unsealed table: a re-execution of its caller can observe a
+// different value than the execution that acted on it.
+var FaultUnloggedAdmitsUnsealedRead atomic.Bool
+
 // FaultStallAppend, when set, is called by appendRow between its put of the
 // new row and its link from the full row: a writer stalled there for as
 // long as the hook runs. A hook that runs GC passes past T reproduces a row

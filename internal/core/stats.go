@@ -15,6 +15,12 @@ type Stats struct {
 	Locks      atomic.Int64
 	Unlocks    atomic.Int64
 
+	// Unlogged calls (invoke.go): sync calls this SSF made to callees hinted
+	// pure that ran with no invoke-log row and no callback, and those the
+	// callee refused as not pure, which were then made logged.
+	CallsUnlogged        atomic.Int64
+	CallsUnloggedRefused atomic.Int64
+
 	// Durable promises: promise-returning async invocations issued, awaits
 	// resolved, results posted into this SSF's invoke log, and posts refused
 	// (a re-executed callee's duplicate, or a post for a collected owner).
@@ -81,6 +87,7 @@ type Stats struct {
 // StatsView is a point-in-time copy for reporting.
 type StatsView struct {
 	Reads, Writes, CondWrites, SyncCalls, AsyncCalls, Locks, Unlocks int64
+	CallsUnlogged, CallsUnloggedRefused                              int64
 	PromiseCalls, Awaits, PromisePosts, PromisePostsRefused          int64
 	ChangeEvents                                                     int64
 	Replays                                                          int64
@@ -140,5 +147,8 @@ func (s *Stats) Snapshot() StatsView {
 		ReadLogRows:         s.ReadLogRows.Load(),
 		InstancesSuperseded: s.InstancesSuperseded.Load(),
 		PromisePostsRefused: s.PromisePostsRefused.Load(),
+
+		CallsUnlogged:        s.CallsUnlogged.Load(),
+		CallsUnloggedRefused: s.CallsUnloggedRefused.Load(),
 	}
 }

@@ -37,6 +37,9 @@ import (
 // crashes ("to catch any runtime exceptions"). Returning ErrTxnAborted —
 // or any other error — aborts; nil commits.
 func (e *Env) Transaction(body func() error) error {
+	if err := e.impure("transaction"); err != nil {
+		return err
+	}
 	if e.rt.mode == ModeBaseline {
 		// Baseline has no transactions: run the operations bare. This is the
 		// configuration whose inconsistent travel reservations the paper

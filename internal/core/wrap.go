@@ -105,6 +105,8 @@ func (rt *Runtime) handler(inv *platform.Invocation, raw Value) (Value, error) {
 		return rt.handleAsyncRun(inv, ev)
 	case kindPromisePost:
 		return rt.handlePromisePost(ev)
+	case kindPure:
+		return rt.handlePure(inv, ev)
 	default:
 		ret, err := rt.handleCall(inv, ev)
 		if err == nil && ev.CallerFn == "" {
@@ -154,7 +156,7 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 		// the callback path so the caller's invoke log converges (Fig 19's
 		// replay behaviour), then return the recorded value.
 		rt.dedupExec(id, ev)
-		ret, _, err := rt.deliver(inv, ev, id, intent.ret, false)
+		ret, _, err := rt.deliver(inv, ev, id, intent.ret, false, false)
 		return ret, err
 	}
 	obs := rt.beginExec(id, ev, !intent.fresh)
@@ -199,7 +201,7 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 	// Callback before done-marking (Fig 9's ordering: the caller must hold
 	// the result before this intent can be collected). What the caller's row
 	// holds — this result, or an earlier execution's — is the intent's result.
-	ret, confirmed, err := rt.deliver(inv, ev, id, ret, effectFree)
+	ret, confirmed, err := rt.deliver(inv, ev, id, ret, effectFree, env.claimsPure())
 	switch {
 	case err != nil:
 	case !effectFree:
@@ -228,12 +230,13 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 // delivered first — the first result wins, and every callee path adopts it as
 // its reply and as its intent's Ret, so caller and callee can never disagree.
 // On a deterministic replay the two are equal anyway. confirmed is false when
-// the row took and held nothing. Entries have no caller.
-func (rt *Runtime) deliver(inv *platform.Invocation, ev envelope, id string, ret Value, effectFree bool) (held Value, confirmed bool, _ error) {
+// the row took and held nothing. Entries have no caller. pure claims purity
+// for the caller's hint (invoke.go).
+func (rt *Runtime) deliver(inv *platform.Invocation, ev envelope, id string, ret Value, effectFree, pure bool) (held Value, confirmed bool, _ error) {
 	if ev.CallerFn == "" || rt.cfg.DisableCallbacks {
 		return ret, true, nil
 	}
-	held, confirmed, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, id, ret, effectFree)
+	held, confirmed, err := rt.issueCallback(ev, id, ret, effectFree, pure)
 	if err != nil {
 		return dynamo.Null, false, fmt.Errorf("core: %s: callback to %s failed: %w", rt.fn, ev.CallerFn, err)
 	}
@@ -265,7 +268,7 @@ func (rt *Runtime) handleAsyncRegister(inv *platform.Invocation, ev envelope) (V
 	if rt.cfg.DisableCallbacks {
 		return dynamo.Bool(false), nil
 	}
-	_, confirmed, err := rt.issueCallback(ev.CallerFn, ev.CallerInstance, ev.CallerStep, ev.InstanceID, dynamo.S("registered"), false)
+	_, confirmed, err := rt.issueCallback(ev, ev.InstanceID, dynamo.S("registered"), false, false)
 	return dynamo.Bool(confirmed), err
 }
 

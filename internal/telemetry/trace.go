@@ -195,7 +195,8 @@ func renderIntent(w io.Writer, byIntent map[string][]Span, id, indent string, re
 		if ex.Name != "" {
 			// What the protocol made of the attempt: "deduplicated" (its
 			// intent was already done), "effect-free" (it returned without
-			// an effect, so it has no intent row).
+			// an effect, so it has no intent row), "unlogged" (a call to a
+			// pure callee: no intent, no invoke-log row, no callback).
 			outcome += " (" + ex.Name + ")"
 		}
 		fmt.Fprintf(w, "%s  attempt %d%s [%s] %s\n", indent, i+1, replayNote, dur(ex), outcome)
