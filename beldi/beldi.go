@@ -431,7 +431,9 @@ func (d *Deployment) known(name string) error {
 // StartCollectors starts the deployment's collection loop: one goroutine on
 // the deployment's clock that runs an intent-collection pass every ICMinAge
 // (T unless set) and a garbage-collection pass every T, each at least 1 ms
-// apart. A pass covers the non-baseline functions registered when
+// apart. A durable timer (DurableAsync.ScheduleInvoke) brings the next
+// intent-collection pass forward to its due time, and scheduling one runs a
+// pass at once. A pass covers the non-baseline functions registered when
 // StartCollectors is called, in sorted order, with RunAllCollectors' body; a
 // failed pass is retried at the next one, since both collectors are
 // at-least-once (§5). Stop ends the loop. A second call is a no-op.
@@ -446,19 +448,35 @@ func (d *Deployment) StartCollectors() {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	d.loop = &collectLoop{stop: make(chan struct{}), done: make(chan struct{})}
+	d.loop = &collectLoop{stop: make(chan struct{}), done: make(chan struct{}), nudge: make(chan struct{}, 1)}
 	go d.loop.run(rts, clk)
 }
 
-// minCollectPeriod floors the collection loop's periods, as the timer pump
-// floors its wait (internal/queue/timer.go): a tiny ICMinAge or T would
-// otherwise make the loop spin.
+// nudgeCollectors asks a started collection loop for an intent-collection
+// pass now, so a timer scheduled to come due before the loop's next pass
+// is seen in time. A nudge already waiting covers this one.
+func (d *Deployment) nudgeCollectors() {
+	d.loopMu.Lock()
+	l := d.loop
+	d.loopMu.Unlock()
+	if l != nil {
+		select {
+		case l.nudge <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// minCollectPeriod floors the collection loop's periods and its wait for a
+// timer's due time: a tiny ICMinAge or T would otherwise make the loop spin.
 const minCollectPeriod = time.Millisecond
 
 // collectLoop is the goroutine StartCollectors starts: closing stop ends it,
-// and done closes once it has returned.
+// and done closes once it has returned. A send on nudge, a 1-slot channel,
+// asks for an intent-collection pass now.
 type collectLoop struct {
 	stop, done chan struct{}
+	nudge      chan struct{}
 	once       sync.Once
 }
 
@@ -474,19 +492,30 @@ func (l *collectLoop) run(rts []*core.Runtime, clk clock.Clock) {
 		if nextGC.Before(next) {
 			next = nextGC
 		}
+		nudged := false
 		select {
 		case <-l.stop:
 			return
+		case <-l.nudge:
+			nudged = true
 		case <-clk.After(next.Sub(clk.Now())):
 		}
 		now := clk.Now()
-		ic, gc := !now.Before(nextIC), !now.Before(nextGC)
+		ic, gc := nudged || !now.Before(nextIC), !now.Before(nextGC)
+		var due int64 // the earliest timer due time a pass saw, µs; 0 for none
 		for _, rt := range rts {
-			_ = collect(rt, ic, gc) // retried at the next pass (see StartCollectors)
+			d, _ := collect(rt, ic, gc) // retried at the next pass (see StartCollectors)
+			if d != 0 && (due == 0 || d < due) {
+				due = d
+			}
 		}
 		end := clk.Now() // the next pass is due a period after this one ends
 		if ic {
-			nextIC = end.Add(icEvery)
+			wait := icEvery
+			if due != 0 {
+				wait = min(wait, max(time.Duration(due-end.UnixMicro())*time.Microsecond, minCollectPeriod))
+			}
+			nextIC = end.Add(wait)
 		}
 		if gc {
 			nextGC = end.Add(gcEvery)
@@ -494,14 +523,11 @@ func (l *collectLoop) run(rts []*core.Runtime, clk clock.Clock) {
 	}
 }
 
-// Stop ends the collection loop, waiting for a pass in flight, and stops the
-// timer pump when durable async is enabled. With speculation on it
-// then fences and closes the pipeline, so everything speculated before Stop
-// is durable when Stop returns. A second Stop finds the loop already ended.
+// Stop ends the collection loop, waiting for a pass in flight. With
+// speculation on it then fences and closes the pipeline, so everything
+// speculated before Stop is durable when Stop returns. A second Stop finds
+// the loop already ended.
 func (d *Deployment) Stop() {
-	if d.durable != nil {
-		d.durable.Stop()
-	}
 	d.loopMu.Lock()
 	l := d.loop
 	d.loopMu.Unlock()
@@ -542,10 +568,11 @@ func (d *Deployment) FsckAll() error {
 // RunAllCollectors performs one intent-collection and one garbage-
 // collection pass on every function, in sorted function order, so a pass
 // issues the same store operations on every run — deterministic collection
-// for tests and benchmarks.
+// for tests and benchmarks. The intent-collection pass launches the durable
+// timers that are due.
 func (d *Deployment) RunAllCollectors() error {
 	for _, rt := range d.collected() {
-		if err := collect(rt, true, true); err != nil {
+		if _, err := collect(rt, true, true); err != nil {
 			return err
 		}
 	}
@@ -565,17 +592,20 @@ func (d *Deployment) collected() []*core.Runtime {
 }
 
 // collect runs one function's intent-collection pass when ic is set, then
-// its garbage-collection pass when gc is.
-func collect(rt *core.Runtime, ic, gc bool) error {
+// its garbage-collection pass when gc is. due is the earliest due time, in
+// µs, of a timer's next occurrence the intent-collection pass saw (0 for
+// none).
+func collect(rt *core.Runtime, ic, gc bool) (due int64, _ error) {
 	if ic {
-		if _, err := rt.RunIntentCollector(); err != nil {
-			return err
+		var err error
+		if _, due, err = rt.CollectIntents(); err != nil {
+			return 0, err
 		}
 	}
 	if gc {
 		if _, err := rt.RunGarbageCollector(); err != nil {
-			return err
+			return due, err
 		}
 	}
-	return nil
+	return due, nil
 }

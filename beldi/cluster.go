@@ -40,8 +40,8 @@ type ClusterOptions struct {
 	LeaseTTL time.Duration
 	// DurableAsync, when non-nil, enables durable asynchrony on every
 	// worker's deployment: the launch budget on async intents, which the
-	// owning worker's scoped intent collector relaunches, and the timer
-	// service, whose pump a started worker runs on PollInterval.
+	// owning worker's scoped intent collector relaunches, and durable
+	// timers, which the same collector fires when they come due.
 	DurableAsync *DurableAsyncOptions
 }
 
@@ -101,7 +101,7 @@ func (c *Cluster) JoinCluster(id string, register RegisterApp) (*ClusterWorker, 
 // platform overrides. The zero value keeps every pool default.
 type WorkerOptions struct {
 	// Clock drives the worker's deployment (protocol timestamps, durable
-	// timers) and its cluster lease machinery. Nil means the wall
+	// timers' due times) and its cluster lease machinery. Nil means the wall
 	// clock. Distinct workers may carry distinct (skewed) clocks.
 	Clock clock.Clock
 	// IDs mints the worker's instance and worker ids. Nil means
@@ -158,7 +158,9 @@ func (c *Cluster) JoinClusterWith(id string, register RegisterApp, wo WorkerOpti
 		w.Attach(d.Runtime(name))
 	}
 	if c.opts.DurableAsync != nil {
-		d.EnableDurableAsync(*c.opts.DurableAsync)
+		if _, err := d.enableDurableAsync(*c.opts.DurableAsync); err != nil {
+			return nil, err
+		}
 	}
 	return cw, nil
 }
@@ -183,14 +185,9 @@ func (cw *ClusterWorker) Invoke(name string, input Value) (Value, error) {
 
 // Start launches the worker's background loops — lease heartbeats, failure
 // detection with immediate recovery collection, partition rebalancing,
-// scoped intent collection and garbage collection — and then, with durable
-// async, the deployment's timer pump.
-func (cw *ClusterWorker) Start() {
-	cw.w.Start()
-	if da := cw.d.DurableAsync(); da != nil {
-		da.Start()
-	}
-}
+// scoped intent collection (which fires the durable timers that are due)
+// and garbage collection.
+func (cw *ClusterWorker) Start() { cw.w.Start() }
 
 // Stop halts the worker's loops without releasing its lease — the
 // crash-shaped stop (peers will eventually declare it dead). Use Leave for

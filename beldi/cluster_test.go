@@ -3,11 +3,15 @@ package beldi_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/beldi"
+	"repro/internal/clock"
 	"repro/internal/storage/storagetest"
 )
 
@@ -234,13 +238,14 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestClusterWorkerFiresScheduledTimer: Start runs the deployment's timer
-// pump, so a one-shot timer scheduled on a cluster worker fires, and fires
-// once.
+// TestClusterWorkerFiresScheduledTimer: a started worker's scoped intent
+// collection launches a timer when it comes due, so a one-shot timer
+// scheduled on a cluster worker runs its workflow, and runs it once.
 func TestClusterWorkerFiresScheduledTimer(t *testing.T) {
 	c := beldi.MustOpenCluster(beldi.ClusterOptions{
 		Store: storagetest.Open(t), Partitions: 8,
 		Config:       beldi.Config{T: 50 * time.Millisecond},
+		LeaseTTL:     200 * time.Millisecond,
 		DurableAsync: &beldi.DurableAsyncOptions{},
 	})
 	w, err := c.JoinCluster("w1", registerCounter)
@@ -254,49 +259,111 @@ func TestClusterWorkerFiresScheduledTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "the timer's workflow ran", func() bool { return counterAt(t, w, "tick") >= 1 })
-	time.Sleep(50 * time.Millisecond) // room for a second fire to show
+	time.Sleep(250 * time.Millisecond) // a collection period: room for a second run to show
 	if n := counterAt(t, w, "tick"); n != 1 {
 		t.Errorf("the timer's workflow ran %d times, want 1", n)
 	}
-	if fired := da.Timers().Metrics().Fired.Load(); fired != 1 {
-		t.Errorf("Fired = %d, want 1", fired)
-	}
 }
 
-// TestClusterWorkerIdleScans: an idle started worker scans the timer table
-// about once per PollInterval, as a standalone deployment does, not every
-// few milliseconds.
-func TestClusterWorkerIdleScans(t *testing.T) {
-	const window = 300 * time.Millisecond
-	fns := []string{"a", "b", "c"}
-	counted := storagetest.NewCounting(storagetest.Open(t))
+// TestClusterWorkerCatchesUpAPeriodicTimer: one scoped collection pass of a
+// worker fires every occurrence of a periodic timer that is due, each once,
+// so a timer whose period is shorter than the worker's collection period
+// (LeaseTTL) does not fall behind.
+func TestClusterWorkerCatchesUpAPeriodicTimer(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1_000, 0))
 	c := beldi.MustOpenCluster(beldi.ClusterOptions{
-		Store: counted, Partitions: 8,
-		DurableAsync: &beldi.DurableAsyncOptions{PollInterval: time.Second},
+		Store: storagetest.Open(t), Partitions: 8,
+		Config:       beldi.Config{T: time.Hour, ICMinAge: time.Hour},
+		DurableAsync: &beldi.DurableAsyncOptions{},
 	})
-	w, err := c.JoinCluster("w1", func(d *beldi.Deployment) {
-		for _, fn := range fns {
-			d.Function(fn, func(*beldi.Env, beldi.Value) (beldi.Value, error) { return beldi.Null, nil })
-		}
-	})
+	var runs atomic.Int64
+	w, err := c.JoinClusterWith("w1", func(d *beldi.Deployment) {
+		d.Function("tick", func(*beldi.Env, beldi.Value) (beldi.Value, error) {
+			runs.Add(1)
+			return beldi.Null, nil
+		})
+	}, beldi.WorkerOptions{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Stop()
-	scans := func(table string) int { return counted.Count(table, "scan") + counted.Count(table, "query") }
-	tables := []string{"queue.timers"}
-	before := make(map[string]int)
-	for _, table := range tables {
-		before[table] = scans(table)
+	if _, _, err := w.Worker().RebalanceOnce(); err != nil {
+		t.Fatal(err)
 	}
-	w.Start()
-	time.Sleep(window)
-	w.Stop()
-	for _, table := range tables {
-		if n := scans(table) - before[table]; n > 2 {
-			t.Errorf("%s: %d scans in %v idle, want at most 2 at PollInterval 1s", table, n, window)
-		} else {
-			t.Logf("%s: %d scans in %v idle", table, n, window)
+	if err := w.Deployment().DurableAsync().ScheduleInvoke("fast", "tick", beldi.Null, 10*time.Millisecond, 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(50 * time.Millisecond) // dues at 10, 20, …, 50 ms have passed
+	for range 2 {                      // the second pass comes before the next due time
+		if _, err := w.Worker().CollectOnce(); err != nil {
+			t.Fatal(err)
+		}
+		w.Platform().Drain()
+	}
+	if n := runs.Load(); n != 5 {
+		t.Errorf("the worker's passes ran %d occurrences, want the 5 that were due", n)
+	}
+}
+
+// TestClusterWorkerIdleScans: durable async costs an idle started worker
+// nothing of its own — no store op on a table, or of a kind, that the same
+// worker without it does not make, and no goroutine.
+func TestClusterWorkerIdleScans(t *testing.T) {
+	const window = 300 * time.Millisecond
+	idle := func(da *beldi.DurableAsyncOptions) (ops map[string]bool, goroutines int) {
+		counted := storagetest.NewCounting(storagetest.Open(t))
+		c := beldi.MustOpenCluster(beldi.ClusterOptions{
+			Store: counted, Partitions: 8, LeaseTTL: 40 * time.Millisecond, DurableAsync: da,
+		})
+		w, err := c.JoinCluster("w1", func(d *beldi.Deployment) {
+			for _, fn := range []string{"a", "b", "c"} {
+				d.Function(fn, func(*beldi.Env, beldi.Value) (beldi.Value, error) { return beldi.Null, nil })
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Stop()
+		before, g0 := counted.Counts(), runtimeGoroutines()
+		w.Start()
+		time.Sleep(window) // several collection (40 ms) and GC (160 ms) periods
+		goroutines = runtimeGoroutines() - g0
+		w.Stop()
+		ops = make(map[string]bool)
+		for k, n := range counted.Counts() {
+			if n > before[k] {
+				ops[k] = true
+			}
+		}
+		return ops, goroutines
+	}
+	without, gWithout := idle(nil)
+	with, gWith := idle(&beldi.DurableAsyncOptions{})
+	for k := range with {
+		if !without[k] {
+			t.Errorf("%s: an idle worker with durable async makes this op, one without does not", k)
 		}
 	}
+	if gWith != gWithout {
+		t.Errorf("an idle started worker runs %d goroutines with durable async, %d without", gWith, gWithout)
+	}
+	t.Logf("idle worker: %d op kinds, %d goroutines", len(with), gWith)
+}
+
+// runtimeGoroutines counts the goroutines running code of the runtime's own
+// packages — a worker's loops, a deployment's, a timer pump's — and not the
+// storage backend's, whose connection goroutines come and go with requests.
+func runtimeGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, pkg := range []string{"repro/beldi.", "repro/internal/cluster.", "repro/internal/queue.", "repro/internal/core."} {
+			if strings.Contains(g, pkg) {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }

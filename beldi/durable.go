@@ -1,13 +1,13 @@
 package beldi
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dynamo"
 	"repro/internal/queue"
+	"repro/internal/storage"
 )
 
 // This file wires durable asynchrony into a Deployment. An asynchronous
@@ -19,57 +19,66 @@ import (
 // caller or the platform lost. EnableDurableAsync adds what that leaves
 // out: a bound on how often one intent is launched, so a poison callee ends
 // up listed (DeadIntents) rather than relaunched forever, and durable
-// timers whose occurrences register intents the same way.
+// timers, each a schedule registration in the intent table that the same
+// collector passes fire when it comes due (core.Runtime.Schedule).
 
 // DurableAsyncOptions configure EnableDurableAsync.
 type DurableAsyncOptions struct {
 	// MaxReceives is the launch budget of an asynchronous intent: its
-	// in-process fire counts as the first launch, and each intent-collector
-	// relaunch as one more; a relaunch past the budget marks the intent
-	// dead instead (DeadIntents, Redrive). 0 means DefaultMaxReceives,
-	// negative disables the bound.
+	// in-process fire (a timer occurrence's, the launch by the claim that
+	// fired it) counts as the first launch, and each intent-collector relaunch as one more; a
+	// relaunch past the budget marks the intent dead instead (DeadIntents,
+	// Redrive). 0 means DefaultMaxReceives, negative disables the bound.
 	MaxReceives int
-	// PollInterval is the timer pump's idle poll delay; 0 means
-	// queue.DefaultTimerPoll.
-	PollInterval time.Duration
 }
 
 // DefaultMaxReceives is the default launch budget of an asynchronous intent.
 const DefaultMaxReceives = 5
 
+// legacyTimerTable is where an earlier version kept durable timer
+// registrations. Nothing fires them any more, so a store that still holds
+// some is refused (EnableDurableAsync) rather than silently left unfired.
+const legacyTimerTable = "queue.timers"
+
 // DurableAsync is a deployment's durable-asynchrony wiring: the launch
-// budget on its functions' async intents and the durable timer service.
+// budget on its functions' async intents and their durable timers.
 type DurableAsync struct {
 	d      *Deployment
 	broker *queue.Broker
-	timers *queue.TimerService
 }
 
 // EnableDurableAsync puts a launch budget on every registered function's
-// asynchronous intents and returns the wiring, with its timer service. Call
-// it after all Function registrations. Functions in ModeBaseline are left
-// alone (the baseline measures the provider's own semantics).
+// asynchronous intents and returns the wiring. Call it after all Function
+// registrations. Functions in ModeBaseline are left alone (the baseline
+// measures the provider's own semantics). It panics when the store holds
+// timer registrations of an earlier version in a non-empty "queue.timers"
+// table: there is no migration (see OPERATIONS.md).
 func (d *Deployment) EnableDurableAsync(opts DurableAsyncOptions) *DurableAsync {
+	da, err := d.enableDurableAsync(opts)
+	if err != nil {
+		panic(err)
+	}
+	return da
+}
+
+// enableDurableAsync is EnableDurableAsync returning its refusal.
+func (d *Deployment) enableDurableAsync(opts DurableAsyncOptions) (*DurableAsync, error) {
+	if n, err := d.opts.Store.TableItemCount(legacyTimerTable); err == nil && n > 0 {
+		return nil, fmt.Errorf("beldi: EnableDurableAsync: the store holds %d timer registrations in %s, which nothing fires any more: schedule them again with ScheduleInvoke, then delete the table", n, legacyTimerTable)
+	} else if err != nil && !errors.Is(err, storage.ErrNoSuchTable) {
+		return nil, fmt.Errorf("beldi: EnableDurableAsync: %w", err)
+	}
 	budget := opts.MaxReceives
 	if budget == 0 {
 		budget = DefaultMaxReceives
 	}
 	broker := queue.NewBroker(queue.BrokerOptions{Store: d.opts.Store, Clock: d.opts.Clock, IDs: d.opts.IDs})
 	broker.SetTelemetry(d.opts.Telemetry)
-	da := &DurableAsync{d: d, broker: broker}
-	timers, err := queue.NewTimerService(broker, queue.TimerOptions{Fire: da.fire, PollInterval: opts.PollInterval})
-	if err != nil {
-		panic(fmt.Sprintf("beldi: EnableDurableAsync: %v", err))
-	}
-	da.timers = timers
-	if h := d.opts.Telemetry; h != nil {
-		h.Registry.Register("timers", func() any { return timers.Metrics().Snapshot() })
-	}
 	for _, rt := range d.collected() {
 		rt.SetLaunchBudget(budget)
 	}
-	d.durable = da
-	return da
+	d.durable = &DurableAsync{d: d, broker: broker}
+	return d.durable, nil
 }
 
 // DurableAsync returns the deployment's durable-asynchrony wiring, or nil
@@ -98,47 +107,61 @@ func (*NoMapper) Metrics() NoMapper { return NoMapper{} }
 // Snapshot returns m.
 func (m NoMapper) Snapshot() NoMapper { return m }
 
-// Timers returns the deployment's durable timer service. Registrations
-// survive crashes and broker restarts; fires are exactly-once per
-// occurrence (see queue.TimerService).
-func (da *DurableAsync) Timers() *queue.TimerService { return da.timers }
-
-// ScheduleInvoke durably registers a timer that invokes fn with input after
-// delay, repeating every period when period > 0 (a cron workflow). Each
-// occurrence registers an asynchronous intent of fn whose instance id is the
-// occurrence's id, in the transaction that advances the timer, then fires it
-// in-process: an occurrence runs as exactly one workflow instance, and the
-// intent collector relaunches one whose fire was lost. Idempotent per id;
-// cancel with Timers().Cancel(id).
+// ScheduleInvoke durably schedules fn's invocation with input after delay,
+// repeating every period when period > 0 (a cron workflow). The schedule's
+// registration is a pending row of fn's intent table, keyed by id and due
+// at now + delay on the deployment's clock: the first intent-collection
+// pass that finds it due fires it, with the claim every relaunch makes, and
+// that claim puts and launches the occurrence's asynchronous intent and
+// moves the registration to its next due time, a period later (a one-shot's
+// is deleted). A pass fires every occurrence that is due, so a deployment
+// that was down catches up one occurrence per missed period. Each
+// occurrence runs as exactly one workflow instance, whose instance id is
+// the occurrence's, and the collectors relaunch one whose run was lost.
+// ScheduleInvoke is idempotent per (id, fn) while the registration is live
+// (periodic, or a one-shot not fired yet), racing calls included: the first
+// registration wins. Cancel with CancelInvoke. A started collection loop
+// (StartCollectors) runs a pass at once and then by the earliest due time
+// it saw; a cluster worker fires within its collection period, LeaseTTL.
 func (da *DurableAsync) ScheduleInvoke(id, fn string, input Value, delay, period time.Duration) error {
-	if rt := da.d.runtimes[fn]; rt == nil || rt.Mode() == ModeBaseline {
-		return fmt.Errorf("beldi: ScheduleInvoke: %q is not a registered Beldi function", fn)
+	rt, err := da.scheduled(fn)
+	if err != nil {
+		return err
 	}
-	return da.timers.Schedule(queue.TimerSpec{ID: id, Target: fn, Body: input, Delay: delay, Period: period})
+	if err := rt.Schedule(id, input, delay, period); err != nil {
+		return err
+	}
+	da.d.nudgeCollectors()
+	return nil
 }
 
-// fire is the timer service's Fire: the occurrence's intent put and its
-// in-process launch (core.Runtime.ScheduledIntent).
-func (da *DurableAsync) fire(fn, id string, input Value) (dynamo.TxOp, func(), error) {
-	// A registration written when a fire was enqueued on fn's invocation
-	// queue names "invoke."+fn, with fn's client envelope as the body.
-	if name, ok := strings.CutPrefix(fn, "invoke."); ok {
-		fn, input = name, core.ClientInput(input)
+// CancelInvoke cancels fn's schedule id, deleting its registration: no
+// occurrence of it launches from now on. An occurrence already fired is not
+// recalled, and an unknown id is a no-op.
+func (da *DurableAsync) CancelInvoke(id, fn string) error {
+	rt, err := da.scheduled(fn)
+	if err != nil {
+		return err
 	}
-	rt := da.d.runtimes[fn]
-	if rt == nil || rt.Mode() == ModeBaseline {
-		return dynamo.TxOp{}, nil, fmt.Errorf("beldi: timer target %q is not a registered Beldi function", fn)
-	}
-	put, run := rt.ScheduledIntent(id, input)
-	return put, run, nil
+	return rt.CancelSchedule(id)
 }
 
-// Start launches the timer pump. It starts no collection loop: that is
-// Deployment.StartCollectors.
-func (da *DurableAsync) Start() { da.timers.Start() }
+// scheduled is fn's runtime, when fn can be scheduled: a registered
+// function not in ModeBaseline.
+func (da *DurableAsync) scheduled(fn string) (*core.Runtime, error) {
+	if rt := da.d.runtimes[fn]; rt != nil && rt.Mode() != ModeBaseline {
+		return rt, nil
+	}
+	return nil, fmt.Errorf("beldi: %q is not a registered Beldi function", fn)
+}
 
-// Stop halts the timer pump.
-func (da *DurableAsync) Stop() { da.timers.Stop() }
+// Start does nothing: durable timers fire from the intent collectors'
+// passes. Start and Stop are a shim kept only for the benchmark module,
+// which calls them; ROADMAP's [benchmark] slot deletes them.
+func (da *DurableAsync) Start() {}
+
+// Stop does nothing; see Start.
+func (da *DurableAsync) Stop() {}
 
 // Depth sums live messages (visible and in flight) across the broker's
 // queues; asynchronous invocations add none.
@@ -156,10 +179,11 @@ func (da *DurableAsync) Depth() (int, error) {
 
 // Drain settles the deployment's asynchronous work, the deterministic drive
 // for tests and demos: it waits for the platform's in-flight runs, then, while
-// any function has a pending intent, runs one intent-collection pass over
-// every function, until none is pending or until timeout. A pass relaunches
-// only intents older than ICMinAge, so a deployment with a long one waits
-// for it. It returns how many instances the passes relaunched.
+// any function has a pending intent that is due, runs one intent-collection
+// pass over every function, until none is or until timeout. A pass
+// relaunches only intents older than ICMinAge, so a deployment with a long
+// one waits for it; a schedule not due yet does not hold Drain.
+// It returns how many instances the passes relaunched.
 func (da *DurableAsync) Drain(timeout time.Duration) (int, error) {
 	deadline := time.Now().Add(timeout)
 	relaunched := 0
@@ -167,7 +191,7 @@ func (da *DurableAsync) Drain(timeout time.Duration) (int, error) {
 		da.d.opts.Platform.Drain()
 		pending := 0
 		for _, rt := range da.d.collected() {
-			n, err := core.PendingIntents(da.d.opts.Store, rt.Function())
+			n, err := rt.DueIntents()
 			if err != nil {
 				return relaunched, err
 			}

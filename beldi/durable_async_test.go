@@ -199,51 +199,53 @@ func TestDurableAsyncPromiseFanIn(t *testing.T) {
 	}
 }
 
-// TestLegacyTimerRegistrationFires: a registration ScheduleInvoke wrote when
-// its fires were enqueued on fn's invocation queue — a Queue of "invoke."+fn
-// and fn's client envelope as the body, no Target — still fires fn once with
-// its input, instead of sitting orphaned.
-func TestLegacyTimerRegistrationFires(t *testing.T) {
-	r := newDurableRig(t, asyncParent, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-		return beldi.Null, e.Write("state", "got", in)
-	}, func(run func()) { run() })
-	legacy := dynamo.Item{
-		"TimerId":  dynamo.S("old"),
-		"Queue":    dynamo.S("invoke.child"),
-		"Body":     core.ClientEnvelope(beldi.Str("tick")),
-		"DueAt":    dynamo.NInt(0),
-		"Period":   dynamo.NInt(0),
-		"Fires":    dynamo.NInt(0),
-		"Gen":      dynamo.S("g"),
-		"StampKey": dynamo.S("InstanceId"),
-	}
-	if err := r.store.Put("queue.timers", legacy, nil); err != nil {
+// TestLeftoverTimerTableIsRefused: timer registrations an earlier version
+// kept in its own "queue.timers" table are fired by nothing now, so a store
+// that still holds some is refused by name instead of leaving them unfired.
+// An empty table of that name is not in the way.
+func TestLeftoverTimerTableIsRefused(t *testing.T) {
+	store := storagetest.Open(t)
+	if err := store.CreateTable(dynamo.Schema{Name: "queue.timers", HashKey: "TimerId", Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
-	ts := r.da.Timers()
-	if n, err := ts.FireDue(); err != nil || n != 1 {
-		t.Fatalf("FireDue = %d (%v), want the legacy registration's one fire", n, err)
+	deploy := func() (err error) {
+		d := beldi.NewDeployment(beldi.DeploymentOptions{Store: store, Platform: platform.New(platform.Options{})})
+		d.Function("child", countingChild, "state")
+		defer func() {
+			if p := recover(); p != nil {
+				err = p.(error)
+			}
+		}()
+		d.EnableDurableAsync(beldi.DurableAsyncOptions{})
+		return nil
 	}
-	if n, err := ts.FireDue(); err != nil || n != 0 {
-		t.Fatalf("second FireDue = %d (%v), want 0: the one-shot is spent", n, err)
+	if err := deploy(); err != nil {
+		t.Fatalf("an empty queue.timers table refused: %v", err)
 	}
-	if n := ts.Metrics().Orphaned.Load(); n != 0 {
-		t.Errorf("Orphaned = %d, want 0", n)
-	}
-	if got, err := beldi.PeekState(r.d.Runtime("child"), "state", "got"); err != nil || got.Str() != "tick" {
-		t.Errorf("child ran with %v (%v), want the registered input %q", got, err, "tick")
-	}
-	if err := r.d.FsckAll(); err != nil {
+	legacy := dynamo.Item{"TimerId": dynamo.S("old"), "Target": dynamo.S("child"), "DueAt": dynamo.NInt(0)}
+	if err := store.Put("queue.timers", legacy, nil); err != nil {
 		t.Fatal(err)
+	}
+	if err := deploy(); err == nil || !strings.Contains(err.Error(), "queue.timers") {
+		t.Fatalf("EnableDurableAsync over a leftover timer = %v, want a refusal naming queue.timers", err)
+	}
+	c := beldi.MustOpenCluster(beldi.ClusterOptions{Store: store, DurableAsync: &beldi.DurableAsyncOptions{}})
+	if _, err := c.JoinCluster("w1", registerCounter); err == nil || !strings.Contains(err.Error(), "queue.timers") {
+		t.Fatalf("JoinCluster over a leftover timer = %v, want a refusal naming queue.timers", err)
 	}
 }
 
 // TestTimerOccurrenceStoreOps pins one timer occurrence's ops on its target's
-// tables: the intent row is put in the transaction that advances the timer
-// (a TransactWrite counts against its first op's table), and the fire, a
-// first launch younger than ICMinAge, reads no row before the body's write
-// and the done mark. That write, a fresh step on a never-written key, is one
-// head-first upsert with no query.
+// tables, in the intent-collection pass that fires it: the pass's query of
+// the pending index, which every pass makes whether a timer is due or not;
+// the fire, one transaction that claims the schedule's registration (a
+// one-shot's delete) and puts the occurrence's intent; and the run, a first
+// launch younger than ICMinAge, which reads no row before the body's write
+// and the done mark. That write, a fresh step on a
+// never-written key, is one head-first update with no query. The pass's
+// garbage-collection half, which RunAllCollectors runs next, scans the
+// target's tables whether a timer fired or not, so the test runs the
+// intent-collection pass alone.
 func TestTimerOccurrenceStoreOps(t *testing.T) {
 	store := storagetest.NewCounting(dynamo.NewStore())
 	plat := platform.New(platform.Options{AsyncDispatch: func(run func()) { run() }})
@@ -257,19 +259,21 @@ func TestTimerOccurrenceStoreOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := store.Counts()
-	if n, err := da.Timers().FireDue(); err != nil || n != 1 {
-		t.Fatalf("FireDue = %d (%v), want one occurrence", n, err)
+	if _, err := d.Runtime("child").RunIntentCollector(); err != nil {
+		t.Fatal(err)
 	}
 	want := map[string]int{
-		"child.intent transact":   1,
+		"child.intent query":      1, // the pass's pending-index query
+		"child.intent transact":   1, // the fire: the registration's claim and the occurrence's put
+		"child.intent update":     1, // the done mark
+		"child.intent get":        0,
 		"child.data.state query":  0,
 		"child.data.state update": 1,
-		"child.intent update":     1,
 	}
 	after := store.Counts()
 	for k := range after {
-		if _, ok := want[k]; !ok && strings.HasPrefix(k, "child.") {
-			want[k] = 0 // an op on the target the budget does not know
+		if _, ok := want[k]; !ok && (strings.HasPrefix(k, "child.") || strings.HasPrefix(k, "queue.")) {
+			want[k] = 0 // an op on the target, or on a queue table, the budget does not know
 		}
 	}
 	for k, n := range want {

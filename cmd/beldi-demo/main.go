@@ -150,9 +150,9 @@ func main() {
 // runWorker is the -worker mode: one compute-plane process of a
 // multi-process pool, all coordination through the remote storage plane.
 // It joins the cluster, starts the background loops (lease heartbeats,
-// failure detection, scoped collection, the timer pump), prints
-// "READY <id>" for orchestrating parents, and serves until SIGINT/SIGTERM
-// (graceful leave) or SIGKILL (the failure the pool recovers from).
+// failure detection, scoped collection), prints "READY <id>" for
+// orchestrating parents, and serves until SIGINT/SIGTERM (graceful leave)
+// or SIGKILL (the failure the pool recovers from).
 func runWorker(storeAddr, clusterName, id string, leaseTTL time.Duration) error {
 	client, err := remote.Dial(storeAddr, remote.Options{})
 	if err != nil {
@@ -164,7 +164,7 @@ func runWorker(storeAddr, clusterName, id string, leaseTTL time.Duration) error 
 		Store:        client,
 		LeaseTTL:     leaseTTL,
 		Config:       beldi.Config{T: 300 * time.Millisecond, ICMinAge: 10 * time.Millisecond},
-		DurableAsync: &beldi.DurableAsyncOptions{PollInterval: 20 * time.Millisecond},
+		DurableAsync: &beldi.DurableAsyncOptions{},
 	})
 	if err != nil {
 		return err

@@ -81,7 +81,11 @@ func checkModule() ([]string, error) {
 			return nil, err
 		}
 	}
-	problems := l.forwarders()
+	problems, err := l.testNames()
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, l.forwarders()...)
 	for p := range l.found {
 		problems = append(problems, p)
 	}

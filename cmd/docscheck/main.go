@@ -6,7 +6,9 @@
 // reflect.DeepEqual in the root module takes a dynamo.Value or anything
 // holding one (deepequal.go), or when a method outside the storage adapter
 // and the reference store forwards the typed data calls GetProj or
-// QueryIndex (forwarders.go). Run it from the module root.
+// QueryIndex (forwarders.go), or when a -run pattern of the CI workflow or
+// a backticked name in OPERATIONS.md names a test that no test function's
+// name starts with (testnames.go). Run it from the module root.
 //
 // Usage:
 //
@@ -84,7 +86,7 @@ func main() {
 		for _, p := range problems {
 			fmt.Println(p)
 		}
-		fmt.Fprintf(os.Stderr, "docscheck: %d findings: undocumented exported identifiers, option fields nothing sets, DeepEqual over values, typed-call forwarders\n", len(problems))
+		fmt.Fprintf(os.Stderr, "docscheck: %d findings: undocumented exported identifiers, option fields nothing sets, DeepEqual over values, typed-call forwarders, test names that name no test\n", len(problems))
 		os.Exit(1)
 	}
 }

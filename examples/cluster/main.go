@@ -52,7 +52,7 @@ const (
 
 var protocolConfig = beldi.Config{T: 300 * time.Millisecond, ICMinAge: 10 * time.Millisecond}
 
-var durableOpts = beldi.DurableAsyncOptions{PollInterval: 20 * time.Millisecond}
+var durableOpts = beldi.DurableAsyncOptions{}
 
 func main() {
 	role := flag.String("role", "", "internal: storaged | worker (set by re-exec)")

@@ -38,12 +38,8 @@ func Register(d *beldi.Deployment) {
 		if err := e.Write(EventsTable, e.InstanceID(), in); err != nil {
 			return beldi.Null, err
 		}
-		// The classic exactly-once victim: a non-atomic read-increment-write.
-		v, err := e.Read(StateTable, "total")
-		if err != nil {
-			return beldi.Null, err
-		}
-		if err := e.Write(StateTable, "total", beldi.Int(v.Int()+1)); err != nil {
+		// The classic exactly-once victim: a read-increment-write.
+		if err := increment(e, StateTable, "total"); err != nil {
 			return beldi.Null, err
 		}
 		return beldi.Str("ingested"), nil
@@ -54,18 +50,31 @@ func Register(d *beldi.Deployment) {
 		if key.Str() == "" {
 			return beldi.Null, nil // not a change event; ignore
 		}
-		n, err := e.Read(IndexTable, "count")
-		if err != nil {
-			return beldi.Null, err
-		}
-		if err := e.Write(IndexTable, "count", beldi.Int(n.Int()+1)); err != nil {
-			return beldi.Null, err
-		}
-		return beldi.Null, nil
+		return beldi.Null, increment(e, IndexTable, "count")
 	}, IndexTable)
 
 	if err := d.OnTableChange(FnIngest, EventsTable, FnIndex); err != nil {
 		panic(err)
+	}
+}
+
+// increment adds one to the integer at key: a read, then a write guarded on
+// the value read, again until the guard holds. Two occurrences may run side
+// by side — a relaunched one and the next, or several a catching-up
+// collection pass fired — so an unguarded write would lose an increment.
+func increment(e *beldi.Env, table, key string) error {
+	for {
+		v, err := e.Read(table, key)
+		if err != nil {
+			return err
+		}
+		guard := beldi.ValueEq(v)
+		if v.IsNull() {
+			guard = beldi.ValueAbsent()
+		}
+		if ok, err := e.CondWrite(table, key, beldi.Int(v.Int()+1), guard); err != nil || ok {
+			return err
+		}
 	}
 }
 

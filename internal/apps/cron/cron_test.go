@@ -6,26 +6,37 @@ import (
 	"time"
 
 	"repro/beldi"
+	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/storage/storagetest"
 	"repro/internal/uuid"
 )
 
-// rig is one deployment with durable async enabled: timers whose
-// occurrences register intents. ICMinAge is short so a crashed run is
-// relaunched within a few drive rounds.
+// rig is one deployment with durable async enabled: timers that are
+// scheduled intents, which the intent collector launches when they come
+// due. ICMinAge is short so a crashed run is relaunched within a few drive
+// rounds.
 type rig struct {
-	d    *beldi.Deployment
-	da   *beldi.DurableAsync
-	plat *platform.Platform
+	store   storage.Backend
+	d       *beldi.Deployment
+	da      *beldi.DurableAsync
+	plat    *platform.Platform
+	crashes bool // a fault plan is installed, which may kill runs
 }
 
 func newRig(t *testing.T, faults platform.FaultPlan) *rig {
 	t.Helper()
-	store := storagetest.Open(t)
-	plat := platform.New(platform.Options{
-		ConcurrencyLimit: 10000, IDs: &uuid.Seq{Prefix: "req"}, Faults: faults,
-	})
+	return newRigOn(t, storagetest.Open(t), platform.Options{Faults: faults})
+}
+
+// newRigOn deploys the app over store, as a restarted deployment would, on
+// a platform with popts' faults and async dispatch.
+func newRigOn(t *testing.T, store storage.Backend, popts platform.Options) *rig {
+	t.Helper()
+	faults := popts.Faults
+	popts.ConcurrencyLimit, popts.IDs = 10000, &uuid.Seq{Prefix: "req"}
+	plat := platform.New(popts)
 	d := beldi.NewDeployment(beldi.DeploymentOptions{
 		Store: store, Platform: plat,
 		Config: beldi.Config{T: 50 * time.Millisecond, ICMinAge: time.Millisecond},
@@ -34,20 +45,18 @@ func newRig(t *testing.T, faults platform.FaultPlan) *rig {
 	da := d.EnableDurableAsync(beldi.DurableAsyncOptions{
 		MaxReceives: -1, // sweeps relaunch many times; never mark an intent dead
 	})
-	return &rig{d: d, da: da, plat: plat}
+	return &rig{store: store, d: d, da: da, plat: plat, crashes: faults != nil}
 }
 
-// drive advances the whole machine one round: fire due timers, wait for
-// the runs they launched, restart crashed intents.
+// drive advances the whole machine one round: a collection pass launches
+// the timers that are due and restarts crashed intents, then the round
+// waits for the runs it launched.
 func (r *rig) drive(t *testing.T) {
 	t.Helper()
-	if _, err := r.da.Timers().FireDue(); err != nil {
-		t.Fatal(err)
-	}
-	r.plat.Drain()
 	if err := r.d.RunAllCollectors(); err != nil {
 		t.Fatal(err)
 	}
+	r.plat.Drain()
 }
 
 // converge drives until ingest and index both report want occurrences, then
@@ -101,10 +110,17 @@ func TestCronOneShotExactlyOnce(t *testing.T) {
 }
 
 func TestCronPeriodicOccurrences(t *testing.T) {
-	r := newRig(t, nil)
-	// Period 1ms on the real clock: converge waits 2ms between rounds, so
-	// occurrences accrue as the drive loop runs; stop the timer once three
-	// distinct occurrences have been ingested, then assert stability.
+	newRig(t, nil).periodic(t)
+}
+
+// periodic schedules a periodic timer and asserts that its occurrences are
+// each ingested and indexed exactly once: period 1ms on the real clock,
+// while converge-style rounds 2ms apart accrue occurrences; once three
+// distinct occurrences have been ingested it cancels the timer, drives
+// until index catches up, and checks that nothing of the schedule is left
+// pending and that the durable state is clean.
+func (r *rig) periodic(t *testing.T) {
+	t.Helper()
 	if err := r.da.ScheduleInvoke("tick", FnIngest, beldi.Str("payload"), 0, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +139,7 @@ func TestCronPeriodicOccurrences(t *testing.T) {
 			t.Fatalf("periodic timer produced only %d occurrences", total)
 		}
 	}
-	if err := r.da.Timers().Cancel("tick"); err != nil {
+	if err := r.da.CancelInvoke("tick", FnIngest); err != nil {
 		t.Fatal(err)
 	}
 	// Every occurrence indexed exactly once: drive until index catches up.
@@ -136,40 +152,60 @@ func TestCronPeriodicOccurrences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if indexed == total {
+		pending, err := core.PendingIntents(r.store, FnIngest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if indexed == total && pending == 0 {
 			break
 		}
-		if indexed > total {
+		// Crash-free, index never runs ahead; a run killed between its
+		// event's write and its total's leaves it ahead until its relaunch.
+		if indexed > total && !r.crashes {
 			t.Fatalf("indexed %d > ingested %d: CDC duplicated an event", indexed, total)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("index never caught up: indexed=%d total=%d", indexed, total)
+			t.Fatalf("never settled: indexed=%d total=%d, %d ingest intents pending", indexed, total, pending)
 		}
+	}
+	total, _ := Total(r.d)
+	for i := 0; i < 3; i++ {
+		time.Sleep(2 * time.Millisecond)
+		r.drive(t)
+	}
+	if after, _ := Total(r.d); after != total {
+		t.Fatalf("total drifted from %d to %d after the cancel", total, after)
+	}
+	if indexed, _ := Indexed(r.d); indexed != total {
+		t.Fatalf("indexed drifted to %d after the cancel, want %d", indexed, total)
 	}
 	if err := r.d.FsckAll(); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestCronFirerRestartDoesNotDuplicate simulates the pump dying and a fresh
-// one taking over mid-stream: FireDue from a second service over the same
-// table must not re-fire an occurrence the first already committed (the
-// fire transaction is the only commit point — there is no half-fired state
-// to recover).
+// TestCronFirerRestartDoesNotDuplicate simulates the deployment dying right
+// after a pass launched an occurrence and a fresh one taking over: the
+// fresh deployment's collection pass over the same store must not launch
+// the occurrence again (the claim that launched it is the only commit point
+// — there is no half-fired state to recover).
 func TestCronFirerRestartDoesNotDuplicate(t *testing.T) {
 	r := newRig(t, nil)
 	if err := r.da.ScheduleInvoke("tick", FnIngest, beldi.Str("x"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := r.da.Timers().FireDue(); err != nil || n != 1 {
-		t.Fatalf("first firer: (%d, %v), want (1, nil)", n, err)
+	r.drive(t)
+	if total, err := Total(r.d); err != nil || total != 1 {
+		t.Fatalf("first deployment ingested (%d, %v), want (1, nil)", total, err)
 	}
-	// "Restart": a second FireDue pass (same durable state, fresh pass)
-	// must find nothing to do.
-	if n, err := r.da.Timers().FireDue(); err != nil || n != 0 {
-		t.Fatalf("restarted firer: (%d, %v), want (0, nil)", n, err)
+	// "Restart": a second deployment's pass (same durable state, fresh
+	// runtimes) must find nothing to launch.
+	restarted := newRigOn(t, r.store, platform.Options{})
+	restarted.drive(t)
+	if total, err := Total(restarted.d); err != nil || total != 1 {
+		t.Fatalf("restarted deployment ingested (%d, %v), want (1, nil)", total, err)
 	}
-	r.converge(t, 1)
+	restarted.converge(t, 1)
 }
 
 // TestCronCrashSweepExactlyOnce is the kill-mid-fire sweep: for every
@@ -177,7 +213,11 @@ func TestCronFirerRestartDoesNotDuplicate(t *testing.T) {
 // killed there mid-run; the collectors restart it,
 // and the final counts must equal the crash-free run — one ingested
 // occurrence, one indexed change — on whatever backend the matrix selects
-// (BELDI_BACKEND=wal runs this against the durable walstore).
+// (BELDI_BACKEND=wal runs this against the durable walstore). The periodic
+// variant kills the first occurrence of a periodic timer the same way, so
+// its relaunch races the occurrences after it, and asserts what periodic
+// does: every occurrence ingested and indexed once, nothing left pending
+// after the cancel, a clean fsck.
 func TestCronCrashSweepExactlyOnce(t *testing.T) {
 	// Discovery: count each function's crash points in a clean run.
 	counter := &platform.OpCounter{}
@@ -187,23 +227,29 @@ func TestCronCrashSweepExactlyOnce(t *testing.T) {
 	}
 	probe.converge(t, 1)
 
-	for _, fn := range []string{FnIngest, FnIndex} {
-		max := counter.Max(fn)
-		if max == 0 {
-			t.Fatalf("%s hit no crash points; sweep is vacuous", fn)
-		}
-		for n := 1; n <= max; n++ {
-			t.Run(fmt.Sprintf("%s@op%d", fn, n), func(t *testing.T) {
-				plan := &platform.CrashNthOp{Function: fn, N: n}
-				r := newRig(t, plan)
-				if err := r.da.ScheduleInvoke("tick", FnIngest, beldi.Str("x"), 0, 0); err != nil {
-					t.Fatal(err)
-				}
-				r.converge(t, 1)
-				if !plan.Fired() {
-					t.Fatal("plan never fired; sweep position unreachable")
-				}
-			})
+	for _, variant := range []string{"", "periodic/"} {
+		for _, fn := range []string{FnIngest, FnIndex} {
+			max := counter.Max(fn)
+			if max == 0 {
+				t.Fatalf("%s hit no crash points; sweep is vacuous", fn)
+			}
+			for n := 1; n <= max; n++ {
+				t.Run(fmt.Sprintf("%s%s@op%d", variant, fn, n), func(t *testing.T) {
+					plan := &platform.CrashNthOp{Function: fn, N: n}
+					if variant == "" {
+						r := newRig(t, plan)
+						if err := r.da.ScheduleInvoke("tick", FnIngest, beldi.Str("x"), 0, 0); err != nil {
+							t.Fatal(err)
+						}
+						r.converge(t, 1)
+					} else {
+						newRig(t, plan).periodic(t)
+					}
+					if !plan.Fired() {
+						t.Fatal("plan never fired; sweep position unreachable")
+					}
+				})
+			}
 		}
 	}
 }

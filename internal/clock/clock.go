@@ -84,6 +84,15 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
+// Waiters reports how many After-waiters and sleepers the clock holds, an
+// abandoned After's included until its deadline passes: a test's way to
+// know that a goroutine under test has parked before it advances the clock.
+func (m *Manual) Waiters() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.waiters)
+}
+
 // Advance moves the clock forward by d, waking any waiter whose deadline has
 // passed.
 func (m *Manual) Advance(d time.Duration) {

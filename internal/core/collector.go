@@ -29,18 +29,30 @@ import (
 // RunIntentCollector performs one collection pass, returning how many
 // instances it restarted.
 func (rt *Runtime) RunIntentCollector() (int, error) {
+	n, _, err := rt.CollectIntents()
+	return n, err
+}
+
+// CollectIntents performs one collection pass. It fires every schedule
+// that is due (fireSchedule: a first launch, not a restart) and restarts
+// every other intent last launched ICMinAge ago, returning how many it
+// restarted and nextDue: the earliest due time, in µs on the runtime's
+// clock, of a schedule's next occurrence — one this pass fired, or one it
+// left because it is not due — 0 when it saw none.
+func (rt *Runtime) CollectIntents() (restarted int, nextDue int64, _ error) {
 	items, err := rt.store.QueryIndex(rt.intentTable, indexPending, dynamo.S(pendingMarker),
 		dynamo.QueryOpts{Limit: rt.cfg.ICPageLimit})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	now := rt.now()
 	gate := rt.collectorGate()
-	restarted := 0
-	for _, it := range items {
+	for i, it := range items {
 		rec := decodeIntent(it)
 		if rt.launchedRecently(rec.lastLaunch, now) {
-			continue // give it time (first IC optimization)
+			// Give it time (first IC optimization). The index is sorted by
+			// LastLaunch, so no later row is due either.
+			return restarted, earliest(nextDue, rt.firstDue(items[i:])), nil
 		}
 		var fence []dynamo.TxOp
 		if gate != nil {
@@ -49,10 +61,20 @@ func (rt *Runtime) RunIntentCollector() (int, error) {
 			}
 			fence = gate.ClaimFence(rec.id)
 		}
-		ups, dead := rt.launchClaim(rec, now)
-		claimed, err := rt.touchLaunchFenced(rec.id, rec.lastLaunch, fence, ups)
+		if _, ok := it[attrSchedule]; ok {
+			due, err := rt.fireSchedule(it, rec, now, fence)
+			if err != nil {
+				return restarted, 0, err
+			}
+			nextDue = earliest(nextDue, due)
+			continue
+		}
+		claim := rt.claimOp(rec.id, rec.lastLaunch)
+		var dead bool
+		claim.Updates, dead = rt.launchClaim(rec, now)
+		claimed, err := rt.touchLaunchFenced(claim, fence)
 		if err != nil {
-			return restarted, err
+			return restarted, 0, err
 		}
 		if !claimed {
 			continue // a concurrent collector (or the done-marking) won
@@ -64,12 +86,32 @@ func (rt *Runtime) RunIntentCollector() (int, error) {
 		ev := rec.args
 		ev.InstanceID = rec.id
 		if err := rt.plat.InvokeAsyncInternal(rt.fn, ev.encode()); err != nil {
-			return restarted, err
+			return restarted, 0, err
 		}
 		rt.stats.Restarts.Add(1)
 		restarted++
 	}
-	return restarted, nil
+	return restarted, nextDue, nil
+}
+
+// firstDue is the due time of the first schedule among items, a tail of the
+// pending index that holds no due row: the earliest, as the index sorts by
+// LastLaunch. 0 when there is none.
+func (rt *Runtime) firstDue(items []dynamo.Item) int64 {
+	for _, it := range items {
+		if _, ok := it[attrSchedule]; ok {
+			return it[attrLastLaunch].Int() + rt.cfg.ICMinAge.Microseconds()
+		}
+	}
+	return 0
+}
+
+// earliest is the earlier of two due times, where 0 is none.
+func earliest(a, b int64) int64 {
+	if a == 0 || (b != 0 && b < a) {
+		return b
+	}
+	return a
 }
 
 // launchedRecently reports whether a launch at at is younger than ICMinAge
@@ -155,9 +197,21 @@ func (rt *Runtime) Redrive() (int, error) {
 }
 
 // PendingIntents counts fn's unfinished intents on store: the rows of the
-// sparse index a collection pass pages through. It reads the store, not a
-// runtime, so a harness can ask about a deployment that is crashed or gone.
+// sparse index a collection pass pages through, schedule registrations
+// included. It reads the store, not a runtime, so a harness can ask
+// about a deployment that is crashed or gone.
 func PendingIntents(store storage.Backend, fn string) (int, error) {
 	items, err := store.QueryIndex(fn+intentSuffix, indexPending, dynamo.S(pendingMarker), dynamo.QueryOpts{})
+	return len(items), err
+}
+
+// DueIntents counts this SSF's unfinished intents but the schedule
+// registrations that are not due yet: what a collection pass has to finish
+// now. A periodic schedule's registration is always pending.
+func (rt *Runtime) DueIntents() (int, error) {
+	due := dynamo.Or(dynamo.NotExists(dynamo.A(attrSchedule)),
+		dynamo.Le(dynamo.A(attrLastLaunch), dynamo.NInt(rt.now()-rt.cfg.ICMinAge.Microseconds())))
+	items, err := rt.store.QueryIndex(rt.intentTable, indexPending, dynamo.S(pendingMarker),
+		dynamo.QueryOpts{Filter: due, Projection: []dynamo.Path{dynamo.A(attrInstanceID)}})
 	return len(items), err
 }

@@ -20,18 +20,19 @@ type envelope struct {
 	// First marks the one launch of a callee that is fresh by construction:
 	// syncInvokeStep and asyncInvokeStep set it only on the invocation that
 	// directly follows their own applied invoke-log insert, so the callee id
-	// was minted a moment ago and no other execution of it can exist; a
-	// timer occurrence's fire sets it once the transaction that created the
-	// occurrence's row has committed. Such a sync callee defers its intent
-	// row to its first effect boundary (handleCall); such an async run skips
-	// reading its row while it is younger than ICMinAge (handleAsyncRun).
+	// was minted a moment ago and no other execution of it can exist; the
+	// collector's claim that fires a schedule sets it on the occurrence it
+	// puts (fireSchedule). Such a sync callee defers its intent row to its
+	// first effect boundary (handleCall); such an async run skips reading
+	// its row while it is younger than ICMinAge (handleAsyncRun).
 	// Never stored: the Args of an intent describe a relaunch, which is never
 	// first. On a callback it marks the result of such a launch that stayed
 	// effect-free, which a row closed by a relaunch refuses (handleCallback).
 	First bool
 	// Launched is the caller's clock reading (rt.now) taken before it
-	// registered an async callee: the registration writes it as the row's
-	// StartTime and LastLaunch, and a First run measures its age from it.
+	// registered an async callee, or the collector's that fired a schedule:
+	// the registration or the fire writes it as the row's StartTime and
+	// LastLaunch, and a First run measures its age from it.
 	// Never stored in Args.
 	Launched int64
 
@@ -139,9 +140,6 @@ func ClientEnvelope(input Value) Value {
 func ClientEnvelopeForApp(app string, input Value) Value {
 	return envelope{Kind: kindCall, Input: input, App: app}.encode()
 }
-
-// ClientInput is the client payload a ClientEnvelope wraps.
-func ClientInput(env Value) Value { return decodeEnvelope(env).Input }
 
 // decodeEnvelope unmarshals an invocation payload. Raw payloads that are not
 // envelopes (external clients invoking the workflow directly) are treated as

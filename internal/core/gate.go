@@ -54,29 +54,34 @@ func (rt *Runtime) collectorGate() CollectorGate {
 	return rt.gate
 }
 
-// touchLaunchFenced is the collector's claim of intent id: one conditional
-// update, guarded on the LastLaunch it observed and on the intent not being
-// done, that applies ups (a relaunch's, or a dead mark's; see launchClaim).
-// With a fence it commits in one transaction with the gate's condition
-// checks, so the claim lands only while the claimant still holds its
-// authority. A claim rejected by a fence check (rather than by the
-// LastLaunch race) is counted in Stats.FencedClaims — the observable
-// signature of a zombie's write being refused.
-func (rt *Runtime) touchLaunchFenced(id string, observed int64, fence []dynamo.TxOp, ups []dynamo.Update) (bool, error) {
-	claim := dynamo.TxOp{
+// claimOp is a collector's claim of intent id as an op without its action:
+// guarded on the LastLaunch it observed and on the intent not being done,
+// so of two claims of one launch only the first commits.
+func (rt *Runtime) claimOp(id string, observed int64) dynamo.TxOp {
+	return dynamo.TxOp{
 		Table: rt.intentTable,
 		Key:   dynamo.HK(dynamo.S(id)),
 		Cond: dynamo.And(
 			dynamo.Eq(dynamo.A(attrLastLaunch), dynamo.NInt(observed)),
 			dynamo.Eq(dynamo.A(attrDone), dynamo.Bool(false)),
 		),
-		Updates: ups,
 	}
+}
+
+// touchLaunchFenced commits a collector's claim (claimOp with its updates:
+// a relaunch's or a dead mark's, see launchClaim; or a schedule's fire, see
+// fireSchedule). Alone it is one conditional update. With a fence, or with
+// ops that commit with it (a fired occurrence's put), it is one transaction
+// of the fence, the claim and those ops, so the claim lands only while the
+// claimant still holds its authority. A claim rejected by a fence check
+// (rather than by the LastLaunch race) is counted in Stats.FencedClaims —
+// the observable signature of a zombie's write being refused.
+func (rt *Runtime) touchLaunchFenced(claim dynamo.TxOp, fence []dynamo.TxOp, with ...dynamo.TxOp) (bool, error) {
 	var err error
-	if len(fence) == 0 {
-		err = rt.store.Update(claim.Table, claim.Key, claim.Cond, ups...)
+	if len(fence)+len(with) == 0 {
+		err = rt.store.Update(claim.Table, claim.Key, claim.Cond, claim.Updates...)
 	} else {
-		err = rt.store.TransactWrite(append(slices.Clip(fence), claim))
+		err = rt.store.TransactWrite(append(append(slices.Clip(fence), claim), with...))
 	}
 	if err == nil {
 		return true, nil

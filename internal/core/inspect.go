@@ -17,11 +17,12 @@ type durableState struct {
 	logs    map[string][]logRow                      // read log and invoke log, by table name
 }
 
-// walkedIntent is a decoded intent row and whether it holds the arguments
-// and start time every row is registered with.
+// walkedIntent is a decoded intent row, whether it holds the arguments and
+// start time every row is registered with, and whether it is a schedule's
+// registration (Runtime.Schedule).
 type walkedIntent struct {
 	*intentRecord
-	hasArgs, hasStart bool
+	hasArgs, hasStart, scheduled bool
 }
 
 // logRow is a read- or invoke-log row: its owner instance, its step, the
@@ -49,7 +50,8 @@ func inspect(store storage.Backend, fn string) (*durableState, error) {
 	for _, it := range intents {
 		_, hasArgs := it[attrArgs]
 		_, hasStart := it[attrStartTime]
-		ds.intents = append(ds.intents, walkedIntent{decodeIntent(it), hasArgs, hasStart})
+		_, scheduled := it[attrSchedule]
+		ds.intents = append(ds.intents, walkedIntent{decodeIntent(it), hasArgs, hasStart, scheduled})
 	}
 	for _, name := range store.TableNames() { // sorted
 		if !strings.HasPrefix(name, fn+dataInfix) {

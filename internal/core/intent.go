@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/dynamo"
 )
@@ -98,21 +99,98 @@ func (rec *intentRecord) item() dynamo.Item {
 	}
 }
 
-// ScheduledIntent registers an asynchronous run of this SSF with input as
-// instance id — asyncInvoke's two steps for a durable timer's occurrence.
-// put is step 1, the intent row's put guarded on its absence, for the
-// transaction that also advances the timer, so the occurrence and the
-// advance commit together and the id deduplicates the occurrence; fire is
-// step 2, the in-process fire, to run once that transaction commits. Only
-// then is the row this put's, so the fire is a first launch from the put's
-// start time, as asyncInvoke's is. A lost fire leaves the intent pending for
-// the intent collector.
-func (rt *Runtime) ScheduledIntent(id string, input Value) (put dynamo.TxOp, fire func()) {
-	run := envelope{Kind: kindAsyncRun, InstanceID: id, Input: input, Async: true}
-	rec := rt.newIntent(id, run, rt.now())
-	put = dynamo.TxOp{Table: rt.intentTable, Key: dynamo.HK(dynamo.S(id)), Put: rec.item(), Cond: instanceAbsent}
-	run.First, run.Launched = true, rec.startTime
-	return put, func() { _ = rt.plat.InvokeAsyncInternal(rt.fn, run.encode()) }
+// A durable timer is a scheduled intent: a schedule's registration is a
+// pending async intent row of the function it runs, keyed by the schedule id
+// (scheduleKey) and carrying its generation (attrSchedule, a nonce minted at
+// registration: the "not yet launched" marker) and, for a periodic schedule,
+// its period, with a LastLaunch of due − ICMinAge. The row itself never
+// runs. No collector pass claims it before it is due (launchedRecently), and
+// the pass that finds it due fires it (fireSchedule): one transaction that
+// advances the row a period (or deletes a one-shot's) under the ordinary
+// fenced claim and puts the due occurrence's intent row, launched once by
+// this claim. The occurrence id is deterministic per (generation, the
+// LastLaunch the claim read), and its put is guarded on that id's absence,
+// so each occurrence is put exactly once; later launches of it are the
+// ordinary relaunches of an async intent. Keyed by the schedule id, a
+// registration is first-write-wins: the instanceAbsent guard on its put
+// deduplicates racing Schedules.
+
+// scheduleKey is the instance id of schedule id's registration row.
+func scheduleKey(id string) string { return "schedule-" + id }
+
+// Schedule registers a run of this SSF with input after delay, repeating
+// every period when period > 0. A schedule whose registration is live —
+// periodic, or a one-shot not fired yet — is left as it is, so a retried or
+// racing Schedule of one id registers it once. A registration is new, with
+// a fresh generation, after its one-shot fired or it was canceled.
+func (rt *Runtime) Schedule(id string, input Value, delay, period time.Duration) error {
+	if id == "" || delay < 0 || period < 0 {
+		return fmt.Errorf("core: %s: Schedule: want an id and no negative delay or period", rt.fn)
+	}
+	run := envelope{Kind: kindAsyncRun, Input: input, Async: true}
+	at := rt.now() + delay.Microseconds() - rt.cfg.ICMinAge.Microseconds()
+	it := rt.newIntent(scheduleKey(id), run, at).item()
+	it[attrSchedule] = dynamo.S(rt.ids.NewString())
+	if period > 0 {
+		it[attrPeriod] = dynamo.NInt(period.Microseconds())
+	}
+	err := rt.store.Put(rt.intentTable, it, instanceAbsent)
+	if errors.Is(err, dynamo.ErrConditionFailed) {
+		return nil // already registered
+	}
+	return err
+}
+
+// CancelSchedule deletes schedule id's registration, so none of its
+// occurrences launches from now on; an unknown id is a no-op, and an
+// occurrence already fired is not recalled. A fire racing the delete either
+// commits first (its occurrence runs, and the delete removes what it left)
+// or fails on the missing row.
+func (rt *Runtime) CancelSchedule(id string) error {
+	return rt.store.Delete(rt.intentTable, dynamo.HK(dynamo.S(scheduleKey(id))), nil)
+}
+
+// fireSchedule claims registration it, read as rec and due at now, and
+// launches its due occurrence, then every later occurrence already due, up
+// to ICPageLimit of them when that is set. Each claim is one transaction of
+// fence, the registration's advance by its period (a one-shot's delete),
+// guarded on the LastLaunch and generation it observed, and the
+// occurrence's put. The occurrence row is the intent of a first launch at
+// now, which the launch's First and Launched repeat: no relaunch of it can
+// be claimed within ICMinAge, and nothing has logged under its id. nextDue
+// is when the registration's next occurrence is due, in µs, 0 when there is
+// none or another collector's claim won.
+func (rt *Runtime) fireSchedule(it dynamo.Item, rec *intentRecord, now int64, fence []dynamo.TxOp) (nextDue int64, _ error) {
+	gen, period := it[attrSchedule], it[attrPeriod].Int()
+	for n := 1; ; n++ {
+		claim := rt.claimOp(rec.id, rec.lastLaunch)
+		claim.Cond = dynamo.And(claim.Cond, dynamo.Eq(dynamo.A(attrSchedule), gen))
+		if period > 0 {
+			claim.Updates = []dynamo.Update{dynamo.Set(dynamo.A(attrLastLaunch), dynamo.NInt(rec.lastLaunch+period))}
+		} else {
+			claim.Delete = true
+		}
+		id := fmt.Sprintf("timer-%s-%s-%x", strings.TrimPrefix(rec.id, scheduleKey("")), gen.Str(), rec.lastLaunch)
+		run := rec.args
+		run.InstanceID = id
+		occ := dynamo.TxOp{Table: rt.intentTable, Key: dynamo.HK(dynamo.S(id)), Put: rt.newIntent(id, run, now).item(), Cond: instanceAbsent}
+		claimed, err := rt.touchLaunchFenced(claim, fence, occ)
+		if err != nil || !claimed {
+			return 0, err
+		}
+		rt.stats.IntentsStarted.Add(1)
+		run.First, run.Launched = true, now
+		if err := rt.plat.InvokeAsyncInternal(rt.fn, run.encode()); err != nil {
+			return 0, err
+		}
+		if period == 0 {
+			return 0, nil
+		}
+		rec.lastLaunch += period
+		if rt.launchedRecently(rec.lastLaunch, now) || n == rt.cfg.ICPageLimit {
+			return rec.lastLaunch + rt.cfg.ICMinAge.Microseconds(), nil
+		}
+	}
 }
 
 // ensureIntent makes the instance's intent row exist, creating it on first

@@ -588,6 +588,8 @@ const (
 	attrLastLaunch = "LastLaunch"
 	attrLaunches   = "Launches" // intent: collector launches of an async intent under a launch budget
 	attrDead       = "Dead"     // intent: when its launch budget ran out (off the pending index)
+	attrSchedule   = "Schedule" // intent: a schedule registration's generation nonce (fireSchedule)
+	attrPeriod     = "Period"   // intent: a periodic schedule registration's period in µs
 	attrFinishTime = "FinishTime"
 	attrCalleeID   = "CalleeId"
 	attrResult     = "Result"

@@ -19,9 +19,11 @@ import (
 // It walks every function with an intent table in the backend (inspect)
 // and synthesizes one exec span per intent (timestamps from StartTime and
 // LastLaunch, microsecond precision; Replay marks an intent whose
-// LastLaunch advanced past its StartTime, i.e. a collector restart) and one
-// call span per invoke-log edge. Feed the result to telemetry's
-// Roots/Assemble/Render — that is what `beldi-trace -wal` does.
+// LastLaunch advanced past its StartTime, i.e. a collector restart; Err
+// marks an unfinished intent "pending", or "scheduled" for a schedule's
+// registration) and one call span per invoke-log edge. Feed
+// the result to telemetry's Roots/Assemble/Render — that is what
+// `beldi-trace -wal` does.
 func DurableSpans(b storage.Backend) ([]telemetry.Span, error) {
 	var spans []telemetry.Span
 	execOf := make(map[string]telemetry.Span) // intent id → its exec span
@@ -39,7 +41,10 @@ func DurableSpans(b storage.Backend) ([]telemetry.Span, error) {
 				Start: in.startTime * 1000, End: in.lastLaunch * 1000, // µs → ns
 				ParentIntent: in.args.CallerInstance, ParentStep: in.args.CallerStep}
 			sp.Replay = sp.End > sp.Start
-			if !in.done {
+			switch {
+			case in.scheduled:
+				sp.Err = "scheduled" // a registration: its times are its next due time less ICMinAge
+			case !in.done:
 				sp.Err = "pending"
 			}
 			execOf[in.id] = sp

@@ -274,12 +274,13 @@ func (rt *Runtime) handleAsyncRegister(inv *platform.Invocation, ev envelope) (V
 
 // asyncRunIntent is the intent a run executes under, nil when there is none
 // (never registered, or collected). A first fire younger than ICMinAge reads
-// nothing: it directly follows the registration that created the row, and no
-// collector can have claimed a relaunch of it yet (RunIntentCollector skips a
-// row of that age), so the row is pending and uncollected and no other
-// execution has logged anything — which is all the read would establish. Its
-// record is the row as registered, its read log known empty. Past that age,
-// or without First, the run reads the row.
+// nothing: it directly follows the registration that created the row, or
+// the fire of a schedule that put it (fireSchedule), and no collector can
+// have claimed a relaunch of it yet (CollectIntents skips a row of that
+// age), so the row is pending and uncollected and no other execution has
+// logged anything — which is all the read would establish. Its record is
+// the row as registered or put, its read log known empty. Past that
+// age, or without First, the run reads the row.
 func (rt *Runtime) asyncRunIntent(ev envelope) (*intentRecord, error) {
 	if ev.First && rt.launchedRecently(ev.Launched, rt.now()) {
 		args := ev

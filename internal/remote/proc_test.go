@@ -32,7 +32,7 @@ import (
 
 var procConfig = beldi.Config{T: 300 * time.Millisecond, ICMinAge: 10 * time.Millisecond}
 
-var procDurable = beldi.DurableAsyncOptions{PollInterval: 20 * time.Millisecond}
+var procDurable = beldi.DurableAsyncOptions{}
 
 func TestMain(m *testing.M) {
 	if os.Getenv("BELDI_REMOTE_PROC_WORKER") == "1" {
