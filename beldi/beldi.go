@@ -28,8 +28,9 @@
 // Deployment pairs each SSF with its own database tables (data
 // sovereignty), an intent collector, and a garbage collector. StartCollectors
 // runs both on one loop for the whole deployment: the intent collector every
-// ICMinAge and the garbage collector every T (Config; both default to T, 2 s),
-// so the defaults alone finish a crashed workflow:
+// ICMinAge, or when a pending intent comes due, and the garbage collector
+// every T (Config; both default to T, 2 s), so the defaults alone finish a
+// crashed workflow:
 //
 //	d := beldi.NewDeployment(beldi.DeploymentOptions{Store: store, Platform: plat})
 //	d.Function("counter", Counter, "state")
@@ -431,11 +432,13 @@ func (d *Deployment) known(name string) error {
 // StartCollectors starts the deployment's collection loop: one goroutine on
 // the deployment's clock that runs an intent-collection pass every ICMinAge
 // (T unless set) and a garbage-collection pass every T, each at least 1 ms
-// apart. A durable timer (DurableAsync.ScheduleInvoke) brings the next
-// intent-collection pass forward to its due time, and scheduling one runs a
-// pass at once. A pass covers the non-baseline functions registered when
-// StartCollectors is called, in sorted order, with RunAllCollectors' body; a
-// failed pass is retried at the next one, since both collectors are
+// apart. A pending row that comes due sooner — a failed attempt turning
+// ICMinAge old, a durable timer (DurableAsync.ScheduleInvoke) — brings the
+// next intent-collection pass forward to its due time, and scheduling a
+// timer runs a pass at once, as does a cluster worker's steal of a dead
+// peer's partitions. A pass covers the non-baseline functions registered
+// when StartCollectors is called, in sorted order, with RunAllCollectors'
+// body; a failed pass is retried at the next one, since both collectors are
 // at-least-once (§5). Stop ends the loop. A second call is a no-op.
 func (d *Deployment) StartCollectors() {
 	rts := d.collected()
@@ -453,8 +456,9 @@ func (d *Deployment) StartCollectors() {
 }
 
 // nudgeCollectors asks a started collection loop for an intent-collection
-// pass now, so a timer scheduled to come due before the loop's next pass
-// is seen in time. A nudge already waiting covers this one.
+// pass now, so a timer scheduled to come due before the loop's next pass,
+// or an intent in a partition a cluster worker just stole, is seen in time.
+// A nudge already waiting covers this one.
 func (d *Deployment) nudgeCollectors() {
 	d.loopMu.Lock()
 	l := d.loop
@@ -468,7 +472,8 @@ func (d *Deployment) nudgeCollectors() {
 }
 
 // minCollectPeriod floors the collection loop's periods and its wait for a
-// timer's due time: a tiny ICMinAge or T would otherwise make the loop spin.
+// pending row's due time: a tiny ICMinAge or T would otherwise make the
+// loop spin.
 const minCollectPeriod = time.Millisecond
 
 // collectLoop is the goroutine StartCollectors starts: closing stop ends it,
@@ -502,7 +507,7 @@ func (l *collectLoop) run(rts []*core.Runtime, clk clock.Clock) {
 		}
 		now := clk.Now()
 		ic, gc := nudged || !now.Before(nextIC), !now.Before(nextGC)
-		var due int64 // the earliest timer due time a pass saw, µs; 0 for none
+		var due int64 // the earliest due time a pass reported, µs; 0 for none
 		for _, rt := range rts {
 			d, _ := collect(rt, ic, gc) // retried at the next pass (see StartCollectors)
 			if d != 0 && (due == 0 || d < due) {
@@ -528,11 +533,7 @@ func (l *collectLoop) run(rts []*core.Runtime, clk clock.Clock) {
 // speculated before Stop is durable when Stop returns. A second Stop finds
 // the loop already ended.
 func (d *Deployment) Stop() {
-	d.loopMu.Lock()
-	l := d.loop
-	d.loopMu.Unlock()
-	if l != nil {
-		l.once.Do(func() { close(l.stop) })
+	if l := d.haltCollectors(); l != nil {
 		<-l.done
 	}
 	if d.pipe != nil {
@@ -540,6 +541,19 @@ func (d *Deployment) Stop() {
 		// depended on it through their fences; Close here only drains.
 		_ = d.pipe.Close()
 	}
+}
+
+// haltCollectors tells a started collection loop to end once the pass in
+// flight, if any, has ended, and returns the loop without waiting for it;
+// nil when none was started.
+func (d *Deployment) haltCollectors() *collectLoop {
+	d.loopMu.Lock()
+	l := d.loop
+	d.loopMu.Unlock()
+	if l != nil {
+		l.once.Do(func() { close(l.stop) })
+	}
+	return l
 }
 
 // PeekState reads an SSF's current committed value for key directly from
@@ -593,8 +607,7 @@ func (d *Deployment) collected() []*core.Runtime {
 
 // collect runs one function's intent-collection pass when ic is set, then
 // its garbage-collection pass when gc is. due is the earliest due time, in
-// µs, of a timer's next occurrence the intent-collection pass saw (0 for
-// none).
+// µs, the intent-collection pass reported (CollectIntents; 0 for none).
 func collect(rt *core.Runtime, ic, gc bool) (due int64, _ error) {
 	if ic {
 		var err error

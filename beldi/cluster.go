@@ -40,8 +40,8 @@ type ClusterOptions struct {
 	LeaseTTL time.Duration
 	// DurableAsync, when non-nil, enables durable asynchrony on every
 	// worker's deployment: the launch budget on async intents, which the
-	// owning worker's scoped intent collector relaunches, and durable
-	// timers, which the same collector fires when they come due.
+	// owning worker's collection loop relaunches, and durable timers, which
+	// the same loop fires when they come due, as a deployment's does.
 	DurableAsync *DurableAsyncOptions
 }
 
@@ -77,7 +77,8 @@ type RegisterApp func(d *Deployment)
 
 // ClusterWorker is one member of the pool: a full Deployment (its own
 // platform and function registry over the shared store) plus the cluster
-// worker that leases, detects, steals, and collects for it.
+// worker that leases, detects and steals for it, and whose ownership
+// scopes the deployment's intent collection.
 type ClusterWorker struct {
 	c    *Cluster
 	d    *Deployment
@@ -88,9 +89,11 @@ type ClusterWorker struct {
 // JoinCluster adds a worker to the pool: it builds the worker's deployment
 // over the shared store (adopting the tables earlier workers created), runs
 // register to install the application, acquires the worker's lease, and
-// scopes the deployment's collectors to the partitions the worker owns. Pass id "" to auto-generate one. Call Start to launch
-// the background loops (heartbeat, failure detection, recovery), or drive
-// the Worker's *Once methods deterministically.
+// scopes the deployment's collectors to the partitions the worker owns
+// (the worker is every runtime's CollectorGate). Pass id "" to
+// auto-generate one. Call Start to launch the background loops, or drive
+// the Worker's *Once methods and the deployment's collectors
+// deterministically.
 func (c *Cluster) JoinCluster(id string, register RegisterApp) (*ClusterWorker, error) {
 	return c.JoinClusterWith(id, register, WorkerOptions{})
 }
@@ -154,8 +157,8 @@ func (c *Cluster) JoinClusterWith(id string, register RegisterApp, wo WorkerOpti
 		return nil, err
 	}
 	cw := &ClusterWorker{c: c, d: d, w: w, plat: plat}
-	for _, name := range d.Functions() {
-		w.Attach(d.Runtime(name))
+	for _, rt := range d.runtimes {
+		rt.SetCollectorGate(w)
 	}
 	if c.opts.DurableAsync != nil {
 		if _, err := d.enableDurableAsync(*c.opts.DurableAsync); err != nil {
@@ -183,11 +186,17 @@ func (cw *ClusterWorker) Invoke(name string, input Value) (Value, error) {
 	return cw.d.Invoke(name, input)
 }
 
-// Start launches the worker's background loops — lease heartbeats, failure
-// detection with immediate recovery collection, partition rebalancing,
-// scoped intent collection (which fires the durable timers that are due)
-// and garbage collection.
-func (cw *ClusterWorker) Start() { cw.w.Start() }
+// Start launches the worker's two background loops: the deployment's
+// collection loop (StartCollectors), whose intent-collection passes claim
+// only what the worker owns, and the worker's lease loop — heartbeats,
+// failure detection and rebalancing. A detection pass that steals a dead
+// peer's partitions nudges the collection loop for a pass at once. Both
+// loops start once: after Stop, Leave or Kill, Start starts nothing, and a
+// worker returns to the pool by joining again.
+func (cw *ClusterWorker) Start() {
+	cw.d.StartCollectors()
+	cw.w.Start(cw.d.nudgeCollectors)
+}
 
 // Stop halts the worker's loops without releasing its lease — the
 // crash-shaped stop (peers will eventually declare it dead). Use Leave for
@@ -208,12 +217,14 @@ func (cw *ClusterWorker) Leave() error {
 // Kill simulates the worker's machine dying: every in-flight instance on
 // its platform is killed at its next operation boundary, the loops stop,
 // and the lease is left to expire — the scenario the pool's failure
-// detector and work stealing exist for. Chaos tests and the cluster demo
-// use it; production workers just die.
+// detector and work stealing exist for. Kill does not wait for a
+// collection pass in flight, as a dying machine does not finish one: the
+// pass ends on its own, a late collector like any other (§5). Chaos tests
+// and the cluster demo use it; production workers just die.
 func (cw *ClusterWorker) Kill() {
 	cw.plat.SetFaults(platform.CrashAll{})
 	cw.w.Stop()
-	cw.d.Stop()
+	cw.d.haltCollectors()
 }
 
 // Functions lists the deployment's registered function names in sorted

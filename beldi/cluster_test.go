@@ -12,6 +12,7 @@ import (
 
 	"repro/beldi"
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/storage/storagetest"
 )
 
@@ -211,7 +212,8 @@ func TestOpenClusterValidation(t *testing.T) {
 }
 
 // The tests below pin how a started cluster worker drives durable async:
-// exactly as a standalone deployment does, with the timer pump.
+// exactly as a standalone deployment does, since its collection is its
+// deployment's loop.
 
 // keyed is counter's request for key.
 func keyed(key string) beldi.Value {
@@ -238,28 +240,46 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestClusterWorkerFiresScheduledTimer: a started worker's scoped intent
-// collection launches a timer when it comes due, so a one-shot timer
-// scheduled on a cluster worker runs its workflow, and runs it once.
+// TestClusterWorkerFiresScheduledTimer: a started worker fires a timer at
+// its due time on the worker's clock, as a deployment does — the schedule
+// arms its deployment's collection loop for the due time — and runs the
+// timer's workflow once. The lease and both collection periods are an
+// hour, so no loop's own period brings the timer in.
 func TestClusterWorkerFiresScheduledTimer(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1_000, 0))
+	store := storagetest.Open(t)
 	c := beldi.MustOpenCluster(beldi.ClusterOptions{
-		Store: storagetest.Open(t), Partitions: 8,
-		Config:       beldi.Config{T: 50 * time.Millisecond},
-		LeaseTTL:     200 * time.Millisecond,
+		Store: store, Partitions: 8,
+		Config:       beldi.Config{T: time.Hour, ICMinAge: time.Hour},
+		LeaseTTL:     time.Hour,
 		DurableAsync: &beldi.DurableAsyncOptions{},
 	})
-	w, err := c.JoinCluster("w1", registerCounter)
+	w, err := c.JoinClusterWith("w1", registerCounter, beldi.WorkerOptions{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Stop()
+	parked := func(n int) {
+		t.Helper()
+		waitUntil(t, fmt.Sprintf("%d waits on the worker's clock", n), func() bool { return clk.Waiters() >= n })
+	}
 	w.Start()
-	da := w.Deployment().DurableAsync()
-	if err := da.ScheduleInvoke("once", "counter", keyed("tick"), 5*time.Millisecond, 0); err != nil {
+	parked(2) // the collection loop's hour and the lease loop's tick
+	if err := w.Deployment().DurableAsync().ScheduleInvoke("once", "counter", keyed("tick"), 5*time.Second, 0); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "the timer's workflow ran", func() bool { return counterAt(t, w, "tick") >= 1 })
-	time.Sleep(250 * time.Millisecond) // a collection period: room for a second run to show
+	parked(3) // the nudged pass armed a wait for the due time
+	if n := counterAt(t, w, "tick"); n != 0 {
+		t.Fatalf("the timer's workflow ran %d times before its due time", n)
+	}
+	clk.Advance(5 * time.Second)
+	waitUntil(t, "the timer's workflow ran and finished", func() bool {
+		n, err := core.PendingIntents(store, "counter")
+		return err == nil && n == 0 && counterAt(t, w, "tick") >= 1
+	})
+	clk.Advance(time.Hour) // every loop's period: room for a second run to show
+	parked(2)
+	w.Platform().Drain()
 	if n := counterAt(t, w, "tick"); n != 1 {
 		t.Errorf("the timer's workflow ran %d times, want 1", n)
 	}
@@ -267,8 +287,8 @@ func TestClusterWorkerFiresScheduledTimer(t *testing.T) {
 
 // TestClusterWorkerCatchesUpAPeriodicTimer: one scoped collection pass of a
 // worker fires every occurrence of a periodic timer that is due, each once,
-// so a timer whose period is shorter than the worker's collection period
-// (LeaseTTL) does not fall behind.
+// so a timer whose period is shorter than the collection period (ICMinAge)
+// does not fall behind.
 func TestClusterWorkerCatchesUpAPeriodicTimer(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1_000, 0))
 	c := beldi.MustOpenCluster(beldi.ClusterOptions{
@@ -295,7 +315,7 @@ func TestClusterWorkerCatchesUpAPeriodicTimer(t *testing.T) {
 	}
 	clk.Advance(50 * time.Millisecond) // dues at 10, 20, …, 50 ms have passed
 	for range 2 {                      // the second pass comes before the next due time
-		if _, err := w.Worker().CollectOnce(); err != nil {
+		if err := w.Deployment().RunAllCollectors(); err != nil {
 			t.Fatal(err)
 		}
 		w.Platform().Drain()
@@ -307,13 +327,15 @@ func TestClusterWorkerCatchesUpAPeriodicTimer(t *testing.T) {
 
 // TestClusterWorkerIdleScans: durable async costs an idle started worker
 // nothing of its own — no store op on a table, or of a kind, that the same
-// worker without it does not make, and no goroutine.
+// worker without it does not make, and no goroutine. T is 40 ms, so the
+// window spans several intent-collection and GC passes.
 func TestClusterWorkerIdleScans(t *testing.T) {
 	const window = 300 * time.Millisecond
 	idle := func(da *beldi.DurableAsyncOptions) (ops map[string]bool, goroutines int) {
 		counted := storagetest.NewCounting(storagetest.Open(t))
 		c := beldi.MustOpenCluster(beldi.ClusterOptions{
 			Store: counted, Partitions: 8, LeaseTTL: 40 * time.Millisecond, DurableAsync: da,
+			Config: beldi.Config{T: 40 * time.Millisecond},
 		})
 		w, err := c.JoinCluster("w1", func(d *beldi.Deployment) {
 			for _, fn := range []string{"a", "b", "c"} {
@@ -326,7 +348,7 @@ func TestClusterWorkerIdleScans(t *testing.T) {
 		defer w.Stop()
 		before, g0 := counted.Counts(), runtimeGoroutines()
 		w.Start()
-		time.Sleep(window) // several collection (40 ms) and GC (160 ms) periods
+		time.Sleep(window) // several collection and GC periods (T)
 		goroutines = runtimeGoroutines() - g0
 		w.Stop()
 		ops = make(map[string]bool)
@@ -348,6 +370,26 @@ func TestClusterWorkerIdleScans(t *testing.T) {
 		t.Errorf("an idle started worker runs %d goroutines with durable async, %d without", gWith, gWithout)
 	}
 	t.Logf("idle worker: %d op kinds, %d goroutines", len(with), gWith)
+}
+
+// TestClusterWorkerRunsTwoLoopsOnce: a started worker runs two goroutines
+// of the runtime's own — its lease loop and its deployment's collection
+// loop — and Stop ends both for good: a Start after it starts neither.
+func TestClusterWorkerRunsTwoLoopsOnce(t *testing.T) {
+	c := beldi.MustOpenCluster(beldi.ClusterOptions{Store: storagetest.Open(t), Partitions: 4})
+	w, err := c.JoinCluster("w1", registerCounter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g0 := runtimeGoroutines()
+	w.Start()
+	waitUntil(t, "the worker runs two goroutines", func() bool { return runtimeGoroutines()-g0 == 2 })
+	w.Stop()
+	waitUntil(t, "Stop ends both", func() bool { return runtimeGoroutines() == g0 })
+	w.Start()
+	if n := runtimeGoroutines() - g0; n != 0 {
+		t.Errorf("a Start after Stop started %d goroutines", n)
+	}
 }
 
 // runtimeGoroutines counts the goroutines running code of the runtime's own

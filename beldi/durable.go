@@ -121,8 +121,8 @@ func (m NoMapper) Snapshot() NoMapper { return m }
 // ScheduleInvoke is idempotent per (id, fn) while the registration is live
 // (periodic, or a one-shot not fired yet), racing calls included: the first
 // registration wins. Cancel with CancelInvoke. A started collection loop
-// (StartCollectors) runs a pass at once and then by the earliest due time
-// it saw; a cluster worker fires within its collection period, LeaseTTL.
+// (StartCollectors, which a started cluster worker runs too) runs a pass at
+// once and then by the earliest due time it saw.
 func (da *DurableAsync) ScheduleInvoke(id, fn string, input Value, delay, period time.Duration) error {
 	rt, err := da.scheduled(fn)
 	if err != nil {

@@ -143,6 +143,9 @@ func RunCluster(c ClusterCell) (ClusterSweepPoint, error) {
 	for _, w := range pool {
 		w.Start()
 	}
+	restarts := func(w *beldi.ClusterWorker) int64 {
+		return w.Deployment().Runtime("step").Stats().Restarts.Load()
+	}
 
 	var steps, failed atomic.Int64
 	var keySeq atomic.Int64
@@ -165,7 +168,7 @@ func RunCluster(c ClusterCell) (ClusterSweepPoint, error) {
 				// moment are the kill's recovery work.
 				for i, w := range pool {
 					if i != victim {
-						restartsAtKill.Add(w.Worker().Stats().Restarts.Load())
+						restartsAtKill.Add(restarts(w))
 					}
 				}
 			})
@@ -237,7 +240,7 @@ func RunCluster(c ClusterCell) (ClusterSweepPoint, error) {
 				continue
 			}
 			pt.Stolen += w.Worker().Stats().Steals.Load()
-			pt.Recovered += w.Worker().Stats().Restarts.Load()
+			pt.Recovered += restarts(w)
 		}
 		pt.Recovered -= restartsAtKill.Load()
 	}

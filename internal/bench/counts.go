@@ -135,14 +135,8 @@ func RunCount(set CountSet) (CountRow, error) {
 		if round > 0 {
 			clk.Advance(3 * countConfig.T)
 		}
-		for _, fn := range d.Functions() {
-			rt := d.Runtime(fn)
-			if _, err := rt.RunIntentCollector(); err != nil {
-				return CountRow{}, fmt.Errorf("bench: intent collector of %s: %w", fn, err)
-			}
-			if _, err := rt.RunGarbageCollector(); err != nil {
-				return CountRow{}, fmt.Errorf("bench: garbage collector of %s: %w", fn, err)
-			}
+		if err := d.RunAllCollectors(); err != nil {
+			return CountRow{}, fmt.Errorf("bench: %s/%s collection: %w", set.Workload, set.Stack, err)
 		}
 	}
 	if err := unheld("by the collection"); err != nil {

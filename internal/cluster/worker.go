@@ -30,9 +30,8 @@ type Options struct {
 	// LeaseTTL is how long a heartbeat keeps the worker's lease alive; a
 	// worker silent for longer is marked dead and its work stolen. 0 means
 	// DefaultLeaseTTL. Worker clock skew must stay well under this bound
-	// (see OPERATIONS.md). Start's loops run on periods derived from it:
-	// heartbeat LeaseTTL/4, detect LeaseTTL/2, rebalance and collect
-	// LeaseTTL, GC 4·LeaseTTL.
+	// (see OPERATIONS.md). Start's loop runs on periods derived from it:
+	// heartbeat LeaseTTL/4, detect LeaseTTL/2, rebalance LeaseTTL.
 	LeaseTTL time.Duration
 	// Partitions is the cluster's partition count; only the first joiner's
 	// value matters (later joiners adopt the persisted count, and error if
@@ -75,8 +74,6 @@ type Stats struct {
 	Steals     atomic.Int64
 	Claims     atomic.Int64
 	Releases   atomic.Int64
-	// Restarts counts intents this worker's collection passes re-launched.
-	Restarts atomic.Int64
 }
 
 // StatsView is a point-in-time copy for reporting — the common snapshot
@@ -84,7 +81,6 @@ type Stats struct {
 type StatsView struct {
 	Heartbeats, Detects, DeadMarked int64
 	Steals, Claims, Releases        int64
-	Restarts                        int64
 }
 
 // Snapshot copies the counters.
@@ -96,14 +92,14 @@ func (s *Stats) Snapshot() StatsView {
 		Steals:     s.Steals.Load(),
 		Claims:     s.Claims.Load(),
 		Releases:   s.Releases.Load(),
-		Restarts:   s.Restarts.Load(),
 	}
 }
 
-// Worker is one member of a cluster: a lease it heartbeats, the partitions
-// it owns, and the runtimes whose recovery it drives.
+// Worker is one member of a cluster: a lease it heartbeats and the
+// partitions it owns. As a core.CollectorGate it scopes and fences the
+// intent collection of the runtimes that install it (SetCollectorGate).
 // Create with Join; drive deterministically with the *Once methods or start
-// the background loops with Start.
+// the background loop with Start.
 type Worker struct {
 	id    string
 	store storage.Backend
@@ -119,12 +115,9 @@ type Worker struct {
 	owned  map[int]int64 // partition → fencing epoch under which we own it
 	fenced bool
 
-	rtMu     sync.Mutex
-	runtimes []*core.Runtime
-
 	loopMu  sync.Mutex
-	stopCh  chan struct{}
-	started bool
+	stopCh  chan struct{} // nil until Start
+	stopped bool
 	wg      sync.WaitGroup
 
 	stats Stats
@@ -226,8 +219,8 @@ func (w *Worker) setEpoch(e int64) {
 
 // Rejoin re-acquires this worker's lease after fencing: the identity comes
 // back at a higher epoch with no partitions (rebalancing earns a fair share
-// back), exactly like a process restart under the same name. The background
-// heartbeat loop calls it automatically, so a worker fenced by a transient
+// back), exactly like a process restart under the same name. Start's lease
+// loop calls it automatically, so a worker fenced by a transient
 // stall (CPU starvation, a long pause — the zombie scenarios) returns to
 // the pool instead of leaving it short-handed forever. No-op while the
 // worker is not fenced; ErrWorkerExists while its old lease is still live
@@ -346,8 +339,9 @@ func (w *Worker) HeartbeatOnce() error {
 // deadline) is marked dead — guarded on the observed epoch and deadline, so
 // a heartbeat racing the verdict wins or loses atomically — and the dead
 // worker's partitions are stolen by this worker at bumped epochs. It
-// returns the ids marked dead and the number of partitions stolen; run a
-// collection pass afterwards to restart the stolen in-flight intents.
+// returns the ids marked dead and the number of partitions stolen; run an
+// intent-collection pass afterwards to restart the stolen in-flight
+// intents.
 func (w *Worker) DetectOnce() (dead []string, stolen int, err error) {
 	if err := w.checkFenced(); err != nil {
 		return nil, 0, err
@@ -599,17 +593,7 @@ func parsePartID(s string) (int, bool) {
 	return p, true
 }
 
-// --- work attachment -------------------------------------------------------
-
-// Attach puts a runtime's intent collector under this worker's ownership
-// scope: the collector restarts only intents in partitions the worker owns,
-// and every claim is fenced on the owning partition's epoch.
-func (w *Worker) Attach(rt *core.Runtime) {
-	rt.SetCollectorGate(w)
-	w.rtMu.Lock()
-	w.runtimes = append(w.runtimes, rt)
-	w.rtMu.Unlock()
-}
+// --- collector gate ------------------------------------------------------
 
 // OwnsIntent implements core.CollectorGate: the worker owns an intent when
 // it owns the intent id's partition (and is not fenced).
@@ -648,101 +632,47 @@ func (w *Worker) ClaimFence(id string) []dynamo.TxOp {
 	}}
 }
 
-// CollectOnce runs one intent-collection pass over every attached runtime —
-// scoped and fenced by this worker's ownership — returning the number of
-// instances restarted.
-func (w *Worker) CollectOnce() (int, error) {
-	w.rtMu.Lock()
-	rts := append([]*core.Runtime(nil), w.runtimes...)
-	w.rtMu.Unlock()
-	restarted := 0
-	for _, rt := range rts {
-		n, err := rt.RunIntentCollector()
-		restarted += n
-		if err != nil {
-			return restarted, err
-		}
-	}
-	w.stats.Restarts.Add(int64(restarted))
-	return restarted, nil
-}
-
-// GCOnce runs one garbage-collection pass over every attached runtime. GC
-// needs no ownership scope — its phases tolerate concurrent collectors by
-// construction (§5) — but routing it through the worker keeps one pass per
-// pool instead of one per process per timer.
-func (w *Worker) GCOnce() error {
-	w.rtMu.Lock()
-	rts := append([]*core.Runtime(nil), w.runtimes...)
-	w.rtMu.Unlock()
-	for _, rt := range rts {
-		if rt.Mode() == core.ModeBaseline {
-			continue
-		}
-		if _, err := rt.RunGarbageCollector(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // --- lifecycle -------------------------------------------------------------
 
-// Start launches the worker's background loops: a dedicated heartbeat loop
-// (lease renewal must never wait behind heavy work — a worker whose own GC
-// pass starved its heartbeats would zombie itself), a work loop for failure
-// detection (followed by an immediate collection pass when work was
-// stolen), rebalancing, collection and garbage collection. Stop (or
-// fencing) halts them.
-func (w *Worker) Start() {
+// Start launches the worker's lease loop: one goroutine on the worker's
+// clock whose tick is LeaseTTL/4. Each tick renews the lease first; every
+// 2 ticks a detection pass follows, and every 4 a rebalancing pass. A
+// detection pass that steals partitions calls afterSteal (nil for none), so
+// the caller's collection can restart the stolen intents at once. A fenced
+// worker attempts Rejoin on its ticks instead: a stall that cost the lease
+// costs the partitions, never the worker's life. Stop (or Leave) halts the
+// loop for good, as a deployment's Stop halts its collection loop: a Start
+// after Stop, or a second one, is a no-op.
+func (w *Worker) Start(afterSteal func()) {
 	w.loopMu.Lock()
 	defer w.loopMu.Unlock()
-	if w.started {
+	if w.stopCh != nil || w.stopped {
 		return
 	}
-	w.started = true
 	w.stopCh = make(chan struct{})
-	w.wg.Add(2)
-	go w.heartbeatLoop(w.stopCh)
-	go w.workLoop(w.stopCh)
+	w.wg.Add(1)
+	go w.leaseLoop(w.stopCh, afterSteal)
 }
 
-// heartbeatLoop renews the lease and nothing else, so renewal latency is
-// bounded by one conditional write regardless of how long collection or GC
-// runs. A fenced worker attempts Rejoin on subsequent ticks — a stall that
-// cost the lease costs the partitions, never the worker's life.
-func (w *Worker) heartbeatLoop(stopCh chan struct{}) {
+// leaseLoop is Start's goroutine. Detection and rebalancing are a scan or
+// two of the small lease and partition tables, so they never hold a tick's
+// heartbeat back for long; the collection passes, which can, run on the
+// caller's own loop.
+func (w *Worker) leaseLoop(stopCh chan struct{}, afterSteal func()) {
 	defer w.wg.Done()
-	for w.wait(stopCh, w.ttl/4) {
+	for tick := 1; w.wait(stopCh, w.ttl/4); tick++ {
 		if w.Fenced() {
 			w.Rejoin() //nolint:errcheck // old lease may still run; retry next tick
 			continue
 		}
 		w.HeartbeatOnce() //nolint:errcheck // fencing handled next tick; store errors retry
-	}
-}
-
-// workLoop drives detection, rebalancing, collection and GC on the worker's
-// clock. One tick is a heartbeat period, LeaseTTL/4: detection runs every 2
-// ticks, rebalancing and collection every 4, GC every 16. Fenced, it waits
-// for the heartbeat loop's Rejoin.
-func (w *Worker) workLoop(stopCh chan struct{}) {
-	defer w.wg.Done()
-	for tick := 1; w.wait(stopCh, w.ttl/4); tick++ {
-		if w.Fenced() {
-			continue // wait for the heartbeat loop's Rejoin
-		}
 		if tick%2 == 0 {
-			if _, stolen, err := w.DetectOnce(); err == nil && stolen > 0 {
-				w.CollectOnce() //nolint:errcheck // next tick retries
+			if _, stolen, err := w.DetectOnce(); err == nil && stolen > 0 && afterSteal != nil {
+				afterSteal()
 			}
 		}
 		if tick%4 == 0 {
 			w.RebalanceOnce() //nolint:errcheck // next tick retries
-			w.CollectOnce()   //nolint:errcheck // next tick retries
-		}
-		if tick%16 == 0 {
-			w.GCOnce() //nolint:errcheck // next tick retries
 		}
 	}
 }
@@ -758,23 +688,21 @@ func (w *Worker) wait(stopCh chan struct{}, d time.Duration) bool {
 	}
 }
 
-// Stop halts the background loops without touching the lease — the
+// Stop halts the lease loop without touching the lease — the
 // crash-shaped stop: the lease runs out, a peer marks the worker dead and
 // steals its work. Use Leave for a graceful exit.
 func (w *Worker) Stop() {
 	w.loopMu.Lock()
-	if !w.started {
-		w.loopMu.Unlock()
-		return
+	if w.stopCh != nil && !w.stopped {
+		close(w.stopCh)
 	}
-	w.started = false
-	close(w.stopCh)
+	w.stopped = true
 	w.loopMu.Unlock()
 	w.wg.Wait()
 }
 
 // Leave exits gracefully: it releases every owned partition, marks its own
-// lease dead, and stops the loops. Peers rebalance the released partitions
+// lease dead, and stops the loop. Peers rebalance the released partitions
 // without waiting out the lease TTL.
 func (w *Worker) Leave() error {
 	w.Stop()

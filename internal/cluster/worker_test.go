@@ -274,8 +274,8 @@ func TestZombieCollectorClaimFenced(t *testing.T) {
 	b := join(t, store, clkB, "b", 0)
 	rtA, platA := newRuntime(t, store, clkA, "a")
 	rtB, platB := newRuntime(t, store, clkB, "b")
-	a.Attach(rtA)
-	b.Attach(rtB)
+	rtA.SetCollectorGate(a)
+	rtB.SetCollectorGate(b)
 
 	// a owns every partition (it joined first and b never rebalanced), so
 	// the crashing workflow below is a's to recover — until it stalls.
@@ -303,7 +303,7 @@ func TestZombieCollectorClaimFenced(t *testing.T) {
 	// The zombie wakes and runs its collector with its stale tokens. Its
 	// view still says it owns the intent's partition, so it attempts the
 	// claim — and the store's fence check rejects it.
-	restarted, err := a.CollectOnce()
+	restarted, err := rtA.RunIntentCollector()
 	if err != nil {
 		t.Fatalf("zombie collect: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestZombieCollectorClaimFenced(t *testing.T) {
 	}
 
 	// The thief recovers the workflow.
-	restarted, err = b.CollectOnce()
+	restarted, err = rtB.RunIntentCollector()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,8 +435,7 @@ func TestPartitionOfStableAndInRange(t *testing.T) {
 }
 
 // armingClock is a manual clock that reports every After(period) call, so a
-// test advances it only once Start's heartbeat and work loops both wait on
-// their next tick.
+// test advances it only once Start's lease loop waits on its next tick.
 type armingClock struct {
 	*clock.Manual
 	period time.Duration
@@ -453,22 +452,21 @@ func (c *armingClock) After(d time.Duration) <-chan time.Time {
 
 // TestStartRunsTheLeaseTTLSchedule pins the schedule Start derives from
 // LeaseTTL alone: one heartbeat per tick of LeaseTTL/4, a detection pass
-// every 2 ticks, and a GC pass over the attached runtimes every 16.
+// every 2 ticks, and afterSteal once, after the pass that steals a silent
+// peer's partitions.
 func TestStartRunsTheLeaseTTLSchedule(t *testing.T) {
 	store := newSharedStore(t)
 	clk := &armingClock{Manual: clock.NewManual(t0), period: testTTL / 4, armed: make(chan struct{}, 8)}
-	w := join(t, store, clk, "w1", 4)
-	rt, _ := newRuntime(t, store, clk, "w1")
-	w.Attach(rt)
-	w.Start()
+	join(t, store, clock.NewManual(t0), "silent", 4) // owns every partition, never heartbeats
+	w := join(t, store, clk, "w1", 0)
+	var afterSteal int
+	w.Start(func() { afterSteal++ })
 	defer w.Stop()
 	park := func() {
-		for i := 0; i < 2; i++ {
-			select {
-			case <-clk.armed:
-			case <-time.After(10 * time.Second):
-				t.Fatal("a loop never waited on its next tick")
-			}
+		select {
+		case <-clk.armed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the lease loop never waited on its next tick")
 		}
 	}
 	const ticks = 34
@@ -476,7 +474,7 @@ func TestStartRunsTheLeaseTTLSchedule(t *testing.T) {
 		park()
 		clk.Advance(testTTL / 4)
 	}
-	park() // both loops have finished the last tick
+	park() // the loop has finished the last tick
 	st := w.Stats().Snapshot()
 	if st.Heartbeats != ticks {
 		t.Errorf("Heartbeats = %d after %d ticks, want %d", st.Heartbeats, ticks, ticks)
@@ -484,7 +482,7 @@ func TestStartRunsTheLeaseTTLSchedule(t *testing.T) {
 	if st.Detects != ticks/2 {
 		t.Errorf("Detects = %d after %d ticks, want %d", st.Detects, ticks, ticks/2)
 	}
-	if got := rt.StatsSnapshot().GCRuns; got != ticks/16 {
-		t.Errorf("GCRuns = %d after %d ticks, want %d", got, ticks, ticks/16)
+	if st.Steals != 4 || afterSteal != 1 {
+		t.Errorf("%d partitions stolen and afterSteal called %d times, want 4 and 1", st.Steals, afterSteal)
 	}
 }

@@ -17,9 +17,10 @@ import (
 // its own execution time (Appendix A).
 //
 // The core runs no timer of its own. A deployment's collection loop
-// (beldi.Deployment.StartCollectors) runs this pass every ICMinAge and the
-// garbage collector every T, function by function; a cluster worker and the
-// simulator drive both from their own loops.
+// (beldi.Deployment.StartCollectors) runs this pass every ICMinAge, or
+// sooner when a pending row comes due, and the garbage collector every T,
+// function by function; a cluster worker's collection is that same loop.
+// Only the simulator drives the passes from pumps of its own.
 //
 // In a clustered deployment (internal/cluster) a CollectorGate scopes each
 // worker's pass to the intent partitions its lease covers and fences every
@@ -37,8 +38,10 @@ func (rt *Runtime) RunIntentCollector() (int, error) {
 // that is due (fireSchedule: a first launch, not a restart) and restarts
 // every other intent last launched ICMinAge ago, returning how many it
 // restarted and nextDue: the earliest due time, in µs on the runtime's
-// clock, of a schedule's next occurrence — one this pass fired, or one it
-// left because it is not due — 0 when it saw none.
+// clock, of the first pending row the pass left because it is not due
+// (LastLaunch + ICMinAge) or of the next occurrence of a schedule it fired;
+// 0 when it saw neither. A due row of another worker's partition is
+// skipped and never reported.
 func (rt *Runtime) CollectIntents() (restarted int, nextDue int64, _ error) {
 	items, err := rt.store.QueryIndex(rt.intentTable, indexPending, dynamo.S(pendingMarker),
 		dynamo.QueryOpts{Limit: rt.cfg.ICPageLimit})
@@ -47,12 +50,12 @@ func (rt *Runtime) CollectIntents() (restarted int, nextDue int64, _ error) {
 	}
 	now := rt.now()
 	gate := rt.collectorGate()
-	for i, it := range items {
+	for _, it := range items {
 		rec := decodeIntent(it)
 		if rt.launchedRecently(rec.lastLaunch, now) {
 			// Give it time (first IC optimization). The index is sorted by
 			// LastLaunch, so no later row is due either.
-			return restarted, earliest(nextDue, rt.firstDue(items[i:])), nil
+			return restarted, earliest(nextDue, rec.lastLaunch+rt.cfg.ICMinAge.Microseconds()), nil
 		}
 		var fence []dynamo.TxOp
 		if gate != nil {
@@ -92,18 +95,6 @@ func (rt *Runtime) CollectIntents() (restarted int, nextDue int64, _ error) {
 		restarted++
 	}
 	return restarted, nextDue, nil
-}
-
-// firstDue is the due time of the first schedule among items, a tail of the
-// pending index that holds no due row: the earliest, as the index sorts by
-// LastLaunch. 0 when there is none.
-func (rt *Runtime) firstDue(items []dynamo.Item) int64 {
-	for _, it := range items {
-		if _, ok := it[attrSchedule]; ok {
-			return it[attrLastLaunch].Int() + rt.cfg.ICMinAge.Microseconds()
-		}
-	}
-	return 0
 }
 
 // earliest is the earlier of two due times, where 0 is none.

@@ -83,13 +83,13 @@ func newTimerLoop(t *testing.T) *timerLoop {
 	return l
 }
 
-// parked waits, on the wall clock, until the loop holds n waits on the
-// manual clock.
-func (l *timerLoop) parked(t *testing.T, n int) {
+// parked waits, on the wall clock, until the collection loop holds n waits
+// on clk.
+func parked(t *testing.T, clk *clock.Manual, n int) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); l.clk.Waiters() < n; time.Sleep(100 * time.Microsecond) {
+	for deadline := time.Now().Add(5 * time.Second); clk.Waiters() < n; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("the collection loop holds %d waits, want %d", l.clk.Waiters(), n)
+			t.Fatalf("the collection loop holds %d waits, want %d", clk.Waiters(), n)
 		}
 	}
 }
@@ -121,11 +121,11 @@ func (l *timerLoop) ran(t *testing.T) {
 // clock for ICMinAge or for any poll interval.
 func TestScheduledTimerFiresOnTheDeploymentClock(t *testing.T) {
 	l := newTimerLoop(t)
-	l.parked(t, 1) // the loop's hour-long wait
+	parked(t, l.clk, 1) // the loop's hour-long wait
 	if err := l.da.ScheduleInvoke("five", "tick", beldi.Null, 5*time.Second, 0); err != nil {
 		t.Fatal(err)
 	}
-	l.parked(t, 2) // the nudged pass ran and armed the wait for the due time
+	parked(t, l.clk, 2) // the nudged pass ran and armed the wait for the due time
 	if n := l.runs.Load(); n != 0 {
 		t.Fatalf("ran %d times before the due time", n)
 	}
@@ -138,7 +138,7 @@ func TestScheduledTimerFiresOnTheDeploymentClock(t *testing.T) {
 // without the clock moving.
 func TestScheduleNudgesTheSleepingLoop(t *testing.T) {
 	l := newTimerLoop(t)
-	l.parked(t, 1)
+	parked(t, l.clk, 1)
 	if err := l.da.ScheduleInvoke("now", "tick", beldi.Null, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestScheduleNudgesTheSleepingLoop(t *testing.T) {
 // occurrences it passed in one pass.
 func TestPeriodicTimerRunsOncePerPeriod(t *testing.T) {
 	l := newTimerLoop(t)
-	l.parked(t, 1)
+	parked(t, l.clk, 1)
 	if err := l.da.ScheduleInvoke("every5", "tick", beldi.Null, 5*time.Second, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	l.parked(t, 2) // the nudged pass armed the wait for the first due time
+	parked(t, l.clk, 2) // the nudged pass armed the wait for the first due time
 	want := int64(0)
 	for _, periods := range []int64{1, 1, 1, 3, 1} {
 		l.clk.Advance(time.Duration(periods) * 5 * time.Second)
@@ -166,9 +166,76 @@ func TestPeriodicTimerRunsOncePerPeriod(t *testing.T) {
 				t.Fatalf("%d runs after %d periods, want %d", l.runs.Load(), want, want)
 			}
 		}
-		l.parked(t, 2) // the pass that fired armed the wait for the next due time
+		parked(t, l.clk, 2) // the pass that fired armed the wait for the next due time
 		if n := l.runs.Load(); n != want {
 			t.Fatalf("%d runs after %d periods, want %d", n, want, want)
+		}
+	}
+}
+
+// TestLoopRelaunchesAFailedAttemptWhenItComesDue: a workflow whose first
+// attempt fails half an hour into the loop's hour-long period is relaunched
+// when the attempt turns ICMinAge (1 h) old, not at the loop's second
+// hourly pass: the first pass, which found the attempt too young, armed the
+// next pass for its due time.
+func TestLoopRelaunchesAFailedAttemptWhenItComesDue(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1_000, 0))
+	d := beldi.NewDeployment(beldi.DeploymentOptions{
+		Store:    storagetest.Open(t),
+		Platform: platform.New(platform.Options{}),
+		Clock:    clk,
+		Config:   beldi.Config{T: time.Hour, ICMinAge: time.Hour},
+	})
+	var attempts atomic.Int64
+	rt := d.Function("flaky", func(e *beldi.Env, _ beldi.Value) (beldi.Value, error) {
+		if attempts.Add(1) == 1 {
+			return beldi.Null, fmt.Errorf("transient")
+		}
+		return beldi.Null, e.Write("done", "k", beldi.Int(1))
+	}, "done")
+	d.StartCollectors()
+	t.Cleanup(d.Stop)
+	parked(t, clk, 1)
+	clk.Advance(30 * time.Minute)
+	if _, err := d.Invoke("flaky", beldi.Null); err == nil {
+		t.Fatal("the first attempt did not fail")
+	}
+	clk.Advance(30 * time.Minute) // the hourly pass: the attempt is 30 min old
+	parked(t, clk, 1)
+	if n := attempts.Load(); n != 1 {
+		t.Fatalf("%d attempts at the hourly pass, want 1: the attempt is younger than ICMinAge", n)
+	}
+	clk.Advance(30 * time.Minute) // the attempt is an hour old
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if v, _ := beldi.PeekState(rt, "done", "k"); v.Int() == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("not relaunched an hour after the failed attempt: %d attempts", attempts.Load())
+		}
+	}
+}
+
+// TestLoopRunsGCEveryT: with ICMinAge a sixth of T, the loop runs an
+// intent-collection pass every ICMinAge and a garbage-collection pass on
+// every sixth of them, once per T.
+func TestLoopRunsGCEveryT(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1_000, 0))
+	d := beldi.NewDeployment(beldi.DeploymentOptions{
+		Store:    storagetest.Open(t),
+		Platform: platform.New(platform.Options{}),
+		Clock:    clk,
+		Config:   beldi.Config{T: time.Hour, ICMinAge: 10 * time.Minute},
+	})
+	rt := d.Function("idle", func(*beldi.Env, beldi.Value) (beldi.Value, error) { return beldi.Null, nil })
+	d.StartCollectors()
+	t.Cleanup(d.Stop)
+	for n := 1; n <= 18; n++ {
+		parked(t, clk, 1)
+		clk.Advance(10 * time.Minute)
+		parked(t, clk, 1) // the pass ran and armed the next wait
+		if got := rt.StatsSnapshot().GCRuns; got != int64(n/6) {
+			t.Fatalf("%d GC passes after %d min, want %d", got, 10*n, n/6)
 		}
 	}
 }

@@ -72,8 +72,11 @@ type Config struct {
 	T time.Duration
 	// ICMinAge makes the collector restart an instance only when its last
 	// launch is at least this old (§3.3's first IC optimization). A
-	// deployment's collection loop also runs its intent-collection passes
-	// this far apart (beldi.Deployment.StartCollectors). 0 means T.
+	// deployment's collection loop (beldi.Deployment.StartCollectors; a
+	// cluster worker's too) also runs its intent-collection passes at most
+	// this far apart, and sooner when a pending row comes due: a pass that
+	// leaves a row because it is younger than ICMinAge arms the next pass
+	// for the moment it is not. 0 means T.
 	ICMinAge time.Duration
 	// ICPageLimit bounds intents processed per collector run (Appendix A's
 	// paging: the paper's collectors are SSFs with execution timeouts, so

@@ -138,17 +138,20 @@ func NewCluster(s *Scheduler, inner storage.Backend, cfg ClusterConfig) (*Cluste
 	return c, nil
 }
 
-// StartPumps spawns each worker's background pumps as scheduler tasks,
-// mirroring the cadence structure of beldi.ClusterWorker.Start: a heartbeat
-// pump (renewal and post-fence rejoin) and a work pump (detection,
-// rebalancing, collection, GC). The tick is the real loops' LeaseTTL/4, and
-// detection (every 2 ticks) and rebalancing (every 4) match them.
-// Collection and GC do not: the work pump collects every 2 ticks and runs GC
-// every 4, where the real work loop collects every 4 and runs GC every 16.
-// Asynchronous runs are fired in-process (the platform's AsyncDispatch
-// spawns them as tasks), and the work pump's collection relaunches a lost
-// one. The pumps fire no timers. The pinned sim seeds' traces depend on
-// these cadences.
+// StartPumps spawns each worker's background pumps as scheduler tasks in
+// place of beldi.ClusterWorker.Start's two loops: a heartbeat pump (renewal
+// and post-fence rejoin) and a work pump (detection, rebalancing, and the
+// deployment's intent-collection and GC passes, each over every function in
+// Deployment.Functions order). The tick is the worker's lease loop's,
+// LeaseTTL/4, and detection (every 2 ticks) and rebalancing (every 4) match
+// it. The passes run on the pump's ticks, not on the deployment's
+// collection loop: an intent-collection pass every 2 ticks and right after
+// a detection pass that stole (where the real loop is nudged), and a GC
+// pass every 4, where the real loop runs them every ICMinAge (sooner when a
+// pending row comes due) and every T. Asynchronous runs are fired
+// in-process (the platform's AsyncDispatch spawns them as tasks), and the
+// pump's collection relaunches a lost one. The pinned sim seeds' traces
+// depend on these cadences.
 func (c *Cluster) StartPumps() {
 	for _, w := range c.Workers {
 		c.startPumpsFor(w)
@@ -159,6 +162,22 @@ func (c *Cluster) startPumpsFor(w *Worker) {
 	s := c.S
 	tick := simLeaseTTL / 4
 	wk := w.CW.Worker()
+	d := w.CW.Deployment()
+	var rts []*core.Runtime
+	for _, fn := range d.Functions() {
+		rts = append(rts, d.Runtime(fn))
+	}
+	// collect runs pass over every function, stopping at the first error;
+	// the next tick retries.
+	collect := func(pass func(*core.Runtime) error) {
+		for _, rt := range rts {
+			if pass(rt) != nil {
+				return
+			}
+		}
+	}
+	ic := func(rt *core.Runtime) error { _, err := rt.RunIntentCollector(); return err }
+	gc := func(rt *core.Runtime) error { _, err := rt.RunGarbageCollector(); return err }
 	s.Go(TaskOpts{Name: w.Name + ".hb", Proc: w.Name, Pump: true}, func() {
 		for {
 			s.Sleep(tick)
@@ -183,17 +202,17 @@ func (c *Cluster) startPumpsFor(w *Worker) {
 			}
 			if n%2 == 0 {
 				if _, stolen, err := wk.DetectOnce(); err == nil && stolen > 0 {
-					wk.CollectOnce() //nolint:errcheck // next tick retries
+					collect(ic)
 				}
 			}
 			if n%4 == 0 {
 				wk.RebalanceOnce() //nolint:errcheck // next tick retries
 			}
 			if n%2 == 1 {
-				wk.CollectOnce() //nolint:errcheck // next tick retries
+				collect(ic)
 			}
 			if n%4 == 2 {
-				wk.GCOnce() //nolint:errcheck // next tick retries
+				collect(gc)
 			}
 		}
 	})
