@@ -432,26 +432,48 @@ func (d *Deployment) known(name string) error {
 // StartCollectors starts the deployment's collection loop: one goroutine on
 // the deployment's clock that runs an intent-collection pass every ICMinAge
 // (T unless set) and a garbage-collection pass every T, each at least 1 ms
-// apart. A pending row that comes due sooner — a failed attempt turning
-// ICMinAge old, a durable timer (DurableAsync.ScheduleInvoke) — brings the
-// next intent-collection pass forward to its due time, and scheduling a
-// timer runs a pass at once, as does a cluster worker's steal of a dead
-// peer's partitions. A pass covers the non-baseline functions registered
+// apart. A pending row that comes due sooner brings the next
+// intent-collection pass forward to its due time: a durable timer
+// (DurableAsync.ScheduleInvoke) to the microsecond, a failed attempt turning
+// ICMinAge old up to a quarter of ICMinAge late, so that many pending
+// attempts share passes (core.Runtime.CollectIntents). Scheduling a timer
+// runs a pass at once, as does a cluster worker's claim of partitions. A
+// pass covers the non-baseline functions registered
 // when StartCollectors is called, in sorted order, with RunAllCollectors'
 // body; a failed pass is retried at the next one, since both collectors are
-// at-least-once (§5). Stop ends the loop. A second call is a no-op.
-func (d *Deployment) StartCollectors() {
+// at-least-once (§5). Stop ends the loop for good: a StartCollectors after
+// it, or a second one, is a no-op.
+func (d *Deployment) StartCollectors() { d.startCollectors(0, nil, false) }
+
+// startCollectors starts the collection loop with a floor under the garbage
+// collector's period (the loop's is the longer of T and gcMin) and with
+// paused, nil or a test the loop makes before each function's passes: while
+// it reports true the loop runs none and keeps its periods. With restart
+// set (a cluster worker's Start), a loop that Stop or Kill halted is waited
+// for and replaced; otherwise any loop started before stays.
+func (d *Deployment) startCollectors(gcMin time.Duration, paused func() bool, restart bool) {
 	rts := d.collected()
 	d.loopMu.Lock()
 	defer d.loopMu.Unlock()
-	if d.loop != nil || len(rts) == 0 {
+	if l := d.loop; l != nil {
+		select {
+		case <-l.stop:
+			if !restart {
+				return
+			}
+			<-l.done // its pass in flight ends before the next loop's first
+		default:
+			return
+		}
+	}
+	if len(rts) == 0 {
 		return
 	}
 	clk := d.opts.Clock
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	d.loop = &collectLoop{stop: make(chan struct{}), done: make(chan struct{}), nudge: make(chan struct{}, 1)}
+	d.loop = &collectLoop{stop: make(chan struct{}), done: make(chan struct{}), nudge: make(chan struct{}, 1), gcMin: gcMin, paused: paused}
 	go d.loop.run(rts, clk)
 }
 
@@ -476,20 +498,22 @@ func (d *Deployment) nudgeCollectors() {
 // loop spin.
 const minCollectPeriod = time.Millisecond
 
-// collectLoop is the goroutine StartCollectors starts: closing stop ends it,
+// collectLoop is the goroutine startCollectors starts: closing stop ends it,
 // and done closes once it has returned. A send on nudge, a 1-slot channel,
 // asks for an intent-collection pass now.
 type collectLoop struct {
 	stop, done chan struct{}
 	nudge      chan struct{}
 	once       sync.Once
+	gcMin      time.Duration
+	paused     func() bool // nil: never
 }
 
 func (l *collectLoop) run(rts []*core.Runtime, clk clock.Clock) {
 	defer close(l.done)
 	cfg := rts[0].Config() // one Config serves every function of a deployment
 	icEvery := max(cfg.ICMinAge, minCollectPeriod)
-	gcEvery := max(cfg.T, minCollectPeriod)
+	gcEvery := max(cfg.T, l.gcMin, minCollectPeriod)
 	start := clk.Now()
 	nextIC, nextGC := start.Add(icEvery), start.Add(gcEvery)
 	for {
@@ -509,6 +533,9 @@ func (l *collectLoop) run(rts []*core.Runtime, clk clock.Clock) {
 		ic, gc := nudged || !now.Before(nextIC), !now.Before(nextGC)
 		var due int64 // the earliest due time a pass reported, µs; 0 for none
 		for _, rt := range rts {
+			if l.paused != nil && l.paused() {
+				break
+			}
 			d, _ := collect(rt, ic, gc) // retried at the next pass (see StartCollectors)
 			if d != 0 && (due == 0 || d < due) {
 				due = d

@@ -10,6 +10,7 @@ package beldi
 // OPERATIONS.md for running and tuning clustered deployments.
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"time"
@@ -190,11 +191,17 @@ func (cw *ClusterWorker) Invoke(name string, input Value) (Value, error) {
 // collection loop (StartCollectors), whose intent-collection passes claim
 // only what the worker owns, and the worker's lease loop — heartbeats,
 // failure detection and rebalancing. A detection pass that steals a dead
-// peer's partitions nudges the collection loop for a pass at once. Both
-// loops start once: after Stop, Leave or Kill, Start starts nothing, and a
-// worker returns to the pool by joining again.
+// peer's partitions, or a rebalancing pass that claims some, nudges the
+// collection loop for a pass at once. Two things set the worker's loop
+// apart from a lone deployment's. It runs no pass while the worker is
+// fenced: it owns nothing to collect, and its GC would race the thief's
+// recovery for nothing. And it runs GC every 4·LeaseTTL when T is shorter:
+// a GC pass is not scoped by ownership, so each worker's pass covers the
+// whole pool's intents, and with a T as short as the lease's ticks every
+// worker's loop would spend its time in GC. Start after Stop starts both
+// loops again.
 func (cw *ClusterWorker) Start() {
-	cw.d.StartCollectors()
+	cw.d.startCollectors(4*cmp.Or(cw.c.opts.LeaseTTL, cluster.DefaultLeaseTTL), cw.w.Fenced, true)
 	cw.w.Start(cw.d.nudgeCollectors)
 }
 

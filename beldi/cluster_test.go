@@ -327,10 +327,11 @@ func TestClusterWorkerCatchesUpAPeriodicTimer(t *testing.T) {
 
 // TestClusterWorkerIdleScans: durable async costs an idle started worker
 // nothing of its own — no store op on a table, or of a kind, that the same
-// worker without it does not make, and no goroutine. T is 40 ms, so the
-// window spans several intent-collection and GC passes.
+// worker without it does not make, and no goroutine. T is 40 ms and a
+// worker's GC period is at least 4·LeaseTTL, 160 ms, so the window spans
+// about a dozen intent-collection passes and three GC passes.
 func TestClusterWorkerIdleScans(t *testing.T) {
-	const window = 300 * time.Millisecond
+	const window = 500 * time.Millisecond
 	idle := func(da *beldi.DurableAsyncOptions) (ops map[string]bool, goroutines int) {
 		counted := storagetest.NewCounting(storagetest.Open(t))
 		c := beldi.MustOpenCluster(beldi.ClusterOptions{
@@ -372,24 +373,73 @@ func TestClusterWorkerIdleScans(t *testing.T) {
 	t.Logf("idle worker: %d op kinds, %d goroutines", len(with), gWith)
 }
 
-// TestClusterWorkerRunsTwoLoopsOnce: a started worker runs two goroutines
-// of the runtime's own — its lease loop and its deployment's collection
-// loop — and Stop ends both for good: a Start after it starts neither.
-func TestClusterWorkerRunsTwoLoopsOnce(t *testing.T) {
+// TestClusterWorkerRunsTwoLoops: a started worker runs two goroutines of
+// the runtime's own — its lease loop and its deployment's collection loop —
+// a second Start adds none, Stop ends both, and a Start after Stop starts
+// both again.
+func TestClusterWorkerRunsTwoLoops(t *testing.T) {
 	c := beldi.MustOpenCluster(beldi.ClusterOptions{Store: storagetest.Open(t), Partitions: 4})
 	w, err := c.JoinCluster("w1", registerCounter)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Stop()
 	g0 := runtimeGoroutines()
-	w.Start()
-	waitUntil(t, "the worker runs two goroutines", func() bool { return runtimeGoroutines()-g0 == 2 })
-	w.Stop()
-	waitUntil(t, "Stop ends both", func() bool { return runtimeGoroutines() == g0 })
-	w.Start()
-	if n := runtimeGoroutines() - g0; n != 0 {
-		t.Errorf("a Start after Stop started %d goroutines", n)
+	for range 2 {
+		w.Start()
+		w.Start()
+		waitUntil(t, "the worker runs two goroutines", func() bool { return runtimeGoroutines()-g0 == 2 })
+		w.Stop()
+		waitUntil(t, "Stop ends both", func() bool { return runtimeGoroutines() == g0 })
 	}
+}
+
+// TestFencedClusterWorkerRunsNoPass: while a worker is fenced its
+// collection loop runs no pass — it owns nothing to collect, and its GC
+// would race the thief's recovery — and once it has rejoined the loop runs
+// them again. The worker's lease loop is stopped, so the test decides when
+// the worker is fenced and when it rejoins.
+func TestFencedClusterWorkerRunsNoPass(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1_000, 0))
+	counted := storagetest.NewCounting(storagetest.Open(t))
+	c := beldi.MustOpenCluster(beldi.ClusterOptions{
+		Store: counted, Partitions: 4, LeaseTTL: time.Minute,
+		Config: beldi.Config{T: time.Hour},
+	})
+	var pool []*beldi.ClusterWorker
+	for _, id := range []string{"w1", "w2"} {
+		w, err := c.JoinClusterWith(id, registerCounter, beldi.WorkerOptions{Clock: clk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool = append(pool, w)
+	}
+	w1, w2 := pool[0], pool[1]
+	defer w1.Stop()
+	w1.Start()
+	w1.Worker().Stop()
+	clk.Advance(2 * time.Minute) // w1's lease runs out
+	if err := w2.Worker().HeartbeatOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if dead, _, err := w2.Worker().DetectOnce(); err != nil || len(dead) != 1 {
+		t.Fatalf("w2 marked %v dead (%v), want w1", dead, err)
+	}
+	if err := w1.Worker().HeartbeatOnce(); err == nil || !w1.Worker().Fenced() {
+		t.Fatalf("w1 is not fenced after the verdict (heartbeat: %v)", err)
+	}
+	gcRuns := func() int64 { return w1.Deployment().Runtime("counter").StatsSnapshot().GCRuns }
+	before, gc0 := counted.Counts(), gcRuns()
+	clk.Advance(time.Hour) // both of the loop's periods
+	waitUntil(t, "the loop armed its next wait", func() bool { return clk.Waiters() == 1 })
+	if after := counted.Counts(); fmt.Sprint(after) != fmt.Sprint(before) || gcRuns() != gc0 {
+		t.Errorf("a fenced worker's loop ran a pass: %d GC passes, store ops %v, were %v", gcRuns()-gc0, after, before)
+	}
+	if err := w1.Worker().Rejoin(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Hour)
+	waitUntil(t, "the rejoined worker's loop ran a GC pass", func() bool { return gcRuns() == gc0+1 })
 }
 
 // runtimeGoroutines counts the goroutines running code of the runtime's own

@@ -116,8 +116,8 @@ type Worker struct {
 	fenced bool
 
 	loopMu  sync.Mutex
-	stopCh  chan struct{} // nil until Start
-	stopped bool
+	stopCh  chan struct{}
+	started bool
 	wg      sync.WaitGroup
 
 	stats Stats
@@ -637,28 +637,29 @@ func (w *Worker) ClaimFence(id string) []dynamo.TxOp {
 // Start launches the worker's lease loop: one goroutine on the worker's
 // clock whose tick is LeaseTTL/4. Each tick renews the lease first; every
 // 2 ticks a detection pass follows, and every 4 a rebalancing pass. A
-// detection pass that steals partitions calls afterSteal (nil for none), so
-// the caller's collection can restart the stolen intents at once. A fenced
-// worker attempts Rejoin on its ticks instead: a stall that cost the lease
-// costs the partitions, never the worker's life. Stop (or Leave) halts the
-// loop for good, as a deployment's Stop halts its collection loop: a Start
-// after Stop, or a second one, is a no-op.
-func (w *Worker) Start(afterSteal func()) {
+// detection pass that steals partitions, or a rebalancing pass that claims
+// some, calls afterClaim (nil for none), so the caller's collection can
+// restart the intents they hold at once. A fenced worker attempts Rejoin on
+// its ticks instead: a stall that cost the lease costs the partitions,
+// never the worker's life. Stop (or Leave) halts the loop; a Start after
+// Stop starts it again.
+func (w *Worker) Start(afterClaim func()) {
 	w.loopMu.Lock()
 	defer w.loopMu.Unlock()
-	if w.stopCh != nil || w.stopped {
+	if w.started {
 		return
 	}
+	w.started = true
 	w.stopCh = make(chan struct{})
 	w.wg.Add(1)
-	go w.leaseLoop(w.stopCh, afterSteal)
+	go w.leaseLoop(w.stopCh, afterClaim)
 }
 
 // leaseLoop is Start's goroutine. Detection and rebalancing are a scan or
 // two of the small lease and partition tables, so they never hold a tick's
 // heartbeat back for long; the collection passes, which can, run on the
 // caller's own loop.
-func (w *Worker) leaseLoop(stopCh chan struct{}, afterSteal func()) {
+func (w *Worker) leaseLoop(stopCh chan struct{}, afterClaim func()) {
 	defer w.wg.Done()
 	for tick := 1; w.wait(stopCh, w.ttl/4); tick++ {
 		if w.Fenced() {
@@ -666,13 +667,17 @@ func (w *Worker) leaseLoop(stopCh chan struct{}, afterSteal func()) {
 			continue
 		}
 		w.HeartbeatOnce() //nolint:errcheck // fencing handled next tick; store errors retry
+		// On an error the next tick retries.
+		claimed := 0
 		if tick%2 == 0 {
-			if _, stolen, err := w.DetectOnce(); err == nil && stolen > 0 && afterSteal != nil {
-				afterSteal()
-			}
+			_, claimed, _ = w.DetectOnce()
 		}
 		if tick%4 == 0 {
-			w.RebalanceOnce() //nolint:errcheck // next tick retries
+			n, _, _ := w.RebalanceOnce()
+			claimed += n
+		}
+		if claimed > 0 && afterClaim != nil {
+			afterClaim()
 		}
 	}
 }
@@ -693,10 +698,12 @@ func (w *Worker) wait(stopCh chan struct{}, d time.Duration) bool {
 // steals its work. Use Leave for a graceful exit.
 func (w *Worker) Stop() {
 	w.loopMu.Lock()
-	if w.stopCh != nil && !w.stopped {
-		close(w.stopCh)
+	if !w.started {
+		w.loopMu.Unlock()
+		return
 	}
-	w.stopped = true
+	w.started = false
+	close(w.stopCh)
 	w.loopMu.Unlock()
 	w.wg.Wait()
 }

@@ -452,15 +452,15 @@ func (c *armingClock) After(d time.Duration) <-chan time.Time {
 
 // TestStartRunsTheLeaseTTLSchedule pins the schedule Start derives from
 // LeaseTTL alone: one heartbeat per tick of LeaseTTL/4, a detection pass
-// every 2 ticks, and afterSteal once, after the pass that steals a silent
-// peer's partitions.
+// every 2 ticks, and afterClaim once, after the pass that steals a silent
+// peer's partitions (the rebalancing passes find nothing to claim).
 func TestStartRunsTheLeaseTTLSchedule(t *testing.T) {
 	store := newSharedStore(t)
 	clk := &armingClock{Manual: clock.NewManual(t0), period: testTTL / 4, armed: make(chan struct{}, 8)}
 	join(t, store, clock.NewManual(t0), "silent", 4) // owns every partition, never heartbeats
 	w := join(t, store, clk, "w1", 0)
-	var afterSteal int
-	w.Start(func() { afterSteal++ })
+	var afterClaim int
+	w.Start(func() { afterClaim++ })
 	defer w.Stop()
 	park := func() {
 		select {
@@ -482,7 +482,7 @@ func TestStartRunsTheLeaseTTLSchedule(t *testing.T) {
 	if st.Detects != ticks/2 {
 		t.Errorf("Detects = %d after %d ticks, want %d", st.Detects, ticks, ticks/2)
 	}
-	if st.Steals != 4 || afterSteal != 1 {
-		t.Errorf("%d partitions stolen and afterSteal called %d times, want 4 and 1", st.Steals, afterSteal)
+	if st.Steals != 4 || afterClaim != 1 {
+		t.Errorf("%d partitions stolen and afterClaim called %d times, want 4 and 1", st.Steals, afterClaim)
 	}
 }

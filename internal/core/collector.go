@@ -38,10 +38,9 @@ func (rt *Runtime) RunIntentCollector() (int, error) {
 // that is due (fireSchedule: a first launch, not a restart) and restarts
 // every other intent last launched ICMinAge ago, returning how many it
 // restarted and nextDue: the earliest due time, in µs on the runtime's
-// clock, of the first pending row the pass left because it is not due
-// (LastLaunch + ICMinAge) or of the next occurrence of a schedule it fired;
-// 0 when it saw neither. A due row of another worker's partition is
-// skipped and never reported.
+// clock, of a pending row the pass left because it is not due (firstDue)
+// or of the next occurrence of a schedule it fired; 0 when it saw neither.
+// A row of another worker's partition is skipped and never reported.
 func (rt *Runtime) CollectIntents() (restarted int, nextDue int64, _ error) {
 	items, err := rt.store.QueryIndex(rt.intentTable, indexPending, dynamo.S(pendingMarker),
 		dynamo.QueryOpts{Limit: rt.cfg.ICPageLimit})
@@ -50,12 +49,12 @@ func (rt *Runtime) CollectIntents() (restarted int, nextDue int64, _ error) {
 	}
 	now := rt.now()
 	gate := rt.collectorGate()
-	for _, it := range items {
+	for i, it := range items {
 		rec := decodeIntent(it)
 		if rt.launchedRecently(rec.lastLaunch, now) {
 			// Give it time (first IC optimization). The index is sorted by
 			// LastLaunch, so no later row is due either.
-			return restarted, earliest(nextDue, rec.lastLaunch+rt.cfg.ICMinAge.Microseconds()), nil
+			return restarted, earliest(nextDue, rt.firstDue(items[i:], gate, now)), nil
 		}
 		var fence []dynamo.TxOp
 		if gate != nil {
@@ -95,6 +94,38 @@ func (rt *Runtime) CollectIntents() (restarted int, nextDue int64, _ error) {
 		restarted++
 	}
 	return restarted, nextDue, nil
+}
+
+// dueBatches bounds how often failed attempts bring a collection pass
+// forward: a pass at now reports an attempt's due time (LastLaunch +
+// ICMinAge) as no sooner than now + ICMinAge/dueBatches, so the attempts
+// that come due within that span share one pass. A loop that arms for the
+// reported time then runs at most about dueBatches passes per ICMinAge for
+// attempts, however many are pending, and relaunches each at most
+// ICMinAge/dueBatches late. A schedule's due time is reported exactly.
+const dueBatches = 4
+
+// firstDue is the due time to report for items, a tail of the pending index
+// that holds no due row: the earliest among the rows gate owns (every row,
+// when gate is nil), an attempt's put off as dueBatches says. 0 when gate
+// owns none.
+func (rt *Runtime) firstDue(items []dynamo.Item, gate CollectorGate, now int64) int64 {
+	age := rt.cfg.ICMinAge.Microseconds()
+	var due int64
+	for _, it := range items {
+		at := it[attrLastLaunch].Int() + age
+		if due != 0 && at >= due {
+			break // sorted by LastLaunch: no later row is due sooner
+		}
+		if gate != nil && !gate.OwnsIntent(it[attrInstanceID].Str()) {
+			continue
+		}
+		if _, ok := it[attrSchedule]; !ok {
+			at = max(at, now+age/dueBatches)
+		}
+		due = earliest(due, at)
+	}
+	return due
 }
 
 // earliest is the earlier of two due times, where 0 is none.

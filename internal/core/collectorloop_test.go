@@ -239,3 +239,51 @@ func TestLoopRunsGCEveryT(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopBatchesFailedAttempts: 60 workflows whose every attempt fails,
+// launched a minute apart through the loop's first hour, do not wake the
+// loop once per attempt. With ICMinAge an hour, the loop runs at most five
+// intent-collection passes an hour, each one query of the pending index,
+// and still relaunches every attempt at least twice in three hours.
+func TestLoopBatchesFailedAttempts(t *testing.T) {
+	const workflows = 60
+	clk := clock.NewManual(time.Unix(1_000, 0))
+	store := storagetest.NewCounting(storagetest.Open(t))
+	plat := platform.New(platform.Options{})
+	d := beldi.NewDeployment(beldi.DeploymentOptions{
+		Store:    store,
+		Platform: plat,
+		Clock:    clk,
+		Config:   beldi.Config{T: 24 * time.Hour, ICMinAge: time.Hour}, // no GC pass in the test
+	})
+	var attempts atomic.Int64
+	d.Function("broken", func(*beldi.Env, beldi.Value) (beldi.Value, error) {
+		attempts.Add(1)
+		return beldi.Null, fmt.Errorf("broken")
+	})
+	d.StartCollectors()
+	t.Cleanup(d.Stop)
+	step := func() {
+		clk.Advance(time.Minute)
+		parked(t, clk, 1) // a pass that came due has run and armed the next wait
+	}
+	parked(t, clk, 1)
+	for range workflows {
+		step()
+		d.Invoke("broken", beldi.Null) //nolint:errcheck // every attempt fails
+	}
+	passes := func() int { return store.Count("broken.intent", "query") }
+	before := passes()
+	const hours = 3
+	for range hours * 60 {
+		step()
+	}
+	plat.Drain()
+	t.Logf("%d passes, %d attempts in %d hours", passes()-before, attempts.Load(), hours)
+	if n := passes() - before; n > 5*hours {
+		t.Errorf("%d intent-collection passes in %d hours, want at most %d", n, hours, 5*hours)
+	}
+	if n := attempts.Load(); n < workflows*3 {
+		t.Errorf("%d attempts of %d workflows in %d hours, want at least %d", n, workflows, hours, workflows*3)
+	}
+}

@@ -4,9 +4,11 @@ package core
 // claim-path fixes for assumptions that one process owns all tables.
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dynamo"
 	"repro/internal/platform"
 )
@@ -142,5 +144,51 @@ func TestLateCompletionDoesNotResurrectIntent(t *testing.T) {
 	items, err := f.store.QueryIndex(rt.intentTable, indexPending, dynamo.S(pendingMarker), dynamo.QueryOpts{})
 	if err != nil || len(items) != 0 {
 		t.Fatalf("pending index after late completion: %d rows (%v)", len(items), err)
+	}
+}
+
+// TestCollectIntentsReportsTheFirstOwnedDueTime: a pass that finds no row
+// due reports the due time of the first pending row its gate owns — not of
+// a row another worker's collector owns, so a worker's loop is not woken for
+// it — and puts an attempt's due time off to at least ICMinAge/dueBatches
+// after the pass, so the attempts that come due within that span share one
+// pass.
+func TestCollectIntentsReportsTheFirstOwnedDueTime(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1_000, 0))
+	f := newFixture(t, withClock(clk), withConfig(Config{T: time.Hour, ICMinAge: time.Hour}))
+	rt := f.fn("w", func(*Env, Value) (Value, error) { return dynamo.Null, errors.New("broken") })
+	t0 := clk.Now()
+	at := func(d time.Duration) int64 { return t0.Add(d).UnixMicro() }
+	f.invoke("w", dynamo.Null) //nolint:errcheck // fails: due at t0 + 1 h
+	clk.Advance(50 * time.Minute)
+	f.invoke("w", dynamo.Null) //nolint:errcheck // fails: due at t0 + 1 h 50 min
+	items, err := rt.store.QueryIndex(rt.intentTable, indexPending, dynamo.S(pendingMarker), dynamo.QueryOpts{})
+	if err != nil || len(items) != 2 {
+		t.Fatalf("%d pending intents (%v), want 2", len(items), err)
+	}
+	first := items[0][attrInstanceID].Str()
+	for _, c := range []struct {
+		name string
+		now  time.Duration // since t0
+		owns func(string) bool
+		want int64
+	}{
+		{"no gate, the first row due after the batching span", 40 * time.Minute, nil, at(time.Hour)},
+		{"no gate, the first row due within the span", 55 * time.Minute, nil, at(55*time.Minute + time.Hour/dueBatches)},
+		{"the gate owns the second row only", 55 * time.Minute, func(id string) bool { return id != first }, at(110 * time.Minute)},
+		{"the gate owns no row", 55 * time.Minute, func(string) bool { return false }, 0},
+	} {
+		clk.Advance(c.now - clk.Now().Sub(t0))
+		rt.SetCollectorGate(nil)
+		if c.owns != nil {
+			rt.SetCollectorGate(&fakeGate{owns: c.owns})
+		}
+		n, due, err := rt.CollectIntents()
+		if err != nil || n != 0 {
+			t.Fatalf("%s: %d restarted (%v), want 0", c.name, n, err)
+		}
+		if due != c.want {
+			t.Errorf("%s: due %d µs after t0, want %d", c.name, due-t0.UnixMicro(), c.want-t0.UnixMicro())
+		}
 	}
 }

@@ -76,7 +76,8 @@ type Config struct {
 	// cluster worker's too) also runs its intent-collection passes at most
 	// this far apart, and sooner when a pending row comes due: a pass that
 	// leaves a row because it is younger than ICMinAge arms the next pass
-	// for the moment it is not. 0 means T.
+	// for the moment it is not, or up to a quarter ICMinAge after it for a
+	// failed attempt (CollectIntents). 0 means T.
 	ICMinAge time.Duration
 	// ICPageLimit bounds intents processed per collector run (Appendix A's
 	// paging: the paper's collectors are SSFs with execution timeouts, so

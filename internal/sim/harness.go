@@ -144,11 +144,13 @@ func NewCluster(s *Scheduler, inner storage.Backend, cfg ClusterConfig) (*Cluste
 // deployment's intent-collection and GC passes, each over every function in
 // Deployment.Functions order). The tick is the worker's lease loop's,
 // LeaseTTL/4, and detection (every 2 ticks) and rebalancing (every 4) match
-// it. The passes run on the pump's ticks, not on the deployment's
+// it. Fenced, the work pump runs nothing, as neither real loop runs a pass
+// then. The passes run on the pump's ticks, not on the deployment's
 // collection loop: an intent-collection pass every 2 ticks and right after
-// a detection pass that stole (where the real loop is nudged), and a GC
-// pass every 4, where the real loop runs them every ICMinAge (sooner when a
-// pending row comes due) and every T. Asynchronous runs are fired
+// a detection pass that stole, and a GC pass every 4 (LeaseTTL). The real
+// loop runs them every ICMinAge (sooner when a pending row comes due) and
+// every T or 4·LeaseTTL, whichever is longer, and is nudged after a
+// rebalancing pass that claims partitions too. Asynchronous runs are fired
 // in-process (the platform's AsyncDispatch spawns them as tasks), and the
 // pump's collection relaunches a lost one. The pinned sim seeds' traces
 // depend on these cadences.
