@@ -379,7 +379,12 @@ func (d *Deployment) Seal(fn, table string) error {
 
 // Invoke calls a function synchronously from outside any workflow (an
 // external client request). Unregistered names fail with
-// ErrUnknownFunction.
+// ErrUnknownFunction. The workflow's entry adopts the platform's request id
+// and writes its intent at its first effect, so a call that fails is one of
+// two kinds: killed before that effect, the workflow left nothing durable,
+// no collector runs it, and a retry is the client's to make (a new request);
+// killed after, the intent collector finishes it exactly once. A workflow
+// that never reaches an effect writes nothing at all.
 func (d *Deployment) Invoke(name string, input Value) (Value, error) {
 	if err := d.known(name); err != nil {
 		return Null, err
@@ -390,9 +395,10 @@ func (d *Deployment) Invoke(name string, input Value) (Value, error) {
 // InvokeCtx is Invoke bounded by a context: admission waits respect
 // cancellation, the workflow's lock retries, wait-die backoffs and promise
 // awaits observe ctx (Env.Context), and the instance is killed at its next
-// operation boundary once ctx ends — failing the call with ErrCanceled
-// while the intent collector finishes (or already finished) the workflow
-// exactly once.
+// operation boundary once ctx ends — failing the call with ErrCanceled.
+// A workflow killed after its first effect wrote its intent is finished (or
+// already was) by the intent collector, exactly once; one killed before its
+// first effect left nothing, and the collector does not run it.
 func (d *Deployment) InvokeCtx(ctx context.Context, name string, input Value) (Value, error) {
 	if err := d.known(name); err != nil {
 		return Null, err

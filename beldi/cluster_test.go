@@ -83,8 +83,9 @@ func TestClusterWorkersShareState(t *testing.T) {
 
 // TestClusterKillRecoversExactlyOnce is the end-to-end acceptance scenario:
 // background loops running, a worker killed mid-load, survivors detect the
-// death, steal its partitions, and finish every workflow it left behind —
-// with every counter landing on exactly 1.
+// death, steal its partitions, and finish every workflow it left behind,
+// clients retry the ones it left nothing of — with every counter landing on
+// exactly 1.
 func TestClusterKillRecoversExactlyOnce(t *testing.T) {
 	store := storagetest.Open(t)
 	c := beldi.MustOpenCluster(beldi.ClusterOptions{
@@ -141,37 +142,56 @@ func TestClusterKillRecoversExactlyOnce(t *testing.T) {
 	wg.Wait()
 
 	// Client-side errors are allowed (the killed worker's callers see the
-	// crash); lost or duplicated effects are not. Every key must converge
-	// to exactly 1 via the survivors' stolen collection.
+	// crash); lost or duplicated effects are not. A workflow whose entry wrote
+	// its intent converges to exactly 1 via the survivors' stolen collection.
+	// One killed before its first effect left nothing for a collector, so
+	// once nothing is pending its client retries it, and it lands once.
 	probe := workers[0].Deployment().Runtime("counter")
+	value := func(i int) int64 {
+		v, err := beldi.PeekState(probe, "state", fmt.Sprintf("k%03d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Int()
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		done := true
-		for i := 0; i < requests; i++ {
-			key := fmt.Sprintf("k%03d", i)
-			v, err := beldi.PeekState(probe, "state", key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.Int() != 1 {
-				done = false
-				break
-			}
+		pending, err := probe.DueIntents()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if done {
+		steals := workers[0].Worker().Stats().Steals.Load() + workers[2].Worker().Stats().Steals.Load()
+		settled := pending == 0 && steals > 0
+		for i := 0; i < requests && settled; i++ {
+			settled = errs[i] != nil || value(i) == 1
+		}
+		if settled {
 			break
 		}
 		if time.Now().After(deadline) {
 			for i := 0; i < requests; i++ {
-				key := fmt.Sprintf("k%03d", i)
-				v, _ := beldi.PeekState(probe, "state", key)
-				if v.Int() != 1 {
-					t.Errorf("key %s = %d (invoke err: %v)", key, v.Int(), errs[i])
+				if v := value(i); v != 1 {
+					t.Errorf("key k%03d = %d (invoke err: %v)", i, v, errs[i])
 				}
 			}
-			t.Fatal("recovery did not converge to exactly-once")
+			t.Fatalf("recovery did not converge to exactly-once: %d intents pending, %d partitions stolen", pending, steals)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	retried := 0
+	for i := 0; i < requests; i++ {
+		if errs[i] != nil && value(i) == 0 {
+			req := beldi.Map(map[string]beldi.Value{"key": beldi.Str(fmt.Sprintf("k%03d", i))})
+			if _, err := workers[0].Invoke("counter", req); err != nil {
+				t.Fatalf("retry of k%03d: %v", i, err)
+			}
+			retried++
+		}
+	}
+	for i := 0; i < requests; i++ {
+		if v := value(i); v != 1 {
+			t.Errorf("key k%03d = %d (invoke err: %v), want exactly 1", i, v, errs[i])
+		}
 	}
 
 	// The death was detected and work moved.
@@ -185,8 +205,8 @@ func TestClusterKillRecoversExactlyOnce(t *testing.T) {
 			crashed++
 		}
 	}
-	t.Logf("kill test: %d/%d client calls failed at the killed worker, %d partitions stolen",
-		crashed, requests, steals)
+	t.Logf("kill test: %d/%d client calls failed at the killed worker (%d left nothing and were retried), %d partitions stolen",
+		crashed, requests, retried, steals)
 	if err := workers[0].Deployment().FsckAll(); err != nil {
 		t.Errorf("fsck after recovery: %v", err)
 	}

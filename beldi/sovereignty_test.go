@@ -90,11 +90,15 @@ func TestPerFunctionCollectorsRunIndependently(t *testing.T) {
 	b := beldi.NewDeployment(beldi.DeploymentOptions{Store: bStore, Platform: plat, Config: cfg})
 	fail := true
 	a.Function("flakyA", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
+		// The write, its first effect, writes the intent the failure leaves.
+		if err := e.Write("t", "k", beldi.Int(1)); err != nil {
+			return beldi.Null, err
+		}
 		if fail {
 			fail = false
 			return beldi.Null, platformErr()
 		}
-		return beldi.Str("ok"), e.Write("t", "k", beldi.Int(1))
+		return beldi.Str("ok"), nil
 	}, "t")
 	b.Function("steadyB", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
 		return beldi.Str("ok"), e.Write("t", "k", beldi.Int(2))

@@ -57,10 +57,12 @@ func goldenRequests() []beldi.Value {
 
 const goldenChainFn, goldenChainWrites = "chain", 8
 
-// The fan-out: goldenFanFn counts its runs in a key it reads and rewrites,
-// async-invokes goldenLeafFn goldenFanWidth times with promises, and returns
-// the results' sum plus 100 times the count it read; each leaf writes its
-// input.
+// The fan-out: goldenFanFn async-invokes goldenLeafFn goldenFanWidth times
+// with promises, then counts its runs in a key it reads and rewrites, and
+// returns the results' sum plus 100 times the count it read; each leaf
+// writes its input. The count is read after the fan's first effect, so its
+// intent row exists when it reads: a relaunch there re-reads the count
+// before the paused attempt does, and the two read different values.
 const goldenFanFn, goldenLeafFn, goldenFanWidth = "fan", "leaf", 3
 
 // The claim: goldenClaimFn calls goldenOnceFn, which reads a slot and, only
@@ -107,13 +109,6 @@ func goldenDeployment(t *testing.T, tel *beldi.Telemetry, cfg beldi.Config, clk 
 		return beldi.Int(goldenChainWrites), nil
 	}, "state")
 	d.Function(goldenFanFn, func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-		runs, err := e.Read("runs", "n")
-		if err != nil {
-			return beldi.Null, err
-		}
-		if err := e.Write("runs", "n", beldi.Int(runs.Int()+1)); err != nil {
-			return beldi.Null, err
-		}
 		ps := make([]*beldi.Promise, goldenFanWidth)
 		for i := range ps {
 			p, err := e.AsyncInvokePromise(goldenLeafFn, beldi.Int(int64(i)))
@@ -121,6 +116,13 @@ func goldenDeployment(t *testing.T, tel *beldi.Telemetry, cfg beldi.Config, clk 
 				return beldi.Null, err
 			}
 			ps[i] = p
+		}
+		runs, err := e.Read("runs", "n")
+		if err != nil {
+			return beldi.Null, err
+		}
+		if err := e.Write("runs", "n", beldi.Int(runs.Int()+1)); err != nil {
+			return beldi.Null, err
 		}
 		vs, err := beldi.AwaitAll(e, ps...)
 		if err != nil {

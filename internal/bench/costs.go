@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/beldi"
+	"repro/internal/core"
+	"repro/internal/uuid"
 )
 
 // §7.3 "Other costs": the storage and network overhead Beldi adds on top of
@@ -121,9 +123,20 @@ func Costs() (*CostsReport, error) {
 			return beldi.Null, nil
 		}, "data")
 
+		// Every instance is launched with its id, so it writes its intent row
+		// on entry, as §3.3 describes, and the calibration below subtracts
+		// it: a client entry would defer the row to its first effect and
+		// charge it there, and a read-only one would write none. The ids have
+		// the shape of the platform's request ids, so the log entries the
+		// instances write are as long as a client entry's.
+		ids := &uuid.Seq{Prefix: "cli"}
+		invoke := func() error {
+			_, err := sys.Plat.Invoke("op", core.ClientEnvelopeWithID(ids.NewString(), beldi.Null))
+			return err
+		}
 		if mode == beldi.ModeBeldi {
 			doOp = "fill"
-			if _, err := sys.D.Invoke("op", beldi.Null); err != nil {
+			if err := invoke(); err != nil {
 				return nil, err
 			}
 			bytes, err := sys.Store.TableBytes(dataTableName("op", "data"))
@@ -133,7 +146,7 @@ func Costs() (*CostsReport, error) {
 			rep.DAALBytes20Rows = bytes
 		} else {
 			doOp = "write"
-			if _, err := sys.D.Invoke("op", beldi.Null); err != nil {
+			if err := invoke(); err != nil {
 				return nil, err
 			}
 		}
@@ -143,7 +156,7 @@ func Costs() (*CostsReport, error) {
 			before := sys.Store.Metrics().Snapshot()
 			bytesBefore := storeBytesTotal(sys)
 			for i := 0; i < ops; i++ {
-				if _, err := sys.D.Invoke("op", beldi.Null); err != nil {
+				if err := invoke(); err != nil {
 					return 0, 0, 0, err
 				}
 			}
@@ -191,7 +204,7 @@ func Costs() (*CostsReport, error) {
 				per := make([]float64, ops)
 				for i := range per {
 					before := sys.Store.Metrics().Snapshot().TotalOps()
-					if _, err := sys.D.Invoke("op", beldi.Null); err != nil {
+					if err := invoke(); err != nil {
 						return 0, err
 					}
 					per[i] = float64(sys.Store.Metrics().Snapshot().TotalOps() - before)

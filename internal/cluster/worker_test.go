@@ -284,8 +284,9 @@ func TestZombieCollectorClaimFenced(t *testing.T) {
 	}
 
 	// A workflow crashes on a's platform right after registering its
-	// intent: a pending intent with no steps logged.
-	platA.SetFaults(&platform.CrashNthOp{Function: "counter", N: 1})
+	// intent, which it writes at its first effect: a pending intent with no
+	// steps logged.
+	platA.SetFaults(&platform.CrashOnce{Function: "counter", Label: "intent:logged"})
 	_, err := platA.Invoke("counter", core.ClientEnvelope(dynamo.Null))
 	if !errors.Is(err, platform.ErrCrashed) {
 		t.Fatalf("seeded crash: %v", err)

@@ -34,8 +34,10 @@ import (
 // and 3 040 bytes while every platform instance ran on a goroutine of its
 // own, and 21 while an instance's root Env and its branch-shared state were
 // two allocations; it cost 2 528 bytes while platform.Invocation carried a
-// start time nothing read. A logged write cost 16 allocations and 1 528
-// bytes, and a first write 928 bytes, while every write queried the item's
+// start time nothing read, and 20 allocations and 2 464 bytes while every
+// platform instance minted a request id, which only a workflow entry reads
+// (the pure call cost 7 and 632). A logged write cost 16 allocations and
+// 1 528 bytes, and a first write 928 bytes, while every write queried the item's
 // skeleton first and the written value escaped to the heap.
 var stepBudget = []struct {
 	name          string
@@ -46,8 +48,8 @@ var stepBudget = []struct {
 	{"logged write", 8, 792, "step key, log key; the head-first update's actions and condition operands (one allocation) and its two condition boxes; the row's new attribute list and copied log"},
 	{"first write", 11, 808, "step key, log key; the head-first upsert's actions and condition operands (one allocation) and its two condition boxes; the new head row, its attribute and log lists"},
 	{"sealed read, warm", 1, 16, "step key: the sealed table's cache answers, with no query and no queued read-log row"},
-	{"sync invoke", 20, 2464, "callee id, the invoke-log row's update, the envelope; the platform instance and the effect-free callee's whole execution, callback included — run on the invoking goroutine (no goroutine, result channel or closure per instance), its root Env and shared state one allocation"},
-	{"pure call, warm", 7, 632, "step key, callee id, the envelope; the platform instance and its request id; the unlogged callee's root Env and its sealed read's step key, answered from a warm cache — no invoke-log row, no callback, no intent"},
+	{"sync invoke", 18, 2432, "callee id, the invoke-log row's update, the envelope; the platform instance (no request id) and the effect-free callee's whole execution, callback included — run on the invoking goroutine (no goroutine, result channel or closure per instance), its root Env and shared state one allocation"},
+	{"pure call, warm", 6, 616, "step key, callee id, the envelope; the platform instance (no request id); the unlogged callee's root Env and its sealed read's step key, answered from a warm cache — no invoke-log row, no callback, no intent"},
 }
 
 // bytesSlack is how far a step's allocated bytes may drift from the table
@@ -61,7 +63,8 @@ const bytesSlack = 0.02
 // arrive, which a median does not see. Once the function is registered,
 // prep runs on its runtime when prep is non-nil. Before sample i, an
 // unmeasured instance of the same function runs setup(e, i) when setup is
-// non-nil (a function sees only its own tables).
+// non-nil (a function sees only its own tables). Every instance is launched
+// with its instance id, so its intent row is written on entry.
 func stepAllocs(t *testing.T, f *fixture, name string, samples int, prep func(rt *Runtime) error, setup, step func(e *Env, i int) error) stepMem {
 	t.Helper()
 	var counts, sizes []uint64
@@ -84,10 +87,16 @@ func stepAllocs(t *testing.T, f *fixture, name string, samples int, prep func(rt
 		}
 	}
 	for i := 0; i < samples; i++ {
-		if setup != nil {
-			f.mustInvoke(name, dynamo.NInt(int64(-1-i)))
+		for _, in := range []int{-1 - i, i} {
+			if in < 0 && setup == nil {
+				continue
+			}
+			// Launched with its id, the instance writes its intent row on
+			// entry, not inside the measured step.
+			if _, err := f.invokeAs(name, fmt.Sprintf("%s-%d", name, in), dynamo.NInt(int64(in))); err != nil {
+				t.Fatal(err)
+			}
 		}
-		f.mustInvoke(name, dynamo.NInt(int64(i)))
 	}
 	slices.Sort(counts)
 	slices.Sort(sizes)

@@ -16,7 +16,8 @@ import (
 
 func (rt *Runtime) baselineHandler(inv *platform.Invocation, raw Value) (Value, error) {
 	ev := decodeEnvelope(raw)
-	return rt.body(newEnv(rt, inv, inv.RequestID, &intentRecord{id: inv.RequestID}, ev.App), ev.Input)
+	id := inv.RequestID()
+	return rt.body(newEnv(rt, inv, id, &intentRecord{id: id}, ev.App), ev.Input)
 }
 
 func (e *Env) baselineRead(table, key string) (Value, error) {

@@ -111,7 +111,7 @@ func TestChangeHandlerBaselineEmitsNothing(t *testing.T) {
 // fire is deduplicated through the invoke log like any §4.5 async edge.
 func TestChangeHandlerExactlyOnceCrashSweep(t *testing.T) {
 	workload := func(f *fixture) error {
-		_, err := f.invoke("w", dynamo.Null)
+		_, err := f.invokeAsClient("w", dynamo.Null)
 		if err != nil && !errors.Is(err, platform.ErrCrashed) {
 			return err
 		}

@@ -29,15 +29,19 @@ func TestIntegrationTimerDrivenCollectors(t *testing.T) {
 		failOnce.Do(func() { failed = true })
 		return
 	}
+	// The attempt fails after its write, which wrote its intent row.
 	rt := d.Function("flaky", func(e *beldi.Env, in beldi.Value) (beldi.Value, error) {
-		if shouldFail() {
-			return beldi.Null, fmt.Errorf("transient")
-		}
 		v, err := e.Read("counter", "k")
 		if err != nil {
 			return beldi.Null, err
 		}
-		return beldi.Null, e.Write("counter", "k", beldi.Int(v.Int()+1))
+		if err := e.Write("counter", "k", beldi.Int(v.Int()+1)); err != nil {
+			return beldi.Null, err
+		}
+		if shouldFail() {
+			return beldi.Null, fmt.Errorf("transient")
+		}
+		return beldi.Null, nil
 	}, "counter")
 	d.StartCollectors()
 	defer d.Stop()
@@ -188,6 +192,10 @@ func TestLoopRelaunchesAFailedAttemptWhenItComesDue(t *testing.T) {
 	})
 	var attempts atomic.Int64
 	rt := d.Function("flaky", func(e *beldi.Env, _ beldi.Value) (beldi.Value, error) {
+		// The first effect writes the intent row the failed attempt leaves.
+		if err := e.Write("done", "started", beldi.Int(1)); err != nil {
+			return beldi.Null, err
+		}
 		if attempts.Add(1) == 1 {
 			return beldi.Null, fmt.Errorf("transient")
 		}
@@ -257,10 +265,14 @@ func TestLoopBatchesFailedAttempts(t *testing.T) {
 		Config:   beldi.Config{T: 24 * time.Hour, ICMinAge: time.Hour}, // no GC pass in the test
 	})
 	var attempts atomic.Int64
-	d.Function("broken", func(*beldi.Env, beldi.Value) (beldi.Value, error) {
+	d.Function("broken", func(e *beldi.Env, _ beldi.Value) (beldi.Value, error) {
+		// The first effect writes the intent row every failed attempt leaves.
+		if err := e.Write("seen", "k", beldi.Int(1)); err != nil {
+			return beldi.Null, err
+		}
 		attempts.Add(1)
 		return beldi.Null, fmt.Errorf("broken")
-	})
+	}, "seen")
 	d.StartCollectors()
 	t.Cleanup(d.Stop)
 	step := func() {

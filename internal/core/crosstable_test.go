@@ -52,7 +52,7 @@ func TestCrossTableExactlyOnceCrashSweep(t *testing.T) {
 		}, "state")
 	}
 	workload := func(f *fixture) error {
-		_, err := f.invoke("front", dynamo.Null)
+		_, err := f.invokeAsClient("front", dynamo.Null)
 		if err != nil && !errors.Is(err, platform.ErrCrashed) && !errors.Is(err, platform.ErrTimeout) {
 			return err
 		}

@@ -442,7 +442,9 @@ func TestHeadFirstIsRefusedToAZombie(t *testing.T) {
 			}
 			return dynamo.Null, e.Write("kv", "k", dynamo.S("late"))
 		}, "kv")
-		first := goInvoke(func() (Value, error) { return f.invoke("w", dynamo.Null) })
+		// Launched with its id, the zombie writes its intent row on entry,
+		// and the relaunch finds it pending.
+		first := goInvoke(func() (Value, error) { return f.invokeAs("w", "w-1", dynamo.Null) })
 		<-arrived[0]
 		f.recoverAll()
 		if got := f.readData("w", "kv", "k"); got.Str() != "late" || launches.Load() != 2 {

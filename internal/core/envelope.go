@@ -14,7 +14,7 @@ import (
 // survives any serverless transport.
 type envelope struct {
 	Kind       string // "call", "callback", "asyncRegister", "asyncRun", "promisePost", "pure"
-	InstanceID string // callee instance id ("" = adopt the platform request id)
+	InstanceID string // callee instance id ("" = a client entry's first launch: adopt the platform request id)
 	Input      Value
 	Async      bool
 	// First marks the one launch of a callee that is fresh by construction:
@@ -133,6 +133,15 @@ const instanceKey = "InstanceId"
 // this just makes the intent explicit.)
 func ClientEnvelope(input Value) Value {
 	return envelope{Kind: kindCall, Input: input}.encode()
+}
+
+// ClientEnvelopeWithID is ClientEnvelope carrying instance id, as a
+// collector relaunch does: the launch writes its intent row on entry
+// (ensureIntent) instead of deferring it to its first effect, and a second
+// launch with the same id joins that row. Measurements that price one API
+// operation inside an instance whose intent exists launch with it.
+func ClientEnvelopeWithID(id string, input Value) Value {
+	return envelope{Kind: kindCall, InstanceID: id, Input: input}.encode()
 }
 
 // ClientEnvelopeForApp is ClientEnvelope carrying an application name, for

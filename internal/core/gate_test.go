@@ -36,8 +36,9 @@ func TestCollectorGateScopesScan(t *testing.T) {
 		return dynamo.Null, nil
 	}, "state")
 
-	// Crash right after intent registration: one pending intent.
-	if _, err := f.invoke("w", dynamo.Null); err == nil {
+	// Crash right after intent registration (a launch with its id writes the
+	// row on entry): one pending intent.
+	if _, err := f.invokeAs("w", "w-1", dynamo.Null); err == nil {
 		t.Fatal("seed crash did not fire")
 	}
 
@@ -66,7 +67,7 @@ func TestFencedClaimRejectedAndCounted(t *testing.T) {
 	rt := f.fn("w", func(e *Env, _ Value) (Value, error) {
 		return dynamo.Null, e.Write("state", "k", dynamo.NInt(1))
 	}, "state")
-	if _, err := f.invoke("w", dynamo.Null); err == nil {
+	if _, err := f.invokeAs("w", "w-1", dynamo.Null); err == nil {
 		t.Fatal("seed crash did not fire")
 	}
 	time.Sleep(2 * time.Millisecond) // exceed ICMinAge
@@ -159,9 +160,10 @@ func TestCollectIntentsReportsTheFirstOwnedDueTime(t *testing.T) {
 	rt := f.fn("w", func(*Env, Value) (Value, error) { return dynamo.Null, errors.New("broken") })
 	t0 := clk.Now()
 	at := func(d time.Duration) int64 { return t0.Add(d).UnixMicro() }
-	f.invoke("w", dynamo.Null) //nolint:errcheck // fails: due at t0 + 1 h
+	// Launched with their ids, the failed attempts leave their rows pending.
+	f.invokeAs("w", "w-1", dynamo.Null) //nolint:errcheck // fails: due at t0 + 1 h
 	clk.Advance(50 * time.Minute)
-	f.invoke("w", dynamo.Null) //nolint:errcheck // fails: due at t0 + 1 h 50 min
+	f.invokeAs("w", "w-2", dynamo.Null) //nolint:errcheck // fails: due at t0 + 1 h 50 min
 	items, err := rt.store.QueryIndex(rt.intentTable, indexPending, dynamo.S(pendingMarker), dynamo.QueryOpts{})
 	if err != nil || len(items) != 2 {
 		t.Fatalf("%d pending intents (%v), want 2", len(items), err)

@@ -134,6 +134,40 @@ func (f *fixture) invoke(name string, input Value) (Value, error) {
 	return f.plat.Invoke(name, ClientEnvelope(input))
 }
 
+// invokeAs launches instance id of fn with input, as a client re-driving a
+// request it knows the id of does: a launch that carries its instance id
+// writes its intent row on entry (ensureIntent), so a body that then fails or
+// is killed leaves the row pending for the collectors, and the body's first
+// effect pays no intent put.
+func (f *fixture) invokeAs(name, id string, input Value) (Value, error) {
+	return f.plat.Invoke(name, envelope{Kind: kindCall, InstanceID: id, Input: input}.encode())
+}
+
+// invokeAsClient calls a function as a client that retries a workflow its
+// entry left no trace of: an entry killed before its first effect boundary
+// wrote no intent row, so no collector will finish it, and the client's retry
+// is a new request with a new id. A failed call whose entry wrote its row is
+// the collectors' to finish, and its error is returned as it is.
+func (f *fixture) invokeAsClient(name string, input Value) (Value, error) {
+	f.t.Helper()
+	before := f.intentRows(name)
+	out, err := f.invoke(name, input)
+	if err != nil && f.intentRows(name) == before {
+		return f.invoke(name, input)
+	}
+	return out, err
+}
+
+// intentRows counts the rows of fn's intent table.
+func (f *fixture) intentRows(fn string) int {
+	f.t.Helper()
+	n, err := f.store.TableItemCount(f.rts[fn].intentTable)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	return n
+}
+
 // mustInvoke fails the test on error.
 func (f *fixture) mustInvoke(name string, input Value) Value {
 	f.t.Helper()

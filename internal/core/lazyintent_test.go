@@ -649,3 +649,121 @@ func TestLazyIntentParallelBranchesMaterialiseOnce(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A client entry defers its intent row like a first-launched callee: it
+// adopts a request id the platform minted for this invocation, which no other
+// execution can hold (wrap.go). The three tests below pin what an entry
+// leaves: nothing when it is effect-free, nothing when it is killed before
+// its row lands, and one relaunched intent when it is killed after.
+
+// sumToTotal reads kv/a and kv/b and writes their sum to kv/total: an entry
+// whose first effect, the write, lands its row.
+func sumToTotal(e *Env, in Value) (Value, error) {
+	sum, err := readSum(e, in)
+	if err != nil {
+		return dynamo.Null, err
+	}
+	return sum, e.Write("kv", "total", sum)
+}
+
+func TestLazyIntentEntryEffectFreeLeavesNoRow(t *testing.T) {
+	f := newFixture(t)
+	w := f.fn("w", readSum, "kv")
+	f.foreignWrite("w", "kv", "a", dynamo.NInt(1))
+	f.foreignWrite("w", "kv", "b", dynamo.NInt(2))
+
+	if out := f.mustInvoke("w", dynamo.Null); out.Int() != 3 {
+		t.Fatalf("entry returned %v, want 3", out)
+	}
+	if i, r, v := f.rowsOf("w"); i != 0 || r != 0 || v != 0 {
+		t.Errorf("effect-free entry left %d intent, %d read-log, %d invoke-log rows; want none", i, r, v)
+	}
+	if st := w.StatsSnapshot(); st.IntentsDeferred != 1 || st.IntentsElided != 1 || st.IntentsStarted != 0 || st.IntentsCompleted != 0 {
+		t.Errorf("intents deferred/elided/started/completed = %d/%d/%d/%d, want 1/1/0/0",
+			st.IntentsDeferred, st.IntentsElided, st.IntentsStarted, st.IntentsCompleted)
+	}
+	if err := Fsck(w); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestLazyIntentEntryKilledBeforeItsRowLeavesNothing(t *testing.T) {
+	crash := &platform.CrashOnce{Function: "w", Label: "intent:pre"}
+	f := newFixture(t, withFaults(crash))
+	var launches atomic.Int64
+	w := f.fn("w", func(e *Env, in Value) (Value, error) {
+		launches.Add(1)
+		return sumToTotal(e, in)
+	}, "kv")
+	f.foreignWrite("w", "kv", "a", dynamo.NInt(1))
+	f.foreignWrite("w", "kv", "b", dynamo.NInt(2))
+
+	if _, err := f.invoke("w", dynamo.Null); err == nil || !crash.Fired() {
+		t.Fatalf("the entry survived its kill at intent:pre: %v", err)
+	}
+	if i, r, v := f.rowsOf("w"); i != 0 || r != 0 || v != 0 {
+		t.Errorf("entry killed before its row left %d intent, %d read-log, %d invoke-log rows; want none", i, r, v)
+	}
+	f.recoverAll()
+	if got := f.readData("w", "kv", "total"); !got.IsNull() || launches.Load() != 1 || w.StatsSnapshot().Restarts != 0 {
+		t.Fatalf("after collection: total = %v, %d launches, %d restarts; want nothing run again", got, launches.Load(), w.StatsSnapshot().Restarts)
+	}
+	// The client's retry is a new request, and the only execution that
+	// writes.
+	if out := f.mustInvoke("w", dynamo.Null); out.Int() != 3 {
+		t.Fatalf("retry returned %v, want 3", out)
+	}
+	if got := f.readData("w", "kv", "total"); got.Int() != 3 {
+		t.Errorf("total = %v after the retry, want 3", got)
+	}
+	if i, _, _ := f.rowsOf("w"); i != 1 {
+		t.Errorf("%d intent rows after the retry, want its one", i)
+	}
+	if err := Fsck(w); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestLazyIntentEntryKilledAfterItsRowIsRelaunchedOnce(t *testing.T) {
+	run := func(t *testing.T) (launches int64, total Value, pending int) {
+		crash := &platform.CrashOnce{Function: "w", Label: "intent:logged"}
+		f := newFixture(t, withFaults(crash))
+		var n atomic.Int64
+		f.fn("w", func(e *Env, in Value) (Value, error) {
+			n.Add(1)
+			return sumToTotal(e, in)
+		}, "kv")
+		f.foreignWrite("w", "kv", "a", dynamo.NInt(1))
+		f.foreignWrite("w", "kv", "b", dynamo.NInt(2))
+		if _, err := f.invoke("w", dynamo.Null); err == nil || !crash.Fired() {
+			t.Fatalf("the entry survived its kill at intent:logged: %v", err)
+		}
+		if i, _, _ := f.rowsOf("w"); i != 1 {
+			t.Fatalf("entry killed after its row left %d intent rows, want 1", i)
+		}
+		// Rounds of collection, each waiting out ICMinAge: a relaunch that
+		// never finishes is launched again at every one.
+		for range 3 {
+			time.Sleep(f.cfg.ICMinAge + time.Millisecond)
+			f.collectAll()
+		}
+		pending, err := PendingIntents(f.store, "w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n.Load(), f.readData("w", "kv", "total"), pending
+	}
+
+	if launches, total, pending := run(t); launches != 2 || total.Int() != 3 || pending != 0 {
+		t.Errorf("%d launches, total %v, %d pending; want the first launch and one relaunch, 3, none", launches, total, pending)
+	}
+	// A relaunch carries the instance id and writes nothing it has not read
+	// back: deferred, it would take the log to be empty and its put is
+	// refused by the row the first launch wrote, so it stops superseded at
+	// its first boundary, every time.
+	FaultLazyEntryAdmitsRelaunch.Store(true)
+	defer FaultLazyEntryAdmitsRelaunch.Store(false)
+	if launches, total, pending := run(t); launches < 3 || !total.IsNull() || pending != 1 {
+		t.Errorf("with relaunches deferred: %d launches, total %v, %d pending; want relaunches that never finish, no total, the row pending", launches, total, pending)
+	}
+}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/dynamo"
 	"repro/internal/platform"
+	"repro/internal/storage/storagetest"
 )
 
 // The store-op budget: how many billed store requests each step kind may
@@ -19,9 +21,10 @@ import (
 // not 2k. The replay column is the same step re-executed after a crash at
 // the end of the body: it must return the logged value, cost no more than
 // listed, and be counted in Stats.Replays. An intent row is an effect's
-// bookkeeping: a callee launched for the first time writes it at its first
-// effect boundary, and one that returns without reaching a boundary writes
-// nothing but its callback — the SyncInvoke(...) rows price whole callees. A
+// bookkeeping: a callee launched for the first time, and a client entry,
+// write it at the first effect boundary, and one that returns without
+// reaching a boundary writes nothing but its callback or its reply — the
+// SyncInvoke(...) rows price whole callees, the entry rows whole entries. A
 // call to a callee hinted pure runs unlogged: no insert, no callback, no
 // intent, only the callee's sealed cache misses (invoke.go). A write to a
 // never-written key costs what any write does: the head row is created by
@@ -200,7 +203,10 @@ func TestStoreOpBudget(t *testing.T) {
 		t.Fatalf("warming r8s: %v, %v", out, err)
 	}
 
-	if _, err := f.invoke("w", dynamo.Null); err == nil || !crash.Fired() {
+	// Launched with its id, w writes its intent row on entry, so every row
+	// below prices its step alone; the entry rows further down price what a
+	// client entry's deferred row costs.
+	if _, err := f.invokeAs("w", "w-1", dynamo.Null); err == nil || !crash.Fired() {
 		t.Fatalf("first execution must die at body:done: err=%v fired=%v", err, crash.Fired())
 	}
 	if st := w.StatsSnapshot(); st.ReadLogFlushes != 3 || st.ReadLogRows != 2*fan+1 {
@@ -281,7 +287,7 @@ func TestStoreOpBudget(t *testing.T) {
 		t.Errorf("Await x8 returned %v", got)
 	}
 	for fn, want := range map[string][3]int64{ // intent rows written, launches deferred, rows never written
-		"leaf": {0, 2, 2}, "r8": {0, 1, 1}, "r8s": {1, 1, 1}, "r1call": {1, 1, 0}, "w1": {1, 1, 0}, "r8dies": {1, 1, 0},
+		"leaf": {0, 2, 2}, "r8": {0, 1, 1}, "r8s": {0, 2, 2}, "r1call": {1, 1, 0}, "w1": {1, 1, 0}, "r8dies": {1, 1, 0},
 	} {
 		st := f.rts[fn].StatsSnapshot()
 		if got := [3]int64{st.IntentsStarted, st.IntentsDeferred, st.IntentsElided}; got != want {
@@ -289,10 +295,12 @@ func TestStoreOpBudget(t *testing.T) {
 		}
 	}
 
-	// Whole invocations whose only step is one read. A workflow entry creates
-	// its intent, so its log is known empty: fetch + flush at the return, and
-	// the only query is the state fetch. An async run never created its
-	// intent (registration did), so it pays the log load as well.
+	// Whole invocations whose only step is one read. A workflow entry defers
+	// its intent like a first-launched callee, so its log is known empty and,
+	// reaching no effect boundary, it is effect-free: the fetch is all it
+	// costs — no intent, no flush, no done mark. An async run never created
+	// its intent (registration did), so it pays the log load, the flush and
+	// the done mark as well.
 	f.fn("r1", func(e *Env, _ Value) (Value, error) { return e.Read("kv", "k") }, "kv")
 	invoke := func(fn string, payload Value) (n, queries, fails int64) {
 		before := store.Metrics().Snapshot()
@@ -302,8 +310,22 @@ func TestStoreOpBudget(t *testing.T) {
 		d := store.Metrics().Snapshot().Sub(before)
 		return d.TotalOps(), d.Ops["query"], d.CondFailures
 	}
-	if n, q, _ := invoke("r1", ClientEnvelope(dynamo.Null)); n != 4 || q != 1 {
-		t.Errorf("entry instance with one read = %d ops (%d queries); budget intent + 2 for the read + done = 4, 1 query (no log load)", n, q)
+	if n, q, _ := invoke("r1", ClientEnvelope(dynamo.Null)); n != 1 || q != 1 {
+		t.Errorf("entry instance with one read = %d ops (%d queries); budget the fetch alone = 1, 1 query (no log load, no intent)", n, q)
+	}
+	// An entry whose first op is a write issues what an eagerly logged entry
+	// did, in the same order: its write's boundary puts the deferred intent
+	// row, then the head-first write, then the done mark.
+	counted := storagetest.NewCounting(dynamo.NewStore())
+	g := newFixture(t, withStore(counted))
+	ew := g.fn("ew", func(e *Env, in Value) (Value, error) { return in, e.Write("kv", "k", in) }, "kv")
+	counted.Sequence()
+	if _, err := g.plat.Invoke("ew", ClientEnvelope(dynamo.S("v"))); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{ew.intentTable + " put", ew.dataTable("kv") + " update", ew.intentTable + " update"}
+	if got := counted.Sequence(); !slices.Equal(got, want) {
+		t.Errorf("entry instance whose first op is a write issued %v; budget %v: intent put, head-first write, done mark", got, want)
 	}
 	asyncRun := func(fn, id string) (n, queries, fails int64) {
 		return invoke(fn, envelope{Kind: kindAsyncRun, InstanceID: id, Input: dynamo.S("r"), Async: true}.encode())

@@ -29,7 +29,7 @@ func TestICPageLimitBoundsAndResumes(t *testing.T) {
 	// Five failed instances pending, each incrementing its own key (page-
 	// mates restart concurrently; exactly-once does not serialize them).
 	for i := 0; i < 5; i++ {
-		f.invoke("flaky", dynamo.S(fmt.Sprintf("k%d", i))) //nolint:errcheck
+		f.invokeAs("flaky", fmt.Sprintf("flaky-%d", i), dynamo.S(fmt.Sprintf("k%d", i))) //nolint:errcheck // its row stays pending
 	}
 	fail.Store(false)
 	time.Sleep(2 * time.Millisecond)

@@ -54,8 +54,8 @@ func TestPureCallRunsUnloggedOnceTaught(t *testing.T) {
 	}
 	before := store.Metrics().Snapshot()
 	second := f.mustInvoke("front", dynamo.Null)
-	if d := store.Metrics().Snapshot().Sub(before); d.TotalOps() != 2 || d.Ops["put"] != 1 || d.Ops["update"] != 1 {
-		t.Errorf("second workflow: %d store ops %v, want 2: the entry's intent put and done mark", d.TotalOps(), d.Ops)
+	if d := store.Metrics().Snapshot().Sub(before); d.TotalOps() != 0 {
+		t.Errorf("second workflow: %d store ops %v, want 0: every call unlogged, and the entry, effect-free, writes no intent", d.TotalOps(), d.Ops)
 	}
 	if !second.Equal(first) || second.List()[1].Str() != "r1" {
 		t.Errorf("second workflow returned %v, first %v", second, first)
@@ -63,7 +63,7 @@ func TestPureCallRunsUnloggedOnceTaught(t *testing.T) {
 	for _, c := range []struct {
 		rt                *Runtime
 		unlogged, started int64
-	}{{front, 1, 2}, {mid, 3, 1}, {leaf, 0, 0}} {
+	}{{front, 1, 1}, {mid, 3, 1}, {leaf, 0, 0}} {
 		if st := c.rt.StatsSnapshot(); st.CallsUnlogged != c.unlogged || st.CallsUnloggedRefused != 0 || st.IntentsStarted != c.started {
 			t.Errorf("%s: %d unlogged calls, %d refused, %d intents written; want %d, 0, %d",
 				c.rt.fn, st.CallsUnlogged, st.CallsUnloggedRefused, st.IntentsStarted, c.unlogged, c.started)
@@ -150,10 +150,16 @@ func TestUnloggedCallOfAWriterAppliesItsEffectOnce(t *testing.T) {
 		f.mustInvoke("front", dynamo.S("ro"))
 		crash := &platform.CrashOnce{Function: "front", Label: "write:pre:0.000002"}
 		f.plat.SetFaults(crash)
+		before := f.intentRows("front")
 		if _, err := f.invoke("front", dynamo.S("claim")); err == nil || !crash.Fired() {
 			t.Fatalf("front must die after its call: %v", err)
 		}
 		f.plat.SetFaults(nil)
+		if f.intentRows("front") == before {
+			// The kill came before the entry's first effect boundary, so it
+			// left no intent to recover, and the client retries.
+			f.mustInvoke("front", dynamo.S("claim"))
+		}
 		f.recoverAll()
 		for i := 1; i <= 4; i++ {
 			if !f.readData("claimer", "slots", fmt.Sprintf("s%d", i)).IsNull() {

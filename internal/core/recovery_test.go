@@ -86,7 +86,7 @@ func TestExactlyOnceSingleSSFCrashSweep(t *testing.T) {
 		}, "counter")
 	}
 	workload := func(f *fixture) error {
-		_, err := f.invoke("w", dynamo.Null)
+		_, err := f.invokeAsClient("w", dynamo.Null)
 		if err != nil && !errors.Is(err, platform.ErrCrashed) {
 			return err
 		}
@@ -128,7 +128,7 @@ func TestExactlyOnceWorkflowCrashSweep(t *testing.T) {
 		}, "state")
 	}
 	workload := func(f *fixture) error {
-		_, err := f.invoke("front", dynamo.Null)
+		_, err := f.invokeAsClient("front", dynamo.Null)
 		if err != nil && !errors.Is(err, platform.ErrCrashed) && !errors.Is(err, platform.ErrTimeout) {
 			return err
 		}
@@ -158,7 +158,7 @@ func TestExactlyOnceAsyncCrashSweep(t *testing.T) {
 		})
 	}
 	workload := func(f *fixture) error {
-		_, err := f.invoke("front", dynamo.Null)
+		_, err := f.invokeAsClient("front", dynamo.Null)
 		if err != nil && !errors.Is(err, platform.ErrCrashed) && !errors.Is(err, platform.ErrTimeout) {
 			return err
 		}
@@ -361,7 +361,7 @@ func TestICRestartsOnlyStaleInstances(t *testing.T) {
 		}
 		return dynamo.S("ok"), nil
 	})
-	f.invoke("flaky", dynamo.Null) //nolint:errcheck
+	f.invokeAs("flaky", "flaky-1", dynamo.Null) //nolint:errcheck // its row stays pending
 	fail.Store(false)
 	// ICMinAge is an hour: a fresh failure is not restarted yet.
 	if n, _ := f.rts["flaky"].RunIntentCollector(); n != 0 {
@@ -379,7 +379,7 @@ func TestICClaimPreventsDoubleRestart(t *testing.T) {
 		}
 		return dynamo.S("ok"), nil
 	})
-	f.invoke("flaky", dynamo.Null) //nolint:errcheck
+	f.invokeAs("flaky", "flaky-1", dynamo.Null) //nolint:errcheck // its row stays pending
 	fail.Store(false)
 	time.Sleep(2 * time.Millisecond)
 	// Two collectors race: only one restart total may be issued.
@@ -397,7 +397,7 @@ func TestICClaimPreventsDoubleRestart(t *testing.T) {
 
 func TestTimeoutedInstanceIsRecovered(t *testing.T) {
 	// An instance that exceeds its platform timeout dies at the next op
-	// boundary; the IC finishes the job.
+	// boundary; the IC finishes the job. Its first write wrote its intent.
 	f := newFixture(t)
 	var slow atomic.Bool
 	slow.Store(true)
@@ -406,10 +406,13 @@ func TestTimeoutedInstanceIsRecovered(t *testing.T) {
 		if err != nil {
 			return dynamo.Null, err
 		}
+		if err := e.Write("counter", "k", dynamo.NInt(v.Int()+1)); err != nil {
+			return dynamo.Null, err
+		}
 		if slow.Load() {
 			time.Sleep(50 * time.Millisecond)
 		}
-		if err := e.Write("counter", "k", dynamo.NInt(v.Int()+1)); err != nil {
+		if err := e.Write("counter", "j", dynamo.NInt(v.Int()+1)); err != nil {
 			return dynamo.Null, err
 		}
 		return dynamo.S("done"), nil
@@ -421,8 +424,10 @@ func TestTimeoutedInstanceIsRecovered(t *testing.T) {
 	}
 	slow.Store(false)
 	f.recoverAll()
-	if got := f.readData("slow", "counter", "k"); got.Int() != 1 {
-		t.Errorf("counter = %v, want 1", got)
+	for _, key := range []string{"k", "j"} {
+		if got := f.readData("slow", "counter", key); got.Int() != 1 {
+			t.Errorf("counter %s = %v, want 1", key, got)
+		}
 	}
 }
 

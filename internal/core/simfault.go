@@ -45,6 +45,13 @@ var FaultDoneBeforeFlush atomic.Bool
 // beside the effects of another.
 var FaultRelaunchLeavesRowOpen atomic.Bool
 
+// FaultLazyEntryAdmitsRelaunch, when true, defers the intent row of every
+// launch of a workflow entry, not only its first: a collector relaunch (or
+// any launch that carries the instance id) runs with a read log it takes to
+// be empty, and its deferred put is refused by the row its first launch
+// wrote, so it stops at its first effect boundary and never finishes.
+var FaultLazyEntryAdmitsRelaunch atomic.Bool
+
 // FaultAdoptIgnoresDiffer, when true, makes a refused read-log flush adopt a
 // logged read whose value differs from the one this execution fetched,
 // instead of stopping the execution as superseded: it goes on acting on a

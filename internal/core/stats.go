@@ -53,10 +53,11 @@ type Stats struct {
 	TxnAborted   atomic.Int64
 
 	// Lifecycle. IntentsStarted counts intent rows written. A first-launched
-	// callee defers its row to its first effect boundary (IntentsDeferred
-	// counts such launches) and one that returns without crossing a boundary
-	// never writes it (IntentsElided): its instance id shows in the caller's
-	// invoke log and in traces, not in this SSF's intent table.
+	// callee or client entry defers its row to its first effect boundary
+	// (IntentsDeferred counts such launches) and one that returns without
+	// crossing a boundary never writes it (IntentsElided): its instance id
+	// shows in the caller's invoke log (a callee's) and in traces, not in
+	// this SSF's intent table.
 	IntentsStarted   atomic.Int64
 	IntentsCompleted atomic.Int64
 	IntentsDeferred  atomic.Int64

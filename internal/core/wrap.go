@@ -127,19 +127,25 @@ func (rt *Runtime) handler(inv *platform.Invocation, raw Value) (Value, error) {
 // handleCall runs a synchronous (or collector-restarted) execution.
 func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, error) {
 	id := ev.InstanceID
+	// A client entry's first launch: an envelope with no caller and no id.
+	// Every later launch of the workflow carries the id (collector relaunch,
+	// schedule fire, re-drive).
+	entry := ev.CallerFn == "" && (id == "" || FaultLazyEntryAdmitsRelaunch.Load()) // see simfault.go
 	if id == "" {
 		// Workflow entry: adopt the platform's request id (§3.3).
-		id = inv.RequestID
+		id = inv.RequestID()
 		ev.InstanceID = id
 	}
 
 	var intent *intentRecord
-	if ev.First && ev.CallerFn != "" {
-		// A first launch: no other execution of this id can exist, so there is
-		// nothing to check, and the intent row — which exists to make the
-		// instance's effects exactly-once — waits for its first effect
+	if entry || (ev.First && ev.CallerFn != "") {
+		// A first launch: no other execution of this id can exist — the
+		// caller just minted it, or the platform did for this request — so
+		// there is nothing to check, and the intent row, which exists to make
+		// the instance's effects exactly-once, waits for its first effect
 		// boundary (materialiseIntent). If the body never reaches one, the
-		// result in the caller's invoke-log row is all the instance leaves.
+		// result in the caller's invoke-log row, or the reply to the client,
+		// is all the instance leaves.
 		ev.First = false
 		intent = rt.newIntent(id, ev, rt.now())
 		intent.deferred = true
@@ -191,8 +197,8 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 	}
 	if err != nil {
 		// The instance failed; a written intent stays pending for the
-		// collector, a deferred one never existed and the caller's retry
-		// launches it eagerly.
+		// collector, a deferred one never existed: a caller's retry launches
+		// the callee eagerly, and a client's retry is a new request.
 		obs.complete(err)
 		return dynamo.Null, err
 	}

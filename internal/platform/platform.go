@@ -323,11 +323,10 @@ func (p *Platform) invokeInner(ctx context.Context, name string, input Value, as
 	}
 
 	inv := &Invocation{
-		RequestID: p.ids.NewString(),
-		Function:  name,
-		Async:     async,
-		ctx:       ctx,
-		platform:  p,
+		Function: name,
+		Async:    async,
+		ctx:      ctx,
+		platform: p,
 	}
 	if fn.timeout > 0 {
 		inv.deadline = p.opts.Clock.Now().Add(fn.timeout)
@@ -478,14 +477,25 @@ func (p *Platform) jittered(d time.Duration) time.Duration {
 // platform-level identity Beldi builds on: RequestID is the UUID the first
 // SSF of a workflow adopts as its instance id (§3.3).
 type Invocation struct {
-	RequestID string
-	Function  string
-	Async     bool
+	Function string
+	Async    bool
 
-	ctx      context.Context
-	platform *Platform
-	deadline time.Time
-	ops      atomic.Int64
+	requestID string // minted by the first RequestID call
+	ctx       context.Context
+	platform  *Platform
+	deadline  time.Time
+	ops       atomic.Int64
+}
+
+// RequestID returns the invocation's request id, a fresh id from the
+// platform's IDs source minted on the first call. Only the handler's own
+// goroutine may call it; an invocation that never asks, as every
+// SSF-to-SSF call does, mints none.
+func (inv *Invocation) RequestID() string {
+	if inv.requestID == "" {
+		inv.requestID = inv.platform.ids.NewString()
+	}
+	return inv.requestID
 }
 
 // Context returns the context the invocation runs under —

@@ -488,15 +488,14 @@ func travelWorkload() *workload {
 			booked := h.Int() == capacity-1 && f.Int() == capacity-1
 			untouched := h.Int() == capacity && f.Int() == capacity
 			switch {
-			case sc.Kind == "crash" && (booked || untouched):
-				// A crash before the intent landed placed nothing; after
-				// it, the collector finishes the booking. Both-or-neither
-				// is the invariant.
-			case sc.Kind != "crash" && booked:
-				// Every other kind preserves the at-entry contract: the
-				// intent lands before the first crash point can fire, so
-				// each request books exactly once even when its caller
-				// died.
+			case booked:
+				// Booked exactly once, by the request or by the collector
+				// that finished it.
+			case untouched && errs[i] != nil:
+				// The client saw its call fail, and the workflow left
+				// nothing: an entry killed before its first effect writes no
+				// intent, so no collector books it, and a retry is the
+				// client's. A request the client saw succeed is booked.
 			default:
 				return fmt.Errorf("sim: request %d: hotel=%d flight=%d (capacity %d): not exactly-once",
 					i, h.Int(), f.Int(), capacity)
@@ -653,7 +652,7 @@ func fanoutWorkload() *workload {
 		}
 		if len(tot) == 0 {
 			if errs[0] != nil {
-				return nil // the job died before its intent landed: no totals is correct
+				return nil // the job died before its first effect wrote its intent: no totals is correct
 			}
 			return fmt.Errorf("sim: fan-out job acked but no totals committed")
 		}

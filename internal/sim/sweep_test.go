@@ -277,7 +277,7 @@ func TestSimPauseSupersedesMidBatch(t *testing.T) {
 // the client was answered still equals the one recorded. Reaching the seam
 // shows as a second result offered to the request's one invoke-log row.
 func TestSimPausedFirstLaunchLosesToRelaunch(t *testing.T) {
-	pinnedPauseSeeds(t, "first", []int64{269, 38, 203, 104}, func(r Result) string {
+	pinnedPauseSeeds(t, "first", []int64{269, 434, 203, 104}, func(r Result) string {
 		if r.ReadHeavyResults < 2 {
 			return "only one execution of the audit delivered; no relaunch ran beside the stalled first launch"
 		}

@@ -20,6 +20,7 @@ type Counting struct {
 
 	mu  sync.Mutex
 	ops map[string]int // "table kind"
+	seq []string       // "table kind" per call, in call order
 }
 
 // NewCounting wraps b.
@@ -30,9 +31,21 @@ func NewCounting(b storage.Backend) *Counting {
 }
 
 func (c *Counting) count(table, kind string) {
+	k := table + " " + kind
 	c.mu.Lock()
-	c.ops[table+" "+kind]++
+	c.ops[k]++
+	c.seq = append(c.seq, k)
 	c.mu.Unlock()
+}
+
+// Sequence returns every counted call since the last Sequence, as
+// "table kind", in the order the calls were made, and forgets them.
+func (c *Counting) Sequence() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	seq := c.seq
+	c.seq = nil
+	return seq
 }
 
 // Count returns how many calls of kind hit table.

@@ -67,9 +67,11 @@ func TestRestartRecoveryTravel(t *testing.T) {
 	// Phase 1: seed, then kill the entry SSF mid-workflow. (A crashed
 	// callee would be retried synchronously by its live caller — §4.5 —
 	// so the way to strand a workflow is to kill the instance the client
-	// is talking to, leaving its intent pending with no live caller.)
+	// is talking to, leaving its intent pending with no live caller. The
+	// entry writes its intent at its first effect, the call to reserve, so
+	// it is killed just after.)
 	store1 := reopen(t, dir)
-	fault := &platform.CrashNthOp{Function: travel.FnFrontend, N: 2}
+	fault := &platform.CrashOnce{Function: travel.FnFrontend, Label: "intent:logged"}
 	plat1 := newPlat(fault, "p1")
 	d1 := beldi.NewDeployment(beldi.DeploymentOptions{Store: store1, Platform: plat1, Config: restartCfg})
 	app1 := travel.Build(d1)
