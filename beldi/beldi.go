@@ -152,9 +152,11 @@ var (
 	// intents; see core.ErrSealPending.
 	ErrSealPending = core.ErrSealPending
 	// ErrCanceled reports an invocation killed because its context ended
-	// (InvokeCtx with a canceled context or an expired deadline). The
-	// workflow's intent stays pending and is finished by the collectors:
-	// cancellation never weakens exactly-once.
+	// (InvokeCtx with a canceled context or an expired deadline). A workflow
+	// whose intent was written stays pending and is finished by the
+	// collectors; one killed before its first effect left nothing. Either
+	// way cancellation never weakens exactly-once, and Retry finishes the
+	// workflow from the client's side.
 	ErrCanceled = platform.ErrCanceled
 	// ErrUnknownFunction reports an Invoke of a function name never
 	// registered on this deployment.
@@ -379,31 +381,31 @@ func (d *Deployment) Seal(fn, table string) error {
 
 // Invoke calls a function synchronously from outside any workflow (an
 // external client request). Unregistered names fail with
-// ErrUnknownFunction. The workflow's entry adopts the platform's request id
-// and writes its intent at its first effect, so a call that fails is one of
-// two kinds: killed before that effect, the workflow left nothing durable,
-// no collector runs it, and a retry is the client's to make (a new request);
-// killed after, the intent collector finishes it exactly once. A workflow
-// that never reaches an effect writes nothing at all.
+// ErrUnknownFunction. Invoke names the workflow before it launches it: its
+// instance id is a fresh request id of the platform's, and its entry writes
+// its intent row at its first effect, as a first-launched callee does. A
+// workflow that never reaches an effect writes nothing at all.
+//
+// Every failure but ErrUnknownFunction is a *CallError carrying that id. The workflow may
+// have been killed before its first effect, leaving nothing, or after it,
+// leaving a row the intent collector finishes exactly once; the error does
+// not say which, and Retry makes the question moot: it launches the same
+// instance again, which runs the workflow if nothing was left and joins it
+// if something was.
 func (d *Deployment) Invoke(name string, input Value) (Value, error) {
-	if err := d.known(name); err != nil {
-		return Null, err
-	}
-	return d.opts.Platform.Invoke(name, core.ClientEnvelope(input))
+	return d.InvokeAppCtx(context.Background(), name, "", input)
 }
 
 // InvokeCtx is Invoke bounded by a context: admission waits respect
 // cancellation, the workflow's lock retries, wait-die backoffs and promise
 // awaits observe ctx (Env.Context), and the instance is killed at its next
-// operation boundary once ctx ends — failing the call with ErrCanceled.
-// A workflow killed after its first effect wrote its intent is finished (or
-// already was) by the intent collector, exactly once; one killed before its
-// first effect left nothing, and the collector does not run it.
+// operation boundary once ctx ends — failing the call with a *CallError
+// that wraps ErrCanceled. A workflow killed after its first effect wrote its
+// intent is finished (or already was) by the intent collector, exactly once;
+// one killed before its first effect left nothing, and the collector does
+// not run it. Retry covers both.
 func (d *Deployment) InvokeCtx(ctx context.Context, name string, input Value) (Value, error) {
-	if err := d.known(name); err != nil {
-		return Null, err
-	}
-	return d.opts.Platform.InvokeCtx(ctx, name, core.ClientEnvelope(input))
+	return d.InvokeAppCtx(ctx, name, "", input)
 }
 
 // InvokeApp is Invoke on behalf of a named application (§2.2 SSF
@@ -412,10 +414,7 @@ func (d *Deployment) InvokeCtx(ctx context.Context, name string, input Value) (V
 // application's state separate; unscoped tables remain shared across
 // applications.
 func (d *Deployment) InvokeApp(name, app string, input Value) (Value, error) {
-	if err := d.known(name); err != nil {
-		return Null, err
-	}
-	return d.opts.Platform.Invoke(name, core.ClientEnvelopeForApp(app, input))
+	return d.InvokeAppCtx(context.Background(), name, app, input)
 }
 
 // InvokeAppCtx is InvokeApp bounded by a context, with InvokeCtx's
@@ -424,7 +423,53 @@ func (d *Deployment) InvokeAppCtx(ctx context.Context, name, app string, input V
 	if err := d.known(name); err != nil {
 		return Null, err
 	}
-	return d.opts.Platform.InvokeCtx(ctx, name, core.ClientEnvelopeForApp(app, input))
+	id := d.opts.Platform.NewRequestID()
+	return d.launch(ctx, CallError{Function: name, App: app, Instance: id, Input: input},
+		core.EntryEnvelope(id, app, input))
+}
+
+// CallError is the error of a client call (Invoke and its variants, or
+// Retry) whose workflow was named: Instance is the workflow's instance id,
+// and Err the failure, which errors.Is and errors.As see through.
+type CallError struct {
+	Function, App, Instance string
+	Input                   Value
+	Err                     error
+}
+
+// Error is the failure's message.
+func (e *CallError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the failure.
+func (e *CallError) Unwrap() error { return e.Err }
+
+// Retry launches the workflow of a failed call again, under its instance
+// id. The launch writes the workflow's intent row on entry, or joins the row
+// an earlier launch wrote, so the workflow's effects happen exactly once
+// however many of its launches ran, and a workflow that already finished
+// returns its recorded result. That holds for a retry started within T
+// (Config.T) of the failed call: the garbage collector keeps a finished
+// workflow's row for T past its completion, and a later retry may find no
+// row and run the workflow a second time. ModeBaseline keeps no intents, so
+// there a retry simply runs the workflow again. A failed retry is a
+// *CallError for the same instance, which may be retried in turn.
+func (d *Deployment) Retry(ctx context.Context, failed *CallError) (Value, error) {
+	if err := d.known(failed.Function); err != nil {
+		return Null, err
+	}
+	return d.launch(ctx, *failed, core.RetryEnvelope(failed.Instance, failed.App, failed.Input))
+}
+
+// launch invokes call's function with envelope ev and, when the call fails,
+// returns call with its Err set.
+func (d *Deployment) launch(ctx context.Context, call CallError, ev Value) (Value, error) {
+	out, err := d.opts.Platform.InvokeCtx(ctx, call.Function, ev)
+	if err != nil {
+		failed := call
+		failed.Err = err
+		return Null, &failed
+	}
+	return out, nil
 }
 
 // known verifies name was registered on this deployment.

@@ -1,6 +1,7 @@
 package beldi_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -84,8 +85,15 @@ func TestClusterWorkersShareState(t *testing.T) {
 // TestClusterKillRecoversExactlyOnce is the end-to-end acceptance scenario:
 // background loops running, a worker killed mid-load, survivors detect the
 // death, steal its partitions, and finish every workflow it left behind,
-// clients retry the ones it left nothing of — with every counter landing on
-// exactly 1.
+// clients retry the ones it left nothing of — with every counter landing
+// on exactly 1.
+//
+// Until the kill, every workflow entering at the doomed worker dies just
+// after its first effect wrote its intent row (and so does each of that
+// worker's own relaunches), so the worker leaves workflows stranded past
+// their first effect, which only the survivors' collection can finish. The
+// kill then takes down the calls it still runs; those die before their first
+// effect and leave nothing.
 func TestClusterKillRecoversExactlyOnce(t *testing.T) {
 	store := storagetest.Open(t)
 	c := beldi.MustOpenCluster(beldi.ClusterOptions{
@@ -124,19 +132,25 @@ func TestClusterKillRecoversExactlyOnce(t *testing.T) {
 		w.Start()
 	}
 
+	workers[1].Platform().SetFaults(crashAt("intent:logged"))
 	const requests = 30
-	var wg sync.WaitGroup
+	var wg, stranded sync.WaitGroup
 	errs := make([]error, requests)
 	for i := 0; i < requests; i++ {
 		wg.Add(1)
+		if i%3 == 1 && i < requests/2 {
+			stranded.Add(1)
+		}
 		go func(i int) {
 			defer wg.Done()
-			w := workers[i%3]
-			req := beldi.Map(map[string]beldi.Value{"key": beldi.Str(fmt.Sprintf("k%03d", i))})
-			_, errs[i] = w.Invoke("counter", req)
+			if i%3 == 1 && i < requests/2 {
+				defer stranded.Done()
+			}
+			_, errs[i] = workers[i%3].Invoke("counter", keyed(fmt.Sprintf("k%03d", i)))
 		}(i)
 		if i == requests/2 {
-			workers[1].Kill() // mid-load: a third of the traffic dies with it
+			stranded.Wait()
+			workers[1].Kill() // mid-load: the rest of its traffic dies with it
 		}
 	}
 	wg.Wait()
@@ -178,11 +192,36 @@ func TestClusterKillRecoversExactlyOnce(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// Every counter call writes, so each call that succeeded wrote one intent
+	// row, and every other row is a failed call's whose workflow was
+	// stranded past its first effect: each of those the collection finished.
+	var started int64
+	for _, w := range workers {
+		started += w.Deployment().Runtime("counter").StatsSnapshot().IntentsStarted
+	}
+	crashed, collected := 0, 0
+	for i := 0; i < requests; i++ {
+		if errs[i] != nil {
+			crashed++
+			if value(i) == 1 {
+				collected++
+			}
+		}
+	}
+	if want := int(started) - (requests - crashed); collected != want {
+		t.Errorf("collection finished %d failed calls, but %d left an intent row", collected, want)
+	}
+	if collected == 0 {
+		t.Error("no failed call was finished by collection: the kill stranded no workflow past its first effect")
+	}
 	retried := 0
 	for i := 0; i < requests; i++ {
 		if errs[i] != nil && value(i) == 0 {
-			req := beldi.Map(map[string]beldi.Value{"key": beldi.Str(fmt.Sprintf("k%03d", i))})
-			if _, err := workers[0].Invoke("counter", req); err != nil {
+			var failed *beldi.CallError
+			if !errors.As(errs[i], &failed) {
+				t.Fatalf("k%03d failed with %v, not a *CallError", i, errs[i])
+			}
+			if _, err := workers[0].Deployment().Retry(context.Background(), failed); err != nil {
 				t.Fatalf("retry of k%03d: %v", i, err)
 			}
 			retried++
@@ -199,14 +238,8 @@ func TestClusterKillRecoversExactlyOnce(t *testing.T) {
 	if steals == 0 {
 		t.Error("no partitions were stolen from the killed worker")
 	}
-	crashed := 0
-	for _, err := range errs {
-		if err != nil {
-			crashed++
-		}
-	}
-	t.Logf("kill test: %d/%d client calls failed at the killed worker (%d left nothing and were retried), %d partitions stolen",
-		crashed, requests, retried, steals)
+	t.Logf("kill test: %d/%d client calls failed at the killed worker (%d finished by collection, %d left nothing and were retried), %d partitions stolen",
+		crashed, requests, collected, retried, steals)
 	if err := workers[0].Deployment().FsckAll(); err != nil {
 		t.Errorf("fsck after recovery: %v", err)
 	}
@@ -234,6 +267,11 @@ func TestOpenClusterValidation(t *testing.T) {
 // The tests below pin how a started cluster worker drives durable async:
 // exactly as a standalone deployment does, since its collection is its
 // deployment's loop.
+
+// crashAt is a fault plan that kills every instance reaching its label.
+type crashAt string
+
+func (l crashAt) ShouldCrash(_, label string, _ int) bool { return label == string(l) }
 
 // keyed is counter's request for key.
 func keyed(key string) beldi.Value {

@@ -454,6 +454,7 @@ func runCosts() error {
 		return err
 	}
 	fmt.Println("# §7.3 'Other costs' — storage and IO accounting")
+	fmt.Println("# each instance is launched with its id, as a client retry is, so its intent row lands on entry and is subtracted: the rows price steps inside an instance whose intent exists")
 	fmt.Printf("stored bytes per write:                beldi=%.1f  baseline=%.1f  (beldi beyond the value it logs; baseline overwrites in place)\n",
 		rep.StoredBytesPerOpBeldi, rep.StoredBytesPerOpBaseline)
 	fmt.Printf("response bytes per read (20-row DAAL): beldi=%d  baseline=%d  (extra=%d)\n",

@@ -37,10 +37,12 @@ func requireScenario(t *testing.T, seed int64, kind, workload string) {
 // reservation workload across a three-worker pool and kills a worker
 // mid-load. Each request books a distinct (hotel, flight) pair, so
 // exactly-once is auditable per workflow: every booked hotel and flight
-// ends at capacity-1 — a lost workflow leaves capacity, a duplicated one
-// capacity-2 — and the cross-SSF transaction's invariant (hotel and flight
-// move in lockstep) must survive the kill. The scenario also asserts that
-// survivors actually stole the victim's partitions.
+// ends at capacity-1 and a duplicated one at capacity-2. A request may stay
+// at capacity only if its client saw the call fail and its entry wrote no
+// intent, so no workflow whose intent landed is lost. The cross-SSF
+// transaction's invariant (hotel and flight move in lockstep) must survive
+// the kill. The scenario also asserts that survivors actually stole the
+// victim's partitions.
 func TestTravelWorkerKillKeepsReservationsExactlyOnce(t *testing.T) {
 	const seed = 3 // kill/travel under the random policy
 	requireScenario(t, seed, "kill", "travel")

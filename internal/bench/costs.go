@@ -123,15 +123,17 @@ func Costs() (*CostsReport, error) {
 			return beldi.Null, nil
 		}, "data")
 
-		// Every instance is launched with its id, so it writes its intent row
-		// on entry, as §3.3 describes, and the calibration below subtracts
-		// it: a client entry would defer the row to its first effect and
-		// charge it there, and a read-only one would write none. The ids have
-		// the shape of the platform's request ids, so the log entries the
-		// instances write are as long as a client entry's.
+		// Every instance is launched with its id, as a client's retry is
+		// (core.RetryEnvelope), so it writes its intent row on entry, as
+		// §3.3 describes, and the calibration below subtracts it: the rows
+		// price steps inside an instance whose intent exists. A first launch
+		// would defer the row to its first effect and charge it there, and a
+		// read-only one would write none. The ids have the shape of the
+		// platform's request ids, so the log entries the instances write are
+		// as long as a client entry's.
 		ids := &uuid.Seq{Prefix: "cli"}
 		invoke := func() error {
-			_, err := sys.Plat.Invoke("op", core.ClientEnvelopeWithID(ids.NewString(), beldi.Null))
+			_, err := sys.Plat.Invoke("op", core.RetryEnvelope(ids.NewString(), "", beldi.Null))
 			return err
 		}
 		if mode == beldi.ModeBeldi {

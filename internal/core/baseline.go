@@ -16,7 +16,10 @@ import (
 
 func (rt *Runtime) baselineHandler(inv *platform.Invocation, raw Value) (Value, error) {
 	ev := decodeEnvelope(raw)
-	id := inv.RequestID()
+	id := ev.InstanceID
+	if id == "" {
+		id = inv.RequestID()
+	}
 	return rt.body(newEnv(rt, inv, id, &intentRecord{id: id}, ev.App), ev.Input)
 }
 

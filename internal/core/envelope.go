@@ -22,9 +22,11 @@ type envelope struct {
 	// directly follows their own applied invoke-log insert, so the callee id
 	// was minted a moment ago and no other execution of it can exist; the
 	// collector's claim that fires a schedule sets it on the occurrence it
-	// puts (fireSchedule). Such a sync callee defers its intent row to its
-	// first effect boundary (handleCall); such an async run skips reading
-	// its row while it is younger than ICMinAge (handleAsyncRun).
+	// puts (fireSchedule); a client sets it on the first launch of a
+	// workflow whose id it minted (EntryEnvelope). Such a sync launch defers
+	// its intent row to its first effect boundary (handleCall); such an
+	// async run skips reading its row while it is younger than ICMinAge
+	// (handleAsyncRun).
 	// Never stored: the Args of an intent describe a relaunch, which is never
 	// first. On a callback it marks the result of such a launch that stayed
 	// effect-free, which a row closed by a relaunch refuses (handleCallback).
@@ -135,19 +137,22 @@ func ClientEnvelope(input Value) Value {
 	return envelope{Kind: kindCall, Input: input}.encode()
 }
 
-// ClientEnvelopeWithID is ClientEnvelope carrying instance id, as a
-// collector relaunch does: the launch writes its intent row on entry
-// (ensureIntent) instead of deferring it to its first effect, and a second
-// launch with the same id joins that row. Measurements that price one API
-// operation inside an instance whose intent exists launch with it.
-func ClientEnvelopeWithID(id string, input Value) Value {
-	return envelope{Kind: kindCall, InstanceID: id, Input: input}.encode()
+// EntryEnvelope is the first launch of a workflow whose instance id the
+// client minted (id, fresh from the platform's request ids) for application
+// app ("" for none). Like an id-less ClientEnvelope, the launch defers its
+// intent row to its first effect; unlike it, the client knows the id when
+// the launch fails, and can retry it (RetryEnvelope).
+func EntryEnvelope(id, app string, input Value) Value {
+	return envelope{Kind: kindCall, InstanceID: id, First: true, App: app, Input: input}.encode()
 }
 
-// ClientEnvelopeForApp is ClientEnvelope carrying an application name, for
-// SSFs serving several applications with separated state (§2.2).
-func ClientEnvelopeForApp(app string, input Value) Value {
-	return envelope{Kind: kindCall, Input: input, App: app}.encode()
+// RetryEnvelope launches workflow instance id again, as a collector
+// relaunch does: the launch writes its intent row on entry (ensureIntent)
+// instead of deferring it, or joins the row an earlier launch wrote, so the
+// workflow's effects happen once whichever launches ran. A launch of a
+// completed instance returns the recorded result.
+func RetryEnvelope(id, app string, input Value) Value {
+	return envelope{Kind: kindCall, InstanceID: id, App: app, Input: input}.encode()
 }
 
 // decodeEnvelope unmarshals an invocation payload. Raw payloads that are not

@@ -140,7 +140,7 @@ func (f *fixture) invoke(name string, input Value) (Value, error) {
 // is killed leaves the row pending for the collectors, and the body's first
 // effect pays no intent put.
 func (f *fixture) invokeAs(name, id string, input Value) (Value, error) {
-	return f.plat.Invoke(name, envelope{Kind: kindCall, InstanceID: id, Input: input}.encode())
+	return f.plat.Invoke(name, RetryEnvelope(id, "", input))
 }
 
 // invokeAsClient calls a function as a client that retries a workflow its

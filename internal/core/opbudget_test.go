@@ -319,7 +319,7 @@ func TestStoreOpBudget(t *testing.T) {
 	counted := storagetest.NewCounting(dynamo.NewStore())
 	g := newFixture(t, withStore(counted))
 	ew := g.fn("ew", func(e *Env, in Value) (Value, error) { return in, e.Write("kv", "k", in) }, "kv")
-	counted.Sequence()
+	counted.StartSequence()
 	if _, err := g.plat.Invoke("ew", ClientEnvelope(dynamo.S("v"))); err != nil {
 		t.Fatal(err)
 	}

@@ -127,10 +127,10 @@ func (rt *Runtime) handler(inv *platform.Invocation, raw Value) (Value, error) {
 // handleCall runs a synchronous (or collector-restarted) execution.
 func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, error) {
 	id := ev.InstanceID
-	// A client entry's first launch: an envelope with no caller and no id.
-	// Every later launch of the workflow carries the id (collector relaunch,
-	// schedule fire, re-drive).
-	entry := ev.CallerFn == "" && (id == "" || FaultLazyEntryAdmitsRelaunch.Load()) // see simfault.go
+	// A first launch is a callee's or a client entry's that is marked First,
+	// or a client entry's with no id. Every later launch carries the id
+	// without the mark (collector relaunch, a caller's or a client's retry).
+	first := ev.First || id == "" || (ev.CallerFn == "" && FaultLazyEntryAdmitsRelaunch.Load()) // see simfault.go
 	if id == "" {
 		// Workflow entry: adopt the platform's request id (§3.3).
 		id = inv.RequestID()
@@ -138,14 +138,14 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 	}
 
 	var intent *intentRecord
-	if entry || (ev.First && ev.CallerFn != "") {
+	if first {
 		// A first launch: no other execution of this id can exist — the
-		// caller just minted it, or the platform did for this request — so
-		// there is nothing to check, and the intent row, which exists to make
-		// the instance's effects exactly-once, waits for its first effect
-		// boundary (materialiseIntent). If the body never reaches one, the
-		// result in the caller's invoke-log row, or the reply to the client,
-		// is all the instance leaves.
+		// caller or the client just minted it, or the platform did for this
+		// request — so there is nothing to check, and the intent row, which
+		// exists to make the instance's effects exactly-once, waits for its
+		// first effect boundary (materialiseIntent). If the body never
+		// reaches one, the result in the caller's invoke-log row, or the
+		// reply to the client, is all the instance leaves.
 		ev.First = false
 		intent = rt.newIntent(id, ev, rt.now())
 		intent.deferred = true
@@ -197,8 +197,8 @@ func (rt *Runtime) handleCall(inv *platform.Invocation, ev envelope) (Value, err
 	}
 	if err != nil {
 		// The instance failed; a written intent stays pending for the
-		// collector, a deferred one never existed: a caller's retry launches
-		// the callee eagerly, and a client's retry is a new request.
+		// collector, a deferred one never existed: a caller's or a client's
+		// retry launches it eagerly.
 		obs.complete(err)
 		return dynamo.Null, err
 	}

@@ -15,8 +15,7 @@ type FaultPlan interface {
 
 // CrashAll kills every instance at its next crash point — the sudden-death
 // model a worker kill uses: in-flight handlers die at their next operation
-// boundary, which preserves the at-entry contract (an instance's intent
-// lands before its first crash point can fire).
+// boundary, never inside one.
 type CrashAll struct{}
 
 // ShouldCrash implements FaultPlan.

@@ -498,6 +498,11 @@ func (inv *Invocation) RequestID() string {
 	return inv.requestID
 }
 
+// NewRequestID mints a request id from the platform's IDs source, for a
+// client that names its request before it launches it, so that it still
+// knows the name when the launch fails.
+func (p *Platform) NewRequestID() string { return p.ids.NewString() }
+
 // Context returns the context the invocation runs under —
 // context.Background() unless the caller used an InvokeCtx variant. Beldi
 // exposes it to bodies as Env.Context.

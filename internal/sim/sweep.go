@@ -412,8 +412,10 @@ func newWorkload(sc Scenario, prng *rand.Rand) *workload {
 
 // travelWorkload books a distinct (hotel, flight) pair per request, so
 // exactly-once is auditable per workflow: both inventories must land at
-// capacity-1 — a lost workflow leaves capacity, a duplicate capacity-2 —
-// and the cross-SSF transaction keeps them in lockstep.
+// capacity-1 — a duplicate leaves capacity-2 — and the cross-SSF
+// transaction keeps them in lockstep. A request may stay at capacity only if
+// its client saw the call fail and its entry wrote no intent (killed before
+// its first effect); one whose intent landed must be booked.
 func travelWorkload() *workload {
 	const capacity = 20
 	wl := &workload{name: "travel", requests: 12}
@@ -476,6 +478,7 @@ func travelWorkload() *workload {
 		d := c.Live(0).CW.Deployment()
 		hotelRT := d.Runtime(travel.FnReserveHotel)
 		flightRT := d.Runtime(travel.FnReserveFlight)
+		nBooked := int64(0)
 		for i := 0; i < wl.requests; i++ {
 			h, err := beldi.PeekState(hotelRT, "inventory", fmt.Sprintf("hotel-%03d", i))
 			if err != nil {
@@ -491,15 +494,30 @@ func travelWorkload() *workload {
 			case booked:
 				// Booked exactly once, by the request or by the collector
 				// that finished it.
+				nBooked++
 			case untouched && errs[i] != nil:
-				// The client saw its call fail, and the workflow left
-				// nothing: an entry killed before its first effect writes no
-				// intent, so no collector books it, and a retry is the
-				// client's. A request the client saw succeed is booked.
+				// The client saw its call fail, and the workflow may have
+				// left nothing: an entry killed before its first effect
+				// writes no intent, so no collector books it, and a retry is
+				// the client's. Whether it did is checked below. A
+				// request the client saw succeed is booked.
 			default:
 				return fmt.Errorf("sim: request %d: hotel=%d flight=%d (capacity %d): not exactly-once",
 					i, h.Int(), f.Int(), capacity)
 			}
+		}
+		// Every request's entry writes its intent at its first effect, the
+		// invocation of the reservation, so a booked request wrote exactly
+		// one frontend intent row and an untouched one must have written
+		// none: a row beyond the booked ones is a workflow whose intent
+		// landed and which no collector finished. The killed workers count.
+		var started int64
+		for _, w := range c.Workers {
+			started += w.CW.Deployment().Runtime(travel.FnFrontend).StatsSnapshot().IntentsStarted
+		}
+		if started != nBooked {
+			return fmt.Errorf("sim: %d frontend intents written, %d requests booked: a workflow whose intent landed was lost",
+				started, nBooked)
 		}
 		hot, err := travel.AuditInventory(d, travel.FnReserveHotel)
 		if err != nil {

@@ -20,7 +20,8 @@ type Counting struct {
 
 	mu  sync.Mutex
 	ops map[string]int // "table kind"
-	seq []string       // "table kind" per call, in call order
+	seq []string       // "table kind" per call, in call order, while recording
+	rec bool           // between StartSequence and Sequence
 }
 
 // NewCounting wraps b.
@@ -31,20 +32,29 @@ func NewCounting(b storage.Backend) *Counting {
 }
 
 func (c *Counting) count(table, kind string) {
-	k := table + " " + kind
 	c.mu.Lock()
-	c.ops[k]++
-	c.seq = append(c.seq, k)
+	c.ops[table+" "+kind]++
+	if c.rec {
+		c.seq = append(c.seq, table+" "+kind)
+	}
 	c.mu.Unlock()
 }
 
-// Sequence returns every counted call since the last Sequence, as
-// "table kind", in the order the calls were made, and forgets them.
+// StartSequence starts recording the order of the counted calls, which
+// Sequence returns.
+func (c *Counting) StartSequence() {
+	c.mu.Lock()
+	c.seq, c.rec = nil, true
+	c.mu.Unlock()
+}
+
+// Sequence returns every counted call since StartSequence, as "table kind",
+// in the order the calls were made, and stops recording.
 func (c *Counting) Sequence() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	seq := c.seq
-	c.seq = nil
+	c.seq, c.rec = nil, false
 	return seq
 }
 
